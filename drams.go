@@ -119,27 +119,6 @@ type Config struct {
 	// validate and gossip — the designated-producer configuration a
 	// private federation chain would use.
 	MineAll bool
-	// VerifyWorkers sizes each node's signature-verification worker pool
-	// for block validation and batched gossip admission (default
-	// GOMAXPROCS).
-	VerifyWorkers int
-	// VerifyCacheSize bounds each node's verified-transaction LRU, which
-	// lets gossip duplicates and block validation skip re-verifying
-	// signatures checked at mempool admission (default 8192; negative
-	// disables the cache).
-	VerifyCacheSize int
-	// SequentialVerify disables the batch-verification pipeline: every
-	// signature is checked inline, one at a time — the pre-pipeline
-	// baseline for overhead experiments.
-	SequentialVerify bool
-	// DecisionCacheSize bounds the PDP decision cache in entries (default
-	// 4096). Cached decisions are keyed by canonical request attributes
-	// and the active policy-set digest, so results are bit-for-bit what
-	// full evaluation produces.
-	DecisionCacheSize int
-	// DisableDecisionCache evaluates every request from scratch — the
-	// overhead baseline.
-	DisableDecisionCache bool
 	// RemoteAgents separates probing agents from their Logging Interfaces:
 	// each LI exposes its §II network endpoints and agents submit raw
 	// observations over the tenant network (the LI derives digests, tags
@@ -293,13 +272,10 @@ func New(cfg Config) (*Deployment, error) {
 		tenantNames = append(tenantNames, ten.Name)
 	}
 	material := NewChainMaterial(cfg.Seed, tenantNames, ChainParams{
-		Difficulty:       cfg.Difficulty,
-		MaxTxPerBlock:    cfg.MaxTxPerBlock,
-		TimeoutBlocks:    cfg.TimeoutBlocks,
-		RequireVerdict:   !cfg.DisableVerdicts && !cfg.MonitorOff,
-		VerifyWorkers:    cfg.VerifyWorkers,
-		VerifyCacheSize:  cfg.VerifyCacheSize,
-		SequentialVerify: cfg.SequentialVerify,
+		Difficulty:     cfg.Difficulty,
+		MaxTxPerBlock:  cfg.MaxTxPerBlock,
+		TimeoutBlocks:  cfg.TimeoutBlocks,
+		RequireVerdict: !cfg.DisableVerdicts && !cfg.MonitorOff,
 	})
 	d.Key = material.Key
 	liIdentities := material.LIIdentities
@@ -358,9 +334,7 @@ func New(cfg Config) (*Deployment, error) {
 
 	// Access-control plane.
 	d.PDP = xacml.NewPDP(nil)
-	if !cfg.DisableDecisionCache {
-		d.PDP.SetCache(xacml.NewDecisionCache(cfg.DecisionCacheSize))
-	}
+	d.PDP.SetCache(xacml.NewDecisionCache(0))
 	d.PRP = xacml.NewPRP()
 	d.PDPService, err = federation.NewPDPService(d.Transport, d.PDP)
 	if err != nil {

@@ -36,16 +36,6 @@ type Config struct {
 	Registry *contract.Registry
 	// Clock is the time source (defaults to the system clock).
 	Clock clock.Clock
-	// VerifyWorkers sizes the signature-verification worker pool used for
-	// block validation and batched mempool admission (default GOMAXPROCS).
-	VerifyWorkers int
-	// VerifyCacheSize bounds the verified-transaction LRU shared by gossip
-	// admission and block validation (default 8192; negative disables).
-	VerifyCacheSize int
-	// SequentialVerify disables the batch-verification pipeline and its
-	// cache: every signature is checked inline, one at a time — the
-	// pre-pipeline baseline for overhead experiments.
-	SequentialVerify bool
 	// SequentialApply disables parallel (OCC) transaction application
 	// during block validation — the baseline for apply-throughput
 	// experiments. Application strategy does not affect consensus: the
@@ -139,11 +129,7 @@ func NewChain(cfg Config) *Chain {
 		emitted:  make(map[crypto.Digest]bool),
 		headSubs: make(map[int]chan struct{}),
 	}
-	c.verifier = NewTxVerifier(c.ids, VerifierConfig{
-		Workers:    cfg.VerifyWorkers,
-		CacheSize:  cfg.VerifyCacheSize,
-		Sequential: cfg.SequentialVerify,
-	})
+	c.verifier = NewTxVerifier(c.ids, VerifierConfig{})
 	gen := &Block{Header: BlockHeader{
 		Height:       0,
 		TimeUnixNano: cfg.GenesisTime.UnixNano(),

@@ -21,12 +21,9 @@ import (
 // byte of every encoding is a format tag:
 //
 //	0x01        binary codec v1 (this file)
-//	'{' (0x7b)  legacy JSON (encoding/json of the Go structs)
 //
-// so decoders accept both formats transparently — chains persisted by
-// pre-binary builds reopen, and mixed-version federations interoperate
-// (JSON peers' gossip decodes here; LegacyJSONWire makes a node *emit*
-// JSON for the reverse direction).
+// and decoders reject every other tag, so a future layout change bumps the
+// tag and old builds refuse the new bytes instead of misreading them.
 //
 // Binary transaction body (big-endian; str = u16 len + bytes,
 // blob = u32 len + bytes):
@@ -243,9 +240,8 @@ func (r *txReader) readTxBody(tx *Transaction) error {
 	if args, err = r.blob(); err != nil {
 		return err
 	}
-	// The JSON decode path can only yield a valid RawMessage; enforce the
-	// same invariant here, or a hostile peer's garbage args would panic
-	// Call.Encode when the tx ID is computed.
+	// Call.Args is a json.RawMessage: a hostile peer's garbage args would
+	// panic Call.Encode when the tx ID is computed.
 	if len(args) > 0 && !json.Valid(args) {
 		return errors.New("call args are not valid JSON")
 	}
@@ -327,24 +323,4 @@ func decodeBlockBinary(data []byte) (*Block, error) {
 		return fail(fmt.Errorf("%d trailing bytes", len(data)-r.off))
 	}
 	return &b, nil
-}
-
-// EncodeTxJSON serialises a transaction in the legacy JSON wire format.
-// Kept for mixed-version federations (NodeConfig.LegacyJSONWire) and
-// format-interop tests.
-func EncodeTxJSON(tx Transaction) []byte {
-	out, err := json.Marshal(tx)
-	if err != nil {
-		panic(fmt.Sprintf("blockchain: encode tx: %v", err))
-	}
-	return out
-}
-
-// EncodeBlockJSON serialises a block in the legacy JSON wire format.
-func EncodeBlockJSON(b *Block) []byte {
-	out, err := json.Marshal(b)
-	if err != nil {
-		panic(fmt.Sprintf("blockchain: encode block: %v", err))
-	}
-	return out
 }

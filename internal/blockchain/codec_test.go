@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drams/internal/contract"
@@ -43,6 +44,17 @@ func testBlockForCodec(t testing.TB, txCount int) *Block {
 	}
 }
 
+// mustJSON is the encoding/json form of a wire struct: the alloc-ratio
+// baseline, and hostile '{'-led input for the decoders.
+func mustJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestTxBinaryRoundTrip(t *testing.T) {
 	tx := testTx(t, "alice", 3)
 	enc := EncodeTx(tx)
@@ -61,17 +73,6 @@ func TestTxBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTxJSONFallbackDecode(t *testing.T) {
-	tx := testTx(t, "alice", 3)
-	got, err := DecodeTx(EncodeTxJSON(tx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID() != tx.ID() {
-		t.Fatal("JSON-decoded tx differs")
-	}
-}
-
 func TestBlockBinaryRoundTrip(t *testing.T) {
 	for _, txCount := range []int{0, 1, 5} {
 		b := testBlockForCodec(t, txCount)
@@ -86,20 +87,6 @@ func TestBlockBinaryRoundTrip(t *testing.T) {
 		if got.Hash() != b.Hash() {
 			t.Fatalf("txCount=%d: block hash changed", txCount)
 		}
-	}
-}
-
-func TestBlockJSONFallbackDecode(t *testing.T) {
-	b := testBlockForCodec(t, 3)
-	got, err := DecodeBlock(EncodeBlockJSON(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Hash() != b.Hash() {
-		t.Fatal("JSON-decoded block differs")
-	}
-	if len(got.Txs) != 3 || got.Txs[1].ID() != b.Txs[1].ID() {
-		t.Fatal("JSON-decoded txs differ")
 	}
 }
 
@@ -139,6 +126,18 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			t.Errorf("%s: block decode accepted hostile input", name)
 		}
 	}
+	// '{' is no format tag: well-formed JSON of the wire structs is refused
+	// on the tag byte like any other unknown format, by every decoder.
+	const unknownTag = "unknown format byte 0x7b"
+	if _, err := DecodeBlock(mustJSON(t, b)); err == nil || !strings.Contains(err.Error(), unknownTag) {
+		t.Errorf("JSON block: err = %v, want %q", err, unknownTag)
+	}
+	if _, err := DecodeTx(mustJSON(t, b.Txs[0])); err == nil || !strings.Contains(err.Error(), unknownTag) {
+		t.Errorf("JSON tx: err = %v, want %q", err, unknownTag)
+	}
+	if _, err := decodeRangeResp([]byte(`{"blocks":[]}`)); err == nil || !strings.Contains(err.Error(), unknownTag) {
+		t.Errorf("JSON range response: err = %v, want %q", err, unknownTag)
+	}
 	validTx := EncodeTx(testTx(t, "alice", 1))
 	for name, data := range map[string][]byte{
 		"empty":          nil,
@@ -175,7 +174,7 @@ func TestAppendTxReusesBuffer(t *testing.T) {
 // the wire-bandwidth half of the hot-path win.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	b := testBlockForCodec(t, 8)
-	bin, jsn := len(b.Encode()), len(EncodeBlockJSON(b))
+	bin, jsn := len(b.Encode()), len(mustJSON(t, b))
 	if bin >= jsn {
 		t.Fatalf("binary block (%d bytes) not smaller than JSON (%d bytes)", bin, jsn)
 	}
@@ -191,17 +190,6 @@ func TestRangeRespRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, resp) {
-		t.Fatal("binary range response round trip mismatch")
-	}
-	jsonEnc, err := json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = decodeRangeResp(jsonEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, resp) {
-		t.Fatal("JSON range response round trip mismatch")
+		t.Fatal("range response round trip mismatch")
 	}
 }

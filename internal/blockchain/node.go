@@ -21,7 +21,6 @@ import (
 const (
 	kindTx       = "bc.tx"
 	kindBlock    = "bc.block"
-	kindGetBlock = "bc.getblock"
 	kindGetRange = "bc.getrange"
 	kindHead     = "bc.head"
 	kindSubmit   = "bc.submit"
@@ -72,9 +71,7 @@ type NodeConfig struct {
 	// disables.
 	RebroadcastInterval time.Duration
 	// IngestBatch caps how many gossiped transactions are admitted per
-	// signature-verification batch (default 128). Ignored when the chain
-	// is configured with SequentialVerify, which keeps the historic
-	// verify-inline-per-message behaviour.
+	// signature-verification batch (default 128).
 	IngestBatch int
 	// Store, when set, makes the chain durable: persisted blocks are
 	// replayed (with full validation) at construction, a damaged tail is
@@ -86,15 +83,6 @@ type NodeConfig struct {
 	// return (default 128, server-clamped to 512). Catch-up cost is then
 	// dominated by validation, not round-trips.
 	SyncBatch int
-	// PerBlockSync forces the legacy one-Call-per-block catch-up protocol
-	// instead of batched range sync — the baseline for the V6 rejoin
-	// benchmark.
-	PerBlockSync bool
-	// LegacyJSONWire makes the node emit JSON (pre-binary-codec) encodings
-	// for outbound gossip, serves and persistence. Decoding always accepts
-	// both formats, so this models the old half of a mixed-version
-	// federation (format-interop tests, staged rollouts).
-	LegacyJSONWire bool
 }
 
 // EventNotification delivers the events of one applied block to a
@@ -126,9 +114,9 @@ type NodeStats struct {
 	BlocksReloaded int64
 	ReloadDropped  int64
 	// SyncCalls / SyncBlocks count the catch-up protocol: transport Calls
-	// issued (head, range and per-block fetches) and blocks obtained
-	// through them. With batched range sync SyncCalls stays far below
-	// SyncBlocks; the legacy per-block protocol pays one Call per block.
+	// issued (bc.head and bc.getrange) and blocks obtained through them.
+	// One range call returns up to SyncBatch blocks, so SyncCalls stays
+	// far below SyncBlocks unless SyncBatch is 1.
 	SyncCalls  int64
 	SyncBlocks int64
 	// MempoolLen / SeenCacheLen are point-in-time occupancy gauges of the
@@ -153,12 +141,15 @@ type Node struct {
 	chainPeer map[string]struct{} // discovered via bc.hello (Peers empty)
 	helloed   int                 // address count at the last hello broadcast
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	newTx    chan struct{}
-	ingest   chan inboundTx // nil when SequentialVerify
-	seenTx   *seenCache     // recently handled tx-gossip payloads
+	// ctx is the node's lifetime: Stop cancels it, which ends the loops
+	// (stop is ctx.Done()) and aborts catch-up calls still in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	stop   <-chan struct{}
+	wg     sync.WaitGroup
+	newTx  chan struct{}
+	ingest chan inboundTx
+	seenTx *seenCache // recently handled tx-gossip payloads
 
 	subMu  sync.Mutex
 	subs   map[int]*eventSub
@@ -290,14 +281,18 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockchain: register node %q: %w", cfg.Name, err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		cfg:       cfg,
 		chain:     chain,
 		pool:      NewMempool(cfg.MempoolSize),
 		ep:        ep,
 		clk:       cfg.Chain.withDefaults().Clock,
-		stop:      make(chan struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
+		stop:      ctx.Done(),
 		newTx:     make(chan struct{}, 1),
+		ingest:    make(chan inboundTx, 4*cfg.IngestBatch),
 		subs:      make(map[int]*eventSub),
 		chainPeer: make(map[string]struct{}),
 	}
@@ -305,17 +300,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.reloaded.Add(int64(reloaded))
 	n.reloadDrop.Add(int64(reloadDropped))
 	n.chain.SetEventSink(n.fanout)
-	if !cfg.Chain.SequentialVerify {
-		// Gossip handlers are active from construction, so the batched
-		// admission loop must be too (Stop terminates it).
-		n.ingest = make(chan inboundTx, 4*cfg.IngestBatch)
-		n.wg.Add(1)
-		go n.ingestLoop()
-	}
+	// Gossip handlers are active from construction, so the batched
+	// admission loop must be too (Stop terminates it).
+	n.wg.Add(1)
+	go n.ingestLoop()
 	ep.OnMessage(kindTx, n.handleTxGossip)
 	ep.OnMessage(kindBlock, n.handleBlockGossip)
 	ep.OnMessage(kindHello, n.handleHello)
-	ep.OnCall(kindGetBlock, n.handleGetBlock)
 	ep.OnCall(kindGetRange, n.handleGetRange)
 	ep.OnCall(kindHead, n.handleHead)
 	ep.OnCall(kindSubmit, n.handleSubmit)
@@ -479,16 +470,14 @@ func (n *Node) rebroadcastLoop(interval time.Duration) {
 		}
 		n.reHello()
 		for _, tx := range n.pool.All(256) {
-			n.gossip(kindTx, n.wireEncodeTx(tx), "")
+			n.gossip(kindTx, EncodeTx(tx), "")
 		}
 	}
 }
 
 // Stop halts mining and closes subscriber channels.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-	})
+	n.cancel()
 	n.wg.Wait()
 	n.subMu.Lock()
 	for id, sub := range n.subs {
@@ -517,7 +506,7 @@ func (n *Node) SubmitTx(tx Transaction) error {
 	case n.newTx <- struct{}{}:
 	default:
 	}
-	n.gossip(kindTx, n.wireEncodeTx(tx), "")
+	n.gossip(kindTx, EncodeTx(tx), "")
 	return nil
 }
 
@@ -626,22 +615,6 @@ func (n *Node) fanout(height uint64, events []contract.Event) {
 	}
 }
 
-// wireEncodeTx picks the node's outbound wire format for a transaction.
-func (n *Node) wireEncodeTx(tx Transaction) []byte {
-	if n.cfg.LegacyJSONWire {
-		return EncodeTxJSON(tx)
-	}
-	return EncodeTx(tx)
-}
-
-// wireEncodeBlock picks the node's outbound wire format for a block.
-func (n *Node) wireEncodeBlock(b *Block) []byte {
-	if n.cfg.LegacyJSONWire {
-		return EncodeBlockJSON(b)
-	}
-	return b.Encode()
-}
-
 // gossip fans a frame out to the chain peer set: the static Peers table when
 // configured, otherwise the peers discovered through the bc.hello handshake.
 // Either way gossip never sprays non-node endpoints (PEPs, PDP, loggers)
@@ -662,9 +635,9 @@ func (n *Node) gossip(kind string, payload []byte, except string) {
 	}
 }
 
-// handleTxGossip processes a gossiped transaction. With the batch pipeline
-// (the default) it only decodes and enqueues; signature verification and
-// mempool admission happen in ingestLoop, batched across the worker pool.
+// handleTxGossip processes a gossiped transaction. It only decodes and
+// enqueues; signature verification and mempool admission happen in
+// ingestLoop, batched across the worker pool.
 func (n *Node) handleTxGossip(from string, payload []byte) {
 	// Duplicate copies arrive constantly — the flood fans in from every
 	// peer and the rebroadcast loops re-send pending transactions a few
@@ -679,41 +652,19 @@ func (n *Node) handleTxGossip(from string, payload []byte) {
 		n.seenTx.add(key) // malformed stays malformed; skip retries too
 		return
 	}
-	if n.ingest != nil {
-		if n.pool.Has(tx.ID()) {
-			n.seenTx.add(key)
-			return // duplicate flood: stop it before it costs a queue slot
-		}
-		select {
-		case n.ingest <- inboundTx{tx: tx, raw: payload, from: from}:
-			n.seenTx.add(key)
-		default:
-			// Queue full under burst; the sender's periodic rebroadcast
-			// will retry, so dropping here only delays admission — the
-			// payload stays unmarked so that retry is not muted.
-			n.inDropped.Inc()
-		}
-		return
-	}
-	// Sequential baseline: verify inline on the delivery goroutine.
-	n.seenTx.add(key)
-	if err := n.chain.Verifier().VerifyTx(&tx); err != nil {
-		return
-	}
-	n.admit(tx, payload, from)
-}
-
-// admit adds a verified transaction to the mempool, wakes the miner and
-// continues the gossip flood.
-func (n *Node) admit(tx Transaction, payload []byte, from string) {
-	if err := n.pool.Add(tx); err != nil {
-		return // duplicate or full: stop the flood here
+	if n.pool.Has(tx.ID()) {
+		n.seenTx.add(key)
+		return // duplicate flood: stop it before it costs a queue slot
 	}
 	select {
-	case n.newTx <- struct{}{}:
+	case n.ingest <- inboundTx{tx: tx, raw: payload, from: from}:
+		n.seenTx.add(key)
 	default:
+		// Queue full under burst; the sender's periodic rebroadcast
+		// will retry, so dropping here only delays admission — the
+		// payload stays unmarked so that retry is not muted.
+		n.inDropped.Inc()
 	}
-	n.gossip(kindTx, payload, from)
 }
 
 // ingestLoop drains gossiped transactions and admits them in verification
@@ -822,21 +773,7 @@ func (n *Node) importBlock(b *Block, from string) {
 func (n *Node) afterAccept(b *Block, from string) {
 	n.accepted.Inc()
 	n.pool.PruneConfirmed(n.chain.AccountNonces())
-	n.gossip(kindBlock, n.wireEncodeBlock(b), from)
-}
-
-// handleGetBlock serves a block by hash.
-func (n *Node) handleGetBlock(from string, payload []byte) ([]byte, error) {
-	if len(payload) != crypto.DigestSize {
-		return nil, errors.New("blockchain: getblock: bad hash size")
-	}
-	var h crypto.Digest
-	copy(h[:], payload)
-	b, ok := n.chain.BlockByHash(h)
-	if !ok {
-		return nil, fmt.Errorf("blockchain: getblock %s: not found", h.Short())
-	}
-	return n.wireEncodeBlock(b), nil
+	n.gossip(kindBlock, b.Encode(), from)
 }
 
 type headInfo struct {

@@ -323,6 +323,59 @@ func TestLateJoinerSyncs(t *testing.T) {
 	}
 }
 
+// TestMixedWireGossipConverges: a peer gossiping encoding/json forms of a
+// transaction and a block (what a pre-binary build would emit) is speaking
+// no format this build knows. Its frames are dropped on the tag byte, before
+// the mempool, the ingest queue and the chain, and the federation converges
+// on what arrived in the one wire format.
+func TestMixedWireGossipConverges(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	bob := testIdentity(t, "bob", 2)
+	nodes, _ := testCluster(t, 2, alice, bob)
+
+	jsonTx, err := NewTransaction(bob, 1, putCall("from-json-peer", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBlock := mineChild(t, nodes[0].chain, nodes[0].chain.Genesis(), jsonTx)
+	for _, n := range nodes {
+		n.handleTxGossip("json-peer", mustJSON(t, jsonTx))
+		n.handleBlockGossip("json-peer", mustJSON(t, jsonBlock))
+		if n.pool.Len() != 0 || len(n.ingest) != 0 {
+			t.Fatalf("%s queued a JSON tx frame", n.Name())
+		}
+		if _, ok := n.chain.BlockByHash(jsonBlock.Hash()); ok || n.BestSeenHeight() != 0 {
+			t.Fatalf("%s imported a JSON block frame", n.Name())
+		}
+	}
+
+	// Submit only once the bc.hello handshakes have linked the peers.
+	waitFor(t, 10*time.Second, func() bool {
+		return len(nodes[0].discoveredPeers()) > 0 && len(nodes[1].discoveredPeers()) > 0
+	}, "peers never discovered each other")
+	tx, err := NewTransaction(alice, 1, putCall("from-bin-peer", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		_, err := n.WaitForReceipt(ctx, tx.ID(), 1)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s never saw tx %s: %v", n.Name(), tx.ID().Short(), err)
+		}
+		if _, _, err := n.chain.Receipt(jsonTx.ID()); !errors.Is(err, ErrTxNotFound) {
+			t.Fatalf("%s executed the JSON-gossiped tx (err %v)", n.Name(), err)
+		}
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		return nodes[0].chain.StateDigest() == nodes[1].chain.StateDigest()
+	}, "nodes never converged on one state")
+}
+
 func TestGossipScopedToChainPeers(t *testing.T) {
 	// With Peers empty, gossip must go only to chain peers discovered via
 	// the bc.hello handshake — never sprayed at unrelated endpoints (PEPs,

@@ -13,6 +13,7 @@ import (
 	"drams/internal/contract"
 	"drams/internal/netsim"
 	"drams/internal/store"
+	"drams/internal/transport"
 )
 
 // TestMineLoopHeadMovedMidSnapshot is the regression test for the mining
@@ -122,8 +123,8 @@ func rangeOf(t *testing.T, n *Node, req rangeReq) []*Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp rangeResp
-	if err := json.Unmarshal(raw, &resp); err != nil {
+	resp, err := decodeRangeResp(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]*Block, len(resp.Blocks))
@@ -370,6 +371,25 @@ func TestNodeReopenTruncatedWAL(t *testing.T) {
 // validation must not brick the node — the validated prefix survives, the
 // damaged tail is dropped from the store, and a peer refills it.
 func TestNodeReopenCorruptBlockTruncatesTail(t *testing.T) {
+	// Bit-flip block 4 in place (memory view; the node reads this store).
+	reopenWithDamagedBlock4(t, func(_ *Block, raw []byte) []byte {
+		mutated := append([]byte(nil), raw...)
+		mutated[len(mutated)-1] ^= 0xff
+		return mutated
+	})
+}
+
+// TestJSONPersistedChainReopens: a block stored as encoding/json of the
+// struct carries no known format tag, so it is a damaged tail like any
+// other — the store still reopens, from the heights below it.
+func TestJSONPersistedChainReopens(t *testing.T) {
+	reopenWithDamagedBlock4(t, func(b *Block, _ []byte) []byte { return mustJSON(t, b) })
+}
+
+// reopenWithDamagedBlock4 persists a 6-block chain, replaces the stored
+// value of block 4 with damage(block, stored bytes) and reopens a node on
+// the store.
+func reopenWithDamagedBlock4(t *testing.T, damage func(b *Block, raw []byte) []byte) {
 	alice := testIdentity(t, "alice", 1)
 	path := filepath.Join(t.TempDir(), "chain.wal")
 	kv, err := store.Open(path)
@@ -380,14 +400,12 @@ func TestNodeReopenCorruptBlockTruncatesTail(t *testing.T) {
 	if err := src.SaveToStore(kv); err != nil {
 		t.Fatal(err)
 	}
-	// Bit-flip block 4 in place (memory view; the node reads this store).
 	raw, err := kv.Get(persistBlockKey(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := append([]byte(nil), raw...)
-	mutated[len(mutated)-1] ^= 0xff
-	kv.TamperUnderlying(persistBlockKey(4), mutated)
+	b4, _ := src.BlockByHeight(4)
+	kv.TamperUnderlying(persistBlockKey(4), damage(b4, raw))
 
 	net := netsim.New(netsim.Config{Seed: 10})
 	defer net.Close()
@@ -487,7 +505,7 @@ func TestSyncFromToleratesHeadChurn(t *testing.T) {
 			resp.Blocks = append(resp.Blocks, b.Encode())
 			cursor = b.Header.PrevHash
 		}
-		return json.Marshal(resp)
+		return encodeRangeResp(&resp), nil
 	})
 
 	joiner, err := NewNode(NodeConfig{Name: "joiner", Chain: testChainConfig(t, alice), Network: net,
@@ -569,54 +587,75 @@ func TestGetRangeByteCapSplitsLargeBlocks(t *testing.T) {
 	}
 }
 
-// TestPullBranchRemembersLegacyPeer: syncing from a peer without the
-// bc.getrange handler must probe it at most once per pull, then pay
-// exactly one bc.getblock per block — parity with the legacy protocol.
-func TestPullBranchRemembersLegacyPeer(t *testing.T) {
+// TestPullBranchSurfacesNoHandler: bc.getrange is the only sync protocol, so
+// a peer that does not serve it fails the pull with ErrNoHandler after one
+// call — no probing, no fallback.
+func TestPullBranchSurfacesNoHandler(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Seed: 13})
 	defer net.Close()
-	main := buildTestChain(t, 6)
-	byHash := make(map[string]*Block)
-	for _, h := range main.BestChainHashes()[1:] {
-		b, _ := main.BlockByHash(h)
-		byHash[string(h[:])] = b
-	}
-	ep, err := net.Register("legacy-peer")
-	if err != nil {
+	if _, err := net.Register("mute-peer"); err != nil {
 		t.Fatal(err)
 	}
-	var blockCalls int64
-	ep.OnCall(kindGetBlock, func(from string, payload []byte) ([]byte, error) {
-		blockCalls++
-		b, ok := byHash[string(payload)]
-		if !ok {
-			return nil, errors.New("not found")
-		}
-		return b.Encode(), nil
-	})
-	// kindGetRange deliberately has no handler, so the joiner's probe gets
-	// ErrNoHandler; the probe count shows up in the joiner's SyncCalls.
-
 	joiner, err := NewNode(NodeConfig{Name: "joiner", Chain: testChainConfig(t, alice), Network: net,
-		Peers: []string{"joiner", "legacy-peer"}, SyncBatch: 4})
+		Peers: []string{"joiner", "mute-peer"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer joiner.Stop()
-	hashes := main.BestChainHashes()
-	if err := joiner.pullBranch("legacy-peer", hashes[len(hashes)-1], nil); err != nil {
+	err = joiner.pullBranch("mute-peer", crypto32(0xee), nil)
+	if !errors.Is(err, transport.ErrNoHandler) {
+		t.Fatalf("pull from a peer without bc.getrange: %v, want ErrNoHandler", err)
+	}
+	if st := joiner.Stats(); st.SyncCalls != 1 || joiner.chain.Height() != 0 {
+		t.Fatalf("SyncCalls = %d, height = %d; want one call and no progress", st.SyncCalls, joiner.chain.Height())
+	}
+}
+
+// TestStopAbortsInFlightSyncCall: a catch-up call to a peer that never
+// answers (it stopped first, or its reply was lost with the network) must
+// not outlive the node — Stop cancels it instead of leaving the caller to
+// wait out syncCallTimeout.
+func TestStopAbortsInFlightSyncCall(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	net := netsim.New(netsim.Config{Seed: 14})
+	release := make(chan struct{})
+	defer net.Close()
+	defer close(release) // lets the wedged handler's delivery goroutine end
+	ep, err := net.Register("wedged")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if joiner.chain.Height() != 6 {
-		t.Fatalf("joiner height %d, want 6", joiner.chain.Height())
+	ep.OnCall(kindHead, func(string, []byte) ([]byte, error) {
+		return json.Marshal(headInfo{Hash: crypto32(0xee), Height: 9})
+	})
+	inFlight := make(chan struct{})
+	var once sync.Once
+	ep.OnCall(kindGetRange, func(string, []byte) ([]byte, error) {
+		once.Do(func() { close(inFlight) })
+		<-release
+		return nil, errors.New("too late")
+	})
+	joiner, err := NewNode(NodeConfig{Name: "joiner", Chain: testChainConfig(t, alice), Network: net,
+		Peers: []string{"joiner", "wedged"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if blockCalls != 6 {
-		t.Fatalf("legacy peer served %d block calls, want 6", blockCalls)
+	synced := make(chan error, 1)
+	go func() { synced <- joiner.SyncFrom("wedged") }()
+	<-inFlight
+
+	start := time.Now()
+	joiner.Stop()
+	select {
+	case err := <-synced:
+		if err == nil {
+			t.Fatal("sync from a wedged peer succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("bc.getrange call still in flight 1 s after Stop")
 	}
-	// One failed range probe + six block fetches: anything more means the
-	// pull kept re-probing the missing handler.
-	if st := joiner.Stats(); st.SyncCalls != 7 {
-		t.Fatalf("SyncCalls = %d, want 7 (1 probe + 6 blocks)", st.SyncCalls)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Stop plus call abort took %v", d)
 	}
 }

@@ -68,7 +68,7 @@ func TestTxGossipDedupSkipsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := node.wireEncodeTx(tx)
+	payload := EncodeTx(tx)
 	key := crypto.Sum(payload)
 	node.handleTxGossip("peer", payload)
 	waitFor(t, 5*time.Second, func() bool { return node.pool.Has(tx.ID()) },

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"drams/internal/crypto"
-	"drams/internal/transport"
 )
 
 // Catch-up protocol. A node that (re)joins — fresh, after a restart from
@@ -20,48 +19,41 @@ import (
 // throughput instead of per-block round-trips. The fetched branch is then
 // applied oldest-first through Chain.AddBlock, i.e. with exactly the
 // validation (signatures via the TxVerifier pipeline, PoW, difficulty
-// schedule, nonces) gossiped blocks get.
-//
-// bc.getblock (single block by hash) remains served and is used as a
-// fallback when the peer predates the range protocol, and as the measured
-// baseline of the V6 rejoin benchmark (NodeConfig.PerBlockSync).
+// schedule, nonces) gossiped blocks get. It is the only sync protocol: a
+// peer that does not serve bc.getrange answers transport.ErrNoHandler, and
+// the pull fails with that error.
 
 // maxRangeServe clamps how many blocks one bc.getrange call returns,
 // whatever the requester asked for.
 const maxRangeServe = 512
 
 // maxRangeBytes soft-caps the encoded payload of one range response so it
-// stays well under transport frame limits (TCP caps frames at 32 MiB and
-// JSON encoding inflates by ~4/3) whatever the block size. At least one
-// block is always served; the requester keeps issuing windows until the
-// branch attaches, so a shorter-than-asked response only costs extra
-// round-trips, never progress.
+// stays well under transport frame limits (TCP caps frames at 32 MiB)
+// whatever the block size. At least one block is always served; the
+// requester keeps issuing windows until the branch attaches, so a
+// shorter-than-asked response only costs extra round-trips, never progress.
 const maxRangeBytes = 4 << 20
 
-// syncCallTimeout bounds each catch-up Call.
+// syncCallTimeout bounds each catch-up Call; Stop ends one sooner.
 const syncCallTimeout = 10 * time.Second
 
 // rangeReq asks for up to Count blocks starting at Cursor (inclusive) and
-// walking PrevHash links backwards. Codec advertises the highest response
-// container format the requester understands: 0 (or absent — a pre-binary
-// requester) keeps the JSON container, 1 requests the binary container,
-// which ships binary block encodings without base64 inflation. The request
-// itself stays JSON — it is one tiny frame per sync window, not hot.
+// walking PrevHash links backwards. The request is JSON — it is one tiny
+// frame per sync window, not hot.
 type rangeReq struct {
 	Cursor crypto.Digest `json:"cursor"`
 	Count  int           `json:"count"`
-	Codec  int           `json:"codec,omitempty"`
 }
 
 // rangeResp carries the encoded blocks, descending from the cursor. Fewer
 // than Count blocks come back when the walk reaches genesis (which is never
 // shipped — every member derives it from Config) or the serving cap.
 type rangeResp struct {
-	Blocks [][]byte `json:"blocks"`
+	Blocks [][]byte
 }
 
-// encodeRangeResp serialises resp in the binary container: the codec
-// version byte, then u32 count, then u32-length-prefixed block encodings.
+// encodeRangeResp serialises resp: the codec version byte, then u32 count,
+// then u32-length-prefixed block encodings.
 func encodeRangeResp(resp *rangeResp) []byte {
 	n := 1 + 4
 	for _, enc := range resp.Blocks {
@@ -76,17 +68,13 @@ func encodeRangeResp(resp *rangeResp) []byte {
 	return buf
 }
 
-// decodeRangeResp parses either response container (binary or JSON).
+// decodeRangeResp parses a bc.getrange response.
 func decodeRangeResp(data []byte) (rangeResp, error) {
 	if len(data) == 0 {
 		return rangeResp{}, errors.New("blockchain: empty range response")
 	}
 	if data[0] != codecVersion {
-		var resp rangeResp
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return rangeResp{}, err
-		}
-		return resp, nil
+		return rangeResp{}, fmt.Errorf("blockchain: range response: unknown format byte 0x%02x", data[0])
 	}
 	r := txReader{buf: data, off: 1}
 	count, err := r.u32()
@@ -134,7 +122,7 @@ func (n *Node) handleGetRange(from string, payload []byte) ([]byte, error) {
 		if b.Header.Height == 0 {
 			break
 		}
-		enc := n.wireEncodeBlock(b)
+		enc := b.Encode()
 		if len(resp.Blocks) > 0 && total+len(enc) > maxRangeBytes {
 			break
 		}
@@ -142,15 +130,12 @@ func (n *Node) handleGetRange(from string, payload []byte) ([]byte, error) {
 		total += len(enc)
 		cursor = b.Header.PrevHash
 	}
-	if req.Codec >= 1 && !n.cfg.LegacyJSONWire {
-		return encodeRangeResp(&resp), nil
-	}
-	return json.Marshal(resp)
+	return encodeRangeResp(&resp), nil
 }
 
-// call issues one catch-up Call with the protocol timeout, counting it.
+// syncCall issues one catch-up Call with the protocol timeout, counting it.
 func (n *Node) syncCall(peer, kind string, payload []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), syncCallTimeout)
+	ctx, cancel := context.WithTimeout(n.ctx, syncCallTimeout)
 	defer cancel()
 	n.syncCalls.Inc()
 	return n.ep.Call(ctx, peer, kind, payload)
@@ -158,58 +143,36 @@ func (n *Node) syncCall(peer, kind string, payload []byte) ([]byte, error) {
 
 // fetchAncestors returns up to n.cfg.SyncBatch blocks descending from
 // cursor (inclusive), verifying hash linkage so a lying peer cannot inject
-// blocks outside the requested branch. With PerBlockSync — or a peer that
-// does not speak bc.getrange, remembered in *legacy so one pull probes at
-// most once — it degrades to one bc.getblock per block.
-func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, legacy *bool) ([]*Block, error) {
-	if !*legacy {
-		payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: n.cfg.SyncBatch, Codec: 1})
+// blocks outside the requested branch.
+func (n *Node) fetchAncestors(peer string, cursor crypto.Digest) ([]*Block, error) {
+	payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: n.cfg.SyncBatch})
+	if err != nil {
+		return nil, err
+	}
+	raw, err := n.syncCall(peer, kindGetRange, payload)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := decodeRangeResp(raw)
+	if err != nil {
+		return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
+	}
+	blocks := make([]*Block, 0, len(resp.Blocks))
+	want := cursor
+	for _, enc := range resp.Blocks {
+		b, err := DecodeBlock(enc)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
 		}
-		raw, err := n.syncCall(peer, kindGetRange, payload)
-		switch {
-		case err == nil:
-			resp, err := decodeRangeResp(raw)
-			if err != nil {
-				return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
-			}
-			blocks := make([]*Block, 0, len(resp.Blocks))
-			want := cursor
-			for _, enc := range resp.Blocks {
-				b, err := DecodeBlock(enc)
-				if err != nil {
-					return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
-				}
-				if b.Hash() != want {
-					return nil, fmt.Errorf("blockchain: range from %q: block %s off-branch (want %s)",
-						peer, b.Hash().Short(), want.Short())
-				}
-				blocks = append(blocks, b)
-				want = b.Header.PrevHash
-			}
-			n.syncBlocks.Add(int64(len(blocks)))
-			return blocks, nil
-		case !errors.Is(err, transport.ErrNoHandler):
-			return nil, err
+		if b.Hash() != want {
+			return nil, fmt.Errorf("blockchain: range from %q: block %s off-branch (want %s)",
+				peer, b.Hash().Short(), want.Short())
 		}
-		// Peer predates the range protocol: remember and fall through to
-		// per-block, so the remainder of this pull skips the futile probe.
-		*legacy = true
+		blocks = append(blocks, b)
+		want = b.Header.PrevHash
 	}
-	raw, err := n.syncCall(peer, kindGetBlock, cursor.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	b, err := DecodeBlock(raw)
-	if err != nil {
-		return nil, err
-	}
-	if b.Hash() != cursor {
-		return nil, fmt.Errorf("blockchain: block from %q is not %s", peer, cursor.Short())
-	}
-	n.syncBlocks.Inc()
-	return []*Block{b}, nil
+	n.syncBlocks.Add(int64(len(blocks)))
+	return blocks, nil
 }
 
 // pullBranch fetches the ancestry of cursor from peer in batched descending
@@ -218,7 +181,6 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, legacy *bool) (
 // already-held descendants of cursor, newest first (the orphan that
 // triggered the pull). The walk is bounded by SyncDepth blocks.
 func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) error {
-	legacy := n.cfg.PerBlockSync
 	for {
 		if _, ok := n.chain.BlockByHash(cursor); ok {
 			break // attached
@@ -226,7 +188,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) e
 		if len(pending) >= n.cfg.SyncDepth {
 			return fmt.Errorf("blockchain: branch from %q exceeds sync depth %d", peer, n.cfg.SyncDepth)
 		}
-		fetched, err := n.fetchAncestors(peer, cursor, &legacy)
+		fetched, err := n.fetchAncestors(peer, cursor)
 		if err != nil {
 			return err
 		}

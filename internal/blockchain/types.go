@@ -18,7 +18,6 @@ package blockchain
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -235,24 +234,16 @@ func (b *Block) Encode() []byte {
 	return out
 }
 
-// DecodeBlock parses a gossiped or persisted block in either wire format:
-// binary (leading version byte) or legacy JSON (leading '{').
+// DecodeBlock parses a gossiped or persisted block. The leading format tag
+// must be one this build knows (see codec.go).
 func DecodeBlock(data []byte) (*Block, error) {
 	if len(data) == 0 {
 		return nil, errors.New("blockchain: decode block: empty input")
 	}
-	switch data[0] {
-	case codecVersion:
-		return decodeBlockBinary(data)
-	case '{':
-		var b Block
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("blockchain: decode block: %w", err)
-		}
-		return &b, nil
-	default:
+	if data[0] != codecVersion {
 		return nil, fmt.Errorf("blockchain: decode block: unknown format byte 0x%02x", data[0])
 	}
+	return decodeBlockBinary(data)
 }
 
 // EncodeTx serialises a transaction in the binary wire format for gossip.
@@ -264,23 +255,15 @@ func EncodeTx(tx Transaction) []byte {
 	return out
 }
 
-// DecodeTx parses a gossiped transaction in either wire format.
+// DecodeTx parses a gossiped transaction.
 func DecodeTx(data []byte) (Transaction, error) {
 	if len(data) == 0 {
 		return Transaction{}, errors.New("blockchain: decode tx: empty input")
 	}
-	switch data[0] {
-	case codecVersion:
-		return decodeTxBinary(data)
-	case '{':
-		var tx Transaction
-		if err := json.Unmarshal(data, &tx); err != nil {
-			return Transaction{}, fmt.Errorf("blockchain: decode tx: %w", err)
-		}
-		return tx, nil
-	default:
+	if data[0] != codecVersion {
 		return Transaction{}, fmt.Errorf("blockchain: decode tx: unknown format byte 0x%02x", data[0])
 	}
+	return decodeTxBinary(data)
 }
 
 // Receipt records the outcome of executing a transaction on the best chain.

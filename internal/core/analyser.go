@@ -135,18 +135,9 @@ func (an *Analyser) VerifyPolicyAnchor() error {
 		anchored   crypto.Digest
 		haveAnchor bool
 	)
-	// Preferred anchor: the policy lifecycle contract; legacy PAP
-	// announcements in the log-match contract otherwise.
 	an.node.Chain().ReadState(PolicyContractName, func(st contract.StateDB) {
 		_, anchored, haveAnchor = ReadActivePolicy(st)
 	})
-	if !haveAnchor {
-		an.node.Chain().ReadState(ContractName, func(st contract.StateDB) {
-			if ver, ok := ReadActivePolicyVersion(st); ok {
-				anchored, haveAnchor = ReadPolicyAnchor(st, ver)
-			}
-		})
-	}
 	if !haveAnchor {
 		return fmt.Errorf("core: no active policy anchored on-chain")
 	}

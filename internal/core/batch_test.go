@@ -24,7 +24,7 @@ func mustBatch(t *testing.T, recs ...LogRecord) LogBatch {
 func TestLogBatchCompletesExchange(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-b1")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 
 	lb := mustBatch(t, x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision))
 	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
@@ -129,7 +129,7 @@ func TestLogBatchMultiRequest(t *testing.T) {
 	cfg.RequireVerdict = false
 	env := newMatchEnv(t, cfg)
 	x1, x2 := cleanExchange("req-b4"), cleanExchange("req-b5")
-	env.anchorPolicy(x1.polVer, x1.polDig)
+	env.anchorPolicy(x1.polVer)
 
 	lb := mustBatch(t,
 		x1.pepRequest(), x1.pdpRequest(), x1.pdpResponse(), x1.pepResponse(x1.decision),

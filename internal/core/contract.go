@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"drams/internal/contract"
-	"drams/internal/crypto"
 	"drams/internal/merkle"
 )
 
@@ -20,7 +19,6 @@ const (
 	EventAlert     = "Alert"
 	EventMatched   = "Matched"
 	EventLogStored = "LogStored"
-	EventPolicy    = "PolicyAnnounced"
 	EventVerdict   = "VerdictStored"
 )
 
@@ -31,7 +29,6 @@ const (
 	// Merkle root in a single transaction (see LogBatch).
 	MethodLogBatch = "logbatch"
 	MethodVerdict  = "verdict"
-	MethodPolicy   = "policy"
 )
 
 // MatchConfig parameterises the log-match contract. All federation nodes
@@ -40,19 +37,11 @@ type MatchConfig struct {
 	// TimeoutBlocks is Δ: how many blocks after the first record of a
 	// request the full record set must be present (check M3).
 	TimeoutBlocks uint64
-	// PAP is the only identity allowed to announce policy digests.
-	PAP string
 	// Analyser is the only identity allowed to submit verdicts.
 	Analyser string
 	// RequireVerdict makes a missing analyser verdict at timeout an
 	// AlertVerdictMissing.
 	RequireVerdict bool
-	// PolicyContract names the policy lifecycle contract whose state the
-	// M6 check consults (cross-contract read) for the active version and
-	// anchored digests. While that contract has no active policy — or when
-	// the field is empty — M6 falls back to the digests announced through
-	// this contract's own legacy "policy" method.
-	PolicyContract string
 }
 
 // LogMatchContract is the smart contract storing and comparing logs
@@ -89,9 +78,6 @@ func deadlineKey(due uint64, reqID string) string {
 	return fmt.Sprintf("deadline/%016x/%s", due, reqID)
 }
 func deadlineSetKey(reqID string) string { return "deadline-set/" + reqID }
-func policyKey(version string) string    { return "policy/v/" + version }
-
-const policyActiveKey = "policy/active"
 
 // Execute implements contract.Contract.
 func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, call contract.Call) ([]contract.Event, error) {
@@ -102,8 +88,6 @@ func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, c
 		return lm.execLogBatch(ctx, st, call.Args)
 	case MethodVerdict:
 		return lm.execVerdict(ctx, st, call.Args)
-	case MethodPolicy:
-		return lm.execPolicy(ctx, st, call.Args)
 	default:
 		return nil, fmt.Errorf("%w: %q", contract.ErrUnknownMethod, call.Method)
 	}
@@ -238,90 +222,36 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 	return events, nil
 }
 
-func (lm *LogMatchContract) execPolicy(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
-	if lm.cfg.PAP != "" && ctx.Caller != lm.cfg.PAP {
-		return nil, fmt.Errorf("core: policy announcement from %q, only %q may announce", ctx.Caller, lm.cfg.PAP)
-	}
-	var pa PolicyAnnouncement
-	if err := json.Unmarshal(args, &pa); err != nil {
-		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
-	}
-	if pa.Version == "" || pa.Digest.IsZero() {
-		return nil, fmt.Errorf("%w: incomplete policy announcement", contract.ErrBadArgs)
-	}
-	if existing, ok := st.Get(policyKey(pa.Version)); ok && string(existing) != pa.Digest.String() {
-		return nil, fmt.Errorf("core: policy version %q already anchored with different digest", pa.Version)
-	}
-	st.Set(policyKey(pa.Version), []byte(pa.Digest.String()))
-	if pa.Active {
-		st.Set(policyActiveKey, []byte(pa.Version))
-	}
-	return []contract.Event{{Type: EventPolicy, Payload: args}}, nil
-}
-
 // checkM6Policy computes the M6 verdict for one pdp.response record,
-// returning the alert to raise (ok=false means the record is clean).
-func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, st contract.StateDB, pdpResp LogRecord, reqID string, height uint64) (Alert, bool) {
+// returning the alert to raise (ok=false means the record is clean). The
+// trust anchor is the policy lifecycle contract's chain-replicated state,
+// read cross-contract.
+func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, pdpResp LogRecord, reqID string, height uint64) (Alert, bool) {
 	version := pdpResp.PolicyVersion
-
-	// Preferred anchor: the policy lifecycle contract's state, read
-	// cross-contract under whatever name it was registered with.
-	if lm.cfg.PolicyContract != "" && ctx.Cross != nil {
-		pst := crossState{cross: ctx.Cross, name: lm.cfg.PolicyContract}
-		if activeVer, _, haveActive := ReadActivePolicy(pst); haveActive {
-			anchored, haveAnchor := ReadPolicyDigest(pst, version)
-			switch {
-			case !haveAnchor:
-				return Alert{
-					Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-					Detail: fmt.Sprintf("PDP claims policy version %q which is not anchored", version),
-				}, true
-			case anchored != pdpResp.PolicyDigest:
-				return Alert{
-					Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-					Detail: fmt.Sprintf("PDP policy digest %s differs from anchored digest for version %q",
-						pdpResp.PolicyDigest.Short(), version),
-				}, true
-			case version != activeVer:
-				// Around a height-gated flip, decisions evaluated just
-				// before activation log just after it. A superseded version
-				// stays acceptable for the Δ window (the same bound M3
-				// uses); anything older — or never activated — alerts.
-				if deact, ok := ReadPolicyDeactivatedAt(pst, version); ok && height <= deact+lm.cfg.TimeoutBlocks {
-					return Alert{}, false
-				}
-				return Alert{
-					Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-					Detail: fmt.Sprintf("PDP evaluated version %q but active version is %q",
-						version, activeVer),
-				}, true
-			}
-			return Alert{}, false
-		}
+	tampered := func(format string, args ...any) (Alert, bool) {
+		return Alert{
+			Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
+			Detail: fmt.Sprintf(format, args...),
+		}, true
 	}
-
-	// Legacy anchor: digests announced through this contract's own
-	// "policy" method.
-	activeVer, haveActive := st.Get(policyActiveKey)
-	anchored, haveAnchor := st.Get(policyKey(version))
+	pst := crossState{cross: ctx.Cross, name: PolicyContractName}
+	activeVer, _, haveActive := ReadActivePolicy(pst)
+	anchored, haveAnchor := ReadPolicyDigest(pst, version)
 	switch {
 	case !haveActive || !haveAnchor:
-		return Alert{
-			Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-			Detail: fmt.Sprintf("PDP claims policy version %q which is not anchored", version),
-		}, true
-	case string(activeVer) != version:
-		return Alert{
-			Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-			Detail: fmt.Sprintf("PDP evaluated version %q but active version is %q",
-				version, activeVer),
-		}, true
-	case string(anchored) != pdpResp.PolicyDigest.String():
-		return Alert{
-			Type: AlertPolicyTampered, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
-			Detail: fmt.Sprintf("PDP policy digest %s differs from anchored digest for version %q",
-				pdpResp.PolicyDigest.Short(), version),
-		}, true
+		return tampered("PDP claims policy version %q which is not anchored", version)
+	case anchored != pdpResp.PolicyDigest:
+		return tampered("PDP policy digest %s differs from anchored digest for version %q",
+			pdpResp.PolicyDigest.Short(), version)
+	case version != activeVer:
+		// Around a height-gated flip, decisions evaluated just before
+		// activation log just after it. A superseded version stays
+		// acceptable for the Δ window (the same bound M3 uses); anything
+		// older — or never activated — alerts.
+		if deact, ok := ReadPolicyDeactivatedAt(pst, version); ok && height <= deact+lm.cfg.TimeoutBlocks {
+			return Alert{}, false
+		}
+		return tampered("PDP evaluated version %q but active version is %q", version, activeVer)
 	}
 	return Alert{}, false
 }
@@ -408,12 +338,9 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 	}
 
 	// M6: policy integrity — the PDP must have evaluated the anchored
-	// digest of the active version. With a policy lifecycle contract
-	// configured and holding an active policy, its chain-replicated state
-	// is the trust anchor; otherwise the legacy PAP announcements stored
-	// in this contract apply.
+	// digest of the active version.
 	if havePdpResp {
-		if a, ok := lm.checkM6Policy(ctx, st, pdpResp, reqID, height); ok {
+		if a, ok := lm.checkM6Policy(ctx, pdpResp, reqID, height); ok {
 			events = append(events, lm.alert(st, a)...)
 		}
 	}
@@ -484,29 +411,6 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 		}
 	}
 	return events
-}
-
-// ReadPolicyAnchor reads an anchored policy digest from a namespaced state
-// view (off-chain readers go through Chain.ReadState).
-func ReadPolicyAnchor(st contract.StateDB, version string) (crypto.Digest, bool) {
-	b, ok := st.Get(policyKey(version))
-	if !ok {
-		return crypto.Digest{}, false
-	}
-	d, err := crypto.ParseDigest(string(b))
-	if err != nil {
-		return crypto.Digest{}, false
-	}
-	return d, true
-}
-
-// ReadActivePolicyVersion reads the active policy version from state.
-func ReadActivePolicyVersion(st contract.StateDB) (string, bool) {
-	b, ok := st.Get(policyActiveKey)
-	if !ok {
-		return "", false
-	}
-	return string(b), true
 }
 
 // ReadStoredRecord reads a log record from state.

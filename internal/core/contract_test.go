@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,8 @@ import (
 
 var testKey = crypto.DeriveKey("test", "li-key")
 
-// matchEnv drives the log-match contract directly through the engine.
+// matchEnv drives the log-match contract directly through the engine, next
+// to the policy contract its M6 check reads.
 type matchEnv struct {
 	t      *testing.T
 	engine *contract.Engine
@@ -25,13 +27,19 @@ func newMatchEnv(t *testing.T, cfg MatchConfig) *matchEnv {
 	t.Helper()
 	reg := contract.NewRegistry()
 	reg.MustRegister(NewLogMatchContract(cfg))
+	reg.MustRegister(&PolicyContract{PAP: "pap"})
 	return &matchEnv{t: t, engine: contract.NewEngine(reg), st: contract.NewState(), height: 1}
 }
 
 func (e *matchEnv) call(caller, method string, args []byte) ([]contract.Event, error) {
 	e.t.Helper()
+	return e.callTo(ContractName, caller, method, args)
+}
+
+func (e *matchEnv) callTo(name, caller, method string, args []byte) ([]contract.Event, error) {
+	e.t.Helper()
 	ctx := contract.CallCtx{Height: e.height, Caller: caller, TxID: crypto.Sum(args)}
-	return e.engine.Execute(ctx, e.st, contract.Call{Contract: ContractName, Method: method, Args: args})
+	return e.engine.Execute(ctx, e.st, contract.Call{Contract: name, Method: method, Args: args})
 }
 
 func (e *matchEnv) mustCall(caller, method string, args []byte) []contract.Event {
@@ -49,10 +57,14 @@ func (e *matchEnv) onBlock() []contract.Event {
 	return evs
 }
 
-func (e *matchEnv) anchorPolicy(version string, digest crypto.Digest) {
+// anchorPolicy publishes xacml.StandardPolicy(version) through the policy
+// contract and closes the block, which activates it.
+func (e *matchEnv) anchorPolicy(version string) {
 	e.t.Helper()
-	pa := PolicyAnnouncement{Version: version, Digest: digest, Active: true}
-	e.mustCall("pap", MethodPolicy, pa.Encode())
+	if _, err := e.callTo(PolicyContractName, "pap", MethodPolicyUpdate, updateArgs(version, 0).Encode()); err != nil {
+		e.t.Fatalf("anchor policy %s: %v", version, err)
+	}
+	e.onBlock()
 }
 
 // exchange builds the four consistent records of one clean exchange.
@@ -72,7 +84,7 @@ func cleanExchange(reqID string) exchange {
 		respDig:  crypto.Sum([]byte("response-" + reqID)),
 		decision: xacml.Permit,
 		polVer:   "v1",
-		polDig:   crypto.Sum([]byte("policy-v1")),
+		polDig:   updateArgs("v1", 0).Digest,
 	}
 }
 
@@ -122,13 +134,13 @@ func hasEvent(evs []contract.Event, typ string) bool {
 }
 
 func defaultCfg() MatchConfig {
-	return MatchConfig{TimeoutBlocks: 3, PAP: "pap", Analyser: "analyser", RequireVerdict: true}
+	return MatchConfig{TimeoutBlocks: 3, Analyser: "analyser", RequireVerdict: true}
 }
 
 func TestCleanExchangeMatches(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-1")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 
 	var all []contract.Event
 	all = append(all, env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())...)
@@ -157,7 +169,7 @@ func TestCleanExchangeMatches(t *testing.T) {
 func TestM1RequestTampered(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m1")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
 	tampered := x.pdpRequest()
 	tampered.ReqDigest = crypto.Sum([]byte("evil"))
@@ -175,7 +187,7 @@ func TestM2ResponseTampered(t *testing.T) {
 	for _, mode := range []string{"digest", "decision"} {
 		env := newMatchEnv(t, defaultCfg())
 		x := cleanExchange("req-m2-" + mode)
-		env.anchorPolicy(x.polVer, x.polDig)
+		env.anchorPolicy(x.polVer)
 		env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
 		rec := x.pepResponse(x.decision)
 		switch mode {
@@ -203,7 +215,7 @@ func TestM2ResponseTampered(t *testing.T) {
 func TestM3Timeout(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m3")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
 	// Nothing else arrives. Advance past the deadline.
 	var alerts []Alert
@@ -226,7 +238,7 @@ func TestM3Timeout(t *testing.T) {
 func TestM3DeadlineNotRearmed(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m3b")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
 	env.height += 2
 	env.mustCall("li-infra", MethodLog, x.pdpRequest().Encode()) // second record must not extend the deadline
@@ -242,7 +254,7 @@ func TestM3DeadlineNotRearmed(t *testing.T) {
 func TestM4EnforcementMismatch(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m4")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
 	// PEP received Permit but enforced Deny.
 	evs := env.mustCall("li-t1", MethodLog, x.pepResponse(xacml.Deny).Encode())
@@ -255,7 +267,7 @@ func TestM4EnforcementMismatch(t *testing.T) {
 func TestM5DecisionIncorrect(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m5")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode()) // PDP says Permit
 	evs := env.mustCall("analyser", MethodVerdict, x.verdict(xacml.Deny).Encode())
 	alerts := alertsOf(evs)
@@ -264,7 +276,7 @@ func TestM5DecisionIncorrect(t *testing.T) {
 	}
 	// Order independence: verdict first, then pdp.response.
 	env2 := newMatchEnv(t, defaultCfg())
-	env2.anchorPolicy(x.polVer, x.polDig)
+	env2.anchorPolicy(x.polVer)
 	env2.mustCall("analyser", MethodVerdict, x.verdict(xacml.Deny).Encode())
 	evs2 := env2.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
 	alerts2 := alertsOf(evs2)
@@ -283,22 +295,25 @@ func TestM6PolicyTampered(t *testing.T) {
 	}{
 		{
 			name:   "unanchored version",
-			setup:  func(env *matchEnv) {}, // no policy announced
+			setup:  func(env *matchEnv) {}, // no active policy
 			mutate: func(rec *LogRecord) {},
 			detail: "not anchored",
 		},
 		{
 			name: "stale version",
 			setup: func(env *matchEnv) {
-				env.anchorPolicy("v1", x.polDig)
-				env.anchorPolicy("v2", crypto.Sum([]byte("policy-v2")))
+				env.anchorPolicy("v1")
+				env.anchorPolicy("v2")
+				for i := 0; i < 4; i++ { // past the Δ = 3 grace window of v1
+					env.onBlock()
+				}
 			},
 			mutate: func(rec *LogRecord) {}, // claims v1 while v2 active
 			detail: "active version",
 		},
 		{
 			name:  "digest mismatch",
-			setup: func(env *matchEnv) { env.anchorPolicy("v1", x.polDig) },
+			setup: func(env *matchEnv) { env.anchorPolicy("v1") },
 			mutate: func(rec *LogRecord) {
 				rec.PolicyDigest = crypto.Sum([]byte("forged-policy"))
 			},
@@ -324,7 +339,7 @@ func TestM6PolicyTampered(t *testing.T) {
 func TestVerdictMissingTimeout(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-vm")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
 		env.mustCall("li", MethodLog, rec.Encode())
 	}
@@ -342,7 +357,7 @@ func TestVerdictOptional(t *testing.T) {
 	cfg.RequireVerdict = false
 	env := newMatchEnv(t, cfg)
 	x := cleanExchange("req-opt")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	var all []contract.Event
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
 		all = append(all, env.mustCall("li", MethodLog, rec.Encode())...)
@@ -360,7 +375,7 @@ func TestVerdictOptional(t *testing.T) {
 func TestEquivocationAndIdempotence(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-eq")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	rec := x.pepRequest()
 	env.mustCall("li-t1", MethodLog, rec.Encode())
 	// Identical retry: no alert, no event.
@@ -387,7 +402,7 @@ func TestEquivocationAndIdempotence(t *testing.T) {
 func TestAlertDeduplication(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-dd")
-	env.anchorPolicy(x.polVer, x.polDig)
+	env.anchorPolicy(x.polVer)
 	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
 	tampered := x.pdpRequest()
 	tampered.ReqDigest = crypto.Sum([]byte("evil"))
@@ -411,26 +426,50 @@ func TestAccessControlOnMethods(t *testing.T) {
 	if _, err := env.call("mallory", MethodVerdict, x.verdict(xacml.Permit).Encode()); err == nil {
 		t.Fatal("foreign verdict accepted")
 	}
-	pa := PolicyAnnouncement{Version: "v1", Digest: x.polDig, Active: true}
-	if _, err := env.call("mallory", MethodPolicy, pa.Encode()); err == nil {
-		t.Fatal("foreign policy announcement accepted")
-	}
 	if _, err := env.call("li", "unknown-method", nil); err == nil {
 		t.Fatal("unknown method accepted")
 	}
+	// The log-match contract anchors no policies: its former "policy"
+	// method is one more unknown method, PAP-signed or not.
+	before := env.st.Digest()
+	args := mustJSON(t, map[string]any{"version": "v1", "digest": x.polDig, "active": true})
+	if _, err := env.call("pap", "policy", args); !errors.Is(err, contract.ErrUnknownMethod) {
+		t.Fatalf("policy method: err = %v, want ErrUnknownMethod", err)
+	}
+	if env.st.Digest() != before {
+		t.Fatal("rejected policy call changed state")
+	}
 }
 
+// TestPolicyReAnchorConflict: a second, different policy published under an
+// anchored version does not move the M6 anchor — a pdp.response carrying
+// the attempted digest is policy-tampered, the original still matches.
 func TestPolicyReAnchorConflict(t *testing.T) {
-	env := newMatchEnv(t, defaultCfg())
-	env.anchorPolicy("v1", crypto.Sum([]byte("a")))
-	pa := PolicyAnnouncement{Version: "v1", Digest: crypto.Sum([]byte("b")), Active: true}
-	if _, err := env.call("pap", MethodPolicy, pa.Encode()); err == nil {
-		t.Fatal("conflicting re-anchor accepted")
+	cfg := defaultCfg()
+	cfg.RequireVerdict = false
+	env := newMatchEnv(t, cfg)
+	env.anchorPolicy("v1")
+	other := xacml.RestrictedPolicy("v1").Encode()
+	conflict := PolicyUpdate{Version: "v1", Policy: other, Digest: crypto.Sum(other)}
+	if _, err := env.callTo(PolicyContractName, "pap", MethodPolicyUpdate, conflict.Encode()); err != nil {
+		t.Fatal(err)
 	}
-	// Idempotent same-digest re-anchor is fine.
-	pa2 := PolicyAnnouncement{Version: "v1", Digest: crypto.Sum([]byte("a")), Active: true}
-	if _, err := env.call("pap", MethodPolicy, pa2.Encode()); err != nil {
-		t.Fatalf("idempotent re-anchor rejected: %v", err)
+	env.onBlock()
+
+	forged := cleanExchange("req-forged").pdpResponse()
+	forged.PolicyDigest = conflict.Digest
+	alerts := alertsOf(env.mustCall("li-infra", MethodLog, forged.Encode()))
+	if len(alerts) != 1 || alerts[0].Type != AlertPolicyTampered ||
+		!strings.Contains(alerts[0].Detail, "differs from anchored") {
+		t.Fatalf("attempted digest: alerts = %v", alerts)
+	}
+	x := cleanExchange("req-orig")
+	var all []contract.Event
+	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
+		all = append(all, env.mustCall("li", MethodLog, rec.Encode())...)
+	}
+	if len(alertsOf(all)) != 0 || !hasEvent(all, EventMatched) {
+		t.Fatalf("original digest no longer matches: %v", alertsOf(all))
 	}
 }
 
@@ -452,9 +491,6 @@ func TestRecordValidation(t *testing.T) {
 	}
 	if _, err := env.call("analyser", MethodVerdict, []byte("{")); err == nil {
 		t.Error("garbage verdict accepted")
-	}
-	if _, err := env.call("pap", MethodPolicy, []byte("{")); err == nil {
-		t.Error("garbage policy accepted")
 	}
 	empty := Verdict{ReqID: "", ExpectedTag: crypto.Digest{}}
 	if _, err := env.call("analyser", MethodVerdict, empty.Encode()); err == nil {

@@ -13,8 +13,8 @@ import (
 	"drams/internal/xacml"
 )
 
-// nodeEnv is a single mining node with the log-match contract and three
-// allowlisted identities: li, pap, analyser.
+// nodeEnv is a single mining node with the log-match and policy contracts
+// and three allowlisted identities: li, pap, analyser.
 type nodeEnv struct {
 	node     *blockchain.Node
 	li       *crypto.Identity
@@ -37,10 +37,10 @@ func newNodeEnv(t *testing.T, cfg MatchConfig) *nodeEnv {
 		analyser: mk("analyser", 3),
 		key:      crypto.DeriveKey("monitor-test", "K"),
 	}
-	cfg.PAP = "pap"
 	cfg.Analyser = "analyser"
 	reg := contract.NewRegistry()
 	reg.MustRegister(NewLogMatchContract(cfg))
+	reg.MustRegister(&PolicyContract{PAP: "pap"})
 	net := netsim.New(netsim.Config{Seed: 21})
 	node, err := blockchain.NewNode(blockchain.NodeConfig{
 		Name: "mon-node",
@@ -67,16 +67,30 @@ func newNodeEnv(t *testing.T, cfg MatchConfig) *nodeEnv {
 
 func (env *nodeEnv) submit(t *testing.T, id *crypto.Identity, method string, args []byte) {
 	t.Helper()
+	env.submitCall(t, id, contract.Call{Contract: ContractName, Method: method, Args: args})
+}
+
+func (env *nodeEnv) submitCall(t *testing.T, id *crypto.Identity, call contract.Call) {
+	t.Helper()
 	sender := blockchain.NewSender(env.node, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	rec, err := sender.SendAndWait(ctx, contract.Call{Contract: ContractName, Method: method, Args: args}, 1)
+	rec, err := sender.SendAndWait(ctx, call, 1)
 	if err != nil {
-		t.Fatalf("submit %s: %v", method, err)
+		t.Fatalf("submit %s: %v", call.Method, err)
 	}
 	if !rec.OK {
-		t.Fatalf("submit %s failed on-chain: %s", method, rec.Err)
+		t.Fatalf("submit %s failed on-chain: %s", call.Method, rec.Err)
 	}
+}
+
+// anchorPolicy publishes ps through the policy contract; it is active from
+// the end of the block that carries the update.
+func (env *nodeEnv) anchorPolicy(t *testing.T, ps *xacml.PolicySet) {
+	t.Helper()
+	blob := ps.Encode()
+	pu := PolicyUpdate{Version: ps.Version, Policy: blob, Digest: crypto.Sum(blob)}
+	env.submitCall(t, env.pap, contract.Call{Contract: PolicyContractName, Method: MethodPolicyUpdate, Args: pu.Encode()})
 }
 
 // sealedExchange builds four consistent records with real encrypted
@@ -128,9 +142,8 @@ func TestMonitorSeesMatchedExchange(t *testing.T) {
 	mon.Start()
 	defer mon.Stop()
 
-	polDig := crypto.Sum([]byte("policy"))
-	pa := PolicyAnnouncement{Version: "v1", Digest: polDig, Active: true}
-	env.submit(t, env.pap, MethodPolicy, pa.Encode())
+	polDig := monitorPolicy().Digest()
+	env.anchorPolicy(t, monitorPolicy())
 
 	mon.TrackSubmission("m-1")
 	for _, rec := range sealedExchange(t, env.key, "m-1", "doctor", xacml.Permit, polDig) {
@@ -169,8 +182,8 @@ func TestMonitorAlertFlow(t *testing.T) {
 		done <- struct{}{}
 	})
 
-	polDig := crypto.Sum([]byte("policy"))
-	env.submit(t, env.pap, MethodPolicy, PolicyAnnouncement{Version: "v1", Digest: polDig, Active: true}.Encode())
+	polDig := monitorPolicy().Digest()
+	env.anchorPolicy(t, monitorPolicy())
 
 	mon.TrackSubmission("bad-1")
 	recs := sealedExchange(t, env.key, "bad-1", "doctor", xacml.Permit, polDig)
@@ -242,7 +255,7 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 	an.Start()
 	defer an.Stop()
 
-	env.submit(t, env.pap, MethodPolicy, PolicyAnnouncement{Version: "v1", Digest: ps.Digest(), Active: true}.Encode())
+	env.anchorPolicy(t, ps)
 	if err := an.VerifyPolicyAnchor(); err != nil {
 		t.Fatalf("anchor verification: %v", err)
 	}
@@ -297,7 +310,7 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 	an.Start()
 	defer an.Stop()
 
-	env.submit(t, env.pap, MethodPolicy, PolicyAnnouncement{Version: "v1", Digest: ps.Digest(), Active: true}.Encode())
+	env.anchorPolicy(t, ps)
 	for _, rec := range sealedExchange(t, env.key, "nk-1", "doctor", xacml.Permit, ps.Digest()) {
 		env.submit(t, env.li, MethodLog, rec.Encode())
 	}
@@ -339,9 +352,8 @@ func TestAnalyserDetectsWrongAnchoredPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	an.LoadPolicy(monitorPolicy())
-	// PAP anchors a different digest: the analyser must refuse its policy.
-	env.submit(t, env.pap, MethodPolicy,
-		PolicyAnnouncement{Version: "v1", Digest: crypto.Sum([]byte("other")), Active: true}.Encode())
+	// PAP anchors a different policy: the analyser must refuse its own.
+	env.anchorPolicy(t, xacml.StandardPolicy("v1"))
 	if err := an.VerifyPolicyAnchor(); err == nil {
 		t.Fatal("analyser accepted a policy that differs from the anchor")
 	}

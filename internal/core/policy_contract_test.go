@@ -31,9 +31,7 @@ func newPolicyEnv(t *testing.T) *policyEnv {
 	t.Helper()
 	reg := contract.NewRegistry()
 	reg.MustRegister(&PolicyContract{PAP: "pap"})
-	reg.MustRegister(NewLogMatchContract(MatchConfig{
-		TimeoutBlocks: 5, PAP: "pap", PolicyContract: PolicyContractName,
-	}))
+	reg.MustRegister(NewLogMatchContract(MatchConfig{TimeoutBlocks: 5}))
 	return &policyEnv{t: t, engine: contract.NewEngine(reg), st: contract.NewState(), height: 1}
 }
 

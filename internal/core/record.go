@@ -172,23 +172,6 @@ func DecodeVerdict(data []byte) (Verdict, error) {
 	return v, nil
 }
 
-// PolicyAnnouncement is the PAP's on-chain publication of a policy version
-// digest (the trust anchor for M6).
-type PolicyAnnouncement struct {
-	Version string        `json:"version"`
-	Digest  crypto.Digest `json:"digest"`
-	Active  bool          `json:"active"`
-}
-
-// Encode serialises the announcement.
-func (pa PolicyAnnouncement) Encode() []byte {
-	b, err := json.Marshal(pa)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode policy announcement: %v", err))
-	}
-	return b
-}
-
 // EncryptedContext is the plaintext structure sealed into
 // LogRecord.Payload: the full exchange context for authorised forensics.
 type EncryptedContext struct {

@@ -298,10 +298,10 @@ func TestRunV5Smoke(t *testing.T) {
 }
 
 func TestRunV6Smoke(t *testing.T) {
-	// Reduced rejoin run: both protocols over a short chain, with the
-	// batched mode required to beat per-block on transport calls — the
-	// round-trip economics V6 exists to prove (state-digest equality is
-	// cross-checked inside RunV6).
+	// Reduced rejoin run: both windows over a short chain, with the
+	// batched window required to beat one block per call on transport
+	// calls — the round-trip economics V6 exists to prove (state-digest
+	// equality is cross-checked inside RunV6).
 	tab, err := RunV6(V6Params{ChainLengths: []int{48}, SyncBatch: 16,
 		NetLatency: 200 * time.Microsecond})
 	if err != nil {
@@ -318,11 +318,11 @@ func TestRunV6Smoke(t *testing.T) {
 		}
 		calls[row[1]] = n
 	}
-	if calls["per-block"] < 48 {
-		t.Fatalf("per-block used %d calls for 48 blocks", calls["per-block"])
+	if calls["window 1"] != 48+1 {
+		t.Fatalf("window 1 used %d calls for 48 blocks, want blocks + 1", calls["window 1"])
 	}
-	if batched := calls["batched(16)"]; batched >= calls["per-block"]/4 {
-		t.Fatalf("batched sync used %d calls vs per-block %d", batched, calls["per-block"])
+	if batched := calls["batched(16)"]; batched >= calls["window 1"]/4 {
+		t.Fatalf("batched sync used %d calls vs window 1 %d", batched, calls["window 1"])
 	}
 }
 

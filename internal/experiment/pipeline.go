@@ -34,7 +34,7 @@ func RunV1(p V1Params) (Table, error) {
 		Title:  "signature-verification pipeline: block validation cost per mode",
 		Header: []string{"batch", "sequential_us_per_tx", "batch_cold_us_per_tx", "batch_warm_us_per_tx", "warm_speedup"},
 		Notes: []string{
-			"sequential: one inline ed25519 check per tx (SequentialVerify baseline)",
+			"sequential: one inline ed25519 check per tx (VerifierConfig.Sequential baseline)",
 			"batch-cold: worker-pool fanout, empty verified-tx LRU",
 			"batch-warm: every tx already verified at mempool admission (gossip steady state)",
 		},

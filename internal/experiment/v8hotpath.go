@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -276,7 +277,7 @@ func v8ApplyRates(p V8Params) (seqRate, parRate float64, err error) {
 // decision throughput over netsim vs TCP loopback (binary tx/block codec on
 // the wire), on-chain anchoring transactions per probe burst at flush window
 // 1 vs the deployed window, encode+decode allocations for the binary codec
-// vs the legacy JSON codec, block-apply throughput sequential vs parallel —
+// vs encoding/json on the same structs, block-apply throughput sequential vs parallel —
 // and re-runs the V7 attack catalogue to show detection is intact under
 // Merkle-batched anchoring.
 func RunV8(p V8Params) (Table, error) {
@@ -287,7 +288,7 @@ func RunV8(p V8Params) (Table, error) {
 		Notes: []string{
 			fmt.Sprintf("decide row: %d decisions per backend, DecideBatch depth %d; baseline netsim, hot path TCP loopback (binary wire codec)", p.Requests, p.Batch),
 			fmt.Sprintf("anchor row: on-chain txs anchoring a %d-record probe burst; baseline flush window 1 (one tx per record), hot path window %d (one Merkle-rooted tx per window)", p.Records, p.Window),
-			"alloc rows: heap allocations per operation (AllocsPerRun protocol); baseline legacy JSON codec, hot path binary codec",
+			"alloc rows: heap allocations per operation (AllocsPerRun protocol); baseline encoding/json on the wire structs, hot path binary codec",
 			fmt.Sprintf("apply row: end-to-end AddBlock (verify+execute+commit) of %d blocks x %d disjoint-key txs; baseline SequentialApply, hot path 4 OCC apply workers", p.ApplyBlocks, p.ApplyTxs),
 		},
 	}
@@ -327,7 +328,8 @@ func RunV8(p V8Params) (Table, error) {
 		fmt.Sprintf("%.1fx", float64(unbatched)/float64(batched)),
 	})
 
-	// Codec allocations: binary vs legacy JSON.
+	// Codec allocations: binary vs encoding/json on the same structs (the
+	// format the codec replaced).
 	var seedTx [32]byte
 	seedTx[0] = 81
 	txID := crypto.NewIdentityFromSeed("v8-codec", seedTx)
@@ -337,14 +339,18 @@ func RunV8(p V8Params) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	txBin, txJSON := blockchain.EncodeTx(tx), blockchain.EncodeTxJSON(tx)
+	txBin := blockchain.EncodeTx(tx)
+	txJSON, err := json.Marshal(tx)
+	if err != nil {
+		return t, err
+	}
 	rtBin := allocsPerRun(200, func() {
 		_ = blockchain.EncodeTx(tx)
 		_, _ = blockchain.DecodeTx(txBin)
 	})
 	rtJSON := allocsPerRun(200, func() {
-		_ = blockchain.EncodeTxJSON(tx)
-		_, _ = blockchain.DecodeTx(txJSON)
+		_, _ = json.Marshal(tx)
+		_ = json.Unmarshal(txJSON, new(blockchain.Transaction))
 	})
 	t.Rows = append(t.Rows, []string{
 		"tx_roundtrip_allocs_op", fmt.Sprintf("%.1f", rtJSON), fmt.Sprintf("%.1f", rtBin),
@@ -361,9 +367,13 @@ func RunV8(p V8Params) (Table, error) {
 		blk.Txs = append(blk.Txs, btx)
 	}
 	blk.Header.MerkleRoot = blockchain.ComputeMerkleRoot(blk.Txs)
-	blkBin, blkJSON := blk.Encode(), blockchain.EncodeBlockJSON(blk)
+	blkBin := blk.Encode()
+	blkJSON, err := json.Marshal(blk)
+	if err != nil {
+		return t, err
+	}
 	decBin := allocsPerRun(200, func() { _, _ = blockchain.DecodeBlock(blkBin) })
-	decJSON := allocsPerRun(200, func() { _, _ = blockchain.DecodeBlock(blkJSON) })
+	decJSON := allocsPerRun(200, func() { _ = json.Unmarshal(blkJSON, new(blockchain.Block)) })
 	t.Rows = append(t.Rows, []string{
 		"block_decode_allocs_op", fmt.Sprintf("%.1f", decJSON), fmt.Sprintf("%.1f", decBin),
 		fmt.Sprintf("%.1fx", decJSON/maxF(decBin, 0.5)),

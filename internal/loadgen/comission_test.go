@@ -31,15 +31,20 @@ func (s *stallEvaluator) Evaluate(r *xacml.Request) (xacml.Result, error) {
 // executor families. With a PDP that stalls 120ms out of every 500ms:
 //
 //   - the closed-loop executor's VU is itself blocked during the stall, so
-//     it samples each stall at most once per VU — its p99 stays low even
+//     it samples each stall at most once per VU — its p90 stays low even
 //     though ~24% of wall-clock time is a freeze;
 //   - the open-loop executor keeps scheduling arrivals through the stall,
 //     so every request that would have arrived during the freeze records
-//     its true (queued) latency — its p99 reflects the stall.
+//     its true (queued) latency — its p90 reflects the stall.
 //
 // If the open-loop scheduler ever regresses into waiting for completions
-// (the coordinated-omission bug), its p99 collapses to the closed-loop
+// (the coordinated-omission bug), its p90 collapses to the closed-loop
 // value and this test fails.
+//
+// The assertions are on p90 so they do not depend on host speed: the closed
+// loop takes at most 5 stall-priced samples in 2 s, which cannot reach its
+// p90 while it completes more than 50 iterations (40 ms each), whereas p99
+// needed more than 500 (4 ms each) and a busy 2-core host missed that.
 func TestCoordinatedOmission(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stall-injection run in -short mode")
@@ -87,30 +92,31 @@ func TestCoordinatedOmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	openP99 := openRes.Metrics["p99"]
-	closedP99 := closedRes.Metrics["p99"]
-	t.Logf("open-loop:   n=%d p50=%.2fms p99=%.2fms max=%.2fms dropped=%d",
-		openRes.Requests, openRes.Metrics["p50"], openP99, openRes.Metrics["max"], openRes.Dropped)
-	t.Logf("closed-loop: n=%d p50=%.2fms p99=%.2fms max=%.2fms",
-		closedRes.Requests, closedRes.Metrics["p50"], closedP99, closedRes.Metrics["max"])
+	openP90 := openRes.Metrics["p90"]
+	closedP90 := closedRes.Metrics["p90"]
+	t.Logf("open-loop:   n=%d p50=%.2fms p90=%.2fms max=%.2fms dropped=%d",
+		openRes.Requests, openRes.Metrics["p50"], openP90, openRes.Metrics["max"], openRes.Dropped)
+	t.Logf("closed-loop: n=%d p50=%.2fms p90=%.2fms max=%.2fms",
+		closedRes.Requests, closedRes.Metrics["p50"], closedP90, closedRes.Metrics["max"])
 
 	// The closed loop DID hit the stall (its max proves the backend was
 	// slow)...
 	if closedRes.Metrics["max"] < 80 {
 		t.Fatalf("closed-loop max %.2fms: the stall never fired, fixture broken", closedRes.Metrics["max"])
 	}
-	// ...but under-reports it at the tail: only ~4 of its samples are
-	// stall-priced, far below the 1%% needed to move p99.
-	if closedP99 > 60 {
-		t.Fatalf("closed-loop p99 = %.2fms: expected coordinated omission to hide the stall", closedP99)
+	// ...but under-reports it: only ~4 of its samples are stall-priced,
+	// far below the 10%% needed to move p90.
+	if closedP90 > 50 {
+		t.Fatalf("closed-loop p90 = %.2fms: expected coordinated omission to hide the stall", closedP90)
 	}
-	// The open loop prices the stall into the tail: ~24%% of scheduled
-	// arrivals land in a freeze window and wait out the remainder.
-	if openP99 < 60 {
-		t.Fatalf("open-loop p99 = %.2fms: arrival-rate executor failed to surface the stall", openP99)
+	// The open loop prices the stall in: ~24%% of scheduled arrivals land
+	// in a freeze window and wait out the remainder, so the slowest tenth
+	// of all arrivals waited 70 ms or more.
+	if openP90 < 50 {
+		t.Fatalf("open-loop p90 = %.2fms: arrival-rate executor failed to surface the stall", openP90)
 	}
-	if openP99 < 3*closedP99 {
-		t.Fatalf("open p99 %.2fms not >> closed p99 %.2fms: executors lost their defining difference",
-			openP99, closedP99)
+	if openP90 < 3*closedP90 {
+		t.Fatalf("open p90 %.2fms not >> closed p90 %.2fms: executors lost their defining difference",
+			openP90, closedP90)
 	}
 }

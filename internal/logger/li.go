@@ -127,7 +127,7 @@ type LI struct {
 type queued struct {
 	call contract.Call
 	// rec is set for probe log records, which are batchable; other calls
-	// (verdicts, policy announcements) pass through unbatched.
+	// (verdicts) pass through unbatched.
 	rec *core.LogRecord
 	// enq is when the record joined the queue, so the flush-wait trace
 	// span can report time spent waiting for the batch window.
@@ -287,12 +287,6 @@ func (li *LI) Log(ctx context.Context, rec core.LogRecord) error {
 // SubmitVerdict lets an analyser colocated with this LI publish through it.
 func (li *LI) SubmitVerdict(ctx context.Context, v core.Verdict) error {
 	call := contract.Call{Contract: core.ContractName, Method: core.MethodVerdict, Args: v.Encode()}
-	return li.submit(ctx, call)
-}
-
-// AnnouncePolicy lets the PAP publish a policy digest through this LI.
-func (li *LI) AnnouncePolicy(ctx context.Context, pa core.PolicyAnnouncement) error {
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodPolicy, Args: pa.Encode()}
 	return li.submit(ctx, call)
 }
 

@@ -30,7 +30,7 @@ func newLIEnv(t *testing.T, mode SubmitMode) *liEnv {
 	id := crypto.NewIdentityFromSeed("li@t1", seed)
 	reg := contract.NewRegistry()
 	reg.MustRegister(core.NewLogMatchContract(core.MatchConfig{
-		TimeoutBlocks: 50, PAP: "pap", Analyser: "analyser",
+		TimeoutBlocks: 50, Analyser: "analyser",
 	}))
 	net := netsim.New(netsim.Config{Seed: 2})
 	node, err := blockchain.NewNode(blockchain.NodeConfig{
@@ -101,8 +101,13 @@ func TestLIAsyncSubmission(t *testing.T) {
 	if got.ReqDigest != rec.ReqDigest {
 		t.Fatal("stored record differs")
 	}
-	if env.li.Stats().Submitted == 0 {
-		t.Fatal("no submission counted")
+	// The counter moves after Send returns, which the miner can beat to
+	// the chain: wait for it instead of sampling it once.
+	for deadline := time.Now().Add(5 * time.Second); env.li.Stats().Submitted == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no submission counted")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

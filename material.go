@@ -21,12 +21,6 @@ type ChainParams struct {
 	TimeoutBlocks uint64
 	// RequireVerdict demands an analyser verdict per request.
 	RequireVerdict bool
-	// VerifyWorkers / VerifyCacheSize / SequentialVerify tune the local
-	// signature-verification pipeline (performance-only: they do not
-	// affect chain state and may differ between processes).
-	VerifyWorkers    int
-	VerifyCacheSize  int
-	SequentialVerify bool
 }
 
 func (p ChainParams) withDefaults() ChainParams {
@@ -55,7 +49,7 @@ type ChainMaterial struct {
 	// LIIdentities holds each tenant's Logging Interface signer, keyed by
 	// tenant name.
 	LIIdentities map[string]*crypto.Identity
-	// AnalyserID and PAPID sign verdicts and policy announcements.
+	// AnalyserID signs verdicts; PAPID signs policy-contract updates.
 	AnalyserID, PAPID *crypto.Identity
 	// Key is the federation's shared symmetric LI key K.
 	Key crypto.Key
@@ -83,25 +77,18 @@ func NewChainMaterial(seed uint64, tenantNames []string, p ChainParams) ChainMat
 	registry := contract.NewRegistry()
 	registry.MustRegister(core.NewLogMatchContract(core.MatchConfig{
 		TimeoutBlocks:  p.TimeoutBlocks,
-		PAP:            m.PAPID.Name(),
 		Analyser:       m.AnalyserID.Name(),
 		RequireVerdict: p.RequireVerdict,
-		// M6 trusts the policy lifecycle contract's chain-replicated
-		// anchor once it holds an active policy.
-		PolicyContract: core.PolicyContractName,
 	}))
 	registry.MustRegister(&core.PolicyContract{PAP: m.PAPID.Name()})
 	registry.MustRegister(&contract.AnchorContract{ContractName: "anchor"})
 	registry.MustRegister(&contract.KVContract{ContractName: "kv"})
 
 	m.Chain = blockchain.Config{
-		Difficulty:       p.Difficulty,
-		MaxTxPerBlock:    p.MaxTxPerBlock,
-		Identities:       allow,
-		Registry:         registry,
-		VerifyWorkers:    p.VerifyWorkers,
-		VerifyCacheSize:  p.VerifyCacheSize,
-		SequentialVerify: p.SequentialVerify,
+		Difficulty:    p.Difficulty,
+		MaxTxPerBlock: p.MaxTxPerBlock,
+		Identities:    allow,
+		Registry:      registry,
 	}
 	return m
 }

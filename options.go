@@ -150,31 +150,3 @@ func WithRemoteAgents() Option {
 func WithMineAll() Option {
 	return func(c *Config) { c.MineAll = true }
 }
-
-// WithVerifyWorkers sizes each node's signature-verification worker pool.
-func WithVerifyWorkers(n int) Option {
-	return func(c *Config) { c.VerifyWorkers = n }
-}
-
-// WithVerifyCache bounds each node's verified-transaction LRU (negative
-// disables it).
-func WithVerifyCache(entries int) Option {
-	return func(c *Config) { c.VerifyCacheSize = entries }
-}
-
-// WithSequentialVerify disables the batch-verification pipeline — the
-// pre-pipeline baseline for overhead experiments.
-func WithSequentialVerify() Option {
-	return func(c *Config) { c.SequentialVerify = true }
-}
-
-// WithDecisionCache bounds the PDP decision cache in entries.
-func WithDecisionCache(entries int) Option {
-	return func(c *Config) { c.DecisionCacheSize = entries }
-}
-
-// WithoutDecisionCache evaluates every request from scratch — the overhead
-// baseline.
-func WithoutDecisionCache() Option {
-	return func(c *Config) { c.DisableDecisionCache = true }
-}
