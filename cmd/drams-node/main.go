@@ -31,6 +31,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -39,6 +40,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -227,6 +229,19 @@ type daemonConfig struct {
 	catchupDelay time.Duration
 }
 
+// startupGate registers the "startup" readiness check, failing until the
+// returned function is called.
+func startupGate(health *obs.Health) (started func()) {
+	var up atomic.Bool
+	health.AddReady("startup", func() error {
+		if up.Load() {
+			return nil
+		}
+		return errors.New("components still starting")
+	})
+	return func() { up.Store(true) }
+}
+
 func runDaemon(cfg daemonConfig) error {
 	logf := func(format string, args ...any) {
 		fmt.Printf("[%s] %s\n", cfg.tenant, fmt.Sprintf(format, args...))
@@ -237,6 +252,10 @@ func runDaemon(cfg daemonConfig) error {
 	gatherer := obs.NewGatherer(reg)
 	tracer := obs.NewTracer(reg, obs.DefaultTraceCapacity)
 	health := obs.NewHealth()
+	// Readiness is the AND of the registered checks, and an empty set is
+	// ready: hold /readyz at 503 from before the listener is up until the
+	// real gates (chain, policy-watcher, sync) are all in.
+	started := startupGate(health)
 	if cfg.metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", obs.Handler(gatherer, health))
@@ -486,6 +505,7 @@ func runDaemon(cfg daemonConfig) error {
 			}
 		})
 	}
+	started()
 	go catchUp(node, nodePeers, cfg.catchupDelay, logf, done, synced)
 
 	// Any member can administer policies: push the -policy-file update

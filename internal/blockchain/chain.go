@@ -10,6 +10,7 @@ import (
 	"drams/internal/clock"
 	"drams/internal/contract"
 	"drams/internal/crypto"
+	"drams/internal/merkle"
 	"drams/internal/metrics"
 	"drams/internal/store"
 )
@@ -330,7 +331,7 @@ func (c *Chain) AddBlock(b *Block) error {
 	// Cheap structural gates run before any signature work, so a gossip
 	// flood of duplicate, orphan or forged blocks cannot buy expensive
 	// ed25519 batches for the price of a message. addBlockLocked repeats
-	// these checks authoritatively under the lock.
+	// the ones that depend on chain state authoritatively under the lock.
 	c.mu.RLock()
 	_, known := c.blocks[hash]
 	parent, haveParent := c.blocks[b.Header.PrevHash]
@@ -354,23 +355,27 @@ func (c *Chain) AddBlock(b *Block) error {
 	if !b.Header.MeetsDifficulty() {
 		return fmt.Errorf("%w: block %s at difficulty %d", ErrBadPoW, hash.Short(), b.Header.Difficulty)
 	}
-	if ComputeMerkleRoot(b.Txs) != b.Header.MerkleRoot {
-		return fmt.Errorf("%w: block %s", ErrBadMerkleRoot, hash.Short())
-	}
 	if len(b.Txs) > c.cfg.MaxTxPerBlock {
 		return fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), c.cfg.MaxTxPerBlock)
+	}
+	// The transaction IDs are derived here, once per import, and handed to
+	// everything below that needs them: the Merkle check, the verifier's
+	// cache lookups, receipts and contract call contexts.
+	ids := txIDs(b.Txs)
+	if merkle.RootOfHashes(ids) != b.Header.MerkleRoot {
+		return fmt.Errorf("%w: block %s", ErrBadMerkleRoot, hash.Short())
 	}
 
 	// Verify transaction signatures outside the chain lock: verification
 	// depends only on the identity registry, and the batch verifier fans
 	// the checks out across cores, skipping transactions already verified
 	// at mempool admission.
-	if err := c.verifier.VerifyAll(b.Txs); err != nil {
+	if err := firstTxErr(c.verifier.verifyBatch(b.Txs, ids)); err != nil {
 		return fmt.Errorf("blockchain: block %s %w", hash.Short(), err)
 	}
 
 	c.mu.Lock()
-	emits, err := c.addBlockLocked(b, hash)
+	emits, err := c.addBlockLocked(b, hash, ids)
 	var sink EventSink
 	if err == nil {
 		sink = c.sink
@@ -398,7 +403,11 @@ type blockEvents struct {
 	events []contract.Event
 }
 
-func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest) ([]blockEvents, error) {
+// addBlockLocked repeats AddBlock's chain-dependent checks authoritatively,
+// validates nonces against the branch and inserts b. ids are b's transaction
+// IDs, index-aligned; AddBlock has already checked them against the header's
+// Merkle root, and neither changes, so that check is not repeated here.
+func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest) ([]blockEvents, error) {
 	if _, ok := c.blocks[hash]; ok {
 		return nil, ErrKnownBlock
 	}
@@ -414,9 +423,6 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest) ([]blockEvents, err
 	}
 	if !b.Header.MeetsDifficulty() {
 		return nil, fmt.Errorf("%w: block %s at difficulty %d", ErrBadPoW, hash.Short(), b.Header.Difficulty)
-	}
-	if ComputeMerkleRoot(b.Txs) != b.Header.MerkleRoot {
-		return nil, fmt.Errorf("%w: block %s", ErrBadMerkleRoot, hash.Short())
 	}
 	if len(b.Txs) > c.cfg.MaxTxPerBlock {
 		return nil, fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), c.cfg.MaxTxPerBlock)
@@ -437,7 +443,7 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest) ([]blockEvents, err
 	if !c.betterThanHeadLocked(hash) {
 		return nil, nil // valid side-branch block; kept for future fork choice
 	}
-	return c.reorgToLocked(hash)
+	return c.reorgToLocked(hash, ids)
 }
 
 // betterThanHeadLocked implements fork choice: more cumulative work wins;
@@ -506,13 +512,13 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 	return rev, nil
 }
 
-// reorgToLocked switches the best chain to newHead. Fast path: newHead
-// extends the current head, so state is updated incrementally. Slow path:
-// full deterministic replay from genesis.
-func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
+// reorgToLocked switches the best chain to newHead, whose transaction IDs
+// are headIDs. Fast path: newHead extends the current head, so state is
+// updated incrementally. Slow path: full deterministic replay from genesis.
+func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([]blockEvents, error) {
 	nb := c.blocks[newHead]
 	if nb.Header.PrevHash == c.head {
-		evs := c.applyBlockLocked(nb, c.state, c.nonces)
+		evs := c.applyBlockLocked(nb, headIDs, c.state, c.nonces)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
 		c.persistAppendLocked(nb)
@@ -539,7 +545,11 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	c.state, c.nonces = state, nonces
 	for _, bh := range path {
 		b := c.blocks[bh]
-		evs := c.applyBlockLocked(b, state, nonces)
+		ids := headIDs
+		if bh != newHead {
+			ids = txIDs(b.Txs)
+		}
+		evs := c.applyBlockLocked(b, ids, state, nonces)
 		best = append(best, bh)
 		if !c.emitted[bh] {
 			c.emitted[bh] = true
@@ -553,13 +563,14 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 }
 
 // applyBlockLocked executes a block's transactions and block hooks against
-// state, recording receipts. Nonce validity was checked beforehand. Large
-// blocks go through the OCC parallel path (parallel.go); both paths produce
-// identical state, receipts and event order.
-func (c *Chain) applyBlockLocked(b *Block, state *contract.State, nonces map[string]uint64) []contract.Event {
+// state, recording receipts under ids (b's transaction IDs, index-aligned).
+// Nonce validity was checked beforehand. Large blocks go through the OCC
+// parallel path (parallel.go); both paths produce identical state, receipts
+// and event order.
+func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State, nonces map[string]uint64) []contract.Event {
 	if !c.cfg.SequentialApply && len(b.Txs) >= parallelApplyMinTxs && c.applyWorkers() > 1 {
 		c.applyMet.parallelBlocks.Inc()
-		return c.applyParallelLocked(b, state, nonces)
+		return c.applyParallelLocked(b, ids, state, nonces)
 	}
 	c.applyMet.sequentialBlocks.Inc()
 	var events []contract.Event
@@ -569,16 +580,16 @@ func (c *Chain) applyBlockLocked(b *Block, state *contract.State, nonces map[str
 		ctx := contract.CallCtx{
 			Height:    b.Header.Height,
 			BlockTime: b.Header.Time(),
-			TxID:      tx.ID(),
+			TxID:      ids[i],
 			Caller:    tx.From,
 		}
 		evs, err := c.engine.Execute(ctx, state, tx.Call)
-		rec := Receipt{TxID: tx.ID(), Height: b.Header.Height, OK: err == nil, Events: evs}
+		rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil, Events: evs}
 		if err != nil {
 			rec.Err = err.Error()
 		}
-		c.receipts[tx.ID()] = rec
-		c.txHeight[tx.ID()] = b.Header.Height
+		c.receipts[ids[i]] = rec
+		c.txHeight[ids[i]] = b.Header.Height
 		events = append(events, evs...)
 	}
 	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)

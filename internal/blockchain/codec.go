@@ -42,7 +42,11 @@ import (
 // transport and persistence layers hand each decode a freshly read buffer
 // that is never reused, and decoded values are treated as immutable
 // everywhere downstream. Callers that mutate the input after decoding must
-// copy first.
+// copy first. The aliasing also means a retained block pins its WHOLE input
+// buffer, not just its own bytes: a gossip frame is one block, but a
+// bc.getrange response is many, so a pull must not ask for more blocks than
+// it will keep (see pullBranch) — one kept block of an over-sized response
+// holds every other block's bytes live with it.
 
 // codecVersion tags the binary format; bump on incompatible layout change.
 const codecVersion byte = 0x01

@@ -2,14 +2,17 @@ package blockchain
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
-// Benchmarks for the hot-path codec. Run with -benchmem; the V8 experiment
-// asserts the allocs/op ratios end-to-end, and TestCodecAllocBudgets below
-// keeps the budgets honest in the tier-1 suite.
+// Benchmarks for the hot-path codec and for block import. Run with
+// -benchmem; the V8 experiment asserts the allocs/op ratios end-to-end, and
+// TestCodecAllocBudgets below keeps the budgets honest in the tier-1 suite.
+// CI runs every Benchmark(Codec|ApplyBlock) once per PR so they keep
+// compiling and running (.github/workflows/ci.yml, bench smoke).
 
-func BenchmarkTxEncodeBinary(b *testing.B) {
+func BenchmarkCodecTxEncode(b *testing.B) {
 	tx := testTx(b, "alice", 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -17,7 +20,7 @@ func BenchmarkTxEncodeBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkTxDecodeBinary(b *testing.B) {
+func BenchmarkCodecTxDecode(b *testing.B) {
 	enc := EncodeTx(testTx(b, "alice", 3))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -27,7 +30,7 @@ func BenchmarkTxDecodeBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkBlockEncodeBinary(b *testing.B) {
+func BenchmarkCodecBlockEncode(b *testing.B) {
 	blk := testBlockForCodec(b, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -35,7 +38,7 @@ func BenchmarkBlockEncodeBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkBlockDecodeBinary(b *testing.B) {
+func BenchmarkCodecBlockDecode(b *testing.B) {
 	enc := testBlockForCodec(b, 16).Encode()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -45,11 +48,47 @@ func BenchmarkBlockDecodeBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkHeaderHash(b *testing.B) {
+func BenchmarkCodecHeaderHash(b *testing.B) {
 	blk := testBlockForCodec(b, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = blk.Header.Hash()
+	}
+}
+
+// BenchmarkApplyBlock imports a prebuilt 32-block chain into a fresh Chain:
+// full AddBlock validation (Merkle root, cold signature batch, nonces)
+// plus contract execution, at a block size under and one over the parallel
+// apply threshold. ns/op is per block.
+func BenchmarkApplyBlock(b *testing.B) {
+	for _, perBlock := range []int{4, 32} {
+		b.Run(fmt.Sprintf("txs=%d", perBlock), func(b *testing.B) {
+			alice := testIdentity(b, "alice", 1)
+			src := NewChain(testChainConfig(b, alice))
+			const length = 32
+			txs := testTxs(b, alice, length*perBlock)
+			blocks := make([]*Block, length)
+			parent := src.Genesis()
+			for i := range blocks {
+				blocks[i] = mineChild(b, src, parent, txs[i*perBlock:(i+1)*perBlock]...)
+				if err := src.AddBlock(blocks[i]); err != nil {
+					b.Fatal(err)
+				}
+				parent = blocks[i].Hash()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%length == 0 {
+					b.StopTimer()
+					src = NewChain(testChainConfig(b, alice))
+					b.StartTimer()
+				}
+				if err := src.AddBlock(blocks[i%length]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -107,5 +146,79 @@ func TestCodecAllocBudgets(t *testing.T) {
 	if (encTx+decTxBin)*5 > encTxJSONAllocs+decTxJSON {
 		t.Errorf("binary tx round trip (%.1f allocs) is not 5x leaner than JSON (%.1f)",
 			encTx+decTxBin, encTxJSONAllocs+decTxJSON)
+	}
+}
+
+// TestImportDerivesEachTxIDOnce pins the other per-import budget: a
+// transaction's ID costs a JSON encoding of its call and two hashes, and
+// import used to pay that seven or more times per transaction (two Merkle
+// checks, the verifier's cache lookup, four uses in apply). AddBlock derives
+// the IDs once and hands them down, on the sequential path, the parallel
+// path, and for the new head of a reorganisation.
+func TestImportDerivesEachTxIDOnce(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	src := NewChain(testChainConfig(t, alice))
+	txs := testTxs(t, alice, 3+12+2)
+	genesis := src.Genesis()
+	small := mineChild(t, src, genesis, txs[:3]...) // under parallelApplyMinTxs
+	if err := src.AddBlock(small); err != nil {
+		t.Fatal(err)
+	}
+	large := mineChild(t, src, small.Hash(), txs[3:15]...) // parallel path
+	if err := src.AddBlock(large); err != nil {
+		t.Fatal(err)
+	}
+	// A sibling branch from genesis that ends up heavier, so one of its
+	// imports is a reorganisation.
+	forkA := mineChild(t, src, genesis, txs[:2]...)
+	if err := src.AddBlock(forkA); err != nil {
+		t.Fatal(err)
+	}
+	forkB := mineChild(t, src, forkA.Hash())
+	if err := src.AddBlock(forkB); err != nil {
+		t.Fatal(err)
+	}
+	forkC := mineChild(t, src, forkB.Hash(), txs[2:3]...)
+
+	cfg := testChainConfig(t, alice)
+	cfg.ApplyWorkers = 4 // a real pool even on a single-core host
+	dst := NewChain(cfg)
+	derived := 0
+	count := func() { derived++ } // imports below run on this goroutine only
+	testOnTxID.Store(&count)
+	defer testOnTxID.Store(nil)
+	reorgs := 0
+	importing := func(b *Block, what string) {
+		t.Helper()
+		oldHead, _ := dst.Head()
+		derived = 0
+		if err := dst.AddBlock(b); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want := len(b.Txs)
+		if head, _ := dst.Head(); head == b.Hash() && b.Header.PrevHash != oldHead {
+			// A reorganisation replays the branch from genesis: b's IDs come
+			// from AddBlock, each replayed ancestor's are derived once more.
+			reorgs++
+			for at := b.Header.PrevHash; at != genesis; {
+				anc, _ := dst.BlockByHash(at)
+				want += len(anc.Txs)
+				at = anc.Header.PrevHash
+			}
+		}
+		if derived != want {
+			t.Errorf("%s: %d ID derivations importing %d transactions, want %d", what, derived, len(b.Txs), want)
+		}
+	}
+	importing(small, "sequential apply")
+	importing(large, "parallel apply")
+	if st := dst.ApplyStats(); st.ParallelBlocks != 1 || st.SequentialBlocks != 1 {
+		t.Fatalf("apply paths taken: %+v, want one block each", st)
+	}
+	importing(forkA, "side-branch block (stored, not applied)")
+	importing(forkB, "side-branch block at the head's height")
+	importing(forkC, "heavier branch tip")
+	if head, _ := dst.Head(); head != forkC.Hash() || reorgs == 0 {
+		t.Fatalf("the heavier branch did not take over through a reorganisation (%d seen)", reorgs)
 	}
 }

@@ -79,8 +79,8 @@ type NodeConfig struct {
 	// written incrementally. The caller owns the store's lifecycle (open
 	// before NewNode, close after Stop).
 	Store *store.KV
-	// SyncBatch caps how many blocks one bc.getrange catch-up call may
-	// return (default 128, server-clamped to 512). Catch-up cost is then
+	// SyncBatch caps how many blocks one bc.getrange catch-up call asks
+	// for (default 128, server-clamped to 512). Catch-up cost is then
 	// dominated by validation, not round-trips.
 	SyncBatch int
 }
@@ -114,9 +114,11 @@ type NodeStats struct {
 	BlocksReloaded int64
 	ReloadDropped  int64
 	// SyncCalls / SyncBlocks count the catch-up protocol: transport Calls
-	// issued (bc.head and bc.getrange) and blocks obtained through them.
-	// One range call returns up to SyncBatch blocks, so SyncCalls stays
-	// far below SyncBlocks unless SyncBatch is 1.
+	// issued (bc.head and bc.getrange) and blocks that came back in range
+	// responses and passed the linkage check, whether or not they were then
+	// needed. A range call asks for the pull's height gap (at most
+	// SyncBatch), so a rejoin shows SyncBlocks far above SyncCalls, while
+	// orphan resolution in steady gossip shows about one block per call.
 	SyncCalls  int64
 	SyncBlocks int64
 	// MempoolLen / SeenCacheLen are point-in-time occupancy gauges of the

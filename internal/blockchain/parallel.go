@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"drams/internal/contract"
+	"drams/internal/crypto"
 	"drams/internal/metrics"
 )
 
@@ -180,7 +181,7 @@ func (c *Chain) applyWorkers() int {
 // applyParallelLocked is the OCC path of applyBlockLocked. Caller holds
 // c.mu; the speculative goroutines touch only the engine (stateless) and
 // the internally-locked state.
-func (c *Chain) applyParallelLocked(b *Block, state *contract.State, nonces map[string]uint64) []contract.Event {
+func (c *Chain) applyParallelLocked(b *Block, ids []crypto.Digest, state *contract.State, nonces map[string]uint64) []contract.Event {
 	results := make([]txResult, len(b.Txs))
 	workers := c.applyWorkers()
 	if workers > len(b.Txs) {
@@ -202,7 +203,7 @@ func (c *Chain) applyParallelLocked(b *Block, state *contract.State, nonces map[
 				evs, err := c.engine.Execute(contract.CallCtx{
 					Height:    b.Header.Height,
 					BlockTime: b.Header.Time(),
-					TxID:      tx.ID(),
+					TxID:      ids[i],
 					Caller:    tx.From,
 				}, ts, tx.Call)
 				results[i] = txResult{ts: ts, events: evs, err: err}
@@ -226,7 +227,7 @@ func (c *Chain) applyParallelLocked(b *Block, state *contract.State, nonces map[
 			evs, err := c.engine.Execute(contract.CallCtx{
 				Height:    b.Header.Height,
 				BlockTime: b.Header.Time(),
-				TxID:      tx.ID(),
+				TxID:      ids[i],
 				Caller:    tx.From,
 			}, ts, tx.Call)
 			res = &txResult{ts: ts, events: evs, err: err}
@@ -234,12 +235,12 @@ func (c *Chain) applyParallelLocked(b *Block, state *contract.State, nonces map[
 			c.applyMet.speculativeTxs.Inc()
 		}
 		res.ts.commitTo(state, written)
-		rec := Receipt{TxID: tx.ID(), Height: b.Header.Height, OK: res.err == nil, Events: res.events}
+		rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: res.err == nil, Events: res.events}
 		if res.err != nil {
 			rec.Err = res.err.Error()
 		}
-		c.receipts[tx.ID()] = rec
-		c.txHeight[tx.ID()] = b.Header.Height
+		c.receipts[ids[i]] = rec
+		c.txHeight[ids[i]] = b.Header.Height
 		events = append(events, res.events...)
 	}
 	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)

@@ -603,7 +603,7 @@ func TestPullBranchSurfacesNoHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer joiner.Stop()
-	err = joiner.pullBranch("mute-peer", crypto32(0xee), nil)
+	err = joiner.pullBranch("mute-peer", crypto32(0xee), 1, nil)
 	if !errors.Is(err, transport.ErrNoHandler) {
 		t.Fatalf("pull from a peer without bc.getrange: %v, want ErrNoHandler", err)
 	}

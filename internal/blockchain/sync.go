@@ -16,7 +16,10 @@ import (
 // chain from a peer. The wire protocol is bc.getrange: one Call returns up
 // to SyncBatch encoded blocks walking parent links backwards (descending
 // height) from a cursor hash, so rejoin time is dominated by validation
-// throughput instead of per-block round-trips. The fetched branch is then
+// throughput instead of per-block round-trips. A pull asks for as many
+// blocks as it is behind the cursor (see pullBranch): a rejoin gets full
+// windows, a gossiped block that overtook its parent costs one block, not a
+// window the requester already holds. The fetched branch is then
 // applied oldest-first through Chain.AddBlock, i.e. with exactly the
 // validation (signatures via the TxVerifier pipeline, PoW, difficulty
 // schedule, nonces) gossiped blocks get. It is the only sync protocol: a
@@ -141,11 +144,13 @@ func (n *Node) syncCall(peer, kind string, payload []byte) ([]byte, error) {
 	return n.ep.Call(ctx, peer, kind, payload)
 }
 
-// fetchAncestors returns up to n.cfg.SyncBatch blocks descending from
-// cursor (inclusive), verifying hash linkage so a lying peer cannot inject
-// blocks outside the requested branch.
-func (n *Node) fetchAncestors(peer string, cursor crypto.Digest) ([]*Block, error) {
-	payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: n.cfg.SyncBatch})
+// fetchAncestors returns up to count blocks descending from cursor
+// (inclusive), verifying hash linkage so a lying peer cannot inject blocks
+// outside the requested branch. A response longer than asked is refused
+// before any block is decoded: decoded blocks alias the response buffer, so
+// whatever is kept of a response pins all of it.
+func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]*Block, error) {
+	payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: count})
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +161,9 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest) ([]*Block, erro
 	resp, err := decodeRangeResp(raw)
 	if err != nil {
 		return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
+	}
+	if len(resp.Blocks) > count {
+		return nil, fmt.Errorf("blockchain: range from %q: %d blocks, asked for %d", peer, len(resp.Blocks), count)
 	}
 	blocks := make([]*Block, 0, len(resp.Blocks))
 	want := cursor
@@ -180,7 +188,18 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest) ([]*Block, erro
 // whole suffix oldest-first through full validation. pending holds
 // already-held descendants of cursor, newest first (the orphan that
 // triggered the pull). The walk is bounded by SyncDepth blocks.
-func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) error {
+//
+// cursorHeight is the height the peer claims for cursor. The first window
+// asks for the height difference to the local head — exactly the missing
+// blocks when the branch extends the local best chain — and every further
+// window doubles, so a fork that attaches deeper than that is still reached
+// in O(log depth) calls. SyncBatch caps every window. A wrong claim only
+// costs round-trips: what attaches is decided by hashes.
+func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64, pending []*Block) error {
+	window := 1
+	if local := n.chain.Height(); cursorHeight > local {
+		window = int(min(cursorHeight-local, uint64(n.cfg.SyncBatch)))
+	}
 	for {
 		if _, ok := n.chain.BlockByHash(cursor); ok {
 			break // attached
@@ -188,7 +207,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) e
 		if len(pending) >= n.cfg.SyncDepth {
 			return fmt.Errorf("blockchain: branch from %q exceeds sync depth %d", peer, n.cfg.SyncDepth)
 		}
-		fetched, err := n.fetchAncestors(peer, cursor)
+		fetched, err := n.fetchAncestors(peer, cursor, window)
 		if err != nil {
 			return err
 		}
@@ -202,6 +221,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) e
 				break
 			}
 		}
+		window = min(2*window, n.cfg.SyncBatch)
 	}
 	// Apply oldest-first; each block passes the normal AddBlock validation.
 	for i := len(pending) - 1; i >= 0; i-- {
@@ -217,7 +237,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, pending []*Block) e
 // resolveOrphans pulls the missing ancestors of orphan b from the peer that
 // gossiped it and applies the branch. Returns true if b was accepted.
 func (n *Node) resolveOrphans(b *Block, peer string) bool {
-	if err := n.pullBranch(peer, b.Header.PrevHash, []*Block{b}); err != nil {
+	if err := n.pullBranch(peer, b.Header.PrevHash, b.Header.Height-1, []*Block{b}); err != nil {
 		return false
 	}
 	n.orphans.Inc()
@@ -259,7 +279,7 @@ func (n *Node) SyncFrom(peer string) error {
 		if _, ok := n.chain.BlockByHash(hi.Hash); ok {
 			return nil // already have their head
 		}
-		if err := n.pullBranch(peer, hi.Hash, nil); err != nil {
+		if err := n.pullBranch(peer, hi.Hash, hi.Height, nil); err != nil {
 			lastErr = err
 		}
 		if _, ok := n.chain.BlockByHash(hi.Hash); ok {

@@ -62,9 +62,29 @@ func (tx *Transaction) signingBytes() []byte {
 
 // ID returns the transaction digest (covers the signature, so two distinct
 // signatures over the same payload are distinct transactions; the nonce
-// check still prevents both from executing).
+// check still prevents both from executing). Every call re-derives it from
+// the fields (a JSON encoding of the call plus two hashes): the value is
+// deliberately not cached on the struct, because the verified-transaction
+// LRU is keyed by it and a stale ID on a mutated transaction would skip a
+// signature check. Code that needs the IDs of a whole block more than once
+// derives them once with txIDs and passes the slice down (see AddBlock).
 func (tx *Transaction) ID() crypto.Digest {
+	if hook := testOnTxID.Load(); hook != nil {
+		(*hook)()
+	}
 	return crypto.SumAll(tx.signingBytes(), tx.Signature)
+}
+
+// testOnTxID, when set (tests only), runs on every ID derivation.
+var testOnTxID atomic.Pointer[func()]
+
+// txIDs derives the ID of every transaction, index-aligned.
+func txIDs(txs []Transaction) []crypto.Digest {
+	ids := make([]crypto.Digest, len(txs))
+	for i := range txs {
+		ids[i] = txs[i].ID()
+	}
+	return ids
 }
 
 // Sign populates PubKey and Signature using id. From must equal id's name.
@@ -214,14 +234,7 @@ func (b *Block) Hash() crypto.Digest { return b.Header.Hash() }
 // ComputeMerkleRoot derives the Merkle root over the block's transaction
 // IDs; the zero digest for an empty block.
 func ComputeMerkleRoot(txs []Transaction) crypto.Digest {
-	if len(txs) == 0 {
-		return crypto.Digest{}
-	}
-	hashes := make([]crypto.Digest, len(txs))
-	for i := range txs {
-		hashes[i] = txs[i].ID()
-	}
-	return merkle.RootOfHashes(hashes)
+	return merkle.RootOfHashes(txIDs(txs))
 }
 
 // Encode serialises the block in the binary wire format (see codec.go) for

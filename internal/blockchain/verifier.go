@@ -124,6 +124,16 @@ func (v *TxVerifier) VerifyTx(tx *Transaction) error {
 // the rest are fanned out across the worker pool in a single
 // crypto.VerifyBatch call.
 func (v *TxVerifier) VerifyBatch(txs []Transaction) []error {
+	var ids []crypto.Digest
+	if !v.sequential {
+		ids = txIDs(txs)
+	}
+	return v.verifyBatch(txs, ids)
+}
+
+// verifyBatch is VerifyBatch for a caller that already derived the
+// transaction IDs (index-aligned; unused in sequential mode).
+func (v *TxVerifier) verifyBatch(txs []Transaction, ids []crypto.Digest) []error {
 	errs := make([]error, len(txs))
 	if v.sequential {
 		for i := range txs {
@@ -138,9 +148,7 @@ func (v *TxVerifier) VerifyBatch(txs []Transaction) []error {
 	// verifications that remain.
 	pending := make([]int, 0, len(txs))
 	checks := make([]crypto.SigCheck, 0, len(txs))
-	ids := make([]crypto.Digest, len(txs))
 	for i := range txs {
-		ids[i] = txs[i].ID()
 		if v.cache != nil && v.cache.has(ids[i], gen) {
 			v.hits.Inc()
 			continue
@@ -178,7 +186,13 @@ func (v *TxVerifier) VerifyBatch(txs []Transaction) []error {
 // VerifyAll verifies a batch and returns the first failure annotated with
 // its transaction index (block-validation style), or nil if all are valid.
 func (v *TxVerifier) VerifyAll(txs []Transaction) error {
-	for i, err := range v.VerifyBatch(txs) {
+	return firstTxErr(v.VerifyBatch(txs))
+}
+
+// firstTxErr returns the first failure of an index-aligned verification
+// result, annotated with its transaction index.
+func firstTxErr(errs []error) error {
+	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("tx %d: %w", i, err)
 		}

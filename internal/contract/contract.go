@@ -151,6 +151,7 @@ type BlockHook interface {
 type Registry struct {
 	mu        sync.RWMutex
 	contracts map[string]Contract
+	names     []string // sorted; replaced, never edited, so readers may keep it
 }
 
 // NewRegistry returns an empty registry.
@@ -166,6 +167,9 @@ func (r *Registry) Register(c Contract) error {
 		return fmt.Errorf("contract: register %q: already registered", c.Name())
 	}
 	r.contracts[c.Name()] = c
+	names := append(append([]string(nil), r.names...), c.Name())
+	sort.Strings(names)
+	r.names = names
 	return nil
 }
 
@@ -185,24 +189,26 @@ func (r *Registry) Get(name string) (Contract, bool) {
 	return c, ok
 }
 
-// Names lists registered contracts, sorted.
+// Names lists registered contracts, sorted. The list is kept at Register —
+// the engine walks it on every block — and shared: callers must not modify
+// it.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.contracts))
-	for n := range r.contracts {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return r.names
 }
 
 // State is the canonical StateDB implementation: an in-memory map with
 // cloning (for fork execution) and nested overlay transactions (so a failed
-// contract call rolls back cleanly).
+// contract call rolls back cleanly). Values live in the map, so Get is one
+// hash lookup; the key set is mirrored in an ordered index, so Keys(prefix)
+// costs O(log n + matches) however many unrelated keys the state holds —
+// block hooks scan a short queue ("deadline/", "sched/") on every block
+// beside an ever-growing record set.
 type State struct {
-	mu   sync.RWMutex
-	data map[string][]byte
+	mu    sync.RWMutex
+	data  map[string][]byte
+	index keyIndex // exactly the keys of data
 }
 
 // NewState returns an empty state.
@@ -229,6 +235,9 @@ func (s *State) Set(key string, value []byte) {
 	defer s.mu.Unlock()
 	cp := make([]byte, len(value))
 	copy(cp, value)
+	if _, ok := s.data[key]; !ok {
+		s.index.insert(key)
+	}
 	s.data[key] = cp
 }
 
@@ -236,21 +245,17 @@ func (s *State) Set(key string, value []byte) {
 func (s *State) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.data, key)
+	if _, ok := s.data[key]; ok {
+		s.index.remove(key)
+		delete(s.data, key)
+	}
 }
 
 // Keys implements StateDB.
 func (s *State) Keys(prefix string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []string
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return s.index.root.appendPrefix(nil, prefix)
 }
 
 // Len returns the number of stored keys.
@@ -264,7 +269,10 @@ func (s *State) Len() int {
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := &State{data: make(map[string][]byte, len(s.data))}
+	c := &State{
+		data:  make(map[string][]byte, len(s.data)),
+		index: s.index.clone(),
+	}
 	for k, v := range s.data {
 		cp := make([]byte, len(v))
 		copy(cp, v)
@@ -278,13 +286,8 @@ func (s *State) Clone() *State {
 func (s *State) Digest() crypto.Digest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	chunks := make([][]byte, 0, 2*len(keys))
-	for _, k := range keys {
+	chunks := make([][]byte, 0, 2*len(s.data))
+	for _, k := range s.index.root.appendPrefix(make([]string, 0, len(s.data)), "") {
 		chunks = append(chunks, []byte(k), s.data[k])
 	}
 	return crypto.SumAll(chunks...)

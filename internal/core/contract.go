@@ -370,8 +370,8 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 			st.Delete(key)
 			continue
 		}
-		var due uint64
-		if _, err := fmt.Sscanf(rest[:slash], "%x", &due); err != nil {
+		due, err := strconv.ParseUint(rest[:slash], 16, 64)
+		if err != nil {
 			st.Delete(key)
 			continue
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -239,8 +240,8 @@ func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contrac
 			st.Delete(key)
 			continue
 		}
-		var due uint64
-		if _, err := fmt.Sscanf(rest[:slash], "%x", &due); err != nil {
+		due, err := strconv.ParseUint(rest[:slash], 16, 64)
+		if err != nil {
 			st.Delete(key)
 			continue
 		}

@@ -1,0 +1,163 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"drams/internal/blockchain"
+	"drams/internal/contract"
+	"drams/internal/crypto"
+	"drams/internal/xacml"
+)
+
+// pinnedScriptDigest is the state digest of the scripted chain below as
+// computed at the commit before contract.State gained its ordered key index
+// and block import started deriving transaction IDs once (8dc68a8). Replica
+// tests only show that two nodes of one build agree; this shows that a build
+// computes the state its predecessor did. It changes only with a deliberate
+// change to contract semantics or state layout, which must say so.
+const pinnedScriptDigest = "4208bbeca8479af3622f0f7071c5009f93a7f55af4d6047aec19081296f31145"
+
+// scriptChain is a chain driven block by block with fixed identities, fixed
+// timestamps and a fixed miner seed, so every byte that reaches contract
+// state is reproducible.
+type scriptChain struct {
+	t      *testing.T
+	chain  *blockchain.Chain
+	ids    map[string]*crypto.Identity
+	nonces map[string]uint64
+	txs    []blockchain.Transaction // queued for the next block
+}
+
+func newScriptChain(t *testing.T) *scriptChain {
+	t.Helper()
+	s := &scriptChain{t: t, ids: map[string]*crypto.Identity{}, nonces: map[string]uint64{}}
+	var pubs []crypto.PublicIdentity
+	for i, name := range []string{"li-t1", "li-infra", "analyser", "pap"} {
+		var seed [32]byte
+		copy(seed[:], name)
+		seed[31] = byte(i + 1)
+		s.ids[name] = crypto.NewIdentityFromSeed(name, seed)
+		pubs = append(pubs, s.ids[name].Public())
+	}
+	reg := contract.NewRegistry()
+	reg.MustRegister(NewLogMatchContract(MatchConfig{TimeoutBlocks: 3, Analyser: "analyser", RequireVerdict: true}))
+	reg.MustRegister(&PolicyContract{PAP: "pap"})
+	s.chain = blockchain.NewChain(blockchain.Config{
+		Difficulty:  4,
+		Identities:  pubs,
+		Registry:    reg,
+		GenesisTime: time.Unix(1700000000, 0),
+	})
+	return s
+}
+
+// send queues one call from the named identity for the next block.
+func (s *scriptChain) send(from, contractName, method string, args []byte) {
+	s.t.Helper()
+	s.nonces[from]++
+	tx, err := blockchain.NewTransaction(s.ids[from], s.nonces[from],
+		contract.Call{Contract: contractName, Method: method, Args: args})
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	s.txs = append(s.txs, tx)
+}
+
+func (s *scriptChain) log(from string, rec LogRecord) {
+	s.send(from, ContractName, MethodLog, rec.Encode())
+}
+
+// seal mines the queued transactions into the next block and imports it.
+func (s *scriptChain) seal() {
+	s.t.Helper()
+	head, height := s.chain.Head()
+	b := &blockchain.Block{
+		Header: blockchain.BlockHeader{
+			Height:       height + 1,
+			PrevHash:     head,
+			MerkleRoot:   blockchain.ComputeMerkleRoot(s.txs),
+			TimeUnixNano: s.chain.Config().GenesisTime.UnixNano() + int64(height+1)*int64(100*time.Millisecond),
+			Difficulty:   s.chain.NextDifficulty(),
+			Miner:        "script",
+		},
+		Txs: s.txs,
+	}
+	s.txs = nil
+	if !blockchain.Mine(context.Background(), b, 0) {
+		s.t.Fatal("mining failed")
+	}
+	if err := s.chain.AddBlock(b); err != nil {
+		s.t.Fatalf("block %d: %v", b.Header.Height, err)
+	}
+}
+
+func TestScriptedChainStateDigestPinned(t *testing.T) {
+	s := newScriptChain(t)
+
+	// Block 1: publish v1 (active at this block's boundary) and stage v2 for
+	// height 6, so the policy contract's sched/ queue outlives several blocks.
+	s.send("pap", PolicyContractName, MethodPolicyUpdate, updateArgs("v1", 0).Encode())
+	s.send("pap", PolicyContractName, MethodPolicyUpdate, updateArgs("v2", 6).Encode())
+	s.seal()
+
+	// Blocks 2-4: one exchange record by record across blocks, then its
+	// verdict, which matches it.
+	a := cleanExchange("req-a")
+	s.log("li-t1", a.pepRequest())
+	s.log("li-infra", a.pdpRequest())
+	s.seal()
+	s.log("li-infra", a.pdpResponse())
+	s.log("li-t1", a.pepResponse(a.decision))
+	s.seal()
+	s.send("analyser", ContractName, MethodVerdict, a.verdict(a.decision).Encode())
+	s.seal()
+
+	// Block 5: a whole exchange in one logbatch with its verdict beside it;
+	// the first leg of an exchange whose other legs never arrive (M3); an
+	// enforcement mismatch (M4), which leaves alerted/ keys; and enough
+	// single-record exchanges' first legs to take the parallel apply path.
+	b := cleanExchange("req-b")
+	s.send("li-t1", ContractName, MethodLogBatch,
+		mustBatch(t, b.pepRequest(), b.pdpRequest(), b.pdpResponse(), b.pepResponse(b.decision)).Encode())
+	s.send("analyser", ContractName, MethodVerdict, b.verdict(b.decision).Encode())
+	s.log("li-t1", cleanExchange("req-lost").pepRequest())
+	c := cleanExchange("req-c")
+	s.send("li-infra", ContractName, MethodLogBatch,
+		mustBatch(t, c.pepRequest(), c.pdpRequest(), c.pdpResponse(), c.pepResponse(xacml.Deny)).Encode())
+	for i := 0; i < 8; i++ {
+		s.log("li-t1", cleanExchange(fmt.Sprintf("req-%c", 'p'+i)).pepRequest())
+	}
+	s.seal()
+
+	// Blocks 6-10: empty. v2 activates at 6; the deadlines armed at block 5
+	// pass at 8 and fire message-suppressed / verdict-missing alerts.
+	for i := 0; i < 5; i++ {
+		s.seal()
+	}
+
+	if _, h := s.chain.Head(); h != 10 {
+		t.Fatalf("script ended at height %d, want 10", h)
+	}
+	s.chain.ReadState(ContractName, func(st contract.StateDB) {
+		for _, want := range []string{"done/req-a", "done/req-b", "alerted/req-lost/" + string(AlertMessageSuppressed),
+			"alerted/req-c/" + string(AlertEnforcementMismatch)} {
+			if _, ok := st.Get(want); !ok {
+				t.Errorf("script did not produce %s", want)
+			}
+		}
+		if left := st.Keys("deadline/"); len(left) != 0 {
+			t.Errorf("deadlines still queued after they passed: %v", left)
+		}
+	})
+	s.chain.ReadState(PolicyContractName, func(st contract.StateDB) {
+		if ver, _, _ := ReadActivePolicy(st); ver != "v2" {
+			t.Errorf("active policy %q, want v2", ver)
+		}
+	})
+	if got := s.chain.StateDigest().String(); got != pinnedScriptDigest {
+		t.Fatalf("state digest %s, pinned %s", got, pinnedScriptDigest)
+	}
+}

@@ -35,7 +35,11 @@ set -u
 TIMEOUT="${SMOKE_TIMEOUT:-120}"
 TARGET_HEIGHT="${SMOKE_HEIGHT:-5}"
 PUSH_HEIGHT="${SMOKE_PUSH_HEIGHT:-8}"
-RESTART_HEIGHT="${SMOKE_RESTART_HEIGHT:-15}"
+# Blocks the fleet must mine while tenant-2 is down (~45 blocks/s here).
+# The outage has to dwarf what the restarted member fetches afterwards one
+# block per call (blocks that overtake their parent, plus head probes), or
+# the calls-vs-blocks check below cannot tell batched from per-block sync.
+REJOIN_GAP="${SMOKE_REJOIN_GAP:-150}"
 PORT_BASE="${SMOKE_PORT_BASE:-19701}"
 WORKDIR="$(mktemp -d)"
 BIN="${1:-$WORKDIR}/drams-node"
@@ -141,8 +145,9 @@ crash_height=$(grep -o 'status height=[0-9]*' "$WORKDIR/t2.log" | tail -1 | grep
 echo "tenant-2 killed at height $crash_height; waiting for the v2 rollout to land without it..."
 
 # Phase B: the surviving fleet activates v2 (t1 flips Permit -> Deny) and
-# advances well past the crash height, so the restart has real catching
-# up to do.
+# advances REJOIN_GAP blocks past the crash height, so the restart has real
+# catching up to do.
+RESTART_HEIGHT=$(( ${crash_height:-0} + REJOIN_GAP ))
 ok=""
 while [ "$(date +%s)" -lt "$deadline" ]; do
     flip_ok=true
@@ -203,12 +208,16 @@ restored=$(grep -o 'restored chain height=[0-9]*' "$WORKDIR/t2b.log" | head -1 |
 [ -n "$restored" ] && [ "$restored" -ge 1 ] || fail "restart began from a fresh genesis (restored height ${restored:-none})"
 
 # Batched-sync economics: catching up must cost far fewer transport calls
-# than blocks fetched (the bc.getrange win over per-block sync).
+# than blocks fetched (the bc.getrange win over per-block sync). The line
+# reports the node's lifetime totals: the outage gap arrives in
+# ceil(gap/SyncBatch) gap-sized windows, and everything after it (a block
+# that overtook its parent, a head probe) is one call for at most one
+# block — which is why the outage is REJOIN_GAP blocks long.
 caught=$(grep -o '[0-9]* blocks in [0-9]* sync calls' "$WORKDIR/t2b.log" | head -1)
 blocks=$(echo "$caught" | grep -o '^[0-9]*')
 calls=$(echo "$caught" | grep -o '[0-9]* sync calls$' | grep -o '^[0-9]*')
 [ -n "$blocks" ] && [ -n "$calls" ] || fail "catch-up stats line missing"
-[ "$blocks" -ge 3 ] || fail "restart had nothing to catch up ($blocks blocks) — restart height gate broken"
+[ "$blocks" -ge $(( REJOIN_GAP / 2 )) ] || fail "restart fetched only $blocks blocks after a $REJOIN_GAP-block outage — restart height gate broken"
 [ "$calls" -lt "$blocks" ] || fail "catch-up used $calls calls for $blocks blocks — batched range sync not in effect"
 
 # Height-gated atomicity across the crash: all three members (the restarted
