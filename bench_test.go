@@ -246,19 +246,6 @@ func benchVerifierBatch(b *testing.B, n int) ([]blockchain.Transaction, *blockch
 	return txs, reg
 }
 
-// BenchmarkBlockSigVerifySequential256 is the pre-pipeline baseline: one
-// inline ed25519 check per transaction, as block validation used to do.
-func BenchmarkBlockSigVerifySequential256(b *testing.B) {
-	txs, reg := benchVerifierBatch(b, 256)
-	v := blockchain.NewTxVerifier(reg, blockchain.VerifierConfig{Sequential: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := v.VerifyAll(txs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBlockSigVerifyPipelineCold256 measures the worker-pool fanout
 // with the verified-tx cache disabled (every signature checked each pass).
 func BenchmarkBlockSigVerifyPipelineCold256(b *testing.B) {

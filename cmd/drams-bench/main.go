@@ -1,14 +1,13 @@
 // drams-bench regenerates the full experiment suite: E1–E8 of DESIGN.md §2,
-// the AB1–AB3 ablations, and the V1–V8 throughput comparisons (batch
-// signature verification, PDP decision cache, client decision pipelining,
+// the AB1–AB3 ablations, and the V3–V7 tables (client decision pipelining,
 // netsim vs TCP transport backends, membership churn, fast resync,
-// adversarial detection, and the V8 zero-allocation hot path). It prints
-// each result table (text or CSV). EXPERIMENTS.md is produced from this
-// tool's output.
+// adversarial detection). Speed comparisons between code paths live in
+// benchmark/, not here. It prints each result table (text or CSV).
+// EXPERIMENTS.md is produced from this tool's output.
 //
 // Usage:
 //
-//	drams-bench [-run E1,E2,...,V1,...,V8] [-quick] [-csv] [-json [-out DIR]]
+//	drams-bench [-run E1,E2,...,V3,...,V7] [-quick] [-csv] [-json [-out DIR]]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -18,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,18 +26,52 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	runList := flag.String("run", "all", "comma-separated experiment ids (E1..E8) or 'all'")
-	quick := flag.Bool("quick", false, "reduced parameters (fast smoke run)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
-	outDir := flag.String("out", ".", "output directory for -json reports")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
-	flag.Parse()
+type runner struct {
+	id string
+	fn func() (experiment.Table, error)
+}
+
+// selectRunners returns the runners that runList names ("all" or
+// comma-separated ids, case-insensitive), in catalogue order. An id with no
+// runner is an error, so a typo cannot pass as an empty, successful run.
+func selectRunners(runners []runner, runList string) ([]runner, error) {
+	if runList == "all" {
+		return runners, nil
+	}
+	known := make([]string, len(runners))
+	for i, r := range runners {
+		known[i] = r.id
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(runList, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("unknown experiment id %q; known: %s", id, strings.Join(known, ","))
+		}
+		selected[id] = true
+	}
+	var out []runner
+	for _, r := range runners {
+		if selected[r.id] {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+func run(args []string) int {
+	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
+	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB3, V3..V7) or 'all'")
+	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
+	outDir := fs.String("out", ".", "output directory for -json reports")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
+	_ = fs.Parse(args) // ExitOnError: does not return on a bad flag
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -67,165 +101,13 @@ func run() int {
 		}()
 	}
 
-	selected := map[string]bool{}
-	if *runList == "all" {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "AB1", "AB2", "AB3", "V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8"} {
-			selected[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	selected, err := selectRunners(catalogue(*quick), *runList)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drams-bench: %v\n", err)
+		return 2
 	}
-
-	type runner struct {
-		id string
-		fn func() (experiment.Table, error)
-	}
-	runners := []runner{
-		{"E1", func() (experiment.Table, error) {
-			p := experiment.DefaultE1Params()
-			if *quick {
-				p = experiment.E1Params{Requests: 8, Workers: 2}
-			}
-			return experiment.RunE1(p)
-		}},
-		{"E2", func() (experiment.Table, error) {
-			p := experiment.DefaultE2Params()
-			if *quick {
-				p = experiment.E2Params{Sizes: []int{64, 4096}, Difficulties: []uint8{8}, Samples: 3}
-			}
-			return experiment.RunE2(p)
-		}},
-		{"E3", func() (experiment.Table, error) {
-			p := experiment.DefaultE3Params()
-			if *quick {
-				p = experiment.E3Params{Difficulties: []uint8{4, 8, 12}, Blocks: 3}
-			}
-			return experiment.RunE3(p)
-		}},
-		{"E4", func() (experiment.Table, error) {
-			p := experiment.DefaultE4Params()
-			if *quick {
-				p = experiment.E4Params{Writes: 48, BatchSizes: []int{16}, ValueSize: 128}
-			}
-			return experiment.RunE4(p)
-		}},
-		{"E5", func() (experiment.Table, error) {
-			p := experiment.DefaultE5Params()
-			if *quick {
-				p = experiment.E5Params{Trials: 1}
-			}
-			return experiment.RunE5(p)
-		}},
-		{"E6", func() (experiment.Table, error) {
-			p := experiment.DefaultE6Params()
-			if *quick {
-				p = experiment.E6Params{Requests: 16, Workers: 4}
-			}
-			return experiment.RunE6(p)
-		}},
-		{"E7", func() (experiment.Table, error) {
-			p := experiment.DefaultE7Params()
-			if *quick {
-				p = experiment.E7Params{RuleCounts: []int{10, 100}, Requests: 100}
-			}
-			return experiment.RunE7(p)
-		}},
-		{"E8", func() (experiment.Table, error) {
-			p := experiment.DefaultE8Params()
-			if *quick {
-				p = experiment.E8Params{CloudCounts: []int{2}, Requests: 8}
-			}
-			return experiment.RunE8(p)
-		}},
-		{"AB1", func() (experiment.Table, error) {
-			p := experiment.DefaultAB1Params()
-			if *quick {
-				p = experiment.AB1Params{TimeoutBlocks: []uint64{5, 20}, Trials: 1}
-			}
-			return experiment.RunAB1(p)
-		}},
-		{"AB2", func() (experiment.Table, error) {
-			p := experiment.DefaultAB2Params()
-			if *quick {
-				p = experiment.AB2Params{Trials: 1}
-			}
-			return experiment.RunAB2(p)
-		}},
-		{"AB3", func() (experiment.Table, error) {
-			p := experiment.DefaultAB3Params()
-			if *quick {
-				p = experiment.AB3Params{Requests: 8}
-			}
-			return experiment.RunAB3(p)
-		}},
-		{"V1", func() (experiment.Table, error) {
-			p := experiment.DefaultV1Params()
-			if *quick {
-				p = experiment.V1Params{BatchSizes: []int{64, 256}}
-			}
-			return experiment.RunV1(p)
-		}},
-		{"V2", func() (experiment.Table, error) {
-			p := experiment.DefaultV2Params()
-			if *quick {
-				p = experiment.V2Params{RuleCounts: []int{10, 100}, Requests: 64, Repeats: 4}
-			}
-			return experiment.RunV2(p)
-		}},
-		{"V3", func() (experiment.Table, error) {
-			p := experiment.DefaultV3Params()
-			if *quick {
-				p = experiment.V3Params{InFlight: []int{1, 8, 64}, Requests: 64,
-					NetLatency: 300 * time.Microsecond}
-			}
-			return experiment.RunV3(p)
-		}},
-		{"V4", func() (experiment.Table, error) {
-			p := experiment.DefaultV4Params()
-			if *quick {
-				p = experiment.V4Params{Requests: 128, Batch: 64}
-			}
-			return experiment.RunV4(p)
-		}},
-		{"V5", func() (experiment.Table, error) {
-			p := experiment.DefaultV5Params()
-			if *quick {
-				p = experiment.V5Params{Requests: 2048, Batch: 64, UpdateEveryBlocks: 2}
-			}
-			return experiment.RunV5(p)
-		}},
-		{"V6", func() (experiment.Table, error) {
-			p := experiment.DefaultV6Params()
-			if *quick {
-				p = experiment.V6Params{ChainLengths: []int{64, 256}, SyncBatch: 64,
-					NetLatency: 300 * time.Microsecond}
-			}
-			return experiment.RunV6(p)
-		}},
-		{"V7", func() (experiment.Table, error) {
-			p := experiment.DefaultV7Params()
-			if *quick {
-				p = experiment.V7Params{Trials: 1, Seed: 7}
-			}
-			return experiment.RunV7(p)
-		}},
-		{"V8", func() (experiment.Table, error) {
-			p := experiment.DefaultV8Params()
-			if *quick {
-				p = experiment.V8Params{Requests: 128, Batch: 64, Records: 32, Window: 16,
-					ApplyBlocks: 2, ApplyTxs: 64, V7Trials: 1}
-			}
-			return experiment.RunV8(p)
-		}},
-	}
-
 	failures := 0
-	for _, r := range runners {
-		if !selected[r.id] {
-			continue
-		}
+	for _, r := range selected {
 		fmt.Fprintf(os.Stderr, "running %s...\n", r.id)
 		start := time.Now()
 		tab, err := r.fn()
@@ -257,4 +139,125 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "%s done in %s\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	return failures
+}
+
+// catalogue lists every experiment drams-bench can run, in output order;
+// quick selects the reduced parameters.
+func catalogue(quick bool) []runner {
+	return []runner{
+		{"E1", func() (experiment.Table, error) {
+			p := experiment.DefaultE1Params()
+			if quick {
+				p = experiment.E1Params{Requests: 8, Workers: 2}
+			}
+			return experiment.RunE1(p)
+		}},
+		{"E2", func() (experiment.Table, error) {
+			p := experiment.DefaultE2Params()
+			if quick {
+				p = experiment.E2Params{Sizes: []int{64, 4096}, Difficulties: []uint8{8}, Samples: 3}
+			}
+			return experiment.RunE2(p)
+		}},
+		{"E3", func() (experiment.Table, error) {
+			p := experiment.DefaultE3Params()
+			if quick {
+				p = experiment.E3Params{Difficulties: []uint8{4, 8, 12}, Blocks: 3}
+			}
+			return experiment.RunE3(p)
+		}},
+		{"E4", func() (experiment.Table, error) {
+			p := experiment.DefaultE4Params()
+			if quick {
+				p = experiment.E4Params{Writes: 48, BatchSizes: []int{16}, ValueSize: 128}
+			}
+			return experiment.RunE4(p)
+		}},
+		{"E5", func() (experiment.Table, error) {
+			p := experiment.DefaultE5Params()
+			if quick {
+				p = experiment.E5Params{Trials: 1}
+			}
+			return experiment.RunE5(p)
+		}},
+		{"E6", func() (experiment.Table, error) {
+			p := experiment.DefaultE6Params()
+			if quick {
+				p = experiment.E6Params{Requests: 16, Workers: 4}
+			}
+			return experiment.RunE6(p)
+		}},
+		{"E7", func() (experiment.Table, error) {
+			p := experiment.DefaultE7Params()
+			if quick {
+				p = experiment.E7Params{RuleCounts: []int{10, 100}, Requests: 100}
+			}
+			return experiment.RunE7(p)
+		}},
+		{"E8", func() (experiment.Table, error) {
+			p := experiment.DefaultE8Params()
+			if quick {
+				p = experiment.E8Params{CloudCounts: []int{2}, Requests: 8}
+			}
+			return experiment.RunE8(p)
+		}},
+		{"AB1", func() (experiment.Table, error) {
+			p := experiment.DefaultAB1Params()
+			if quick {
+				p = experiment.AB1Params{TimeoutBlocks: []uint64{5, 20}, Trials: 1}
+			}
+			return experiment.RunAB1(p)
+		}},
+		{"AB2", func() (experiment.Table, error) {
+			p := experiment.DefaultAB2Params()
+			if quick {
+				p = experiment.AB2Params{Trials: 1}
+			}
+			return experiment.RunAB2(p)
+		}},
+		{"AB3", func() (experiment.Table, error) {
+			p := experiment.DefaultAB3Params()
+			if quick {
+				p = experiment.AB3Params{Requests: 8}
+			}
+			return experiment.RunAB3(p)
+		}},
+		{"V3", func() (experiment.Table, error) {
+			p := experiment.DefaultV3Params()
+			if quick {
+				p = experiment.V3Params{InFlight: []int{1, 8, 64}, Requests: 64,
+					NetLatency: 300 * time.Microsecond}
+			}
+			return experiment.RunV3(p)
+		}},
+		{"V4", func() (experiment.Table, error) {
+			p := experiment.DefaultV4Params()
+			if quick {
+				p = experiment.V4Params{Requests: 128, Batch: 64}
+			}
+			return experiment.RunV4(p)
+		}},
+		{"V5", func() (experiment.Table, error) {
+			p := experiment.DefaultV5Params()
+			if quick {
+				p = experiment.V5Params{Requests: 2048, Batch: 64, UpdateEveryBlocks: 2}
+			}
+			return experiment.RunV5(p)
+		}},
+		{"V6", func() (experiment.Table, error) {
+			p := experiment.DefaultV6Params()
+			if quick {
+				p = experiment.V6Params{ChainLengths: []int{64, 256}, SyncBatch: 64,
+					NetLatency: 300 * time.Microsecond}
+			}
+			return experiment.RunV6(p)
+		}},
+		{"V7", func() (experiment.Table, error) {
+			p := experiment.DefaultV7Params()
+			if quick {
+				p = experiment.V7Params{Trials: 1, Seed: 7}
+			}
+			return experiment.RunV7(p)
+		}},
+	}
 }

@@ -37,16 +37,6 @@ type Config struct {
 	Registry *contract.Registry
 	// Clock is the time source (defaults to the system clock).
 	Clock clock.Clock
-	// SequentialApply disables parallel (OCC) transaction application
-	// during block validation — the baseline for apply-throughput
-	// experiments. Application strategy does not affect consensus: the
-	// parallel path commits in transaction order and re-executes on
-	// conflict, so both strategies produce identical state and receipts.
-	SequentialApply bool
-	// ApplyWorkers sizes the speculative-execution pool of the parallel
-	// apply path (default GOMAXPROCS; the parallel path engages only when
-	// the effective value exceeds 1).
-	ApplyWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -109,8 +99,6 @@ type Chain struct {
 	storeKV     *store.KV // incremental persistence target (nil = volatile)
 	persisted   metrics.Counter
 	persistErrs metrics.Counter
-
-	applyMet applyMetrics
 }
 
 // NewChain constructs a chain containing only the genesis block.
@@ -564,15 +552,9 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([
 
 // applyBlockLocked executes a block's transactions and block hooks against
 // state, recording receipts under ids (b's transaction IDs, index-aligned).
-// Nonce validity was checked beforehand. Large blocks go through the OCC
-// parallel path (parallel.go); both paths produce identical state, receipts
-// and event order.
+// Nonce validity was checked beforehand. Transactions run one after another
+// in block order; this is the only apply path.
 func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State, nonces map[string]uint64) []contract.Event {
-	if !c.cfg.SequentialApply && len(b.Txs) >= parallelApplyMinTxs && c.applyWorkers() > 1 {
-		c.applyMet.parallelBlocks.Inc()
-		return c.applyParallelLocked(b, ids, state, nonces)
-	}
-	c.applyMet.sequentialBlocks.Inc()
 	var events []contract.Event
 	for i := range b.Txs {
 		tx := &b.Txs[i]

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,6 +259,42 @@ func TestFailedTxIncludedWithoutStateChange(t *testing.T) {
 	// Bob's nonce is still consumed.
 	if c.AccountNonce("bob") != 1 {
 		t.Fatalf("bob nonce = %d", c.AccountNonce("bob"))
+	}
+}
+
+// Several senders write the same KVContract key in one block: transactions
+// apply in block order, so the first writer owns the key and every later
+// writer fails with the ownership error.
+func TestContestedKeyInOneBlockFirstWriterOwns(t *testing.T) {
+	var ids []*crypto.Identity
+	for i := 0; i < 8; i++ {
+		ids = append(ids, testIdentity(t, fmt.Sprintf("sender-%d", i), byte(i+1)))
+	}
+	c := NewChain(testChainConfig(t, ids...))
+	var txs []Transaction
+	for _, id := range ids {
+		tx, err := NewTransaction(id, 1, putCall("contested", "mine-"+id.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	if err := c.AddBlock(mineChild(t, c, c.Genesis(), txs...)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range txs {
+		rec, _, err := c.Receipt(txs[i].ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owns := i == 0; rec.OK != owns || (!owns && !strings.Contains(rec.Err, `owned by "sender-0"`)) {
+			t.Fatalf("tx %d receipt = %+v, want OK=%v (the ownership error otherwise)", i, rec, owns)
+		}
+	}
+	var got []byte
+	c.ReadState("kv", func(st contract.StateDB) { got, _ = contract.ReadKV(st, "contested") })
+	if string(got) != "mine-sender-0" {
+		t.Fatalf("state = %q, want the first writer's value", got)
 	}
 }
 

@@ -58,8 +58,8 @@ func BenchmarkCodecHeaderHash(b *testing.B) {
 
 // BenchmarkApplyBlock imports a prebuilt 32-block chain into a fresh Chain:
 // full AddBlock validation (Merkle root, cold signature batch, nonces)
-// plus contract execution, at a block size under and one over the parallel
-// apply threshold. ns/op is per block.
+// plus contract execution, at a small and a large block size (the benchmark
+// workloads' blocks hold at most 7 transactions). ns/op is per block.
 func BenchmarkApplyBlock(b *testing.B) {
 	for _, perBlock := range []int{4, 32} {
 		b.Run(fmt.Sprintf("txs=%d", perBlock), func(b *testing.B) {
@@ -153,18 +153,18 @@ func TestCodecAllocBudgets(t *testing.T) {
 // transaction's ID costs a JSON encoding of its call and two hashes, and
 // import used to pay that seven or more times per transaction (two Merkle
 // checks, the verifier's cache lookup, four uses in apply). AddBlock derives
-// the IDs once and hands them down, on the sequential path, the parallel
-// path, and for the new head of a reorganisation.
+// the IDs once and hands them down, for a head extension of any size and
+// for the new head of a reorganisation.
 func TestImportDerivesEachTxIDOnce(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	src := NewChain(testChainConfig(t, alice))
 	txs := testTxs(t, alice, 3+12+2)
 	genesis := src.Genesis()
-	small := mineChild(t, src, genesis, txs[:3]...) // under parallelApplyMinTxs
+	small := mineChild(t, src, genesis, txs[:3]...)
 	if err := src.AddBlock(small); err != nil {
 		t.Fatal(err)
 	}
-	large := mineChild(t, src, small.Hash(), txs[3:15]...) // parallel path
+	large := mineChild(t, src, small.Hash(), txs[3:15]...)
 	if err := src.AddBlock(large); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,7 @@ func TestImportDerivesEachTxIDOnce(t *testing.T) {
 	}
 	forkC := mineChild(t, src, forkB.Hash(), txs[2:3]...)
 
-	cfg := testChainConfig(t, alice)
-	cfg.ApplyWorkers = 4 // a real pool even on a single-core host
-	dst := NewChain(cfg)
+	dst := NewChain(testChainConfig(t, alice))
 	derived := 0
 	count := func() { derived++ } // imports below run on this goroutine only
 	testOnTxID.Store(&count)
@@ -210,11 +208,8 @@ func TestImportDerivesEachTxIDOnce(t *testing.T) {
 			t.Errorf("%s: %d ID derivations importing %d transactions, want %d", what, derived, len(b.Txs), want)
 		}
 	}
-	importing(small, "sequential apply")
-	importing(large, "parallel apply")
-	if st := dst.ApplyStats(); st.ParallelBlocks != 1 || st.SequentialBlocks != 1 {
-		t.Fatalf("apply paths taken: %+v, want one block each", st)
-	}
+	importing(small, "3-tx block")
+	importing(large, "12-tx block")
 	importing(forkA, "side-branch block (stored, not applied)")
 	importing(forkB, "side-branch block at the head's height")
 	importing(forkC, "heavier branch tip")

@@ -60,8 +60,6 @@ type NodeConfig struct {
 	// cadence when the mempool is idle, so block hooks (e.g. the log-match
 	// timeout check M3) keep advancing. Zero disables empty blocks.
 	EmptyBlockInterval time.Duration
-	// MempoolSize bounds pending transactions.
-	MempoolSize int
 	// SyncDepth bounds how many ancestors are fetched when resolving an
 	// orphan block (default 10 000).
 	SyncDepth int
@@ -70,9 +68,6 @@ type NodeConfig struct {
 	// healing (also closes per-sender nonce gaps). Default 250ms; negative
 	// disables.
 	RebroadcastInterval time.Duration
-	// IngestBatch caps how many gossiped transactions are admitted per
-	// signature-verification batch (default 128).
-	IngestBatch int
 	// Store, when set, makes the chain durable: persisted blocks are
 	// replayed (with full validation) at construction, a damaged tail is
 	// truncated, and every block that joins the best chain afterwards is
@@ -239,6 +234,10 @@ type inboundTx struct {
 	from string
 }
 
+// ingestBatch caps how many gossiped transactions are admitted per
+// signature-verification batch.
+const ingestBatch = 128
+
 // NewNode constructs (but does not start) a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
@@ -249,9 +248,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.SyncDepth <= 0 {
 		cfg.SyncDepth = 10000
-	}
-	if cfg.IngestBatch <= 0 {
-		cfg.IngestBatch = 128
 	}
 	if cfg.SyncBatch <= 0 {
 		cfg.SyncBatch = 128
@@ -287,14 +283,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		chain:     chain,
-		pool:      NewMempool(cfg.MempoolSize),
+		pool:      NewMempool(0),
 		ep:        ep,
 		clk:       cfg.Chain.withDefaults().Clock,
 		ctx:       ctx,
 		cancel:    cancel,
 		stop:      ctx.Done(),
 		newTx:     make(chan struct{}, 1),
-		ingest:    make(chan inboundTx, 4*cfg.IngestBatch),
+		ingest:    make(chan inboundTx, 4*ingestBatch),
 		subs:      make(map[int]*eventSub),
 		chainPeer: make(map[string]struct{}),
 	}
@@ -673,7 +669,7 @@ func (n *Node) handleTxGossip(from string, payload []byte) {
 // batches: all signatures of a batch are checked in one worker-pool pass,
 // and transactions already verified (gossip duplicates, rebroadcasts) are
 // skipped via the verifier's LRU. Batches form opportunistically — the loop
-// takes whatever is queued up to IngestBatch without waiting, so a lone
+// takes whatever is queued up to ingestBatch without waiting, so a lone
 // transaction is admitted immediately.
 func (n *Node) ingestLoop() {
 	defer n.wg.Done()
@@ -685,7 +681,7 @@ func (n *Node) ingestLoop() {
 		case first = <-n.ingest:
 		}
 		batch := []inboundTx{first}
-		for len(batch) < n.cfg.IngestBatch {
+		for len(batch) < ingestBatch {
 			select {
 			case it := <-n.ingest:
 				batch = append(batch, it)

@@ -17,10 +17,6 @@ type VerifierConfig struct {
 	// CacheSize bounds the verified-transaction LRU (default 8192;
 	// negative disables caching so every call re-verifies).
 	CacheSize int
-	// Sequential disables both the worker pool and the cache: every
-	// signature is checked inline, one at a time. This is the pre-pipeline
-	// baseline used by overhead experiments.
-	Sequential bool
 }
 
 // DefaultVerifyCacheSize is the verified-transaction LRU bound used when
@@ -50,10 +46,9 @@ type VerifierStats struct {
 // arrives. Cached entries are tagged with the registry generation, so a
 // membership change invalidates them. Safe for concurrent use.
 type TxVerifier struct {
-	ids        *IdentityRegistry
-	workers    int
-	sequential bool
-	cache      *verifiedSet // nil when disabled
+	ids     *IdentityRegistry
+	workers int
+	cache   *verifiedSet // nil when disabled
 
 	verified metrics.Counter
 	hits     metrics.Counter
@@ -64,8 +59,8 @@ type TxVerifier struct {
 
 // NewTxVerifier builds a verifier over the registry.
 func NewTxVerifier(ids *IdentityRegistry, cfg VerifierConfig) *TxVerifier {
-	v := &TxVerifier{ids: ids, workers: cfg.Workers, sequential: cfg.Sequential}
-	if !cfg.Sequential && cfg.CacheSize >= 0 {
+	v := &TxVerifier{ids: ids, workers: cfg.Workers}
+	if cfg.CacheSize >= 0 {
 		size := cfg.CacheSize
 		if size == 0 {
 			size = DefaultVerifyCacheSize
@@ -91,9 +86,6 @@ func (v *TxVerifier) Stats() VerifierStats {
 // signature, so a cache hit proves this exact signed transaction was
 // already verified.
 func (v *TxVerifier) VerifyTx(tx *Transaction) error {
-	if v.sequential {
-		return v.ids.VerifyTx(tx)
-	}
 	gen := v.ids.Generation()
 	id := tx.ID()
 	if v.cache != nil {
@@ -124,23 +116,13 @@ func (v *TxVerifier) VerifyTx(tx *Transaction) error {
 // the rest are fanned out across the worker pool in a single
 // crypto.VerifyBatch call.
 func (v *TxVerifier) VerifyBatch(txs []Transaction) []error {
-	var ids []crypto.Digest
-	if !v.sequential {
-		ids = txIDs(txs)
-	}
-	return v.verifyBatch(txs, ids)
+	return v.verifyBatch(txs, txIDs(txs))
 }
 
 // verifyBatch is VerifyBatch for a caller that already derived the
-// transaction IDs (index-aligned; unused in sequential mode).
+// transaction IDs (index-aligned).
 func (v *TxVerifier) verifyBatch(txs []Transaction, ids []crypto.Digest) []error {
 	errs := make([]error, len(txs))
-	if v.sequential {
-		for i := range txs {
-			errs[i] = v.ids.VerifyTx(&txs[i])
-		}
-		return errs
-	}
 	v.batches.Inc()
 	gen := v.ids.Generation()
 

@@ -117,8 +117,9 @@ func TestScriptedChainStateDigestPinned(t *testing.T) {
 
 	// Block 5: a whole exchange in one logbatch with its verdict beside it;
 	// the first leg of an exchange whose other legs never arrive (M3); an
-	// enforcement mismatch (M4), which leaves alerted/ keys; and enough
-	// single-record exchanges' first legs to take the parallel apply path.
+	// enforcement mismatch (M4), which leaves alerted/ keys; and the first
+	// legs of eight single-record exchanges, a 12-transaction block (which
+	// the OCC parallel apply path computed when the digest was pinned).
 	b := cleanExchange("req-b")
 	s.send("li-t1", ContractName, MethodLogBatch,
 		mustBatch(t, b.pepRequest(), b.pdpRequest(), b.pdpResponse(), b.pepResponse(b.decision)).Encode())

@@ -325,62 +325,3 @@ func TestRunV6Smoke(t *testing.T) {
 		t.Fatalf("batched sync used %d calls vs window 1 %d", batched, calls["window 1"])
 	}
 }
-
-func TestRunV8Smoke(t *testing.T) {
-	// Reduced hot-path run (the V7 catalogue re-run is skipped here — the
-	// attack package and TestRunV7 cover it). The two hardware-independent
-	// acceptance ratios are asserted: batched anchoring must cut tx volume
-	// by at least 8x at window 16, and the binary codec must be at least 5x
-	// allocation-leaner than JSON on both the tx round trip and block
-	// decode.
-	tab, err := RunV8(V8Params{Requests: 64, Batch: 32, Records: 32, Window: 16,
-		ApplyBlocks: 2, ApplyTxs: 32, V7Trials: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMetric := map[string][]string{}
-	for _, row := range tab.Rows {
-		byMetric[row[0]] = row
-	}
-	anchor := byMetric["anchor_txs_per_32_records"]
-	if anchor == nil {
-		t.Fatalf("no anchor row in %v", tab.Rows)
-	}
-	unbatched, _ := strconv.Atoi(anchor[1])
-	batched, _ := strconv.Atoi(anchor[2])
-	if unbatched != 32 {
-		t.Fatalf("window-1 burst anchored in %d txs, want 32", unbatched)
-	}
-	if batched == 0 || unbatched < 8*batched {
-		t.Fatalf("anchoring reduction %d -> %d txs is under 8x", unbatched, batched)
-	}
-	for _, metric := range []string{"tx_roundtrip_allocs_op", "block_decode_allocs_op"} {
-		row := byMetric[metric]
-		if row == nil {
-			t.Fatalf("no %s row", metric)
-		}
-		jsonAllocs, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binAllocs, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if binAllocs*5 > jsonAllocs {
-			t.Fatalf("%s: binary %.1f not 5x leaner than JSON %.1f", metric, binAllocs, jsonAllocs)
-		}
-	}
-	for _, metric := range []string{"decide_batch_req_s", "block_apply_tx_s"} {
-		row := byMetric[metric]
-		if row == nil {
-			t.Fatalf("no %s row", metric)
-		}
-		for _, cell := range row[1:3] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("%s cell %q not a positive rate", metric, cell)
-			}
-		}
-	}
-}

@@ -46,6 +46,17 @@ const (
 	SubmitConfirmed
 )
 
+const (
+	// liWorkers is the number of async submission workers per LI.
+	liWorkers = 2
+	// liConfirmations is how deep SubmitConfirmed waits for its transaction.
+	liConfirmations = 1
+	// flushLinger is how long a worker holding a partial window waits for
+	// more records before flushing. Bounded so batching never delays
+	// detection noticeably.
+	flushLinger = 2 * time.Millisecond
+)
+
 // LIConfig configures a Logging Interface.
 type LIConfig struct {
 	// Name is the LI's component-identity name (on the chain allowlist).
@@ -64,10 +75,6 @@ type LIConfig struct {
 	Mode SubmitMode
 	// QueueSize bounds the async queue (default 1024).
 	QueueSize int
-	// Workers is the async worker count (default 2).
-	Workers int
-	// Confirmations for SubmitConfirmed mode (default 1).
-	Confirmations uint64
 	// FlushWindow caps how many probe records an async worker anchors
 	// under one Merkle-rooted batch transaction (default 16). A window of
 	// N observations then costs one signed transaction instead of N; the
@@ -77,10 +84,6 @@ type LIConfig struct {
 	// SubmitAsync batches; the synchronous modes trade latency for
 	// per-record guarantees already.
 	FlushWindow int
-	// FlushLinger is how long a worker holding a partial window waits for
-	// more records before flushing (default 2ms, negative disables the
-	// wait). Bounded so batching never delays detection noticeably.
-	FlushLinger time.Duration
 	// Clock is the time source.
 	Clock clock.Clock
 }
@@ -145,20 +148,11 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Confirmations == 0 {
-		cfg.Confirmations = 1
-	}
 	if cfg.FlushWindow == 0 {
 		cfg.FlushWindow = 16
 	}
 	if cfg.FlushWindow > core.MaxLogBatch {
 		cfg.FlushWindow = core.MaxLogBatch
-	}
-	if cfg.FlushLinger == 0 {
-		cfg.FlushLinger = 2 * time.Millisecond
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
@@ -181,7 +175,7 @@ func NewLI(cfg LIConfig) (*LI, error) {
 
 // Start launches async workers and the alert-event subscription.
 func (li *LI) Start() {
-	for i := 0; i < li.cfg.Workers; i++ {
+	for i := 0; i < liWorkers; i++ {
 		li.wg.Add(1)
 		go li.worker()
 	}
@@ -210,14 +204,22 @@ func (li *LI) Start() {
 	}()
 }
 
-// Stop drains nothing: queued submissions not yet sent are dropped (they
-// remain observable as Dropped in stats); in-flight ones finish.
+// Stop sends nothing more: in-flight submissions finish, and queued ones
+// not yet sent are discarded and counted as Dropped.
 func (li *LI) Stop() {
 	li.stopOnce.Do(func() { close(li.stop) })
 	if li.cancelSub != nil {
 		li.cancelSub()
 	}
 	li.wg.Wait()
+	for {
+		select {
+		case <-li.queue:
+			li.dropped.Inc()
+		default:
+			return
+		}
+	}
 }
 
 // Name returns the LI's identity name.
@@ -313,7 +315,7 @@ func (li *LI) submit(ctx context.Context, call contract.Call) error {
 		li.submitted.Inc()
 		return nil
 	case SubmitConfirmed:
-		rec, err := li.sender.SendAndWait(ctx, call, li.cfg.Confirmations)
+		rec, err := li.sender.SendAndWait(ctx, call, liConfirmations)
 		if err != nil {
 			li.failed.Inc()
 			return err
@@ -381,7 +383,7 @@ gather:
 			continue
 		default:
 		}
-		if lingered || li.cfg.FlushLinger <= 0 {
+		if lingered {
 			break
 		}
 		lingered = true
@@ -395,7 +397,7 @@ gather:
 			} else {
 				li.send(q.call, 1)
 			}
-		case <-li.clk.After(li.cfg.FlushLinger):
+		case <-li.clk.After(flushLinger):
 		}
 	}
 	spanFlush := func() {

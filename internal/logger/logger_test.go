@@ -282,17 +282,17 @@ func TestNewLIValidation(t *testing.T) {
 	}
 }
 
-func TestLIAsyncQueueOverflow(t *testing.T) {
-	// A tiny queue with no workers running: submissions beyond capacity
-	// must fail fast with ErrQueueFull and be counted as dropped, never
-	// blocking the access-control path.
+// unstartedLI builds an async LI with a tiny queue and no workers running
+// (Start is not called), so the queue only fills.
+func unstartedLI(t *testing.T, queueSize int) *LI {
+	t.Helper()
 	var seed [32]byte
 	seed[0] = 9
 	id := crypto.NewIdentityFromSeed("li@q", seed)
 	reg := contract.NewRegistry()
 	reg.MustRegister(core.NewLogMatchContract(core.MatchConfig{TimeoutBlocks: 100}))
 	net := netsim.New(netsim.Config{Seed: 6})
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	node, err := blockchain.NewNode(blockchain.NodeConfig{
 		Name: "q-node",
 		Chain: blockchain.Config{Difficulty: 4,
@@ -302,15 +302,21 @@ func TestLIAsyncQueueOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Stop()
+	t.Cleanup(node.Stop)
 	li, err := NewLI(LIConfig{
 		Name: "li@q", Tenant: "q", Node: node, Identity: id, Key: testKey,
-		Mode: SubmitAsync, QueueSize: 2,
+		Mode: SubmitAsync, QueueSize: queueSize,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: Start() not called — the queue only fills.
+	return li
+}
+
+func TestLIAsyncQueueOverflow(t *testing.T) {
+	// Submissions beyond capacity must fail fast with ErrQueueFull and be
+	// counted as dropped, never blocking the access-control path.
+	li := unstartedLI(t, 2)
 	var full int
 	for i := 0; i < 5; i++ {
 		err := li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("q-%d", i)))
@@ -325,6 +331,35 @@ func TestLIAsyncQueueOverflow(t *testing.T) {
 	}
 	if st := li.Stats(); st.Dropped != 3 || st.QueueLen != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// Stop sends nothing more: the two records still queued are lost too,
+	// and must be counted as such.
+	li.Stop()
+	if st := li.Stats(); st.Dropped != 5 || st.QueueLen != 0 {
+		t.Fatalf("after Stop: %+v, want the 2 queued records dropped and an empty queue", st)
+	}
+}
+
+// A backlog of two full flush windows is anchored by two batch transactions:
+// with the queue never empty while a worker gathers, no window closes short,
+// so 32 records cost 2 signed transactions instead of 32.
+func TestLIFullWindowsAnchorOncePerWindow(t *testing.T) {
+	li := unstartedLI(t, 64)
+	const n = 32 // two default windows of 16
+	for i := 0; i < n; i++ {
+		if err := li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("w-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	li.Start()
+	defer li.Stop()
+	// The batch counter moves after the record counter, so two batches
+	// counted means every record is counted too.
+	for deadline := time.Now().Add(10 * time.Second); li.Stats().BatchesSubmitted < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if st := li.Stats(); st.Submitted != n || st.BatchesSubmitted != 2 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want %d records in 2 batch transactions", st, n)
 	}
 }
 
