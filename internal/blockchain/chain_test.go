@@ -262,6 +262,57 @@ func TestFailedTxIncludedWithoutStateChange(t *testing.T) {
 	}
 }
 
+// Call args are opaque bytes to the chain. A member's transaction whose args
+// no contract can parse crosses the wire, keeps its ID and its signature,
+// is mined and imported, and ends as a failed receipt: the contract's
+// ErrBadArgs, nothing in state, the nonce consumed.
+func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	var txs []Transaction
+	for i, args := range hostileArgs {
+		tx, err := NewTransaction(alice, uint64(i+1), contract.Call{Contract: "kv", Method: "put", Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wired, err := DecodeTx(EncodeTx(tx))
+		if err != nil {
+			t.Fatalf("args %q refused on the wire: %v", args, err)
+		}
+		if wired.ID() != tx.ID() {
+			t.Fatalf("args %q: ID changed on the wire", args)
+		}
+		if err := c.Identities().VerifyTx(&wired); err != nil {
+			t.Fatalf("args %q: %v", args, err)
+		}
+		txs = append(txs, wired)
+	}
+	b, err := DecodeBlock(mineChild(t, c, c.Genesis(), txs...).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range txs {
+		rec, _, err := c.Receipt(txs[i].ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.OK || !strings.Contains(rec.Err, contract.ErrBadArgs.Error()) {
+			t.Errorf("args %q: receipt = %+v, want a bad-args failure", hostileArgs[i], rec)
+		}
+	}
+	c.ReadState("kv", func(st contract.StateDB) {
+		if keys := st.Keys(""); len(keys) != 0 {
+			t.Errorf("unparseable args wrote state: %v", keys)
+		}
+	})
+	if got := c.AccountNonce("alice"); got != uint64(len(txs)) {
+		t.Errorf("alice nonce = %d, want %d", got, len(txs))
+	}
+}
+
 // Several senders write the same KVContract key in one block: transactions
 // apply in block order, so the first writer owns the key and every later
 // writer fails with the ownership error.

@@ -2,7 +2,6 @@ package blockchain
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -20,10 +19,13 @@ import (
 // allocation per encode) and zero-copy []byte reads on decode. The first
 // byte of every encoding is a format tag:
 //
-//	0x01        binary codec v1 (this file)
+//	0x02        binary codec v2 (this file)
 //
-// and decoders reject every other tag, so a future layout change bumps the
-// tag and old builds refuse the new bytes instead of misreading them.
+// and decoders reject every other tag, so a layout change bumps the tag and
+// builds on either side refuse the other's bytes instead of misreading them.
+// 0x01 had this byte layout but a different transaction identity (the ID
+// hashed a JSON encoding of the call); its blocks would decode and then fail
+// their Merkle and signature checks, so they are refused here, by name.
 //
 // Binary transaction body (big-endian; str = u16 len + bytes,
 // blob = u32 len + bytes):
@@ -33,10 +35,10 @@ import (
 //
 // Binary block:
 //
-//	0x01 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
+//	0x02 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
 //	u8 difficulty | u64 nonce | str miner | u32 txCount | tx bodies...
 //
-// A standalone transaction encoding is 0x01 followed by one tx body.
+// A standalone transaction encoding is 0x02 followed by one tx body.
 //
 // Decoded []byte fields (Args, PubKey, Signature) alias the input buffer:
 // transport and persistence layers hand each decode a freshly read buffer
@@ -48,8 +50,9 @@ import (
 // it will keep (see pullBranch) — one kept block of an over-sized response
 // holds every other block's bytes live with it.
 
-// codecVersion tags the binary format; bump on incompatible layout change.
-const codecVersion byte = 0x01
+// codecVersion tags the binary format; bump on an incompatible change of
+// layout or of transaction identity.
+const codecVersion byte = 0x02
 
 // maxWireTxs bounds the declared tx count of a decoded block before any
 // allocation, so a hostile length field cannot balloon memory.
@@ -240,16 +243,13 @@ func (r *txReader) readTxBody(tx *Transaction) error {
 	if tx.Call.Method, err = r.str(); err != nil {
 		return err
 	}
+	// Args are opaque to the chain: hashed into the ID, handed to the
+	// contract, which answers anything it cannot parse with ErrBadArgs.
 	var args []byte
 	if args, err = r.blob(); err != nil {
 		return err
 	}
-	// Call.Args is a json.RawMessage: a hostile peer's garbage args would
-	// panic Call.Encode when the tx ID is computed.
-	if len(args) > 0 && !json.Valid(args) {
-		return errors.New("call args are not valid JSON")
-	}
-	tx.Call.Args = json.RawMessage(args)
+	tx.Call.Args = args
 	if tx.PubKey, err = r.blob(); err != nil {
 		return err
 	}

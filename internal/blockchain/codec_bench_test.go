@@ -1,15 +1,18 @@
 package blockchain
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"drams/internal/crypto"
 )
 
 // Benchmarks for the hot-path codec and for block import. Run with
 // -benchmem; the V8 experiment asserts the allocs/op ratios end-to-end, and
 // TestCodecAllocBudgets below keeps the budgets honest in the tier-1 suite.
-// CI runs every Benchmark(Codec|ApplyBlock) once per PR so they keep
+// CI runs every Benchmark(Codec|ApplyBlock|TxID) once per PR so they keep
 // compiling and running (.github/workflows/ci.yml, bench smoke).
 
 func BenchmarkCodecTxEncode(b *testing.B) {
@@ -46,6 +49,21 @@ func BenchmarkCodecBlockDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTxID derives the ID of a transaction whose args are the size of a
+// log record with its sealed payload (1.5 KiB): two framed SHA-256 passes
+// over the fields as they are, no encoding step.
+func BenchmarkTxID(b *testing.B) {
+	tx := testTx(b, "alice", 3)
+	tx.Call.Args = append(append([]byte{'"'}, bytes.Repeat([]byte("a"), 1534)...), '"')
+	b.ReportAllocs()
+	b.SetBytes(int64(len(tx.Call.Args)))
+	var id crypto.Digest
+	for i := 0; i < b.N; i++ {
+		id = tx.ID()
+	}
+	_ = id
 }
 
 func BenchmarkCodecHeaderHash(b *testing.B) {
@@ -123,6 +141,12 @@ func TestCodecAllocBudgets(t *testing.T) {
 	if hash > 2 {
 		t.Errorf("Header.Hash allocates %.1f/op, budget 2 (pooled scratch)", hash)
 	}
+	// Two framed hashes over the fields in place: one hash state each. (The
+	// reflective json.Marshal of the call this replaced cost 5.)
+	txID := measure("Transaction.ID", func() { _ = tx.ID() })
+	if txID > 2 {
+		t.Errorf("Transaction.ID allocates %.1f/op, budget 2", txID)
+	}
 
 	decTxBin := measure("DecodeTx/binary", func() { _, _ = DecodeTx(txBin) })
 	decTxJSON := measure("DecodeTx/json", func() { _ = json.Unmarshal(txJSON, new(Transaction)) })
@@ -150,7 +174,7 @@ func TestCodecAllocBudgets(t *testing.T) {
 }
 
 // TestImportDerivesEachTxIDOnce pins the other per-import budget: a
-// transaction's ID costs a JSON encoding of its call and two hashes, and
+// transaction's ID costs two hashes over its fields, args included, and
 // import used to pay that seven or more times per transaction (two Merkle
 // checks, the verifier's cache lookup, four uses in apply). AddBlock derives
 // the IDs once and hands them down, for a head extension of any size and

@@ -8,12 +8,28 @@ import (
 // Fuzzing the wire decoders: arbitrary bytes must never panic, and every
 // accepted input must re-encode/re-decode to the same value (the decoder and
 // encoder agree on one canonical binary form). The JSON seeds are hostile
-// input: '{' is not a format tag, so they must be refused, not parsed.
+// input: '{' is not a format tag, so they must be refused, not parsed. Call
+// args are opaque to the chain, so a transaction whose args are not JSON is
+// accepted input like any other: its ID, and the Merkle root of a block
+// holding it, must derive without panicking.
+
+// hostileArgs are call args no JSON parser accepts.
+var hostileArgs = [][]byte{
+	[]byte("{"),
+	[]byte(`{"reqId":`),
+	{0x00, 0xff, 0xfe, 0x80},
+	[]byte("\"unterminated"),
+	bytes.Repeat([]byte("["), 4096),
+}
 
 func FuzzDecodeTx(f *testing.F) {
 	tx := testTx(f, "alice", 3)
 	f.Add(EncodeTx(tx))
 	f.Add(mustJSON(f, tx))
+	for _, args := range hostileArgs {
+		tx.Call.Args = args
+		f.Add(EncodeTx(tx))
+	}
 	f.Add([]byte{codecVersion})
 	f.Add([]byte("{"))
 	f.Add([]byte(nil))
@@ -48,6 +64,10 @@ func FuzzDecodeBlock(f *testing.F) {
 		b := testBlockForCodec(f, n)
 		f.Add(b.Encode())
 		f.Add(mustJSON(f, b))
+		for i := range b.Txs {
+			b.Txs[i].Call.Args = hostileArgs[i%len(hostileArgs)]
+		}
+		f.Add(b.Encode())
 	}
 	f.Add([]byte{codecVersion, 1, 2, 3})
 	f.Add([]byte(nil))
@@ -66,6 +86,9 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if back.Hash() != got.Hash() {
 			t.Fatal("block hash changed through canonical re-encode")
+		}
+		if ComputeMerkleRoot(back.Txs) != ComputeMerkleRoot(got.Txs) {
+			t.Fatal("merkle root changed through canonical re-encode")
 		}
 		if !bytes.Equal(re, func() []byte { b, _ := AppendBlock(nil, back); return b }()) {
 			t.Fatal("binary encoding not stable")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -384,6 +385,64 @@ func TestNodeReopenCorruptBlockTruncatesTail(t *testing.T) {
 // other — the store still reopens, from the heights below it.
 func TestJSONPersistedChainReopens(t *testing.T) {
 	reopenWithDamagedBlock4(t, func(b *Block, _ []byte) []byte { return mustJSON(t, b) })
+}
+
+// TestOldFormatWALRefusedByName: a data directory written before transaction
+// identity changed carries format byte 0x01 on every block. Those bytes have
+// today's layout, so decoding them would succeed and the import would then
+// fail on a Merkle root or a signature a few checks in. The format byte
+// refuses them first, at height 1, and the error names the byte; the node
+// treats the whole file as a damaged tail and starts from genesis.
+func TestOldFormatWALRefusedByName(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	path := filepath.Join(t.TempDir(), "chain.wal")
+	kv, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := buildTestChain(t, 4)
+	if err := src.SaveToStore(kv); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range kv.Keys(persistBlockPrefix) {
+		raw, err := kv.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append([]byte(nil), raw...)
+		old[0] = 0x01
+		if err := kv.Put(key, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv2.Close()
+	applied, err := NewChain(testChainConfig(t, alice)).LoadFromStore(kv2)
+	if applied != 0 || err == nil || !strings.Contains(err.Error(), "height 1") ||
+		!strings.Contains(err.Error(), "unknown format byte 0x01") {
+		t.Fatalf("applied=%d err=%v, want 0 blocks and the unknown-format error at height 1", applied, err)
+	}
+	if errors.Is(err, ErrBadSignature) || errors.Is(err, ErrBadMerkleRoot) {
+		t.Fatalf("old format surfaced as a validation failure: %v", err)
+	}
+
+	net := netsim.New(netsim.Config{Seed: 12})
+	defer net.Close()
+	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, Store: kv2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	if st := node.Stats(); node.chain.Height() != 0 || st.BlocksReloaded != 0 || st.ReloadDropped != 4 {
+		t.Fatalf("height=%d reloaded=%d dropped=%d, want 0/0/4", node.chain.Height(), st.BlocksReloaded, st.ReloadDropped)
+	}
 }
 
 // reopenWithDamagedBlock4 persists a 6-block chain, replaces the stored

@@ -53,17 +53,20 @@ type Transaction struct {
 	Signature []byte        `json:"signature,omitempty"`
 }
 
-// signingBytes is the canonical byte encoding covered by the signature.
-func (tx *Transaction) signingBytes() []byte {
+// signingBytes is what the signature covers: the digest of the length-framed
+// fields (From, Nonce, Contract, Method, Args, PubKey). Each field is hashed
+// as raw bytes behind its length, so the framing is injective whatever the
+// fields hold; the chain never parses Args.
+func (tx *Transaction) signingBytes() crypto.Digest {
 	var nonce [8]byte
 	binary.BigEndian.PutUint64(nonce[:], tx.Nonce)
-	return crypto.SumAll([]byte(tx.From), nonce[:], tx.Call.Encode(), tx.PubKey).Bytes()
+	return crypto.SumAll([]byte(tx.From), nonce[:], []byte(tx.Call.Contract), []byte(tx.Call.Method), tx.Call.Args, tx.PubKey)
 }
 
 // ID returns the transaction digest (covers the signature, so two distinct
 // signatures over the same payload are distinct transactions; the nonce
 // check still prevents both from executing). Every call re-derives it from
-// the fields (a JSON encoding of the call plus two hashes): the value is
+// the fields (two framed hashes, no encoding step): the value is
 // deliberately not cached on the struct, because the verified-transaction
 // LRU is keyed by it and a stale ID on a mutated transaction would skip a
 // signature check. Code that needs the IDs of a whole block more than once
@@ -72,7 +75,8 @@ func (tx *Transaction) ID() crypto.Digest {
 	if hook := testOnTxID.Load(); hook != nil {
 		(*hook)()
 	}
-	return crypto.SumAll(tx.signingBytes(), tx.Signature)
+	signed := tx.signingBytes()
+	return crypto.SumAll(signed[:], tx.Signature)
 }
 
 // testOnTxID, when set (tests only), runs on every ID derivation.
@@ -94,7 +98,8 @@ func (tx *Transaction) Sign(id *crypto.Identity) error {
 	}
 	pub := id.Public()
 	tx.PubKey = append([]byte(nil), pub.Key...)
-	tx.Signature = id.Sign(tx.signingBytes())
+	signed := tx.signingBytes()
+	tx.Signature = id.Sign(signed[:])
 	return nil
 }
 
@@ -165,7 +170,7 @@ func (r *IdentityRegistry) sigCheck(tx *Transaction) (crypto.SigCheck, error) {
 	if !crypto.ConstantTimeEqual(reg.Key, tx.PubKey) {
 		return crypto.SigCheck{}, fmt.Errorf("%w: public key does not match registered identity %q", ErrBadSignature, tx.From)
 	}
-	return crypto.SigCheck{Key: reg.Key, Msg: tx.signingBytes(), Sig: tx.Signature}, nil
+	return crypto.SigCheck{Key: reg.Key, Msg: tx.signingBytes().Bytes(), Sig: tx.Signature}, nil
 }
 
 // VerifyTx checks a transaction's signature against the registry. The public

@@ -37,19 +37,14 @@ var (
 // Call is the payload of a blockchain transaction: an invocation of a method
 // on a named contract.
 type Call struct {
-	Contract string          `json:"contract"`
-	Method   string          `json:"method"`
-	Args     json.RawMessage `json:"args,omitempty"`
-}
-
-// Encode canonically serialises the call for hashing.
-func (c Call) Encode() []byte {
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Call contains only marshalable fields; this cannot happen.
-		panic(fmt.Sprintf("contract: encode call: %v", err))
-	}
-	return b
+	Contract string `json:"contract"`
+	Method   string `json:"method"`
+	// Args belong to the contract. The chain frames, hashes and stores them
+	// as opaque bytes and never parses them; a contract answers args it
+	// cannot decode with ErrBadArgs. Every contract in this repo takes JSON,
+	// and the RawMessage type only makes a JSON rendering of a Call show them
+	// inline.
+	Args json.RawMessage `json:"args,omitempty"`
 }
 
 // CallCtx carries deterministic block context into contract execution.

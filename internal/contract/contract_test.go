@@ -287,10 +287,3 @@ func TestEngineOnBlockHooks(t *testing.T) {
 		t.Fatal("hook state write lost")
 	}
 }
-
-func TestCallEncodeStable(t *testing.T) {
-	c := Call{Contract: "x", Method: "m", Args: json.RawMessage(`{"a":1}`)}
-	if string(c.Encode()) != string(c.Encode()) {
-		t.Fatal("Encode unstable")
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"drams/internal/contract"
+	"drams/internal/crypto"
 	"drams/internal/merkle"
 )
 
@@ -79,6 +81,97 @@ func deadlineKey(due uint64, reqID string) string {
 }
 func deadlineSetKey(reqID string) string { return "deadline-set/" + reqID }
 
+// StoredRecord is what the contract keeps of an anchored record under
+// rec/<reqID>/<kind>: the fields the checks read, and the SHA-256 of the
+// record's canonical encoding. The hash stands in for the record wherever
+// the contract asks "is this the record I already hold": equal hashes are an
+// idempotent retry, different ones an equivocation, exactly as comparing the
+// encodings themselves decided. The record itself (agent, trace, timestamp,
+// sealed payload) stays on chain in its transaction and its LogStored event,
+// which is where the analyser and forensics read it.
+type StoredRecord struct {
+	Hash          crypto.Digest // SHA-256 of LogRecord.Encode()
+	ReqDigest     crypto.Digest // M1
+	RespDigest    crypto.Digest // M2
+	DecisionTag   crypto.Digest // M2, M4, M5
+	EnforcedTag   crypto.Digest // M4
+	PolicyDigest  crypto.Digest // M6
+	Tenant        string        // names the tenant in alerts
+	PolicyVersion string        // M6
+}
+
+// State row of a record (big-endian):
+//
+//	  0  32B hash         64  32B respDigest   128  32B enforcedTag
+//	 32  32B reqDigest    96  32B decisionTag  160  32B policyDigest
+//	192  u32 len(tenant)  196  u32 len(policyVersion)
+//	200  tenant bytes, then policyVersion bytes
+//
+// and of a verdict: 32B hash of Verdict.Encode() | 32B expectedTag |
+// 32B policyDigest.
+const (
+	recordRowFixed = 6*crypto.DigestSize + 8
+	verdictRowLen  = 3 * crypto.DigestSize
+)
+
+// digests lists the row's six digests in row order.
+func (sr *StoredRecord) digests() [6]*crypto.Digest {
+	return [...]*crypto.Digest{&sr.Hash, &sr.ReqDigest, &sr.RespDigest, &sr.DecisionTag, &sr.EnforcedTag, &sr.PolicyDigest}
+}
+
+func encodeRecordRow(sr StoredRecord) []byte {
+	row := make([]byte, 0, recordRowFixed+len(sr.Tenant)+len(sr.PolicyVersion))
+	for _, d := range sr.digests() {
+		row = append(row, d[:]...)
+	}
+	row = binary.BigEndian.AppendUint32(row, uint32(len(sr.Tenant)))
+	row = binary.BigEndian.AppendUint32(row, uint32(len(sr.PolicyVersion)))
+	row = append(row, sr.Tenant...)
+	return append(row, sr.PolicyVersion...)
+}
+
+// decodeRecordRow is the inverse of encodeRecordRow; ok=false for anything
+// that is not exactly one row.
+func decodeRecordRow(row []byte) (sr StoredRecord, ok bool) {
+	if len(row) < recordRowFixed {
+		return StoredRecord{}, false
+	}
+	tenantLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-8:]))
+	versionLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-4:]))
+	if uint64(len(row)) != recordRowFixed+tenantLen+versionLen {
+		return StoredRecord{}, false
+	}
+	for i, d := range sr.digests() {
+		copy(d[:], row[i*crypto.DigestSize:])
+	}
+	sr.Tenant = string(row[recordRowFixed : recordRowFixed+tenantLen])
+	sr.PolicyVersion = string(row[recordRowFixed+tenantLen:])
+	return sr, true
+}
+
+// storedVerdict is the verdict/<reqID> row: what M5 reads, behind the hash
+// that detects a conflicting second verdict.
+type storedVerdict struct {
+	Hash, ExpectedTag, PolicyDigest crypto.Digest
+}
+
+func encodeVerdictRow(sv storedVerdict) []byte {
+	row := make([]byte, 0, verdictRowLen)
+	row = append(row, sv.Hash[:]...)
+	row = append(row, sv.ExpectedTag[:]...)
+	return append(row, sv.PolicyDigest[:]...)
+}
+
+func decodeVerdictRow(row []byte) (sv storedVerdict, ok bool) {
+	if len(row) != verdictRowLen {
+		return storedVerdict{}, false
+	}
+	copy(sv.Hash[:], row)
+	copy(sv.ExpectedTag[:], row[crypto.DigestSize:])
+	copy(sv.PolicyDigest[:], row[2*crypto.DigestSize:])
+	return sv, true
+}
+
 // Execute implements contract.Contract.
 func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, call contract.Call) ([]contract.Event, error) {
 	switch call.Method {
@@ -101,7 +194,8 @@ func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, a
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
 	}
-	events, stored := lm.storeRecord(ctx, st, rec, rec.Encode())
+	enc := rec.Encode()
+	events, stored := lm.storeRecord(ctx, st, rec, enc, enc)
 	if stored {
 		events = append(events, lm.runChecks(ctx, st, rec.ReqID, ctx.Height)...)
 	}
@@ -109,16 +203,16 @@ func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, a
 }
 
 // storeRecord applies one validated record: duplicate and equivocation
-// handling, storage, M3 deadline arming and the LogStored event.
-// eventPayload is what the event carries — the plain record for
+// handling, storage, M3 deadline arming and the LogStored event. enc is
+// rec.Encode(); eventPayload is what the event carries — enc itself for
 // single-record transactions, the proof-bearing envelope for batched ones.
 // stored=false means the record was an idempotent duplicate or an
 // equivocation attempt (the original is kept) and no checks should run.
-func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec LogRecord, eventPayload []byte) (events []contract.Event, stored bool) {
+func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec LogRecord, enc, eventPayload []byte) (events []contract.Event, stored bool) {
 	key := recKey(rec.ReqID, rec.Kind)
-	enc := rec.Encode()
+	hash := crypto.Sum(enc)
 	if existing, ok := st.Get(key); ok {
-		if string(existing) == string(enc) {
+		if prev, ok := decodeRecordRow(existing); ok && prev.Hash == hash {
 			return nil, false // idempotent duplicate (client retry)
 		}
 		// Conflicting second record for the same interception point.
@@ -127,7 +221,11 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 			Detail: fmt.Sprintf("conflicting %s records from %s", rec.Kind, ctx.Caller),
 		}), false // keep the original record
 	}
-	st.Set(key, enc)
+	st.Set(key, encodeRecordRow(StoredRecord{
+		Hash: hash, ReqDigest: rec.ReqDigest, RespDigest: rec.RespDigest, DecisionTag: rec.DecisionTag,
+		EnforcedTag: rec.EnforcedTag, PolicyDigest: rec.PolicyDigest,
+		Tenant: rec.Tenant, PolicyVersion: rec.PolicyVersion,
+	}))
 	events = append(events, contract.Event{Type: EventLogStored, Payload: eventPayload})
 
 	// Arm the M3 deadline on the first record of the request.
@@ -185,7 +283,7 @@ func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.State
 			return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, perr)
 		}
 		payload := BatchedRecord{Record: lb.Records[i], Root: lb.Root, Index: i, Proof: proof}.Encode()
-		evs, stored := lm.storeRecord(ctx, st, lb.Records[i], payload)
+		evs, stored := lm.storeRecord(ctx, st, lb.Records[i], leaves[i], payload)
 		events = append(events, evs...)
 		if stored && !touched[lb.Records[i].ReqID] {
 			touched[lb.Records[i].ReqID] = true
@@ -210,13 +308,16 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 		return nil, fmt.Errorf("%w: incomplete verdict", contract.ErrBadArgs)
 	}
 	enc := v.Encode()
-	if existing, ok := st.Get(verdictKey(v.ReqID)); ok && string(existing) != string(enc) {
-		return lm.alert(st, Alert{
-			Type: AlertEquivocation, ReqID: v.ReqID, Height: ctx.Height,
-			Detail: "conflicting analyser verdicts",
-		}), nil
+	hash := crypto.Sum(enc)
+	if existing, ok := st.Get(verdictKey(v.ReqID)); ok {
+		if prev, ok := decodeVerdictRow(existing); !ok || prev.Hash != hash {
+			return lm.alert(st, Alert{
+				Type: AlertEquivocation, ReqID: v.ReqID, Height: ctx.Height,
+				Detail: "conflicting analyser verdicts",
+			}), nil
+		}
 	}
-	st.Set(verdictKey(v.ReqID), enc)
+	st.Set(verdictKey(v.ReqID), encodeVerdictRow(storedVerdict{Hash: hash, ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}))
 	events := []contract.Event{{Type: EventVerdict, Payload: enc}}
 	events = append(events, lm.runChecks(ctx, st, v.ReqID, ctx.Height)...)
 	return events, nil
@@ -226,7 +327,7 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 // returning the alert to raise (ok=false means the record is clean). The
 // trust anchor is the policy lifecycle contract's chain-replicated state,
 // read cross-contract.
-func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, pdpResp LogRecord, reqID string, height uint64) (Alert, bool) {
+func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, pdpResp StoredRecord, reqID string, height uint64) (Alert, bool) {
 	version := pdpResp.PolicyVersion
 	tampered := func(format string, args ...any) (Alert, bool) {
 		return Alert{
@@ -266,17 +367,13 @@ func (lm *LogMatchContract) alert(st contract.StateDB, a Alert) []contract.Event
 	return []contract.Event{{Type: EventAlert, Payload: a.Encode()}}
 }
 
-// loadRecord fetches a stored record.
-func loadRecord(st contract.StateDB, reqID string, kind LogKind) (LogRecord, bool) {
-	b, ok := st.Get(recKey(reqID, kind))
+// loadRecord fetches the stored row of a record.
+func loadRecord(st contract.StateDB, reqID string, kind LogKind) (StoredRecord, bool) {
+	row, ok := st.Get(recKey(reqID, kind))
 	if !ok {
-		return LogRecord{}, false
+		return StoredRecord{}, false
 	}
-	rec, err := DecodeLogRecord(b)
-	if err != nil {
-		return LogRecord{}, false
-	}
-	return rec, true
+	return decodeRecordRow(row)
 }
 
 // runChecks executes M1, M2, M4, M5, M6 for a request with the currently
@@ -321,13 +418,10 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 	}
 
 	// M5: decision correctness against the analyser's expectation.
-	var verdict Verdict
+	var verdict storedVerdict
 	haveVerdict := false
-	if b, ok := st.Get(verdictKey(reqID)); ok {
-		if v, err := DecodeVerdict(b); err == nil {
-			verdict = v
-			haveVerdict = true
-		}
+	if row, ok := st.Get(verdictKey(reqID)); ok {
+		verdict, haveVerdict = decodeVerdictRow(row)
 	}
 	if haveVerdict && havePdpResp && verdict.ExpectedTag != pdpResp.DecisionTag {
 		events = append(events, lm.alert(st, Alert{
@@ -413,8 +507,9 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 	return events
 }
 
-// ReadStoredRecord reads a log record from state.
-func ReadStoredRecord(st contract.StateDB, reqID string, kind LogKind) (LogRecord, bool) {
+// ReadStoredRecord reads what state holds of an anchored record: the match
+// fields and the record's hash, not the record (see StoredRecord).
+func ReadStoredRecord(st contract.StateDB, reqID string, kind LogKind) (StoredRecord, bool) {
 	return loadRecord(st, reqID, kind)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,13 +18,13 @@ var testKey = crypto.DeriveKey("test", "li-key")
 // matchEnv drives the log-match contract directly through the engine, next
 // to the policy contract its M6 check reads.
 type matchEnv struct {
-	t      *testing.T
+	t      testing.TB
 	engine *contract.Engine
 	st     *contract.State
 	height uint64
 }
 
-func newMatchEnv(t *testing.T, cfg MatchConfig) *matchEnv {
+func newMatchEnv(t testing.TB, cfg MatchConfig) *matchEnv {
 	t.Helper()
 	reg := contract.NewRegistry()
 	reg.MustRegister(NewLogMatchContract(cfg))
@@ -578,5 +579,86 @@ func TestLogRecordJSONStable(t *testing.T) {
 		if _, ok := m[field]; !ok {
 			t.Errorf("encoded record missing %q", field)
 		}
+	}
+}
+
+// A request record has no response digest, tags or policy digest, and its
+// encoding says so by leaving the keys out (omitzero; omitempty never omits
+// an array, so these used to travel as four all-zero digests).
+func TestRequestRecordOmitsZeroDigests(t *testing.T) {
+	rec := cleanExchange("req-oz").pepRequest()
+	enc := rec.Encode()
+	var m map[string]any
+	if err := json.Unmarshal(enc, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"respDigest", "decisionTag", "enforcedTag", "policyDigest"} {
+		if _, ok := m[field]; ok {
+			t.Errorf("%s record carries a zero %q", rec.Kind, field)
+		}
+	}
+	if got, want := m["reqDigest"], rec.ReqDigest.String(); got != want {
+		t.Errorf("reqDigest encoded as %v, want the hex string %s", got, want)
+	}
+	back, err := DecodeLogRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rec) {
+		t.Fatalf("round trip: got %+v, want %+v", back, rec)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("round-tripped record does not validate: %v", err)
+	}
+}
+
+// The state rows round-trip, and nothing but exactly one row decodes: every
+// truncation and any trailing byte is ok=false, never a panic.
+func TestStateRowCodec(t *testing.T) {
+	x := cleanExchange("req-row")
+	full := x.pdpResponse()
+	full.EnforcedTag = crypto.Sum([]byte("enforced"))
+	for _, sr := range []StoredRecord{
+		{Hash: crypto.Sum(full.Encode()), ReqDigest: full.ReqDigest, RespDigest: full.RespDigest,
+			DecisionTag: full.DecisionTag, EnforcedTag: full.EnforcedTag, PolicyDigest: full.PolicyDigest,
+			Tenant: full.Tenant, PolicyVersion: full.PolicyVersion},
+		{Hash: crypto.Sum([]byte("bare")), ReqDigest: x.reqDig}, // request record without a tenant
+	} {
+		row := encodeRecordRow(sr)
+		got, ok := decodeRecordRow(row)
+		if !ok || got != sr {
+			t.Fatalf("record row round trip: ok=%v got %+v, want %+v", ok, got, sr)
+		}
+		for n := 0; n < len(row); n++ {
+			if _, ok := decodeRecordRow(row[:n]); ok {
+				t.Fatalf("record row truncated to %d of %d bytes decoded", n, len(row))
+			}
+		}
+		if _, ok := decodeRecordRow(append(row, 0)); ok {
+			t.Fatal("record row with a trailing byte decoded")
+		}
+	}
+	// Length fields that promise more than any slice could hold.
+	huge := encodeRecordRow(StoredRecord{})
+	for i := recordRowFixed - 8; i < recordRowFixed; i++ {
+		huge[i] = 0xff
+	}
+	if _, ok := decodeRecordRow(huge); ok {
+		t.Fatal("record row with overflowing lengths decoded")
+	}
+
+	v := x.verdict(x.decision)
+	sv := storedVerdict{Hash: crypto.Sum(v.Encode()), ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}
+	row := encodeVerdictRow(sv)
+	if got, ok := decodeVerdictRow(row); !ok || got != sv {
+		t.Fatalf("verdict row round trip: ok=%v got %+v, want %+v", ok, got, sv)
+	}
+	for n := 0; n < len(row); n++ {
+		if _, ok := decodeVerdictRow(row[:n]); ok {
+			t.Fatalf("verdict row truncated to %d bytes decoded", n)
+		}
+	}
+	if _, ok := decodeVerdictRow(append(row, 0)); ok {
+		t.Fatal("verdict row with a trailing byte decoded")
 	}
 }

@@ -77,17 +77,17 @@ type LogRecord struct {
 	ReqDigest crypto.Digest `json:"reqDigest"`
 	// RespDigest fingerprints the response content (M2); zero for request
 	// records.
-	RespDigest crypto.Digest `json:"respDigest,omitempty"`
+	RespDigest crypto.Digest `json:"respDigest,omitzero"`
 	// DecisionTag commits to the decision carried by the response (M2,
 	// M5); zero for request records.
-	DecisionTag crypto.Digest `json:"decisionTag,omitempty"`
+	DecisionTag crypto.Digest `json:"decisionTag,omitzero"`
 	// EnforcedTag commits to the effect the PEP actually enforced (M4);
 	// only on pep.response records.
-	EnforcedTag crypto.Digest `json:"enforcedTag,omitempty"`
+	EnforcedTag crypto.Digest `json:"enforcedTag,omitzero"`
 	// PolicyVersion/PolicyDigest identify the policy the PDP claims to
 	// have evaluated (M6); only on pdp.response records.
 	PolicyVersion string        `json:"policyVersion,omitempty"`
-	PolicyDigest  crypto.Digest `json:"policyDigest,omitempty"`
+	PolicyDigest  crypto.Digest `json:"policyDigest,omitzero"`
 	// TimestampUnixNano is the agent-local observation time (diagnostic
 	// only; consensus ordering comes from block heights).
 	TimestampUnixNano int64 `json:"ts"`

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,13 +14,24 @@ import (
 	"drams/internal/xacml"
 )
 
-// pinnedScriptDigest is the state digest of the scripted chain below as
-// computed at the commit before contract.State gained its ordered key index
-// and block import started deriving transaction IDs once (8dc68a8). Replica
+// pinnedScriptDigest is the state digest of the scripted chain below. Replica
 // tests only show that two nodes of one build agree; this shows that a build
 // computes the state its predecessor did. It changes only with a deliberate
 // change to contract semantics or state layout, which must say so.
-const pinnedScriptDigest = "4208bbeca8479af3622f0f7071c5009f93a7f55af4d6047aec19081296f31145"
+//
+// Re-pinned once, at PR 18, for two layout changes and no semantic one (the
+// verdict stream below did not move): crypto.Digest now encodes as a hex
+// string in every JSON value the policy contract stores, and the log-match
+// contract stores fixed-layout rows under rec/ and verdict/ instead of the
+// JSON records. Before: 4208bbec…f31145, unchanged from 8dc68a8 to 2449793.
+const pinnedScriptDigest = "1833ab121d3d9d2f2dfb194832cfeb9f99a0c69fe93357ba68cc20283d3b5d4e"
+
+// pinnedVerdictStream is the digest of what an observer of the scripted chain
+// sees, in order: every Alert (type, request, height) and every Matched
+// (request, height). It was computed at 2449793, before digests became hex
+// and stored records became rows, and must never move with a layout change:
+// LogStored and VerdictStored payloads, whose bytes do, are left out.
+const pinnedVerdictStream = "8d3ddbc2250df6ed8f472db4b3bf48f0fb4a3e9b34e6168b8e6c441548d706c7"
 
 // scriptChain is a chain driven block by block with fixed identities, fixed
 // timestamps and a fixed miner seed, so every byte that reaches contract
@@ -29,6 +42,7 @@ type scriptChain struct {
 	ids    map[string]*crypto.Identity
 	nonces map[string]uint64
 	txs    []blockchain.Transaction // queued for the next block
+	stream strings.Builder          // the verdict stream, one line per event
 }
 
 func newScriptChain(t *testing.T) *scriptChain {
@@ -51,7 +65,31 @@ func newScriptChain(t *testing.T) *scriptChain {
 		Registry:    reg,
 		GenesisTime: time.Unix(1700000000, 0),
 	})
+	s.chain.SetEventSink(s.observe)
 	return s
+}
+
+// observe appends the block's alerts and matches to the verdict stream.
+func (s *scriptChain) observe(_ uint64, events []contract.Event) {
+	for _, ev := range events {
+		switch ev.Type {
+		case EventAlert:
+			a, err := DecodeAlert(ev.Payload)
+			if err != nil {
+				s.t.Errorf("alert payload: %v", err)
+			}
+			fmt.Fprintf(&s.stream, "alert %s %s %d\n", a.Type, a.ReqID, a.Height)
+		case EventMatched:
+			var m struct {
+				ReqID  string `json:"reqId"`
+				Height uint64 `json:"height"`
+			}
+			if err := json.Unmarshal(ev.Payload, &m); err != nil {
+				s.t.Errorf("matched payload: %v", err)
+			}
+			fmt.Fprintf(&s.stream, "matched %s %d\n", m.ReqID, m.Height)
+		}
+	}
 }
 
 // send queues one call from the named identity for the next block.
@@ -158,6 +196,9 @@ func TestScriptedChainStateDigestPinned(t *testing.T) {
 			t.Errorf("active policy %q, want v2", ver)
 		}
 	})
+	if got := crypto.Sum([]byte(s.stream.String())).String(); got != pinnedVerdictStream {
+		t.Errorf("verdict stream digest %s, pinned %s; stream:\n%s", got, pinnedVerdictStream, s.stream.String())
+	}
 	if got := s.chain.StateDigest().String(); got != pinnedScriptDigest {
 		t.Fatalf("state digest %s, pinned %s", got, pinnedScriptDigest)
 	}

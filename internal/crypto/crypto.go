@@ -74,15 +74,29 @@ func (d Digest) Bytes() []byte {
 // ParseDigest decodes a 64-character hex string.
 func ParseDigest(s string) (Digest, error) {
 	var d Digest
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return d, fmt.Errorf("crypto: parse digest: %w", err)
+	err := d.UnmarshalText([]byte(s))
+	return d, err
+}
+
+// MarshalText renders the digest as 64 lowercase hex characters, so every
+// JSON surface carries a digest as one string (and as a map key) instead of
+// an array of 32 numbers.
+func (d Digest) MarshalText() ([]byte, error) {
+	return hex.AppendEncode(make([]byte, 0, 2*DigestSize), d[:]), nil
+}
+
+// UnmarshalText is the strict inverse of MarshalText: exactly 64 hex
+// characters, anything else is an error and leaves d untouched.
+func (d *Digest) UnmarshalText(text []byte) error {
+	if len(text) != 2*DigestSize {
+		return fmt.Errorf("crypto: parse digest: want %d hex characters, got %d", 2*DigestSize, len(text))
 	}
-	if len(b) != DigestSize {
-		return d, fmt.Errorf("crypto: parse digest: want %d bytes, got %d", DigestSize, len(b))
+	var out Digest
+	if _, err := hex.Decode(out[:], text); err != nil {
+		return fmt.Errorf("crypto: parse digest: %w", err)
 	}
-	copy(d[:], b)
-	return d, nil
+	*d = out
+	return nil
 }
 
 // LeadingZeroBits counts the number of leading zero bits in the digest; this

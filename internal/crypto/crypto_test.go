@@ -2,7 +2,10 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -46,6 +49,55 @@ func TestParseDigestErrors(t *testing.T) {
 	}
 	if _, err := ParseDigest("abcd"); err == nil {
 		t.Fatal("short digest accepted")
+	}
+}
+
+// A digest travels through JSON as one lowercase hex string, and only
+// exactly 64 hex characters come back as a digest.
+func TestDigestTextCodec(t *testing.T) {
+	type carrier struct {
+		D    Digest  `json:"d"`
+		Zero Digest  `json:"zero,omitzero"`
+		P    *Digest `json:"p"`
+	}
+	d := Sum([]byte("text codec"))
+	enc, err := json.Marshal(carrier{D: d, P: &d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`{"d":"%s","p":"%s"}`, d, d); string(enc) != want {
+		t.Fatalf("encoded %s, want %s", enc, want)
+	}
+	var back carrier
+	if err := json.Unmarshal(enc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.D != d || *back.P != d || !back.Zero.IsZero() {
+		t.Fatalf("round trip: %+v", back)
+	}
+
+	hexd := d.String()
+	for name, text := range map[string]string{
+		"empty":        "",
+		"one short":    hexd[:63],
+		"one long":     hexd + "0",
+		"half":         hexd[:32],
+		"non-hex":      "zz" + hexd[2:],
+		"0x prefix":    "0x" + hexd[2:],
+		"inner space":  hexd[:10] + " " + hexd[11:],
+		"32 raw bytes": string(d[:]),
+	} {
+		got := d
+		if err := got.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%s: %q accepted", name, text)
+		}
+		if got != d {
+			t.Errorf("%s: failed parse overwrote the digest", name)
+		}
+	}
+	// The old form, an array of 32 numbers, is no longer a digest.
+	if err := json.Unmarshal([]byte(`{"d":[`+strings.Repeat("0,", 31)+`0]}`), &back); err == nil {
+		t.Error("number-array digest accepted")
 	}
 }
 

@@ -73,21 +73,53 @@ func pepRequestRecord(reqID string) core.LogRecord {
 	}
 }
 
+// waitForRecord waits until contract state holds the record's row, then
+// returns the record as it was anchored. State keeps only the match fields
+// (core.StoredRecord); the record itself is read where it lives on chain, in
+// the arguments of the transaction that logged it.
 func waitForRecord(t *testing.T, node *blockchain.Node, reqID string, kind core.LogKind) core.LogRecord {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		var rec core.LogRecord
 		var ok bool
 		node.Chain().ReadState(core.ContractName, func(st contract.StateDB) {
-			rec, ok = core.ReadStoredRecord(st, reqID, kind)
+			_, ok = core.ReadStoredRecord(st, reqID, kind)
 		})
 		if ok {
-			return rec
+			return anchoredRecord(t, node.Chain(), reqID, kind)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("record %s/%s never reached the chain", reqID, kind)
+	return core.LogRecord{}
+}
+
+// anchoredRecord finds the first log or logbatch transaction on the best
+// chain that carries the record.
+func anchoredRecord(t *testing.T, chain *blockchain.Chain, reqID string, kind core.LogKind) core.LogRecord {
+	t.Helper()
+	for h := uint64(1); h <= chain.Height(); h++ {
+		b, _ := chain.BlockByHeight(h)
+		for _, tx := range b.Txs {
+			var recs []core.LogRecord
+			switch tx.Call.Method {
+			case core.MethodLog:
+				if rec, err := core.DecodeLogRecord(tx.Call.Args); err == nil {
+					recs = []core.LogRecord{rec}
+				}
+			case core.MethodLogBatch:
+				if lb, err := core.DecodeLogBatch(tx.Call.Args); err == nil {
+					recs = lb.Records
+				}
+			}
+			for _, rec := range recs {
+				if rec.ReqID == reqID && rec.Kind == kind {
+					return rec
+				}
+			}
+		}
+	}
+	t.Fatalf("record %s/%s is in state but in no transaction", reqID, kind)
 	return core.LogRecord{}
 }
 
