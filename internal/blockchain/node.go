@@ -98,6 +98,10 @@ type NodeStats struct {
 	OrphansResolved int64
 	IngestBatches   int64
 	IngestDropped   int64
+	// ImportDropped counts gossiped block frames refused because the import
+	// queue was full. Such a block is fetched again as a missing ancestor
+	// when one of its descendants arrives.
+	ImportDropped int64
 	// BlocksPersisted / PersistErrors count incremental writes to the
 	// durable chain store (zero without NodeConfig.Store).
 	BlocksPersisted int64
@@ -112,8 +116,8 @@ type NodeStats struct {
 	// issued (bc.head and bc.getrange) and blocks that came back in range
 	// responses and passed the linkage check, whether or not they were then
 	// needed. A range call asks for the pull's height gap (at most
-	// SyncBatch), so a rejoin shows SyncBlocks far above SyncCalls, while
-	// orphan resolution in steady gossip shows about one block per call.
+	// SyncBatch), so a rejoin shows SyncBlocks far above SyncCalls, while a
+	// frame lost in steady gossip costs one call for about one block.
 	SyncCalls  int64
 	SyncBlocks int64
 	// MempoolLen / SeenCacheLen are point-in-time occupancy gauges of the
@@ -147,6 +151,11 @@ type Node struct {
 	newTx  chan struct{}
 	ingest chan inboundTx
 	seenTx *seenCache // recently handled tx-gossip payloads
+	// imports feeds importLoop, the only goroutine that imports gossiped
+	// blocks; pulling holds the one token a branch pull needs, so the loop
+	// and SyncFrom never fetch the same gap twice.
+	imports chan inboundBlock
+	pulling chan struct{}
 
 	subMu  sync.Mutex
 	subs   map[int]*eventSub
@@ -168,6 +177,7 @@ type Node struct {
 	orphans    metrics.Counter
 	inBatches  metrics.Counter
 	inDropped  metrics.Counter
+	imDropped  metrics.Counter
 	reloaded   metrics.Counter
 	reloadDrop metrics.Counter
 	syncCalls  metrics.Counter
@@ -238,6 +248,19 @@ type inboundTx struct {
 // signature-verification batch.
 const ingestBatch = 128
 
+// inboundBlock is a gossiped block frame queued for importLoop.
+type inboundBlock struct {
+	from    string
+	payload []byte
+}
+
+// importQueue bounds the frames waiting for importLoop. Frames pile up only
+// while the loop pulls a gap from a peer: a few round trips, during which
+// each new block arrives once per chain peer. 512 covers several seconds of
+// that at the block rates the benchmark reaches; past it the frame is
+// dropped and counted, and the block comes back through the orphan path.
+const importQueue = 512
+
 // NewNode constructs (but does not start) a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
@@ -291,6 +314,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		stop:      ctx.Done(),
 		newTx:     make(chan struct{}, 1),
 		ingest:    make(chan inboundTx, 4*ingestBatch),
+		imports:   make(chan inboundBlock, importQueue),
+		pulling:   make(chan struct{}, 1),
 		subs:      make(map[int]*eventSub),
 		chainPeer: make(map[string]struct{}),
 	}
@@ -298,10 +323,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.reloaded.Add(int64(reloaded))
 	n.reloadDrop.Add(int64(reloadDropped))
 	n.chain.SetEventSink(n.fanout)
-	// Gossip handlers are active from construction, so the batched
-	// admission loop must be too (Stop terminates it).
-	n.wg.Add(1)
+	// Gossip handlers are active from construction, so the admission and
+	// import loops must be too (Stop terminates them).
+	n.wg.Add(2)
 	go n.ingestLoop()
+	go n.importLoop()
 	ep.OnMessage(kindTx, n.handleTxGossip)
 	ep.OnMessage(kindBlock, n.handleBlockGossip)
 	ep.OnMessage(kindHello, n.handleHello)
@@ -427,6 +453,7 @@ func (n *Node) Stats() NodeStats {
 		OrphansResolved: n.orphans.Value(),
 		IngestBatches:   n.inBatches.Value(),
 		IngestDropped:   n.inDropped.Value(),
+		ImportDropped:   n.imDropped.Value(),
 		BlocksPersisted: persist.BlocksPersisted,
 		PersistErrors:   persist.PersistErrors,
 		BlocksReloaded:  n.reloaded.Value(),
@@ -739,39 +766,66 @@ func (n *Node) ingestLoop() {
 	}
 }
 
-// handleBlockGossip processes a gossiped block, resolving orphans by
-// fetching ancestors from the sender.
+// handleBlockGossip queues a gossiped block frame for importLoop. It runs on
+// the transport's delivery path, which hands one link's frames over one at
+// a time, so it must not import here: resolving an orphan is a Call back to
+// the sender.
 func (n *Node) handleBlockGossip(from string, payload []byte) {
-	b, err := DecodeBlock(payload)
-	if err != nil {
-		return
+	select {
+	case n.imports <- inboundBlock{from: from, payload: payload}:
+	default:
+		n.imDropped.Inc()
 	}
-	n.importBlock(b, from)
+}
+
+// importLoop decodes and imports gossiped blocks one at a time, in arrival
+// order. Being the only gossip importer is what keeps a block from racing
+// its parent's AddBlock, and what parks the blocks gossiped during a gap
+// pull until their ancestors are in.
+func (n *Node) importLoop() {
+	defer n.wg.Done()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case in := <-n.imports:
+			b, err := DecodeBlock(in.payload)
+			if err != nil {
+				continue
+			}
+			n.importBlock(b, in.from)
+		}
+	}
 }
 
 // importBlock adds a block, pulling missing ancestors from `from` when
-// needed, and re-gossips on success.
+// needed, and re-gossips what was inserted.
 func (n *Node) importBlock(b *Block, from string) {
 	n.noteSeenHeight(b.Header.Height)
 	err := n.chain.AddBlock(b)
 	switch {
 	case err == nil:
-		n.afterAccept(b, from)
+		n.afterAccept(from, b)
 	case errors.Is(err, ErrKnownBlock):
 		// Flood already saw it; stop.
 	case errors.Is(err, ErrOrphanBlock) && from != "":
-		if n.resolveOrphans(b, from) {
-			n.afterAccept(b, from)
-		}
+		n.resolveOrphans(b, from)
 	default:
 		n.rejected.Inc()
 	}
 }
 
-func (n *Node) afterAccept(b *Block, from string) {
-	n.accepted.Inc()
+// afterAccept counts the blocks AddBlock just inserted (oldest first) and
+// relays them to every chain peer but the one they came from.
+func (n *Node) afterAccept(from string, blocks ...*Block) {
+	if len(blocks) == 0 {
+		return
+	}
+	n.accepted.Add(int64(len(blocks)))
 	n.pool.PruneConfirmed(n.chain.AccountNonces())
-	n.gossip(kindBlock, b.Encode(), from)
+	for _, b := range blocks {
+		n.gossip(kindBlock, b.Encode(), from)
+	}
 }
 
 type headInfo struct {
@@ -912,6 +966,6 @@ func (n *Node) mineLoop() {
 			continue
 		}
 		n.mined.Inc()
-		n.afterAccept(b, "")
+		n.afterAccept("", b)
 	}
 }

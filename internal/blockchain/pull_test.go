@@ -10,6 +10,7 @@ import (
 
 	"drams/internal/crypto"
 	"drams/internal/netsim"
+	"drams/internal/transport"
 )
 
 // Tests for the window sizing of pullBranch: a pull asks for the height gap
@@ -21,11 +22,16 @@ import (
 // joiner that pulls from that peer.
 type pullRig struct {
 	src, joiner *Node
+	peer        transport.Endpoint // "peer": gossip sent from it is pulled from it
 
 	mu     sync.Mutex
 	asked  []int    // rangeReq.Count per call
 	served []int    // blocks in the response per call
 	forged []*Block // when set, served in place of the honest response
+	// hold, when set, parks every bc.getrange call after announcing it on
+	// entered, until hold is closed.
+	hold    chan struct{}
+	entered chan struct{}
 }
 
 func newPullRig(t *testing.T, alice *crypto.Identity, joinerCfg NodeConfig) *pullRig {
@@ -43,11 +49,19 @@ func newPullRig(t *testing.T, alice *crypto.Identity, joinerCfg NodeConfig) *pul
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.peer = ep
 	ep.OnCall(kindHead, r.src.handleHead)
 	ep.OnCall(kindGetRange, func(from string, payload []byte) ([]byte, error) {
 		var req rangeReq
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return nil, err
+		}
+		r.mu.Lock()
+		hold, entered := r.hold, r.entered
+		r.mu.Unlock()
+		if hold != nil {
+			entered <- struct{}{}
+			<-hold
 		}
 		raw, err := r.src.handleGetRange(from, payload)
 		if err != nil {
@@ -107,16 +121,31 @@ func (r *pullRig) extend(t *testing.T, parent crypto.Digest, n int, alice *crypt
 	return out
 }
 
+// holdPulls parks every range call from now on; the returned release lets
+// them (and later ones) through. Each parked call is announced on r.entered.
+func (r *pullRig) holdPulls() (release func()) {
+	hold := make(chan struct{})
+	r.mu.Lock()
+	r.hold, r.entered = hold, make(chan struct{}, 16)
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.hold = nil
+		r.mu.Unlock()
+		close(hold)
+	}
+}
+
 func (r *pullRig) windows() (asked, served []int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]int(nil), r.asked...), append([]int(nil), r.served...)
 }
 
-// TestOrphanPullFetchesOnlyTheGap: block h+1 overtakes block h on the way to
-// a node at h-1 (netsim delivers every frame on its own goroutine, so this
-// is about one block in four under load). The pull must cost one call for
-// one block, not a SyncBatch window of blocks the node already holds.
+// TestOrphanPullFetchesOnlyTheGap: block h never reaches a node at h-1 (a
+// lost frame, a full import queue), block h+1 does. The pull must cost one
+// call for one block, not a SyncBatch window of blocks the node already
+// holds.
 func TestOrphanPullFetchesOnlyTheGap(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{})

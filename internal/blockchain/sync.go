@@ -195,7 +195,17 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]*
 // window doubles, so a fork that attaches deeper than that is still reached
 // in O(log depth) calls. SyncBatch caps every window. A wrong claim only
 // costs round-trips: what attaches is decided by hashes.
+//
+// One pull runs per node at a time. A caller that waited finds, as anybody
+// does, what the pull before it left behind: the loop's first statement
+// asks whether the cursor is attached by now.
 func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64, pending []*Block) error {
+	select {
+	case n.pulling <- struct{}{}:
+		defer func() { <-n.pulling }()
+	case <-n.stop:
+		return ErrStopped
+	}
 	window := 1
 	if local := n.chain.Height(); cursorHeight > local {
 		window = int(min(cursorHeight-local, uint64(n.cfg.SyncBatch)))
@@ -224,9 +234,15 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 		window = min(2*window, n.cfg.SyncBatch)
 	}
 	// Apply oldest-first; each block passes the normal AddBlock validation.
+	// A block that arrived by another route meanwhile is known: it was
+	// counted and relayed where it was inserted.
+	inserted := make([]*Block, 0, len(pending))
+	defer func() { n.afterAccept(peer, inserted...) }()
 	for i := len(pending) - 1; i >= 0; i-- {
-		err := n.chain.AddBlock(pending[i])
-		if err != nil && !errors.Is(err, ErrKnownBlock) {
+		switch err := n.chain.AddBlock(pending[i]); {
+		case err == nil:
+			inserted = append(inserted, pending[i])
+		case !errors.Is(err, ErrKnownBlock):
 			n.rejected.Inc()
 			return fmt.Errorf("blockchain: apply synced block %s: %w", pending[i].Hash().Short(), err)
 		}
@@ -235,13 +251,11 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 }
 
 // resolveOrphans pulls the missing ancestors of orphan b from the peer that
-// gossiped it and applies the branch. Returns true if b was accepted.
-func (n *Node) resolveOrphans(b *Block, peer string) bool {
-	if err := n.pullBranch(peer, b.Header.PrevHash, b.Header.Height-1, []*Block{b}); err != nil {
-		return false
+// gossiped it and applies the branch, b last.
+func (n *Node) resolveOrphans(b *Block, peer string) {
+	if err := n.pullBranch(peer, b.Header.PrevHash, b.Header.Height-1, []*Block{b}); err == nil {
+		n.orphans.Inc()
 	}
-	n.orphans.Inc()
-	return true
 }
 
 // fetchHead asks peer for its best-chain tip.

@@ -13,8 +13,14 @@
 //
 // Two delivery modes are supported:
 //
-//   - Asynchronous (default): each message is delivered on its own goroutine
-//     after the sampled latency, exercising real concurrency.
+//   - Asynchronous (default): every directed link (sender, receiver) is an
+//     ordered queue, like one TCP connection. A frame is due its sampled
+//     latency after it was sent and is delivered at the later of that and
+//     the previous frame's delivery: jitter delays, it never reorders.
+//     One-way messages and call replies are handed to the receiving endpoint
+//     one at a time in send order; each call request runs its handler on its
+//     own goroutine, started in order, because call handlers may call back
+//     over the link they arrived on. Different links deliver concurrently.
 //   - Synchronous: messages are delivered inline on the sender's goroutine
 //     with zero latency, giving deterministic unit tests.
 //
@@ -27,8 +33,9 @@
 // that inject faults or adversarial behaviour (internal/attack, the chaos
 // campaign, partition drills) MUST pin an explicit Seed so that failures
 // replay: goroutine scheduling still varies between runs, but the network
-// itself never adds unseeded nondeterminism. Seed 0 is a valid pin (it is
-// a fixed default stream, not a time-derived one).
+// itself never adds unseeded nondeterminism, and delivery order on a link
+// is send order, not scheduler order. Seed 0 is a valid pin (it is a fixed
+// default stream, not a time-derived one).
 package netsim
 
 import (
@@ -66,13 +73,22 @@ var (
 type Message = transport.Message
 
 // envelope is a Message plus the private wire fields of the simulator's
-// request/response machinery.
+// request/response machinery. One is allocated per frame at send and never
+// written again, so the delivery path hands the pointer on: a delivery
+// goroutine starts on a minimal stack, and an envelope copied into every
+// frame below the handler makes each one grow it sooner and copy more.
 type envelope struct {
 	Message
 	corrID  uint64
 	isReply bool
 	callErr string
+	// due is when the frame may be delivered. Zero means no latency: it is
+	// delivered as soon as its link reaches it, without a timer.
+	due time.Time
 }
+
+// isRequest reports whether the envelope is the request half of a Call.
+func (m *envelope) isRequest() bool { return m.corrID != 0 && !m.isReply }
 
 // Config controls network behaviour.
 type Config struct {
@@ -156,12 +172,12 @@ func (n *Network) Register(addr string) (transport.Endpoint, error) {
 		return nil, fmt.Errorf("netsim: register %q: %w", addr, ErrAddressInUse)
 	}
 	ep := &Endpoint{
-		net:      n,
-		addr:     addr,
-		msgH:     make(map[string]func(from string, payload []byte)),
-		callH:    make(map[string]func(from string, payload []byte) ([]byte, error)),
-		pending:  make(map[uint64]chan envelope),
-		defaultH: nil,
+		net:     n,
+		addr:    addr,
+		msgH:    make(map[string]func(from string, payload []byte)),
+		callH:   make(map[string]func(from string, payload []byte) ([]byte, error)),
+		pending: make(map[uint64]chan *envelope),
+		out:     make(map[string]*link),
 	}
 	n.state.endpoints[addr] = ep
 	return ep, nil
@@ -275,7 +291,7 @@ func (n *Network) route(src, dst string, size int) (latency time.Duration, drop 
 }
 
 // deliver performs the actual handoff to the destination endpoint.
-func (n *Network) deliver(msg envelope) {
+func (n *Network) deliver(msg *envelope) {
 	n.state.Lock()
 	ep, ok := n.state.endpoints[msg.To]
 	n.state.Unlock()
@@ -291,8 +307,104 @@ func (n *Network) deliver(msg envelope) {
 	ep.dispatch(msg)
 }
 
-// send schedules a message for delivery, respecting faults and latency.
-func (n *Network) send(msg envelope) error {
+// link is the ordered delivery queue of one directed (sender, receiver)
+// pair. At most one drain goroutine runs per link, and only while the queue
+// is non-empty.
+type link struct {
+	mu       sync.Mutex
+	queue    []*envelope // queue[head:] is waiting, oldest first
+	head     int
+	draining bool
+}
+
+// push appends msg and reports whether the caller must start the drainer.
+func (l *link) push(msg *envelope) (start bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head > len(l.queue)/2 && len(l.queue) == cap(l.queue) {
+		// Reclaim the delivered prefix before growing, so a link that is
+		// never empty does not keep a slot for every frame it ever carried.
+		k := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[k:])
+		l.queue, l.head = l.queue[:k], 0
+	}
+	l.queue = append(l.queue, msg)
+	start = !l.draining
+	l.draining = true
+	return start
+}
+
+// peek returns the oldest waiting frame, or clears draining when there is
+// none (the drainer must then exit).
+func (l *link) peek() (*envelope, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head == len(l.queue) {
+		l.draining = false
+		return nil, false
+	}
+	return l.queue[l.head], true
+}
+
+// pop removes the frame peek returned. With release set and nothing else
+// waiting it also clears draining, handing the link to the next sender's
+// drainer: the caller is about to run a call handler on this goroutine.
+func (l *link) pop(release bool) (released bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.queue[l.head] = nil
+	l.head++
+	if l.head < len(l.queue) {
+		return false
+	}
+	l.queue, l.head = l.queue[:0], 0
+	if release {
+		l.draining = false
+	}
+	return release
+}
+
+// drain delivers the link's frames in send order until none is waiting.
+func (n *Network) drain(l *link) {
+	defer n.wg.Done()
+	for {
+		msg, ok := l.peek()
+		if !ok {
+			return
+		}
+		if !msg.due.IsZero() {
+			if wait := msg.due.Sub(n.clk.Now()); wait > 0 {
+				n.clk.Sleep(wait)
+			}
+		}
+		if !msg.isRequest() {
+			l.pop(false)
+			n.deliver(msg)
+			continue
+		}
+		// A call request: its handler may block, or call back over this
+		// very link, so it cannot hold the queue. On an otherwise idle link
+		// this goroutine stops being the drainer and runs the handler
+		// itself, so a lone call costs one goroutine, not two.
+		if l.pop(true) {
+			n.deliver(msg)
+			return
+		}
+		n.wg.Add(1)
+		go n.deliverCall(msg)
+	}
+}
+
+// deliverCall delivers one call request on its own goroutine.
+func (n *Network) deliverCall(msg *envelope) {
+	defer n.wg.Done()
+	n.deliver(msg)
+}
+
+// send schedules a message from e for delivery, respecting faults, latency
+// and the order of e's earlier frames to the same destination.
+func (e *Endpoint) send(msg *envelope) error {
+	n := e.net
 	n.sent.Inc()
 	n.bytes.Add(int64(len(msg.Payload)))
 	latency, drop, err := n.route(msg.From, msg.To, len(msg.Payload))
@@ -307,14 +419,14 @@ func (n *Network) send(msg envelope) error {
 		n.deliver(msg)
 		return nil
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		if latency > 0 {
-			n.clk.Sleep(latency)
-		}
-		n.deliver(msg)
-	}()
+	if latency > 0 {
+		msg.due = n.clk.Now().Add(latency)
+	}
+	l := e.linkTo(msg.To)
+	if l.push(msg) {
+		n.wg.Add(1)
+		go n.drain(l)
+	}
 	return nil
 }
 
@@ -328,7 +440,8 @@ type Endpoint struct {
 	msgH     map[string]func(from string, payload []byte)
 	callH    map[string]func(from string, payload []byte) ([]byte, error)
 	defaultH func(msg Message)
-	pending  map[uint64]chan envelope
+	pending  map[uint64]chan *envelope
+	out      map[string]*link // outbound links by destination address
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -366,12 +479,30 @@ func (e *Endpoint) Restart() { e.crashed.Store(false) }
 
 func (e *Endpoint) isCrashed() bool { return e.crashed.Load() }
 
+// linkTo returns e's outbound link to the given address, creating it on
+// first use.
+func (e *Endpoint) linkTo(to string) *link {
+	e.mu.RLock()
+	l := e.out[to]
+	e.mu.RUnlock()
+	if l != nil {
+		return l
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if l = e.out[to]; l == nil {
+		l = &link{}
+		e.out[to] = l
+	}
+	return l
+}
+
 // Send transmits a one-way message. Loss is silent by design.
 func (e *Endpoint) Send(to, kind string, payload []byte) error {
 	if e.isCrashed() {
 		return ErrCrashed
 	}
-	return e.net.send(envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}})
+	return e.send(&envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}})
 }
 
 // Broadcast sends the message to every registered address except the sender
@@ -398,7 +529,7 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 		return nil, ErrCrashed
 	}
 	corr := e.net.corr.Add(1)
-	ch := make(chan envelope, 1)
+	ch := make(chan *envelope, 1)
 	e.mu.Lock()
 	e.pending[corr] = ch
 	e.mu.Unlock()
@@ -408,8 +539,8 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 		e.mu.Unlock()
 	}()
 
-	msg := envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}, corrID: corr}
-	if err := e.net.send(msg); err != nil {
+	msg := &envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}, corrID: corr}
+	if err := e.send(msg); err != nil {
 		return nil, err
 	}
 	select {
@@ -423,8 +554,10 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 	}
 }
 
-// dispatch runs on the delivery goroutine.
-func (e *Endpoint) dispatch(msg envelope) {
+// dispatch hands msg to this endpoint: on the link's drain goroutine for
+// one-way messages and replies, on the request's own goroutine for calls,
+// on the sender's goroutine in Synchronous mode.
+func (e *Endpoint) dispatch(msg *envelope) {
 	if msg.isReply {
 		e.mu.RLock()
 		ch, ok := e.pending[msg.corrID]
@@ -442,7 +575,7 @@ func (e *Endpoint) dispatch(msg envelope) {
 		e.mu.RLock()
 		fn, ok := e.callH[msg.Kind]
 		e.mu.RUnlock()
-		reply := envelope{
+		reply := &envelope{
 			Message: Message{From: e.addr, To: msg.From, Kind: msg.Kind},
 			corrID:  msg.corrID, isReply: true,
 		}
@@ -457,7 +590,7 @@ func (e *Endpoint) dispatch(msg envelope) {
 			}
 		}
 		// Replies travel the same faulty network.
-		_ = e.net.send(reply)
+		_ = e.send(reply)
 		return
 	}
 	e.mu.RLock()

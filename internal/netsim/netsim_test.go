@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,5 +352,129 @@ func TestStatsBytes(t *testing.T) {
 	_ = a.Send("b", "m", make([]byte, 100))
 	if st := n.Stats(); st.Bytes != 100 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// The tests below pin the per-link delivery queue: send order on a link
+// whatever the jitter, latency as a floor, and the same per-frame fault
+// rules as before (partition decided at send, crash at delivery).
+
+func TestLinkDeliversInSendOrderUnderJitter(t *testing.T) {
+	const base, frames = 200 * time.Microsecond, 500
+	n := New(Config{BaseLatency: base, Jitter: 2 * time.Millisecond, Seed: 11})
+	a, _ := n.Register("a")
+	b, _ := n.Register("b")
+	sent := make([]time.Time, frames)
+	var handled int
+	var misordered, early []int
+	b.OnMessage("m", func(_ string, payload []byte) {
+		// One frame at a time: the handler needs no lock of its own.
+		i := int(payload[0])<<8 | int(payload[1])
+		if i != handled {
+			misordered = append(misordered, i)
+		}
+		if time.Since(sent[i]) < base {
+			early = append(early, i)
+		}
+		handled++
+	})
+	for i := 0; i < frames; i++ {
+		sent[i] = time.Now()
+		if err := a.Send("b", "m", []byte{byte(i >> 8), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Close() // waits for queued frames
+	if handled != frames {
+		t.Fatalf("handled %d of %d frames", handled, frames)
+	}
+	if len(misordered) > 0 {
+		t.Fatalf("%d frames handled out of send order, first %d", len(misordered), misordered[0])
+	}
+	if len(early) > 0 {
+		t.Fatalf("%d frames delivered before BaseLatency had passed, first %d", len(early), early[0])
+	}
+}
+
+func TestLinksDoNotWaitForEachOther(t *testing.T) {
+	n := New(Config{Seed: 12})
+	defer n.Close()
+	a, _ := n.Register("a")
+	b, _ := n.Register("b")
+	c, _ := n.Register("c")
+	release := make(chan struct{})
+	got := make(chan string, 2)
+	b.OnMessage("m", func(from string, _ []byte) {
+		if from == "a" {
+			<-release
+		}
+		got <- from
+	})
+	_ = a.Send("b", "m", nil)
+	_ = c.Send("b", "m", nil)
+	select {
+	case from := <-got:
+		if from != "c" {
+			t.Fatalf("handled %q first, want c", from)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("c->b waited for a->b's handler")
+	}
+	close(release)
+	<-got
+}
+
+func TestQueuedFramesAcrossPartitionAndCrash(t *testing.T) {
+	n := New(Config{BaseLatency: 20 * time.Millisecond, Seed: 13})
+	a, _ := n.Register("a")
+	b, _ := n.Register("b")
+	c, _ := n.Register("c")
+	var bGot, cGot atomic.Int64
+	b.OnMessage("m", func(string, []byte) { bGot.Add(1) })
+	c.OnMessage("m", func(string, []byte) { cGot.Add(1) })
+	for i := 0; i < 5; i++ {
+		_ = a.Send("b", "m", nil)
+		_ = a.Send("c", "m", nil)
+	}
+	// The partition is decided at send, the crash at delivery: frames
+	// already on the a->b link still arrive, frames on a->c meet a crashed
+	// endpoint and are dropped.
+	n.Partition([]string{"a"}, []string{"b"})
+	c.Crash()
+	_ = a.Send("b", "m", nil) // sent into the partition: lost
+	n.Close()
+	if got := bGot.Load(); got != 5 {
+		t.Fatalf("b handled %d frames queued before the partition, want 5", got)
+	}
+	if got := cGot.Load(); got != 0 {
+		t.Fatalf("crashed c handled %d queued frames, want 0", got)
+	}
+	if st := n.Stats(); st.Dropped != 6 || st.Delivered != 5 {
+		t.Fatalf("stats = %+v, want 6 dropped (5 at the crashed endpoint, 1 at the partition) and 5 delivered", st)
+	}
+}
+
+func TestIdleLinkKeepsNoGoroutine(t *testing.T) {
+	n := New(Config{BaseLatency: time.Millisecond, Seed: 14})
+	defer n.Close()
+	a, _ := n.Register("a")
+	b, _ := n.Register("b")
+	var got atomic.Int64
+	b.OnMessage("m", func(string, []byte) { got.Add(1) })
+	b.OnCall("c", func(string, []byte) ([]byte, error) { return nil, nil })
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		_ = a.Send("b", "m", nil)
+	}
+	if _, err := a.Call(context.Background(), "b", "c", nil); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for got.Load() != 50 || runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("handled %d of 50, %d goroutines against %d before the traffic",
+				got.Load(), runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -12,10 +12,11 @@
 // in-process without touching a socket.
 //
 // Delivery semantics match netsim (pinned by the transporttest conformance
-// suite): one-way loss is silent, Call correlates request/response and
-// honours ctx cancellation mid-flight, crashed endpoints drop traffic both
-// ways, and remote handler errors keep their ErrNoHandler/ErrDropped
-// sentinel identity across the wire.
+// suite): one-way loss is silent, one-way messages that cross a socket are
+// handled in send order, Call correlates request/response and honours ctx
+// cancellation mid-flight, crashed endpoints drop traffic both ways, and
+// remote handler errors keep their ErrNoHandler/ErrDropped sentinel identity
+// across the wire.
 package tcp
 
 import (
@@ -451,9 +452,27 @@ func (t *Transport) connDead(node string, conn net.Conn) {
 	}
 }
 
-// readLoop dispatches frames arriving on conn until it fails.
+// readLoop dispatches frames arriving on conn until it fails. One-way
+// messages go through one dispatcher goroutine per connection, so they reach
+// their handlers one at a time in the order the peer sent them (the
+// transport.Endpoint delivery contract); replies complete their Call inline;
+// each call request gets its own goroutine, because call handlers may block
+// or call back over this connection.
 func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 	defer t.connDead(node, conn)
+	// Deep enough that one slow handler run does not hold up the replies
+	// and calls read after it. A handler that stays behind fills it, the
+	// read stalls, and TCP flow control pushes the backlog to the sender's
+	// write queue, which is where a congested link drops.
+	msgs := make(chan frame, 256)
+	defer close(msgs)
+	t.wg.Add(1) // the caller holds a count for readLoop, so this cannot race Close's Wait
+	go func() {
+		defer t.wg.Done()
+		for f := range msgs {
+			t.dispatch(f, node)
+		}
+	}()
 	for {
 		f, err := readFrame(r)
 		if err != nil {
@@ -470,7 +489,14 @@ func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 			t.learnAddrs(f.from, []string{f.kind})
 		case fAddrDel:
 			t.forgetAddr(f.from, f.kind)
-		case fMsg, fCall:
+		case fMsg:
+			select {
+			case msgs <- f:
+			case <-t.stop:
+				conn.Close()
+				return
+			}
+		case fCall:
 			t.mu.Lock()
 			closed := t.closed
 			if !closed {
@@ -481,9 +507,6 @@ func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 				conn.Close()
 				return
 			}
-			// Each message gets its own goroutine, like netsim's async
-			// delivery: handlers may block or call back without wedging
-			// the connection.
 			go func(f frame) {
 				defer t.wg.Done()
 				t.dispatch(f, node)
@@ -579,8 +602,9 @@ func (t *Transport) send(f frame) error {
 	t.sent.Inc()
 	t.bytes.Add(int64(len(f.payload)))
 	if isLocal {
-		// Loopback delivery: stay off the socket but keep netsim's
-		// one-goroutine-per-delivery asynchrony.
+		// Loopback delivery: stay off the socket, one goroutine per frame.
+		// The ordering contract is kept only for frames that cross a
+		// socket; no chain peer is local to its own transport.
 		go func() {
 			defer t.wg.Done()
 			t.dispatch(f, "")

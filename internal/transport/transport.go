@@ -66,6 +66,16 @@ type Stats struct {
 // Endpoint is one addressable participant on a transport. Implementations
 // must be safe for concurrent use: handlers may be invoked concurrently
 // with each other and with outbound operations.
+//
+// Delivery contract. One-way messages from one endpoint to another are
+// handed to the receiver's handler one at a time, in the order they were
+// sent: a link delays and loses frames, it does not reorder them. Messages
+// from different senders, and call handlers, run concurrently. Because the
+// next frame of a link waits for the handler of the one before it, an
+// OnMessage or OnDefault handler must not wait on a Call over the link its
+// message arrived on (the reply would queue behind the handler itself);
+// hand such work to another goroutine. An OnCall handler may: each request
+// runs on its own goroutine.
 type Endpoint interface {
 	// Addr returns the endpoint's logical address.
 	Addr() string

@@ -9,6 +9,7 @@ package transporttest
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,6 +39,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("OnDefault", func(t *testing.T) { testOnDefault(t, factory) })
 	t.Run("RegisterSemantics", func(t *testing.T) { testRegisterSemantics(t, factory) })
 	t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, factory) })
+	t.Run("OrderedDelivery", func(t *testing.T) { testOrderedDelivery(t, factory) })
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
@@ -360,4 +362,94 @@ func testConcurrent(t *testing.T, factory Factory) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return received.Load() == sent.Load() },
 		fmt.Sprintf("all %d one-way messages delivered", sent.Load()))
+}
+
+// testOrderedDelivery pins the delivery contract in transport.Endpoint's
+// doc. The three endpoints sit on different transports of the universe, so
+// on a multi-process backend every frame here crosses a socket: delivery
+// between two endpoints hosted by one tcp.Transport is in-process and makes
+// no ordering promise (no chain peer is local to its own transport).
+func testOrderedDelivery(t *testing.T, factory Factory) {
+	ts := factory(t, 3)
+	a := register(t, ts, 0, "a")
+	b := register(t, ts, 1%len(ts), "b")
+	c := register(t, ts, 2%len(ts), "c")
+
+	// One-way frames a->b reach the handler one at a time, in send order.
+	const frames = 2000
+	var handled, firstBad atomic.Int64
+	firstBad.Store(-1)
+	b.OnMessage("seq", func(_ string, payload []byte) {
+		want := handled.Load()
+		if got := int64(binary.BigEndian.Uint32(payload)); got != want {
+			firstBad.CompareAndSwap(-1, want)
+		}
+		handled.Add(1)
+	})
+	for i := 0; i < frames; i++ {
+		if err := a.Send("b", "seq", binary.BigEndian.AppendUint32(nil, uint32(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return handled.Load() == frames },
+		fmt.Sprintf("all %d numbered frames handled", frames))
+	if at := firstBad.Load(); at >= 0 {
+		t.Fatalf("frames a->b handled out of send order, first at position %d", at)
+	}
+
+	// A handler stuck on a's frame holds back a's next frame, not c's.
+	entered, release := make(chan struct{}), make(chan struct{})
+	got := make(chan string, 3)
+	b.OnMessage("gate", func(from string, payload []byte) {
+		if from == "a" && len(payload) == 0 {
+			close(entered)
+			<-release
+		}
+		got <- from + string(payload)
+	})
+	for _, payload := range []string{"", "-second"} {
+		if err := a.Send("b", "gate", []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow handler never entered")
+	}
+	if err := c.Send("b", "gate", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case from := <-got:
+		if from != "c" {
+			t.Fatalf("handled %q while a's first frame was still in its handler", from)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("c->b delivery waited for the slow handler of a->b")
+	}
+	close(release)
+	for _, want := range []string{"a", "a-second"} {
+		select {
+		case from := <-got:
+			if from != want {
+				t.Fatalf("handled %q, want %q", from, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %q never handled after release", want)
+		}
+	}
+
+	// A call handler may call back over the link its request arrived on.
+	a.OnCall("inner", func(string, []byte) ([]byte, error) { return []byte("inner-ok"), nil })
+	b.OnCall("outer", func(from string, payload []byte) ([]byte, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return b.Call(ctx, from, "inner", payload)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if out, err := a.Call(ctx, "b", "outer", nil); err != nil || string(out) != "inner-ok" {
+		t.Fatalf("nested call = %q, %v", out, err)
+	}
 }
