@@ -27,6 +27,10 @@ type UpdateOptions = pap.UpdateOptions
 // PolicyActivation is one entry of the on-chain activation history.
 type PolicyActivation = core.PolicyActivation
 
+// PolicyEvent is one staged/activated/rejected transition of the local
+// policy lifecycle (see Deployment.OnPolicyEvent).
+type PolicyEvent = pap.Event
+
 // Admin is the runtime policy administration handle of a deployment: it
 // signs on-chain PolicyUpdate transactions with the federation's PAP
 // identity and observes the local rollout. Obtain one per administering
@@ -112,8 +116,8 @@ type PolicyStats struct {
 	// unconditional startup Sync is not counted).
 	EventsDropped int64
 	Resyncs       int64
-	// CachePurges counts decision-cache purges (one per hot reload; 0
-	// with the cache disabled).
+	// CachePurges counts decision-cache purges (one per hot reload; 0 on
+	// a member without the PDP).
 	CachePurges int64
 }
 
@@ -130,8 +134,10 @@ func (d *Deployment) PolicyStats() PolicyStats {
 		EventsDropped: st.EventsDropped,
 		Resyncs:       st.Resyncs,
 	}
-	if c := d.PDP.Cache(); c != nil {
-		out.CachePurges = c.Stats().Purges
+	if d.PDP != nil {
+		if c := d.PDP.Cache(); c != nil {
+			out.CachePurges = c.Stats().Purges
+		}
 	}
 	return out
 }

@@ -8,12 +8,13 @@
 //	drams-node [-nodes 3] [-difficulty 10] [-height 30] [-latency 2ms]
 //
 // Daemon mode (-listen): one real federation process over the TCP
-// transport. Each process hosts the chain node, Logging Interface and
-// probing agent of one tenant; the infrastructure tenant's process also
-// hosts the PDP, publishes the policy on-chain, and runs the monitor and
-// analyser. Edge tenant processes host a PEP and (with -requests) drive
-// end-to-end access decisions against the remote PDP. A 3-process loopback
-// federation:
+// transport — a drams.OpenMember of one tenant's cloud, the same assembly
+// an in-process drams.Open runs for every cloud. Each process hosts the
+// chain node, Logging Interface and probing agent of one tenant; the
+// infrastructure tenant's process also hosts the PDP, publishes the policy
+// on-chain, and runs the monitor and analyser. Edge tenant processes host a
+// PEP and (with -requests) drive end-to-end access decisions against the
+// remote PDP. A 3-process loopback federation:
 //
 //	drams-node -listen 127.0.0.1:19701 -tenant infrastructure \
 //	    -federation tenant-1,tenant-2
@@ -29,16 +30,14 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints, served only behind -pprof-addr
 	"os"
 	"os/signal"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -47,18 +46,12 @@ import (
 	"drams"
 	"drams/internal/attack"
 	"drams/internal/blockchain"
-	"drams/internal/clock"
 	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/federation"
-	"drams/internal/idgen"
-	"drams/internal/logger"
-	"drams/internal/metrics"
 	"drams/internal/netsim"
-	"drams/internal/obs"
 	"drams/internal/pap"
-	"drams/internal/store"
 	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
 )
@@ -96,7 +89,6 @@ func run() error {
 	policyAtHeight := flag.Uint64("policy-at-height", 0, "daemon: wait for this local chain height before pushing -policy-file (0 = push immediately)")
 	policyDelta := flag.Uint64("policy-delta", 5, "daemon: activation delay of the -policy-file update, in blocks after submission")
 	printPolicy := flag.String("print-policy", "", "print a built-in policy set as JSON and exit: standard:<version> or restricted:<version>")
-	flushWindow := flag.Int("log-flush-window", 16, "daemon: max probe records per Merkle-anchored LI batch transaction (1 disables batching)")
 	pprofAddr := flag.String("pprof-addr", "", "daemon: serve net/http/pprof on this host:port (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "daemon: serve /metrics, /healthz, /readyz (and /debug/pprof/) on this host:port (empty disables)")
 	catchupDelay := flag.Duration("catchup-delay", 0, "daemon: hold the initial chain catch-up for this long after startup (keeps /readyz at 503 long enough for black-box readiness checks)")
@@ -130,7 +122,6 @@ func run() error {
 			policyFile:     *policyFile,
 			policyAtHeight: *policyAtHeight,
 			policyDelta:    *policyDelta,
-			flushWindow:    *flushWindow,
 			pprofAddr:      *pprofAddr,
 			metricsAddr:    *metricsAddr,
 			catchupDelay:   *catchupDelay,
@@ -208,11 +199,6 @@ type daemonConfig struct {
 	timeoutBlocks  uint64
 	requireVerdict bool
 
-	// flushWindow caps records per Merkle-anchored LI batch transaction
-	// (1 disables batching). Local policy, not consensus: honest replicas
-	// accept both plain and batched log transactions.
-	flushWindow int
-
 	// pprofAddr, when set, serves net/http/pprof on that address.
 	pprofAddr string
 
@@ -229,36 +215,56 @@ type daemonConfig struct {
 	catchupDelay time.Duration
 }
 
-// startupGate registers the "startup" readiness check, failing until the
-// returned function is called.
-func startupGate(health *obs.Health) (started func()) {
-	var up atomic.Bool
-	health.AddReady("startup", func() error {
-		if up.Load() {
-			return nil
-		}
-		return errors.New("components still starting")
-	})
-	return func() { up.Store(true) }
+// opsHandler is what the -metrics-addr listener serves. The listener is up
+// before the member is assembled (a large WAL replay must not hide
+// /healthz), so until the member's handler is swapped in it answers
+// /healthz itself and 503 to everything else — /readyz included. The swap
+// happens after the daemon has added its own gate to the member's, so the
+// real /readyz is unreachable before its last gate exists.
+type opsHandler struct{ member atomic.Pointer[http.Handler] }
+
+func (o *opsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := o.member.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
+	}
+	if r.URL.Path == "/healthz" {
+		_, _ = w.Write([]byte("ok\n"))
+		return
+	}
+	http.Error(w, "components still starting", http.StatusServiceUnavailable)
+}
+
+// memberTopology is the federation as the daemons see it: every tenant on a
+// cloud of its own name, so each process hosts one cloud and chain node
+// addresses are node@<tenant>.
+func memberTopology(tenants []string) *federation.Topology {
+	topo := &federation.Topology{Name: "federation"}
+	for _, t := range tenants {
+		topo.Clouds = append(topo.Clouds, federation.Cloud{Name: t, Section: t})
+		topo.Tenants = append(topo.Tenants, federation.Tenant{Name: t, Cloud: t, Infrastructure: t == infraTenant})
+	}
+	return topo
 }
 
 func runDaemon(cfg daemonConfig) error {
 	logf := func(format string, args ...any) {
 		fmt.Printf("[%s] %s\n", cfg.tenant, fmt.Sprintf(format, args...))
 	}
-	// Operations surface: one registry/tracer/health per process; the
-	// collectors are registered as each component comes up.
-	reg := metrics.NewRegistry()
-	gatherer := obs.NewGatherer(reg)
-	tracer := obs.NewTracer(reg, obs.DefaultTraceCapacity)
-	health := obs.NewHealth()
-	// Readiness is the AND of the registered checks, and an empty set is
-	// ready: hold /readyz at 503 from before the listener is up until the
-	// real gates (chain, policy-watcher, sync) are all in.
-	started := startupGate(health)
+	tenants := append(append([]string{}, cfg.edges...), infraTenant)
+	if !slices.Contains(tenants, cfg.tenant) {
+		return fmt.Errorf("tenant %q is not in the federation %v", cfg.tenant, tenants)
+	}
+	switch cfg.byzantine {
+	case "", "withhold", "mute-logs":
+	default:
+		return fmt.Errorf("unknown -byzantine mode %q (known: withhold, mute-logs)", cfg.byzantine)
+	}
+
+	ops := new(opsHandler)
 	if cfg.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/", obs.Handler(gatherer, health))
+		mux.Handle("/", ops)
 		// pprof shares the ops port: net/http/pprof registers on the
 		// default mux, which we mount under its canonical prefix.
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
@@ -277,33 +283,6 @@ func runDaemon(cfg daemonConfig) error {
 			}
 		}()
 	}
-	isInfra := cfg.tenant == infraTenant
-
-	tenants := append([]string{}, cfg.edges...)
-	tenants = append(tenants, infraTenant)
-	found := false
-	for _, t := range tenants {
-		if t == cfg.tenant {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("tenant %q is not in the federation %v", cfg.tenant, tenants)
-	}
-
-	// Deterministic federation-wide material: component identities, the
-	// shared LI key, the contract registry and the chain parameters — the
-	// exact derivation drams.New uses, so a drams.Open deployment with the
-	// same seed, tenant set and ChainParams can join this federation.
-	material := drams.NewChainMaterial(cfg.seed, tenants, drams.ChainParams{
-		Difficulty:     cfg.difficulty,
-		TimeoutBlocks:  cfg.timeoutBlocks,
-		RequireVerdict: cfg.requireVerdict,
-	})
-	liIDs := material.LIIdentities
-	analyserID, papID := material.AnalyserID, material.PAPID
-	key := material.Key
-	chainCfg := material.Chain
 
 	// The process's wire: a TCP transport on loopback or a real interface.
 	tr, err := tcp.New(tcp.Config{ListenAddr: cfg.listen, AdvertiseAddr: cfg.advertise, Peers: cfg.join})
@@ -312,172 +291,76 @@ func runDaemon(cfg daemonConfig) error {
 	}
 	defer tr.Close()
 	logf("listening on %s, peers %v", tr.Advertise(), cfg.join)
-	gatherer.Register(drams.TransportCollector(tr))
 
-	var nodePeers []string
-	for _, t := range tenants {
-		nodePeers = append(nodePeers, "node@"+t)
+	// One member of the federation every process describes with the same
+	// flags: identities, shared key and chain parameters derive from the
+	// seed and the whole tenant list, so the members' chains validate each
+	// other. A restart with the same -data-dir resumes its persisted chain.
+	isInfra := cfg.tenant == infraTenant
+	opts := []drams.Option{
+		drams.WithTopology(memberTopology(tenants)),
+		drams.WithTransport(tr),
+		drams.WithSeed(cfg.seed),
+		drams.WithDifficulty(cfg.difficulty),
+		drams.WithTimeoutBlocks(cfg.timeoutBlocks),
+		drams.WithEmptyBlockInterval(cfg.emptyBlock),
+		drams.WithDataDir(cfg.dataDir), // "" keeps the chain in memory
 	}
-	// Durable chain store: a process restarted with the same -data-dir
-	// re-validates its persisted chain and rejoins instead of starting a
-	// fresh genesis.
-	var chainStore *store.KV
-	if cfg.dataDir != "" {
-		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
-			return fmt.Errorf("data dir: %w", err)
-		}
-		chainStore, err = store.Open(filepath.Join(cfg.dataDir, "chain.wal"))
-		if err != nil {
-			return fmt.Errorf("open chain store: %w", err)
-		}
-		defer chainStore.Close()
+	if !cfg.requireVerdict {
+		opts = append(opts, drams.WithoutVerdicts())
 	}
-	node, err := blockchain.NewNode(blockchain.NodeConfig{
-		Name:               "node@" + cfg.tenant,
-		Chain:              chainCfg,
-		Network:            tr,
-		Peers:              nodePeers,
-		Mine:               isInfra || cfg.mine,
-		EmptyBlockInterval: cfg.emptyBlock,
-		Store:              chainStore,
-	})
-	if err != nil {
-		return err
+	if cfg.mine {
+		opts = append(opts, drams.WithMineAll())
 	}
-	defer node.Stop()
-	node.Start()
-	gatherer.Register(drams.NodeCollector(node.Name(), node))
-	health.AddReady("chain", drams.ChainReady(node))
-	muteLogs := false
-	switch cfg.byzantine {
-	case "":
-	case "withhold":
-		byz := attack.Byzantine(node)
-		go func() {
-			if cfg.byzantineAfter > 0 {
-				time.Sleep(cfg.byzantineAfter)
-			}
-			byz.WithholdGossip()
-			logf("BYZANTINE mode=withhold engaged: outbound block/tx gossip suppressed")
-		}()
-	case "mute-logs":
-		muteLogs = true // engaged below, once the probing agent exists
-	default:
-		return fmt.Errorf("unknown -byzantine mode %q (known: withhold, mute-logs)", cfg.byzantine)
-	}
-	if chainStore != nil {
-		st := node.Stats()
-		logf("restored chain height=%d (%d blocks reloaded, %d dropped from damaged tail)",
-			node.Chain().Height(), st.BlocksReloaded, st.ReloadDropped)
-	}
-
-	li, err := logger.NewLI(logger.LIConfig{
-		Name:        "li@" + cfg.tenant,
-		Tenant:      cfg.tenant,
-		Node:        node,
-		Identity:    liIDs[cfg.tenant],
-		Key:         key,
-		Mode:        logger.SubmitAsync,
-		FlushWindow: cfg.flushWindow,
-	})
-	if err != nil {
-		return err
-	}
-	li.Start()
-	defer li.Stop()
-	li.SetTracer(tracer)
-	gatherer.Register(drams.LICollector(cfg.tenant, li))
-	agent := logger.NewAgent("agent@"+cfg.tenant, cfg.tenant, li, clock.System{})
-	gatherer.Register(drams.AgentCollector(cfg.tenant, agent))
-	if muteLogs {
-		go func() {
-			if cfg.byzantineAfter > 0 {
-				time.Sleep(cfg.byzantineAfter)
-			}
-			agent.Mute(core.KindPEPResponse)
-			logf("BYZANTINE mode=mute-logs engaged: pep.response records suppressed")
-		}()
-	}
-
-	// Every process watches the chain-replicated policy lifecycle; the
-	// infrastructure process additionally hot-reloads its PDP/PRP and
-	// feeds the monitor.
-	var infra *infraPlane
+	var initial *xacml.PolicySet
 	if isInfra {
-		infra, err = newInfraPlane(tr, node, agent, analyserID, key, logf)
-		if err != nil {
-			return err
-		}
-		infra.pdpService.SetTracer(tracer)
-		infra.analyser.SetTracer(tracer)
-		infra.monitor.SetTracer(tracer)
-		gatherer.Register(drams.PDPCollector(infra.pdpService, infra.pdp))
-		gatherer.Register(drams.AnalyserCollector(infra.analyser))
-		gatherer.Register(drams.MonitorCollector(infra.monitor))
+		// Edges never see the policy itself, only its decisions.
+		initial = xacml.StandardPolicy("v1")
 	}
-	watcherCfg := pap.WatcherConfig{Node: node}
-	if infra != nil {
-		watcherCfg.PDP = infra.pdp
-		watcherCfg.PRP = infra.prp
+	dep, err := drams.OpenMember(initial, cfg.tenant, opts...)
+	if err != nil {
+		return err
 	}
-	watcherCfg.OnEvent = func(ev pap.Event) {
+	defer dep.Close()
+	node := dep.Nodes[cfg.tenant]
+	admin, err := dep.Admin(cfg.tenant)
+	if err != nil {
+		return err
+	}
+	boot := node.Stats()
+	restored := uint64(boot.BlocksReloaded) // one block per height
+	if cfg.dataDir != "" {
+		logf("restored chain height=%d (%d blocks reloaded, %d dropped from damaged tail)",
+			restored, restored, boot.ReloadDropped)
+	}
+
+	var seen atomic.Value // version of the last activation the handler logged
+	dep.OnPolicyEvent(func(ev drams.PolicyEvent) {
 		switch ev.Kind {
 		case pap.EventStaged:
 			logf("policy %s staged (digest %s, activates at height %d)", ev.Version, ev.Digest.Short(), ev.Height)
 		case pap.EventActivated:
+			seen.Store(ev.Version)
 			logf("policy %s activated at height %d digest %s", ev.Version, ev.Height, ev.Digest.Short())
 		case pap.EventRejected:
 			logf("policy %s REJECTED: %s", ev.Version, ev.Err)
 		}
-		if infra != nil {
-			infra.onPolicyEvent(ev)
+	})
+	// What the watcher applied while the member was opening (a restored
+	// chain's active version, the initial anchor) fired before the handler
+	// existed: report where that left the member, in the same format, unless
+	// the handler has logged that activation since.
+	if st := dep.PolicyStats(); st.Version != "" && seen.Load() != st.Version {
+		digest, _ := admin.PolicyDigest(st.Version)
+		logf("policy %s activated at height %d digest %s", st.Version, st.Height, digest.Short())
+		if isInfra && st.Height > restored {
+			logf("policy %s anchored on-chain and loaded", st.Version)
 		}
 	}
-	watcher, err := pap.NewWatcher(watcherCfg)
-	if err != nil {
-		return err
-	}
-	watcher.Start()
-	defer watcher.Stop()
-	gatherer.Register(drams.WatcherCollector(watcher))
-	health.AddReady("policy-watcher", drams.WatcherReady(node, watcher))
-
-	// The infrastructure process publishes the initial policy on-chain and
-	// waits for its own watcher to activate it — unless the chain restored
-	// from -data-dir already carries an active policy, which re-anchoring
-	// would downgrade fleet-wide.
-	if infra != nil {
-		activeVer := ""
-		node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-			activeVer, _, _ = core.ReadActivePolicy(st)
+	if dep.Monitor != nil {
+		dep.Monitor.OnAlert(func(a core.Alert) {
+			logf("ALERT type=%s req=%s tenant=%s", a.Type, a.ReqID, a.Tenant)
 		})
-		if activeVer != "" {
-			logf("restored chain already carries active policy %s; skipping initial anchor", activeVer)
-		} else {
-			admin := pap.NewAdmin(node, papID)
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			if _, err := admin.UpdatePolicy(ctx, infra.initial, pap.UpdateOptions{}); err != nil {
-				cancel()
-				return fmt.Errorf("anchor policy: %w", err)
-			}
-			if err := watcher.WaitForVersion(ctx, infra.initial.Version); err != nil {
-				cancel()
-				return err
-			}
-			cancel()
-			logf("policy %s anchored on-chain and loaded", infra.initial.Version)
-		}
-	}
-
-	var pep *federation.PEPService
-	if !isInfra {
-		pep, err = federation.NewPEPService(tr, cfg.tenant, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		pep.SetProbe(agent)
-		pep.SetTracer(tracer)
-		gatherer.Register(drams.PEPCollector(cfg.tenant, pep))
 	}
 
 	stopCh := make(chan os.Signal, 2)
@@ -489,6 +372,24 @@ func runDaemon(cfg daemonConfig) error {
 	done := make(chan struct{})
 	defer close(done)
 
+	if cfg.byzantine != "" {
+		go func() {
+			select {
+			case <-done:
+				return
+			case <-time.After(cfg.byzantineAfter):
+			}
+			switch cfg.byzantine {
+			case "withhold":
+				attack.Byzantine(node).WithholdGossip()
+				logf("BYZANTINE mode=withhold engaged: outbound block/tx gossip suppressed")
+			case "mute-logs":
+				dep.Agents[cfg.tenant].Mute(core.KindPEPResponse)
+				logf("BYZANTINE mode=mute-logs engaged: pep.response records suppressed")
+			}
+		}()
+	}
+
 	// Actively pull the chain suffix this process is missing (restart from
 	// -data-dir, late join) over batched bc.getrange calls instead of
 	// waiting for the next gossiped block to trigger orphan resolution.
@@ -496,7 +397,7 @@ func runDaemon(cfg daemonConfig) error {
 	// round completes, so a restarted member is drained while it rejoins.
 	synced := make(chan struct{})
 	if !(isInfra || cfg.mine) {
-		health.AddReady("sync", func() error {
+		dep.Health().AddReady("sync", func() error {
 			select {
 			case <-synced:
 				return nil
@@ -505,19 +406,28 @@ func runDaemon(cfg daemonConfig) error {
 			}
 		})
 	}
-	started()
+	member := dep.MetricsHandler()
+	ops.member.Store(&member)
+	var nodePeers []string
+	for _, t := range tenants {
+		nodePeers = append(nodePeers, "node@"+t)
+	}
 	go catchUp(node, nodePeers, cfg.catchupDelay, logf, done, synced)
 
 	// Any member can administer policies: push the -policy-file update
 	// once the local chain reaches the trigger height.
 	if cfg.policyFile != "" {
-		go pushPolicyFile(node, papID, watcher, cfg, logf, done)
+		go pushPolicyFile(node, admin, cfg, logf, done)
 	}
 
 	// Edge processes drive end-to-end decisions once the PDP is reachable
 	// (fire-and-forget: the daemon keeps serving until signalled/-run-for).
-	if pep != nil && (cfg.requests > 0 || cfg.requestEvery > 0) {
-		go driveRequests(pep, cfg, logf, done)
+	if !isInfra && (cfg.requests > 0 || cfg.requestEvery > 0) {
+		client, err := dep.Client(cfg.tenant)
+		if err != nil {
+			return err
+		}
+		go driveRequests(client, cfg, logf, done)
 	}
 
 	status := time.NewTicker(500 * time.Millisecond)
@@ -532,71 +442,17 @@ func runDaemon(cfg daemonConfig) error {
 				node.Chain().Height(), node.Chain().StateDigest().Short())
 			return nil
 		case <-status.C:
+			// Operators and smoke_federation.sh compare digests across
+			// processes by height: read again if the head moved between
+			// the two reads.
+			height, digest := node.Chain().Height(), node.Chain().StateDigest()
+			for h := node.Chain().Height(); h != height; h = node.Chain().Height() {
+				height, digest = h, node.Chain().StateDigest()
+			}
 			st := node.Stats()
 			logf("status height=%d digest=%s mined=%d accepted=%d",
-				node.Chain().Height(), node.Chain().StateDigest().Short(),
-				st.BlocksMined, st.BlocksAccepted)
+				height, digest.Short(), st.BlocksMined, st.BlocksAccepted)
 		}
-	}
-}
-
-// infraPlane bundles the infrastructure tenant's extras: the PDP service,
-// PRP, analyser and monitor, plus the initial policy to anchor.
-type infraPlane struct {
-	pdp        *xacml.PDP
-	pdpService *federation.PDPService
-	prp        *xacml.PRP
-	analyser   *core.Analyser
-	monitor    *core.Monitor
-	initial    *xacml.PolicySet
-	logf       func(string, ...any)
-}
-
-// newInfraPlane brings up the PDP service and the monitoring plane; the
-// policy itself is anchored on-chain by the caller through a pap.Admin and
-// applied by the process's watcher like on every other member.
-func newInfraPlane(tr *tcp.Transport, node *blockchain.Node, agent *logger.Agent,
-	analyserID *crypto.Identity, key crypto.Key,
-	logf func(string, ...any)) (*infraPlane, error) {
-	// The role-gated standard policy (canonical copy in xacml.StandardPolicy);
-	// edges never see the policy itself, only its decisions.
-	pdp := xacml.NewPDP(nil)
-	pdp.SetCache(xacml.NewDecisionCache(0))
-	pdpService, err := federation.NewPDPService(tr, pdp)
-	if err != nil {
-		return nil, err
-	}
-	pdpService.SetProbe(agent)
-
-	analyser, err := core.NewAnalyser("analyser", node, analyserID, key)
-	if err != nil {
-		return nil, err
-	}
-	analyser.Start()
-
-	monitor := core.NewMonitor(node, clock.System{})
-	monitor.OnAlert(func(a core.Alert) {
-		logf("ALERT type=%s req=%s tenant=%s", a.Type, a.ReqID, a.Tenant)
-	})
-	monitor.Start()
-	return &infraPlane{
-		pdp: pdp, pdpService: pdpService, prp: xacml.NewPRP(),
-		analyser: analyser, monitor: monitor,
-		initial: xacml.StandardPolicy("v1"), logf: logf,
-	}, nil
-}
-
-// onPolicyEvent keeps the analyser's compiled policy in step with the
-// watcher-applied activations and feeds rollout events into the monitor.
-func (ip *infraPlane) onPolicyEvent(ev pap.Event) {
-	if ev.Kind == pap.EventActivated {
-		if ps, err := ip.prp.Version(ev.Version); err == nil {
-			ip.analyser.LoadPolicy(ps)
-			_ = ip.analyser.VerifyPolicyAnchor()
-		}
-	}
-	if alert, ok := pap.MonitorEvent(ev); ok {
-		ip.monitor.PublishPolicyEvent(alert)
 	}
 }
 
@@ -637,9 +493,9 @@ func catchUp(node *blockchain.Node, peers []string, delay time.Duration, logf fu
 }
 
 // pushPolicyFile publishes the -policy-file update once the local chain
-// reaches the trigger height, then waits for the local flip.
-func pushPolicyFile(node *blockchain.Node, papID *crypto.Identity, watcher *pap.Watcher,
-	cfg daemonConfig, logf func(string, ...any), done <-chan struct{}) {
+// reaches the trigger height and waits for the local flip.
+func pushPolicyFile(node *blockchain.Node, admin *drams.Admin, cfg daemonConfig,
+	logf func(string, ...any), done <-chan struct{}) {
 	raw, err := os.ReadFile(cfg.policyFile)
 	if err != nil {
 		logf("policy push FAILED: %v", err)
@@ -657,39 +513,31 @@ func pushPolicyFile(node *blockchain.Node, papID *crypto.Identity, watcher *pap.
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-	admin := pap.NewAdmin(node, papID)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	prop, err := admin.UpdatePolicy(ctx, ps, pap.UpdateOptions{ActivateDelta: cfg.policyDelta})
-	if err != nil {
+	if err := admin.UpdatePolicy(ctx, ps, drams.UpdateOptions{ActivateDelta: cfg.policyDelta}); err != nil {
 		logf("policy push FAILED: %v", err)
 		return
 	}
-	logf("policy %s pushed (digest %s), fleet activates at height %d",
-		prop.Version, prop.Digest.Short(), prop.ActivateHeight)
-	if err := watcher.WaitForVersion(ctx, prop.Version); err != nil {
-		logf("policy push: local flip not observed: %v", err)
-	}
+	logf("policy %s pushed", ps.Version)
 }
 
-// driveRequests issues access decisions through the local PEP, retrying
+// driveRequests issues access decisions through the tenant's PEP, retrying
 // until the remote PDP is reachable and the policy is active. With
 // -request-every it keeps going until shutdown, logging each decision with
 // the policy version it was made under — the observable trace of a
 // fleet-wide policy flip.
-func driveRequests(pep *federation.PEPService, cfg daemonConfig, logf func(string, ...any), done <-chan struct{}) {
-	tenantDigest := crypto.SumAll([]byte(cfg.tenant))
-	ids := idgen.NewSeeded(cfg.seed ^ binary.BigEndian.Uint64(tenantDigest[:8]))
+func driveRequests(client *drams.Client, cfg daemonConfig, logf func(string, ...any), done <-chan struct{}) {
 	roles := []string{"doctor", "nurse", "intern"}
 	decideOnce := func(i int, retries int) bool {
 		role := roles[i%len(roles)]
-		req := xacml.NewRequest(ids.Next().String()).
+		req := client.NewRequest().
 			Add(xacml.CatSubject, "role", xacml.String(role)).
 			Add(xacml.CatAction, "op", xacml.String("read")).
 			Add(xacml.CatResource, "type", xacml.String("record"))
 		for attempt := 0; ; attempt++ {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			enf, err := pep.Decide(ctx, req)
+			enf, err := client.Decide(ctx, req)
 			cancel()
 			if err == nil {
 				logf("decision req=%s role=%s decision=%v policy=%s",

@@ -3,7 +3,8 @@
 // Monitoring for Access Control Systems in Cloud Federations" (Ferdous,
 // Margheri, Paci, Yang, Sassone — ICDCS 2017).
 //
-// A Deployment assembles the full Figure-1 architecture on one machine:
+// A Deployment assembles the full Figure-1 architecture on one machine (or,
+// with OpenMember, one cloud's slice of it per process):
 //
 //   - a FaaS federation topology (clouds, edge tenants, the infrastructure
 //     tenant) over a simulated network;
@@ -36,10 +37,13 @@ package drams
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"drams/internal/blockchain"
@@ -84,7 +88,9 @@ type Config struct {
 	// Topology describes the federation; defaults to two clouds with one
 	// edge tenant each plus the infrastructure tenant (Figure 1).
 	Topology *federation.Topology
-	// Policy is the initial access-control policy set (required).
+	// Policy is the initial access-control policy set. Required wherever the
+	// infrastructure tenant is hosted (always, unless OpenMember hosts an
+	// edge cloud).
 	Policy *xacml.PolicySet
 	// Difficulty is the PoW difficulty in leading-zero bits (default 8).
 	Difficulty uint8
@@ -97,9 +103,6 @@ type Config struct {
 	EmptyBlockInterval time.Duration
 	// SubmitMode is the LI submission mode (default async).
 	SubmitMode logger.SubmitMode
-	// LogFlushWindow caps how many probe records each LI anchors under one
-	// Merkle-rooted batch transaction (default 16; 1 disables batching).
-	LogFlushWindow int
 	// MonitorOff disables probes, analyser and monitor entirely — the
 	// baseline for overhead experiments.
 	MonitorOff bool
@@ -107,10 +110,6 @@ type Config struct {
 	NetLatency, NetJitter time.Duration
 	// Seed makes network behaviour and request IDs reproducible.
 	Seed uint64
-	// MaxTxPerBlock caps block size (default 256).
-	MaxTxPerBlock int
-	// PEPTimeout bounds a PEP's wait for the PDP (default 5s).
-	PEPTimeout time.Duration
 	// UseTPM seals the shared LI key in a per-tenant SoftTPM and unseals
 	// it at LI boot (the §III System Integrity mitigation).
 	UseTPM bool
@@ -147,11 +146,17 @@ type Config struct {
 	// the restored on-chain policy state — the initial Policy is only
 	// published when the chain has no active policy yet.
 	DataDir string
+
+	// local is the one cloud of Topology this process hosts ("" hosts them
+	// all). Set only by OpenMember.
+	local string
 }
+
+// hosts reports whether this process assembles the given cloud's slice.
+func (c *Config) hosts(cloud string) bool { return c.local == "" || c.local == cloud }
 
 // Deployment is a running DRAMS federation.
 type Deployment struct {
-	cfg      Config
 	topology *federation.Topology
 
 	// Transport is the wire backend everything runs on.
@@ -182,9 +187,13 @@ type Deployment struct {
 	tracer   *obs.Tracer
 	health   *obs.Health
 
+	// home is the process's node: the infrastructure cloud's where hosted,
+	// else the one local cloud's.
+	home       *blockchain.Node
 	papID      *crypto.Identity
 	papAdmin   *pap.Admin
 	watcher    *pap.Watcher
+	policyHook atomic.Pointer[func(PolicyEvent)]
 	ids        *idgen.Generator
 	registered []string    // endpoint addresses to release on Close (caller-owned transport)
 	stores     []*store.KV // per-node durable chain stores (DataDir mode)
@@ -205,22 +214,25 @@ func (d *Deployment) probeFor(tenant string) probe {
 	return d.Agents[tenant]
 }
 
-// New assembles and starts a deployment.
-func New(cfg Config) (*Deployment, error) {
-	if cfg.Policy == nil {
-		return nil, errors.New("drams: Config.Policy is required")
-	}
+// New assembles and starts the slice of the topology this process hosts:
+// per hosted cloud a chain node, per tenant on it a PEP, a probing agent and
+// a Logging Interface, and PDP/PRP/analyser/monitor where the infrastructure
+// tenant lives. Chain peers and the allowlist come from the whole topology,
+// so slices opened by different processes form one federation.
+func New(cfg Config) (_ *Deployment, err error) {
 	if cfg.Topology == nil {
 		cfg.Topology = federation.SimpleTopology("faas", 2)
 	}
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Difficulty == 0 {
-		cfg.Difficulty = 8
+	infra, err := cfg.Topology.InfrastructureTenant()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.TimeoutBlocks == 0 {
-		cfg.TimeoutBlocks = 5
+	hostsInfra := cfg.hosts(infra.Cloud)
+	if hostsInfra && cfg.Policy == nil {
+		return nil, errors.New("drams: Config.Policy is required")
 	}
 	if cfg.EmptyBlockInterval == 0 {
 		cfg.EmptyBlockInterval = 25 * time.Millisecond
@@ -228,12 +240,23 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.SubmitMode == 0 {
 		cfg.SubmitMode = logger.SubmitAsync
 	}
-	if cfg.MaxTxPerBlock == 0 {
-		cfg.MaxTxPerBlock = 256
+	var nodeNames []string
+	for _, c := range cfg.Topology.Clouds {
+		nodeNames = append(nodeNames, "node@"+c.Name)
+	}
+	idSeed := cfg.Seed + 1
+	if cfg.local != "" {
+		if !slices.Contains(nodeNames, "node@"+cfg.local) {
+			return nil, fmt.Errorf("drams: cloud %q is not in the topology", cfg.local)
+		}
+		// Members share the seed: salt the request-ID stream by the hosted
+		// cloud, or every slice mints the same IDs and the contract sees
+		// conflicting records for one request.
+		salt := crypto.SumAll([]byte(cfg.local))
+		idSeed ^= binary.BigEndian.Uint64(salt[:8])
 	}
 
 	d := &Deployment{
-		cfg:          cfg,
 		topology:     cfg.Topology,
 		Nodes:        make(map[string]*blockchain.Node),
 		PEPs:         make(map[string]*federation.PEPService),
@@ -241,7 +264,7 @@ func New(cfg Config) (*Deployment, error) {
 		Agents:       make(map[string]*logger.Agent),
 		RemoteAgents: make(map[string]*logger.RemoteAgent),
 		TPMs:         make(map[string]*crypto.SoftTPM),
-		ids:          idgen.NewSeeded(cfg.Seed + 1),
+		ids:          idgen.NewSeeded(idSeed),
 	}
 	d.initObservability()
 	switch {
@@ -264,56 +287,48 @@ func New(cfg Config) (*Deployment, error) {
 		d.Transport = d.Net
 		d.ownsTransport = true
 	}
+	defer func() {
+		if err != nil {
+			d.Close() // tear down what was assembled before the failure
+		}
+	}()
 	// Consensus material (identities, allowlist, shared key, contract
-	// registry, chain config) — derived through the same helper the
-	// drams-node daemon uses, so both construction paths agree.
+	// registry, chain config), derived from the whole topology.
 	var tenantNames []string
 	for _, ten := range d.topology.Tenants {
 		tenantNames = append(tenantNames, ten.Name)
 	}
 	material := NewChainMaterial(cfg.Seed, tenantNames, ChainParams{
 		Difficulty:     cfg.Difficulty,
-		MaxTxPerBlock:  cfg.MaxTxPerBlock,
 		TimeoutBlocks:  cfg.TimeoutBlocks,
 		RequireVerdict: !cfg.DisableVerdicts && !cfg.MonitorOff,
 	})
 	d.Key = material.Key
-	liIdentities := material.LIIdentities
-	analyserID, papID := material.AnalyserID, material.PAPID
-	chainCfg := material.Chain
+	d.papID = material.PAPID
 
-	infra, err := d.topology.InfrastructureTenant()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-
-	// One chain node per cloud. By default only the infrastructure
+	// One chain node per hosted cloud. By default only the infrastructure
 	// cloud's node mines (designated producer); every node validates.
-	var nodeNames []string
-	for _, c := range d.topology.Clouds {
-		nodeNames = append(nodeNames, "node@"+c.Name)
-	}
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			d.Close()
 			return nil, fmt.Errorf("drams: data dir: %w", err)
 		}
 	}
 	for _, c := range d.topology.Clouds {
+		if !cfg.hosts(c.Name) {
+			continue
+		}
 		var kv *store.KV
 		if cfg.DataDir != "" {
 			var err error
 			kv, err = store.Open(filepath.Join(cfg.DataDir, "chain-"+c.Name+".wal"))
 			if err != nil {
-				d.Close()
 				return nil, fmt.Errorf("drams: open chain store for %s: %w", c.Name, err)
 			}
 			d.stores = append(d.stores, kv)
 		}
 		node, err := blockchain.NewNode(blockchain.NodeConfig{
 			Name:               "node@" + c.Name,
-			Chain:              chainCfg,
+			Chain:              material.Chain,
 			Network:            d.Transport,
 			Peers:              nodeNames,
 			Mine:               cfg.MineAll || c.Name == infra.Cloud,
@@ -321,7 +336,6 @@ func New(cfg Config) (*Deployment, error) {
 			Store:              kv,
 		})
 		if err != nil {
-			d.Close()
 			return nil, err
 		}
 		d.Nodes[c.Name] = node
@@ -330,66 +344,72 @@ func New(cfg Config) (*Deployment, error) {
 	for _, node := range d.Nodes {
 		node.Start()
 	}
-	infraNode := d.Nodes[infra.Cloud]
+	// The process's node: the policy watcher, the PAP handle and the
+	// readiness gates hang off the infrastructure cloud's node where it is
+	// hosted, else off the one local node.
+	d.home = d.Nodes[infra.Cloud]
+	if !hostsInfra {
+		d.home = d.Nodes[cfg.local]
+	}
 
 	// Access-control plane.
-	d.PDP = xacml.NewPDP(nil)
-	d.PDP.SetCache(xacml.NewDecisionCache(0))
-	d.PRP = xacml.NewPRP()
-	d.PDPService, err = federation.NewPDPService(d.Transport, d.PDP)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.registered = append(d.registered, federation.PDPAddr)
-	for _, ten := range d.topology.EdgeTenants() {
-		pep, err := federation.NewPEPService(d.Transport, ten.Name, cfg.PEPTimeout)
+	if hostsInfra {
+		d.PDP = xacml.NewPDP(nil)
+		d.PDP.SetCache(xacml.NewDecisionCache(0))
+		d.PRP = xacml.NewPRP()
+		d.PDPService, err = federation.NewPDPService(d.Transport, d.PDP)
 		if err != nil {
-			d.Close()
+			return nil, err
+		}
+		d.registered = append(d.registered, federation.PDPAddr)
+	}
+	for _, ten := range d.topology.EdgeTenants() {
+		if !cfg.hosts(ten.Cloud) {
+			continue
+		}
+		pep, err := federation.NewPEPService(d.Transport, ten.Name, 0)
+		if err != nil {
 			return nil, err
 		}
 		d.PEPs[ten.Name] = pep
 		d.registered = append(d.registered, federation.PEPAddr(ten.Name))
 	}
 
-	d.papID = papID
-	d.papAdmin = pap.NewAdmin(infraNode, papID)
+	d.papAdmin = pap.NewAdmin(d.home, d.papID)
 
 	// Monitoring plane (unless disabled).
 	if !cfg.MonitorOff {
 		for _, ten := range d.topology.Tenants {
+			if !cfg.hosts(ten.Cloud) {
+				continue
+			}
 			key := d.Key
 			if cfg.UseTPM {
 				tpm, err := crypto.NewSoftTPM(ten.Name)
 				if err != nil {
-					d.Close()
 					return nil, err
 				}
 				// Measured boot of the LI component, then seal/unseal K.
 				if err := tpm.Extend(1, []byte("li-binary-v1")); err != nil {
-					d.Close()
 					return nil, err
 				}
 				handle := tpm.Seal(1<<1, key[:])
 				raw, err := tpm.Unseal(handle)
 				if err != nil {
-					d.Close()
 					return nil, fmt.Errorf("drams: TPM unseal for %s: %w", ten.Name, err)
 				}
 				copy(key[:], raw)
 				d.TPMs[ten.Name] = tpm
 			}
 			li, err := logger.NewLI(logger.LIConfig{
-				Name:        "li@" + ten.Name,
-				Tenant:      ten.Name,
-				Node:        d.Nodes[ten.Cloud],
-				Identity:    liIdentities[ten.Name],
-				Key:         key,
-				Mode:        cfg.SubmitMode,
-				FlushWindow: cfg.LogFlushWindow,
+				Name:     "li@" + ten.Name,
+				Tenant:   ten.Name,
+				Node:     d.Nodes[ten.Cloud],
+				Identity: material.LIIdentities[ten.Name],
+				Key:      key,
+				Mode:     cfg.SubmitMode,
 			})
 			if err != nil {
-				d.Close()
 				return nil, err
 			}
 			li.Start()
@@ -397,13 +417,11 @@ func New(cfg Config) (*Deployment, error) {
 			if cfg.RemoteAgents {
 				liAddr := "li-endpoint@" + ten.Name
 				if err := li.Expose(d.Transport, liAddr); err != nil {
-					d.Close()
 					return nil, err
 				}
 				d.registered = append(d.registered, liAddr)
 				ra, err := logger.NewRemoteAgent(d.Transport, "agent@"+ten.Name, liAddr)
 				if err != nil {
-					d.Close()
 					return nil, err
 				}
 				d.RemoteAgents[ten.Name] = ra
@@ -416,41 +434,43 @@ func New(cfg Config) (*Deployment, error) {
 		for tenant, pep := range d.PEPs {
 			pep.SetProbe(d.probeFor(tenant))
 		}
-		d.PDPService.SetProbe(d.probeFor(infra.Name))
+		if hostsInfra {
+			d.PDPService.SetProbe(d.probeFor(infra.Name))
 
-		// Analyser: per Figure 1 it runs in a different cloud section than
-		// the access-control components — attach it to a node of another
-		// cloud when the federation has one.
-		analyserNode := infraNode
-		for _, c := range d.topology.Clouds {
-			if c.Name != infra.Cloud {
-				analyserNode = d.Nodes[c.Name]
-				break
+			// Analyser: per Figure 1 it runs in a different cloud section
+			// than the access-control components — attach it to the node of
+			// another hosted cloud when there is one.
+			analyserNode := d.home
+			for _, c := range d.topology.Clouds {
+				if node, ok := d.Nodes[c.Name]; ok && c.Name != infra.Cloud {
+					analyserNode = node
+					break
+				}
 			}
-		}
-		d.Analyser, err = core.NewAnalyser("analyser", analyserNode, analyserID, d.Key)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.Analyser.Start()
+			d.Analyser, err = core.NewAnalyser("analyser", analyserNode, material.AnalyserID, d.Key)
+			if err != nil {
+				return nil, err
+			}
+			d.Analyser.Start()
 
-		d.Monitor = core.NewMonitor(infraNode, clock.System{})
-		d.Monitor.Start()
+			d.Monitor = core.NewMonitor(d.home, clock.System{})
+			d.Monitor.Start()
+		}
 	}
 
 	// The PAP watcher applies the chain-replicated policy lifecycle
 	// locally: it stages announced versions, flips the PDP (purging the
 	// decision cache) at each activation height, keeps the PRP and
 	// analyser in step, and feeds rollout events into the monitor stream.
+	// A slice without the infrastructure tenant has no PDP or PRP and only
+	// acknowledges the flips.
 	d.watcher, err = pap.NewWatcher(pap.WatcherConfig{
-		Node:    infraNode,
+		Node:    d.home,
 		PDP:     d.PDP,
 		PRP:     d.PRP,
 		OnEvent: d.onPolicyEvent,
 	})
 	if err != nil {
-		d.Close()
 		return nil, err
 	}
 	d.watcher.Start()
@@ -459,18 +479,23 @@ func New(cfg Config) (*Deployment, error) {
 	// or synced from an existing federation) already carries an active
 	// policy, in which case the watcher's Sync during Start has applied it
 	// and re-publishing would downgrade the whole fleet.
-	var activeVersion string
-	infraNode.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-		activeVersion, _, _ = core.ReadActivePolicy(st)
-	})
-	if activeVersion == "" {
+	if hostsInfra && activePolicyVersion(d.home) == "" {
 		if err := d.PublishPolicy(cfg.Policy); err != nil {
-			d.Close()
 			return nil, err
 		}
 	}
 	d.wireObservability()
 	return d, nil
+}
+
+// activePolicyVersion reads the chain's active policy version from the
+// node's replica of the policy contract ("" before the first activation).
+func activePolicyVersion(node *blockchain.Node) string {
+	var active string
+	node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
+		active, _, _ = core.ReadActivePolicy(st)
+	})
+	return active
 }
 
 // onPolicyEvent runs on the watcher goroutine for every policy lifecycle
@@ -491,7 +516,16 @@ func (d *Deployment) onPolicyEvent(ev pap.Event) {
 			d.Monitor.PublishPolicyEvent(alert)
 		}
 	}
+	if fn := d.policyHook.Load(); fn != nil {
+		(*fn)(ev)
+	}
 }
+
+// OnPolicyEvent registers fn, replacing any earlier handler, to run on the
+// watcher goroutine for every policy lifecycle transition from now on (keep
+// it non-blocking). Transitions applied while the deployment was opening are
+// not replayed; PolicyStats reports where they left it.
+func (d *Deployment) OnPolicyEvent(fn func(PolicyEvent)) { d.policyHook.Store(&fn) }
 
 // PublishPolicy publishes a policy set as a new on-chain version activated
 // immediately: the PAP signs a PolicyUpdate transaction carrying the full
@@ -502,6 +536,9 @@ func (d *Deployment) onPolicyEvent(ev pap.Event) {
 func (d *Deployment) PublishPolicy(ps *xacml.PolicySet) error {
 	if ps == nil || ps.Version == "" {
 		return errors.New("drams: policy set with a version is required")
+	}
+	if d.PRP == nil {
+		return errors.New("drams: this member does not host the infrastructure tenant; publish through Admin")
 	}
 	if _, err := d.PRP.Version(ps.Version); err == nil {
 		return fmt.Errorf("drams: version %q already published", ps.Version)
@@ -539,8 +576,12 @@ func (d *Deployment) TamperPEP(tenant string, t *Tamper) error {
 
 // CompromisePDP swaps the PDP's evaluator through a wrapper — the attack
 // framework uses this to model altered evaluation processes. Passing nil
-// restores the honest PDP.
+// restores the honest PDP. On a member that does not host the PDP the call
+// is a no-op: aim an attack campaign at the infrastructure slice.
 func (d *Deployment) CompromisePDP(wrap func(xacml.Evaluator) xacml.Evaluator) {
+	if d.PDPService == nil {
+		return
+	}
 	if wrap == nil {
 		d.PDPService.SetEvaluator(d.PDP)
 		return
@@ -567,7 +608,7 @@ func (d *Deployment) WaitForMatched(ctx context.Context, reqID string) error {
 }
 
 // InfraNode returns the blockchain node of the infrastructure tenant's
-// cloud (the monitor's view).
+// cloud (the monitor's view); nil on a member hosting another cloud.
 func (d *Deployment) InfraNode() *blockchain.Node {
 	infra, err := d.topology.InfrastructureTenant()
 	if err != nil {

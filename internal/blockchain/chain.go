@@ -90,7 +90,8 @@ type Chain struct {
 	receipts  map[crypto.Digest]Receipt
 	txHeight  map[crypto.Digest]uint64
 	emitted   map[crypto.Digest]bool
-	override  uint8 // manual difficulty override, 0 = none
+	abandoned []Transaction // of blocks reorganised away, until TakeAbandoned
+	override  uint8         // manual difficulty override, 0 = none
 
 	sink     EventSink
 	headSubs map[int]chan struct{}
@@ -262,6 +263,16 @@ func (c *Chain) AccountNonces() map[string]uint64 {
 	for k, v := range c.nonces {
 		out[k] = v
 	}
+	return out
+}
+
+// TakeAbandoned returns, once, the transactions of the blocks that
+// reorganisations took off the best chain, for the node to pool again.
+func (c *Chain) TakeAbandoned() []Transaction {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.abandoned
+	c.abandoned = nil
 	return out
 }
 
@@ -542,6 +553,11 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([
 		if !c.emitted[bh] {
 			c.emitted[bh] = true
 			emits = append(emits, blockEvents{height: b.Header.Height, events: evs})
+		}
+	}
+	for i, bh := range oldBest {
+		if i >= len(best) || best[i] != bh {
+			c.abandoned = append(c.abandoned, c.blocks[bh].Txs...)
 		}
 	}
 	c.head = newHead

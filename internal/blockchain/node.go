@@ -815,13 +815,15 @@ func (n *Node) importBlock(b *Block, from string) {
 	}
 }
 
-// afterAccept counts the blocks AddBlock just inserted (oldest first) and
-// relays them to every chain peer but the one they came from.
+// afterAccept counts the blocks AddBlock just inserted (oldest first), returns
+// to the pool what a reorganisation took off the best chain, prunes what is
+// confirmed, and relays the blocks to every chain peer but their sender.
 func (n *Node) afterAccept(from string, blocks ...*Block) {
 	if len(blocks) == 0 {
 		return
 	}
 	n.accepted.Add(int64(len(blocks)))
+	n.pool.AddBatch(n.chain.TakeAbandoned())
 	n.pool.PruneConfirmed(n.chain.AccountNonces())
 	for _, b := range blocks {
 		n.gossip(kindBlock, b.Encode(), from)

@@ -489,3 +489,40 @@ func TestDynamicPeerDiscoveryOverTCP(t *testing.T) {
 	waitFor(t, 15*time.Second, func() bool { return nodeB.Mempool().Has(tx.ID()) },
 		"tx gossip crosses processes after dynamic discovery")
 }
+
+// A reorganisation returns the abandoned blocks' transactions to the pool,
+// minus those the winning branch carries too: without that, a transaction
+// mined into the losing side of a fork is in no block and no pool, and its
+// sender's nonce sequence has a gap nothing can fill.
+func TestReorgReadmitsAbandonedTransactions(t *testing.T) {
+	alice, bob := testIdentity(t, "alice", 1), testIdentity(t, "bob", 2)
+	net := netsim.New(netsim.Config{Seed: 42})
+	defer net.Close()
+	n, err := NewNode(NodeConfig{Name: "node-0", Chain: testChainConfig(t, alice, bob), Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	lost, _ := NewTransaction(alice, 1, putCall("k", "alice"))
+	both, _ := NewTransaction(bob, 1, putCall("k", "bob"))
+	for _, tx := range []Transaction{lost, both} {
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := n.Chain()
+	n.importBlock(mineChild(t, c, c.Genesis(), lost, both), "")
+	if _, h := c.Head(); h != 1 || n.Mempool().Len() != 0 {
+		t.Fatalf("after the first block: height %d, %d pending; want 1, 0", h, n.Mempool().Len())
+	}
+	b1 := mineChild(t, c, c.Genesis(), both)
+	n.importBlock(b1, "")
+	n.importBlock(mineChild(t, c, b1.Hash()), "")
+	if _, h := c.Head(); h != 2 {
+		t.Fatalf("height %d after the longer branch, want 2", h)
+	}
+	if !n.Mempool().Has(lost.ID()) || n.Mempool().Has(both.ID()) {
+		t.Fatalf("pool after reorg: lost tx pending=%v, tx carried by both branches pending=%v; want true, false",
+			n.Mempool().Has(lost.ID()), n.Mempool().Has(both.ID()))
+	}
+}

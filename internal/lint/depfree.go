@@ -4,9 +4,9 @@ package lint
 // dep-free stratum (metrics, crypto, merkle, trace, obs) must stay
 // importable from anywhere without dragging in components, so its members
 // import only the stdlib and each other. And components must never import
-// internal/obs back: observability wiring happens in the root layer and
-// cmd/ by registering closures over Stats() accessors, so no component
-// shares an import (or a lock) with the scrape path.
+// internal/obs back: observability wiring happens in the root layer, where
+// a member is assembled, by registering closures over Stats() accessors, so
+// no component shares an import (or a lock) with the scrape path.
 type DepFree struct {
 	// Stratum lists the module-relative dep-free packages. Each may import
 	// only the stdlib and other stratum members from non-test files.
@@ -30,8 +30,8 @@ func NewDepFree() *DepFree {
 		},
 		Restricted: "internal/obs",
 		RestrictedAllowed: []string{
-			"",        // root wiring layer registers collectors and serves /metrics
-			"cmd/...", // daemons wire their own exposition endpoints
+			"",        // root wiring layer registers collectors and builds the /metrics handler
+			"cmd/...", // binaries may serve their own exposition; drams-node mounts the member's handler and a tier-1 test keeps obs out of it
 		},
 	}
 }

@@ -55,6 +55,14 @@ const (
 	// more records before flushing. Bounded so batching never delays
 	// detection noticeably.
 	flushLinger = 2 * time.Millisecond
+	// flushWindow caps how many probe records an async worker anchors under
+	// one Merkle-rooted batch transaction (at most core.MaxLogBatch). A
+	// window of N observations then costs one signed transaction instead of
+	// N; the contract re-derives the root and per-record events carry
+	// membership proofs, so anchoring stays as binding as individual
+	// submissions. Only SubmitAsync batches; the synchronous modes trade
+	// latency for per-record guarantees already.
+	flushWindow = 16
 )
 
 // LIConfig configures a Logging Interface.
@@ -75,15 +83,6 @@ type LIConfig struct {
 	Mode SubmitMode
 	// QueueSize bounds the async queue (default 1024).
 	QueueSize int
-	// FlushWindow caps how many probe records an async worker anchors
-	// under one Merkle-rooted batch transaction (default 16). A window of
-	// N observations then costs one signed transaction instead of N; the
-	// contract re-derives the root and per-record events carry membership
-	// proofs, so anchoring stays as binding as individual submissions.
-	// Set to 1 to submit each record as its own transaction. Only
-	// SubmitAsync batches; the synchronous modes trade latency for
-	// per-record guarantees already.
-	FlushWindow int
 	// Clock is the time source.
 	Clock clock.Clock
 }
@@ -147,12 +146,6 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
-	}
-	if cfg.FlushWindow == 0 {
-		cfg.FlushWindow = 16
-	}
-	if cfg.FlushWindow > core.MaxLogBatch {
-		cfg.FlushWindow = core.MaxLogBatch
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
@@ -264,11 +257,10 @@ func (li *LI) Open(reqID string, payload []byte) (core.EncryptedContext, error) 
 }
 
 // Log submits a record (with its already-sealed payload) according to the
-// configured mode. In async mode with a flush window above 1 the record is
-// queued for Merkle-batched anchoring; otherwise it becomes its own
-// transaction.
+// configured mode. In async mode the record is queued for Merkle-batched
+// anchoring; otherwise it becomes its own transaction.
 func (li *LI) Log(ctx context.Context, rec core.LogRecord) error {
-	if li.cfg.Mode == SubmitAsync && li.cfg.FlushWindow > 1 {
+	if li.cfg.Mode == SubmitAsync {
 		select {
 		case <-li.stop:
 			return ErrStopped
@@ -360,18 +352,18 @@ func (li *LI) send(call contract.Call, n int64) bool {
 	return true
 }
 
-// flushWindow gathers up to FlushWindow records starting from first —
+// flushWindow gathers up to flushWindow records starting from first —
 // draining whatever is already queued, then lingering briefly for
 // stragglers — and anchors the window as one batch transaction. A lone
 // record falls back to a plain log transaction, so light traffic keeps the
 // unbatched wire shape. Non-record calls pulled while draining pass
 // straight through.
 func (li *LI) flushWindow(first queued) {
-	recs := append(make([]core.LogRecord, 0, li.cfg.FlushWindow), *first.rec)
-	enqs := append(make([]time.Time, 0, li.cfg.FlushWindow), first.enq)
+	recs := append(make([]core.LogRecord, 0, flushWindow), *first.rec)
+	enqs := append(make([]time.Time, 0, flushWindow), first.enq)
 	lingered := false
 gather:
-	for len(recs) < li.cfg.FlushWindow {
+	for len(recs) < flushWindow {
 		select {
 		case q := <-li.queue:
 			if q.rec != nil {

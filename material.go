@@ -15,8 +15,6 @@ import (
 type ChainParams struct {
 	// Difficulty is the PoW difficulty in leading-zero bits (default 8).
 	Difficulty uint8
-	// MaxTxPerBlock caps block size (default 256).
-	MaxTxPerBlock int
 	// TimeoutBlocks is the log-match M3 window Δ (default 5 blocks).
 	TimeoutBlocks uint64
 	// RequireVerdict demands an analyser verdict per request.
@@ -27,9 +25,6 @@ func (p ChainParams) withDefaults() ChainParams {
 	if p.Difficulty == 0 {
 		p.Difficulty = 8
 	}
-	if p.MaxTxPerBlock == 0 {
-		p.MaxTxPerBlock = 256
-	}
 	if p.TimeoutBlocks == 0 {
 		p.TimeoutBlocks = 5
 	}
@@ -39,10 +34,9 @@ func (p ChainParams) withDefaults() ChainParams {
 // ChainMaterial is everything a federation process derives from the shared
 // seed + tenant list: component identities, the chain allowlist, the
 // shared LI key, the contract registry and the chain configuration.
-// drams.New (single process) and the drams-node daemon (one process per
-// tenant) both build their chains from this, so the two construction paths
-// can join the same federation — provided they pass the same seed, tenant
-// set and ChainParams.
+// drams.New and the loadgen TCP observer both build their chains from this,
+// so processes given the same seed, tenant set and ChainParams can join the
+// same federation.
 type ChainMaterial struct {
 	// Chain is the node configuration shared by every chain node.
 	Chain blockchain.Config
@@ -85,10 +79,9 @@ func NewChainMaterial(seed uint64, tenantNames []string, p ChainParams) ChainMat
 	registry.MustRegister(&contract.KVContract{ContractName: "kv"})
 
 	m.Chain = blockchain.Config{
-		Difficulty:    p.Difficulty,
-		MaxTxPerBlock: p.MaxTxPerBlock,
-		Identities:    allow,
-		Registry:      registry,
+		Difficulty: p.Difficulty,
+		Identities: allow,
+		Registry:   registry,
 	}
 	return m
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"drams/internal/blockchain"
-	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/federation"
 	"drams/internal/logger"
@@ -19,11 +18,11 @@ import (
 // TraceSpan is one recorded stage of a request's end-to-end timeline.
 type TraceSpan = obs.Span
 
-// ReadyChainLag is how many blocks a node may trail the best height its
+// readyChainLag is how many blocks a node may trail the best height its
 // peers have advertised and still count as caught up: one block can always
 // be in flight, and one more may have been mined while the head probe was
 // travelling.
-const ReadyChainLag = 2
+const readyChainLag = 2
 
 // initObservability builds the deployment-wide metrics registry, gatherer,
 // tracer and health checks. Always on: an idle registry costs nothing until
@@ -85,69 +84,58 @@ func (d *Deployment) wireObservability() {
 	}
 
 	for name, node := range d.Nodes {
-		g.Register(NodeCollector("node@"+name, node))
+		g.Register(nodeCollector("node@"+name, node))
 	}
-	if d.Transport != nil {
-		g.Register(TransportCollector(d.Transport))
-	}
+	g.Register(transportCollector(d.Transport))
 	for name, pep := range d.PEPs {
-		g.Register(PEPCollector(name, pep))
+		g.Register(pepCollector(name, pep))
 	}
 	if d.PDPService != nil {
-		g.Register(PDPCollector(d.PDPService, d.PDP))
+		g.Register(pdpCollector(d.PDPService, d.PDP))
 	}
 	for name, li := range d.LIs {
-		g.Register(LICollector(name, li))
+		g.Register(liCollector(name, li))
 	}
 	for name, agent := range d.Agents {
-		g.Register(AgentCollector(name, agent))
+		g.Register(agentCollector(name, agent))
 	}
 	for name, agent := range d.RemoteAgents {
-		g.Register(AgentCollector(name, agent))
+		g.Register(agentCollector(name, agent))
 	}
-	if d.watcher != nil {
-		g.Register(WatcherCollector(d.watcher))
-	}
+	g.Register(watcherCollector(d.watcher))
 	if d.Monitor != nil {
-		g.Register(MonitorCollector(d.Monitor))
+		g.Register(monitorCollector(d.Monitor))
 	}
 	if d.Analyser != nil {
-		g.Register(AnalyserCollector(d.Analyser))
+		g.Register(analyserCollector(d.Analyser))
 	}
 
-	// Readiness: the deployment is ready to serve decisions when its
-	// infrastructure node has caught up with the federation chain and the
-	// policy watcher has applied the chain's active policy version.
-	if node := d.InfraNode(); node != nil {
-		d.health.AddReady("chain", ChainReady(node))
-		if d.watcher != nil {
-			d.health.AddReady("policy-watcher", WatcherReady(node, d.watcher))
-		}
-	}
+	// Readiness: the member is ready to serve decisions when its node has
+	// caught up with the federation chain and the policy watcher has
+	// applied the chain's active policy version.
+	d.health.AddReady("chain", chainReady(d.home))
+	d.health.AddReady("policy-watcher", watcherReady(d.home, d.watcher))
 }
 
-// ChainReady returns a readiness check reporting whether the node's chain
-// is within ReadyChainLag blocks of the best height any peer has advertised
+// chainReady returns a readiness check reporting whether the node's chain
+// is within readyChainLag blocks of the best height any peer has advertised
 // (vacuously ready before first peer contact).
-func ChainReady(node *blockchain.Node) func() error {
+func chainReady(node *blockchain.Node) func() error {
 	return func() error {
-		if node.CaughtUp(ReadyChainLag) {
+		if node.CaughtUp(readyChainLag) {
 			return nil
 		}
 		return fmt.Errorf("syncing: height %d trails best seen %d by more than %d blocks",
-			node.Chain().Height(), node.BestSeenHeight(), ReadyChainLag)
+			node.Chain().Height(), node.BestSeenHeight(), readyChainLag)
 	}
 }
 
-// WatcherReady returns a readiness check reporting whether the policy
+// watcherReady returns a readiness check reporting whether the policy
 // watcher has applied the chain's active policy version — a stale watcher
 // means local decisions may be made under a superseded policy.
-func WatcherReady(node *blockchain.Node, w *pap.Watcher) func() error {
+func watcherReady(node *blockchain.Node, w *pap.Watcher) func() error {
 	return func() error {
-		var active string
-		node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-			active, _, _ = core.ReadActivePolicy(st)
-		})
+		active := activePolicyVersion(node)
 		if active == "" {
 			// No policy anchored yet: nothing to be stale against.
 			return nil
@@ -159,10 +147,9 @@ func WatcherReady(node *blockchain.Node, w *pap.Watcher) func() error {
 	}
 }
 
-// NodeCollector samples one chain node's counters as drams_node_* series
-// labelled with the member name. Shared by drams.Open deployments and the
-// drams-node daemon so both expose identical series.
-func NodeCollector(member string, node *blockchain.Node) obs.Collector {
+// nodeCollector samples one chain node's counters as drams_node_* series
+// labelled with the member name.
+func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 	l := fmt.Sprintf("{member=%q}", member)
 	return func() []metrics.Sample {
 		s := node.Stats()
@@ -196,8 +183,8 @@ func NodeCollector(member string, node *blockchain.Node) obs.Collector {
 	}
 }
 
-// TransportCollector samples the wire backend's counters.
-func TransportCollector(tr transport.Transport) obs.Collector {
+// transportCollector samples the wire backend's counters.
+func transportCollector(tr transport.Transport) obs.Collector {
 	return func() []metrics.Sample {
 		s := tr.Stats()
 		return []metrics.Sample{
@@ -210,8 +197,8 @@ func TransportCollector(tr transport.Transport) obs.Collector {
 	}
 }
 
-// PEPCollector samples one tenant's PEP counters.
-func PEPCollector(tenant string, pep *federation.PEPService) obs.Collector {
+// pepCollector samples one tenant's PEP counters.
+func pepCollector(tenant string, pep *federation.PEPService) obs.Collector {
 	l := fmt.Sprintf("{tenant=%q}", tenant)
 	return func() []metrics.Sample {
 		s := pep.Stats()
@@ -224,34 +211,32 @@ func PEPCollector(tenant string, pep *federation.PEPService) obs.Collector {
 	}
 }
 
-// PDPCollector samples the PDP service and (when caching is enabled) the
-// decision-cache counters. pdp may be nil.
-func PDPCollector(svc *federation.PDPService, pdp *xacml.PDP) obs.Collector {
+// pdpCollector samples the PDP service and (while a cache is attached) the
+// decision-cache counters.
+func pdpCollector(svc *federation.PDPService, pdp *xacml.PDP) obs.Collector {
 	return func() []metrics.Sample {
 		s := svc.Stats()
 		out := []metrics.Sample{
 			obs.C("drams_pdp_evaluations_total", "Requests evaluated by the PDP service.", s.Evaluations),
 			obs.C("drams_pdp_failures_total", "PDP service evaluation failures.", s.Failures),
 		}
-		if pdp != nil {
-			if c := pdp.Cache(); c != nil {
-				cs := c.Stats()
-				out = append(out,
-					obs.C("drams_pdp_cache_hits_total", "Decisions answered from the cache.", cs.Hits),
-					obs.C("drams_pdp_cache_misses_total", "Cache lookups that fell through to evaluation.", cs.Misses),
-					obs.C("drams_pdp_cache_invalidations_total", "Entries discarded for a stale policy digest.", cs.Invalidations),
-					obs.C("drams_pdp_cache_evictions_total", "Entries displaced by the LRU bound.", cs.Evictions),
-					obs.C("drams_pdp_cache_purges_total", "Whole-cache clears (policy loads).", cs.Purges),
-				)
-			}
+		if c := pdp.Cache(); c != nil {
+			cs := c.Stats()
+			out = append(out,
+				obs.C("drams_pdp_cache_hits_total", "Decisions answered from the cache.", cs.Hits),
+				obs.C("drams_pdp_cache_misses_total", "Cache lookups that fell through to evaluation.", cs.Misses),
+				obs.C("drams_pdp_cache_invalidations_total", "Entries discarded for a stale policy digest.", cs.Invalidations),
+				obs.C("drams_pdp_cache_evictions_total", "Entries displaced by the LRU bound.", cs.Evictions),
+				obs.C("drams_pdp_cache_purges_total", "Whole-cache clears (policy loads).", cs.Purges),
+			)
 		}
 		return out
 	}
 }
 
-// LICollector samples one tenant's Logging Interface counters, including
+// liCollector samples one tenant's Logging Interface counters, including
 // the flush-depth histogram of the batch-anchoring pipeline.
-func LICollector(tenant string, li *logger.LI) obs.Collector {
+func liCollector(tenant string, li *logger.LI) obs.Collector {
 	l := fmt.Sprintf("{tenant=%q}", tenant)
 	return func() []metrics.Sample {
 		s := li.Stats()
@@ -269,8 +254,8 @@ func LICollector(tenant string, li *logger.LI) obs.Collector {
 // agentStats is satisfied by both in-process and remote probing agents.
 type agentStats interface{ Stats() logger.AgentStats }
 
-// AgentCollector samples one tenant's probing-agent counters.
-func AgentCollector(tenant string, agent agentStats) obs.Collector {
+// agentCollector samples one tenant's probing-agent counters.
+func agentCollector(tenant string, agent agentStats) obs.Collector {
 	l := fmt.Sprintf("{tenant=%q}", tenant)
 	return func() []metrics.Sample {
 		s := agent.Stats()
@@ -281,8 +266,8 @@ func AgentCollector(tenant string, agent agentStats) obs.Collector {
 	}
 }
 
-// WatcherCollector samples the policy-lifecycle watcher counters.
-func WatcherCollector(w *pap.Watcher) obs.Collector {
+// watcherCollector samples the policy-lifecycle watcher counters.
+func watcherCollector(w *pap.Watcher) obs.Collector {
 	return func() []metrics.Sample {
 		s := w.Stats()
 		return []metrics.Sample{
@@ -296,9 +281,9 @@ func WatcherCollector(w *pap.Watcher) obs.Collector {
 	}
 }
 
-// MonitorCollector samples the off-chain monitor, including per-type alert
+// monitorCollector samples the off-chain monitor, including per-type alert
 // counters and the detection-latency histogram.
-func MonitorCollector(m *core.Monitor) obs.Collector {
+func monitorCollector(m *core.Monitor) obs.Collector {
 	return func() []metrics.Sample {
 		s := m.Stats()
 		out := []metrics.Sample{
@@ -320,8 +305,8 @@ func MonitorCollector(m *core.Monitor) obs.Collector {
 	}
 }
 
-// AnalyserCollector samples the analyser counters.
-func AnalyserCollector(an *core.Analyser) obs.Collector {
+// analyserCollector samples the analyser counters.
+func analyserCollector(an *core.Analyser) obs.Collector {
 	return func() []metrics.Sample {
 		s := an.Stats()
 		return []metrics.Sample{

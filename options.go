@@ -1,6 +1,7 @@
 package drams
 
 import (
+	"errors"
 	"time"
 
 	"drams/internal/federation"
@@ -10,8 +11,7 @@ import (
 )
 
 // Option adjusts a Config during Open. Options are applied in order over
-// the zero Config, so later options win; anything not covered by an option
-// can still be set with WithConfig.
+// the zero Config, so later options win.
 type Option func(*Config)
 
 // Open assembles and starts a deployment from a policy plus functional
@@ -30,17 +30,24 @@ func Open(policy *xacml.PolicySet, opts ...Option) (*Deployment, error) {
 	return New(cfg)
 }
 
-// WithConfig replaces the whole Config (keeping the Open-supplied policy if
-// the given config has none) — the escape hatch for knobs without a
-// dedicated option.
-func WithConfig(c Config) Option {
-	return func(cfg *Config) {
-		policy := cfg.Policy
-		*cfg = c
-		if cfg.Policy == nil {
-			cfg.Policy = policy
-		}
+// OpenMember assembles and starts one federation member: the slice of the
+// topology hosted on the given cloud — its chain node, and for each tenant
+// on it a PEP, a probing agent and a Logging Interface, plus PDP, PRP,
+// analyser and monitor where the infrastructure tenant lives. It is Open
+// restricted to one cloud, so a fleet of OpenMember processes sharing a
+// topology, a seed and a transport each can reach (WithTransport,
+// WithListenAddr) is the same federation as one Open. policy is needed only
+// on the cloud that hosts the infrastructure tenant.
+func OpenMember(policy *xacml.PolicySet, cloud string, opts ...Option) (*Deployment, error) {
+	if cloud == "" {
+		return nil, errors.New("drams: OpenMember needs the cloud this process hosts")
 	}
+	cfg := Config{Policy: policy}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	cfg.local = cloud
+	return New(cfg)
 }
 
 // WithTopology sets the federation topology.
@@ -67,11 +74,6 @@ func WithTimeoutBlocks(n uint64) Option {
 // WithEmptyBlockInterval keeps blocks flowing when idle.
 func WithEmptyBlockInterval(d time.Duration) Option {
 	return func(c *Config) { c.EmptyBlockInterval = d }
-}
-
-// WithMaxTxPerBlock caps block size.
-func WithMaxTxPerBlock(n int) Option {
-	return func(c *Config) { c.MaxTxPerBlock = n }
 }
 
 // WithSubmitMode sets the Logging Interface submission mode.
@@ -126,11 +128,6 @@ func WithPeers(addrs ...string) Option {
 // watcher reconciles with the restored on-chain policy state.
 func WithDataDir(dir string) Option {
 	return func(c *Config) { c.DataDir = dir }
-}
-
-// WithPEPTimeout bounds a PEP's wait for the PDP.
-func WithPEPTimeout(d time.Duration) Option {
-	return func(c *Config) { c.PEPTimeout = d }
 }
 
 // WithTPM seals the shared LI key in a per-tenant SoftTPM (the §III System

@@ -13,9 +13,13 @@
 #      fleet mines past a minimum height.
 #   2. The withholding attack engages (greppable BYZANTINE line).
 #   3. The infrastructure monitor raises ALERT type=message-suppressed for
-#      a tenant-2 request within the timeout.
-#   4. False-positive guard: the honest tenant-1 stream must produce no
-#      alert at all.
+#      a request tenant-2 made after the attack engaged, within the timeout.
+#   4. False-positive guard: no alert of any type names a request of honest
+#      tenant-1.
+#
+# Two producers fork now and then before the attack engages; the guard in 4
+# then also checks that a reorganising node returns an abandoned block's
+# transactions to its pool (lost, they surface as alerts on honest traffic).
 #
 # Exits non-zero on any failure or on the hard timeout.
 #
@@ -116,21 +120,28 @@ echo "withholding engaged; waiting for M3 detection on the honest side..."
 # Phase C: the monitor flags a trapped tenant-2 exchange. The victim's
 # pep.* records are stuck on the Byzantine node, the PDP-side records
 # anchor honestly, and the Δ-block deadline sweep raises the alert.
-ok=""
+# Attribution is by request ID: the alert's tenant= label names the tenant
+# of the first record that did arrive, which under withholding is the
+# PDP-side one (tenant=infrastructure), not the victim.
+alert_ids() { # <grep pattern for the ALERT prefix>
+    grep -o "$1 req=[0-9a-f]*" "$WORKDIR/infra.log" 2>/dev/null | grep -o '[0-9a-f]*$' | sort -u
+}
+trapped_ids() {
+    sed -n '/BYZANTINE mode=withhold engaged/,$p' "$WORKDIR/t2.log" |
+        grep -o 'decision req=[0-9a-f]*' | grep -o '[0-9a-f]*$' | sort -u
+}
+detected=0
 while [ "$(date +%s)" -lt "$deadline" ]; do
-    if grep -q 'ALERT type=message-suppressed req=.* tenant=tenant-2' "$WORKDIR/infra.log" 2>/dev/null; then
-        ok=1
-        break
-    fi
+    detected=$(comm -12 <(alert_ids 'ALERT type=message-suppressed') <(trapped_ids) | wc -l)
+    [ "$detected" -gt 0 ] && break
     sleep 1
 done
-[ -n "$ok" ] || fail "phase C (withholding not detected) within ${TIMEOUT}s"
+[ "$detected" -gt 0 ] || fail "phase C (withholding not detected) within ${TIMEOUT}s"
 
-# False-positive guard: the honest tenant-1 stream must stay alert-free.
-if grep -q 'ALERT .*tenant=tenant-1' "$WORKDIR/infra.log" 2>/dev/null; then
-    fail "false positive: alert raised for honest tenant-1"
-fi
+# False-positive guard: no alert of any type may name a request the honest
+# tenant-1 made.
+honest_hit=$(alert_ids 'ALERT type=[^ ]*' | grep -c -F -f - "$WORKDIR/t1.log")
+[ "$honest_hit" -eq 0 ] || fail "false positive: an alert names a request of honest tenant-1"
 
-alerts=$(grep -c 'ALERT type=message-suppressed req=.* tenant=tenant-2' "$WORKDIR/infra.log")
-echo "ADVERSARIAL SMOKE OK: withholding attack detected ($alerts message-suppressed alert(s) for tenant-2, none for honest tenant-1)"
+echo "ADVERSARIAL SMOKE OK: withholding attack detected ($detected message-suppressed alert(s) for requests tenant-2 made after it engaged, none for honest tenant-1)"
 exit 0

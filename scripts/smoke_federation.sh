@@ -28,7 +28,8 @@
 #      message-suppressed alerts.
 #
 # Finally state-digest convergence is checked across all surviving
-# processes. Exits non-zero on any failure or on the hard timeout.
+# processes, height by height. Exits non-zero on any failure or on the hard
+# timeout.
 #
 # Usage: scripts/smoke_federation.sh [bin-dir]
 set -u
@@ -78,7 +79,8 @@ T2_ARGS="-listen $A3 -join $A1,$A2 -tenant tenant-2 -request-every 300ms -data-d
 
 "$BIN" -listen "$A1" -join "$A2,$A3" -tenant infrastructure -metrics-addr "$M1" $COMMON \
     >"$WORKDIR/infra.log" 2>&1 &
-PIDS="$!"
+PID_INFRA="$!"
+PIDS="$PID_INFRA"
 "$BIN" -listen "$A2" -join "$A1,$A3" -tenant tenant-1 -request-every 300ms -metrics-addr "$M2" \
     -policy-file "$WORKDIR/v2.json" -policy-at-height "$PUSH_HEIGHT" -policy-delta 4 \
     $COMMON >"$WORKDIR/t1.log" 2>&1 &
@@ -271,31 +273,49 @@ done
 [ -n "$ok" ] || fail "drams_monitor_alerts_total{type=message-suppressed} did not advance (drill not detected)"
 echo "ops progression: persisted $persisted_a -> $persisted_b, message-suppressed alerts ${alerts_before:-0} -> $alerts_now"
 
-# Convergence: the surviving processes (infra, t1 and the restarted t2)
-# must report a COMMON state digest in their recent status lines. Blocks
-# are produced continuously, so the *latest* line of each log races the
-# sampling instant — sharing a digest within the recent window proves the
-# three replicas applied identical state at the same height.
+# Convergence: a status line pairs a height with the state digest at that
+# height, so two processes that report the same height must report the same
+# digest. The comparison is keyed by height, not by wall clock — blocks are
+# produced continuously and each process ticks on its own phase, so "the
+# same digest in the latest lines" would depend on when each was started.
+# Fail on any height carrying two digests; require the restarted tenant-2 to
+# share at least one height with another process, so the check is not
+# vacuous. Two timers half a phase apart never sample a growing chain at one
+# height, so the producer is stopped first: the chain stands still and the
+# followers' next status lines name its last height. (Three-way equality at
+# one instant is polled, not sampled, by TestMemberSliceRestartOverTCP.)
+kill "$PID_INFRA" 2>/dev/null
+wait "$PID_INFRA" 2>/dev/null
 check_digests() {
     for log in infra t1 t2b; do
-        grep -o 'digest=[0-9a-f]*' "$WORKDIR/$log.log" | tail -20 | sort -u
-    done | sort | uniq -c | awk '$1 == 3 {n++} END {print n+0}'
+        grep -o 'status height=[0-9]* digest=[0-9a-f]*' "$WORKDIR/$log.log" |
+            sed "s/status height=\([0-9]*\) digest=\([0-9a-f]*\)/\1 \2 $log/"
+    done | awk '
+        ($1 in digest) && digest[$1] != $2 { conflicts++ }
+        { digest[$1] = $2; who[$1] = who[$1] " " $3 }
+        END {
+            for (h in who) if (who[h] ~ /t2b/ && who[h] ~ /infra|t1/) shared++
+            print conflicts + 0, shared + 0
+        }'
 }
-shared=$(check_digests)
-if [ "$shared" -eq 0 ]; then
-    # Give the freshly restarted member a few more status ticks.
-    sleep 3
-    shared=$(check_digests)
-fi
+read -r conflicts shared <<<"$(check_digests)"
+while [ "$conflicts" -eq 0 ] && [ "$shared" -eq 0 ] && [ "$(date +%s)" -lt "$deadline" ]; do
+    sleep 1 # two more status ticks
+    read -r conflicts shared <<<"$(check_digests)"
+done
 
 kill $PIDS 2>/dev/null
 wait 2>/dev/null
 PIDS=""
 
+if [ "$conflicts" -ne 0 ]; then
+    echo "SMOKE FAILED: $conflicts status lines report a digest that differs from another process's at the same height" >&2
+    exit 1
+fi
 if [ "$shared" -eq 0 ]; then
-    echo "SMOKE FAILED: state digests did not converge after restart" >&2
+    echo "SMOKE FAILED: the restarted tenant-2 reported no height in common with infra or tenant-1" >&2
     exit 1
 fi
 
-echo "SMOKE OK: 3-process federation served v1, hot-reloaded to v2 fleet-wide, tenant-2 survived kill+restart from its data dir (resumed height $restored, caught up $blocks blocks in $calls calls, $shared shared digests), readiness gated the rejoin 503->200, and the ops surface tracked persistence and M3 alerts"
+echo "SMOKE OK: 3-process federation served v1, hot-reloaded to v2 fleet-wide, tenant-2 survived kill+restart from its data dir (resumed height $restored, caught up $blocks blocks in $calls calls, $shared heights shared with one digest each), readiness gated the rejoin 503->200, and the ops surface tracked persistence and M3 alerts"
 exit 0
