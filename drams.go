@@ -37,7 +37,6 @@ package drams
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -244,16 +243,17 @@ func New(cfg Config) (_ *Deployment, err error) {
 	for _, c := range cfg.Topology.Clouds {
 		nodeNames = append(nodeNames, "node@"+c.Name)
 	}
-	idSeed := cfg.Seed + 1
+	ids := idgen.NewSeeded(cfg.Seed + 1)
 	if cfg.local != "" {
 		if !slices.Contains(nodeNames, "node@"+cfg.local) {
 			return nil, fmt.Errorf("drams: cloud %q is not in the topology", cfg.local)
 		}
-		// Members share the seed: salt the request-ID stream by the hosted
-		// cloud, or every slice mints the same IDs and the contract sees
-		// conflicting records for one request.
-		salt := crypto.SumAll([]byte(cfg.local))
-		idSeed ^= binary.BigEndian.Uint64(salt[:8])
+		// Members share the seed, and a member reopened from its data dir
+		// is a new process with the same one: a seeded request-ID stream
+		// would mint IDs another slice — or this one before its restart —
+		// already put on chain, and the contract reads a second record under
+		// a used ID as equivocation. A member's stream is random instead.
+		ids = idgen.New()
 	}
 
 	d := &Deployment{
@@ -264,7 +264,7 @@ func New(cfg Config) (_ *Deployment, err error) {
 		Agents:       make(map[string]*logger.Agent),
 		RemoteAgents: make(map[string]*logger.RemoteAgent),
 		TPMs:         make(map[string]*crypto.SoftTPM),
-		ids:          idgen.NewSeeded(idSeed),
+		ids:          ids,
 	}
 	d.initObservability()
 	switch {

@@ -194,13 +194,23 @@ func (an *Analyser) Stats() AnalyserStats {
 	}
 }
 
-// extractRecord recovers the log record carried by a LogStored event
-// payload. Batch-anchored records arrive as BatchedRecord envelopes; the
-// analyser insists on a valid Merkle membership proof AND an on-chain
-// anchor for the claimed root before trusting one — an event stream cannot
-// feed it observations the chain never committed to.
+// extractRecord recovers the pdp.response record carried by a LogStored
+// event payload; the other three kinds are not the analyser's to check and
+// are passed over as soon as the kind is read (ok=false). Batch-anchored
+// records arrive as BatchedRecord envelopes; for a pdp.response the analyser
+// insists on a valid Merkle membership proof AND an on-chain anchor for the
+// claimed root before trusting it — an event stream cannot feed it
+// observations the chain never committed to.
+//
+// Failures (drams_analyser_failures_total) therefore counts forged or
+// unanchored envelopes of kind pdp.response only. A forged envelope of a
+// kind the analyser ignores is no longer counted here; the contract never
+// accepted it anyway, and nothing acts on it.
 func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
 	if br, err := DecodeBatchedRecord(payload); err == nil {
+		if br.Record.Kind != KindPDPResponse {
+			return LogRecord{}, false
+		}
 		if !br.VerifyInclusion() {
 			an.failures.Inc()
 			return LogRecord{}, false
@@ -216,7 +226,7 @@ func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
 		return br.Record, true
 	}
 	rec, err := DecodeLogRecord(payload)
-	if err != nil {
+	if err != nil || rec.Kind != KindPDPResponse {
 		return LogRecord{}, false
 	}
 	return rec, true
@@ -224,7 +234,7 @@ func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
 
 func (an *Analyser) handleLog(payload []byte) {
 	rec, ok := an.extractRecord(payload)
-	if !ok || rec.Kind != KindPDPResponse {
+	if !ok {
 		return
 	}
 	start := time.Now()

@@ -455,9 +455,9 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 		m.matched[body.ReqID] = height
 		t0, hadT0 := m.tracked[body.ReqID]
 		m.untrackLocked(body.ReqID)
+		m.matchedCnt.Inc() // before subscribers hear of it: Stats never lags a WaitForMatched
 		m.publishLocked(Alert{Type: AlertMatched, ReqID: body.ReqID, Height: height})
 		m.mu.Unlock()
-		m.matchedCnt.Inc()
 		if hadT0 {
 			m.tracer.Load().Span(body.ReqID, trace.StageMonitorMatch, t0, m.clk.Since(t0))
 		}

@@ -326,6 +326,38 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 	}
 }
 
+// The analyser reads the kind before it verifies anything: an unanchored
+// envelope counts as a failure only when it claims to be a pdp.response.
+func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
+	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
+	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sealedExchange(t, env.key, "kind-1", "doctor", xacml.Permit, crypto.Digest{})
+	lb, err := NewLogBatch(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		// A well-formed envelope whose root no transaction anchored.
+		br := BatchedRecord{Record: rec, Root: lb.Root, Index: i}
+		before := an.Stats().Failures
+		_, ok := an.extractRecord(br.Encode())
+		counted := an.Stats().Failures - before
+		if ok {
+			t.Fatalf("%s: unanchored envelope trusted", rec.Kind)
+		}
+		want := int64(0)
+		if rec.Kind == KindPDPResponse {
+			want = 1
+		}
+		if counted != want {
+			t.Fatalf("%s: %d failures counted, want %d", rec.Kind, counted, want)
+		}
+	}
+}
+
 func TestAnalyserNoPolicy(t *testing.T) {
 	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -77,36 +78,68 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-// probeRecorder records hook invocations.
+// probeRecorder records hook invocations. A side that ended without a
+// response (its hook called with ok=false) is counted in pepFailed / pdpFailed.
 type probeRecorder struct {
 	mu          sync.Mutex
 	pepSent     []*xacml.Request
 	pepReceived []xacml.Decision
 	pepEnforced []xacml.Decision
+	pepFailed   int
 	pdpReceived []*xacml.Request
 	pdpSent     []xacml.Decision
+	pdpFailed   int
+	twice       int // sides whose hook ran more than once
 }
 
-func (p *probeRecorder) PEPRequestSent(req *xacml.Request) {
+func (p *probeRecorder) PEPRequestSent(req *xacml.Request) func(xacml.Result, xacml.Decision, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.pepSent = append(p.pepSent, req)
+	calls := 0
+	return func(res xacml.Result, enforced xacml.Decision, ok bool) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if calls++; calls > 1 {
+			p.twice++
+		}
+		if !ok {
+			p.pepFailed++
+			return
+		}
+		p.pepReceived = append(p.pepReceived, res.Decision)
+		p.pepEnforced = append(p.pepEnforced, enforced)
+	}
 }
-func (p *probeRecorder) PEPResponseReceived(req *xacml.Request, res xacml.Result, enforced xacml.Decision) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pepReceived = append(p.pepReceived, res.Decision)
-	p.pepEnforced = append(p.pepEnforced, enforced)
-}
-func (p *probeRecorder) PDPRequestReceived(req *xacml.Request) {
+
+func (p *probeRecorder) PDPRequestReceived(req *xacml.Request) func(xacml.Result, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.pdpReceived = append(p.pdpReceived, req)
+	calls := 0
+	return func(res xacml.Result, ok bool) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if calls++; calls > 1 {
+			p.twice++
+		}
+		if !ok {
+			p.pdpFailed++
+			return
+		}
+		p.pdpSent = append(p.pdpSent, res.Decision)
+	}
 }
-func (p *probeRecorder) PDPResponseSent(req *xacml.Request, res xacml.Result) {
+
+// sides reports how many sides were opened, how many of them had their hook
+// called exactly once, how many more than once, and how many ended without
+// a response at the PEP and at the PDP.
+func (p *probeRecorder) sides() (opened, closed, twice, pepFailed, pdpFailed int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pdpSent = append(p.pdpSent, res.Decision)
+	return len(p.pepSent) + len(p.pdpReceived),
+		len(p.pepEnforced) + p.pepFailed + len(p.pdpSent) + p.pdpFailed - p.twice,
+		p.twice, p.pepFailed, p.pdpFailed
 }
 
 func acPolicy() *xacml.PolicySet {
@@ -246,8 +279,8 @@ func TestTamperDrops(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 	rec.mu.Lock()
-	if len(rec.pepSent) != 1 || len(rec.pdpReceived) != 0 {
-		t.Fatalf("drop-request probes: sent=%d pdp=%d", len(rec.pepSent), len(rec.pdpReceived))
+	if len(rec.pepSent) != 1 || len(rec.pdpReceived) != 0 || rec.pepFailed != 1 {
+		t.Fatalf("drop-request probes: sent=%d pdp=%d failed=%d", len(rec.pepSent), len(rec.pdpReceived), rec.pepFailed)
 	}
 	rec.mu.Unlock()
 
@@ -257,8 +290,88 @@ func TestTamperDrops(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.pdpSent) != 1 || len(rec.pepEnforced) != 0 {
-		t.Fatalf("drop-response probes: pdpSent=%d enforced=%d", len(rec.pdpSent), len(rec.pepEnforced))
+	if len(rec.pdpSent) != 1 || len(rec.pepEnforced) != 0 || rec.pepFailed != 2 {
+		t.Fatalf("drop-response probes: pdpSent=%d enforced=%d failed=%d", len(rec.pdpSent), len(rec.pepEnforced), rec.pepFailed)
+	}
+}
+
+// failingEvaluator refuses every request.
+type failingEvaluator struct{}
+
+func (failingEvaluator) Evaluate(*xacml.Request) (xacml.Result, error) {
+	return xacml.Result{}, errors.New("evaluator down")
+}
+
+// Whatever ends an exchange, each side the probe was shown is closed exactly
+// once, so an agent holding the request-side observation is never left with
+// it: suppression either way, a call that cannot reach the PDP, an evaluator
+// that fails, and the same through DecideBatch's shared pipeline.
+func TestEveryPathClosesEachSideOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		// arrange breaks the exchange and returns how to mend it.
+		arrange func(env *acEnv) (mend func())
+		// pepFailed, pdpFailed: sides that must end without a response, per request.
+		pepFailed, pdpFailed int
+	}{
+		{"honest", func(*acEnv) func() { return func() {} }, 0, 0},
+		{"drop-request", func(env *acEnv) func() {
+			env.pep.SetTamper(&Tamper{DropRequest: true})
+			return func() { env.pep.SetTamper(nil) }
+		}, 1, 0},
+		{"drop-response", func(env *acEnv) func() {
+			env.pep.SetTamper(&Tamper{DropResponse: true})
+			return func() { env.pep.SetTamper(nil) }
+		}, 1, 0},
+		{"call-error", func(env *acEnv) func() {
+			env.net.Partition([]string{PEPAddr("tenant-1")}, []string{PDPAddr})
+			return env.net.Heal
+		}, 1, 0},
+		{"evaluator-error", func(env *acEnv) func() {
+			env.pdp.SetEvaluator(failingEvaluator{})
+			return func() { env.pdp.SetEvaluator(xacml.NewPDP(acPolicy())) }
+		}, 1, 1},
+	}
+	for _, c := range cases {
+		for _, batch := range []int{0, 3} {
+			env, rec := newACEnv(t)
+			mend := c.arrange(env)
+			wait := 10 * time.Second
+			if c.name == "call-error" {
+				wait = 50 * time.Millisecond // nothing will answer
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), wait)
+			n := 1
+			if batch == 0 {
+				_, err := env.pep.Decide(ctx, docReq("r", "doctor"))
+				if (err != nil) != (c.pepFailed > 0) {
+					t.Fatalf("%s: Decide err = %v", c.name, err)
+				}
+			} else {
+				n = batch
+				reqs := make([]*xacml.Request, n)
+				for i := range reqs {
+					reqs[i] = docReq(fmt.Sprintf("r%d", i), "doctor")
+				}
+				out, err := env.pep.DecideBatch(ctx, reqs)
+				if (err != nil) != (c.pepFailed > 0) || len(out) != n {
+					t.Fatalf("%s: DecideBatch err = %v, %d results", c.name, err, len(out))
+				}
+			}
+			cancel()
+			mend()
+			opened, closed, twice, pepFailed, pdpFailed := rec.sides()
+			if opened != closed || twice != 0 {
+				t.Fatalf("%s (batch %d): %d sides opened, %d closed once, %d closed twice", c.name, batch, opened, closed, twice)
+			}
+			if pepFailed != n*c.pepFailed || pdpFailed != n*c.pdpFailed {
+				t.Fatalf("%s (batch %d): sides ended without a response: pep %d pdp %d, want %d and %d",
+					c.name, batch, pepFailed, pdpFailed, n*c.pepFailed, n*c.pdpFailed)
+			}
+			if st := env.pep.Stats(); st.Failures != int64(n*c.pepFailed) {
+				t.Fatalf("%s (batch %d): pep stats = %+v", c.name, batch, st)
+			}
+		}
 	}
 }
 

@@ -42,8 +42,12 @@ type batchEvalResponse struct {
 // PDPProbe is the hook interface a DRAMS agent implements at the PDP side
 // (infrastructure tenant).
 type PDPProbe interface {
-	PDPRequestReceived(req *xacml.Request)
-	PDPResponseSent(req *xacml.Request, res xacml.Result)
+	// PDPRequestReceived observes req at PDP ingress, before evaluation,
+	// and returns the hook that ends the PDP's side of the exchange. The
+	// service calls that hook exactly once, on the goroutine serving the
+	// request: with the decision it is about to send, or with ok=false when
+	// it sends none (no evaluator, evaluation error).
+	PDPRequestReceived(req *xacml.Request) (done func(res xacml.Result, ok bool))
 }
 
 // PDPService exposes the federation PDP on the network. It wraps an
@@ -112,23 +116,24 @@ func (s *PDPService) evaluateOne(payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("federation: PDP decode request: %w", err)
 	}
 	start := time.Now()
+	done := func(xacml.Result, bool) {}
 	if pb := s.probe.Load(); pb != nil && pb.p != nil {
-		pb.p.PDPRequestReceived(req)
+		done = pb.p.PDPRequestReceived(req)
 	}
 	box := s.evaluator.Load()
 	if box == nil || box.ev == nil {
 		s.failures.Inc()
+		done(xacml.Result{}, false)
 		return nil, errors.New("federation: PDP has no evaluator")
 	}
 	res, err := box.ev.Evaluate(req)
 	if err != nil {
 		s.failures.Inc()
+		done(xacml.Result{}, false)
 		return nil, fmt.Errorf("federation: PDP evaluate: %w", err)
 	}
 	s.evaluations.Inc()
-	if pb := s.probe.Load(); pb != nil && pb.p != nil {
-		pb.p.PDPResponseSent(req, res)
-	}
+	done(res, true)
 	s.tracer.Load().Span(req.TraceID, trace.StagePDPEval, start, time.Since(start))
 	return res.Encode(), nil
 }

@@ -22,8 +22,14 @@ var ErrRequestDropped = errors.New("federation: access request dropped")
 
 // PEPProbe is the hook interface a DRAMS agent implements at a tenant edge.
 type PEPProbe interface {
-	PEPRequestSent(req *xacml.Request)
-	PEPResponseReceived(req *xacml.Request, res xacml.Result, enforced xacml.Decision)
+	// PEPRequestSent observes req as the PEP sends it and returns the hook
+	// that ends the edge's side of the exchange. The PEP calls that hook
+	// exactly once, on the goroutine serving the exchange: with the response
+	// as it arrived and the effect enforced, or with ok=false on every path
+	// that ends without a response (suppression, call error or timeout, an
+	// undecodable or failed reply). What the probe keeps between the two
+	// calls therefore lives no longer than the exchange.
+	PEPRequestSent(req *xacml.Request) (done func(res xacml.Result, enforced xacml.Decision, ok bool))
 }
 
 // Tamper models a compromised data path around one PEP (paper §I threat
@@ -124,6 +130,15 @@ func (s *PEPService) Tenant() string { return s.tenant }
 // SetProbe attaches the DRAMS agent hook.
 func (s *PEPService) SetProbe(p PEPProbe) { s.probe.Store(&probeBoxPEP{p: p}) }
 
+// observe shows req to the probe as the application/PEP formed it and
+// returns the hook that ends the side; without a probe both do nothing.
+func (s *PEPService) observe(req *xacml.Request) func(res xacml.Result, enforced xacml.Decision, ok bool) {
+	if pb := s.probe.Load(); pb != nil && pb.p != nil {
+		return pb.p.PEPRequestSent(req)
+	}
+	return func(xacml.Result, xacml.Decision, bool) {}
+}
+
 // SetTracer attaches (or clears, with nil) the end-to-end span recorder.
 func (s *PEPService) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 
@@ -158,17 +173,19 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 	traceID := ensureTraceID(req)
 	start := time.Now()
 
-	// Probe sees the request as the application/PEP formed it.
-	if pb := s.probe.Load(); pb != nil && pb.p != nil {
-		pb.p.PEPRequestSent(req)
+	done := s.observe(req)
+	// fail ends an exchange that produced no response the edge could observe.
+	fail := func(err error) (Enforcement, error) {
+		s.failures.Inc()
+		done(xacml.Result{}, 0, false)
+		return Enforcement{Decision: xacml.IndeterminateDP}, err
 	}
 
 	// In-transit tampering / suppression happens after the probe.
 	wire := req
 	if tam != nil {
 		if tam.DropRequest {
-			s.failures.Inc()
-			return Enforcement{Decision: xacml.IndeterminateDP}, ErrRequestDropped
+			return fail(ErrRequestDropped)
 		}
 		if tam.Request != nil {
 			wire = tam.Request(req.Clone())
@@ -179,21 +196,18 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 	defer cancel()
 	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluate, wire.Encode())
 	if err != nil {
-		s.failures.Inc()
-		return Enforcement{Decision: xacml.IndeterminateDP}, fmt.Errorf("federation: PEP %s → PDP: %w", s.tenant, err)
+		return fail(fmt.Errorf("federation: PEP %s → PDP: %w", s.tenant, err))
 	}
 	res, err := xacml.DecodeResult(raw)
 	if err != nil {
-		s.failures.Inc()
-		return Enforcement{Decision: xacml.IndeterminateDP}, err
+		return fail(err)
 	}
 
 	// Response-side tampering/suppression happens before the probe sees
 	// the arrival (the probe observes the tenant edge).
 	if tam != nil {
 		if tam.DropResponse {
-			s.failures.Inc()
-			return Enforcement{Decision: xacml.IndeterminateDP}, ErrRequestDropped
+			return fail(ErrRequestDropped)
 		}
 		if tam.Response != nil {
 			res = tam.Response(res)
@@ -205,9 +219,7 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 		enforced = tam.Enforce(res.Decision)
 	}
 
-	if pb := s.probe.Load(); pb != nil && pb.p != nil {
-		pb.p.PEPResponseReceived(req, res, enforced)
-	}
+	done(res, enforced, true)
 	s.tracer.Load().Span(traceID, trace.StagePEPDecide, start, time.Since(start))
 
 	if enforced == xacml.Permit {
@@ -238,10 +250,15 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	for i := range out {
 		out[i] = Enforcement{Decision: xacml.IndeterminateDP}
 	}
+	done := make([]func(xacml.Result, xacml.Decision, bool), len(reqs))
+	failOne := func(i int, err error) {
+		s.failures.Inc()
+		done[i](xacml.Result{}, 0, false)
+		errs[i] = err
+	}
 	failAll := func(err error) ([]Enforcement, error) {
 		for i := range reqs {
-			s.failures.Inc()
-			errs[i] = err
+			failOne(i, err)
 		}
 		return out, errors.Join(errs...)
 	}
@@ -252,10 +269,7 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	for i, req := range reqs {
 		s.requests.Inc()
 		ensureTraceID(req)
-		// Probe sees each request as the application/PEP formed it.
-		if pb := s.probe.Load(); pb != nil && pb.p != nil {
-			pb.p.PEPRequestSent(req)
-		}
+		done[i] = s.observe(req)
 		w := req
 		if tam != nil && tam.Request != nil {
 			w = tam.Request(req.Clone())
@@ -298,14 +312,12 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	for i, req := range reqs {
 		item := resp.Items[i]
 		if item.Err != "" {
-			s.failures.Inc()
-			errs[i] = errors.New(item.Err)
+			failOne(i, errors.New(item.Err))
 			continue
 		}
 		res, err := xacml.DecodeResult(item.Result)
 		if err != nil {
-			s.failures.Inc()
-			errs[i] = err
+			failOne(i, err)
 			continue
 		}
 		if tam != nil && tam.Response != nil {
@@ -315,9 +327,7 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 		if tam != nil && tam.Enforce != nil {
 			enforced = tam.Enforce(res.Decision)
 		}
-		if pb := s.probe.Load(); pb != nil && pb.p != nil {
-			pb.p.PEPResponseReceived(req, res, enforced)
-		}
+		done[i](res, enforced, true)
 		// Each item shares the batch's single round-trip, so every trace
 		// in the pipeline records the same PEP-observed span duration.
 		s.tracer.Load().Span(req.TraceID, trace.StagePEPDecide, start, time.Since(start))

@@ -7,6 +7,7 @@ import (
 
 	"drams/internal/clock"
 	"drams/internal/core"
+	"drams/internal/crypto"
 	"drams/internal/metrics"
 	"drams/internal/xacml"
 )
@@ -81,20 +82,54 @@ func (a *Agent) Stats() AgentStats {
 	return AgentStats{Observed: a.observed.Value(), Errors: a.errors.Value()}
 }
 
-func (a *Agent) submit(rec core.LogRecord, ec core.EncryptedContext) {
+// side is one exchange as seen from one interception side of the agent's
+// tenant (PEP egress/ingress at an edge, PDP ingress/egress in the
+// infrastructure tenant). Each observation is digested, sealed and stamped
+// at its interception point; under SubmitAsync the request-side record is
+// then held here — on the goroutine serving the exchange, so nothing is left
+// behind when that returns — until the side completes, and the two go to the
+// LI as one queue entry: one anchoring transaction per side. The synchronous
+// modes submit each record at the moment it is observed.
+type side struct {
+	a         *Agent
+	req       *xacml.Request
+	reqDigest crypto.Digest
+	recs      [2]core.LogRecord
+	n         int
+}
+
+// open starts a side with the request-side observation of kind.
+func (a *Agent) open(kind core.LogKind, req *xacml.Request) *side {
+	s := &side{a: a, req: req, reqDigest: req.Digest()}
+	s.observe(core.LogRecord{Kind: kind}, core.EncryptedContext{Request: req})
+	return s
+}
+
+// observe completes rec — whose kind and response fields the caller set —
+// and submits or holds it.
+func (s *side) observe(rec core.LogRecord, ec core.EncryptedContext) {
+	a := s.a
 	a.observed.Inc()
 	if a.isMuted(rec.Kind) {
 		return
 	}
-	payload, err := a.li.Seal(ec, rec.ReqID)
+	payload, err := a.li.Seal(ec, s.req.ID)
 	if err != nil {
 		a.errors.Inc()
 		return
 	}
+	rec.ReqID = s.req.ID
+	rec.TraceID = s.req.TraceID
+	rec.ReqDigest = s.reqDigest
 	rec.Payload = payload
 	rec.Agent = a.name
 	rec.Tenant = a.tenant
 	rec.TimestampUnixNano = a.clk.Now().UnixNano()
+	if a.li.cfg.Mode == SubmitAsync {
+		s.recs[s.n] = rec
+		s.n++
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), a.timeout)
 	defer cancel()
 	if err := a.li.Log(ctx, rec); err != nil {
@@ -102,52 +137,56 @@ func (a *Agent) submit(rec core.LogRecord, ec core.EncryptedContext) {
 	}
 }
 
-// PEPRequestSent records that the tenant's PEP sent req towards the PDP.
-func (a *Agent) PEPRequestSent(req *xacml.Request) {
-	a.submit(core.LogRecord{
-		Kind:      core.KindPEPRequest,
-		ReqID:     req.ID,
-		TraceID:   req.TraceID,
-		ReqDigest: req.Digest(),
-	}, core.EncryptedContext{Request: req})
+// close hands what the side holds to the LI. A side that ended without its
+// response (or with one leg muted) hands over the other record alone, so M3
+// still learns of the exchange.
+func (s *side) close() {
+	if s.n == 0 {
+		return
+	}
+	if err := s.a.li.enqueue(s.recs[:s.n]); err != nil {
+		s.a.errors.Inc()
+	}
+	s.n = 0
 }
 
-// PDPRequestReceived records that the PDP received req.
-func (a *Agent) PDPRequestReceived(req *xacml.Request) {
-	a.submit(core.LogRecord{
-		Kind:      core.KindPDPRequest,
-		ReqID:     req.ID,
-		TraceID:   req.TraceID,
-		ReqDigest: req.Digest(),
-	}, core.EncryptedContext{Request: req})
+// PEPRequestSent records that the tenant's PEP sent req towards the PDP, and
+// returns the hook that ends the edge's side of the exchange: the response
+// as it arrived at the PEP and the effect the PEP actually enforced, or
+// ok=false when the exchange failed before one was observed.
+func (a *Agent) PEPRequestSent(req *xacml.Request) func(res xacml.Result, enforced xacml.Decision, ok bool) {
+	return a.open(core.KindPEPRequest, req).pepResponseReceived
 }
 
-// PDPResponseSent records the decision the PDP sent for req. The sealed
-// context includes the request so the Analyser can re-derive the expected
-// decision.
-func (a *Agent) PDPResponseSent(req *xacml.Request, res xacml.Result) {
-	a.submit(core.LogRecord{
-		Kind:          core.KindPDPResponse,
-		ReqID:         req.ID,
-		TraceID:       req.TraceID,
-		ReqDigest:     req.Digest(),
-		RespDigest:    res.Digest(),
-		DecisionTag:   a.li.DecisionTag(req.ID, res.Decision),
-		PolicyVersion: res.PolicyVersion,
-		PolicyDigest:  res.PolicyDigest,
-	}, core.EncryptedContext{Request: req, Result: &res})
+func (s *side) pepResponseReceived(res xacml.Result, enforced xacml.Decision, ok bool) {
+	if ok {
+		s.observe(core.LogRecord{
+			Kind:        core.KindPEPResponse,
+			RespDigest:  res.Digest(),
+			DecisionTag: s.a.li.DecisionTag(s.req.ID, res.Decision),
+			EnforcedTag: s.a.li.DecisionTag(s.req.ID, enforced),
+		}, core.EncryptedContext{Request: s.req, Result: &res, Enforced: enforced})
+	}
+	s.close()
 }
 
-// PEPResponseReceived records the response as it arrived at the PEP and
-// the effect the PEP actually enforced.
-func (a *Agent) PEPResponseReceived(req *xacml.Request, res xacml.Result, enforced xacml.Decision) {
-	a.submit(core.LogRecord{
-		Kind:        core.KindPEPResponse,
-		ReqID:       req.ID,
-		TraceID:     req.TraceID,
-		ReqDigest:   req.Digest(),
-		RespDigest:  res.Digest(),
-		DecisionTag: a.li.DecisionTag(req.ID, res.Decision),
-		EnforcedTag: a.li.DecisionTag(req.ID, enforced),
-	}, core.EncryptedContext{Request: req, Result: &res, Enforced: enforced})
+// PDPRequestReceived records that the PDP received req, and returns the hook
+// that ends the PDP's side of the exchange: the decision the PDP sent, or
+// ok=false when it sent none. The sealed context of the response includes
+// the request so the Analyser can re-derive the expected decision.
+func (a *Agent) PDPRequestReceived(req *xacml.Request) func(res xacml.Result, ok bool) {
+	return a.open(core.KindPDPRequest, req).pdpResponseSent
+}
+
+func (s *side) pdpResponseSent(res xacml.Result, ok bool) {
+	if ok {
+		s.observe(core.LogRecord{
+			Kind:          core.KindPDPResponse,
+			RespDigest:    res.Digest(),
+			DecisionTag:   s.a.li.DecisionTag(s.req.ID, res.Decision),
+			PolicyVersion: res.PolicyVersion,
+			PolicyDigest:  res.PolicyDigest,
+		}, core.EncryptedContext{Request: s.req, Result: &res})
+	}
+	s.close()
 }

@@ -35,7 +35,7 @@ type SubmitMode uint8
 
 // Submission modes (E6 compares them).
 const (
-	// SubmitAsync enqueues and returns immediately; a worker pool submits
+	// SubmitAsync enqueues and returns immediately; the LI's flusher anchors
 	// in the background. Access-control latency is unaffected.
 	SubmitAsync SubmitMode = iota + 1
 	// SubmitSync submits and waits for the transaction to be accepted
@@ -47,21 +47,16 @@ const (
 )
 
 const (
-	// liWorkers is the number of async submission workers per LI.
-	liWorkers = 2
 	// liConfirmations is how deep SubmitConfirmed waits for its transaction.
 	liConfirmations = 1
-	// flushLinger is how long a worker holding a partial window waits for
-	// more records before flushing. Bounded so batching never delays
-	// detection noticeably.
-	flushLinger = 2 * time.Millisecond
-	// flushWindow caps how many probe records an async worker anchors under
-	// one Merkle-rooted batch transaction (at most core.MaxLogBatch). A
-	// window of N observations then costs one signed transaction instead of
-	// N; the contract re-derives the root and per-record events carry
-	// membership proofs, so anchoring stays as binding as individual
-	// submissions. Only SubmitAsync batches; the synchronous modes trade
-	// latency for per-record guarantees already.
+	// flushWindow is the number of probe records at which the flusher stops
+	// gathering and anchors what it holds under one Merkle-rooted batch
+	// transaction (far below core.MaxLogBatch; an entry is never split, so a
+	// window holds at most one record more). A window of N observations then
+	// costs one signed transaction instead of N; the contract re-derives the
+	// root and per-record events carry membership proofs, so anchoring stays
+	// as binding as individual submissions. Only SubmitAsync batches; the
+	// synchronous modes trade latency for per-record guarantees already.
 	flushWindow = 16
 )
 
@@ -87,12 +82,14 @@ type LIConfig struct {
 	Clock clock.Clock
 }
 
-// LIStats snapshot.
+// LIStats snapshot. Submitted, Failed and Dropped count records (a batch of
+// N counts N).
 type LIStats struct {
-	// Submitted counts records (a batch of N counts N).
 	Submitted int64
 	Failed    int64
-	Dropped   int64
+	// Dropped counts records refused at a full queue, or still queued (or
+	// handed over) once the LI had stopped.
+	Dropped int64
 	// BatchesSubmitted counts Merkle-anchored batch transactions.
 	BatchesSubmitted int64
 	QueueLen         int
@@ -102,7 +99,7 @@ type LIStats struct {
 // blockchain.
 type LI struct {
 	cfg    LIConfig
-	sender *blockchain.Sender
+	sender txSender
 	cipher *crypto.Cipher
 	clk    clock.Clock
 
@@ -113,7 +110,7 @@ type LI struct {
 	dropped   metrics.Counter
 	batches   metrics.Counter
 	// flushDepth records how many probe records each async flush anchored
-	// under one batch transaction (1 = unbatched fallback).
+	// under one transaction (1 = a lone record, unbatched).
 	flushDepth *metrics.Histogram
 	tracer     atomic.Pointer[trace.Tracer]
 
@@ -126,13 +123,20 @@ type LI struct {
 	wg       sync.WaitGroup
 }
 
+// txSender is what the LI uses of blockchain.Sender; a test wraps it to hold
+// a submission in flight.
+type txSender interface {
+	Send(call contract.Call) (crypto.Digest, error)
+	SendAndWait(ctx context.Context, call contract.Call, confirmations uint64) (blockchain.Receipt, error)
+}
+
+// queued is one entry of the async queue: the probe records handed over in
+// one call — both observations of an exchange at one interception side, or a
+// lone one — anchored together.
 type queued struct {
-	call contract.Call
-	// rec is set for probe log records, which are batchable; other calls
-	// (verdicts) pass through unbatched.
-	rec *core.LogRecord
-	// enq is when the record joined the queue, so the flush-wait trace
-	// span can report time spent waiting for the batch window.
+	recs []core.LogRecord
+	// enq is when the entry joined the queue, so the flush-wait trace span
+	// can report how long its records waited for the flusher.
 	enq time.Time
 }
 
@@ -143,6 +147,9 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = SubmitAsync
+	}
+	if cfg.Mode > SubmitConfirmed {
+		return nil, fmt.Errorf("logger: unknown submit mode %d", cfg.Mode)
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
@@ -166,12 +173,10 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	return li, nil
 }
 
-// Start launches async workers and the alert-event subscription.
+// Start launches the flusher and the alert-event subscription.
 func (li *LI) Start() {
-	for i := 0; i < liWorkers; i++ {
-		li.wg.Add(1)
-		go li.worker()
-	}
+	li.wg.Add(1)
+	go li.flusher()
 	events, cancel := li.cfg.Node.SubscribeEvents(0)
 	li.cancelSub = cancel
 	li.wg.Add(1)
@@ -197,18 +202,23 @@ func (li *LI) Start() {
 	}()
 }
 
-// Stop sends nothing more: in-flight submissions finish, and queued ones
-// not yet sent are discarded and counted as Dropped.
+// Stop sends nothing more: the submission in flight finishes, and records
+// still queued — or handed over later — are discarded and counted as Dropped.
 func (li *LI) Stop() {
 	li.stopOnce.Do(func() { close(li.stop) })
 	if li.cancelSub != nil {
 		li.cancelSub()
 	}
 	li.wg.Wait()
+	li.dropQueued()
+}
+
+// dropQueued empties the queue of a stopped LI into the Dropped count.
+func (li *LI) dropQueued() {
 	for {
 		select {
-		case <-li.queue:
-			li.dropped.Inc()
+		case q := <-li.queue:
+			li.dropped.Add(int64(len(q.recs)))
 		default:
 			return
 		}
@@ -261,163 +271,126 @@ func (li *LI) Open(reqID string, payload []byte) (core.EncryptedContext, error) 
 // anchoring; otherwise it becomes its own transaction.
 func (li *LI) Log(ctx context.Context, rec core.LogRecord) error {
 	if li.cfg.Mode == SubmitAsync {
-		select {
-		case <-li.stop:
-			return ErrStopped
-		default:
-		}
-		select {
-		case li.queue <- queued{rec: &rec, enq: time.Now()}:
-			return nil
-		default:
-			li.dropped.Inc()
-			return ErrQueueFull
-		}
+		return li.enqueue([]core.LogRecord{rec})
 	}
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode()}
-	return li.submit(ctx, call)
-}
-
-// SubmitVerdict lets an analyser colocated with this LI publish through it.
-func (li *LI) SubmitVerdict(ctx context.Context, v core.Verdict) error {
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodVerdict, Args: v.Encode()}
-	return li.submit(ctx, call)
-}
-
-func (li *LI) submit(ctx context.Context, call contract.Call) error {
 	select {
 	case <-li.stop:
 		return ErrStopped
 	default:
 	}
-	switch li.cfg.Mode {
-	case SubmitAsync:
-		select {
-		case li.queue <- queued{call: call}:
-			return nil
-		default:
-			li.dropped.Inc()
-			return ErrQueueFull
-		}
-	case SubmitSync:
-		if _, err := li.sender.Send(call); err != nil {
-			li.failed.Inc()
-			return err
-		}
-		li.submitted.Inc()
-		return nil
-	case SubmitConfirmed:
-		rec, err := li.sender.SendAndWait(ctx, call, liConfirmations)
-		if err != nil {
-			li.failed.Inc()
-			return err
-		}
-		li.submitted.Inc()
-		if !rec.OK {
-			return fmt.Errorf("logger: tx failed on-chain: %s", rec.Err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("logger: unknown submit mode %d", li.cfg.Mode)
+	call := contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode()}
+	receipt := blockchain.Receipt{OK: true} // SubmitSync waits for no receipt
+	var err error
+	if li.cfg.Mode == SubmitSync {
+		_, err = li.sender.Send(call)
+	} else {
+		receipt, err = li.sender.SendAndWait(ctx, call, liConfirmations)
 	}
+	if err != nil {
+		li.failed.Inc()
+		return err
+	}
+	li.submitted.Inc()
+	if !receipt.OK {
+		return fmt.Errorf("logger: tx failed on-chain: %s", receipt.Err)
+	}
+	return nil
 }
 
-func (li *LI) worker() {
+// enqueue hands recs to the flusher as one entry, never blocking: a full
+// queue refuses them, a stopped LI discards them, and both count them as
+// Dropped. The LI keeps recs until they are anchored.
+func (li *LI) enqueue(recs []core.LogRecord) error {
+	select {
+	case <-li.stop:
+		li.dropped.Add(int64(len(recs)))
+		return ErrStopped
+	default:
+	}
+	select {
+	case li.queue <- queued{recs: recs, enq: li.clk.Now()}:
+	default:
+		li.dropped.Add(int64(len(recs)))
+		return ErrQueueFull
+	}
+	select {
+	case <-li.stop:
+		// Stop may have emptied the queue before this entry joined it.
+		li.dropQueued()
+	default:
+	}
+	return nil
+}
+
+// flusher anchors whatever is queued whenever it is free: one entry on a
+// quiet LI, everything that queued up behind the previous submission on a
+// busy one. The batch grows with load because a Send was in flight, never
+// because a timer ran.
+func (li *LI) flusher() {
 	defer li.wg.Done()
+	recs := make([]core.LogRecord, 0, flushWindow+1)
+	enqs := make([]time.Time, 0, flushWindow+1)
 	for {
+		var q queued
 		select {
 		case <-li.stop:
 			return
-		case q := <-li.queue:
-			if q.rec != nil {
-				li.flushWindow(q)
-			} else {
-				li.send(q.call, 1)
+		case q = <-li.queue:
+		}
+		recs, enqs = recs[:0], enqs[:0]
+	gather:
+		for {
+			for _, rec := range q.recs {
+				recs, enqs = append(recs, rec), append(enqs, q.enq)
+			}
+			if len(recs) >= flushWindow {
+				break
+			}
+			select {
+			case q = <-li.queue:
+			default:
+				break gather
 			}
 		}
+		li.anchor(recs, enqs)
 	}
 }
 
-// send submits one call with a single retry (transient mempool or network
-// hiccups), counting n records on the outcome. Reports success.
-func (li *LI) send(call contract.Call, n int64) bool {
+// anchor submits recs as one transaction — a Merkle-rooted batch, or a plain
+// log call for a lone record, so a record observed alone keeps the unbatched
+// wire shape — and closes the li.flush_wait span of each (enqs[i] is when
+// recs[i] was queued).
+func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
+	n := int64(len(recs))
+	call := contract.Call{Contract: core.ContractName, Method: core.MethodLog}
+	if n == 1 {
+		call.Args = recs[0].Encode()
+	} else {
+		lb, err := core.NewLogBatch(recs)
+		if err != nil {
+			li.failed.Add(n)
+			return
+		}
+		call.Method, call.Args = core.MethodLogBatch, lb.Encode()
+	}
+	// One retry covers a transient mempool or network hiccup.
 	if _, err := li.sender.Send(call); err != nil {
 		li.clk.Sleep(10 * time.Millisecond)
-		if _, err2 := li.sender.Send(call); err2 != nil {
+		if _, err := li.sender.Send(call); err != nil {
 			li.failed.Add(n)
-			return false
+			return
 		}
 	}
 	li.submitted.Add(n)
-	return true
-}
-
-// flushWindow gathers up to flushWindow records starting from first —
-// draining whatever is already queued, then lingering briefly for
-// stragglers — and anchors the window as one batch transaction. A lone
-// record falls back to a plain log transaction, so light traffic keeps the
-// unbatched wire shape. Non-record calls pulled while draining pass
-// straight through.
-func (li *LI) flushWindow(first queued) {
-	recs := append(make([]core.LogRecord, 0, flushWindow), *first.rec)
-	enqs := append(make([]time.Time, 0, flushWindow), first.enq)
-	lingered := false
-gather:
-	for len(recs) < flushWindow {
-		select {
-		case q := <-li.queue:
-			if q.rec != nil {
-				recs = append(recs, *q.rec)
-				enqs = append(enqs, q.enq)
-			} else {
-				li.send(q.call, 1)
-			}
-			continue
-		default:
-		}
-		if lingered {
-			break
-		}
-		lingered = true
-		select {
-		case <-li.stop:
-			break gather // flush what we hold; in-flight work finishes
-		case q := <-li.queue:
-			if q.rec != nil {
-				recs = append(recs, *q.rec)
-				enqs = append(enqs, q.enq)
-			} else {
-				li.send(q.call, 1)
-			}
-		case <-li.clk.After(flushLinger):
-		}
+	if n > 1 {
+		li.batches.Inc()
 	}
-	spanFlush := func() {
-		li.flushDepth.Observe(float64(len(recs)))
-		tr := li.tracer.Load()
-		if tr == nil {
-			return
-		}
-		now := time.Now()
+	li.flushDepth.Observe(float64(n))
+	if tr := li.tracer.Load(); tr != nil {
+		now := li.clk.Now()
 		for i, rec := range recs {
 			tr.Span(rec.TraceID, trace.StageLIFlushWait, enqs[i], now.Sub(enqs[i]))
 		}
-	}
-	if len(recs) == 1 {
-		if li.send(contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: recs[0].Encode()}, 1) {
-			spanFlush()
-		}
-		return
-	}
-	lb, err := core.NewLogBatch(recs)
-	if err != nil {
-		li.failed.Add(int64(len(recs)))
-		return
-	}
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodLogBatch, Args: lb.Encode()}
-	if li.send(call, int64(len(recs))) {
-		li.batches.Inc()
-		spanFlush()
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,28 +96,36 @@ func waitForRecord(t *testing.T, node *blockchain.Node, reqID string, kind core.
 	return core.LogRecord{}
 }
 
+// loggedRecords lists, in chain order, the records each log or logbatch
+// transaction on the best chain carries.
+func loggedRecords(chain *blockchain.Chain) [][]core.LogRecord {
+	var out [][]core.LogRecord
+	for h := uint64(1); h <= chain.Height(); h++ {
+		b, _ := chain.BlockByHeight(h)
+		for _, tx := range b.Txs {
+			switch tx.Call.Method {
+			case core.MethodLog:
+				if rec, err := core.DecodeLogRecord(tx.Call.Args); err == nil {
+					out = append(out, []core.LogRecord{rec})
+				}
+			case core.MethodLogBatch:
+				if lb, err := core.DecodeLogBatch(tx.Call.Args); err == nil {
+					out = append(out, lb.Records)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // anchoredRecord finds the first log or logbatch transaction on the best
 // chain that carries the record.
 func anchoredRecord(t *testing.T, chain *blockchain.Chain, reqID string, kind core.LogKind) core.LogRecord {
 	t.Helper()
-	for h := uint64(1); h <= chain.Height(); h++ {
-		b, _ := chain.BlockByHeight(h)
-		for _, tx := range b.Txs {
-			var recs []core.LogRecord
-			switch tx.Call.Method {
-			case core.MethodLog:
-				if rec, err := core.DecodeLogRecord(tx.Call.Args); err == nil {
-					recs = []core.LogRecord{rec}
-				}
-			case core.MethodLogBatch:
-				if lb, err := core.DecodeLogBatch(tx.Call.Args); err == nil {
-					recs = lb.Records
-				}
-			}
-			for _, rec := range recs {
-				if rec.ReqID == reqID && rec.Kind == kind {
-					return rec
-				}
+	for _, recs := range loggedRecords(chain) {
+		for _, rec := range recs {
+			if rec.ReqID == reqID && rec.Kind == kind {
+				return rec
 			}
 		}
 	}
@@ -143,26 +153,55 @@ func TestLIAsyncSubmission(t *testing.T) {
 	}
 }
 
+// gatedSender holds the first Send until released, so a test can queue
+// records behind a submission that is in flight.
+type gatedSender struct {
+	txSender
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gatedSender) Send(call contract.Call) (crypto.Digest, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.txSender.Send(call)
+}
+
+// Group commit: what queues while a submission is in flight is anchored
+// together when the flusher is free again, with no timer involved. A burst
+// of 24 records behind one in-flight Send costs two more transactions (a
+// full window of 16, then the remaining 8), and every record still reaches
+// contract state.
 func TestLIBatchedAnchoring(t *testing.T) {
 	env := newLIEnv(t, SubmitAsync)
-	// A burst larger than one flush window: the LI must anchor (most of)
-	// it in Merkle-batched transactions while every record still reaches
-	// contract state.
+	gate := &gatedSender{txSender: env.li.sender, entered: make(chan struct{}), release: make(chan struct{})}
+	env.li.sender = gate // the flusher reads it only once a record is queued
+
+	if err := env.li.Log(context.Background(), pepRequestRecord("first")); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
 	const n = 24
 	for i := 0; i < n; i++ {
 		if err := env.li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("batch-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	close(gate.release)
 	for i := 0; i < n; i++ {
 		waitForRecord(t, env.node, fmt.Sprintf("batch-%d", i), core.KindPEPRequest)
 	}
-	st := env.li.Stats()
-	if st.Submitted != n {
-		t.Fatalf("submitted = %d records, want %d", st.Submitted, n)
+	for deadline := time.Now().Add(5 * time.Second); env.li.Stats().BatchesSubmitted < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
-	if st.BatchesSubmitted == 0 {
-		t.Fatal("burst produced no batch transactions")
+	st := env.li.Stats()
+	if st.Submitted != n+1 || st.BatchesSubmitted != 2 || st.Failed != 0 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d records: one alone, then 2 batch transactions", st, n+1)
+	}
+	if depth := env.li.FlushDepth(); depth.Count != 3 || depth.Sum != n+1 {
+		t.Fatalf("flushes = %d anchoring %v records, want 3 anchoring %d", depth.Count, depth.Sum, n+1)
 	}
 }
 
@@ -263,10 +302,10 @@ func TestAgentObservationsReachChain(t *testing.T) {
 		PolicyID: "root", PolicyVersion: "v1", PolicyDigest: crypto.Sum([]byte("pol")),
 	}
 
-	agent.PEPRequestSent(req)
-	agent.PDPRequestReceived(req)
-	agent.PDPResponseSent(req, res)
-	agent.PEPResponseReceived(req, res, xacml.Permit)
+	pepDone := agent.PEPRequestSent(req)
+	pdpDone := agent.PDPRequestReceived(req)
+	pdpDone(res, true)
+	pepDone(res, xacml.Permit, true)
 
 	for _, kind := range core.LogKinds() {
 		rec := waitForRecord(t, env.node, "ag-1", kind)
@@ -305,6 +344,104 @@ func TestAgentErrorsDoNotPanic(t *testing.T) {
 	agent.PEPRequestSent(req)
 	if st := agent.Stats(); st.Errors != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// logTxs lists, in chain order, the kinds carried by each log or logbatch
+// transaction that names reqID.
+func logTxs(chain *blockchain.Chain, reqID string) [][]core.LogKind {
+	var out [][]core.LogKind
+	for _, recs := range loggedRecords(chain) {
+		var kinds []core.LogKind
+		for _, rec := range recs {
+			if rec.ReqID == reqID {
+				kinds = append(kinds, rec.Kind)
+			}
+		}
+		if kinds != nil {
+			out = append(out, kinds)
+		}
+	}
+	return out
+}
+
+// Under SubmitAsync an agent anchors one transaction per interception side:
+// the request-side record is held until the side completes and the pair is
+// one Merkle batch; a side that ends without its response, or with one leg
+// muted, anchors the other record alone as a plain log call.
+func TestAgentAnchorsOneTransactionPerSide(t *testing.T) {
+	env := newLIEnv(t, SubmitAsync)
+	agent := NewAgent("agent@t1", "t1", env.li, nil)
+	res := xacml.Result{Decision: xacml.Permit, PolicyVersion: "v1", PolicyDigest: crypto.Sum([]byte("pol"))}
+	pair := func(a, b core.LogKind) [][]core.LogKind { return [][]core.LogKind{{a, b}} }
+	alone := func(k core.LogKind) [][]core.LogKind { return [][]core.LogKind{{k}} }
+
+	cases := []struct {
+		id   string
+		mute core.LogKind
+		run  func(req *xacml.Request)
+		last core.LogKind // the record to wait for
+		want [][]core.LogKind
+	}{
+		{"pep-pair", "", func(req *xacml.Request) {
+			done := agent.PEPRequestSent(req)
+			if st := env.li.Stats(); st.QueueLen != 0 || st.Submitted != 0 {
+				t.Fatalf("request-side observation reached the LI before its side completed: %+v", st)
+			}
+			done(res, xacml.Permit, true)
+		}, core.KindPEPResponse, pair(core.KindPEPRequest, core.KindPEPResponse)},
+		{"pdp-pair", "", func(req *xacml.Request) { agent.PDPRequestReceived(req)(res, true) },
+			core.KindPDPResponse, pair(core.KindPDPRequest, core.KindPDPResponse)},
+		{"pep-failed", "", func(req *xacml.Request) { agent.PEPRequestSent(req)(xacml.Result{}, 0, false) },
+			core.KindPEPRequest, alone(core.KindPEPRequest)},
+		{"pdp-failed", "", func(req *xacml.Request) { agent.PDPRequestReceived(req)(xacml.Result{}, false) },
+			core.KindPDPRequest, alone(core.KindPDPRequest)},
+		{"response-muted", core.KindPEPResponse, func(req *xacml.Request) { agent.PEPRequestSent(req)(res, xacml.Permit, true) },
+			core.KindPEPRequest, alone(core.KindPEPRequest)},
+		{"request-muted", core.KindPDPRequest, func(req *xacml.Request) { agent.PDPRequestReceived(req)(res, true) },
+			core.KindPDPResponse, alone(core.KindPDPResponse)},
+	}
+	for _, c := range cases {
+		if c.mute != "" {
+			agent.Mute(c.mute)
+		}
+		c.run(xacml.NewRequest(c.id).Add(xacml.CatSubject, "role", xacml.String("doctor")))
+		waitForRecord(t, env.node, c.id, c.last)
+		if got := logTxs(env.node.Chain(), c.id); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: transactions carry %v, want %v", c.id, got, c.want)
+		}
+	}
+	if st := agent.Stats(); st.Observed != 10 || st.Errors != 0 {
+		t.Fatalf("agent stats = %+v, want 10 observations (muted ones included), no error", st)
+	}
+	if st := env.li.Stats(); st.Dropped != 0 || st.Failed != 0 {
+		t.Fatalf("LI stats = %+v", st)
+	}
+}
+
+// Stop loses nothing silently: the entry still queued and the observation an
+// exchange in flight still holds are both counted as Dropped, record by
+// record, and the late hand-over is an agent error.
+func TestLIStopCountsQueuedAndHeldRecords(t *testing.T) {
+	li := unstartedLI(t, 8) // no flusher: what is queued stays queued
+	agent := NewAgent("agent@q", "q", li, nil)
+	res := xacml.Result{Decision: xacml.Permit}
+
+	agent.PEPRequestSent(xacml.NewRequest("queued"))(res, xacml.Permit, true)
+	held := agent.PEPRequestSent(xacml.NewRequest("held"))
+	if st := li.Stats(); st.QueueLen != 1 || st.Dropped != 0 {
+		t.Fatalf("before Stop: %+v, want one entry queued", st)
+	}
+	li.Stop()
+	if st := li.Stats(); st.Dropped != 2 || st.QueueLen != 0 {
+		t.Fatalf("after Stop: %+v, want the queued pair dropped", st)
+	}
+	held(res, xacml.Permit, true)
+	if st := li.Stats(); st.Dropped != 4 || st.QueueLen != 0 {
+		t.Fatalf("after the late hand-over: %+v, want the held pair dropped too", st)
+	}
+	if st := agent.Stats(); st.Observed != 4 || st.Errors != 1 {
+		t.Fatalf("agent stats = %+v, want the late hand-over counted as one error", st)
 	}
 }
 

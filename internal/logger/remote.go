@@ -149,8 +149,9 @@ func (li *LI) Expose(net transport.Transport, addr string) error {
 }
 
 // RemoteAgent is a probing agent in a different process/section than its
-// LI: observations travel over the tenant network. It implements the same
-// probe interfaces as the in-process Agent.
+// LI: observations travel over the tenant network, one per frame, and reach
+// the same flusher as an in-process agent's. It implements the same probe
+// interfaces as the in-process Agent.
 type RemoteAgent struct {
 	name    string
 	liAddr  string
@@ -235,22 +236,24 @@ func (ra *RemoteAgent) send(obs Observation) {
 	}
 }
 
-// PEPRequestSent implements federation.PEPProbe.
-func (ra *RemoteAgent) PEPRequestSent(req *xacml.Request) {
+// PEPRequestSent implements federation.PEPProbe. A remote agent forwards each
+// observation in a frame of its own as it is made; an exchange that ends
+// without a response has nothing more to forward.
+func (ra *RemoteAgent) PEPRequestSent(req *xacml.Request) func(res xacml.Result, enforced xacml.Decision, ok bool) {
 	ra.send(Observation{Kind: core.KindPEPRequest, ReqID: req.ID, Request: req})
-}
-
-// PEPResponseReceived implements federation.PEPProbe.
-func (ra *RemoteAgent) PEPResponseReceived(req *xacml.Request, res xacml.Result, enforced xacml.Decision) {
-	ra.send(Observation{Kind: core.KindPEPResponse, ReqID: req.ID, Request: req, Result: &res, Enforced: enforced})
+	return func(res xacml.Result, enforced xacml.Decision, ok bool) {
+		if ok {
+			ra.send(Observation{Kind: core.KindPEPResponse, ReqID: req.ID, Request: req, Result: &res, Enforced: enforced})
+		}
+	}
 }
 
 // PDPRequestReceived implements federation.PDPProbe.
-func (ra *RemoteAgent) PDPRequestReceived(req *xacml.Request) {
+func (ra *RemoteAgent) PDPRequestReceived(req *xacml.Request) func(res xacml.Result, ok bool) {
 	ra.send(Observation{Kind: core.KindPDPRequest, ReqID: req.ID, Request: req})
-}
-
-// PDPResponseSent implements federation.PDPProbe.
-func (ra *RemoteAgent) PDPResponseSent(req *xacml.Request, res xacml.Result) {
-	ra.send(Observation{Kind: core.KindPDPResponse, ReqID: req.ID, Request: req, Result: &res})
+	return func(res xacml.Result, ok bool) {
+		if ok {
+			ra.send(Observation{Kind: core.KindPDPResponse, ReqID: req.ID, Request: req, Result: &res})
+		}
+	}
 }

@@ -79,10 +79,10 @@ func TestRemoteAgentObservationsReachChain(t *testing.T) {
 	env := newRemoteEnv(t)
 	req, res := remoteReq("ra-1")
 
-	env.agent.PEPRequestSent(req)
-	env.agent.PDPRequestReceived(req)
-	env.agent.PDPResponseSent(req, res)
-	env.agent.PEPResponseReceived(req, res, xacml.Permit)
+	pepDone := env.agent.PEPRequestSent(req)
+	pdpDone := env.agent.PDPRequestReceived(req)
+	pdpDone(res, true)
+	pepDone(res, xacml.Permit, true)
 
 	for _, kind := range core.LogKinds() {
 		rec := waitForRecord(t, env.node, "ra-1", kind)

@@ -12,6 +12,7 @@
 package merkle
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -31,21 +32,24 @@ const (
 	interiorPrefix = 0x01
 )
 
-// LeafHash computes the domain-separated hash of a leaf payload.
+// LeafHash computes the domain-separated hash of a leaf payload. The prefix
+// is streamed into the hash, so a leaf of any size is hashed where it lies.
 func LeafHash(data []byte) crypto.Digest {
-	buf := make([]byte, 1+len(data))
-	buf[0] = leafPrefix
-	copy(buf[1:], data)
-	return crypto.Sum(buf)
+	h := sha256.New()
+	h.Write([]byte{leafPrefix})
+	h.Write(data)
+	var d crypto.Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // NodeHash combines two child digests into a parent digest.
 func NodeHash(left, right crypto.Digest) crypto.Digest {
-	buf := make([]byte, 1+2*crypto.DigestSize)
+	var buf [1 + 2*crypto.DigestSize]byte
 	buf[0] = interiorPrefix
 	copy(buf[1:], left[:])
 	copy(buf[1+crypto.DigestSize:], right[:])
-	return crypto.Sum(buf)
+	return crypto.Sum(buf[:])
 }
 
 // Tree is an immutable Merkle tree built over a sequence of leaves. An odd

@@ -125,6 +125,25 @@ func TestDomainSeparation(t *testing.T) {
 	}
 }
 
+// The hashes are SHA-256 over prefix‖payload, computed without copying the
+// payload: same digests as the concatenation, no allocation.
+func TestHashesArePrefixedSHA256WithoutAllocating(t *testing.T) {
+	data := make([]byte, 1500)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if LeafHash(data) != crypto.Sum(append([]byte{0x00}, data...)) {
+		t.Fatal("LeafHash is not SHA-256(0x00 ‖ data)")
+	}
+	l, r := LeafHash([]byte("a")), LeafHash([]byte("b"))
+	if NodeHash(l, r) != crypto.Sum(append(append([]byte{0x01}, l[:]...), r[:]...)) {
+		t.Fatal("NodeHash is not SHA-256(0x01 ‖ left ‖ right)")
+	}
+	if n := testing.AllocsPerRun(100, func() { LeafHash(data); NodeHash(l, r) }); n != 0 {
+		t.Fatalf("LeafHash+NodeHash allocate %v times per call", n)
+	}
+}
+
 func TestOddPromotionNoDuplicateAmbiguity(t *testing.T) {
 	// With duplicate-last-leaf trees, [a,b,c] and [a,b,c,c] share a root;
 	// promotion must distinguish them.

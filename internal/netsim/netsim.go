@@ -119,6 +119,7 @@ type Network struct {
 	rng   *idgen.Rand
 	corr  atomic.Uint64
 	wg    sync.WaitGroup
+	pace  *pacer // nil unless frames sleep on the system clock
 	state struct {
 		sync.Mutex
 		endpoints map[string]*Endpoint
@@ -145,6 +146,9 @@ func New(cfg Config) *Network {
 		cfg.Clock = clock.System{}
 	}
 	n := &Network{cfg: cfg, clk: cfg.Clock, rng: idgen.NewRand(cfg.Seed)}
+	if _, ok := cfg.Clock.(clock.System); ok {
+		n.pace = new(pacer)
+	}
 	n.state.endpoints = make(map[string]*Endpoint)
 	n.state.groups = make(map[string]int)
 	n.state.links = make(map[string]linkFault)
@@ -249,6 +253,7 @@ func (n *Network) Close() error {
 	n.state.Lock()
 	n.state.closed = true
 	n.state.Unlock()
+	n.pace.close()
 	n.wg.Wait()
 	return nil
 }
@@ -372,10 +377,12 @@ func (n *Network) drain(l *link) {
 		if !ok {
 			return
 		}
-		if !msg.due.IsZero() {
-			if wait := msg.due.Sub(n.clk.Now()); wait > 0 {
-				n.clk.Sleep(wait)
-			}
+		if !msg.due.IsZero() && msg.due.After(n.clk.Now()) {
+			// The wait is measured after the pacer is set, so that the
+			// timerfd does not expire before the Go timer it is there for.
+			n.pace.sleeping(msg.due)
+			n.clk.Sleep(msg.due.Sub(n.clk.Now()))
+			n.pace.woke(msg.due)
 		}
 		if !msg.isRequest() {
 			l.pop(false)

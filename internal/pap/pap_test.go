@@ -295,6 +295,52 @@ func TestLateJoinerSyncsActivePolicy(t *testing.T) {
 	}
 }
 
+// A flip is reported — by Version, Stats and WaitForVersion — only once the
+// member's listeners have taken it in: the deployment reloads its analyser
+// in OnEvent, and whoever acts on the report must find it on the new policy.
+func TestFlipReportedAfterListenersRan(t *testing.T) {
+	f := newFleet(t, 1)
+	ctx := papCtx(t)
+	pdp := xacml.NewCachedPDP(nil, 64)
+	inListener, release := make(chan struct{}), make(chan struct{})
+	w, err := NewWatcher(WatcherConfig{Node: f.nodes[0], PDP: pdp, OnEvent: func(ev Event) {
+		if ev.Kind == EventActivated {
+			close(inListener)
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	defer w.Stop()
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // before Stop, which waits for the listener to return
+	if _, err := f.admin.UpdatePolicy(ctx, xacml.RestrictedPolicy("v9"), UpdateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-inListener
+	// The PDP already decides under v9; the flip is not reported yet.
+	if res, err := pdp.Evaluate(doctorRead("early")); err != nil || res.PolicyVersion != "v9" {
+		t.Fatalf("PDP on %q (%v) while the listener runs, want v9", res.PolicyVersion, err)
+	}
+	if got := w.Version(); got != "" {
+		t.Fatalf("Version() = %q while the listener is still running", got)
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if err := w.WaitForVersion(short, "v9"); err == nil {
+		t.Fatal("WaitForVersion returned while the listener was still running")
+	}
+	letGo()
+	if err := w.WaitForVersion(ctx, "v9"); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Version != "v9" || st.Height == 0 || st.Activations != 1 {
+		t.Fatalf("stats after the flip = %+v", st)
+	}
+}
+
 // TestReplayReproducesPolicyState replays the frozen best chain into a
 // fresh replica and demands identical contract state and active version —
 // the node-restart determinism guarantee.

@@ -94,14 +94,18 @@ type WatcherConfig struct {
 type Watcher struct {
 	cfg WatcherConfig
 
-	mu         sync.Mutex
-	staged     map[string]*stagedPolicy // version → verified parsed set, until activated
-	current    string                   // last version applied locally
-	curHeight  uint64
-	applied    map[appliedKey]bool // dedupe at-least-once activations (bounded)
-	appliedQ   []appliedKey        // insertion order, for pruning
-	waiters    map[uint64]chan struct{}
-	nextWaiter uint64
+	mu        sync.Mutex
+	staged    map[string]*stagedPolicy // version → verified parsed set, until activated
+	current   string                   // last version applied locally
+	curHeight uint64
+	// shown is what Version, Stats and WaitForVersion report: current, once
+	// the listeners of that flip have run (see activate).
+	shown       string
+	shownHeight uint64
+	applied     map[appliedKey]bool // dedupe at-least-once activations (bounded)
+	appliedQ    []appliedKey        // insertion order, for pruning
+	waiters     map[uint64]chan struct{}
+	nextWaiter  uint64
 
 	stagedCnt   metrics.Counter
 	activations metrics.Counter
@@ -212,13 +216,13 @@ func (w *Watcher) Stop() {
 func (w *Watcher) Version() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.current
+	return w.shown
 }
 
 // Stats snapshots the watcher counters.
 func (w *Watcher) Stats() WatcherStats {
 	w.mu.Lock()
-	version, height := w.current, w.curHeight
+	version, height := w.shown, w.shownHeight
 	w.mu.Unlock()
 	return WatcherStats{
 		Version:       version,
@@ -236,7 +240,7 @@ func (w *Watcher) Stats() WatcherStats {
 func (w *Watcher) WaitForVersion(ctx context.Context, version string) error {
 	for {
 		w.mu.Lock()
-		if w.current == version {
+		if w.shown == version {
 			w.mu.Unlock()
 			return nil
 		}
@@ -428,14 +432,28 @@ func (w *Watcher) activate(version string, digest crypto.Digest, height uint64) 
 		delete(w.applied, w.appliedQ[0])
 		w.appliedQ = w.appliedQ[1:]
 	}
+	w.mu.Unlock()
+
+	// Listeners first — the member's analyser reloads in OnEvent — and only
+	// then is the flip reported by Version, Stats and WaitForVersion: whoever
+	// acts on the report (Open returning, a test that polls and then sends a
+	// request) finds every component of the member on the policy the PDP now
+	// decides under. Reported the other way round, an exchange decided within
+	// a few milliseconds of the report reached an analyser that did not know
+	// the policy yet, and got no verdict or a wrong one.
+	w.activations.Inc()
+	w.notify(Event{Kind: EventActivated, Version: version, Digest: sp.digest, Height: height})
+
+	w.mu.Lock()
+	if height >= w.shownHeight { // a later flip may have got here first
+		w.shown, w.shownHeight = version, height
+	}
 	waiters := w.waiters
 	w.waiters = make(map[uint64]chan struct{})
 	w.mu.Unlock()
 	for _, ch := range waiters {
 		close(ch)
 	}
-	w.activations.Inc()
-	w.notify(Event{Kind: EventActivated, Version: version, Digest: sp.digest, Height: height})
 }
 
 func (w *Watcher) reject(ev Event) {

@@ -160,12 +160,13 @@ func TestMemberSlicesFormOneFederation(t *testing.T) {
 
 // TestMemberSlicesMintDistinctRequestIDs: members share the seed, and the
 // contract reads two records under one request ID as equivocation, so the
-// slices' ID streams must not overlap.
+// slices' ID streams must not overlap — nor may the stream of a slice that
+// is opened again, as a member restarted from its data dir is.
 func TestMemberSlicesMintDistinctRequestIDs(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 42})
-	t.Cleanup(func() { net.Close() })
 	mintedBy := make(map[string]string)
-	for _, cloud := range sliceClouds {
+	for _, cloud := range append(sliceClouds, "cloud-3") {
+		net := netsim.New(netsim.Config{Seed: 42})
+		t.Cleanup(func() { net.Close() })
 		dep := openSlice(t, cloud, net)
 		for i := 0; i < 256; i++ {
 			id := dep.NewRequestID()
@@ -205,6 +206,11 @@ func TestMemberSliceRestartOverTCP(t *testing.T) {
 	infra := deps["cloud-1"]
 
 	decideOnEverySlice(t, ctx, deps)
+	// The exchanges settle within a few blocks of the fleet's start, before
+	// a member that joined last need have imported any: let every node reach
+	// the head first, so that cloud-3 has a chain to resume from and cloud-2
+	// reads the PAP's nonce from a chain that carries the first publish.
+	waitConverged(t, ctx, infra, deps["cloud-2"], deps["cloud-3"])
 
 	deps["cloud-3"].Close()
 	tr3.Close()
