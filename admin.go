@@ -50,7 +50,7 @@ func (d *Deployment) Admin(tenant string) (*Admin, error) {
 	if !ok {
 		return nil, fmt.Errorf("drams: unknown tenant %q", tenant)
 	}
-	node, ok := d.Nodes[ten.Cloud]
+	node, ok := d.nodes[ten.Cloud]
 	if !ok {
 		return nil, fmt.Errorf("drams: tenant %q's cloud %q has no chain node", tenant, ten.Cloud)
 	}

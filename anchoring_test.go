@@ -74,7 +74,7 @@ func logmatchTxs(t *testing.T, chain *blockchain.Chain, reqID string) []string {
 // after the other, put exactly 3N drams.logmatch transactions on the
 // producer's best chain — a count read from the blocks, not a timing.
 func TestExchangeCostsThreeTransactions(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +141,15 @@ func TestFailedExchangeAnchorsItsRequestSideAlone(t *testing.T) {
 			dep.Net.Partition([]string{"pep@tenant-1"}, []string{"pdp@infrastructure"})
 		}, 50 * time.Millisecond, []string{pepAlone}, []string{"pdp.request", "pdp.response", "pep.response"}},
 		{"evaluator-error", func(t *testing.T, dep *drams.Deployment) {
-			dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return downEvaluator{} })
+			if err := dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return downEvaluator{} }); err != nil {
+				t.Fatal(err)
+			}
 		}, 0, []string{pdpAlone, pepAlone}, []string{"pdp.response", "pep.response"}},
 	}
 	for _, c := range cases {
 		for _, batch := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%s/batch=%d", c.name, batch), func(t *testing.T) {
-				dep := testDeployment(t, nil)
+				dep := testDeployment(t)
 				client, err := dep.Client("tenant-1")
 				if err != nil {
 					t.Fatal(err)

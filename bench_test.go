@@ -395,10 +395,14 @@ func BenchmarkMonitoredRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := experiment.StandardRequest(dep, i)
-		if _, err := dep.Request("tenant-1", req); err != nil {
+		if _, err := client.Decide(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -417,10 +421,14 @@ func BenchmarkUnmonitoredRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := experiment.StandardRequest(dep, i)
-		if _, err := dep.Request("tenant-1", req); err != nil {
+		if _, err := client.Decide(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -437,10 +445,14 @@ func BenchmarkPEPDecideAsyncProbes(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := experiment.StandardRequest(dep, i)
-		enf, err := dep.Request("tenant-1", req)
+		enf, err := client.Decide(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,9 +26,9 @@ type Client struct {
 
 // Client returns the access-request handle for a tenant's PEP.
 func (d *Deployment) Client(tenant string) (*Client, error) {
-	pep, ok := d.PEPs[tenant]
-	if !ok {
-		return nil, fmt.Errorf("drams: tenant %q has no PEP", tenant)
+	pep, err := d.PEP(tenant)
+	if err != nil {
+		return nil, err
 	}
 	return &Client{dep: d, tenant: tenant, pep: pep}, nil
 }
@@ -113,41 +113,18 @@ func (d *Deployment) prepare(req *xacml.Request) {
 	}
 }
 
-// Request runs one access request through a tenant's PEP and returns the
-// enforced outcome.
-//
-// Deprecated-style compat shim: it is a thin wrapper over Client.Decide
-// with a background context. New code should hold a Client and pass a real
-// context so deadlines and cancellation reach the PDP round-trip; callers
-// that only need a context on the old entry point can use RequestContext.
-func (d *Deployment) Request(tenant string, req *xacml.Request) (Enforcement, error) {
-	return d.RequestContext(context.Background(), tenant, req)
-}
-
-// RequestContext is Request with the caller's context honored through the
-// Client.Decide path.
-func (d *Deployment) RequestContext(ctx context.Context, tenant string, req *xacml.Request) (Enforcement, error) {
-	c, err := d.Client(tenant)
-	if err != nil {
-		return Enforcement{}, err
-	}
-	return c.Decide(ctx, req)
-}
-
-// PEP returns the tenant-edge enforcement point service for a tenant,
-// without reaching through the exported map.
+// PEP returns the tenant-edge enforcement point service for a tenant.
 func (d *Deployment) PEP(tenant string) (*federation.PEPService, error) {
-	pep, ok := d.PEPs[tenant]
+	pep, ok := d.peps[tenant]
 	if !ok {
 		return nil, fmt.Errorf("drams: tenant %q has no PEP", tenant)
 	}
 	return pep, nil
 }
 
-// Node returns the blockchain node of a cloud, without reaching through the
-// exported map.
+// Node returns the blockchain node of a cloud this process hosts.
 func (d *Deployment) Node(cloud string) (*blockchain.Node, error) {
-	node, ok := d.Nodes[cloud]
+	node, ok := d.nodes[cloud]
 	if !ok {
 		return nil, fmt.Errorf("drams: cloud %q has no chain node", cloud)
 	}

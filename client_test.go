@@ -12,25 +12,8 @@ import (
 	"drams/internal/xacml"
 )
 
-// openTestDeployment is testDeployment via the Open/options path.
-func openTestDeployment(t *testing.T, opts ...drams.Option) *drams.Deployment {
-	t.Helper()
-	base := []drams.Option{
-		drams.WithDifficulty(6),
-		drams.WithTimeoutBlocks(20),
-		drams.WithEmptyBlockInterval(15 * time.Millisecond),
-		drams.WithSeed(42),
-	}
-	dep, err := drams.Open(testPolicy("v1"), append(base, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(dep.Close)
-	return dep
-}
-
 func TestOpenOptionsAndAccessors(t *testing.T) {
-	dep := openTestDeployment(t)
+	dep := testDeployment(t)
 
 	if _, err := dep.Client("tenant-1"); err != nil {
 		t.Fatal(err)
@@ -69,7 +52,7 @@ func TestOpenOptionsAndAccessors(t *testing.T) {
 }
 
 func TestClientDecideMatchesOnChain(t *testing.T) {
-	dep := openTestDeployment(t)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +73,7 @@ func TestClientDecideMatchesOnChain(t *testing.T) {
 }
 
 func TestClientDecideHonorsCancellation(t *testing.T) {
-	dep := openTestDeployment(t)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +83,13 @@ func TestClientDecideHonorsCancellation(t *testing.T) {
 	if _, err := client.Decide(ctx, doctorRequest(dep)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Decide with cancelled ctx = %v", err)
 	}
-	// The compat path accepts a context too.
-	if _, err := dep.RequestContext(ctx, "tenant-1", doctorRequest(dep)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RequestContext with cancelled ctx = %v", err)
-	}
 }
 
 // TestDecideBatchEquivalence checks the satellite guarantee: a pipelined
 // batch produces the same decisions and the same on-chain evidence (4 log
 // records per exchange, all matched, zero alerts) as sequential Decide.
 func TestDecideBatchEquivalence(t *testing.T) {
-	dep := openTestDeployment(t, drams.WithTimeoutBlocks(80))
+	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +156,7 @@ func TestDecideBatchEquivalence(t *testing.T) {
 }
 
 func TestDecideBatchUnderTamperAlertsPerRequest(t *testing.T) {
-	dep := openTestDeployment(t, drams.WithTimeoutBlocks(80))
+	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +191,7 @@ func TestDecideBatchUnderTamperAlertsPerRequest(t *testing.T) {
 }
 
 func TestDecideAsyncFuture(t *testing.T) {
-	dep := openTestDeployment(t, drams.WithTimeoutBlocks(80))
+	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
 	client, err := dep.Client("tenant-2")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +223,7 @@ func TestDecideAsyncFuture(t *testing.T) {
 }
 
 func TestAlertsStreamDeliversTenantAlerts(t *testing.T) {
-	dep := openTestDeployment(t)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)

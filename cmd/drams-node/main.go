@@ -322,7 +322,10 @@ func runDaemon(cfg daemonConfig) error {
 		return err
 	}
 	defer dep.Close()
-	node := dep.Nodes[cfg.tenant]
+	node, err := dep.Node(cfg.tenant)
+	if err != nil {
+		return err
+	}
 	admin, err := dep.Admin(cfg.tenant)
 	if err != nil {
 		return err

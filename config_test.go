@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"drams"
+	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/xacml"
 )
 
 func TestNewRequiresPolicy(t *testing.T) {
-	if _, err := drams.New(drams.Config{}); err == nil {
-		t.Fatal("policyless config accepted")
+	if _, err := drams.Open(nil); err == nil {
+		t.Fatal("policyless deployment accepted")
 	}
 }
 
@@ -21,15 +22,15 @@ func TestNewRejectsInvalidTopology(t *testing.T) {
 		Clouds:  []federation.Cloud{{Name: "c"}},
 		Tenants: []federation.Tenant{{Name: "t", Cloud: "c"}}, // no infrastructure
 	}
-	_, err := drams.New(drams.Config{Policy: testPolicy("v1"), Topology: bad})
+	_, err := drams.Open(testPolicy("v1"), drams.WithTopology(bad))
 	if err == nil {
 		t.Fatal("invalid topology accepted")
 	}
 }
 
 func TestRequestUnknownTenant(t *testing.T) {
-	dep := testDeployment(t, nil)
-	if _, err := dep.Request("ghost-tenant", dep.NewRequest()); err == nil {
+	dep := testDeployment(t)
+	if _, err := dep.Client("ghost-tenant"); err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
 	if err := dep.TamperPEP("ghost-tenant", nil); err == nil {
@@ -38,11 +39,11 @@ func TestRequestUnknownTenant(t *testing.T) {
 }
 
 func TestRequestAssignsMissingID(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	req := xacml.NewRequest("").
 		Add(xacml.CatSubject, "role", xacml.String("doctor")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	if _, err := dep.Request("tenant-1", req); err != nil {
+	if _, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req); err != nil {
 		t.Fatal(err)
 	}
 	if req.ID == "" {
@@ -51,7 +52,7 @@ func TestRequestAssignsMissingID(t *testing.T) {
 }
 
 func TestPublishDuplicateVersionFails(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	if err := dep.PublishPolicy(testPolicy("v1")); err == nil ||
 		!strings.Contains(err.Error(), "already published") {
 		t.Fatalf("duplicate version: %v", err)
@@ -59,7 +60,7 @@ func TestPublishDuplicateVersionFails(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	dep, err := drams.New(drams.Config{Policy: testPolicy("v1"), Seed: 77})
+	dep, err := drams.Open(testPolicy("v1"), drams.WithSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +71,15 @@ func TestCloseIdempotent(t *testing.T) {
 func TestDeterministicIdentitiesAcrossDeployments(t *testing.T) {
 	// Same seed → same component identities → a persisted chain from one
 	// run validates in the next (restartability).
-	d1 := testDeployment(t, nil)
-	d2, err := drams.New(drams.Config{
-		Policy: testPolicy("v1"), Difficulty: 6, Seed: 42,
-	})
+	d1 := testDeployment(t)
+	d2, err := drams.Open(testPolicy("v1"), drams.WithDifficulty(6), drams.WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if d1.Key != d2.Key {
+	// The LIs' decision tags are keyed by the shared key K.
+	tag := func(d *drams.Deployment) crypto.Digest { return d.LIs["tenant-1"].DecisionTag("r", xacml.Permit) }
+	if tag(d1) != tag(d2) {
 		t.Fatal("shared key differs across same-seed deployments")
 	}
 	n1 := d1.InfraNode().Chain().Identities().Len()
@@ -89,7 +90,7 @@ func TestDeterministicIdentitiesAcrossDeployments(t *testing.T) {
 }
 
 func TestTopologyAccessor(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	top := dep.Topology()
 	if top == nil || len(top.EdgeTenants()) != 2 {
 		t.Fatalf("topology = %+v", top)

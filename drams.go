@@ -30,9 +30,12 @@
 //	alerts, stop, err := dep.Alerts(ctx, drams.AlertFilter{}) // streaming alerts
 //	defer stop()
 //
-// The original surface — drams.New(Config), Deployment.Request,
-// WaitForAlert/WaitForMatched — keeps working as thin shims over the
-// client API.
+// Open and OpenMember are the only constructors; everything beyond the
+// policy is an option: WithTopology, WithSeed, WithDifficulty,
+// WithTimeoutBlocks, WithEmptyBlockInterval, WithSubmitMode, WithMonitoring,
+// WithoutVerdicts, WithNetwork, WithTransport, WithDataDir and WithMineAll.
+// WaitForAlert and WaitForMatched are the one-shot form of the Alerts
+// stream.
 package drams
 
 import (
@@ -59,7 +62,6 @@ import (
 	"drams/internal/pap"
 	"drams/internal/store"
 	"drams/internal/transport"
-	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
 )
 
@@ -82,77 +84,62 @@ type (
 // channels when an exchange completes cleanly on-chain.
 const AlertMatched = core.AlertMatched
 
-// Config configures a Deployment. The zero value plus a Policy is usable.
-type Config struct {
-	// Topology describes the federation; defaults to two clouds with one
+// config is what the options set. The zero value plus a policy is usable.
+type config struct {
+	// topology describes the federation; defaults to two clouds with one
 	// edge tenant each plus the infrastructure tenant (Figure 1).
-	Topology *federation.Topology
-	// Policy is the initial access-control policy set. Required wherever the
+	topology *federation.Topology
+	// policy is the initial access-control policy set. Required wherever the
 	// infrastructure tenant is hosted (always, unless OpenMember hosts an
 	// edge cloud).
-	Policy *xacml.PolicySet
-	// Difficulty is the PoW difficulty in leading-zero bits (default 8).
-	Difficulty uint8
-	// TimeoutBlocks is the log-match M3 window Δ (default 5 blocks).
-	TimeoutBlocks uint64
-	// RequireVerdict demands an analyser verdict per request (default
-	// true; set DisableVerdicts to opt out).
-	DisableVerdicts bool
-	// EmptyBlockInterval keeps blocks flowing when idle (default 25ms).
-	EmptyBlockInterval time.Duration
-	// SubmitMode is the LI submission mode (default async).
-	SubmitMode logger.SubmitMode
-	// MonitorOff disables probes, analyser and monitor entirely — the
+	policy *xacml.PolicySet
+	// difficulty is the PoW difficulty in leading-zero bits (default 8).
+	difficulty uint8
+	// timeoutBlocks is the log-match M3 window Δ (default 5 blocks).
+	timeoutBlocks uint64
+	// disableVerdicts drops the analyser verdict the contract otherwise
+	// demands per request.
+	disableVerdicts bool
+	// emptyBlockInterval keeps blocks flowing when idle (default 25ms).
+	emptyBlockInterval time.Duration
+	// submitMode is the LI submission mode (default async).
+	submitMode logger.SubmitMode
+	// monitorOff disables probes, analyser and monitor entirely — the
 	// baseline for overhead experiments.
-	MonitorOff bool
-	// NetLatency/NetJitter shape the federation network.
-	NetLatency, NetJitter time.Duration
-	// Seed makes network behaviour and request IDs reproducible.
-	Seed uint64
-	// UseTPM seals the shared LI key in a per-tenant SoftTPM and unseals
-	// it at LI boot (the §III System Integrity mitigation).
-	UseTPM bool
-	// MineAll makes every cloud's node mine (more realistic, more forks).
+	monitorOff bool
+	// netLatency/netJitter shape the simulated federation network.
+	netLatency, netJitter time.Duration
+	// seed makes network behaviour and request IDs reproducible.
+	seed uint64
+	// mineAll makes every cloud's node mine (more realistic, more forks).
 	// Default: only the infrastructure cloud's node mines while all nodes
 	// validate and gossip — the designated-producer configuration a
 	// private federation chain would use.
-	MineAll bool
-	// RemoteAgents separates probing agents from their Logging Interfaces:
-	// each LI exposes its §II network endpoints and agents submit raw
-	// observations over the tenant network (the LI derives digests, tags
-	// and encryption, so K never leaves the LI). Default: in-process
-	// agents.
-	RemoteAgents bool
-	// Transport supplies the wire backend the deployment runs on. Default:
-	// a netsim.Network shaped by NetLatency/NetJitter/Seed. Providing a
+	mineAll bool
+	// transport supplies the wire backend the deployment runs on. Default:
+	// a netsim.Network shaped by netLatency/netJitter/seed. Providing a
 	// transport (e.g. a transport/tcp instance) makes the deployment's
-	// components reachable from other processes; NetLatency/NetJitter are
+	// components reachable from other processes; netLatency/netJitter are
 	// then ignored and netsim-only fault injection (Deployment.Net) is
 	// unavailable.
-	Transport transport.Transport
-	// ListenAddr, when set (and Transport is nil), builds a TCP transport
-	// listening on this host:port instead of the netsim default.
-	ListenAddr string
-	// TransportPeers seeds the TCP transport built for ListenAddr with
-	// other processes' advertise addresses.
-	TransportPeers []string
-	// DataDir, when set, makes every chain node durable: each cloud's node
+	transport transport.Transport
+	// dataDir, when set, makes every chain node durable: each cloud's node
 	// opens a WAL-backed store under this directory, re-validates and
 	// replays its persisted chain at construction, and persists every
 	// accepted block incrementally from then on. Reopening a deployment
-	// with the same DataDir (and seed/topology) resumes the chain instead
+	// with the same dataDir (and seed/topology) resumes the chain instead
 	// of starting a fresh genesis, and the policy watcher reconciles with
-	// the restored on-chain policy state — the initial Policy is only
+	// the restored on-chain policy state — the initial policy is only
 	// published when the chain has no active policy yet.
-	DataDir string
+	dataDir string
 
-	// local is the one cloud of Topology this process hosts ("" hosts them
+	// local is the one cloud of topology this process hosts ("" hosts them
 	// all). Set only by OpenMember.
 	local string
 }
 
 // hosts reports whether this process assembles the given cloud's slice.
-func (c *Config) hosts(cloud string) bool { return c.local == "" || c.local == cloud }
+func (c *config) hosts(cloud string) bool { return c.local == "" || c.local == cloud }
 
 // Deployment is a running DRAMS federation.
 type Deployment struct {
@@ -164,22 +151,18 @@ type Deployment struct {
 	// simulator (the default) — the handle for fault injection (Partition,
 	// SetLinkFault, ...). Nil when a real transport was supplied.
 	Net   *netsim.Network
-	Nodes map[string]*blockchain.Node // by cloud name
+	nodes map[string]*blockchain.Node // by cloud name
 
 	ownsTransport bool
 
-	PDP          *xacml.PDP
-	PDPService   *federation.PDPService
-	PRP          *xacml.PRP
-	PEPs         map[string]*federation.PEPService // by tenant
-	LIs          map[string]*logger.LI             // by tenant
-	Agents       map[string]*logger.Agent          // by tenant (in-process mode)
-	RemoteAgents map[string]*logger.RemoteAgent    // by tenant (RemoteAgents mode)
-	Analyser     *core.Analyser
-	Monitor      *core.Monitor
-	TPMs         map[string]*crypto.SoftTPM // by tenant (when UseTPM)
-
-	Key crypto.Key
+	PDP        *xacml.PDP
+	pdpService *federation.PDPService
+	prp        *xacml.PRP
+	peps       map[string]*federation.PEPService // by tenant
+	LIs        map[string]*logger.LI             // by tenant
+	Agents     map[string]*logger.Agent          // by tenant
+	Analyser   *core.Analyser
+	Monitor    *core.Monitor
 
 	registry *metrics.Registry
 	gatherer *obs.Gatherer
@@ -199,51 +182,42 @@ type Deployment struct {
 	closed     bool
 }
 
-// probe is what a tenant's agent must implement for both hook points.
-type probe interface {
-	federation.PEPProbe
-	federation.PDPProbe
-}
-
-// probeFor returns the tenant's agent regardless of agent mode.
-func (d *Deployment) probeFor(tenant string) probe {
-	if a, ok := d.RemoteAgents[tenant]; ok {
-		return a
+// open assembles and starts the slice of the topology this process hosts
+// (local; "" hosts them all): per hosted cloud a chain node, per tenant on it
+// a PEP, a probing agent and a Logging Interface, and PDP/PRP/analyser/
+// monitor where the infrastructure tenant lives. Chain peers and the
+// allowlist come from the whole topology, so slices opened by different
+// processes form one federation.
+func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, err error) {
+	cfg := config{policy: policy, local: local}
+	for _, opt := range opts {
+		opt(&cfg)
 	}
-	return d.Agents[tenant]
-}
-
-// New assembles and starts the slice of the topology this process hosts:
-// per hosted cloud a chain node, per tenant on it a PEP, a probing agent and
-// a Logging Interface, and PDP/PRP/analyser/monitor where the infrastructure
-// tenant lives. Chain peers and the allowlist come from the whole topology,
-// so slices opened by different processes form one federation.
-func New(cfg Config) (_ *Deployment, err error) {
-	if cfg.Topology == nil {
-		cfg.Topology = federation.SimpleTopology("faas", 2)
+	if cfg.topology == nil {
+		cfg.topology = federation.SimpleTopology("faas", 2)
 	}
-	if err := cfg.Topology.Validate(); err != nil {
+	if err := cfg.topology.Validate(); err != nil {
 		return nil, err
 	}
-	infra, err := cfg.Topology.InfrastructureTenant()
+	infra, err := cfg.topology.InfrastructureTenant()
 	if err != nil {
 		return nil, err
 	}
 	hostsInfra := cfg.hosts(infra.Cloud)
-	if hostsInfra && cfg.Policy == nil {
-		return nil, errors.New("drams: Config.Policy is required")
+	if hostsInfra && cfg.policy == nil {
+		return nil, errors.New("drams: a policy is required")
 	}
-	if cfg.EmptyBlockInterval == 0 {
-		cfg.EmptyBlockInterval = 25 * time.Millisecond
+	if cfg.emptyBlockInterval == 0 {
+		cfg.emptyBlockInterval = 25 * time.Millisecond
 	}
-	if cfg.SubmitMode == 0 {
-		cfg.SubmitMode = logger.SubmitAsync
+	if cfg.submitMode == 0 {
+		cfg.submitMode = logger.SubmitAsync
 	}
 	var nodeNames []string
-	for _, c := range cfg.Topology.Clouds {
+	for _, c := range cfg.topology.Clouds {
 		nodeNames = append(nodeNames, "node@"+c.Name)
 	}
-	ids := idgen.NewSeeded(cfg.Seed + 1)
+	ids := idgen.NewSeeded(cfg.seed + 1)
 	if cfg.local != "" {
 		if !slices.Contains(nodeNames, "node@"+cfg.local) {
 			return nil, fmt.Errorf("drams: cloud %q is not in the topology", cfg.local)
@@ -257,32 +231,22 @@ func New(cfg Config) (_ *Deployment, err error) {
 	}
 
 	d := &Deployment{
-		topology:     cfg.Topology,
-		Nodes:        make(map[string]*blockchain.Node),
-		PEPs:         make(map[string]*federation.PEPService),
-		LIs:          make(map[string]*logger.LI),
-		Agents:       make(map[string]*logger.Agent),
-		RemoteAgents: make(map[string]*logger.RemoteAgent),
-		TPMs:         make(map[string]*crypto.SoftTPM),
-		ids:          ids,
+		topology: cfg.topology,
+		nodes:    make(map[string]*blockchain.Node),
+		peps:     make(map[string]*federation.PEPService),
+		LIs:      make(map[string]*logger.LI),
+		Agents:   make(map[string]*logger.Agent),
+		ids:      ids,
 	}
 	d.initObservability()
-	switch {
-	case cfg.Transport != nil:
-		d.Transport = cfg.Transport
-		d.Net, _ = cfg.Transport.(*netsim.Network)
-	case cfg.ListenAddr != "":
-		tt, err := tcp.New(tcp.Config{ListenAddr: cfg.ListenAddr, Peers: cfg.TransportPeers})
-		if err != nil {
-			return nil, fmt.Errorf("drams: tcp transport: %w", err)
-		}
-		d.Transport = tt
-		d.ownsTransport = true
-	default:
+	if cfg.transport != nil {
+		d.Transport = cfg.transport
+		d.Net, _ = cfg.transport.(*netsim.Network)
+	} else {
 		d.Net = netsim.New(netsim.Config{
-			BaseLatency: cfg.NetLatency,
-			Jitter:      cfg.NetJitter,
-			Seed:        cfg.Seed,
+			BaseLatency: cfg.netLatency,
+			Jitter:      cfg.netJitter,
+			Seed:        cfg.seed,
 		})
 		d.Transport = d.Net
 		d.ownsTransport = true
@@ -298,18 +262,17 @@ func New(cfg Config) (_ *Deployment, err error) {
 	for _, ten := range d.topology.Tenants {
 		tenantNames = append(tenantNames, ten.Name)
 	}
-	material := NewChainMaterial(cfg.Seed, tenantNames, ChainParams{
-		Difficulty:     cfg.Difficulty,
-		TimeoutBlocks:  cfg.TimeoutBlocks,
-		RequireVerdict: !cfg.DisableVerdicts && !cfg.MonitorOff,
+	material := NewChainMaterial(cfg.seed, tenantNames, ChainParams{
+		Difficulty:     cfg.difficulty,
+		TimeoutBlocks:  cfg.timeoutBlocks,
+		RequireVerdict: !cfg.disableVerdicts && !cfg.monitorOff,
 	})
-	d.Key = material.Key
 	d.papID = material.PAPID
 
 	// One chain node per hosted cloud. By default only the infrastructure
 	// cloud's node mines (designated producer); every node validates.
-	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+	if cfg.dataDir != "" {
+		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("drams: data dir: %w", err)
 		}
 	}
@@ -318,9 +281,9 @@ func New(cfg Config) (_ *Deployment, err error) {
 			continue
 		}
 		var kv *store.KV
-		if cfg.DataDir != "" {
+		if cfg.dataDir != "" {
 			var err error
-			kv, err = store.Open(filepath.Join(cfg.DataDir, "chain-"+c.Name+".wal"))
+			kv, err = store.Open(filepath.Join(cfg.dataDir, "chain-"+c.Name+".wal"))
 			if err != nil {
 				return nil, fmt.Errorf("drams: open chain store for %s: %w", c.Name, err)
 			}
@@ -331,33 +294,33 @@ func New(cfg Config) (_ *Deployment, err error) {
 			Chain:              material.Chain,
 			Network:            d.Transport,
 			Peers:              nodeNames,
-			Mine:               cfg.MineAll || c.Name == infra.Cloud,
-			EmptyBlockInterval: cfg.EmptyBlockInterval,
+			Mine:               cfg.mineAll || c.Name == infra.Cloud,
+			EmptyBlockInterval: cfg.emptyBlockInterval,
 			Store:              kv,
 		})
 		if err != nil {
 			return nil, err
 		}
-		d.Nodes[c.Name] = node
+		d.nodes[c.Name] = node
 		d.registered = append(d.registered, "node@"+c.Name)
 	}
-	for _, node := range d.Nodes {
+	for _, node := range d.nodes {
 		node.Start()
 	}
 	// The process's node: the policy watcher, the PAP handle and the
 	// readiness gates hang off the infrastructure cloud's node where it is
 	// hosted, else off the one local node.
-	d.home = d.Nodes[infra.Cloud]
+	d.home = d.nodes[infra.Cloud]
 	if !hostsInfra {
-		d.home = d.Nodes[cfg.local]
+		d.home = d.nodes[cfg.local]
 	}
 
 	// Access-control plane.
 	if hostsInfra {
 		d.PDP = xacml.NewPDP(nil)
 		d.PDP.SetCache(xacml.NewDecisionCache(0))
-		d.PRP = xacml.NewPRP()
-		d.PDPService, err = federation.NewPDPService(d.Transport, d.PDP)
+		d.prp = xacml.NewPRP()
+		d.pdpService, err = federation.NewPDPService(d.Transport, d.PDP)
 		if err != nil {
 			return nil, err
 		}
@@ -371,83 +334,51 @@ func New(cfg Config) (_ *Deployment, err error) {
 		if err != nil {
 			return nil, err
 		}
-		d.PEPs[ten.Name] = pep
+		d.peps[ten.Name] = pep
 		d.registered = append(d.registered, federation.PEPAddr(ten.Name))
 	}
 
 	d.papAdmin = pap.NewAdmin(d.home, d.papID)
 
 	// Monitoring plane (unless disabled).
-	if !cfg.MonitorOff {
+	if !cfg.monitorOff {
 		for _, ten := range d.topology.Tenants {
 			if !cfg.hosts(ten.Cloud) {
 				continue
 			}
-			key := d.Key
-			if cfg.UseTPM {
-				tpm, err := crypto.NewSoftTPM(ten.Name)
-				if err != nil {
-					return nil, err
-				}
-				// Measured boot of the LI component, then seal/unseal K.
-				if err := tpm.Extend(1, []byte("li-binary-v1")); err != nil {
-					return nil, err
-				}
-				handle := tpm.Seal(1<<1, key[:])
-				raw, err := tpm.Unseal(handle)
-				if err != nil {
-					return nil, fmt.Errorf("drams: TPM unseal for %s: %w", ten.Name, err)
-				}
-				copy(key[:], raw)
-				d.TPMs[ten.Name] = tpm
-			}
 			li, err := logger.NewLI(logger.LIConfig{
 				Name:     "li@" + ten.Name,
 				Tenant:   ten.Name,
-				Node:     d.Nodes[ten.Cloud],
+				Node:     d.nodes[ten.Cloud],
 				Identity: material.LIIdentities[ten.Name],
-				Key:      key,
-				Mode:     cfg.SubmitMode,
+				Key:      material.Key,
+				Mode:     cfg.submitMode,
 			})
 			if err != nil {
 				return nil, err
 			}
 			li.Start()
 			d.LIs[ten.Name] = li
-			if cfg.RemoteAgents {
-				liAddr := "li-endpoint@" + ten.Name
-				if err := li.Expose(d.Transport, liAddr); err != nil {
-					return nil, err
-				}
-				d.registered = append(d.registered, liAddr)
-				ra, err := logger.NewRemoteAgent(d.Transport, "agent@"+ten.Name, liAddr)
-				if err != nil {
-					return nil, err
-				}
-				d.RemoteAgents[ten.Name] = ra
-				d.registered = append(d.registered, "agent@"+ten.Name)
-			} else {
-				d.Agents[ten.Name] = logger.NewAgent("agent@"+ten.Name, ten.Name, li, clock.System{})
-			}
+			d.Agents[ten.Name] = logger.NewAgent("agent@"+ten.Name, ten.Name, li, clock.System{})
 		}
 		// Attach probes.
-		for tenant, pep := range d.PEPs {
-			pep.SetProbe(d.probeFor(tenant))
+		for tenant, pep := range d.peps {
+			pep.SetProbe(d.Agents[tenant])
 		}
 		if hostsInfra {
-			d.PDPService.SetProbe(d.probeFor(infra.Name))
+			d.pdpService.SetProbe(d.Agents[infra.Name])
 
 			// Analyser: per Figure 1 it runs in a different cloud section
 			// than the access-control components — attach it to the node of
 			// another hosted cloud when there is one.
 			analyserNode := d.home
 			for _, c := range d.topology.Clouds {
-				if node, ok := d.Nodes[c.Name]; ok && c.Name != infra.Cloud {
+				if node, ok := d.nodes[c.Name]; ok && c.Name != infra.Cloud {
 					analyserNode = node
 					break
 				}
 			}
-			d.Analyser, err = core.NewAnalyser("analyser", analyserNode, material.AnalyserID, d.Key)
+			d.Analyser, err = core.NewAnalyser("analyser", analyserNode, material.AnalyserID, material.Key)
 			if err != nil {
 				return nil, err
 			}
@@ -467,7 +398,7 @@ func New(cfg Config) (_ *Deployment, err error) {
 	d.watcher, err = pap.NewWatcher(pap.WatcherConfig{
 		Node:    d.home,
 		PDP:     d.PDP,
-		PRP:     d.PRP,
+		PRP:     d.prp,
 		OnEvent: d.onPolicyEvent,
 	})
 	if err != nil {
@@ -475,12 +406,12 @@ func New(cfg Config) (_ *Deployment, err error) {
 	}
 	d.watcher.Start()
 
-	// Publish the initial policy — unless the chain (restored from DataDir
-	// or synced from an existing federation) already carries an active
+	// Publish the initial policy — unless the chain (restored from the data
+	// dir or synced from an existing federation) already carries an active
 	// policy, in which case the watcher's Sync during Start has applied it
 	// and re-publishing would downgrade the whole fleet.
 	if hostsInfra && activePolicyVersion(d.home) == "" {
-		if err := d.PublishPolicy(cfg.Policy); err != nil {
+		if err := d.PublishPolicy(cfg.policy); err != nil {
 			return nil, err
 		}
 	}
@@ -504,7 +435,7 @@ func (d *Deployment) onPolicyEvent(ev pap.Event) {
 	if ev.Kind == pap.EventActivated && d.Analyser != nil {
 		// The watcher mirrors activated versions into the PRP before
 		// notifying, so the authoritative copy is always available here.
-		if ps, err := d.PRP.Version(ev.Version); err == nil {
+		if ps, err := d.prp.Version(ev.Version); err == nil {
 			d.Analyser.LoadPolicy(ps)
 			// Best-effort: the analyser's node may still be syncing; the
 			// anchor check re-runs on chain state.
@@ -537,10 +468,10 @@ func (d *Deployment) PublishPolicy(ps *xacml.PolicySet) error {
 	if ps == nil || ps.Version == "" {
 		return errors.New("drams: policy set with a version is required")
 	}
-	if d.PRP == nil {
+	if d.prp == nil {
 		return errors.New("drams: this member does not host the infrastructure tenant; publish through Admin")
 	}
-	if _, err := d.PRP.Version(ps.Version); err == nil {
+	if _, err := d.prp.Version(ps.Version); err == nil {
 		return fmt.Errorf("drams: version %q already published", ps.Version)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -566,9 +497,9 @@ func (d *Deployment) NewRequest() *xacml.Request {
 
 // TamperPEP installs attack injection at a tenant's PEP (nil clears).
 func (d *Deployment) TamperPEP(tenant string, t *Tamper) error {
-	pep, ok := d.PEPs[tenant]
-	if !ok {
-		return fmt.Errorf("drams: tenant %q has no PEP", tenant)
+	pep, err := d.PEP(tenant)
+	if err != nil {
+		return err
 	}
 	pep.SetTamper(t)
 	return nil
@@ -576,21 +507,22 @@ func (d *Deployment) TamperPEP(tenant string, t *Tamper) error {
 
 // CompromisePDP swaps the PDP's evaluator through a wrapper — the attack
 // framework uses this to model altered evaluation processes. Passing nil
-// restores the honest PDP. On a member that does not host the PDP the call
-// is a no-op: aim an attack campaign at the infrastructure slice.
-func (d *Deployment) CompromisePDP(wrap func(xacml.Evaluator) xacml.Evaluator) {
-	if d.PDPService == nil {
-		return
+// restores the honest PDP. It fails on a member that does not host the PDP:
+// aim an attack campaign at the infrastructure slice.
+func (d *Deployment) CompromisePDP(wrap func(xacml.Evaluator) xacml.Evaluator) error {
+	if d.pdpService == nil {
+		return errors.New("drams: this member does not host the PDP")
 	}
-	if wrap == nil {
-		d.PDPService.SetEvaluator(d.PDP)
-		return
+	var ev xacml.Evaluator = d.PDP
+	if wrap != nil {
+		ev = wrap(d.PDP)
 	}
-	d.PDPService.SetEvaluator(wrap(d.PDP))
+	d.pdpService.SetEvaluator(ev)
+	return nil
 }
 
-// WaitForAlert blocks until the monitor sees the given alert for reqID. It
-// is a shim over a one-shot Alerts subscription.
+// WaitForAlert blocks until the monitor sees the given alert for reqID — the
+// one-shot form of an Alerts subscription.
 func (d *Deployment) WaitForAlert(ctx context.Context, reqID string, t AlertType) (Alert, error) {
 	if d.Monitor == nil {
 		return Alert{}, ErrMonitoringDisabled
@@ -599,7 +531,7 @@ func (d *Deployment) WaitForAlert(ctx context.Context, reqID string, t AlertType
 }
 
 // WaitForMatched blocks until the exchange for reqID completed cleanly
-// on-chain. It is a shim over a one-shot Alerts subscription.
+// on-chain — the one-shot form of an Alerts subscription.
 func (d *Deployment) WaitForMatched(ctx context.Context, reqID string) error {
 	if d.Monitor == nil {
 		return ErrMonitoringDisabled
@@ -614,7 +546,7 @@ func (d *Deployment) InfraNode() *blockchain.Node {
 	if err != nil {
 		return nil
 	}
-	return d.Nodes[infra.Cloud]
+	return d.nodes[infra.Cloud]
 }
 
 // Topology returns the federation topology.
@@ -638,7 +570,7 @@ func (d *Deployment) Close() {
 	for _, li := range d.LIs {
 		li.Stop()
 	}
-	for _, node := range d.Nodes {
+	for _, node := range d.nodes {
 		node.Stop()
 	}
 	for _, kv := range d.stores {

@@ -29,27 +29,35 @@ func testPolicy(version string) *xacml.PolicySet {
 		Items: []xacml.PolicyItem{{Policy: pol}}}
 }
 
-func testDeployment(t *testing.T, mutate func(*drams.Config)) *drams.Deployment {
+// testDeployment opens the default two-cloud federation; opts go after the
+// defaults, so they win.
+func testDeployment(t *testing.T, opts ...drams.Option) *drams.Deployment {
 	t.Helper()
-	cfg := drams.Config{
-		Policy:     testPolicy("v1"),
-		Difficulty: 6,
+	base := []drams.Option{
+		drams.WithDifficulty(6),
 		// The M3/verdict deadline must leave room for the whole pipeline
 		// (request → decision → four logs mined → analyser verdict mined)
 		// under concurrent load; 20 blocks × 15ms ≈ 300ms.
-		TimeoutBlocks:      20,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               42,
+		drams.WithTimeoutBlocks(20),
+		drams.WithEmptyBlockInterval(15 * time.Millisecond),
+		drams.WithSeed(42),
 	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	dep, err := drams.New(cfg)
+	dep, err := drams.Open(testPolicy("v1"), append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(dep.Close)
 	return dep
+}
+
+// tenantClient returns the tenant's Client or fails the test.
+func tenantClient(t *testing.T, dep *drams.Deployment, tenant string) *drams.Client {
+	t.Helper()
+	client, err := dep.Client(tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client
 }
 
 func doctorRequest(dep *drams.Deployment) *xacml.Request {
@@ -66,9 +74,9 @@ func ctx20(t *testing.T) context.Context {
 }
 
 func TestCleanRequestPermittedAndMatched(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +92,11 @@ func TestCleanRequestPermittedAndMatched(t *testing.T) {
 }
 
 func TestCleanDenyMatched(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("intern")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	enf, err := dep.Request("tenant-2", req)
+	enf, err := tenantClient(t, dep, "tenant-2").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +109,7 @@ func TestCleanDenyMatched(t *testing.T) {
 }
 
 func TestDetectsEnforcementOverride(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	// Compromised PEP grants everything regardless of the decision (A3).
 	if err := dep.TamperPEP("tenant-1", &drams.Tamper{
 		Enforce: func(xacml.Decision) xacml.Decision { return xacml.Permit },
@@ -111,7 +119,7 @@ func TestDetectsEnforcementOverride(t *testing.T) {
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("intern")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +136,7 @@ func TestDetectsEnforcementOverride(t *testing.T) {
 }
 
 func TestDetectsResponseTamper(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	// Response flipped in transit (A2).
 	if err := dep.TamperPEP("tenant-1", &drams.Tamper{
 		Response: func(res xacml.Result) xacml.Result {
@@ -143,7 +151,7 @@ func TestDetectsResponseTamper(t *testing.T) {
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("intern")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	if _, err := dep.Request("tenant-1", req); err != nil {
+	if _, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dep.WaitForAlert(ctx20(t), req.ID, core.AlertResponseTampered); err != nil {
@@ -152,7 +160,7 @@ func TestDetectsResponseTamper(t *testing.T) {
 }
 
 func TestDetectsRequestTamper(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	// Privilege escalation in transit: intern request rewritten to claim
 	// the doctor role (A1).
 	if err := dep.TamperPEP("tenant-2", &drams.Tamper{
@@ -168,7 +176,7 @@ func TestDetectsRequestTamper(t *testing.T) {
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("intern")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	enf, err := dep.Request("tenant-2", req)
+	enf, err := tenantClient(t, dep, "tenant-2").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +206,15 @@ func (f flipEvaluator) Evaluate(r *xacml.Request) (xacml.Result, error) {
 }
 
 func TestDetectsCompromisedPDP(t *testing.T) {
-	dep := testDeployment(t, nil)
-	dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
+	dep := testDeployment(t)
+	if err := dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
 		return flipEvaluator{inner: inner}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	client := tenantClient(t, dep, "tenant-1")
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := client.Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +225,11 @@ func TestDetectsCompromisedPDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restoring the honest PDP stops the alerts.
-	dep.CompromisePDP(nil)
+	if err := dep.CompromisePDP(nil); err != nil {
+		t.Fatal(err)
+	}
 	req2 := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", req2); err != nil {
+	if _, err := client.Decide(ctx20(t), req2); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx20(t), req2.ID); err != nil {
@@ -225,19 +238,21 @@ func TestDetectsCompromisedPDP(t *testing.T) {
 }
 
 func TestDetectsPolicySubstitution(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	// The PDP is made to evaluate a permit-everything policy that was
 	// never anchored by the PAP (A5).
 	evil := &xacml.PolicySet{ID: "root", Version: "evil", Alg: xacml.PermitUnlessDeny,
 		Items: []xacml.PolicyItem{{Policy: &xacml.Policy{ID: "open", Version: "1",
 			Alg: xacml.FirstApplicable, Rules: []*xacml.Rule{{ID: "p", Effect: xacml.EffectPermit}}}}}}
 	evilPDP := xacml.NewPDP(evil)
-	dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return evilPDP })
+	if err := dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return evilPDP }); err != nil {
+		t.Fatal(err)
+	}
 
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("intern")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +265,12 @@ func TestDetectsPolicySubstitution(t *testing.T) {
 }
 
 func TestDetectsRequestSuppression(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	if err := dep.TamperPEP("tenant-1", &drams.Tamper{DropRequest: true}); err != nil {
 		t.Fatal(err)
 	}
 	req := doctorRequest(dep)
-	_, err := dep.Request("tenant-1", req)
+	_, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if !errors.Is(err, federation.ErrRequestDropped) {
 		t.Fatalf("expected drop, got %v", err)
 	}
@@ -269,12 +284,12 @@ func TestDetectsRequestSuppression(t *testing.T) {
 }
 
 func TestDetectsResponseSuppression(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	if err := dep.TamperPEP("tenant-2", &drams.Tamper{DropResponse: true}); err != nil {
 		t.Fatal(err)
 	}
 	req := doctorRequest(dep)
-	if _, err := dep.Request("tenant-2", req); !errors.Is(err, federation.ErrRequestDropped) {
+	if _, err := tenantClient(t, dep, "tenant-2").Decide(ctx20(t), req); !errors.Is(err, federation.ErrRequestDropped) {
 		t.Fatalf("expected drop, got %v", err)
 	}
 	if _, err := dep.WaitForAlert(ctx20(t), req.ID, core.AlertMessageSuppressed); err != nil {
@@ -283,9 +298,9 @@ func TestDetectsResponseSuppression(t *testing.T) {
 }
 
 func TestMonitorOffStillEnforces(t *testing.T) {
-	dep := testDeployment(t, func(c *drams.Config) { c.MonitorOff = true })
+	dep := testDeployment(t, drams.WithMonitoring(false))
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +313,7 @@ func TestMonitorOffStillEnforces(t *testing.T) {
 }
 
 func TestPolicyUpdateFlow(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	// v2 also lets nurses read.
 	v2 := testPolicy("v2")
 	nurseRule := &xacml.Rule{
@@ -317,7 +332,7 @@ func TestPolicyUpdateFlow(t *testing.T) {
 	req := dep.NewRequest().
 		Add(xacml.CatSubject, "role", xacml.String("nurse")).
 		Add(xacml.CatAction, "op", xacml.String("read"))
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,70 +345,14 @@ func TestPolicyUpdateFlow(t *testing.T) {
 	}
 }
 
-func TestTPMDeploymentBoots(t *testing.T) {
-	dep := testDeployment(t, func(c *drams.Config) { c.UseTPM = true })
-	if len(dep.TPMs) == 0 {
-		t.Fatal("no TPMs created")
-	}
-	req := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", req); err != nil {
-		t.Fatal(err)
-	}
-	if err := dep.WaitForMatched(ctx20(t), req.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoteAgentsDeployment(t *testing.T) {
-	// Agents separated from their LIs over the tenant network (§II
-	// endpoint architecture): the pipeline must behave identically.
-	dep := testDeployment(t, func(c *drams.Config) { c.RemoteAgents = true })
-	if len(dep.RemoteAgents) == 0 || len(dep.Agents) != 0 {
-		t.Fatalf("agent modes: remote=%d local=%d", len(dep.RemoteAgents), len(dep.Agents))
-	}
-	// Clean request matches on-chain.
-	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !enf.Permitted() {
-		t.Fatalf("decision = %s", enf.Decision)
-	}
-	if err := dep.WaitForMatched(ctx20(t), req.ID); err != nil {
-		t.Fatal(err)
-	}
-	// Attacks are still detected end to end.
-	if err := dep.TamperPEP("tenant-1", &drams.Tamper{
-		Enforce: func(xacml.Decision) xacml.Decision { return xacml.Permit },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	bad := dep.NewRequest().
-		Add(xacml.CatSubject, "role", xacml.String("intern")).
-		Add(xacml.CatAction, "op", xacml.String("read"))
-	if _, err := dep.Request("tenant-1", bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dep.WaitForAlert(ctx20(t), bad.ID, core.AlertEnforcementMismatch); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMineAllConvergesWithCompetingMiners(t *testing.T) {
 	// Every cloud mines (more realistic, fork-prone): clean traffic must
 	// still match and all nodes must share one state.
-	dep := testDeployment(t, func(c *drams.Config) {
-		c.MineAll = true
-		c.TimeoutBlocks = 40
-	})
+	dep := testDeployment(t, drams.WithMineAll(), drams.WithTimeoutBlocks(40))
+	clients := []*drams.Client{tenantClient(t, dep, "tenant-1"), tenantClient(t, dep, "tenant-2")}
 	for i := 0; i < 4; i++ {
 		req := doctorRequest(dep)
-		tenant := "tenant-1"
-		if i%2 == 1 {
-			tenant = "tenant-2"
-		}
-		if _, err := dep.Request(tenant, req); err != nil {
+		if _, err := clients[i%2].Decide(ctx20(t), req); err != nil {
 			t.Fatal(err)
 		}
 		if err := dep.WaitForMatched(ctx20(t), req.ID); err != nil {
@@ -401,10 +360,15 @@ func TestMineAllConvergesWithCompetingMiners(t *testing.T) {
 		}
 	}
 	// Replicas converge (allow gossip to settle).
+	n1, err1 := dep.Node("cloud-1")
+	n2, err2 := dep.Node("cloud-2")
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		d1 := dep.Nodes["cloud-1"].Chain().StateDigest()
-		d2 := dep.Nodes["cloud-2"].Chain().StateDigest()
+		d1 := n1.Chain().StateDigest()
+		d2 := n2.Chain().StateDigest()
 		if d1 == d2 {
 			break
 		}
@@ -423,20 +387,18 @@ func TestManyConcurrentRequestsAllMatch(t *testing.T) {
 	// give the verdict/M3 window enough slack to absorb the ~10× slowdown
 	// of instrumented runs (-race), where 20 concurrent analyser verdicts
 	// can overrun a 300 ms deadline.
-	dep := testDeployment(t, func(c *drams.Config) { c.TimeoutBlocks = 80 })
+	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
 	const n = 20
 	reqs := make([]*xacml.Request, n)
 	errCh := make(chan error, n)
 	for i := 0; i < n; i++ {
 		reqs[i] = doctorRequest(dep)
 	}
+	clients := []*drams.Client{tenantClient(t, dep, "tenant-1"), tenantClient(t, dep, "tenant-2")}
+	decideCtx := ctx20(t)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			tenant := "tenant-1"
-			if i%2 == 1 {
-				tenant = "tenant-2"
-			}
-			_, err := dep.Request(tenant, reqs[i])
+			_, err := clients[i%2].Decide(decideCtx, reqs[i])
 			errCh <- err
 		}(i)
 	}

@@ -17,7 +17,7 @@ import (
 // records — the paper's resilience claim covers failures of the monitoring
 // pipeline itself.
 func TestPartitionedCloudLogsRaiseM3(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 
 	// Isolate only the chain node of cloud-2. The access-control path
 	// (PEP ↔ PDP) and all other components stay connected, so the
@@ -31,8 +31,9 @@ func TestPartitionedCloudLogsRaiseM3(t *testing.T) {
 	}
 	dep.Net.Partition([]string{"node@cloud-2"}, rest)
 
+	client := tenantClient(t, dep, "tenant-2")
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-2", req)
+	enf, err := client.Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPartitionedCloudLogsRaiseM3(t *testing.T) {
 	// After healing, new traffic flows and matches cleanly again.
 	dep.Net.Heal()
 	req2 := doctorRequest(dep)
-	if _, err := dep.Request("tenant-2", req2); err != nil {
+	if _, err := client.Decide(ctx20(t), req2); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx20(t), req2.ID); err != nil {
@@ -69,11 +70,12 @@ func TestPartitionedCloudLogsRaiseM3(t *testing.T) {
 // mid-operation: decisions keep flowing but no verdicts can be produced, so
 // the liveness half of M5 must fire.
 func TestAnalyserOutageRaisesVerdictMissing(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 
 	// Warm-up: one clean matched exchange proves the analyser works.
+	client := tenantClient(t, dep, "tenant-1")
 	warm := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", warm); err != nil {
+	if _, err := client.Decide(ctx20(t), warm); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx20(t), warm.ID); err != nil {
@@ -91,7 +93,7 @@ func TestAnalyserOutageRaisesVerdictMissing(t *testing.T) {
 	dep.Net.Partition([]string{"node@cloud-2"}, rest)
 
 	req := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", req); err != nil {
+	if _, err := client.Decide(ctx20(t), req); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dep.WaitForAlert(ctx20(t), req.ID, core.AlertVerdictMissing); err != nil {
@@ -103,11 +105,11 @@ func TestAnalyserOutageRaisesVerdictMissing(t *testing.T) {
 // talks to its node in-process, so instead we model an LI process crash by
 // stopping it: its agents' observations fail and M3 fires.
 func TestCrashedLIDetectedByTimeout(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	dep.LIs["tenant-1"].Stop()
 
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := tenantClient(t, dep, "tenant-1").Decide(ctx20(t), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +129,13 @@ func TestCrashedLIDetectedByTimeout(t *testing.T) {
 // delays every message; the pipeline must still converge (blockchain gossip
 // and the M3 window absorb the jitter).
 func TestLossyNetworkStillMatches(t *testing.T) {
-	dep := testDeployment(t, func(c *drams.Config) {
-		c.NetLatency = 2 * time.Millisecond
-		c.NetJitter = 3 * time.Millisecond
-		c.TimeoutBlocks = 40
-	})
+	dep := testDeployment(t,
+		drams.WithNetwork(2*time.Millisecond, 3*time.Millisecond),
+		drams.WithTimeoutBlocks(40))
+	client := tenantClient(t, dep, "tenant-1")
 	for i := 0; i < 5; i++ {
 		req := doctorRequest(dep)
-		if _, err := dep.Request("tenant-1", req); err != nil {
+		if _, err := client.Decide(ctx20(t), req); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

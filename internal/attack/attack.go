@@ -150,10 +150,12 @@ func Catalogue(escalate func(*xacml.Request) *xacml.Request) []Scenario {
 			Description: "compromised PDP returns the opposite decision while claiming the correct policy",
 			Expected:    []core.AlertType{core.AlertDecisionIncorrect},
 			install: func(dep *drams.Deployment, victim string) (func(), error) {
-				dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
+				if err := dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
 					return flipEvaluator{inner: inner}
-				})
-				return func() { dep.CompromisePDP(nil) }, nil
+				}); err != nil {
+					return nil, err
+				}
+				return func() { _ = dep.CompromisePDP(nil) }, nil
 			},
 		},
 		{
@@ -164,8 +166,10 @@ func Catalogue(escalate func(*xacml.Request) *xacml.Request) []Scenario {
 			WantPermit:  true,
 			install: func(dep *drams.Deployment, victim string) (func(), error) {
 				evil := xacml.NewPDP(permitAllPolicy())
-				dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return evil })
-				return func() { dep.CompromisePDP(nil) }, nil
+				if err := dep.CompromisePDP(func(xacml.Evaluator) xacml.Evaluator { return evil }); err != nil {
+					return nil, err
+				}
+				return func() { _ = dep.CompromisePDP(nil) }, nil
 			},
 		},
 		{
@@ -176,10 +180,12 @@ func Catalogue(escalate func(*xacml.Request) *xacml.Request) []Scenario {
 			WantPermit:  true,
 			install: func(dep *drams.Deployment, victim string) (func(), error) {
 				evil := xacml.NewPDP(permitAllPolicy())
-				dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
+				if err := dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
 					return lyingDigestEvaluator{evil: evil, honest: inner}
-				})
-				return func() { dep.CompromisePDP(nil) }, nil
+				}); err != nil {
+					return nil, err
+				}
+				return func() { _ = dep.CompromisePDP(nil) }, nil
 			},
 		},
 		{

@@ -33,17 +33,20 @@ func escalateToDoctor(req *xacml.Request) *xacml.Request {
 // TestCatalogueDetectionMatrix is the executable form of experiment E5:
 // every scenario must raise (at least) one of its expected alerts.
 func TestCatalogueDetectionMatrix(t *testing.T) {
-	dep, err := drams.New(drams.Config{
-		Policy:             detectPolicy(),
-		Difficulty:         6,
-		TimeoutBlocks:      20,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               7,
-	})
+	dep, err := drams.Open(detectPolicy(),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(20),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSeed(7),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, sc := range Catalogue(escalateToDoctor) {
 		sc := sc
@@ -55,7 +58,7 @@ func TestCatalogueDetectionMatrix(t *testing.T) {
 			defer cleanup()
 
 			req := dep.NewRequest().Add(xacml.CatSubject, "role", xacml.String("intern"))
-			enf, reqErr := dep.Request("tenant-1", req)
+			enf, reqErr := client.Decide(context.Background(), req)
 			if sc.WantPermit && reqErr == nil && !enf.Permitted() {
 				t.Fatalf("%s: attack did not achieve its goal (decision %s)", sc.ID, enf.Decision)
 			}
@@ -88,13 +91,12 @@ func TestCatalogueDetectionMatrix(t *testing.T) {
 }
 
 func TestLogForgeryRejected(t *testing.T) {
-	dep, err := drams.New(drams.Config{
-		Policy:             detectPolicy(),
-		Difficulty:         6,
-		TimeoutBlocks:      20,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               9,
-	})
+	dep, err := drams.Open(detectPolicy(),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(20),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSeed(9),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,6 +100,8 @@ type ChaosHarness struct {
 	Seed uint64
 	// Victim is the tenant whose requests the attack targets.
 	Victim string
+	// Client submits the victim tenant's requests.
+	Client *drams.Client
 	// Byz wraps the Byzantine member's chain node.
 	Byz *ByzantineNode
 	// ByzTenant is the tenant hosted on the Byzantine member's cloud; its
@@ -196,7 +198,7 @@ func ChaosCatalogue() []ChaosScenario {
 				at := time.Now()
 				_, height := h.Dep.InfraNode().Chain().Head()
 				req := ChaosRequest(h.Dep)
-				if _, err := h.Dep.RequestContext(ctx, h.Victim, req); err != nil {
+				if _, err := h.Client.Decide(ctx, req); err != nil {
 					h.Byz.ReleaseGossip()
 					return nil, fmt.Errorf("attack: withholding victim request: %w", err)
 				}
@@ -213,7 +215,7 @@ func ChaosCatalogue() []ChaosScenario {
 			Expected:    []core.AlertType{core.AlertEquivocation},
 			Run: func(ctx context.Context, h *ChaosHarness) (*ChaosInjection, error) {
 				req := ChaosRequest(h.Dep)
-				if _, err := h.Dep.RequestContext(ctx, h.Victim, req); err != nil {
+				if _, err := h.Client.Decide(ctx, req); err != nil {
 					return nil, fmt.Errorf("attack: equivocation victim request: %w", err)
 				}
 				// Precondition: the honest records are on-chain, so the
@@ -257,7 +259,7 @@ func ChaosCatalogue() []ChaosScenario {
 				at := time.Now()
 				_, height := h.Dep.InfraNode().Chain().Head()
 				req := ChaosRequest(h.Dep)
-				if _, err := h.Dep.RequestContext(ctx, h.Victim, req); err != nil {
+				if _, err := h.Client.Decide(ctx, req); err != nil {
 					h.Byz.LiftCensorship()
 					return nil, fmt.Errorf("attack: censorship victim request: %w", err)
 				}
@@ -273,10 +275,6 @@ func ChaosCatalogue() []ChaosScenario {
 			Description: "a mixed-outcome DecideBatch pipeline is reversed on the wire after the probes logged the honest order, so every request is enforced with another request's decision; M2 flags the misaligned digests",
 			Expected:    []core.AlertType{core.AlertResponseTampered},
 			Run: func(ctx context.Context, h *ChaosHarness) (*ChaosInjection, error) {
-				cli, err := h.Dep.Client(h.Victim)
-				if err != nil {
-					return nil, err
-				}
 				if err := h.Dep.TamperPEP(h.Victim, &federation.Tamper{Batch: ReverseBatch()}); err != nil {
 					return nil, err
 				}
@@ -284,7 +282,7 @@ func ChaosCatalogue() []ChaosScenario {
 				at := time.Now()
 				_, height := h.Dep.InfraNode().Chain().Head()
 				permit, deny := ChaosRequest(h.Dep), ChaosDenyRequest(h.Dep)
-				if _, err := cli.DecideBatch(ctx, []*xacml.Request{permit, deny}); err != nil {
+				if _, err := h.Client.DecideBatch(ctx, []*xacml.Request{permit, deny}); err != nil {
 					cleanup()
 					return nil, fmt.Errorf("attack: ordering batch: %w", err)
 				}
@@ -305,7 +303,7 @@ func ChaosCatalogue() []ChaosScenario {
 				h.Byz.DelayRecords(HoldRecords(core.KindPEPResponse, req.ID))
 				at := time.Now()
 				_, height := h.Dep.InfraNode().Chain().Head()
-				if _, err := h.Dep.RequestContext(ctx, h.Victim, req); err != nil {
+				if _, err := h.Client.Decide(ctx, req); err != nil {
 					h.Byz.LiftCensorship()
 					return nil, fmt.Errorf("attack: suppression victim request: %w", err)
 				}
@@ -424,15 +422,17 @@ func (c Campaign) Run() (*CampaignReport, error) {
 // runScenario builds a fresh federation in the production mode the scenario
 // needs and runs its trials.
 func (c Campaign) runScenario(sc ChaosScenario) (ClassResult, error) {
-	dep, err := drams.New(drams.Config{
-		Policy:             ChaosPolicy(),
-		Topology:           federation.SimpleTopology("chaos", c.Clouds),
-		Difficulty:         c.Difficulty,
-		TimeoutBlocks:      c.TimeoutBlocks,
-		EmptyBlockInterval: c.EmptyBlockInterval,
-		Seed:               c.Seed,
-		MineAll:            sc.MineAll,
-	})
+	opts := []drams.Option{
+		drams.WithTopology(federation.SimpleTopology("chaos", c.Clouds)),
+		drams.WithDifficulty(c.Difficulty),
+		drams.WithTimeoutBlocks(c.TimeoutBlocks),
+		drams.WithEmptyBlockInterval(c.EmptyBlockInterval),
+		drams.WithSeed(c.Seed),
+	}
+	if sc.MineAll {
+		opts = append(opts, drams.WithMineAll())
+	}
+	dep, err := drams.Open(ChaosPolicy(), opts...)
 	if err != nil {
 		return ClassResult{}, err
 	}
@@ -529,6 +529,14 @@ func (c Campaign) harness(dep *drams.Deployment, sc ChaosScenario) (*ChaosHarnes
 	if victim == "" {
 		victim = edge[0].Name
 	}
+	client, err := dep.Client(victim)
+	if err != nil {
+		return nil, err
+	}
+	byzNode, err := dep.Node(byzCloud)
+	if err != nil {
+		return nil, err
+	}
 	ep, err := dep.Transport.Register("adversary@" + sc.Class)
 	if err != nil {
 		return nil, err
@@ -537,7 +545,8 @@ func (c Campaign) harness(dep *drams.Deployment, sc ChaosScenario) (*ChaosHarnes
 		Dep:       dep,
 		Seed:      c.Seed,
 		Victim:    victim,
-		Byz:       Byzantine(dep.Nodes[byzCloud]),
+		Client:    client,
+		Byz:       Byzantine(byzNode),
 		ByzTenant: byzTen.Name,
 		Adversary: ep,
 	}, nil

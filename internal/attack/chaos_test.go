@@ -2,6 +2,7 @@ package attack
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -76,18 +77,21 @@ func TestDetectionLatencyBounds(t *testing.T) {
 	const timeoutBlocks = 10
 	net := netsim.New(netsim.Config{Synchronous: true, Seed: 21})
 	defer net.Close()
-	dep, err := drams.New(drams.Config{
-		Policy:             detectPolicy(),
-		Difficulty:         6,
-		TimeoutBlocks:      timeoutBlocks,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               21,
-		Transport:          net,
-	})
+	dep, err := drams.Open(detectPolicy(),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(timeoutBlocks),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSeed(21),
+		drams.WithTransport(net),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, sc := range Catalogue(escalateToDoctor) {
 		sc := sc
@@ -110,7 +114,7 @@ func TestDetectionLatencyBounds(t *testing.T) {
 
 			_, injectHeight := dep.InfraNode().Chain().Head()
 			req := dep.NewRequest().Add(xacml.CatSubject, "role", xacml.String("intern"))
-			_, _ = dep.Request("tenant-1", req) // drop-class attacks fail the call by design
+			_, _ = client.Decide(context.Background(), req) // drop-class attacks fail the call by design
 
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
@@ -134,18 +138,21 @@ func TestDetectionLatencyBounds(t *testing.T) {
 // converge — the fork heals under cumulative-work fork choice.
 func TestDeploymentEquivocationConvergence(t *testing.T) {
 	const seed = 11
-	dep, err := drams.New(drams.Config{
-		Policy:             ChaosPolicy(),
-		Topology:           federation.SimpleTopology("equiv", 3),
-		Difficulty:         6,
-		TimeoutBlocks:      8,
-		EmptyBlockInterval: 200 * time.Millisecond,
-		Seed:               seed,
-	})
+	dep, err := drams.Open(ChaosPolicy(),
+		drams.WithTopology(federation.SimpleTopology("equiv", 3)),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(8),
+		drams.WithEmptyBlockInterval(200*time.Millisecond),
+		drams.WithSeed(seed),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-2")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -154,7 +161,7 @@ func TestDeploymentEquivocationConvergence(t *testing.T) {
 	// are on-chain and matched, so the forged record is unambiguously the
 	// conflicting second write.
 	req := ChaosRequest(dep)
-	if _, err := dep.RequestContext(ctx, "tenant-2", req); err != nil {
+	if _, err := client.Decide(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx, req.ID); err != nil {
@@ -198,11 +205,17 @@ func TestDeploymentEquivocationConvergence(t *testing.T) {
 	}
 
 	// Both forks' followers converge onto one chain.
+	var chains [3]*blockchain.Chain
+	for i := range chains {
+		node, err := dep.Node(fmt.Sprintf("cloud-%d", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains[i] = node.Chain()
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		d1 := dep.Nodes["cloud-1"].Chain().StateDigest()
-		d2 := dep.Nodes["cloud-2"].Chain().StateDigest()
-		d3 := dep.Nodes["cloud-3"].Chain().StateDigest()
+		d1, d2, d3 := chains[0].StateDigest(), chains[1].StateDigest(), chains[2].StateDigest()
 		if d1 == d2 && d2 == d3 {
 			return
 		}
@@ -220,14 +233,13 @@ func TestDeploymentEquivocationConvergence(t *testing.T) {
 // deadline and true detection lands within the bound.
 func TestPartitionHealSoak(t *testing.T) {
 	const timeoutBlocks = 8
-	dep, err := drams.New(drams.Config{
-		Policy:             ChaosPolicy(),
-		Topology:           federation.SimpleTopology("soak", 3),
-		Difficulty:         6,
-		TimeoutBlocks:      timeoutBlocks,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               13,
-	})
+	dep, err := drams.Open(ChaosPolicy(),
+		drams.WithTopology(federation.SimpleTopology("soak", 3)),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(timeoutBlocks),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSeed(13),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +247,21 @@ func TestPartitionHealSoak(t *testing.T) {
 	if dep.Net == nil {
 		t.Fatal("deployment has no netsim network")
 	}
+	honest, err := dep.Client("tenant-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := dep.Client("tenant-3")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	// Baseline: a clean exchange matches without alerts.
 	clean := ChaosRequest(dep)
-	if _, err := dep.RequestContext(ctx, "tenant-2", clean); err != nil {
+	if _, err := honest.Decide(ctx, clean); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx, clean.ID); err != nil {
@@ -254,7 +274,7 @@ func TestPartitionHealSoak(t *testing.T) {
 
 	req := ChaosRequest(dep)
 	reqCtx, reqCancel := context.WithTimeout(ctx, 3*time.Second)
-	if _, err := dep.RequestContext(reqCtx, "tenant-3", req); err == nil {
+	if _, err := victim.Decide(reqCtx, req); err == nil {
 		reqCancel()
 		t.Fatal("partitioned PEP unexpectedly reached the PDP")
 	}
@@ -296,13 +316,12 @@ func TestPartitionHealSoak(t *testing.T) {
 // blocks. Anchoring it late must trip M6's version check.
 func TestDelayedAnchorBeyondM6Grace(t *testing.T) {
 	const timeoutBlocks = 8
-	dep, err := drams.New(drams.Config{
-		Policy:             ChaosPolicy(),
-		Difficulty:         6,
-		TimeoutBlocks:      timeoutBlocks,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               17,
-	})
+	dep, err := drams.Open(ChaosPolicy(),
+		drams.WithDifficulty(6),
+		drams.WithTimeoutBlocks(timeoutBlocks),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSeed(17),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +334,19 @@ func TestDelayedAnchorBeyondM6Grace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byz := Byzantine(dep.Nodes[infra.Cloud])
+	infraNode, err := dep.Node(infra.Cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byz := Byzantine(infraNode)
+	client, err := dep.Client("tenant-2")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	req := ChaosRequest(dep)
 	byz.DelayRecords(HoldRecords(core.KindPDPResponse, req.ID))
-	if _, err := dep.RequestContext(ctx, "tenant-2", req); err != nil {
+	if _, err := client.Decide(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 

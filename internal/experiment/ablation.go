@@ -149,10 +149,12 @@ func RunAB2(p AB2Params) (Table, error) {
 			return t, err
 		}
 
-		runAttack := func(install func(), clear func(), alertType core.AlertType) int {
+		runAttack := func(install func() error, clear func(), alertType core.AlertType) (int, error) {
 			detected := 0
 			for trial := 0; trial < p.Trials; trial++ {
-				install()
+				if err := install(); err != nil {
+					return detected, err
+				}
 				req := dep.NewRequest().
 					Add(xacml.CatSubject, "role", xacml.String("intern")).
 					Add(xacml.CatAction, "op", xacml.String("read"))
@@ -164,25 +166,33 @@ func RunAB2(p AB2Params) (Table, error) {
 				cancel()
 				clear()
 			}
-			return detected
+			return detected, nil
 		}
 
-		a3 := runAttack(
-			func() {
-				_ = dep.TamperPEP("tenant-1", &federation.Tamper{
+		a3, err := runAttack(
+			func() error {
+				return dep.TamperPEP("tenant-1", &federation.Tamper{
 					Enforce: func(xacml.Decision) xacml.Decision { return xacml.Permit },
 				})
 			},
 			func() { _ = dep.TamperPEP("tenant-1", nil) },
 			core.AlertEnforcementMismatch,
 		)
-		a4 := runAttack(
-			func() {
-				dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator { return flipEval{inner: inner} })
+		if err != nil {
+			dep.Close()
+			return t, err
+		}
+		a4, err := runAttack(
+			func() error {
+				return dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator { return flipEval{inner: inner} })
 			},
-			func() { dep.CompromisePDP(nil) },
+			func() { _ = dep.CompromisePDP(nil) },
 			core.AlertDecisionIncorrect,
 		)
+		if err != nil {
+			dep.Close()
+			return t, err
+		}
 
 		// Clean traffic must match (and raise nothing) in both configs.
 		req := StandardRequest(dep, 0)

@@ -138,14 +138,13 @@ func NewStandardDeployment(clouds int, mode logger.SubmitMode, monitorOff bool, 
 	if clouds < 1 {
 		clouds = 2
 	}
-	return drams.New(drams.Config{
-		Policy:             StandardPolicy("v1"),
-		Topology:           federation.SimpleTopology("bench", clouds),
-		Difficulty:         8,
-		TimeoutBlocks:      timeoutBlocks,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		SubmitMode:         mode,
-		MonitorOff:         monitorOff,
-		Seed:               1,
-	})
+	return drams.Open(StandardPolicy("v1"),
+		drams.WithTopology(federation.SimpleTopology("bench", clouds)),
+		drams.WithDifficulty(8),
+		drams.WithTimeoutBlocks(timeoutBlocks),
+		drams.WithEmptyBlockInterval(15*time.Millisecond),
+		drams.WithSubmitMode(mode),
+		drams.WithMonitoring(!monitorOff),
+		drams.WithSeed(1),
+	)
 }

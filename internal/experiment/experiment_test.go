@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -254,8 +255,12 @@ func TestStandardDeploymentModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
+	client, err := dep.Client("tenant-1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := StandardRequest(dep, 0) // doctor read → permit
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := client.Decide(context.Background(), req)
 	if err != nil || !enf.Permitted() {
 		t.Fatalf("standard request: %v %v", enf, err)
 	}

@@ -152,8 +152,8 @@ const PDPAddr = "pdp@infrastructure"
 
 // IdentitySeed derives the deterministic per-component identity seed every
 // federation participant computes from the shared deployment seed, so that
-// single-process deployments (drams.New) and multi-process daemons
-// (cmd/drams-node) agree on the chain allowlist byte-for-byte.
+// single-process deployments (drams.Open) and multi-process members
+// (drams.OpenMember, as cmd/drams-node runs it) agree on the chain allowlist byte-for-byte.
 func IdentitySeed(seed uint64, name string) [32]byte {
 	d := crypto.SumAll([]byte(fmt.Sprintf("drams-id|%d|", seed)), []byte(name))
 	return [32]byte(d)

@@ -60,10 +60,12 @@ func TestCoordinatedOmission(t *testing.T) {
 	}
 	defer target.Close()
 	dep := target.Deployment()
-	dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
+	if err := dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
 		return &stallEvaluator{inner: inner, anchor: time.Now(), period: period, stall: stall}
-	})
-	defer dep.CompromisePDP(nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dep.CompromisePDP(nil) }()
 
 	closed := Scenario{
 		Name: "co-closed",

@@ -249,9 +249,9 @@ func (t *NetsimTarget) Rejoin(ctx context.Context, member string) error {
 	t.dep.Net.Heal()
 	t.mu.Unlock()
 
-	node := t.dep.Nodes[ten.Cloud]
+	node, err := t.dep.Node(ten.Cloud)
 	infraNode := t.dep.InfraNode()
-	if node == nil || infraNode == nil {
+	if err != nil || infraNode == nil {
 		return fmt.Errorf("loadgen: no chain node for %q", member)
 	}
 	for {

@@ -8,7 +8,7 @@
 //
 // The package is dependency-free by design (stdlib + internal/metrics
 // only): component packages import obs to record trace spans, and the
-// wiring layers (drams.New, cmd/drams-node) register closures over each
+// wiring layer (drams.Open/OpenMember) registers closures over each
 // component's Stats() accessor as collectors — obs never imports the
 // components, so there are no import cycles and no locks shared with the
 // hot path. A scrape snapshots everything first (Gather) and only then

@@ -34,7 +34,7 @@ func (p ChainParams) withDefaults() ChainParams {
 // ChainMaterial is everything a federation process derives from the shared
 // seed + tenant list: component identities, the chain allowlist, the
 // shared LI key, the contract registry and the chain configuration.
-// drams.New and the loadgen TCP observer both build their chains from this,
+// Open/OpenMember and the loadgen TCP observer both build their chains from this,
 // so processes given the same seed, tenant set and ChainParams can join the
 // same federation.
 type ChainMaterial struct {

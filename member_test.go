@@ -73,8 +73,10 @@ func waitConverged(t *testing.T, ctx context.Context, deps ...*drams.Deployment)
 	for {
 		var digests []crypto.Digest
 		for _, dep := range deps {
-			for _, node := range dep.Nodes {
-				digests = append(digests, node.Chain().StateDigest())
+			for _, cloud := range sliceClouds {
+				if node, err := dep.Node(cloud); err == nil {
+					digests = append(digests, node.Chain().StateDigest())
+				}
 			}
 		}
 		same := true
@@ -152,7 +154,9 @@ func TestMemberSlicesFormOneFederation(t *testing.T) {
 		t.Fatal("a slice without the PRP accepted PublishPolicy")
 	}
 	waitPolicyVersion(t, ctx, fleet["cloud-2"], "v1")
-	fleet["cloud-2"].CompromisePDP(nil) // no PDP here: must not panic
+	if err := fleet["cloud-2"].CompromisePDP(nil); err == nil {
+		t.Fatal("a slice without the PDP accepted CompromisePDP")
+	}
 
 	waitConverged(t, ctx, fleet["cloud-1"], fleet["cloud-2"], fleet["cloud-3"])
 	assertNoAlerts(t, infra)

@@ -60,18 +60,18 @@ func (d *Deployment) MetricsHandler() http.Handler { return obs.Handler(d.gather
 
 // wireObservability registers every component's counters under the
 // drams_* namespace, attaches the span recorder to each pipeline stage,
-// and installs the deployment's readiness checks. Called once from New
+// and installs the deployment's readiness checks. Called once from open
 // after all components exist.
 func (d *Deployment) wireObservability() {
 	g := d.gatherer
 
 	// Tracer attachment (monitoring plane components are nil-checked:
 	// MonitorOff deployments still trace the PEP/PDP hot path).
-	for _, pep := range d.PEPs {
+	for _, pep := range d.peps {
 		pep.SetTracer(d.tracer)
 	}
-	if d.PDPService != nil {
-		d.PDPService.SetTracer(d.tracer)
+	if d.pdpService != nil {
+		d.pdpService.SetTracer(d.tracer)
 	}
 	for _, li := range d.LIs {
 		li.SetTracer(d.tracer)
@@ -83,23 +83,20 @@ func (d *Deployment) wireObservability() {
 		d.Analyser.SetTracer(d.tracer)
 	}
 
-	for name, node := range d.Nodes {
+	for name, node := range d.nodes {
 		g.Register(nodeCollector("node@"+name, node))
 	}
 	g.Register(transportCollector(d.Transport))
-	for name, pep := range d.PEPs {
+	for name, pep := range d.peps {
 		g.Register(pepCollector(name, pep))
 	}
-	if d.PDPService != nil {
-		g.Register(pdpCollector(d.PDPService, d.PDP))
+	if d.pdpService != nil {
+		g.Register(pdpCollector(d.pdpService, d.PDP))
 	}
 	for name, li := range d.LIs {
 		g.Register(liCollector(name, li))
 	}
 	for name, agent := range d.Agents {
-		g.Register(agentCollector(name, agent))
-	}
-	for name, agent := range d.RemoteAgents {
 		g.Register(agentCollector(name, agent))
 	}
 	g.Register(watcherCollector(d.watcher))
@@ -251,11 +248,8 @@ func liCollector(tenant string, li *logger.LI) obs.Collector {
 	}
 }
 
-// agentStats is satisfied by both in-process and remote probing agents.
-type agentStats interface{ Stats() logger.AgentStats }
-
 // agentCollector samples one tenant's probing-agent counters.
-func agentCollector(tenant string, agent agentStats) obs.Collector {
+func agentCollector(tenant string, agent *logger.Agent) obs.Collector {
 	l := fmt.Sprintf("{tenant=%q}", tenant)
 	return func() []metrics.Sample {
 		s := agent.Stats()

@@ -18,7 +18,7 @@ import (
 // anchoring, monitor match — analyser verification typically joins them),
 // be sorted by start time, and land per-stage histograms in /metrics.
 func TestTraceTimelineEndToEnd(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestTraceTimelineEndToEnd(t *testing.T) {
 // _total — and the node, transport, cache, monitor and analyser planes all
 // contributing series.
 func TestMetricsExpositionLint(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func (b *blockedWriter) Write(p []byte) (int, error) {
 // layer by TestStalledScraperHoldsNoLocks; here we assert the user-visible
 // property under -race: decides proceed while the scraper is stalled.
 func TestStalledScraperDoesNotBlockDecides(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)

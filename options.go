@@ -10,24 +10,19 @@ import (
 	"drams/internal/xacml"
 )
 
-// Option adjusts a Config during Open. Options are applied in order over
-// the zero Config, so later options win.
-type Option func(*Config)
+// Option adjusts the deployment Open or OpenMember builds. Options are
+// applied in order, so later options win.
+type Option func(*config)
 
 // Open assembles and starts a deployment from a policy plus functional
-// options — the client-centric construction path layered over Config (which
-// remains the compatibility surface for struct-literal callers):
+// options:
 //
 //	dep, err := drams.Open(policy,
 //	    drams.WithTopology(federation.SimpleTopology("faas", 3)),
 //	    drams.WithSeed(42),
 //	)
 func Open(policy *xacml.PolicySet, opts ...Option) (*Deployment, error) {
-	cfg := Config{Policy: policy}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return New(cfg)
+	return open(policy, "", opts)
 }
 
 // OpenMember assembles and starts one federation member: the slice of the
@@ -35,69 +30,64 @@ func Open(policy *xacml.PolicySet, opts ...Option) (*Deployment, error) {
 // on it a PEP, a probing agent and a Logging Interface, plus PDP, PRP,
 // analyser and monitor where the infrastructure tenant lives. It is Open
 // restricted to one cloud, so a fleet of OpenMember processes sharing a
-// topology, a seed and a transport each can reach (WithTransport,
-// WithListenAddr) is the same federation as one Open. policy is needed only
-// on the cloud that hosts the infrastructure tenant.
+// topology, a seed and a transport each can reach (WithTransport) is the
+// same federation as one Open. policy is needed only on the cloud that hosts
+// the infrastructure tenant.
 func OpenMember(policy *xacml.PolicySet, cloud string, opts ...Option) (*Deployment, error) {
 	if cloud == "" {
 		return nil, errors.New("drams: OpenMember needs the cloud this process hosts")
 	}
-	cfg := Config{Policy: policy}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg.local = cloud
-	return New(cfg)
+	return open(policy, cloud, opts)
 }
 
 // WithTopology sets the federation topology.
 func WithTopology(t *federation.Topology) Option {
-	return func(c *Config) { c.Topology = t }
+	return func(c *config) { c.topology = t }
 }
 
 // WithSeed makes network behaviour, identities and request IDs
 // reproducible.
 func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
+	return func(c *config) { c.seed = seed }
 }
 
 // WithDifficulty sets the PoW difficulty in leading-zero bits.
 func WithDifficulty(bits uint8) Option {
-	return func(c *Config) { c.Difficulty = bits }
+	return func(c *config) { c.difficulty = bits }
 }
 
 // WithTimeoutBlocks sets the log-match M3 window Δ in blocks.
 func WithTimeoutBlocks(n uint64) Option {
-	return func(c *Config) { c.TimeoutBlocks = n }
+	return func(c *config) { c.timeoutBlocks = n }
 }
 
 // WithEmptyBlockInterval keeps blocks flowing when idle.
 func WithEmptyBlockInterval(d time.Duration) Option {
-	return func(c *Config) { c.EmptyBlockInterval = d }
+	return func(c *config) { c.emptyBlockInterval = d }
 }
 
 // WithSubmitMode sets the Logging Interface submission mode.
 func WithSubmitMode(m logger.SubmitMode) Option {
-	return func(c *Config) { c.SubmitMode = m }
+	return func(c *config) { c.submitMode = m }
 }
 
 // WithMonitoring enables or disables the whole monitoring plane (probes,
 // analyser, monitor). Disabled is the baseline for overhead experiments.
 func WithMonitoring(enabled bool) Option {
-	return func(c *Config) { c.MonitorOff = !enabled }
+	return func(c *config) { c.monitorOff = !enabled }
 }
 
 // WithoutVerdicts drops the analyser-verdict requirement from the log-match
 // contract.
 func WithoutVerdicts() Option {
-	return func(c *Config) { c.DisableVerdicts = true }
+	return func(c *config) { c.disableVerdicts = true }
 }
 
 // WithNetwork shapes the simulated federation network.
 func WithNetwork(latency, jitter time.Duration) Option {
-	return func(c *Config) {
-		c.NetLatency = latency
-		c.NetJitter = jitter
+	return func(c *config) {
+		c.netLatency = latency
+		c.netJitter = jitter
 	}
 }
 
@@ -106,20 +96,7 @@ func WithNetwork(latency, jitter time.Duration) Option {
 // processes can join the federation. The caller keeps ownership: Close does
 // not shut a supplied transport down.
 func WithTransport(t transport.Transport) Option {
-	return func(c *Config) { c.Transport = t }
-}
-
-// WithListenAddr makes the deployment build its own TCP transport listening
-// on host:port (instead of netsim), so the federation is reachable from
-// other processes.
-func WithListenAddr(addr string) Option {
-	return func(c *Config) { c.ListenAddr = addr }
-}
-
-// WithPeers seeds the WithListenAddr TCP transport with other processes'
-// advertise addresses.
-func WithPeers(addrs ...string) Option {
-	return func(c *Config) { c.TransportPeers = append([]string(nil), addrs...) }
+	return func(c *config) { c.transport = t }
 }
 
 // WithDataDir makes every chain node durable: persisted chains under dir
@@ -127,23 +104,11 @@ func WithPeers(addrs ...string) Option {
 // accepted block is written incrementally from then on, and the policy
 // watcher reconciles with the restored on-chain policy state.
 func WithDataDir(dir string) Option {
-	return func(c *Config) { c.DataDir = dir }
-}
-
-// WithTPM seals the shared LI key in a per-tenant SoftTPM (the §III System
-// Integrity mitigation).
-func WithTPM() Option {
-	return func(c *Config) { c.UseTPM = true }
-}
-
-// WithRemoteAgents separates probing agents from their Logging Interfaces
-// over the tenant network.
-func WithRemoteAgents() Option {
-	return func(c *Config) { c.RemoteAgents = true }
+	return func(c *config) { c.dataDir = dir }
 }
 
 // WithMineAll makes every cloud's node mine (more realistic, more forks)
 // instead of the designated-producer default.
 func WithMineAll() Option {
-	return func(c *Config) { c.MineAll = true }
+	return func(c *config) { c.mineAll = true }
 }

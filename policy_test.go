@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"drams"
 	"drams/internal/blockchain"
@@ -29,7 +28,7 @@ func restrictedTestPolicy(version string) *xacml.PolicySet {
 // arrive, and check the same request flips Permit → Deny with the decision
 // cache invalidated — then roll back to v1 and watch it flip again.
 func TestAdminUpdatePolicyHotReload(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	ctx := ctx20(t)
 
 	alerts, stop, err := dep.Alerts(ctx, drams.AlertFilter{
@@ -58,8 +57,9 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	}
 
 	// Permit under v1, and the repeat hits the decision cache.
+	client := tenantClient(t, dep, "tenant-1")
 	req := doctorRequest(dep)
-	enf, err := dep.Request("tenant-1", req)
+	enf, err := client.Decide(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 		t.Fatal("no v2 activation event")
 	}
 
-	enf, err = dep.Request("tenant-1", doctorRequest(dep))
+	enf, err = client.Decide(ctx, doctorRequest(dep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	if err := admin.Rollback(ctx, "v1", drams.UpdateOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	enf, err = dep.Request("tenant-1", doctorRequest(dep))
+	enf, err = client.Decide(ctx, doctorRequest(dep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 // different content: the admin gets ErrPolicyConflict and the fleet keeps
 // the original digest.
 func TestAdminConflictingVersionRejected(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	admin, err := dep.Admin("infrastructure")
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +145,14 @@ func TestAdminConflictingVersionRejected(t *testing.T) {
 // decided under v1 whose logs land around the v2 flip still matches
 // cleanly, and post-flip requests match under v2.
 func TestExchangesMatchAcrossPolicyFlip(t *testing.T) {
-	dep := testDeployment(t, nil)
+	dep := testDeployment(t)
 	ctx := ctx20(t)
 
 	// Decide under v1 and immediately publish v2 so the exchange's logs
 	// race the activation.
+	client := tenantClient(t, dep, "tenant-1")
 	req := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", req); err != nil {
+	if _, err := client.Decide(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.PublishPolicy(restrictedTestPolicy("v2")); err != nil {
@@ -162,7 +163,7 @@ func TestExchangesMatchAcrossPolicyFlip(t *testing.T) {
 	}
 
 	req2 := doctorRequest(dep)
-	if _, err := dep.Request("tenant-1", req2); err != nil {
+	if _, err := client.Decide(ctx, req2); err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.WaitForMatched(ctx, req2.ID); err != nil {
@@ -178,18 +179,7 @@ func TestExchangesMatchAcrossPolicyFlip(t *testing.T) {
 // demands identical contract state — proving a restarted member re-derives
 // the exact policy lifecycle from the chain.
 func TestPolicyStateReplaysDeterministically(t *testing.T) {
-	cfg := drams.Config{
-		Policy:             testPolicy("v1"),
-		Difficulty:         6,
-		TimeoutBlocks:      20,
-		EmptyBlockInterval: 15 * time.Millisecond,
-		Seed:               42,
-	}
-	dep, err := drams.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
+	dep := testDeployment(t)
 	ctx := ctx20(t)
 
 	admin, err := dep.Admin("infrastructure")
@@ -212,9 +202,10 @@ func TestPolicyStateReplaysDeterministically(t *testing.T) {
 	for _, ten := range dep.Topology().Tenants {
 		tenants = append(tenants, ten.Name)
 	}
-	material := drams.NewChainMaterial(cfg.Seed, tenants, drams.ChainParams{
-		Difficulty:     cfg.Difficulty,
-		TimeoutBlocks:  cfg.TimeoutBlocks,
+	// testDeployment's seed, difficulty and Δ.
+	material := drams.NewChainMaterial(42, tenants, drams.ChainParams{
+		Difficulty:     6,
+		TimeoutBlocks:  20,
 		RequireVerdict: true,
 	})
 	replica := blockchain.NewChain(material.Chain)

@@ -15,8 +15,13 @@ import (
 // mining and the on-chain match all flow through transport.Endpoint, so any
 // semantic gap between the backends would surface here.
 func TestDeploymentOverTCPTransport(t *testing.T) {
+	tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
 	dep, err := drams.Open(testPolicy("v1"),
-		drams.WithListenAddr("127.0.0.1:0"),
+		drams.WithTransport(tr),
 		drams.WithDifficulty(6),
 		drams.WithTimeoutBlocks(20),
 		drams.WithEmptyBlockInterval(15*time.Millisecond),
