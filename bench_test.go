@@ -237,7 +237,7 @@ func benchVerifierBatch(b *testing.B, n int) ([]blockchain.Transaction, *blockch
 	txs := make([]blockchain.Transaction, n)
 	for i := range txs {
 		call := contract.Call{Contract: "kv", Method: "put", Args: []byte(fmt.Sprintf(`{"key":"k%d"}`, i))}
-		tx, err := blockchain.NewTransaction(id, uint64(i+1), call)
+		tx, err := blockchain.NewTransaction(id, 0, call)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,21 +108,16 @@ func (b *ByzantineNode) DelayRecords(pred func(core.LogRecord) bool) {
 // is eligible for the next block.
 func (b *ByzantineNode) LiftCensorship() { b.node.SetCollectFilter(nil) }
 
-// dropMatching builds a collect filter removing every transaction matching
-// pred AND every later transaction from the same sender in the collection:
-// per-sender nonces are contiguous, so a censored transaction's successors
-// would render the block invalid — dropping the whole suffix keeps the
-// Byzantine block acceptable to honest validators (a stealthy censor).
+// dropMatching builds a collect filter skipping every transaction matching
+// pred. No transaction's validity depends on another's, so the Byzantine
+// block stays acceptable to honest validators (a stealthy censor).
 func dropMatching(pred func(blockchain.Transaction) bool) func([]blockchain.Transaction) []blockchain.Transaction {
 	return func(txs []blockchain.Transaction) []blockchain.Transaction {
-		tainted := make(map[string]bool)
 		out := make([]blockchain.Transaction, 0, len(txs))
 		for _, tx := range txs {
-			if tainted[tx.From] || pred(tx) {
-				tainted[tx.From] = true
-				continue
+			if !pred(tx) {
+				out = append(out, tx)
 			}
-			out = append(out, tx)
 		}
 		return out
 	}
@@ -158,9 +153,9 @@ func decodeLogRecords(tx blockchain.Transaction) []core.LogRecord {
 // honest record already stored for reqID: same (reqID, kind) key, different
 // request digest. The log-match contract keys records by (reqID, kind)
 // regardless of sender, so any allowlisted identity can carry the conflict;
-// a Byzantine member naturally uses its own hosted tenant's LI identity,
-// whose nonce stream is otherwise idle. Executing the transaction raises
-// AlertEquivocation on every honest replica.
+// a Byzantine member naturally uses its own hosted tenant's LI identity.
+// Executing the transaction raises AlertEquivocation on every honest
+// replica.
 func ForgeConflictingRecord(view *blockchain.Chain, id *crypto.Identity, victimTenant, reqID string) (blockchain.Transaction, error) {
 	rec := core.LogRecord{
 		Kind:              core.KindPEPRequest,
@@ -170,8 +165,7 @@ func ForgeConflictingRecord(view *blockchain.Chain, id *crypto.Identity, victimT
 		ReqDigest:         crypto.Sum([]byte("equivocating view of " + reqID)),
 		TimestampUnixNano: time.Now().UnixNano(),
 	}
-	nonce := view.AccountNonce(id.Name()) + 1
-	tx, err := blockchain.NewTransaction(id, nonce, contract.Call{
+	tx, err := blockchain.NewTransaction(id, view.Height(), contract.Call{
 		Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode(),
 	})
 	if err != nil {

@@ -34,7 +34,7 @@ func AttemptLogForgery(node *blockchain.Node, reqID string) ForgeLogResult {
 		Agent:     "forged-agent",
 		ReqDigest: crypto.Sum([]byte("forged request")),
 	}
-	tx, err := blockchain.NewTransaction(outsider, 1, contract.Call{
+	tx, err := blockchain.NewTransaction(outsider, node.Chain().Height(), contract.Call{
 		Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode(),
 	})
 	if err != nil {

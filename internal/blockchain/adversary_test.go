@@ -16,7 +16,7 @@ func TestGossipFilterSuppressesOutbound(t *testing.T) {
 
 	byz.SetGossipFilter(func(kind string, payload []byte) bool { return false })
 
-	tx, _ := NewTransaction(alice, 1, putCall("held", "v"))
+	tx, _ := NewTransaction(alice, 0, putCall("held", "v"))
 	if err := byz.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +28,21 @@ func TestGossipFilterSuppressesOutbound(t *testing.T) {
 	// Outlast a few rebroadcast intervals: neither the block announcement
 	// nor the periodic tx re-gossip may leak.
 	time.Sleep(600 * time.Millisecond)
-	if n := honest.Chain().AccountNonce("alice"); n != 0 {
-		t.Fatalf("gossip leaked through the filter: honest nonce = %d", n)
+	if _, _, err := honest.Chain().Receipt(tx.ID()); err == nil || honest.Mempool().Has(tx.ID()) {
+		t.Fatalf("gossip leaked through the filter: honest node holds tx (receipt err %v)", err)
 	}
 
 	// After release the next mined block announces normally and the honest
 	// node backfills the withheld ancestor.
 	byz.SetGossipFilter(nil)
-	tx2, _ := NewTransaction(alice, 2, putCall("free", "v"))
+	tx2, _ := NewTransaction(alice, byz.Chain().Height(), putCall("free", "v"))
 	if err := byz.SubmitTx(tx2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool {
-		return honest.Chain().AccountNonce("alice") == 2
+		_, _, err1 := honest.Chain().Receipt(tx.ID())
+		_, _, err2 := honest.Chain().Receipt(tx2.ID())
+		return err1 == nil && err2 == nil
 	}, "honest node catches up after gossip release")
 }
 
@@ -61,20 +63,19 @@ func TestCollectFilterCensorsSender(t *testing.T) {
 		return out
 	})
 
-	tx, _ := NewTransaction(alice, 1, putCall("censored", "v"))
+	tx, _ := NewTransaction(alice, 0, putCall("censored", "v"))
 	if err := n.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(400 * time.Millisecond)
-	if got := n.Chain().AccountNonce("alice"); got != 0 {
-		t.Fatalf("censored tx was mined: nonce = %d", got)
+	if _, _, err := n.Chain().Receipt(tx.ID()); err == nil || !n.Mempool().Has(tx.ID()) {
+		t.Fatalf("censored tx was mined or dropped from the pool (receipt err %v)", err)
 	}
 
 	// Lifting the filter frees the held transaction; the second submission
-	// wakes the (otherwise idle) mining loop and both are mined in nonce
-	// order.
+	// wakes the (otherwise idle) mining loop.
 	n.SetCollectFilter(nil)
-	tx2, _ := NewTransaction(alice, 2, putCall("after", "v"))
+	tx2, _ := NewTransaction(alice, n.Chain().Height(), putCall("after", "v"))
 	if err := n.SubmitTx(tx2); err != nil {
 		t.Fatal(err)
 	}

@@ -81,14 +81,13 @@ type Chain struct {
 
 	mu        sync.RWMutex
 	blocks    map[crypto.Digest]*Block
-	work      map[crypto.Digest]*big.Int // cumulative work incl. block
+	blockIDs  map[crypto.Digest][]crypto.Digest // each block's tx IDs, index-aligned
+	work      map[crypto.Digest]*big.Int        // cumulative work incl. block
 	genesis   crypto.Digest
 	head      crypto.Digest
 	bestChain []crypto.Digest // index = height
 	state     *contract.State
-	nonces    map[string]uint64
 	receipts  map[crypto.Digest]Receipt
-	txHeight  map[crypto.Digest]uint64
 	emitted   map[crypto.Digest]bool
 	abandoned []Transaction // of blocks reorganised away, until TakeAbandoned
 	override  uint8         // manual difficulty override, 0 = none
@@ -111,11 +110,10 @@ func NewChain(cfg Config) *Chain {
 		ids:      NewIdentityRegistry(cfg.Identities...),
 		clk:      cfg.Clock,
 		blocks:   make(map[crypto.Digest]*Block),
+		blockIDs: make(map[crypto.Digest][]crypto.Digest),
 		work:     make(map[crypto.Digest]*big.Int),
 		state:    contract.NewState(),
-		nonces:   make(map[string]uint64),
 		receipts: make(map[crypto.Digest]Receipt),
-		txHeight: make(map[crypto.Digest]uint64),
 		emitted:  make(map[crypto.Digest]bool),
 		headSubs: make(map[int]chan struct{}),
 	}
@@ -247,25 +245,6 @@ func (c *Chain) expectedDifficultyLocked(parent *Block) uint8 {
 	return next
 }
 
-// AccountNonce returns the last applied nonce for a sender on the best
-// chain (0 if none).
-func (c *Chain) AccountNonce(sender string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nonces[sender]
-}
-
-// AccountNonces returns a copy of all best-chain sender nonces.
-func (c *Chain) AccountNonces() map[string]uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]uint64, len(c.nonces))
-	for k, v := range c.nonces {
-		out[k] = v
-	}
-	return out
-}
-
 // TakeAbandoned returns, once, the transactions of the blocks that
 // reorganisations took off the best chain, for the node to pool again.
 func (c *Chain) TakeAbandoned() []Transaction {
@@ -359,7 +338,9 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 	// The transaction IDs are derived here, once per import, and handed to
 	// everything below that needs them: the Merkle check, the verifier's
-	// cache lookups, receipts and contract call contexts.
+	// cache lookups, the replay rule, receipts and contract call contexts.
+	// The chain keeps them with the block for later side-branch checks and
+	// reorganisation replays.
 	ids := txIDs(b.Txs)
 	if merkle.RootOfHashes(ids) != b.Header.MerkleRoot {
 		return fmt.Errorf("%w: block %s", ErrBadMerkleRoot, hash.Short())
@@ -403,9 +384,10 @@ type blockEvents struct {
 }
 
 // addBlockLocked repeats AddBlock's chain-dependent checks authoritatively,
-// validates nonces against the branch and inserts b. ids are b's transaction
-// IDs, index-aligned; AddBlock has already checked them against the header's
-// Merkle root, and neither changes, so that check is not repeated here.
+// applies the replay rule against b's branch and inserts b. ids are b's
+// transaction IDs, index-aligned; AddBlock has already checked them against
+// the header's Merkle root, and neither changes, so that check is not
+// repeated here.
 func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest) ([]blockEvents, error) {
 	if _, ok := c.blocks[hash]; ok {
 		return nil, ErrKnownBlock
@@ -427,22 +409,18 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest
 		return nil, fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), c.cfg.MaxTxPerBlock)
 	}
 	// Transaction signatures were verified in AddBlock, outside the lock.
-	// Validate per-sender nonce ordering against the branch state.
-	branchNonces, err := c.branchNoncesLocked(parent)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkNonces(branchNonces, b.Txs); err != nil {
+	if err := c.checkReplayLocked(b, ids); err != nil {
 		return nil, fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
 	}
 
 	c.blocks[hash] = b
+	c.blockIDs[hash] = ids
 	c.work[hash] = new(big.Int).Add(c.work[b.Header.PrevHash], workOf(b.Header.Difficulty))
 
 	if !c.betterThanHeadLocked(hash) {
 		return nil, nil // valid side-branch block; kept for future fork choice
 	}
-	return c.reorgToLocked(hash, ids)
+	return c.reorgToLocked(hash)
 }
 
 // betterThanHeadLocked implements fork choice: more cumulative work wins;
@@ -455,41 +433,76 @@ func (c *Chain) betterThanHeadLocked(hash crypto.Digest) bool {
 	return bytes.Compare(hash[:], c.head[:]) < 0
 }
 
-// branchNoncesLocked returns the per-sender nonces at the given branch tip.
-// For the best-chain head this is O(1); for a fork it replays the branch's
-// transactions (signature checks already done at insertion).
-func (c *Chain) branchNoncesLocked(tip *Block) (map[string]uint64, error) {
-	tipHash := tip.Hash()
-	if tipHash == c.head {
-		out := make(map[string]uint64, len(c.nonces))
-		for k, v := range c.nonces {
-			out[k] = v
-		}
-		return out, nil
-	}
-	path, err := c.pathFromGenesisLocked(tipHash)
-	if err != nil {
-		return nil, err
-	}
-	nonces := make(map[string]uint64)
-	for _, bh := range path {
-		for i := range c.blocks[bh].Txs {
-			tx := &c.blocks[bh].Txs[i]
-			nonces[tx.From] = tx.Nonce
-		}
-	}
-	return nonces, nil
+// txLifetime is E: a block at height h carries only transactions with
+// h <= ExpiresAt <= h+E, and a Sender stamps ExpiresAt = its head + E. An
+// honest transaction delayed longer is lost and counted as
+// NodeStats.TxExpired; docs/ARCHITECTURE.md measures the delays E outlasts.
+const txLifetime = 1024
+
+// validAt reports whether a block at height may carry tx.
+func validAt(tx *Transaction, height uint64) bool {
+	return height <= tx.ExpiresAt && tx.ExpiresAt <= height+txLifetime
 }
 
-func checkNonces(nonces map[string]uint64, txs []Transaction) error {
-	for i := range txs {
-		tx := &txs[i]
-		if tx.Nonce != nonces[tx.From]+1 {
-			return fmt.Errorf("%w: sender %q nonce %d, expected %d", ErrBadNonce, tx.From, tx.Nonce, nonces[tx.From]+1)
+// checkReplayLocked applies the replay rule to b, whose transaction IDs are
+// ids: every transaction is inside its validity window at b's height, and
+// its ID appears nowhere else in b and in no earlier block of b's branch.
+func (c *Chain) checkReplayLocked(b *Block, ids []crypto.Digest) error {
+	seen := make(map[crypto.Digest]bool, len(ids))
+	for i := range b.Txs {
+		if tx := &b.Txs[i]; !validAt(tx, b.Header.Height) {
+			return fmt.Errorf("%w: tx %s expires at %d, block height %d", ErrTxExpired, ids[i].Short(), tx.ExpiresAt, b.Header.Height)
 		}
-		nonces[tx.From] = tx.Nonce
+		if seen[ids[i]] {
+			return fmt.Errorf("%w: tx %s twice in one block", ErrKnownTx, ids[i].Short())
+		}
+		seen[ids[i]] = true
+	}
+	for i, onBranch := range c.carriedLocked(b.Header.PrevHash, ids) {
+		if onBranch {
+			return fmt.Errorf("%w: tx %s already on the branch", ErrKnownTx, ids[i].Short())
+		}
 	}
 	return nil
+}
+
+// carried reports, index-aligned with ids, which transactions the branch
+// ending at tip carries, and tip's height.
+func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest) ([]bool, uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.carriedLocked(tip, ids), c.blocks[tip].Header.Height
+}
+
+// carriedLocked is carried for transactions valid in a child of tip. On the
+// best chain the receipts index answers. A side branch is walked back to
+// where it joins the best chain, but no further than txLifetime blocks below
+// the child: a transaction valid there cannot have been mined any lower.
+func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest) []bool {
+	out := make([]bool, len(ids))
+	index := make(map[crypto.Digest]int, len(ids))
+	for i, id := range ids {
+		index[id] = i
+	}
+	b := c.blocks[tip]
+	for child := b.Header.Height + 1; ; b = c.blocks[tip] {
+		if h := b.Header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
+			for i, id := range ids {
+				r, ok := c.receipts[id]
+				out[i] = out[i] || ok && r.Height <= h
+			}
+			return out
+		}
+		if b.Header.Height+txLifetime < child {
+			return out
+		}
+		for _, id := range c.blockIDs[tip] {
+			if i, ok := index[id]; ok {
+				out[i] = true
+			}
+		}
+		tip = b.Header.PrevHash
+	}
 }
 
 // pathFromGenesisLocked returns block hashes from the first post-genesis
@@ -511,13 +524,13 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 	return rev, nil
 }
 
-// reorgToLocked switches the best chain to newHead, whose transaction IDs
-// are headIDs. Fast path: newHead extends the current head, so state is
-// updated incrementally. Slow path: full deterministic replay from genesis.
-func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([]blockEvents, error) {
+// reorgToLocked switches the best chain to newHead. Fast path: newHead
+// extends the current head, so state is updated incrementally. Slow path:
+// full deterministic replay from genesis.
+func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	nb := c.blocks[newHead]
 	if nb.Header.PrevHash == c.head {
-		evs := c.applyBlockLocked(nb, headIDs, c.state, c.nonces)
+		evs := c.applyBlockLocked(nb, c.blockIDs[newHead], c.state)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
 		c.persistAppendLocked(nb)
@@ -534,21 +547,15 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([
 		return nil, err
 	}
 	state := contract.NewState()
-	nonces := make(map[string]uint64)
 	c.receipts = make(map[crypto.Digest]Receipt)
-	c.txHeight = make(map[crypto.Digest]uint64)
 	best := make([]crypto.Digest, 0, len(path)+1)
 	best = append(best, c.genesis)
 	var emits []blockEvents
 	// Swap in the fresh state so applyBlockLocked records receipts there.
-	c.state, c.nonces = state, nonces
+	c.state = state
 	for _, bh := range path {
 		b := c.blocks[bh]
-		ids := headIDs
-		if bh != newHead {
-			ids = txIDs(b.Txs)
-		}
-		evs := c.applyBlockLocked(b, ids, state, nonces)
+		evs := c.applyBlockLocked(b, c.blockIDs[bh], state)
 		best = append(best, bh)
 		if !c.emitted[bh] {
 			c.emitted[bh] = true
@@ -568,13 +575,12 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest, headIDs []crypto.Digest) ([
 
 // applyBlockLocked executes a block's transactions and block hooks against
 // state, recording receipts under ids (b's transaction IDs, index-aligned).
-// Nonce validity was checked beforehand. Transactions run one after another
+// The replay rule was checked beforehand. Transactions run one after another
 // in block order; this is the only apply path.
-func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State, nonces map[string]uint64) []contract.Event {
+func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State) []contract.Event {
 	var events []contract.Event
 	for i := range b.Txs {
 		tx := &b.Txs[i]
-		nonces[tx.From] = tx.Nonce
 		ctx := contract.CallCtx{
 			Height:    b.Header.Height,
 			BlockTime: b.Header.Time(),
@@ -587,7 +593,6 @@ func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.
 			rec.Err = err.Error()
 		}
 		c.receipts[ids[i]] = rec
-		c.txHeight[ids[i]] = b.Header.Height
 		events = append(events, evs...)
 	}
 	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)

@@ -119,9 +119,6 @@ func TestAddBlockExtendsHead(t *testing.T) {
 	if err != nil || !rec.OK || conf != 1 {
 		t.Fatalf("receipt = %+v conf=%d err=%v", rec, conf, err)
 	}
-	if c.AccountNonce("alice") != 1 {
-		t.Fatalf("nonce = %d", c.AccountNonce("alice"))
-	}
 }
 
 func TestAddBlockRejectsDuplicates(t *testing.T) {
@@ -196,7 +193,7 @@ func TestAddBlockRejectsForgedKey(t *testing.T) {
 	mallory := testIdentity(t, "mallory", 66)
 	c := NewChain(testChainConfig(t, alice))
 	// Mallory signs with her own key but claims to be alice.
-	tx := Transaction{From: "mallory", Nonce: 1, Call: putCall("k", "v")}
+	tx := Transaction{From: "mallory", ExpiresAt: txLifetime, Call: putCall("k", "v")}
 	if err := tx.Sign(mallory); err != nil {
 		t.Fatal(err)
 	}
@@ -207,25 +204,65 @@ func TestAddBlockRejectsForgedKey(t *testing.T) {
 	}
 }
 
-func TestNonceOrderingEnforced(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	c := NewChain(testChainConfig(t, alice))
-	tx2, _ := NewTransaction(alice, 2, putCall("a", "1")) // skips nonce 1
-	b := mineChild(t, c, c.Genesis(), tx2)
-	if err := c.AddBlock(b); !errors.Is(err, ErrBadNonce) {
-		t.Fatalf("got %v", err)
-	}
-	// Correct sequence within one block works.
-	tx1, _ := NewTransaction(alice, 1, putCall("a", "1"))
-	tx2b, _ := NewTransaction(alice, 2, putCall("b", "2"))
-	good := mineChild(t, c, c.Genesis(), tx1, tx2b)
-	if err := c.AddBlock(good); err != nil {
+// signedTx signs a call from id that expires at the given height.
+func signedTx(t *testing.T, id *crypto.Identity, expiresAt uint64, call contract.Call) Transaction {
+	t.Helper()
+	tx := Transaction{From: id.Name(), ExpiresAt: expiresAt, Call: call}
+	if err := tx.Sign(id); err != nil {
 		t.Fatal(err)
 	}
-	// Replaying nonce 1 in a later block fails.
-	replay := mineChild(t, c, good.Hash(), tx1)
-	if err := c.AddBlock(replay); !errors.Is(err, ErrBadNonce) {
-		t.Fatalf("replay: %v", err)
+	return tx
+}
+
+// TestReplayAndExpiryEnforced: a block at height h carries a transaction
+// only if h <= ExpiresAt <= h+E and no earlier block of its branch carries
+// it. Order is not checked: one sender's transactions go in any order.
+func TestReplayAndExpiryEnforced(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	for name, tx := range map[string]Transaction{
+		"expired":       signedTx(t, alice, 0, putCall("a", "0")),
+		"not yet valid": signedTx(t, alice, 1+txLifetime+1, putCall("a", "0")),
+	} {
+		if err := c.AddBlock(mineChild(t, c, c.Genesis(), tx)); !errors.Is(err, ErrTxExpired) {
+			t.Fatalf("%s tx at height 1: %v", name, err)
+		}
+	}
+	tx, _ := NewTransaction(alice, 0, putCall("a", "1"))
+	if err := c.AddBlock(mineChild(t, c, c.Genesis(), tx, tx)); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("tx twice in one block: %v", err)
+	}
+	later, _ := NewTransaction(alice, 0, putCall("b", "2"))
+	b1 := mineChild(t, c, c.Genesis(), later, tx, signedTx(t, alice, 1, putCall("c", "3")))
+	if err := c.AddBlock(b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBlock(mineChild(t, c, b1.Hash(), tx)); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("replay on the best chain: %v", err)
+	}
+	b3 := b1
+	for i := 0; i < 2; i++ {
+		b3 = mineChild(t, c, b3.Hash())
+		if err := c.AddBlock(b3); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A side branch forking at genesis does not carry tx, so it may; once it
+	// does, its next block may not, though the best chain is no help there.
+	s1 := mineChild(t, c, c.Genesis(), tx)
+	if err := c.AddBlock(s1); err != nil {
+		t.Fatalf("side branch without tx: %v", err)
+	}
+	if err := c.AddBlock(mineChild(t, c, s1.Hash(), tx)); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("replay on a side branch: %v", err)
+	}
+	// A side branch forking above b1 inherits b1's transactions.
+	if err := c.AddBlock(mineChild(t, c, b1.Hash(), later)); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("replay below a side branch's fork point: %v", err)
+	}
+	if h, _ := c.Head(); h != b3.Hash() {
+		t.Fatal("a side branch took the head")
 	}
 }
 
@@ -256,22 +293,22 @@ func TestFailedTxIncludedWithoutStateChange(t *testing.T) {
 	if string(got) != "alice's" {
 		t.Fatalf("state = %q", got)
 	}
-	// Bob's nonce is still consumed.
-	if c.AccountNonce("bob") != 1 {
-		t.Fatalf("bob nonce = %d", c.AccountNonce("bob"))
+	// Bob's failed transaction is still spent.
+	if err := c.AddBlock(mineChild(t, c, b2.Hash(), tx2)); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("replayed failed tx: %v", err)
 	}
 }
 
 // Call args are opaque bytes to the chain. A member's transaction whose args
 // no contract can parse crosses the wire, keeps its ID and its signature,
 // is mined and imported, and ends as a failed receipt: the contract's
-// ErrBadArgs, nothing in state, the nonce consumed.
+// ErrBadArgs and nothing in state.
 func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	c := NewChain(testChainConfig(t, alice))
 	var txs []Transaction
-	for i, args := range hostileArgs {
-		tx, err := NewTransaction(alice, uint64(i+1), contract.Call{Contract: "kv", Method: "put", Args: args})
+	for _, args := range hostileArgs {
+		tx, err := NewTransaction(alice, 0, contract.Call{Contract: "kv", Method: "put", Args: args})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,9 +345,6 @@ func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
 			t.Errorf("unparseable args wrote state: %v", keys)
 		}
 	})
-	if got := c.AccountNonce("alice"); got != uint64(len(txs)) {
-		t.Errorf("alice nonce = %d, want %d", got, len(txs))
-	}
 }
 
 // Several senders write the same KVContract key in one block: transactions
@@ -604,7 +638,8 @@ func TestAnyHeaderMutationRejected(t *testing.T) {
 		func(m *Block) { m.Header.MerkleRoot[0] ^= 1 },
 		func(m *Block) { m.Header.Nonce++ },
 		func(m *Block) { m.Header.Difficulty-- },
-		func(m *Block) { m.Txs[0].Nonce = 9 },
+		func(m *Block) { m.Txs[0].ExpiresAt++ },
+		func(m *Block) { m.Txs[0].Salt[0] ^= 1 },
 		func(m *Block) { m.Txs[0].Signature[0] ^= 1 },
 		func(m *Block) { m.Txs[0].From = "other" },
 	}

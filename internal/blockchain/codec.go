@@ -19,26 +19,28 @@ import (
 // allocation per encode) and zero-copy []byte reads on decode. The first
 // byte of every encoding is a format tag:
 //
-//	0x02        binary codec v2 (this file)
+//	0x03        binary codec v3 (this file)
 //
 // and decoders reject every other tag, so a layout change bumps the tag and
 // builds on either side refuse the other's bytes instead of misreading them.
-// 0x01 had this byte layout but a different transaction identity (the ID
-// hashed a JSON encoding of the call); its blocks would decode and then fail
-// their Merkle and signature checks, so they are refused here, by name.
+// Older tags are refused here, by name: 0x01 (a per-sender u64 nonce where
+// the salt and expiry now sit, and an ID over a JSON encoding of the call)
+// and 0x02 (the same nonce under today's identity). Their blocks would
+// decode into the wrong fields and fail their Merkle and signature checks.
 //
 // Binary transaction body (big-endian; str = u16 len + bytes,
 // blob = u32 len + bytes):
 //
-//	str from | u64 nonce | str contract | str method | blob args |
-//	blob pubKey | blob signature
+//	str from | 8B salt | u64 expiresAt | str contract | str method |
+//	blob args | blob pubKey | blob signature
 //
 // Binary block:
 //
-//	0x02 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
+//	0x03 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
 //	u8 difficulty | u64 nonce | str miner | u32 txCount | tx bodies...
 //
-// A standalone transaction encoding is 0x02 followed by one tx body.
+// The block header's nonce is the proof-of-work nonce. A standalone
+// transaction encoding is 0x03 followed by one tx body.
 //
 // Decoded []byte fields (Args, PubKey, Signature) alias the input buffer:
 // transport and persistence layers hand each decode a freshly read buffer
@@ -52,7 +54,7 @@ import (
 
 // codecVersion tags the binary format; bump on an incompatible change of
 // layout or of transaction identity.
-const codecVersion byte = 0x02
+const codecVersion byte = 0x03
 
 // maxWireTxs bounds the declared tx count of a decoded block before any
 // allocation, so a hostile length field cannot balloon memory.
@@ -64,10 +66,14 @@ var errTruncated = errors.New("blockchain: truncated encoding")
 // consumed immediately (header hashing, persistence values).
 var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
+// minTxBody is the encoded size of a transaction body whose strings and
+// blobs are all empty: six length prefixes, the salt and the expiry height.
+const minTxBody = 2 + 8 + 8 + 2 + 2 + 4 + 4 + 4
+
 func txEncodedLen(tx *Transaction) int {
-	return 2 + len(tx.From) + 8 +
-		2 + len(tx.Call.Contract) + 2 + len(tx.Call.Method) + 4 + len(tx.Call.Args) +
-		4 + len(tx.PubKey) + 4 + len(tx.Signature)
+	return minTxBody + len(tx.From) +
+		len(tx.Call.Contract) + len(tx.Call.Method) + len(tx.Call.Args) +
+		len(tx.PubKey) + len(tx.Signature)
 }
 
 func blockEncodedLen(b *Block) int {
@@ -100,7 +106,8 @@ func checkTxFields(tx *Transaction) error {
 // appendTxBody serializes one transaction body (no version byte) onto buf.
 func appendTxBody(buf []byte, tx *Transaction) []byte {
 	buf = appendStr16(buf, tx.From)
-	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
+	buf = append(buf, tx.Salt[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, tx.ExpiresAt)
 	buf = appendStr16(buf, tx.Call.Contract)
 	buf = appendStr16(buf, tx.Call.Method)
 	buf = appendBlob32(buf, tx.Call.Args)
@@ -234,7 +241,11 @@ func (r *txReader) readTxBody(tx *Transaction) error {
 	if tx.From, err = r.str(); err != nil {
 		return err
 	}
-	if tx.Nonce, err = r.u64(); err != nil {
+	if r.off+len(tx.Salt) > len(r.buf) {
+		return errTruncated
+	}
+	r.off += copy(tx.Salt[:], r.buf[r.off:])
+	if tx.ExpiresAt, err = r.u64(); err != nil {
 		return err
 	}
 	if tx.Call.Contract, err = r.str(); err != nil {
@@ -310,9 +321,9 @@ func decodeBlockBinary(data []byte) (*Block, error) {
 	if count > maxWireTxs {
 		return fail(fmt.Errorf("declared tx count %d exceeds limit", count))
 	}
-	// A tx body is at least 24 bytes (7 length prefixes + nonce); reject
-	// counts the remaining bytes cannot possibly hold before allocating.
-	if int(count) > (len(data)-r.off)/24+1 {
+	// Reject counts the remaining bytes cannot possibly hold before
+	// allocating.
+	if int(count) > (len(data)-r.off)/minTxBody {
 		return fail(fmt.Errorf("declared tx count %d exceeds remaining data", count))
 	}
 	if count > 0 {

@@ -11,10 +11,10 @@ import (
 	"drams/internal/crypto"
 )
 
-func testTx(t testing.TB, name string, nonce uint64) Transaction {
+func testTx(t testing.TB, name string, seed uint64) Transaction {
 	t.Helper()
-	id := testIdentity(t, name, byte(nonce)+77)
-	tx, err := NewTransaction(id, nonce, contract.Call{
+	id := testIdentity(t, name, byte(seed)+77)
+	tx, err := NewTransaction(id, seed, contract.Call{
 		Contract: "drams.logmatch", Method: "log",
 		Args: json.RawMessage(`{"reqId":"r-1","kind":"pep.request"}`),
 	})
@@ -28,7 +28,7 @@ func testBlockForCodec(t testing.TB, txCount int) *Block {
 	t.Helper()
 	var txs []Transaction
 	for i := 0; i < txCount; i++ {
-		txs = append(txs, testTx(t, "alice", uint64(i+1)))
+		txs = append(txs, testTx(t, "alice", 6))
 	}
 	return &Block{
 		Header: BlockHeader{
@@ -93,7 +93,7 @@ func TestBlockBinaryRoundTrip(t *testing.T) {
 // Empty optional fields must round-trip without being conflated with
 // present-but-empty values the signature covers.
 func TestTxRoundTripEmptyFields(t *testing.T) {
-	tx := Transaction{From: "x", Nonce: 0, Call: contract.Call{Contract: "c", Method: "m"}}
+	tx := Transaction{From: "x", Call: contract.Call{Contract: "c", Method: "m"}}
 	got, err := DecodeTx(EncodeTx(tx))
 	if err != nil {
 		t.Fatal(err)

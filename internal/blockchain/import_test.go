@@ -69,7 +69,7 @@ func TestBackToBackBlocksImportWithoutPulls(t *testing.T) {
 func TestSkippedBlockCostsOnePullAndIsCountedOnce(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{})
-	main := r.extend(t, r.src.chain.Genesis(), 12, alice, 1)
+	main := r.extend(t, r.src.chain.Genesis(), 12, alice)
 	for _, b := range main[:8] {
 		r.joiner.importBlock(b, "peer")
 	}
@@ -107,7 +107,7 @@ func TestImportQueueOverflowIsCountedAndRecovered(t *testing.T) {
 	const overflow = 20
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{})
-	main := r.extend(t, r.src.chain.Genesis(), 10+importQueue+overflow+1, nil, 0)
+	main := r.extend(t, r.src.chain.Genesis(), 10+importQueue+overflow+1, nil)
 	for _, b := range main[:8] {
 		r.joiner.importBlock(b, "peer")
 	}
@@ -149,13 +149,13 @@ func TestRejoinGapIsPulledOnce(t *testing.T) {
 	const gap, live = 240, 40
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{}) // default SyncBatch 128
-	main := r.extend(t, r.src.chain.Genesis(), 8+gap, nil, 0)
+	main := r.extend(t, r.src.chain.Genesis(), 8+gap, nil)
 	for _, b := range main[:8] {
 		r.joiner.importBlock(b, "peer")
 	}
 	synced := make(chan error, 1)
 	go func() { synced <- r.joiner.SyncFrom("peer") }()
-	for _, b := range r.extend(t, main[len(main)-1].Hash(), live, nil, 0) {
+	for _, b := range r.extend(t, main[len(main)-1].Hash(), live, nil) {
 		if err := r.peer.Send("joiner", kindBlock, b.Encode()); err != nil {
 			t.Fatal(err)
 		}

@@ -2,46 +2,27 @@ package blockchain
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"drams/internal/crypto"
 )
 
-// mempoolShards is the lock-stripe width. Senders hash onto stripes, so
-// concurrent submitters (many LIs flushing at once, gossip ingest batches,
-// the miner's Collect) contend only when they touch the same stripe instead
-// of serializing on one pool-wide mutex.
-const mempoolShards = 16
-
-// senderShard holds the pending transactions of the senders hashing onto
-// one stripe, ordered by (sender, nonce) within the shard.
-type senderShard struct {
-	mu       sync.Mutex
-	bySender map[string]map[uint64]Transaction
-}
-
-// idShard holds the known-transaction-ID set of one stripe (striped by
-// digest, independently of the sender stripes, so Has stays one short
-// mutex).
-type idShard struct {
-	mu  sync.Mutex
-	ids map[crypto.Digest]struct{}
-}
-
-// Mempool holds pending transactions ordered by (sender, nonce) so block
-// assembly can pick executable sequences — a transaction is only included
-// once all lower nonces of its sender are confirmed or included first.
-// Internally it is lock-striped: a sender's transactions live on one of
-// mempoolShards stripes, and the duplicate-ID set is striped separately by
-// digest.
+// Mempool holds pending transactions by ID. Nothing in it waits for another
+// transaction: what a block may carry is decided against the chain alone
+// (see Chain.AddBlock's replay rule), so Collect and Prune ask the chain.
+// The pool's lock is taken before the chain's, never after.
 type Mempool struct {
-	senders [mempoolShards]senderShard
-	ids     [mempoolShards]idShard
-	size    atomic.Int64
-	maxSize int64
+	mu      sync.Mutex
+	txs     map[crypto.Digest]pooled
+	arrived uint64
+	maxSize int
+}
+
+// pooled is a pending transaction and its arrival number.
+type pooled struct {
+	tx  Transaction
+	seq uint64
 }
 
 // NewMempool returns a mempool bounded to maxSize transactions (10 000 when
@@ -50,74 +31,23 @@ func NewMempool(maxSize int) *Mempool {
 	if maxSize <= 0 {
 		maxSize = 10000
 	}
-	m := &Mempool{maxSize: int64(maxSize)}
-	for i := range m.senders {
-		m.senders[i].bySender = make(map[string]map[uint64]Transaction)
-	}
-	for i := range m.ids {
-		m.ids[i].ids = make(map[crypto.Digest]struct{})
-	}
-	return m
+	return &Mempool{txs: make(map[crypto.Digest]pooled), maxSize: maxSize}
 }
 
-func (m *Mempool) senderShard(sender string) *senderShard {
-	h := fnv.New32a()
-	h.Write([]byte(sender))
-	return &m.senders[h.Sum32()%mempoolShards]
-}
-
-func (m *Mempool) idShard(id crypto.Digest) *idShard {
-	return &m.ids[id[0]%mempoolShards]
-}
-
-// reserveID claims id in the duplicate set, reporting false when known.
-func (m *Mempool) reserveID(id crypto.Digest) bool {
-	s := m.idShard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ids[id]; ok {
-		return false
-	}
-	s.ids[id] = struct{}{}
-	return true
-}
-
-func (m *Mempool) releaseID(id crypto.Digest) {
-	s := m.idShard(id)
-	s.mu.Lock()
-	delete(s.ids, id)
-	s.mu.Unlock()
-}
-
-// Add inserts a transaction. Duplicates (by ID, or same sender+nonce) return
-// ErrKnownTx; a full pool returns an error. The ID set, size bound and
-// sender stripe are claimed in that order, each under its own short lock,
-// with rollback on the failure paths — no global lock is ever taken.
+// Add inserts a transaction. A duplicate ID returns ErrKnownTx; a full pool
+// returns an error.
 func (m *Mempool) Add(tx Transaction) error {
 	id := tx.ID()
-	if !m.reserveID(id) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.txs[id]; ok {
 		return ErrKnownTx
 	}
-	if m.size.Add(1) > m.maxSize {
-		m.size.Add(-1)
-		m.releaseID(id)
+	if len(m.txs) >= m.maxSize {
 		return fmt.Errorf("blockchain: mempool full (%d)", m.maxSize)
 	}
-	s := m.senderShard(tx.From)
-	s.mu.Lock()
-	slot, ok := s.bySender[tx.From]
-	if !ok {
-		slot = make(map[uint64]Transaction)
-		s.bySender[tx.From] = slot
-	}
-	if _, dup := slot[tx.Nonce]; dup {
-		s.mu.Unlock()
-		m.size.Add(-1)
-		m.releaseID(id)
-		return fmt.Errorf("%w: sender %q nonce %d", ErrKnownTx, tx.From, tx.Nonce)
-	}
-	slot[tx.Nonce] = tx
-	s.mu.Unlock()
+	m.arrived++
+	m.txs[id] = pooled{tx: tx, seq: m.arrived}
 	return nil
 }
 
@@ -134,122 +64,86 @@ func (m *Mempool) AddBatch(txs []Transaction) []error {
 
 // Has reports whether the transaction ID is pending.
 func (m *Mempool) Has(id crypto.Digest) bool {
-	s := m.idShard(id)
-	s.mu.Lock()
-	_, ok := s.ids[id]
-	s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.txs[id]
 	return ok
 }
 
 // Len returns the number of pending transactions.
-func (m *Mempool) Len() int { return int(m.size.Load()) }
+func (m *Mempool) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.txs)
+}
 
-// Collect returns up to max transactions executable on top of the given
-// confirmed per-sender nonces, in a deterministic (sender, nonce) order. The
-// transactions stay in the pool until PruneConfirmed removes them.
-func (m *Mempool) Collect(max int, confirmed map[string]uint64) []Transaction {
-	runs := make(map[string][]Transaction)
-	var senders []string
-	for i := range m.senders {
-		s := &m.senders[i]
-		s.mu.Lock()
-		for sender, txs := range s.bySender {
-			next := confirmed[sender] + 1
-			var run []Transaction
-			for len(run) < max {
-				tx, ok := txs[next]
-				if !ok {
-					break
-				}
-				run = append(run, tx)
-				next++
-			}
-			if len(run) > 0 {
-				runs[sender] = run
-				senders = append(senders, sender)
-			}
-		}
-		s.mu.Unlock()
+// sortedLocked returns the pending transactions and their IDs grouped by
+// sender, each sender's in arrival order.
+func (m *Mempool) sortedLocked() ([]Transaction, []crypto.Digest) {
+	ids := make([]crypto.Digest, 0, len(m.txs))
+	for id := range m.txs {
+		ids = append(ids, id)
 	}
-	sort.Strings(senders)
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := m.txs[ids[i]], m.txs[ids[j]]
+		if a.tx.From != b.tx.From {
+			return a.tx.From < b.tx.From
+		}
+		return a.seq < b.seq
+	})
+	txs := make([]Transaction, len(ids))
+	for i, id := range ids {
+		txs[i] = m.txs[id].tx
+	}
+	return txs, ids
+}
+
+// Collect returns up to max pending transactions that a child of parent on
+// c may carry: unexpired, already valid and not yet on parent's branch,
+// grouped by sender in arrival order. They stay pooled until Prune.
+func (m *Mempool) Collect(max int, c *Chain, parent crypto.Digest) []Transaction {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	txs, ids := m.sortedLocked()
+	onBranch, height := c.carried(parent, ids)
 	var out []Transaction
-	for _, sender := range senders {
-		for _, tx := range runs[sender] {
-			if len(out) >= max {
-				return out
-			}
-			out = append(out, tx)
+	for i := range txs {
+		if !onBranch[i] && validAt(&txs[i], height+1) && len(out) < max {
+			out = append(out, txs[i])
 		}
 	}
 	return out
 }
 
-// All returns up to max pending transactions in deterministic (sender,
-// nonce) order; used for periodic rebroadcast after partitions.
+// All returns up to max pending transactions in Collect's order; used for
+// periodic rebroadcast after partitions.
 func (m *Mempool) All(max int) []Transaction {
-	runs := make(map[string][]Transaction)
-	var senders []string
-	for i := range m.senders {
-		s := &m.senders[i]
-		s.mu.Lock()
-		for sender, txs := range s.bySender {
-			nonces := make([]uint64, 0, len(txs))
-			for n := range txs {
-				nonces = append(nonces, n)
-			}
-			sort.Slice(nonces, func(i, j int) bool { return nonces[i] < nonces[j] })
-			if len(nonces) > max {
-				nonces = nonces[:max]
-			}
-			run := make([]Transaction, len(nonces))
-			for j, n := range nonces {
-				run[j] = txs[n]
-			}
-			if len(run) > 0 {
-				runs[sender] = run
-				senders = append(senders, sender)
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(senders)
-	var out []Transaction
-	for _, sender := range senders {
-		for _, tx := range runs[sender] {
-			if len(out) >= max {
-				return out
-			}
-			out = append(out, tx)
-		}
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	txs, _ := m.sortedLocked()
+	return txs[:min(max, len(txs))]
 }
 
-// PruneConfirmed drops every pending transaction whose nonce is already
-// covered by the confirmed nonces (i.e. it executed on the best chain, or a
-// competing transaction with the same nonce did).
-func (m *Mempool) PruneConfirmed(confirmed map[string]uint64) {
-	var removed []crypto.Digest
-	for i := range m.senders {
-		s := &m.senders[i]
-		s.mu.Lock()
-		for sender, txs := range s.bySender {
-			limit := confirmed[sender]
-			for nonce, tx := range txs {
-				if nonce <= limit {
-					delete(txs, nonce)
-					removed = append(removed, tx.ID())
-				}
-			}
-			if len(txs) == 0 {
-				delete(s.bySender, sender)
-			}
+// Prune drops every pending transaction c's best chain carries and evicts
+// every one that expired at or below its head, returning how many expired.
+// A transaction not yet valid above the head stays pooled.
+func (m *Mempool) Prune(c *Chain) (expired int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ids := make([]crypto.Digest, 0, len(m.txs))
+	for id := range m.txs {
+		ids = append(ids, id)
+	}
+	tip, _ := c.Head()
+	onChain, head := c.carried(tip, ids)
+	for i, id := range ids {
+		switch {
+		case onChain[i]:
+			delete(m.txs, id)
+		case m.txs[id].tx.ExpiresAt <= head:
+			delete(m.txs, id)
+			expired++
 		}
-		s.mu.Unlock()
 	}
-	// IDs are released outside the sender locks (no nested stripes).
-	for _, id := range removed {
-		m.releaseID(id)
-	}
-	m.size.Add(int64(-len(removed)))
+	return expired
 }

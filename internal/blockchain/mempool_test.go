@@ -8,13 +8,22 @@ import (
 	"drams/internal/crypto"
 )
 
-func poolTx(t *testing.T, id *crypto.Identity, nonce uint64) Transaction {
+func poolTx(t *testing.T, id *crypto.Identity, n uint64) Transaction {
 	t.Helper()
-	tx, err := NewTransaction(id, nonce, putCall(fmt.Sprintf("%s-k%d", id.Name(), nonce), "v"))
+	tx, err := NewTransaction(id, 0, putCall(fmt.Sprintf("%s-k%d", id.Name(), n), "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tx
+}
+
+// keys labels each transaction by its sender and call args, in order.
+func keys(txs []Transaction) []string {
+	out := make([]string, len(txs))
+	for i, tx := range txs {
+		out[i] = fmt.Sprintf("%s %s", tx.From, tx.Call.Args)
+	}
+	return out
 }
 
 func TestMempoolAddAndDuplicate(t *testing.T) {
@@ -32,83 +41,118 @@ func TestMempoolAddAndDuplicate(t *testing.T) {
 	}
 }
 
-func TestMempoolSameSenderNonceConflict(t *testing.T) {
+// The same call signed twice is two transactions: each has its own salt, so
+// neither shadows the other.
+func TestMempoolSameCallTwiceIsTwoTxs(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	p := NewMempool(0)
-	tx1, _ := NewTransaction(alice, 1, putCall("a", "1"))
-	tx1b, _ := NewTransaction(alice, 1, putCall("b", "2")) // same nonce, different call
-	if err := p.Add(tx1); err != nil {
-		t.Fatal(err)
+	tx1, _ := NewTransaction(alice, 0, putCall("a", "1"))
+	tx1b, _ := NewTransaction(alice, 0, putCall("a", "1"))
+	for _, tx := range []Transaction{tx1, tx1b} {
+		if err := p.Add(tx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Add(tx1b); !errors.Is(err, ErrKnownTx) {
-		t.Fatalf("nonce conflict: %v", err)
+	if p.Len() != 2 {
+		t.Fatalf("len = %d, want 2", p.Len())
 	}
 }
 
 func TestMempoolCollectExecutableOrder(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	bob := testIdentity(t, "bob", 2)
+	c := NewChain(testChainConfig(t, alice, bob))
 	p := NewMempool(0)
-	// Insert out of order and with a gap for bob.
-	for _, tx := range []Transaction{
-		poolTx(t, alice, 2), poolTx(t, alice, 1),
-		poolTx(t, bob, 1), poolTx(t, bob, 3), // bob nonce 2 missing
-	} {
+	arrivals := []Transaction{poolTx(t, bob, 3), poolTx(t, alice, 2), poolTx(t, bob, 1), poolTx(t, alice, 1)}
+	for _, tx := range arrivals {
 		if err := p.Add(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := p.Collect(10, map[string]uint64{})
-	if len(got) != 3 {
-		t.Fatalf("collected %d txs, want 3 (alice 1,2 + bob 1)", len(got))
-	}
-	if got[0].From != "alice" || got[0].Nonce != 1 || got[1].Nonce != 2 {
-		t.Fatalf("alice order wrong: %+v", got[:2])
-	}
-	if got[2].From != "bob" || got[2].Nonce != 1 {
-		t.Fatalf("bob tx wrong: %+v", got[2])
+	// Grouped by sender, each sender's in arrival order; nothing is held
+	// back for a missing predecessor.
+	got := keys(p.Collect(10, c, c.Genesis()))
+	want := keys([]Transaction{arrivals[1], arrivals[3], arrivals[0], arrivals[2]})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("collected %v, want %v", got, want)
 	}
 }
 
-func TestMempoolCollectRespectsConfirmedNonces(t *testing.T) {
+// Collect offers a block only what its parent's branch may carry next:
+// neither a transaction already on that branch nor one outside its validity
+// window at the block's height.
+func TestMempoolCollectSkipsCarriedAndInvalid(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	mined, pending := poolTx(t, alice, 1), poolTx(t, alice, 2)
+	b1 := mineChild(t, c, c.Genesis(), mined)
+	if err := c.AddBlock(b1); err != nil {
+		t.Fatal(err)
+	}
 	p := NewMempool(0)
-	_ = p.Add(poolTx(t, alice, 1))
-	_ = p.Add(poolTx(t, alice, 2))
-	got := p.Collect(10, map[string]uint64{"alice": 1}) // nonce 1 confirmed
-	if len(got) != 1 || got[0].Nonce != 2 {
-		t.Fatalf("got %+v", got)
+	expired := signedTx(t, alice, 1, putCall("old", "v"))
+	early := signedTx(t, alice, 2+txLifetime+1, putCall("early", "v"))
+	for _, tx := range []Transaction{mined, pending, expired, early} {
+		if err := p.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Collect(10, c, b1.Hash()); len(got) != 1 || got[0].ID() != pending.ID() {
+		t.Fatalf("on the head collected %v, want only the pending tx", keys(got))
+	}
+	// A sibling of b1 is on a branch that carries nothing yet.
+	if got := p.Collect(10, c, c.Genesis()); len(got) != 3 {
+		t.Fatalf("on genesis collected %v, want the mined, pending and expiring txs", keys(got))
 	}
 }
 
 func TestMempoolCollectMax(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
 	p := NewMempool(0)
 	for n := uint64(1); n <= 5; n++ {
 		_ = p.Add(poolTx(t, alice, n))
 	}
-	if got := p.Collect(3, nil); len(got) != 3 {
+	if got := p.Collect(3, c, c.Genesis()); len(got) != 3 {
 		t.Fatalf("collected %d, want 3", len(got))
 	}
 }
 
+// Prune drops what the best chain carries, evicts and counts what expired at
+// or below the head, and keeps a transaction that is not valid yet.
 func TestMempoolPruneConfirmed(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	bob := testIdentity(t, "bob", 2)
+	c := NewChain(testChainConfig(t, alice, bob))
+	a1, a2, b1 := poolTx(t, alice, 1), poolTx(t, alice, 2), poolTx(t, bob, 1)
+	expired := signedTx(t, alice, 2, putCall("old", "v"))
+	early := signedTx(t, bob, 2+txLifetime+1, putCall("early", "v"))
 	p := NewMempool(0)
-	a1, a2 := poolTx(t, alice, 1), poolTx(t, alice, 2)
-	b1 := poolTx(t, bob, 1)
-	for _, tx := range []Transaction{a1, a2, b1} {
+	for _, tx := range []Transaction{a1, a2, b1, expired, early} {
 		_ = p.Add(tx)
 	}
-	p.PruneConfirmed(map[string]uint64{"alice": 1})
-	if p.Has(a1.ID()) {
-		t.Fatal("confirmed tx not pruned")
+	if err := c.AddBlock(mineChild(t, c, c.Genesis(), a1)); err != nil {
+		t.Fatal(err)
 	}
-	if !p.Has(a2.ID()) || !p.Has(b1.ID()) {
-		t.Fatal("unconfirmed txs pruned")
+	if n := p.Prune(c); n != 0 {
+		t.Fatalf("pruned %d as expired at height 1, want 0", n)
 	}
-	if p.Len() != 2 {
+	if p.Has(a1.ID()) || !p.Has(expired.ID()) || !p.Has(early.ID()) {
+		t.Fatal("after height 1: confirmed tx kept, or a tx valid at 2 or later evicted")
+	}
+	head, _ := c.Head()
+	if err := c.AddBlock(mineChild(t, c, head)); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Prune(c); n != 1 || p.Has(expired.ID()) {
+		t.Fatalf("pruned %d as expired at height 2, want the one expiring at 2", n)
+	}
+	for _, tx := range []Transaction{a2, b1, early} {
+		if !p.Has(tx.ID()) {
+			t.Fatalf("%s pruned", keys([]Transaction{tx}))
+		}
+	}
+	if p.Len() != 3 {
 		t.Fatalf("len = %d", p.Len())
 	}
 }
@@ -117,15 +161,14 @@ func TestMempoolAllOrderedAndBounded(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	bob := testIdentity(t, "bob", 2)
 	p := NewMempool(0)
-	_ = p.Add(poolTx(t, bob, 2))
-	_ = p.Add(poolTx(t, alice, 1))
-	_ = p.Add(poolTx(t, bob, 1))
-	all := p.All(10)
-	if len(all) != 3 {
-		t.Fatalf("all = %d", len(all))
+	arrivals := []Transaction{poolTx(t, bob, 2), poolTx(t, alice, 1), poolTx(t, bob, 1)}
+	for _, tx := range arrivals {
+		_ = p.Add(tx)
 	}
-	if all[0].From != "alice" || all[1].From != "bob" || all[1].Nonce != 1 || all[2].Nonce != 2 {
-		t.Fatalf("order = %v", all)
+	got := keys(p.All(10))
+	want := keys([]Transaction{arrivals[1], arrivals[0], arrivals[2]})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 	if got := p.All(2); len(got) != 2 {
 		t.Fatalf("bounded = %d", len(got))

@@ -65,8 +65,7 @@ type NodeConfig struct {
 	SyncDepth int
 	// RebroadcastInterval re-gossips pending transactions periodically so
 	// that txs stranded by a partition reach the block producers after
-	// healing (also closes per-sender nonce gaps). Default 250ms; negative
-	// disables.
+	// healing. Default 250ms; negative disables.
 	RebroadcastInterval time.Duration
 	// Store, when set, makes the chain durable: persisted blocks are
 	// replayed (with full validation) at construction, a damaged tail is
@@ -120,6 +119,10 @@ type NodeStats struct {
 	// frame lost in steady gossip costs one call for about one block.
 	SyncCalls  int64
 	SyncBlocks int64
+	// TxExpired counts pending transactions evicted because the best chain
+	// grew past their expiry height before any block carried them: honest
+	// loss, whose records M3 reports like any other missing ones.
+	TxExpired int64
 	// MempoolLen / SeenCacheLen are point-in-time occupancy gauges of the
 	// pending-transaction pool and the gossip-duplicate suppression cache.
 	MempoolLen   int
@@ -182,11 +185,7 @@ type Node struct {
 	reloadDrop metrics.Counter
 	syncCalls  metrics.Counter
 	syncBlocks metrics.Counter
-
-	// testAfterCollect, when set (tests only), runs between the mining
-	// loop's mempool collection and its head re-check — the window of the
-	// historical stale-snapshot race.
-	testAfterCollect func()
+	txExpired  metrics.Counter
 
 	// gossipFilter / collectFilter are the Byzantine-behaviour hooks the
 	// adversarial harness (internal/attack) installs to model a compromised
@@ -226,9 +225,9 @@ func (n *Node) SetGossipFilter(fn func(kind string, payload []byte) bool) {
 // loop passes each mempool collection through fn before building the block
 // candidate, so a Byzantine producer can censor or delay specific senders'
 // transactions. Dropped transactions stay in the mempool and are picked up
-// again once the filter is removed (nil clears). The filter must preserve
-// per-sender nonce contiguity or the produced block will be rejected by
-// honest validators.
+// again once the filter is removed (nil clears), unless they expire first.
+// No transaction's validity depends on another's, so whatever subset fn
+// keeps makes a block honest validators accept.
 func (n *Node) SetCollectFilter(fn func(txs []Transaction) []Transaction) {
 	if fn == nil {
 		n.collectFilter.Store(nil)
@@ -460,6 +459,7 @@ func (n *Node) Stats() NodeStats {
 		ReloadDropped:   n.reloadDrop.Value(),
 		SyncCalls:       n.syncCalls.Value(),
 		SyncBlocks:      n.syncBlocks.Value(),
+		TxExpired:       n.txExpired.Value(),
 		MempoolLen:      n.pool.Len(),
 		SeenCacheLen:    n.seenTx.len(),
 		Verifier:        n.chain.Verifier().Stats(),
@@ -817,14 +817,15 @@ func (n *Node) importBlock(b *Block, from string) {
 
 // afterAccept counts the blocks AddBlock just inserted (oldest first), returns
 // to the pool what a reorganisation took off the best chain, prunes what is
-// confirmed, and relays the blocks to every chain peer but their sender.
+// confirmed or expired, and relays the blocks to every chain peer but their
+// sender.
 func (n *Node) afterAccept(from string, blocks ...*Block) {
 	if len(blocks) == 0 {
 		return
 	}
 	n.accepted.Add(int64(len(blocks)))
 	n.pool.AddBatch(n.chain.TakeAbandoned())
-	n.pool.PruneConfirmed(n.chain.AccountNonces())
+	n.txExpired.Add(int64(n.pool.Prune(n.chain)))
 	for _, b := range blocks {
 		n.gossip(kindBlock, b.Encode(), from)
 	}
@@ -884,23 +885,13 @@ func (n *Node) mineLoop() {
 		default:
 		}
 
-		// Snapshot the parent BEFORE collecting from the mempool, and
-		// re-check it afterwards: a block imported between the two would
-		// otherwise let Collect run against post-import nonces while the
-		// candidate still builds on the old head (or vice versa), mining
-		// already-confirmed transactions onto the new head — a guaranteed
-		// rejection after the PoW was paid.
+		// Collect filters against the parent's own branch, so a block
+		// imported meanwhile can only make this candidate a valid sibling,
+		// and the head signal cancels its attempt.
 		parentHash, parentHeight := n.chain.Head()
-		txs := n.pool.Collect(n.chain.Config().MaxTxPerBlock, n.chain.AccountNonces())
+		txs := n.pool.Collect(n.chain.Config().MaxTxPerBlock, n.chain, parentHash)
 		if box := n.collectFilter.Load(); box != nil {
 			txs = box.fn(txs)
-		}
-		if n.testAfterCollect != nil {
-			n.testAfterCollect()
-		}
-		if h, _ := n.chain.Head(); h != parentHash {
-			n.cancelled.Inc()
-			continue // head moved mid-snapshot: restart from the new head
 		}
 		if len(txs) == 0 {
 			if n.cfg.EmptyBlockInterval == 0 {

@@ -82,28 +82,37 @@ func TestClusterConvergence(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	nodes, _ := testCluster(t, 3, alice)
 
-	// Submit transactions to different nodes.
+	// One sender's transactions through different nodes at once: none waits
+	// for another. Submit once the bc.hello handshakes have linked the
+	// peers; the nodes mine no empty blocks, so nothing would carry a block
+	// mined before that to the others.
+	waitFor(t, 10*time.Second, func() bool {
+		for _, n := range nodes {
+			if len(n.discoveredPeers()) != len(nodes)-1 {
+				return false
+			}
+		}
+		return true
+	}, "peers never discovered each other")
+	var txs []Transaction
 	for i := 1; i <= 6; i++ {
-		tx, _ := NewTransaction(alice, uint64(i), putCall(fmt.Sprintf("k%d", i), "v"))
+		tx, _ := NewTransaction(alice, 0, putCall(fmt.Sprintf("k%d", i), "v"))
 		if err := nodes[i%3].SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
-		// Wait for each tx so nonces stay in order even if a node's pool
-		// briefly lacks a predecessor.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if _, err := nodes[i%3].WaitForReceipt(ctx, tx.ID(), 1); err != nil {
-			cancel()
-			t.Fatalf("tx %d: %v", i, err)
-		}
-		cancel()
+		txs = append(txs, tx)
 	}
 
 	waitFor(t, 10*time.Second, func() bool {
+		for _, n := range nodes {
+			for _, tx := range txs {
+				if _, _, err := n.Chain().Receipt(tx.ID()); err != nil {
+					return false
+				}
+			}
+		}
 		d0 := nodes[0].Chain().StateDigest()
-		return d0 == nodes[1].Chain().StateDigest() && d0 == nodes[2].Chain().StateDigest() &&
-			nodes[0].Chain().AccountNonce("alice") == 6 &&
-			nodes[1].Chain().AccountNonce("alice") == 6 &&
-			nodes[2].Chain().AccountNonce("alice") == 6
+		return d0 == nodes[1].Chain().StateDigest() && d0 == nodes[2].Chain().StateDigest()
 	}, "cluster state digests converge")
 }
 
@@ -189,6 +198,47 @@ func TestPartitionHealReconvergence(t *testing.T) {
 		})
 		return string(a) == "1" && string(b) == "1"
 	}, "partition heal convergence with both txs applied")
+}
+
+// TestTxExpiresBehindPartition: a transaction trapped behind a partition
+// until the chain has passed its expiry height is evicted from the pool
+// that held it, counted as TxExpired, and mined nowhere.
+func TestTxExpiresBehindPartition(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	net := netsim.New(netsim.Config{Seed: 21})
+	defer net.Close()
+	peers := []string{"miner", "member"}
+	miner, err := NewNode(NodeConfig{Name: "miner", Chain: testChainConfig(t, alice), Network: net,
+		Peers: peers, Mine: true, EmptyBlockInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer miner.Stop()
+	member, err := NewNode(NodeConfig{Name: "member", Chain: testChainConfig(t, alice), Network: net, Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer member.Stop()
+	net.Partition([]string{"member"})
+	miner.Start()
+	member.Start()
+
+	tx := signedTx(t, alice, 3, putCall("trapped", "v"))
+	if err := member.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return miner.Chain().Height() > tx.ExpiresAt+2 }, "chain passes the expiry")
+	net.Heal()
+	waitFor(t, 10*time.Second, func() bool {
+		return member.Stats().TxExpired == 1 && !member.Mempool().Has(tx.ID())
+	}, "trapped tx evicted and counted")
+	h := miner.Chain().Height()
+	waitFor(t, 10*time.Second, func() bool { return member.Chain().Height() > h+2 }, "member follows the chain")
+	for _, n := range []*Node{miner, member} {
+		if _, _, err := n.Chain().Receipt(tx.ID()); !errors.Is(err, ErrTxNotFound) || n.Mempool().Has(tx.ID()) {
+			t.Fatalf("%s: expired tx mined or still pooled (receipt err %v)", n.Name(), err)
+		}
+	}
 }
 
 func TestEventSubscription(t *testing.T) {
@@ -493,7 +543,7 @@ func TestDynamicPeerDiscoveryOverTCP(t *testing.T) {
 // A reorganisation returns the abandoned blocks' transactions to the pool,
 // minus those the winning branch carries too: without that, a transaction
 // mined into the losing side of a fork is in no block and no pool, and its
-// sender's nonce sequence has a gap nothing can fill.
+// records are lost.
 func TestReorgReadmitsAbandonedTransactions(t *testing.T) {
 	alice, bob := testIdentity(t, "alice", 1), testIdentity(t, "bob", 2)
 	net := netsim.New(netsim.Config{Seed: 42})

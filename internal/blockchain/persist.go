@@ -165,7 +165,7 @@ func (c *Chain) SaveToStore(kv *store.KV) error {
 }
 
 // LoadFromStore replays a snapshot into the chain with full validation
-// (signatures, PoW, difficulty schedule, nonces) and returns how many
+// (signatures, PoW, difficulty schedule, the replay rule) and returns how many
 // blocks were applied. The chain should be freshly constructed with the
 // same Config that produced the snapshot; a snapshot from a different
 // genesis fails validation on its first block. On error the returned count

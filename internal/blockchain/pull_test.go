@@ -96,16 +96,16 @@ func newPullRig(t *testing.T, alice *crypto.Identity, joinerCfg NodeConfig) *pul
 }
 
 // extend mines n blocks on src from parent, each carrying one alice
-// transaction when alice is non-nil (nonces continue from firstNonce) and
-// empty otherwise, and returns them oldest first.
-func (r *pullRig) extend(t *testing.T, parent crypto.Digest, n int, alice *crypto.Identity, firstNonce uint64) []*Block {
+// transaction when alice is non-nil and empty otherwise, and returns them
+// oldest first.
+func (r *pullRig) extend(t *testing.T, parent crypto.Digest, n int, alice *crypto.Identity) []*Block {
 	t.Helper()
 	out := make([]*Block, 0, n)
 	for i := 0; i < n; i++ {
 		var txs []Transaction
 		if alice != nil {
-			nonce := firstNonce + uint64(i)
-			tx, err := NewTransaction(alice, nonce, putCall(fmt.Sprintf("k%d", nonce), "v"))
+			pb, _ := r.src.chain.BlockByHash(parent)
+			tx, err := NewTransaction(alice, pb.Header.Height, putCall(fmt.Sprintf("k%d", i), "v"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func (r *pullRig) windows() (asked, served []int) {
 func TestOrphanPullFetchesOnlyTheGap(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{})
-	main := r.extend(t, r.src.chain.Genesis(), 10, alice, 1)
+	main := r.extend(t, r.src.chain.Genesis(), 10, alice)
 	for _, b := range main[:8] {
 		if err := r.joiner.chain.AddBlock(b); err != nil {
 			t.Fatal(err)
@@ -186,8 +186,8 @@ func TestOrphanPullDoublesIntoADeepFork(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{SyncBatch: 4})
 	genesis := r.src.chain.Genesis()
-	main := r.extend(t, genesis, 8, alice, 1)
-	fork := r.extend(t, genesis, 9, nil, 0) // empty blocks: a different branch from height 1
+	main := r.extend(t, genesis, 8, alice)
+	fork := r.extend(t, genesis, 9, nil) // empty blocks: a different branch from height 1
 	for _, b := range main {
 		if err := r.joiner.chain.AddBlock(b); err != nil {
 			t.Fatal(err)
@@ -211,8 +211,8 @@ func TestOrphanPullDoublesIntoADeepFork(t *testing.T) {
 
 	shallow := newPullRig(t, alice, NodeConfig{SyncBatch: 4, SyncDepth: 4})
 	sGenesis := shallow.src.chain.Genesis()
-	sMain := shallow.extend(t, sGenesis, 8, alice, 1)
-	sFork := shallow.extend(t, sGenesis, 9, nil, 0)
+	sMain := shallow.extend(t, sGenesis, 8, alice)
+	sFork := shallow.extend(t, sGenesis, 9, nil)
 	for _, b := range sMain {
 		if err := shallow.joiner.chain.AddBlock(b); err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestPullRejectsOversizedAndOffBranchRanges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newPullRig(t, alice, NodeConfig{})
-			main := r.extend(t, r.src.chain.Genesis(), 10, alice, 1)
+			main := r.extend(t, r.src.chain.Genesis(), 10, alice)
 			for _, b := range main[:8] {
 				if err := r.joiner.chain.AddBlock(b); err != nil {
 					t.Fatal(err)
@@ -272,7 +272,7 @@ func TestPullRejectsOversizedAndOffBranchRanges(t *testing.T) {
 func TestSyncFromLargeGapKeepsFullWindows(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	r := newPullRig(t, alice, NodeConfig{}) // default SyncBatch 128
-	r.extend(t, r.src.chain.Genesis(), 300, nil, 0)
+	r.extend(t, r.src.chain.Genesis(), 300, nil)
 
 	if err := r.joiner.SyncFrom("peer"); err != nil {
 		t.Fatal(err)

@@ -17,12 +17,11 @@ import (
 	"drams/internal/transport"
 )
 
-// TestMineLoopHeadMovedMidSnapshot is the regression test for the mining
-// loop's stale-snapshot race: a block imported between the mempool
-// collection and the head read used to make the miner build
-// already-confirmed transactions onto the new head, a guaranteed rejection
-// after the PoW was paid. The test hook injects a competing import exactly
-// into that window.
+// TestMineLoopHeadMovedMidSnapshot: a peer's block carrying a pooled
+// transaction has moved the head, and the pool has not yet been pruned of it
+// — the window in which a miner used to build the confirmed transaction onto
+// the new head, a guaranteed rejection after the PoW was paid. Collect
+// filters against the chain, so the miner's next block leaves it out.
 func TestMineLoopHeadMovedMidSnapshot(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Seed: 9})
@@ -38,48 +37,35 @@ func TestMineLoopHeadMovedMidSnapshot(t *testing.T) {
 	}
 	defer node.Stop()
 
-	tx, err := NewTransaction(alice, 1, putCall("race", "v"))
+	tx, err := NewTransaction(alice, 0, putCall("race", "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var once sync.Once
-	raced := make(chan struct{})
-	node.testAfterCollect = func() {
-		if len(node.pool.Collect(16, node.chain.AccountNonces())) == 0 {
-			return // not our tx yet (empty warm-up iterations)
-		}
-		once.Do(func() {
-			// A peer's block carrying the same tx lands right between the
-			// miner's collection and its head re-check.
-			head, _ := node.chain.Head()
-			b := mineChild(t, node.chain, head, tx)
-			if err := node.chain.AddBlock(b); err != nil {
-				t.Errorf("competing import: %v", err)
-			}
-			close(raced)
-		})
-	}
-	node.Start()
 	if err := node.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-raced:
-	case <-time.After(10 * time.Second):
-		t.Fatal("race window never hit")
+	if err := node.chain.AddBlock(mineChild(t, node.chain, node.chain.Genesis(), tx)); err != nil {
+		t.Fatalf("competing import: %v", err)
+	}
+	node.Start()
+	next, err := NewTransaction(alice, 1, putCall("next", "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.SubmitTx(next); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		_, _, err := node.chain.Receipt(tx.ID())
+		_, _, err := node.chain.Receipt(next.ID())
 		return err == nil
-	}, "tx confirmed")
-	// The miner must have detected the moved head and restarted instead of
-	// mining the confirmed tx again onto the new head.
-	if st := node.Stats(); st.BlocksRejected != 0 {
-		t.Fatalf("miner produced %d rejected blocks", st.BlocksRejected)
+	}, "next tx mined")
+	if rec, _, err := node.chain.Receipt(tx.ID()); err != nil || rec.Height != 1 {
+		t.Fatalf("competing tx receipt %+v, %v; want it at height 1", rec, err)
 	}
-	// The hook returns before the loop counts the restart, so wait for it.
-	waitFor(t, 5*time.Second, func() bool { return node.Stats().MiningCancelled > 0 },
-		"the attempt whose head moved was never cancelled")
+	if st := node.Stats(); st.MiningCancelled != 0 || st.BlocksRejected != 0 || st.BlocksMined == 0 {
+		t.Fatalf("mined %d, cancelled %d, rejected %d: the miner built on a stale pool",
+			st.BlocksMined, st.MiningCancelled, st.BlocksRejected)
+	}
 }
 
 // TestSubscriptionDropCounters pins the corrected SubscribeEvents contract:
@@ -387,61 +373,67 @@ func TestJSONPersistedChainReopens(t *testing.T) {
 	reopenWithDamagedBlock4(t, func(b *Block, _ []byte) []byte { return mustJSON(t, b) })
 }
 
-// TestOldFormatWALRefusedByName: a data directory written before transaction
-// identity changed carries format byte 0x01 on every block. Those bytes have
-// today's layout, so decoding them would succeed and the import would then
-// fail on a Merkle root or a signature a few checks in. The format byte
-// refuses them first, at height 1, and the error names the byte; the node
-// treats the whole file as a damaged tail and starts from genesis.
+// TestOldFormatWALRefusedByName: a data directory written by an older build
+// carries its format byte on every block — 0x01 before transaction identity
+// changed, 0x02 before the per-sender nonce gave way to a salt and an
+// expiry height. Decoding either under today's layout would misread the
+// transaction bodies, and the import would then fail on a Merkle root or a
+// signature a few checks in. The format byte refuses them first, at height
+// 1, and the error names the byte; the node treats the whole file as a
+// damaged tail, starts from genesis and re-syncs from its peers.
 func TestOldFormatWALRefusedByName(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	path := filepath.Join(t.TempDir(), "chain.wal")
-	kv, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := buildTestChain(t, 4)
-	if err := src.SaveToStore(kv); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range kv.Keys(persistBlockPrefix) {
-		raw, err := kv.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := append([]byte(nil), raw...)
-		old[0] = 0x01
-		if err := kv.Put(key, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tag := range []byte{0x01, 0x02} {
+		t.Run(fmt.Sprintf("0x%02x", tag), func(t *testing.T) {
+			alice := testIdentity(t, "alice", 1)
+			path := filepath.Join(t.TempDir(), "chain.wal")
+			kv, err := store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := buildTestChain(t, 4)
+			if err := src.SaveToStore(kv); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range kv.Keys(persistBlockPrefix) {
+				raw, err := kv.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				old := append([]byte(nil), raw...)
+				old[0] = tag
+				if err := kv.Put(key, old); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := kv.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	kv2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv2.Close()
-	applied, err := NewChain(testChainConfig(t, alice)).LoadFromStore(kv2)
-	if applied != 0 || err == nil || !strings.Contains(err.Error(), "height 1") ||
-		!strings.Contains(err.Error(), "unknown format byte 0x01") {
-		t.Fatalf("applied=%d err=%v, want 0 blocks and the unknown-format error at height 1", applied, err)
-	}
-	if errors.Is(err, ErrBadSignature) || errors.Is(err, ErrBadMerkleRoot) {
-		t.Fatalf("old format surfaced as a validation failure: %v", err)
-	}
+			kv2, err := store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv2.Close()
+			applied, err := NewChain(testChainConfig(t, alice)).LoadFromStore(kv2)
+			if want := fmt.Sprintf("unknown format byte 0x%02x", tag); applied != 0 || err == nil ||
+				!strings.Contains(err.Error(), "height 1") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("applied=%d err=%v, want 0 blocks and %q at height 1", applied, err, want)
+			}
+			if errors.Is(err, ErrBadSignature) || errors.Is(err, ErrBadMerkleRoot) {
+				t.Fatalf("old format surfaced as a validation failure: %v", err)
+			}
 
-	net := netsim.New(netsim.Config{Seed: 12})
-	defer net.Close()
-	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, Store: kv2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Stop()
-	if st := node.Stats(); node.chain.Height() != 0 || st.BlocksReloaded != 0 || st.ReloadDropped != 4 {
-		t.Fatalf("height=%d reloaded=%d dropped=%d, want 0/0/4", node.chain.Height(), st.BlocksReloaded, st.ReloadDropped)
+			net := netsim.New(netsim.Config{Seed: 12})
+			defer net.Close()
+			node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, Store: kv2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Stop()
+			if st := node.Stats(); node.chain.Height() != 0 || st.BlocksReloaded != 0 || st.ReloadDropped != 4 {
+				t.Fatalf("height=%d reloaded=%d dropped=%d, want 0/0/4", node.chain.Height(), st.BlocksReloaded, st.ReloadDropped)
+			}
+		})
 	}
 }
 

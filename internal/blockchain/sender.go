@@ -3,53 +3,36 @@ package blockchain
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"drams/internal/contract"
 	"drams/internal/crypto"
 )
 
-// Sender serialises transaction submission for one component identity: it
-// assigns strictly increasing nonces, signs, and submits to a node. Every
+// Sender signs and submits transactions for one component identity. Every
 // DRAMS component that writes to the chain (LIs, the Analyser, the PAP)
-// owns one Sender.
+// owns one. Each transaction expires txLifetime blocks above the node's head
+// at signing and carries a fresh salt, so concurrent Sends, a restarted
+// member and an identity shared by several processes never collide, and a
+// lost transaction holds up no later one.
 type Sender struct {
 	node *Node
 	id   *crypto.Identity
-
-	mu   sync.Mutex
-	next uint64
 }
 
-// NewSender builds a Sender whose nonce counter continues from the
-// identity's confirmed on-chain nonce.
+// NewSender binds an identity to the node its transactions are submitted to.
 func NewSender(node *Node, id *crypto.Identity) *Sender {
-	return &Sender{node: node, id: id, next: node.Chain().AccountNonce(id.Name()) + 1}
+	return &Sender{node: node, id: id}
 }
-
-// Identity returns the sending identity's name.
-func (s *Sender) Identity() string { return s.id.Name() }
 
 // Send signs and submits one contract call, returning the transaction ID.
 func (s *Sender) Send(call contract.Call) (crypto.Digest, error) {
-	s.mu.Lock()
-	nonce := s.next
-	s.next++
-	tx, err := NewTransaction(s.id, nonce, call)
+	tx, err := NewTransaction(s.id, s.node.Chain().Height(), call)
 	if err != nil {
-		s.next = nonce // roll the counter back; nothing was submitted
-		s.mu.Unlock()
 		return crypto.Digest{}, err
 	}
-	// Submit while still holding the lock so concurrent Sends cannot
-	// reorder nonces in the mempool gossip.
-	err = s.node.SubmitTx(tx)
-	if err != nil {
-		s.next = nonce
-		s.mu.Unlock()
+	if err := s.node.SubmitTx(tx); err != nil {
 		return crypto.Digest{}, fmt.Errorf("blockchain: sender %q submit: %w", s.id.Name(), err)
 	}
-	s.mu.Unlock()
 	return tx.ID(), nil
 }
 
@@ -64,17 +47,4 @@ func (s *Sender) SendAndWait(ctx context.Context, call contract.Call, confirmati
 		confirmations = 1
 	}
 	return s.node.WaitForReceipt(ctx, txID, confirmations)
-}
-
-// Resync re-reads the confirmed on-chain nonce; call after a partition or
-// local crash left the counter ahead of the chain.
-func (s *Sender) Resync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	confirmed := s.node.Chain().AccountNonce(s.id.Name())
-	if confirmed+1 > s.next {
-		s.next = confirmed + 1
-	}
-	// If we are ahead because txs are still pending, keep the local
-	// counter: the pending txs will confirm or the caller retries later.
 }

@@ -22,7 +22,7 @@ import (
 // window the requester already holds. The fetched branch is then
 // applied oldest-first through Chain.AddBlock, i.e. with exactly the
 // validation (signatures via the TxVerifier pipeline, PoW, difficulty
-// schedule, nonces) gossiped blocks get. It is the only sync protocol: a
+// schedule, the replay rule) gossiped blocks get. It is the only sync protocol: a
 // peer that does not serve bc.getrange answers transport.ErrNoHandler, and
 // the pull fails with that error.
 

@@ -1,9 +1,11 @@
 // Package blockchain implements the private proof-of-work smart-contract
 // blockchain at the heart of DRAMS (paper §II). It provides:
 //
-//   - signed transactions carrying contract calls, with per-sender nonces
-//     for replay protection and a permissioned identity allowlist (outsiders
-//     cannot forge log entries — attack A8);
+//   - signed transactions carrying contract calls and a permissioned
+//     identity allowlist (outsiders cannot forge log entries — attack A8).
+//     Replay protection is by expiry, not by order: a transaction carries
+//     the last height it may be mined at and a random salt, and a branch
+//     carries one ID at most once, so nothing waits for a predecessor;
 //   - blocks mined with a tunable leading-zero-bits difficulty, exactly the
 //     "private blockchain where all PoW parameters can be dynamically tuned"
 //     of §III, including optional automatic retargeting;
@@ -17,6 +19,7 @@
 package blockchain
 
 import (
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,35 +41,40 @@ var (
 	ErrOrphanBlock     = errors.New("blockchain: parent block unknown")
 	ErrKnownBlock      = errors.New("blockchain: block already known")
 	ErrBadHeight       = errors.New("blockchain: block height does not follow parent")
-	ErrBadNonce        = errors.New("blockchain: transaction nonce out of order")
+	ErrTxExpired       = errors.New("blockchain: transaction outside its validity window")
 	ErrKnownTx         = errors.New("blockchain: transaction already known")
 	ErrBadDifficulty   = errors.New("blockchain: block difficulty does not match schedule")
 	ErrTxNotFound      = errors.New("blockchain: transaction not found")
 )
 
-// Transaction is a signed contract call.
+// Transaction is a signed contract call. A block at height h may carry it
+// iff h <= ExpiresAt <= h+txLifetime and no earlier block of the branch
+// carries its ID (see Chain.AddBlock). Salt is random, so the same call
+// signed twice is two transactions.
 type Transaction struct {
 	From      string        `json:"from"`
-	Nonce     uint64        `json:"nonce"`
+	Salt      [8]byte       `json:"salt"`
+	ExpiresAt uint64        `json:"expiresAt"`
 	Call      contract.Call `json:"call"`
 	PubKey    []byte        `json:"pubKey"`
 	Signature []byte        `json:"signature,omitempty"`
 }
 
 // signingBytes is what the signature covers: the digest of the length-framed
-// fields (From, Nonce, Contract, Method, Args, PubKey). Each field is hashed
-// as raw bytes behind its length, so the framing is injective whatever the
-// fields hold; the chain never parses Args.
+// fields (From, Salt, ExpiresAt, Contract, Method, Args, PubKey). Each field
+// is hashed as raw bytes behind its length, so the framing is injective
+// whatever the fields hold; the chain never parses Args.
 func (tx *Transaction) signingBytes() crypto.Digest {
-	var nonce [8]byte
-	binary.BigEndian.PutUint64(nonce[:], tx.Nonce)
-	return crypto.SumAll([]byte(tx.From), nonce[:], []byte(tx.Call.Contract), []byte(tx.Call.Method), tx.Call.Args, tx.PubKey)
+	var expires [8]byte
+	binary.BigEndian.PutUint64(expires[:], tx.ExpiresAt)
+	return crypto.SumAll([]byte(tx.From), tx.Salt[:], expires[:], []byte(tx.Call.Contract), []byte(tx.Call.Method), tx.Call.Args, tx.PubKey)
 }
 
 // ID returns the transaction digest (covers the signature, so two distinct
-// signatures over the same payload are distinct transactions; the nonce
-// check still prevents both from executing). Every call re-derives it from
-// the fields (two framed hashes, no encoding step): the value is
+// signatures over the same payload are distinct transactions; only the
+// key's holder can make a second one, ed25519 signatures not being
+// malleable, and it could as well sign a fresh salt). Every call re-derives
+// it from the fields (two framed hashes, no encoding step): the value is
 // deliberately not cached on the struct, because the verified-transaction
 // LRU is keyed by it and a stale ID on a mutated transaction would skip a
 // signature check. Code that needs the IDs of a whole block more than once
@@ -103,9 +111,13 @@ func (tx *Transaction) Sign(id *crypto.Identity) error {
 	return nil
 }
 
-// NewTransaction builds and signs a transaction.
-func NewTransaction(id *crypto.Identity, nonce uint64, call contract.Call) (Transaction, error) {
-	tx := Transaction{From: id.Name(), Nonce: nonce, Call: call}
+// NewTransaction builds and signs a transaction for a chain whose head is at
+// height head: it expires txLifetime blocks later and carries a fresh salt.
+func NewTransaction(id *crypto.Identity, head uint64, call contract.Call) (Transaction, error) {
+	tx := Transaction{From: id.Name(), ExpiresAt: head + txLifetime, Call: call}
+	if _, err := crand.Read(tx.Salt[:]); err != nil {
+		return Transaction{}, fmt.Errorf("blockchain: salt: %w", err)
+	}
 	if err := tx.Sign(id); err != nil {
 		return Transaction{}, err
 	}

@@ -21,7 +21,7 @@ func TestTransactionSignVerify(t *testing.T) {
 
 func TestTransactionSignNameMismatch(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
-	tx := Transaction{From: "bob", Nonce: 1, Call: putCall("k", "v")}
+	tx := Transaction{From: "bob", Call: putCall("k", "v")}
 	if err := tx.Sign(alice); err == nil {
 		t.Fatal("signing with mismatched From accepted")
 	}
@@ -33,7 +33,8 @@ func TestVerifyRejectsTamperedFields(t *testing.T) {
 	base, _ := NewTransaction(alice, 1, putCall("k", "v"))
 
 	cases := map[string]func(*Transaction){
-		"nonce":     func(tx *Transaction) { tx.Nonce = 2 },
+		"salt":      func(tx *Transaction) { tx.Salt[7] ^= 1 },
+		"expiry":    func(tx *Transaction) { tx.ExpiresAt++ },
 		"call":      func(tx *Transaction) { tx.Call = putCall("k", "EVIL") },
 		"signature": func(tx *Transaction) { tx.Signature[0] ^= 1 },
 		"pubkey":    func(tx *Transaction) { tx.PubKey[0] ^= 1 },
@@ -70,12 +71,17 @@ func TestTxIDUniqueness(t *testing.T) {
 	tx1, _ := NewTransaction(alice, 1, putCall("k", "v"))
 	tx2, _ := NewTransaction(alice, 2, putCall("k", "v"))
 	tx3, _ := NewTransaction(alice, 1, putCall("k", "w"))
-	if tx1.ID() == tx2.ID() || tx1.ID() == tx3.ID() {
+	// The same call signed twice at one head: the salts tell them apart.
+	tx1b, _ := NewTransaction(alice, 1, putCall("k", "v"))
+	if tx1.ID() == tx2.ID() || tx1.ID() == tx3.ID() || tx1.ID() == tx1b.ID() {
 		t.Fatal("distinct txs share IDs")
 	}
-	// Same inputs → same ID (ed25519 is deterministic).
-	tx1b, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	if tx1.ID() != tx1b.ID() {
+	// Same fields → same ID (ed25519 is deterministic).
+	again := Transaction{From: tx1.From, Salt: tx1.Salt, ExpiresAt: tx1.ExpiresAt, Call: tx1.Call}
+	if err := again.Sign(alice); err != nil {
+		t.Fatal(err)
+	}
+	if again.ID() != tx1.ID() {
 		t.Fatal("identical tx produced different IDs")
 	}
 }

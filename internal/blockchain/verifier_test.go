@@ -11,13 +11,13 @@ import (
 	"drams/internal/netsim"
 )
 
-// testTxs builds n valid transactions from the given identity starting at
-// nonce 1.
+// testTxs builds n valid transactions from the given identity, signed at
+// genesis.
 func testTxs(t testing.TB, id *crypto.Identity, n int) []Transaction {
 	t.Helper()
 	txs := make([]Transaction, n)
 	for i := range txs {
-		tx, err := NewTransaction(id, uint64(i+1), putCall(fmt.Sprintf("k%d", i), "v"))
+		tx, err := NewTransaction(id, 0, putCall(fmt.Sprintf("k%d", i), "v"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestVerifierConcurrent(t *testing.T) {
 	txsA := testTxs(t, alice, 64)
 	txsB := make([]Transaction, 64)
 	for i := range txsB {
-		tx, err := NewTransaction(bob, uint64(i+1), putCall(fmt.Sprintf("b%d", i), "v"))
+		tx, err := NewTransaction(bob, 0, putCall(fmt.Sprintf("b%d", i), "v"))
 		if err != nil {
 			t.Fatal(err)
 		}

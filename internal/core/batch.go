@@ -18,7 +18,7 @@ const MaxLogBatch = 256
 // LogBatch is the argument of MethodLogBatch: one flush window of probe
 // records anchored under a single Merkle root. The LI signs the batch once
 // instead of once per record, so a window of N observations costs one
-// transaction, one signature and one nonce instead of N of each — the
+// transaction and one signature instead of N of each — the
 // contract recomputes the root from the records and rejects any mismatch,
 // so the anchoring is exactly as binding as N individual transactions.
 type LogBatch struct {

@@ -269,8 +269,14 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 	if err := mon.WaitForMatched(ctx, "ok-1"); err != nil {
 		t.Fatal(err)
 	}
-	if an.Stats().VerdictsSubmitted == 0 {
-		t.Fatal("analyser produced no verdicts")
+	// The match needs the verdict on chain, but the analyser counts it only
+	// once its Send has returned, which can be after the block was applied.
+	for an.Stats().VerdictsSubmitted == 0 {
+		select {
+		case <-ctx.Done():
+			t.Fatal("analyser produced no verdicts")
+		case <-time.After(time.Millisecond):
+		}
 	}
 	if an.Stats().MismatchesFound != 0 {
 		t.Fatal("honest exchange flagged")

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"drams/internal/blockchain"
 	"drams/internal/contract"
 	"drams/internal/crypto"
+	"drams/internal/idgen"
 	"drams/internal/xacml"
 )
 
@@ -40,14 +43,20 @@ type scriptChain struct {
 	t      *testing.T
 	chain  *blockchain.Chain
 	ids    map[string]*crypto.Identity
-	nonces map[string]uint64
-	txs    []blockchain.Transaction // queued for the next block
-	stream strings.Builder          // the verdict stream, one line per event
+	calls  []scriptCall    // queued for the next block
+	perm   *idgen.Rand     // when set, shuffles each block's transactions
+	stream strings.Builder // the verdict stream, one line per event
+}
+
+// scriptCall is one queued call and the identity that sends it.
+type scriptCall struct {
+	from string
+	call contract.Call
 }
 
 func newScriptChain(t *testing.T) *scriptChain {
 	t.Helper()
-	s := &scriptChain{t: t, ids: map[string]*crypto.Identity{}, nonces: map[string]uint64{}}
+	s := &scriptChain{t: t, ids: map[string]*crypto.Identity{}}
 	var pubs []crypto.PublicIdentity
 	for i, name := range []string{"li-t1", "li-infra", "analyser", "pap"} {
 		var seed [32]byte
@@ -94,36 +103,46 @@ func (s *scriptChain) observe(_ uint64, events []contract.Event) {
 
 // send queues one call from the named identity for the next block.
 func (s *scriptChain) send(from, contractName, method string, args []byte) {
-	s.t.Helper()
-	s.nonces[from]++
-	tx, err := blockchain.NewTransaction(s.ids[from], s.nonces[from],
-		contract.Call{Contract: contractName, Method: method, Args: args})
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	s.txs = append(s.txs, tx)
+	s.calls = append(s.calls, scriptCall{from, contract.Call{Contract: contractName, Method: method, Args: args}})
 }
 
 func (s *scriptChain) log(from string, rec LogRecord) {
 	s.send(from, ContractName, MethodLog, rec.Encode())
 }
 
-// seal mines the queued transactions into the next block and imports it.
+// seal signs the queued calls, in a seeded shuffle when perm is set, mines
+// them into the next block and imports it.
 func (s *scriptChain) seal() {
 	s.t.Helper()
+	calls := s.calls
+	s.calls = nil
+	if s.perm != nil {
+		shuffled := make([]scriptCall, len(calls))
+		for i, j := range s.perm.Perm(len(calls)) {
+			shuffled[i] = calls[j]
+		}
+		calls = shuffled
+	}
 	head, height := s.chain.Head()
+	var txs []blockchain.Transaction
+	for _, c := range calls {
+		tx, err := blockchain.NewTransaction(s.ids[c.from], height, c.call)
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
 	b := &blockchain.Block{
 		Header: blockchain.BlockHeader{
 			Height:       height + 1,
 			PrevHash:     head,
-			MerkleRoot:   blockchain.ComputeMerkleRoot(s.txs),
+			MerkleRoot:   blockchain.ComputeMerkleRoot(txs),
 			TimeUnixNano: s.chain.Config().GenesisTime.UnixNano() + int64(height+1)*int64(100*time.Millisecond),
 			Difficulty:   s.chain.NextDifficulty(),
 			Miner:        "script",
 		},
-		Txs: s.txs,
+		Txs: txs,
 	}
-	s.txs = nil
 	if !blockchain.Mine(context.Background(), b, 0) {
 		s.t.Fatal("mining failed")
 	}
@@ -134,7 +153,78 @@ func (s *scriptChain) seal() {
 
 func TestScriptedChainStateDigestPinned(t *testing.T) {
 	s := newScriptChain(t)
+	s.run()
+	s.chain.ReadState(ContractName, func(st contract.StateDB) {
+		for _, want := range []string{"done/req-a", "done/req-b", "alerted/req-lost/" + string(AlertMessageSuppressed),
+			"alerted/req-c/" + string(AlertEnforcementMismatch)} {
+			if _, ok := st.Get(want); !ok {
+				t.Errorf("script did not produce %s", want)
+			}
+		}
+		if left := st.Keys("deadline/"); len(left) != 0 {
+			t.Errorf("deadlines still queued after they passed: %v", left)
+		}
+	})
+	s.chain.ReadState(PolicyContractName, func(st contract.StateDB) {
+		if ver, _, _ := ReadActivePolicy(st); ver != "v2" {
+			t.Errorf("active policy %q, want v2", ver)
+		}
+	})
+	if got := crypto.Sum([]byte(s.stream.String())).String(); got != pinnedVerdictStream {
+		t.Errorf("verdict stream digest %s, pinned %s; stream:\n%s", got, pinnedVerdictStream, s.stream.String())
+	}
+	if got := s.chain.StateDigest().String(); got != pinnedScriptDigest {
+		t.Fatalf("state digest %s, pinned %s", got, pinnedScriptDigest)
+	}
+}
 
+// TestScriptedChainOrderIndependent replays the script with each block's
+// transactions in seeded permutations, which reorders every writer's
+// transactions within a block. No M-check needs them in order: the state
+// digest stays pinned, and every height carries the verdicts it carries in
+// the pinned stream. Only the order of events within one block follows the
+// order of its transactions, which the block producer chooses; 7 of the 8
+// permutations swap block 5's match of req-b and its alert on req-c.
+func TestScriptedChainOrderIndependent(t *testing.T) {
+	ref := newScriptChain(t)
+	ref.run()
+	want := byHeight(ref.stream.String())
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			s := newScriptChain(t)
+			s.perm = idgen.NewRand(seed)
+			s.run()
+			if got := byHeight(s.stream.String()); got != want {
+				t.Errorf("verdicts per height moved:\n%s\nwant:\n%s", got, want)
+			}
+			if got := s.chain.StateDigest().String(); got != pinnedScriptDigest {
+				t.Errorf("state digest %s, pinned %s", got, pinnedScriptDigest)
+			}
+		})
+	}
+}
+
+// byHeight sorts a verdict stream's lines by height, the last field of every
+// line, and within one height by text.
+func byHeight(stream string) string {
+	lines := strings.Split(strings.TrimSpace(stream), "\n")
+	height := func(line string) int {
+		h, _ := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		return h
+	}
+	sort.Slice(lines, func(i, j int) bool {
+		hi, hj := height(lines[i]), height(lines[j])
+		return hi < hj || (hi == hj && lines[i] < lines[j])
+	})
+	return strings.Join(lines, "\n")
+}
+
+// run drives the script: ten blocks covering a policy publish and staged
+// flip, matched exchanges record by record and batched, and the M3 and M4
+// alerts.
+func (s *scriptChain) run() {
+	t := s.t
+	t.Helper()
 	// Block 1: publish v1 (active at this block's boundary) and stage v2 for
 	// height 6, so the policy contract's sched/ queue outlives several blocks.
 	s.send("pap", PolicyContractName, MethodPolicyUpdate, updateArgs("v1", 0).Encode())
@@ -179,27 +269,5 @@ func TestScriptedChainStateDigestPinned(t *testing.T) {
 
 	if _, h := s.chain.Head(); h != 10 {
 		t.Fatalf("script ended at height %d, want 10", h)
-	}
-	s.chain.ReadState(ContractName, func(st contract.StateDB) {
-		for _, want := range []string{"done/req-a", "done/req-b", "alerted/req-lost/" + string(AlertMessageSuppressed),
-			"alerted/req-c/" + string(AlertEnforcementMismatch)} {
-			if _, ok := st.Get(want); !ok {
-				t.Errorf("script did not produce %s", want)
-			}
-		}
-		if left := st.Keys("deadline/"); len(left) != 0 {
-			t.Errorf("deadlines still queued after they passed: %v", left)
-		}
-	})
-	s.chain.ReadState(PolicyContractName, func(st contract.StateDB) {
-		if ver, _, _ := ReadActivePolicy(st); ver != "v2" {
-			t.Errorf("active policy %q, want v2", ver)
-		}
-	})
-	if got := crypto.Sum([]byte(s.stream.String())).String(); got != pinnedVerdictStream {
-		t.Errorf("verdict stream digest %s, pinned %s; stream:\n%s", got, pinnedVerdictStream, s.stream.String())
-	}
-	if got := s.chain.StateDigest().String(); got != pinnedScriptDigest {
-		t.Fatalf("state digest %s, pinned %s", got, pinnedScriptDigest)
 	}
 }

@@ -47,7 +47,7 @@ func v6Chain(cfg blockchain.Config, id *crypto.Identity, length int) (*blockchai
 		if err != nil {
 			return nil, err
 		}
-		tx, err := blockchain.NewTransaction(id, uint64(i), contract.Call{Contract: "kv", Method: "put", Args: args})
+		tx, err := blockchain.NewTransaction(id, parentHeight, contract.Call{Contract: "kv", Method: "put", Args: args})
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func RunV6(p V6Params) (Table, error) {
 		Header: []string{"chain_len", "mode", "sync_ms", "calls", "blocks", "blocks_per_s"},
 		Notes: []string{
 			fmt.Sprintf("simulated link latency %v each way; batched mode fetches %d blocks per bc.getrange call", p.NetLatency, p.SyncBatch),
-			"every fetched block passes full validation (signatures via the TxVerifier pipeline, PoW, difficulty, nonces)",
+			"every fetched block passes full validation (signatures via the TxVerifier pipeline, PoW, difficulty, the expiry and replay rule)",
 			"window 1 is the baseline: one bc.getrange round-trip per block, calls = blocks + 1 (the head probe)",
 		},
 	}

@@ -73,8 +73,9 @@ type AdminStats struct {
 }
 
 // Admin publishes policy updates on behalf of the federation's PAP
-// identity. Safe for concurrent use; updates from one Admin are ordered by
-// its transaction nonces.
+// identity. Safe for concurrent use, and from several members at once:
+// updates are independent transactions, ordered by the blocks that carry
+// them.
 type Admin struct {
 	node   *blockchain.Node
 	sender *blockchain.Sender
@@ -150,10 +151,6 @@ func (a *Admin) Rollback(ctx context.Context, version string, opts UpdateOptions
 }
 
 func (a *Admin) submit(ctx context.Context, method string, args []byte, opts UpdateOptions) (blockchain.Receipt, error) {
-	// The PAP identity may be driven from several processes (any member
-	// can administer); re-reading the confirmed nonce narrows the window
-	// for collisions with updates published elsewhere.
-	a.sender.Resync()
 	conf := opts.Confirmations
 	if conf == 0 {
 		conf = 1

@@ -2,14 +2,17 @@ package drams_test
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"drams"
+	"drams/internal/blockchain"
 	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/netsim"
+	"drams/internal/store"
 	"drams/internal/transport"
 	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
@@ -182,11 +185,66 @@ func TestMemberSlicesMintDistinctRequestIDs(t *testing.T) {
 	}
 }
 
+// ownTxHeight returns the height of the highest block on node's best chain
+// that carries a transaction signed by from, 0 if none does.
+func ownTxHeight(node *blockchain.Node, from string) uint64 {
+	for h := node.Chain().Height(); h > 0; h-- {
+		b, _ := node.Chain().BlockByHeight(h)
+		for _, tx := range b.Txs {
+			if tx.From == from {
+				return h
+			}
+		}
+	}
+	return 0
+}
+
+// dropFromOwnTx deletes, from the closed chain store at path, the last
+// persisted block carrying a transaction signed by from and every block
+// above it: the store then stops short of the member's own last
+// transaction, as a crash before that block's write leaves it. The node
+// reopening it reloads the blocks below and treats the rest as a damaged
+// tail.
+func dropFromOwnTx(t *testing.T, path, from string) {
+	t.Helper()
+	kv, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	keys := kv.Keys("block/")
+	cut := -1
+	for i, key := range keys {
+		raw, err := kv.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := blockchain.DecodeBlock(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range b.Txs {
+			if tx.From == from {
+				cut = i
+			}
+		}
+	}
+	if cut < 0 {
+		t.Fatalf("no persisted block carries a transaction of %s", from)
+	}
+	for _, key := range keys[cut:] {
+		if err := kv.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestMemberSliceRestartOverTCP is the daemon's lifecycle in-process: three
-// slices, each on its own TCP transport and data dir. One is closed, the
-// rest flip to a new policy without it, and the reopened slice resumes its
-// persisted chain, activates the flip at the height the others did, and
-// converges with them.
+// slices, each on its own TCP transport and data dir. One is closed with a
+// chain store that stops short of its own last transaction, the rest flip
+// to a new policy without it, and the reopened slice resumes its persisted
+// chain, activates the flip at the height the others did, anchors a fresh
+// exchange that matches, and converges with them.
 func TestMemberSliceRestartOverTCP(t *testing.T) {
 	dir := t.TempDir()
 	var addrs []string
@@ -210,14 +268,23 @@ func TestMemberSliceRestartOverTCP(t *testing.T) {
 	infra := deps["cloud-1"]
 
 	decideOnEverySlice(t, ctx, deps)
-	// The exchanges settle within a few blocks of the fleet's start, before
-	// a member that joined last need have imported any: let every node reach
-	// the head first, so that cloud-3 has a chain to resume from and cloud-2
-	// reads the PAP's nonce from a chain that carries the first publish.
-	waitConverged(t, ctx, infra, deps["cloud-2"], deps["cloud-3"])
+	// cloud-3 persists the block that carries its side of its exchange
+	// once it imports it; only then is there a block to drop.
+	node3, err := deps["cloud-3"].Node("cloud-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ownTxHeight(node3, "li@tenant-3") == 0 {
+		select {
+		case <-ctx.Done():
+			t.Fatal("cloud-3 never imported the block carrying its own transaction")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 
 	deps["cloud-3"].Close()
 	tr3.Close()
+	dropFromOwnTx(t, filepath.Join(dir, "chain-cloud-3.wal"), "li@tenant-3")
 	admin, err := deps["cloud-2"].Admin("tenant-2")
 	if err != nil {
 		t.Fatal(err)
@@ -236,17 +303,76 @@ func TestMemberSliceRestartOverTCP(t *testing.T) {
 	if node.Stats().BlocksReloaded == 0 {
 		t.Fatal("reopened slice began from a fresh genesis")
 	}
+	if infraNode, err := infra.Node("cloud-1"); err == nil {
+		t.Logf("reopened at height %d, %d blocks behind the fleet", node.Chain().Height(),
+			infraNode.Chain().Height()-node.Chain().Height())
+	}
 	for cloud, dep := range map[string]*drams.Deployment{"cloud-1": infra, "cloud-3": reopened} {
 		waitPolicyVersion(t, ctx, dep, "v2")
 		if got := dep.PolicyStats().Height; got != flip.Height {
 			t.Fatalf("%s activated v2 at height %d, cloud-2 at %d", cloud, got, flip.Height)
 		}
 	}
-	if _, enf := decideThrough(t, ctx, reopened, "tenant-3"); enf.Decision != xacml.Deny || enf.PolicyVersion != "v2" {
+	reqID, enf := decideThrough(t, ctx, reopened, "tenant-3")
+	if enf.Decision != xacml.Deny || enf.PolicyVersion != "v2" {
 		t.Fatalf("reopened slice decided %v under %q, want Deny under v2", enf.Decision, enf.PolicyVersion)
+	}
+	if err := infra.WaitForMatched(ctx, reqID); err != nil {
+		t.Fatalf("the reopened slice's first exchange %s did not match: %v", reqID, err)
 	}
 	waitConverged(t, ctx, infra, deps["cloud-2"], reopened)
 	assertNoAlerts(t, infra)
+}
+
+// TestLaggingMemberPushesPolicy: every member shares the PAP identity, and a
+// member whose node was cut off before it imported the first publish pushes
+// a policy update. Nothing about the first publish can collide with it, so
+// the update confirms once the partition heals, and every member activates
+// it at one height.
+func TestLaggingMemberPushesPolicy(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 42})
+	t.Cleanup(func() { net.Close() })
+	net.Partition([]string{"node@cloud-2"})
+	fleet := make(map[string]*drams.Deployment)
+	for _, cloud := range sliceClouds {
+		fleet[cloud] = openSlice(t, cloud, net)
+	}
+	lagging, err := fleet["cloud-2"].Node("cloud-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := lagging.Chain().Height(); h != 0 {
+		t.Fatalf("partitioned node imported up to height %d", h)
+	}
+	admin, err := fleet["cloud-2"].Admin("tenant-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pushed := make(chan error, 1)
+	go func() {
+		pushed <- admin.UpdatePolicy(ctx, xacml.RestrictedPolicy("v2"), drams.UpdateOptions{ActivateDelta: 3})
+	}()
+	for lagging.Mempool().Len() == 0 {
+		select {
+		case err := <-pushed:
+			t.Fatalf("push v2 returned before it was pooled: %v", err)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	net.Heal()
+	if err := <-pushed; err != nil {
+		t.Fatalf("push v2 from the lagging member: %v", err)
+	}
+	flip := fleet["cloud-2"].PolicyStats()
+	for _, cloud := range []string{"cloud-1", "cloud-3"} {
+		waitPolicyVersion(t, ctx, fleet[cloud], "v2")
+		if got := fleet[cloud].PolicyStats().Height; got != flip.Height {
+			t.Fatalf("%s activated v2 at height %d, cloud-2 at %d", cloud, got, flip.Height)
+		}
+	}
+	assertNoAlerts(t, fleet["cloud-1"])
 }
 
 // TestMemberSlicesExposeOpenSeries: the series a federation exposes do not

@@ -167,6 +167,7 @@ func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 			obs.C("drams_node_reload_dropped_total"+l, "Persisted blocks discarded by reload validation.", s.ReloadDropped),
 			obs.C("drams_node_sync_calls_total"+l, "Catch-up protocol transport calls (bc.head and bc.getrange).", s.SyncCalls),
 			obs.C("drams_node_sync_blocks_total"+l, "Blocks obtained through catch-up sync.", s.SyncBlocks),
+			obs.C("drams_node_tx_expired_total"+l, "Pending transactions evicted because the chain passed their expiry height.", s.TxExpired),
 			obs.C("drams_node_verifier_verified_total"+l, "Signature verifications performed.", s.Verifier.Verified),
 			obs.C("drams_node_verifier_cache_hits_total"+l, "Verifications skipped via the verified-tx cache.", s.Verifier.CacheHits),
 			obs.C("drams_node_verifier_cache_misses_total"+l, "Verified-tx cache lookups that fell through.", s.Verifier.CacheMisses),

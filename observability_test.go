@@ -104,6 +104,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	for _, fam := range []string{
 		"drams_node_blocks_accepted_total",
 		"drams_node_mempool_len",
+		"drams_node_tx_expired_total",
 		"drams_transport_sent_total",
 		"drams_pdp_cache_hits_total",
 		"drams_pep_requests_total",
