@@ -246,13 +246,14 @@ func benchVerifierBatch(b *testing.B, n int) ([]blockchain.Transaction, *blockch
 	return txs, reg
 }
 
-// BenchmarkBlockSigVerifyPipelineCold256 measures the worker-pool fanout
-// with the verified-tx cache disabled (every signature checked each pass).
+// BenchmarkBlockSigVerifyPipelineCold256 measures validation of a block
+// whose transactions this node never admitted: a fresh verifier per pass,
+// so every signature is checked, one after another.
 func BenchmarkBlockSigVerifyPipelineCold256(b *testing.B) {
 	txs, reg := benchVerifierBatch(b, 256)
-	v := blockchain.NewTxVerifier(reg, blockchain.VerifierConfig{CacheSize: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		v := blockchain.NewTxVerifier(reg, blockchain.VerifierConfig{})
 		if err := v.VerifyAll(txs); err != nil {
 			b.Fatal(err)
 		}
@@ -261,10 +262,10 @@ func BenchmarkBlockSigVerifyPipelineCold256(b *testing.B) {
 
 // BenchmarkBlockSigVerifyPipelineWarm256 measures block validation in the
 // pipeline's steady state: every transaction was already verified at
-// mempool admission, so validation is pure verified-tx LRU hits.
+// mempool admission, so validation is pure memo hits.
 func BenchmarkBlockSigVerifyPipelineWarm256(b *testing.B) {
 	txs, reg := benchVerifierBatch(b, 256)
-	v := blockchain.NewTxVerifier(reg, blockchain.VerifierConfig{CacheSize: 1024})
+	v := blockchain.NewTxVerifier(reg, blockchain.VerifierConfig{})
 	if err := v.VerifyAll(txs); err != nil { // admission pass
 		b.Fatal(err)
 	}

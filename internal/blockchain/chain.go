@@ -139,7 +139,7 @@ func (c *Chain) Identities() *IdentityRegistry { return c.ids }
 
 // Verifier exposes the transaction signature verifier. The node shares it
 // between mempool admission and block validation so a transaction verified
-// at gossip ingest is not re-verified when its block arrives.
+// when admitted is not re-verified when its block arrives.
 func (c *Chain) Verifier() *TxVerifier { return c.verifier }
 
 // Config returns the consensus parameters.
@@ -347,10 +347,9 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 
 	// Verify transaction signatures outside the chain lock: verification
-	// depends only on the identity registry, and the batch verifier fans
-	// the checks out across cores, skipping transactions already verified
-	// at mempool admission.
-	if err := firstTxErr(c.verifier.verifyBatch(b.Txs, ids)); err != nil {
+	// depends only on the identity registry, and the verifier's memo skips
+	// transactions already verified at mempool admission.
+	if err := c.verifier.verifyAll(b.Txs, ids); err != nil {
 		return fmt.Errorf("blockchain: block %s %w", hash.Short(), err)
 	}
 

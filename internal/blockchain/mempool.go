@@ -51,17 +51,6 @@ func (m *Mempool) Add(tx Transaction) error {
 	return nil
 }
 
-// AddBatch inserts a batch of transactions and returns one error per
-// transaction, index-aligned (nil = admitted). Used by the node's batched
-// gossip-admission loop.
-func (m *Mempool) AddBatch(txs []Transaction) []error {
-	errs := make([]error, len(txs))
-	for i := range txs {
-		errs[i] = m.Add(txs[i])
-	}
-	return errs
-}
-
 // Has reports whether the transaction ID is pending.
 func (m *Mempool) Has(id crypto.Digest) bool {
 	m.mu.Lock()

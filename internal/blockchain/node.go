@@ -95,8 +95,6 @@ type NodeStats struct {
 	EventsDropped   int64
 	MiningCancelled int64
 	OrphansResolved int64
-	IngestBatches   int64
-	IngestDropped   int64
 	// ImportDropped counts gossiped block frames refused because the import
 	// queue was full. Such a block is fetched again as a missing ancestor
 	// when one of its descendants arrives.
@@ -152,7 +150,6 @@ type Node struct {
 	stop   <-chan struct{}
 	wg     sync.WaitGroup
 	newTx  chan struct{}
-	ingest chan inboundTx
 	seenTx *seenCache // recently handled tx-gossip payloads
 	// imports feeds importLoop, the only goroutine that imports gossiped
 	// blocks; pulling holds the one token a branch pull needs, so the loop
@@ -178,8 +175,6 @@ type Node struct {
 	evDropped  metrics.Counter
 	cancelled  metrics.Counter
 	orphans    metrics.Counter
-	inBatches  metrics.Counter
-	inDropped  metrics.Counter
 	imDropped  metrics.Counter
 	reloaded   metrics.Counter
 	reloadDrop metrics.Counter
@@ -235,17 +230,6 @@ func (n *Node) SetCollectFilter(fn func(txs []Transaction) []Transaction) {
 	}
 	n.collectFilter.Store(&collectFilterBox{fn: fn})
 }
-
-// inboundTx is a gossiped transaction queued for batched admission.
-type inboundTx struct {
-	tx   Transaction
-	raw  []byte // original wire payload, re-gossiped on acceptance
-	from string
-}
-
-// ingestBatch caps how many gossiped transactions are admitted per
-// signature-verification batch.
-const ingestBatch = 128
 
 // inboundBlock is a gossiped block frame queued for importLoop.
 type inboundBlock struct {
@@ -312,7 +296,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cancel:    cancel,
 		stop:      ctx.Done(),
 		newTx:     make(chan struct{}, 1),
-		ingest:    make(chan inboundTx, 4*ingestBatch),
 		imports:   make(chan inboundBlock, importQueue),
 		pulling:   make(chan struct{}, 1),
 		subs:      make(map[int]*eventSub),
@@ -322,10 +305,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.reloaded.Add(int64(reloaded))
 	n.reloadDrop.Add(int64(reloadDropped))
 	n.chain.SetEventSink(n.fanout)
-	// Gossip handlers are active from construction, so the admission and
-	// import loops must be too (Stop terminates them).
-	n.wg.Add(2)
-	go n.ingestLoop()
+	// Gossip handlers are active from construction, so the import loop must
+	// be too (Stop terminates it).
+	n.wg.Add(1)
 	go n.importLoop()
 	ep.OnMessage(kindTx, n.handleTxGossip)
 	ep.OnMessage(kindBlock, n.handleBlockGossip)
@@ -450,8 +432,6 @@ func (n *Node) Stats() NodeStats {
 		EventsDropped:   n.evDropped.Value(),
 		MiningCancelled: n.cancelled.Value(),
 		OrphansResolved: n.orphans.Value(),
-		IngestBatches:   n.inBatches.Value(),
-		IngestDropped:   n.inDropped.Value(),
 		ImportDropped:   n.imDropped.Value(),
 		BlocksPersisted: persist.BlocksPersisted,
 		PersistErrors:   persist.PersistErrors,
@@ -520,18 +500,28 @@ func (n *Node) SubmitTx(tx Transaction) error {
 		return ErrStopped
 	default:
 	}
+	if err := n.admit(tx, EncodeTx(tx), ""); err != nil {
+		return err
+	}
+	n.submitted.Inc()
+	return nil
+}
+
+// admit is the one way a transaction enters the node, from a local client
+// or from gossip: verify its signature, pool it, wake the miner and relay
+// raw, its wire form, to every chain peer but from.
+func (n *Node) admit(tx Transaction, raw []byte, from string) error {
 	if err := n.chain.Verifier().VerifyTx(&tx); err != nil {
 		return err
 	}
 	if err := n.pool.Add(tx); err != nil {
 		return err
 	}
-	n.submitted.Inc()
 	select {
 	case n.newTx <- struct{}{}:
 	default:
 	}
-	n.gossip(kindTx, EncodeTx(tx), "")
+	n.gossip(kindTx, raw, from)
 	return nil
 }
 
@@ -613,17 +603,6 @@ func (n *Node) Subscribe(buffer int) *EventSubscription {
 	}
 }
 
-// SubscribeEvents returns a channel of per-block contract events and a
-// cancel function; the channel is closed on Stop or cancel. Delivery is
-// best effort — a slow subscriber's notifications are dropped (counted in
-// NodeStats.EventsDropped), NOT delivered at-least-once. Consumers that
-// cannot tolerate gaps should use Subscribe, whose handle exposes the
-// per-subscriber drop counter to trigger a state resync.
-func (n *Node) SubscribeEvents(buffer int) (<-chan EventNotification, func()) {
-	sub := n.Subscribe(buffer)
-	return sub.C, sub.cancel
-}
-
 func (n *Node) fanout(height uint64, events []contract.Event) {
 	n.subMu.Lock()
 	defer n.subMu.Unlock()
@@ -660,110 +639,27 @@ func (n *Node) gossip(kind string, payload []byte, except string) {
 	}
 }
 
-// handleTxGossip processes a gossiped transaction. It only decodes and
-// enqueues; signature verification and mempool admission happen in
-// ingestLoop, batched across the worker pool.
+// handleTxGossip admits a gossiped transaction. It runs on the link's
+// delivery goroutine, which hands one link's frames over one at a time in
+// send order, so a transaction relayed ahead of the block that carries it
+// is verified and remembered before that block reaches importLoop.
 func (n *Node) handleTxGossip(from string, payload []byte) {
 	// Duplicate copies arrive constantly — the flood fans in from every
 	// peer and the rebroadcast loops re-send pending transactions a few
 	// times a second — so recently handled payloads are recognised by
-	// digest before paying for a decode and an ID derivation.
+	// digest before paying for a decode and an ID derivation. A payload is
+	// handled once whatever the outcome: malformed stays malformed, and a
+	// rejected or pooled transaction needs no second look.
 	key := crypto.Sum(payload)
 	if n.seenTx.has(key) {
 		return
 	}
+	n.seenTx.add(key)
 	tx, err := DecodeTx(payload)
-	if err != nil {
-		n.seenTx.add(key) // malformed stays malformed; skip retries too
+	if err != nil || n.pool.Has(tx.ID()) {
 		return
 	}
-	if n.pool.Has(tx.ID()) {
-		n.seenTx.add(key)
-		return // duplicate flood: stop it before it costs a queue slot
-	}
-	select {
-	case n.ingest <- inboundTx{tx: tx, raw: payload, from: from}:
-		n.seenTx.add(key)
-	default:
-		// Queue full under burst; the sender's periodic rebroadcast
-		// will retry, so dropping here only delays admission — the
-		// payload stays unmarked so that retry is not muted.
-		n.inDropped.Inc()
-	}
-}
-
-// ingestLoop drains gossiped transactions and admits them in verification
-// batches: all signatures of a batch are checked in one worker-pool pass,
-// and transactions already verified (gossip duplicates, rebroadcasts) are
-// skipped via the verifier's LRU. Batches form opportunistically — the loop
-// takes whatever is queued up to ingestBatch without waiting, so a lone
-// transaction is admitted immediately.
-func (n *Node) ingestLoop() {
-	defer n.wg.Done()
-	for {
-		var first inboundTx
-		select {
-		case <-n.stop:
-			return
-		case first = <-n.ingest:
-		}
-		batch := []inboundTx{first}
-		for len(batch) < ingestBatch {
-			select {
-			case it := <-n.ingest:
-				batch = append(batch, it)
-				continue
-			default:
-			}
-			break
-		}
-		n.inBatches.Inc()
-		// Collapse copies of the same transaction flooding in from several
-		// peers at once — one verification per unique ID.
-		seen := make(map[crypto.Digest]struct{}, len(batch))
-		unique := batch[:0]
-		for _, it := range batch {
-			id := it.tx.ID()
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			unique = append(unique, it)
-		}
-		batch = unique
-		txs := make([]Transaction, len(batch))
-		for i := range batch {
-			txs[i] = batch[i].tx
-		}
-		verifyErrs := n.chain.Verifier().VerifyBatch(txs)
-		valid := txs[:0]
-		kept := batch[:0]
-		for i := range batch {
-			if verifyErrs[i] != nil {
-				continue
-			}
-			valid = append(valid, txs[i])
-			kept = append(kept, batch[i])
-		}
-		if len(valid) == 0 {
-			continue
-		}
-		addErrs := n.pool.AddBatch(valid)
-		admitted := false
-		for i := range kept {
-			if addErrs[i] != nil {
-				continue // duplicate or full: stop the flood here
-			}
-			admitted = true
-			n.gossip(kindTx, kept[i].raw, kept[i].from)
-		}
-		if admitted {
-			select {
-			case n.newTx <- struct{}{}:
-			default:
-			}
-		}
-	}
+	_ = n.admit(tx, payload, from)
 }
 
 // handleBlockGossip queues a gossiped block frame for importLoop. It runs on
@@ -824,7 +720,9 @@ func (n *Node) afterAccept(from string, blocks ...*Block) {
 		return
 	}
 	n.accepted.Add(int64(len(blocks)))
-	n.pool.AddBatch(n.chain.TakeAbandoned())
+	for _, tx := range n.chain.TakeAbandoned() {
+		_ = n.pool.Add(tx)
+	}
 	n.txExpired.Add(int64(n.pool.Prune(n.chain)))
 	for _, b := range blocks {
 		n.gossip(kindBlock, b.Encode(), from)

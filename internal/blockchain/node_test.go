@@ -245,8 +245,8 @@ func TestEventSubscription(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	nodes, _ := testCluster(t, 1, alice)
 	n := nodes[0]
-	events, cancel := n.SubscribeEvents(64)
-	defer cancel()
+	sub := n.Subscribe(64)
+	defer sub.Cancel()
 
 	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
 	if err := n.SubmitTx(tx); err != nil {
@@ -255,7 +255,7 @@ func TestEventSubscription(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
-		case note := <-events:
+		case note := <-sub.C:
 			for _, e := range note.Events {
 				if e.Type == "Put" && e.Contract == "kv" {
 					return // success
@@ -376,7 +376,7 @@ func TestLateJoinerSyncs(t *testing.T) {
 // TestMixedWireGossipConverges: a peer gossiping encoding/json forms of a
 // transaction and a block (what a pre-binary build would emit) is speaking
 // no format this build knows. Its frames are dropped on the tag byte, before
-// the mempool, the ingest queue and the chain, and the federation converges
+// the mempool and the chain, and the federation converges
 // on what arrived in the one wire format.
 func TestMixedWireGossipConverges(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
@@ -391,7 +391,7 @@ func TestMixedWireGossipConverges(t *testing.T) {
 	for _, n := range nodes {
 		n.handleTxGossip("json-peer", mustJSON(t, jsonTx))
 		n.handleBlockGossip("json-peer", mustJSON(t, jsonBlock))
-		if n.pool.Len() != 0 || len(n.ingest) != 0 {
+		if n.pool.Len() != 0 {
 			t.Fatalf("%s queued a JSON tx frame", n.Name())
 		}
 		if _, ok := n.chain.BlockByHash(jsonBlock.Hash()); ok || n.BestSeenHeight() != 0 {

@@ -68,7 +68,7 @@ func TestMineLoopHeadMovedMidSnapshot(t *testing.T) {
 	}
 }
 
-// TestSubscriptionDropCounters pins the corrected SubscribeEvents contract:
+// TestSubscriptionDropCounters pins the Subscribe contract:
 // delivery is best effort, drops are counted per subscriber and in the
 // node aggregate.
 func TestSubscriptionDropCounters(t *testing.T) {

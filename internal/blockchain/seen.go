@@ -8,23 +8,26 @@ import (
 	"drams/internal/crypto"
 )
 
-// seenCache remembers digests of recently handled gossip payloads so the
-// periodic rebroadcast flood (every peer re-sends its pending transactions a
-// few times a second) costs a duplicate one hash instead of a full wire
-// decode plus transaction-ID derivation — under heavy backlog that decode
-// work compounds into the very latency that created the backlog.
+// seenCache is a bounded set of recently marked digests, kept in two
+// generations: inserts go to the current generation, lookups consult both,
+// and the generations rotate when the current one fills — or, when the
+// cache has a clock, once seenTTL has elapsed. A digest is therefore
+// remembered for at least one and at most two rotation periods, and the set
+// never holds more than two generations.
 //
-// Entries age out via two generations: inserts go to the current generation,
-// lookups consult both, and the generations rotate when the current one
-// fills or seenTTL elapses. A digest therefore suppresses duplicates for at
-// least one and at most two rotation periods — bounded memory, and a payload
-// that becomes relevant again (e.g. a transaction dropped in a reorg and
-// re-gossiped) is only muted briefly.
+// The node keeps two of them. Its gossip seen-cache (with a clock) remembers
+// the payloads of recently handled tx frames, so the periodic rebroadcast
+// flood (every peer re-sends its pending transactions a few times a second)
+// costs a duplicate one hash instead of a wire decode plus transaction-ID
+// derivation, and a payload that becomes relevant again (a transaction
+// dropped in a reorg and re-gossiped) is only muted briefly. The verifier's
+// memo (no clock, see TxVerifier) remembers the IDs of transactions whose
+// signatures checked out; only traffic rotates it.
 type seenCache struct {
 	mu        sync.Mutex
 	cur, prev map[crypto.Digest]struct{}
 	max       int
-	clk       clock.Clock
+	clk       clock.Clock // nil: rotate on fill only
 	rotated   time.Time
 }
 
@@ -33,25 +36,32 @@ const (
 	seenTTL       = 2 * time.Second
 )
 
+// newSeenCache returns a cache of max digests per generation. A nil clk
+// rotates on fill only.
 func newSeenCache(max int, clk clock.Clock) *seenCache {
-	return &seenCache{
-		cur:     make(map[crypto.Digest]struct{}, max),
-		prev:    map[crypto.Digest]struct{}{},
-		max:     max,
-		clk:     clk,
-		rotated: clk.Now(),
+	c := &seenCache{
+		cur:  make(map[crypto.Digest]struct{}, max),
+		prev: map[crypto.Digest]struct{}{},
+		max:  max,
+		clk:  clk,
 	}
+	if clk != nil {
+		c.rotated = clk.Now()
+	}
+	return c
 }
 
 // rotateLocked starts a fresh generation when the current one is full or
 // stale.
 func (c *seenCache) rotateLocked() {
-	if len(c.cur) < c.max && c.clk.Since(c.rotated) < seenTTL {
+	if len(c.cur) < c.max && (c.clk == nil || c.clk.Since(c.rotated) < seenTTL) {
 		return
 	}
 	c.prev = c.cur
 	c.cur = make(map[crypto.Digest]struct{}, c.max)
-	c.rotated = c.clk.Now()
+	if c.clk != nil {
+		c.rotated = c.clk.Now()
+	}
 }
 
 // has reports whether d was marked within the retention window.

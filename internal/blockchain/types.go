@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,8 +74,8 @@ func (tx *Transaction) signingBytes() crypto.Digest {
 // key's holder can make a second one, ed25519 signatures not being
 // malleable, and it could as well sign a fresh salt). Every call re-derives
 // it from the fields (two framed hashes, no encoding step): the value is
-// deliberately not cached on the struct, because the verified-transaction
-// LRU is keyed by it and a stale ID on a mutated transaction would skip a
+// deliberately not cached on the struct, because the verifier's memo is
+// keyed by it and a stale ID on a mutated transaction would skip a
 // signature check. Code that needs the IDs of a whole block more than once
 // derives them once with txIDs and passes the slice down (see AddBlock).
 func (tx *Transaction) ID() crypto.Digest {
@@ -125,11 +124,11 @@ func NewTransaction(id *crypto.Identity, head uint64, call contract.Call) (Trans
 }
 
 // IdentityRegistry is the permissioned membership of the private chain: the
-// set of component identities allowed to submit transactions.
+// set of component identities allowed to submit transactions. It is fixed
+// at genesis: the map is never written after construction, so reads take no
+// lock.
 type IdentityRegistry struct {
-	mu     sync.RWMutex
 	byName map[string]crypto.PublicIdentity
-	gen    atomic.Uint64
 }
 
 // NewIdentityRegistry builds a registry from the genesis allowlist.
@@ -141,59 +140,39 @@ func NewIdentityRegistry(ids ...crypto.PublicIdentity) *IdentityRegistry {
 	return r
 }
 
-// Add registers an identity (federation membership change). It bumps the
-// registry generation so verified-transaction caches keyed to the previous
-// membership are invalidated.
-func (r *IdentityRegistry) Add(id crypto.PublicIdentity) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byName[id.Name] = id
-	r.gen.Add(1)
-}
-
-// Generation returns a counter that changes whenever the membership does.
-// TxVerifier tags cached verifications with it: a cached "valid" result is
-// only trusted while the membership that produced it is still current.
-func (r *IdentityRegistry) Generation() uint64 { return r.gen.Load() }
-
-// Lookup returns the identity registered under name.
-func (r *IdentityRegistry) Lookup(name string) (crypto.PublicIdentity, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.byName[name]
-	return id, ok
-}
-
 // Len returns the number of registered identities.
-func (r *IdentityRegistry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byName)
-}
+func (r *IdentityRegistry) Len() int { return len(r.byName) }
 
-// sigCheck performs the cheap registry checks (membership, registered-key
-// match) and returns the remaining ed25519 verification as a job that
-// TxVerifier can fan out across its worker pool.
-func (r *IdentityRegistry) sigCheck(tx *Transaction) (crypto.SigCheck, error) {
-	reg, ok := r.Lookup(tx.From)
+// signer performs the cheap registry checks — the sender is a member, and
+// the transaction carries its registered key — and returns the sender's
+// registered identity.
+func (r *IdentityRegistry) signer(tx *Transaction) (crypto.PublicIdentity, error) {
+	reg, ok := r.byName[tx.From]
 	if !ok {
-		return crypto.SigCheck{}, fmt.Errorf("%w: %q", ErrUnknownIdentity, tx.From)
+		return crypto.PublicIdentity{}, fmt.Errorf("%w: %q", ErrUnknownIdentity, tx.From)
 	}
 	if !crypto.ConstantTimeEqual(reg.Key, tx.PubKey) {
-		return crypto.SigCheck{}, fmt.Errorf("%w: public key does not match registered identity %q", ErrBadSignature, tx.From)
+		return crypto.PublicIdentity{}, fmt.Errorf("%w: public key does not match registered identity %q", ErrBadSignature, tx.From)
 	}
-	return crypto.SigCheck{Key: reg.Key, Msg: tx.signingBytes().Bytes(), Sig: tx.Signature}, nil
+	return reg, nil
 }
 
 // VerifyTx checks a transaction's signature against the registry. The public
 // key embedded in the transaction must match the registered key for the
 // claimed sender — a forged key is rejected even if the signature verifies.
 func (r *IdentityRegistry) VerifyTx(tx *Transaction) error {
-	check, err := r.sigCheck(tx)
+	reg, err := r.signer(tx)
 	if err != nil {
 		return err
 	}
-	if !check.Verify() {
+	return checkSignature(reg, tx)
+}
+
+// checkSignature runs the ed25519 check of tx against its sender's
+// registered identity.
+func checkSignature(reg crypto.PublicIdentity, tx *Transaction) error {
+	signed := tx.signingBytes()
+	if !reg.Verify(signed[:], tx.Signature) {
 		return fmt.Errorf("%w: from %q", ErrBadSignature, tx.From)
 	}
 	return nil

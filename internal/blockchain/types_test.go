@@ -57,7 +57,7 @@ func TestVerifyUnknownSender(t *testing.T) {
 	if err := reg.VerifyTx(&tx); !errors.Is(err, ErrUnknownIdentity) {
 		t.Fatalf("got %v", err)
 	}
-	reg.Add(alice.Public())
+	reg = NewIdentityRegistry(alice.Public())
 	if err := reg.VerifyTx(&tx); err != nil {
 		t.Fatal(err)
 	}

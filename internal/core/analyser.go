@@ -153,8 +153,8 @@ func (an *Analyser) SetTracer(t *trace.Tracer) { an.tracer.Store(t) }
 
 // Start begins consuming pdp.response logs and publishing verdicts.
 func (an *Analyser) Start() {
-	events, cancel := an.node.SubscribeEvents(0)
-	an.cancelSub = cancel
+	sub := an.node.Subscribe(0)
+	an.cancelSub = sub.Cancel
 	an.wg.Add(1)
 	go func() {
 		defer an.wg.Done()
@@ -162,7 +162,7 @@ func (an *Analyser) Start() {
 			select {
 			case <-an.stop:
 				return
-			case note, ok := <-events:
+			case note, ok := <-sub.C:
 				if !ok {
 					return
 				}

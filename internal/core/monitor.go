@@ -179,8 +179,8 @@ func traceEventRecord(payload []byte) (traceID, reqID string) {
 
 // Start begins consuming events.
 func (m *Monitor) Start() {
-	events, cancel := m.node.SubscribeEvents(0)
-	m.cancelSub = cancel
+	sub := m.node.Subscribe(0)
+	m.cancelSub = sub.Cancel
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -188,7 +188,7 @@ func (m *Monitor) Start() {
 			select {
 			case <-m.stop:
 				return
-			case note, ok := <-events:
+			case note, ok := <-sub.C:
 				if !ok {
 					return
 				}

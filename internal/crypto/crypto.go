@@ -26,9 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // DigestSize is the size in bytes of a Digest.
@@ -250,63 +247,6 @@ func (p PublicIdentity) Verify(msg, sig []byte) bool {
 // Fingerprint returns a digest identifying the public key.
 func (p PublicIdentity) Fingerprint() Digest {
 	return SumAll([]byte(p.Name), p.Key)
-}
-
-// SigCheck is one ed25519 verification job for VerifyBatch.
-type SigCheck struct {
-	Key ed25519.PublicKey
-	Msg []byte
-	Sig []byte
-}
-
-// Verify runs the single check, guarding against malformed keys.
-func (c SigCheck) Verify() bool {
-	if len(c.Key) != ed25519.PublicKeySize {
-		return false
-	}
-	return ed25519.Verify(c.Key, c.Msg, c.Sig)
-}
-
-// verifyBatchInlineLimit is the batch size below which fanning out costs more
-// than it saves (goroutine wake-up vs ~50µs per ed25519 verification).
-const verifyBatchInlineLimit = 4
-
-// VerifyBatch verifies the checks across at most `workers` goroutines
-// (GOMAXPROCS when workers <= 0) and returns one result per check,
-// index-aligned. Small batches are verified inline on the caller's
-// goroutine. Signature verification is a pure function, so results are
-// identical to calling each check sequentially.
-func VerifyBatch(workers int, checks []SigCheck) []bool {
-	out := make([]bool, len(checks))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(checks) {
-		workers = len(checks)
-	}
-	if workers <= 1 || len(checks) <= verifyBatchInlineLimit {
-		for i, c := range checks {
-			out[i] = c.Verify()
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(checks) {
-					return
-				}
-				out[i] = checks[i].Verify()
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // HMAC computes HMAC-SHA256 of msg under key.

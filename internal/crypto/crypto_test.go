@@ -321,33 +321,3 @@ func TestConstantTimeEqual(t *testing.T) {
 		t.Fatal("unequal slices equal")
 	}
 }
-
-// TestVerifyBatchMatchesSingle checks the fanned-out batch verification
-// agrees with single verification for valid, corrupted, and malformed-key
-// checks, at several worker counts including the inline path.
-func TestVerifyBatchMatchesSingle(t *testing.T) {
-	var seed [32]byte
-	checks := make([]SigCheck, 33)
-	for i := range checks {
-		seed[0] = byte(i)
-		id := NewIdentityFromSeed("batch", seed)
-		msg := []byte{byte(i), byte(i >> 8)}
-		checks[i] = SigCheck{Key: id.Public().Key, Msg: msg, Sig: id.Sign(msg)}
-	}
-	checks[7].Sig[0] ^= 0xFF            // corrupted signature
-	checks[20].Key = checks[20].Key[:5] // malformed key
-	for _, workers := range []int{0, 1, 3, 64} {
-		got := VerifyBatch(workers, checks)
-		for i, c := range checks {
-			if got[i] != c.Verify() {
-				t.Fatalf("workers=%d check %d: batch %v, single %v", workers, i, got[i], c.Verify())
-			}
-		}
-		if got[7] || got[20] {
-			t.Fatalf("workers=%d: invalid checks passed", workers)
-		}
-	}
-	if out := VerifyBatch(4, nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-}

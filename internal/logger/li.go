@@ -177,8 +177,8 @@ func NewLI(cfg LIConfig) (*LI, error) {
 func (li *LI) Start() {
 	li.wg.Add(1)
 	go li.flusher()
-	events, cancel := li.cfg.Node.SubscribeEvents(0)
-	li.cancelSub = cancel
+	sub := li.cfg.Node.Subscribe(0)
+	li.cancelSub = sub.Cancel
 	li.wg.Add(1)
 	go func() {
 		defer li.wg.Done()
@@ -186,7 +186,7 @@ func (li *LI) Start() {
 			select {
 			case <-li.stop:
 				return
-			case note, ok := <-events:
+			case note, ok := <-sub.C:
 				if !ok {
 					return
 				}

@@ -158,8 +158,6 @@ func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 			obs.C("drams_node_events_dropped_total"+l, "Event notifications dropped at full subscriber buffers.", s.EventsDropped),
 			obs.C("drams_node_mining_cancelled_total"+l, "Mining rounds abandoned because the head moved.", s.MiningCancelled),
 			obs.C("drams_node_orphans_resolved_total"+l, "Orphan blocks resolved by ancestor fetch.", s.OrphansResolved),
-			obs.C("drams_node_ingest_batches_total"+l, "Batched gossip admissions.", s.IngestBatches),
-			obs.C("drams_node_ingest_dropped_total"+l, "Gossip submissions dropped by the ingest queue.", s.IngestDropped),
 			obs.C("drams_node_import_dropped_total"+l, "Gossiped block frames dropped by the import queue.", s.ImportDropped),
 			obs.C("drams_node_blocks_persisted_total"+l, "Blocks written to the durable chain store.", s.BlocksPersisted),
 			obs.C("drams_node_persist_errors_total"+l, "Durable store write failures.", s.PersistErrors),
