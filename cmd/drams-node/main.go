@@ -1,20 +1,11 @@
-// drams-node runs DRAMS blockchain nodes in two modes.
-//
-// Cluster-sim mode (default): a local multi-node cluster over netsim that
-// verifies replication invariants live — it mines to a target height under
-// injected network latency, exercises a partition/heal cycle, and checks
-// that every node converges to the same state digest.
-//
-//	drams-node [-nodes 3] [-difficulty 10] [-height 30] [-latency 2ms]
-//
-// Daemon mode (-listen): one real federation process over the TCP
-// transport — a drams.OpenMember of one tenant's cloud, the same assembly
-// an in-process drams.Open runs for every cloud. Each process hosts the
-// chain node, Logging Interface and probing agent of one tenant; the
-// infrastructure tenant's process also hosts the PDP, publishes the policy
-// on-chain, and runs the monitor and analyser. Edge tenant processes host a
-// PEP and (with -requests) drive end-to-end access decisions against the
-// remote PDP. A 3-process loopback federation:
+// drams-node runs one process of a DRAMS federation over the TCP transport:
+// a drams.OpenMember of one tenant's cloud, the same assembly an in-process
+// drams.Open runs for every cloud. -listen and -tenant are required. Each
+// process hosts the chain node, Logging Interface and probing agent of one
+// tenant; the infrastructure tenant's process also hosts the PDP, publishes
+// the policy on-chain, and runs the monitor and analyser. Edge tenant
+// processes host a PEP and (with -requests) drive end-to-end access
+// decisions against the remote PDP. A 3-process loopback federation:
 //
 //	drams-node -listen 127.0.0.1:19701 -tenant infrastructure \
 //	    -federation tenant-1,tenant-2
@@ -30,7 +21,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -46,11 +37,8 @@ import (
 	"drams"
 	"drams/internal/attack"
 	"drams/internal/blockchain"
-	"drams/internal/contract"
 	"drams/internal/core"
-	"drams/internal/crypto"
 	"drams/internal/federation"
-	"drams/internal/netsim"
 	"drams/internal/pap"
 	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
@@ -64,70 +52,63 @@ func main() {
 }
 
 func run() error {
-	nodes := flag.Int("nodes", 3, "cluster-sim: cluster size")
-	difficulty := flag.Int("difficulty", 10, "PoW difficulty (leading zero bits)")
-	height := flag.Uint64("height", 30, "cluster-sim: target chain height")
-	latency := flag.Duration("latency", 2*time.Millisecond, "cluster-sim: simulated network latency")
-
-	listen := flag.String("listen", "", "daemon: host:port to listen on (enables daemon mode)")
-	advertise := flag.String("advertise", "", "daemon: address peers dial to reach this process (required when -listen binds a wildcard host)")
-	join := flag.String("join", "", "daemon: comma-separated peer addresses to connect to")
-	tenant := flag.String("tenant", "", "daemon: tenant this process hosts ('infrastructure' hosts the PDP and mines)")
-	fedList := flag.String("federation", "tenant-1,tenant-2", "daemon: comma-separated edge tenant names of the whole federation")
-	seed := flag.Uint64("seed", 7, "daemon: federation seed (identities and shared key derive from it; must match across processes)")
-	requests := flag.Int("requests", 0, "daemon: access decisions to drive through this tenant's PEP")
-	requestEvery := flag.Duration("request-every", 0, "daemon: keep driving one access decision at this interval until shutdown")
-	mine := flag.Bool("mine", false, "daemon: mine on this node even if it is not the infrastructure process")
-	byzantine := flag.String("byzantine", "", "daemon: adversarial mode for this member's chain node: 'withhold' mines normally but suppresses all outbound block/tx gossip (attack drills)")
-	byzantineAfter := flag.Duration("byzantine-after", 0, "daemon: delay before the -byzantine behaviour engages")
-	emptyBlock := flag.Duration("empty-block", 50*time.Millisecond, "daemon: empty-block cadence")
-	timeoutBlocks := flag.Uint64("timeout-blocks", 64, "daemon: log-match M3 window in blocks (consensus-critical; must match across processes)")
-	requireVerdict := flag.Bool("require-verdict", true, "daemon: demand an analyser verdict per exchange (consensus-critical; must match across processes)")
-	runFor := flag.Duration("run-for", 0, "daemon: exit cleanly after this duration (0 = until signalled)")
-	dataDir := flag.String("data-dir", "", "daemon: directory for the durable chain store; a restarted process re-validates and resumes its persisted chain instead of starting from genesis")
-	policyFile := flag.String("policy-file", "", "daemon: policy-set JSON to publish on-chain as a PAP update (any member may push)")
-	policyAtHeight := flag.Uint64("policy-at-height", 0, "daemon: wait for this local chain height before pushing -policy-file (0 = push immediately)")
-	policyDelta := flag.Uint64("policy-delta", 5, "daemon: activation delay of the -policy-file update, in blocks after submission")
+	difficulty := flag.Int("difficulty", 10, "PoW difficulty in leading zero bits, fixed at genesis (consensus-critical; must match across processes)")
+	listen := flag.String("listen", "", "host:port to listen on (required)")
+	advertise := flag.String("advertise", "", "address peers dial to reach this process (required when -listen binds a wildcard host)")
+	join := flag.String("join", "", "comma-separated peer addresses to connect to")
+	tenant := flag.String("tenant", "", "tenant this process hosts ('infrastructure' hosts the PDP and mines)")
+	fedList := flag.String("federation", "tenant-1,tenant-2", "comma-separated edge tenant names of the whole federation")
+	seed := flag.Uint64("seed", 7, "federation seed (identities and shared key derive from it; must match across processes)")
+	requests := flag.Int("requests", 0, "access decisions to drive through this tenant's PEP")
+	requestEvery := flag.Duration("request-every", 0, "keep driving one access decision at this interval until shutdown")
+	mine := flag.Bool("mine", false, "mine on this node even if it is not the infrastructure process")
+	byzantine := flag.String("byzantine", "", "adversarial mode for this member's chain node: 'withhold' mines normally but suppresses all outbound block/tx gossip (attack drills)")
+	byzantineAfter := flag.Duration("byzantine-after", 0, "delay before the -byzantine behaviour engages")
+	emptyBlock := flag.Duration("empty-block", 50*time.Millisecond, "empty-block cadence")
+	timeoutBlocks := flag.Uint64("timeout-blocks", 64, "log-match M3 window in blocks (consensus-critical; must match across processes)")
+	requireVerdict := flag.Bool("require-verdict", true, "demand an analyser verdict per exchange (consensus-critical; must match across processes)")
+	runFor := flag.Duration("run-for", 0, "exit cleanly after this duration (0 = until signalled)")
+	dataDir := flag.String("data-dir", "", "directory for the durable chain store; a restarted process re-validates and resumes its persisted chain instead of starting from genesis")
+	policyFile := flag.String("policy-file", "", "policy-set JSON to publish on-chain as a PAP update (any member may push)")
+	policyAtHeight := flag.Uint64("policy-at-height", 0, "wait for this local chain height before pushing -policy-file (0 = push immediately)")
+	policyDelta := flag.Uint64("policy-delta", 5, "activation delay of the -policy-file update, in blocks after submission")
 	printPolicy := flag.String("print-policy", "", "print a built-in policy set as JSON and exit: standard:<version> or restricted:<version>")
-	pprofAddr := flag.String("pprof-addr", "", "daemon: serve net/http/pprof on this host:port (empty disables)")
-	metricsAddr := flag.String("metrics-addr", "", "daemon: serve /metrics, /healthz, /readyz (and /debug/pprof/) on this host:port (empty disables)")
-	catchupDelay := flag.Duration("catchup-delay", 0, "daemon: hold the initial chain catch-up for this long after startup (keeps /readyz at 503 long enough for black-box readiness checks)")
+	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this host:port (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz (and /debug/pprof/) on this host:port (empty disables)")
+	catchupDelay := flag.Duration("catchup-delay", 0, "hold the initial chain catch-up for this long after startup (keeps /readyz at 503 long enough for black-box readiness checks)")
 	flag.Parse()
 
 	if *printPolicy != "" {
 		return runPrintPolicy(*printPolicy)
 	}
-	if *listen != "" {
-		if *tenant == "" {
-			return fmt.Errorf("daemon mode needs -tenant")
-		}
-		return runDaemon(daemonConfig{
-			listen:         *listen,
-			advertise:      *advertise,
-			join:           splitList(*join),
-			tenant:         *tenant,
-			edges:          splitList(*fedList),
-			seed:           *seed,
-			difficulty:     uint8(*difficulty),
-			requests:       *requests,
-			requestEvery:   *requestEvery,
-			mine:           *mine,
-			byzantine:      *byzantine,
-			byzantineAfter: *byzantineAfter,
-			emptyBlock:     *emptyBlock,
-			timeoutBlocks:  *timeoutBlocks,
-			requireVerdict: *requireVerdict,
-			runFor:         *runFor,
-			dataDir:        *dataDir,
-			policyFile:     *policyFile,
-			policyAtHeight: *policyAtHeight,
-			policyDelta:    *policyDelta,
-			pprofAddr:      *pprofAddr,
-			metricsAddr:    *metricsAddr,
-			catchupDelay:   *catchupDelay,
-		})
+	if *listen == "" || *tenant == "" {
+		return errors.New("usage: drams-node -listen host:port -tenant name [flags], or drams-node -print-policy name:version")
 	}
-	return runClusterSim(*nodes, *difficulty, *height, *latency)
+	return runDaemon(daemonConfig{
+		listen:         *listen,
+		advertise:      *advertise,
+		join:           splitList(*join),
+		tenant:         *tenant,
+		edges:          splitList(*fedList),
+		seed:           *seed,
+		difficulty:     uint8(*difficulty),
+		requests:       *requests,
+		requestEvery:   *requestEvery,
+		mine:           *mine,
+		byzantine:      *byzantine,
+		byzantineAfter: *byzantineAfter,
+		emptyBlock:     *emptyBlock,
+		timeoutBlocks:  *timeoutBlocks,
+		requireVerdict: *requireVerdict,
+		runFor:         *runFor,
+		dataDir:        *dataDir,
+		policyFile:     *policyFile,
+		policyAtHeight: *policyAtHeight,
+		policyDelta:    *policyDelta,
+		pprofAddr:      *pprofAddr,
+		metricsAddr:    *metricsAddr,
+		catchupDelay:   *catchupDelay,
+	})
 }
 
 // runPrintPolicy emits a built-in policy set as JSON (the smoke test uses
@@ -159,9 +140,6 @@ func splitList(s string) []string {
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Daemon mode: one federation process over TCP.
 
 const infraTenant = "infrastructure"
 
@@ -577,127 +555,4 @@ func driveRequests(client *drams.Client, cfg daemonConfig, logf func(string, ...
 		}
 		decideOnce(0, 20)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Cluster-sim mode (the original behaviour).
-
-func runClusterSim(nodes, difficulty int, height uint64, latency time.Duration) error {
-	var seed [32]byte
-	seed[0] = 1
-	writer := crypto.NewIdentityFromSeed("writer", seed)
-
-	registry := contract.NewRegistry()
-	registry.MustRegister(core.NewLogMatchContract(core.MatchConfig{TimeoutBlocks: 1 << 20}))
-	registry.MustRegister(&contract.KVContract{ContractName: "kv"})
-	registry.MustRegister(&contract.AnchorContract{ContractName: "anchor"})
-
-	net := netsim.New(netsim.Config{BaseLatency: latency, Jitter: latency, Seed: 11})
-	defer net.Close()
-
-	chainCfg := blockchain.Config{
-		Difficulty: uint8(difficulty),
-		Identities: []crypto.PublicIdentity{writer.Public()},
-		Registry:   registry,
-	}
-	var cluster []*blockchain.Node
-	var names []string
-	for i := 0; i < nodes; i++ {
-		names = append(names, fmt.Sprintf("node-%d", i))
-	}
-	for i := 0; i < nodes; i++ {
-		n, err := blockchain.NewNode(blockchain.NodeConfig{
-			Name:               names[i],
-			Chain:              chainCfg,
-			Network:            net,
-			Peers:              names,
-			Mine:               i == 0, // designated producer
-			EmptyBlockInterval: 20 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		defer n.Stop()
-		cluster = append(cluster, n)
-		n.Start()
-	}
-	fmt.Printf("cluster of %d nodes, difficulty %d bits, producer node-0\n", nodes, difficulty)
-
-	// Feed a stream of kv transactions while the chain grows.
-	sender := blockchain.NewSender(cluster[0], writer)
-	go func() {
-		for i := 0; ; i++ {
-			raw, err := json.Marshal(contract.KVArgs{Key: fmt.Sprintf("k%d", i), Value: []byte("v")})
-			if err != nil {
-				return
-			}
-			if _, err := sender.Send(contract.Call{Contract: "kv", Method: "put", Args: raw}); err != nil {
-				return
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-	}()
-
-	waitHeight := func(h uint64, timeout time.Duration) error {
-		deadline := time.Now().Add(timeout)
-		for time.Now().Before(deadline) {
-			if cluster[0].Chain().Height() >= h {
-				return nil
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		return fmt.Errorf("timeout waiting for height %d (at %d)", h, cluster[0].Chain().Height())
-	}
-
-	if err := waitHeight(height/2, 2*time.Minute); err != nil {
-		return err
-	}
-	fmt.Printf("reached height %d — injecting partition {node-0} | {rest}\n", cluster[0].Chain().Height())
-	rest := names[1:]
-	net.Partition(names[:1], rest)
-	time.Sleep(500 * time.Millisecond)
-	fmt.Println("healing partition")
-	net.Heal()
-	for _, n := range cluster[1:] {
-		if err := n.SyncFrom(names[0]); err != nil {
-			fmt.Printf("  %s sync: %v\n", n.Name(), err)
-		}
-	}
-
-	if err := waitHeight(height, 5*time.Minute); err != nil {
-		return err
-	}
-
-	// Convergence check.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		base := cluster[0].Chain().StateDigest()
-		ok := true
-		for _, n := range cluster[1:] {
-			if n.Chain().StateDigest() != base {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("nodes did not converge")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	fmt.Println()
-	fmt.Printf("%-8s %-8s %-10s %-10s %s\n", "node", "height", "mined", "accepted", "state-digest")
-	for _, n := range cluster {
-		st := n.Stats()
-		fmt.Printf("%-8s %-8d %-10d %-10d %s\n",
-			n.Name(), n.Chain().Height(), st.BlocksMined, st.BlocksAccepted,
-			n.Chain().StateDigest().Short())
-	}
-	ns := net.Stats()
-	fmt.Printf("\nnetwork: sent=%d delivered=%d dropped=%d bytes=%d\n", ns.Sent, ns.Delivered, ns.Dropped, ns.Bytes)
-	fmt.Println("cluster converged ✓")
-	return nil
 }

@@ -82,19 +82,23 @@ func TestReadyzHeldUntilLastGate(t *testing.T) {
 
 // TestDaemonCannotHandWireAMember: the daemon assembles its member through
 // drams.OpenMember only. Without these packages it cannot construct a
-// Logging Interface, a store, a collector, a readiness gate or a monitor
-// clock, so a second assembly path cannot grow back here unnoticed.
+// Logging Interface, a store, a collector, a readiness gate, a monitor
+// clock, a simulated network, a contract registry or an identity, so a
+// second assembly path cannot grow back here unnoticed.
 func TestDaemonCannotHandWireAMember(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ImportsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	banned := map[string]bool{
-		"drams/internal/logger":  true,
-		"drams/internal/store":   true,
-		"drams/internal/metrics": true,
-		"drams/internal/obs":     true,
-		"drams/internal/clock":   true,
+		"drams/internal/logger":   true,
+		"drams/internal/store":    true,
+		"drams/internal/metrics":  true,
+		"drams/internal/obs":      true,
+		"drams/internal/clock":    true,
+		"drams/internal/netsim":   true,
+		"drams/internal/contract": true,
+		"drams/internal/crypto":   true,
 	}
 	for _, imp := range file.Imports {
 		path, err := strconv.Unquote(imp.Path.Value)

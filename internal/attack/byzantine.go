@@ -178,7 +178,7 @@ func ForgeConflictingRecord(view *blockchain.Chain, id *crypto.Identity, victimT
 // chain-level equivocation primitive. The siblings carry different
 // transaction sets (and skewed timestamps, so two empty siblings still get
 // distinct hashes); the caller delivers each to a different peer subset via
-// DeliverBlock. Mining runs at the chain's scheduled difficulty with fixed
+// DeliverBlock. Mining runs at the chain's difficulty with fixed
 // attacker seeds, so the blocks are fully valid under honest validation.
 func DoubleMine(ctx context.Context, view *blockchain.Chain, miner string, txsA, txsB []blockchain.Transaction) (*blockchain.Block, *blockchain.Block, error) {
 	parentHash, parentHeight := view.Head()
@@ -189,7 +189,7 @@ func DoubleMine(ctx context.Context, view *blockchain.Chain, miner string, txsA,
 				PrevHash:     parentHash,
 				MerkleRoot:   blockchain.ComputeMerkleRoot(txs),
 				TimeUnixNano: time.Now().UnixNano() + skew,
-				Difficulty:   view.NextDifficulty(),
+				Difficulty:   view.Config().Difficulty,
 				Miner:        miner,
 			},
 			Txs: txs,

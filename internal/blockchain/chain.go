@@ -3,7 +3,6 @@ package blockchain
 import (
 	"bytes"
 	"fmt"
-	"math/big"
 	"sync"
 	"time"
 
@@ -15,22 +14,13 @@ import (
 	"drams/internal/store"
 )
 
-// Config are the consensus parameters of a private DRAMS chain. Every node
-// of one federation must be constructed with identical values.
+// Config are the consensus parameters of a private DRAMS chain, fixed at
+// genesis. Every node of one federation must be constructed with identical
+// values.
 type Config struct {
-	// Difficulty is the initial PoW difficulty in leading zero bits.
+	// Difficulty is the PoW difficulty in leading zero bits that every
+	// block carries.
 	Difficulty uint8
-	// MinDifficulty/MaxDifficulty clamp automatic retargeting.
-	MinDifficulty, MaxDifficulty uint8
-	// TargetBlockTime is the desired block interval for retargeting.
-	TargetBlockTime time.Duration
-	// RetargetInterval is the number of blocks between difficulty
-	// adjustments; 0 disables retargeting.
-	RetargetInterval uint64
-	// MaxTxPerBlock caps block size.
-	MaxTxPerBlock int
-	// GenesisTime timestamps the genesis block; all nodes must agree.
-	GenesisTime time.Time
 	// Identities is the permissioned allowlist of transaction senders.
 	Identities []crypto.PublicIdentity
 	// Registry holds the deployed contracts.
@@ -39,24 +29,16 @@ type Config struct {
 	Clock clock.Clock
 }
 
+// Genesis constants, the same on every member: the most transactions a
+// block may carry, and the genesis block's timestamp.
+const (
+	maxTxPerBlock   = 256
+	genesisUnixNano = 1_700_000_000 * int64(time.Second)
+)
+
 func (c Config) withDefaults() Config {
 	if c.Difficulty == 0 {
 		c.Difficulty = 10
-	}
-	if c.MinDifficulty == 0 {
-		c.MinDifficulty = 1
-	}
-	if c.MaxDifficulty == 0 {
-		c.MaxDifficulty = 30
-	}
-	if c.TargetBlockTime == 0 {
-		c.TargetBlockTime = 200 * time.Millisecond
-	}
-	if c.MaxTxPerBlock == 0 {
-		c.MaxTxPerBlock = 256
-	}
-	if c.GenesisTime.IsZero() {
-		c.GenesisTime = time.Unix(1700000000, 0).UTC()
 	}
 	if c.Registry == nil {
 		c.Registry = contract.NewRegistry()
@@ -82,7 +64,6 @@ type Chain struct {
 	mu        sync.RWMutex
 	blocks    map[crypto.Digest]*Block
 	blockIDs  map[crypto.Digest][]crypto.Digest // each block's tx IDs, index-aligned
-	work      map[crypto.Digest]*big.Int        // cumulative work incl. block
 	genesis   crypto.Digest
 	head      crypto.Digest
 	bestChain []crypto.Digest // index = height
@@ -90,7 +71,6 @@ type Chain struct {
 	receipts  map[crypto.Digest]Receipt
 	emitted   map[crypto.Digest]bool
 	abandoned []Transaction // of blocks reorganised away, until TakeAbandoned
-	override  uint8         // manual difficulty override, 0 = none
 
 	sink     EventSink
 	headSubs map[int]chan struct{}
@@ -111,7 +91,6 @@ func NewChain(cfg Config) *Chain {
 		clk:      cfg.Clock,
 		blocks:   make(map[crypto.Digest]*Block),
 		blockIDs: make(map[crypto.Digest][]crypto.Digest),
-		work:     make(map[crypto.Digest]*big.Int),
 		state:    contract.NewState(),
 		receipts: make(map[crypto.Digest]Receipt),
 		emitted:  make(map[crypto.Digest]bool),
@@ -120,13 +99,12 @@ func NewChain(cfg Config) *Chain {
 	c.verifier = NewTxVerifier(c.ids, VerifierConfig{})
 	gen := &Block{Header: BlockHeader{
 		Height:       0,
-		TimeUnixNano: cfg.GenesisTime.UnixNano(),
+		TimeUnixNano: genesisUnixNano,
 		Difficulty:   cfg.Difficulty,
 		Miner:        "genesis",
 	}}
 	gh := gen.Hash()
 	c.blocks[gh] = gen
-	c.work[gh] = big.NewInt(0)
 	c.genesis = gh
 	c.head = gh
 	c.bestChain = []crypto.Digest{gh}
@@ -150,15 +128,6 @@ func (c *Chain) SetEventSink(sink EventSink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sink = sink
-}
-
-// SetDifficultyOverride forces the difficulty of all future blocks. In a
-// real deployment this is a coordinated governance action; experiments use
-// it to sweep PoW parameters (§III). Zero restores the schedule.
-func (c *Chain) SetDifficultyOverride(d uint8) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.override = d
 }
 
 // Genesis returns the genesis block hash.
@@ -195,54 +164,6 @@ func (c *Chain) BlockByHeight(height uint64) (*Block, bool) {
 		return nil, false
 	}
 	return c.blocks[c.bestChain[height]], true
-}
-
-// TotalWork returns the cumulative work of the best chain.
-func (c *Chain) TotalWork() *big.Int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return new(big.Int).Set(c.work[c.head])
-}
-
-// NextDifficulty returns the difficulty required for a child of the current
-// head.
-func (c *Chain) NextDifficulty() uint8 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.expectedDifficultyLocked(c.blocks[c.head])
-}
-
-// expectedDifficultyLocked computes the difficulty a child of parent must
-// carry, following the retargeting schedule. Caller holds at least RLock.
-func (c *Chain) expectedDifficultyLocked(parent *Block) uint8 {
-	if c.override != 0 {
-		return c.override
-	}
-	cur := parent.Header.Difficulty
-	interval := c.cfg.RetargetInterval
-	nextHeight := parent.Header.Height + 1
-	if interval == 0 || nextHeight < interval || nextHeight%interval != 0 {
-		return cur
-	}
-	// Walk back `interval` blocks along this branch to find the window start.
-	ancestor := parent
-	for i := uint64(0); i < interval-1; i++ {
-		p, ok := c.blocks[ancestor.Header.PrevHash]
-		if !ok {
-			return cur
-		}
-		ancestor = p
-	}
-	actual := time.Duration(parent.Header.TimeUnixNano - ancestor.Header.TimeUnixNano)
-	target := c.cfg.TargetBlockTime * time.Duration(interval)
-	next := cur
-	switch {
-	case actual < target/2 && cur < c.cfg.MaxDifficulty:
-		next = cur + 1
-	case actual > target*2 && cur > c.cfg.MinDifficulty:
-		next = cur - 1
-	}
-	return next
 }
 
 // TakeAbandoned returns, once, the transactions of the blocks that
@@ -301,7 +222,7 @@ func (c *Chain) SubscribeHead() (<-chan struct{}, func()) {
 }
 
 // AddBlock validates and inserts a block, switching the best chain if the
-// new branch carries more work. It returns ErrOrphanBlock when the parent is
+// new branch is longer. It returns ErrOrphanBlock when the parent is
 // unknown (callers should sync ancestors) and ErrKnownBlock for duplicates.
 func (c *Chain) AddBlock(b *Block) error {
 	hash := b.Hash()
@@ -313,10 +234,6 @@ func (c *Chain) AddBlock(b *Block) error {
 	c.mu.RLock()
 	_, known := c.blocks[hash]
 	parent, haveParent := c.blocks[b.Header.PrevHash]
-	var wantDifficulty uint8
-	if haveParent {
-		wantDifficulty = c.expectedDifficultyLocked(parent)
-	}
 	c.mu.RUnlock()
 	if known {
 		return ErrKnownBlock
@@ -327,14 +244,14 @@ func (c *Chain) AddBlock(b *Block) error {
 	if b.Header.Height != parent.Header.Height+1 {
 		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
 	}
-	if b.Header.Difficulty != wantDifficulty {
-		return fmt.Errorf("%w: have %d, want %d at height %d", ErrBadDifficulty, b.Header.Difficulty, wantDifficulty, b.Header.Height)
+	if b.Header.Difficulty != c.cfg.Difficulty {
+		return fmt.Errorf("%w: have %d, want %d at height %d", ErrBadDifficulty, b.Header.Difficulty, c.cfg.Difficulty, b.Header.Height)
 	}
 	if !b.Header.MeetsDifficulty() {
 		return fmt.Errorf("%w: block %s at difficulty %d", ErrBadPoW, hash.Short(), b.Header.Difficulty)
 	}
-	if len(b.Txs) > c.cfg.MaxTxPerBlock {
-		return fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), c.cfg.MaxTxPerBlock)
+	if len(b.Txs) > maxTxPerBlock {
+		return fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), maxTxPerBlock)
 	}
 	// The transaction IDs are derived here, once per import, and handed to
 	// everything below that needs them: the Merkle check, the verifier's
@@ -398,36 +315,28 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest
 	if b.Header.Height != parent.Header.Height+1 {
 		return nil, fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
 	}
-	if want := c.expectedDifficultyLocked(parent); b.Header.Difficulty != want {
-		return nil, fmt.Errorf("%w: have %d, want %d at height %d", ErrBadDifficulty, b.Header.Difficulty, want, b.Header.Height)
-	}
-	if !b.Header.MeetsDifficulty() {
-		return nil, fmt.Errorf("%w: block %s at difficulty %d", ErrBadPoW, hash.Short(), b.Header.Difficulty)
-	}
-	if len(b.Txs) > c.cfg.MaxTxPerBlock {
-		return nil, fmt.Errorf("blockchain: block %s has %d txs, max %d", hash.Short(), len(b.Txs), c.cfg.MaxTxPerBlock)
-	}
-	// Transaction signatures were verified in AddBlock, outside the lock.
+	// Difficulty, PoW and size depend on b alone and were checked in
+	// AddBlock, as were the transaction signatures, outside the lock.
 	if err := c.checkReplayLocked(b, ids); err != nil {
 		return nil, fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
 	}
 
 	c.blocks[hash] = b
 	c.blockIDs[hash] = ids
-	c.work[hash] = new(big.Int).Add(c.work[b.Header.PrevHash], workOf(b.Header.Difficulty))
 
-	if !c.betterThanHeadLocked(hash) {
+	if !c.betterThanHeadLocked(b, hash) {
 		return nil, nil // valid side-branch block; kept for future fork choice
 	}
 	return c.reorgToLocked(hash)
 }
 
-// betterThanHeadLocked implements fork choice: more cumulative work wins;
-// ties break toward the lexicographically smaller hash for determinism.
-func (c *Chain) betterThanHeadLocked(hash crypto.Digest) bool {
-	cmp := c.work[hash].Cmp(c.work[c.head])
-	if cmp != 0 {
-		return cmp > 0
+// betterThanHeadLocked implements fork choice. Every block carries the one
+// genesis difficulty, so the branch with the most work is the longest: the
+// greater height wins, and ties break toward the lexicographically smaller
+// hash for determinism.
+func (c *Chain) betterThanHeadLocked(b *Block, hash crypto.Digest) bool {
+	if h, head := b.Header.Height, c.blocks[c.head].Header.Height; h != head {
+		return h > head
 	}
 	return bytes.Compare(hash[:], c.head[:]) < 0
 }
@@ -605,10 +514,6 @@ func (c *Chain) notifyHeadLocked() {
 		default:
 		}
 	}
-}
-
-func workOf(difficulty uint8) *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), uint(difficulty))
 }
 
 // BestChainHashes returns the hashes of the best chain from genesis to head.

@@ -34,10 +34,9 @@ func testChainConfig(t testing.TB, ids ...*crypto.Identity) Config {
 		pubs[i] = id.Public()
 	}
 	return Config{
-		Difficulty:  4,
-		Identities:  pubs,
-		Registry:    reg,
-		GenesisTime: time.Unix(1700000000, 0),
+		Difficulty: 4,
+		Identities: pubs,
+		Registry:   reg,
 	}
 }
 
@@ -53,16 +52,13 @@ func mineChild(t testing.TB, c *Chain, parent crypto.Digest, txs ...Transaction)
 	if !ok {
 		t.Fatalf("parent %s unknown", parent.Short())
 	}
-	c.mu.RLock()
-	diff := c.expectedDifficultyLocked(pb)
-	c.mu.RUnlock()
 	b := &Block{
 		Header: BlockHeader{
 			Height:       pb.Header.Height + 1,
 			PrevHash:     parent,
 			MerkleRoot:   ComputeMerkleRoot(txs),
 			TimeUnixNano: pb.Header.TimeUnixNano + int64(100*time.Millisecond),
-			Difficulty:   diff,
+			Difficulty:   c.Config().Difficulty,
 			Miner:        "test-miner",
 		},
 		Txs: txs,
@@ -81,9 +77,6 @@ func TestGenesis(t *testing.T) {
 	}
 	if hash != c.Genesis() {
 		t.Fatal("head is not genesis")
-	}
-	if c.TotalWork().Sign() != 0 {
-		t.Fatal("genesis carries work")
 	}
 	// Two chains with the same config share a genesis.
 	c2 := NewChain(testChainConfig(t))
@@ -383,7 +376,7 @@ func TestContestedKeyInOneBlockFirstWriterOwns(t *testing.T) {
 	}
 }
 
-func TestForkChoiceHeaviestWork(t *testing.T) {
+func TestForkChoiceLongestChain(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	c := NewChain(testChainConfig(t, alice))
 	txA, _ := NewTransaction(alice, 1, putCall("branch", "A"))
@@ -399,13 +392,13 @@ func TestForkChoiceHeaviestWork(t *testing.T) {
 		t.Fatal("head should be a1")
 	}
 
-	// Branch B: two blocks from genesis → more work → reorg.
+	// Branch B: two blocks from genesis → longer → reorg.
 	b1 := mineChild(t, c, c.Genesis(), txB)
 	// b1 must differ from a1; different tx content guarantees it.
 	if err := c.AddBlock(b1); err != nil {
 		t.Fatal(err)
 	}
-	// Equal work: head must be the tie-break winner (lexicographically
+	// Equal height: head must be the tie-break winner (lexicographically
 	// smaller hash), whichever branch that is.
 	a1h, b1h := a1.Hash(), b1.Hash()
 	wantTie := a1h
@@ -413,7 +406,7 @@ func TestForkChoiceHeaviestWork(t *testing.T) {
 		wantTie = b1h
 	}
 	if h, _ := c.Head(); h != wantTie {
-		t.Fatalf("equal-work tie break: head %s, want %s", h.Short(), wantTie.Short())
+		t.Fatalf("equal-height tie break: head %s, want %s", h.Short(), wantTie.Short())
 	}
 	tx2, _ := NewTransaction(alice, 2, putCall("extra", "x"))
 	b2 := mineChild(t, c, b1.Hash(), tx2)
@@ -473,74 +466,19 @@ func TestEqualWorkTieBreakDeterministic(t *testing.T) {
 	}
 }
 
+// TestDifficultyScheduleValidated: a block is valid only at the chain's
+// one difficulty. An easier block is rejected, and so is a harder one: were
+// it accepted, a branch could outweigh a longer one and fork choice by
+// height would no longer pick the branch with the most work.
 func TestDifficultyScheduleValidated(t *testing.T) {
 	c := NewChain(testChainConfig(t))
-	b := mineChild(t, c, c.Genesis())
-	b.Header.Difficulty = 2 // easier than scheduled 4
-	_ = Mine(context.Background(), b, 0)
-	if err := c.AddBlock(b); !errors.Is(err, ErrBadDifficulty) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestDifficultyOverride(t *testing.T) {
-	c := NewChain(testChainConfig(t))
-	c.SetDifficultyOverride(6)
-	if got := c.NextDifficulty(); got != 6 {
-		t.Fatalf("NextDifficulty = %d", got)
-	}
-	b := mineChild(t, c, c.Genesis())
-	if b.Header.Difficulty != 6 {
-		t.Fatalf("mined difficulty = %d", b.Header.Difficulty)
-	}
-	if err := c.AddBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	c.SetDifficultyOverride(0)
-	if got := c.NextDifficulty(); got != 6 {
-		// With override cleared the schedule uses the parent's difficulty.
-		t.Fatalf("NextDifficulty after clear = %d, want parent's 6", got)
-	}
-}
-
-func TestRetargetingRaisesDifficultyWhenBlocksTooFast(t *testing.T) {
-	cfg := testChainConfig(t)
-	cfg.RetargetInterval = 4
-	cfg.TargetBlockTime = time.Second // our synthetic timestamps are 100ms apart → too fast
-	c := NewChain(cfg)
-	parent := c.Genesis()
-	for i := 0; i < 3; i++ {
-		b := mineChild(t, c, parent)
-		if err := c.AddBlock(b); err != nil {
-			t.Fatal(err)
+	for _, d := range []uint8{2, 6} { // the chain's is 4
+		b := mineChild(t, c, c.Genesis())
+		b.Header.Difficulty = d
+		_ = Mine(context.Background(), b, 0)
+		if err := c.AddBlock(b); !errors.Is(err, ErrBadDifficulty) {
+			t.Fatalf("difficulty %d: got %v", d, err)
 		}
-		parent = b.Hash()
-	}
-	// Height 4 is a retarget boundary; blocks are 100ms apart vs 1s target.
-	if got := c.NextDifficulty(); got != 5 {
-		t.Fatalf("retarget difficulty = %d, want 5", got)
-	}
-	b4 := mineChild(t, c, parent)
-	if b4.Header.Difficulty != 5 {
-		t.Fatalf("block difficulty = %d", b4.Header.Difficulty)
-	}
-	if err := c.AddBlock(b4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRetargetingLowersDifficultyWhenBlocksTooSlow(t *testing.T) {
-	cfg := testChainConfig(t)
-	cfg.RetargetInterval = 2
-	cfg.TargetBlockTime = time.Millisecond // 100ms synthetic spacing → too slow
-	cfg.MinDifficulty = 1
-	c := NewChain(cfg)
-	b1 := mineChild(t, c, c.Genesis())
-	if err := c.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NextDifficulty(); got != 3 {
-		t.Fatalf("difficulty = %d, want 3", got)
 	}
 }
 

@@ -23,8 +23,6 @@ const (
 	kindBlock    = "bc.block"
 	kindGetRange = "bc.getrange"
 	kindHead     = "bc.head"
-	kindSubmit   = "bc.submit"
-	kindHello    = "bc.hello"
 )
 
 // WireTx and WireBlock name the gossip frame kinds on the wire. They are
@@ -49,10 +47,9 @@ type NodeConfig struct {
 	// Network connects the node to its peers. Any transport backend works:
 	// netsim.Network in-process, transport/tcp across processes.
 	Network transport.Transport
-	// Peers are the addresses gossip goes to. Empty means "discover chain
-	// peers dynamically": the node announces itself with a bc.hello
-	// handshake and gossips only to nodes that answered, so PEP/PDP/logger
-	// endpoints sharing the transport never see bc.* frames.
+	// Peers are the chain nodes gossip goes to, fixed for the node's
+	// lifetime, so PEP/PDP/logger endpoints sharing the transport never see
+	// bc.* frames. Empty means a lone node.
 	Peers []string
 	// Mine enables the mining loop.
 	Mine bool
@@ -63,10 +60,6 @@ type NodeConfig struct {
 	// SyncDepth bounds how many ancestors are fetched when resolving an
 	// orphan block (default 10 000).
 	SyncDepth int
-	// RebroadcastInterval re-gossips pending transactions periodically so
-	// that txs stranded by a partition reach the block producers after
-	// healing. Default 250ms; negative disables.
-	RebroadcastInterval time.Duration
 	// Store, when set, makes the chain durable: persisted blocks are
 	// replayed (with full validation) at construction, a damaged tail is
 	// truncated, and every block that joins the best chain afterwards is
@@ -138,10 +131,6 @@ type Node struct {
 	pool  *Mempool
 	ep    transport.Endpoint
 	clk   clock.Clock
-
-	peerMu    sync.Mutex
-	chainPeer map[string]struct{} // discovered via bc.hello (Peers empty)
-	helloed   int                 // address count at the last hello broadcast
 
 	// ctx is the node's lifetime: Stop cancels it, which ends the loops
 	// (stop is ctx.Done()) and aborts catch-up calls still in flight.
@@ -287,19 +276,18 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:       cfg,
-		chain:     chain,
-		pool:      NewMempool(0),
-		ep:        ep,
-		clk:       cfg.Chain.withDefaults().Clock,
-		ctx:       ctx,
-		cancel:    cancel,
-		stop:      ctx.Done(),
-		newTx:     make(chan struct{}, 1),
-		imports:   make(chan inboundBlock, importQueue),
-		pulling:   make(chan struct{}, 1),
-		subs:      make(map[int]*eventSub),
-		chainPeer: make(map[string]struct{}),
+		cfg:     cfg,
+		chain:   chain,
+		pool:    NewMempool(0),
+		ep:      ep,
+		clk:     chain.clk,
+		ctx:     ctx,
+		cancel:  cancel,
+		stop:    ctx.Done(),
+		newTx:   make(chan struct{}, 1),
+		imports: make(chan inboundBlock, importQueue),
+		pulling: make(chan struct{}, 1),
+		subs:    make(map[int]*eventSub),
 	}
 	n.seenTx = newSeenCache(seenCacheSize, n.clk)
 	n.reloaded.Add(int64(reloaded))
@@ -311,70 +299,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	go n.importLoop()
 	ep.OnMessage(kindTx, n.handleTxGossip)
 	ep.OnMessage(kindBlock, n.handleBlockGossip)
-	ep.OnMessage(kindHello, n.handleHello)
 	ep.OnCall(kindGetRange, n.handleGetRange)
 	ep.OnCall(kindHead, n.handleHead)
-	ep.OnCall(kindSubmit, n.handleSubmit)
-	if len(cfg.Peers) == 0 {
-		// No static peer table: announce ourselves so existing chain nodes
-		// learn us (and answer, so we learn them). The handshake is the
-		// only bc.* frame non-node endpoints ever receive; all subsequent
-		// gossip is scoped to discovered chain peers. On multi-process
-		// transports addresses appear asynchronously, so rebroadcastLoop
-		// re-announces whenever the address set changes (see reHello).
-		n.helloed = len(cfg.Network.Addresses())
-		ep.Broadcast(kindHello, []byte{helloSyn})
-	}
 	return n, nil
-}
-
-// reHello re-broadcasts the discovery announcement when the transport's
-// address set changed since the last hello — on multi-process transports
-// peer processes (and their node endpoints) become routable long after
-// NewNode's initial broadcast. Quiescent once the membership is stable.
-func (n *Node) reHello() {
-	if len(n.cfg.Peers) != 0 {
-		return
-	}
-	count := len(n.cfg.Network.Addresses())
-	n.peerMu.Lock()
-	changed := count != n.helloed
-	n.helloed = count
-	n.peerMu.Unlock()
-	if changed {
-		n.ep.Broadcast(kindHello, []byte{helloSyn})
-	}
-}
-
-// bc.hello payload flags.
-const (
-	helloSyn byte = 1 // "I just joined, please answer"
-	helloAck byte = 2 // targeted answer; no further reply needed
-)
-
-// handleHello records a chain peer discovered via the bc.hello handshake and
-// answers syn announcements so the newcomer learns this node too.
-func (n *Node) handleHello(from string, payload []byte) {
-	if from == n.cfg.Name {
-		return
-	}
-	n.peerMu.Lock()
-	n.chainPeer[from] = struct{}{}
-	n.peerMu.Unlock()
-	if len(payload) > 0 && payload[0] == helloSyn {
-		_ = n.ep.Send(from, kindHello, []byte{helloAck})
-	}
-}
-
-// discoveredPeers snapshots the bc.hello peer set.
-func (n *Node) discoveredPeers() []string {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	out := make([]string, 0, len(n.chainPeer))
-	for p := range n.chainPeer {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Chain exposes the node's chain view.
@@ -410,17 +337,6 @@ func (n *Node) CaughtUp(lag uint64) bool {
 	return n.chain.Height()+lag >= n.bestSeen.Load()
 }
 
-// ProbeHead asks peer for its best-chain tip, folding the answer into the
-// best-seen-height watermark, and returns the claimed height. Readiness
-// probes use it to learn the fleet head without pulling any blocks.
-func (n *Node) ProbeHead(peer string) (uint64, error) {
-	hi, err := n.fetchHead(peer)
-	if err != nil {
-		return 0, err
-	}
-	return hi.Height, nil
-}
-
 // Stats snapshots the node counters.
 func (n *Node) Stats() NodeStats {
 	persist := n.chain.PersistStats()
@@ -453,27 +369,25 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.mineLoop()
 	}
-	interval := n.cfg.RebroadcastInterval
-	if interval == 0 {
-		interval = 250 * time.Millisecond
-	}
-	if interval > 0 {
-		n.wg.Add(1)
-		go n.rebroadcastLoop(interval)
-	}
+	n.wg.Add(1)
+	go n.rebroadcastLoop()
 }
+
+// rebroadcastInterval is how often pending transactions are gossiped again,
+// so that transactions stranded by a partition reach the block producers
+// after healing.
+const rebroadcastInterval = 250 * time.Millisecond
 
 // rebroadcastLoop periodically re-gossips pending transactions; duplicate
 // floods are suppressed by receivers' mempools (ErrKnownTx).
-func (n *Node) rebroadcastLoop(interval time.Duration) {
+func (n *Node) rebroadcastLoop() {
 	defer n.wg.Done()
 	for {
 		select {
 		case <-n.stop:
 			return
-		case <-n.clk.After(interval):
+		case <-n.clk.After(rebroadcastInterval):
 		}
-		n.reHello()
 		for _, tx := range n.pool.All(256) {
 			n.gossip(kindTx, EncodeTx(tx), "")
 		}
@@ -619,19 +533,13 @@ func (n *Node) fanout(height uint64, events []contract.Event) {
 	}
 }
 
-// gossip fans a frame out to the chain peer set: the static Peers table when
-// configured, otherwise the peers discovered through the bc.hello handshake.
-// Either way gossip never sprays non-node endpoints (PEPs, PDP, loggers)
-// that share the transport.
+// gossip fans a frame out to the static Peers set, so it never sprays
+// non-node endpoints (PEPs, PDP, loggers) that share the transport.
 func (n *Node) gossip(kind string, payload []byte, except string) {
 	if box := n.gossipFilter.Load(); box != nil && !box.fn(kind, payload) {
 		return
 	}
-	peers := n.cfg.Peers
-	if len(peers) == 0 {
-		peers = n.discoveredPeers()
-	}
-	for _, p := range peers {
+	for _, p := range n.cfg.Peers {
 		if p == except || p == n.cfg.Name {
 			continue
 		}
@@ -740,19 +648,6 @@ func (n *Node) handleHead(from string, payload []byte) ([]byte, error) {
 	return json.Marshal(headInfo{Hash: hash, Height: height})
 }
 
-// handleSubmit accepts a client-submitted transaction over the network.
-func (n *Node) handleSubmit(from string, payload []byte) ([]byte, error) {
-	tx, err := DecodeTx(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.SubmitTx(tx); err != nil {
-		return nil, err
-	}
-	id := tx.ID()
-	return id.Bytes(), nil
-}
-
 // headAge reports how long ago the current head block was produced. A
 // fresh chain (only genesis, whose timestamp is a fixed past instant)
 // reports a large age, which correctly kick-starts empty-block production.
@@ -787,7 +682,7 @@ func (n *Node) mineLoop() {
 		// imported meanwhile can only make this candidate a valid sibling,
 		// and the head signal cancels its attempt.
 		parentHash, parentHeight := n.chain.Head()
-		txs := n.pool.Collect(n.chain.Config().MaxTxPerBlock, n.chain, parentHash)
+		txs := n.pool.Collect(maxTxPerBlock, n.chain, parentHash)
 		if box := n.collectFilter.Load(); box != nil {
 			txs = box.fn(txs)
 		}
@@ -826,7 +721,7 @@ func (n *Node) mineLoop() {
 				PrevHash:     parentHash,
 				MerkleRoot:   ComputeMerkleRoot(txs),
 				TimeUnixNano: n.clk.Now().UnixNano(),
-				Difficulty:   n.chain.NextDifficulty(),
+				Difficulty:   n.chain.cfg.Difficulty,
 				Miner:        n.cfg.Name,
 			},
 			Txs: txs,

@@ -12,19 +12,23 @@ import (
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/netsim"
-	"drams/internal/transport/tcp"
 )
 
 // testCluster spins up n mining nodes sharing a network and identity set.
 func testCluster(t *testing.T, n int, ids ...*crypto.Identity) ([]*Node, *netsim.Network) {
 	t.Helper()
 	net := netsim.New(netsim.Config{BaseLatency: time.Millisecond, Jitter: time.Millisecond, Seed: 42})
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("node-%d", i)
+	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(NodeConfig{
-			Name:    fmt.Sprintf("node-%d", i),
+			Name:    names[i],
 			Chain:   testChainConfig(t, ids...),
 			Network: net,
+			Peers:   names,
 			Mine:    true,
 		})
 		if err != nil {
@@ -83,17 +87,7 @@ func TestClusterConvergence(t *testing.T) {
 	nodes, _ := testCluster(t, 3, alice)
 
 	// One sender's transactions through different nodes at once: none waits
-	// for another. Submit once the bc.hello handshakes have linked the
-	// peers; the nodes mine no empty blocks, so nothing would carry a block
-	// mined before that to the others.
-	waitFor(t, 10*time.Second, func() bool {
-		for _, n := range nodes {
-			if len(n.discoveredPeers()) != len(nodes)-1 {
-				return false
-			}
-		}
-		return true
-	}, "peers never discovered each other")
+	// for another.
 	var txs []Transaction
 	for i := 1; i <= 6; i++ {
 		tx, _ := NewTransaction(alice, 0, putCall(fmt.Sprintf("k%d", i), "v"))
@@ -120,11 +114,12 @@ func TestGossipReachesNonMiningNode(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Seed: 7})
 	defer net.Close()
-	miner, err := NewNode(NodeConfig{Name: "miner", Chain: testChainConfig(t, alice), Network: net, Mine: true})
+	peers := []string{"miner", "observer"}
+	miner, err := NewNode(NodeConfig{Name: "miner", Chain: testChainConfig(t, alice), Network: net, Peers: peers, Mine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observer, err := NewNode(NodeConfig{Name: "observer", Chain: testChainConfig(t, alice), Network: net, Mine: false})
+	observer, err := NewNode(NodeConfig{Name: "observer", Chain: testChainConfig(t, alice), Network: net, Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,31 +313,6 @@ func TestSubmitRejectsUnknownIdentity(t *testing.T) {
 	}
 }
 
-func TestNetworkSubmitEndpoint(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	nodes, net := testCluster(t, 1, alice)
-	client, err := net.Register("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := client.Call(ctx, "node-0", "bc.submit", EncodeTx(tx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := tx.ID()
-	if string(resp) != string(id.Bytes()) {
-		t.Fatal("submit response is not the tx id")
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if _, err := nodes[0].WaitForReceipt(wctx, tx.ID(), 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLateJoinerSyncs(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	nodes, net := testCluster(t, 1, alice)
@@ -399,10 +369,6 @@ func TestMixedWireGossipConverges(t *testing.T) {
 		}
 	}
 
-	// Submit only once the bc.hello handshakes have linked the peers.
-	waitFor(t, 10*time.Second, func() bool {
-		return len(nodes[0].discoveredPeers()) > 0 && len(nodes[1].discoveredPeers()) > 0
-	}, "peers never discovered each other")
 	tx, err := NewTransaction(alice, 1, putCall("from-bin-peer", "a"))
 	if err != nil {
 		t.Fatal(err)
@@ -427,9 +393,8 @@ func TestMixedWireGossipConverges(t *testing.T) {
 }
 
 func TestGossipScopedToChainPeers(t *testing.T) {
-	// With Peers empty, gossip must go only to chain peers discovered via
-	// the bc.hello handshake — never sprayed at unrelated endpoints (PEPs,
-	// PDP, logger faces) sharing the transport.
+	// Gossip goes only to the static Peers list — never sprayed at
+	// unrelated endpoints (PEPs, PDP, logger faces) sharing the transport.
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Synchronous: true, Seed: 9})
 	defer net.Close()
@@ -441,19 +406,22 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep.OnDefault(func(msg netsim.Message) {
-			if strings.HasPrefix(msg.Kind, "bc.") && msg.Kind != "bc.hello" {
+			if strings.HasPrefix(msg.Kind, "bc.") {
 				stray.Add(1)
 			}
 		})
 	}
 
+	// The nodes are not started: handlers run from construction, and no
+	// rebroadcast loop adds sends, which keeps the message count exact.
+	names := []string{"node-0", "node-1", "node-2"}
 	var nodes []*Node
-	for i := 0; i < 3; i++ {
+	for _, name := range names {
 		n, err := NewNode(NodeConfig{
-			Name:                fmt.Sprintf("node-%d", i),
-			Chain:               testChainConfig(t, alice),
-			Network:             net,
-			RebroadcastInterval: -1, // keep the message count deterministic
+			Name:    name,
+			Chain:   testChainConfig(t, alice),
+			Network: net,
+			Peers:   names,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -461,11 +429,6 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 		defer n.Stop()
 		nodes = append(nodes, n)
 	}
-	for _, n := range nodes {
-		n.Start()
-	}
-
-	// Synchronous delivery: hello discovery has converged by now.
 	base := net.Stats()
 
 	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
@@ -487,57 +450,6 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 	if delta > 6 {
 		t.Fatalf("tx flood used %d sends, want ≤ 6 (gossip not scoped to chain peers)", delta)
 	}
-}
-
-func TestDynamicPeerDiscoveryOverTCP(t *testing.T) {
-	// With Peers empty on a multi-process transport, the bc.hello
-	// handshake must converge even though addresses become routable long
-	// after NewNode's initial announcement: rebroadcastLoop re-announces
-	// whenever the transport's address set changes.
-	alice := testIdentity(t, "alice", 1)
-	trA, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trA.Close()
-
-	nodeA, err := NewNode(NodeConfig{
-		Name:                "node-a",
-		Chain:               testChainConfig(t, alice),
-		Network:             trA,
-		RebroadcastInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeA.Stop()
-	nodeA.Start()
-
-	// The second process comes up only after the first node already sent
-	// its one-shot hello into an empty universe.
-	trB, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Peers: []string{trA.Advertise()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trB.Close()
-	nodeB, err := NewNode(NodeConfig{
-		Name:                "node-b",
-		Chain:               testChainConfig(t, alice),
-		Network:             trB,
-		RebroadcastInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeB.Stop()
-	nodeB.Start()
-
-	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	if err := nodeA.SubmitTx(tx); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, func() bool { return nodeB.Mempool().Has(tx.ID()) },
-		"tx gossip crosses processes after dynamic discovery")
 }
 
 // A reorganisation returns the abandoned blocks' transactions to the pool,

@@ -12,16 +12,13 @@ import (
 // Persistence lets a node survive restarts: the best chain lives in a
 // WAL-backed KV store and is replayed (with full validation) on reload.
 //
-// Two write paths exist:
-//
-//   - AttachStore installs incremental persistence: every block that joins
-//     the best chain is appended to the store as part of accepting it, and
-//     a reorganisation rewrites exactly the heights that changed. The
-//     store's own WAL + auto-compaction bound the on-disk footprint, so a
-//     long-running node never needs a "save" step — killing the process at
-//     any instant loses at most the in-flight record, which replay
-//     tolerates.
-//   - SaveToStore remains as the one-shot snapshot used by tools and tests.
+// AttachStore is the one write path: every block that joins the best chain
+// is appended to the store as part of accepting it, and a reorganisation
+// rewrites exactly the heights that changed. The best chain never gets
+// shorter, so no stored height is ever left above the head. The store's own
+// WAL + auto-compaction bound the on-disk footprint, so a long-running node
+// never needs a "save" step — killing the process at any instant loses at
+// most the in-flight record, which replay tolerates.
 //
 // Side branches are not persisted — after a restart the node re-learns any
 // competing branch from its peers, which is safe because fork choice is
@@ -89,10 +86,11 @@ func (c *Chain) persistAppendLocked(b *Block) {
 }
 
 // persistReorgLocked rewrites the store after a best-chain switch: every
-// height where the new best chain diverges from the old one is re-written,
-// the head record is updated, and stale heights above the new head are
-// deleted. Caller holds c.mu with c.bestChain already switched; oldBest is
-// the previous best chain.
+// height where the new best chain diverges from the old one is re-written
+// and the head record is updated, in one batch. The new best chain is at
+// least as long as the old, so nothing above it needs deleting. Caller
+// holds c.mu with c.bestChain already switched; oldBest is the previous
+// best chain.
 func (c *Chain) persistReorgLocked(oldBest []crypto.Digest) {
 	if c.storeKV == nil {
 		return
@@ -111,13 +109,6 @@ func (c *Chain) persistReorgLocked(oldBest []crypto.Digest) {
 		return
 	}
 	c.persisted.Add(int64(len(puts) - 1))
-	// Deletes after the head record landed: a crash in between leaves
-	// unreferenced blocks above head, which LoadFromStore ignores.
-	for h := len(newBest); h < len(oldBest); h++ {
-		if err := c.storeKV.Delete(persistBlockKey(uint64(h))); err != nil {
-			c.persistErrs.Inc()
-		}
-	}
 }
 
 // truncateStoreAbove drops persisted blocks above height and resets the
@@ -134,38 +125,8 @@ func truncateStoreAbove(kv *store.KV, height uint64) error {
 	return kv.Put(persistHeadKey, persistHeadRecord(height))
 }
 
-// SaveToStore writes the best chain (excluding genesis, which is derived
-// from Config) to kv as a one-shot snapshot, replacing any previous
-// contents. Nodes with an attached store do not need it — incremental
-// persistence keeps the store current — but tools and tests use it to
-// snapshot a chain that was never attached.
-func (c *Chain) SaveToStore(kv *store.KV) error {
-	hashes := c.BestChainHashes()
-	puts := make(map[string][]byte, len(hashes))
-	for _, h := range hashes {
-		b, ok := c.BlockByHash(h)
-		if !ok {
-			return fmt.Errorf("blockchain: save: missing block %s", h.Short())
-		}
-		if b.Header.Height == 0 {
-			continue
-		}
-		puts[persistBlockKey(b.Header.Height)] = b.Encode()
-	}
-	puts[persistHeadKey] = persistHeadRecord(uint64(len(hashes) - 1))
-	// Remove stale blocks above the new head (shorter chain after resave).
-	for _, key := range kv.Keys(persistBlockPrefix) {
-		if _, ok := puts[key]; !ok {
-			if err := kv.Delete(key); err != nil {
-				return err
-			}
-		}
-	}
-	return kv.Batch(puts)
-}
-
 // LoadFromStore replays a snapshot into the chain with full validation
-// (signatures, PoW, difficulty schedule, the replay rule) and returns how many
+// (signatures, PoW, difficulty, the replay rule) and returns how many
 // blocks were applied. The chain should be freshly constructed with the
 // same Config that produced the snapshot; a snapshot from a different
 // genesis fails validation on its first block. On error the returned count

@@ -75,12 +75,12 @@ func TestReadinessTransitionOnRejoin(t *testing.T) {
 	}
 
 	// Probing the peer's head reveals the gap: not ready while behind.
-	h, err := joiner.ProbeHead("src")
+	hi, err := joiner.fetchHead("src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != length {
-		t.Fatalf("probed head %d, want %d", h, length)
+	if hi.Height != length {
+		t.Fatalf("probed head %d, want %d", hi.Height, length)
 	}
 	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "syncing") {
 		t.Fatalf("mid-catch-up /readyz = %d %q, want 503 syncing", code, body)

@@ -318,10 +318,7 @@ func TestNodeReopenTruncatedWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := buildTestChain(t, 5)
-	if err := src.SaveToStore(kv); err != nil {
-		t.Fatal(err)
-	}
+	src := buildTestChain(t, 5, kv)
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +387,7 @@ func TestOldFormatWALRefusedByName(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := buildTestChain(t, 4)
-			if err := src.SaveToStore(kv); err != nil {
-				t.Fatal(err)
-			}
+			buildTestChain(t, 4, kv)
 			for _, key := range kv.Keys(persistBlockPrefix) {
 				raw, err := kv.Get(key)
 				if err != nil {
@@ -447,10 +441,7 @@ func reopenWithDamagedBlock4(t *testing.T, damage func(b *Block, raw []byte) []b
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := buildTestChain(t, 6)
-	if err := src.SaveToStore(kv); err != nil {
-		t.Fatal(err)
-	}
+	src := buildTestChain(t, 6, kv)
 	raw, err := kv.Get(persistBlockKey(4))
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +503,7 @@ func TestSyncFromToleratesHeadChurn(t *testing.T) {
 	defer net.Close()
 
 	// Main chain of 8 blocks plus a doomed fork block at height 5.
-	main := buildTestChain(t, 8)
+	main := buildTestChain(t, 8, nil)
 	hashes := main.BestChainHashes()
 	fork := mineChild(t, main, hashes[4]) // empty sibling of block 5
 	byHash := make(map[string]*Block)

@@ -21,10 +21,10 @@ import (
 // windows, a gossiped block that overtook its parent costs one block, not a
 // window the requester already holds. The fetched branch is then
 // applied oldest-first through Chain.AddBlock, i.e. with exactly the
-// validation (signatures via the TxVerifier pipeline, PoW, difficulty
-// schedule, the replay rule) gossiped blocks get. It is the only sync protocol: a
-// peer that does not serve bc.getrange answers transport.ErrNoHandler, and
-// the pull fails with that error.
+// validation (signatures via the TxVerifier pipeline, PoW, difficulty, the
+// replay rule) gossiped blocks get. It is the only sync protocol: a peer
+// that does not serve bc.getrange answers transport.ErrNoHandler, and the
+// pull fails with that error.
 
 // maxRangeServe clamps how many blocks one bc.getrange call returns,
 // whatever the requester asked for.

@@ -6,13 +6,13 @@
 //     Replay protection is by expiry, not by order: a transaction carries
 //     the last height it may be mined at and a random salt, and a branch
 //     carries one ID at most once, so nothing waits for a predecessor;
-//   - blocks mined with a tunable leading-zero-bits difficulty, exactly the
-//     "private blockchain where all PoW parameters can be dynamically tuned"
-//     of §III, including optional automatic retargeting;
-//   - a multi-node network: transaction/block gossip over any
-//     transport.Transport backend (netsim in-process, TCP across), orphan
-//     resolution, heaviest-work fork choice with deterministic state replay
-//     on reorganisation;
+//   - blocks mined at one leading-zero-bits difficulty, Config.Difficulty,
+//     fixed at genesis. §III's "private blockchain where all PoW parameters
+//     can be dynamically tuned" is the federation's choice of that value;
+//   - a multi-node network: transaction/block gossip to a static peer set
+//     over any transport.Transport backend (netsim in-process, TCP across),
+//     orphan resolution, longest-chain fork choice with deterministic state
+//     replay on reorganisation;
 //   - contract execution at block application, with events published to
 //     off-chain subscribers (the Logging Interfaces) once a block joins the
 //     best chain.
@@ -42,7 +42,7 @@ var (
 	ErrBadHeight       = errors.New("blockchain: block height does not follow parent")
 	ErrTxExpired       = errors.New("blockchain: transaction outside its validity window")
 	ErrKnownTx         = errors.New("blockchain: transaction already known")
-	ErrBadDifficulty   = errors.New("blockchain: block difficulty does not match schedule")
+	ErrBadDifficulty   = errors.New("blockchain: block difficulty is not the chain's")
 	ErrTxNotFound      = errors.New("blockchain: transaction not found")
 )
 

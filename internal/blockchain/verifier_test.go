@@ -282,11 +282,12 @@ func TestGossipBatchedAdmission(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Seed: 13})
 	defer net.Close()
-	a, err := NewNode(NodeConfig{Name: "a", Chain: testChainConfig(t, alice), Network: net})
+	peers := []string{"a", "b"}
+	a, err := NewNode(NodeConfig{Name: "a", Chain: testChainConfig(t, alice), Network: net, Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewNode(NodeConfig{Name: "b", Chain: testChainConfig(t, alice), Network: net})
+	b, err := NewNode(NodeConfig{Name: "b", Chain: testChainConfig(t, alice), Network: net, Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,10 +69,9 @@ func newScriptChain(t *testing.T) *scriptChain {
 	reg.MustRegister(NewLogMatchContract(MatchConfig{TimeoutBlocks: 3, Analyser: "analyser", RequireVerdict: true}))
 	reg.MustRegister(&PolicyContract{PAP: "pap"})
 	s.chain = blockchain.NewChain(blockchain.Config{
-		Difficulty:  4,
-		Identities:  pubs,
-		Registry:    reg,
-		GenesisTime: time.Unix(1700000000, 0),
+		Difficulty: 4,
+		Identities: pubs,
+		Registry:   reg,
 	})
 	s.chain.SetEventSink(s.observe)
 	return s
@@ -124,6 +123,7 @@ func (s *scriptChain) seal() {
 		calls = shuffled
 	}
 	head, height := s.chain.Head()
+	genesis, _ := s.chain.BlockByHeight(0)
 	var txs []blockchain.Transaction
 	for _, c := range calls {
 		tx, err := blockchain.NewTransaction(s.ids[c.from], height, c.call)
@@ -137,8 +137,8 @@ func (s *scriptChain) seal() {
 			Height:       height + 1,
 			PrevHash:     head,
 			MerkleRoot:   blockchain.ComputeMerkleRoot(txs),
-			TimeUnixNano: s.chain.Config().GenesisTime.UnixNano() + int64(height+1)*int64(100*time.Millisecond),
-			Difficulty:   s.chain.NextDifficulty(),
+			TimeUnixNano: genesis.Header.TimeUnixNano + int64(height+1)*int64(100*time.Millisecond),
+			Difficulty:   s.chain.Config().Difficulty,
 			Miner:        "script",
 		},
 		Txs: txs,

@@ -57,7 +57,7 @@ func v6Chain(cfg blockchain.Config, id *crypto.Identity, length int) (*blockchai
 				PrevHash:     parent,
 				MerkleRoot:   blockchain.ComputeMerkleRoot([]blockchain.Transaction{tx}),
 				TimeUnixNano: genesis.Header.TimeUnixNano + int64(i)*int64(50*time.Millisecond),
-				Difficulty:   c.NextDifficulty(),
+				Difficulty:   c.Config().Difficulty,
 				Miner:        "v6-source",
 			},
 			Txs: []blockchain.Transaction{tx},

@@ -23,7 +23,7 @@ func NewNetsimImport() *NetsimImport {
 		Target: "internal/netsim",
 		Allowed: []string{
 			"",        // root wiring layer (drams.Open assembles netsim fleets)
-			"cmd/...", // cluster-sim mode, demo and bench binaries build simulated fleets
+			"cmd/...", // binaries choose their transport
 			"examples/...",
 			"internal/experiment", // bench harness builds simulated fleets
 			"internal/attack",     // chaos campaigns run against netsim deployments

@@ -63,11 +63,16 @@ func newFleet(t *testing.T, n int) *papFleet {
 	}
 	net := netsim.New(netsim.Config{BaseLatency: time.Millisecond, Seed: 5})
 	f := &papFleet{events: &eventLog{}}
+	peers := make([]string, n)
+	for i := range peers {
+		peers[i] = fmt.Sprintf("node-%d", i)
+	}
 	for i := 0; i < n; i++ {
 		node, err := blockchain.NewNode(blockchain.NodeConfig{
-			Name:               fmt.Sprintf("node-%d", i),
+			Name:               peers[i],
 			Chain:              chainCfg,
 			Network:            net,
+			Peers:              peers,
 			Mine:               i == 0,
 			EmptyBlockInterval: 10 * time.Millisecond,
 		})
