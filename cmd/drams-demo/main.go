@@ -43,7 +43,7 @@ func run() error {
 	fmt.Println()
 	fmt.Println("[1/5] deploying the Figure-1 federation:")
 	fmt.Println("      2 clouds, 2 edge tenants + infrastructure tenant,")
-	fmt.Println("      PDP/PRP + PEPs + agents + LIs + 2-node chain + analyser")
+	fmt.Println("      PDP + PEPs + agents + LIs + 2-node chain + analyser")
 	dep, err := drams.Open(policy(),
 		drams.WithDifficulty(8),
 		drams.WithTimeoutBlocks(25),

@@ -8,8 +8,8 @@
 //
 //   - a FaaS federation topology (clouds, edge tenants, the infrastructure
 //     tenant) over a simulated network;
-//   - the XACML access-control plane: one PDP + PRP in the infrastructure
-//     tenant and a PEP at every tenant edge;
+//   - the XACML access-control plane: one PDP in the infrastructure tenant,
+//     fed from the on-chain policy contract, and a PEP at every tenant edge;
 //   - a private proof-of-work smart-contract blockchain with one node per
 //     cloud, running the DRAMS log-match contract;
 //   - a probing agent and a Logging Interface per tenant, encrypting and
@@ -157,7 +157,6 @@ type Deployment struct {
 
 	PDP        *xacml.PDP
 	pdpService *federation.PDPService
-	prp        *xacml.PRP
 	peps       map[string]*federation.PEPService // by tenant
 	LIs        map[string]*logger.LI             // by tenant
 	Agents     map[string]*logger.Agent          // by tenant
@@ -184,8 +183,8 @@ type Deployment struct {
 
 // open assembles and starts the slice of the topology this process hosts
 // (local; "" hosts them all): per hosted cloud a chain node, per tenant on it
-// a PEP, a probing agent and a Logging Interface, and PDP/PRP/analyser/
-// monitor where the infrastructure tenant lives. Chain peers and the
+// a PEP, a probing agent and a Logging Interface, and PDP/analyser/monitor
+// where the infrastructure tenant lives. Chain peers and the
 // allowlist come from the whole topology, so slices opened by different
 // processes form one federation.
 func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, err error) {
@@ -319,7 +318,6 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	if hostsInfra {
 		d.PDP = xacml.NewPDP(nil)
 		d.PDP.SetCache(xacml.NewDecisionCache(0))
-		d.prp = xacml.NewPRP()
 		d.pdpService, err = federation.NewPDPService(d.Transport, d.PDP)
 		if err != nil {
 			return nil, err
@@ -391,14 +389,13 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 
 	// The PAP watcher applies the chain-replicated policy lifecycle
 	// locally: it stages announced versions, flips the PDP (purging the
-	// decision cache) at each activation height, keeps the PRP and
-	// analyser in step, and feeds rollout events into the monitor stream.
-	// A slice without the infrastructure tenant has no PDP or PRP and only
-	// acknowledges the flips.
+	// decision cache) at each activation height, and feeds rollout events
+	// into the monitor stream. The analyser needs none of this: it reads
+	// the policy it checks from its own node's replica. A slice without the
+	// infrastructure tenant has no PDP and only acknowledges the flips.
 	d.watcher, err = pap.NewWatcher(pap.WatcherConfig{
 		Node:    d.home,
 		PDP:     d.PDP,
-		PRP:     d.prp,
 		OnEvent: d.onPolicyEvent,
 	})
 	if err != nil {
@@ -432,16 +429,6 @@ func activePolicyVersion(node *blockchain.Node) string {
 // onPolicyEvent runs on the watcher goroutine for every policy lifecycle
 // transition of this deployment.
 func (d *Deployment) onPolicyEvent(ev pap.Event) {
-	if ev.Kind == pap.EventActivated && d.Analyser != nil {
-		// The watcher mirrors activated versions into the PRP before
-		// notifying, so the authoritative copy is always available here.
-		if ps, err := d.prp.Version(ev.Version); err == nil {
-			d.Analyser.LoadPolicy(ps)
-			// Best-effort: the analyser's node may still be syncing; the
-			// anchor check re-runs on chain state.
-			_ = d.Analyser.VerifyPolicyAnchor()
-		}
-	}
 	if d.Monitor != nil {
 		if alert, ok := pap.MonitorEvent(ev); ok {
 			d.Monitor.PublishPolicyEvent(alert)
@@ -462,16 +449,20 @@ func (d *Deployment) OnPolicyEvent(fn func(PolicyEvent)) { d.policyHook.Store(&f
 // immediately: the PAP signs a PolicyUpdate transaction carrying the full
 // serialized set, the policy contract anchors and schedules it, and the
 // call returns once this deployment's watcher has hot-reloaded the PDP
-// (decision cache purged) and analyser. It is a convenience wrapper over
+// (decision cache purged). It is a convenience wrapper over
 // Admin.UpdatePolicy for the "new version, right now" case.
 func (d *Deployment) PublishPolicy(ps *xacml.PolicySet) error {
 	if ps == nil || ps.Version == "" {
 		return errors.New("drams: policy set with a version is required")
 	}
-	if d.prp == nil {
+	if d.PDP == nil {
 		return errors.New("drams: this member does not host the infrastructure tenant; publish through Admin")
 	}
-	if _, err := d.prp.Version(ps.Version); err == nil {
+	var anchored bool
+	d.home.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
+		_, anchored = core.ReadPolicyDigest(st, ps.Version)
+	})
+	if anchored {
 		return fmt.Errorf("drams: version %q already published", ps.Version)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

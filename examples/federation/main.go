@@ -191,7 +191,7 @@ func run() error {
 	if err := dep.PublishPolicy(v2); err != nil {
 		return err
 	}
-	fmt.Println("\nv2 published: stored in PRP, digest anchored on-chain, PDP and analyser reloaded")
+	fmt.Println("\nv2 published: stored and digest anchored on-chain, PDP reloaded")
 
 	// Under v2 a ward of nurses reads records: a single pipelined batch
 	// through hospital 3's PEP (one network round-trip for all of them).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,11 @@ import (
 // keyed verdict the log-match contract compares against the PDP's decision
 // (check M5).
 //
+// The authoritative policy is the policy contract's state on the
+// analyser's own node: for each record it loads the version the PDP claims
+// (or the active one, if that claim is not anchored) through
+// LoadPolicyVersion. Nothing hands it a policy.
+//
 // Per Figure 1 it is "logically placed within the Infrastructural Tenant,
 // but deployed within a different cloud section" — here: it runs against
 // its own blockchain node and shares no code path with the PDP.
@@ -32,16 +38,9 @@ type Analyser struct {
 	cipher *crypto.Cipher
 	key    crypto.Key
 
-	compiled atomic.Pointer[analysedPolicy]
-
-	// history keeps the compiled forms of recently loaded versions keyed
-	// by policy digest, so exchanges whose logs land around a runtime
-	// policy flip are verified under the policy the PDP actually decided
-	// with (M6 separately polices that the claimed version was anchored
-	// and active). Bounded FIFO.
-	histMu    sync.Mutex
-	history   map[crypto.Digest]*analysedPolicy
-	histOrder []crypto.Digest
+	// compiled holds recently used policies by digest (at most
+	// compiledBound). Only the analyser goroutine touches it.
+	compiled map[crypto.Digest]*analysedPolicy
 
 	tracer atomic.Pointer[trace.Tracer]
 
@@ -57,6 +56,7 @@ type Analyser struct {
 
 type analysedPolicy struct {
 	compiled *analysis.Compiled
+	version  string
 	digest   crypto.Digest
 }
 
@@ -75,77 +75,73 @@ func NewAnalyser(name string, node *blockchain.Node, identity *crypto.Identity, 
 		return nil, fmt.Errorf("core: analyser cipher: %w", err)
 	}
 	return &Analyser{
-		name:    name,
-		node:    node,
-		sender:  blockchain.NewSender(node, identity),
-		cipher:  cipher,
-		key:     key,
-		history: make(map[crypto.Digest]*analysedPolicy),
-		stop:    make(chan struct{}),
+		name:     name,
+		node:     node,
+		sender:   blockchain.NewSender(node, identity),
+		cipher:   cipher,
+		key:      key,
+		compiled: make(map[crypto.Digest]*analysedPolicy),
+		stop:     make(chan struct{}),
 	}, nil
 }
 
-// analyserHistoryBound caps how many compiled policy versions are retained
-// for flip-window verification.
-const analyserHistoryBound = 8
+// compiledBound caps the compiled policies the analyser keeps: enough for
+// the versions in force around a few recent flips.
+const compiledBound = 8
 
-// LoadPolicy compiles the authoritative policy set the analyser will check
-// decisions against. Previously loaded versions are retained (bounded) so
-// in-flight exchanges from before a runtime policy flip are still verified
-// under the policy they were decided with.
-func (an *Analyser) LoadPolicy(ps *xacml.PolicySet) {
-	cl := ps.Clone()
-	ap := &analysedPolicy{compiled: analysis.Compile(cl), digest: cl.Digest()}
-	an.compiled.Store(ap)
-	an.histMu.Lock()
-	if _, ok := an.history[ap.digest]; !ok {
-		an.history[ap.digest] = ap
-		an.histOrder = append(an.histOrder, ap.digest)
-		for len(an.histOrder) > analyserHistoryBound {
-			oldest := an.histOrder[0]
-			an.histOrder = an.histOrder[1:]
-			delete(an.history, oldest)
-		}
-	}
-	an.histMu.Unlock()
-}
-
-// policyFor picks the compiled policy matching the digest a pdp.response
-// claims, falling back to the current one for unknown digests (the forged
-// digest then makes the M5 verdict mismatch, and M6 fires independently).
-func (an *Analyser) policyFor(digest crypto.Digest) *analysedPolicy {
-	an.histMu.Lock()
-	ap := an.history[digest]
-	an.histMu.Unlock()
-	if ap != nil {
+// cached returns the compiled policy for digest if it was loaded as version.
+func (an *Analyser) cached(version string, digest crypto.Digest) *analysedPolicy {
+	if ap := an.compiled[digest]; ap != nil && ap.version == version {
 		return ap
 	}
-	return an.compiled.Load()
+	return nil
 }
 
-// VerifyPolicyAnchor checks that the loaded policy matches the on-chain
-// anchored digest for the active version — the analyser's own supply-chain
-// check before trusting a policy from the PRP.
-func (an *Analyser) VerifyPolicyAnchor() error {
-	ap := an.compiled.Load()
-	if ap == nil {
-		return fmt.Errorf("core: analyser has no policy loaded")
+// policyFor returns the compiled policy to re-derive rec's decision under:
+// the version the PDP claims if the policy contract anchored it with the
+// claimed digest, else the active version (a forged claim then makes the M5
+// verdict mismatch, and M6 fires on its own). On the best chain a record
+// always follows the anchor of the version its PDP decided under, so an
+// error means nothing is anchored yet or the local replica was tampered
+// with.
+func (an *Analyser) policyFor(rec LogRecord) (*analysedPolicy, error) {
+	if ap := an.cached(rec.PolicyVersion, rec.PolicyDigest); ap != nil {
+		return ap, nil
 	}
 	var (
-		anchored   crypto.Digest
-		haveAnchor bool
+		ap     *analysedPolicy
+		ps     *xacml.PolicySet
+		digest crypto.Digest
+		err    error
 	)
 	an.node.Chain().ReadState(PolicyContractName, func(st contract.StateDB) {
-		_, anchored, haveAnchor = ReadActivePolicy(st)
+		version := rec.PolicyVersion
+		digest = rec.PolicyDigest
+		if anchored, ok := ReadPolicyDigest(st, version); !ok || anchored != digest {
+			var active bool
+			if version, digest, active = ReadActivePolicy(st); !active {
+				err = errors.New("core: no active policy anchored")
+				return
+			}
+		}
+		if ap = an.cached(version, digest); ap == nil {
+			ps, digest, err = LoadPolicyVersion(st, version)
+		}
 	})
-	if !haveAnchor {
-		return fmt.Errorf("core: no active policy anchored on-chain")
+	if ap != nil || err != nil {
+		return ap, err
 	}
-	if anchored != ap.digest {
-		return fmt.Errorf("core: loaded policy digest %s differs from anchored %s",
-			ap.digest.Short(), anchored.Short())
+	// Compiled outside ReadState: a large policy must not hold the chain's
+	// read lock.
+	ap = &analysedPolicy{compiled: analysis.Compile(ps), version: ps.Version, digest: digest}
+	if len(an.compiled) >= compiledBound {
+		for d := range an.compiled {
+			delete(an.compiled, d)
+			break
+		}
 	}
-	return nil
+	an.compiled[digest] = ap
+	return ap, nil
 }
 
 // SetTracer attaches (or clears, with nil) the end-to-end span recorder.
@@ -238,8 +234,10 @@ func (an *Analyser) handleLog(payload []byte) {
 		return
 	}
 	start := time.Now()
-	ap := an.policyFor(rec.PolicyDigest)
-	if ap == nil {
+	ap, err := an.policyFor(rec)
+	if err != nil {
+		// Like an undecryptable record below: no verdict, so the
+		// RequireVerdict timeout surfaces it as AlertVerdictMissing.
 		an.failures.Inc()
 		return
 	}
@@ -272,14 +270,4 @@ func (an *Analyser) handleLog(payload []byte) {
 		traceID = rec.ReqID
 	}
 	an.tracer.Load().Span(traceID, trace.StageAnalyserVerify, start, time.Since(start))
-}
-
-// ExpectedDecision exposes the analyser's re-derivation for direct use
-// (experiments, examples).
-func (an *Analyser) ExpectedDecision(r *xacml.Request) (xacml.Decision, error) {
-	ap := an.compiled.Load()
-	if ap == nil {
-		return 0, fmt.Errorf("core: analyser has no policy loaded")
-	}
-	return ap.compiled.ExpectedSimple(r), nil
 }

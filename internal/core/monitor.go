@@ -312,15 +312,6 @@ func (m *Monitor) PublishPolicyEvent(a Alert) {
 	m.publishLocked(a)
 }
 
-// PolicyEvents returns a copy of the policy rollout events seen so far.
-func (m *Monitor) PolicyEvents() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Alert, len(m.policyLog))
-	copy(out, m.policyLog)
-	return out
-}
-
 // replayLocked pushes already-recorded events matching the subscription
 // into its channel: recorded alerts first, then policy rollout events, then
 // synthetic AlertMatched events for completed requests.

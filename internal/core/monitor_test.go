@@ -246,19 +246,16 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 	mon.Start()
 	defer mon.Stop()
 
+	// The analyser is handed no policy: it reads the anchored one from its
+	// node's policy-contract state.
 	ps := monitorPolicy()
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an.LoadPolicy(ps)
 	an.Start()
 	defer an.Stop()
-
 	env.anchorPolicy(t, ps)
-	if err := an.VerifyPolicyAnchor(); err != nil {
-		t.Fatalf("anchor verification: %v", err)
-	}
 
 	// Honest exchange: doctor → Permit. Analyser agrees; Matched fires.
 	for _, rec := range sealedExchange(t, env.key, "ok-1", "doctor", xacml.Permit, ps.Digest()) {
@@ -292,12 +289,6 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 	if an.Stats().MismatchesFound == 0 {
 		t.Fatal("analyser did not count the mismatch")
 	}
-	// Direct expected-decision API.
-	req := xacml.NewRequest("x").Add(xacml.CatSubject, "role", xacml.String("doctor"))
-	d, err := an.ExpectedDecision(req)
-	if err != nil || d != xacml.Permit {
-		t.Fatalf("ExpectedDecision = %s, %v", d, err)
-	}
 }
 
 func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
@@ -312,7 +303,6 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an.LoadPolicy(ps)
 	an.Start()
 	defer an.Stop()
 
@@ -364,35 +354,81 @@ func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 	}
 }
 
+// policyCase is one record claim handed to policyFor and the anchored
+// policy it must resolve to.
+type policyCase struct {
+	name    string
+	version string
+	digest  crypto.Digest
+	want    *xacml.PolicySet
+}
+
+// checkPolicyFor runs each case through policyFor in order, so a case can
+// rely on the cache the ones before it filled.
+func checkPolicyFor(t *testing.T, an *Analyser, cases []policyCase) {
+	t.Helper()
+	for _, tc := range cases {
+		ap, err := an.policyFor(LogRecord{PolicyVersion: tc.version, PolicyDigest: tc.digest})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ap.version != tc.want.Version || ap.digest != tc.want.Digest() {
+			t.Fatalf("%s: got %s (%s), want %s", tc.name, ap.version, ap.digest.Short(), tc.want.Version)
+		}
+	}
+}
+
+// With nothing anchored the analyser has no policy to judge by, whatever
+// version a record claims.
 func TestAnalyserNoPolicy(t *testing.T) {
 	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := an.ExpectedDecision(xacml.NewRequest("x")); err == nil {
-		t.Fatal("expected error without a policy")
-	}
-	if err := an.VerifyPolicyAnchor(); err == nil {
-		t.Fatal("expected anchor error without a policy")
-	}
-	// With a policy but no anchor on-chain the verification still fails.
-	an.LoadPolicy(monitorPolicy())
-	if err := an.VerifyPolicyAnchor(); err == nil {
-		t.Fatal("expected error with no anchor")
+	v1 := monitorPolicy()
+	for _, rec := range []LogRecord{
+		{PolicyVersion: "v1", PolicyDigest: v1.Digest()},
+		{},
+	} {
+		if _, err := an.policyFor(rec); err == nil {
+			t.Fatalf("policyFor found a policy for %q before any was anchored", rec.PolicyVersion)
+		}
 	}
 }
 
+// policyFor loads the version a record claims when the policy contract
+// anchored it with the claimed digest.
+func TestAnalyserPolicyFor(t *testing.T) {
+	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
+	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := monitorPolicy(), xacml.StandardPolicy("v2")
+	env.anchorPolicy(t, v1)
+	env.anchorPolicy(t, v2) // active from here on
+	checkPolicyFor(t, an, []policyCase{
+		{"v1 claimed after the flip to v2", "v1", v1.Digest(), v1},
+		{"v2 claimed", "v2", v2.Digest(), v2},
+	})
+}
+
+// A claim that does not match what the policy contract anchored is judged
+// by the active version, never by the policy the record names.
 func TestAnalyserDetectsWrongAnchoredPolicy(t *testing.T) {
 	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an.LoadPolicy(monitorPolicy())
-	// PAP anchors a different policy: the analyser must refuse its own.
-	env.anchorPolicy(t, xacml.StandardPolicy("v1"))
-	if err := an.VerifyPolicyAnchor(); err == nil {
-		t.Fatal("analyser accepted a policy that differs from the anchor")
-	}
+	v1, v2 := monitorPolicy(), xacml.StandardPolicy("v2")
+	env.anchorPolicy(t, v1)
+	env.anchorPolicy(t, v2) // active from here on
+	checkPolicyFor(t, an, []policyCase{
+		{"v1 claimed honestly", "v1", v1.Digest(), v1},
+		{"forged digest", "v1", crypto.Sum([]byte("forged")), v2},
+		// v1 is cached by now; the cache must not answer for another label.
+		{"unanchored version carrying v1's digest", "v9", v1.Digest(), v2},
+	})
 }

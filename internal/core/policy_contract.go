@@ -318,6 +318,29 @@ func ReadPolicyBlob(st contract.StateDB, version string) ([]byte, bool) {
 	return st.Get(policyBlobKey(version))
 }
 
+// LoadPolicyVersion reads a stored version, checks its bytes against the
+// anchored digest and parses it. The contract checked the bytes when it
+// accepted them, but a member's local replica is not consensus: recomputing
+// the digest keeps a tampered replica from reaching the PDP or the analyser.
+func LoadPolicyVersion(st contract.StateDB, version string) (*xacml.PolicySet, crypto.Digest, error) {
+	blob, haveBlob := ReadPolicyBlob(st, version)
+	anchored, haveRec := ReadPolicyDigest(st, version)
+	if !haveBlob || !haveRec {
+		return nil, crypto.Digest{}, fmt.Errorf("version %q not found in chain state", version)
+	}
+	if got := crypto.Sum(blob); got != anchored {
+		return nil, crypto.Digest{}, fmt.Errorf("stored bytes digest %s != anchored %s", got.Short(), anchored.Short())
+	}
+	ps, err := xacml.DecodePolicySet(blob)
+	if err != nil {
+		return nil, crypto.Digest{}, fmt.Errorf("stored policy does not parse: %v", err)
+	}
+	if ps.Version != version {
+		return nil, crypto.Digest{}, fmt.Errorf("stored policy carries version %q", ps.Version)
+	}
+	return ps, anchored, nil
+}
+
 // ReadPolicyHistory returns the activation history, oldest first.
 func ReadPolicyHistory(st contract.StateDB) []PolicyActivation {
 	keys := st.Keys("hist/")

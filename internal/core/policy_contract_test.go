@@ -221,11 +221,39 @@ func TestPolicyContractRejectsBadPayloads(t *testing.T) {
 		!strings.Contains(err.Error(), "carries version") {
 		t.Fatalf("version mismatch err = %v", err)
 	}
+	// No version label at all.
+	bad = PolicyUpdate{Policy: blob, Digest: crypto.Sum(blob)}
+	if _, err := e.call("pap", MethodPolicyUpdate, bad.Encode()); err == nil ||
+		!strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("versionless update err = %v", err)
+	}
 	// Non-PAP caller.
 	good := updateArgs("v1", 1)
 	if _, err := e.call("li@tenant-1", MethodPolicyUpdate, good.Encode()); err == nil ||
 		!strings.Contains(err.Error(), "may administer") {
 		t.Fatalf("caller gate err = %v", err)
+	}
+}
+
+// A member's replica is not consensus: LoadPolicyVersion re-checks the
+// stored bytes against the anchored digest before anyone parses them.
+func TestLoadPolicyVersionRejectsTamperedReplica(t *testing.T) {
+	e := newPolicyEnv(t)
+	pu := updateArgs("v1", 1)
+	if _, err := e.call("pap", MethodPolicyUpdate, pu.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	pst := contract.Namespace(e.st, PolicyContractName)
+	ps, digest, err := LoadPolicyVersion(pst, "v1")
+	if err != nil || ps.Version != "v1" || digest != pu.Digest {
+		t.Fatalf("honest replica: %v, %v, %s", ps, err, digest.Short())
+	}
+	if _, _, err := LoadPolicyVersion(pst, "v9"); err == nil || !strings.Contains(err.Error(), "not found") {
+		t.Fatalf("unknown version err = %v", err)
+	}
+	pst.Set(policyBlobKey("v1"), xacml.RestrictedPolicy("v1").Encode())
+	if _, _, err := LoadPolicyVersion(pst, "v1"); err == nil || !strings.Contains(err.Error(), "!= anchored") {
+		t.Fatalf("tampered replica err = %v", err)
 	}
 }
 

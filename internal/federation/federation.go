@@ -1,7 +1,7 @@
 // Package federation models the FaaS cloud-federation substrate of the
 // paper (Figure 1): clouds contributing sections of computing resources,
 // tenants deployed on them, the infrastructure tenant owned by all
-// federation members (hosting PDP, PRP/PAP and policy management), and
+// federation members (hosting the PDP and policy management), and
 // tenant-edge PEPs intercepting all communications.
 //
 // The package provides the access-control data plane — PEPService at each
@@ -32,7 +32,7 @@ type Tenant struct {
 	Name  string `json:"name"`
 	Cloud string `json:"cloud"`
 	// Infrastructure marks the tenant owned by all federation clouds that
-	// enables the FaaS functionality (hosts PDP/PRP).
+	// enables the FaaS functionality (hosts the PDP).
 	Infrastructure bool `json:"infrastructure"`
 }
 

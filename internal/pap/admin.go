@@ -13,7 +13,7 @@
 //     the log-match contract can cross-read its state for M6);
 //   - Watcher runs on every federation member: it tails its node's chain
 //     events, pre-stages and digest-verifies announced versions, and
-//     atomically hot-reloads the local PDP (and PRP view) the moment the
+//     atomically hot-reloads the local PDP the moment the
 //     chain reaches the activation height — every member flips at the same
 //     block height, with the decision cache invalidated in the same step.
 //

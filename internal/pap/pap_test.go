@@ -82,7 +82,7 @@ func newFleet(t *testing.T, n int) *papFleet {
 		f.nodes = append(f.nodes, node)
 		pdp := xacml.NewCachedPDP(nil, 256)
 		f.pdps = append(f.pdps, pdp)
-		w, err := NewWatcher(WatcherConfig{Node: node, PDP: pdp, PRP: xacml.NewPRP(), OnEvent: f.events.add})
+		w, err := NewWatcher(WatcherConfig{Node: node, PDP: pdp, OnEvent: f.events.add})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +199,8 @@ func TestFleetActivatesAtSameHeight(t *testing.T) {
 	}
 }
 
-// TestRollbackReactivatesOldVersion flips v1→v2→v1 and checks decisions,
-// history and PRP state follow.
+// TestRollbackReactivatesOldVersion flips v1→v2→v1 and checks decisions
+// and history follow.
 func TestRollbackReactivatesOldVersion(t *testing.T) {
 	f := newFleet(t, 2)
 	ctx := papCtx(t)
@@ -301,8 +301,9 @@ func TestLateJoinerSyncsActivePolicy(t *testing.T) {
 }
 
 // A flip is reported — by Version, Stats and WaitForVersion — only once the
-// member's listeners have taken it in: the deployment reloads its analyser
-// in OnEvent, and whoever acts on the report must find it on the new policy.
+// member's listeners have taken it in: the deployment feeds its monitor and
+// OnPolicyEvent hook in OnEvent, and whoever acts on the report must find
+// the activation already there.
 func TestFlipReportedAfterListenersRan(t *testing.T) {
 	f := newFleet(t, 1)
 	ctx := papCtx(t)

@@ -24,7 +24,7 @@ const (
 	// digest and parsed; it is ready for the height-gated flip.
 	EventStaged EventKind = "staged"
 	// EventActivated: the chain reached the activation height and the
-	// local PDP/PRP were hot-reloaded (on PDP-less members: the flip was
+	// local PDP was hot-reloaded (on PDP-less members: the flip was
 	// acknowledged).
 	EventActivated EventKind = "activated"
 	// EventRejected: a version failed local verification (digest mismatch
@@ -70,19 +70,10 @@ type WatcherConfig struct {
 	// PDP, when the member hosts one, is hot-reloaded at every activation
 	// (atomic swap + decision-cache purge).
 	PDP *xacml.PDP
-	// PRP, when present, mirrors the chain's version store: staged
-	// versions are ensured into it and the activation pointer follows the
-	// chain.
-	PRP *xacml.PRP
 	// OnEvent, when set, receives every watcher notification (monitor
 	// wiring, daemon logging). Called on the watcher goroutine — keep it
 	// non-blocking.
 	OnEvent func(Event)
-	// EventBuffer sizes the chain-event subscription (<= 0 uses the node
-	// default). Event delivery is best effort — the node drops on a full
-	// buffer — so the watcher resyncs from chain state whenever its
-	// subscription reports drops.
-	EventBuffer int
 }
 
 // Watcher tails a member's chain events and applies the policy lifecycle
@@ -160,7 +151,7 @@ const dropCheckInterval = time.Second
 // whenever the subscription reports dropped notifications the watcher
 // reconciles from chain state instead of trusting the gap.
 func (w *Watcher) Start() {
-	sub := w.cfg.Node.Subscribe(w.cfg.EventBuffer)
+	sub := w.cfg.Node.Subscribe(0)
 	w.cancelSub = sub.Cancel
 	w.Sync()
 	w.wg.Add(1)
@@ -325,35 +316,19 @@ func (w *Watcher) handleEvent(eventType string, payload []byte, height uint64) {
 	}
 }
 
-// fetch loads, digest-verifies and parses a version from chain state.
+// fetch loads a version from chain state through core.LoadPolicyVersion.
 func (w *Watcher) fetch(version string) (*stagedPolicy, error) {
 	var (
-		blob     []byte
-		anchored crypto.Digest
-		haveRec  bool
+		sp  stagedPolicy
+		err error
 	)
 	w.cfg.Node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-		blob, _ = core.ReadPolicyBlob(st, version)
-		anchored, haveRec = core.ReadPolicyDigest(st, version)
+		sp.set, sp.digest, err = core.LoadPolicyVersion(st, version)
 	})
-	if blob == nil || !haveRec {
-		return nil, fmt.Errorf("version %q not found in chain state", version)
-	}
-	// Verify the bytes against the anchored root before trusting them:
-	// the consensus layer enforced this at proposal time, but the local
-	// store is not consensus — recomputing keeps a tampered replica from
-	// ever reaching the PDP.
-	if got := crypto.Sum(blob); got != anchored {
-		return nil, fmt.Errorf("stored bytes digest %s != anchored %s", got.Short(), anchored.Short())
-	}
-	ps, err := xacml.DecodePolicySet(blob)
 	if err != nil {
-		return nil, fmt.Errorf("stored policy does not parse: %v", err)
+		return nil, err
 	}
-	if ps.Version != version {
-		return nil, fmt.Errorf("stored policy carries version %q", ps.Version)
-	}
-	return &stagedPolicy{set: ps, digest: anchored}, nil
+	return &sp, nil
 }
 
 // stage pre-verifies and parses an announced version so the activation
@@ -372,15 +347,12 @@ func (w *Watcher) stage(version string, digest crypto.Digest, height uint64) {
 		w.stagedCnt.Inc()
 		w.notify(Event{Kind: EventStaged, Version: version, Digest: sp.digest, Height: height})
 	}
-	if w.cfg.PRP != nil {
-		_ = w.cfg.PRP.Ensure(sp.set)
-	}
 }
 
 // activate flips this member to version: the staged parsed set (fetched
 // from chain state when staging was missed) is atomically loaded into the
-// PDP — which purges the decision cache in the same step — and the PRP
-// pointer follows. The whole flip runs in one critical section, so a Sync
+// PDP, which purges the decision cache in the same step. The whole flip
+// runs in one critical section, so a Sync
 // racing the event goroutine applies each flip exactly once, at-least-once
 // event deliveries dedupe, and a stale buffered activation (lower height
 // than what this member already applied, e.g. after Sync caught up past
@@ -415,16 +387,11 @@ func (w *Watcher) activate(version string, digest crypto.Digest, height uint64) 
 	if w.cfg.PDP != nil {
 		w.cfg.PDP.Load(sp.set)
 	}
-	if w.cfg.PRP != nil {
-		_ = w.cfg.PRP.Ensure(sp.set)
-		_ = w.cfg.PRP.Activate(version)
-	}
 
 	w.current = version
 	w.curHeight = height
-	// The parsed set served its purpose (the PRP keeps the authoritative
-	// copy; a rollback re-fetches from chain state), and the dedup set is
-	// bounded to the reorg-redelivery window.
+	// The parsed set served its purpose (a rollback re-fetches from chain
+	// state), and the dedup set is bounded to the reorg-redelivery window.
 	delete(w.staged, version)
 	w.applied[key] = true
 	w.appliedQ = append(w.appliedQ, key)
@@ -434,13 +401,11 @@ func (w *Watcher) activate(version string, digest crypto.Digest, height uint64) 
 	}
 	w.mu.Unlock()
 
-	// Listeners first — the member's analyser reloads in OnEvent — and only
-	// then is the flip reported by Version, Stats and WaitForVersion: whoever
-	// acts on the report (Open returning, a test that polls and then sends a
-	// request) finds every component of the member on the policy the PDP now
-	// decides under. Reported the other way round, an exchange decided within
-	// a few milliseconds of the report reached an analyser that did not know
-	// the policy yet, and got no verdict or a wrong one.
+	// Listeners first — the monitor's policy event and the deployment's
+	// OnPolicyEvent hook run in OnEvent — and only then is the flip reported
+	// by Version, Stats and WaitForVersion: whoever acts on the report (Open
+	// returning, a test that polls and then sends a request) finds the
+	// activation already in the member's event stream.
 	w.activations.Inc()
 	w.notify(Event{Kind: EventActivated, Version: version, Digest: sp.digest, Height: height})
 

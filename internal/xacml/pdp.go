@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"drams/internal/crypto"
@@ -199,104 +198,3 @@ type Evaluator interface {
 }
 
 var _ Evaluator = (*PDP)(nil)
-
-// PRP is the Policy Retrieval/Administration Point: versioned policy
-// storage with an activation pointer and digest history. In FaaS the PRP
-// lives in the infrastructure tenant next to the PDP (paper Figure 1).
-type PRP struct {
-	mu       sync.RWMutex
-	versions map[string]*PolicySet // version → policy set
-	order    []string              // activation history, oldest first
-	active   string
-}
-
-// NewPRP returns an empty PRP.
-func NewPRP() *PRP {
-	return &PRP{versions: make(map[string]*PolicySet)}
-}
-
-// ErrUnknownVersion is returned for missing policy versions.
-var ErrUnknownVersion = errors.New("xacml: unknown policy version")
-
-// Publish stores a policy set under its version and makes it active. The
-// version string must be fresh.
-func (p *PRP) Publish(ps *PolicySet) (crypto.Digest, error) {
-	if ps.Version == "" {
-		return crypto.Digest{}, errors.New("xacml: policy set needs a version")
-	}
-	cl := ps.Clone()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.versions[cl.Version]; ok {
-		return crypto.Digest{}, fmt.Errorf("xacml: version %q already published", cl.Version)
-	}
-	p.versions[cl.Version] = cl
-	p.order = append(p.order, cl.Version)
-	p.active = cl.Version
-	return cl.Digest(), nil
-}
-
-// Ensure stores a policy set under its version if absent, WITHOUT touching
-// the activation pointer — the idempotent staging entry point the PAP
-// watcher uses while mirroring chain-replicated versions. Re-ensuring the
-// same version with identical content is a no-op; divergent content for an
-// existing version is an error.
-func (p *PRP) Ensure(ps *PolicySet) error {
-	if ps.Version == "" {
-		return errors.New("xacml: policy set needs a version")
-	}
-	cl := ps.Clone()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if existing, ok := p.versions[cl.Version]; ok {
-		if existing.Digest() != cl.Digest() {
-			return fmt.Errorf("xacml: version %q already stored with different content", cl.Version)
-		}
-		return nil
-	}
-	p.versions[cl.Version] = cl
-	p.order = append(p.order, cl.Version)
-	return nil
-}
-
-// Active returns the active policy set and its version.
-func (p *PRP) Active() (*PolicySet, string, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.active == "" {
-		return nil, "", ErrNoPolicy
-	}
-	return p.versions[p.active], p.active, nil
-}
-
-// Version retrieves a specific published version.
-func (p *PRP) Version(v string) (*PolicySet, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	ps, ok := p.versions[v]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownVersion, v)
-	}
-	return ps, nil
-}
-
-// Activate switches the active pointer to an already-published version
-// (used for rollback).
-func (p *PRP) Activate(v string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.versions[v]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVersion, v)
-	}
-	p.active = v
-	return nil
-}
-
-// History returns the publication order of versions.
-func (p *PRP) History() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, len(p.order))
-	copy(out, p.order)
-	return out
-}

@@ -119,75 +119,6 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPRPPublishActivateHistory(t *testing.T) {
-	prp := NewPRP()
-	if _, _, err := prp.Active(); !errors.Is(err, ErrNoPolicy) {
-		t.Fatalf("empty PRP: %v", err)
-	}
-	v1 := samplePolicySet()
-	d1, err := prp.Publish(v1)
-	if err != nil || d1.IsZero() {
-		t.Fatalf("publish: %v", err)
-	}
-	v2 := samplePolicySet()
-	v2.Version = "v2"
-	if _, err := prp.Publish(v2); err != nil {
-		t.Fatal(err)
-	}
-	// Latest publication is active.
-	_, ver, err := prp.Active()
-	if err != nil || ver != "v2" {
-		t.Fatalf("active = %q, %v", ver, err)
-	}
-	// Duplicate version rejected.
-	if _, err := prp.Publish(v1); err == nil {
-		t.Fatal("duplicate version accepted")
-	}
-	// Rollback.
-	if err := prp.Activate("v1"); err != nil {
-		t.Fatal(err)
-	}
-	_, ver, _ = prp.Active()
-	if ver != "v1" {
-		t.Fatalf("after rollback active = %q", ver)
-	}
-	if err := prp.Activate("ghost"); !errors.Is(err, ErrUnknownVersion) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := prp.Version("ghost"); !errors.Is(err, ErrUnknownVersion) {
-		t.Fatalf("got %v", err)
-	}
-	hist := prp.History()
-	if len(hist) != 2 || hist[0] != "v1" || hist[1] != "v2" {
-		t.Fatalf("history = %v", hist)
-	}
-}
-
-func TestPRPPublishNeedsVersion(t *testing.T) {
-	prp := NewPRP()
-	ps := samplePolicySet()
-	ps.Version = ""
-	if _, err := prp.Publish(ps); err == nil {
-		t.Fatal("versionless publish accepted")
-	}
-}
-
-func TestPRPStorageIsolation(t *testing.T) {
-	prp := NewPRP()
-	ps := samplePolicySet()
-	if _, err := prp.Publish(ps); err != nil {
-		t.Fatal(err)
-	}
-	ps.Items[0].Policy.Rules[0].Effect = EffectDeny // caller mutates after publish
-	stored, _, err := prp.Active()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored.Items[0].Policy.Rules[0].Effect == EffectDeny {
-		t.Fatal("PRP stored aliased policy")
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	a := NewGenerator(5, DefaultGenParams())
 	b := NewGenerator(5, DefaultGenParams())

@@ -154,7 +154,7 @@ func TestMemberSlicesFormOneFederation(t *testing.T) {
 		t.Fatal("slice cloud-2 handed out a client for tenant-1, hosted on cloud-1")
 	}
 	if err := fleet["cloud-2"].PublishPolicy(testPolicy("v9")); err == nil {
-		t.Fatal("a slice without the PRP accepted PublishPolicy")
+		t.Fatal("a slice without the PDP accepted PublishPolicy")
 	}
 	waitPolicyVersion(t, ctx, fleet["cloud-2"], "v1")
 	if err := fleet["cloud-2"].CompromisePDP(nil); err == nil {

@@ -27,8 +27,8 @@ func Open(policy *xacml.PolicySet, opts ...Option) (*Deployment, error) {
 
 // OpenMember assembles and starts one federation member: the slice of the
 // topology hosted on the given cloud — its chain node, and for each tenant
-// on it a PEP, a probing agent and a Logging Interface, plus PDP, PRP,
-// analyser and monitor where the infrastructure tenant lives. It is Open
+// on it a PEP, a probing agent and a Logging Interface, plus PDP, analyser
+// and monitor where the infrastructure tenant lives. It is Open
 // restricted to one cloud, so a fleet of OpenMember processes sharing a
 // topology, a seed and a transport each can reach (WithTransport) is the
 // same federation as one Open. policy is needed only on the cloud that hosts
