@@ -1,10 +1,6 @@
 package attack
 
-import (
-	"encoding/json"
-
-	"drams/internal/core"
-)
+import "drams/internal/core"
 
 // Batch-boundary manipulation at the PEP/PDP seam (federation.Tamper.Batch).
 //
@@ -19,9 +15,9 @@ import (
 // ReverseBatch returns a Tamper.Batch hook reversing the wire order of the
 // pipeline. With mixed-outcome batches every item receives some other
 // item's decision.
-func ReverseBatch() func(items []json.RawMessage) []json.RawMessage {
-	return func(items []json.RawMessage) []json.RawMessage {
-		out := make([]json.RawMessage, len(items))
+func ReverseBatch() func(items [][]byte) [][]byte {
+	return func(items [][]byte) [][]byte {
+		out := make([][]byte, len(items))
 		for i, it := range items {
 			out[len(items)-1-i] = it
 		}
@@ -33,9 +29,9 @@ func ReverseBatch() func(items []json.RawMessage) []json.RawMessage {
 // copy of item src: the count is preserved (so the pipeline completes) but
 // dst's honest request is never evaluated — the PDP answers position dst
 // with src's decision.
-func DuplicateInBatch(src, dst int) func(items []json.RawMessage) []json.RawMessage {
-	return func(items []json.RawMessage) []json.RawMessage {
-		out := make([]json.RawMessage, len(items))
+func DuplicateInBatch(src, dst int) func(items [][]byte) [][]byte {
+	return func(items [][]byte) [][]byte {
+		out := make([][]byte, len(items))
 		copy(out, items)
 		if src >= 0 && src < len(out) && dst >= 0 && dst < len(out) {
 			out[dst] = out[src]
@@ -48,12 +44,12 @@ func DuplicateInBatch(src, dst int) func(items []json.RawMessage) []json.RawMess
 // batch. The PDP then answers with fewer items than the PEP sent, failing
 // the whole pipeline: no pep.response is ever logged and M3 flags every
 // request of the batch as suppressed.
-func DropFromBatch(i int) func(items []json.RawMessage) []json.RawMessage {
-	return func(items []json.RawMessage) []json.RawMessage {
+func DropFromBatch(i int) func(items [][]byte) [][]byte {
+	return func(items [][]byte) [][]byte {
 		if i < 0 || i >= len(items) {
 			return items
 		}
-		out := make([]json.RawMessage, 0, len(items)-1)
+		out := make([][]byte, 0, len(items)-1)
 		out = append(out, items[:i]...)
 		out = append(out, items[i+1:]...)
 		return out

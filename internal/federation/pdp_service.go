@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -18,26 +17,6 @@ const (
 	kindEvaluate      = "ac.eval"
 	kindEvaluateBatch = "ac.evalBatch"
 )
-
-// batchEvalRequest is the wire form of a pipelined evaluation call: N
-// encoded requests sharing one network round-trip.
-type batchEvalRequest struct {
-	Reqs []json.RawMessage `json:"reqs"`
-}
-
-// batchEvalItem is one per-request outcome inside a batch reply. Err is set
-// when that request failed to decode or evaluate; failures are per-item so
-// one bad request cannot poison the rest of the batch.
-type batchEvalItem struct {
-	Result json.RawMessage `json:"result,omitempty"`
-	Err    string          `json:"err,omitempty"`
-}
-
-// batchEvalResponse is the wire form of a batch reply, positionally aligned
-// with the request batch.
-type batchEvalResponse struct {
-	Items []batchEvalItem `json:"items"`
-}
 
 // PDPProbe is the hook interface a DRAMS agent implements at the PDP side
 // (infrastructure tenant).
@@ -143,23 +122,14 @@ func (s *PDPService) handleEvaluate(from string, payload []byte) ([]byte, error)
 }
 
 func (s *PDPService) handleEvaluateBatch(from string, payload []byte) ([]byte, error) {
-	var batch batchEvalRequest
-	if err := json.Unmarshal(payload, &batch); err != nil {
-		s.failures.Inc()
-		return nil, fmt.Errorf("federation: PDP decode batch: %w", err)
-	}
-	out := batchEvalResponse{Items: make([]batchEvalItem, len(batch.Reqs))}
-	for i, raw := range batch.Reqs {
-		res, err := s.evaluateOne(raw)
-		if err != nil {
-			out.Items[i].Err = err.Error()
-			continue
-		}
-		out.Items[i].Result = res
-	}
-	b, err := json.Marshal(out)
+	items, err := xacml.DecodeBatch(payload)
 	if err != nil {
-		return nil, fmt.Errorf("federation: PDP encode batch: %w", err)
+		s.failures.Inc()
+		return nil, fmt.Errorf("federation: PDP: %w", err)
 	}
-	return b, nil
+	results, errs := make([][]byte, len(items)), make([]error, len(items))
+	for i, raw := range items {
+		results[i], errs[i] = s.evaluateOne(raw)
+	}
+	return xacml.EncodeBatchReply(results, errs), nil
 }

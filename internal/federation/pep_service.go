@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,7 +55,7 @@ type Tamper struct {
 	// so a reordered batch misaligns decisions with requests (caught by
 	// M2), and a shrunk batch fails the whole pipeline (caught by M3).
 	// Single-request Decide calls are unaffected.
-	Batch func(items []json.RawMessage) []json.RawMessage
+	Batch func(items [][]byte) [][]byte
 }
 
 // Enforcement is what the PEP hands back to the application.
@@ -165,10 +164,25 @@ func (s *PEPService) Stats() PEPStats {
 	}
 }
 
+// admit counts a request and refuses one carrying a value the wire or the
+// probe record cannot (xacml.ErrUnsupportedValue). A refused request never
+// reaches the probe or the PDP: nothing is decided, so nothing goes
+// unmonitored.
+func (s *PEPService) admit(req *xacml.Request) error {
+	s.requests.Inc()
+	if err := req.CheckValues(); err != nil {
+		s.failures.Inc()
+		return fmt.Errorf("federation: PEP %s: %w", s.tenant, err)
+	}
+	return nil
+}
+
 // Decide runs the full PEP flow for an application request: probe, forward
 // to the PDP, receive, probe, enforce. It returns what was enforced.
 func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcement, error) {
-	s.requests.Inc()
+	if err := s.admit(req); err != nil {
+		return Enforcement{Decision: xacml.IndeterminateDP}, err
+	}
 	tam := s.tamper.Load()
 	traceID := ensureTraceID(req)
 	start := time.Now()
@@ -256,8 +270,11 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 		done[i](xacml.Result{}, 0, false)
 		errs[i] = err
 	}
+	// sent[k] is the request behind wire item k; a request admit refused is
+	// neither probed nor sent.
+	sent := make([]int, 0, len(reqs))
 	failAll := func(err error) ([]Enforcement, error) {
-		for i := range reqs {
+		for _, i := range sent {
 			failOne(i, err)
 		}
 		return out, errors.Join(errs...)
@@ -265,16 +282,22 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	tam := s.tamper.Load()
 	start := time.Now()
 
-	wire := batchEvalRequest{Reqs: make([]json.RawMessage, len(reqs))}
+	wire := make([][]byte, 0, len(reqs))
 	for i, req := range reqs {
-		s.requests.Inc()
+		if errs[i] = s.admit(req); errs[i] != nil {
+			continue
+		}
 		ensureTraceID(req)
 		done[i] = s.observe(req)
 		w := req
 		if tam != nil && tam.Request != nil {
 			w = tam.Request(req.Clone())
 		}
-		wire.Reqs[i] = w.Encode()
+		wire = append(wire, w.Encode())
+		sent = append(sent, i)
+	}
+	if len(sent) == 0 {
+		return out, errors.Join(errs...)
 	}
 	// In-transit suppression hits the shared pipeline after the probes
 	// observed every item, so each one fails exactly as Decide would.
@@ -284,38 +307,34 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	// Batch-boundary manipulation happens on the wire encoding, after the
 	// probes observed every item in its honest order.
 	if tam != nil && tam.Batch != nil {
-		wire.Reqs = tam.Batch(wire.Reqs)
+		wire = tam.Batch(wire)
 	}
 
-	payload, err := json.Marshal(wire)
-	if err != nil {
-		return failAll(fmt.Errorf("federation: PEP %s encode batch: %w", s.tenant, err))
-	}
 	callCtx, cancel := context.WithTimeout(ctx, s.timeout)
 	defer cancel()
-	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluateBatch, payload)
+	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluateBatch, xacml.EncodeBatch(wire))
 	if err != nil {
 		return failAll(fmt.Errorf("federation: PEP %s → PDP batch: %w", s.tenant, err))
 	}
-	var resp batchEvalResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return failAll(fmt.Errorf("federation: PEP %s decode batch reply: %w", s.tenant, err))
+	results, itemErrs, err := xacml.DecodeBatchReply(raw)
+	if err != nil {
+		return failAll(fmt.Errorf("federation: PEP %s: %w", s.tenant, err))
 	}
-	if len(resp.Items) != len(reqs) {
+	if len(results) != len(sent) {
 		return failAll(fmt.Errorf("federation: PEP %s batch reply has %d items for %d requests",
-			s.tenant, len(resp.Items), len(reqs)))
+			s.tenant, len(results), len(sent)))
 	}
 	if tam != nil && tam.DropResponse {
 		return failAll(ErrRequestDropped)
 	}
 
-	for i, req := range reqs {
-		item := resp.Items[i]
-		if item.Err != "" {
-			failOne(i, errors.New(item.Err))
+	for k, i := range sent {
+		req := reqs[i]
+		if itemErrs[k] != nil {
+			failOne(i, itemErrs[k])
 			continue
 		}
-		res, err := xacml.DecodeResult(item.Result)
+		res, err := xacml.DecodeResult(results[k])
 		if err != nil {
 			failOne(i, err)
 			continue

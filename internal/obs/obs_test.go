@@ -200,6 +200,10 @@ func TestTracerTimeline(t *testing.T) {
 	if tr.Trace("req-3") == nil {
 		t.Fatal("req-3 missing")
 	}
+	// Later spans of a stage land in the same registry series.
+	if n := reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Count(); n != 3 {
+		t.Fatalf("pep.decide series counted %d spans, want 3", n)
+	}
 }
 
 func TestTracerNilSafe(t *testing.T) {

@@ -58,9 +58,10 @@ type Tracer struct {
 	reg *metrics.Registry
 	cap int
 
-	mu    sync.Mutex
-	spans map[string][]Span
-	order []string // insertion order of trace IDs, for FIFO eviction
+	mu     sync.Mutex
+	spans  map[string][]Span
+	order  []string                      // insertion order of trace IDs, for FIFO eviction
+	stages map[string]*metrics.Histogram // each stage's series, resolved once
 }
 
 // DefaultCapacity bounds how many distinct in-flight/recent trace
@@ -76,7 +77,7 @@ func New(reg *metrics.Registry, capacity int) *Tracer {
 	if reg != nil {
 		reg.Help(stageFamily, "Per-stage span durations of the decision pipeline, labelled by stage.")
 	}
-	return &Tracer{reg: reg, cap: capacity, spans: make(map[string][]Span)}
+	return &Tracer{reg: reg, cap: capacity, spans: make(map[string][]Span), stages: make(map[string]*metrics.Histogram)}
 }
 
 // Span records one stage of a trace. No-op on a nil tracer or empty
@@ -88,10 +89,12 @@ func (t *Tracer) Span(traceID, stage string, start time.Time, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if t.reg != nil {
-		t.reg.Histogram(fmt.Sprintf(`%s{stage=%q}`, stageFamily, stage)).ObserveDuration(d)
-	}
 	t.mu.Lock()
+	h, ok := t.stages[stage]
+	if !ok && t.reg != nil {
+		h = t.reg.Histogram(fmt.Sprintf(`%s{stage=%q}`, stageFamily, stage))
+		t.stages[stage] = h
+	}
 	if _, ok := t.spans[traceID]; !ok {
 		if len(t.order) >= t.cap {
 			evict := t.order[0]
@@ -102,6 +105,9 @@ func (t *Tracer) Span(traceID, stage string, start time.Time, d time.Duration) {
 	}
 	t.spans[traceID] = append(t.spans[traceID], Span{TraceID: traceID, Stage: stage, Start: start, Duration: d})
 	t.mu.Unlock()
+	if h != nil {
+		h.ObserveDuration(d)
+	}
 }
 
 // Trace returns the recorded timeline for one trace ID, sorted by span

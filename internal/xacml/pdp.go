@@ -3,7 +3,6 @@ package xacml
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"drams/internal/crypto"
@@ -48,24 +47,6 @@ func (res Result) Digest() crypto.Digest {
 		chunks = append(chunks, b)
 	}
 	return crypto.SumAll(chunks...)
-}
-
-// Encode serialises the result as JSON.
-func (res Result) Encode() []byte {
-	b, err := json.Marshal(res)
-	if err != nil {
-		panic(fmt.Sprintf("xacml: encode result: %v", err))
-	}
-	return b
-}
-
-// DecodeResult parses a JSON result.
-func DecodeResult(data []byte) (Result, error) {
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return Result{}, fmt.Errorf("xacml: decode result: %w", err)
-	}
-	return res, nil
 }
 
 // PDP is the Policy Decision Point: it evaluates requests against the
@@ -173,16 +154,16 @@ func (p *PDP) Evaluate(r *Request) (Result, error) {
 			return res, nil
 		}
 	}
-	ext := lp.set.Evaluate(r)
+	ext, obls := lp.set.decide(r)
 	res := Result{
 		RequestID:     r.ID,
 		Decision:      ext.Simple(),
 		Extended:      ext,
+		Obligations:   obls,
 		PolicyID:      lp.set.ID,
 		PolicyVersion: lp.set.Version,
 		PolicyDigest:  lp.digest,
 	}
-	res.Obligations = lp.set.CollectObligations(r, ext.Simple())
 	if cache != nil {
 		stored := res
 		stored.RequestID = ""

@@ -2,6 +2,7 @@ package xacml
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -113,6 +114,15 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if back.Digest() != res.Digest() {
 		t.Fatal("round trip changed digest")
+	}
+	for name, res := range wireResults() {
+		back, err := DecodeResult(res.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(back, res) {
+			t.Fatalf("%s: round trip = %+v, want %+v", name, back, res)
+		}
 	}
 	if _, err := DecodeResult([]byte("{")); err == nil {
 		t.Fatal("garbage decoded")

@@ -123,29 +123,33 @@ type Rule struct {
 
 // Evaluate computes the rule's decision per XACML 3.0 §7.11 (table 4).
 func (ru *Rule) Evaluate(r *Request) Decision {
+	d, _ := ru.decide(r)
+	return d
+}
+
+// decide is the rule's step of the evaluation walk: its decision and, when
+// that decision is Permit or Deny, its obligations for that effect.
+func (ru *Rule) decide(r *Request) (Decision, []Obligation) {
 	switch ru.Target.Evaluate(r) {
 	case MatchNo:
-		return NotApplicable
+		return NotApplicable, nil
 	case MatchIndeterminate:
-		return indeterminateFor(ru.Effect)
+		return indeterminateFor(ru.Effect), nil
 	}
-	if ru.Condition == nil {
-		if ru.Effect == EffectPermit {
-			return Permit
+	if ru.Condition != nil {
+		ok, err := ru.Condition.Eval(r)
+		if err != nil {
+			return indeterminateFor(ru.Effect), nil
 		}
-		return Deny
+		if !ok {
+			return NotApplicable, nil
+		}
 	}
-	ok, err := ru.Condition.Eval(r)
-	if err != nil {
-		return indeterminateFor(ru.Effect)
-	}
-	if !ok {
-		return NotApplicable
-	}
+	d := Deny
 	if ru.Effect == EffectPermit {
-		return Permit
+		d = Permit
 	}
-	return Deny
+	return d, appendFulfilled(nil, ru.Obligs, d)
 }
 
 // ruleJSON is the serialisable form of Rule (Condition is polymorphic).
@@ -196,28 +200,27 @@ type Policy struct {
 
 // Evaluate computes the policy decision per XACML 3.0 §7.12/§7.13.
 func (p *Policy) Evaluate(r *Request) Decision {
-	switch p.Target.Evaluate(r) {
-	case MatchNo:
-		return NotApplicable
-	case MatchIndeterminate:
-		return targetIndeterminate(p.combineRules(r))
-	}
-	return p.combineRules(r)
+	d, _ := p.decide(r)
+	return d
 }
 
-func (p *Policy) combineRules(r *Request) Decision {
-	decisions := make([]Decision, len(p.Rules))
-	evaluated := false
-	lazy := func(i int) Decision {
-		if !evaluated {
-			for j, ru := range p.Rules {
-				decisions[j] = ru.Evaluate(r)
-			}
-			evaluated = true
-		}
-		return decisions[i]
+// decide is the policy's step of the evaluation walk: every rule is
+// evaluated once, and the obligations are the policy's own for the effect
+// of its decision followed by those of the rules that decided the same.
+func (p *Policy) decide(r *Request) (Decision, []Obligation) {
+	match := p.Target.Evaluate(r)
+	if match == MatchNo {
+		return NotApplicable, nil
 	}
-	return combine(p.Alg, len(p.Rules), lazy)
+	c := combiner{alg: p.Alg}
+	for _, ru := range p.Rules {
+		c.add(ru.decide(r))
+	}
+	d := c.result()
+	if match == MatchIndeterminate {
+		return targetIndeterminate(d), nil
+	}
+	return d, prependFulfilled(p.Obligs, d, c.children(d))
 }
 
 // PolicyItem is one child of a PolicySet: exactly one of Policy / Set is
@@ -229,13 +232,18 @@ type PolicyItem struct {
 
 // Evaluate dispatches to the non-nil child.
 func (pi PolicyItem) Evaluate(r *Request) Decision {
+	d, _ := pi.decide(r)
+	return d
+}
+
+func (pi PolicyItem) decide(r *Request) (Decision, []Obligation) {
 	if pi.Policy != nil {
-		return pi.Policy.Evaluate(r)
+		return pi.Policy.decide(r)
 	}
 	if pi.Set != nil {
-		return pi.Set.Evaluate(r)
+		return pi.Set.decide(r)
 	}
-	return NotApplicable
+	return NotApplicable, nil
 }
 
 // matchTarget exposes the child's target match, used by only-one-applicable.
@@ -272,51 +280,56 @@ type PolicySet struct {
 
 // Evaluate computes the policy-set decision.
 func (ps *PolicySet) Evaluate(r *Request) Decision {
-	switch ps.Target.Evaluate(r) {
-	case MatchNo:
-		return NotApplicable
-	case MatchIndeterminate:
-		return targetIndeterminate(ps.combineItems(r))
-	}
-	return ps.combineItems(r)
+	d, _ := ps.decide(r)
+	return d
 }
 
-func (ps *PolicySet) combineItems(r *Request) Decision {
+// decide is the set's step of the evaluation walk, and the walk's entry
+// point: the decision and the obligations to fulfil with it, the set's own
+// for the effect of its decision followed by those of the children that
+// decided the same, in order (XACML 3.0 §7.18 restricted to this subset).
+func (ps *PolicySet) decide(r *Request) (Decision, []Obligation) {
+	match := ps.Target.Evaluate(r)
+	if match == MatchNo {
+		return NotApplicable, nil
+	}
+	var d Decision
+	var obls []Obligation
 	if ps.Alg == OnlyOneApplicable {
-		return ps.onlyOneApplicable(r)
-	}
-	decisions := make([]Decision, len(ps.Items))
-	evaluated := false
-	lazy := func(i int) Decision {
-		if !evaluated {
-			for j := range ps.Items {
-				decisions[j] = ps.Items[j].Evaluate(r)
-			}
-			evaluated = true
+		d, obls = ps.onlyOneApplicable(r)
+	} else {
+		c := combiner{alg: ps.Alg}
+		for i := range ps.Items {
+			c.add(ps.Items[i].decide(r))
 		}
-		return decisions[i]
+		d = c.result()
+		obls = c.children(d)
 	}
-	return combine(ps.Alg, len(ps.Items), lazy)
+	if match == MatchIndeterminate {
+		return targetIndeterminate(d), nil
+	}
+	return d, prependFulfilled(ps.Obligs, d, obls)
 }
 
-// onlyOneApplicable implements XACML 3.0 §C.9 on child targets.
-func (ps *PolicySet) onlyOneApplicable(r *Request) Decision {
+// onlyOneApplicable implements XACML 3.0 §C.9 on child targets: only the
+// one applicable child is evaluated, so its obligations are the children's.
+func (ps *PolicySet) onlyOneApplicable(r *Request) (Decision, []Obligation) {
 	selected := -1
 	for i := range ps.Items {
 		switch ps.Items[i].matchTarget(r) {
 		case MatchIndeterminate:
-			return IndeterminateDP
+			return IndeterminateDP, nil
 		case MatchYes:
 			if selected >= 0 {
-				return IndeterminateDP // more than one applicable
+				return IndeterminateDP, nil // more than one applicable
 			}
 			selected = i
 		}
 	}
 	if selected < 0 {
-		return NotApplicable
+		return NotApplicable, nil
 	}
-	return ps.Items[selected].Evaluate(r)
+	return ps.Items[selected].decide(r)
 }
 
 // targetIndeterminate converts a combined decision into the policy value
@@ -334,118 +347,131 @@ func targetIndeterminate(combined Decision) Decision {
 	}
 }
 
-// combine dispatches the shared (rule/policy) combining algorithms over n
-// children accessed through get.
-func combine(alg CombiningAlg, n int, get func(int) Decision) Decision {
-	switch alg {
-	case DenyOverrides:
-		return denyOverrides(n, get)
-	case PermitOverrides:
-		return permitOverrides(n, get)
-	case FirstApplicable:
-		return firstApplicable(n, get)
+// combiner folds children's decisions, one at a time, into a combining
+// algorithm's result (XACML 3.0 appendix C), and keeps the obligations of
+// the children that decided Permit and of those that decided Deny. Every
+// child is evaluated, since the obligations of the decision's effect come
+// from all of them; the flags make each algorithm's result independent of
+// where in the order a dominating decision appeared. It allocates only to
+// keep an obligation.
+type combiner struct {
+	alg                             CombiningAlg
+	first                           Decision // first-applicable: the first decision that is not NotApplicable
+	permit, deny, indP, indD, indDP bool
+	permitObls, denyObls            []Obligation
+}
+
+func (c *combiner) add(d Decision, obls []Obligation) {
+	switch d {
+	case Permit:
+		c.permit = true
+		c.permitObls = append(c.permitObls, obls...)
+	case Deny:
+		c.deny = true
+		c.denyObls = append(c.denyObls, obls...)
+	case IndeterminateP:
+		c.indP = true
+	case IndeterminateD:
+		c.indD = true
+	case IndeterminateDP:
+		c.indDP = true
+	}
+	if c.first == 0 && d != NotApplicable {
+		c.first = d
+	}
+}
+
+// result is the combined decision. Only-one-applicable, valid at policy-set
+// level only and handled there, is a rule-level authoring error surfaced as
+// Indeterminate, like an unknown algorithm.
+func (c *combiner) result() Decision {
+	switch c.alg {
+	case DenyOverrides: // §C.2/§C.6
+		switch {
+		case c.deny:
+			return Deny
+		case c.indDP, c.indD && (c.indP || c.permit):
+			return IndeterminateDP
+		case c.indD:
+			return IndeterminateD
+		case c.permit:
+			return Permit
+		case c.indP:
+			return IndeterminateP
+		}
+		return NotApplicable
+	case PermitOverrides: // §C.3/§C.7
+		switch {
+		case c.permit:
+			return Permit
+		case c.indDP, c.indP && (c.indD || c.deny):
+			return IndeterminateDP
+		case c.indP:
+			return IndeterminateP
+		case c.deny:
+			return Deny
+		case c.indD:
+			return IndeterminateD
+		}
+		return NotApplicable
+	case FirstApplicable: // §C.8
+		switch c.first {
+		case 0:
+			return NotApplicable
+		case Permit, Deny:
+			return c.first
+		}
+		return IndeterminateDP
 	case DenyUnlessPermit:
-		for i := 0; i < n; i++ {
-			if get(i) == Permit {
-				return Permit
-			}
+		if c.permit {
+			return Permit
 		}
 		return Deny
 	case PermitUnlessDeny:
-		for i := 0; i < n; i++ {
-			if get(i) == Deny {
-				return Deny
-			}
-		}
-		return Permit
-	case OnlyOneApplicable:
-		// Only valid at policy-set level; handled there. Rule-level use is
-		// a policy-authoring error surfaced as Indeterminate.
-		return IndeterminateDP
-	default:
-		return IndeterminateDP
-	}
-}
-
-// denyOverrides implements XACML 3.0 §C.2/§C.6.
-func denyOverrides(n int, get func(int) Decision) Decision {
-	var anyIndetD, anyIndetP, anyIndetDP, anyPermit bool
-	for i := 0; i < n; i++ {
-		switch get(i) {
-		case Deny:
+		if c.deny {
 			return Deny
-		case Permit:
-			anyPermit = true
-		case IndeterminateD:
-			anyIndetD = true
-		case IndeterminateP:
-			anyIndetP = true
-		case IndeterminateDP:
-			anyIndetDP = true
 		}
-	}
-	switch {
-	case anyIndetDP:
-		return IndeterminateDP
-	case anyIndetD && (anyIndetP || anyPermit):
-		return IndeterminateDP
-	case anyIndetD:
-		return IndeterminateD
-	case anyPermit:
 		return Permit
-	case anyIndetP:
-		return IndeterminateP
-	default:
-		return NotApplicable
 	}
+	return IndeterminateDP
 }
 
-// permitOverrides implements XACML 3.0 §C.3/§C.7.
-func permitOverrides(n int, get func(int) Decision) Decision {
-	var anyIndetD, anyIndetP, anyIndetDP, anyDeny bool
-	for i := 0; i < n; i++ {
-		switch get(i) {
-		case Permit:
-			return Permit
-		case Deny:
-			anyDeny = true
-		case IndeterminateD:
-			anyIndetD = true
-		case IndeterminateP:
-			anyIndetP = true
-		case IndeterminateDP:
-			anyIndetDP = true
-		}
+// children returns the obligations of the children that decided d.
+func (c *combiner) children(d Decision) []Obligation {
+	switch d {
+	case Permit:
+		return c.permitObls
+	case Deny:
+		return c.denyObls
 	}
-	switch {
-	case anyIndetDP:
-		return IndeterminateDP
-	case anyIndetP && (anyIndetD || anyDeny):
-		return IndeterminateDP
-	case anyIndetP:
-		return IndeterminateP
-	case anyDeny:
-		return Deny
-	case anyIndetD:
-		return IndeterminateD
-	default:
-		return NotApplicable
-	}
+	return nil
 }
 
-// firstApplicable implements XACML 3.0 §C.8.
-func firstApplicable(n int, get func(int) Decision) Decision {
-	for i := 0; i < n; i++ {
-		switch d := get(i); d {
-		case NotApplicable:
-			continue
-		case Permit, Deny:
-			return d
-		default:
-			return IndeterminateDP
+// prependFulfilled returns a node's obligations for its decision d: own's
+// for the effect of d followed by children, those of the children that
+// decided d. Both are copied out of the policy by appendFulfilled, so no
+// returned slice shares storage with the policy tree.
+func prependFulfilled(own []Obligation, d Decision, children []Obligation) []Obligation {
+	out := appendFulfilled(nil, own, d)
+	if out == nil {
+		return children
+	}
+	return append(out, children...)
+}
+
+// appendFulfilled appends the obligations in obls that are fulfilled on the
+// effect of d; none for a decision that is not Permit or Deny.
+func appendFulfilled(dst, obls []Obligation, d Decision) []Obligation {
+	eff := decisionEffect(d)
+	if eff == 0 {
+		return dst
+	}
+	for _, o := range obls {
+		if o.FulfillOn == eff {
+			dst = append(dst, o)
 		}
 	}
-	return NotApplicable
+	return dst
 }
 
 // Encode serialises the policy set as canonical JSON.
@@ -480,66 +506,6 @@ func (ps *PolicySet) Clone() *PolicySet {
 		panic(fmt.Sprintf("xacml: clone policy set: %v", err))
 	}
 	return out
-}
-
-// CollectObligations walks the evaluation path for a final decision and
-// returns the obligations to fulfil: every obligation (at set, policy and
-// rule level) whose FulfillOn matches the decision effect, from elements
-// that produced that effect. This is the XACML §7.18 behaviour restricted
-// to our subset.
-func (ps *PolicySet) CollectObligations(r *Request, final Decision) []Obligation {
-	var eff Effect
-	switch final {
-	case Permit:
-		eff = EffectPermit
-	case Deny:
-		eff = EffectDeny
-	default:
-		return nil
-	}
-	var out []Obligation
-	ps.collectObl(r, eff, &out)
-	return out
-}
-
-func (ps *PolicySet) collectObl(r *Request, eff Effect, out *[]Obligation) {
-	if decisionEffect(ps.Evaluate(r)) != eff {
-		return
-	}
-	for _, o := range ps.Obligs {
-		if o.FulfillOn == eff {
-			*out = append(*out, o)
-		}
-	}
-	for _, item := range ps.Items {
-		if item.Policy != nil {
-			item.Policy.collectObl(r, eff, out)
-		}
-		if item.Set != nil {
-			item.Set.collectObl(r, eff, out)
-		}
-	}
-}
-
-func (p *Policy) collectObl(r *Request, eff Effect, out *[]Obligation) {
-	if decisionEffect(p.Evaluate(r)) != eff {
-		return
-	}
-	for _, o := range p.Obligs {
-		if o.FulfillOn == eff {
-			*out = append(*out, o)
-		}
-	}
-	for _, ru := range p.Rules {
-		if decisionEffect(ru.Evaluate(r)) != eff {
-			continue
-		}
-		for _, o := range ru.Obligs {
-			if o.FulfillOn == eff {
-				*out = append(*out, o)
-			}
-		}
-	}
 }
 
 func decisionEffect(d Decision) Effect {

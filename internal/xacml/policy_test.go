@@ -1,6 +1,7 @@
 package xacml
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -291,20 +292,26 @@ func TestObligationsCollected(t *testing.T) {
 	}
 	ps := &PolicySet{ID: "s", Version: "1", Alg: DenyOverrides, Items: []PolicyItem{{Policy: pol}},
 		Obligs: []Obligation{{ID: "audit", FulfillOn: EffectPermit}}}
-	obls := ps.CollectObligations(r, ps.Evaluate(r).Simple())
-	ids := map[string]bool{}
-	for _, o := range obls {
-		ids[o.ID] = true
+	d, obls := ps.decide(r)
+	if d != Permit {
+		t.Fatalf("decision = %s", d)
 	}
-	if !ids["log-access"] || !ids["notify-owner"] || !ids["audit"] {
+	// Set first, then the policy's own, then its rule's: the walk's order.
+	var ids []string
+	for _, o := range obls {
+		ids = append(ids, o.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"audit", "notify-owner", "log-access"}) {
 		t.Fatalf("obligations = %v", obls)
 	}
-	if ids["alert-denied"] {
-		t.Fatal("deny obligation collected on permit")
+	// The PDP hands over the same list with the decision.
+	if res, err := NewPDP(ps).Evaluate(r); err != nil || !reflect.DeepEqual(res.Obligations, obls) {
+		t.Fatalf("PDP obligations = %v, %v", res.Obligations, err)
 	}
 	// No obligations for NA decisions.
-	if got := ps.CollectObligations(r, NotApplicable); got != nil {
-		t.Fatalf("NA obligations = %v", got)
+	ru.Target = roleTarget("nurse")
+	if d, got := ps.decide(r); d != NotApplicable || got != nil {
+		t.Fatalf("NA decision %s carries obligations %v", d, got)
 	}
 }
 

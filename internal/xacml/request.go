@@ -1,7 +1,7 @@
 package xacml
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -37,7 +37,8 @@ type Request struct {
 	// so it never perturbs content digests, M1 matching or the decision
 	// cache. Empty when tracing is off or the request predates it.
 	TraceID string `json:"trace,omitempty"`
-	// Attrs holds the attribute bags.
+	// Attrs holds the attribute bags. The JSON tags serve the sealed probe
+	// context (core.EncryptedContext); the PEP↔PDP wire is binary (wire.go).
 	Attrs map[Category]map[AttributeID]Bag `json:"attrs"`
 }
 
@@ -78,6 +79,23 @@ func (r *Request) Clone() *Request {
 		}
 	}
 	return out
+}
+
+// CheckValues reports the first value of r that the PEP↔PDP wire or the
+// sealed probe context cannot carry (ErrUnsupportedValue). The PEP refuses
+// such a request before its probe sees it and DecodeRequest refuses one on
+// the wire, so every exchange that is decided is one the monitor can record.
+func (r *Request) CheckValues() error {
+	for cat, m := range r.Attrs {
+		for id, bag := range m {
+			for _, v := range bag {
+				if err := v.check(); err != nil {
+					return fmt.Errorf("%s/%s: %w", cat, id, err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // CanonicalBytes returns a deterministic encoding of the request content
@@ -134,24 +152,6 @@ func (r *Request) Digest() crypto.Digest {
 	return crypto.Sum(r.CanonicalBytes())
 }
 
-// Encode serialises the request as JSON.
-func (r *Request) Encode() []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("xacml: encode request: %v", err))
-	}
-	return b
-}
-
-// DecodeRequest parses a JSON request.
-func DecodeRequest(data []byte) (*Request, error) {
-	var r Request
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("xacml: decode request: %w", err)
-	}
-	return &r, nil
-}
-
 // Designator references an attribute in a request.
 type Designator struct {
 	Cat Category    `json:"cat"`
@@ -162,14 +162,15 @@ type Designator struct {
 }
 
 // ErrMissingAttribute signals a MustBePresent designator with no values.
-var ErrMissingAttribute = fmt.Errorf("xacml: missing attribute")
+var ErrMissingAttribute = errors.New("xacml: missing attribute")
 
 // Resolve returns the designated bag; a MustBePresent designator with an
-// empty bag returns ErrMissingAttribute.
+// empty bag returns ErrMissingAttribute itself: evaluation only tests for an
+// error, so naming the attribute would cost an allocation per miss.
 func (d Designator) Resolve(r *Request) (Bag, error) {
 	bag := r.Get(d.Cat, d.ID)
 	if len(bag) == 0 && d.MustBePresent {
-		return nil, fmt.Errorf("%w: %s/%s", ErrMissingAttribute, d.Cat, d.ID)
+		return nil, ErrMissingAttribute
 	}
 	return bag, nil
 }

@@ -1,7 +1,9 @@
 package xacml
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -59,15 +61,33 @@ func TestRequestDigestOrderInsensitive(t *testing.T) {
 }
 
 func TestRequestEncodeDecodeRoundTrip(t *testing.T) {
-	r := NewRequest("rt").
-		Add(CatSubject, "role", String("doctor")).
-		Add(CatEnvironment, "hour", Int(13))
-	dec, err := DecodeRequest(r.Encode())
-	if err != nil {
-		t.Fatal(err)
+	for name, req := range wireRequests() {
+		back, err := DecodeRequest(req.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameRequest(back, req) {
+			t.Fatalf("%s: round trip changed the request:\n got %s\nwant %s", name, back.CanonicalBytes(), req.CanonicalBytes())
+		}
 	}
-	if dec.ID != "rt" || dec.Digest() != r.Digest() {
-		t.Fatal("round trip changed request")
+	// The zone offset survives, not only the instant.
+	tm := wireRequests()["non-UTC time"].Get(CatEnvironment, "now")[0].Tm
+	back, _ := DecodeRequest(wireRequests()["non-UTC time"].Encode())
+	got := back.Get(CatEnvironment, "now")[0].Tm
+	_, wantOff := tm.Zone()
+	if _, off := got.Zone(); !got.Equal(tm) || off != wantOff {
+		t.Fatalf("time = %v, want %v", got, tm)
+	}
+	// The sign of a zero survives.
+	back, _ = DecodeRequest(wireRequests()["signed zero"].Encode())
+	if f := back.Get(CatResource, "score")[0].F; !math.Signbit(f) {
+		t.Fatalf("-0 decoded as %v", f)
+	}
+	// A present empty bag is not an absent attribute, so the round trip
+	// above had something to keep.
+	absent := NewRequest("r-empty").Add(CatAction, "op", String("read"))
+	if bytes.Equal(absent.CanonicalBytes(), wireRequests()["empty bag present"].CanonicalBytes()) {
+		t.Fatal("CanonicalBytes does not tell a present empty bag from an absent one")
 	}
 	if _, err := DecodeRequest([]byte("{bad")); err == nil {
 		t.Fatal("garbage decoded")

@@ -8,14 +8,17 @@
 // categories, DNF targets (AnyOf / AllOf / Match), rules with boolean
 // condition expressions, policies and policy sets with the six standard
 // combining algorithms, extended-Indeterminate decision semantics per
-// XACML 3.0 §7, obligations, JSON serialisation and canonical digests used
-// by the monitor to detect policy substitution (check M6).
+// XACML 3.0 §7, obligations gathered by the walk that decides, a binary
+// PEP↔PDP wire codec (wire.go), JSON serialisation of policies and
+// canonical digests used by the monitor to detect policy substitution
+// (check M6).
 package xacml
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -47,6 +50,38 @@ func (t Type) String() string {
 		return "time"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
+	}
+}
+
+// ErrUnsupportedValue marks a value that the PEP↔PDP wire or the sealed probe
+// context (JSON) cannot carry: a type outside TypeString..TypeTime, a NaN or
+// infinite float, or a time that RFC 3339 (year outside 0–9999, zone hour
+// beyond 23) or time.MarshalBinary cannot write.
+var ErrUnsupportedValue = errors.New("xacml: unsupported value")
+
+// check reports whether v is one that both the wire and the sealed probe
+// context can carry (ErrUnsupportedValue otherwise).
+func (v Value) check() error {
+	switch v.T {
+	case TypeString, TypeInt, TypeBool:
+		return nil
+	case TypeFloat:
+		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
+			return fmt.Errorf("%w: float %v", ErrUnsupportedValue, v.F)
+		}
+		return nil
+	case TypeTime:
+		var buf [64]byte
+		_, err := v.Tm.AppendText(buf[:0])
+		if err == nil {
+			_, err = v.Tm.AppendBinary(buf[:0])
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrUnsupportedValue, err)
+		}
+		return nil
+	default:
+		return fmt.Errorf("%w: %s", ErrUnsupportedValue, v.T)
 	}
 }
 

@@ -1,0 +1,238 @@
+package xacml
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"drams/internal/crypto"
+)
+
+// wireRequests covers every value type and the shapes the binary codec must
+// keep: an attribute present with an empty bag, an empty TraceID, a time
+// whose zone is not UTC, and a negative zero. TestRequestEncodeDecodeRoundTrip
+// and TestResultEncodeDecodeRoundTrip run these tables.
+func wireRequests() map[string]*Request {
+	offset := time.FixedZone("", -(4*3600 + 30*60))
+	emptyBag := NewRequest("r-empty").Add(CatAction, "op", String("read"))
+	emptyBag.Attrs[CatSubject] = map[AttributeID]Bag{"role": {}}
+	return map[string]*Request{
+		"every type": NewRequest("r-1").
+			Add(CatSubject, "role", String("doctor")).
+			Add(CatSubject, "role", String("")).
+			Add(CatResource, "id", Int(-7)).
+			Add(CatResource, "id", Int(math.MaxInt64)).
+			Add(CatResource, "size", Float(2.5)).
+			Add(CatResource, "size", Float(math.MaxFloat64)).
+			Add(CatAction, "urgent", Bool(true)).
+			Add(CatAction, "audited", Bool(false)).
+			Add(CatEnvironment, "now", Time(time.Date(2026, 10, 15, 9, 30, 0, 123, time.UTC))),
+		"non-UTC time": NewRequest("r-2").
+			Add(CatEnvironment, "now", Value{T: TypeTime, Tm: time.Date(2026, 10, 15, 9, 30, 0, 0, offset)}),
+		"signed zero": NewRequest("r-3").
+			Add(CatResource, "score", Float(math.Copysign(0, -1))),
+		"year bounds": NewRequest("r-5").
+			Add(CatEnvironment, "t", Time(time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC))).
+			Add(CatEnvironment, "t", Time(time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC))),
+		"empty bag present": emptyBag,
+		"trace ID":          func() *Request { r := NewRequest("r-4"); r.TraceID = "t-4"; return r }(),
+		"no ID, no attrs":   NewRequest(""),
+	}
+}
+
+// wireRefused holds values Encode writes but the sealed probe context cannot
+// hold (JSON has no NaN, no Inf, no year past 9999, no zone hour past 23), or
+// the wire cannot (an unknown type, a zone offset MarshalBinary refuses).
+// CheckValues and DecodeRequest refuse every one.
+func wireRefused() map[string]Value {
+	at := func(year int, zone *time.Location) Value {
+		return Value{T: TypeTime, Tm: time.Date(year, 1, 1, 0, 0, 0, 0, zone)}
+	}
+	return map[string]Value{
+		"NaN":              Float(math.NaN()),
+		"+Inf":             Float(math.Inf(1)),
+		"-Inf":             Float(math.Inf(-1)),
+		"year 10000":       at(10000, time.UTC),
+		"year -1":          at(-1, time.UTC),
+		"zone hour 24":     at(2026, time.FixedZone("", 24*3600)),
+		"zone offset -60s": at(2026, time.FixedZone("", -60)),
+		"unknown type":     {T: Type(9)},
+		"no type":          {},
+	}
+}
+
+func wireResults() map[string]Result {
+	return map[string]Result{
+		"permit": {RequestID: "r-1", Decision: Permit, Extended: Permit,
+			PolicyID: "records", PolicyVersion: "v1", PolicyDigest: crypto.Sum([]byte("v1"))},
+		"obligations with params": {RequestID: "r-2", Decision: Deny, Extended: Deny,
+			Obligations: []Obligation{
+				{ID: "alert-security", FulfillOn: EffectDeny, Params: map[string]string{"to": "soc", "level": "2"}},
+				{ID: "log", FulfillOn: EffectDeny},
+			},
+			PolicyID: "records", PolicyVersion: "v2", PolicyDigest: crypto.Sum([]byte("v2"))},
+		"indeterminate": {RequestID: "r-3", Decision: IndeterminateDP, Extended: IndeterminateD},
+		"zero":          {},
+	}
+}
+
+func sameRequest(a, b *Request) bool {
+	return a.ID == b.ID && a.TraceID == b.TraceID && bytes.Equal(a.CanonicalBytes(), b.CanonicalBytes())
+}
+
+// Every value the wire decodes is one the sealed probe context can hold, so
+// no decided exchange goes unrecorded: a value JSON (or MarshalBinary)
+// cannot write is refused at the PEP by CheckValues and on the wire by
+// DecodeRequest.
+func TestWireRefusesUnsupportedValues(t *testing.T) {
+	for name, v := range wireRefused() {
+		req := NewRequest("r").Add(CatSubject, "role", String("doctor")).Add(CatEnvironment, "x", v)
+		if err := req.CheckValues(); !errors.Is(err, ErrUnsupportedValue) {
+			t.Errorf("%s: CheckValues = %v", name, err)
+		}
+		if _, err := DecodeRequest(req.Encode()); err == nil {
+			t.Errorf("%s: DecodeRequest accepted it", name)
+		}
+	}
+	for name, req := range wireRequests() {
+		if err := req.CheckValues(); err != nil {
+			t.Errorf("%s: CheckValues = %v", name, err)
+		}
+		if _, err := json.Marshal(req); err != nil {
+			t.Errorf("%s: the probe context cannot seal it: %v", name, err)
+		}
+	}
+	for _, name := range []string{"NaN", "year 10000", "zone hour 24"} {
+		req := NewRequest("r").Add(CatEnvironment, "x", wireRefused()[name])
+		if _, err := json.Marshal(req); err == nil {
+			t.Errorf("%s: JSON encoded it, so the refusal is not needed", name)
+		}
+	}
+}
+
+func TestWireRefusesHostileInput(t *testing.T) {
+	req := wireRequests()["every type"]
+	res := wireResults()["obligations with params"]
+	jsonReq, _ := json.Marshal(req)
+	jsonRes, _ := json.Marshal(res)
+	cases := []struct {
+		name string
+		data []byte
+		want string // in the error
+	}{
+		{"empty", nil, "empty input"},
+		{"JSON body", jsonReq, "JSON"},
+		{"unknown tag", append([]byte{0x02}, req.Encode()[1:]...), "unknown format byte 0x02"},
+		{"trailing bytes", append(req.Encode(), 0), "1 trailing bytes"},
+		{"count beyond the input", []byte{wireVersion, 0, 0, 0xff, 0xff, 0x03}, "exceeds"},
+		{"string beyond the input", []byte{wireVersion, 5, 'r'}, "truncated"},
+		{"bool byte", []byte{wireVersion, 0, 0, 1, 0, 1, 0, 1, byte(TypeBool), 2}, "bool byte"},
+		{"attribute twice", []byte{wireVersion, 0, 0, 1, 0, 2, 1, 'a', 0, 1, 'a', 0}, "twice"},
+		{"unknown value type", []byte{wireVersion, 0, 0, 1, 0, 1, 0, 1, 9, 0}, "unsupported value"},
+		// A value costs at least two bytes, so three bytes hold one.
+		{"one-byte values", []byte{wireVersion, 0, 0, 1, 0, 1, 0, 2, 9, 9, 9}, "exceeds"},
+	}
+	for _, c := range cases {
+		_, err := DecodeRequest(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("request %s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	if _, err := DecodeResult(jsonRes); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Errorf("result JSON body: err = %v", err)
+	}
+	if _, err := DecodeResult(append(res.Encode(), 0)); err == nil {
+		t.Error("result with a trailing byte decoded")
+	}
+	// Truncation at every offset is an error, never a panic.
+	for name, enc := range map[string][]byte{"request": req.Encode(), "result": res.Encode()} {
+		for i := range enc {
+			var err error
+			if name == "request" {
+				_, err = DecodeRequest(enc[:i])
+			} else {
+				_, err = DecodeResult(enc[:i])
+			}
+			if err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes decoded", name, i, len(enc))
+			}
+		}
+	}
+}
+
+// A declared count reserves no more than maxSizeHint map entries: a body
+// declaring half a million categories, refused at the second by a duplicate
+// name, allocates about its own size (the one copy of the input), not a map
+// for every category it declares.
+func TestWireCountBuysNoLargeMap(t *testing.T) {
+	const n = 1 << 19
+	for name, prefix := range map[string][]byte{
+		"categories": {wireVersion, 0, 0},
+		"attributes": {wireVersion, 0, 0, 1, 0},
+		"parameters": {wireVersion, 0, 0, 0, 1, 0, 0},
+	} {
+		body := binary.AppendUvarint(prefix, n)
+		for len(body) < 2*n+len(prefix)+3 {
+			body = append(body, 0, 0)
+		}
+		decode := func() error { _, err := DecodeRequest(body); return err }
+		if name == "parameters" {
+			decode = func() error { _, err := DecodeResult(body); return err }
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("%s: err = %v, want a duplicate refused", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(body)) {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(body), got)
+		}
+	}
+}
+
+func TestBatchEnvelopeRoundTrip(t *testing.T) {
+	items := [][]byte{wireRequests()["every type"].Encode(), {}, wireRequests()["trace ID"].Encode()}
+	back, err := DecodeBatch(EncodeBatch(items))
+	if err != nil || len(back) != len(items) {
+		t.Fatalf("batch: %d items, %v", len(back), err)
+	}
+	for i := range items {
+		if !bytes.Equal(back[i], items[i]) {
+			t.Fatalf("item %d = %x, want %x", i, back[i], items[i])
+		}
+	}
+	results := [][]byte{wireResults()["permit"].Encode(), nil}
+	errs := []error{nil, errors.New("federation: PDP has no evaluator")}
+	reply := EncodeBatchReply(results, errs)
+	gotResults, gotErrs, err := DecodeBatchReply(reply)
+	if err != nil || len(gotResults) != 2 || !bytes.Equal(gotResults[0], results[0]) ||
+		gotErrs[0] != nil || gotErrs[1] == nil || gotErrs[1].Error() != errs[1].Error() {
+		t.Fatalf("reply: %x %v %v", gotResults, gotErrs, err)
+	}
+	// Hostile bodies are refused, never a panic: truncation at every offset,
+	// trailing bytes, a count the body cannot hold, an unknown status.
+	for i := 0; i < len(reply); i++ {
+		if _, _, err := DecodeBatchReply(reply[:i]); err == nil {
+			t.Fatalf("reply truncated to %d of %d bytes decoded", i, len(reply))
+		}
+	}
+	for name, body := range map[string][]byte{
+		"trailing": append(EncodeBatch(items), 0),
+		"count":    {0xff, 0xff, 0x03, 0x00},
+	} {
+		if _, err := DecodeBatch(body); err == nil {
+			t.Fatalf("%s: batch decoded", name)
+		}
+	}
+	if _, _, err := DecodeBatchReply([]byte{1, 7, 0}); err == nil || !strings.Contains(err.Error(), "status") {
+		t.Fatalf("unknown status: %v", err)
+	}
+}
