@@ -18,9 +18,12 @@
 //     latency after it was sent and is delivered at the later of that and
 //     the previous frame's delivery: jitter delays, it never reorders.
 //     One-way messages and call replies are handed to the receiving endpoint
-//     one at a time in send order; each call request runs its handler on its
-//     own goroutine, started in order, because call handlers may call back
-//     over the link they arrived on. Different links deliver concurrently.
+//     one at a time in send order; call requests leave the queue in send
+//     order and their handlers run concurrently, never waiting for each
+//     other or for the queue, because call handlers may call back over the
+//     link they arrived on. Different links deliver concurrently. Drainers
+//     and handlers run on pooled workers (transport.Workers): a delivery
+//     starts no goroutine while one is parked, and reuses its grown stack.
 //   - Synchronous: messages are delivered inline on the sender's goroutine
 //     with zero latency, giving deterministic unit tests.
 //
@@ -74,9 +77,8 @@ type Message = transport.Message
 
 // envelope is a Message plus the private wire fields of the simulator's
 // request/response machinery. One is allocated per frame at send and never
-// written again, so the delivery path hands the pointer on: a delivery
-// goroutine starts on a minimal stack, and an envelope copied into every
-// frame below the handler makes each one grow it sooner and copy more.
+// written again, so the delivery path hands the pointer on rather than
+// copying the envelope into every frame below the handler.
 type envelope struct {
 	Message
 	corrID  uint64
@@ -114,13 +116,15 @@ type Stats = transport.Stats
 // Network routes messages between registered endpoints. It implements
 // transport.Transport.
 type Network struct {
-	cfg   Config
-	clk   clock.Clock
-	rng   *idgen.Rand
-	corr  atomic.Uint64
-	wg    sync.WaitGroup
-	pace  *pacer // nil unless frames sleep on the system clock
-	state struct {
+	cfg     Config
+	clk     clock.Clock
+	rng     *idgen.Rand
+	corr    atomic.Uint64
+	workers transport.Workers
+	started atomic.Int64  // goroutines workers.Go started
+	closing chan struct{} // closed by Close before it waits for the workers
+	pace    *pacer        // nil unless frames sleep on the system clock
+	state   struct {
 		sync.Mutex
 		endpoints map[string]*Endpoint
 		groups    map[string]int // partition group per address; absent = 0
@@ -145,7 +149,7 @@ func New(cfg Config) *Network {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	n := &Network{cfg: cfg, clk: cfg.Clock, rng: idgen.NewRand(cfg.Seed)}
+	n := &Network{cfg: cfg, clk: cfg.Clock, rng: idgen.NewRand(cfg.Seed), closing: make(chan struct{})}
 	if _, ok := cfg.Clock.(clock.System); ok {
 		n.pace = new(pacer)
 	}
@@ -248,19 +252,30 @@ func linkKey(a, b string) string {
 	return a + "|" + b
 }
 
-// Close shuts the network down and waits for in-flight deliveries.
+// Close shuts the network down and waits for in-flight deliveries. Calls
+// still waiting for a reply return ErrNetworkClosed.
 func (n *Network) Close() error {
 	n.state.Lock()
-	n.state.closed = true
+	if !n.state.closed {
+		n.state.closed = true
+		close(n.closing)
+	}
 	n.state.Unlock()
 	n.pace.close()
-	n.wg.Wait()
+	n.workers.Close()
 	return nil
+}
+
+// spawn runs fn on a pooled worker.
+func (n *Network) spawn(fn func()) {
+	if n.workers.Go(fn) {
+		n.started.Add(1)
+	}
 }
 
 // route decides whether a message may travel from src to dst and with what
 // latency; it does not deliver.
-func (n *Network) route(src, dst string, size int) (latency time.Duration, drop bool, err error) {
+func (n *Network) route(src, dst string) (latency time.Duration, drop bool, err error) {
 	n.state.Lock()
 	if n.state.closed {
 		n.state.Unlock()
@@ -291,35 +306,37 @@ func (n *Network) route(src, dst string, size int) (latency time.Duration, drop 
 	if n.cfg.Jitter > 0 {
 		latency += time.Duration(n.rng.Uint64() % uint64(n.cfg.Jitter))
 	}
-	_ = size
 	return latency, false, nil
 }
 
-// deliver performs the actual handoff to the destination endpoint.
-func (n *Network) deliver(msg *envelope) {
+// deliver performs the actual handoff to the destination endpoint. For a
+// call request it returns the link of the reply when that link needs a
+// drainer (see dispatch).
+func (n *Network) deliver(msg *envelope) *link {
 	n.state.Lock()
 	ep, ok := n.state.endpoints[msg.To]
 	n.state.Unlock()
 	if !ok {
 		n.dropped.Inc()
-		return
+		return nil
 	}
 	if ep.isCrashed() {
 		n.dropped.Inc()
-		return
+		return nil
 	}
 	n.delivered.Inc()
-	ep.dispatch(msg)
+	return ep.dispatch(msg)
 }
 
 // link is the ordered delivery queue of one directed (sender, receiver)
-// pair. At most one drain goroutine runs per link, and only while the queue
-// is non-empty.
+// pair. At most one worker drains a link, and only while the queue is
+// non-empty.
 type link struct {
 	mu       sync.Mutex
 	queue    []*envelope // queue[head:] is waiting, oldest first
 	head     int
 	draining bool
+	drain    func() // the network's drain of this link, bound once
 }
 
 // push appends msg and reports whether the caller must start the drainer.
@@ -353,7 +370,7 @@ func (l *link) peek() (*envelope, bool) {
 
 // pop removes the frame peek returned. With release set and nothing else
 // waiting it also clears draining, handing the link to the next sender's
-// drainer: the caller is about to run a call handler on this goroutine.
+// drainer: the caller is about to run a call handler on this worker.
 func (l *link) pop(release bool) (released bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -371,8 +388,7 @@ func (l *link) pop(release bool) (released bool) {
 
 // drain delivers the link's frames in send order until none is waiting.
 func (n *Network) drain(l *link) {
-	defer n.wg.Done()
-	for {
+	for l != nil {
 		msg, ok := l.peek()
 		if !ok {
 			return
@@ -391,50 +407,58 @@ func (n *Network) drain(l *link) {
 		}
 		// A call request: its handler may block, or call back over this
 		// very link, so it cannot hold the queue. On an otherwise idle link
-		// this goroutine stops being the drainer and runs the handler
-		// itself, so a lone call costs one goroutine, not two.
+		// this worker stops being the drainer, runs the handler itself and
+		// then drains the reply's link, so a lone call costs one worker.
 		if l.pop(true) {
-			n.deliver(msg)
-			return
+			l = n.deliver(msg)
+			continue
 		}
-		n.wg.Add(1)
-		go n.deliverCall(msg)
+		n.spawn(func() { n.deliverCall(msg) })
 	}
 }
 
-// deliverCall delivers one call request on its own goroutine.
+// deliverCall delivers one call request on a worker of its own, which then
+// drains the reply's link if it needs a drainer.
 func (n *Network) deliverCall(msg *envelope) {
-	defer n.wg.Done()
-	n.deliver(msg)
+	n.drain(n.deliver(msg))
 }
 
 // send schedules a message from e for delivery, respecting faults, latency
 // and the order of e's earlier frames to the same destination.
 func (e *Endpoint) send(msg *envelope) error {
+	l, err := e.enqueue(msg)
+	if l != nil {
+		e.net.spawn(l.drain)
+	}
+	return err
+}
+
+// enqueue is send without starting the drainer: it returns the link when
+// msg found it idle and the caller must drain it.
+func (e *Endpoint) enqueue(msg *envelope) (*link, error) {
 	n := e.net
 	n.sent.Inc()
 	n.bytes.Add(int64(len(msg.Payload)))
-	latency, drop, err := n.route(msg.From, msg.To, len(msg.Payload))
+	latency, drop, err := n.route(msg.From, msg.To)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if drop {
 		n.dropped.Inc()
-		return nil
+		return nil, nil
 	}
 	if n.cfg.Synchronous {
 		n.deliver(msg)
-		return nil
+		return nil, nil
 	}
 	if latency > 0 {
 		msg.due = n.clk.Now().Add(latency)
 	}
 	l := e.linkTo(msg.To)
 	if l.push(msg) {
-		n.wg.Add(1)
-		go n.drain(l)
+		return l, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // Endpoint is one addressable participant. It implements transport.Endpoint.
@@ -499,6 +523,7 @@ func (e *Endpoint) linkTo(to string) *link {
 	defer e.mu.Unlock()
 	if l = e.out[to]; l == nil {
 		l = &link{}
+		l.drain = func() { e.net.drain(l) }
 		e.out[to] = l
 	}
 	return l
@@ -558,13 +583,19 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 		return reply.Payload, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("netsim: call %s/%s: %w", to, kind, ctx.Err())
+	case <-e.net.closing:
+		return nil, ErrNetworkClosed
 	}
 }
 
-// dispatch hands msg to this endpoint: on the link's drain goroutine for
-// one-way messages and replies, on the request's own goroutine for calls,
-// on the sender's goroutine in Synchronous mode.
-func (e *Endpoint) dispatch(msg *envelope) {
+// dispatch hands msg to this endpoint: on the link's drainer for one-way
+// messages and replies, for a call request on a worker that no other frame
+// waits for, on the sender's goroutine in Synchronous mode.
+//
+// A call request's reply is the last thing its worker sends, so when the
+// reply finds its link idle dispatch returns that link and the worker
+// drains it itself rather than hand it to another.
+func (e *Endpoint) dispatch(msg *envelope) *link {
 	if msg.isReply {
 		e.mu.RLock()
 		ch, ok := e.pending[msg.corrID]
@@ -575,7 +606,7 @@ func (e *Endpoint) dispatch(msg *envelope) {
 			default:
 			}
 		}
-		return
+		return nil
 	}
 	if msg.corrID != 0 {
 		// Request/response call.
@@ -596,9 +627,11 @@ func (e *Endpoint) dispatch(msg *envelope) {
 				reply.Payload = out
 			}
 		}
-		// Replies travel the same faulty network.
-		_ = e.send(reply)
-		return
+		// Replies travel the same faulty network. A reply that cannot be
+		// sent is lost like a dropped one; after Close the caller's Call
+		// returns ErrNetworkClosed by itself.
+		l, _ := e.enqueue(reply)
+		return l
 	}
 	e.mu.RLock()
 	fn, ok := e.msgH[msg.Kind]
@@ -606,9 +639,10 @@ func (e *Endpoint) dispatch(msg *envelope) {
 	e.mu.RUnlock()
 	if ok {
 		fn(msg.From, msg.Payload)
-		return
+		return nil
 	}
 	if def != nil {
 		def(msg.Message)
 	}
+	return nil
 }

@@ -454,14 +454,46 @@ func TestQueuedFramesAcrossPartitionAndCrash(t *testing.T) {
 	}
 }
 
+// draining counts the links of n that have a drainer.
+func draining(n *Network) int {
+	count := 0
+	for _, addr := range n.Addresses() {
+		n.state.Lock()
+		ep := n.state.endpoints[addr]
+		n.state.Unlock()
+		ep.mu.RLock()
+		for _, l := range ep.out {
+			l.mu.Lock()
+			if l.draining {
+				count++
+			}
+			l.mu.Unlock()
+		}
+		ep.mu.RUnlock()
+	}
+	return count
+}
+
+// After traffic an idle network holds no drainer, only parked workers, and
+// no more of them than transport.Workers' idle bound (twice GOMAXPROCS)
+// even after a burst that needed many more at once; Close ends them all.
 func TestIdleLinkKeepsNoGoroutine(t *testing.T) {
+	const burst = 64
 	n := New(Config{BaseLatency: time.Millisecond, Seed: 14})
 	defer n.Close()
 	a, _ := n.Register("a")
 	b, _ := n.Register("b")
-	var got atomic.Int64
+	var got, entered atomic.Int64
+	all := make(chan struct{})
 	b.OnMessage("m", func(string, []byte) { got.Add(1) })
 	b.OnCall("c", func(string, []byte) ([]byte, error) { return nil, nil })
+	b.OnCall("wide", func(string, []byte) ([]byte, error) {
+		if entered.Add(1) == burst {
+			close(all)
+		}
+		<-all
+		return nil, nil
+	})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		_ = a.Send("b", "m", nil)
@@ -469,12 +501,67 @@ func TestIdleLinkKeepsNoGoroutine(t *testing.T) {
 	if _, err := a.Call(context.Background(), "b", "c", nil); err != nil {
 		t.Fatal(err)
 	}
+	var callers sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if _, err := a.Call(ctx, "b", "wide", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	callers.Wait()
+	if t.Failed() {
+		return
+	}
+	bound := 2 * runtime.GOMAXPROCS(0)
 	deadline := time.Now().Add(2 * time.Second)
-	for got.Load() != 50 || runtime.NumGoroutine() > before {
+	for got.Load() != 50 || draining(n) > 0 || runtime.NumGoroutine()-before > bound {
 		if time.Now().After(deadline) {
-			t.Fatalf("handled %d of 50, %d goroutines against %d before the traffic",
-				got.Load(), runtime.NumGoroutine(), before)
+			t.Fatalf("handled %d of 50, %d links draining, %d goroutines against %d before the traffic (idle bound %d)",
+				got.Load(), draining(n), runtime.NumGoroutine(), before, bound)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if started := n.started.Load(); started < burst {
+		t.Fatalf("the burst of %d blocked calls started %d workers", burst, started)
+	}
+	n.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close against %d before the traffic", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A zero-latency Call is one hand-off to a parked worker, which runs the
+// handler and drains the reply's link: once the first call has left a
+// worker parked, no call starts a goroutine. On one P the order is fixed: a
+// woken goroutine runs when the waker blocks, so the worker has parked
+// before the caller sends again; on more Ps a caller may occasionally get in
+// first and start a second worker, which then parks too.
+func TestCallStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := New(Config{Seed: 15})
+	defer n.Close()
+	a, _ := n.Register("a")
+	b, _ := n.Register("b")
+	b.OnCall("echo", func(_ string, payload []byte) ([]byte, error) { return payload, nil })
+	call := func() {
+		if out, err := a.Call(context.Background(), "b", "echo", []byte("x")); err != nil || string(out) != "x" {
+			t.Fatalf("call = %q, %v", out, err)
+		}
+	}
+	call()
+	warm := n.started.Load()
+	for range 1000 {
+		call()
+	}
+	if started := n.started.Load() - warm; started != 0 {
+		t.Fatalf("1000 sequential calls after a warm-up started %d goroutines (warm-up: %d)", started, warm)
 	}
 }

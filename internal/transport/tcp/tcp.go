@@ -96,8 +96,9 @@ type Transport struct {
 	pending map[uint64]chan frame
 	corr    atomic.Uint64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop    chan struct{}
+	wg      sync.WaitGroup    // every goroutine and in-flight dispatch
+	workers transport.Workers // run inbound calls and loopback frames
 
 	sent       metrics.Counter
 	delivered  metrics.Counter
@@ -251,6 +252,7 @@ func (t *Transport) Close() error {
 		c.Close() // unblock any reader parked in readFrame
 	}
 	t.wg.Wait()
+	t.workers.Close()
 	return err
 }
 
@@ -456,8 +458,9 @@ func (t *Transport) connDead(node string, conn net.Conn) {
 // messages go through one dispatcher goroutine per connection, so they reach
 // their handlers one at a time in the order the peer sent them (the
 // transport.Endpoint delivery contract); replies complete their Call inline;
-// each call request gets its own goroutine, because call handlers may block
-// or call back over this connection.
+// call requests run on pooled workers, never waiting for each other or for
+// this loop, because call handlers may block or call back over this
+// connection.
 func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 	defer t.connDead(node, conn)
 	// Deep enough that one slow handler run does not hold up the replies
@@ -507,10 +510,7 @@ func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 				conn.Close()
 				return
 			}
-			go func(f frame) {
-				defer t.wg.Done()
-				t.dispatch(f, node)
-			}(f)
+			t.goDispatch(f, node)
 		case fReply:
 			t.deliverReply(f)
 		}
@@ -546,6 +546,14 @@ func (t *Transport) dispatch(f frame, viaNode string) {
 		}
 		t.sendReply(reply, viaNode)
 	}
+}
+
+// goDispatch dispatches f on a worker. The caller has counted it in t.wg.
+func (t *Transport) goDispatch(f frame, viaNode string) {
+	t.workers.Go(func() {
+		defer t.wg.Done()
+		t.dispatch(f, viaNode)
+	})
 }
 
 // deliverReply completes a pending local Call with an arriving reply.
@@ -602,13 +610,10 @@ func (t *Transport) send(f frame) error {
 	t.sent.Inc()
 	t.bytes.Add(int64(len(f.payload)))
 	if isLocal {
-		// Loopback delivery: stay off the socket, one goroutine per frame.
-		// The ordering contract is kept only for frames that cross a
-		// socket; no chain peer is local to its own transport.
-		go func() {
-			defer t.wg.Done()
-			t.dispatch(f, "")
-		}()
+		// Loopback delivery: stay off the socket, each frame on a worker of
+		// its own. The ordering contract is kept only for frames that cross
+		// a socket; no chain peer is local to its own transport.
+		t.goDispatch(f, "")
 		return nil
 	}
 	if p := t.peerFor(node); p != nil {

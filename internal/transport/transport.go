@@ -74,8 +74,10 @@ type Stats struct {
 // next frame of a link waits for the handler of the one before it, an
 // OnMessage or OnDefault handler must not wait on a Call over the link its
 // message arrived on (the reply would queue behind the handler itself);
-// hand such work to another goroutine. An OnCall handler may: each request
-// runs on its own goroutine.
+// hand such work to another goroutine. An OnCall handler may: call handlers
+// run concurrently and never wait for each other, for the link, or for a
+// free worker (a backend runs them on pooled goroutines, Workers, and starts
+// a new one whenever none is parked).
 type Endpoint interface {
 	// Addr returns the endpoint's logical address.
 	Addr() string

@@ -40,6 +40,8 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("RegisterSemantics", func(t *testing.T) { testRegisterSemantics(t, factory) })
 	t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, factory) })
 	t.Run("OrderedDelivery", func(t *testing.T) { testOrderedDelivery(t, factory) })
+	t.Run("CallReturnsOnClose", func(t *testing.T) { testCallReturnsOnClose(t, factory) })
+	t.Run("CallHandlersNeverWaitForAWorker", func(t *testing.T) { testCallHandlersNeverWait(t, factory) })
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
@@ -451,5 +453,100 @@ func testOrderedDelivery(t *testing.T, factory Factory) {
 	defer cancel()
 	if out, err := a.Call(ctx, "b", "outer", nil); err != nil || string(out) != "inner-ok" {
 		t.Fatalf("nested call = %q, %v", out, err)
+	}
+}
+
+// testCallReturnsOnClose: closing the caller's transport ends a Call that
+// has no deadline, while its handler is still running. Close itself may
+// wait for that handler, so it runs beside the test.
+func testCallReturnsOnClose(t *testing.T, factory Factory) {
+	ts := factory(t, 2)
+	a := register(t, ts, 0, "a")
+	b := register(t, ts, 1%len(ts), "b")
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.OnCall("stuck", func(string, []byte) ([]byte, error) {
+		close(entered)
+		<-release
+		return []byte("late"), nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Call(context.Background(), "b", "stuck", nil)
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never entered")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- ts[0].Close() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("call on a closed transport = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("call still waiting 5 s after its transport closed")
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the handler had")
+	}
+}
+
+// testCallHandlersNeverWait: many call handlers that block until all of them
+// are running, each after a nested call back over the link it arrived on. A
+// backend that ran handlers on a fixed number of goroutines would stall.
+func testCallHandlersNeverWait(t *testing.T, factory Factory) {
+	const calls = 64
+	ts := factory(t, 2)
+	a := register(t, ts, 0, "a")
+	b := register(t, ts, 1%len(ts), "b")
+	var running atomic.Int64
+	all := make(chan struct{})
+	a.OnCall("inner", func(_ string, payload []byte) ([]byte, error) { return payload, nil })
+	b.OnCall("barrier", func(from string, payload []byte) ([]byte, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		out, err := b.Call(ctx, from, "inner", payload)
+		if err != nil {
+			return nil, fmt.Errorf("nested call: %w", err)
+		}
+		if running.Add(1) == calls {
+			close(all)
+		}
+		select {
+		case <-all:
+			return out, nil
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%d of %d handlers running: %w", running.Load(), calls, ctx.Err())
+		}
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			want := []byte{byte(i)}
+			out, err := a.Call(ctx, "b", "barrier", want)
+			if err == nil && !bytes.Equal(out, want) {
+				err = fmt.Errorf("reply %v, want %v", out, want)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("call %d: %w", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
