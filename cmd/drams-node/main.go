@@ -68,7 +68,7 @@ func run() error {
 	timeoutBlocks := flag.Uint64("timeout-blocks", 64, "log-match M3 window in blocks (consensus-critical; must match across processes)")
 	requireVerdict := flag.Bool("require-verdict", true, "demand an analyser verdict per exchange (consensus-critical; must match across processes)")
 	runFor := flag.Duration("run-for", 0, "exit cleanly after this duration (0 = until signalled)")
-	dataDir := flag.String("data-dir", "", "directory for the durable chain store; a restarted process re-validates and resumes its persisted chain instead of starting from genesis")
+	dataDir := flag.String("data-dir", "", "directory for the chain's block log; a restarted process re-validates and resumes its persisted chain instead of starting from genesis")
 	policyFile := flag.String("policy-file", "", "policy-set JSON to publish on-chain as a PAP update (any member may push)")
 	policyAtHeight := flag.Uint64("policy-at-height", 0, "wait for this local chain height before pushing -policy-file (0 = push immediately)")
 	policyDelta := flag.Uint64("policy-delta", 5, "activation delay of the -policy-file update, in blocks after submission")
@@ -194,7 +194,7 @@ type daemonConfig struct {
 }
 
 // opsHandler is what the -metrics-addr listener serves. The listener is up
-// before the member is assembled (a large WAL replay must not hide
+// before the member is assembled (a long block log replay must not hide
 // /healthz), so until the member's handler is swapped in it answers
 // /healthz itself and 503 to everything else — /readyz included. The swap
 // happens after the daemon has added its own gate to the member's, so the

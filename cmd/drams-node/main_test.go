@@ -82,7 +82,7 @@ func TestReadyzHeldUntilLastGate(t *testing.T) {
 
 // TestDaemonCannotHandWireAMember: the daemon assembles its member through
 // drams.OpenMember only. Without these packages it cannot construct a
-// Logging Interface, a store, a collector, a readiness gate, a monitor
+// Logging Interface, a collector, a readiness gate, a monitor
 // clock, a simulated network, a contract registry or an identity, so a
 // second assembly path cannot grow back here unnoticed.
 func TestDaemonCannotHandWireAMember(t *testing.T) {
@@ -92,7 +92,6 @@ func TestDaemonCannotHandWireAMember(t *testing.T) {
 	}
 	banned := map[string]bool{
 		"drams/internal/logger":   true,
-		"drams/internal/store":    true,
 		"drams/internal/metrics":  true,
 		"drams/internal/obs":      true,
 		"drams/internal/clock":    true,

@@ -1,10 +1,13 @@
 package drams_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"drams"
+	"drams/internal/blockchain"
+	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/xacml"
@@ -98,4 +101,46 @@ func TestTopologyAccessor(t *testing.T) {
 	if dep.InfraNode() == nil {
 		t.Fatal("no infra node")
 	}
+}
+
+// TestFleetRegistryHoldsNoGeneralContracts: every allowlisted identity — each
+// tenant's LI, the analyser, the PAP — can sign a transaction, so a
+// general-purpose kv or anchor contract in the federation's registry would
+// let any of them write arbitrary rows into every member's state. The
+// registry holds the log-match and policy contracts only: a kv.put or an
+// anchor signed by an LI gets a failed receipt and leaves no row.
+func TestFleetRegistryHoldsNoGeneralContracts(t *testing.T) {
+	dep := testDeployment(t)
+	var tenants []string
+	for _, ten := range dep.Topology().Tenants {
+		tenants = append(tenants, ten.Name)
+	}
+	li := drams.NewChainMaterial(42, tenants, drams.ChainParams{}).LIIdentities["tenant-1"]
+	node := dep.InfraNode()
+	sender := blockchain.NewSender(node, li)
+	put, _ := json.Marshal(contract.KVArgs{Key: "planted", Value: []byte("evil")})
+	anchor, _ := json.Marshal(contract.AnchorArgs{Stream: "planted", Seq: 1, Count: 1})
+	for _, call := range []contract.Call{
+		{Contract: "kv", Method: "put", Args: put},
+		{Contract: "anchor", Method: "anchor", Args: anchor},
+	} {
+		rec, err := sender.SendAndWait(ctx20(t), call, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.OK || !strings.Contains(rec.Err, "unknown contract") {
+			t.Fatalf("%s.%s signed by %s: ok=%v err=%q, want an unknown-contract failure",
+				call.Contract, call.Method, li.Name(), rec.OK, rec.Err)
+		}
+	}
+	node.Chain().ReadState("kv", func(st contract.StateDB) {
+		if _, ok := contract.ReadKV(st, "planted"); ok {
+			t.Error("an LI wrote a kv/ row into the federation's state")
+		}
+	})
+	node.Chain().ReadState("anchor", func(st contract.StateDB) {
+		if got := contract.ListAnchors(st, "planted"); len(got) != 0 {
+			t.Errorf("an LI wrote %d anchor/ rows into the federation's state", len(got))
+		}
+	})
 }

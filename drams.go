@@ -60,7 +60,6 @@ import (
 	"drams/internal/netsim"
 	"drams/internal/obs"
 	"drams/internal/pap"
-	"drams/internal/store"
 	"drams/internal/transport"
 	"drams/internal/xacml"
 )
@@ -124,9 +123,9 @@ type config struct {
 	// unavailable.
 	transport transport.Transport
 	// dataDir, when set, makes every chain node durable: each cloud's node
-	// opens a WAL-backed store under this directory, re-validates and
-	// replays its persisted chain at construction, and persists every
-	// accepted block incrementally from then on. Reopening a deployment
+	// opens its block log under this directory, re-validates and replays
+	// its persisted chain at construction, and writes every best-chain
+	// change to the log from then on. Reopening a deployment
 	// with the same dataDir (and seed/topology) resumes the chain instead
 	// of starting a fresh genesis, and the policy watcher reconciles with
 	// the restored on-chain policy state — the initial policy is only
@@ -176,8 +175,7 @@ type Deployment struct {
 	watcher    *pap.Watcher
 	policyHook atomic.Pointer[func(PolicyEvent)]
 	ids        *idgen.Generator
-	registered []string    // endpoint addresses to release on Close (caller-owned transport)
-	stores     []*store.KV // per-node durable chain stores (DataDir mode)
+	registered []string // endpoint addresses to release on Close (caller-owned transport)
 	closed     bool
 }
 
@@ -279,14 +277,9 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 		if !cfg.hosts(c.Name) {
 			continue
 		}
-		var kv *store.KV
+		var blockLog string
 		if cfg.dataDir != "" {
-			var err error
-			kv, err = store.Open(filepath.Join(cfg.dataDir, "chain-"+c.Name+".wal"))
-			if err != nil {
-				return nil, fmt.Errorf("drams: open chain store for %s: %w", c.Name, err)
-			}
-			d.stores = append(d.stores, kv)
+			blockLog = filepath.Join(cfg.dataDir, "chain-"+c.Name+".wal")
 		}
 		node, err := blockchain.NewNode(blockchain.NodeConfig{
 			Name:               "node@" + c.Name,
@@ -295,7 +288,7 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 			Peers:              nodeNames,
 			Mine:               cfg.mineAll || c.Name == infra.Cloud,
 			EmptyBlockInterval: cfg.emptyBlockInterval,
-			Store:              kv,
+			BlockLog:           blockLog,
 		})
 		if err != nil {
 			return nil, err
@@ -563,9 +556,6 @@ func (d *Deployment) Close() {
 	}
 	for _, node := range d.nodes {
 		node.Stop()
-	}
-	for _, kv := range d.stores {
-		kv.Close()
 	}
 	if d.Transport != nil {
 		if d.ownsTransport {

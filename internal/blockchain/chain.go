@@ -11,7 +11,6 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/merkle"
 	"drams/internal/metrics"
-	"drams/internal/store"
 )
 
 // Config are the consensus parameters of a private DRAMS chain, fixed at
@@ -76,7 +75,7 @@ type Chain struct {
 	headSubs map[int]chan struct{}
 	subSeq   int
 
-	storeKV     *store.KV // incremental persistence target (nil = volatile)
+	log         *blockLog // nil: the chain lives in memory only
 	persisted   metrics.Counter
 	persistErrs metrics.Counter
 }
@@ -441,7 +440,7 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 		evs := c.applyBlockLocked(nb, c.blockIDs[newHead], c.state)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
-		c.persistAppendLocked(nb)
+		c.syncLogLocked()
 		if c.emitted[newHead] {
 			return []blockEvents{{height: nb.Header.Height}}, nil
 		}
@@ -477,7 +476,7 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	}
 	c.head = newHead
 	c.bestChain = best
-	c.persistReorgLocked(oldBest)
+	c.syncLogLocked()
 	return emits, nil
 }
 

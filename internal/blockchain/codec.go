@@ -13,7 +13,7 @@ import (
 
 // Wire codec for blocks and transactions.
 //
-// The hot path (gossip, bc.getrange sync, store.KV persistence) uses a
+// The hot path (gossip, bc.getrange sync, the block log) uses a
 // length-prefixed binary encoding in the style of the TCP frame codec:
 // append-to-caller-buffer writers, exact-size pre-computation (one
 // allocation per encode) and zero-copy []byte reads on decode. The first
@@ -63,7 +63,7 @@ const maxWireTxs = 1 << 20
 var errTruncated = errors.New("blockchain: truncated encoding")
 
 // encodePool recycles scratch buffers for encode paths whose result is
-// consumed immediately (header hashing, persistence values).
+// consumed immediately (header hashing).
 var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // minTxBody is the encoded size of a transaction body whose strings and

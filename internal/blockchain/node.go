@@ -13,7 +13,6 @@ import (
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/metrics"
-	"drams/internal/store"
 	"drams/internal/transport"
 )
 
@@ -60,12 +59,11 @@ type NodeConfig struct {
 	// SyncDepth bounds how many ancestors are fetched when resolving an
 	// orphan block (default 10 000).
 	SyncDepth int
-	// Store, when set, makes the chain durable: persisted blocks are
-	// replayed (with full validation) at construction, a damaged tail is
-	// truncated, and every block that joins the best chain afterwards is
-	// written incrementally. The caller owns the store's lifecycle (open
-	// before NewNode, close after Stop).
-	Store *store.KV
+	// BlockLog, when set, is the path of the node's block log, which makes
+	// the chain durable: NewNode opens it (creating it if missing), replays
+	// its blocks with full validation and cuts a damaged tail, every
+	// best-chain change afterwards is written to it, and Stop closes it.
+	BlockLog string
 	// SyncBatch caps how many blocks one bc.getrange catch-up call asks
 	// for (default 128, server-clamped to 512). Catch-up cost is then
 	// dominated by validation, not round-trips.
@@ -92,14 +90,14 @@ type NodeStats struct {
 	// queue was full. Such a block is fetched again as a missing ancestor
 	// when one of its descendants arrives.
 	ImportDropped int64
-	// BlocksPersisted / PersistErrors count incremental writes to the
-	// durable chain store (zero without NodeConfig.Store).
+	// BlocksPersisted / PersistErrors count block writes to the block log
+	// and failed best-chain syncs of it (zero without NodeConfig.BlockLog).
 	BlocksPersisted int64
 	PersistErrors   int64
-	// BlocksReloaded is how many persisted blocks were re-validated and
-	// applied at construction; ReloadDropped counts persisted blocks
-	// discarded because the stored tail failed validation (torn write,
-	// tampering) — the discarded range is re-fetched from peers.
+	// BlocksReloaded is how many logged blocks were re-validated and
+	// applied at construction; ReloadDropped counts logged records
+	// discarded because the log's tail failed its checksum or validation
+	// (torn write, tampering) — the discarded range is re-fetched from peers.
 	BlocksReloaded int64
 	ReloadDropped  int64
 	// SyncCalls / SyncBlocks count the catch-up protocol: transport Calls
@@ -248,30 +246,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.SyncBatch = 128
 	}
 	chain := NewChain(cfg.Chain)
-	var reloaded, reloadDropped int
-	if cfg.Store != nil {
-		// Replay the persisted best chain through full validation before
-		// any network traffic; the event sink is not installed yet, so
-		// replay emits nothing (subscribers reconcile via their own Sync).
-		applied, err := chain.LoadFromStore(cfg.Store)
-		reloaded = applied
-		if err != nil {
-			// The tail beyond the validated prefix is damaged (torn final
-			// write after a crash, tampering): drop it and let catch-up
-			// re-fetch those heights from peers.
-			for _, key := range cfg.Store.Keys(persistBlockPrefix) {
-				if key > persistBlockKey(uint64(applied)) {
-					reloadDropped++
-				}
-			}
-			if terr := truncateStoreAbove(cfg.Store, uint64(applied)); terr != nil {
-				return nil, fmt.Errorf("blockchain: reload %q: %v; truncate: %w", cfg.Name, err, terr)
-			}
+	var replay logReplay
+	if cfg.BlockLog != "" {
+		// Replay the logged best chain through full validation before any
+		// network traffic; the event sink is not installed yet, so replay
+		// emits nothing (subscribers reconcile via their own Sync).
+		var err error
+		if replay, err = openBlockLog(chain, cfg.BlockLog); err != nil {
+			return nil, fmt.Errorf("blockchain: node %q: %w", cfg.Name, err)
 		}
-		chain.AttachStore(cfg.Store)
 	}
 	ep, err := cfg.Network.Register(cfg.Name)
 	if err != nil {
+		chain.closeLog()
 		return nil, fmt.Errorf("blockchain: register node %q: %w", cfg.Name, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -290,8 +277,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		subs:    make(map[int]*eventSub),
 	}
 	n.seenTx = newSeenCache(seenCacheSize, n.clk)
-	n.reloaded.Add(int64(reloaded))
-	n.reloadDrop.Add(int64(reloadDropped))
+	n.reloaded.Add(int64(replay.loaded))
+	n.reloadDrop.Add(int64(replay.dropped))
 	n.chain.SetEventSink(n.fanout)
 	// Gossip handlers are active from construction, so the import loop must
 	// be too (Stop terminates it).
@@ -339,7 +326,6 @@ func (n *Node) CaughtUp(lag uint64) bool {
 
 // Stats snapshots the node counters.
 func (n *Node) Stats() NodeStats {
-	persist := n.chain.PersistStats()
 	return NodeStats{
 		BlocksMined:     n.mined.Value(),
 		BlocksAccepted:  n.accepted.Value(),
@@ -349,8 +335,8 @@ func (n *Node) Stats() NodeStats {
 		MiningCancelled: n.cancelled.Value(),
 		OrphansResolved: n.orphans.Value(),
 		ImportDropped:   n.imDropped.Value(),
-		BlocksPersisted: persist.BlocksPersisted,
-		PersistErrors:   persist.PersistErrors,
+		BlocksPersisted: n.chain.persisted.Value(),
+		PersistErrors:   n.chain.persistErrs.Value(),
 		BlocksReloaded:  n.reloaded.Value(),
 		ReloadDropped:   n.reloadDrop.Value(),
 		SyncCalls:       n.syncCalls.Value(),
@@ -394,10 +380,11 @@ func (n *Node) rebroadcastLoop() {
 	}
 }
 
-// Stop halts mining and closes subscriber channels.
+// Stop halts mining, closes subscriber channels and closes the block log.
 func (n *Node) Stop() {
 	n.cancel()
 	n.wg.Wait()
+	n.chain.closeLog()
 	n.subMu.Lock()
 	for id, sub := range n.subs {
 		close(sub.ch)

@@ -1,6 +1,7 @@
 package blockchain
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 
 	"drams/internal/contract"
 	"drams/internal/netsim"
-	"drams/internal/store"
 	"drams/internal/transport"
 )
 
@@ -237,12 +237,8 @@ func TestNodeRestartFromStore(t *testing.T) {
 	miner.Start()
 
 	path := filepath.Join(t.TempDir(), "member.wal")
-	kv, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	member, err := NewNode(NodeConfig{Name: "member", Chain: testChainConfig(t, alice), Network: net,
-		Peers: peers, Store: kv})
+		Peers: peers, BlockLog: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +253,11 @@ func TestNodeRestartFromStore(t *testing.T) {
 	}
 	waitFor(t, 15*time.Second, func() bool { return member.chain.Height() >= 8 }, "member at height 8")
 
-	// Crash: stop without any explicit save — incremental persistence must
-	// already have everything up to the member's head on disk.
+	// Crash: stop without any explicit save — the block log must already
+	// hold everything up to the member's head.
 	crashHeight := member.chain.Height()
 	member.Stop()
 	net.Unregister("member")
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if st := member.Stats(); st.BlocksPersisted < int64(crashHeight) {
 		t.Fatalf("persisted %d blocks, head was %d", st.BlocksPersisted, crashHeight)
 	}
@@ -272,14 +265,9 @@ func TestNodeRestartFromStore(t *testing.T) {
 	// The fleet moves on while the member is down.
 	waitFor(t, 15*time.Second, func() bool { return miner.chain.Height() >= crashHeight+6 }, "fleet advanced")
 
-	// Reopen: the persisted chain is re-validated and the node rejoins.
-	kv2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv2.Close()
+	// Reopen: the logged chain is re-validated and the node rejoins.
 	restarted, err := NewNode(NodeConfig{Name: "member", Chain: testChainConfig(t, alice), Network: net,
-		Peers: peers, Store: kv2})
+		Peers: peers, BlockLog: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,41 +298,32 @@ func TestNodeRestartFromStore(t *testing.T) {
 }
 
 // TestNodeReopenTruncatedWAL simulates the classic crash artifact — a torn
-// final WAL record — and expects the validated prefix to load.
+// final record — and expects the validated prefix to load and the torn
+// record to count as dropped.
 func TestNodeReopenTruncatedWAL(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	path := filepath.Join(t.TempDir(), "chain.wal")
-	kv, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := buildTestChain(t, 5, kv)
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	src := buildTestChain(t, 5, path)
+	src.closeLog()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","key":"block/tor`); err != nil {
+	if _, err := f.Write([]byte{0, 0, 1, 0, 0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	kv2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv2.Close()
 	net := netsim.New(netsim.Config{Seed: 8})
 	defer net.Close()
-	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, Store: kv2})
+	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, BlockLog: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	if node.chain.Height() != 5 {
-		t.Fatalf("height %d after torn-record reopen, want 5", node.chain.Height())
+	if st := node.Stats(); node.chain.Height() != 5 || st.BlocksReloaded != 5 || st.ReloadDropped != 1 {
+		t.Fatalf("height=%d reloaded=%d dropped=%d after a torn record, want 5/5/1",
+			node.chain.Height(), st.BlocksReloaded, st.ReloadDropped)
 	}
 	if node.chain.StateDigest() != src.StateDigest() {
 		t.Fatal("state digest lost through torn record")
@@ -355,7 +334,6 @@ func TestNodeReopenTruncatedWAL(t *testing.T) {
 // validation must not brick the node — the validated prefix survives, the
 // damaged tail is dropped from the store, and a peer refills it.
 func TestNodeReopenCorruptBlockTruncatesTail(t *testing.T) {
-	// Bit-flip block 4 in place (memory view; the node reads this store).
 	reopenWithDamagedBlock4(t, func(_ *Block, raw []byte) []byte {
 		mutated := append([]byte(nil), raw...)
 		mutated[len(mutated)-1] ^= 0xff
@@ -363,101 +341,107 @@ func TestNodeReopenCorruptBlockTruncatesTail(t *testing.T) {
 	})
 }
 
-// TestJSONPersistedChainReopens: a block stored as encoding/json of the
+// TestJSONPersistedChainReopens: a block logged as encoding/json of the
 // struct carries no known format tag, so it is a damaged tail like any
-// other — the store still reopens, from the heights below it.
+// other — the log still reopens, from the heights below it.
 func TestJSONPersistedChainReopens(t *testing.T) {
 	reopenWithDamagedBlock4(t, func(b *Block, _ []byte) []byte { return mustJSON(t, b) })
 }
 
 // TestOldFormatWALRefusedByName: a data directory written by an older build
-// carries its format byte on every block — 0x01 before transaction identity
-// changed, 0x02 before the per-sender nonce gave way to a salt and an
-// expiry height. Decoding either under today's layout would misread the
-// transaction bodies, and the import would then fail on a Merkle root or a
-// signature a few checks in. The format byte refuses them first, at height
-// 1, and the error names the byte; the node treats the whole file as a
-// damaged tail, starts from genesis and re-syncs from its peers.
+// is refused by name, and the node starts from genesis and re-syncs from its
+// peers. Blocks of the 0x01 format (before transaction identity changed) and
+// the 0x02 format (before the per-sender nonce gave way to a salt and an
+// expiry height) would misread the transaction bodies under today's layout
+// and fail on a Merkle root or a signature a few checks in; their format
+// byte refuses them first, at height 1, and the error names the byte. A
+// JSON-lines WAL, the file format before the block log, is refused by its
+// first byte before any record is read.
 func TestOldFormatWALRefusedByName(t *testing.T) {
-	for _, tag := range []byte{0x01, 0x02} {
-		t.Run(fmt.Sprintf("0x%02x", tag), func(t *testing.T) {
+	oldFormat := func(tag byte) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			logged := readLog(t, path)
+			for _, raw := range logged {
+				raw[0] = tag
+			}
+			writeLog(t, path, logged)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		write   func(t *testing.T, path string)
+		want    string
+		dropped int64
+	}{
+		{"0x01", oldFormat(0x01), "height 1: blockchain: decode block: unknown format byte 0x01", 4},
+		{"0x02", oldFormat(0x02), "height 1: blockchain: decode block: unknown format byte 0x02", 4},
+		{"json-wal", func(t *testing.T, path string) {
+			wal := `{"op":"put","key":"block/0000000000000001","value":"AwAA"}` + "\n" +
+				`{"op":"put","key":"head","value":"AAAAAAAAAAE="}` + "\n"
+			if err := os.WriteFile(path, []byte(wal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "the JSON-lines WAL of an older build", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			alice := testIdentity(t, "alice", 1)
 			path := filepath.Join(t.TempDir(), "chain.wal")
-			kv, err := store.Open(path)
+			buildTestChain(t, 4, path).closeLog()
+			tc.write(t, path)
+			written, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			buildTestChain(t, 4, kv)
-			for _, key := range kv.Keys(persistBlockPrefix) {
-				raw, err := kv.Get(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				old := append([]byte(nil), raw...)
-				old[0] = tag
-				if err := kv.Put(key, old); err != nil {
-					t.Fatal(err)
-				}
+			c, rep := reopenLog(t, path)
+			if c.Height() != 0 || rep.loaded != 0 || int64(rep.dropped) != tc.dropped ||
+				rep.stopped == nil || !strings.Contains(rep.stopped.Error(), tc.want) {
+				t.Fatalf("replay %+v, want 0 blocks and %q", rep, tc.want)
 			}
-			if err := kv.Close(); err != nil {
-				t.Fatal(err)
+			if errors.Is(rep.stopped, ErrBadSignature) || errors.Is(rep.stopped, ErrBadMerkleRoot) {
+				t.Fatalf("old format surfaced as a validation failure: %v", rep.stopped)
 			}
 
-			kv2, err := store.Open(path)
-			if err != nil {
+			if err := os.WriteFile(path, written, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			defer kv2.Close()
-			applied, err := NewChain(testChainConfig(t, alice)).LoadFromStore(kv2)
-			if want := fmt.Sprintf("unknown format byte 0x%02x", tag); applied != 0 || err == nil ||
-				!strings.Contains(err.Error(), "height 1") || !strings.Contains(err.Error(), want) {
-				t.Fatalf("applied=%d err=%v, want 0 blocks and %q at height 1", applied, err, want)
-			}
-			if errors.Is(err, ErrBadSignature) || errors.Is(err, ErrBadMerkleRoot) {
-				t.Fatalf("old format surfaced as a validation failure: %v", err)
-			}
-
 			net := netsim.New(netsim.Config{Seed: 12})
 			defer net.Close()
-			node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, Store: kv2})
+			node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net, BlockLog: path})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer node.Stop()
-			if st := node.Stats(); node.chain.Height() != 0 || st.BlocksReloaded != 0 || st.ReloadDropped != 4 {
-				t.Fatalf("height=%d reloaded=%d dropped=%d, want 0/0/4", node.chain.Height(), st.BlocksReloaded, st.ReloadDropped)
+			node.Stop()
+			if st := node.Stats(); node.chain.Height() != 0 || st.BlocksReloaded != 0 || st.ReloadDropped != tc.dropped {
+				t.Fatalf("height=%d reloaded=%d dropped=%d, want 0/0/%d", node.chain.Height(), st.BlocksReloaded, st.ReloadDropped, tc.dropped)
+			}
+			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, logHeader) {
+				t.Fatalf("refused file left as %q, %v; want an empty log", data, err)
 			}
 		})
 	}
 }
 
-// reopenWithDamagedBlock4 persists a 6-block chain, replaces the stored
-// value of block 4 with damage(block, stored bytes) and reopens a node on
-// the store.
+// reopenWithDamagedBlock4 logs a 6-block chain, rewrites the log with
+// damage(block, logged bytes) as the record of height 4, reopens a node on
+// it, and refills the dropped heights from a peer.
 func reopenWithDamagedBlock4(t *testing.T, damage func(b *Block, raw []byte) []byte) {
 	alice := testIdentity(t, "alice", 1)
 	path := filepath.Join(t.TempDir(), "chain.wal")
-	kv, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := buildTestChain(t, 6, kv)
-	raw, err := kv.Get(persistBlockKey(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := buildTestChain(t, 6, path)
+	src.closeLog()
+	logged := readLog(t, path)
 	b4, _ := src.BlockByHeight(4)
-	kv.TamperUnderlying(persistBlockKey(4), damage(b4, raw))
+	logged[3] = damage(b4, logged[3])
+	writeLog(t, path, logged)
 
 	net := netsim.New(netsim.Config{Seed: 10})
 	defer net.Close()
 	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net,
-		Peers: []string{"n", "src"}, Store: kv})
+		Peers: []string{"n", "src"}, BlockLog: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	defer kv.Close()
 	if node.chain.Height() != 3 {
 		t.Fatalf("height %d after corrupt tail, want 3", node.chain.Height())
 	}
@@ -465,8 +449,8 @@ func reopenWithDamagedBlock4(t *testing.T, damage func(b *Block, raw []byte) []b
 	if st.BlocksReloaded != 3 || st.ReloadDropped != 3 {
 		t.Fatalf("reloaded=%d dropped=%d, want 3/3", st.BlocksReloaded, st.ReloadDropped)
 	}
-	if got := len(kv.Keys(persistBlockPrefix)); got != 3 {
-		t.Fatalf("store still holds %d blocks after truncation", got)
+	if got := len(readLog(t, path)); got != 3 {
+		t.Fatalf("log still holds %d records after the cut", got)
 	}
 
 	// A peer with the intact chain refills the dropped heights.
@@ -489,8 +473,8 @@ func reopenWithDamagedBlock4(t *testing.T, damage func(b *Block, raw []byte) []b
 		t.Fatalf("refill failed: height %d", node.chain.Height())
 	}
 	// And the refilled suffix is durable again.
-	if got := len(kv.Keys(persistBlockPrefix)); got != 6 {
-		t.Fatalf("store holds %d blocks after refill, want 6", got)
+	if got := len(readLog(t, path)); got != 6 {
+		t.Fatalf("log holds %d records after refill, want 6", got)
 	}
 }
 
@@ -503,7 +487,7 @@ func TestSyncFromToleratesHeadChurn(t *testing.T) {
 	defer net.Close()
 
 	// Main chain of 8 blocks plus a doomed fork block at height 5.
-	main := buildTestChain(t, 8, nil)
+	main := buildTestChain(t, 8, "")
 	hashes := main.BestChainHashes()
 	fork := mineChild(t, main, hashes[4]) // empty sibling of block 5
 	byHash := make(map[string]*Block)

@@ -1,7 +1,7 @@
 // Package hybrid implements the hybrid database+blockchain store sketched
 // in the paper's §III Log Size discussion (reference [9], "Blockchain-based
 // database to ensure data integrity in cloud computing environments"):
-// writes land in a local write-ahead-logged database at database speed,
+// writes land in a local in-memory database at database speed,
 // while Merkle roots of write batches are periodically anchored on the
 // federation blockchain. Integrity audits replay the database against the
 // anchored roots: any tampering of an anchored entry is detected at the
@@ -22,11 +22,13 @@ import (
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
-	"drams/internal/store"
 )
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("hybrid: store closed")
+
+// anchorContract is the on-chain contract the store anchors its batches in.
+const anchorContract = "anchor"
 
 // Config parameterises a hybrid store.
 type Config struct {
@@ -42,11 +44,6 @@ type Config struct {
 	Sender *blockchain.Sender
 	// Node provides chain state access for audits.
 	Node *blockchain.Node
-	// AnchorContract is the on-chain anchor contract name (default
-	// "anchor").
-	AnchorContract string
-	// DB is the backing database (default: in-memory).
-	DB *store.KV
 	// WaitConfirmations > 0 makes each anchor wait for inclusion.
 	WaitConfirmations uint64
 	// Clock is the time source.
@@ -70,7 +67,7 @@ func (e entryRecord) leaf() []byte {
 // Store is the hybrid store.
 type Store struct {
 	cfg Config
-	db  *store.KV
+	db  db
 	clk clock.Clock
 
 	mu         sync.Mutex
@@ -94,16 +91,10 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.AnchorContract == "" {
-		cfg.AnchorContract = "anchor"
-	}
-	if cfg.DB == nil {
-		cfg.DB = store.NewMemory()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	s := &Store{cfg: cfg, db: cfg.DB, clk: cfg.Clock, seq: 1}
+	s := &Store{cfg: cfg, db: db{m: make(map[string][]byte)}, clk: cfg.Clock, seq: 1}
 	s.batchBegan = s.clk.Now()
 	return s, nil
 }
@@ -131,8 +122,44 @@ func (s *Store) Stats() Stats {
 func logKey(seq uint64, idx int) string { return fmt.Sprintf("log/%016x/%08x", seq, idx) }
 func dataKey(key string) string         { return "data/" + key }
 
-// Put writes a key/value pair: it is immediately durable in the database
-// and joins the current batch for the next anchor.
+// db is the store's database: each key's current value under data/<key>
+// and the append-only write log under log/<seq>/<idx>, in memory.
+type db struct {
+	mu sync.RWMutex
+	m  map[string][]byte
+}
+
+// put writes both rows of one write together.
+func (d *db) put(data, log string, value, entry []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.m[data], d.m[log] = value, entry
+}
+
+func (d *db) get(key string) ([]byte, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	v, ok := d.m[key]
+	if !ok {
+		return nil, fmt.Errorf("hybrid: %q not found", key)
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// tamper rewrites an existing row behind the store's back, as an attacker
+// with database access would. It reports whether the row existed.
+func (d *db) tamper(key string, value []byte) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.m[key]; !ok {
+		return false
+	}
+	d.m[key] = append([]byte(nil), value...)
+	return true
+}
+
+// Put writes a key/value pair: it lands in the database at once and joins
+// the current batch for the next anchor.
 func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 	s.mu.Lock()
 	if s.closed {
@@ -140,15 +167,7 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 		return ErrClosed
 	}
 	rec := entryRecord{Key: key, Value: append([]byte(nil), value...)}
-	idx := len(s.pending)
-	seq := s.seq
-	if err := s.db.Batch(map[string][]byte{
-		dataKey(key):     rec.Value,
-		logKey(seq, idx): rec.leaf(),
-	}); err != nil {
-		s.mu.Unlock()
-		return err
-	}
+	s.db.put(dataKey(key), logKey(s.seq, len(s.pending)), rec.Value, rec.leaf())
 	s.pending = append(s.pending, rec)
 	s.writes++
 	due := len(s.pending) >= s.cfg.BatchSize ||
@@ -163,7 +182,7 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 
 // Get reads the current value for a key.
 func (s *Store) Get(key string) ([]byte, error) {
-	return s.db.Get(dataKey(key))
+	return s.db.get(dataKey(key))
 }
 
 // Flush anchors the current partial batch (no-op when empty).
@@ -197,7 +216,7 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("hybrid: encode anchor: %w", err)
 	}
-	call := contract.Call{Contract: s.cfg.AnchorContract, Method: "anchor", Args: args}
+	call := contract.Call{Contract: anchorContract, Method: "anchor", Args: args}
 	if s.cfg.WaitConfirmations > 0 {
 		if _, err := s.cfg.Sender.SendAndWait(ctx, call, s.cfg.WaitConfirmations); err != nil {
 			return fmt.Errorf("hybrid: anchor batch %d: %w", s.seq, err)
@@ -214,8 +233,7 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	return nil
 }
 
-// Close flushes the current batch and closes the store (the backing DB is
-// left open for the caller).
+// Close flushes the current batch and closes the store.
 func (s *Store) Close(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,7 +275,7 @@ func (s *Store) Audit() AuditReport {
 	s.mu.Unlock()
 
 	var anchors []contract.AnchorRecord
-	s.cfg.Node.Chain().ReadState(s.cfg.AnchorContract, func(st contract.StateDB) {
+	s.cfg.Node.Chain().ReadState(anchorContract, func(st contract.StateDB) {
 		anchors = contract.ListAnchors(st, s.cfg.Stream)
 	})
 
@@ -268,7 +286,7 @@ func (s *Store) Audit() AuditReport {
 		leaves := make([][]byte, 0, anchor.Count)
 		broken := false
 		for idx := 0; idx < anchor.Count; idx++ {
-			raw, err := s.db.Get(logKey(seq, idx))
+			raw, err := s.db.get(logKey(seq, idx))
 			if err != nil {
 				rep.Corruptions = append(rep.Corruptions, Corruption{
 					Batch: seq, Index: idx, Reason: "log entry missing",
@@ -307,7 +325,7 @@ func (s *Store) Audit() AuditReport {
 	}
 	s.mu.Unlock()
 	for key, want := range latest {
-		got, err := s.db.Get(dataKey(key))
+		got, err := s.db.get(dataKey(key))
 		if err != nil {
 			rep.Corruptions = append(rep.Corruptions, Corruption{Key: key, Reason: "current value missing"})
 			continue
@@ -324,7 +342,7 @@ func (s *Store) Audit() AuditReport {
 func (s *Store) ProveEntry(seq uint64, idx int) (merkle.Proof, crypto.Digest, error) {
 	var anchor contract.AnchorRecord
 	found := false
-	s.cfg.Node.Chain().ReadState(s.cfg.AnchorContract, func(st contract.StateDB) {
+	s.cfg.Node.Chain().ReadState(anchorContract, func(st contract.StateDB) {
 		anchor, found = contract.ReadAnchor(st, s.cfg.Stream, seq)
 	})
 	if !found {
@@ -332,7 +350,7 @@ func (s *Store) ProveEntry(seq uint64, idx int) (merkle.Proof, crypto.Digest, er
 	}
 	leaves := make([][]byte, anchor.Count)
 	for i := 0; i < anchor.Count; i++ {
-		raw, err := s.db.Get(logKey(seq, i))
+		raw, err := s.db.get(logKey(seq, i))
 		if err != nil {
 			return merkle.Proof{}, crypto.Digest{}, fmt.Errorf("hybrid: batch %d entry %d: %w", seq, i, err)
 		}
@@ -352,17 +370,17 @@ func (s *Store) ProveEntry(seq uint64, idx int) (merkle.Proof, crypto.Digest, er
 // EntryBytes returns the raw log bytes for (seq, idx) so a verifier can
 // check a proof.
 func (s *Store) EntryBytes(seq uint64, idx int) ([]byte, error) {
-	return s.db.Get(logKey(seq, idx))
+	return s.db.get(logKey(seq, idx))
 }
 
 // TamperLogEntry corrupts a logged entry directly in the database,
 // bypassing the API — the attacker model for E4/E5 experiments.
 func (s *Store) TamperLogEntry(seq uint64, idx int, newValue []byte) bool {
 	rec := entryRecord{Key: fmt.Sprintf("tampered-%d-%d", seq, idx), Value: newValue}
-	return s.db.TamperUnderlying(logKey(seq, idx), rec.leaf())
+	return s.db.tamper(logKey(seq, idx), rec.leaf())
 }
 
 // TamperCurrentValue corrupts a key's current value in place.
 func (s *Store) TamperCurrentValue(key string, newValue []byte) bool {
-	return s.db.TamperUnderlying(dataKey(key), newValue)
+	return s.db.tamper(dataKey(key), newValue)
 }

@@ -14,7 +14,6 @@ import (
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/netsim"
-	"drams/internal/store"
 	"drams/internal/xacml"
 )
 
@@ -492,12 +491,8 @@ func TestWatcherRecoversAfterNodeRestart(t *testing.T) {
 	producer.Start()
 
 	path := filepath.Join(t.TempDir(), "member.wal")
-	kv, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	member, err := blockchain.NewNode(blockchain.NodeConfig{
-		Name: "member", Chain: chainCfg, Network: net, Peers: peers, Store: kv,
+		Name: "member", Chain: chainCfg, Network: net, Peers: peers, BlockLog: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -524,9 +519,6 @@ func TestWatcherRecoversAfterNodeRestart(t *testing.T) {
 	w.Stop()
 	member.Stop()
 	net.Unregister("member")
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// The fleet flips to v2 while the member is down.
 	if _, err := admin.UpdatePolicy(ctx, xacml.RestrictedPolicy("v2"), UpdateOptions{}); err != nil {
@@ -535,13 +527,8 @@ func TestWatcherRecoversAfterNodeRestart(t *testing.T) {
 
 	// Reopen from the data dir: re-validate, catch up past the crash
 	// height over batched sync, and reconcile the policy state.
-	kv2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv2.Close()
 	restarted, err := blockchain.NewNode(blockchain.NodeConfig{
-		Name: "member", Chain: chainCfg, Network: net, Peers: peers, Store: kv2,
+		Name: "member", Chain: chainCfg, Network: net, Peers: peers, BlockLog: path,
 	})
 	if err != nil {
 		t.Fatal(err)

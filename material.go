@@ -75,8 +75,6 @@ func NewChainMaterial(seed uint64, tenantNames []string, p ChainParams) ChainMat
 		RequireVerdict: p.RequireVerdict,
 	}))
 	registry.MustRegister(&core.PolicyContract{PAP: m.PAPID.Name()})
-	registry.MustRegister(&contract.AnchorContract{ContractName: "anchor"})
-	registry.MustRegister(&contract.KVContract{ContractName: "kv"})
 
 	m.Chain = blockchain.Config{
 		Difficulty: p.Difficulty,

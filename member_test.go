@@ -12,7 +12,6 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/netsim"
-	"drams/internal/store"
 	"drams/internal/transport"
 	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
@@ -199,49 +198,25 @@ func ownTxHeight(node *blockchain.Node, from string) uint64 {
 	return 0
 }
 
-// dropFromOwnTx deletes, from the closed chain store at path, the last
-// persisted block carrying a transaction signed by from and every block
-// above it: the store then stops short of the member's own last
-// transaction, as a crash before that block's write leaves it. The node
-// reopening it reloads the blocks below and treats the rest as a damaged
-// tail.
-func dropFromOwnTx(t *testing.T, path, from string) {
+// dropFromOwnTx cuts the closed block log at path below the highest block
+// of node's best chain that carries a transaction signed by from: the log
+// then stops short of the member's own last transaction, as a crash before
+// that block's write leaves it. The log holds exactly the node's best chain,
+// and the node reopening it reloads the blocks below the cut.
+func dropFromOwnTx(t *testing.T, node *blockchain.Node, path, from string) {
 	t.Helper()
-	kv, err := store.Open(path)
-	if err != nil {
+	h := ownTxHeight(node, from)
+	if h == 0 {
+		t.Fatalf("no logged block carries a transaction of %s", from)
+	}
+	if err := blockchain.TruncateBlockLog(path, h-1); err != nil {
 		t.Fatal(err)
-	}
-	defer kv.Close()
-	keys := kv.Keys("block/")
-	cut := -1
-	for i, key := range keys {
-		raw, err := kv.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := blockchain.DecodeBlock(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tx := range b.Txs {
-			if tx.From == from {
-				cut = i
-			}
-		}
-	}
-	if cut < 0 {
-		t.Fatalf("no persisted block carries a transaction of %s", from)
-	}
-	for _, key := range keys[cut:] {
-		if err := kv.Delete(key); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // TestMemberSliceRestartOverTCP is the daemon's lifecycle in-process: three
 // slices, each on its own TCP transport and data dir. One is closed with a
-// chain store that stops short of its own last transaction, the rest flip
+// block log that stops short of its own last transaction, the rest flip
 // to a new policy without it, and the reopened slice resumes its persisted
 // chain, activates the flip at the height the others did, anchors a fresh
 // exchange that matches, and converges with them.
@@ -284,7 +259,7 @@ func TestMemberSliceRestartOverTCP(t *testing.T) {
 
 	deps["cloud-3"].Close()
 	tr3.Close()
-	dropFromOwnTx(t, filepath.Join(dir, "chain-cloud-3.wal"), "li@tenant-3")
+	dropFromOwnTx(t, node3, filepath.Join(dir, "chain-cloud-3.wal"), "li@tenant-3")
 	admin, err := deps["cloud-2"].Admin("tenant-2")
 	if err != nil {
 		t.Fatal(err)
