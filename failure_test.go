@@ -66,6 +66,29 @@ func TestPartitionedCloudLogsRaiseM3(t *testing.T) {
 	}
 }
 
+// TestWithheldEdgeRecordsNameTheOriginTenant: when a tenant's PEP-side
+// records never reach the chain, the M3 alert still names that tenant. The
+// PDP-side records carry the calling PEP's tenant as their origin (the PDP
+// reads it off the pep@<tenant> address of the call), and M3 names the
+// origin of the records that did arrive, not the infrastructure tenant that
+// logged them.
+func TestWithheldEdgeRecordsNameTheOriginTenant(t *testing.T) {
+	dep := testDeployment(t)
+	dep.Agents["tenant-2"].Mute(core.KindPEPRequest)
+	dep.Agents["tenant-2"].Mute(core.KindPEPResponse)
+	req := doctorRequest(dep)
+	if _, err := tenantClient(t, dep, "tenant-2").Decide(ctx20(t), req); err != nil {
+		t.Fatal(err)
+	}
+	alert, err := dep.WaitForAlert(ctx20(t), req.ID, core.AlertMessageSuppressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alert.Tenant != "tenant-2" {
+		t.Fatalf("alert names tenant %q, want the origin tenant-2: %s", alert.Tenant, alert)
+	}
+}
+
 // TestAnalyserOutageRaisesVerdictMissing severs the analyser's chain node
 // mid-operation: decisions keep flowing but no verdicts can be produced, so
 // the liveness half of M5 must fire.

@@ -19,7 +19,7 @@ import (
 // allocation per encode) and zero-copy []byte reads on decode. The first
 // byte of every encoding is a format tag:
 //
-//	0x03        binary codec v3 (this file)
+//	0x04        binary codec v4 (this file)
 //
 // and decoders reject every other tag, so a layout change bumps the tag and
 // builds on either side refuse the other's bytes instead of misreading them.
@@ -27,6 +27,10 @@ import (
 // the salt and expiry now sit, and an ID over a JSON encoding of the call)
 // and 0x02 (the same nonce under today's identity). Their blocks would
 // decode into the wrong fields and fail their Merkle and signature checks.
+// 0x03 blocks have today's layout but carry JSON probe records in their
+// args, which this build's log-match contract refuses: a member replaying
+// them would fail transactions a 0x03 member applied, and its state would
+// diverge without a word. The tag refuses them first.
 //
 // Binary transaction body (big-endian; str = u16 len + bytes,
 // blob = u32 len + bytes):
@@ -36,11 +40,11 @@ import (
 //
 // Binary block:
 //
-//	0x03 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
+//	0x04 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
 //	u8 difficulty | u64 nonce | str miner | u32 txCount | tx bodies...
 //
 // The block header's nonce is the proof-of-work nonce. A standalone
-// transaction encoding is 0x03 followed by one tx body.
+// transaction encoding is 0x04 followed by one tx body.
 //
 // Decoded []byte fields (Args, PubKey, Signature) alias the input buffer:
 // transport and persistence layers hand each decode a freshly read buffer
@@ -54,7 +58,7 @@ import (
 
 // codecVersion tags the binary format; bump on an incompatible change of
 // layout or of transaction identity.
-const codecVersion byte = 0x03
+const codecVersion byte = 0x04
 
 // maxWireTxs bounds the declared tx count of a decoded block before any
 // allocation, so a hostile length field cannot balloon memory.

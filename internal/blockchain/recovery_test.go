@@ -353,8 +353,10 @@ func TestJSONPersistedChainReopens(t *testing.T) {
 // peers. Blocks of the 0x01 format (before transaction identity changed) and
 // the 0x02 format (before the per-sender nonce gave way to a salt and an
 // expiry height) would misread the transaction bodies under today's layout
-// and fail on a Merkle root or a signature a few checks in; their format
-// byte refuses them first, at height 1, and the error names the byte. A
+// and fail on a Merkle root or a signature a few checks in; blocks of the
+// 0x03 format (JSON probe records in the args) would decode and then fail
+// their records in the contract. Their format byte refuses them all first,
+// at height 1, and the error names the byte. A
 // JSON-lines WAL, the file format before the block log, is refused by its
 // first byte before any record is read.
 func TestOldFormatWALRefusedByName(t *testing.T) {
@@ -375,6 +377,7 @@ func TestOldFormatWALRefusedByName(t *testing.T) {
 	}{
 		{"0x01", oldFormat(0x01), "height 1: blockchain: decode block: unknown format byte 0x01", 4},
 		{"0x02", oldFormat(0x02), "height 1: blockchain: decode block: unknown format byte 0x02", 4},
+		{"0x03", oldFormat(0x03), "height 1: blockchain: decode block: unknown format byte 0x03", 4},
 		{"json-wal", func(t *testing.T, path string) {
 			wal := `{"op":"put","key":"block/0000000000000001","value":"AwAA"}` + "\n" +
 				`{"op":"put","key":"head","value":"AAAAAAAAAAE="}` + "\n"

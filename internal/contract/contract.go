@@ -41,9 +41,10 @@ type Call struct {
 	Method   string `json:"method"`
 	// Args belong to the contract. The chain frames, hashes and stores them
 	// as opaque bytes and never parses them; a contract answers args it
-	// cannot decode with ErrBadArgs. Every contract in this repo takes JSON,
-	// and the RawMessage type only makes a JSON rendering of a Call show them
-	// inline.
+	// cannot decode with ErrBadArgs. The built-ins and the policy contract
+	// take JSON, the log-match contract the binary probe record codec
+	// (core/record.go); the RawMessage type only makes a JSON rendering of a
+	// Call with JSON args show them inline.
 	Args json.RawMessage `json:"args,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,40 +193,39 @@ func (an *Analyser) Stats() AnalyserStats {
 
 // extractRecord recovers the pdp.response record carried by a LogStored
 // event payload; the other three kinds are not the analyser's to check and
-// are passed over as soon as the kind is read (ok=false). Batch-anchored
-// records arrive as BatchedRecord envelopes; for a pdp.response the analyser
-// insists on a valid Merkle membership proof AND an on-chain anchor for the
-// claimed root before trusting it — an event stream cannot feed it
-// observations the chain never committed to.
+// are passed over once the record's header is read, before any proof
+// (ok=false). For a batch-anchored pdp.response the analyser insists on a
+// valid Merkle membership proof AND an on-chain anchor for the claimed root
+// before trusting it — an event stream cannot feed it observations the chain
+// never committed to.
 //
 // Failures (drams_analyser_failures_total) therefore counts forged or
 // unanchored envelopes of kind pdp.response only. A forged envelope of a
-// kind the analyser ignores is no longer counted here; the contract never
+// kind the analyser ignores is not counted here; the contract never
 // accepted it anyway, and nothing acts on it.
 func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
-	if br, err := DecodeBatchedRecord(payload); err == nil {
-		if br.Record.Kind != KindPDPResponse {
-			return LogRecord{}, false
-		}
-		if !br.VerifyInclusion() {
+	if kind, _, _, err := logStoredHeader(payload); err != nil || kind != KindPDPResponse {
+		return LogRecord{}, false
+	}
+	ls, err := DecodeLogStored(payload)
+	if err != nil {
+		return LogRecord{}, false
+	}
+	if ls.Batched {
+		if !ls.VerifyInclusion() {
 			an.failures.Inc()
 			return LogRecord{}, false
 		}
 		anchored := false
 		an.node.Chain().ReadState(ContractName, func(st contract.StateDB) {
-			_, anchored = ReadBatchAnchor(st, br.Root)
+			_, anchored = ReadBatchAnchor(st, ls.Root)
 		})
 		if !anchored {
 			an.failures.Inc()
 			return LogRecord{}, false
 		}
-		return br.Record, true
 	}
-	rec, err := DecodeLogRecord(payload)
-	if err != nil || rec.Kind != KindPDPResponse {
-		return LogRecord{}, false
-	}
-	return rec, true
+	return ls.Record, true
 }
 
 func (an *Analyser) handleLog(payload []byte) {
@@ -265,9 +265,12 @@ func (an *Analyser) handleLog(payload []byte) {
 		return
 	}
 	an.verdicts.Inc()
-	traceID := rec.TraceID
-	if traceID == "" {
-		traceID = rec.ReqID
+	if tr := an.tracer.Load(); tr != nil {
+		traceID := rec.TraceID
+		if traceID == "" {
+			traceID = rec.ReqID
+		}
+		// The tracer keeps the ID: its own bytes, not the event's.
+		tr.Span(strings.Clone(traceID), trace.StageAnalyserVerify, start, time.Since(start))
 	}
-	an.tracer.Load().Span(traceID, trace.StageAnalyserVerify, start, time.Since(start))
 }

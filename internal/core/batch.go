@@ -1,13 +1,14 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
+	"drams/internal/wire"
 )
 
 // MaxLogBatch bounds how many records one batch transaction may anchor. It
@@ -21,13 +22,22 @@ const MaxLogBatch = 256
 // transaction and one signature instead of N of each — the
 // contract recomputes the root from the records and rejects any mismatch,
 // so the anchoring is exactly as binding as N individual transactions.
+// Encoded as
+//
+//	32B root | uvarint n (1…MaxLogBatch) | n × blob record
+//
+// where each record is in the record encoding (record.go) and is, as it
+// lies, its Merkle leaf.
 type LogBatch struct {
-	Root    crypto.Digest `json:"root"`
-	Records []LogRecord   `json:"records"`
+	Root    crypto.Digest
+	Records []LogRecord
+	// leaves are the records' encodings: what NewLogBatch encoded, or the
+	// blobs of the decoded bytes. Nil when Records were set by hand.
+	leaves [][]byte
 }
 
-// NewLogBatch builds a batch over the given records, computing the Merkle
-// root over their canonical encodings.
+// NewLogBatch builds a batch over the given records, encoding each once: the
+// root is over those encodings, and Encode writes them.
 func NewLogBatch(recs []LogRecord) (LogBatch, error) {
 	if len(recs) == 0 {
 		return LogBatch{}, fmt.Errorf("core: empty log batch")
@@ -35,73 +45,210 @@ func NewLogBatch(recs []LogRecord) (LogBatch, error) {
 	if len(recs) > MaxLogBatch {
 		return LogBatch{}, fmt.Errorf("core: batch of %d records exceeds limit %d", len(recs), MaxLogBatch)
 	}
+	size := 0
+	for i := range recs {
+		size += recs[i].encodedLen()
+	}
+	all := make([]byte, 0, size)
 	leaves := make([][]byte, len(recs))
 	for i := range recs {
-		leaves[i] = recs[i].Encode()
+		start := len(all)
+		all = recs[i].appendTo(all)
+		leaves[i] = all[start:len(all):len(all)]
 	}
-	tree, err := merkle.Build(leaves)
-	if err != nil {
-		return LogBatch{}, err
-	}
-	return LogBatch{Root: tree.Root(), Records: recs}, nil
+	return LogBatch{Root: merkle.RootOf(leaves), Records: recs, leaves: leaves}, nil
 }
 
 // Encode serialises the batch.
 func (lb LogBatch) Encode() []byte {
-	b, err := json.Marshal(lb)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode log batch: %v", err))
+	leaves := lb.leaves
+	if leaves == nil {
+		leaves = make([][]byte, len(lb.Records))
+		for i := range lb.Records {
+			leaves[i] = lb.Records[i].Encode()
+		}
 	}
-	return b
+	size := crypto.DigestSize + wire.UvarintLen(uint64(len(leaves)))
+	for _, l := range leaves {
+		size += wire.StrLen(len(l))
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, lb.Root[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(leaves)))
+	for _, l := range leaves {
+		buf = wire.AppendBlob(buf, l)
+	}
+	return buf
 }
 
-// DecodeLogBatch parses a batch.
+// DecodeLogBatch parses a batch, decoding each record once. The records and
+// the leaves the contract hashes alias data.
 func DecodeLogBatch(data []byte) (LogBatch, error) {
+	rd := wire.NewReader(data)
 	var lb LogBatch
-	if err := json.Unmarshal(data, &lb); err != nil {
+	copy(lb.Root[:], rd.Bytes(crypto.DigestSize))
+	n := rd.Count(1 + minRecordLen)
+	if rd.Err() == nil && (n == 0 || n > MaxLogBatch) {
+		rd.Fail(fmt.Errorf("batch of %d records, want 1 to %d", n, MaxLogBatch))
+	}
+	if rd.Err() == nil {
+		lb.Records, lb.leaves = make([]LogRecord, n), make([][]byte, n)
+	}
+	for i := range lb.leaves {
+		lb.leaves[i] = rd.Blob()
+		rec, err := DecodeLogRecord(lb.leaves[i])
+		if err != nil {
+			rd.Fail(fmt.Errorf("record %d: %w", i, err))
+			break
+		}
+		lb.Records[i] = rec
+	}
+	if err := rd.End(); err != nil {
 		return LogBatch{}, fmt.Errorf("core: decode log batch: %w", err)
 	}
 	return lb, nil
 }
 
-// BatchedRecord is the LogStored event payload for a batch-anchored record:
-// the record itself plus the membership proof tying it to the anchored
-// root. Off-chain consumers (the analyser foremost) verify the proof against
-// the on-chain anchor before trusting the record, so an event forger cannot
-// inject observations the chain never committed to.
-type BatchedRecord struct {
-	Record LogRecord     `json:"record"`
-	Root   crypto.Digest `json:"root"`
-	Index  int           `json:"index"`
-	Proof  merkle.Proof  `json:"proof"`
+// LogStored is a decoded LogStored event payload: the record the contract
+// stored and, for a batch-anchored record, the membership proof tying it to
+// the anchored root. Off-chain consumers (the analyser foremost) verify the
+// proof against the on-chain anchor before trusting the record, so an event
+// forger cannot inject observations the chain never committed to.
+//
+// The payload is a tag byte and then
+//
+//	0x01 (bare)     record                                            a log call's
+//	0x02 (batched)  32B root | uvarint index | proof | blob record    a logbatch's
+//	proof:          uvarint n | n × (u8 left | 32B sibling)
+//
+// with the record exactly the bytes the transaction carried. Which form a
+// payload has is read from the tag, never tried.
+type LogStored struct {
+	Record LogRecord
+	// Raw is the record's encoding as the payload carries it: the Merkle
+	// leaf, hashed as it lies.
+	Raw []byte
+	// Batched marks a record anchored by a logbatch; Root, Index and Proof
+	// tie it to that batch.
+	Batched bool
+	Root    crypto.Digest
+	Index   int
+	Proof   merkle.Proof
 }
 
-// Encode serialises the envelope.
-func (br BatchedRecord) Encode() []byte {
-	b, err := json.Marshal(br)
+// LogStored payload tags.
+const (
+	storedBare    byte = 0x01
+	storedBatched byte = 0x02
+)
+
+// bareStored is the LogStored payload of the record a log call carried.
+func bareStored(rec []byte) []byte {
+	return append(append(make([]byte, 0, 1+len(rec)), storedBare), rec...)
+}
+
+// batchedStored is the LogStored payload of the index-th record of a batch.
+func batchedStored(root crypto.Digest, index int, proof merkle.Proof, rec []byte) []byte {
+	buf := make([]byte, 0, 1+crypto.DigestSize+2*binary.MaxVarintLen16+
+		len(proof.Steps)*(1+crypto.DigestSize)+wire.StrLen(len(rec)))
+	buf = append(buf, storedBatched)
+	buf = append(buf, root[:]...)
+	buf = binary.AppendUvarint(buf, uint64(index))
+	buf = binary.AppendUvarint(buf, uint64(len(proof.Steps)))
+	for _, s := range proof.Steps {
+		left := byte(0)
+		if s.Left {
+			left = 1
+		}
+		buf = append(buf, left)
+		buf = append(buf, s.Sibling[:]...)
+	}
+	return wire.AppendBlob(buf, rec)
+}
+
+// Encode serialises the payload, carrying Raw (or, when Raw is nil, the
+// record's encoding).
+func (ls LogStored) Encode() []byte {
+	raw := ls.Raw
+	if raw == nil {
+		raw = ls.Record.Encode()
+	}
+	if !ls.Batched {
+		return bareStored(raw)
+	}
+	return batchedStored(ls.Root, ls.Index, ls.Proof, raw)
+}
+
+// DecodeLogStored parses a LogStored payload. The record's strings and
+// payload, and Raw, alias it.
+func DecodeLogStored(payload []byte) (LogStored, error) {
+	ls, err := cutLogStored(payload, true)
+	if err == nil {
+		ls.Record, err = DecodeLogRecord(ls.Raw)
+	}
 	if err != nil {
-		panic(fmt.Sprintf("core: encode batched record: %v", err))
+		return LogStored{}, fmt.Errorf("core: decode LogStored payload: %w", err)
 	}
-	return b
+	return ls, nil
 }
 
-// DecodeBatchedRecord parses a batched-record envelope. Payloads that are
-// plain records (or anything else) fail: the envelope must carry a root and
-// a record.
-func DecodeBatchedRecord(data []byte) (BatchedRecord, error) {
-	var br BatchedRecord
-	if err := json.Unmarshal(data, &br); err != nil {
-		return BatchedRecord{}, fmt.Errorf("core: decode batched record: %w", err)
+// cutLogStored reads a payload's envelope and leaves the record undecoded in
+// Raw. Without withProof the proof is skipped unread.
+func cutLogStored(payload []byte, withProof bool) (LogStored, error) {
+	var ls LogStored
+	rd := wire.NewReader(payload)
+	switch tag := rd.U8(); tag {
+	case storedBare:
+		ls.Raw = rd.Bytes(rd.Len())
+	case storedBatched:
+		ls.Batched = true
+		copy(ls.Root[:], rd.Bytes(crypto.DigestSize))
+		if i := rd.Uvarint(); i < MaxLogBatch {
+			ls.Index = int(i)
+		} else {
+			rd.Fail(fmt.Errorf("leaf index %d beyond any batch", i))
+		}
+		ls.Proof.LeafIndex = ls.Index
+		n := rd.Count(1 + crypto.DigestSize)
+		if !withProof {
+			rd.Bytes(n * (1 + crypto.DigestSize))
+		} else if n > 0 {
+			ls.Proof.Steps = make([]merkle.ProofStep, n)
+			for i := range ls.Proof.Steps {
+				switch left := rd.U8(); left {
+				case 0:
+				case 1:
+					ls.Proof.Steps[i].Left = true
+				default:
+					rd.Fail(fmt.Errorf("proof step %d: side byte 0x%02x", i, left))
+				}
+				copy(ls.Proof.Steps[i].Sibling[:], rd.Bytes(crypto.DigestSize))
+			}
+		}
+		ls.Raw = rd.Blob()
+	default:
+		rd.Fail(fmt.Errorf("unknown payload tag 0x%02x", tag))
 	}
-	if br.Root.IsZero() || br.Record.ReqID == "" {
-		return BatchedRecord{}, fmt.Errorf("core: payload is not a batched record")
-	}
-	return br, nil
+	return ls, rd.End()
 }
 
-// VerifyInclusion checks the record's membership under the envelope's root.
-func (br BatchedRecord) VerifyInclusion() bool {
-	return merkle.Verify(br.Root, br.Record.Encode(), br.Proof)
+// logStoredHeader reads the kind, request ID and trace ID of the record a
+// LogStored payload carries, and nothing else: no proof, no digests, no
+// sealed payload. The strings alias payload.
+func logStoredHeader(payload []byte) (kind LogKind, reqID, traceID string, err error) {
+	ls, err := cutLogStored(payload, false)
+	if err != nil {
+		return "", "", "", err
+	}
+	rd := wire.NewReader(ls.Raw)
+	kind, reqID, traceID = readRecordHeader(&rd)
+	return kind, reqID, traceID, rd.Err()
+}
+
+// VerifyInclusion checks a batched record's membership under Root: the
+// carried record bytes, hashed as they lie, against the proof.
+func (ls LogStored) VerifyInclusion() bool {
+	return ls.Batched && merkle.Verify(ls.Root, ls.Raw, ls.Proof)
 }
 
 // batchKey is the state key anchoring one batch root.

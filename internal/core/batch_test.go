@@ -35,15 +35,15 @@ func TestLogBatchCompletesExchange(t *testing.T) {
 			continue
 		}
 		stored++
-		br, err := DecodeBatchedRecord(e.Payload)
+		ls, err := DecodeLogStored(e.Payload)
 		if err != nil {
 			t.Fatalf("batched event payload: %v", err)
 		}
-		if br.Root != lb.Root {
-			t.Fatal("event carries a foreign root")
+		if !ls.Batched || ls.Root != lb.Root {
+			t.Fatal("event carries no batch or a foreign root")
 		}
-		if !br.VerifyInclusion() {
-			t.Fatalf("record %d: inclusion proof does not verify", br.Index)
+		if !ls.VerifyInclusion() {
+			t.Fatalf("record %d: inclusion proof does not verify", ls.Index)
 		}
 	}
 	if stored != 4 {
@@ -160,12 +160,12 @@ func TestBatchedRecordTamperFailsVerification(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
 
-	var br BatchedRecord
+	var ls LogStored
 	ok := false
 	for _, e := range evs {
 		if e.Type == EventLogStored {
-			if v, err := DecodeBatchedRecord(e.Payload); err == nil {
-				br, ok = v, true
+			if v, err := DecodeLogStored(e.Payload); err == nil && v.Batched {
+				ls, ok = v, true
 				break
 			}
 		}
@@ -173,21 +173,25 @@ func TestBatchedRecordTamperFailsVerification(t *testing.T) {
 	if !ok {
 		t.Fatal("no batched record event")
 	}
-	if !br.VerifyInclusion() {
+	if !ls.VerifyInclusion() {
 		t.Fatal("genuine proof rejected")
 	}
-	forged := br
-	forged.Record.ReqDigest = crypto.Sum([]byte("forged"))
+	// Inclusion is over the carried bytes: one flipped bit of the record
+	// breaks it.
+	forged := ls
+	forged.Raw = append([]byte(nil), ls.Raw...)
+	forged.Raw[len(forged.Raw)-1] ^= 1
 	if forged.VerifyInclusion() {
 		t.Fatal("forged record passed inclusion verification")
 	}
-	wrongRoot := br
+	wrongRoot := ls
 	wrongRoot.Root = crypto.Sum([]byte("elsewhere"))
 	if wrongRoot.VerifyInclusion() {
 		t.Fatal("proof verified against a foreign root")
 	}
-	// A plain record payload must not decode as a batched envelope.
-	if _, err := DecodeBatchedRecord(x.pepRequest().Encode()); err == nil {
-		t.Fatal("plain record decoded as batched envelope")
+	// The tag says which form a payload has: a record without one is not a
+	// LogStored payload.
+	if _, err := DecodeLogStored(x.pepRequest().Encode()); err == nil {
+		t.Fatal("untagged record decoded as a LogStored payload")
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
+	"drams/internal/wire"
 )
 
 // ContractName is the on-chain address of the DRAMS log-match contract.
@@ -24,7 +26,8 @@ const (
 	EventVerdict   = "VerdictStored"
 )
 
-// Contract method names.
+// Contract method names. Their args are the binary encodings of record.go
+// and batch.go: a record, a LogBatch, a Verdict.
 const (
 	MethodLog = "log"
 	// MethodLogBatch anchors a whole flush window of records under one
@@ -70,7 +73,7 @@ func NewLogMatchContract(cfg MatchConfig) *LogMatchContract {
 func (lm *LogMatchContract) Name() string { return ContractName }
 
 // State keys.
-func recKey(reqID string, kind LogKind) string { return fmt.Sprintf("rec/%s/%s", reqID, kind) }
+func recKey(reqID string, kind LogKind) string { return "rec/" + reqID + "/" + string(kind) }
 func verdictKey(reqID string) string           { return "verdict/" + reqID }
 func doneKey(reqID string) string              { return "done/" + reqID }
 func alertedKey(reqID string, t AlertType) string {
@@ -83,20 +86,22 @@ func deadlineSetKey(reqID string) string { return "deadline-set/" + reqID }
 
 // StoredRecord is what the contract keeps of an anchored record under
 // rec/<reqID>/<kind>: the fields the checks read, and the SHA-256 of the
-// record's canonical encoding. The hash stands in for the record wherever
-// the contract asks "is this the record I already hold": equal hashes are an
-// idempotent retry, different ones an equivocation, exactly as comparing the
-// encodings themselves decided. The record itself (agent, trace, timestamp,
-// sealed payload) stays on chain in its transaction and its LogStored event,
-// which is where the analyser and forensics read it.
+// record's encoding as its transaction carried it. The hash stands in for
+// the record wherever the contract asks "is this the record I already hold":
+// equal hashes are an idempotent retry, different ones an equivocation. The
+// record decoder is canonical, so equal bytes are exactly equal records. The
+// record itself (agent, trace, timestamp, sealed payload) stays on chain in
+// its transaction and its LogStored event, which is where the analyser and
+// forensics read it.
 type StoredRecord struct {
-	Hash          crypto.Digest // SHA-256 of LogRecord.Encode()
+	Hash          crypto.Digest // SHA-256 of the record's encoding
 	ReqDigest     crypto.Digest // M1
 	RespDigest    crypto.Digest // M2
 	DecisionTag   crypto.Digest // M2, M4, M5
 	EnforcedTag   crypto.Digest // M4
 	PolicyDigest  crypto.Digest // M6
-	Tenant        string        // names the tenant in alerts
+	Tenant        string        // names the tenant in M1, M2, M4–M6 and equivocation alerts
+	Origin        string        // names the tenant in M3 alerts
 	PolicyVersion string        // M6
 }
 
@@ -104,13 +109,13 @@ type StoredRecord struct {
 //
 //	  0  32B hash         64  32B respDigest   128  32B enforcedTag
 //	 32  32B reqDigest    96  32B decisionTag  160  32B policyDigest
-//	192  u32 len(tenant)  196  u32 len(policyVersion)
-//	200  tenant bytes, then policyVersion bytes
+//	192  u32 len(tenant)  196  u32 len(origin)  200  u32 len(policyVersion)
+//	204  tenant bytes, then origin bytes, then policyVersion bytes
 //
-// and of a verdict: 32B hash of Verdict.Encode() | 32B expectedTag |
+// and of a verdict: 32B hash of the verdict's args | 32B expectedTag |
 // 32B policyDigest.
 const (
-	recordRowFixed = 6*crypto.DigestSize + 8
+	recordRowFixed = 6*crypto.DigestSize + 12
 	verdictRowLen  = 3 * crypto.DigestSize
 )
 
@@ -120,13 +125,15 @@ func (sr *StoredRecord) digests() [6]*crypto.Digest {
 }
 
 func encodeRecordRow(sr StoredRecord) []byte {
-	row := make([]byte, 0, recordRowFixed+len(sr.Tenant)+len(sr.PolicyVersion))
+	row := make([]byte, 0, recordRowFixed+len(sr.Tenant)+len(sr.Origin)+len(sr.PolicyVersion))
 	for _, d := range sr.digests() {
 		row = append(row, d[:]...)
 	}
-	row = binary.BigEndian.AppendUint32(row, uint32(len(sr.Tenant)))
-	row = binary.BigEndian.AppendUint32(row, uint32(len(sr.PolicyVersion)))
+	for _, s := range [...]string{sr.Tenant, sr.Origin, sr.PolicyVersion} {
+		row = binary.BigEndian.AppendUint32(row, uint32(len(s)))
+	}
 	row = append(row, sr.Tenant...)
+	row = append(row, sr.Origin...)
 	return append(row, sr.PolicyVersion...)
 }
 
@@ -136,16 +143,19 @@ func decodeRecordRow(row []byte) (sr StoredRecord, ok bool) {
 	if len(row) < recordRowFixed {
 		return StoredRecord{}, false
 	}
-	tenantLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-8:]))
+	tenantLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-12:]))
+	originLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-8:]))
 	versionLen := uint64(binary.BigEndian.Uint32(row[recordRowFixed-4:]))
-	if uint64(len(row)) != recordRowFixed+tenantLen+versionLen {
+	if uint64(len(row)) != recordRowFixed+tenantLen+originLen+versionLen {
 		return StoredRecord{}, false
 	}
 	for i, d := range sr.digests() {
 		copy(d[:], row[i*crypto.DigestSize:])
 	}
-	sr.Tenant = string(row[recordRowFixed : recordRowFixed+tenantLen])
-	sr.PolicyVersion = string(row[recordRowFixed+tenantLen:])
+	strs := row[recordRowFixed:]
+	sr.Tenant = string(strs[:tenantLen])
+	sr.Origin = string(strs[tenantLen : tenantLen+originLen])
+	sr.PolicyVersion = string(strs[tenantLen+originLen:])
 	return sr, true
 }
 
@@ -172,6 +182,20 @@ func decodeVerdictRow(row []byte) (sv storedVerdict, ok bool) {
 	return sv, true
 }
 
+// encodeMatched is the Matched event payload: str reqID | u64 height.
+func encodeMatched(reqID string, height uint64) []byte {
+	buf := make([]byte, 0, wire.StrLen(len(reqID))+8)
+	buf = wire.AppendStr(buf, reqID)
+	return binary.BigEndian.AppendUint64(buf, height)
+}
+
+// decodeMatched parses a Matched payload; reqID aliases it.
+func decodeMatched(payload []byte) (reqID string, height uint64, err error) {
+	rd := wire.NewReader(payload)
+	reqID, height = rd.Str(), rd.U64()
+	return reqID, height, rd.End()
+}
+
 // Execute implements contract.Contract.
 func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, call contract.Call) ([]contract.Event, error) {
 	switch call.Method {
@@ -194,8 +218,7 @@ func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, a
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
 	}
-	enc := rec.Encode()
-	events, stored := lm.storeRecord(ctx, st, rec, enc, enc)
+	events, stored := lm.storeRecord(ctx, st, &rec, args, bareStored(args))
 	if stored {
 		events = append(events, lm.runChecks(ctx, st, rec.ReqID, ctx.Height)...)
 	}
@@ -203,12 +226,12 @@ func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, a
 }
 
 // storeRecord applies one validated record: duplicate and equivocation
-// handling, storage, M3 deadline arming and the LogStored event. enc is
-// rec.Encode(); eventPayload is what the event carries — enc itself for
-// single-record transactions, the proof-bearing envelope for batched ones.
-// stored=false means the record was an idempotent duplicate or an
-// equivocation attempt (the original is kept) and no checks should run.
-func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec LogRecord, enc, eventPayload []byte) (events []contract.Event, stored bool) {
+// handling, storage, M3 deadline arming and the LogStored event. enc is the
+// record's encoding as the transaction carried it; eventPayload is what the
+// event carries. stored=false means the record was an idempotent duplicate
+// or an equivocation attempt (the original is kept) and no checks should
+// run.
+func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc, eventPayload []byte) (events []contract.Event, stored bool) {
 	key := recKey(rec.ReqID, rec.Kind)
 	hash := crypto.Sum(enc)
 	if existing, ok := st.Get(key); ok {
@@ -224,7 +247,7 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 	st.Set(key, encodeRecordRow(StoredRecord{
 		Hash: hash, ReqDigest: rec.ReqDigest, RespDigest: rec.RespDigest, DecisionTag: rec.DecisionTag,
 		EnforcedTag: rec.EnforcedTag, PolicyDigest: rec.PolicyDigest,
-		Tenant: rec.Tenant, PolicyVersion: rec.PolicyVersion,
+		Tenant: rec.Tenant, Origin: rec.Origin, PolicyVersion: rec.PolicyVersion,
 	}))
 	events = append(events, contract.Event{Type: EventLogStored, Payload: eventPayload})
 
@@ -236,35 +259,26 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 	return events, true
 }
 
-// execLogBatch applies one Merkle-anchored window of records. The root is
-// recomputed from the submitted records — a batch whose root does not bind
-// exactly its records is rejected, so anchoring is as tamper-evident as
-// individual submissions while costing one signature verification and one
-// transaction per window. Each stored record's LogStored event carries a
-// membership proof for off-chain verification; the matching checks run once
-// per distinct request the batch advanced (they are functions of stored
-// state, so one pass after all of a request's records landed is equivalent
-// to a pass after each).
+// execLogBatch applies one Merkle-anchored window of records. Each record is
+// decoded once, and the root is recomputed over the record bytes as they lie
+// in the args — a batch whose root does not bind exactly its records is
+// rejected, so anchoring is as tamper-evident as individual submissions
+// while costing one signature verification and one transaction per window.
+// Each stored record's LogStored event carries a membership proof for
+// off-chain verification; the matching checks run once per distinct request
+// the batch advanced (they are functions of stored state, so one pass after
+// all of a request's records landed is equivalent to a pass after each).
 func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
 	lb, err := DecodeLogBatch(args)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
 	}
-	if len(lb.Records) == 0 {
-		return nil, fmt.Errorf("%w: empty log batch", contract.ErrBadArgs)
-	}
-	if len(lb.Records) > MaxLogBatch {
-		return nil, fmt.Errorf("%w: batch of %d records exceeds limit %d",
-			contract.ErrBadArgs, len(lb.Records), MaxLogBatch)
-	}
-	leaves := make([][]byte, len(lb.Records))
 	for i := range lb.Records {
 		if err := lb.Records[i].Validate(); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", contract.ErrBadArgs, i, err)
 		}
-		leaves[i] = lb.Records[i].Encode()
 	}
-	tree, err := merkle.Build(leaves)
+	tree, err := merkle.Build(lb.leaves)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
 	}
@@ -275,19 +289,17 @@ func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.State
 	st.Set(batchKey(lb.Root), []byte(strconv.Itoa(len(lb.Records))))
 
 	var events []contract.Event
-	var order []string
-	touched := make(map[string]bool)
+	var order []string // the requests advanced, in batch order; a window holds a few
 	for i := range lb.Records {
+		rec := &lb.Records[i]
 		proof, perr := tree.Prove(i)
 		if perr != nil {
 			return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, perr)
 		}
-		payload := BatchedRecord{Record: lb.Records[i], Root: lb.Root, Index: i, Proof: proof}.Encode()
-		evs, stored := lm.storeRecord(ctx, st, lb.Records[i], leaves[i], payload)
+		evs, stored := lm.storeRecord(ctx, st, rec, lb.leaves[i], batchedStored(lb.Root, i, proof, lb.leaves[i]))
 		events = append(events, evs...)
-		if stored && !touched[lb.Records[i].ReqID] {
-			touched[lb.Records[i].ReqID] = true
-			order = append(order, lb.Records[i].ReqID)
+		if stored && !slices.Contains(order, rec.ReqID) {
+			order = append(order, rec.ReqID)
 		}
 	}
 	for _, reqID := range order {
@@ -307,8 +319,7 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 	if v.ReqID == "" || v.ExpectedTag.IsZero() {
 		return nil, fmt.Errorf("%w: incomplete verdict", contract.ErrBadArgs)
 	}
-	enc := v.Encode()
-	hash := crypto.Sum(enc)
+	hash := crypto.Sum(args)
 	if existing, ok := st.Get(verdictKey(v.ReqID)); ok {
 		if prev, ok := decodeVerdictRow(existing); !ok || prev.Hash != hash {
 			return lm.alert(st, Alert{
@@ -318,7 +329,7 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 		}
 	}
 	st.Set(verdictKey(v.ReqID), encodeVerdictRow(storedVerdict{Hash: hash, ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}))
-	events := []contract.Event{{Type: EventVerdict, Payload: enc}}
+	events := []contract.Event{{Type: EventVerdict, Payload: args}}
 	events = append(events, lm.runChecks(ctx, st, v.ReqID, ctx.Height)...)
 	return events, nil
 }
@@ -446,8 +457,7 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 	if complete {
 		if _, done := st.Get(doneKey(reqID)); !done && len(st.Keys("alerted/"+reqID+"/")) == 0 {
 			st.Set(doneKey(reqID), []byte("1"))
-			payload, _ := json.Marshal(map[string]any{"reqId": reqID, "height": height})
-			events = append(events, contract.Event{Type: EventMatched, Payload: payload})
+			events = append(events, contract.Event{Type: EventMatched, Payload: encodeMatched(reqID, height)})
 		}
 	}
 	return events
@@ -455,6 +465,8 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 
 // OnBlock implements contract.BlockHook: it fires M3 timeout alerts for
 // requests whose record set is still incomplete when their deadline passes.
+// They name the origin tenant of the records that did arrive: whose
+// exchange it was, whichever side logged them.
 func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
 	for _, key := range st.Keys("deadline/") {
@@ -485,7 +497,7 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 			if !ok {
 				missing = append(missing, string(kind))
 			} else if tenant == "" {
-				tenant = rec.Tenant
+				tenant = cmp.Or(rec.Origin, rec.Tenant)
 			}
 		}
 		if len(missing) > 0 {

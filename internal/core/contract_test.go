@@ -1,8 +1,10 @@
 package core
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,19 +92,19 @@ func cleanExchange(reqID string) exchange {
 }
 
 func (x exchange) pepRequest() LogRecord {
-	return LogRecord{Kind: KindPEPRequest, ReqID: x.reqID, Tenant: "t1", Agent: "agent-t1", ReqDigest: x.reqDig}
+	return LogRecord{Kind: KindPEPRequest, ReqID: x.reqID, Tenant: "t1", Origin: "t1", Agent: "agent-t1", ReqDigest: x.reqDig}
 }
 func (x exchange) pdpRequest() LogRecord {
-	return LogRecord{Kind: KindPDPRequest, ReqID: x.reqID, Tenant: "infra", Agent: "agent-infra", ReqDigest: x.reqDig}
+	return LogRecord{Kind: KindPDPRequest, ReqID: x.reqID, Tenant: "infra", Origin: "t1", Agent: "agent-infra", ReqDigest: x.reqDig}
 }
 func (x exchange) pdpResponse() LogRecord {
-	return LogRecord{Kind: KindPDPResponse, ReqID: x.reqID, Tenant: "infra", Agent: "agent-infra",
+	return LogRecord{Kind: KindPDPResponse, ReqID: x.reqID, Tenant: "infra", Origin: "t1", Agent: "agent-infra",
 		ReqDigest: x.reqDig, RespDigest: x.respDig,
 		DecisionTag:   DecisionTag(testKey, x.reqID, x.decision),
 		PolicyVersion: x.polVer, PolicyDigest: x.polDig}
 }
 func (x exchange) pepResponse(enforced xacml.Decision) LogRecord {
-	return LogRecord{Kind: KindPEPResponse, ReqID: x.reqID, Tenant: "t1", Agent: "agent-t1",
+	return LogRecord{Kind: KindPEPResponse, ReqID: x.reqID, Tenant: "t1", Origin: "t1", Agent: "agent-t1",
 		ReqDigest: x.reqDig, RespDigest: x.respDig,
 		DecisionTag: DecisionTag(testKey, x.reqID, x.decision),
 		EnforcedTag: DecisionTag(testKey, x.reqID, enforced)}
@@ -551,6 +553,118 @@ func TestEncryptedContextRoundTrip(t *testing.T) {
 	}
 }
 
+// Anything the PEP↔PDP wire carries, the seal holds: every request
+// DecodeRequest accepts comes back from Seal and OpenContext with the same
+// IDs and the same values, bit for bit and zone for zone, beside its result.
+func TestSealHoldsEveryWireRequest(t *testing.T) {
+	cipher, err := crypto.NewCipher(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zone := time.FixedZone("", -(9*3600 + 30*60))
+	edge := xacml.NewRequest("edge").
+		Add(xacml.CatSubject, "role", xacml.String("")).
+		Add(xacml.CatSubject, "role", xacml.String("médecin ✓")).
+		Add(xacml.CatResource, "n", xacml.Int(math.MinInt64)).
+		Add(xacml.CatResource, "n", xacml.Int(math.MaxInt64)).
+		Add(xacml.CatResource, "f", xacml.Float(math.Copysign(0, -1))).
+		Add(xacml.CatResource, "f", xacml.Float(math.MaxFloat64)).
+		Add(xacml.CatResource, "f", xacml.Float(math.SmallestNonzeroFloat64)).
+		Add(xacml.CatAction, "b", xacml.Bool(false)).
+		Add(xacml.CatAction, "b", xacml.Bool(true)).
+		Add(xacml.CatEnvironment, "t", xacml.Time(time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC))).
+		Add(xacml.CatEnvironment, "t", xacml.Value{T: xacml.TypeTime, Tm: time.Date(9999, 12, 31, 23, 59, 59, 999999999, zone)})
+	edge.TraceID = "trace-edge"
+	edge.Attrs[xacml.CatEnvironment]["empty"] = xacml.Bag{}
+	reqs := []*xacml.Request{edge, xacml.NewRequest("")}
+	gen := xacml.NewGenerator(7, xacml.DefaultGenParams())
+	for i := 0; i < 50; i++ {
+		reqs = append(reqs, gen.Request(fmt.Sprintf("gen-%d", i)))
+	}
+	res := xacml.Result{RequestID: "r", Decision: xacml.Deny, Extended: xacml.Deny,
+		Obligations: []xacml.Obligation{{ID: "log", FulfillOn: xacml.EffectDeny, Params: map[string]string{"to": "soc"}}},
+		PolicyID:    "root", PolicyVersion: "v1", PolicyDigest: crypto.Sum([]byte("v1"))}
+	for _, sent := range reqs {
+		req, err := xacml.DecodeRequest(sent.Encode())
+		if err != nil {
+			t.Fatalf("%q: the wire refused it: %v", sent.ID, err)
+		}
+		sealed, err := EncryptedContext{Request: req, Result: &res, Enforced: xacml.Deny, Note: "n"}.Seal(cipher, req.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenContext(cipher, req.ID, sealed)
+		if err != nil {
+			t.Fatalf("%q: %v", req.ID, err)
+		}
+		if back.Request.ID != req.ID || back.Request.TraceID != req.TraceID || !sameValues(back.Request, req) {
+			t.Fatalf("%q: request changed through the seal", req.ID)
+		}
+		if !reflect.DeepEqual(*back.Result, res) || back.Enforced != xacml.Deny || back.Note != "n" {
+			t.Fatalf("%q: context changed through the seal: %+v", req.ID, back)
+		}
+	}
+}
+
+// sameValues compares two requests' values bit for bit, time zones included.
+func sameValues(a, b *xacml.Request) bool {
+	if len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for cat, m := range a.Attrs {
+		n, ok := b.Attrs[cat]
+		if !ok || len(m) != len(n) {
+			return false
+		}
+		for id, bag := range m {
+			other, ok := n[id]
+			if !ok || len(bag) != len(other) {
+				return false
+			}
+			for i, v := range bag {
+				w := other[i]
+				_, vz := v.Tm.Zone()
+				_, wz := w.Tm.Zone()
+				if v.T != w.T || v.S != w.S || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) ||
+					v.B != w.B || !v.Tm.Equal(w.Tm) || vz != wz {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// A record, a batch and a verdict each have one encoding. The JSON args an
+// older build sent are malformed args here and change no state: nothing
+// parses them.
+func TestJSONArgsRefused(t *testing.T) {
+	env := newMatchEnv(t, defaultCfg())
+	x := cleanExchange("req-json")
+	env.anchorPolicy(x.polVer)
+	rec := map[string]any{"kind": string(KindPEPRequest), "reqId": x.reqID, "tenant": "t1",
+		"agent": "agent-t1", "reqDigest": x.reqDig.String(), "ts": 0}
+	calls := []struct {
+		caller, method string
+		args           []byte
+	}{
+		{"li-t1", MethodLog, mustJSON(t, rec)},
+		{"li-t1", MethodLogBatch, mustJSON(t, map[string]any{"root": x.reqDig.String(), "records": []any{rec}})},
+		{"analyser", MethodVerdict, mustJSON(t, map[string]any{"reqId": x.reqID,
+			"expectedTag":  DecisionTag(testKey, x.reqID, x.decision).String(),
+			"policyDigest": x.polDig.String(), "analyser": "analyser"})},
+	}
+	before := env.st.Digest()
+	for _, c := range calls {
+		if _, err := env.call(c.caller, c.method, c.args); !errors.Is(err, contract.ErrBadArgs) {
+			t.Errorf("%s with JSON args: err = %v, want ErrBadArgs", c.method, err)
+		}
+	}
+	if env.st.Digest() != before {
+		t.Fatal("refused JSON args changed state")
+	}
+}
+
 func TestAlertEncodeDecodeAndString(t *testing.T) {
 	a := Alert{Type: AlertRequestTampered, ReqID: "r", Tenant: "t", Detail: "d", Height: 4}
 	back, err := DecodeAlert(a.Encode())
@@ -568,37 +682,39 @@ func TestAlertEncodeDecodeAndString(t *testing.T) {
 	}
 }
 
-func TestLogRecordJSONStable(t *testing.T) {
-	x := cleanExchange("req-js")
-	rec := x.pdpResponse()
-	var m map[string]any
-	if err := json.Unmarshal(rec.Encode(), &m); err != nil {
-		t.Fatal(err)
+// The record layout, written out field by field: moving or widening a field
+// is a format break (codecVersion) and shows up here first.
+func TestLogRecordLayoutStable(t *testing.T) {
+	rec := cleanExchange("r").pdpResponse()
+	rec.TraceID, rec.TimestampUnixNano, rec.Payload = "tr", 0x0102030405060708, []byte{0xaa}
+	want := []byte{3} // kind: pdp.response
+	for _, s := range []string{"r", "tr", "infra", "t1", "agent-infra"} {
+		want = append(append(want, byte(len(s))), s...)
 	}
-	for _, field := range []string{"kind", "reqId", "reqDigest", "respDigest", "decisionTag", "policyVersion", "policyDigest"} {
-		if _, ok := m[field]; !ok {
-			t.Errorf("encoded record missing %q", field)
-		}
+	for _, d := range []crypto.Digest{rec.ReqDigest, rec.RespDigest, rec.DecisionTag, rec.PolicyDigest} {
+		want = append(want, d[:]...)
+	}
+	want = append(want, 2, 'v', '1')            // policy version
+	want = append(want, 1, 2, 3, 4, 5, 6, 7, 8) // timestamp
+	want = append(want, 1, 0xaa)                // payload
+	if got := rec.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("pdp.response encodes as\n %x\nwant\n %x", got, want)
 	}
 }
 
-// A request record has no response digest, tags or policy digest, and its
-// encoding says so by leaving the keys out (omitzero; omitempty never omits
-// an array, so these used to travel as four all-zero digests).
+// A request record carries its request digest and no other: the kind fixes
+// which digests follow, so no zero digest travels.
 func TestRequestRecordOmitsZeroDigests(t *testing.T) {
 	rec := cleanExchange("req-oz").pepRequest()
 	enc := rec.Encode()
-	var m map[string]any
-	if err := json.Unmarshal(enc, &m); err != nil {
-		t.Fatal(err)
+	var zero crypto.Digest
+	if bytes.Contains(enc, zero[:]) {
+		t.Errorf("%s record carries a zero digest: %x", rec.Kind, enc)
 	}
-	for _, field := range []string{"respDigest", "decisionTag", "enforcedTag", "policyDigest"} {
-		if _, ok := m[field]; ok {
-			t.Errorf("%s record carries a zero %q", rec.Kind, field)
-		}
-	}
-	if got, want := m["reqDigest"], rec.ReqDigest.String(); got != want {
-		t.Errorf("reqDigest encoded as %v, want the hex string %s", got, want)
+	asResponse := rec
+	asResponse.Kind = KindPEPResponse
+	if got := len(asResponse.Encode()) - len(enc); got != 3*crypto.DigestSize {
+		t.Errorf("a response record is %d bytes longer, want its three digests (%d)", got, 3*crypto.DigestSize)
 	}
 	back, err := DecodeLogRecord(enc)
 	if err != nil {
@@ -621,7 +737,7 @@ func TestStateRowCodec(t *testing.T) {
 	for _, sr := range []StoredRecord{
 		{Hash: crypto.Sum(full.Encode()), ReqDigest: full.ReqDigest, RespDigest: full.RespDigest,
 			DecisionTag: full.DecisionTag, EnforcedTag: full.EnforcedTag, PolicyDigest: full.PolicyDigest,
-			Tenant: full.Tenant, PolicyVersion: full.PolicyVersion},
+			Tenant: full.Tenant, Origin: full.Origin, PolicyVersion: full.PolicyVersion},
 		{Hash: crypto.Sum([]byte("bare")), ReqDigest: x.reqDig}, // request record without a tenant
 	} {
 		row := encodeRecordRow(sr)
@@ -640,7 +756,7 @@ func TestStateRowCodec(t *testing.T) {
 	}
 	// Length fields that promise more than any slice could hold.
 	huge := encodeRecordRow(StoredRecord{})
-	for i := recordRowFixed - 8; i < recordRowFixed; i++ {
+	for i := recordRowFixed - 12; i < recordRowFixed; i++ {
 		huge[i] = 0xff
 	}
 	if _, ok := decodeRecordRow(huge); ok {

@@ -21,8 +21,7 @@ func pumpAlert(m *Monitor, a Alert) {
 }
 
 func pumpMatched(m *Monitor, reqID string, height uint64) {
-	payload := []byte(fmt.Sprintf(`{"reqId":%q,"height":%d}`, reqID, height))
-	m.handleEvent(ContractName, EventMatched, payload, height)
+	m.handleEvent(ContractName, EventMatched, encodeMatched(reqID, height), height)
 }
 
 func TestSubscribeFilterSelectsEvents(t *testing.T) {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,18 +163,14 @@ func (m *Monitor) SetTracer(t *trace.Tracer) { m.tracer.Store(t) }
 // trace span: the trace ID (request ID when the record predates tracing)
 // and the request ID. Batch-anchored records arrive wrapped.
 func traceEventRecord(payload []byte) (traceID, reqID string) {
-	rec, err := DecodeLogRecord(payload)
-	if err != nil || rec.ReqID == "" {
-		if br, berr := DecodeBatchedRecord(payload); berr == nil {
-			rec = br.Record
-		} else {
-			return "", ""
-		}
+	_, reqID, traceID, err := logStoredHeader(payload)
+	if err != nil || reqID == "" {
+		return "", ""
 	}
-	if rec.TraceID != "" {
-		return rec.TraceID, rec.ReqID
+	if traceID == "" {
+		traceID = reqID
 	}
-	return rec.ReqID, rec.ReqID
+	return traceID, reqID
 }
 
 // Start begins consuming events.
@@ -423,34 +419,35 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 				m.mu.Unlock()
 				if ok {
 					// Submission-to-block-inclusion: how long the record
-					// waited to be anchored by the chain.
-					tr.Span(traceID, trace.StageChainAnchor, t0, m.clk.Since(t0))
+					// waited to be anchored by the chain. The tracer keeps
+					// the ID, so it gets its own bytes, not the event's.
+					tr.Span(strings.Clone(traceID), trace.StageChainAnchor, t0, m.clk.Since(t0))
 				}
 			}
 		}
 	case EventMatched:
-		var body struct {
-			ReqID  string `json:"reqId"`
-			Height uint64 `json:"height"`
-		}
-		if err := json.Unmarshal(payload, &body); err != nil {
+		reqID, _, err := decodeMatched(payload)
+		if err != nil {
 			return
 		}
 		m.mu.Lock()
-		if _, seen := m.matched[body.ReqID]; seen {
+		if _, seen := m.matched[reqID]; seen {
 			// Chain events are delivered at-least-once (reorgs re-deliver);
 			// completions are published to subscribers exactly once.
 			m.mu.Unlock()
 			return
 		}
-		m.matched[body.ReqID] = height
-		t0, hadT0 := m.tracked[body.ReqID]
-		m.untrackLocked(body.ReqID)
+		// The map and the subscribers keep the ID: its own bytes, not the
+		// event's.
+		reqID = strings.Clone(reqID)
+		m.matched[reqID] = height
+		t0, hadT0 := m.tracked[reqID]
+		m.untrackLocked(reqID)
 		m.matchedCnt.Inc() // before subscribers hear of it: Stats never lags a WaitForMatched
-		m.publishLocked(Alert{Type: AlertMatched, ReqID: body.ReqID, Height: height})
+		m.publishLocked(Alert{Type: AlertMatched, ReqID: reqID, Height: height})
 		m.mu.Unlock()
 		if hadT0 {
-			m.tracer.Load().Span(body.ReqID, trace.StageMonitorMatch, t0, m.clk.Since(t0))
+			m.tracer.Load().Span(reqID, trace.StageMonitorMatch, t0, m.clk.Since(t0))
 		}
 	case EventAlert:
 		a, err := DecodeAlert(payload)

@@ -337,9 +337,9 @@ func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 	}
 	for i, rec := range recs {
 		// A well-formed envelope whose root no transaction anchored.
-		br := BatchedRecord{Record: rec, Root: lb.Root, Index: i}
+		ls := LogStored{Record: rec, Batched: true, Root: lb.Root, Index: i}
 		before := an.Stats().Failures
-		_, ok := an.extractRecord(br.Encode())
+		_, ok := an.extractRecord(ls.Encode())
 		counted := an.Stats().Failures - before
 		if ok {
 			t.Fatalf("%s: unanchored envelope trusted", rec.Kind)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -73,12 +74,27 @@ type PolicyActivateArgs struct {
 	ActivateHeight uint64 `json:"activateHeight"`
 }
 
-// PolicyRecord is the stored metadata of one proposed version.
-type PolicyRecord struct {
-	Digest crypto.Digest `json:"digest"`
-	// Height is the block height the proposal executed at.
-	Height uint64 `json:"height"`
-	By     string `json:"by"`
+// policyMeta is the meta/<version> row of a proposed version:
+//
+//	32B digest | u64 height | by
+//
+// height being the block the proposal executed at and by its proposer (the
+// rest of the row). M6 reads the digest of one on every pdp.response, so it
+// is sliced, not parsed.
+func policyMeta(digest crypto.Digest, height uint64, by string) []byte {
+	row := make([]byte, 0, crypto.DigestSize+8+len(by))
+	row = append(row, digest[:]...)
+	row = binary.BigEndian.AppendUint64(row, height)
+	return append(row, by...)
+}
+
+// metaDigest reads the anchored digest of a meta/ row.
+func metaDigest(row []byte) (d crypto.Digest, ok bool) {
+	if len(row) < crypto.DigestSize+8 {
+		return d, false
+	}
+	copy(d[:], row)
+	return d, true
 }
 
 // PolicyActivation is one entry of the on-chain activation history and the
@@ -169,8 +185,8 @@ func (pc *PolicyContract) execUpdate(ctx contract.CallCtx, st contract.StateDB, 
 	}
 
 	if raw, ok := st.Get(policyMetaKey(pu.Version)); ok {
-		var prev PolicyRecord
-		if err := json.Unmarshal(raw, &prev); err == nil && prev.Digest == pu.Digest {
+		prev, _ := metaDigest(raw)
+		if prev == pu.Digest {
 			// Idempotent re-submit (client retry, or re-publishing a
 			// superseded version instead of using activate): the anchor is
 			// untouched but the requested activation still schedules —
@@ -185,18 +201,13 @@ func (pc *PolicyContract) execUpdate(ctx contract.CallCtx, st contract.StateDB, 
 		// the Admin turns the event into a client-side error).
 		payload, _ := json.Marshal(map[string]any{
 			"version": pu.Version, "by": ctx.Caller,
-			"anchored": prev.Digest.String(), "attempted": pu.Digest.String(),
+			"anchored": prev.String(), "attempted": pu.Digest.String(),
 		})
 		return []contract.Event{{Type: EventPolicyConflict, Payload: payload}}, nil
 	}
 
-	rec := PolicyRecord{Digest: pu.Digest, Height: ctx.Height, By: ctx.Caller}
-	meta, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode policy record: %w", err)
-	}
 	st.Set(policyBlobKey(pu.Version), pu.Policy)
-	st.Set(policyMetaKey(pu.Version), meta)
+	st.Set(policyMetaKey(pu.Version), policyMeta(pu.Digest, ctx.Height, ctx.Caller))
 	return pc.schedule(ctx, st, pu.Version, pu.Digest, pu.ActivateHeight)
 }
 
@@ -205,15 +216,11 @@ func (pc *PolicyContract) execActivate(ctx contract.CallCtx, st contract.StateDB
 	if err := json.Unmarshal(args, &pa); err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
 	}
-	raw, ok := st.Get(policyMetaKey(pa.Version))
+	digest, ok := ReadPolicyDigest(st, pa.Version)
 	if !ok {
 		return nil, fmt.Errorf("core: activate unknown policy version %q", pa.Version)
 	}
-	var rec PolicyRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("core: corrupt policy record for %q: %v", pa.Version, err)
-	}
-	return pc.schedule(ctx, st, pa.Version, rec.Digest, pa.ActivateHeight)
+	return pc.schedule(ctx, st, pa.Version, digest, pa.ActivateHeight)
 }
 
 // schedule stages an activation: due heights at or below the executing
@@ -251,12 +258,8 @@ func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contrac
 		version := rest[slash+1:]
 		st.Delete(key)
 
-		raw, ok := st.Get(policyMetaKey(version))
+		digest, ok := ReadPolicyDigest(st, version)
 		if !ok {
-			continue
-		}
-		var rec PolicyRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
 			continue
 		}
 		if prev, ok := st.Get(policyActiveVerKey); ok {
@@ -274,7 +277,7 @@ func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contrac
 		}
 		seq++
 		st.Set(policyHistSeqKey, []byte(fmt.Sprintf("%d", seq)))
-		act := PolicyActivation{Version: version, Digest: rec.Digest, Height: height}
+		act := PolicyActivation{Version: version, Digest: digest, Height: height}
 		enc, _ := json.Marshal(act)
 		st.Set(policyHistKey(seq), enc)
 		events = append(events, contract.Event{Type: EventPolicyActivated, Payload: enc})
@@ -306,11 +309,7 @@ func ReadPolicyDigest(st contract.StateDB, version string) (crypto.Digest, bool)
 	if !ok {
 		return crypto.Digest{}, false
 	}
-	var rec PolicyRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return crypto.Digest{}, false
-	}
-	return rec.Digest, true
+	return metaDigest(raw)
 }
 
 // ReadPolicyBlob returns the stored serialized policy set of a version.

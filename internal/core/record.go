@@ -22,10 +22,11 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 
 	"drams/internal/crypto"
+	"drams/internal/wire"
 	"drams/internal/xacml"
 )
 
@@ -53,6 +54,28 @@ func LogKinds() []LogKind {
 	return []LogKind{KindPEPRequest, KindPDPRequest, KindPDPResponse, KindPEPResponse}
 }
 
+// kindOfCode maps a record's leading byte to its kind: 1–4 in pipeline order.
+var kindOfCode = [...]LogKind{1: KindPEPRequest, 2: KindPDPRequest, 3: KindPDPResponse, 4: KindPEPResponse}
+
+// code is the kind's leading byte in a record encoding, or 0, which no
+// decoder accepts, for an unknown kind.
+func (k LogKind) code() byte {
+	switch k {
+	case KindPEPRequest:
+		return 1
+	case KindPDPRequest:
+		return 2
+	case KindPDPResponse:
+		return 3
+	case KindPEPResponse:
+		return 4
+	}
+	return 0
+}
+
+// response reports whether records of kind k carry the response digests.
+func (k LogKind) response() bool { return k == KindPDPResponse || k == KindPEPResponse }
+
 // DecisionTag is a keyed commitment to a decision: HMAC_K(reqID || decision).
 // Tags for the same request are equal iff the decisions are equal, and
 // reveal nothing without K.
@@ -64,54 +87,145 @@ func DecisionTag(key crypto.Key, reqID string, d xacml.Decision) crypto.Digest {
 // matching (digests, tags) are public; Payload is the AES-GCM-encrypted
 // full context.
 type LogRecord struct {
-	Kind   LogKind `json:"kind"`
-	ReqID  string  `json:"reqId"`
-	Tenant string  `json:"tenant"`
+	Kind  LogKind
+	ReqID string
 	// TraceID carries the end-to-end tracing identifier minted at the PEP
-	// (observability metadata only — no contract check reads it; older
-	// records decode with it empty).
-	TraceID string `json:"trace,omitempty"`
+	// (observability metadata only — no contract check reads it).
+	TraceID string
+	// Tenant is the tenant whose agent made the observation.
+	Tenant string
+	// Origin is the tenant whose PEP sent the request: the agent's own
+	// tenant at an edge, the calling PEP's tenant at the PDP. M3 names it,
+	// whichever side's records reached the chain.
+	Origin string
 	// Agent is the probing agent that produced the observation.
-	Agent string `json:"agent"`
+	Agent string
 	// ReqDigest fingerprints the request content (M1).
-	ReqDigest crypto.Digest `json:"reqDigest"`
-	// RespDigest fingerprints the response content (M2); zero for request
-	// records.
-	RespDigest crypto.Digest `json:"respDigest,omitzero"`
+	ReqDigest crypto.Digest
+	// RespDigest fingerprints the response content (M2); response records
+	// only.
+	RespDigest crypto.Digest
 	// DecisionTag commits to the decision carried by the response (M2,
-	// M5); zero for request records.
-	DecisionTag crypto.Digest `json:"decisionTag,omitzero"`
+	// M5); response records only.
+	DecisionTag crypto.Digest
 	// EnforcedTag commits to the effect the PEP actually enforced (M4);
-	// only on pep.response records.
-	EnforcedTag crypto.Digest `json:"enforcedTag,omitzero"`
+	// pep.response records only.
+	EnforcedTag crypto.Digest
 	// PolicyVersion/PolicyDigest identify the policy the PDP claims to
-	// have evaluated (M6); only on pdp.response records.
-	PolicyVersion string        `json:"policyVersion,omitempty"`
-	PolicyDigest  crypto.Digest `json:"policyDigest,omitzero"`
+	// have evaluated (M6); pdp.response records only.
+	PolicyVersion string
+	PolicyDigest  crypto.Digest
 	// TimestampUnixNano is the agent-local observation time (diagnostic
 	// only; consensus ordering comes from block heights).
-	TimestampUnixNano int64 `json:"ts"`
+	TimestampUnixNano int64
 	// Payload is the encrypted full context (request and, for response
 	// records, the result).
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte
 }
 
-// Encode serialises the record as JSON.
-func (lr LogRecord) Encode() []byte {
-	b, err := json.Marshal(lr)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode log record: %v", err))
+// Record encoding, the one form a record has on the chain: the args of a log
+// call, a blob of a logbatch, the Merkle leaf, the input of the row hash and
+// the record a LogStored event carries (str = uvarint length + bytes, blob
+// likewise, i64 = 8 bytes big-endian):
+//
+//	u8 kind | str reqID | str traceID | str tenant | str origin | str agent |
+//	digests | str policyVersion | i64 ts | blob payload
+//
+// kind is 1–4 in pipeline order and fixes which 32-byte digests follow, so no
+// zero digest travels:
+//
+//	pep.request, pdp.request   reqDigest
+//	pdp.response               reqDigest | respDigest | decisionTag | policyDigest
+//	pep.response               reqDigest | respDigest | decisionTag | enforcedTag
+//
+// Kind, reqID and traceID lead, where a consumer reads them without decoding
+// the rest (logStoredHeader). The decoder is canonical (internal/wire) and
+// refuses an unknown kind, so equal bytes are exactly equal records and the
+// contract hashes the bytes it was given.
+
+// minRecordLen is the size of the smallest record: a request kind with every
+// string and the payload empty.
+const minRecordLen = 1 + 5 + crypto.DigestSize + 1 + 8 + 1
+
+// encodedLen is the size of the record's encoding.
+func (lr *LogRecord) encodedLen() int {
+	n := 1 + crypto.DigestSize + 8 + wire.StrLen(len(lr.Payload))
+	for _, s := range [...]string{lr.ReqID, lr.TraceID, lr.Tenant, lr.Origin, lr.Agent, lr.PolicyVersion} {
+		n += wire.StrLen(len(s))
 	}
-	return b
+	if lr.Kind.response() {
+		n += 3 * crypto.DigestSize
+	}
+	return n
 }
 
-// DecodeLogRecord parses a JSON record.
+// appendTo appends the record's encoding to buf.
+func (lr *LogRecord) appendTo(buf []byte) []byte {
+	buf = append(buf, lr.Kind.code())
+	buf = wire.AppendStr(buf, lr.ReqID)
+	buf = wire.AppendStr(buf, lr.TraceID)
+	buf = wire.AppendStr(buf, lr.Tenant)
+	buf = wire.AppendStr(buf, lr.Origin)
+	buf = wire.AppendStr(buf, lr.Agent)
+	buf = append(buf, lr.ReqDigest[:]...)
+	switch lr.Kind {
+	case KindPDPResponse:
+		buf = append(buf, lr.RespDigest[:]...)
+		buf = append(buf, lr.DecisionTag[:]...)
+		buf = append(buf, lr.PolicyDigest[:]...)
+	case KindPEPResponse:
+		buf = append(buf, lr.RespDigest[:]...)
+		buf = append(buf, lr.DecisionTag[:]...)
+		buf = append(buf, lr.EnforcedTag[:]...)
+	}
+	buf = wire.AppendStr(buf, lr.PolicyVersion)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(lr.TimestampUnixNano))
+	return wire.AppendBlob(buf, lr.Payload)
+}
+
+// Encode serialises the record in the record encoding.
+func (lr LogRecord) Encode() []byte { return lr.appendTo(make([]byte, 0, lr.encodedLen())) }
+
+// DecodeLogRecord parses a record. Its strings and payload alias data
+// (wire.NewReader): the contract decodes transaction args, which the chain
+// never mutates.
 func DecodeLogRecord(data []byte) (LogRecord, error) {
+	rd := wire.NewReader(data)
 	var lr LogRecord
-	if err := json.Unmarshal(data, &lr); err != nil {
+	lr.Kind, lr.ReqID, lr.TraceID = readRecordHeader(&rd)
+	lr.Tenant, lr.Origin, lr.Agent = rd.Str(), rd.Str(), rd.Str()
+	lr.ReqDigest = readDigest(&rd)
+	switch lr.Kind {
+	case KindPDPResponse:
+		lr.RespDigest, lr.DecisionTag, lr.PolicyDigest = readDigest(&rd), readDigest(&rd), readDigest(&rd)
+	case KindPEPResponse:
+		lr.RespDigest, lr.DecisionTag, lr.EnforcedTag = readDigest(&rd), readDigest(&rd), readDigest(&rd)
+	}
+	lr.PolicyVersion = rd.Str()
+	lr.TimestampUnixNano = int64(rd.U64())
+	lr.Payload = rd.Blob()
+	if err := rd.End(); err != nil {
 		return LogRecord{}, fmt.Errorf("core: decode log record: %w", err)
 	}
 	return lr, nil
+}
+
+// readRecordHeader reads the fields that lead a record. An unknown kind fails
+// the reader.
+func readRecordHeader(rd *wire.Reader) (kind LogKind, reqID, traceID string) {
+	c := rd.U8()
+	if int(c) < len(kindOfCode) {
+		kind = kindOfCode[c]
+	}
+	if kind == "" {
+		rd.Fail(fmt.Errorf("unknown record kind %d", c))
+	}
+	return kind, rd.Str(), rd.Str()
+}
+
+func readDigest(rd *wire.Reader) (d crypto.Digest) {
+	copy(d[:], rd.Bytes(crypto.DigestSize))
+	return d
 }
 
 // Validate checks structural well-formedness per kind.
@@ -143,50 +257,83 @@ func (lr LogRecord) Validate() error {
 
 // Verdict is the Analyser's expected-decision statement for one request
 // (check M5). ExpectedTag commits to the expected decision with the same
-// keyed construction the agents use, so the contract compares tags.
+// keyed construction the agents use, so the contract compares tags. It
+// travels as the args of a verdict call:
+//
+//	str reqID | 32B expectedTag | 32B policyDigest | str analyser
 type Verdict struct {
-	ReqID string `json:"reqId"`
+	ReqID string
 	// ExpectedTag is DecisionTag(K, reqID, expectedDecision).
-	ExpectedTag crypto.Digest `json:"expectedTag"`
+	ExpectedTag crypto.Digest
 	// PolicyDigest is the digest of the policy version the analyser used.
-	PolicyDigest crypto.Digest `json:"policyDigest"`
+	PolicyDigest crypto.Digest
 	// Analyser names the producing component.
-	Analyser string `json:"analyser"`
+	Analyser string
 }
 
 // Encode serialises the verdict.
 func (v Verdict) Encode() []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode verdict: %v", err))
-	}
-	return b
+	buf := make([]byte, 0, wire.StrLen(len(v.ReqID))+2*crypto.DigestSize+wire.StrLen(len(v.Analyser)))
+	buf = wire.AppendStr(buf, v.ReqID)
+	buf = append(buf, v.ExpectedTag[:]...)
+	buf = append(buf, v.PolicyDigest[:]...)
+	return wire.AppendStr(buf, v.Analyser)
 }
 
-// DecodeVerdict parses a JSON verdict.
+// DecodeVerdict parses a verdict; its strings alias data.
 func DecodeVerdict(data []byte) (Verdict, error) {
-	var v Verdict
-	if err := json.Unmarshal(data, &v); err != nil {
+	rd := wire.NewReader(data)
+	v := Verdict{ReqID: rd.Str(), ExpectedTag: readDigest(&rd), PolicyDigest: readDigest(&rd), Analyser: rd.Str()}
+	if err := rd.End(); err != nil {
 		return Verdict{}, fmt.Errorf("core: decode verdict: %w", err)
 	}
 	return v, nil
 }
 
-// EncryptedContext is the plaintext structure sealed into
-// LogRecord.Payload: the full exchange context for authorised forensics.
+// EncryptedContext is the plaintext sealed into LogRecord.Payload: the full
+// exchange context for authorised forensics and the analyser. It is sealed in
+// the PEP↔PDP codec (xacml/wire.go), not in a format of its own:
+//
+//	u8 flags | [blob Request.Encode()] | [blob Result.Encode()] | u8 enforced | str note
+//
+// where flag bit 0 marks a request and bit 1 a result. The seal holds every
+// request DecodeRequest accepts; what a request may carry at all is
+// Request.CheckValues' rule, which the PEP applies before any probe sees it.
 type EncryptedContext struct {
-	Request  *xacml.Request `json:"request,omitempty"`
-	Result   *xacml.Result  `json:"result,omitempty"`
-	Enforced xacml.Decision `json:"enforced,omitempty"`
-	Note     string         `json:"note,omitempty"`
+	Request  *xacml.Request
+	Result   *xacml.Result
+	Enforced xacml.Decision
+	Note     string
 }
 
-// Seal encrypts the context with the LI key.
+// Flags of a sealed context.
+const (
+	sealedRequest byte = 1 << iota
+	sealedResult
+)
+
+// Seal encrypts the context with the LI key, bound to reqID.
 func (ec EncryptedContext) Seal(cipher *crypto.Cipher, reqID string) ([]byte, error) {
-	plain, err := json.Marshal(ec)
-	if err != nil {
-		return nil, fmt.Errorf("core: seal context: %w", err)
+	var flags byte
+	var req, res []byte
+	if ec.Request != nil {
+		flags |= sealedRequest
+		req = ec.Request.Encode()
 	}
+	if ec.Result != nil {
+		flags |= sealedResult
+		res = ec.Result.Encode()
+	}
+	plain := make([]byte, 0, 2+wire.StrLen(len(req))+wire.StrLen(len(res))+wire.StrLen(len(ec.Note)))
+	plain = append(plain, flags)
+	if req != nil {
+		plain = wire.AppendBlob(plain, req)
+	}
+	if res != nil {
+		plain = wire.AppendBlob(plain, res)
+	}
+	plain = append(plain, byte(ec.Enforced))
+	plain = wire.AppendStr(plain, ec.Note)
 	return cipher.Encrypt(plain, []byte(reqID))
 }
 
@@ -197,7 +344,31 @@ func OpenContext(cipher *crypto.Cipher, reqID string, payload []byte) (Encrypted
 		return EncryptedContext{}, fmt.Errorf("core: open context: %w", err)
 	}
 	var ec EncryptedContext
-	if err := json.Unmarshal(plain, &ec); err != nil {
+	rd := wire.NewReader(plain) // plain is this call's own buffer
+	flags := rd.U8()
+	if flags&^(sealedRequest|sealedResult) != 0 {
+		rd.Fail(fmt.Errorf("flags 0x%02x", flags))
+	}
+	var req, res []byte
+	if flags&sealedRequest != 0 {
+		req = rd.Blob()
+	}
+	if flags&sealedResult != 0 {
+		res = rd.Blob()
+	}
+	ec.Enforced = xacml.Decision(rd.U8())
+	ec.Note = rd.Str()
+	err = rd.End()
+	if err == nil && flags&sealedRequest != 0 {
+		ec.Request, err = xacml.DecodeRequest(req)
+	}
+	if err == nil && flags&sealedResult != 0 {
+		var r xacml.Result
+		if r, err = xacml.DecodeResult(res); err == nil {
+			ec.Result = &r
+		}
+	}
+	if err != nil {
 		return EncryptedContext{}, fmt.Errorf("core: open context: %w", err)
 	}
 	return ec, nil

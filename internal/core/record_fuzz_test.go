@@ -1,0 +1,108 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// The record decoders read bytes any allowlisted member chose (transaction
+// args) and bytes off the event stream. Arbitrary input must never panic
+// them, and an accepted input must re-encode to exactly the bytes it came
+// from: the contract hashes args as they lie, so equal bytes have to mean
+// equal records. The JSON an older build wrote is among the seeds, as
+// hostile input.
+
+// fuzzRecords are the four kinds, one with every field set.
+func fuzzRecords() []LogRecord {
+	x := cleanExchange("req-fuzz")
+	full := x.pdpResponse()
+	full.TraceID, full.TimestampUnixNano, full.Payload = "trace-fuzz", -1, []byte("sealed")
+	return []LogRecord{x.pepRequest(), x.pdpRequest(), full, x.pepResponse(x.decision)}
+}
+
+// jsonRecord is a pep.request the way an older build encoded it.
+func jsonRecord() map[string]any {
+	x := cleanExchange("req-json")
+	return map[string]any{"kind": string(KindPEPRequest), "reqId": x.reqID, "tenant": "t1",
+		"agent": "agent-t1", "reqDigest": x.reqDig.String(), "ts": 0}
+}
+
+func jsonSeed(v any) []byte {
+	b, _ := json.Marshal(v) // maps of strings and numbers always marshal
+	return b
+}
+
+func FuzzDecodeLogRecord(f *testing.F) {
+	for _, rec := range fuzzRecords() {
+		f.Add(rec.Encode())
+	}
+	f.Add(jsonSeed(jsonRecord()))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeLogRecord(data)
+		if err != nil {
+			return
+		}
+		if got := rec.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted record re-encodes differently:\n got %x\nwant %x", got, data)
+		}
+	})
+}
+
+func FuzzDecodeLogBatch(f *testing.F) {
+	lb, err := NewLogBatch(fuzzRecords())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lb.Encode())
+	f.Add(jsonSeed(map[string]any{"root": lb.Root.String(), "records": []any{jsonRecord()}}))
+	f.Add(LogBatch{}.Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lb, err := DecodeLogBatch(data)
+		if err != nil {
+			return
+		}
+		if got := lb.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted batch re-encodes differently:\n got %x\nwant %x", got, data)
+		}
+		for i := range lb.Records {
+			if !bytes.Equal(lb.Records[i].Encode(), lb.leaves[i]) {
+				t.Fatalf("record %d re-encodes differently from its leaf", i)
+			}
+		}
+	})
+}
+
+func FuzzDecodeLogStored(f *testing.F) {
+	recs := fuzzRecords()
+	lb, err := NewLogBatch(recs[:3])
+	if err != nil {
+		f.Fatal(err)
+	}
+	env := newMatchEnv(f, defaultCfg())
+	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
+	evs = append(evs, env.mustCall("li-t1", MethodLog, recs[3].Encode())...)
+	for _, e := range evs {
+		if e.Type == EventLogStored {
+			f.Add([]byte(e.Payload))
+		}
+	}
+	f.Add(jsonSeed(map[string]any{"record": jsonRecord(), "root": lb.Root.String(), "index": 0,
+		"proof": map[string]any{"leafIndex": 0, "steps": []any{}}}))
+	f.Add([]byte{storedBatched})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ls, err := DecodeLogStored(data)
+		if err != nil {
+			return
+		}
+		if got := ls.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, data)
+		}
+		kind, reqID, traceID, err := logStoredHeader(data)
+		if err != nil || kind != ls.Record.Kind || reqID != ls.Record.ReqID || traceID != ls.Record.TraceID {
+			t.Fatalf("header read %s/%q/%q (%v), record is %s/%q/%q", kind, reqID, traceID, err,
+				ls.Record.Kind, ls.Record.ReqID, ls.Record.TraceID)
+		}
+	})
+}

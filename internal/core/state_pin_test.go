@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -22,12 +21,17 @@ import (
 // computes the state its predecessor did. It changes only with a deliberate
 // change to contract semantics or state layout, which must say so.
 //
-// Re-pinned once, at PR 18, for two layout changes and no semantic one (the
-// verdict stream below did not move): crypto.Digest now encodes as a hex
-// string in every JSON value the policy contract stores, and the log-match
-// contract stores fixed-layout rows under rec/ and verdict/ instead of the
-// JSON records. Before: 4208bbec…f31145, unchanged from 8dc68a8 to 2449793.
-const pinnedScriptDigest = "1833ab121d3d9d2f2dfb194832cfeb9f99a0c69fe93357ba68cc20283d3b5d4e"
+// Re-pinned twice, each time for layout changes and no semantic one (the
+// verdict stream below did not move):
+//   - when crypto.Digest became a hex string in every JSON value the policy
+//     contract stores, and the log-match contract began storing fixed-layout
+//     rows under rec/ and verdict/ instead of the JSON records (before:
+//     4208bbec…f31145, unchanged from 8dc68a8 to 2449793);
+//   - when probe records went binary: a rec/ row carries the origin tenant
+//     beside the tenant, row hashes are over the binary record and verdict
+//     encodings, and the policy contract's meta/<version> row is
+//     32B digest | u64 height | by instead of JSON (before: 1833ab12…3b5d4e).
+const pinnedScriptDigest = "1a4d93abaf7030e7733b0d43311a70a00932e6943f6adfcbdfc37f7b898d66f1"
 
 // pinnedVerdictStream is the digest of what an observer of the scripted chain
 // sees, in order: every Alert (type, request, height) and every Matched
@@ -88,14 +92,11 @@ func (s *scriptChain) observe(_ uint64, events []contract.Event) {
 			}
 			fmt.Fprintf(&s.stream, "alert %s %s %d\n", a.Type, a.ReqID, a.Height)
 		case EventMatched:
-			var m struct {
-				ReqID  string `json:"reqId"`
-				Height uint64 `json:"height"`
-			}
-			if err := json.Unmarshal(ev.Payload, &m); err != nil {
+			reqID, height, err := decodeMatched(ev.Payload)
+			if err != nil {
 				s.t.Errorf("matched payload: %v", err)
 			}
-			fmt.Fprintf(&s.stream, "matched %s %d\n", m.ReqID, m.Height)
+			fmt.Fprintf(&s.stream, "matched %s %d\n", reqID, height)
 		}
 	}
 }

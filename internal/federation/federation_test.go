@@ -87,6 +87,7 @@ type probeRecorder struct {
 	pepEnforced []xacml.Decision
 	pepFailed   int
 	pdpReceived []*xacml.Request
+	pdpOrigins  []string // the tenant each PDP-side observation names as its origin
 	pdpSent     []xacml.Decision
 	pdpFailed   int
 	twice       int // sides whose hook ran more than once
@@ -112,10 +113,11 @@ func (p *probeRecorder) PEPRequestSent(req *xacml.Request) func(xacml.Result, xa
 	}
 }
 
-func (p *probeRecorder) PDPRequestReceived(req *xacml.Request) func(xacml.Result, bool) {
+func (p *probeRecorder) PDPRequestReceived(req *xacml.Request, origin string) func(xacml.Result, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.pdpReceived = append(p.pdpReceived, req)
+	p.pdpOrigins = append(p.pdpOrigins, origin)
 	calls := 0
 	return func(res xacml.Result, ok bool) {
 		p.mu.Lock()
@@ -202,6 +204,10 @@ func TestPEPPDPFlow(t *testing.T) {
 	}
 	if rec.pepEnforced[0] != xacml.Permit || rec.pepEnforced[1] != xacml.Deny {
 		t.Fatalf("enforced = %v", rec.pepEnforced)
+	}
+	// The PDP names the caller's tenant, read off its pep@<tenant> address.
+	if len(rec.pdpOrigins) != 2 || rec.pdpOrigins[0] != "tenant-1" || rec.pdpOrigins[1] != "tenant-1" {
+		t.Fatalf("PDP-side origins = %v, want tenant-1 twice", rec.pdpOrigins)
 	}
 	if env.pdp.Evaluations() != 2 {
 		t.Fatalf("pdp evaluations = %d", env.pdp.Evaluations())

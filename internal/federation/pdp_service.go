@@ -3,6 +3,7 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -21,12 +22,13 @@ const (
 // PDPProbe is the hook interface a DRAMS agent implements at the PDP side
 // (infrastructure tenant).
 type PDPProbe interface {
-	// PDPRequestReceived observes req at PDP ingress, before evaluation,
-	// and returns the hook that ends the PDP's side of the exchange. The
-	// service calls that hook exactly once, on the goroutine serving the
-	// request: with the decision it is about to send, or with ok=false when
-	// it sends none (no evaluator, evaluation error).
-	PDPRequestReceived(req *xacml.Request) (done func(res xacml.Result, ok bool))
+	// PDPRequestReceived observes req at PDP ingress, before evaluation, as
+	// sent by the PEP of tenant origin, and returns the hook that ends the
+	// PDP's side of the exchange. The service calls that hook exactly once,
+	// on the goroutine serving the request: with the decision it is about
+	// to send, or with ok=false when it sends none (no evaluator,
+	// evaluation error).
+	PDPRequestReceived(req *xacml.Request, origin string) (done func(res xacml.Result, ok bool))
 }
 
 // PDPService exposes the federation PDP on the network. It wraps an
@@ -85,10 +87,20 @@ func (s *PDPService) Stats() PDPStats {
 // Evaluations returns how many requests the service has processed.
 func (s *PDPService) Evaluations() int64 { return s.evaluations.Value() }
 
+// originTenant names the tenant whose PEP made a call from address from
+// (PEPAddr). A caller at any other address is named by the address itself.
+func originTenant(from string) string {
+	if tenant, ok := strings.CutPrefix(from, PEPAddr("")); ok {
+		return tenant
+	}
+	return from
+}
+
 // evaluateOne runs the probe→evaluate→probe path for a single encoded
-// request; both the single and the batch handler go through it so every
-// request produces identical probe logs regardless of how it arrived.
-func (s *PDPService) evaluateOne(payload []byte) ([]byte, error) {
+// request from origin's PEP; both the single and the batch handler go
+// through it so every request produces identical probe logs regardless of
+// how it arrived.
+func (s *PDPService) evaluateOne(origin string, payload []byte) ([]byte, error) {
 	req, err := xacml.DecodeRequest(payload)
 	if err != nil {
 		s.failures.Inc()
@@ -97,7 +109,7 @@ func (s *PDPService) evaluateOne(payload []byte) ([]byte, error) {
 	start := time.Now()
 	done := func(xacml.Result, bool) {}
 	if pb := s.probe.Load(); pb != nil && pb.p != nil {
-		done = pb.p.PDPRequestReceived(req)
+		done = pb.p.PDPRequestReceived(req, origin)
 	}
 	box := s.evaluator.Load()
 	if box == nil || box.ev == nil {
@@ -118,7 +130,7 @@ func (s *PDPService) evaluateOne(payload []byte) ([]byte, error) {
 }
 
 func (s *PDPService) handleEvaluate(from string, payload []byte) ([]byte, error) {
-	return s.evaluateOne(payload)
+	return s.evaluateOne(originTenant(from), payload)
 }
 
 func (s *PDPService) handleEvaluateBatch(from string, payload []byte) ([]byte, error) {
@@ -127,9 +139,10 @@ func (s *PDPService) handleEvaluateBatch(from string, payload []byte) ([]byte, e
 		s.failures.Inc()
 		return nil, fmt.Errorf("federation: PDP: %w", err)
 	}
+	origin := originTenant(from)
 	results, errs := make([][]byte, len(items)), make([]error, len(items))
 	for i, raw := range items {
-		results[i], errs[i] = s.evaluateOne(raw)
+		results[i], errs[i] = s.evaluateOne(origin, raw)
 	}
 	return xacml.EncodeBatchReply(results, errs), nil
 }

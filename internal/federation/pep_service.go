@@ -164,8 +164,8 @@ func (s *PEPService) Stats() PEPStats {
 	}
 }
 
-// admit counts a request and refuses one carrying a value the wire or the
-// probe record cannot (xacml.ErrUnsupportedValue). A refused request never
+// admit counts a request and refuses one carrying a value outside what a
+// request may carry (xacml.ErrUnsupportedValue). A refused request never
 // reaches the probe or the PDP: nothing is decided, so nothing goes
 // unmonitored.
 func (s *PEPService) admit(req *xacml.Request) error {

@@ -94,13 +94,16 @@ type side struct {
 	a         *Agent
 	req       *xacml.Request
 	reqDigest crypto.Digest
-	recs      [2]core.LogRecord
-	n         int
+	// origin is the tenant whose PEP sent the request.
+	origin string
+	recs   [2]core.LogRecord
+	n      int
 }
 
-// open starts a side with the request-side observation of kind.
-func (a *Agent) open(kind core.LogKind, req *xacml.Request) *side {
-	s := &side{a: a, req: req, reqDigest: req.Digest()}
+// open starts a side with the request-side observation of kind, for a
+// request origin's PEP sent.
+func (a *Agent) open(kind core.LogKind, req *xacml.Request, origin string) *side {
+	s := &side{a: a, req: req, reqDigest: req.Digest(), origin: origin}
 	s.observe(core.LogRecord{Kind: kind}, core.EncryptedContext{Request: req})
 	return s
 }
@@ -124,6 +127,7 @@ func (s *side) observe(rec core.LogRecord, ec core.EncryptedContext) {
 	rec.Payload = payload
 	rec.Agent = a.name
 	rec.Tenant = a.tenant
+	rec.Origin = s.origin
 	rec.TimestampUnixNano = a.clk.Now().UnixNano()
 	if a.li.cfg.Mode == SubmitAsync {
 		s.recs[s.n] = rec
@@ -155,7 +159,7 @@ func (s *side) close() {
 // as it arrived at the PEP and the effect the PEP actually enforced, or
 // ok=false when the exchange failed before one was observed.
 func (a *Agent) PEPRequestSent(req *xacml.Request) func(res xacml.Result, enforced xacml.Decision, ok bool) {
-	return a.open(core.KindPEPRequest, req).pepResponseReceived
+	return a.open(core.KindPEPRequest, req, a.tenant).pepResponseReceived
 }
 
 func (s *side) pepResponseReceived(res xacml.Result, enforced xacml.Decision, ok bool) {
@@ -170,12 +174,13 @@ func (s *side) pepResponseReceived(res xacml.Result, enforced xacml.Decision, ok
 	s.close()
 }
 
-// PDPRequestReceived records that the PDP received req, and returns the hook
-// that ends the PDP's side of the exchange: the decision the PDP sent, or
-// ok=false when it sent none. The sealed context of the response includes
-// the request so the Analyser can re-derive the expected decision.
-func (a *Agent) PDPRequestReceived(req *xacml.Request) func(res xacml.Result, ok bool) {
-	return a.open(core.KindPDPRequest, req).pdpResponseSent
+// PDPRequestReceived records that the PDP received req from the PEP of
+// tenant origin, and returns the hook that ends the PDP's side of the
+// exchange: the decision the PDP sent, or ok=false when it sent none. The
+// sealed context of the response includes the request so the Analyser can
+// re-derive the expected decision.
+func (a *Agent) PDPRequestReceived(req *xacml.Request, origin string) func(res xacml.Result, ok bool) {
+	return a.open(core.KindPDPRequest, req, origin).pdpResponseSent
 }
 
 func (s *side) pdpResponseSent(res xacml.Result, ok bool) {

@@ -303,7 +303,7 @@ func TestAgentObservationsReachChain(t *testing.T) {
 	}
 
 	pepDone := agent.PEPRequestSent(req)
-	pdpDone := agent.PDPRequestReceived(req)
+	pdpDone := agent.PDPRequestReceived(req, "t9")
 	pdpDone(res, true)
 	pepDone(res, xacml.Permit, true)
 
@@ -314,6 +314,15 @@ func TestAgentObservationsReachChain(t *testing.T) {
 		}
 		if rec.Agent != "agent@t1" || rec.Tenant != "t1" {
 			t.Fatalf("%s: provenance %q/%q", kind, rec.Agent, rec.Tenant)
+		}
+		// An edge record's origin is the agent's tenant; a PDP-side one's is
+		// the tenant the PDP was called from.
+		want := "t1"
+		if kind == core.KindPDPRequest || kind == core.KindPDPResponse {
+			want = "t9"
+		}
+		if rec.Origin != want {
+			t.Fatalf("%s: origin %q, want %q", kind, rec.Origin, want)
 		}
 		switch kind {
 		case core.KindPDPResponse:
@@ -390,15 +399,15 @@ func TestAgentAnchorsOneTransactionPerSide(t *testing.T) {
 			}
 			done(res, xacml.Permit, true)
 		}, core.KindPEPResponse, pair(core.KindPEPRequest, core.KindPEPResponse)},
-		{"pdp-pair", "", func(req *xacml.Request) { agent.PDPRequestReceived(req)(res, true) },
+		{"pdp-pair", "", func(req *xacml.Request) { agent.PDPRequestReceived(req, "t1")(res, true) },
 			core.KindPDPResponse, pair(core.KindPDPRequest, core.KindPDPResponse)},
 		{"pep-failed", "", func(req *xacml.Request) { agent.PEPRequestSent(req)(xacml.Result{}, 0, false) },
 			core.KindPEPRequest, alone(core.KindPEPRequest)},
-		{"pdp-failed", "", func(req *xacml.Request) { agent.PDPRequestReceived(req)(xacml.Result{}, false) },
+		{"pdp-failed", "", func(req *xacml.Request) { agent.PDPRequestReceived(req, "t1")(xacml.Result{}, false) },
 			core.KindPDPRequest, alone(core.KindPDPRequest)},
 		{"response-muted", core.KindPEPResponse, func(req *xacml.Request) { agent.PEPRequestSent(req)(res, xacml.Permit, true) },
 			core.KindPEPRequest, alone(core.KindPEPRequest)},
-		{"request-muted", core.KindPDPRequest, func(req *xacml.Request) { agent.PDPRequestReceived(req)(res, true) },
+		{"request-muted", core.KindPDPRequest, func(req *xacml.Request) { agent.PDPRequestReceived(req, "t1")(res, true) },
 			core.KindPDPResponse, alone(core.KindPDPResponse)},
 	}
 	for _, c := range cases {

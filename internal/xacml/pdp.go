@@ -14,19 +14,19 @@ var ErrNoPolicy = errors.New("xacml: no policy loaded")
 // Result is the full PDP response for one request.
 type Result struct {
 	// RequestID echoes the request correlation ID.
-	RequestID string `json:"requestId"`
+	RequestID string
 	// Decision is the simplified four-valued decision a PEP acts upon.
-	Decision Decision `json:"decision"`
+	Decision Decision
 	// Extended preserves the six-valued decision for diagnostics.
-	Extended Decision `json:"extended"`
+	Extended Decision
 	// Obligations must be fulfilled by the PEP alongside enforcement.
-	Obligations []Obligation `json:"obligations,omitempty"`
+	Obligations []Obligation
 	// PolicyID and PolicyVersion identify the evaluated policy set.
-	PolicyID      string `json:"policyId"`
-	PolicyVersion string `json:"policyVersion"`
+	PolicyID      string
+	PolicyVersion string
 	// PolicyDigest is the canonical digest of the evaluated policy set;
 	// the monitor's M6 check compares it with the PAP-anchored digest.
-	PolicyDigest crypto.Digest `json:"policyDigest"`
+	PolicyDigest crypto.Digest
 }
 
 // Digest returns the content digest of the result (decision + obligations +

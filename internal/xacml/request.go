@@ -30,16 +30,16 @@ type AttributeID string
 // Request is an access request: attribute bags grouped by category.
 type Request struct {
 	// ID correlates the request across PEP, PDP, logs and monitor checks.
-	ID string `json:"id"`
+	ID string
 	// TraceID is the end-to-end tracing identifier minted at the PEP and
 	// propagated through wire calls, probe records and analyser events. It
 	// is observability metadata: excluded (like ID) from CanonicalBytes,
 	// so it never perturbs content digests, M1 matching or the decision
 	// cache. Empty when tracing is off or the request predates it.
-	TraceID string `json:"trace,omitempty"`
-	// Attrs holds the attribute bags. The JSON tags serve the sealed probe
-	// context (core.EncryptedContext); the PEP↔PDP wire is binary (wire.go).
-	Attrs map[Category]map[AttributeID]Bag `json:"attrs"`
+	TraceID string
+	// Attrs holds the attribute bags. A request has no JSON form: the
+	// PEP↔PDP wire and the sealed probe context both carry Encode (wire.go).
+	Attrs map[Category]map[AttributeID]Bag
 }
 
 // NewRequest returns an empty request with the given correlation ID.
@@ -81,10 +81,11 @@ func (r *Request) Clone() *Request {
 	return out
 }
 
-// CheckValues reports the first value of r that the PEP↔PDP wire or the
-// sealed probe context cannot carry (ErrUnsupportedValue). The PEP refuses
-// such a request before its probe sees it and DecodeRequest refuses one on
-// the wire, so every exchange that is decided is one the monitor can record.
+// CheckValues reports the first value of r outside what a request may carry
+// (ErrUnsupportedValue). The PEP refuses such a request before its probe
+// sees it and DecodeRequest refuses one on the wire, so the PEP, the wire,
+// the sealed probe context and the analyser agree on one set of values, and
+// every exchange that is decided is one the monitor can record.
 func (r *Request) CheckValues() error {
 	for cat, m := range r.Attrs {
 		for id, bag := range m {

@@ -53,14 +53,16 @@ func (t Type) String() string {
 	}
 }
 
-// ErrUnsupportedValue marks a value that the PEP↔PDP wire or the sealed probe
-// context (JSON) cannot carry: a type outside TypeString..TypeTime, a NaN or
-// infinite float, or a time that RFC 3339 (year outside 0–9999, zone hour
-// beyond 23) or time.MarshalBinary cannot write.
+// ErrUnsupportedValue marks a value outside what a request may carry: a type
+// outside TypeString..TypeTime, a NaN or infinite float, or a time that
+// RFC 3339 (year outside 0–9999, zone hour beyond 23) or time.MarshalBinary
+// cannot write. It is a rule, not a codec limit: the binary wire and the
+// sealed probe context could hold NaN and far years, and they widen together
+// or not at all.
 var ErrUnsupportedValue = errors.New("xacml: unsupported value")
 
-// check reports whether v is one that both the wire and the sealed probe
-// context can carry (ErrUnsupportedValue otherwise).
+// check reports whether v is one a request may carry (ErrUnsupportedValue
+// otherwise).
 func (v Value) check() error {
 	switch v.T {
 	case TypeString, TypeInt, TypeBool:

@@ -13,7 +13,8 @@
 #      fleet mines past a minimum height.
 #   2. The withholding attack engages (greppable BYZANTINE line).
 #   3. The infrastructure monitor raises ALERT type=message-suppressed for
-#      a request tenant-2 made after the attack engaged, within the timeout.
+#      a request tenant-2 made after the attack engaged, within the timeout,
+#      naming tenant-2 (the origin tenant the PDP-side records carry).
 #   4. False-positive guard: no alert of any type names a request of honest
 #      tenant-1.
 #
@@ -119,12 +120,12 @@ echo "withholding engaged; waiting for M3 detection on the honest side..."
 
 # Phase C: the monitor flags a trapped tenant-2 exchange. The victim's
 # pep.* records are stuck on the Byzantine node, the PDP-side records
-# anchor honestly, and the Δ-block deadline sweep raises the alert.
-# Attribution is by request ID: the alert's tenant= label names the tenant
-# of the first record that did arrive, which under withholding is the
-# PDP-side one (tenant=infrastructure), not the victim.
-alert_ids() { # <grep pattern for the ALERT prefix>
-    grep -o "$1 req=[0-9a-f]*" "$WORKDIR/infra.log" 2>/dev/null | grep -o '[0-9a-f]*$' | sort -u
+# anchor honestly, and the Δ-block deadline sweep raises the alert. The
+# PDP-side records carry the tenant whose PEP called as their origin, so
+# the alert names the victim: it must read tenant=tenant-2.
+alert_ids() { # <grep pattern for the ALERT prefix> [tenant]
+    grep -o "$1 req=[0-9a-f]* tenant=${2:-[^ ]*}" "$WORKDIR/infra.log" 2>/dev/null |
+        sed 's/.* req=\([0-9a-f]*\) .*/\1/' | sort -u
 }
 trapped_ids() {
     sed -n '/BYZANTINE mode=withhold engaged/,$p' "$WORKDIR/t2.log" |
@@ -132,7 +133,7 @@ trapped_ids() {
 }
 detected=0
 while [ "$(date +%s)" -lt "$deadline" ]; do
-    detected=$(comm -12 <(alert_ids 'ALERT type=message-suppressed') <(trapped_ids) | wc -l)
+    detected=$(comm -12 <(alert_ids 'ALERT type=message-suppressed' tenant-2) <(trapped_ids) | wc -l)
     [ "$detected" -gt 0 ] && break
     sleep 1
 done
@@ -143,5 +144,5 @@ done
 honest_hit=$(alert_ids 'ALERT type=[^ ]*' | grep -c -F -f - "$WORKDIR/t1.log")
 [ "$honest_hit" -eq 0 ] || fail "false positive: an alert names a request of honest tenant-1"
 
-echo "ADVERSARIAL SMOKE OK: withholding attack detected ($detected message-suppressed alert(s) for requests tenant-2 made after it engaged, none for honest tenant-1)"
+echo "ADVERSARIAL SMOKE OK: withholding attack detected ($detected message-suppressed alert(s) naming tenant-2 for requests it made after the attack engaged, none for honest tenant-1)"
 exit 0
