@@ -60,15 +60,10 @@ var kindOfCode = [...]LogKind{1: KindPEPRequest, 2: KindPDPRequest, 3: KindPDPRe
 // code is the kind's leading byte in a record encoding, or 0, which no
 // decoder accepts, for an unknown kind.
 func (k LogKind) code() byte {
-	switch k {
-	case KindPEPRequest:
-		return 1
-	case KindPDPRequest:
-		return 2
-	case KindPDPResponse:
-		return 3
-	case KindPEPResponse:
-		return 4
+	for c, kind := range kindOfCode {
+		if c > 0 && kind == k {
+			return byte(c)
+		}
 	}
 	return 0
 }
