@@ -67,7 +67,7 @@ type Chain struct {
 	head      crypto.Digest
 	bestChain []crypto.Digest // index = height
 	state     *contract.State
-	receipts  map[crypto.Digest]Receipt
+	receipts  map[crypto.Digest]Receipt // of the best chain's top E+1 blocks
 	emitted   map[crypto.Digest]bool
 	abandoned []Transaction // of blocks reorganised away, until TakeAbandoned
 
@@ -176,7 +176,9 @@ func (c *Chain) TakeAbandoned() []Transaction {
 }
 
 // Receipt returns the execution receipt of a best-chain transaction along
-// with its confirmation count (1 = in the head block).
+// with its confirmation count (1 = in the head block). Receipts answer for
+// the top E+1 blocks of the best chain, E being txLifetime: a transaction
+// mined lower returns ErrTxNotFound, as one never mined does.
 func (c *Chain) Receipt(txID crypto.Digest) (Receipt, uint64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -381,35 +383,48 @@ func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest) ([]bool, uint64)
 	return c.carriedLocked(tip, ids), c.blocks[tip].Header.Height
 }
 
-// carriedLocked is carried for transactions valid in a child of tip. On the
-// best chain the receipts index answers. A side branch is walked back to
-// where it joins the best chain, but no further than txLifetime blocks below
-// the child: a transaction valid there cannot have been mined any lower.
+// carriedLocked is carried for transactions valid in a child of tip. A
+// transaction valid in a child at height c cannot have been mined below
+// c-E, so no walk goes lower. A side branch is walked back to where it joins
+// the best chain. On the best chain the receipts index answers for its top
+// E+1 blocks, and the kept IDs of the best-chain blocks below them, down to
+// c-E, for the rest.
 func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest) []bool {
 	out := make([]bool, len(ids))
 	index := make(map[crypto.Digest]int, len(ids))
 	for i, id := range ids {
 		index[id] = i
 	}
-	b := c.blocks[tip]
-	for child := b.Header.Height + 1; ; b = c.blocks[tip] {
-		if h := b.Header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
-			for i, id := range ids {
-				r, ok := c.receipts[id]
-				out[i] = out[i] || ok && r.Height <= h
-			}
-			return out
-		}
-		if b.Header.Height+txLifetime < child {
-			return out
-		}
-		for _, id := range c.blockIDs[tip] {
+	mark := func(block crypto.Digest) {
+		for _, id := range c.blockIDs[block] {
 			if i, ok := index[id]; ok {
 				out[i] = true
 			}
 		}
+	}
+	b := c.blocks[tip]
+	child := b.Header.Height + 1
+	lowest := child - min(child, txLifetime)
+	for ; ; b = c.blocks[tip] {
+		if h := b.Header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
+			break
+		}
+		if b.Header.Height < lowest {
+			return out
+		}
+		mark(tip)
 		tip = b.Header.PrevHash
 	}
+	join := b.Header.Height
+	for i, id := range ids {
+		r, ok := c.receipts[id]
+		out[i] = out[i] || ok && r.Height <= join
+	}
+	head := uint64(len(c.bestChain) - 1)
+	for h := lowest; h < head-min(head, txLifetime) && h <= join; h++ {
+		mark(c.bestChain[h]) // below the receipts
+	}
+	return out
 }
 
 // pathFromGenesisLocked returns block hashes from the first post-genesis
@@ -437,9 +452,14 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	nb := c.blocks[newHead]
 	if nb.Header.PrevHash == c.head {
-		evs := c.applyBlockLocked(nb, c.blockIDs[newHead], c.state)
+		evs := c.applyBlockLocked(nb, c.blockIDs[newHead], c.state, true)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
+		if h := nb.Header.Height; h > txLifetime {
+			for _, id := range c.blockIDs[c.bestChain[h-txLifetime-1]] {
+				delete(c.receipts, id)
+			}
+		}
 		c.syncLogLocked()
 		if c.emitted[newHead] {
 			return []blockEvents{{height: nb.Header.Height}}, nil
@@ -458,11 +478,12 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	best := make([]crypto.Digest, 0, len(path)+1)
 	best = append(best, c.genesis)
 	var emits []blockEvents
-	// Swap in the fresh state so applyBlockLocked records receipts there.
+	// Swap in the fresh state so applyBlockLocked records receipts there,
+	// for the heights within E of the new head.
 	c.state = state
 	for _, bh := range path {
 		b := c.blocks[bh]
-		evs := c.applyBlockLocked(b, c.blockIDs[bh], state)
+		evs := c.applyBlockLocked(b, c.blockIDs[bh], state, b.Header.Height+txLifetime >= uint64(len(path)))
 		best = append(best, bh)
 		if !c.emitted[bh] {
 			c.emitted[bh] = true
@@ -481,10 +502,11 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 }
 
 // applyBlockLocked executes a block's transactions and block hooks against
-// state, recording receipts under ids (b's transaction IDs, index-aligned).
-// The replay rule was checked beforehand. Transactions run one after another
-// in block order; this is the only apply path.
-func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State) []contract.Event {
+// state, recording receipts under ids (b's transaction IDs, index-aligned)
+// when keepReceipts is set. The replay rule was checked beforehand.
+// Transactions run one after another in block order; this is the only apply
+// path.
+func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State, keepReceipts bool) []contract.Event {
 	var events []contract.Event
 	for i := range b.Txs {
 		tx := &b.Txs[i]
@@ -499,7 +521,9 @@ func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.
 		if err != nil {
 			rec.Err = err.Error()
 		}
-		c.receipts[ids[i]] = rec
+		if keepReceipts {
+			c.receipts[ids[i]] = rec
+		}
 		events = append(events, evs...)
 	}
 	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)

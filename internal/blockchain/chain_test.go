@@ -259,6 +259,117 @@ func TestReplayAndExpiryEnforced(t *testing.T) {
 	}
 }
 
+// extend mines and imports n blocks on c's head, each carrying what fill
+// returns for its height; nil fill mines empty blocks.
+func extend(t *testing.T, c *Chain, n int, fill func(height uint64) []Transaction) {
+	t.Helper()
+	for range n {
+		head, height := c.Head()
+		var txs []Transaction
+		if fill != nil {
+			txs = fill(height + 1)
+		}
+		if err := c.AddBlock(mineChild(t, c, head, txs...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReorgBranchRefusesReplayBelowReceiptWindow: a side branch answers
+// for the best chain below its fork point from receipts only within the
+// receipt window; below it, from the best-chain blocks' kept IDs. T is mined
+// at g = ExpiresAt-E, the best chain grows until T's receipt is gone, and a
+// side-branch block at ExpiresAt that carries T again must still be refused.
+func TestReorgBranchRefusesReplayBelowReceiptWindow(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	const g = 1
+	tx := signedTx(t, alice, g+txLifetime, putCall("t", "once"))
+	if err := c.AddBlock(mineChild(t, c, c.Genesis(), tx)); err != nil {
+		t.Fatal(err)
+	}
+	extend(t, c, txLifetime+1, nil)
+	if _, _, err := c.Receipt(tx.ID()); !errors.Is(err, ErrTxNotFound) {
+		t.Fatalf("receipt of a tx mined at %d with the head at %d: %v", g, c.Height(), err)
+	}
+	parent, _ := c.BlockByHeight(tx.ExpiresAt - 1)
+	if onBranch, _ := c.carried(parent.Hash(), []crypto.Digest{tx.ID()}); !onBranch[0] {
+		t.Error("carried: the best chain below the receipt window does not carry T")
+	}
+	side := mineChild(t, c, parent.Hash(), tx)
+	if err := c.AddBlock(side); !errors.Is(err, ErrKnownTx) {
+		t.Fatalf("side branch at %d replaying a tx mined at %d: %v", side.Header.Height, g, err)
+	}
+}
+
+// TestReceiptWindow: receipts answer for the best chain's top E+1 blocks
+// and no lower, on the fast path and after a slow-path reorg replays the
+// chain from genesis.
+func TestReceiptWindow(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	// The block at height h carries h%3 transactions.
+	byHeight := map[uint64][]Transaction{}
+	extend(t, c, 3*txLifetime, func(h uint64) []Transaction {
+		for j := range h % 3 {
+			tx, err := NewTransaction(alice, h-1, putCall(fmt.Sprintf("k%d-%d", h, j), "v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			byHeight[h] = append(byHeight[h], tx)
+		}
+		return byHeight[h]
+	})
+	const maxPerBlock = 2
+	check := func(when string) {
+		t.Helper()
+		c.mu.RLock()
+		kept := len(c.receipts)
+		c.mu.RUnlock()
+		if kept > (txLifetime+1)*maxPerBlock {
+			t.Errorf("%s: %d receipts kept, want at most %d", when, kept, (txLifetime+1)*maxPerBlock)
+		}
+		head := c.Height()
+		for h, txs := range byHeight {
+			if b, _ := c.BlockByHeight(h); b == nil || len(b.Txs) != len(txs) || len(txs) > 0 && b.Txs[0].ID() != txs[0].ID() {
+				continue // abandoned by the reorg
+			}
+			for _, tx := range txs {
+				rec, conf, err := c.Receipt(tx.ID())
+				switch {
+				case h+txLifetime < head:
+					if !errors.Is(err, ErrTxNotFound) {
+						t.Fatalf("%s: receipt at %d, head %d: %v", when, h, head, err)
+					}
+				case err != nil || rec.Height != h || conf != head-h+1:
+					t.Fatalf("%s: receipt at %d, head %d: %+v conf %d err %v", when, h, head, rec, conf, err)
+				}
+			}
+		}
+	}
+	check("after 3E blocks")
+
+	// Fork below the head and overtake it: the second side block's parent is
+	// not the head, so the chain replays from genesis.
+	oldHead, height := c.Head()
+	fork, _ := c.BlockByHeight(height - 1)
+	tip := fork.Hash()
+	for range 2 {
+		b, _ := c.BlockByHash(tip)
+		tx, _ := NewTransaction(alice, b.Header.Height, putCall(fmt.Sprintf("side-%d", b.Header.Height+1), "v"))
+		side := mineChild(t, c, tip, tx)
+		if err := c.AddBlock(side); err != nil {
+			t.Fatal(err)
+		}
+		tip = side.Hash()
+		byHeight[side.Header.Height] = []Transaction{tx}
+	}
+	if head, _ := c.Head(); head != tip || head == oldHead {
+		t.Fatal("the side branch did not take the head")
+	}
+	check("after a slow-path reorg")
+}
+
 func TestFailedTxIncludedWithoutStateChange(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	bob := testIdentity(t, "bob", 2)

@@ -427,7 +427,10 @@ func (n *Node) admit(tx Transaction, raw []byte, from string) error {
 }
 
 // WaitForReceipt blocks until txID has at least `confirmations` best-chain
-// confirmations, returning its receipt.
+// confirmations, returning its receipt. Receipts answer for the top E+1
+// blocks only (Chain.Receipt), so a wait for more than E+1 confirmations,
+// or one that first looks when its transaction is already deeper than
+// that, returns only when ctx ends.
 func (n *Node) WaitForReceipt(ctx context.Context, txID crypto.Digest, confirmations uint64) (Receipt, error) {
 	headCh, cancel := n.chain.SubscribeHead()
 	defer cancel()

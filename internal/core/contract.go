@@ -182,6 +182,38 @@ func decodeVerdictRow(row []byte) (sv storedVerdict, ok bool) {
 	return sv, true
 }
 
+// A matched exchange folds once its M3 deadline has passed (OnBlock): its
+// done/<reqID> row, "1" while it is open, becomes the tombstone
+//
+//	4 × 32B record hash, in LogKinds order | 32B verdict hash
+//
+// and its rec/, verdict/ and deadline-set/ rows are deleted. The hashes are
+// all a late transaction is compared against: an identical record is a
+// no-op, an identical verdict is re-emitted, a different one is an
+// equivocation, exactly as against the rows.
+const tombstoneLen = 5 * crypto.DigestSize
+
+// tombstone is a folded exchange's done/ row: its records' hashes, indexed
+// by kind code - 1, and its verdict's hash.
+type tombstone struct {
+	records [4]crypto.Digest
+	verdict crypto.Digest
+}
+
+// loadTombstone reads a folded exchange's tombstone; ok=false for an
+// exchange that is open, unfolded or unknown.
+func loadTombstone(st contract.StateDB, reqID string) (tomb tombstone, ok bool) {
+	row, ok := st.Get(doneKey(reqID))
+	if !ok || len(row) != tombstoneLen {
+		return tomb, false
+	}
+	for i := range tomb.records {
+		copy(tomb.records[i][:], row[i*crypto.DigestSize:])
+	}
+	copy(tomb.verdict[:], row[4*crypto.DigestSize:])
+	return tomb, true
+}
+
 // encodeMatched is the Matched event payload: str reqID | u64 height.
 func encodeMatched(reqID string, height uint64) []byte {
 	buf := make([]byte, 0, wire.StrLen(len(reqID))+8)
@@ -234,8 +266,8 @@ func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, a
 func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc, eventPayload []byte) (events []contract.Event, stored bool) {
 	key := recKey(rec.ReqID, rec.Kind)
 	hash := crypto.Sum(enc)
-	if existing, ok := st.Get(key); ok {
-		if prev, ok := decodeRecordRow(existing); ok && prev.Hash == hash {
+	again := func(prev crypto.Digest) ([]contract.Event, bool) {
+		if prev == hash {
 			return nil, false // idempotent duplicate (client retry)
 		}
 		// Conflicting second record for the same interception point.
@@ -243,6 +275,18 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 			Type: AlertEquivocation, ReqID: rec.ReqID, Tenant: rec.Tenant, Height: ctx.Height,
 			Detail: fmt.Sprintf("conflicting %s records from %s", rec.Kind, ctx.Caller),
 		}), false // keep the original record
+	}
+	if existing, ok := st.Get(key); ok {
+		prev, _ := decodeRecordRow(existing) // a malformed row's zero hash conflicts
+		return again(prev.Hash)
+	}
+	// No deadline armed: the request's first record, or one of a folded
+	// exchange, which its tombstone answers for.
+	_, armed := st.Get(deadlineSetKey(rec.ReqID))
+	if !armed {
+		if tomb, folded := loadTombstone(st, rec.ReqID); folded {
+			return again(tomb.records[rec.Kind.code()-1])
+		}
 	}
 	st.Set(key, encodeRecordRow(StoredRecord{
 		Hash: hash, ReqDigest: rec.ReqDigest, RespDigest: rec.RespDigest, DecisionTag: rec.DecisionTag,
@@ -252,7 +296,7 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 	events = append(events, contract.Event{Type: EventLogStored, Payload: eventPayload})
 
 	// Arm the M3 deadline on the first record of the request.
-	if _, ok := st.Get(deadlineSetKey(rec.ReqID)); !ok {
+	if !armed {
 		st.Set(deadlineSetKey(rec.ReqID), []byte("1"))
 		st.Set(deadlineKey(ctx.Height+lm.cfg.TimeoutBlocks, rec.ReqID), []byte("1"))
 	}
@@ -320,13 +364,26 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 		return nil, fmt.Errorf("%w: incomplete verdict", contract.ErrBadArgs)
 	}
 	hash := crypto.Sum(args)
-	if existing, ok := st.Get(verdictKey(v.ReqID)); ok {
-		if prev, ok := decodeVerdictRow(existing); !ok || prev.Hash != hash {
-			return lm.alert(st, Alert{
-				Type: AlertEquivocation, ReqID: v.ReqID, Height: ctx.Height,
-				Detail: "conflicting analyser verdicts",
-			}), nil
-		}
+	existing, have := st.Get(verdictKey(v.ReqID))
+	prev, _ := decodeVerdictRow(existing) // a malformed row's zero hash conflicts
+	// No verdict row: the request's first verdict, or one of a folded
+	// exchange, which its tombstone answers for.
+	folded := false
+	if !have {
+		var tomb tombstone
+		tomb, folded = loadTombstone(st, v.ReqID)
+		prev.Hash, have = tomb.verdict, folded
+	}
+	if have && prev.Hash != hash {
+		return lm.alert(st, Alert{
+			Type: AlertEquivocation, ReqID: v.ReqID, Height: ctx.Height,
+			Detail: "conflicting analyser verdicts",
+		}), nil
+	}
+	if folded {
+		// Every check of a folded exchange has run; its verdict is re-emitted
+		// and nothing re-runs.
+		return []contract.Event{{Type: EventVerdict, Payload: args}}, nil
 	}
 	st.Set(verdictKey(v.ReqID), encodeVerdictRow(storedVerdict{Hash: hash, ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}))
 	events := []contract.Event{{Type: EventVerdict, Payload: args}}
@@ -466,7 +523,8 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 // OnBlock implements contract.BlockHook: it fires M3 timeout alerts for
 // requests whose record set is still incomplete when their deadline passes.
 // They name the origin tenant of the records that did arrive: whose
-// exchange it was, whichever side logged them.
+// exchange it was, whichever side logged them. A request already matched
+// when its deadline passes is folded into its tombstone instead.
 func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
 	for _, key := range st.Keys("deadline/") {
@@ -488,6 +546,7 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 		st.Delete(key)
 
 		if _, done := st.Get(doneKey(reqID)); done {
+			fold(st, reqID)
 			continue
 		}
 		var missing []string
@@ -517,6 +576,30 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 		}
 	}
 	return events
+}
+
+// fold replaces a matched exchange's rows with its tombstone (see
+// tombstoneLen). Every check has run on them by the M3 deadline, so the
+// hashes are all a late transaction still needs. An exchange that was
+// alerted, or matched without a verdict, keeps its rows: they are its
+// evidence, and the missing verdict may yet arrive.
+func fold(st contract.StateDB, reqID string) {
+	vrow, ok := st.Get(verdictKey(reqID))
+	if !ok || len(st.Keys("alerted/"+reqID+"/")) > 0 {
+		return
+	}
+	tomb := make([]byte, 0, tombstoneLen)
+	for _, kind := range LogKinds() {
+		row, _ := st.Get(recKey(reqID, kind)) // done implies all four
+		tomb = append(tomb, row[:crypto.DigestSize]...)
+	}
+	tomb = append(tomb, vrow[:crypto.DigestSize]...)
+	st.Set(doneKey(reqID), tomb)
+	for _, kind := range LogKinds() {
+		st.Delete(recKey(reqID, kind))
+	}
+	st.Delete(verdictKey(reqID))
+	st.Delete(deadlineSetKey(reqID))
 }
 
 // ReadStoredRecord reads what state holds of an anchored record: the match

@@ -21,8 +21,8 @@ import (
 // computes the state its predecessor did. It changes only with a deliberate
 // change to contract semantics or state layout, which must say so.
 //
-// Re-pinned twice, each time for layout changes and no semantic one (the
-// verdict stream below did not move):
+// Re-pinned three times, each time for layout changes and no semantic one
+// (the verdict stream below did not move):
 //   - when crypto.Digest became a hex string in every JSON value the policy
 //     contract stores, and the log-match contract began storing fixed-layout
 //     rows under rec/ and verdict/ instead of the JSON records (before:
@@ -30,8 +30,12 @@ import (
 //   - when probe records went binary: a rec/ row carries the origin tenant
 //     beside the tenant, row hashes are over the binary record and verdict
 //     encodings, and the policy contract's meta/<version> row is
-//     32B digest | u64 height | by instead of JSON (before: 1833ab12…3b5d4e).
-const pinnedScriptDigest = "1a4d93abaf7030e7733b0d43311a70a00932e6943f6adfcbdfc37f7b898d66f1"
+//     32B digest | u64 height | by instead of JSON (before: 1833ab12…3b5d4e);
+//   - when a matched exchange began folding at its M3 deadline: req-a and
+//     req-b each keep one done/ tombstone row (four record hashes and the
+//     verdict hash) in place of their rec/, verdict/ and deadline-set/ rows
+//     (before: 1a4d93ab…8d66f1).
+const pinnedScriptDigest = "dc504c468d71ef896eaad8d1026029b3f013fe6018ea7ebb2d1321d86a727fa6"
 
 // pinnedVerdictStream is the digest of what an observer of the scripted chain
 // sees, in order: every Alert (type, request, height) and every Matched
