@@ -204,9 +204,11 @@ func (p *Policy) Evaluate(r *Request) Decision {
 	return d
 }
 
-// decide is the policy's step of the evaluation walk: every rule is
-// evaluated once, and the obligations are the policy's own for the effect
-// of its decision followed by those of the rules that decided the same.
+// decide is the policy's step of the evaluation walk: the rules are
+// evaluated in order until the decision is settled, and after that only
+// those that carry an obligation on the settled effect. The obligations are
+// the policy's own for the effect of its decision followed by those of the
+// rules that decided the same.
 func (p *Policy) decide(r *Request) (Decision, []Obligation) {
 	match := p.Target.Evaluate(r)
 	if match == MatchNo {
@@ -214,6 +216,9 @@ func (p *Policy) decide(r *Request) (Decision, []Obligation) {
 	}
 	c := combiner{alg: p.Alg}
 	for _, ru := range p.Rules {
+		if c.settled && !fulfilledOn(ru.Obligs, c.owed) {
+			continue
+		}
 		c.add(ru.decide(r))
 	}
 	d := c.result()
@@ -255,6 +260,29 @@ func (pi PolicyItem) matchTarget(r *Request) MatchResult {
 		return pi.Set.Target.Evaluate(r)
 	}
 	return MatchNo
+}
+
+// obliges reports whether the child carries, at any depth, an obligation
+// fulfilled on eff, so whether evaluating it could add to the obligations
+// of a decision already settled on eff.
+func (pi PolicyItem) obliges(eff Effect) bool {
+	if p := pi.Policy; p != nil {
+		for _, ru := range p.Rules {
+			if fulfilledOn(ru.Obligs, eff) {
+				return true
+			}
+		}
+		return fulfilledOn(p.Obligs, eff)
+	}
+	if ps := pi.Set; ps != nil {
+		for i := range ps.Items {
+			if ps.Items[i].obliges(eff) {
+				return true
+			}
+		}
+		return fulfilledOn(ps.Obligs, eff)
+	}
+	return false
 }
 
 // ID returns the child's identifier.
@@ -300,6 +328,9 @@ func (ps *PolicySet) decide(r *Request) (Decision, []Obligation) {
 	} else {
 		c := combiner{alg: ps.Alg}
 		for i := range ps.Items {
+			if c.settled && !ps.Items[i].obliges(c.owed) {
+				continue
+			}
 			c.add(ps.Items[i].decide(r))
 		}
 		d = c.result()
@@ -349,15 +380,29 @@ func targetIndeterminate(combined Decision) Decision {
 
 // combiner folds children's decisions, one at a time, into a combining
 // algorithm's result (XACML 3.0 appendix C), and keeps the obligations of
-// the children that decided Permit and of those that decided Deny. Every
-// child is evaluated, since the obligations of the decision's effect come
-// from all of them; the flags make each algorithm's result independent of
-// where in the order a dominating decision appeared. It allocates only to
-// keep an obligation.
+// the children that decided Permit and of those that decided Deny. The
+// flags make each algorithm's result independent of where in the order a
+// dominating decision appeared.
+//
+// The walk stops at the child that settles the decision, the point after
+// which no later child can change the result:
+//   - deny-overrides and permit-unless-deny are settled once a child
+//     decided Deny;
+//   - permit-overrides and deny-unless-permit once a child decided Permit;
+//   - first-applicable once a child decided anything but NotApplicable.
+//
+// Once settled, a later child is evaluated only if it carries, at any
+// depth, an obligation fulfilled on the settled effect (owed), since it
+// could add to the decision's obligations; with none, as in every
+// generated policy, the rest of the loop evaluates nothing. A settled
+// Indeterminate owes no effect. Only-one-applicable is not combined here.
+// The combiner allocates only to keep an obligation.
 type combiner struct {
 	alg                             CombiningAlg
 	first                           Decision // first-applicable: the first decision that is not NotApplicable
 	permit, deny, indP, indD, indDP bool
+	settled                         bool   // no later child can change result()
+	owed                            Effect // once settled: the effect whose obligations later children may add
 	permitObls, denyObls            []Obligation
 }
 
@@ -376,9 +421,30 @@ func (c *combiner) add(d Decision, obls []Obligation) {
 	case IndeterminateDP:
 		c.indDP = true
 	}
-	if c.first == 0 && d != NotApplicable {
+	if d == NotApplicable || c.settled {
+		return
+	}
+	if c.first == 0 {
 		c.first = d
 	}
+	c.settled = c.settles(d)
+	if c.settled {
+		c.owed = decisionEffect(d)
+	}
+}
+
+// settles reports whether d, an applicable decision just added, settles the
+// combined decision.
+func (c *combiner) settles(d Decision) bool {
+	switch c.alg {
+	case DenyOverrides, PermitUnlessDeny:
+		return d == Deny
+	case PermitOverrides, DenyUnlessPermit:
+		return d == Permit
+	case FirstApplicable:
+		return true
+	}
+	return false
 }
 
 // result is the combined decision. Only-one-applicable, valid at policy-set
@@ -457,6 +523,20 @@ func prependFulfilled(own []Obligation, d Decision, children []Obligation) []Obl
 		return children
 	}
 	return append(out, children...)
+}
+
+// fulfilledOn reports whether an obligation in obls is fulfilled on eff.
+// None is fulfilled on the zero effect, which no decision has.
+func fulfilledOn(obls []Obligation, eff Effect) bool {
+	if eff == 0 {
+		return false
+	}
+	for _, o := range obls {
+		if o.FulfillOn == eff {
+			return true
+		}
+	}
+	return false
 }
 
 // appendFulfilled appends the obligations in obls that are fulfilled on the
