@@ -14,6 +14,7 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/metrics"
 	"drams/internal/trace"
+	"drams/internal/wire"
 	"drams/internal/xacml"
 )
 
@@ -65,7 +66,11 @@ type analysedPolicy struct {
 type AnalyserStats struct {
 	VerdictsSubmitted int64
 	MismatchesFound   int64
-	Failures          int64
+	// Failures counts pdp.response records the analyser could not judge: no
+	// anchored policy to judge by, a context it could not decrypt, or a
+	// verdict it could not submit. Each leaves its exchange without a
+	// verdict.
+	Failures int64
 }
 
 // NewAnalyser builds an analyser. identity must be the identity configured
@@ -193,39 +198,23 @@ func (an *Analyser) Stats() AnalyserStats {
 
 // extractRecord recovers the pdp.response record carried by a LogStored
 // event payload; the other three kinds are not the analyser's to check and
-// are passed over once the record's header is read, before any proof
-// (ok=false). For a batch-anchored pdp.response the analyser insists on a
-// valid Merkle membership proof AND an on-chain anchor for the claimed root
-// before trusting it — an event stream cannot feed it observations the chain
-// never committed to.
-//
-// Failures (drams_analyser_failures_total) therefore counts forged or
-// unanchored envelopes of kind pdp.response only. A forged envelope of a
-// kind the analyser ignores is not counted here; the contract never
-// accepted it anyway, and nothing acts on it.
+// are passed over once the record's header is read (ok=false). A batched
+// record's proof is skipped unread: the events come from this node's own
+// best chain, whose contract recomputed the batch root and built the proof
+// in the apply that emitted them, so checking the proof here would compare
+// the node with itself. The proof stays in the event for readers outside the
+// node.
 func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
-	if kind, _, _, err := logStoredHeader(payload); err != nil || kind != KindPDPResponse {
-		return LogRecord{}, false
-	}
-	ls, err := DecodeLogStored(payload)
+	ls, err := cutLogStored(payload, false)
 	if err != nil {
 		return LogRecord{}, false
 	}
-	if ls.Batched {
-		if !ls.VerifyInclusion() {
-			an.failures.Inc()
-			return LogRecord{}, false
-		}
-		anchored := false
-		an.node.Chain().ReadState(ContractName, func(st contract.StateDB) {
-			_, anchored = ReadBatchAnchor(st, ls.Root)
-		})
-		if !anchored {
-			an.failures.Inc()
-			return LogRecord{}, false
-		}
+	rd := wire.NewReader(ls.Raw)
+	if kind, _, _ := readRecordHeader(&rd); rd.Err() != nil || kind != KindPDPResponse {
+		return LogRecord{}, false
 	}
-	return ls.Record, true
+	rec, err := DecodeLogRecord(ls.Raw)
+	return rec, err == nil
 }
 
 func (an *Analyser) handleLog(payload []byte) {

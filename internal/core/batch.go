@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
-	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
 	"drams/internal/wire"
@@ -111,9 +109,9 @@ func DecodeLogBatch(data []byte) (LogBatch, error) {
 
 // LogStored is a decoded LogStored event payload: the record the contract
 // stored and, for a batch-anchored record, the membership proof tying it to
-// the anchored root. Off-chain consumers (the analyser foremost) verify the
-// proof against the on-chain anchor before trusting the record, so an event
-// forger cannot inject observations the chain never committed to.
+// the root in the logbatch transaction. The proof is for a reader outside
+// the node, who holds the block and checks it with VerifyInclusion; the
+// node's own readers skip it, since their node's contract built it.
 //
 // The payload is a tag byte and then
 //
@@ -249,21 +247,4 @@ func logStoredHeader(payload []byte) (kind LogKind, reqID, traceID string, err e
 // carried record bytes, hashed as they lie, against the proof.
 func (ls LogStored) VerifyInclusion() bool {
 	return ls.Batched && merkle.Verify(ls.Root, ls.Raw, ls.Proof)
-}
-
-// batchKey is the state key anchoring one batch root.
-func batchKey(root crypto.Digest) string { return "batch/" + root.String() }
-
-// ReadBatchAnchor reports whether root was anchored by a committed batch
-// transaction, and how many records it covered.
-func ReadBatchAnchor(st contract.StateDB, root crypto.Digest) (int, bool) {
-	b, ok := st.Get(batchKey(root))
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(string(b))
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }

@@ -19,8 +19,8 @@ func mustBatch(t *testing.T, recs ...LogRecord) LogBatch {
 }
 
 // A whole exchange anchored in one batch transaction must store every
-// record, emit proof-bearing events, anchor the root, and complete the
-// exchange exactly like four individual transactions.
+// record, emit proof-bearing events, keep no row for the root, and complete
+// the exchange exactly like four individual transactions.
 func TestLogBatchCompletesExchange(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-b1")
@@ -49,8 +49,9 @@ func TestLogBatchCompletesExchange(t *testing.T) {
 	if stored != 4 {
 		t.Fatalf("stored %d records, want 4", stored)
 	}
-	if n, ok := ReadBatchAnchor(contract.Namespace(env.st, ContractName), lb.Root); !ok || n != 4 {
-		t.Fatalf("batch anchor = (%d, %v), want (4, true)", n, ok)
+	// The root lives in the events only: the contract keeps no row for it.
+	if keys := contract.Namespace(env.st, ContractName).Keys("batch/"); len(keys) != 0 {
+		t.Fatalf("logbatch left batch rows: %v", keys)
 	}
 	if len(alertsOf(evs)) != 0 {
 		t.Fatalf("clean batch raised alerts: %+v", alertsOf(evs))

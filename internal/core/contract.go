@@ -330,7 +330,6 @@ func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.State
 		return nil, fmt.Errorf("%w: claimed batch root %s does not match records (computed %s)",
 			contract.ErrBadArgs, lb.Root.Short(), tree.Root().Short())
 	}
-	st.Set(batchKey(lb.Root), []byte(strconv.Itoa(len(lb.Records))))
 
 	var events []contract.Event
 	var order []string // the requests advanced, in batch order; a window holds a few

@@ -13,8 +13,8 @@ import (
 	"drams/internal/xacml"
 )
 
-// nodeEnv is a single mining node with the log-match and policy contracts
-// and three allowlisted identities: li, pap, analyser.
+// nodeEnv is a single node with the log-match and policy contracts and
+// three allowlisted identities: li, pap, analyser.
 type nodeEnv struct {
 	node     *blockchain.Node
 	li       *crypto.Identity
@@ -23,7 +23,17 @@ type nodeEnv struct {
 	key      crypto.Key
 }
 
+// newNodeEnv starts the node mining on its own.
 func newNodeEnv(t *testing.T, cfg MatchConfig) *nodeEnv {
+	t.Helper()
+	env := buildNodeEnv(t, cfg, true)
+	env.node.Start()
+	return env
+}
+
+// buildNodeEnv builds the node without starting it. With mine false the
+// node never mines: its chain holds only the blocks a test adds.
+func buildNodeEnv(t *testing.T, cfg MatchConfig, mine bool) *nodeEnv {
 	t.Helper()
 	mk := func(name string, b byte) *crypto.Identity {
 		var seed [32]byte
@@ -50,13 +60,12 @@ func newNodeEnv(t *testing.T, cfg MatchConfig) *nodeEnv {
 			Registry:   reg,
 		},
 		Network:            net,
-		Mine:               true,
+		Mine:               mine,
 		EmptyBlockInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.Start()
 	t.Cleanup(func() {
 		node.Stop()
 		net.Close()
@@ -322,8 +331,9 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 	}
 }
 
-// The analyser reads the kind before it verifies anything: an unanchored
-// envelope counts as a failure only when it claims to be a pdp.response.
+// The analyser judges pdp.response records only: the other kinds are passed
+// over without a failure counted, and a batched pdp.response is returned
+// with its proof unread.
 func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
@@ -336,21 +346,124 @@ func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		// A well-formed envelope whose root no transaction anchored.
 		ls := LogStored{Record: rec, Batched: true, Root: lb.Root, Index: i}
-		before := an.Stats().Failures
-		_, ok := an.extractRecord(ls.Encode())
-		counted := an.Stats().Failures - before
-		if ok {
-			t.Fatalf("%s: unanchored envelope trusted", rec.Kind)
+		got, ok := an.extractRecord(ls.Encode())
+		if want := rec.Kind == KindPDPResponse; ok != want {
+			t.Fatalf("%s: extracted = %v, want %v", rec.Kind, ok, want)
 		}
-		want := int64(0)
-		if rec.Kind == KindPDPResponse {
-			want = 1
+		if ok && got.ReqID != rec.ReqID {
+			t.Fatalf("%s: extracted request %q, want %q", rec.Kind, got.ReqID, rec.ReqID)
 		}
-		if counted != want {
-			t.Fatalf("%s: %d failures counted, want %d", rec.Kind, counted, want)
+	}
+	if n := an.Stats().Failures; n != 0 {
+		t.Fatalf("%d failures counted, want 0", n)
+	}
+}
+
+// A reorganisation orphans the block of a batched exchange before the
+// analyser reads its pdp.response. The analyser judges the record as it
+// finds it; its verdict lands on the winning branch, where the re-mined
+// batch completes the exchange against it, and the event delivered again
+// yields byte-identical verdict args: one Matched, no alert, no failure.
+func TestAnalyserVerdictAcrossReorg(t *testing.T) {
+	env := buildNodeEnv(t, MatchConfig{TimeoutBlocks: 3, RequireVerdict: true}, false)
+	node := env.node
+	an, err := NewAnalyser("analyser", node, env.analyser, env.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := node.Subscribe(0)
+	defer sub.Cancel()
+	c := node.Chain()
+
+	// drain reads what the blocks added so far delivered: it counts matches
+	// and collects alerts, and returns the LogStored payloads.
+	matched := 0
+	var alerts []Alert
+	drain := func() [][]byte {
+		var stored [][]byte
+		for {
+			select {
+			case note := <-sub.C:
+				for _, e := range note.Events {
+					switch e.Type {
+					case EventLogStored:
+						stored = append(stored, e.Payload)
+					case EventMatched:
+						matched++
+					case EventAlert:
+						a, err := DecodeAlert(e.Payload)
+						if err != nil {
+							t.Fatal(err)
+						}
+						alerts = append(alerts, a)
+					}
+				}
+			default:
+				return stored
+			}
 		}
+	}
+	tx := func(id *crypto.Identity, contractName, method string, args []byte) blockchain.Transaction {
+		tx, err := blockchain.NewTransaction(id, c.Height(), contract.Call{Contract: contractName, Method: method, Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+
+	ps := monitorPolicy()
+	blob := ps.Encode()
+	pu := PolicyUpdate{Version: ps.Version, Policy: blob, Digest: crypto.Sum(blob)}
+	b1 := addBlock(t, c, c.Genesis(), tx(env.pap, PolicyContractName, MethodPolicyUpdate, pu.Encode()))
+	lb, err := NewLogBatch(sealedExchange(t, env.key, "rg-1", "doctor", xacml.Permit, ps.Digest()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addBlock(t, c, b1.Hash(), tx(env.li, ContractName, MethodLogBatch, lb.Encode()))
+	held := drain()
+	if len(held) != 4 {
+		t.Fatalf("the batch block delivered %d records, want 4", len(held))
+	}
+
+	// A longer sibling branch wins before the analyser reads the records.
+	b2 := addBlock(t, c, b1.Hash())
+	head := addBlock(t, c, b2.Hash()).Hash()
+	if h, _ := c.Head(); h != head {
+		t.Fatal("the longer sibling branch did not win")
+	}
+	if len(drain()) != 0 {
+		t.Fatal("the sibling branch delivered records")
+	}
+	for _, p := range held {
+		an.handleLog(p)
+	}
+	// What the node does after accepting a block: pool the transactions of
+	// the blocks reorganised away.
+	for _, tx := range c.TakeAbandoned() {
+		if err := node.Mempool().Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Mine the pool, handing the analyser every record delivered again, past
+	// the exchange's deadline.
+	for range 6 {
+		head = addBlock(t, c, head, node.Mempool().Collect(64, c, head)...).Hash()
+		node.Mempool().Prune(c)
+		for _, p := range drain() {
+			an.handleLog(p)
+		}
+	}
+	if node.Mempool().Len() != 0 {
+		t.Fatalf("%d transactions left unmined", node.Mempool().Len())
+	}
+	st := an.Stats()
+	if matched != 1 || len(alerts) != 0 || st.Failures != 0 {
+		t.Fatalf("matched %d, alerts %+v, analyser failures %d; want 1, none, 0", matched, alerts, st.Failures)
+	}
+	// One verdict for the orphaned delivery, one identical for the re-mined.
+	if st.VerdictsSubmitted != 2 {
+		t.Fatalf("%d verdicts submitted, want 2", st.VerdictsSubmitted)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // computes the state its predecessor did. It changes only with a deliberate
 // change to contract semantics or state layout, which must say so.
 //
-// Re-pinned three times, each time for layout changes and no semantic one
+// Re-pinned four times, each time for layout changes and no semantic one
 // (the verdict stream below did not move):
 //   - when crypto.Digest became a hex string in every JSON value the policy
 //     contract stores, and the log-match contract began storing fixed-layout
@@ -34,8 +34,11 @@ import (
 //   - when a matched exchange began folding at its M3 deadline: req-a and
 //     req-b each keep one done/ tombstone row (four record hashes and the
 //     verdict hash) in place of their rec/, verdict/ and deadline-set/ rows
-//     (before: 1a4d93ab…8d66f1).
-const pinnedScriptDigest = "dc504c468d71ef896eaad8d1026029b3f013fe6018ea7ebb2d1321d86a727fa6"
+//     (before: 1a4d93ab…8d66f1);
+//   - when batch/ rows were no longer written: a logbatch keeps its root in
+//     the LogStored events only, so the batch/<root> row each scripted
+//     logbatch left is gone (before: dc504c46…727fa6).
+const pinnedScriptDigest = "dea98b970393d0b544a6c73fa98eaf275ae9873fbe7616e006d4c499ccbad616"
 
 // pinnedVerdictStream is the digest of what an observer of the scripted chain
 // sees, in order: every Alert (type, request, height) and every Matched
@@ -128,7 +131,6 @@ func (s *scriptChain) seal() {
 		calls = shuffled
 	}
 	head, height := s.chain.Head()
-	genesis, _ := s.chain.BlockByHeight(0)
 	var txs []blockchain.Transaction
 	for _, c := range calls {
 		tx, err := blockchain.NewTransaction(s.ids[c.from], height, c.call)
@@ -137,23 +139,37 @@ func (s *scriptChain) seal() {
 		}
 		txs = append(txs, tx)
 	}
+	addBlock(s.t, s.chain, head, txs...)
+}
+
+// addBlock mines txs into a child of parent, timestamped 100 ms per height
+// after genesis, and adds it to c.
+func addBlock(t *testing.T, c *blockchain.Chain, parent crypto.Digest, txs ...blockchain.Transaction) *blockchain.Block {
+	t.Helper()
+	pb, ok := c.BlockByHash(parent)
+	if !ok {
+		t.Fatalf("no parent block %s", parent.Short())
+	}
+	genesis, _ := c.BlockByHeight(0)
+	height := pb.Header.Height + 1
 	b := &blockchain.Block{
 		Header: blockchain.BlockHeader{
-			Height:       height + 1,
-			PrevHash:     head,
+			Height:       height,
+			PrevHash:     parent,
 			MerkleRoot:   blockchain.ComputeMerkleRoot(txs),
-			TimeUnixNano: genesis.Header.TimeUnixNano + int64(height+1)*int64(100*time.Millisecond),
-			Difficulty:   s.chain.Config().Difficulty,
+			TimeUnixNano: genesis.Header.TimeUnixNano + int64(height)*int64(100*time.Millisecond),
+			Difficulty:   c.Config().Difficulty,
 			Miner:        "script",
 		},
 		Txs: txs,
 	}
 	if !blockchain.Mine(context.Background(), b, 0) {
-		s.t.Fatal("mining failed")
+		t.Fatal("mining failed")
 	}
-	if err := s.chain.AddBlock(b); err != nil {
-		s.t.Fatalf("block %d: %v", b.Header.Height, err)
+	if err := c.AddBlock(b); err != nil {
+		t.Fatalf("block %d: %v", height, err)
 	}
+	return b
 }
 
 func TestScriptedChainStateDigestPinned(t *testing.T) {

@@ -305,7 +305,7 @@ func analyserCollector(an *core.Analyser) obs.Collector {
 		return []metrics.Sample{
 			obs.C("drams_analyser_verdicts_total", "Expected-decision verdicts submitted.", s.VerdictsSubmitted),
 			obs.C("drams_analyser_mismatches_total", "Re-derived decisions disagreeing with the PDP.", s.MismatchesFound),
-			obs.C("drams_analyser_failures_total", "Log records the analyser could not verify.", s.Failures),
+			obs.C("drams_analyser_failures_total", "pdp.response records left without a verdict: no anchored policy, an undecryptable context, or a failed submit.", s.Failures),
 		}
 	}
 }
