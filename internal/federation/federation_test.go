@@ -116,7 +116,7 @@ func (p *probeRecorder) PEPRequestSent(req *xacml.Request) func(xacml.Result, xa
 func (p *probeRecorder) PDPRequestReceived(req *xacml.Request, origin string) func(xacml.Result, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pdpReceived = append(p.pdpReceived, req)
+	p.pdpReceived = append(p.pdpReceived, req.Clone()) // req is pooled: valid until the hook returns
 	p.pdpOrigins = append(p.pdpOrigins, origin)
 	calls := 0
 	return func(res xacml.Result, ok bool) {

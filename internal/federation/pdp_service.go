@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,7 +28,9 @@ type PDPProbe interface {
 	// PDP's side of the exchange. The service calls that hook exactly once,
 	// on the goroutine serving the request: with the decision it is about
 	// to send, or with ok=false when it sends none (no evaluator,
-	// evaluation error).
+	// evaluation error). req comes from the service's pool and its strings
+	// alias the call's payload: it is valid until the hook returns; clone
+	// what you keep.
 	PDPRequestReceived(req *xacml.Request, origin string) (done func(res xacml.Result, ok bool))
 }
 
@@ -96,13 +99,25 @@ func originTenant(from string) string {
 	return from
 }
 
+// reqPool holds the requests evaluateOne decodes into, so that an ac.eval
+// allocates little more than the reply it sends.
+var reqPool = sync.Pool{New: func() any { return new(xacml.Request) }}
+
 // evaluateOne runs the probe→evaluate→probe path for a single encoded
 // request from origin's PEP; both the single and the batch handler go
 // through it so every request produces identical probe logs regardless of
 // how it arrived.
+//
+// The request is decoded into a pooled one whose strings alias payload, and
+// goes back to the pool once the reply is encoded and the probe's hook has
+// run. Nothing that sees it keeps it: the probe seals what it logs before
+// its hook returns (PDPProbe), an evaluator keeps nothing (xacml.Evaluator),
+// the tracer takes the TraceID, which has its own bytes, and no transport
+// mutates a handler's payload (transport.Endpoint.OnCall).
 func (s *PDPService) evaluateOne(origin string, payload []byte) ([]byte, error) {
-	req, err := xacml.DecodeRequest(payload)
-	if err != nil {
+	req := reqPool.Get().(*xacml.Request)
+	defer reqPool.Put(req)
+	if err := xacml.DecodeRequestInto(req, payload); err != nil {
 		s.failures.Inc()
 		return nil, fmt.Errorf("federation: PDP decode request: %w", err)
 	}

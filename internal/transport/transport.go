@@ -94,7 +94,10 @@ type Endpoint interface {
 	Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error)
 	// OnMessage registers a handler for one-way messages of the given kind.
 	OnMessage(kind string, fn func(from string, payload []byte))
-	// OnCall registers a request handler for the given kind.
+	// OnCall registers a request handler for the given kind. The handler
+	// owns payload: no backend mutates or reuses it once the handler is
+	// called, so what the handler decodes may alias it (the PDP decodes its
+	// requests in place).
 	OnCall(kind string, fn func(from string, payload []byte) ([]byte, error))
 	// OnDefault registers a catch-all handler invoked for one-way messages
 	// with no kind-specific handler.

@@ -173,7 +173,9 @@ func (p *PDP) Evaluate(r *Request) (Result, error) {
 }
 
 // Evaluator is the minimal decision interface consumed by PEPs and by the
-// attack-injection layer (a compromised PDP wraps a PDP with this).
+// attack-injection layer (a compromised PDP wraps a PDP with this). The
+// request passed to Evaluate is valid until the call returns (the PDP
+// service decodes into a pooled one); clone what you keep.
 type Evaluator interface {
 	Evaluate(r *Request) (Result, error)
 }

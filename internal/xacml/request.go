@@ -1,9 +1,10 @@
 package xacml
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"drams/internal/crypto"
 )
@@ -40,6 +41,10 @@ type Request struct {
 	// Attrs holds the attribute bags. A request has no JSON form: the
 	// PEP↔PDP wire and the sealed probe context both carry Encode (wire.go).
 	Attrs map[Category]map[AttributeID]Bag
+
+	// vals is DecodeRequestInto's value slab: the bags it decodes are
+	// windows of it, so a reused request decodes without allocating.
+	vals []Value
 }
 
 // NewRequest returns an empty request with the given correlation ID.
@@ -67,16 +72,16 @@ func (r *Request) Get(cat Category, id AttributeID) Bag {
 	return nil
 }
 
-// Clone deep-copies the request.
+// Clone deep-copies the request. An attribute or a category that is present
+// but empty stays present: CanonicalBytes tells it from an absent one.
 func (r *Request) Clone() *Request {
-	out := NewRequest(r.ID)
-	out.TraceID = r.TraceID
+	out := &Request{ID: r.ID, TraceID: r.TraceID, Attrs: make(map[Category]map[AttributeID]Bag, len(r.Attrs))}
 	for cat, m := range r.Attrs {
+		cm := make(map[AttributeID]Bag, len(m))
 		for id, bag := range m {
-			for _, v := range bag {
-				out.Add(cat, id, v)
-			}
+			cm[id] = slices.Clone(bag)
 		}
+		out.Attrs[cat] = cm
 	}
 	return out
 }
@@ -102,45 +107,51 @@ func (r *Request) CheckValues() error {
 // CanonicalBytes returns a deterministic encoding of the request content
 // (excluding the correlation ID) used for integrity digests: the monitor
 // compares the digest logged at the PEP with the digest logged at the PDP
-// (check M1), and the PDP decision cache keys on it. It runs on every
-// monitored request (twice, at PEP and PDP probes), so the encoding is
-// built with plain appends rather than fmt.
+// (check M1), and the PDP decision cache keys on it.
 func (r *Request) CanonicalBytes() []byte {
-	buf := make([]byte, 0, 256)
-	cats := make([]string, 0, len(r.Attrs))
+	return r.appendCanonical(make([]byte, 0, 256))
+}
+
+// Digest returns the content digest of the request. The PEP and PDP probes
+// and the decision cache each take it per request, so it hashes from a
+// stack buffer and allocates nothing while the canonical form fits in 512
+// bytes.
+func (r *Request) Digest() crypto.Digest {
+	var buf [512]byte
+	return crypto.Sum(r.appendCanonical(buf[:0]))
+}
+
+// appendCanonical appends CanonicalBytes' encoding to buf: for each category
+// and then each attribute in sorted order, "cat/id=[keys];", where keys are
+// the bag's value keys (Value.Key) sorted and comma-separated. Names and
+// keys are sorted in stack arrays, which spill to the heap only past 8
+// categories, 16 attributes in a category or 16 values in a bag.
+func (r *Request) appendCanonical(buf []byte) []byte {
+	var catArr [8]Category
+	cats := catArr[:0]
 	for c := range r.Attrs {
-		cats = append(cats, string(c))
+		cats = append(cats, c)
 	}
-	sort.Strings(cats)
+	slices.Sort(cats)
+	var idArr [16]AttributeID
 	for _, c := range cats {
-		m := r.Attrs[Category(c)]
-		ids := make([]string, 0, len(m))
+		m := r.Attrs[c]
+		ids := idArr[:0]
 		for id := range m {
-			ids = append(ids, string(id))
+			ids = append(ids, id)
 		}
-		sort.Strings(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
-			bag := m[AttributeID(id)]
 			buf = append(buf, c...)
 			buf = append(buf, '/')
 			buf = append(buf, id...)
 			buf = append(buf, '=', '[')
-			switch len(bag) {
+			switch bag := m[id]; len(bag) {
 			case 0:
 			case 1:
 				buf = bag[0].appendKey(buf)
 			default:
-				vals := make([]string, len(bag))
-				for i, v := range bag {
-					vals[i] = v.Key()
-				}
-				sort.Strings(vals)
-				for i, v := range vals {
-					if i > 0 {
-						buf = append(buf, ',')
-					}
-					buf = append(buf, v...)
-				}
+				buf = appendSortedKeys(buf, bag)
 			}
 			buf = append(buf, ']', ';')
 		}
@@ -148,9 +159,27 @@ func (r *Request) CanonicalBytes() []byte {
 	return buf
 }
 
-// Digest returns the content digest of the request.
-func (r *Request) Digest() crypto.Digest {
-	return crypto.Sum(r.CanonicalBytes())
+// appendSortedKeys appends the keys of bag's values in sorted order,
+// comma-separated. The keys are written to a stack buffer and sorted as
+// spans of it.
+func appendSortedKeys(buf []byte, bag Bag) []byte {
+	type span struct{ i, j int }
+	var keyArr [512]byte
+	var spanArr [16]span
+	keys, spans := keyArr[:0], spanArr[:0]
+	for _, v := range bag {
+		i := len(keys)
+		keys = v.appendKey(keys)
+		spans = append(spans, span{i, len(keys)})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(keys[a.i:a.j], keys[b.i:b.j]) })
+	for n, sp := range spans {
+		if n > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, keys[sp.i:sp.j]...)
+	}
+	return buf
 }
 
 // Designator references an attribute in a request.

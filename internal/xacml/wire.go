@@ -40,9 +40,11 @@ import (
 // input, so every value costs at least two bytes. Every count is checked
 // against the bytes left before anything is allocated, a map is pre-sized
 // for at most maxSizeHint entries, a varint must be minimal, and trailing
-// bytes are an error. Decoded strings share one copy of the input (a
-// request's IDs get their own), so a decoded value never aliases the
-// caller's buffer.
+// bytes are an error. A request's ID and TraceID always get their own
+// bytes. Its other strings share one copy of the input when DecodeRequest
+// decodes it, so that request may be kept; DecodeRequestInto's alias the
+// input, so its request is valid only as long as the caller's buffer and
+// the call that decoded it. A result's strings share one copy of the input.
 
 // wireVersion tags the binary format; bump on an incompatible layout change.
 const wireVersion byte = 0x01
@@ -72,28 +74,83 @@ func (r *Request) Encode() []byte {
 	return buf
 }
 
-// DecodeRequest parses a binary request.
+// DecodeRequest parses a binary request into a new request that may be
+// kept: its strings share one copy of data.
 func DecodeRequest(data []byte) (*Request, error) {
-	rd, err := newWireReader(data)
+	req := new(Request)
+	if err := decodeRequest(req, data, wire.NewCopyReader); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeRequestInto parses a binary request into r, reusing r's maps and
+// value storage, for a caller that decodes one request per call and keeps
+// none (the PDP's ac.eval handler, with r from a pool). Attribute names and
+// string values alias data, so r is valid while data is unchanged and until
+// the next decode into r; its ID and TraceID get their own bytes. r must be
+// zero or come from NewRequest, DecodeRequest or DecodeRequestInto, and
+// nothing else may hold its maps or bags. It refuses exactly what
+// DecodeRequest refuses; after an error r's content is unspecified.
+func DecodeRequestInto(r *Request, data []byte) error {
+	return decodeRequest(r, data, wire.NewReader)
+}
+
+// decodeRequest is the request decoder behind DecodeRequest and
+// DecodeRequestInto; newReader decides whether decoded strings alias data.
+// The inner maps req already holds are cleared and reused, and its value
+// slab is sized to the values it held: a fresh request has neither, so it
+// gets a map per category and a bag per attribute of its own.
+func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader) error {
+	rd, err := newWireReader(data, newReader)
 	if err != nil {
-		return nil, fmt.Errorf("xacml: decode request: %w", err)
+		return fmt.Errorf("xacml: decode request: %w", err)
 	}
 	// The IDs outlive the request (trace timelines and probe records key on
 	// them), so they get their own bytes rather than pinning the whole input.
-	req := &Request{ID: strings.Clone(rd.Str()), TraceID: strings.Clone(rd.Str())}
+	req.ID, req.TraceID = strings.Clone(rd.Str()), strings.Clone(rd.Str())
+	var spareArr [8]map[AttributeID]Bag // room for twice the standard categories
+	spare, held := spareArr[:0], 0
+	for _, m := range req.Attrs {
+		for _, bag := range m {
+			held += len(bag)
+		}
+		if m != nil && len(spare) < cap(spare) {
+			clear(m)
+			spare = append(spare, m)
+		}
+	}
+	if cap(req.vals) < held {
+		req.vals = make([]Value, 0, held)
+	}
+	vals := req.vals[:0]
 	// A category costs at least two bytes (empty name, zero count), an
 	// attribute and a value likewise.
 	nCats := rd.Count(2)
-	req.Attrs = make(map[Category]map[AttributeID]Bag, min(nCats, maxSizeHint))
+	if req.Attrs == nil {
+		req.Attrs = make(map[Category]map[AttributeID]Bag, min(nCats, maxSizeHint))
+	} else {
+		clear(req.Attrs)
+	}
 	for i := 0; i < nCats && rd.Err() == nil; i++ {
 		cat := Category(rd.Str())
 		nIDs := rd.Count(2)
-		m := make(map[AttributeID]Bag, min(nIDs, maxSizeHint))
+		var m map[AttributeID]Bag
+		if n := len(spare); n > 0 {
+			m, spare = spare[n-1], spare[:n-1]
+		} else {
+			m = make(map[AttributeID]Bag, min(nIDs, maxSizeHint))
+		}
 		for j := 0; j < nIDs && rd.Err() == nil; j++ {
 			id := AttributeID(rd.Str())
 			var bag Bag
 			if n := rd.Count(2); n > 0 {
-				bag = make(Bag, n)
+				if k := len(vals); cap(vals)-k >= n {
+					vals = vals[:k+n]
+					bag = vals[k : k+n : k+n]
+				} else {
+					bag = make(Bag, n)
+				}
 				for k := range bag {
 					bag[k] = readValue(&rd)
 				}
@@ -109,9 +166,9 @@ func DecodeRequest(data []byte) (*Request, error) {
 		req.Attrs[cat] = m
 	}
 	if err := rd.End(); err != nil {
-		return nil, fmt.Errorf("xacml: decode request: %w", err)
+		return fmt.Errorf("xacml: decode request: %w", err)
 	}
-	return req, nil
+	return nil
 }
 
 // Encode serialises the result in the binary wire format.
@@ -137,7 +194,7 @@ func (res Result) Encode() []byte {
 
 // DecodeResult parses a binary result.
 func DecodeResult(data []byte) (Result, error) {
-	rd, err := newWireReader(data)
+	rd, err := newWireReader(data, wire.NewCopyReader)
 	if err != nil {
 		return Result{}, fmt.Errorf("xacml: decode result: %w", err)
 	}
@@ -179,8 +236,8 @@ func DecodeResult(data []byte) (Result, error) {
 //	reply: n | n × (u8 status | blob result, or the error text when status is itemFailed)
 //
 // A failure is per item, so one bad request cannot poison the rest of the
-// batch. Decoded items alias the body; the request and result decoders copy
-// what they keep.
+// batch. Decoded items alias the body; DecodeRequest and DecodeResult copy
+// what they keep, and a request DecodeRequestInto decodes aliases it.
 const (
 	itemOK     byte = 0
 	itemFailed byte = 1
@@ -273,9 +330,9 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-// newWireReader checks a request's or a result's format tag and returns a
-// reader past it whose strings are substrings of one copy of data.
-func newWireReader(data []byte) (wire.Reader, error) {
+// newWireReader checks a request's or a result's format tag and returns the
+// reader newReader makes of data, past the tag.
+func newWireReader(data []byte, newReader func([]byte) wire.Reader) (wire.Reader, error) {
 	switch {
 	case len(data) == 0:
 		return wire.Reader{}, errors.New("empty input")
@@ -284,7 +341,7 @@ func newWireReader(data []byte) (wire.Reader, error) {
 	case data[0] != wireVersion:
 		return wire.Reader{}, fmt.Errorf("unknown format byte 0x%02x", data[0])
 	}
-	rd := wire.NewCopyReader(data)
+	rd := newReader(data)
 	rd.U8() // the tag, checked above
 	return rd, nil
 }

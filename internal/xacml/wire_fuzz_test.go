@@ -12,7 +12,18 @@ import (
 // accepted input must survive a re-encode and re-decode unchanged. JSON
 // seeds are hostile input: '{' is not a format tag.
 
+// FuzzDecodeRequest also decodes each input into a request that held a
+// different accepted request, which must accept or refuse it as
+// DecodeRequest does and then hold the same request, and checks the
+// decoded request's CanonicalBytes against the reference encoding.
 func FuzzDecodeRequest(f *testing.F) {
+	var held [][]byte
+	for _, req := range wireRequests() {
+		held = append(held, req.Encode())
+	}
+	for _, req := range acplaneRequests(4) {
+		held = append(held, req.Encode())
+	}
 	for _, req := range wireRequests() {
 		f.Add(req.Encode())
 		b, err := json.Marshal(req)
@@ -26,9 +37,23 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{wireVersion})
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		into := new(Request)
+		if err := DecodeRequestInto(into, held[len(data)%len(held)]); err != nil {
+			t.Fatalf("held request refused: %v", err)
+		}
+		intoErr := DecodeRequestInto(into, data)
 		req, err := DecodeRequest(data)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodeRequest err = %v, DecodeRequestInto a used request err = %v", err, intoErr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameDecoded(into, req) {
+			t.Fatalf("decoded into a used request:\n got %+v\nwant %+v", into, req)
+		}
+		if got, want := req.CanonicalBytes(), referenceCanonicalBytes(req); !bytes.Equal(got, want) {
+			t.Fatalf("CanonicalBytes\n got %q\nwant %q", got, want)
 		}
 		if err := req.CheckValues(); err != nil {
 			t.Fatalf("decoded a request the probe cannot seal: %v", err)
