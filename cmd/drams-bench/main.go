@@ -1,13 +1,12 @@
 // drams-bench regenerates the full experiment suite: E1–E8 of DESIGN.md §2,
-// the AB1–AB3 ablations, and the V3–V7 tables (client decision pipelining,
-// netsim vs TCP transport backends, membership churn, fast resync,
-// adversarial detection). Speed comparisons between code paths live in
-// benchmark/, not here. It prints each result table (text or CSV).
-// EXPERIMENTS.md is produced from this tool's output.
+// the AB1–AB3 ablations, and the V6 and V7 tables (fast resync, adversarial
+// detection). Speed comparisons between code paths live in benchmark/, not
+// here. It prints each result table (text or CSV). EXPERIMENTS.md is
+// produced from this tool's output.
 //
 // Usage:
 //
-//	drams-bench [-run E1,E2,...,V3,...,V7] [-quick] [-csv] [-json [-out DIR]]
+//	drams-bench [-run E1,E2,...,AB1,...,V6,V7] [-quick] [-csv] [-json [-out DIR]]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -64,7 +63,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB3, V3..V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB3, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -221,28 +220,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.AB3Params{Requests: 8}
 			}
 			return experiment.RunAB3(p)
-		}},
-		{"V3", func() (experiment.Table, error) {
-			p := experiment.DefaultV3Params()
-			if quick {
-				p = experiment.V3Params{InFlight: []int{1, 8, 64}, Requests: 64,
-					NetLatency: 300 * time.Microsecond}
-			}
-			return experiment.RunV3(p)
-		}},
-		{"V4", func() (experiment.Table, error) {
-			p := experiment.DefaultV4Params()
-			if quick {
-				p = experiment.V4Params{Requests: 128, Batch: 64}
-			}
-			return experiment.RunV4(p)
-		}},
-		{"V5", func() (experiment.Table, error) {
-			p := experiment.DefaultV5Params()
-			if quick {
-				p = experiment.V5Params{Requests: 2048, Batch: 64, UpdateEveryBlocks: 2}
-			}
-			return experiment.RunV5(p)
 		}},
 		{"V6", func() (experiment.Table, error) {
 			p := experiment.DefaultV6Params()

@@ -60,6 +60,7 @@ import (
 	"drams/internal/netsim"
 	"drams/internal/obs"
 	"drams/internal/pap"
+	"drams/internal/trace"
 	"drams/internal/transport"
 	"drams/internal/xacml"
 )
@@ -164,7 +165,7 @@ type Deployment struct {
 
 	registry *metrics.Registry
 	gatherer *obs.Gatherer
-	tracer   *obs.Tracer
+	tracer   *trace.Tracer
 	health   *obs.Health
 
 	// home is the process's node: the infrastructure cloud's where hosted,

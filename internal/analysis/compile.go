@@ -204,19 +204,15 @@ type compiledNode struct {
 // set, with an independent evaluator.
 type Compiled struct {
 	root   *compiledNode
-	src    *xacml.PolicySet
 	nRules int
 }
 
 // Compile normalises a policy set.
 func Compile(ps *xacml.PolicySet) *Compiled {
-	c := &Compiled{src: ps}
+	c := &Compiled{}
 	c.root = c.compileSet(ps)
 	return c
 }
-
-// Source returns the policy set the compilation was built from.
-func (c *Compiled) Source() *xacml.PolicySet { return c.src }
 
 // RuleCount reports the number of compiled rules.
 func (c *Compiled) RuleCount() int { return c.nRules }

@@ -3,7 +3,6 @@ package attack
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"drams/internal/blockchain"
@@ -23,10 +22,6 @@ import (
 // importing honest traffic, exactly like a real subverted member would.
 type ByzantineNode struct {
 	node *blockchain.Node
-
-	mu         sync.Mutex
-	heldTx     int
-	heldBlocks int
 }
 
 // Byzantine wraps node for adversarial control.
@@ -44,19 +39,7 @@ func (b *ByzantineNode) Node() *blockchain.Node { return b.node }
 // federation arming the M3 deadline from the records it does see.
 func (b *ByzantineNode) WithholdGossip() {
 	b.node.SetGossipFilter(func(kind string, payload []byte) bool {
-		switch kind {
-		case blockchain.WireTx:
-			b.mu.Lock()
-			b.heldTx++
-			b.mu.Unlock()
-			return false
-		case blockchain.WireBlock:
-			b.mu.Lock()
-			b.heldBlocks++
-			b.mu.Unlock()
-			return false
-		}
-		return true
+		return kind != blockchain.WireTx && kind != blockchain.WireBlock
 	})
 }
 
@@ -65,14 +48,6 @@ func (b *ByzantineNode) WithholdGossip() {
 // private blocks lose the cumulative-work race and are simply abandoned
 // when it reorganises onto the heavier honest chain.
 func (b *ByzantineNode) ReleaseGossip() { b.node.SetGossipFilter(nil) }
-
-// Suppressed reports how many tx and block gossip fan-outs the withholding
-// filter swallowed so far.
-func (b *ByzantineNode) Suppressed() (txs, blocks int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.heldTx, b.heldBlocks
-}
 
 // CensorSenders installs a mining filter dropping every pending transaction
 // from the given senders — e.g. "li@tenant-2" to keep a victim tenant's

@@ -6,11 +6,10 @@ import "drams/internal/core"
 //
 // DecideBatch ships every probed request in one wire frame and the PDP
 // answers positionally, so the batch boundary is an ordering surface: an
-// adversary on the pipeline can permute, duplicate or drop items after the
-// edge probes recorded the honest order. The monitors see through it —
-// a permuted batch misaligns each request with another request's decision
-// (digest/tag mismatch, M2 AlertResponseTampered); a shrunk batch fails the
-// pipeline before any pep.response is logged (M3 AlertMessageSuppressed).
+// adversary on the pipeline can permute items after the edge probes
+// recorded the honest order. The monitors see through it: a permuted batch
+// misaligns each request with another request's decision (digest/tag
+// mismatch, M2 AlertResponseTampered).
 
 // ReverseBatch returns a Tamper.Batch hook reversing the wire order of the
 // pipeline. With mixed-outcome batches every item receives some other
@@ -21,37 +20,6 @@ func ReverseBatch() func(items [][]byte) [][]byte {
 		for i, it := range items {
 			out[len(items)-1-i] = it
 		}
-		return out
-	}
-}
-
-// DuplicateInBatch returns a Tamper.Batch hook overwriting item dst with a
-// copy of item src: the count is preserved (so the pipeline completes) but
-// dst's honest request is never evaluated — the PDP answers position dst
-// with src's decision.
-func DuplicateInBatch(src, dst int) func(items [][]byte) [][]byte {
-	return func(items [][]byte) [][]byte {
-		out := make([][]byte, len(items))
-		copy(out, items)
-		if src >= 0 && src < len(out) && dst >= 0 && dst < len(out) {
-			out[dst] = out[src]
-		}
-		return out
-	}
-}
-
-// DropFromBatch returns a Tamper.Batch hook removing item i from the wire
-// batch. The PDP then answers with fewer items than the PEP sent, failing
-// the whole pipeline: no pep.response is ever logged and M3 flags every
-// request of the batch as suppressed.
-func DropFromBatch(i int) func(items [][]byte) [][]byte {
-	return func(items [][]byte) [][]byte {
-		if i < 0 || i >= len(items) {
-			return items
-		}
-		out := make([][]byte, 0, len(items)-1)
-		out = append(out, items[:i]...)
-		out = append(out, items[i+1:]...)
 		return out
 	}
 }

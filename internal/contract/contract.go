@@ -96,11 +96,6 @@ func (c crossView) ReadKeys(contractName, prefix string) []string {
 	return out
 }
 
-// CrossOver returns a CrossReader over a root (un-namespaced) state — the
-// same view the engine hands contracts at execution time. Off-chain code and
-// tests use it to run contract read helpers against a state snapshot.
-func CrossOver(st StateDB) CrossReader { return crossView{st: st} }
-
 // Event is an on-chain occurrence published to off-chain subscribers.
 type Event struct {
 	Contract string          `json:"contract"`
@@ -390,9 +385,6 @@ type Engine struct {
 func NewEngine(r *Registry) *Engine {
 	return &Engine{registry: r}
 }
-
-// Registry exposes the engine's contract registry.
-func (e *Engine) Registry() *Registry { return e.registry }
 
 // Execute runs one call against state. On contract error, no state change is
 // applied and the error is returned (the blockchain records the tx as failed

@@ -189,9 +189,6 @@ func (c *Cipher) Decrypt(ciphertext, additional []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// Overhead reports the per-message ciphertext expansion (nonce + tag).
-func (c *Cipher) Overhead() int { return c.aead.NonceSize() + c.aead.Overhead() }
-
 // Identity is an ed25519 signing identity for a DRAMS component.
 type Identity struct {
 	name string

@@ -90,13 +90,6 @@ func rate(n int, d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(n)/d.Seconds())
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // StandardPolicy is the benchmark access-control policy: role-gated reads
 // and writes over records with a default deny (canonical copy in
 // xacml.StandardPolicy, shared with the drams-node daemon).

@@ -274,34 +274,6 @@ func TestStandardDeploymentModes(t *testing.T) {
 	t.Fatal("standard request never matched")
 }
 
-func TestRunV5Smoke(t *testing.T) {
-	// Reduced churn run (the -quick parameters): enough traffic to overlap
-	// at least one on-chain policy update on each backend, decisions
-	// cross-checked inside RunV5.
-	tab, err := RunV5(V5Params{Requests: 2048, Batch: 64, UpdateEveryBlocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// The churning rows must have landed at least one update and purged
-	// the decision cache at least twice (boot + update) — the fleet-wide
-	// hot-reload invariant V5 exists to prove.
-	for _, row := range tab.Rows {
-		if row[1] == "off" {
-			continue
-		}
-		if row[2] == "0" {
-			t.Fatalf("churn row landed no updates: %v", row)
-		}
-		purges, err := strconv.Atoi(row[3])
-		if err != nil || purges < 2 {
-			t.Fatalf("churn row purges = %q, want >= 2: %v", row[3], row)
-		}
-	}
-}
-
 func TestRunV6Smoke(t *testing.T) {
 	// Reduced rejoin run: both windows over a short chain, with the
 	// batched window required to beat one block per call on transport

@@ -25,6 +25,35 @@ func batchReqs(n int) []*xacml.Request {
 	return reqs
 }
 
+// A DecideBatch of n is one round trip: one ac.evalBatch call and its reply,
+// where n sequential Decides send 2n messages. Every batched decision equals
+// the sequential one.
+func TestDecideBatchIsOneRoundTrip(t *testing.T) {
+	const n = 64
+	ctx := context.Background()
+	batchEnv, _ := newACEnv(t)
+	batched, err := batchEnv.pep.DecideBatch(ctx, batchReqs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqEnv, _ := newACEnv(t)
+	for i, req := range batchReqs(n) {
+		enf, err := seqEnv.pep.Decide(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched[i].Decision != enf.Decision {
+			t.Fatalf("item %d: batch %s, sequential %s", i, batched[i].Decision, enf.Decision)
+		}
+	}
+	if sent := batchEnv.net.Stats().Sent; sent != 2 {
+		t.Fatalf("DecideBatch of %d sent %d messages, want 2", n, sent)
+	}
+	if sent := seqEnv.net.Stats().Sent; sent != 2*n {
+		t.Fatalf("%d Decides sent %d messages, want %d", n, sent, 2*n)
+	}
+}
+
 // A failure inside the envelope stays where it belongs: one bad item fails
 // that item alone; a reply with the wrong count or cut short fails the whole
 // pipeline. Either way every probed side is closed exactly once.

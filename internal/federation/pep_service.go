@@ -123,9 +123,6 @@ func NewPEPService(net transport.Transport, tenant string, timeout time.Duration
 	return &PEPService{tenant: tenant, ep: ep, timeout: timeout}, nil
 }
 
-// Tenant returns the tenant this PEP serves.
-func (s *PEPService) Tenant() string { return s.tenant }
-
 // SetProbe attaches the DRAMS agent hook.
 func (s *PEPService) SetProbe(p PEPProbe) { s.probe.Store(&probeBoxPEP{p: p}) }
 

@@ -279,6 +279,9 @@ func (t *NetsimTarget) Close() {
 // ---------------------------------------------------------------------------
 // TCP target: an external multi-process federation driven over real sockets.
 
+// tcpPEPTimeout bounds one PEP→PDP round-trip.
+const tcpPEPTimeout = 5 * time.Second
+
 // TCPConfig joins the harness to a running drams-node federation.
 type TCPConfig struct {
 	// Peers are the daemons' advertise addresses (host:port).
@@ -296,8 +299,6 @@ type TCPConfig struct {
 	RequireVerdict bool
 	// ListenAddr is this process's bind address (default 127.0.0.1:0).
 	ListenAddr string
-	// PEPTimeout bounds one PEP→PDP round-trip (default 5s).
-	PEPTimeout time.Duration
 	// DialTimeout bounds the wait for the remote PDP to become routable
 	// (default 15s).
 	DialTimeout time.Duration
@@ -331,9 +332,6 @@ func NewTCPTarget(cfg TCPConfig) (*TCPTarget, error) {
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.PEPTimeout <= 0 {
-		cfg.PEPTimeout = 5 * time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 15 * time.Second
@@ -383,7 +381,7 @@ func NewTCPTarget(cfg TCPConfig) (*TCPTarget, error) {
 		return fail(err)
 	}
 	for _, ten := range cfg.Edges {
-		pep, err := federation.NewPEPService(tr, "lg-"+ten, cfg.PEPTimeout)
+		pep, err := federation.NewPEPService(tr, "lg-"+ten, tcpPEPTimeout)
 		if err != nil {
 			return fail(err)
 		}
@@ -465,9 +463,6 @@ func (t *TCPTarget) FlipPolicy(ctx context.Context, ps *xacml.PolicySet) error {
 		}
 	}
 }
-
-// Height reports the local chain height (smoke-script diagnostics).
-func (t *TCPTarget) Height() uint64 { return t.node.Chain().Height() }
 
 // ScrapeMetrics pulls /metrics from each configured daemon endpoint,
 // keyed by address. A member that fails to answer (crashed, no

@@ -387,13 +387,6 @@ func (r *Registry) Help(family, help string) {
 	}
 }
 
-// HelpFor returns the registered help text for a family ("" if none).
-func (r *Registry) HelpFor(family string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.help[family]
-}
-
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"drams/internal/metrics"
+	"drams/internal/trace"
 )
 
 func TestWriteExpositionGolden(t *testing.T) {
@@ -171,17 +172,17 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestTracerTimeline(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := NewTracer(reg, 2)
+	tr := trace.New(reg, 2)
 	base := time.Unix(1000, 0)
-	tr.Span("req-1", StagePEPDecide, base, 2*time.Millisecond)
-	tr.Span("req-1", StageChainAnchor, base.Add(5*time.Millisecond), 40*time.Millisecond)
-	tr.Span("req-1", StagePDPEval, base.Add(time.Millisecond), 500*time.Microsecond)
+	tr.Span("req-1", trace.StagePEPDecide, base, 2*time.Millisecond)
+	tr.Span("req-1", trace.StageChainAnchor, base.Add(5*time.Millisecond), 40*time.Millisecond)
+	tr.Span("req-1", trace.StagePDPEval, base.Add(time.Millisecond), 500*time.Microsecond)
 
 	spans := tr.Trace("req-1")
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	order := []string{StagePEPDecide, StagePDPEval, StageChainAnchor}
+	order := []string{trace.StagePEPDecide, trace.StagePDPEval, trace.StageChainAnchor}
 	for i, want := range order {
 		if spans[i].Stage != want {
 			t.Fatalf("span %d = %s, want %s (timeline not start-sorted)", i, spans[i].Stage, want)
@@ -192,8 +193,8 @@ func TestTracerTimeline(t *testing.T) {
 		t.Fatal("stage histogram not recorded")
 	}
 	// FIFO eviction at capacity 2: adding traces 2 and 3 evicts req-1.
-	tr.Span("req-2", StagePEPDecide, base, time.Millisecond)
-	tr.Span("req-3", StagePEPDecide, base, time.Millisecond)
+	tr.Span("req-2", trace.StagePEPDecide, base, time.Millisecond)
+	tr.Span("req-3", trace.StagePEPDecide, base, time.Millisecond)
 	if tr.Trace("req-1") != nil {
 		t.Fatal("req-1 not evicted at capacity")
 	}
@@ -207,8 +208,8 @@ func TestTracerTimeline(t *testing.T) {
 }
 
 func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Span("x", StagePEPDecide, time.Now(), time.Millisecond) // must not panic
+	var tr *trace.Tracer
+	tr.Span("x", trace.StagePEPDecide, time.Now(), time.Millisecond) // must not panic
 	if tr.Trace("x") != nil {
 		t.Fatal("nil tracer returned spans")
 	}

@@ -52,8 +52,6 @@ type UpdateOptions struct {
 	// ActivateHeight, when non-zero, overrides ActivateDelta with an
 	// absolute chain height.
 	ActivateHeight uint64
-	// Confirmations to wait for after the transaction is mined (default 1).
-	Confirmations uint64
 }
 
 // Proposal reports a submitted policy update.
@@ -116,7 +114,7 @@ func (a *Admin) UpdatePolicy(ctx context.Context, ps *xacml.PolicySet, opts Upda
 		Digest:         crypto.Sum(blob),
 		ActivateHeight: a.resolveHeight(opts),
 	}
-	rec, err := a.submit(ctx, core.MethodPolicyUpdate, pu.Encode(), opts)
+	rec, err := a.submit(ctx, core.MethodPolicyUpdate, pu.Encode())
 	if err != nil {
 		return Proposal{}, err
 	}
@@ -141,7 +139,7 @@ func (a *Admin) Rollback(ctx context.Context, version string, opts UpdateOptions
 	if err != nil {
 		return Proposal{}, err
 	}
-	rec, err := a.submit(ctx, core.MethodPolicyActivate, enc, opts)
+	rec, err := a.submit(ctx, core.MethodPolicyActivate, enc)
 	if err != nil {
 		return Proposal{}, err
 	}
@@ -150,14 +148,14 @@ func (a *Admin) Rollback(ctx context.Context, version string, opts UpdateOptions
 	return Proposal{Version: version, Digest: digest, TxID: rec.TxID, ActivateHeight: args.ActivateHeight}, nil
 }
 
-func (a *Admin) submit(ctx context.Context, method string, args []byte, opts UpdateOptions) (blockchain.Receipt, error) {
-	conf := opts.Confirmations
-	if conf == 0 {
-		conf = 1
-	}
+// updateConfirmations is how deep an update or rollback waits for its
+// transaction.
+const updateConfirmations = 1
+
+func (a *Admin) submit(ctx context.Context, method string, args []byte) (blockchain.Receipt, error) {
 	rec, err := a.sender.SendAndWait(ctx, contract.Call{
 		Contract: core.PolicyContractName, Method: method, Args: args,
-	}, conf)
+	}, updateConfirmations)
 	if err != nil {
 		return blockchain.Receipt{}, fmt.Errorf("pap: submit %s: %w", method, err)
 	}

@@ -4,8 +4,8 @@
 // spans through it without importing internal/obs, keeping the PR 9
 // layering contract — obs builds the operator surface (exposition, trace
 // timelines over HTTP) on top, and nothing in the hot path shares an
-// import or a lock with the scrape path. Package obs aliases these types,
-// so wiring layers keep using obs.Tracer unchanged.
+// import or a lock with the scrape path. The wiring layer builds the
+// deployment's Tracer from this package directly.
 package trace
 
 import (

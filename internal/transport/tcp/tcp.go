@@ -47,28 +47,18 @@ type Config struct {
 	// Peers are seed advertise addresses of other transports. Connections
 	// to them are established eagerly and re-established with backoff.
 	Peers []string
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff (default 2s; attempts start at
-	// 50ms and double).
-	MaxBackoff time.Duration
-	// WriteQueue bounds each peer's outbound frame queue (default 4096);
-	// frames beyond it are dropped, like any congested network drops.
-	WriteQueue int
 }
 
-func (c Config) withDefaults() Config {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 4096
-	}
-	return c
-}
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// maxBackoff caps the reconnect backoff; attempts start at 50ms and
+	// double.
+	maxBackoff = 2 * time.Second
+	// writeQueue bounds each peer's outbound frame queue; frames beyond it
+	// are dropped, like any congested network drops.
+	writeQueue = 4096
+)
 
 // helloBody is the JSON payload of a handshake frame.
 type helloBody struct {
@@ -81,7 +71,6 @@ type helloBody struct {
 // Transport is one process's TCP transport. It implements
 // transport.Transport.
 type Transport struct {
-	cfg       Config
 	ln        net.Listener
 	advertise string
 
@@ -112,7 +101,6 @@ var _ transport.Transport = (*Transport)(nil)
 // New starts a transport: it listens immediately and begins dialing the
 // configured seed peers in the background.
 func New(cfg Config) (*Transport, error) {
-	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: listen %s: %w", cfg.ListenAddr, err)
@@ -132,7 +120,6 @@ func New(cfg Config) (*Transport, error) {
 		}
 	}
 	t := &Transport{
-		cfg:       cfg,
 		ln:        ln,
 		advertise: adv,
 		local:     make(map[string]*endpoint),
@@ -298,7 +285,7 @@ func (t *Transport) peerFor(node string) *peer {
 	p := &peer{
 		t:      t,
 		node:   node,
-		out:    make(chan frame, t.cfg.WriteQueue),
+		out:    make(chan frame, writeQueue),
 		ctl:    make(chan frame, 64),
 		attach: make(chan net.Conn, 1),
 		dead:   make(chan net.Conn, 8),
@@ -859,7 +846,7 @@ func (p *peer) run() {
 				continue
 			default:
 			}
-			c, err := net.DialTimeout("tcp", p.node, p.t.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", p.node, dialTimeout)
 			if err != nil {
 				select {
 				case <-p.stop:
@@ -870,8 +857,8 @@ func (p *peer) run() {
 					gotConn()
 				case <-time.After(backoff):
 					backoff *= 2
-					if backoff > p.t.cfg.MaxBackoff {
-						backoff = p.t.cfg.MaxBackoff
+					if backoff > maxBackoff {
+						backoff = maxBackoff
 					}
 				}
 				continue

@@ -113,15 +113,6 @@ func (p *PDP) Policy() (*PolicySet, crypto.Digest, error) {
 	return lp.set, lp.digest, nil
 }
 
-// Version returns the active policy set's version ("" before any Load).
-func (p *PDP) Version() string {
-	lp := p.current.Load()
-	if lp == nil {
-		return ""
-	}
-	return lp.set.Version
-}
-
 // Evaluations returns how many requests this PDP has evaluated.
 func (p *PDP) Evaluations() int64 { return p.evals.Load() }
 

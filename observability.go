@@ -11,12 +11,13 @@ import (
 	"drams/internal/metrics"
 	"drams/internal/obs"
 	"drams/internal/pap"
+	"drams/internal/trace"
 	"drams/internal/transport"
 	"drams/internal/xacml"
 )
 
 // TraceSpan is one recorded stage of a request's end-to-end timeline.
-type TraceSpan = obs.Span
+type TraceSpan = trace.Span
 
 // readyChainLag is how many blocks a node may trail the best height its
 // peers have advertised and still count as caught up: one block can always
@@ -30,7 +31,7 @@ const readyChainLag = 2
 func (d *Deployment) initObservability() {
 	d.registry = metrics.NewRegistry()
 	d.gatherer = obs.NewGatherer(d.registry)
-	d.tracer = obs.NewTracer(d.registry, obs.DefaultTraceCapacity)
+	d.tracer = trace.New(d.registry, trace.DefaultCapacity)
 	d.health = obs.NewHealth()
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"drams"
 	"drams/internal/obs"
+	"drams/internal/trace"
 )
 
 // TestTraceTimelineEndToEnd drives one clean decision through the full
@@ -55,8 +56,8 @@ func TestTraceTimelineEndToEnd(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		obs.StagePEPDecide, obs.StagePDPEval, obs.StageLIFlushWait,
-		obs.StageChainAnchor, obs.StageMonitorMatch,
+		trace.StagePEPDecide, trace.StagePDPEval, trace.StageLIFlushWait,
+		trace.StageChainAnchor, trace.StageMonitorMatch,
 	} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %s (have %v)", want, stages)

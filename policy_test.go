@@ -80,6 +80,17 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 		t.Fatal("no v2 activation event")
 	}
 
+	// The first batch decided after the flip sees the swapped PDP on every item.
+	batch := []*xacml.Request{doctorRequest(dep), doctorRequest(dep), doctorRequest(dep)}
+	enfs, err := client.DecideBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, enf := range enfs {
+		if enf.Permitted() || enf.PolicyVersion != "v2" {
+			t.Fatalf("v2 batch item %d = %+v", i, enf)
+		}
+	}
 	enf, err = client.Decide(ctx, doctorRequest(dep))
 	if err != nil {
 		t.Fatal(err)
