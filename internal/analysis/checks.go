@@ -22,6 +22,8 @@ type CompletenessReport struct {
 }
 
 // CheckCompleteness evaluates the compiled policy over its abstract domain.
+//
+//lint:ignore deadcode examples/federation runs it: the analyser's policy checks over the logical representation (paper §II)
 func CheckCompleteness(c *Compiled, dom *Domain, params EnumParams) CompletenessReport {
 	rep := CompletenessReport{Complete: true}
 	for _, r := range dom.Requests(params) {
@@ -96,6 +98,8 @@ type RedundancyReport struct {
 
 // CheckRedundancy tests each rule of each (possibly nested) policy for
 // domain-relative redundancy.
+//
+//lint:ignore deadcode examples/federation runs it: the analyser's policy checks over the logical representation (paper §II)
 func CheckRedundancy(ps *xacml.PolicySet, params EnumParams) RedundancyReport {
 	dom := ExtractDomain(ps)
 	reqs := dom.Requests(params)

@@ -22,8 +22,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"drams/internal/xacml"
 )
 
@@ -203,8 +201,7 @@ type compiledNode struct {
 // Compiled is the analyser's normalised logical representation of a policy
 // set, with an independent evaluator.
 type Compiled struct {
-	root   *compiledNode
-	nRules int
+	root *compiledNode
 }
 
 // Compile normalises a policy set.
@@ -213,9 +210,6 @@ func Compile(ps *xacml.PolicySet) *Compiled {
 	c.root = c.compileSet(ps)
 	return c
 }
-
-// RuleCount reports the number of compiled rules.
-func (c *Compiled) RuleCount() int { return c.nRules }
 
 func (c *Compiled) compileSet(ps *xacml.PolicySet) *compiledNode {
 	n := &compiledNode{id: ps.ID, target: compileTarget(ps.Target), alg: ps.Alg}
@@ -240,7 +234,6 @@ func (c *Compiled) compilePolicy(p *xacml.Policy) *compiledNode {
 			target: compileTarget(ru.Target),
 			cond:   compileExpr(ru.Condition),
 		})
-		c.nRules++
 	}
 	return n
 }
@@ -379,15 +372,4 @@ func combineDecisions(alg xacml.CombiningAlg, ds []xacml.Decision) xacml.Decisio
 	default:
 		return xacml.IndeterminateDP
 	}
-}
-
-// VerifyDecision checks a PDP-reported decision against the analyser's
-// expectation, returning nil when they agree (on the four-valued lattice).
-func (c *Compiled) VerifyDecision(r *xacml.Request, reported xacml.Decision) error {
-	expected := c.ExpectedSimple(r)
-	if reported.Simple() != expected {
-		return fmt.Errorf("analysis: request %s: PDP reported %s but policy semantics give %s",
-			r.ID, reported, expected)
-	}
-	return nil
 }

@@ -150,9 +150,6 @@ func ExtractDomain(sets ...*xacml.PolicySet) *Domain {
 	return dom
 }
 
-// AttrCount returns the number of abstracted attributes.
-func (d *Domain) AttrCount() int { return len(d.attrs) }
-
 // Size returns the number of abstract requests (product of per-attribute
 // options including "absent"), saturating at maxInt to avoid overflow.
 func (d *Domain) Size() int {
@@ -179,6 +176,8 @@ type EnumParams struct {
 }
 
 // DefaultEnumParams enumerate up to 20 000 abstract requests.
+//
+//lint:ignore deadcode examples/federation runs it: the analyser's policy checks over the logical representation (paper §II)
 func DefaultEnumParams() EnumParams { return EnumParams{MaxRequests: 20000, Seed: 1} }
 
 // Requests materialises the abstract request set.

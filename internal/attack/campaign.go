@@ -369,17 +369,6 @@ type CampaignReport struct {
 	Results []ClassResult
 }
 
-// AllDetected reports whether every scenario detected every trial with no
-// false positives — the regression gate V7 asserts.
-func (r *CampaignReport) AllDetected() bool {
-	for _, res := range r.Results {
-		if res.Detected != res.Trials || res.FalsePositives != 0 || res.Err != "" {
-			return false
-		}
-	}
-	return len(r.Results) > 0
-}
-
 func (c Campaign) withDefaults() Campaign {
 	if c.Trials <= 0 {
 		c.Trials = 3
@@ -444,7 +433,7 @@ func (c Campaign) runScenario(sc ChaosScenario) (ClassResult, error) {
 	}
 
 	res := ClassResult{Class: sc.Class, Name: sc.Name, Expected: sc.Expected, Trials: c.Trials}
-	wall, blocks := metrics.NewHistogram(0), metrics.NewHistogram(0)
+	wall, blocks := metrics.NewHistogram(), metrics.NewHistogram()
 	injected := map[string]bool{}
 	for t := 0; t < c.Trials; t++ {
 		ctx, cancel := context.WithTimeout(context.Background(), c.DetectTimeout)

@@ -173,6 +173,8 @@ func (r *Report) WriteFile(dir string) (string, error) {
 }
 
 // ReadFile loads a report back (CI diffing, tests).
+//
+//lint:ignore deadcode the reader of the format WriteFile writes: benchfmt's and drams-loadgen's tests read their reports back through it
 func ReadFile(path string) (*Report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

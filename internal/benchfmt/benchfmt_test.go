@@ -9,7 +9,7 @@ import (
 )
 
 func TestReportRoundTrip(t *testing.T) {
-	h := metrics.NewHistogram(0)
+	h := metrics.NewHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) / 10)
 	}

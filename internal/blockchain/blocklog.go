@@ -278,6 +278,8 @@ func (c *Chain) closeLog() {
 // before the writes of the heights above it would have left the file. It
 // frames the file with the log's own reader and fails if the intact records
 // end below height.
+//
+//lint:ignore deadcode crash rig: the root package's member restart test cuts a member's log with the log's own framing
 func TruncateBlockLog(path string, height uint64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -111,9 +111,6 @@ func NewChain(cfg Config) *Chain {
 	return c
 }
 
-// Identities exposes the permissioned membership registry.
-func (c *Chain) Identities() *IdentityRegistry { return c.ids }
-
 // Verifier exposes the transaction signature verifier. The node shares it
 // between mempool admission and block validation so a transaction verified
 // when admitted is not re-verified when its block arrives.
@@ -130,6 +127,8 @@ func (c *Chain) SetEventSink(sink EventSink) {
 }
 
 // Genesis returns the genesis block hash.
+//
+//lint:ignore deadcode test accessor: the blockchain, core, pap and root packages' tests build blocks on genesis
 func (c *Chain) Genesis() crypto.Digest {
 	return c.genesis
 }

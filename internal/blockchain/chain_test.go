@@ -423,7 +423,7 @@ func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
 		if wired.ID() != tx.ID() {
 			t.Fatalf("args %q: ID changed on the wire", args)
 		}
-		if err := c.Identities().VerifyTx(&wired); err != nil {
+		if err := c.Verifier().VerifyTx(&wired); err != nil {
 			t.Fatalf("args %q: %v", args, err)
 		}
 		txs = append(txs, wired)

@@ -298,6 +298,8 @@ func (n *Node) Chain() *Chain { return n.chain }
 func (n *Node) Name() string { return n.cfg.Name }
 
 // Mempool exposes the pending-transaction pool.
+//
+//lint:ignore deadcode test accessor: the blockchain, core and root packages' tests inspect and drive the pool
 func (n *Node) Mempool() *Mempool { return n.pool }
 
 // noteSeenHeight folds a height claim from the network into the

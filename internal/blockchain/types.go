@@ -157,17 +157,6 @@ func (r *IdentityRegistry) signer(tx *Transaction) (crypto.PublicIdentity, error
 	return reg, nil
 }
 
-// VerifyTx checks a transaction's signature against the registry. The public
-// key embedded in the transaction must match the registered key for the
-// claimed sender — a forged key is rejected even if the signature verifies.
-func (r *IdentityRegistry) VerifyTx(tx *Transaction) error {
-	reg, err := r.signer(tx)
-	if err != nil {
-		return err
-	}
-	return checkSignature(reg, tx)
-}
-
 // checkSignature runs the ed25519 check of tx against its sender's
 // registered identity.
 func checkSignature(reg crypto.PublicIdentity, tx *Transaction) error {

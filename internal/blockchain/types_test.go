@@ -14,7 +14,7 @@ func TestTransactionSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.VerifyTx(&tx); err != nil {
+	if err := NewTxVerifier(reg, VerifierConfig{}).VerifyTx(&tx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -44,7 +44,7 @@ func TestVerifyRejectsTamperedFields(t *testing.T) {
 		tx.Signature = append([]byte(nil), base.Signature...)
 		tx.PubKey = append([]byte(nil), base.PubKey...)
 		mutate(&tx)
-		if err := reg.VerifyTx(&tx); err == nil {
+		if err := NewTxVerifier(reg, VerifierConfig{}).VerifyTx(&tx); err == nil {
 			t.Errorf("tampered %s accepted", name)
 		}
 	}
@@ -54,11 +54,11 @@ func TestVerifyUnknownSender(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	reg := NewIdentityRegistry() // empty allowlist
 	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	if err := reg.VerifyTx(&tx); !errors.Is(err, ErrUnknownIdentity) {
+	if err := NewTxVerifier(reg, VerifierConfig{}).VerifyTx(&tx); !errors.Is(err, ErrUnknownIdentity) {
 		t.Fatalf("got %v", err)
 	}
 	reg = NewIdentityRegistry(alice.Public())
-	if err := reg.VerifyTx(&tx); err != nil {
+	if err := NewTxVerifier(reg, VerifierConfig{}).VerifyTx(&tx); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Len() != 1 {

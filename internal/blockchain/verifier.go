@@ -24,8 +24,7 @@ type VerifierStats struct {
 	CacheHits int64
 	// CacheMisses counts memo lookups that fell through to verification.
 	CacheMisses int64
-	// Batches counts VerifyBatch and VerifyAll calls; a block validation
-	// is one.
+	// Batches counts VerifyBatch calls and block validations.
 	Batches int64
 	// Failures counts transactions that failed verification.
 	Failures int64
@@ -103,14 +102,9 @@ func (v *TxVerifier) VerifyBatch(txs []Transaction) []error {
 	return errs
 }
 
-// VerifyAll verifies a batch and returns the first failure annotated with
-// its transaction index (block-validation style), or nil if all are valid.
-func (v *TxVerifier) VerifyAll(txs []Transaction) error {
-	return v.verifyAll(txs, txIDs(txs))
-}
-
-// verifyAll is VerifyAll for a caller that already derived the transaction
-// IDs (index-aligned).
+// verifyAll verifies a block's transactions, whose IDs the caller derived
+// (index-aligned), and returns the first failure annotated with its
+// transaction index, or nil if all are valid.
 func (v *TxVerifier) verifyAll(txs []Transaction, ids []crypto.Digest) error {
 	v.batches.Inc()
 	for i := range txs {

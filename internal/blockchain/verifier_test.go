@@ -27,7 +27,7 @@ func testTxs(t testing.TB, id *crypto.Identity, n int) []Transaction {
 }
 
 // TestVerifyBatchMatchesSequential checks that the verifier accepts and
-// rejects exactly the transactions the registry's reference check does,
+// rejects exactly the transactions a fresh verifier does one at a time,
 // including a corrupted signature and an unknown sender planted mid-batch.
 func TestVerifyBatchMatchesSequential(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
@@ -45,7 +45,7 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 	v := NewTxVerifier(reg, VerifierConfig{})
 	got := v.VerifyBatch(txs)
 	for i := range txs {
-		want := reg.VerifyTx(&txs[i])
+		want := NewTxVerifier(reg, VerifierConfig{}).VerifyTx(&txs[i])
 		if (got[i] == nil) != (want == nil) {
 			t.Fatalf("tx %d: batch err %v, sequential err %v", i, got[i], want)
 		}
@@ -56,12 +56,23 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 	if !errors.Is(got[23], ErrUnknownIdentity) {
 		t.Fatalf("tx 23 err = %v, want ErrUnknownIdentity", got[23])
 	}
-	if err := v.VerifyAll(txs); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("VerifyAll err = %v, want first failure", err)
+	if err := verifyEach(v, txs); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("verifyEach err = %v, want first failure", err)
 	}
-	if v.Stats().Failures != 3 { // 2 from VerifyBatch + the first from VerifyAll
+	if v.Stats().Failures != 3 { // 2 from VerifyBatch + the first from verifyEach
 		t.Fatalf("failures = %d", v.Stats().Failures)
 	}
+}
+
+// verifyEach verifies txs one after another, as block validation does, and
+// returns the first failure with its index.
+func verifyEach(v *TxVerifier, txs []Transaction) error {
+	for i := range txs {
+		if err := v.VerifyTx(&txs[i]); err != nil {
+			return fmt.Errorf("tx %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // TestVerifierCacheSkipsReverification checks that a second pass over the
@@ -72,14 +83,14 @@ func TestVerifierCacheSkipsReverification(t *testing.T) {
 	txs := testTxs(t, alice, 16)
 	v := NewTxVerifier(reg, VerifierConfig{})
 
-	if err := v.VerifyAll(txs); err != nil {
+	if err := verifyEach(v, txs); err != nil {
 		t.Fatal(err)
 	}
 	first := v.Stats()
 	if first.Verified != 16 || first.CacheHits != 0 {
 		t.Fatalf("cold pass stats = %+v", first)
 	}
-	if err := v.VerifyAll(txs); err != nil {
+	if err := verifyEach(v, txs); err != nil {
 		t.Fatal(err)
 	}
 	second := v.Stats()
@@ -128,14 +139,14 @@ func TestVerifierMemo(t *testing.T) {
 	const gen = 8
 	v.memo = newSeenCache(gen, nil)
 	txs := testTxs(t, alice, 5*gen)
-	if err := v.VerifyAll(txs); err != nil {
+	if err := verifyEach(v, txs); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.memo.len(); got > 2*gen {
 		t.Fatalf("memo holds %d IDs, bound two generations of %d", got, gen)
 	}
 	before := v.Stats().Verified
-	if err := v.VerifyAll(txs[len(txs)-gen:]); err != nil {
+	if err := verifyEach(v, txs[len(txs)-gen:]); err != nil {
 		t.Fatal(err)
 	}
 	if v.Stats().Verified != before {
@@ -183,7 +194,7 @@ func TestVerifierConcurrent(t *testing.T) {
 				if (g+iter)%2 == 0 {
 					batch = txsB
 				}
-				if err := v.VerifyAll(batch); err != nil {
+				if err := verifyEach(v, batch); err != nil {
 					t.Error(err)
 					return
 				}

@@ -57,6 +57,8 @@ type waiter struct {
 var _ Clock = (*Mock)(nil)
 
 // NewMock returns a Mock clock positioned at start.
+//
+//lint:ignore deadcode test helper: the clock, blockchain and netsim packages' tests drive time with it
 func NewMock(start time.Time) *Mock {
 	return &Mock{now: start}
 }

@@ -56,8 +56,9 @@ func (k *KVContract) Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error
 	}
 }
 
-// ReadKV reads a KVContract value out of a (namespaced) state snapshot;
-// off-chain readers use this through the node's state query.
+// ReadKV reads a KVContract value out of a (namespaced) state snapshot.
+//
+//lint:ignore deadcode KVContract's reader: the contract, blockchain and root packages' tests read kv writes through it
 func ReadKV(st StateDB, key string) ([]byte, bool) {
 	return st.Get("data/" + key)
 }
@@ -150,19 +151,6 @@ func ReadAnchor(st StateDB, stream string, seq uint64) (AnchorRecord, bool) {
 		return AnchorRecord{}, false
 	}
 	return rec, true
-}
-
-// ReadAnchorHead returns the highest anchored sequence for a stream.
-func ReadAnchorHead(st StateDB, stream string) (uint64, bool) {
-	b, ok := st.Get("head/" + stream)
-	if !ok {
-		return 0, false
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(string(b), "%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
 }
 
 // ListAnchors returns every anchored sequence for a stream in order.

@@ -105,9 +105,8 @@ func TestAnchorHappyPath(t *testing.T) {
 	if rec.Root != root || rec.Count != 64 || rec.Height != 12 || rec.By != "li-1" {
 		t.Fatalf("rec = %+v", rec)
 	}
-	head, ok := ReadAnchorHead(ns, "logs")
-	if !ok || head != 1 {
-		t.Fatalf("head = %d, %v", head, ok)
+	if head, ok := ns.Get("head/logs"); !ok || string(head) != "1" {
+		t.Fatalf("head = %q, %v", head, ok)
 	}
 }
 
@@ -156,9 +155,8 @@ func TestAnchorListOrdered(t *testing.T) {
 			t.Fatalf("list out of order: %+v", list)
 		}
 	}
-	head, _ := ReadAnchorHead(Namespace(st, "anchor"), "s")
-	if head != 5 {
-		t.Fatalf("head = %d", head)
+	if head, _ := Namespace(st, "anchor").Get("head/s"); string(head) != "5" {
+		t.Fatalf("head = %q", head)
 	}
 }
 

@@ -256,22 +256,6 @@ func (s *State) Len() int {
 	return len(s.data)
 }
 
-// Clone returns a deep copy; used when executing a fork branch.
-func (s *State) Clone() *State {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := &State{
-		data:  make(map[string][]byte, len(s.data)),
-		index: s.index.clone(),
-	}
-	for k, v := range s.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		c.data[k] = cp
-	}
-	return c
-}
-
 // Digest returns a deterministic digest over the full state, used by tests
 // to assert replica convergence.
 func (s *State) Digest() crypto.Digest {

@@ -107,13 +107,3 @@ func (n *keyNode) appendPrefix(out []string, prefix string) []string {
 	}
 	return out
 }
-
-// clone deep-copies the index.
-func (ix keyIndex) clone() keyIndex { return keyIndex{root: ix.root.clone()} }
-
-func (n *keyNode) clone() *keyNode {
-	if n == nil {
-		return nil
-	}
-	return &keyNode{key: n.key, prio: n.prio, left: n.left.clone(), right: n.right.clone()}
-}

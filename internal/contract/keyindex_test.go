@@ -11,6 +11,32 @@ import (
 	"drams/internal/crypto"
 )
 
+// Clone returns a deep copy. Only tests copy a state.
+func (s *State) Clone() *State {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := &State{
+		data:  make(map[string][]byte, len(s.data)),
+		index: s.index.clone(),
+	}
+	for k, v := range s.data {
+		cp := make([]byte, len(v))
+		copy(cp, v)
+		c.data[k] = cp
+	}
+	return c
+}
+
+// clone deep-copies the index.
+func (ix keyIndex) clone() keyIndex { return keyIndex{root: ix.root.clone()} }
+
+func (n *keyNode) clone() *keyNode {
+	if n == nil {
+		return nil
+	}
+	return &keyNode{key: n.key, prio: n.prio, left: n.left.clone(), right: n.right.clone()}
+}
+
 // scanState is the reference the ordered key index replaced: a bare map
 // whose Keys tests every key against the prefix and sorts the survivors, and
 // whose digest sorts the whole key set. It stays here as the oracle.

@@ -166,6 +166,8 @@ func batchedStored(root crypto.Digest, index int, proof merkle.Proof, rec []byte
 
 // Encode serialises the payload, carrying Raw (or, when Raw is nil, the
 // record's encoding).
+//
+//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
 func (ls LogStored) Encode() []byte {
 	raw := ls.Raw
 	if raw == nil {
@@ -179,6 +181,8 @@ func (ls LogStored) Encode() []byte {
 
 // DecodeLogStored parses a LogStored payload. The record's strings and
 // payload, and Raw, alias it.
+//
+//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
 func DecodeLogStored(payload []byte) (LogStored, error) {
 	ls, err := cutLogStored(payload, true)
 	if err == nil {
@@ -245,6 +249,8 @@ func logStoredHeader(payload []byte) (kind LogKind, reqID, traceID string, err e
 
 // VerifyInclusion checks a batched record's membership under Root: the
 // carried record bytes, hashed as they lie, against the proof.
+//
+//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
 func (ls LogStored) VerifyInclusion() bool {
 	return ls.Batched && merkle.Verify(ls.Root, ls.Raw, ls.Proof)
 }

@@ -137,10 +137,10 @@ func TestLogBatchMultiRequest(t *testing.T) {
 		x2.pepRequest(), x2.pdpRequest(), x2.pdpResponse(), x2.pepResponse(xacml.Deny))
 	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
 
-	if !ReadDone(contract.Namespace(env.st, ContractName), x1.reqID) {
+	if !readDone(contract.Namespace(env.st, ContractName), x1.reqID) {
 		t.Fatal("clean exchange in multi-request batch did not complete")
 	}
-	if ReadDone(contract.Namespace(env.st, ContractName), x2.reqID) {
+	if readDone(contract.Namespace(env.st, ContractName), x2.reqID) {
 		t.Fatal("tampered-enforcement exchange completed")
 	}
 	found := false

@@ -603,12 +603,8 @@ func fold(st contract.StateDB, reqID string) {
 
 // ReadStoredRecord reads what state holds of an anchored record: the match
 // fields and the record's hash, not the record (see StoredRecord).
+//
+//lint:ignore deadcode state reader for tests: core's and logger's tests check what an anchored record left in state
 func ReadStoredRecord(st contract.StateDB, reqID string, kind LogKind) (StoredRecord, bool) {
 	return loadRecord(st, reqID, kind)
-}
-
-// ReadDone reports whether a request completed cleanly.
-func ReadDone(st contract.StateDB, reqID string) bool {
-	_, ok := st.Get(doneKey(reqID))
-	return ok
 }

@@ -26,6 +26,12 @@ type matchEnv struct {
 	height uint64
 }
 
+// readDone reports whether a request completed cleanly.
+func readDone(st contract.StateDB, reqID string) bool {
+	_, ok := st.Get(doneKey(reqID))
+	return ok
+}
+
 func newMatchEnv(t testing.TB, cfg MatchConfig) *matchEnv {
 	t.Helper()
 	reg := contract.NewRegistry()
@@ -159,7 +165,7 @@ func TestCleanExchangeMatches(t *testing.T) {
 		t.Fatal("no Matched event")
 	}
 	ns := contract.Namespace(env.st, ContractName)
-	if !ReadDone(ns, "req-1") {
+	if !readDone(ns, "req-1") {
 		t.Fatal("request not marked done")
 	}
 	// Timeouts later must not fire for a done request.

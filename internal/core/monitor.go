@@ -147,7 +147,7 @@ func NewMonitor(node *blockchain.Node, clk clock.Clock) *Monitor {
 		matched:   make(map[string]uint64),
 		tracked:   make(map[string]time.Time),
 		subs:      make(map[uint64]*subscriber),
-		latency:   metrics.NewHistogram(0),
+		latency:   metrics.NewHistogram(),
 		stop:      make(chan struct{}),
 	}
 }

@@ -68,13 +68,6 @@ func (d Digest) Bytes() []byte {
 	return out
 }
 
-// ParseDigest decodes a 64-character hex string.
-func ParseDigest(s string) (Digest, error) {
-	var d Digest
-	err := d.UnmarshalText([]byte(s))
-	return d, err
-}
-
 // MarshalText renders the digest as 64 lowercase hex characters, so every
 // JSON surface carries a digest as one string (and as a map key) instead of
 // an array of 32 numbers.
@@ -122,6 +115,8 @@ const KeySize = 32
 type Key [KeySize]byte
 
 // NewKey generates a fresh random key.
+//
+//lint:ignore deadcode examples/trustedplatform seals a fresh K in the TPM: the System Integrity mitigation of paper §III
 func NewKey() (Key, error) {
 	var k Key
 	if _, err := io.ReadFull(rand.Reader, k[:]); err != nil {
@@ -239,11 +234,6 @@ func (p PublicIdentity) Verify(msg, sig []byte) bool {
 		return false
 	}
 	return ed25519.Verify(p.Key, msg, sig)
-}
-
-// Fingerprint returns a digest identifying the public key.
-func (p PublicIdentity) Fingerprint() Digest {
-	return SumAll([]byte(p.Name), p.Key)
 }
 
 // HMAC computes HMAC-SHA256 of msg under key.

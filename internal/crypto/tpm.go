@@ -36,6 +36,8 @@ const NumPCRs = 8
 
 // SoftTPM is a software simulation of a trusted platform module. It is safe
 // for concurrent use.
+//
+//lint:ignore deadcode examples/trustedplatform runs it: the System Integrity mitigation of paper §III (measured boot, sealing, attestation)
 type SoftTPM struct {
 	mu     sync.Mutex
 	pcrs   [NumPCRs]Digest
@@ -51,6 +53,8 @@ type sealedSecret struct {
 }
 
 // NewSoftTPM constructs a SoftTPM with a fresh endorsement identity.
+//
+//lint:ignore deadcode examples/trustedplatform runs it: the System Integrity mitigation of paper §III (measured boot, sealing, attestation)
 func NewSoftTPM(deviceName string) (*SoftTPM, error) {
 	id, err := NewIdentity("tpm:" + deviceName)
 	if err != nil {
@@ -160,6 +164,8 @@ func (t *SoftTPM) GenerateQuote(mask uint8, nonce []byte) Quote {
 
 // VerifyQuote checks a quote's signature against the TPM's endorsement key
 // and the expected composite PCR digest.
+//
+//lint:ignore deadcode examples/trustedplatform runs it: the System Integrity mitigation of paper §III (measured boot, sealing, attestation)
 func VerifyQuote(ek PublicIdentity, q Quote, expectedComposite Digest, nonce []byte) error {
 	if !ConstantTimeEqual(q.Nonce, nonce) {
 		return errors.New("crypto: quote nonce mismatch (possible replay)")
@@ -181,6 +187,8 @@ func quoteMessage(mask uint8, composite Digest, nonce []byte) []byte {
 
 // MeasurementLog records which components were measured at "boot" so a
 // verifier can recompute the expected PCR composite.
+//
+//lint:ignore deadcode examples/trustedplatform runs it: the System Integrity mitigation of paper §III (measured boot, sealing, attestation)
 type MeasurementLog struct {
 	mu      sync.Mutex
 	entries []MeasurementEntry

@@ -56,8 +56,8 @@ func RunAB1(p AB1Params) (Table, error) {
 			dep.Close()
 			return t, err
 		}
-		lat := metrics.NewHistogram(0)
-		blocks := metrics.NewHistogram(0)
+		lat := metrics.NewHistogram()
+		blocks := metrics.NewHistogram()
 		for trial := 0; trial < p.Trials; trial++ {
 			if err := dep.TamperPEP("tenant-1", &federation.Tamper{DropRequest: true}); err != nil {
 				dep.Close()
@@ -256,7 +256,7 @@ func RunAB3(p AB3Params) (Table, error) {
 			dep.Close()
 			return t, err
 		}
-		lat := metrics.NewHistogram(0)
+		lat := metrics.NewHistogram()
 		for i := 0; i < p.Requests; i++ {
 			req := StandardRequest(dep, i)
 			t0 := time.Now()

@@ -98,7 +98,7 @@ func RunE2(p E2Params) (Table, error) {
 		}
 		li.Start()
 		for _, size := range p.Sizes {
-			h := metrics.NewHistogram(0)
+			h := metrics.NewHistogram()
 			for s := 0; s < p.Samples; s++ {
 				rec := core.LogRecord{
 					Kind:      core.KindPEPRequest,
@@ -158,7 +158,7 @@ func RunE3(p E3Params) (Table, error) {
 		},
 	}
 	for _, diff := range p.Difficulties {
-		h := metrics.NewHistogram(0)
+		h := metrics.NewHistogram()
 		prev := crypto.Sum([]byte("e3-genesis"))
 		for i := 0; i < p.Blocks; i++ {
 			b := &blockchain.Block{Header: blockchain.BlockHeader{
@@ -221,7 +221,7 @@ func RunE4(p E4Params) (Table, error) {
 	// Pure DB.
 	{
 		db := make(map[string][]byte)
-		h := metrics.NewHistogram(0)
+		h := metrics.NewHistogram()
 		start := time.Now()
 		for i := 0; i < p.Writes; i++ {
 			w := time.Now()
@@ -251,7 +251,7 @@ func RunE4(p E4Params) (Table, error) {
 		if err != nil {
 			return err
 		}
-		h := metrics.NewHistogram(0)
+		h := metrics.NewHistogram()
 		start := time.Now()
 		ctx := context.Background()
 		for i := 0; i < p.Writes; i++ {

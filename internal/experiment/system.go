@@ -39,8 +39,8 @@ func RunE1(p E1Params) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	enforceLat := metrics.NewHistogram(0)
-	matchLat := metrics.NewHistogram(0)
+	enforceLat := metrics.NewHistogram()
+	matchLat := metrics.NewHistogram()
 	var permits, denies int64
 	var mu sync.Mutex
 
@@ -149,8 +149,8 @@ func RunE5(p E5Params) (Table, error) {
 
 	for _, sc := range attack.Catalogue(escalate) {
 		detected := 0
-		latency := metrics.NewHistogram(0)
-		blockLat := metrics.NewHistogram(0)
+		latency := metrics.NewHistogram()
+		blockLat := metrics.NewHistogram()
 		for trial := 0; trial < p.Trials; trial++ {
 			cleanup, err := sc.Install(dep, "tenant-1")
 			if err != nil {
@@ -260,7 +260,7 @@ func RunE6(p E6Params) (Table, error) {
 			dep.Close()
 			return t, err
 		}
-		lat := metrics.NewHistogram(0)
+		lat := metrics.NewHistogram()
 		start := time.Now()
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, p.Workers)
@@ -324,7 +324,7 @@ func RunE8(p E8Params) (Table, error) {
 			return t, err
 		}
 		tenants := dep.Topology().EdgeTenants()
-		matchLat := metrics.NewHistogram(0)
+		matchLat := metrics.NewHistogram()
 		start := time.Now()
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, 2*n)

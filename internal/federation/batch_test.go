@@ -154,8 +154,8 @@ func TestUnsupportedValueIsNeverDecided(t *testing.T) {
 	if !errors.Is(err, xacml.ErrUnsupportedValue) || enf.Decision != xacml.IndeterminateDP {
 		t.Fatalf("Decide: %s, %v", enf.Decision, err)
 	}
-	if opened, _, _, _, _ := rec.sides(); opened != 0 || env.pdp.Evaluations() != 0 {
-		t.Fatalf("Decide: %d sides opened, %d evaluations", opened, env.pdp.Evaluations())
+	if opened, _, _, _, _ := rec.sides(); opened != 0 || env.pdp.Stats().Evaluations != 0 {
+		t.Fatalf("Decide: %d sides opened, %d evaluations", opened, env.pdp.Stats().Evaluations)
 	}
 
 	reqs := batchReqs(3)

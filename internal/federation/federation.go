@@ -119,6 +119,8 @@ func (t *Topology) EdgeTenants() []Tenant {
 }
 
 // TenantsOnCloud returns the tenants hosted by a cloud, sorted by name.
+//
+//lint:ignore deadcode examples/federation prints each cloud's tenants: the multi-cloud federation of paper §I
 func (t *Topology) TenantsOnCloud(cloud string) []Tenant {
 	var out []Tenant
 	for _, ten := range t.Tenants {

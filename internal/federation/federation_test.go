@@ -209,8 +209,8 @@ func TestPEPPDPFlow(t *testing.T) {
 	if len(rec.pdpOrigins) != 2 || rec.pdpOrigins[0] != "tenant-1" || rec.pdpOrigins[1] != "tenant-1" {
 		t.Fatalf("PDP-side origins = %v, want tenant-1 twice", rec.pdpOrigins)
 	}
-	if env.pdp.Evaluations() != 2 {
-		t.Fatalf("pdp evaluations = %d", env.pdp.Evaluations())
+	if env.pdp.Stats().Evaluations != 2 {
+		t.Fatalf("pdp evaluations = %d", env.pdp.Stats().Evaluations)
 	}
 	st := env.pep.Stats()
 	if st.Requests != 2 || st.Permits != 1 || st.Denies != 1 {

@@ -87,9 +87,6 @@ func (s *PDPService) Stats() PDPStats {
 	return PDPStats{Evaluations: s.evaluations.Value(), Failures: s.failures.Value()}
 }
 
-// Evaluations returns how many requests the service has processed.
-func (s *PDPService) Evaluations() int64 { return s.evaluations.Value() }
-
 // originTenant names the tenant whose PEP made a call from address from
 // (PEPAddr). A caller at any other address is named by the address itself.
 func originTenant(from string) string {

@@ -39,6 +39,13 @@ func TestEvalAllocBudget(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(200, func() { _, _ = svc.handleEvaluate(from, payload) })
 	t.Logf("handleEvaluate: %.1f allocs/op", n)
+	// The race detector makes sync.Pool drop puts at random, so under -race
+	// the pooled request is rebuilt on some calls and the count says nothing
+	// about the code. The budget holds where the pool keeps what it is given,
+	// as the standard library's own allocation tests assume.
+	if raceEnabled {
+		return
+	}
 	if n > 6 {
 		t.Errorf("handleEvaluate allocates %.1f/op, budget 6", n)
 	}
@@ -120,7 +127,7 @@ func TestPDPRequestReuseRace(t *testing.T) {
 		}(reqs[w])
 	}
 	wg.Wait()
-	if got := svc.Evaluations(); got != workers*perWorker {
+	if got := svc.Stats().Evaluations; got != workers*perWorker {
 		t.Fatalf("evaluations = %d, want %d", got, workers*perWorker)
 	}
 }

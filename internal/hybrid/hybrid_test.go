@@ -87,6 +87,11 @@ func (e *hybridEnv) waitAnchors(t *testing.T, want int) {
 	t.Fatalf("anchors did not reach %d", want)
 }
 
+// TamperCurrentValue corrupts a key's current value in place.
+func (s *Store) TamperCurrentValue(key string, newValue []byte) bool {
+	return s.db.tamper(dataKey(key), newValue)
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	env := newHybridEnv(t, 4, 0)
 	env.putN(t, 3)

@@ -8,10 +8,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // ID is a 16-byte identifier rendered as 32 hex characters.
@@ -19,26 +17,6 @@ type ID [16]byte
 
 // String renders the ID as lowercase hex.
 func (id ID) String() string { return hex.EncodeToString(id[:]) }
-
-// Short returns the first 8 hex characters, for logs and debug output.
-func (id ID) Short() string { return hex.EncodeToString(id[:4]) }
-
-// IsZero reports whether the ID is the all-zero value.
-func (id ID) IsZero() bool { return id == ID{} }
-
-// Parse decodes a 32-character hex string into an ID.
-func Parse(s string) (ID, error) {
-	var id ID
-	if len(s) != 32 {
-		return id, fmt.Errorf("idgen: parse %q: want 32 hex chars, got %d", s, len(s))
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("idgen: parse %q: %w", s, err)
-	}
-	copy(id[:], b)
-	return id, nil
-}
 
 // Generator yields unique IDs. It is safe for concurrent use.
 type Generator struct {
@@ -141,6 +119,8 @@ func (r *Rand) Float64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
+//
+//lint:ignore deadcode test helper: idgen's and core's tests shuffle with it; core's scripted-chain block orders depend on its exact draws
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -165,10 +145,3 @@ func (r *Rand) Bytes(n int) []byte {
 	}
 	return b
 }
-
-// Sequence is a convenience atomic counter for naming things uniquely within
-// a process (e.g. node identifiers in tests).
-type Sequence struct{ n atomic.Uint64 }
-
-// Next returns the next counter value, starting at 1.
-func (s *Sequence) Next() uint64 { return s.n.Add(1) }

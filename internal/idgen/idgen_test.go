@@ -1,10 +1,40 @@
 package idgen
 
 import (
+	"encoding/hex"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// Short returns the first 8 hex characters, for logs and debug output.
+func (id ID) Short() string { return hex.EncodeToString(id[:4]) }
+
+// IsZero reports whether the ID is the all-zero value.
+func (id ID) IsZero() bool { return id == ID{} }
+
+// Parse decodes a 32-character hex string into an ID.
+func Parse(s string) (ID, error) {
+	var id ID
+	if len(s) != 32 {
+		return id, fmt.Errorf("idgen: parse %q: want 32 hex chars, got %d", s, len(s))
+	}
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		return id, fmt.Errorf("idgen: parse %q: %w", s, err)
+	}
+	copy(id[:], b)
+	return id, nil
+}
+
+// Sequence is a convenience atomic counter for naming things uniquely within
+// a process (e.g. node identifiers in tests).
+type Sequence struct{ n atomic.Uint64 }
+
+// Next returns the next counter value, starting at 1.
+func (s *Sequence) Next() uint64 { return s.n.Add(1) }
 
 func TestGeneratorUnique(t *testing.T) {
 	g := New()

@@ -7,7 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,6 +24,16 @@ type Analyzer interface {
 	// Run inspects one package variant and reports findings via
 	// pass.Reportf.
 	Run(pass *Pass)
+}
+
+// ModuleAnalyzer is an Analyzer whose rule spans packages. Program.Run
+// calls its Run once per load, on a pass whose package fields are unset,
+// instead of once per unit, and only when the load covers the whole
+// module; otherwise the analyzer is skipped and its directives are not
+// checked for use.
+type ModuleAnalyzer interface {
+	Analyzer
+	ModuleWide()
 }
 
 // Pass hands an analyzer one type-checked package variant: its files, type
@@ -45,13 +55,9 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	file := position.Filename
-	if rel, err := filepath.Rel(p.Graph.Dir, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = rel
-	}
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.analyzer.Name(),
-		File:     file,
+		File:     p.Graph.relFile(position.Filename),
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
@@ -133,8 +139,20 @@ type directive struct {
 // like a regression would.
 func (p *Program) Run(analyzers []Analyzer) []Finding {
 	var raw []Finding
+	var perUnit []Analyzer
+	skipped := map[string]bool{}
+	for _, a := range analyzers {
+		switch _, ok := a.(ModuleAnalyzer); {
+		case !ok:
+			perUnit = append(perUnit, a)
+		case p.whole:
+			a.Run(&Pass{Fset: p.Fset, Graph: p.Graph, prog: p, analyzer: a, findings: &raw})
+		default:
+			skipped[a.Name()] = true
+		}
+	}
 	for _, u := range p.Units {
-		for _, a := range analyzers {
+		for _, a := range perUnit {
 			pass := &Pass{
 				Pkg: u.Pkg, XTest: u.XTest, Fset: p.Fset, Files: u.Files,
 				Types: u.Types, Info: u.Info, Graph: p.Graph,
@@ -160,6 +178,9 @@ func (p *Program) Run(analyzers []Analyzer) []Finding {
 				names := make([]string, 0, len(d.names))
 				for n := range d.names {
 					names = append(names, n)
+				}
+				if slices.ContainsFunc(names, func(n string) bool { return skipped[n] }) {
+					continue
 				}
 				sort.Strings(names)
 				out = append(out, Finding{
@@ -212,10 +233,7 @@ func (p *Program) collectDirectives() (map[string][]*directive, []Finding) {
 						continue
 					}
 					pos := p.Fset.Position(c.Pos())
-					file := pos.Filename
-					if rel, err := filepath.Rel(p.Graph.Dir, file); err == nil && !strings.HasPrefix(rel, "..") {
-						file = rel
-					}
+					file := p.Graph.relFile(pos.Filename)
 					fields := strings.Fields(rest)
 					if len(fields) < 2 {
 						meta = append(meta, Finding{

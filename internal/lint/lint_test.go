@@ -110,6 +110,24 @@ func TestErrCmpFixture(t *testing.T) { runGolden(t, "errcmp", NewErrCmp()) }
 
 func TestStatsSnapFixture(t *testing.T) { runGolden(t, "statssnap", NewStatsSnap()) }
 
+// TestDeadCodeFixture covers every liveness rule: roots (main, init, blank
+// vars, root-package API), references, interface-named methods (local and
+// stdlib), test-only and example-only callers, test support, and a type's
+// directive covering its methods.
+func TestDeadCodeFixture(t *testing.T) { runGolden(t, "deadcode", NewDeadCode()) }
+
+// TestDeadCodeNeedsWholeModule checks that a load narrower than ./...
+// reports nothing: a declaration's users may not have been loaded.
+func TestDeadCodeNeedsWholeModule(t *testing.T) {
+	prog, err := Load(filepath.Join("testdata", "src", "deadcode"), "./internal/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings := prog.Run([]Analyzer{NewDeadCode()}); len(findings) != 0 {
+		t.Fatalf("partial load reported %d findings, first %s", len(findings), findings[0])
+	}
+}
+
 // TestSuppressFixture drives the directive machinery through ctxflow:
 // working same-line and line-above suppressions vanish, an unsuppressed
 // violation still fires, and unused or malformed directives surface as

@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,6 +90,15 @@ func (g *Graph) Rel(importPath string) (string, bool) {
 	return "", false
 }
 
+// relFile renders a file name relative to the module root, as findings
+// and directives are keyed.
+func (g *Graph) relFile(name string) string {
+	if rel, err := filepath.Rel(g.Dir, name); err == nil && !strings.HasPrefix(rel, "..") {
+		return rel
+	}
+	return name
+}
+
 // IsStdlib reports whether the import path is a standard-library package.
 func (g *Graph) IsStdlib(importPath string) bool {
 	if importPath == "unsafe" {
@@ -116,6 +126,10 @@ type Program struct {
 	Fset  *token.FileSet
 	Graph *Graph
 	Units []*Unit
+
+	// whole is set when the load covers every package of the module
+	// (`./...` from the module root): only then do ModuleAnalyzers run.
+	whole bool
 
 	loader *loader
 }
@@ -225,7 +239,12 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	}
 	l.gc = importer.ForCompiler(fset, "gc", l.exportLookup)
 
-	prog := &Program{Fset: fset, Graph: graph, loader: l}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	whole := abs == filepath.Clean(mod.Dir) && slices.Contains(patterns, "./...")
+	prog := &Program{Fset: fset, Graph: graph, whole: whole, loader: l}
 	for _, p := range topoSort(graph, modulePkgs) {
 		units, err := l.checkPackage(p)
 		if err != nil {

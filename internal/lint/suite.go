@@ -12,5 +12,6 @@ func DefaultAnalyzers() []Analyzer {
 		NewSeedPin(),
 		NewErrCmp(),
 		NewStatsSnap(),
+		NewDeadCode(),
 	}
 }

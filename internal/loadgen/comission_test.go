@@ -59,7 +59,7 @@ func TestCoordinatedOmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer target.Close()
-	dep := target.Deployment()
+	dep := target.dep
 	if err := dep.CompromisePDP(func(inner xacml.Evaluator) xacml.Evaluator {
 		return &stallEvaluator{inner: inner, anchor: time.Now(), period: period, stall: stall}
 	}); err != nil {

@@ -39,7 +39,7 @@ type windowState struct {
 }
 
 func newWindowState() *windowState {
-	return &windowState{hist: metrics.NewHistogram(0)}
+	return &windowState{hist: metrics.NewHistogram()}
 }
 
 // engine aggregates the run's measurements: cumulative HDR histograms plus
@@ -67,8 +67,8 @@ type engine struct {
 
 func newEngine(start time.Time) *engine {
 	e := &engine{
-		latency:  metrics.NewHistogram(0),
-		alertLat: metrics.NewHistogram(0),
+		latency:  metrics.NewHistogram(),
+		alertLat: metrics.NewHistogram(),
 		start:    start,
 	}
 	e.window.Store(newWindowState())

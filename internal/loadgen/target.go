@@ -172,9 +172,6 @@ func NewNetsimTarget(cfg NetsimConfig) (*NetsimTarget, error) {
 	return t, nil
 }
 
-// Deployment exposes the underlying deployment (tests).
-func (t *NetsimTarget) Deployment() *drams.Deployment { return t.dep }
-
 // ScrapeMetrics snapshots the deployment's gatherer — the same sample
 // set /metrics would serve — under the single source key "netsim".
 func (t *NetsimTarget) ScrapeMetrics(context.Context) map[string]map[string]float64 {

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -160,14 +159,4 @@ func FormatVerdicts(verdicts []benchfmt.ThresholdVerdict) string {
 		fmt.Fprintf(&sb, "  %s  %-20s actual=%.4f\n", mark, v.Expr, v.Actual)
 	}
 	return sb.String()
-}
-
-// sortedMetricKeys is a test/debug helper: metric map keys in stable order.
-func sortedMetricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

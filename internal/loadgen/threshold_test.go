@@ -1,9 +1,20 @@
 package loadgen
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
+
+// sortedMetricKeys returns the map keys in stable order.
+func sortedMetricKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 func TestParseThreshold(t *testing.T) {
 	cases := []struct {

@@ -2,8 +2,8 @@
 // probing agents that sense access-control activity at the four
 // interception points, and the Logging Interface (LI) that encrypts
 // observations, signs them with the tenant's component identity, submits
-// them to the smart-contract blockchain, and surfaces security-alert events
-// back to tenant operators.
+// them to the smart-contract blockchain. Alerts reach tenant operators
+// through the Monitor, not the LI.
 package logger
 
 import (
@@ -33,7 +33,8 @@ var ErrStopped = errors.New("logger: LI stopped")
 // SubmitMode selects how the LI pushes logs to the chain.
 type SubmitMode uint8
 
-// Submission modes (E6 compares them).
+// Submission modes. E2 logs confirmed, E6 compares async with confirmed,
+// and AB3 compares all three.
 const (
 	// SubmitAsync enqueues and returns immediately; the LI's flusher anchors
 	// in the background. Access-control latency is unaffected.
@@ -114,10 +115,6 @@ type LI struct {
 	flushDepth *metrics.Histogram
 	tracer     atomic.Pointer[trace.Tracer]
 
-	alertMu       sync.Mutex
-	alertHandlers []func(core.Alert)
-	cancelSub     func()
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -167,48 +164,22 @@ func NewLI(cfg LIConfig) (*LI, error) {
 		cipher:     cipher,
 		clk:        cfg.Clock,
 		queue:      make(chan queued, cfg.QueueSize),
-		flushDepth: metrics.NewHistogram(0),
+		flushDepth: metrics.NewHistogram(),
 		stop:       make(chan struct{}),
 	}
 	return li, nil
 }
 
-// Start launches the flusher and the alert-event subscription.
+// Start launches the flusher.
 func (li *LI) Start() {
 	li.wg.Add(1)
 	go li.flusher()
-	sub := li.cfg.Node.Subscribe(0)
-	li.cancelSub = sub.Cancel
-	li.wg.Add(1)
-	go func() {
-		defer li.wg.Done()
-		for {
-			select {
-			case <-li.stop:
-				return
-			case note, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				for _, e := range note.Events {
-					if e.Contract == core.ContractName && e.Type == core.EventAlert {
-						if a, err := core.DecodeAlert(e.Payload); err == nil {
-							li.dispatchAlert(a)
-						}
-					}
-				}
-			}
-		}
-	}()
 }
 
 // Stop sends nothing more: the submission in flight finishes, and records
 // still queued — or handed over later — are discarded and counted as Dropped.
 func (li *LI) Stop() {
 	li.stopOnce.Do(func() { close(li.stop) })
-	if li.cancelSub != nil {
-		li.cancelSub()
-	}
 	li.wg.Wait()
 	li.dropQueued()
 }
@@ -227,9 +198,6 @@ func (li *LI) dropQueued() {
 
 // Name returns the LI's identity name.
 func (li *LI) Name() string { return li.cfg.Name }
-
-// Tenant returns the tenant the LI serves.
-func (li *LI) Tenant() string { return li.cfg.Tenant }
 
 // Stats snapshots the counters.
 func (li *LI) Stats() LIStats {
@@ -391,23 +359,5 @@ func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
 		for i, rec := range recs {
 			tr.Span(rec.TraceID, trace.StageLIFlushWait, enqs[i], now.Sub(enqs[i]))
 		}
-	}
-}
-
-// OnAlert registers a handler for security alerts surfaced by the LI
-// (invoked on the LI's event goroutine).
-func (li *LI) OnAlert(fn func(core.Alert)) {
-	li.alertMu.Lock()
-	defer li.alertMu.Unlock()
-	li.alertHandlers = append(li.alertHandlers, fn)
-}
-
-func (li *LI) dispatchAlert(a core.Alert) {
-	li.alertMu.Lock()
-	handlers := make([]func(core.Alert), len(li.alertHandlers))
-	copy(handlers, li.alertHandlers)
-	li.alertMu.Unlock()
-	for _, fn := range handlers {
-		fn(a)
 	}
 }

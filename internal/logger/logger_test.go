@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,37 +237,6 @@ func TestLIStoppedRejects(t *testing.T) {
 	}
 }
 
-func TestLIAlertDispatch(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
-	var alerted atomic.Value
-	env.li.OnAlert(func(a core.Alert) { alerted.Store(a) })
-
-	// Conflicting records for the same interception point → equivocation
-	// alert surfaced to the LI's handlers.
-	rec := pepRequestRecord("eq-1")
-	if err := env.li.Log(context.Background(), rec); err != nil {
-		t.Fatal(err)
-	}
-	waitForRecord(t, env.node, "eq-1", core.KindPEPRequest)
-	conflict := rec
-	conflict.ReqDigest = crypto.Sum([]byte("conflict"))
-	if err := env.li.Log(context.Background(), conflict); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if v := alerted.Load(); v != nil {
-			a := v.(core.Alert)
-			if a.Type != core.AlertEquivocation {
-				t.Fatalf("alert = %+v", a)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("alert never dispatched")
-}
-
 func TestLISealOpenAndTag(t *testing.T) {
 	env := newLIEnv(t, SubmitSync)
 	req := xacml.NewRequest("r1").Add(xacml.CatSubject, "role", xacml.String("doctor"))
@@ -286,8 +254,8 @@ func TestLISealOpenAndTag(t *testing.T) {
 	if env.li.DecisionTag("r1", xacml.Permit) != core.DecisionTag(testKey, "r1", xacml.Permit) {
 		t.Fatal("LI tag differs from core tag")
 	}
-	if env.li.Name() != "li@t1" || env.li.Tenant() != "t1" {
-		t.Fatal("identity accessors wrong")
+	if env.li.Name() != "li@t1" {
+		t.Fatal("identity accessor wrong")
 	}
 }
 

@@ -24,7 +24,7 @@ func splitmix64(state *uint64) uint64 {
 // tail, which is precisely where SLO thresholds look.
 func TestHistogramQuantileErrorBound(t *testing.T) {
 	const n = 1_000_000
-	h := NewHistogram(0)
+	h := NewHistogram()
 	ref := make([]float64, 0, n)
 	state := uint64(0x5eed)
 	for i := 0; i < n; i++ {
@@ -61,14 +61,14 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 		t.Errorf("extremes: q0=%v want %v, q1=%v want %v",
 			h.Quantile(0), ref[0], h.Quantile(1), ref[n-1])
 	}
-	if h.Count() != n {
-		t.Errorf("count = %d, want %d", h.Count(), n)
+	if h.Snapshot().Count != n {
+		t.Errorf("count = %d, want %d", h.Snapshot().Count, n)
 	}
 	var sum float64
 	for _, v := range ref {
 		sum += v
 	}
-	if mean := h.Mean(); math.Abs(mean-sum/n)/(sum/n) > 1e-9 {
+	if mean := h.Snapshot().Mean; math.Abs(mean-sum/n)/(sum/n) > 1e-9 {
 		t.Errorf("mean = %v, want %v", mean, sum/n)
 	}
 

@@ -1,7 +1,7 @@
 // Package metrics implements the lightweight instrumentation used by the
-// DRAMS experiment harness: counters, gauges and latency histograms with
+// DRAMS experiment harness: counters and latency histograms with
 // percentile summaries. All types are safe for concurrent use and the zero
-// values of Counter and Gauge are ready to use.
+// value of Counter is ready to use.
 package metrics
 
 import (
@@ -32,18 +32,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Gauge is a value that can go up and down. The zero value is ready to use.
-type Gauge struct{ n atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.n.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.n.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.n.Load() }
-
 // Histogram records observations and reports percentile summaries. It keeps
 // HDR-style log-bucketed counts — each power of two is split into 2^subBits
 // linear sub-buckets — so quantiles carry a bounded relative error
@@ -62,11 +50,8 @@ type Histogram struct {
 // power of two bound the relative quantile error at 1/1024.
 const subBits = 10
 
-// NewHistogram returns an empty Histogram. The parameter is retained for
-// API compatibility with the old reservoir-sampling implementation and is
-// ignored: log-bucketed counts are exact in count and bounded in memory
-// without a sample cap.
-func NewHistogram(int) *Histogram {
+// NewHistogram returns an empty Histogram.
+func NewHistogram() *Histogram {
 	return &Histogram{
 		buckets: make(map[int32]int64),
 		min:     math.Inf(1),
@@ -140,43 +125,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the arithmetic mean of all observations (0 if none).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation (0 if none).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation (0 if none).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // bucketRow is one populated bucket, ordered by represented value.
 type bucketRow struct {
 	lo, hi float64
@@ -228,14 +176,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return quantileFrom(h.sortedBuckets(), h.count, h.min, h.max, q)
-}
-
-// Buckets returns the number of populated log-buckets — the memory bound of
-// the histogram, proportional to the data's span, not its volume.
-func (h *Histogram) Buckets() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.buckets)
 }
 
 // octaveUpper returns the smallest power-of-two upper bound that covers
@@ -344,16 +284,15 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Min, s.Max)
 }
 
-// Registry groups named metrics for an experiment run.
+// Registry groups named histograms; counters and gauges reach exposition
+// as samples from collectors over components' Stats.
 //
 // A metric name may carry a Prometheus-style label suffix,
-// e.g. `drams_monitor_alerts_total{type="M1"}`: series sharing the part
+// e.g. `drams_trace_stage_ms{stage="pep.decide"}`: series sharing the part
 // before the brace form one metric family for exposition. Help text is
 // registered per family with Help.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	help       map[string]string // keyed by family name
 }
@@ -361,8 +300,6 @@ type Registry struct {
 // NewRegistry returns an empty Registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		help:       make(map[string]string),
 	}
@@ -387,37 +324,13 @@ func (r *Registry) Help(family, help string) {
 	}
 }
 
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns (creating if needed) the named histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = NewHistogram(0)
+		h = NewHistogram()
 		r.histograms[name] = h
 	}
 	return h
@@ -456,20 +369,11 @@ type Sample struct {
 	Hist  *HistExport // set for KindHistogram
 }
 
-// Samples snapshots every registered metric, sorted by family then full
-// series name, so exposition output is deterministic. Histograms are
-// exported in cumulative-bucket form.
+// Samples snapshots every registered histogram in cumulative-bucket form,
+// sorted by family then full series name, so exposition output is
+// deterministic.
 func (r *Registry) Samples() []Sample {
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		family, _ := SplitSeries(name)
-		out = append(out, Sample{Name: name, Kind: KindCounter, Help: r.help[family], Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		family, _ := SplitSeries(name)
-		out = append(out, Sample{Name: name, Kind: KindGauge, Help: r.help[family], Value: g.Value()})
-	}
 	hists := make(map[string]*Histogram, len(r.histograms))
 	for name, h := range r.histograms {
 		hists[name] = h
@@ -483,6 +387,7 @@ func (r *Registry) Samples() []Sample {
 
 	// Histogram export takes each histogram's own lock; do it outside the
 	// registry lock so a scrape never serializes against metric creation.
+	out := make([]Sample, 0, len(hists))
 	for name, h := range hists {
 		family, _ := SplitSeries(name)
 		ex := h.Export()
@@ -503,34 +408,4 @@ func SortSamples(s []Sample) {
 		}
 		return s[i].Name < s[j].Name
 	})
-}
-
-// Dump renders all metrics one per line, sorted by metric name (ties
-// broken by the type keyword) — deterministic regardless of map order or
-// registration order.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	type row struct{ name, line string }
-	rows := make([]row, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		rows = append(rows, row{name, fmt.Sprintf("counter %s = %d", name, c.Value())})
-	}
-	for name, g := range r.gauges {
-		rows = append(rows, row{name, fmt.Sprintf("gauge %s = %d", name, g.Value())})
-	}
-	for name, h := range r.histograms {
-		rows = append(rows, row{name, fmt.Sprintf("hist %s: %s", name, h.Snapshot())})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].name != rows[j].name {
-			return rows[i].name < rows[j].name
-		}
-		return rows[i].line < rows[j].line
-	})
-	lines := make([]string, len(rows))
-	for i, r := range rows {
-		lines[i] = r.line
-	}
-	return strings.Join(lines, "\n")
 }

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// Buckets returns the number of populated log-buckets — the memory bound of
+// the histogram, proportional to the data's span, not its volume.
+func (h *Histogram) Buckets() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.buckets)
+}
+
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -36,33 +44,24 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %d, want 6", got)
-	}
-}
-
 func TestHistogramBasicStats(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.Snapshot().Count != 100 {
+		t.Fatalf("count = %d", h.Snapshot().Count)
 	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
+	if got := h.Snapshot().Mean; math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", got)
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Snapshot().Min != 1 || h.Snapshot().Max != 100 {
+		t.Fatalf("min/max = %v/%v", h.Snapshot().Min, h.Snapshot().Max)
 	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
 	}
@@ -81,8 +80,8 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
+	h := NewHistogram()
+	if h.Snapshot().Mean != 0 || h.Quantile(0.5) != 0 || h.Snapshot().Min != 0 || h.Snapshot().Max != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	s := h.Snapshot()
@@ -92,7 +91,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramBoundedMemory(t *testing.T) {
-	h := NewHistogram(128)
+	h := NewHistogram()
 	for i := 0; i < 100000; i++ {
 		h.Observe(float64(i))
 	}
@@ -101,8 +100,8 @@ func TestHistogramBoundedMemory(t *testing.T) {
 	if got := h.Buckets(); got > 16*1024 {
 		t.Fatalf("bucket count grew to %d", got)
 	}
-	if h.Count() != 100000 {
-		t.Fatalf("count = %d", h.Count())
+	if h.Snapshot().Count != 100000 {
+		t.Fatalf("count = %d", h.Snapshot().Count)
 	}
 	if p50 := h.Quantile(0.5); math.Abs(p50-49999.5) > 100 {
 		t.Fatalf("p50 = %v, want ~49999.5", p50)
@@ -110,12 +109,12 @@ func TestHistogramBoundedMemory(t *testing.T) {
 }
 
 func TestHistogramNegativeAndZero(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for _, v := range []float64{-10, -1, 0, 0, 1, 10} {
 		h.Observe(v)
 	}
-	if h.Min() != -10 || h.Max() != 10 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Snapshot().Min != -10 || h.Snapshot().Max != 10 {
+		t.Fatalf("min/max = %v/%v", h.Snapshot().Min, h.Snapshot().Max)
 	}
 	if p0 := h.Quantile(0); p0 != -10 {
 		t.Fatalf("q0 = %v, want -10", p0)
@@ -126,15 +125,15 @@ func TestHistogramNegativeAndZero(t *testing.T) {
 }
 
 func TestHistogramObserveDuration(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	h.ObserveDuration(1500 * time.Microsecond)
-	if got := h.Mean(); math.Abs(got-1.5) > 1e-9 {
+	if got := h.Snapshot().Mean; math.Abs(got-1.5) > 1e-9 {
 		t.Fatalf("duration ms = %v, want 1.5", got)
 	}
 }
 
 func TestSnapshotStdDev(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		h.Observe(v)
 	}
@@ -150,23 +149,18 @@ func TestSnapshotStdDev(t *testing.T) {
 
 func TestRegistryReuse(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("x")
-	c1.Inc()
-	if r.Counter("x").Value() != 1 {
-		t.Fatal("registry did not return same counter")
+	h := r.Histogram("h")
+	h.Observe(1)
+	if r.Histogram("h") != h {
+		t.Fatal("registry did not return same histogram")
 	}
-	r.Gauge("g").Set(5)
-	r.Histogram("h").Observe(1)
-	dump := r.Dump()
-	for _, want := range []string{"counter x = 1", "gauge g = 5", "hist h"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("dump missing %q:\n%s", want, dump)
-		}
+	if s := r.Samples(); len(s) != 1 || s[0].Name != "h" || s[0].Hist.Count != 1 {
+		t.Fatalf("samples = %+v", s)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(1024)
+	h := NewHistogram()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -178,36 +172,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
-	}
-}
-
-// TestDumpGolden locks Dump's exact output: sorted by metric name across
-// all three metric types, independent of registration order and map
-// iteration order.
-func TestDumpGolden(t *testing.T) {
-	r := NewRegistry()
-	// Register deliberately out of name order and across types.
-	r.Histogram("zeta").Observe(4)
-	r.Counter("mid").Add(7)
-	r.Gauge("alpha").Set(-2)
-	r.Counter("alpha2").Add(1)
-	r.Gauge("mid2").Set(9)
-
-	want := strings.Join([]string{
-		"gauge alpha = -2",
-		"counter alpha2 = 1",
-		"counter mid = 7",
-		"gauge mid2 = 9",
-		"hist zeta: n=1 mean=4.000 p50=4.000 p90=4.000 p99=4.000 min=4.000 max=4.000",
-	}, "\n")
-	if got := r.Dump(); got != want {
-		t.Fatalf("Dump() mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	// Same registry, fresh call: must be byte-identical.
-	if again := r.Dump(); again != r.Dump() {
-		t.Fatal("Dump() is not deterministic across calls")
+	if h.Snapshot().Count != 8000 {
+		t.Fatalf("count = %d, want 8000", h.Snapshot().Count)
 	}
 }
 
@@ -215,7 +181,7 @@ func TestDumpGolden(t *testing.T) {
 // valid Prometheus `le` upper bounds, counts are cumulative and total to
 // Count, and Sum is exact.
 func TestHistogramExport(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for _, v := range []float64{0.5, 0.7, 1.5, 3, 3.9, 100} {
 		h.Observe(v)
 	}
@@ -266,25 +232,23 @@ func TestHistogramExport(t *testing.T) {
 // label-suffix splitting.
 func TestRegistrySamples(t *testing.T) {
 	r := NewRegistry()
-	r.Help("drams_monitor_alerts_total", "Alerts observed by type.")
-	r.Counter(`drams_monitor_alerts_total{type="M3"}`).Add(2)
-	r.Counter(`drams_monitor_alerts_total{type="M1"}`).Add(1)
-	r.Gauge("drams_chain_height").Set(10)
-	r.Histogram("drams_trace_stage_ms").Observe(1.5)
+	r.Help("drams_trace_stage_ms", "Span duration by stage.")
+	r.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Observe(1.5)
+	r.Histogram(`drams_trace_stage_ms{stage="chain.anchor"}`).Observe(2)
+	r.Histogram("drams_alpha_ms").Observe(3)
 
 	s := r.Samples()
-	if len(s) != 4 {
-		t.Fatalf("got %d samples, want 4", len(s))
+	if len(s) != 3 {
+		t.Fatalf("got %d samples, want 3", len(s))
 	}
 	var names []string
 	for _, smp := range s {
 		names = append(names, smp.Name)
 	}
 	want := []string{
-		"drams_chain_height",
-		`drams_monitor_alerts_total{type="M1"}`,
-		`drams_monitor_alerts_total{type="M3"}`,
-		"drams_trace_stage_ms",
+		"drams_alpha_ms",
+		`drams_trace_stage_ms{stage="chain.anchor"}`,
+		`drams_trace_stage_ms{stage="pep.decide"}`,
 	}
 	for i := range want {
 		if names[i] != want[i] {
@@ -292,18 +256,16 @@ func TestRegistrySamples(t *testing.T) {
 		}
 	}
 	for _, smp := range s {
-		fam, _ := SplitSeries(smp.Name)
-		if fam == "drams_monitor_alerts_total" {
-			if smp.Help != "Alerts observed by type." {
-				t.Fatalf("help not propagated to %s", smp.Name)
-			}
-			if smp.Kind != KindCounter {
-				t.Fatalf("kind = %v, want counter", smp.Kind)
-			}
+		if smp.Kind != KindHistogram || smp.Hist == nil || smp.Hist.Count != 1 {
+			t.Fatalf("histogram sample malformed: %+v", smp)
 		}
-	}
-	if s[3].Kind != KindHistogram || s[3].Hist == nil || s[3].Hist.Count != 1 {
-		t.Fatalf("histogram sample malformed: %+v", s[3])
+		wantHelp := ""
+		if fam, _ := SplitSeries(smp.Name); fam == "drams_trace_stage_ms" {
+			wantHelp = "Span duration by stage."
+		}
+		if smp.Help != wantHelp {
+			t.Fatalf("%s: help = %q, want %q", smp.Name, smp.Help, wantHelp)
+		}
 	}
 }
 

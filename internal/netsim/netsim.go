@@ -60,10 +60,6 @@ var (
 	ErrUnknownAddress = transport.ErrUnknownAddress
 	// ErrAddressInUse is returned when registering a duplicate address.
 	ErrAddressInUse = transport.ErrAddressInUse
-	// ErrDropped is returned to callers when the network dropped the request
-	// or the reply (Call only; one-way sends are dropped silently, as on a
-	// real network).
-	ErrDropped = transport.ErrDropped
 	// ErrNoHandler is returned when the peer has no handler for a call kind.
 	ErrNoHandler = transport.ErrNoHandler
 	// ErrCrashed is returned when the destination endpoint is crashed.
@@ -236,13 +232,6 @@ func (n *Network) SetLinkFault(a, b string, dropRate float64, extraLatency time.
 	n.state.Lock()
 	defer n.state.Unlock()
 	n.state.links[linkKey(a, b)] = linkFault{dropRate: dropRate, extraLatency: extraLatency}
-}
-
-// ClearLinkFault removes any fault on the a–b link.
-func (n *Network) ClearLinkFault(a, b string) {
-	n.state.Lock()
-	defer n.state.Unlock()
-	delete(n.state.links, linkKey(a, b))
 }
 
 func linkKey(a, b string) string {

@@ -169,10 +169,10 @@ func TestLinkFault(t *testing.T) {
 	if cGot.Load() != 10 {
 		t.Fatalf("unfaulted link delivered %d", cGot.Load())
 	}
-	n.ClearLinkFault("a", "b")
+	n.SetLinkFault("a", "b", 0, 0)
 	_ = a.Send("b", "m", nil)
 	if bGot.Load() != 1 {
-		t.Fatal("link not restored after ClearLinkFault")
+		t.Fatal("link not restored by a zero fault")
 	}
 }
 

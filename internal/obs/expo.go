@@ -152,6 +152,8 @@ var (
 // counters suffixed _total, histograms/gauges not pretending to be
 // counters, and no family exposed under two different kinds. A clean
 // fleet registry must return nil.
+//
+//lint:ignore deadcode exposition checker for tests: obs's own tests and the root package's TestMetricsExpositionLint lint sample sets with it
 func Lint(samples []metrics.Sample) []error {
 	var errs []error
 	kinds := make(map[string]metrics.Kind)

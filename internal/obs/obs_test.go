@@ -14,17 +14,17 @@ import (
 )
 
 func TestWriteExpositionGolden(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Help("drams_node_blocks_accepted_total", "Blocks accepted onto the best chain.")
-	reg.Help("drams_node_mempool_len", "Pending transactions in the mempool.")
-	reg.Counter("drams_node_blocks_accepted_total").Add(7)
-	reg.Gauge("drams_node_mempool_len").Set(3)
-
-	g := NewGatherer(reg)
+	g := NewGatherer(nil)
 	g.Register(func() []metrics.Sample {
 		return []metrics.Sample{
-			C(`drams_monitor_alerts_total{type="M1"}`, "Alerts observed, by M-check type.", 2),
+			G("drams_node_mempool_len", "Pending transactions in the mempool.", 3),
+			C("drams_node_blocks_accepted_total", "Blocks accepted onto the best chain.", 7),
+		}
+	})
+	g.Register(func() []metrics.Sample {
+		return []metrics.Sample{
 			C(`drams_monitor_alerts_total{type="M3"}`, "Alerts observed, by M-check type.", 5),
+			C(`drams_monitor_alerts_total{type="M1"}`, "Alerts observed, by M-check type.", 2),
 		}
 	})
 
@@ -124,9 +124,8 @@ func TestHealthReady(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Help("drams_up_total", "Test counter.")
-	reg.Counter("drams_up_total").Inc()
+	g := NewGatherer(nil)
+	g.Register(func() []metrics.Sample { return []metrics.Sample{C("drams_up_total", "Test counter.", 1)} })
 	health := NewHealth()
 	ready := false
 	health.AddReady("chain", func() error {
@@ -135,7 +134,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 		return nil
 	})
-	srv := httptest.NewServer(Handler(NewGatherer(reg), health))
+	srv := httptest.NewServer(Handler(g, health))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -189,7 +188,7 @@ func TestTracerTimeline(t *testing.T) {
 		}
 	}
 	// Per-stage histograms land in the registry under the stage label.
-	if reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Count() != 1 {
+	if reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Snapshot().Count != 1 {
 		t.Fatal("stage histogram not recorded")
 	}
 	// FIFO eviction at capacity 2: adding traces 2 and 3 evicts req-1.
@@ -202,7 +201,7 @@ func TestTracerTimeline(t *testing.T) {
 		t.Fatal("req-3 missing")
 	}
 	// Later spans of a stage land in the same registry series.
-	if n := reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Count(); n != 3 {
+	if n := reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Snapshot().Count; n != 3 {
 		t.Fatalf("pep.decide series counted %d spans, want 3", n)
 	}
 }
@@ -235,16 +234,18 @@ func (b *blockedWriter) Write(p []byte) (int, error) {
 // Gather calls all proceed while the first scrape is still blocked.
 func TestStalledScraperHoldsNoLocks(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Help("drams_decides_total", "Decides executed.")
 	reg.Help("drams_decide_ms", "Decide latency.")
-	c := reg.Counter("drams_decides_total")
+	var c metrics.Counter
 	h := reg.Histogram("drams_decide_ms")
 	g := NewGatherer(reg)
 	var statsMu sync.Mutex // stands in for a component's Stats() lock
 	g.Register(func() []metrics.Sample {
 		statsMu.Lock()
 		defer statsMu.Unlock()
-		return []metrics.Sample{G("drams_component_gauge", "Component state.", 1)}
+		return []metrics.Sample{
+			C("drams_decides_total", "Decides executed.", c.Value()),
+			G("drams_component_gauge", "Component state.", 1),
+		}
 	})
 	handler := Handler(g, NewHealth())
 

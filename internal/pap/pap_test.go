@@ -329,8 +329,8 @@ func TestFlipReportedAfterListenersRan(t *testing.T) {
 	if res, err := pdp.Evaluate(doctorRead("early")); err != nil || res.PolicyVersion != "v9" {
 		t.Fatalf("PDP on %q (%v) while the listener runs, want v9", res.PolicyVersion, err)
 	}
-	if got := w.Version(); got != "" {
-		t.Fatalf("Version() = %q while the listener is still running", got)
+	if got := w.Stats().Version; got != "" {
+		t.Fatalf("Stats().Version = %q while the listener is still running", got)
 	}
 	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
@@ -446,11 +446,11 @@ func TestWatcherResyncOnDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Version(); got != "" {
+	if got := w.Stats().Version; got != "" {
 		t.Fatalf("fresh watcher already at %q", got)
 	}
 	w.observeDrops(3)
-	if got := w.Version(); got != "v2" {
+	if got := w.Stats().Version; got != "v2" {
 		t.Fatalf("after drop-triggered resync at %q, want v2", got)
 	}
 	st := w.Stats()

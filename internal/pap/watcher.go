@@ -89,7 +89,7 @@ type Watcher struct {
 	staged    map[string]*stagedPolicy // version → verified parsed set, until activated
 	current   string                   // last version applied locally
 	curHeight uint64
-	// shown is what Version, Stats and WaitForVersion report: current, once
+	// shown is what Stats and WaitForVersion report: current, once
 	// the listeners of that flip have run (see activate).
 	shown       string
 	shownHeight uint64
@@ -201,13 +201,6 @@ func (w *Watcher) Stop() {
 		w.cancelSub()
 	}
 	w.wg.Wait()
-}
-
-// Version returns the version this member last activated.
-func (w *Watcher) Version() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.shown
 }
 
 // Stats snapshots the watcher counters.

@@ -77,9 +77,6 @@ func TestPolicyItemZeroValue(t *testing.T) {
 	if got := pi.Evaluate(NewRequest("x")); got != NotApplicable {
 		t.Fatalf("empty item = %s", got)
 	}
-	if pi.ID() != "" {
-		t.Fatalf("empty item id = %q", pi.ID())
-	}
 }
 
 func TestOnlyOneApplicableAtRuleLevelIsAuthoringError(t *testing.T) {

@@ -59,7 +59,6 @@ func (res Result) Digest() crypto.Digest {
 type PDP struct {
 	current atomic.Pointer[loadedPolicy]
 	cache   atomic.Pointer[DecisionCache]
-	evals   atomic.Int64
 }
 
 type loadedPolicy struct {
@@ -104,18 +103,6 @@ func (p *PDP) Load(ps *PolicySet) {
 	}
 }
 
-// Policy returns the active policy set and its digest.
-func (p *PDP) Policy() (*PolicySet, crypto.Digest, error) {
-	lp := p.current.Load()
-	if lp == nil {
-		return nil, crypto.Digest{}, ErrNoPolicy
-	}
-	return lp.set, lp.digest, nil
-}
-
-// Evaluations returns how many requests this PDP has evaluated.
-func (p *PDP) Evaluations() int64 { return p.evals.Load() }
-
 // Evaluate computes the decision for a request, answering from the
 // decision cache when one is attached and the request's attribute content
 // was evaluated before under the active policy set. Only the correlation ID
@@ -136,7 +123,6 @@ func (p *PDP) Evaluate(r *Request) (Result, error) {
 	if lp == nil {
 		return Result{}, ErrNoPolicy
 	}
-	p.evals.Add(1)
 	var key crypto.Digest
 	if cache != nil {
 		key = r.Digest()

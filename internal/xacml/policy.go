@@ -98,12 +98,6 @@ const (
 	PermitUnlessDeny  CombiningAlg = "permit-unless-deny"
 )
 
-// CombiningAlgs lists all supported algorithms.
-func CombiningAlgs() []CombiningAlg {
-	return []CombiningAlg{DenyOverrides, PermitOverrides, FirstApplicable,
-		OnlyOneApplicable, DenyUnlessPermit, PermitUnlessDeny}
-}
-
 // Obligation is an action the PEP must fulfil alongside enforcing the
 // decision.
 type Obligation struct {
@@ -283,17 +277,6 @@ func (pi PolicyItem) obliges(eff Effect) bool {
 		return fulfilledOn(ps.Obligs, eff)
 	}
 	return false
-}
-
-// ID returns the child's identifier.
-func (pi PolicyItem) ID() string {
-	if pi.Policy != nil {
-		return pi.Policy.ID
-	}
-	if pi.Set != nil {
-		return pi.Set.ID
-	}
-	return ""
 }
 
 // PolicySet groups policies/policy sets under a policy-combining algorithm.

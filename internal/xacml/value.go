@@ -114,9 +114,13 @@ func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
 
 // Bool builds a boolean value.
+//
+//lint:ignore deadcode Value constructor beside String, Int and Float: xacml's and core's tests build bool and time attributes with it
 func Bool(b bool) Value { return Value{T: TypeBool, B: b} }
 
 // Time builds a time value.
+//
+//lint:ignore deadcode Value constructor beside String, Int and Float: xacml's and core's tests build bool and time attributes with it
 func Time(tm time.Time) Value { return Value{T: TypeTime, Tm: tm.UTC()} }
 
 // Equal reports exact typed equality.
@@ -238,6 +242,8 @@ func (v Value) appendKey(dst []byte) []byte {
 type Bag []Value
 
 // Contains reports whether the bag holds a value equal to v.
+//
+//lint:ignore deadcode test helper: the xacml, analysis and federation packages' tests look values up in a bag with it
 func (b Bag) Contains(v Value) bool {
 	for _, x := range b {
 		if x.Equal(v) {

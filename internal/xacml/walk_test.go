@@ -251,6 +251,12 @@ func appendFulfilledOn(dst, obls []Obligation, eff Effect) []Obligation {
 	return dst
 }
 
+// CombiningAlgs lists all supported algorithms.
+func CombiningAlgs() []CombiningAlg {
+	return []CombiningAlg{DenyOverrides, PermitOverrides, FirstApplicable,
+		OnlyOneApplicable, DenyUnlessPermit, PermitUnlessDeny}
+}
+
 // obligedPolicySet generates a policy set of params' shape with a nested
 // set, every combining algorithm drawn from all six (only-one-applicable
 // included, at both levels), and the obligations obls draws attached at

@@ -3,7 +3,9 @@
 # stdlib-only analyzer suite that enforces the architectural invariants
 # (netsim isolation, the dep-free obs stratum, ctx propagation, no
 # blocking call under a lock, pinned chaos seeds, errors.Is on wire
-# sentinels, snapshot-only Stats; see docs/ARCHITECTURE.md).
+# sentinels, snapshot-only Stats, and deadcode: every non-test declaration
+# reachable from a binary or the root package's API; see
+# docs/ARCHITECTURE.md §13).
 #
 # Usage:
 #   scripts/check.sh                   # run the gate from the repo root
