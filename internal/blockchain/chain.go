@@ -190,11 +190,12 @@ func (c *Chain) Receipt(txID crypto.Digest) (Receipt, uint64, error) {
 }
 
 // ReadState runs fn with read access to the named contract's best-chain
-// state. fn must not retain the StateDB.
+// state. fn must not write it or retain the StateDB. Bytes that Get returns
+// are the stored ones: fn may keep them, but must not modify them.
 func (c *Chain) ReadState(contractName string, fn func(st contract.StateDB)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	fn(contract.Namespace(c.state, contractName))
+	fn(c.state.View(contractName))
 }
 
 // StateDigest returns a digest of the full contract state at head; replicas

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -445,7 +447,7 @@ func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
 		}
 	}
 	c.ReadState("kv", func(st contract.StateDB) {
-		if keys := st.Keys(""); len(keys) != 0 {
+		if keys := slices.Collect(st.Keys("")); len(keys) != 0 {
 			t.Errorf("unparseable args wrote state: %v", keys)
 		}
 	})
@@ -709,5 +711,61 @@ func TestAnyHeaderMutationRejected(t *testing.T) {
 				t.Fatalf("mutation %d accepted without valid PoW", i)
 			}
 		}
+	}
+}
+
+// TestReadStateDuringReorg: contract state has no lock of its own, so every
+// reader goes through the chain's lock. Readers walk a contract's keys, read
+// a contract that has stored nothing and take the digest while blocks apply
+// and a longer branch makes the chain rebuild its state.
+func TestReadStateDuringReorg(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	extend := func(parent crypto.Digest, n int, tag string) crypto.Digest {
+		for i := range n {
+			b, _ := c.BlockByHash(parent)
+			tx, err := NewTransaction(alice, b.Header.Height, putCall(fmt.Sprintf("%s-%d", tag, i), tag))
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := mineChild(t, c, parent, tx)
+			if err := c.AddBlock(child); err != nil {
+				t.Fatal(err)
+			}
+			parent = child.Hash()
+		}
+		return parent
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.ReadState("kv", func(st contract.StateDB) {
+					for k := range st.Keys("") {
+						st.Get(k)
+					}
+				})
+				c.ReadState("anchor", func(st contract.StateDB) { st.Get("x") })
+				c.StateDigest()
+			}
+		}()
+	}
+	fork := extend(c.Genesis(), 4, "main")
+	extend(fork, 6, "side")
+	extend(fork, 8, "branch") // longer: the chain rebuilds state from genesis
+	close(stop)
+	wg.Wait()
+	var keys []string
+	c.ReadState("kv", func(st contract.StateDB) { keys = slices.Collect(st.Keys("data/")) })
+	if len(keys) != 12 {
+		t.Fatalf("%d kv rows after the reorg, want 12 (4 main, 8 branch, none of side): %v", len(keys), keys)
 	}
 }

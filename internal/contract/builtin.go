@@ -56,7 +56,7 @@ func (k *KVContract) Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error
 	}
 }
 
-// ReadKV reads a KVContract value out of a (namespaced) state snapshot.
+// ReadKV reads a KVContract value out of the contract's space.
 //
 //lint:ignore deadcode KVContract's reader: the contract, blockchain and root packages' tests read kv writes through it
 func ReadKV(st StateDB, key string) ([]byte, bool) {
@@ -140,7 +140,7 @@ func anchorKey(stream string, seq uint64) string {
 	return fmt.Sprintf("anchor/%s/%016x", stream, seq)
 }
 
-// ReadAnchor reads an anchor record from a namespaced state view.
+// ReadAnchor reads an anchor record from the contract's space.
 func ReadAnchor(st StateDB, stream string, seq uint64) (AnchorRecord, bool) {
 	b, ok := st.Get(anchorKey(stream, seq))
 	if !ok {
@@ -155,13 +155,9 @@ func ReadAnchor(st StateDB, stream string, seq uint64) (AnchorRecord, bool) {
 
 // ListAnchors returns every anchored sequence for a stream in order.
 func ListAnchors(st StateDB, stream string) []AnchorRecord {
-	keys := st.Keys("anchor/" + stream + "/")
-	out := make([]AnchorRecord, 0, len(keys))
-	for _, k := range keys {
-		b, ok := st.Get(k)
-		if !ok {
-			continue
-		}
+	var out []AnchorRecord
+	for k := range st.Keys("anchor/" + stream + "/") {
+		b, _ := st.Get(k)
 		var rec AnchorRecord
 		if err := json.Unmarshal(b, &rec); err != nil {
 			continue

@@ -13,9 +13,13 @@
 package contract
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,40 +64,37 @@ type CallCtx struct {
 	// Caller is the verified component identity name that signed the
 	// transaction.
 	Caller string
-	// Cross gives the contract read-only access to other contracts'
-	// committed state (earlier transactions of the same block included).
-	// Set by the engine; nil when a contract is executed standalone, so
-	// contracts must treat cross-reads as optional.
+	// Cross gives the contract read-only access to other contracts' state
+	// (earlier transactions of the same block included). Set by the engine;
+	// nil when a contract is executed standalone, so contracts must treat
+	// cross-reads as optional.
 	Cross CrossReader
 }
 
-// CrossReader is deterministic read-only access to another contract's
-// state namespace. Reads observe the block-application state: everything
-// committed up to (but not including) the currently executing transaction
-// of the same block, which is identical on every replica.
+// CrossReader is deterministic read-only access to other contracts' spaces.
+// Reads observe the block-application state: everything applied up to (but
+// not including) the currently executing transaction of the same block,
+// which is identical on every replica. No write of the executing
+// transaction can reach another contract's space. Returned bytes are the
+// stored ones and must not be modified.
 type CrossReader interface {
 	// Read returns the value stored under key in the named contract's
-	// namespace.
+	// space.
 	Read(contractName, key string) ([]byte, bool)
-	// ReadKeys lists the named contract's keys with the given prefix,
-	// sorted.
-	ReadKeys(contractName, prefix string) []string
+	// ReadKeys yields the named contract's keys with the given prefix, in
+	// byte order.
+	ReadKeys(contractName, prefix string) iter.Seq[string]
 }
 
-// crossView implements CrossReader over the engine's root state.
-type crossView struct{ st StateDB }
+// crossView implements CrossReader over the engine's state.
+type crossView struct{ st *State }
 
 func (c crossView) Read(contractName, key string) ([]byte, bool) {
-	return c.st.Get(contractName + "/" + key)
+	return c.st.View(contractName).Get(key)
 }
 
-func (c crossView) ReadKeys(contractName, prefix string) []string {
-	full := c.st.Keys(contractName + "/" + prefix)
-	out := make([]string, len(full))
-	for i, k := range full {
-		out[i] = strings.TrimPrefix(k, contractName+"/")
-	}
-	return out
+func (c crossView) ReadKeys(contractName, prefix string) iter.Seq[string] {
+	return c.st.View(contractName).Keys(prefix)
 }
 
 // Event is an on-chain occurrence published to off-chain subscribers.
@@ -105,18 +106,19 @@ type Event struct {
 	TxID     crypto.Digest   `json:"txId"`
 }
 
-// StateDB is the contract's view of persistent on-chain state. Keys are
-// namespaced by contract name by the engine, so contracts cannot read or
-// write each other's state.
+// StateDB is a contract's view of its persistent on-chain state: its own
+// space of a State, so contracts cannot read or write each other's state.
 type StateDB interface {
-	// Get returns the stored value and whether it exists.
+	// Get returns the stored value and whether it exists. The bytes are the
+	// stored ones, not a copy: they must not be modified.
 	Get(key string) ([]byte, bool)
-	// Set stores value under key.
+	// Set stores a copy of value under key.
 	Set(key string, value []byte)
 	// Delete removes key.
 	Delete(key string)
-	// Keys returns all keys with the given prefix, sorted.
-	Keys(prefix string) []string
+	// Keys yields the keys with the given prefix in byte order, and stops
+	// when the caller does. The state must not be written while it runs.
+	Keys(prefix string) iter.Seq[string]
 }
 
 // Contract is deterministic on-chain logic.
@@ -189,175 +191,168 @@ func (r *Registry) Names() []string {
 	return r.names
 }
 
-// State is the canonical StateDB implementation: an in-memory map with
-// cloning (for fork execution) and nested overlay transactions (so a failed
-// contract call rolls back cleanly). Values live in the map, so Get is one
-// hash lookup; the key set is mirrored in an ordered index, so Keys(prefix)
-// costs O(log n + matches) however many unrelated keys the state holds —
-// block hooks scan a short queue ("deadline/", "sched/") on every block
-// beside an ever-growing record set.
+// State is the canonical state: one space per contract, each a map of the
+// contract's values beside an ordered index of its keys, so Get is one hash
+// lookup and Keys(prefix) costs O(log n + what the caller reads) however
+// many unrelated keys the contract holds. A State has no lock: the chain
+// applies blocks under its write lock and reads under its read lock.
+//
+// While the engine runs a transaction, every write is journalled with the
+// value it replaced, and a call that fails is rolled back in place. Stored
+// slices are never written in place (Set stores a copy; rollback puts the
+// prior slice back), so Get returns the stored slice, whose bytes must not
+// be modified.
 type State struct {
-	mu    sync.RWMutex
+	spaces  map[string]*space
+	ordered []*space // by name+"/", the byte order of the full keys
+	journal []undo   // the open transaction's writes, oldest first
+	inTx    bool
+}
+
+// space is one contract's part of a State.
+type space struct {
+	st    *State
+	name  string
 	data  map[string][]byte
 	index keyIndex // exactly the keys of data
 }
 
+// undo is one journalled write: what its key held before.
+type undo struct {
+	sp      *space
+	key     string
+	prior   []byte
+	existed bool
+}
+
 // NewState returns an empty state.
 func NewState() *State {
-	return &State{data: make(map[string][]byte)}
+	return &State{spaces: make(map[string]*space)}
+}
+
+// Namespace returns the named contract's space of st, adding it on first
+// use. Keys are private to a space, so contracts cannot read or write each
+// other's state through it.
+func Namespace(st *State, contractName string) StateDB {
+	if sp := st.spaces[contractName]; sp != nil {
+		return sp
+	}
+	sp := &space{st: st, name: contractName, data: make(map[string][]byte)}
+	st.spaces[contractName] = sp
+	i, _ := slices.BinarySearchFunc(st.ordered, contractName+"/", func(o *space, full string) int {
+		return strings.Compare(o.name+"/", full)
+	})
+	st.ordered = slices.Insert(st.ordered, i, sp)
+	return sp
+}
+
+// View returns the named contract's space for reading. Unlike Namespace it
+// never adds a space, so readers sharing a lock may call it together; a
+// contract that has stored nothing reads as empty, and writing through its
+// view panics.
+func (s *State) View(contractName string) StateDB {
+	if sp := s.spaces[contractName]; sp != nil {
+		return sp
+	}
+	return emptySpace{}
 }
 
 // Get implements StateDB.
-func (s *State) Get(key string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+func (sp *space) Get(key string) ([]byte, bool) {
+	v, ok := sp.data[key]
+	return v, ok
 }
 
 // Set implements StateDB.
-func (s *State) Set(key string, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (sp *space) Set(key string, value []byte) {
+	prior, existed := sp.data[key]
+	sp.st.record(sp, key, prior, existed)
+	if !existed {
+		sp.index.insert(key)
+	}
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	if _, ok := s.data[key]; !ok {
-		s.index.insert(key)
-	}
-	s.data[key] = cp
+	sp.data[key] = cp
 }
 
 // Delete implements StateDB.
-func (s *State) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.data[key]; ok {
-		s.index.remove(key)
-		delete(s.data, key)
+func (sp *space) Delete(key string) {
+	prior, ok := sp.data[key]
+	if !ok {
+		return
 	}
+	sp.st.record(sp, key, prior, true)
+	sp.index.remove(key)
+	delete(sp.data, key)
 }
 
 // Keys implements StateDB.
-func (s *State) Keys(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.index.root.appendPrefix(nil, prefix)
+func (sp *space) Keys(prefix string) iter.Seq[string] {
+	return func(yield func(string) bool) { sp.index.root.walkPrefix(prefix, yield) }
+}
+
+// emptySpace is the view of a contract that has stored nothing.
+type emptySpace struct{}
+
+func (emptySpace) Get(string) ([]byte, bool)    { return nil, false }
+func (emptySpace) Set(string, []byte)           { panic("contract: write through a read-only view") }
+func (emptySpace) Delete(string)                { panic("contract: write through a read-only view") }
+func (emptySpace) Keys(string) iter.Seq[string] { return func(func(string) bool) {} }
+
+// record journals a write of the open transaction.
+func (s *State) record(sp *space, key string, prior []byte, existed bool) {
+	if s.inTx {
+		s.journal = append(s.journal, undo{sp: sp, key: key, prior: prior, existed: existed})
+	}
+}
+
+// rollback undoes the open transaction's writes, newest first.
+func (s *State) rollback() {
+	for i := len(s.journal) - 1; i >= 0; i-- {
+		u := &s.journal[i]
+		_, present := u.sp.data[u.key]
+		switch {
+		case u.existed:
+			if !present {
+				u.sp.index.insert(u.key)
+			}
+			u.sp.data[u.key] = u.prior
+		case present:
+			u.sp.index.remove(u.key)
+			delete(u.sp.data, u.key)
+		}
+	}
 }
 
 // Len returns the number of stored keys.
 func (s *State) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
+	n := 0
+	for _, sp := range s.ordered {
+		n += len(sp.data)
+	}
+	return n
 }
 
-// Digest returns a deterministic digest over the full state, used by tests
-// to assert replica convergence.
+// Digest returns a deterministic digest over the full state, used to assert
+// replica convergence. It is crypto.SumAll over each full key
+// (contract name, '/', key) and its value in byte order of the full keys,
+// streamed into one hash.
 func (s *State) Digest() crypto.Digest {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	chunks := make([][]byte, 0, 2*len(s.data))
-	for _, k := range s.index.root.appendPrefix(make([]string, 0, len(s.data)), "") {
-		chunks = append(chunks, []byte(k), s.data[k])
-	}
-	return crypto.SumAll(chunks...)
-}
-
-// namespaced prefixes all keys with a contract name so contracts are
-// isolated from each other.
-type namespaced struct {
-	inner  StateDB
-	prefix string
-}
-
-// Namespace wraps st so that all keys are transparently prefixed.
-func Namespace(st StateDB, contractName string) StateDB {
-	return &namespaced{inner: st, prefix: contractName + "/"}
-}
-
-func (n *namespaced) Get(key string) ([]byte, bool) { return n.inner.Get(n.prefix + key) }
-func (n *namespaced) Set(key string, value []byte)  { n.inner.Set(n.prefix+key, value) }
-func (n *namespaced) Delete(key string)             { n.inner.Delete(n.prefix + key) }
-func (n *namespaced) Keys(prefix string) []string {
-	full := n.inner.Keys(n.prefix + prefix)
-	out := make([]string, len(full))
-	for i, k := range full {
-		out[i] = strings.TrimPrefix(k, n.prefix)
-	}
-	return out
-}
-
-// overlay is a transactional view: writes are buffered and only applied to
-// the parent on Commit, so a failed contract call leaves no trace.
-type overlay struct {
-	parent  StateDB
-	writes  map[string][]byte
-	deletes map[string]bool
-}
-
-// NewOverlay returns a transactional overlay over parent.
-func NewOverlay(parent StateDB) *overlay {
-	return &overlay{parent: parent, writes: make(map[string][]byte), deletes: make(map[string]bool)}
-}
-
-func (o *overlay) Get(key string) ([]byte, bool) {
-	if o.deletes[key] {
-		return nil, false
-	}
-	if v, ok := o.writes[key]; ok {
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out, true
-	}
-	return o.parent.Get(key)
-}
-
-func (o *overlay) Set(key string, value []byte) {
-	delete(o.deletes, key)
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	o.writes[key] = cp
-}
-
-func (o *overlay) Delete(key string) {
-	delete(o.writes, key)
-	o.deletes[key] = true
-}
-
-func (o *overlay) Keys(prefix string) []string {
-	set := make(map[string]bool)
-	for _, k := range o.parent.Keys(prefix) {
-		set[k] = true
-	}
-	for k := range o.writes {
-		if strings.HasPrefix(k, prefix) {
-			set[k] = true
+	h := sha256.New()
+	var frame []byte
+	for _, sp := range s.ordered {
+		for k := range sp.Keys("") {
+			v := sp.data[k]
+			frame = binary.BigEndian.AppendUint64(frame[:0], uint64(len(sp.name)+1+len(k)))
+			frame = append(append(append(frame, sp.name...), '/'), k...)
+			frame = binary.BigEndian.AppendUint64(frame, uint64(len(v)))
+			h.Write(frame)
+			h.Write(v)
 		}
 	}
-	for k := range o.deletes {
-		delete(set, k)
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Commit applies buffered writes to the parent.
-func (o *overlay) Commit() {
-	for k, v := range o.writes {
-		o.parent.Set(k, v)
-	}
-	for k := range o.deletes {
-		o.parent.Delete(k)
-	}
+	var d crypto.Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // Engine executes calls against a registry with per-call isolation.
@@ -372,23 +367,25 @@ func NewEngine(r *Registry) *Engine {
 
 // Execute runs one call against state. On contract error, no state change is
 // applied and the error is returned (the blockchain records the tx as failed
-// but still includes it).
-func (e *Engine) Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error) {
+// but still includes it): the call's journalled writes are rolled back.
+func (e *Engine) Execute(ctx CallCtx, st *State, call Call) ([]Event, error) {
 	c, ok := e.registry.Get(call.Contract)
 	if !ok {
 		return nil, fmt.Errorf("contract: execute %q: %w", call.Contract, ErrUnknownContract)
 	}
 	if ctx.Cross == nil {
-		// Cross-reads observe the committed block state, not the executing
-		// transaction's own pending overlay.
 		ctx.Cross = crossView{st: st}
 	}
-	ov := NewOverlay(st)
-	events, err := c.Execute(ctx, Namespace(ov, call.Contract), call)
+	st.inTx = true
+	events, err := c.Execute(ctx, Namespace(st, call.Contract), call)
+	if err != nil {
+		st.rollback()
+	}
+	clear(st.journal)
+	st.journal, st.inTx = st.journal[:0], false
 	if err != nil {
 		return nil, err
 	}
-	ov.Commit()
 	// Stamp event provenance.
 	for i := range events {
 		events[i].Contract = call.Contract
@@ -399,7 +396,7 @@ func (e *Engine) Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error) {
 }
 
 // OnBlock runs every registered BlockHook for the block boundary.
-func (e *Engine) OnBlock(height uint64, blockTime time.Time, st StateDB) []Event {
+func (e *Engine) OnBlock(height uint64, blockTime time.Time, st *State) []Event {
 	var events []Event
 	for _, name := range e.registry.Names() {
 		c, _ := e.registry.Get(name)

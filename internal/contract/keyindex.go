@@ -27,7 +27,7 @@ type keyNode struct {
 // path. Replicas need the same keys, not the same tree.
 var keyPrioSeed = maphash.MakeSeed()
 
-// insert adds key, which must not be present (State.Set checks its map).
+// insert adds key, which must not be present (Set checks its map).
 func (ix *keyIndex) insert(key string) {
 	ix.root = ix.root.insert(&keyNode{key: key, prio: maphash.String(keyPrioSeed, key)})
 }
@@ -88,16 +88,18 @@ func mergeKeyNodes(a, b *keyNode) *keyNode {
 	}
 }
 
-// appendPrefix appends, in byte order, every key that starts with prefix.
-// A subtree is entered only if it can hold such a key: a node that sorts
-// before prefix rules out its left side, one that sorts after every
-// prefixed key rules out its right.
-func (n *keyNode) appendPrefix(out []string, prefix string) []string {
+// walkPrefix yields, in byte order, every key that starts with prefix, and
+// returns false as soon as yield does. A subtree is entered only if it can
+// hold such a key: a node that sorts before prefix rules out its left side,
+// one that sorts after every prefixed key rules out its right. A walk that
+// stops at its k-th key costs O(log n + k).
+func (n *keyNode) walkPrefix(prefix string, yield func(string) bool) bool {
 	for n != nil {
 		switch {
 		case strings.HasPrefix(n.key, prefix):
-			out = n.left.appendPrefix(out, prefix)
-			out = append(out, n.key)
+			if !n.left.walkPrefix(prefix, yield) || !yield(n.key) {
+				return false
+			}
 			n = n.right
 		case n.key < prefix:
 			n = n.right
@@ -105,5 +107,5 @@ func (n *keyNode) appendPrefix(out []string, prefix string) []string {
 			n = n.left
 		}
 	}
-	return out
+	return true
 }

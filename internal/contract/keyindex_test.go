@@ -1,9 +1,12 @@
 package contract
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,16 +16,13 @@ import (
 
 // Clone returns a deep copy. Only tests copy a state.
 func (s *State) Clone() *State {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := &State{
-		data:  make(map[string][]byte, len(s.data)),
-		index: s.index.clone(),
-	}
-	for k, v := range s.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		c.data[k] = cp
+	c := NewState()
+	for _, sp := range s.ordered {
+		cs := Namespace(c, sp.name).(*space)
+		cs.index = sp.index.clone()
+		for k, v := range sp.data {
+			cs.data[k] = append([]byte(nil), v...)
+		}
 	}
 	return c
 }
@@ -37,18 +37,13 @@ func (n *keyNode) clone() *keyNode {
 	return &keyNode{key: n.key, prio: n.prio, left: n.left.clone(), right: n.right.clone()}
 }
 
-// scanState is the reference the ordered key index replaced: a bare map
-// whose Keys tests every key against the prefix and sorts the survivors, and
-// whose digest sorts the whole key set. It stays here as the oracle.
+// scanState is the reference the spaces and their ordered key indexes
+// replaced: one bare map of full keys ("<contract>/<key>") whose key scan
+// tests every key against the prefix and sorts the survivors, and whose
+// digest sorts the whole key set. It stays here as the oracle.
 type scanState struct{ data map[string][]byte }
 
-func (s *scanState) Get(key string) ([]byte, bool) {
-	v, ok := s.data[key]
-	return append([]byte(nil), v...), ok
-}
-func (s *scanState) Set(key string, value []byte) { s.data[key] = append([]byte(nil), value...) }
-func (s *scanState) Delete(key string)            { delete(s.data, key) }
-func (s *scanState) Keys(prefix string) []string {
+func (s *scanState) keys(prefix string) []string {
 	var out []string
 	for k := range s.data {
 		if strings.HasPrefix(k, prefix) {
@@ -66,12 +61,37 @@ func (s *scanState) clone() *scanState {
 	return c
 }
 func (s *scanState) digest() crypto.Digest {
-	keys := s.Keys("")
+	keys := s.keys("")
 	chunks := make([][]byte, 0, 2*len(keys))
 	for _, k := range keys {
 		chunks = append(chunks, []byte(k), s.data[k])
 	}
 	return crypto.SumAll(chunks...)
+}
+
+// scanSpace is one contract's part of a scanState: the key concatenation
+// the spaces replaced.
+type scanSpace struct {
+	s      *scanState
+	prefix string
+}
+
+func (n scanSpace) Get(key string) ([]byte, bool) {
+	v, ok := n.s.data[n.prefix+key]
+	return v, ok
+}
+func (n scanSpace) Set(key string, value []byte) {
+	n.s.data[n.prefix+key] = append([]byte(nil), value...)
+}
+func (n scanSpace) Delete(key string) { delete(n.s.data, n.prefix+key) }
+func (n scanSpace) Keys(prefix string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for _, k := range n.s.keys(n.prefix + prefix) {
+			if !yield(strings.TrimPrefix(k, n.prefix)) {
+				return
+			}
+		}
+	}
 }
 
 // indexTestKeys is a universe built so that everything the index must order
@@ -100,9 +120,11 @@ func indexTestKeys() []string {
 }
 
 // TestStateKeysMatchesFullScan drives State and the full-scan oracle with the
-// same seeded random script — direct writes, namespaced writes, overlays that
-// commit or are dropped, clones that take over — and requires every prefix
-// query and the digest to agree after every step.
+// same seeded random script — writes outside a transaction (as block hooks
+// make them), transactions through the engine that commit or fail and roll
+// back, clones that take over — and requires every read, every prefix query
+// and the digest to agree after every step. A transaction's own reads are
+// checked against the oracle's copy of its pending writes.
 func TestStateKeysMatchesFullScan(t *testing.T) {
 	universe := indexTestKeys()
 	// Query prefixes: every key (so "prefix equal to a key" and "key that is
@@ -123,6 +145,9 @@ func TestStateKeysMatchesFullScan(t *testing.T) {
 		prefixes = append(prefixes, p)
 	}
 	sort.Strings(prefixes)
+	// "a-b/" sorts before "a/": the digest must walk spaces in the order of
+	// their full keys, not of their names.
+	names := []string{"a", "rec", "a-b"}
 
 	rng := rand.New(rand.NewSource(15))
 	st, oracle := NewState(), &scanState{data: map[string][]byte{}}
@@ -141,14 +166,49 @@ func TestStateKeysMatchesFullScan(t *testing.T) {
 			b.Set(k, v)
 		}
 	}
-	check := func(step int, what string) {
+	// agree compares one space with the oracle's, key by key and under each
+	// of the prefixes.
+	agree := func(a, b StateDB, prefixes []string) error {
+		for _, k := range universe {
+			va, oka := a.Get(k)
+			vb, okb := b.Get(k)
+			if oka != okb || string(va) != string(vb) {
+				return fmt.Errorf("Get(%q) = %q, %v; full scan gives %q, %v", k, va, oka, vb, okb)
+			}
+		}
+		for _, p := range prefixes {
+			if got, want := slices.Collect(a.Keys(p)), slices.Collect(b.Keys(p)); !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("Keys(%q) = %q, full scan gives %q", p, got, want)
+			}
+		}
+		return nil
+	}
+	var pending *scanState // the oracle of the running transaction
+	reg := NewRegistry()
+	for _, name := range names {
+		reg.MustRegister(&scriptContract{name: name, fn: func(sp StateDB) error {
+			ob := scanSpace{pending, name + "/"}
+			write(sp, ob, 1+rng.Intn(12))
+			if err := agree(sp, ob, []string{pick(), pick(), ""}); err != nil {
+				return fmt.Errorf("inside the call: %v", err)
+			}
+			if rng.Intn(4) == 0 {
+				return errForced
+			}
+			return nil
+		}})
+	}
+	engine := NewEngine(reg)
+	// check compares the spaces a step touched in full, and the whole state
+	// by its digest, which reads every space's index.
+	check := func(step int, what string, touched []string) {
 		t.Helper()
 		if st.Len() != len(oracle.data) {
 			t.Fatalf("step %d (%s): %d keys, oracle has %d", step, what, st.Len(), len(oracle.data))
 		}
-		for _, p := range prefixes {
-			if got, want := st.Keys(p), oracle.Keys(p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d (%s): Keys(%q) = %q, full scan gives %q", step, what, p, got, want)
+		for _, name := range touched {
+			if err := agree(st.View(name), scanSpace{oracle, name + "/"}, prefixes); err != nil {
+				t.Fatalf("step %d (%s): space %q: %v", step, what, name, err)
 			}
 		}
 		if st.Digest() != oracle.digest() {
@@ -158,39 +218,32 @@ func TestStateKeysMatchesFullScan(t *testing.T) {
 
 	for step := 0; step < 400; step++ {
 		var what string
+		name := names[rng.Intn(len(names))]
+		touched := []string{name}
 		switch op := rng.Intn(10); {
 		case op < 4:
-			what = "direct writes"
-			write(st, oracle, 1+rng.Intn(8))
-		case op < 6:
-			what = "namespaced writes"
-			ns := []string{"a", "rec", "a-b"}[rng.Intn(3)]
-			write(Namespace(st, ns), Namespace(oracle, ns), 1+rng.Intn(8))
-			p := pick()
-			if got, want := Namespace(st, ns).Keys(p), Namespace(oracle, ns).Keys(p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: namespaced %q Keys(%q) = %q, full scan gives %q", step, ns, p, got, want)
-			}
+			what = "writes outside a transaction"
+			write(Namespace(st, name), scanSpace{oracle, name + "/"}, 1+rng.Intn(8))
 		case op < 9:
-			ovA, ovB := NewOverlay(st), NewOverlay(oracle)
-			write(ovA, ovB, 1+rng.Intn(12))
-			p := pick()
-			if got, want := ovA.Keys(p), ovB.Keys(p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: overlay Keys(%q) = %q, full scan gives %q", step, p, got, want)
-			}
-			if rng.Intn(4) == 0 {
-				what = "overlay dropped"
-			} else {
-				what = "overlay committed"
-				ovA.Commit()
-				ovB.Commit()
+			pending = oracle.clone()
+			_, err := engine.Execute(CallCtx{}, st, Call{Contract: name})
+			switch {
+			case err == nil:
+				what = "transaction committed"
+				oracle = pending
+			case errors.Is(err, errForced):
+				what = "transaction rolled back"
+			default:
+				t.Fatalf("step %d: %v", step, err)
 			}
 		default:
 			what = "clone takes over"
+			touched = names
 			oldSt, oldOracle := st, oracle
 			st, oracle = st.Clone(), oracle.clone()
-			write(oldSt, oldOracle, 5) // the original moves on; the clone must not see it
+			write(Namespace(oldSt, name), scanSpace{oldOracle, name + "/"}, 5) // the original moves on; the clone must not see it
 		}
-		check(step, what)
+		check(step, what, touched)
 	}
 	if st.Len() < 20 {
 		t.Fatalf("script ended with %d keys: too few to have exercised the index", st.Len())
@@ -198,23 +251,28 @@ func TestStateKeysMatchesFullScan(t *testing.T) {
 }
 
 // BenchmarkStateKeysSparsePrefix is the block-hook access pattern: a short
-// queue under one prefix beside a large and growing set of unrelated keys.
-// ns/op must not depend on how many unrelated keys there are.
+// queue under one prefix beside a large and growing set of unrelated keys,
+// read to its end. ns/op must not depend on how many unrelated keys there
+// are, and the walk allocates nothing.
 func BenchmarkStateKeysSparsePrefix(b *testing.B) {
 	for _, unrelated := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("unrelated=%d", unrelated), func(b *testing.B) {
-			st := NewState()
+			sp := Namespace(NewState(), "drams.logmatch").(*space)
 			for i := 0; i < unrelated; i++ {
-				st.Set(fmt.Sprintf("drams.logmatch/rec/req-%07d/pep.request", i), []byte("r"))
+				sp.Set(fmt.Sprintf("rec/req-%07d/pep.request", i), []byte("r"))
 			}
 			for i := 0; i < 16; i++ {
-				st.Set(fmt.Sprintf("drams.logmatch/deadline/%016x/req-%07d", 1000+i, i), []byte("1"))
+				sp.Set(fmt.Sprintf("deadline/%016x/req-%07d", 1000+i, i), []byte("1"))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := st.Keys("drams.logmatch/deadline/"); len(got) != 16 {
-					b.Fatalf("%d keys under the prefix, want 16", len(got))
+				n := 0
+				for range sp.Keys("deadline/") {
+					n++
+				}
+				if n != 16 {
+					b.Fatalf("%d keys under the prefix, want 16", n)
 				}
 			}
 		})

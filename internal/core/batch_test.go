@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"drams/internal/contract"
@@ -50,7 +51,7 @@ func TestLogBatchCompletesExchange(t *testing.T) {
 		t.Fatalf("stored %d records, want 4", stored)
 	}
 	// The root lives in the events only: the contract keeps no row for it.
-	if keys := contract.Namespace(env.st, ContractName).Keys("batch/"); len(keys) != 0 {
+	if keys := slices.Collect(contract.Namespace(env.st, ContractName).Keys("batch/")); len(keys) != 0 {
 		t.Fatalf("logbatch left batch rows: %v", keys)
 	}
 	if len(alertsOf(evs)) != 0 {

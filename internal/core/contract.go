@@ -511,7 +511,7 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 	complete := havePepReq && havePdpReq && havePdpResp && havePepResp &&
 		(haveVerdict || !lm.cfg.RequireVerdict)
 	if complete {
-		if _, done := st.Get(doneKey(reqID)); !done && len(st.Keys("alerted/"+reqID+"/")) == 0 {
+		if _, done := st.Get(doneKey(reqID)); !done && !anyKey(st, "alerted/"+reqID+"/") {
 			st.Set(doneKey(reqID), []byte("1"))
 			events = append(events, contract.Event{Type: EventMatched, Payload: encodeMatched(reqID, height)})
 		}
@@ -526,23 +526,12 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 // when its deadline passes is folded into its tombstone instead.
 func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
-	for _, key := range st.Keys("deadline/") {
-		rest := strings.TrimPrefix(key, "deadline/")
-		slash := strings.IndexByte(rest, '/')
-		if slash < 0 {
-			st.Delete(key)
-			continue
-		}
-		due, err := strconv.ParseUint(rest[:slash], 16, 64)
-		if err != nil {
-			st.Delete(key)
-			continue
-		}
-		if due > height {
-			break // keys are sorted by due height
-		}
-		reqID := rest[slash+1:]
+	for _, key := range dueKeys(st, "deadline/", height) {
 		st.Delete(key)
+		_, reqID, ok := parseQueueKey(key, "deadline/")
+		if !ok {
+			continue
+		}
 
 		if _, done := st.Get(doneKey(reqID)); done {
 			fold(st, reqID)
@@ -577,6 +566,44 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 	return events
 }
 
+// dueKeys lists, in order, the keys of a queue of "<prefix><due>/<id>" rows
+// that are due at height or malformed, and stops at the first one that is
+// not yet due: due is zero-padded hex, so byte order is due order. A block
+// reads O(log n + due) keys however long the queue is.
+func dueKeys(st contract.StateDB, prefix string, height uint64) []string {
+	var due []string
+	for key := range st.Keys(prefix) {
+		if at, _, ok := parseQueueKey(key, prefix); ok && at > height {
+			break
+		}
+		due = append(due, key)
+	}
+	return due
+}
+
+// parseQueueKey splits a queue key into its due height and id; ok=false for
+// a malformed key, which the hook deletes.
+func parseQueueKey(key, prefix string) (due uint64, id string, ok bool) {
+	rest := strings.TrimPrefix(key, prefix)
+	slash := strings.IndexByte(rest, '/')
+	if slash < 0 {
+		return 0, "", false
+	}
+	due, err := strconv.ParseUint(rest[:slash], 16, 64)
+	if err != nil {
+		return 0, "", false
+	}
+	return due, rest[slash+1:], true
+}
+
+// anyKey reports whether st holds a key with the given prefix.
+func anyKey(st contract.StateDB, prefix string) bool {
+	for range st.Keys(prefix) {
+		return true
+	}
+	return false
+}
+
 // fold replaces a matched exchange's rows with its tombstone (see
 // tombstoneLen). Every check has run on them by the M3 deadline, so the
 // hashes are all a late transaction still needs. An exchange that was
@@ -584,7 +611,7 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 // evidence, and the missing verdict may yet arrive.
 func fold(st contract.StateDB, reqID string) {
 	vrow, ok := st.Get(verdictKey(reqID))
-	if !ok || len(st.Keys("alerted/"+reqID+"/")) > 0 {
+	if !ok || anyKey(st, "alerted/"+reqID+"/") {
 		return
 	}
 	tomb := make([]byte, 0, tombstoneLen)

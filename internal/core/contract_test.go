@@ -784,3 +784,43 @@ func TestStateRowCodec(t *testing.T) {
 		t.Fatal("verdict row with a trailing byte decoded")
 	}
 }
+
+// TestQueueHooksDeleteMalformedKeys: both block hooks read their queue in
+// byte order up to the first entry not yet due. On the way they delete the
+// due entries and every malformed one they pass, and leave everything after
+// the first future entry, malformed or not, for a later block.
+func TestQueueHooksDeleteMalformedKeys(t *testing.T) {
+	for _, h := range []struct {
+		prefix string
+		hook   contract.BlockHook
+	}{
+		{"deadline/", NewLogMatchContract(defaultCfg())},
+		{"sched/", &PolicyContract{PAP: "pap"}},
+	} {
+		st := contract.Namespace(contract.NewState(), "c")
+		keys := []string{
+			"0000000000000005/a",  // due at 5
+			"0000000000000005x/b", // malformed height, sorts between
+			"0000000000000007/c",  // due at 7
+			"zz",                  // no slash, sorts last
+		}
+		for _, k := range keys {
+			st.Set(h.prefix+k, []byte("1"))
+		}
+		left := func() []string {
+			var out []string
+			for k := range st.Keys(h.prefix) {
+				out = append(out, strings.TrimPrefix(k, h.prefix))
+			}
+			return out
+		}
+		h.hook.OnBlock(6, time.Time{}, st)
+		if got := left(); !reflect.DeepEqual(got, keys[2:]) {
+			t.Fatalf("%s after block 6: %q, want %q", h.prefix, got, keys[2:])
+		}
+		h.hook.OnBlock(7, time.Time{}, st)
+		if got := left(); len(got) != 0 {
+			t.Fatalf("%s after block 7: %q left", h.prefix, got)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"drams/internal/contract"
@@ -27,7 +28,7 @@ func (e *matchEnv) rowsOf(reqID string) map[string][]byte {
 	ns := contract.Namespace(e.st, ContractName)
 	rows := map[string][]byte{}
 	for _, prefix := range []string{"rec/" + reqID + "/", "verdict/" + reqID, "done/" + reqID, "deadline-set/" + reqID, "alerted/" + reqID + "/"} {
-		for _, k := range ns.Keys(prefix) {
+		for k := range ns.Keys(prefix) {
 			rows[k], _ = ns.Get(k)
 		}
 	}
@@ -154,7 +155,7 @@ func TestFoldKeepsOneRowPerExchange(t *testing.T) {
 	}
 	ns := contract.Namespace(env.st, ContractName)
 	for prefix, want := range map[string]int{"done/": n, "rec/": 0, "verdict/": 0, "deadline-set/": 0, "deadline/": 0, "alerted/": 0} {
-		if got := len(ns.Keys(prefix)); got != want {
+		if got := len(slices.Collect(ns.Keys(prefix))); got != want {
 			t.Errorf("%d %s rows, want %d", got, prefix, want)
 		}
 	}

@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
+	"iter"
 	"time"
 
 	"drams/internal/contract"
@@ -240,23 +239,12 @@ func (pc *PolicyContract) schedule(ctx contract.CallCtx, st contract.StateDB, ve
 // appending to the on-chain activation history.
 func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
-	for _, key := range st.Keys("sched/") {
-		rest := strings.TrimPrefix(key, "sched/")
-		slash := strings.IndexByte(rest, '/')
-		if slash < 0 {
-			st.Delete(key)
-			continue
-		}
-		due, err := strconv.ParseUint(rest[:slash], 16, 64)
-		if err != nil {
-			st.Delete(key)
-			continue
-		}
-		if due > height {
-			break // keys are sorted by due height
-		}
-		version := rest[slash+1:]
+	for _, key := range dueKeys(st, "sched/", height) {
 		st.Delete(key)
+		_, version, ok := parseQueueKey(key, "sched/")
+		if !ok {
+			continue
+		}
 
 		digest, ok := ReadPolicyDigest(st, version)
 		if !ok {
@@ -286,7 +274,7 @@ func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contrac
 }
 
 // ---------------------------------------------------------------------------
-// State readers. They operate on the policy contract's namespaced view
+// State readers. They operate on the policy contract's space
 // (Chain.ReadState(PolicyContractName, ...)) for off-chain components, with
 // Cross* variants over a contract.CrossReader for consensus code (M6).
 
@@ -342,13 +330,9 @@ func LoadPolicyVersion(st contract.StateDB, version string) (*xacml.PolicySet, c
 
 // ReadPolicyHistory returns the activation history, oldest first.
 func ReadPolicyHistory(st contract.StateDB) []PolicyActivation {
-	keys := st.Keys("hist/")
-	out := make([]PolicyActivation, 0, len(keys))
-	for _, k := range keys {
-		b, ok := st.Get(k)
-		if !ok {
-			continue
-		}
+	var out []PolicyActivation
+	for k := range st.Keys("hist/") {
+		b, _ := st.Get(k)
 		var act PolicyActivation
 		if err := json.Unmarshal(b, &act); err != nil {
 			continue
@@ -373,7 +357,7 @@ func ReadPolicyDeactivatedAt(st contract.StateDB, version string) (uint64, bool)
 	return h, true
 }
 
-// crossState adapts one contract's namespace of a CrossReader to the
+// crossState adapts one contract's space of a CrossReader to the
 // read-only part of contract.StateDB so the Read* helpers above work
 // unchanged inside another contract's execution.
 type crossState struct {
@@ -384,4 +368,6 @@ type crossState struct {
 func (c crossState) Get(key string) ([]byte, bool) { return c.cross.Read(c.name, key) }
 func (c crossState) Set(string, []byte)            { panic("core: cross-contract state is read-only") }
 func (c crossState) Delete(string)                 { panic("core: cross-contract state is read-only") }
-func (c crossState) Keys(prefix string) []string   { return c.cross.ReadKeys(c.name, prefix) }
+func (c crossState) Keys(prefix string) iter.Seq[string] {
+	return c.cross.ReadKeys(c.name, prefix)
+}

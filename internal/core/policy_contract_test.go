@@ -66,7 +66,7 @@ func eventTypes(evs []contract.Event) []string {
 	return out
 }
 
-func activeVersion(st contract.StateDB) string {
+func activeVersion(st *contract.State) string {
 	ver, _, ok := ReadActivePolicy(contract.Namespace(st, PolicyContractName))
 	if !ok {
 		return ""

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,7 +183,7 @@ func TestScriptedChainStateDigestPinned(t *testing.T) {
 				t.Errorf("script did not produce %s", want)
 			}
 		}
-		if left := st.Keys("deadline/"); len(left) != 0 {
+		if left := slices.Collect(st.Keys("deadline/")); len(left) != 0 {
 			t.Errorf("deadlines still queued after they passed: %v", left)
 		}
 	})
