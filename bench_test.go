@@ -1,6 +1,6 @@
-// bench_test.go regenerates every experiment table/series of DESIGN.md §2
-// (one Benchmark per experiment E1–E8) plus micro-benchmarks of the
-// building blocks. Run:
+// bench_test.go regenerates the experiment tables README "Tests and
+// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E8)
+// plus micro-benchmarks of the building blocks. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -24,7 +24,6 @@ import (
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/experiment"
-	"drams/internal/logger"
 	"drams/internal/merkle"
 	"drams/internal/xacml"
 )
@@ -158,16 +157,6 @@ func BenchmarkAB2AnalyserAblation(b *testing.B) {
 		if _, err := experiment.RunAB2(experiment.AB2Params{Trials: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAB3SubmissionModes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunAB3(experiment.AB3Params{Requests: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "async", "p50_ms"), "async-p50-ms")
 	}
 }
 
@@ -401,7 +390,7 @@ func BenchmarkRewriteProbability(b *testing.B) {
 // PDP → enforcement, all four logs mined, analyser verdict mined, Matched
 // event observed.
 func BenchmarkMonitoredRequest(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, logger.SubmitAsync, false, 0)
+	dep, err := experiment.NewStandardDeployment(2, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,7 +416,7 @@ func BenchmarkMonitoredRequest(b *testing.B) {
 
 // BenchmarkUnmonitoredRequest is the E6 baseline counterpart.
 func BenchmarkUnmonitoredRequest(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, logger.SubmitAsync, true, 0)
+	dep, err := experiment.NewStandardDeployment(2, true, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -451,7 +440,7 @@ var benchSink drams.Enforcement
 // logging attached (the per-request overhead DRAMS adds in its default
 // configuration).
 func BenchmarkPEPDecideAsyncProbes(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, logger.SubmitAsync, false, 1<<20)
+	dep, err := experiment.NewStandardDeployment(2, false, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,8 @@
-// drams-bench regenerates the full experiment suite: E1–E8 of DESIGN.md §2,
-// the AB1–AB3 ablations, and the V6 and V7 tables (fast resync, adversarial
-// detection). Speed comparisons between code paths live in benchmark/, not
-// here. It prints each result table (text or CSV). EXPERIMENTS.md is
-// produced from this tool's output.
+// drams-bench regenerates the full experiment suite: the E1–E8 reproductions
+// of the paper's evaluation, the AB1–AB2 ablations, and the V6 and V7 tables
+// (fast resync, adversarial detection); README "Tests and benchmarks" and
+// ARCHITECTURE §3 list them. Speed comparisons between code paths live in
+// benchmark/, not here. It prints each result table (text or CSV).
 //
 // Usage:
 //
@@ -63,7 +63,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB3, V6, V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB2, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -213,13 +213,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.AB2Params{Trials: 1}
 			}
 			return experiment.RunAB2(p)
-		}},
-		{"AB3", func() (experiment.Table, error) {
-			p := experiment.DefaultAB3Params()
-			if quick {
-				p = experiment.AB3Params{Requests: 8}
-			}
-			return experiment.RunAB3(p)
 		}},
 		{"V6", func() (experiment.Table, error) {
 			p := experiment.DefaultV6Params()

@@ -32,8 +32,8 @@
 //
 // Open and OpenMember are the only constructors; everything beyond the
 // policy is an option: WithTopology, WithSeed, WithDifficulty,
-// WithTimeoutBlocks, WithEmptyBlockInterval, WithSubmitMode, WithMonitoring,
-// WithoutVerdicts, WithNetwork, WithTransport, WithDataDir and WithMineAll.
+// WithTimeoutBlocks, WithEmptyBlockInterval, WithMonitoring, WithoutVerdicts,
+// WithNetwork, WithTransport, WithDataDir and WithMineAll.
 // WaitForAlert and WaitForMatched are the one-shot form of the Alerts
 // stream.
 package drams
@@ -102,8 +102,6 @@ type config struct {
 	disableVerdicts bool
 	// emptyBlockInterval keeps blocks flowing when idle (default 25ms).
 	emptyBlockInterval time.Duration
-	// submitMode is the LI submission mode (default async).
-	submitMode logger.SubmitMode
 	// monitorOff disables probes, analyser and monitor entirely — the
 	// baseline for overhead experiments.
 	monitorOff bool
@@ -207,9 +205,6 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	}
 	if cfg.emptyBlockInterval == 0 {
 		cfg.emptyBlockInterval = 25 * time.Millisecond
-	}
-	if cfg.submitMode == 0 {
-		cfg.submitMode = logger.SubmitAsync
 	}
 	var nodeNames []string
 	for _, c := range cfg.topology.Clouds {
@@ -344,7 +339,6 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 				Node:     d.nodes[ten.Cloud],
 				Identity: material.LIIdentities[ten.Name],
 				Key:      material.Key,
-				Mode:     cfg.submitMode,
 			})
 			if err != nil {
 				return nil, err

@@ -8,14 +8,13 @@ import (
 	"drams"
 	"drams/internal/core"
 	"drams/internal/federation"
-	"drams/internal/logger"
 	"drams/internal/metrics"
 	"drams/internal/xacml"
 )
 
-// Ablations quantify the design choices DESIGN.md calls out: the M3
-// timeout window Δ (detection latency vs. patience) and the Analyser
-// (which attacks become invisible without it).
+// Ablations quantify two design choices (ARCHITECTURE §3): the M3 timeout
+// window Δ (detection latency vs. patience) and the Analyser (which attacks
+// become invisible without it).
 
 // AB1Params parameterise the Δ sweep.
 type AB1Params struct {
@@ -215,59 +214,6 @@ func RunAB2(p AB2Params) (Table, error) {
 			fmt.Sprintf("%d/%d", a4, p.Trials),
 			cleanAlerts,
 		})
-		dep.Close()
-	}
-	return t, nil
-}
-
-// AB3Params parameterise the submission-mode ablation.
-type AB3Params struct {
-	Requests int
-}
-
-// DefaultAB3Params uses 24 requests per mode.
-func DefaultAB3Params() AB3Params { return AB3Params{Requests: 24} }
-
-// RunAB3 ablates the LI's asynchronous submission: synchronous (mempool
-// ack) and confirmed (on-chain) modes strengthen the logging guarantee at
-// increasing enforcement-latency cost; the async default moves all of it
-// off the critical path.
-func RunAB3(p AB3Params) (Table, error) {
-	t := Table{
-		ID:     "AB3",
-		Title:  "ablation: LI submission mode vs. enforcement latency",
-		Header: []string{"mode", "guarantee_at_return", "p50_ms", "p99_ms"},
-	}
-	modes := []struct {
-		label, guarantee string
-		mode             logger.SubmitMode
-	}{
-		{"async", "queued locally", logger.SubmitAsync},
-		{"sync", "accepted by mempool", logger.SubmitSync},
-		{"confirmed", "mined on-chain", logger.SubmitConfirmed},
-	}
-	for _, m := range modes {
-		dep, err := NewStandardDeployment(2, m.mode, false, 1<<20)
-		if err != nil {
-			return t, err
-		}
-		client, err := dep.Client("tenant-1")
-		if err != nil {
-			dep.Close()
-			return t, err
-		}
-		lat := metrics.NewHistogram()
-		for i := 0; i < p.Requests; i++ {
-			req := StandardRequest(dep, i)
-			t0 := time.Now()
-			if _, err := client.Decide(context.Background(), req); err != nil {
-				dep.Close()
-				return t, fmt.Errorf("AB3 %s: %w", m.label, err)
-			}
-			lat.ObserveDuration(time.Since(t0))
-		}
-		s := lat.Snapshot()
-		t.Rows = append(t.Rows, []string{m.label, m.guarantee, msF(s.P50), msF(s.P99)})
 		dep.Close()
 	}
 	return t, nil

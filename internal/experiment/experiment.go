@@ -1,9 +1,9 @@
-// Package experiment implements the E1–E8 experiment drivers of DESIGN.md —
-// the reproduction of every figure/table obligation derived from the paper
+// Package experiment implements the E1–E8 experiment drivers — the
+// reproduction of every figure/table obligation derived from the paper
 // (Figure 1, the §I threat model, and the §III Log Size / System Integrity
-// discussions). Each driver returns a Table that cmd/drams-bench prints and
-// bench_test.go reports, so EXPERIMENTS.md numbers are regenerable with one
-// command.
+// discussions) — plus the AB1–AB2 ablations and the V6 and V7 tables. Each
+// driver returns a Table that cmd/drams-bench prints and bench_test.go
+// reports; README "Tests and benchmarks" and ARCHITECTURE §3 list them.
 package experiment
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"drams"
 	"drams/internal/federation"
-	"drams/internal/logger"
 	"drams/internal/xacml"
 )
 
@@ -124,7 +123,7 @@ func edgeClients(dep *drams.Deployment) ([]*drams.Client, error) {
 
 // NewStandardDeployment builds the deployment shape shared by the system
 // experiments: one edge tenant per cloud plus the infrastructure tenant.
-func NewStandardDeployment(clouds int, mode logger.SubmitMode, monitorOff bool, timeoutBlocks uint64) (*drams.Deployment, error) {
+func NewStandardDeployment(clouds int, monitorOff bool, timeoutBlocks uint64) (*drams.Deployment, error) {
 	if timeoutBlocks == 0 {
 		timeoutBlocks = 30
 	}
@@ -136,7 +135,6 @@ func NewStandardDeployment(clouds int, mode logger.SubmitMode, monitorOff bool, 
 		drams.WithDifficulty(8),
 		drams.WithTimeoutBlocks(timeoutBlocks),
 		drams.WithEmptyBlockInterval(15*time.Millisecond),
-		drams.WithSubmitMode(mode),
 		drams.WithMonitoring(!monitorOff),
 		drams.WithSeed(1),
 	)

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"drams/internal/logger"
 )
 
 // Small-parameter smoke runs: every driver must complete and its table
@@ -160,14 +158,13 @@ func TestRunE6Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d, want off and async", len(tab.Rows))
 	}
-	// Confirmed mode must be slower than probes-off.
-	off := cellFloat(t, tab, 0, "p50_ms")
-	confirmed := cellFloat(t, tab, 2, "p50_ms")
-	if confirmed <= off {
-		t.Fatalf("confirmed (%v ms) should exceed off (%v ms)", confirmed, off)
+	for i := range tab.Rows {
+		if p50 := cellFloat(t, tab, i, "p50_ms"); p50 <= 0 {
+			t.Fatalf("%s: p50 = %v ms, want > 0", tab.Rows[i][0], p50)
+		}
 	}
 }
 
@@ -237,20 +234,8 @@ func TestRunAB2AnalyserMatters(t *testing.T) {
 	}
 }
 
-func TestRunAB3Smoke(t *testing.T) {
-	tab, err := RunAB3(AB3Params{Requests: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	async := cellFloat(t, tab, 0, "p50_ms")
-	confirmed := cellFloat(t, tab, 2, "p50_ms")
-	if confirmed <= async {
-		t.Fatalf("confirmed (%v) should cost more than async (%v)", confirmed, async)
-	}
-}
-
 func TestStandardDeploymentModes(t *testing.T) {
-	dep, err := NewStandardDeployment(2, logger.SubmitAsync, false, 0)
+	dep, err := NewStandardDeployment(2, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/hybrid"
 	"drams/internal/idgen"
-	"drams/internal/logger"
 	"drams/internal/metrics"
 	"drams/internal/netsim"
 	"drams/internal/xacml"
@@ -88,15 +87,7 @@ func RunE2(p E2Params) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		li, err := logger.NewLI(logger.LIConfig{
-			Name: id.Name(), Tenant: "bench", Node: node, Identity: id,
-			Key: crypto.DeriveKey("bench", "K"), Mode: logger.SubmitConfirmed,
-		})
-		if err != nil {
-			cleanup()
-			return t, err
-		}
-		li.Start()
+		sender := blockchain.NewSender(node, id)
 		for _, size := range p.Sizes {
 			h := metrics.NewHistogram()
 			for s := 0; s < p.Samples; s++ {
@@ -108,12 +99,15 @@ func RunE2(p E2Params) (Table, error) {
 					ReqDigest: crypto.Sum([]byte{byte(s)}),
 					Payload:   rng.Bytes(size),
 				}
+				call := contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode()}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				start := time.Now()
-				err := li.Log(ctx, rec)
+				receipt, err := sender.SendAndWait(ctx, call, 1)
 				cancel()
+				if err == nil && !receipt.OK {
+					err = fmt.Errorf("tx failed on-chain: %s", receipt.Err)
+				}
 				if err != nil {
-					li.Stop()
 					cleanup()
 					return t, fmt.Errorf("E2 d=%d size=%d: %w", diff, size, err)
 				}
@@ -125,7 +119,6 @@ func RunE2(p E2Params) (Table, error) {
 				msF(s.P50), msF(s.P99), msF(s.Mean),
 			})
 		}
-		li.Stop()
 		cleanup()
 	}
 	return t, nil

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"drams/internal/attack"
-	"drams/internal/logger"
 	"drams/internal/metrics"
 	"drams/internal/xacml"
 )
@@ -29,7 +28,7 @@ func RunE1(p E1Params) (Table, error) {
 		Title:  "Figure 1 end-to-end: monitored access control on a 2-cloud federation",
 		Header: []string{"metric", "value"},
 	}
-	dep, err := NewStandardDeployment(2, logger.SubmitAsync, false, 0)
+	dep, err := NewStandardDeployment(2, false, 0)
 	if err != nil {
 		return t, err
 	}
@@ -130,7 +129,7 @@ func RunE5(p E5Params) (Table, error) {
 			"control row: clean traffic must raise no alert (false-positive check)",
 		},
 	}
-	dep, err := NewStandardDeployment(2, logger.SubmitAsync, false, 20)
+	dep, err := NewStandardDeployment(2, false, 20)
 	if err != nil {
 		return t, err
 	}
@@ -229,7 +228,7 @@ type E6Params struct {
 func DefaultE6Params() E6Params { return E6Params{Requests: 60, Workers: 6} }
 
 // RunE6 measures the monitoring overhead on the access-control hot path:
-// probes off vs. asynchronous logging vs. fully confirmed logging.
+// probes off vs. asynchronous logging, on the same fleet and policy.
 func RunE6(p E6Params) (Table, error) {
 	t := Table{
 		ID:     "E6",
@@ -237,21 +236,18 @@ func RunE6(p E6Params) (Table, error) {
 		Header: []string{"mode", "requests", "p50_ms", "p99_ms", "throughput_req_s"},
 		Notes: []string{
 			"off: probes disabled (bare access control)",
-			"async: agents log in the background (DRAMS default)",
-			"confirmed: every observation waits for on-chain confirmation before the PEP proceeds",
+			"async: agents log in the background, beside the access-control flow",
 		},
 	}
 	modes := []struct {
 		label string
-		mode  logger.SubmitMode
 		off   bool
 	}{
-		{"off", logger.SubmitAsync, true},
-		{"async", logger.SubmitAsync, false},
-		{"confirmed", logger.SubmitConfirmed, false},
+		{"off", true},
+		{"async", false},
 	}
 	for _, m := range modes {
-		dep, err := NewStandardDeployment(2, m.mode, m.off, 1<<20)
+		dep, err := NewStandardDeployment(2, m.off, 1<<20)
 		if err != nil {
 			return t, err
 		}
@@ -314,7 +310,7 @@ func RunE8(p E8Params) (Table, error) {
 		Header: []string{"clouds", "tenants", "requests", "throughput_req_s", "match_p50_ms", "match_p99_ms", "alerts"},
 	}
 	for _, n := range p.CloudCounts {
-		dep, err := NewStandardDeployment(n, logger.SubmitAsync, false, 0)
+		dep, err := NewStandardDeployment(n, false, 0)
 		if err != nil {
 			return t, err
 		}

@@ -1,9 +1,7 @@
 package logger
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"drams/internal/clock"
 	"drams/internal/core"
@@ -34,10 +32,6 @@ type Agent struct {
 	// timeout check must flag this member.
 	mu    sync.RWMutex
 	muted map[core.LogKind]bool
-
-	// timeout bounds confirmed-mode submissions so a stalled chain cannot
-	// block the access path indefinitely.
-	timeout time.Duration
 }
 
 // AgentStats snapshot.
@@ -51,7 +45,7 @@ func NewAgent(name, tenant string, li *LI, clk clock.Clock) *Agent {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	return &Agent{name: name, tenant: tenant, li: li, clk: clk, timeout: 30 * time.Second}
+	return &Agent{name: name, tenant: tenant, li: li, clk: clk}
 }
 
 // Name returns the agent name.
@@ -85,11 +79,10 @@ func (a *Agent) Stats() AgentStats {
 // side is one exchange as seen from one interception side of the agent's
 // tenant (PEP egress/ingress at an edge, PDP ingress/egress in the
 // infrastructure tenant). Each observation is digested, sealed and stamped
-// at its interception point; under SubmitAsync the request-side record is
-// then held here — on the goroutine serving the exchange, so nothing is left
-// behind when that returns — until the side completes, and the two go to the
-// LI as one queue entry: one anchoring transaction per side. The synchronous
-// modes submit each record at the moment it is observed.
+// at its interception point; the request-side record is then held here — on
+// the goroutine serving the exchange, so nothing is left behind when that
+// returns — until the side completes, and the two go to the LI as one queue
+// entry: one anchoring transaction per side.
 type side struct {
 	a         *Agent
 	req       *xacml.Request
@@ -109,7 +102,7 @@ func (a *Agent) open(kind core.LogKind, req *xacml.Request, origin string) *side
 }
 
 // observe completes rec — whose kind and response fields the caller set —
-// and submits or holds it.
+// and holds it until the side closes.
 func (s *side) observe(rec core.LogRecord, ec core.EncryptedContext) {
 	a := s.a
 	a.observed.Inc()
@@ -129,16 +122,8 @@ func (s *side) observe(rec core.LogRecord, ec core.EncryptedContext) {
 	rec.Tenant = a.tenant
 	rec.Origin = s.origin
 	rec.TimestampUnixNano = a.clk.Now().UnixNano()
-	if a.li.cfg.Mode == SubmitAsync {
-		s.recs[s.n] = rec
-		s.n++
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), a.timeout)
-	defer cancel()
-	if err := a.li.Log(ctx, rec); err != nil {
-		a.errors.Inc()
-	}
+	s.recs[s.n] = rec
+	s.n++
 }
 
 // close hands what the side holds to the LI. A side that ended without its

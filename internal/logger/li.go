@@ -7,7 +7,6 @@
 package logger
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,36 +29,23 @@ var ErrQueueFull = errors.New("logger: submission queue full")
 // ErrStopped is returned after the LI is stopped.
 var ErrStopped = errors.New("logger: LI stopped")
 
-// SubmitMode selects how the LI pushes logs to the chain.
+// SubmitMode names the LI's one way of logging: records are queued and the
+// flusher anchors them in Merkle-rooted batches beside the access-control
+// flow. Only benchmark/layers/replay.go still sets it.
 type SubmitMode uint8
 
-// Submission modes. E2 logs confirmed, E6 compares async with confirmed,
-// and AB3 compares all three.
-const (
-	// SubmitAsync enqueues and returns immediately; the LI's flusher anchors
-	// in the background. Access-control latency is unaffected.
-	SubmitAsync SubmitMode = iota + 1
-	// SubmitSync submits and waits for the transaction to be accepted
-	// into the mempool (not mined).
-	SubmitSync
-	// SubmitConfirmed submits and waits for on-chain confirmation; the
-	// strongest guarantee and the highest latency.
-	SubmitConfirmed
-)
+// SubmitAsync enqueues and returns immediately; the LI's flusher anchors in
+// the background. Access-control latency is unaffected.
+const SubmitAsync SubmitMode = 1
 
-const (
-	// liConfirmations is how deep SubmitConfirmed waits for its transaction.
-	liConfirmations = 1
-	// flushWindow is the number of probe records at which the flusher stops
-	// gathering and anchors what it holds under one Merkle-rooted batch
-	// transaction (far below core.MaxLogBatch; an entry is never split, so a
-	// window holds at most one record more). A window of N observations then
-	// costs one signed transaction instead of N; the contract re-derives the
-	// root and per-record events carry membership proofs, so anchoring stays
-	// as binding as individual submissions. Only SubmitAsync batches; the
-	// synchronous modes trade latency for per-record guarantees already.
-	flushWindow = 16
-)
+// flushWindow is the number of probe records at which the flusher stops
+// gathering and anchors what it holds under one Merkle-rooted batch
+// transaction (far below core.MaxLogBatch; an entry is never split, so a
+// window holds at most one record more). A window of N observations then
+// costs one signed transaction instead of N; the contract re-derives the
+// root and per-record events carry membership proofs, so anchoring stays as
+// binding as individual submissions.
+const flushWindow = 16
 
 // LIConfig configures a Logging Interface.
 type LIConfig struct {
@@ -75,7 +61,8 @@ type LIConfig struct {
 	// Key is the shared symmetric key K (paper §II); in a hardened
 	// deployment it is unsealed from the tenant's TPM.
 	Key crypto.Key
-	// Mode selects async/sync/confirmed submission.
+	// Mode is 0 or SubmitAsync, the only mode; only
+	// benchmark/layers/replay.go sets it.
 	Mode SubmitMode
 	// QueueSize bounds the async queue (default 1024).
 	QueueSize int
@@ -124,7 +111,6 @@ type LI struct {
 // a submission in flight.
 type txSender interface {
 	Send(call contract.Call) (crypto.Digest, error)
-	SendAndWait(ctx context.Context, call contract.Call, confirmations uint64) (blockchain.Receipt, error)
 }
 
 // queued is one entry of the async queue: the probe records handed over in
@@ -142,10 +128,7 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	if cfg.Node == nil || cfg.Identity == nil {
 		return nil, errors.New("logger: LI needs a node and an identity")
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = SubmitAsync
-	}
-	if cfg.Mode > SubmitConfirmed {
+	if cfg.Mode > SubmitAsync {
 		return nil, fmt.Errorf("logger: unknown submit mode %d", cfg.Mode)
 	}
 	if cfg.QueueSize <= 0 {
@@ -232,37 +215,6 @@ func (li *LI) Seal(ec core.EncryptedContext, reqID string) ([]byte, error) {
 // Open decrypts a sealed context (forensics / authorised readers).
 func (li *LI) Open(reqID string, payload []byte) (core.EncryptedContext, error) {
 	return core.OpenContext(li.cipher, reqID, payload)
-}
-
-// Log submits a record (with its already-sealed payload) according to the
-// configured mode. In async mode the record is queued for Merkle-batched
-// anchoring; otherwise it becomes its own transaction.
-func (li *LI) Log(ctx context.Context, rec core.LogRecord) error {
-	if li.cfg.Mode == SubmitAsync {
-		return li.enqueue([]core.LogRecord{rec})
-	}
-	select {
-	case <-li.stop:
-		return ErrStopped
-	default:
-	}
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode()}
-	receipt := blockchain.Receipt{OK: true} // SubmitSync waits for no receipt
-	var err error
-	if li.cfg.Mode == SubmitSync {
-		_, err = li.sender.Send(call)
-	} else {
-		receipt, err = li.sender.SendAndWait(ctx, call, liConfirmations)
-	}
-	if err != nil {
-		li.failed.Inc()
-		return err
-	}
-	li.submitted.Inc()
-	if !receipt.OK {
-		return fmt.Errorf("logger: tx failed on-chain: %s", receipt.Err)
-	}
-	return nil
 }
 
 // enqueue hands recs to the flusher as one entry, never blocking: a full

@@ -1,11 +1,11 @@
 package logger
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +24,7 @@ type liEnv struct {
 	li   *LI
 }
 
-func newLIEnv(t *testing.T, mode SubmitMode) *liEnv {
+func newLIEnv(t *testing.T) *liEnv {
 	t.Helper()
 	var seed [32]byte
 	seed[0] = 7
@@ -50,7 +50,7 @@ func newLIEnv(t *testing.T, mode SubmitMode) *liEnv {
 	}
 	node.Start()
 	li, err := NewLI(LIConfig{
-		Name: "li@t1", Tenant: "t1", Node: node, Identity: id, Key: testKey, Mode: mode,
+		Name: "li@t1", Tenant: "t1", Node: node, Identity: id, Key: testKey,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +133,9 @@ func anchoredRecord(t *testing.T, chain *blockchain.Chain, reqID string, kind co
 }
 
 func TestLIAsyncSubmission(t *testing.T) {
-	env := newLIEnv(t, SubmitAsync)
+	env := newLIEnv(t)
 	rec := pepRequestRecord("async-1")
-	if err := env.li.Log(context.Background(), rec); err != nil {
+	if err := env.li.enqueue([]core.LogRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
 	got := waitForRecord(t, env.node, "async-1", core.KindPEPRequest)
@@ -174,17 +174,17 @@ func (g *gatedSender) Send(call contract.Call) (crypto.Digest, error) {
 // full window of 16, then the remaining 8), and every record still reaches
 // contract state.
 func TestLIBatchedAnchoring(t *testing.T) {
-	env := newLIEnv(t, SubmitAsync)
+	env := newLIEnv(t)
 	gate := &gatedSender{txSender: env.li.sender, entered: make(chan struct{}), release: make(chan struct{})}
 	env.li.sender = gate // the flusher reads it only once a record is queued
 
-	if err := env.li.Log(context.Background(), pepRequestRecord("first")); err != nil {
+	if err := env.li.enqueue([]core.LogRecord{pepRequestRecord("first")}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.entered
 	const n = 24
 	for i := 0; i < n; i++ {
-		if err := env.li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("batch-%d", i))); err != nil {
+		if err := env.li.enqueue([]core.LogRecord{pepRequestRecord(fmt.Sprintf("batch-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,41 +204,19 @@ func TestLIBatchedAnchoring(t *testing.T) {
 	}
 }
 
-func TestLISyncSubmission(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
-	if err := env.li.Log(context.Background(), pepRequestRecord("sync-1")); err != nil {
-		t.Fatal(err)
-	}
-	waitForRecord(t, env.node, "sync-1", core.KindPEPRequest)
-}
-
-func TestLIConfirmedSubmission(t *testing.T) {
-	env := newLIEnv(t, SubmitConfirmed)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := env.li.Log(ctx, pepRequestRecord("conf-1")); err != nil {
-		t.Fatal(err)
-	}
-	// Confirmed mode means the record is on-chain when Log returns.
-	var ok bool
-	env.node.Chain().ReadState(core.ContractName, func(st contract.StateDB) {
-		_, ok = core.ReadStoredRecord(st, "conf-1", core.KindPEPRequest)
-	})
-	if !ok {
-		t.Fatal("confirmed log not on chain at return")
-	}
-}
-
 func TestLIStoppedRejects(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
+	env := newLIEnv(t)
 	env.li.Stop()
-	if err := env.li.Log(context.Background(), pepRequestRecord("x")); !errors.Is(err, ErrStopped) {
+	if err := env.li.enqueue([]core.LogRecord{pepRequestRecord("x")}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("got %v", err)
+	}
+	if st := env.li.Stats(); st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want the refused record dropped", st)
 	}
 }
 
 func TestLISealOpenAndTag(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
+	env := newLIEnv(t)
 	req := xacml.NewRequest("r1").Add(xacml.CatSubject, "role", xacml.String("doctor"))
 	sealed, err := env.li.Seal(core.EncryptedContext{Request: req}, "r1")
 	if err != nil {
@@ -260,7 +238,7 @@ func TestLISealOpenAndTag(t *testing.T) {
 }
 
 func TestAgentObservationsReachChain(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
+	env := newLIEnv(t)
 	agent := NewAgent("agent@t1", "t1", env.li, nil)
 	req := xacml.NewRequest("ag-1").
 		Add(xacml.CatSubject, "role", xacml.String("doctor")).
@@ -314,13 +292,15 @@ func TestAgentObservationsReachChain(t *testing.T) {
 }
 
 func TestAgentErrorsDoNotPanic(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
+	env := newLIEnv(t)
 	agent := NewAgent("agent@t1", "t1", env.li, nil)
-	env.li.Stop() // submissions now fail
-	req := xacml.NewRequest("err-1")
-	agent.PEPRequestSent(req)
+	env.li.Stop() // hand-overs now fail
+	agent.PEPRequestSent(xacml.NewRequest("err-1"))(xacml.Result{}, 0, false)
 	if st := agent.Stats(); st.Errors != 1 {
-		t.Fatalf("stats = %+v", st)
+		t.Fatalf("agent stats = %+v", st)
+	}
+	if st := env.li.Stats(); st.Dropped != 1 {
+		t.Fatalf("LI stats = %+v, want the request-side record dropped", st)
 	}
 }
 
@@ -342,12 +322,12 @@ func logTxs(chain *blockchain.Chain, reqID string) [][]core.LogKind {
 	return out
 }
 
-// Under SubmitAsync an agent anchors one transaction per interception side:
+// An agent anchors one transaction per interception side:
 // the request-side record is held until the side completes and the pair is
 // one Merkle batch; a side that ends without its response, or with one leg
 // muted, anchors the other record alone as a plain log call.
 func TestAgentAnchorsOneTransactionPerSide(t *testing.T) {
-	env := newLIEnv(t, SubmitAsync)
+	env := newLIEnv(t)
 	agent := NewAgent("agent@t1", "t1", env.li, nil)
 	res := xacml.Result{Decision: xacml.Permit, PolicyVersion: "v1", PolicyDigest: crypto.Sum([]byte("pol"))}
 	pair := func(a, b core.LogKind) [][]core.LogKind { return [][]core.LogKind{{a, b}} }
@@ -426,9 +406,14 @@ func TestNewLIValidation(t *testing.T) {
 	if _, err := NewLI(LIConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
+	cfg := unstartedLI(t, 1).cfg
+	cfg.Mode = SubmitAsync + 1
+	if _, err := NewLI(cfg); err == nil {
+		t.Fatal("unknown submit mode accepted")
+	}
 }
 
-// unstartedLI builds an async LI with a tiny queue and no workers running
+// unstartedLI builds an LI with a tiny queue and no workers running
 // (Start is not called), so the queue only fills.
 func unstartedLI(t *testing.T, queueSize int) *LI {
 	t.Helper()
@@ -451,7 +436,7 @@ func unstartedLI(t *testing.T, queueSize int) *LI {
 	t.Cleanup(node.Stop)
 	li, err := NewLI(LIConfig{
 		Name: "li@q", Tenant: "q", Node: node, Identity: id, Key: testKey,
-		Mode: SubmitAsync, QueueSize: queueSize,
+		QueueSize: queueSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +450,7 @@ func TestLIAsyncQueueOverflow(t *testing.T) {
 	li := unstartedLI(t, 2)
 	var full int
 	for i := 0; i < 5; i++ {
-		err := li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("q-%d", i)))
+		err := li.enqueue([]core.LogRecord{pepRequestRecord(fmt.Sprintf("q-%d", i))})
 		if errors.Is(err, ErrQueueFull) {
 			full++
 		} else if err != nil {
@@ -493,7 +478,7 @@ func TestLIFullWindowsAnchorOncePerWindow(t *testing.T) {
 	li := unstartedLI(t, 64)
 	const n = 32 // two default windows of 16
 	for i := 0; i < n; i++ {
-		if err := li.Log(context.Background(), pepRequestRecord(fmt.Sprintf("w-%d", i))); err != nil {
+		if err := li.enqueue([]core.LogRecord{pepRequestRecord(fmt.Sprintf("w-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -509,14 +494,39 @@ func TestLIFullWindowsAnchorOncePerWindow(t *testing.T) {
 	}
 }
 
+// countingSender counts the sends its LI attempts.
+type countingSender struct {
+	txSender
+	sends atomic.Int64
+}
+
+func (c *countingSender) Send(call contract.Call) (crypto.Digest, error) {
+	c.sends.Add(1)
+	return c.txSender.Send(call)
+}
+
+// A flush the chain refuses is retried once, then its records are counted
+// as Failed, never as Submitted.
 func TestLIFailedSubmissionCounted(t *testing.T) {
-	env := newLIEnv(t, SubmitSync)
-	env.node.Stop() // chain gone: submissions fail
-	err := env.li.Log(context.Background(), pepRequestRecord("fail-1"))
-	if err == nil {
-		t.Fatal("submission to stopped node succeeded")
+	li := unstartedLI(t, 1)
+	counter := &countingSender{txSender: li.sender}
+	li.sender = counter
+	li.cfg.Node.Stop() // chain gone: submissions fail
+	if err := li.enqueue([]core.LogRecord{pepRequestRecord("fail-1")}); err != nil {
+		t.Fatal(err)
 	}
-	if st := env.li.Stats(); st.Failed != 1 {
-		t.Fatalf("stats = %+v", st)
+	li.Start()
+	defer li.Stop()
+	for deadline := time.Now().Add(5 * time.Second); li.Stats().Failed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("failed flush never counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := li.Stats(); st.Failed != 1 || st.Submitted != 0 {
+		t.Fatalf("stats = %+v, want 1 failed record and none submitted", st)
+	}
+	if n := counter.sends.Load(); n != 2 {
+		t.Fatalf("sends = %d, want one try and one retry", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"drams/internal/federation"
-	"drams/internal/logger"
 	"drams/internal/transport"
 	"drams/internal/xacml"
 )
@@ -64,11 +63,6 @@ func WithTimeoutBlocks(n uint64) Option {
 // WithEmptyBlockInterval keeps blocks flowing when idle.
 func WithEmptyBlockInterval(d time.Duration) Option {
 	return func(c *config) { c.emptyBlockInterval = d }
-}
-
-// WithSubmitMode sets the Logging Interface submission mode.
-func WithSubmitMode(m logger.SubmitMode) Option {
-	return func(c *config) { c.submitMode = m }
 }
 
 // WithMonitoring enables or disables the whole monitoring plane (probes,

@@ -88,7 +88,6 @@ var publicSurface = []string{
 	"WithMonitoring",
 	"WithNetwork",
 	"WithSeed",
-	"WithSubmitMode",
 	"WithTimeoutBlocks",
 	"WithTopology",
 	"WithTransport",
