@@ -116,16 +116,13 @@ type PolicyStats struct {
 	// unconditional startup Sync is not counted).
 	EventsDropped int64
 	Resyncs       int64
-	// CachePurges counts decision-cache purges (one per hot reload; 0 on
-	// a member without the PDP).
-	CachePurges int64
 }
 
 // PolicyStats snapshots the deployment's policy lifecycle counters, the
 // PAP-side complement of Node.Stats and DecisionCache.Stats.
 func (d *Deployment) PolicyStats() PolicyStats {
 	st := d.watcher.Stats()
-	out := PolicyStats{
+	return PolicyStats{
 		Version:       st.Version,
 		Height:        st.Height,
 		Staged:        st.Staged,
@@ -134,10 +131,4 @@ func (d *Deployment) PolicyStats() PolicyStats {
 		EventsDropped: st.EventsDropped,
 		Resyncs:       st.Resyncs,
 	}
-	if d.PDP != nil {
-		if c := d.PDP.Cache(); c != nil {
-			out.CachePurges = c.Stats().Purges
-		}
-	}
-	return out
 }

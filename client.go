@@ -48,8 +48,7 @@ func (c *Client) Decide(ctx context.Context, req *xacml.Request) (Enforcement, e
 }
 
 // DecideBatch pipelines many access requests over the tenant's PEP: all of
-// them share one network round-trip to the PDP (and the later items hit a
-// decision cache warmed by the earlier ones), while probes, attack
+// them share one network round-trip to the PDP, while probes, attack
 // injection and on-chain logging behave per-request exactly as Decide.
 //
 // The returned slice is positionally aligned with reqs; entries whose

@@ -306,7 +306,6 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	// Access-control plane.
 	if hostsInfra {
 		d.PDP = xacml.NewPDP(nil)
-		d.PDP.SetCache(xacml.NewDecisionCache(0))
 		d.pdpService, err = federation.NewPDPService(d.Transport, d.PDP)
 		if err != nil {
 			return nil, err
@@ -376,11 +375,11 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	}
 
 	// The PAP watcher applies the chain-replicated policy lifecycle
-	// locally: it stages announced versions, flips the PDP (purging the
-	// decision cache) at each activation height, and feeds rollout events
-	// into the monitor stream. The analyser needs none of this: it reads
-	// the policy it checks from its own node's replica. A slice without the
-	// infrastructure tenant has no PDP and only acknowledges the flips.
+	// locally: it stages announced versions, flips the PDP at each
+	// activation height, and feeds rollout events into the monitor stream.
+	// The analyser needs none of this: it reads the policy it checks from
+	// its own node's replica. A slice without the infrastructure tenant has
+	// no PDP and only acknowledges the flips.
 	d.watcher, err = pap.NewWatcher(pap.WatcherConfig{
 		Node:    d.home,
 		PDP:     d.PDP,
@@ -436,9 +435,9 @@ func (d *Deployment) OnPolicyEvent(fn func(PolicyEvent)) { d.policyHook.Store(&f
 // PublishPolicy publishes a policy set as a new on-chain version activated
 // immediately: the PAP signs a PolicyUpdate transaction carrying the full
 // serialized set, the policy contract anchors and schedules it, and the
-// call returns once this deployment's watcher has hot-reloaded the PDP
-// (decision cache purged). It is a convenience wrapper over
-// Admin.UpdatePolicy for the "new version, right now" case.
+// call returns once this deployment's watcher has hot-reloaded the PDP. It
+// is a convenience wrapper over Admin.UpdatePolicy for the "new version,
+// right now" case.
 func (d *Deployment) PublishPolicy(ps *xacml.PolicySet) error {
 	if ps == nil || ps.Version == "" {
 		return errors.New("drams: policy set with a version is required")

@@ -3,9 +3,8 @@
 // The PAP publishes a restricting policy update as an on-chain transaction
 // (full serialized set + digest + activation height); every federation
 // member's watcher verifies it against the anchored root and hot-reloads
-// its PDP at the activation height — no restarts, decision caches purged in
-// the same step, and the rollout observable as PolicyActivated events on an
-// Alerts subscription. The example then rolls the fleet back to v1.
+// its PDP at the activation height — no restarts, and the rollout
+// observable as PolicyActivated events on an Alerts subscription. The example then rolls the fleet back to v1.
 //
 //	go run ./examples/policyrollout
 package main
@@ -86,8 +85,7 @@ func run() error {
 	fmt.Printf("under %s: doctor reads a record → %v\n", enf.PolicyVersion, enf.Decision)
 
 	st := dep.PolicyStats()
-	fmt.Printf("\npolicy stats: version=%s activations=%d cache-purges=%d\n",
-		st.Version, st.Activations, st.CachePurges)
+	fmt.Printf("\npolicy stats: version=%s activations=%d\n", st.Version, st.Activations)
 
 	// Incident over: roll the fleet back to v1 (the bytes are already
 	// anchored on-chain; only an activation travels).

@@ -37,10 +37,11 @@ const (
 )
 
 // newSeenCache returns a cache of max digests per generation. A nil clk
-// rotates on fill only.
+// rotates on fill only. Both generations start empty and grow to the
+// traffic they see.
 func newSeenCache(max int, clk clock.Clock) *seenCache {
 	c := &seenCache{
-		cur:  make(map[crypto.Digest]struct{}, max),
+		cur:  map[crypto.Digest]struct{}{},
 		prev: map[crypto.Digest]struct{}{},
 		max:  max,
 		clk:  clk,
@@ -52,13 +53,14 @@ func newSeenCache(max int, clk clock.Clock) *seenCache {
 }
 
 // rotateLocked starts a fresh generation when the current one is full or
-// stale.
+// stale. The retired generation's map is cleared and becomes the current
+// one, so a rotation allocates nothing.
 func (c *seenCache) rotateLocked() {
 	if len(c.cur) < c.max && (c.clk == nil || c.clk.Since(c.rotated) < seenTTL) {
 		return
 	}
-	c.prev = c.cur
-	c.cur = make(map[crypto.Digest]struct{}, c.max)
+	c.prev, c.cur = c.cur, c.prev
+	clear(c.cur)
 	if c.clk != nil {
 		c.rotated = c.clk.Now()
 	}

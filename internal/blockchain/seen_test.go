@@ -47,6 +47,34 @@ func TestSeenCacheRotatesWhenFull(t *testing.T) {
 	}
 }
 
+// After warm-up, marking and looking up digests across rotations, by fill
+// and by time, allocates nothing: a rotation swaps the generations and
+// clears the retired one in place.
+func TestSeenCacheRotationAllocBudget(t *testing.T) {
+	clk := clock.NewMock(time.Unix(1700000000, 0))
+	c := newSeenCache(64, clk)
+	ds := make([]crypto.Digest, 100)
+	for i := range ds {
+		ds[i] = crypto.Sum([]byte{byte(i)})
+	}
+	round := func() {
+		// 100 distinct marks into 64-digest generations: a rotation by fill.
+		for _, d := range ds {
+			c.add(d)
+		}
+		if !c.has(ds[len(ds)-1]) {
+			t.Error("the last mark is forgotten")
+		}
+		clk.Advance(seenTTL) // the next call rotates by time
+		c.has(ds[0])
+	}
+	round()
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("add/has across rotations allocate %.1f/round, want 0", n)
+	}
+}
+
 // TestTxGossipDedupSkipsDecode verifies the node-level effect: a payload
 // delivered twice is admitted once and the duplicate is dropped before
 // admission (no queue slot, no double-add error surfaced).

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,7 +258,6 @@ func (an *Analyser) handleLog(payload []byte) {
 		if traceID == "" {
 			traceID = rec.ReqID
 		}
-		// The tracer keeps the ID: its own bytes, not the event's.
-		tr.Span(strings.Clone(traceID), trace.StageAnalyserVerify, start, time.Since(start))
+		tr.Span(traceID, trace.StageAnalyserVerify, start, time.Since(start))
 	}
 }

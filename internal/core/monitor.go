@@ -419,9 +419,8 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 				m.mu.Unlock()
 				if ok {
 					// Submission-to-block-inclusion: how long the record
-					// waited to be anchored by the chain. The tracer keeps
-					// the ID, so it gets its own bytes, not the event's.
-					tr.Span(strings.Clone(traceID), trace.StageChainAnchor, t0, m.clk.Since(t0))
+					// waited to be anchored by the chain.
+					tr.Span(traceID, trace.StageChainAnchor, t0, m.clk.Since(t0))
 				}
 			}
 		}

@@ -293,7 +293,8 @@ func DecodeVerdict(data []byte) (Verdict, error) {
 //
 // where flag bit 0 marks a request and bit 1 a result. The seal holds every
 // request DecodeRequest accepts; what a request may carry at all is
-// Request.CheckValues' rule, which the PEP applies before any probe sees it.
+// Request.EncodeChecked's rule, which the PEP applies before any probe sees
+// it.
 type EncryptedContext struct {
 	Request  *xacml.Request
 	Result   *xacml.Result

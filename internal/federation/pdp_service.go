@@ -109,8 +109,8 @@ var reqPool = sync.Pool{New: func() any { return new(xacml.Request) }}
 // goes back to the pool once the reply is encoded and the probe's hook has
 // run. Nothing that sees it keeps it: the probe seals what it logs before
 // its hook returns (PDPProbe), an evaluator keeps nothing (xacml.Evaluator),
-// the tracer takes the TraceID, which has its own bytes, and no transport
-// mutates a handler's payload (transport.Endpoint.OnCall).
+// the tracer keeps only a hash of the TraceID, and no transport mutates a
+// handler's payload (transport.Endpoint.OnCall).
 func (s *PDPService) evaluateOne(origin string, payload []byte) ([]byte, error) {
 	req := reqPool.Get().(*xacml.Request)
 	defer reqPool.Put(req)

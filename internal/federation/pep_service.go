@@ -161,28 +161,30 @@ func (s *PEPService) Stats() PEPStats {
 	}
 }
 
-// admit counts a request and refuses one carrying a value outside what a
-// request may carry (xacml.ErrUnsupportedValue). A refused request never
-// reaches the probe or the PDP: nothing is decided, so nothing goes
-// unmonitored.
-func (s *PEPService) admit(req *xacml.Request) error {
+// admit counts a request, stamps its trace ID and encodes it for the wire,
+// refusing in the same pass one carrying a value outside what a request may
+// carry (xacml.ErrUnsupportedValue). A refused request never reaches the
+// probe or the PDP: nothing is decided, so nothing goes unmonitored.
+func (s *PEPService) admit(req *xacml.Request) ([]byte, error) {
 	s.requests.Inc()
-	if err := req.CheckValues(); err != nil {
+	ensureTraceID(req)
+	payload, err := req.EncodeChecked()
+	if err != nil {
 		s.failures.Inc()
-		return fmt.Errorf("federation: PEP %s: %w", s.tenant, err)
+		return nil, fmt.Errorf("federation: PEP %s: %w", s.tenant, err)
 	}
-	return nil
+	return payload, nil
 }
 
 // Decide runs the full PEP flow for an application request: probe, forward
 // to the PDP, receive, probe, enforce. It returns what was enforced.
 func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcement, error) {
-	if err := s.admit(req); err != nil {
+	start := time.Now()
+	payload, err := s.admit(req)
+	if err != nil {
 		return Enforcement{Decision: xacml.IndeterminateDP}, err
 	}
 	tam := s.tamper.Load()
-	traceID := ensureTraceID(req)
-	start := time.Now()
 
 	done := s.observe(req)
 	// fail ends an exchange that produced no response the edge could observe.
@@ -193,19 +195,18 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 	}
 
 	// In-transit tampering / suppression happens after the probe.
-	wire := req
 	if tam != nil {
 		if tam.DropRequest {
 			return fail(ErrRequestDropped)
 		}
 		if tam.Request != nil {
-			wire = tam.Request(req.Clone())
+			payload = tam.Request(req.Clone()).Encode()
 		}
 	}
 
 	callCtx, cancel := context.WithTimeout(ctx, s.timeout)
 	defer cancel()
-	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluate, wire.Encode())
+	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluate, payload)
 	if err != nil {
 		return fail(fmt.Errorf("federation: PEP %s → PDP: %w", s.tenant, err))
 	}
@@ -231,7 +232,7 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 	}
 
 	done(res, enforced, true)
-	s.tracer.Load().Span(traceID, trace.StagePEPDecide, start, time.Since(start))
+	s.tracer.Load().Span(req.TraceID, trace.StagePEPDecide, start, time.Since(start))
 
 	if enforced == xacml.Permit {
 		s.permits.Inc()
@@ -243,9 +244,7 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 
 // DecideBatch runs the full PEP flow for a pipeline of application
 // requests: every request is probed, tampered and counted exactly as Decide
-// would, but all requests share a single network round-trip to the PDP and
-// arrive while its decision cache is warm from the batch's own earlier
-// items.
+// would, but all requests share a single network round-trip to the PDP.
 //
 // The returned slice is positionally aligned with reqs and always has
 // len(reqs) entries; an entry whose request failed carries IndeterminateDP.
@@ -281,16 +280,16 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 
 	wire := make([][]byte, 0, len(reqs))
 	for i, req := range reqs {
-		if errs[i] = s.admit(req); errs[i] != nil {
+		payload, err := s.admit(req)
+		if err != nil {
+			errs[i] = err
 			continue
 		}
-		ensureTraceID(req)
 		done[i] = s.observe(req)
-		w := req
 		if tam != nil && tam.Request != nil {
-			w = tam.Request(req.Clone())
+			payload = tam.Request(req.Clone()).Encode()
 		}
-		wire = append(wire, w.Encode())
+		wire = append(wire, payload)
 		sent = append(sent, i)
 	}
 	if len(sent) == 0 {

@@ -38,8 +38,31 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 // (<= 2^-subBits ≈ 0.1%) no matter how many samples are observed or how
 // skewed they are. Memory is proportional to the number of distinct buckets
 // touched (the span of the data), never to the sample count.
+//
+// The samples are spread over a fixed set of shards, each under its own
+// lock. Observe takes the first shard no other caller holds, so concurrent
+// observers do not wait on each other and a lone one always lands in the
+// first shard; readers merge the shards, and see what one lock over every
+// sample would hold (Sum up to float rounding).
 type Histogram struct {
-	mu         sync.Mutex
+	shards [histShards]histShard
+}
+
+// histShards is the number of shards a Histogram keeps: more than the
+// observers that run at once on a small host.
+const histShards = 8
+
+// histShard is one part of a Histogram's samples, under its own lock.
+type histShard struct {
+	mu sync.Mutex
+	samples
+	_ [64]byte // keeps neighbouring shards' locks off one cache line
+}
+
+// samples is a set of observations: their log-bucket counts, and their
+// exact count, sums and extremes. The first sample makes the buckets map
+// and sets min and max from ±Inf.
+type samples struct {
 	buckets    map[int32]int64
 	count      int64
 	sum, sumSq float64
@@ -51,13 +74,7 @@ type Histogram struct {
 const subBits = 10
 
 // NewHistogram returns an empty Histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{
-		buckets: make(map[int32]int64),
-		min:     math.Inf(1),
-		max:     math.Inf(-1),
-	}
-}
+func NewHistogram() *Histogram { return new(Histogram) }
 
 // bucketKey maps a value to its log-bucket. Zero (and non-finite values,
 // which are clamped) get the reserved key 0; negative values mirror the
@@ -106,18 +123,67 @@ func bucketBounds(key int32) (lo, hi float64) {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	h.sumSq += v * v
-	if v < h.min {
-		h.min = v
+	for i := range h.shards {
+		if s := &h.shards[i]; s.mu.TryLock() {
+			s.observe(v)
+			s.mu.Unlock()
+			return
+		}
 	}
-	if v > h.max {
-		h.max = v
+	// Every shard is held: wait for the first, as a single lock would.
+	s := &h.shards[0]
+	s.mu.Lock()
+	s.observe(v)
+	s.mu.Unlock()
+}
+
+// observe adds v.
+func (s *samples) observe(v float64) {
+	if s.buckets == nil {
+		s.buckets = make(map[int32]int64)
+		s.min, s.max = math.Inf(1), math.Inf(-1)
 	}
-	h.buckets[bucketKey(v)]++
+	s.count++
+	s.sum += v
+	s.sumSq += v * v
+	if v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	s.buckets[bucketKey(v)]++
+}
+
+// add adds o's observations.
+func (s *samples) add(o *samples) {
+	if o.count == 0 {
+		return
+	}
+	if s.buckets == nil {
+		s.buckets = make(map[int32]int64, len(o.buckets))
+		s.min, s.max = math.Inf(1), math.Inf(-1)
+	}
+	for key, c := range o.buckets {
+		s.buckets[key] += c
+	}
+	s.count += o.count
+	s.sum += o.sum
+	s.sumSq += o.sumSq
+	s.min, s.max = math.Min(s.min, o.min), math.Max(s.max, o.max)
+}
+
+// merge returns every shard's samples together, taking each shard's lock
+// in turn.
+func (h *Histogram) merge() samples {
+	var m samples
+	for i := range h.shards {
+		s := &h.shards[i]
+		s.mu.Lock()
+		m.add(&s.samples)
+		s.mu.Unlock()
+	}
+	return m
 }
 
 // ObserveDuration records a duration sample in milliseconds.
@@ -131,11 +197,10 @@ type bucketRow struct {
 	count  int64
 }
 
-// sortedBuckets snapshots the populated buckets in ascending value order.
-// Callers must hold h.mu.
-func (h *Histogram) sortedBuckets() []bucketRow {
-	rows := make([]bucketRow, 0, len(h.buckets))
-	for key, c := range h.buckets {
+// sortedBuckets lists the populated buckets in ascending value order.
+func sortedBuckets(buckets map[int32]int64) []bucketRow {
+	rows := make([]bucketRow, 0, len(buckets))
+	for key, c := range buckets {
 		lo, hi := bucketBounds(key)
 		rows = append(rows, bucketRow{lo: lo, hi: hi, count: c})
 	}
@@ -173,9 +238,8 @@ func quantileFrom(rows []bucketRow, count int64, mn, mx float64, q float64) floa
 // by the bucket resolution (~0.1%). Returns 0 when empty; q=0 and q=1
 // return the exact min and max.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantileFrom(h.sortedBuckets(), h.count, h.min, h.max, q)
+	m := h.merge()
+	return quantileFrom(sortedBuckets(m.buckets), m.count, m.min, m.max, q)
 }
 
 // octaveUpper returns the smallest power-of-two upper bound that covers
@@ -220,13 +284,12 @@ type HistExport struct {
 // buckets is bounded by the octave span of the data (one per power of two
 // touched), never by the sample count.
 func (h *Histogram) Export() HistExport {
-	h.mu.Lock()
-	perBound := make(map[float64]int64, len(h.buckets))
-	for key, c := range h.buckets {
+	m := h.merge()
+	perBound := make(map[float64]int64, len(m.buckets))
+	for key, c := range m.buckets {
 		perBound[octaveUpper(key)] += c
 	}
-	out := HistExport{Count: h.count, Sum: h.sum}
-	h.mu.Unlock()
+	out := HistExport{Count: m.count, Sum: m.sum}
 
 	bounds := make([]float64, 0, len(perBound))
 	for b := range perBound {
@@ -253,12 +316,11 @@ type Summary struct {
 
 // Snapshot computes a Summary.
 func (h *Histogram) Snapshot() Summary {
-	h.mu.Lock()
-	count := h.count
-	sum, sumSq := h.sum, h.sumSq
-	rows := h.sortedBuckets()
-	mn, mx := h.min, h.max
-	h.mu.Unlock()
+	m := h.merge()
+	count := m.count
+	sum, sumSq := m.sum, m.sumSq
+	rows := sortedBuckets(m.buckets)
+	mn, mx := m.min, m.max
 
 	s := Summary{Count: count, TotalObservation: sum}
 	if count == 0 {

@@ -191,18 +191,37 @@ func TestTracerTimeline(t *testing.T) {
 	if reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Snapshot().Count != 1 {
 		t.Fatal("stage histogram not recorded")
 	}
-	// FIFO eviction at capacity 2: adding traces 2 and 3 evicts req-1.
+	// Later spans of a stage land in the same registry series.
 	tr.Span("req-2", trace.StagePEPDecide, base, time.Millisecond)
 	tr.Span("req-3", trace.StagePEPDecide, base, time.Millisecond)
-	if tr.Trace("req-1") != nil {
-		t.Fatal("req-1 not evicted at capacity")
-	}
-	if tr.Trace("req-3") == nil {
-		t.Fatal("req-3 missing")
-	}
-	// Later spans of a stage land in the same registry series.
 	if n := reg.Histogram(`drams_trace_stage_ms{stage="pep.decide"}`).Snapshot().Count; n != 3 {
 		t.Fatalf("pep.decide series counted %d spans, want 3", n)
+	}
+	if tr.Trace("req-1") == nil || tr.Trace("req-3") == nil {
+		t.Fatal("a trace within capacity is missing")
+	}
+
+	// The ring holds capacity × 7 spans and overwrites the oldest span of
+	// its shard. At capacity 1 it is one shard of seven: req-2's spans push
+	// out req-1's one at a time, in the order they were recorded.
+	small := trace.New(nil, 1)
+	small.Span("req-1", trace.StagePEPDecide, base, 2*time.Millisecond)
+	small.Span("req-1", trace.StageChainAnchor, base.Add(5*time.Millisecond), 40*time.Millisecond)
+	small.Span("req-1", trace.StagePDPEval, base.Add(time.Millisecond), 500*time.Microsecond)
+	for i := 0; i < 5; i++ {
+		small.Span("req-2", trace.StageLIFlushWait, base, time.Millisecond)
+	}
+	spans = small.Trace("req-1")
+	if len(spans) != 2 || spans[0].Stage != trace.StagePDPEval || spans[1].Stage != trace.StageChainAnchor {
+		t.Fatalf("after one overwrite req-1 = %v, want its pdp.eval and chain.anchor spans", spans)
+	}
+	small.Span("req-2", trace.StageLIFlushWait, base, time.Millisecond)
+	small.Span("req-2", trace.StageLIFlushWait, base, time.Millisecond)
+	if spans := small.Trace("req-1"); spans != nil {
+		t.Fatalf("req-1 not overwritten: %v", spans)
+	}
+	if n := len(small.Trace("req-2")); n != 7 {
+		t.Fatalf("req-2 has %d spans, want the ring's 7", n)
 	}
 }
 

@@ -15,7 +15,7 @@
 //     events, pre-stages and digest-verifies announced versions, and
 //     atomically hot-reloads the local PDP the moment the
 //     chain reaches the activation height — every member flips at the same
-//     block height, with the decision cache invalidated in the same step.
+//     block height.
 //
 // Failure modes are first-class: a version whose bytes do not verify
 // against the anchored digest, or do not parse, is never activated locally

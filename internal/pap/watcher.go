@@ -344,9 +344,8 @@ func (w *Watcher) stage(version string, digest crypto.Digest, height uint64) {
 
 // activate flips this member to version: the staged parsed set (fetched
 // from chain state when staging was missed) is atomically loaded into the
-// PDP, which purges the decision cache in the same step. The whole flip
-// runs in one critical section, so a Sync
-// racing the event goroutine applies each flip exactly once, at-least-once
+// PDP. The whole flip runs in one critical section, so a Sync racing the
+// event goroutine applies each flip exactly once, at-least-once
 // event deliveries dedupe, and a stale buffered activation (lower height
 // than what this member already applied, e.g. after Sync caught up past
 // it) can never downgrade the PDP.

@@ -10,8 +10,11 @@ package trace
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drams/internal/metrics"
@@ -29,6 +32,14 @@ const (
 	StageMonitorMatch   = "monitor.match"   // request tracked → M-check match observed off-chain
 	StageMonitorAlert   = "monitor.alert"   // request tracked → alert observed off-chain
 )
+
+// canonicalStages are the stages New resolves up front; a trace of the
+// whole pipeline holds one span of each, so the ring holds this many spans
+// per trace it is sized for.
+var canonicalStages = [...]string{
+	StagePEPDecide, StagePDPEval, StageLIFlushWait, StageChainAnchor,
+	StageAnalyserVerify, StageMonitorMatch, StageMonitorAlert,
+}
 
 // stageFamily is the histogram family every span duration lands in, one
 // series per stage label.
@@ -49,27 +60,70 @@ func (s Span) String() string {
 }
 
 // Tracer records per-request stage spans: each span lands in a bounded
-// per-trace timeline (FIFO-evicted once capacity distinct trace IDs are
-// held) and in a per-stage duration histogram on the registry, so /metrics
-// answers "where does the time go" in aggregate while Trace answers it for
-// one request. All methods are safe on a nil receiver — a nil *Tracer is
-// the disabled tracer, costing one branch per call site.
+// ring of recent spans and in a per-stage duration histogram on the
+// registry, so /metrics answers "where does the time go" in aggregate
+// while Trace answers it for one request. All methods are safe on a nil
+// receiver — a nil *Tracer is the disabled tracer, costing one branch per
+// call site.
+//
+// The ring is split into shards, and a hash of the trace ID picks one, so
+// a trace's spans share a shard and two decisions rarely share a lock.
+// Each shard is allocated once in New and holds pointer-free records
+// (trace-ID hash, stage index, start, duration), so recording a span
+// allocates nothing, and what the ring retains is fixed at New. A full
+// shard overwrites its oldest span. Trace matches on the 64-bit hash: two
+// trace IDs with the same hash would share a timeline.
 type Tracer struct {
-	reg *metrics.Registry
-	cap int
+	seed   maphash.Seed
+	reg    *metrics.Registry
+	shards []shard
 
-	mu     sync.Mutex
-	spans  map[string][]Span
-	order  []string                      // insertion order of trace IDs, for FIFO eviction
-	stages map[string]*metrics.Histogram // each stage's series, resolved once
+	// stages is the stage table a record's index points into: the
+	// canonical stages first, then each ad-hoc stage in the order it was
+	// first recorded. It is replaced, never modified; addMu orders the
+	// replacements.
+	stages atomic.Pointer[[]stage]
+	addMu  sync.Mutex
 }
 
-// DefaultCapacity bounds how many distinct in-flight/recent trace
-// timelines a Tracer retains.
+// stage is one entry of the stage table: its name and its series (nil
+// without a registry).
+type stage struct {
+	name string
+	hist *metrics.Histogram
+}
+
+// record is one span in a shard's ring.
+type record struct {
+	id    uint64 // maphash of the trace ID
+	start int64  // Unix nanoseconds
+	dur   time.Duration
+	stage uint32 // index into the stage table
+}
+
+// shard is one ring of records under its own lock. next is the slot the
+// next span overwrites; until the ring has wrapped once (full), the slots
+// from next on are unused.
+type shard struct {
+	mu   sync.Mutex
+	ring []record
+	next int
+	full bool
+	_    [64]byte // keeps neighbouring shards' locks off one cache line
+}
+
+// DefaultCapacity bounds how many complete trace timelines a Tracer
+// retains.
 const DefaultCapacity = 4096
 
+// maxShards bounds the ring's shard count; a tracer of smaller capacity
+// has one shard per trace it is sized for, so a shard always holds at
+// least one whole trace.
+const maxShards = 16
+
 // New builds a tracer recording stage histograms into reg (which may be
-// nil: timelines only). capacity <= 0 uses DefaultCapacity.
+// nil: timelines only). The ring holds capacity traces of every canonical
+// stage: capacity × 7 spans. capacity <= 0 uses DefaultCapacity.
 func New(reg *metrics.Registry, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -77,54 +131,105 @@ func New(reg *metrics.Registry, capacity int) *Tracer {
 	if reg != nil {
 		reg.Help(stageFamily, "Per-stage span durations of the decision pipeline, labelled by stage.")
 	}
-	return &Tracer{reg: reg, cap: capacity, spans: make(map[string][]Span), stages: make(map[string]*metrics.Histogram)}
+	t := &Tracer{seed: maphash.MakeSeed(), reg: reg, shards: make([]shard, min(capacity, maxShards))}
+	perShard := (capacity*len(canonicalStages) + len(t.shards) - 1) / len(t.shards)
+	for i := range t.shards {
+		t.shards[i].ring = make([]record, perShard)
+	}
+	stages := make([]stage, len(canonicalStages))
+	for i, name := range canonicalStages {
+		stages[i] = t.newStage(name)
+	}
+	t.stages.Store(&stages)
+	return t
+}
+
+// newStage resolves a stage name to its table entry.
+func (t *Tracer) newStage(name string) stage {
+	st := stage{name: name}
+	if t.reg != nil {
+		st.hist = t.reg.Histogram(fmt.Sprintf(`%s{stage=%q}`, stageFamily, name))
+	}
+	return st
+}
+
+// stageIndex returns the stage table's entry for name, adding it when it
+// is ad hoc and new.
+func (t *Tracer) stageIndex(name string) (uint32, stage) {
+	named := func(st stage) bool { return st.name == name }
+	stages := *t.stages.Load()
+	if i := slices.IndexFunc(stages, named); i >= 0 {
+		return uint32(i), stages[i]
+	}
+	t.addMu.Lock()
+	defer t.addMu.Unlock()
+	stages = *t.stages.Load()
+	if i := slices.IndexFunc(stages, named); i >= 0 {
+		return uint32(i), stages[i]
+	}
+	st := t.newStage(name)
+	grown := append(stages[:len(stages):len(stages)], st)
+	t.stages.Store(&grown)
+	return uint32(len(grown) - 1), st
+}
+
+// shardOf returns the shard holding id's spans.
+func (t *Tracer) shardOf(id uint64) *shard {
+	return &t.shards[id%uint64(len(t.shards))]
 }
 
 // Span records one stage of a trace. No-op on a nil tracer or empty
 // traceID, so call sites need no enablement checks.
-func (t *Tracer) Span(traceID, stage string, start time.Time, d time.Duration) {
+func (t *Tracer) Span(traceID, stageName string, start time.Time, d time.Duration) {
 	if t == nil || traceID == "" {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	t.mu.Lock()
-	h, ok := t.stages[stage]
-	if !ok && t.reg != nil {
-		h = t.reg.Histogram(fmt.Sprintf(`%s{stage=%q}`, stageFamily, stage))
-		t.stages[stage] = h
+	idx, st := t.stageIndex(stageName)
+	rec := record{id: maphash.String(t.seed, traceID), start: start.UnixNano(), dur: d, stage: idx}
+	s := t.shardOf(rec.id)
+	s.mu.Lock()
+	s.ring[s.next] = rec
+	if s.next++; s.next == len(s.ring) {
+		s.next, s.full = 0, true
 	}
-	if _, ok := t.spans[traceID]; !ok {
-		if len(t.order) >= t.cap {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.spans, evict)
-		}
-		t.order = append(t.order, traceID)
-	}
-	t.spans[traceID] = append(t.spans[traceID], Span{TraceID: traceID, Stage: stage, Start: start, Duration: d})
-	t.mu.Unlock()
-	if h != nil {
-		h.ObserveDuration(d)
+	s.mu.Unlock()
+	if st.hist != nil {
+		st.hist.ObserveDuration(d)
 	}
 }
 
 // Trace returns the recorded timeline for one trace ID, sorted by span
-// start time. Nil when unknown (or the tracer is nil / the trace was
-// evicted).
+// start time. Nil when unknown (or the tracer is nil / every span of the
+// trace was overwritten).
 func (t *Tracer) Trace(traceID string) []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	spans := t.spans[traceID]
-	out := make([]Span, len(spans))
-	copy(out, spans)
-	t.mu.Unlock()
-	if len(out) == 0 {
-		return nil
+	id := maphash.String(t.seed, traceID)
+	var out []Span
+	s := t.shardOf(id)
+	s.mu.Lock()
+	// Loaded under the shard's lock: every record in the shard was written
+	// after its stage entered the table.
+	stages := *t.stages.Load()
+	// Oldest first, so spans with equal starts keep the order they were
+	// recorded in.
+	older, newer := s.ring[s.next:], s.ring[:s.next]
+	if !s.full {
+		older = nil
 	}
+	for _, part := range [2][]record{older, newer} {
+		for _, rec := range part {
+			if rec.id == id {
+				out = append(out, Span{TraceID: traceID, Stage: stages[rec.stage].name,
+					Start: time.Unix(0, rec.start), Duration: rec.dur})
+			}
+		}
+	}
+	s.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// Cache returns the attached decision cache, or nil.
+func (p *PDP) Cache() *DecisionCache { return p.cache.Load() }
+
 // cacheTestRequests builds a pool of generated requests against a generated
 // policy set large enough that decisions vary.
 func cacheTestRequests(n int) (*PolicySet, []*Request) {

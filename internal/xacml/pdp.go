@@ -88,9 +88,6 @@ func NewCachedPDP(ps *PolicySet, cacheSize int) *PDP {
 // evaluate-from-scratch behaviour).
 func (p *PDP) SetCache(c *DecisionCache) { p.cache.Store(c) }
 
-// Cache returns the attached decision cache, or nil.
-func (p *PDP) Cache() *DecisionCache { return p.cache.Load() }
-
 // Load activates a policy set (clone-on-load so later caller mutations
 // cannot affect evaluation). An attached cache is purged; entries are also
 // keyed by policy digest, so even an un-purged entry could not leak a stale

@@ -3,7 +3,6 @@ package xacml
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"slices"
 
 	"drams/internal/crypto"
@@ -35,16 +34,21 @@ type Request struct {
 	// TraceID is the end-to-end tracing identifier minted at the PEP and
 	// propagated through wire calls, probe records and analyser events. It
 	// is observability metadata: excluded (like ID) from CanonicalBytes,
-	// so it never perturbs content digests, M1 matching or the decision
-	// cache. Empty when tracing is off or the request predates it.
+	// so it never perturbs content digests or M1 matching. Empty when
+	// tracing is off or the request predates it.
 	TraceID string
 	// Attrs holds the attribute bags. A request has no JSON form: the
 	// PEP↔PDP wire and the sealed probe context both carry Encode (wire.go).
 	Attrs map[Category]map[AttributeID]Bag
 
 	// vals is DecodeRequestInto's value slab: the bags it decodes are
-	// windows of it, so a reused request decodes without allocating.
-	vals []Value
+	// windows of it, so a reused request decodes without allocating. held
+	// is how many values the last decode into the request read, which the
+	// next sizes the slab to, and spare holds the attribute maps the decodes
+	// made, which the next clears and fills again.
+	vals  []Value
+	held  int
+	spare []map[AttributeID]Bag
 }
 
 // NewRequest returns an empty request with the given correlation ID.
@@ -86,36 +90,17 @@ func (r *Request) Clone() *Request {
 	return out
 }
 
-// CheckValues reports the first value of r outside what a request may carry
-// (ErrUnsupportedValue). The PEP refuses such a request before its probe
-// sees it and DecodeRequest refuses one on the wire, so the PEP, the wire,
-// the sealed probe context and the analyser agree on one set of values, and
-// every exchange that is decided is one the monitor can record.
-func (r *Request) CheckValues() error {
-	for cat, m := range r.Attrs {
-		for id, bag := range m {
-			for _, v := range bag {
-				if err := v.check(); err != nil {
-					return fmt.Errorf("%s/%s: %w", cat, id, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // CanonicalBytes returns a deterministic encoding of the request content
 // (excluding the correlation ID) used for integrity digests: the monitor
 // compares the digest logged at the PEP with the digest logged at the PDP
-// (check M1), and the PDP decision cache keys on it.
+// (check M1).
 func (r *Request) CanonicalBytes() []byte {
 	return r.appendCanonical(make([]byte, 0, 256))
 }
 
 // Digest returns the content digest of the request. The PEP and PDP probes
-// and the decision cache each take it per request, so it hashes from a
-// stack buffer and allocates nothing while the canonical form fits in 512
-// bytes.
+// each take it per request, so it hashes from a stack buffer and allocates
+// nothing while the canonical form fits in 512 bytes.
 func (r *Request) Digest() crypto.Digest {
 	var buf [512]byte
 	return crypto.Sum(r.appendCanonical(buf[:0]))

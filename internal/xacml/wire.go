@@ -53,8 +53,23 @@ const wireVersion byte = 0x01
 // count must not buy a large allocation before a duplicate key refuses it.
 const maxSizeHint = 8
 
-// Encode serialises the request in the binary wire format.
+// Encode serialises the request in the binary wire format. It writes every
+// value, even one EncodeChecked refuses.
 func (r *Request) Encode() []byte {
+	buf, _ := r.encode(false)
+	return buf
+}
+
+// EncodeChecked serialises the request as Encode does, refusing in the same
+// pass a value outside what a request may carry (ErrUnsupportedValue),
+// named by category and attribute. The PEP sends only what it accepts and
+// DecodeRequest refuses the same values on the wire, so the PEP, the wire,
+// the sealed probe context and the analyser agree on one set of values, and
+// every exchange that is decided is one the monitor can record.
+func (r *Request) EncodeChecked() ([]byte, error) { return r.encode(true) }
+
+// encode is Encode, and with check EncodeChecked.
+func (r *Request) encode(check bool) ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, wireVersion)
 	buf = wire.AppendStr(buf, r.ID)
@@ -67,63 +82,67 @@ func (r *Request) Encode() []byte {
 			buf = wire.AppendStr(buf, string(id))
 			buf = binary.AppendUvarint(buf, uint64(len(bag)))
 			for _, v := range bag {
+				if check {
+					if err := v.check(); err != nil {
+						return nil, fmt.Errorf("%s/%s: %w", cat, id, err)
+					}
+				}
 				buf = appendValue(buf, v)
 			}
 		}
 	}
-	return buf
+	return buf, nil
 }
 
 // DecodeRequest parses a binary request into a new request that may be
 // kept: its strings share one copy of data.
 func DecodeRequest(data []byte) (*Request, error) {
 	req := new(Request)
-	if err := decodeRequest(req, data, wire.NewCopyReader); err != nil {
+	if err := decodeRequest(req, data, wire.NewCopyReader, false); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// DecodeRequestInto parses a binary request into r, reusing r's maps and
-// value storage, for a caller that decodes one request per call and keeps
-// none (the PDP's ac.eval handler, with r from a pool). Attribute names and
-// string values alias data, so r is valid while data is unchanged and until
-// the next decode into r; its ID and TraceID get their own bytes. r must be
-// zero or come from NewRequest, DecodeRequest or DecodeRequestInto, and
-// nothing else may hold its maps or bags. It refuses exactly what
-// DecodeRequest refuses; after an error r's content is unspecified.
+// DecodeRequestInto parses a binary request into r, reusing the maps and the
+// value storage an earlier DecodeRequestInto gave r, for a caller that
+// decodes one request per call and keeps none (the PDP's ac.eval handler,
+// with r from a pool). Attribute names and string values alias data, so r
+// is valid while data is unchanged and until the next decode into r; its ID
+// and TraceID get their own bytes. r must be zero or come from NewRequest,
+// DecodeRequest or DecodeRequestInto, and nothing else may hold its maps or
+// bags. It refuses exactly what DecodeRequest refuses; after an error r's
+// content is unspecified.
 func DecodeRequestInto(r *Request, data []byte) error {
-	return decodeRequest(r, data, wire.NewReader)
+	return decodeRequest(r, data, wire.NewReader, true)
 }
+
+// maxSpareMaps bounds the attribute maps a request keeps for reuse, twice
+// the standard categories: a request with more categories makes the rest
+// anew on every decode rather than pinning them.
+const maxSpareMaps = 8
 
 // decodeRequest is the request decoder behind DecodeRequest and
 // DecodeRequestInto; newReader decides whether decoded strings alias data.
-// The inner maps req already holds are cleared and reused, and its value
-// slab is sized to the values it held: a fresh request has neither, so it
-// gets a map per category and a bag per attribute of its own.
-func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader) error {
+// With reuse, the attribute maps the decoder made are kept in req.spare and
+// cleared on the next decode into req, and the value slab is sized to the
+// values the previous decode held. A fresh request has neither, so it gets
+// a map per category and a bag per attribute of its own.
+func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader, reuse bool) error {
 	rd, err := newWireReader(data, newReader)
 	if err != nil {
 		return fmt.Errorf("xacml: decode request: %w", err)
 	}
-	// The IDs outlive the request (trace timelines and probe records key on
-	// them), so they get their own bytes rather than pinning the whole input.
+	// The IDs outlive the request (probe records keep them), so they get
+	// their own bytes rather than pinning the whole input.
 	req.ID, req.TraceID = strings.Clone(rd.Str()), strings.Clone(rd.Str())
-	var spareArr [8]map[AttributeID]Bag // room for twice the standard categories
-	spare, held := spareArr[:0], 0
-	for _, m := range req.Attrs {
-		for _, bag := range m {
-			held += len(bag)
-		}
-		if m != nil && len(spare) < cap(spare) {
-			clear(m)
-			spare = append(spare, m)
-		}
+	for _, m := range req.spare {
+		clear(m)
 	}
-	if cap(req.vals) < held {
-		req.vals = make([]Value, 0, held)
+	if cap(req.vals) < req.held {
+		req.vals = make([]Value, 0, req.held)
 	}
-	vals := req.vals[:0]
+	vals, held := req.vals[:0], 0
 	// A category costs at least two bytes (empty name, zero count), an
 	// attribute and a value likewise.
 	nCats := rd.Count(2)
@@ -136,15 +155,19 @@ func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader
 		cat := Category(rd.Str())
 		nIDs := rd.Count(2)
 		var m map[AttributeID]Bag
-		if n := len(spare); n > 0 {
-			m, spare = spare[n-1], spare[:n-1]
+		if i < len(req.spare) {
+			m = req.spare[i]
 		} else {
 			m = make(map[AttributeID]Bag, min(nIDs, maxSizeHint))
+			if reuse && len(req.spare) < maxSpareMaps {
+				req.spare = append(req.spare, m)
+			}
 		}
 		for j := 0; j < nIDs && rd.Err() == nil; j++ {
 			id := AttributeID(rd.Str())
 			var bag Bag
 			if n := rd.Count(2); n > 0 {
+				held += n
 				if k := len(vals); cap(vals)-k >= n {
 					vals = vals[:k+n]
 					bag = vals[k : k+n : k+n]
@@ -165,6 +188,7 @@ func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader
 		}
 		req.Attrs[cat] = m
 	}
+	req.held = held
 	if err := rd.End(); err != nil {
 		return fmt.Errorf("xacml: decode request: %w", err)
 	}
@@ -319,7 +343,7 @@ func appendValue(buf []byte, v Value) []byte {
 		buf = append(buf, b)
 	case TypeTime:
 		// A time MarshalBinary cannot write goes out empty, which every
-		// decoder refuses; CheckValues keeps the PEP from sending one.
+		// decoder refuses; EncodeChecked keeps the PEP from sending one.
 		var tm [32]byte
 		b, err := v.Tm.AppendBinary(tm[:0])
 		if err != nil {

@@ -55,10 +55,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		if got, want := req.CanonicalBytes(), referenceCanonicalBytes(req); !bytes.Equal(got, want) {
 			t.Fatalf("CanonicalBytes\n got %q\nwant %q", got, want)
 		}
-		if err := req.CheckValues(); err != nil {
+		enc, err := req.EncodeChecked()
+		if err != nil {
 			t.Fatalf("decoded a request the probe cannot seal: %v", err)
 		}
-		back, err := DecodeRequest(req.Encode())
+		back, err := DecodeRequest(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted request failed: %v", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -48,10 +49,10 @@ func wireRequests() map[string]*Request {
 }
 
 // wireRefused holds values Encode writes but a request may not carry: no NaN,
-// no Inf, no year past 9999, no zone hour past 23 (CheckValues' rule, which
-// the binary seal keeps though it could hold them), and what the wire cannot
-// write (an unknown type, a zone offset MarshalBinary refuses). CheckValues
-// and DecodeRequest refuse every one.
+// no Inf, no year past 9999, no zone hour past 23 (EncodeChecked's rule,
+// which the binary seal keeps though it could hold them), and what the wire
+// cannot write (an unknown type, a zone offset MarshalBinary refuses).
+// EncodeChecked and DecodeRequest refuse every one.
 func wireRefused() map[string]Value {
 	at := func(year int, zone *time.Location) Value {
 		return Value{T: TypeTime, Tm: time.Date(year, 1, 1, 0, 0, 0, 0, zone)}
@@ -108,7 +109,12 @@ func TestDecodeRequestIntoReuse(t *testing.T) {
 	emptied := NewRequest("emptied")
 	emptied.Attrs[CatSubject] = map[AttributeID]Bag{"tags": {}}
 	refused := append(full.Encode(), 0)
+	wide := NewRequest("wide")
+	for i := 0; i < 10; i++ {
+		wide.Add(Category("cat-"+strconv.Itoa(i)), "x", Int(int64(i)))
+	}
 	cases := map[string][][]byte{
+		"past the kept maps":          {wide.Encode(), full.Encode(), wide.Encode(), one.Encode()},
 		"4 categories to 1":           {full.Encode(), one.Encode()},
 		"multi-value bag to empty":    {multi.Encode(), emptied.Encode()},
 		"1 category to 4":             {one.Encode(), full.Encode(), full.Encode()},
@@ -174,21 +180,29 @@ func BenchmarkDecodeRequestInto(b *testing.B) {
 
 // Every value the wire decodes is one a request may carry, so the PEP, the
 // wire, the sealed probe context and the analyser agree on one set of
-// values: anything else is refused at the PEP by CheckValues and on the wire
-// by DecodeRequest.
+// values: anything else is refused at the PEP by EncodeChecked and on the
+// wire by DecodeRequest. What EncodeChecked accepts decodes as Encode's bytes
+// do.
 func TestWireRefusesUnsupportedValues(t *testing.T) {
 	for name, v := range wireRefused() {
 		req := NewRequest("r").Add(CatSubject, "role", String("doctor")).Add(CatEnvironment, "x", v)
-		if err := req.CheckValues(); !errors.Is(err, ErrUnsupportedValue) {
-			t.Errorf("%s: CheckValues = %v", name, err)
+		if enc, err := req.EncodeChecked(); !errors.Is(err, ErrUnsupportedValue) || enc != nil {
+			t.Errorf("%s: EncodeChecked = %d bytes, %v", name, len(enc), err)
+		} else if want := "environment/x: "; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: EncodeChecked error %q does not name the attribute", name, err)
 		}
 		if _, err := DecodeRequest(req.Encode()); err == nil {
 			t.Errorf("%s: DecodeRequest accepted it", name)
 		}
 	}
 	for name, req := range wireRequests() {
-		if err := req.CheckValues(); err != nil {
-			t.Errorf("%s: CheckValues = %v", name, err)
+		enc, err := req.EncodeChecked()
+		if err != nil {
+			t.Fatalf("%s: EncodeChecked = %v", name, err)
+		}
+		back, err := DecodeRequest(enc)
+		if err != nil || !sameRequest(back, req) {
+			t.Errorf("%s: EncodeChecked's bytes decode to %+v, %v", name, back, err)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"drams/internal/pap"
 	"drams/internal/trace"
 	"drams/internal/transport"
-	"drams/internal/xacml"
 )
 
 // TraceSpan is one recorded stage of a request's end-to-end timeline.
@@ -92,7 +91,7 @@ func (d *Deployment) wireObservability() {
 		g.Register(pepCollector(name, pep))
 	}
 	if d.pdpService != nil {
-		g.Register(pdpCollector(d.pdpService, d.PDP))
+		g.Register(pdpCollector(d.pdpService))
 	}
 	for name, li := range d.LIs {
 		g.Register(liCollector(name, li))
@@ -208,26 +207,14 @@ func pepCollector(tenant string, pep *federation.PEPService) obs.Collector {
 	}
 }
 
-// pdpCollector samples the PDP service and (while a cache is attached) the
-// decision-cache counters.
-func pdpCollector(svc *federation.PDPService, pdp *xacml.PDP) obs.Collector {
+// pdpCollector samples the PDP service counters.
+func pdpCollector(svc *federation.PDPService) obs.Collector {
 	return func() []metrics.Sample {
 		s := svc.Stats()
-		out := []metrics.Sample{
+		return []metrics.Sample{
 			obs.C("drams_pdp_evaluations_total", "Requests evaluated by the PDP service.", s.Evaluations),
 			obs.C("drams_pdp_failures_total", "PDP service evaluation failures.", s.Failures),
 		}
-		if c := pdp.Cache(); c != nil {
-			cs := c.Stats()
-			out = append(out,
-				obs.C("drams_pdp_cache_hits_total", "Decisions answered from the cache.", cs.Hits),
-				obs.C("drams_pdp_cache_misses_total", "Cache lookups that fell through to evaluation.", cs.Misses),
-				obs.C("drams_pdp_cache_invalidations_total", "Entries discarded for a stale policy digest.", cs.Invalidations),
-				obs.C("drams_pdp_cache_evictions_total", "Entries displaced by the LRU bound.", cs.Evictions),
-				obs.C("drams_pdp_cache_purges_total", "Whole-cache clears (policy loads).", cs.Purges),
-			)
-		}
-		return out
 	}
 }
 

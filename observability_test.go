@@ -83,7 +83,7 @@ func TestTraceTimelineEndToEnd(t *testing.T) {
 // TestMetricsExpositionLint gathers the full exposition of a live
 // deployment and holds it to promtool-style rules: every family named
 // validly, help text present, counters (and only counters) suffixed
-// _total — and the node, transport, cache, monitor and analyser planes all
+// _total — and the node, transport, PDP, monitor and analyser planes all
 // contributing series.
 func TestMetricsExpositionLint(t *testing.T) {
 	dep := testDeployment(t)
@@ -107,7 +107,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"drams_node_mempool_len",
 		"drams_node_tx_expired_total",
 		"drams_transport_sent_total",
-		"drams_pdp_cache_hits_total",
+		"drams_pdp_evaluations_total",
 		"drams_pep_requests_total",
 		"drams_li_submitted_total",
 		"drams_agent_observed_total",

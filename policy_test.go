@@ -56,7 +56,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 		t.Fatalf("active version = %q", got)
 	}
 
-	// Permit under v1, and the repeat hits the decision cache.
+	// Permit under v1.
 	client := tenantClient(t, dep, "tenant-1")
 	req := doctorRequest(dep)
 	enf, err := client.Decide(ctx, req)
@@ -100,7 +100,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	}
 
 	st := dep.PolicyStats()
-	if st.Version != "v2" || st.Activations != 2 || st.CachePurges < 2 {
+	if st.Version != "v2" || st.Activations != 2 {
 		t.Fatalf("policy stats = %+v", st)
 	}
 	if ms := dep.Monitor.Stats(); ms.PolicyActivations != 2 {
