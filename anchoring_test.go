@@ -18,7 +18,7 @@ import (
 // logmatchTxs lists, in chain order, the drams.logmatch transactions on the
 // chain that concern reqID ("" = all of them), each rendered as its method
 // and the record kinds it carries: "logbatch[pep.request pep.response]",
-// "log[pdp.request]", "verdict".
+// "logbatch[pdp.request]", "verdict".
 func logmatchTxs(t *testing.T, chain *blockchain.Chain, reqID string) []string {
 	t.Helper()
 	var out []string
@@ -33,12 +33,6 @@ func logmatchTxs(t *testing.T, chain *blockchain.Chain, reqID string) []string {
 			}
 			var recs []core.LogRecord
 			switch tx.Call.Method {
-			case core.MethodLog:
-				rec, err := core.DecodeLogRecord(tx.Call.Args)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs = []core.LogRecord{rec}
 			case core.MethodLogBatch:
 				lb, err := core.DecodeLogBatch(tx.Call.Args)
 				if err != nil {
@@ -109,13 +103,13 @@ func (downEvaluator) Evaluate(*xacml.Request) (xacml.Result, error) {
 }
 
 // Every way an exchange can end without its response still anchors what was
-// observed: the held request-side record goes on chain alone, as a plain log
-// call, M3 raises message-suppressed for the exchange after Δ, and the alert
+// observed: the held request-side record goes on chain alone, as a batch of
+// one, M3 raises message-suppressed for the exchange after Δ, and the alert
 // names the legs that never came — through Decide and through DecideBatch.
 func TestFailedExchangeAnchorsItsRequestSideAlone(t *testing.T) {
 	const (
-		pepAlone = "log[pep.request]"
-		pdpAlone = "log[pdp.request]"
+		pepAlone = "logbatch[pep.request]"
+		pdpAlone = "logbatch[pdp.request]"
 		pdpPair  = "logbatch[pdp.request pdp.response]"
 	)
 	cases := []struct {
@@ -135,7 +129,7 @@ func TestFailedExchangeAnchorsItsRequestSideAlone(t *testing.T) {
 			if err := dep.TamperPEP("tenant-1", &drams.Tamper{DropResponse: true}); err != nil {
 				t.Fatal(err)
 			}
-		}, 0, []string{pepAlone, pdpPair, "verdict"}, []string{"pep.response"}},
+		}, 0, []string{pdpPair, pepAlone, "verdict"}, []string{"pep.response"}},
 		{"call-timeout", func(t *testing.T, dep *drams.Deployment) {
 			// The PEP cannot reach the PDP; the chain nodes still talk.
 			dep.Net.Partition([]string{"pep@tenant-1"}, []string{"pdp@infrastructure"})
@@ -183,14 +177,9 @@ func TestFailedExchangeAnchorsItsRequestSideAlone(t *testing.T) {
 							t.Fatalf("alert %q does not name the missing %s", alert.Detail, leg)
 						}
 					}
+					// The pipeline's lone records queue back to back and may
+					// share one batch; only this request's records are named.
 					got := logmatchTxs(t, dep.InfraNode().Chain(), req.ID)
-					for i, tx := range got {
-						if batch > 0 && !strings.Contains(tx, " ") {
-							// The pipeline's lone records queue back to back and
-							// may share one batch: group commit, not a pair.
-							got[i] = strings.Replace(tx, "logbatch[", "log[", 1)
-						}
-					}
 					slices.Sort(got)
 					if !slices.Equal(got, c.want) {
 						t.Fatalf("request %s is on chain as %v, want %v", req.ID, got, c.want)

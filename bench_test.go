@@ -1,5 +1,5 @@
 // bench_test.go regenerates the experiment tables README "Tests and
-// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E8)
+// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E7)
 // plus micro-benchmarks of the building blocks. Run:
 //
 //	go test -bench=. -benchmem
@@ -129,16 +129,6 @@ func BenchmarkE7Analyser(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(metric(tab, "100", "expected_us_per_req"), "100rules-us-per-req")
-	}
-}
-
-func BenchmarkE8FederationScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE8(experiment.E8Params{CloudCounts: []int{2, 4}, Requests: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "4", "throughput_req_s"), "4clouds-req-s")
 	}
 }
 

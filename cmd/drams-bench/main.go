@@ -1,4 +1,4 @@
-// drams-bench regenerates the full experiment suite: the E1–E8 reproductions
+// drams-bench regenerates the full experiment suite: the E1–E7 reproductions
 // of the paper's evaluation, the AB1–AB2 ablations, and the V6 and V7 tables
 // (fast resync, adversarial detection); README "Tests and benchmarks" and
 // ARCHITECTURE §3 list them. Speed comparisons between code paths live in
@@ -63,7 +63,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E8, AB1..AB2, V6, V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E7, AB1..AB2, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -192,13 +192,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.E7Params{RuleCounts: []int{10, 100}, Requests: 100}
 			}
 			return experiment.RunE7(p)
-		}},
-		{"E8", func() (experiment.Table, error) {
-			p := experiment.DefaultE8Params()
-			if quick {
-				p = experiment.E8Params{CloudCounts: []int{2}, Requests: 8}
-			}
-			return experiment.RunE8(p)
 		}},
 		{"AB1", func() (experiment.Table, error) {
 			p := experiment.DefaultAB1Params()

@@ -13,7 +13,7 @@ func ids(rs []runner) string {
 	return strings.Join(out, ",")
 }
 
-const catalogueIDs = "E1,E2,E3,E4,E5,E6,E7,E8,AB1,AB2,V6,V7"
+const catalogueIDs = "E1,E2,E3,E4,E5,E6,E7,AB1,AB2,V6,V7"
 
 func TestSelectRunners(t *testing.T) {
 	all, err := selectRunners(catalogue(true), "all")

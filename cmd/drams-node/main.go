@@ -338,10 +338,18 @@ func runDaemon(cfg daemonConfig) error {
 			logf("policy %s anchored on-chain and loaded", st.Version)
 		}
 	}
-	if dep.Monitor != nil {
-		dep.Monitor.OnAlert(func(a core.Alert) {
-			logf("ALERT type=%s req=%s tenant=%s", a.Type, a.ReqID, a.Tenant)
-		})
+	// Print every security alert from one subscription: Replay brings those
+	// the monitor recorded while the member was opening, and the stream is
+	// drained before the daemon exits. The buffer holds a restart's replay.
+	if alerts, stopAlerts, err := dep.Alerts(context.Background(), drams.AlertFilter{Replay: true, Buffer: 1024}); err == nil {
+		printed := make(chan struct{})
+		go func() {
+			defer close(printed)
+			for a := range alerts {
+				logf("ALERT type=%s req=%s tenant=%s", a.Type, a.ReqID, a.Tenant)
+			}
+		}()
+		defer func() { stopAlerts(); <-printed }()
 	}
 
 	stopCh := make(chan os.Signal, 2)

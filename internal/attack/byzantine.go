@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"drams/internal/blockchain"
-	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/transport"
@@ -99,29 +98,18 @@ func dropMatching(pred func(blockchain.Transaction) bool) func([]blockchain.Tran
 }
 
 // decodeLogRecords extracts the log records a transaction carries, if any:
-// one for a plain log call, the whole window for a Merkle-anchored batch. A
-// censor must judge the full batch — it cannot drop individual records from
-// an anchored window without invalidating the root, so matching any record
-// taints the transaction.
+// the whole window of a Merkle-anchored batch. A censor must judge the full
+// batch — it cannot drop individual records from an anchored window without
+// invalidating the root, so matching any record taints the transaction.
 func decodeLogRecords(tx blockchain.Transaction) []core.LogRecord {
-	if tx.Call.Contract != core.ContractName {
+	if tx.Call.Contract != core.ContractName || tx.Call.Method != core.MethodLogBatch {
 		return nil
 	}
-	switch tx.Call.Method {
-	case core.MethodLog:
-		rec, err := core.DecodeLogRecord(tx.Call.Args)
-		if err != nil {
-			return nil
-		}
-		return []core.LogRecord{rec}
-	case core.MethodLogBatch:
-		lb, err := core.DecodeLogBatch(tx.Call.Args)
-		if err != nil {
-			return nil
-		}
-		return lb.Records
+	lb, err := core.DecodeLogBatch(tx.Call.Args)
+	if err != nil {
+		return nil
 	}
-	return nil
+	return lb.Records
 }
 
 // ForgeConflictingRecord signs a pep.request record that conflicts with the
@@ -140,9 +128,11 @@ func ForgeConflictingRecord(view *blockchain.Chain, id *crypto.Identity, victimT
 		ReqDigest:         crypto.Sum([]byte("equivocating view of " + reqID)),
 		TimestampUnixNano: time.Now().UnixNano(),
 	}
-	tx, err := blockchain.NewTransaction(id, view.Height(), contract.Call{
-		Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode(),
-	})
+	call, err := core.LogCall(rec)
+	if err != nil {
+		return blockchain.Transaction{}, fmt.Errorf("attack: forge conflicting record: %w", err)
+	}
+	tx, err := blockchain.NewTransaction(id, view.Height(), call)
 	if err != nil {
 		return blockchain.Transaction{}, fmt.Errorf("attack: forge conflicting record: %w", err)
 	}

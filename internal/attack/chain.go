@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"drams/internal/blockchain"
-	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
 )
@@ -33,9 +32,11 @@ func AttemptLogForgery(node *blockchain.Node, reqID string) ForgeLogResult {
 		Agent:     "forged-agent",
 		ReqDigest: crypto.Sum([]byte("forged request")),
 	}
-	tx, err := blockchain.NewTransaction(outsider, node.Chain().Height(), contract.Call{
-		Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode(),
-	})
+	call, err := core.LogCall(rec)
+	if err != nil {
+		return ForgeLogResult{Rejected: false, Err: err}
+	}
+	tx, err := blockchain.NewTransaction(outsider, node.Chain().Height(), call)
 	if err != nil {
 		return ForgeLogResult{Rejected: false, Err: err}
 	}

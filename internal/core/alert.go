@@ -6,8 +6,8 @@ import (
 )
 
 // AlertType classifies a detected integrity violation. Each maps to one of
-// the matching checks M1–M6 in DESIGN.md and to a threat from the paper's
-// §I threat model.
+// the matching checks M1–M6 (docs/ARCHITECTURE.md §2, *Alert types ↔
+// matching checks*) and to a threat from the paper's §I threat model.
 type AlertType string
 
 // Alert types.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
 	"drams/internal/wire"
@@ -57,6 +58,16 @@ func NewLogBatch(recs []LogRecord) (LogBatch, error) {
 	return LogBatch{Root: merkle.RootOf(leaves), Records: recs, leaves: leaves}, nil
 }
 
+// LogCall is the logbatch call that anchors recs, a lone record as a batch
+// of one: the one way a probe record reaches the chain.
+func LogCall(recs ...LogRecord) (contract.Call, error) {
+	lb, err := NewLogBatch(recs)
+	if err != nil {
+		return contract.Call{}, err
+	}
+	return contract.Call{Contract: ContractName, Method: MethodLogBatch, Args: lb.Encode()}, nil
+}
+
 // Encode serialises the batch.
 func (lb LogBatch) Encode() []byte {
 	leaves := lb.leaves
@@ -108,48 +119,36 @@ func DecodeLogBatch(data []byte) (LogBatch, error) {
 }
 
 // LogStored is a decoded LogStored event payload: the record the contract
-// stored and, for a batch-anchored record, the membership proof tying it to
-// the root in the logbatch transaction. The proof is for a reader outside
-// the node, who holds the block and checks it with VerifyInclusion; the
-// node's own readers skip it, since their node's contract built it.
+// stored and the membership proof tying it to the root in the logbatch
+// transaction that anchored it. The proof is for a reader outside the node,
+// who holds the block and checks it with VerifyInclusion; the node's own
+// readers skip it, since their node's contract built it.
 //
-// The payload is a tag byte and then
+// The payload is a version byte (0x02) and then
 //
-//	0x01 (bare)     record                                            a log call's
-//	0x02 (batched)  32B root | uvarint index | proof | blob record    a logbatch's
-//	proof:          uvarint n | n × (u8 left | 32B sibling)
+//	32B root | uvarint index | proof | blob record
+//	proof:     uvarint n | n × (u8 left | 32B sibling)
 //
-// with the record exactly the bytes the transaction carried. Which form a
-// payload has is read from the tag, never tried.
+// with the record exactly the bytes the transaction carried.
 type LogStored struct {
 	Record LogRecord
 	// Raw is the record's encoding as the payload carries it: the Merkle
 	// leaf, hashed as it lies.
-	Raw []byte
-	// Batched marks a record anchored by a logbatch; Root, Index and Proof
-	// tie it to that batch.
-	Batched bool
-	Root    crypto.Digest
-	Index   int
-	Proof   merkle.Proof
+	Raw   []byte
+	Root  crypto.Digest
+	Index int
+	Proof merkle.Proof
 }
 
-// LogStored payload tags.
-const (
-	storedBare    byte = 0x01
-	storedBatched byte = 0x02
-)
+// storedVersion leads every LogStored payload. It is 0x02, the tag the
+// batched form had when a bare form (0x01) existed beside it.
+const storedVersion byte = 0x02
 
-// bareStored is the LogStored payload of the record a log call carried.
-func bareStored(rec []byte) []byte {
-	return append(append(make([]byte, 0, 1+len(rec)), storedBare), rec...)
-}
-
-// batchedStored is the LogStored payload of the index-th record of a batch.
-func batchedStored(root crypto.Digest, index int, proof merkle.Proof, rec []byte) []byte {
+// storedPayload is the LogStored payload of the index-th record of a batch.
+func storedPayload(root crypto.Digest, index int, proof merkle.Proof, rec []byte) []byte {
 	buf := make([]byte, 0, 1+crypto.DigestSize+2*binary.MaxVarintLen16+
 		len(proof.Steps)*(1+crypto.DigestSize)+wire.StrLen(len(rec)))
-	buf = append(buf, storedBatched)
+	buf = append(buf, storedVersion)
 	buf = append(buf, root[:]...)
 	buf = binary.AppendUvarint(buf, uint64(index))
 	buf = binary.AppendUvarint(buf, uint64(len(proof.Steps)))
@@ -173,10 +172,7 @@ func (ls LogStored) Encode() []byte {
 	if raw == nil {
 		raw = ls.Record.Encode()
 	}
-	if !ls.Batched {
-		return bareStored(raw)
-	}
-	return batchedStored(ls.Root, ls.Index, ls.Proof, raw)
+	return storedPayload(ls.Root, ls.Index, ls.Proof, raw)
 }
 
 // DecodeLogStored parses a LogStored payload. The record's strings and
@@ -199,38 +195,33 @@ func DecodeLogStored(payload []byte) (LogStored, error) {
 func cutLogStored(payload []byte, withProof bool) (LogStored, error) {
 	var ls LogStored
 	rd := wire.NewReader(payload)
-	switch tag := rd.U8(); tag {
-	case storedBare:
-		ls.Raw = rd.Bytes(rd.Len())
-	case storedBatched:
-		ls.Batched = true
-		copy(ls.Root[:], rd.Bytes(crypto.DigestSize))
-		if i := rd.Uvarint(); i < MaxLogBatch {
-			ls.Index = int(i)
-		} else {
-			rd.Fail(fmt.Errorf("leaf index %d beyond any batch", i))
-		}
-		ls.Proof.LeafIndex = ls.Index
-		n := rd.Count(1 + crypto.DigestSize)
-		if !withProof {
-			rd.Bytes(n * (1 + crypto.DigestSize))
-		} else if n > 0 {
-			ls.Proof.Steps = make([]merkle.ProofStep, n)
-			for i := range ls.Proof.Steps {
-				switch left := rd.U8(); left {
-				case 0:
-				case 1:
-					ls.Proof.Steps[i].Left = true
-				default:
-					rd.Fail(fmt.Errorf("proof step %d: side byte 0x%02x", i, left))
-				}
-				copy(ls.Proof.Steps[i].Sibling[:], rd.Bytes(crypto.DigestSize))
-			}
-		}
-		ls.Raw = rd.Blob()
-	default:
-		rd.Fail(fmt.Errorf("unknown payload tag 0x%02x", tag))
+	if v := rd.U8(); v != storedVersion {
+		rd.Fail(fmt.Errorf("unknown payload version 0x%02x", v))
 	}
+	copy(ls.Root[:], rd.Bytes(crypto.DigestSize))
+	if i := rd.Uvarint(); i < MaxLogBatch {
+		ls.Index = int(i)
+	} else {
+		rd.Fail(fmt.Errorf("leaf index %d beyond any batch", i))
+	}
+	ls.Proof.LeafIndex = ls.Index
+	n := rd.Count(1 + crypto.DigestSize)
+	if !withProof {
+		rd.Bytes(n * (1 + crypto.DigestSize))
+	} else if n > 0 {
+		ls.Proof.Steps = make([]merkle.ProofStep, n)
+		for i := range ls.Proof.Steps {
+			switch left := rd.U8(); left {
+			case 0:
+			case 1:
+				ls.Proof.Steps[i].Left = true
+			default:
+				rd.Fail(fmt.Errorf("proof step %d: side byte 0x%02x", i, left))
+			}
+			copy(ls.Proof.Steps[i].Sibling[:], rd.Bytes(crypto.DigestSize))
+		}
+	}
+	ls.Raw = rd.Blob()
 	return ls, rd.End()
 }
 
@@ -247,10 +238,10 @@ func logStoredHeader(payload []byte) (kind LogKind, reqID, traceID string, err e
 	return kind, reqID, traceID, rd.Err()
 }
 
-// VerifyInclusion checks a batched record's membership under Root: the
-// carried record bytes, hashed as they lie, against the proof.
+// VerifyInclusion checks the record's membership under Root: the carried
+// record bytes, hashed as they lie, against the proof.
 //
 //lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
 func (ls LogStored) VerifyInclusion() bool {
-	return ls.Batched && merkle.Verify(ls.Root, ls.Raw, ls.Proof)
+	return merkle.Verify(ls.Root, ls.Raw, ls.Proof)
 }

@@ -19,6 +19,16 @@ func mustBatch(t *testing.T, recs ...LogRecord) LogBatch {
 	return lb
 }
 
+// logArgs is the logbatch args that anchor recs, a lone record as a batch of
+// one, the way the LI sends it.
+func logArgs(recs ...LogRecord) []byte {
+	lb, err := NewLogBatch(recs)
+	if err != nil {
+		panic(err)
+	}
+	return lb.Encode()
+}
+
 // A whole exchange anchored in one batch transaction must store every
 // record, emit proof-bearing events, keep no row for the root, and complete
 // the exchange exactly like four individual transactions.
@@ -40,8 +50,8 @@ func TestLogBatchCompletesExchange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batched event payload: %v", err)
 		}
-		if !ls.Batched || ls.Root != lb.Root {
-			t.Fatal("event carries no batch or a foreign root")
+		if ls.Root != lb.Root {
+			t.Fatal("event carries a foreign root")
 		}
 		if !ls.VerifyInclusion() {
 			t.Fatalf("record %d: inclusion proof does not verify", ls.Index)
@@ -104,7 +114,7 @@ func TestLogBatchRejectsEmptyAndOversize(t *testing.T) {
 func TestLogBatchEquivocationDetected(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-b3")
-	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
 
 	conflict := x.pepRequest()
 	conflict.ReqDigest = crypto.Sum([]byte("other view"))
@@ -166,14 +176,14 @@ func TestBatchedRecordTamperFailsVerification(t *testing.T) {
 	ok := false
 	for _, e := range evs {
 		if e.Type == EventLogStored {
-			if v, err := DecodeLogStored(e.Payload); err == nil && v.Batched {
+			if v, err := DecodeLogStored(e.Payload); err == nil {
 				ls, ok = v, true
 				break
 			}
 		}
 	}
 	if !ok {
-		t.Fatal("no batched record event")
+		t.Fatal("no LogStored event")
 	}
 	if !ls.VerifyInclusion() {
 		t.Fatal("genuine proof rejected")

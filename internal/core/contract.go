@@ -26,12 +26,12 @@ const (
 	EventVerdict   = "VerdictStored"
 )
 
-// Contract method names. Their args are the binary encodings of record.go
-// and batch.go: a record, a LogBatch, a Verdict.
+// Contract method names. Their args are the binary encodings of batch.go
+// and record.go: a LogBatch, a Verdict.
 const (
-	MethodLog = "log"
-	// MethodLogBatch anchors a whole flush window of records under one
-	// Merkle root in a single transaction (see LogBatch).
+	// MethodLogBatch anchors probe records under one Merkle root in a
+	// single transaction (see LogBatch); a lone record goes as a batch of
+	// one. It is the only way a record reaches the chain.
 	MethodLogBatch = "logbatch"
 	MethodVerdict  = "verdict"
 )
@@ -231,30 +231,13 @@ func decodeMatched(payload []byte) (reqID string, height uint64, err error) {
 // Execute implements contract.Contract.
 func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, call contract.Call) ([]contract.Event, error) {
 	switch call.Method {
-	case MethodLog:
-		return lm.execLog(ctx, st, call.Args)
 	case MethodLogBatch:
-		return lm.execLogBatch(ctx, st, call.Args)
+		return lm.execBatch(ctx, st, call.Args)
 	case MethodVerdict:
 		return lm.execVerdict(ctx, st, call.Args)
 	default:
 		return nil, fmt.Errorf("%w: %q", contract.ErrUnknownMethod, call.Method)
 	}
-}
-
-func (lm *LogMatchContract) execLog(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
-	rec, err := DecodeLogRecord(args)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
-	}
-	events, stored := lm.storeRecord(ctx, st, &rec, args, bareStored(args))
-	if stored {
-		events = append(events, lm.runChecks(ctx, st, rec.ReqID, ctx.Height)...)
-	}
-	return events, nil
 }
 
 // storeRecord applies one validated record: duplicate and equivocation
@@ -303,7 +286,7 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 	return events, true
 }
 
-// execLogBatch applies one Merkle-anchored window of records. Each record is
+// execBatch applies one Merkle-anchored window of records. Each record is
 // decoded once, and the root is recomputed over the record bytes as they lie
 // in the args — a batch whose root does not bind exactly its records is
 // rejected, so anchoring is as tamper-evident as individual submissions
@@ -312,7 +295,7 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 // off-chain verification; the matching checks run once per distinct request
 // the batch advanced (they are functions of stored state, so one pass after
 // all of a request's records landed is equivalent to a pass after each).
-func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
+func (lm *LogMatchContract) execBatch(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
 	lb, err := DecodeLogBatch(args)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
@@ -339,7 +322,7 @@ func (lm *LogMatchContract) execLogBatch(ctx contract.CallCtx, st contract.State
 		if perr != nil {
 			return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, perr)
 		}
-		evs, stored := lm.storeRecord(ctx, st, rec, lb.leaves[i], batchedStored(lb.Root, i, proof, lb.leaves[i]))
+		evs, stored := lm.storeRecord(ctx, st, rec, lb.leaves[i], storedPayload(lb.Root, i, proof, lb.leaves[i]))
 		events = append(events, evs...)
 		if stored && !slices.Contains(order, rec.ReqID) {
 			order = append(order, rec.ReqID)

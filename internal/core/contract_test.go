@@ -152,10 +152,10 @@ func TestCleanExchangeMatches(t *testing.T) {
 	env.anchorPolicy(x.polVer)
 
 	var all []contract.Event
-	all = append(all, env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())...)
-	all = append(all, env.mustCall("li-infra", MethodLog, x.pdpRequest().Encode())...)
-	all = append(all, env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())...)
-	all = append(all, env.mustCall("li-t1", MethodLog, x.pepResponse(x.decision).Encode())...)
+	all = append(all, env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))...)
+	all = append(all, env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpRequest()))...)
+	all = append(all, env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpResponse()))...)
+	all = append(all, env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepResponse(x.decision)))...)
 	all = append(all, env.mustCall("analyser", MethodVerdict, x.verdict(x.decision).Encode())...)
 
 	if got := alertsOf(all); len(got) != 0 {
@@ -179,10 +179,10 @@ func TestM1RequestTampered(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m1")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
 	tampered := x.pdpRequest()
 	tampered.ReqDigest = crypto.Sum([]byte("evil"))
-	evs := env.mustCall("li-infra", MethodLog, tampered.Encode())
+	evs := env.mustCall("li-infra", MethodLogBatch, logArgs(tampered))
 	alerts := alertsOf(evs)
 	if len(alerts) != 1 || alerts[0].Type != AlertRequestTampered {
 		t.Fatalf("alerts = %v", alerts)
@@ -197,7 +197,7 @@ func TestM2ResponseTampered(t *testing.T) {
 		env := newMatchEnv(t, defaultCfg())
 		x := cleanExchange("req-m2-" + mode)
 		env.anchorPolicy(x.polVer)
-		env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
+		env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpResponse()))
 		rec := x.pepResponse(x.decision)
 		switch mode {
 		case "digest":
@@ -207,7 +207,7 @@ func TestM2ResponseTampered(t *testing.T) {
 			rec.DecisionTag = DecisionTag(testKey, x.reqID, xacml.Deny)
 			rec.EnforcedTag = rec.DecisionTag
 		}
-		evs := env.mustCall("li-t1", MethodLog, rec.Encode())
+		evs := env.mustCall("li-t1", MethodLogBatch, logArgs(rec))
 		alerts := alertsOf(evs)
 		found := false
 		for _, a := range alerts {
@@ -225,7 +225,7 @@ func TestM3Timeout(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m3")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
 	// Nothing else arrives. Advance past the deadline.
 	var alerts []Alert
 	for i := 0; i < 6; i++ {
@@ -248,9 +248,9 @@ func TestM3DeadlineNotRearmed(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m3b")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
 	env.height += 2
-	env.mustCall("li-infra", MethodLog, x.pdpRequest().Encode()) // second record must not extend the deadline
+	env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpRequest())) // second record must not extend the deadline
 	var alerts []Alert
 	for i := 0; i < 8; i++ {
 		alerts = append(alerts, alertsOf(env.onBlock())...)
@@ -264,9 +264,9 @@ func TestM4EnforcementMismatch(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m4")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
+	env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpResponse()))
 	// PEP received Permit but enforced Deny.
-	evs := env.mustCall("li-t1", MethodLog, x.pepResponse(xacml.Deny).Encode())
+	evs := env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepResponse(xacml.Deny)))
 	alerts := alertsOf(evs)
 	if len(alerts) != 1 || alerts[0].Type != AlertEnforcementMismatch {
 		t.Fatalf("alerts = %v", alerts)
@@ -277,7 +277,7 @@ func TestM5DecisionIncorrect(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-m5")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-infra", MethodLog, x.pdpResponse().Encode()) // PDP says Permit
+	env.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpResponse())) // PDP says Permit
 	evs := env.mustCall("analyser", MethodVerdict, x.verdict(xacml.Deny).Encode())
 	alerts := alertsOf(evs)
 	if len(alerts) != 1 || alerts[0].Type != AlertDecisionIncorrect {
@@ -287,7 +287,7 @@ func TestM5DecisionIncorrect(t *testing.T) {
 	env2 := newMatchEnv(t, defaultCfg())
 	env2.anchorPolicy(x.polVer)
 	env2.mustCall("analyser", MethodVerdict, x.verdict(xacml.Deny).Encode())
-	evs2 := env2.mustCall("li-infra", MethodLog, x.pdpResponse().Encode())
+	evs2 := env2.mustCall("li-infra", MethodLogBatch, logArgs(x.pdpResponse()))
 	alerts2 := alertsOf(evs2)
 	if len(alerts2) != 1 || alerts2[0].Type != AlertDecisionIncorrect {
 		t.Fatalf("reversed order alerts = %v", alerts2)
@@ -334,7 +334,7 @@ func TestM6PolicyTampered(t *testing.T) {
 		c.setup(env)
 		rec := x.pdpResponse()
 		c.mutate(&rec)
-		evs := env.mustCall("li-infra", MethodLog, rec.Encode())
+		evs := env.mustCall("li-infra", MethodLogBatch, logArgs(rec))
 		alerts := alertsOf(evs)
 		if len(alerts) != 1 || alerts[0].Type != AlertPolicyTampered {
 			t.Fatalf("%s: alerts = %v", c.name, alerts)
@@ -350,7 +350,7 @@ func TestVerdictMissingTimeout(t *testing.T) {
 	x := cleanExchange("req-vm")
 	env.anchorPolicy(x.polVer)
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-		env.mustCall("li", MethodLog, rec.Encode())
+		env.mustCall("li", MethodLogBatch, logArgs(rec))
 	}
 	var alerts []Alert
 	for i := 0; i < 6; i++ {
@@ -369,7 +369,7 @@ func TestVerdictOptional(t *testing.T) {
 	env.anchorPolicy(x.polVer)
 	var all []contract.Event
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-		all = append(all, env.mustCall("li", MethodLog, rec.Encode())...)
+		all = append(all, env.mustCall("li", MethodLogBatch, logArgs(rec))...)
 	}
 	if !hasEvent(all, EventMatched) {
 		t.Fatal("exchange without verdict should match when verdicts optional")
@@ -386,16 +386,16 @@ func TestEquivocationAndIdempotence(t *testing.T) {
 	x := cleanExchange("req-eq")
 	env.anchorPolicy(x.polVer)
 	rec := x.pepRequest()
-	env.mustCall("li-t1", MethodLog, rec.Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(rec))
 	// Identical retry: no alert, no event.
-	evs := env.mustCall("li-t1", MethodLog, rec.Encode())
+	evs := env.mustCall("li-t1", MethodLogBatch, logArgs(rec))
 	if len(evs) != 0 {
 		t.Fatalf("idempotent retry produced events: %v", evs)
 	}
 	// Conflicting record for the same point: equivocation.
 	conflict := rec
 	conflict.ReqDigest = crypto.Sum([]byte("other"))
-	evs = env.mustCall("li-t1", MethodLog, conflict.Encode())
+	evs = env.mustCall("li-t1", MethodLogBatch, logArgs(conflict))
 	alerts := alertsOf(evs)
 	if len(alerts) != 1 || alerts[0].Type != AlertEquivocation {
 		t.Fatalf("alerts = %v", alerts)
@@ -412,16 +412,16 @@ func TestAlertDeduplication(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-dd")
 	env.anchorPolicy(x.polVer)
-	env.mustCall("li-t1", MethodLog, x.pepRequest().Encode())
+	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
 	tampered := x.pdpRequest()
 	tampered.ReqDigest = crypto.Sum([]byte("evil"))
-	first := alertsOf(env.mustCall("li-infra", MethodLog, tampered.Encode()))
+	first := alertsOf(env.mustCall("li-infra", MethodLogBatch, logArgs(tampered)))
 	if len(first) != 1 {
 		t.Fatalf("first = %v", first)
 	}
 	// Subsequent records re-run checks but must not duplicate the alert.
 	resp := x.pdpResponse()
-	later := alertsOf(env.mustCall("li-infra", MethodLog, resp.Encode()))
+	later := alertsOf(env.mustCall("li-infra", MethodLogBatch, logArgs(resp)))
 	for _, a := range later {
 		if a.Type == AlertRequestTampered {
 			t.Fatal("M1 alert duplicated")
@@ -467,7 +467,7 @@ func TestPolicyReAnchorConflict(t *testing.T) {
 
 	forged := cleanExchange("req-forged").pdpResponse()
 	forged.PolicyDigest = conflict.Digest
-	alerts := alertsOf(env.mustCall("li-infra", MethodLog, forged.Encode()))
+	alerts := alertsOf(env.mustCall("li-infra", MethodLogBatch, logArgs(forged)))
 	if len(alerts) != 1 || alerts[0].Type != AlertPolicyTampered ||
 		!strings.Contains(alerts[0].Detail, "differs from anchored") {
 		t.Fatalf("attempted digest: alerts = %v", alerts)
@@ -475,7 +475,7 @@ func TestPolicyReAnchorConflict(t *testing.T) {
 	x := cleanExchange("req-orig")
 	var all []contract.Event
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-		all = append(all, env.mustCall("li", MethodLog, rec.Encode())...)
+		all = append(all, env.mustCall("li", MethodLogBatch, logArgs(rec))...)
 	}
 	if len(alertsOf(all)) != 0 || !hasEvent(all, EventMatched) {
 		t.Fatalf("original digest no longer matches: %v", alertsOf(all))
@@ -491,11 +491,11 @@ func TestRecordValidation(t *testing.T) {
 		{Kind: KindPDPResponse, ReqID: "x", RespDigest: crypto.Sum([]byte("r"))}, // missing tag
 	}
 	for i, rec := range bad {
-		if _, err := env.call("li", MethodLog, rec.Encode()); err == nil {
+		if _, err := env.call("li", MethodLogBatch, logArgs(rec)); err == nil {
 			t.Errorf("bad record %d accepted", i)
 		}
 	}
-	if _, err := env.call("li", MethodLog, []byte("{")); err == nil {
+	if _, err := env.call("li", MethodLogBatch, []byte("{")); err == nil {
 		t.Error("garbage args accepted")
 	}
 	if _, err := env.call("analyser", MethodVerdict, []byte("{")); err == nil {
@@ -654,7 +654,6 @@ func TestJSONArgsRefused(t *testing.T) {
 		caller, method string
 		args           []byte
 	}{
-		{"li-t1", MethodLog, mustJSON(t, rec)},
 		{"li-t1", MethodLogBatch, mustJSON(t, map[string]any{"root": x.reqDig.String(), "records": []any{rec}})},
 		{"analyser", MethodVerdict, mustJSON(t, map[string]any{"reqId": x.reqID,
 			"expectedTag":  DecisionTag(testKey, x.reqID, x.decision).String(),
@@ -668,6 +667,26 @@ func TestJSONArgsRefused(t *testing.T) {
 	}
 	if env.st.Digest() != before {
 		t.Fatal("refused JSON args changed state")
+	}
+}
+
+// A record reaches the chain only in a logbatch. The log method a record once
+// travelled alone in is unknown: the call is refused and leaves no row and
+// no event.
+func TestLogMethodRefused(t *testing.T) {
+	env := newMatchEnv(t, defaultCfg())
+	x := cleanExchange("req-log")
+	env.anchorPolicy(x.polVer)
+	before := env.st.Digest()
+	evs, err := env.call("li-t1", "log", x.pepRequest().Encode())
+	if !errors.Is(err, contract.ErrUnknownMethod) {
+		t.Fatalf("log call: err = %v, want ErrUnknownMethod", err)
+	}
+	if len(evs) != 0 {
+		t.Fatalf("refused log call emitted %v", evs)
+	}
+	if _, ok := contract.Namespace(env.st, ContractName).Get(recKey(x.reqID, KindPEPRequest)); ok || env.st.Digest() != before {
+		t.Fatal("refused log call left state behind")
 	}
 }
 

@@ -15,7 +15,7 @@ func (e *matchEnv) matchAll(x exchange) {
 	e.t.Helper()
 	var evs []contract.Event
 	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-		evs = append(evs, e.mustCall("li", MethodLog, rec.Encode())...)
+		evs = append(evs, e.mustCall("li", MethodLogBatch, logArgs(rec))...)
 	}
 	evs = append(evs, e.mustCall("analyser", MethodVerdict, x.verdict(x.decision).Encode())...)
 	if !hasEvent(evs, EventMatched) || len(alertsOf(evs)) != 0 {
@@ -69,8 +69,8 @@ func TestFoldLateTransactions(t *testing.T) {
 		args                 []byte
 		want                 []string // event types
 	}{
-		{"identical record", "li-t1", MethodLog, x.pepRequest().Encode(), nil},
-		{"conflicting record", "li-t1", MethodLog, conflicting.Encode(), []string{EventAlert}},
+		{"identical record", "li-t1", MethodLogBatch, logArgs(x.pepRequest()), nil},
+		{"conflicting record", "li-t1", MethodLogBatch, logArgs(conflicting), []string{EventAlert}},
 		{"identical verdict", "analyser", MethodVerdict, x.verdict(x.decision).Encode(), []string{EventVerdict}},
 		{"conflicting verdict", "analyser", MethodVerdict, x.verdict(xacml.Deny).Encode(), []string{EventAlert}},
 	}
@@ -179,7 +179,7 @@ func TestFoldKeepsEvidence(t *testing.T) {
 	}{
 		{"alerted before matching", defaultCfg(), func(env *matchEnv, x exchange) {
 			for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(xacml.Deny)} {
-				env.mustCall("li", MethodLog, rec.Encode())
+				env.mustCall("li", MethodLogBatch, logArgs(rec))
 			}
 			env.mustCall("analyser", MethodVerdict, x.verdict(x.decision).Encode())
 		}, 4 + 1 + 1 + 1}, // rec ×4, verdict, deadline-set, alerted
@@ -189,7 +189,7 @@ func TestFoldKeepsEvidence(t *testing.T) {
 		}, 4 + 1 + 1 + 1 + 1}, // and done
 		{"matched without a verdict", noVerdict, func(env *matchEnv, x exchange) {
 			for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-				env.mustCall("li", MethodLog, rec.Encode())
+				env.mustCall("li", MethodLogBatch, logArgs(rec))
 			}
 		}, 4 + 1 + 1}, // rec ×4, deadline-set, done
 	} {

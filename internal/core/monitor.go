@@ -116,7 +116,6 @@ type Monitor struct {
 	trackedQ  []string // insertion order, for straggler eviction
 	subs      map[uint64]*subscriber
 	nextSub   uint64
-	handlers  []func(Alert)
 
 	tracer atomic.Pointer[trace.Tracer]
 
@@ -161,7 +160,7 @@ func (m *Monitor) SetTracer(t *trace.Tracer) { m.tracer.Store(t) }
 
 // traceEventRecord recovers enough of a LogStored payload to attribute a
 // trace span: the trace ID (request ID when the record predates tracing)
-// and the request ID. Batch-anchored records arrive wrapped.
+// and the request ID.
 func traceEventRecord(payload []byte) (traceID, reqID string) {
 	_, reqID, traceID, err := logStoredHeader(payload)
 	if err != nil || reqID == "" {
@@ -359,15 +358,6 @@ func (m *Monitor) publishLocked(a Alert) {
 	}
 }
 
-// OnAlert registers a handler invoked (on the monitor goroutine) for every
-// new alert. Prefer Subscribe for new code; OnAlert remains for callers
-// that want inline, unbuffered delivery.
-func (m *Monitor) OnAlert(fn func(Alert)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers = append(m.handlers, fn)
-}
-
 // TrackSubmission records the wall-clock submission time of a request's
 // first log so detection latency can be measured end-to-end. The entry is
 // removed when the request matches or alerts; stragglers are evicted
@@ -469,14 +459,9 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 			// probe submission to the alert surfacing off-chain.
 			m.tracer.Load().Span(a.ReqID, trace.StageMonitorAlert, t0, m.clk.Since(t0))
 		}
-		handlers := make([]func(Alert), len(m.handlers))
-		copy(handlers, m.handlers)
 		m.publishLocked(a)
 		m.mu.Unlock()
 		m.alertsSeen.Inc()
-		for _, fn := range handlers {
-			fn(a)
-		}
 	}
 }
 

@@ -156,7 +156,7 @@ func TestMonitorSeesMatchedExchange(t *testing.T) {
 
 	mon.TrackSubmission("m-1")
 	for _, rec := range sealedExchange(t, env.key, "m-1", "doctor", xacml.Permit, polDig) {
-		env.submit(t, env.li, MethodLog, rec.Encode())
+		env.submit(t, env.li, MethodLogBatch, logArgs(rec))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -184,12 +184,8 @@ func TestMonitorAlertFlow(t *testing.T) {
 	mon.Start()
 	defer mon.Stop()
 
-	var handled []Alert
-	done := make(chan struct{}, 4)
-	mon.OnAlert(func(a Alert) {
-		handled = append(handled, a)
-		done <- struct{}{}
-	})
+	stream, stop := mon.Subscribe(context.Background(), AlertFilter{})
+	defer stop()
 
 	polDig := monitorPolicy().Digest()
 	env.anchorPolicy(t, monitorPolicy())
@@ -198,8 +194,8 @@ func TestMonitorAlertFlow(t *testing.T) {
 	recs := sealedExchange(t, env.key, "bad-1", "doctor", xacml.Permit, polDig)
 	// Tamper the pdp.request digest → M1.
 	recs[1].ReqDigest = crypto.Sum([]byte("evil"))
-	env.submit(t, env.li, MethodLog, recs[0].Encode())
-	env.submit(t, env.li, MethodLog, recs[1].Encode())
+	env.submit(t, env.li, MethodLogBatch, logArgs(recs[0]))
+	env.submit(t, env.li, MethodLogBatch, logArgs(recs[1]))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -211,9 +207,12 @@ func TestMonitorAlertFlow(t *testing.T) {
 		t.Fatalf("alert = %+v", alert)
 	}
 	select {
-	case <-done:
+	case a := <-stream:
+		if a.ReqID != "bad-1" || a.Type != AlertRequestTampered {
+			t.Fatalf("streamed alert = %+v", a)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("OnAlert handler not invoked")
+		t.Fatal("alert not streamed to the subscription")
 	}
 	// Alerts are recorded and queryable.
 	if got := mon.AlertsFor("bad-1"); len(got) != 1 || got[0].Type != AlertRequestTampered {
@@ -268,7 +267,7 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 
 	// Honest exchange: doctor → Permit. Analyser agrees; Matched fires.
 	for _, rec := range sealedExchange(t, env.key, "ok-1", "doctor", xacml.Permit, ps.Digest()) {
-		env.submit(t, env.li, MethodLog, rec.Encode())
+		env.submit(t, env.li, MethodLogBatch, logArgs(rec))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -290,7 +289,7 @@ func TestAnalyserProducesVerdictsAndM5(t *testing.T) {
 
 	// Compromised PDP: doctor → Deny (wrong). Analyser disagrees → M5.
 	for _, rec := range sealedExchange(t, env.key, "bad-1", "doctor", xacml.Deny, ps.Digest()) {
-		env.submit(t, env.li, MethodLog, rec.Encode())
+		env.submit(t, env.li, MethodLogBatch, logArgs(rec))
 	}
 	if _, err := mon.WaitForAlert(ctx, "bad-1", AlertDecisionIncorrect); err != nil {
 		t.Fatal(err)
@@ -317,7 +316,7 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 
 	env.anchorPolicy(t, ps)
 	for _, rec := range sealedExchange(t, env.key, "nk-1", "doctor", xacml.Permit, ps.Digest()) {
-		env.submit(t, env.li, MethodLog, rec.Encode())
+		env.submit(t, env.li, MethodLogBatch, logArgs(rec))
 	}
 	// The analyser cannot decrypt the context → no verdict → M5 liveness
 	// alert after the timeout window.
@@ -346,7 +345,7 @@ func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		ls := LogStored{Record: rec, Batched: true, Root: lb.Root, Index: i}
+		ls := LogStored{Record: rec, Root: lb.Root, Index: i}
 		got, ok := an.extractRecord(ls.Encode())
 		if want := rec.Kind == KindPDPResponse; ok != want {
 			t.Fatalf("%s: extracted = %v, want %v", rec.Kind, ok, want)

@@ -347,9 +347,10 @@ func TestM6ConsultsPolicyContract(t *testing.T) {
 			DecisionTag:   DecisionTag(testKey, reqID, xacml.Permit),
 			PolicyVersion: version, PolicyDigest: digest,
 		}
-		ctx := contract.CallCtx{Height: e.height, Caller: "li@tenant-1", TxID: crypto.Sum(rec.Encode())}
+		args := logArgs(rec)
+		ctx := contract.CallCtx{Height: e.height, Caller: "li@tenant-1", TxID: crypto.Sum(args)}
 		evs, err := e.engine.Execute(ctx, e.st,
-			contract.Call{Contract: ContractName, Method: MethodLog, Args: rec.Encode()})
+			contract.Call{Contract: ContractName, Method: MethodLogBatch, Args: args})
 		if err != nil {
 			t.Fatalf("log: %v", err)
 		}

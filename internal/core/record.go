@@ -7,8 +7,9 @@
 //     the Analyser's expected-decision verdicts and the PAP's policy
 //     publications;
 //   - the on-chain log-match smart contract executing the "expressly
-//     devised algorithms" (paper §II) — checks M1–M6 of DESIGN.md — and
-//     emitting security-alert events;
+//     devised algorithms" (paper §II) — checks M1–M6, docs/ARCHITECTURE.md
+//     §2 *Alert types ↔ matching checks* — and emitting security-alert
+//     events;
 //   - the off-chain Monitor that consumes those events, and the Analyser
 //     runtime that re-derives expected decisions.
 //

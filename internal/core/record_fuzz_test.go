@@ -82,7 +82,7 @@ func FuzzDecodeLogStored(f *testing.F) {
 	}
 	env := newMatchEnv(f, defaultCfg())
 	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
-	evs = append(evs, env.mustCall("li-t1", MethodLog, recs[3].Encode())...)
+	evs = append(evs, env.mustCall("li-t1", MethodLogBatch, logArgs(recs[3]))...)
 	for _, e := range evs {
 		if e.Type == EventLogStored {
 			f.Add([]byte(e.Payload))
@@ -90,7 +90,14 @@ func FuzzDecodeLogStored(f *testing.F) {
 	}
 	f.Add(jsonSeed(map[string]any{"record": jsonRecord(), "root": lb.Root.String(), "index": 0,
 		"proof": map[string]any{"leafIndex": 0, "steps": []any{}}}))
-	f.Add([]byte{storedBatched})
+	f.Add([]byte{storedVersion})
+	// The bare form a log call once left, tag 0x01 and the record, carries
+	// no root and no leaf index: it is refused.
+	bare := append([]byte{0x01}, recs[3].Encode()...)
+	if _, err := DecodeLogStored(bare); err == nil {
+		f.Fatal("a bare payload decoded")
+	}
+	f.Add(bare)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ls, err := DecodeLogStored(data)
 		if err != nil {

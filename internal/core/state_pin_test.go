@@ -115,7 +115,7 @@ func (s *scriptChain) send(from, contractName, method string, args []byte) {
 }
 
 func (s *scriptChain) log(from string, rec LogRecord) {
-	s.send(from, ContractName, MethodLog, rec.Encode())
+	s.send(from, ContractName, MethodLogBatch, logArgs(rec))
 }
 
 // seal signs the queued calls, in a seeded shuffle when perm is set, mines

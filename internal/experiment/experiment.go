@@ -1,4 +1,4 @@
-// Package experiment implements the E1–E8 experiment drivers — the
+// Package experiment implements the E1–E7 experiment drivers — the
 // reproduction of every figure/table obligation derived from the paper
 // (Figure 1, the §I threat model, and the §III Log Size / System Integrity
 // discussions) — plus the AB1–AB2 ablations and the V6 and V7 tables. Each

@@ -190,16 +190,6 @@ func TestRunE7ShapeGrowsWithRules(t *testing.T) {
 	}
 }
 
-func TestRunE8Smoke(t *testing.T) {
-	tab, err := RunE8(E8Params{CloudCounts: []int{2}, Requests: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell(t, tab, 0, "alerts") != "0" {
-		t.Fatalf("alerts = %s", cell(t, tab, 0, "alerts"))
-	}
-}
-
 func TestRunAB1Smoke(t *testing.T) {
 	tab, err := RunAB1(AB1Params{TimeoutBlocks: []uint64{5, 20}, Trials: 1})
 	if err != nil {

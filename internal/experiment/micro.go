@@ -77,7 +77,7 @@ func RunE2(p E2Params) (Table, error) {
 		Title:  "log-storage latency vs. log size and PoW difficulty (confirmed writes)",
 		Header: []string{"difficulty", "size_bytes", "samples", "p50_ms", "p99_ms", "mean_ms"},
 		Notes: []string{
-			"each sample: submit one log record and wait for 1 confirmation",
+			"each sample: submit one log record (a one-record logbatch) and wait for 1 confirmation",
 			"paper §III: latency grows with log size; difficulty is the PoW tuning knob",
 		},
 	}
@@ -99,7 +99,11 @@ func RunE2(p E2Params) (Table, error) {
 					ReqDigest: crypto.Sum([]byte{byte(s)}),
 					Payload:   rng.Bytes(size),
 				}
-				call := contract.Call{Contract: core.ContractName, Method: core.MethodLog, Args: rec.Encode()}
+				call, err := core.LogCall(rec)
+				if err != nil {
+					cleanup()
+					return t, fmt.Errorf("E2 d=%d size=%d: %w", diff, size, err)
+				}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				start := time.Now()
 				receipt, err := sender.SendAndWait(ctx, call, 1)

@@ -290,77 +290,3 @@ func RunE6(p E6Params) (Table, error) {
 	}
 	return t, nil
 }
-
-// E8Params parameterise the scale-out sweep.
-type E8Params struct {
-	CloudCounts []int
-	Requests    int // per deployment
-}
-
-// DefaultE8Params sweeps 2–8 clouds.
-func DefaultE8Params() E8Params { return E8Params{CloudCounts: []int{2, 4, 8}, Requests: 48} }
-
-// RunE8 scales the federation out: one cloud = one chain node + one edge
-// tenant; traffic is spread over all tenants and every exchange must match
-// on-chain.
-func RunE8(p E8Params) (Table, error) {
-	t := Table{
-		ID:     "E8",
-		Title:  "federation scale-out: tenants vs. monitored throughput",
-		Header: []string{"clouds", "tenants", "requests", "throughput_req_s", "match_p50_ms", "match_p99_ms", "alerts"},
-	}
-	for _, n := range p.CloudCounts {
-		dep, err := NewStandardDeployment(n, false, 0)
-		if err != nil {
-			return t, err
-		}
-		clients, err := edgeClients(dep)
-		if err != nil {
-			dep.Close()
-			return t, err
-		}
-		tenants := dep.Topology().EdgeTenants()
-		matchLat := metrics.NewHistogram()
-		start := time.Now()
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, 2*n)
-		errCh := make(chan error, p.Requests)
-		for i := 0; i < p.Requests; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				req := StandardRequest(dep, i)
-				client := clients[i%len(clients)]
-				ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-				defer cancel()
-				t0 := time.Now()
-				if _, err := client.Decide(ctx, req); err != nil {
-					errCh <- err
-					return
-				}
-				if err := dep.WaitForMatched(ctx, req.ID); err != nil {
-					errCh <- fmt.Errorf("tenant %s: %w", client.Tenant(), err)
-					return
-				}
-				matchLat.ObserveDuration(time.Since(t0))
-			}(i)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			dep.Close()
-			return t, fmt.Errorf("E8 n=%d: %w", n, err)
-		}
-		elapsed := time.Since(start)
-		s := matchLat.Snapshot()
-		alerts := dep.Monitor.Stats().AlertsSeen
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n), fmt.Sprintf("%d", len(tenants)), fmt.Sprintf("%d", p.Requests),
-			rate(p.Requests, elapsed), msF(s.P50), msF(s.P99), count(alerts),
-		})
-		dep.Close()
-	}
-	return t, nil
-}

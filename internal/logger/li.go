@@ -78,7 +78,8 @@ type LIStats struct {
 	// Dropped counts records refused at a full queue, or still queued (or
 	// handed over) once the LI had stopped.
 	Dropped int64
-	// BatchesSubmitted counts Merkle-anchored batch transactions.
+	// BatchesSubmitted counts the LI's transactions: every one is a
+	// Merkle-anchored batch, a lone record a batch of one.
 	BatchesSubmitted int64
 	QueueLen         int
 }
@@ -276,22 +277,15 @@ func (li *LI) flusher() {
 	}
 }
 
-// anchor submits recs as one transaction — a Merkle-rooted batch, or a plain
-// log call for a lone record, so a record observed alone keeps the unbatched
-// wire shape — and closes the li.flush_wait span of each (enqs[i] is when
-// recs[i] was queued).
+// anchor submits recs as one Merkle-rooted batch transaction (a lone record
+// as a batch of one) and closes the li.flush_wait span of each (enqs[i] is
+// when recs[i] was queued).
 func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
 	n := int64(len(recs))
-	call := contract.Call{Contract: core.ContractName, Method: core.MethodLog}
-	if n == 1 {
-		call.Args = recs[0].Encode()
-	} else {
-		lb, err := core.NewLogBatch(recs)
-		if err != nil {
-			li.failed.Add(n)
-			return
-		}
-		call.Method, call.Args = core.MethodLogBatch, lb.Encode()
+	call, err := core.LogCall(recs...)
+	if err != nil {
+		li.failed.Add(n)
+		return
 	}
 	// One retry covers a transient mempool or network hiccup.
 	if _, err := li.sender.Send(call); err != nil {
@@ -302,9 +296,7 @@ func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
 		}
 	}
 	li.submitted.Add(n)
-	if n > 1 {
-		li.batches.Inc()
-	}
+	li.batches.Inc()
 	li.flushDepth.Observe(float64(n))
 	if tr := li.tracer.Load(); tr != nil {
 		now := li.clk.Now()

@@ -95,30 +95,26 @@ func waitForRecord(t *testing.T, node *blockchain.Node, reqID string, kind core.
 	return core.LogRecord{}
 }
 
-// loggedRecords lists, in chain order, the records each log or logbatch
+// loggedRecords lists, in chain order, the records each logbatch
 // transaction on the best chain carries.
 func loggedRecords(chain *blockchain.Chain) [][]core.LogRecord {
 	var out [][]core.LogRecord
 	for h := uint64(1); h <= chain.Height(); h++ {
 		b, _ := chain.BlockByHeight(h)
 		for _, tx := range b.Txs {
-			switch tx.Call.Method {
-			case core.MethodLog:
-				if rec, err := core.DecodeLogRecord(tx.Call.Args); err == nil {
-					out = append(out, []core.LogRecord{rec})
-				}
-			case core.MethodLogBatch:
-				if lb, err := core.DecodeLogBatch(tx.Call.Args); err == nil {
-					out = append(out, lb.Records)
-				}
+			if tx.Call.Method != core.MethodLogBatch {
+				continue
+			}
+			if lb, err := core.DecodeLogBatch(tx.Call.Args); err == nil {
+				out = append(out, lb.Records)
 			}
 		}
 	}
 	return out
 }
 
-// anchoredRecord finds the first log or logbatch transaction on the best
-// chain that carries the record.
+// anchoredRecord finds the first logbatch transaction on the best chain
+// that carries the record.
 func anchoredRecord(t *testing.T, chain *blockchain.Chain, reqID string, kind core.LogKind) core.LogRecord {
 	t.Helper()
 	for _, recs := range loggedRecords(chain) {
@@ -192,12 +188,12 @@ func TestLIBatchedAnchoring(t *testing.T) {
 	for i := 0; i < n; i++ {
 		waitForRecord(t, env.node, fmt.Sprintf("batch-%d", i), core.KindPEPRequest)
 	}
-	for deadline := time.Now().Add(5 * time.Second); env.li.Stats().BatchesSubmitted < 2 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); env.li.Stats().BatchesSubmitted < 3 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	st := env.li.Stats()
-	if st.Submitted != n+1 || st.BatchesSubmitted != 2 || st.Failed != 0 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want %d records: one alone, then 2 batch transactions", st, n+1)
+	if st.Submitted != n+1 || st.BatchesSubmitted != 3 || st.Failed != 0 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d records in 3 batch transactions: one of one, then 2 more", st, n+1)
 	}
 	if depth := env.li.FlushDepth(); depth.Count != 3 || depth.Sum != n+1 {
 		t.Fatalf("flushes = %d anchoring %v records, want 3 anchoring %d", depth.Count, depth.Sum, n+1)

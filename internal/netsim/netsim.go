@@ -4,7 +4,7 @@
 // flows through a Network, which can inject latency, jitter, message loss,
 // link faults, crashes and partitions. This is the substitution for a real
 // multi-datacenter deployment: goroutine-per-node on one box with explicit,
-// controllable asynchrony (DESIGN.md §4).
+// controllable asynchrony (docs/ARCHITECTURE.md §6).
 //
 // Network is the in-process implementation of transport.Transport; the
 // fault-injection surface (Partition, Heal, SetLinkFault, Synchronous mode)

@@ -49,9 +49,6 @@ type UpdateOptions struct {
 	// transaction). Larger deltas give slow members time to pre-stage the
 	// parsed set before the fleet-wide flip.
 	ActivateDelta uint64
-	// ActivateHeight, when non-zero, overrides ActivateDelta with an
-	// absolute chain height.
-	ActivateHeight uint64
 }
 
 // Proposal reports a submitted policy update.
@@ -92,9 +89,6 @@ func NewAdmin(node *blockchain.Node, pap *crypto.Identity) *Admin {
 
 // resolveHeight turns the options into the absolute activation height.
 func (a *Admin) resolveHeight(opts UpdateOptions) uint64 {
-	if opts.ActivateHeight > 0 {
-		return opts.ActivateHeight
-	}
 	return a.node.Chain().Height() + opts.ActivateDelta
 }
 

@@ -228,9 +228,9 @@ func liCollector(tenant string, li *logger.LI) obs.Collector {
 			obs.C("drams_li_submitted_total"+l, "Probe records submitted on-chain.", s.Submitted),
 			obs.C("drams_li_failed_total"+l, "Probe records whose submission failed.", s.Failed),
 			obs.C("drams_li_dropped_total"+l, "Probe records dropped at a full queue.", s.Dropped),
-			obs.C("drams_li_batches_total"+l, "Merkle-anchored batch transactions submitted.", s.BatchesSubmitted),
+			obs.C("drams_li_batches_total"+l, "LI transactions submitted; each is a Merkle-anchored batch.", s.BatchesSubmitted),
 			obs.G("drams_li_queue_len"+l, "Records waiting in the LI queue.", int64(s.QueueLen)),
-			obs.H("drams_li_flush_depth"+l, "Records anchored per flush (1 = unbatched).", li.FlushDepth()),
+			obs.H("drams_li_flush_depth"+l, "Records anchored per batch transaction (1 = a lone record).", li.FlushDepth()),
 		}
 	}
 }

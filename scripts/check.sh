@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# check.sh — the repo's unified static gate: go vet plus drams-lint, the
+# check.sh — the repo's unified static gate: Markdown citations in Go files,
+# go vet, and drams-lint, the
 # stdlib-only analyzer suite that enforces the architectural invariants
 # (netsim isolation, the dep-free obs stratum, ctx propagation, no
 # blocking call under a lock, pinned chaos seeds, errors.Is on wire
@@ -15,7 +16,25 @@
 # (CI uploads them as an artifact when the gate fails).
 set -u
 
+# drams_md_citations fails when a .go file names a *.md path that exists
+# neither from the repo root nor from the file's own directory, so a
+# comment cannot cite a document that is gone. URLs (//host/...) are not
+# paths in the tree and are skipped.
+drams_md_citations() {
+    local bad=0 file line path
+    while IFS=: read -r file line path; do
+        case $path in //*) continue ;; esac
+        if [ ! -e "$path" ] && [ ! -e "$(dirname "$file")/$path" ]; then
+            echo "$file:$line: names $path, which does not exist"
+            bad=1
+        fi
+    done < <(grep -rnoE --include='*.go' '[A-Za-z0-9_./-]+\.md\b' .)
+    return $bad
+}
+
 drams_check() {
+    echo "check: Markdown paths named in .go files"
+    drams_md_citations || return 1
     echo "check: go vet ./..."
     go vet ./... || return 1
     echo "check: drams-lint ./..."
