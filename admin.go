@@ -27,7 +27,7 @@ type UpdateOptions = pap.UpdateOptions
 // PolicyActivation is one entry of the on-chain activation history.
 type PolicyActivation = core.PolicyActivation
 
-// PolicyEvent is one staged/activated/rejected transition of the local
+// PolicyEvent is one activated/rejected transition of the local
 // policy lifecycle (see Deployment.OnPolicyEvent).
 type PolicyEvent = pap.Event
 
@@ -106,29 +106,19 @@ type PolicyStats struct {
 	// Version / Height identify the last locally activated policy.
 	Version string
 	Height  uint64
-	// Staged / Activations / Rejections count watcher transitions.
-	Staged      int64
+	// Activations / Rejections count watcher transitions.
 	Activations int64
 	Rejections  int64
-	// EventsDropped / Resyncs report the watcher's recovery path: chain
-	// event notifications its subscription missed, and the chain-state
-	// reconciliations triggered to compensate for them (the watcher's
-	// unconditional startup Sync is not counted).
-	EventsDropped int64
-	Resyncs       int64
 }
 
 // PolicyStats snapshots the deployment's policy lifecycle counters, the
-// PAP-side complement of Node.Stats and DecisionCache.Stats.
+// PAP-side complement of Node.Stats.
 func (d *Deployment) PolicyStats() PolicyStats {
 	st := d.watcher.Stats()
 	return PolicyStats{
-		Version:       st.Version,
-		Height:        st.Height,
-		Staged:        st.Staged,
-		Activations:   st.Activations,
-		Rejections:    st.Rejections,
-		EventsDropped: st.EventsDropped,
-		Resyncs:       st.Resyncs,
+		Version:     st.Version,
+		Height:      st.Height,
+		Activations: st.Activations,
+		Rejections:  st.Rejections,
 	}
 }

@@ -25,7 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof" // profiling endpoints, served only behind -pprof-addr
+	_ "net/http/pprof" // profiling endpoints, mounted on the -metrics-addr mux
 	"os"
 	"os/signal"
 	"slices"
@@ -73,7 +73,6 @@ func run() error {
 	policyAtHeight := flag.Uint64("policy-at-height", 0, "wait for this local chain height before pushing -policy-file (0 = push immediately)")
 	policyDelta := flag.Uint64("policy-delta", 5, "activation delay of the -policy-file update, in blocks after submission")
 	printPolicy := flag.String("print-policy", "", "print a built-in policy set as JSON and exit: standard:<version> or restricted:<version>")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this host:port (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz (and /debug/pprof/) on this host:port (empty disables)")
 	catchupDelay := flag.Duration("catchup-delay", 0, "hold the initial chain catch-up for this long after startup (keeps /readyz at 503 long enough for black-box readiness checks)")
 	flag.Parse()
@@ -105,7 +104,6 @@ func run() error {
 		policyFile:     *policyFile,
 		policyAtHeight: *policyAtHeight,
 		policyDelta:    *policyDelta,
-		pprofAddr:      *pprofAddr,
 		metricsAddr:    *metricsAddr,
 		catchupDelay:   *catchupDelay,
 	})
@@ -176,9 +174,6 @@ type daemonConfig struct {
 	// drams.ChainParams).
 	timeoutBlocks  uint64
 	requireVerdict bool
-
-	// pprofAddr, when set, serves net/http/pprof on that address.
-	pprofAddr string
 
 	// metricsAddr, when set, serves the operations surface — /metrics
 	// (Prometheus text exposition), /healthz, /readyz and /debug/pprof/ —
@@ -253,14 +248,6 @@ func runDaemon(cfg daemonConfig) error {
 			}
 		}()
 	}
-	if cfg.pprofAddr != "" && cfg.pprofAddr != cfg.metricsAddr {
-		go func() {
-			logf("pprof listening on http://%s/debug/pprof/", cfg.pprofAddr)
-			if err := http.ListenAndServe(cfg.pprofAddr, nil); err != nil {
-				logf("pprof server: %v", err)
-			}
-		}()
-	}
 
 	// The process's wire: a TCP transport on loopback or a real interface.
 	tr, err := tcp.New(tcp.Config{ListenAddr: cfg.listen, AdvertiseAddr: cfg.advertise, Peers: cfg.join})
@@ -318,8 +305,6 @@ func runDaemon(cfg daemonConfig) error {
 	var seen atomic.Value // version of the last activation the handler logged
 	dep.OnPolicyEvent(func(ev drams.PolicyEvent) {
 		switch ev.Kind {
-		case pap.EventStaged:
-			logf("policy %s staged (digest %s, activates at height %d)", ev.Version, ev.Digest.Short(), ev.Height)
 		case pap.EventActivated:
 			seen.Store(ev.Version)
 			logf("policy %s activated at height %d digest %s", ev.Version, ev.Height, ev.Digest.Short())

@@ -375,8 +375,9 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	}
 
 	// The PAP watcher applies the chain-replicated policy lifecycle
-	// locally: it stages announced versions, flips the PDP at each
-	// activation height, and feeds rollout events into the monitor stream.
+	// locally: it follows the active version its node's replica holds,
+	// flips the PDP when that changes, and feeds rollout events into the
+	// monitor stream.
 	// The analyser needs none of this: it reads the policy it checks from
 	// its own node's replica. A slice without the infrastructure tenant has
 	// no PDP and only acknowledges the flips.
@@ -392,7 +393,7 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 
 	// Publish the initial policy — unless the chain (restored from the data
 	// dir or synced from an existing federation) already carries an active
-	// policy, in which case the watcher's Sync during Start has applied it
+	// policy, in which case the watcher's Start has applied it
 	// and re-publishing would downgrade the whole fleet.
 	if hostsInfra && activePolicyVersion(d.home) == "" {
 		if err := d.PublishPolicy(cfg.policy); err != nil {

@@ -145,7 +145,7 @@ type Node struct {
 	pulling chan struct{}
 
 	subMu  sync.Mutex
-	subs   map[int]*eventSub
+	subs   map[int]chan EventNotification
 	subSeq int
 
 	// bestSeen is the highest chain height this node has heard claimed by
@@ -274,7 +274,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		newTx:   make(chan struct{}, 1),
 		imports: make(chan inboundBlock, importQueue),
 		pulling: make(chan struct{}, 1),
-		subs:    make(map[int]*eventSub),
+		subs:    make(map[int]chan EventNotification),
 	}
 	n.seenTx = newSeenCache(seenCacheSize, n.clk)
 	n.reloaded.Add(int64(replay.loaded))
@@ -388,8 +388,8 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 	n.chain.closeLog()
 	n.subMu.Lock()
-	for id, sub := range n.subs {
-		close(sub.ch)
+	for id, ch := range n.subs {
+		close(ch)
 		delete(n.subs, id)
 	}
 	n.subMu.Unlock()
@@ -451,31 +451,17 @@ func (n *Node) WaitForReceipt(ctx context.Context, txID crypto.Digest, confirmat
 	}
 }
 
-// eventSub is one event subscriber: its delivery channel plus a private
-// drop counter, so a consumer can detect that it missed notifications and
-// reconcile from chain state.
-type eventSub struct {
-	ch      chan EventNotification
-	dropped metrics.Counter
-}
-
 // EventSubscription is a handle on one event stream. Delivery is best
 // effort: when the subscriber's buffer is full the notification is dropped
-// (never blocking consensus) and Dropped advances — consumers that need
-// completeness must treat on-chain state as ground truth and resync when
-// they observe drops (pap.Watcher does exactly this).
+// (never blocking consensus) and counted in NodeStats.EventsDropped. A
+// consumer that needs completeness reads chain state instead, on the head
+// changes Chain.SubscribeHead signals (pap.Watcher does).
 type EventSubscription struct {
 	// C delivers per-block contract events. Closed on Cancel or node Stop.
 	C <-chan EventNotification
 
-	sub    *eventSub
 	cancel func()
 }
-
-// Dropped reports how many notifications this subscriber has missed to a
-// full buffer since subscribing. The counter is monotonic; consumers track
-// the last value they acted on and resync on any advance.
-func (s *EventSubscription) Dropped() int64 { return s.sub.dropped.Value() }
 
 // Cancel unsubscribes and closes C. Safe to call more than once.
 func (s *EventSubscription) Cancel() { s.cancel() }
@@ -486,22 +472,21 @@ func (n *Node) Subscribe(buffer int) *EventSubscription {
 	if buffer <= 0 {
 		buffer = 4096
 	}
-	sub := &eventSub{ch: make(chan EventNotification, buffer)}
+	ch := make(chan EventNotification, buffer)
 	n.subMu.Lock()
 	n.subSeq++
 	id := n.subSeq
-	n.subs[id] = sub
+	n.subs[id] = ch
 	n.subMu.Unlock()
 	var once sync.Once
 	return &EventSubscription{
-		C:   sub.ch,
-		sub: sub,
+		C: ch,
 		cancel: func() {
 			once.Do(func() {
 				n.subMu.Lock()
-				if s, ok := n.subs[id]; ok {
+				if _, ok := n.subs[id]; ok {
 					delete(n.subs, id)
-					close(s.ch)
+					close(ch)
 				}
 				n.subMu.Unlock()
 			})
@@ -512,14 +497,11 @@ func (n *Node) Subscribe(buffer int) *EventSubscription {
 func (n *Node) fanout(height uint64, events []contract.Event) {
 	n.subMu.Lock()
 	defer n.subMu.Unlock()
-	for _, sub := range n.subs {
+	for _, ch := range n.subs {
 		select {
-		case sub.ch <- EventNotification{Height: height, Events: events}:
+		case ch <- EventNotification{Height: height, Events: events}:
 		default:
-			// Subscriber too slow: drop rather than block consensus. The
-			// per-subscriber counter lets the consumer notice and resync
-			// from chain state, which stays the ground truth.
-			sub.dropped.Inc()
+			// Subscriber too slow: drop rather than block consensus.
 			n.evDropped.Inc()
 		}
 	}

@@ -21,7 +21,8 @@ const PolicyContractName = "drams.policy"
 // PolicyContract event types.
 const (
 	// EventPolicyStaged: a new version (or a re-activation of an existing
-	// one) was accepted and scheduled; watchers pre-stage the parsed set.
+	// one) was accepted and scheduled. Watchers act on chain state, not on
+	// this event.
 	EventPolicyStaged = "PolicyStaged"
 	// EventPolicyActivated: the scheduled height was reached and the
 	// version is now the federation's active policy.

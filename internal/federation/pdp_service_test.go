@@ -22,13 +22,13 @@ func acplaneGen() *xacml.Generator {
 }
 
 // An ac.eval allocates little beyond the reply it sends: the request is
-// decoded into a pooled one and the cache key allocates nothing, which
+// decoded into a pooled one and the policy walk allocates nothing, which
 // leaves the ID's bytes and the reply.
 func TestEvalAllocBudget(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 4})
 	t.Cleanup(func() { net.Close() })
 	g := acplaneGen()
-	svc, err := NewPDPService(net, xacml.NewCachedPDP(g.PolicySet("acplane", "v1"), 0))
+	svc, err := NewPDPService(net, xacml.NewPDP(g.PolicySet("acplane", "v1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPDPRequestReuseRace(t *testing.T) {
 	t.Cleanup(func() { net.Close() })
 	g := acplaneGen()
 	policy := g.PolicySet("acplane", "v1")
-	svc, err := NewPDPService(net, xacml.NewCachedPDP(policy, 0))
+	svc, err := NewPDPService(net, xacml.NewPDP(policy))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@
 //     xacml.PolicySet, its digest and a height-gated activation — executed
 //     by the on-chain core.PolicyContract (which lives in package core so
 //     the log-match contract can cross-read its state for M6);
-//   - Watcher runs on every federation member: it tails its node's chain
-//     events, pre-stages and digest-verifies announced versions, and
-//     atomically hot-reloads the local PDP the moment the
-//     chain reaches the activation height — every member flips at the same
-//     block height.
+//   - Watcher runs on every federation member: on every head change of its
+//     node's chain replica it reads the active version and, when that
+//     changed, digest-verifies the stored bytes and atomically hot-reloads
+//     the local PDP — every member flips at the same block height, and a
+//     reorg that moves the active version back moves the PDP back too.
 //
 // Failure modes are first-class: a version whose bytes do not verify
 // against the anchored digest, or do not parse, is never activated locally
@@ -46,8 +46,10 @@ var ErrPolicyConflict = errors.New("pap: policy version already anchored with a 
 type UpdateOptions struct {
 	// ActivateDelta schedules activation this many blocks after the
 	// current chain height (0 = at the block that includes the
-	// transaction). Larger deltas give slow members time to pre-stage the
-	// parsed set before the fleet-wide flip.
+	// transaction). Every member flips at the scheduled height whatever the
+	// delta; a larger one lets the update's block gather confirmations
+	// first, so a short reorg drops an update before it is in force rather
+	// than after.
 	ActivateDelta uint64
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -277,7 +278,7 @@ func TestLateJoinerSyncsActivePolicy(t *testing.T) {
 	}
 	f.waitAll(t, "v5")
 
-	pdp := xacml.NewCachedPDP(nil, 64)
+	pdp := xacml.NewPDP(nil)
 	late, err := NewWatcher(WatcherConfig{Node: f.nodes[1], PDP: pdp})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func TestLateJoinerSyncsActivePolicy(t *testing.T) {
 func TestFlipReportedAfterListenersRan(t *testing.T) {
 	f := newFleet(t, 1)
 	ctx := papCtx(t)
-	pdp := xacml.NewCachedPDP(nil, 64)
+	pdp := xacml.NewPDP(nil)
 	inListener, release := make(chan struct{}), make(chan struct{})
 	w, err := NewWatcher(WatcherConfig{Node: f.nodes[0], PDP: pdp, OnEvent: func(ev Event) {
 		if ev.Kind == EventActivated {
@@ -404,9 +405,6 @@ func TestMonitorEventConversion(t *testing.T) {
 	if !ok || a.Type != core.AlertPolicyRejected {
 		t.Fatalf("rejected alert = %+v (%v)", a, ok)
 	}
-	if _, ok := MonitorEvent(Event{Kind: EventStaged, Version: "v3"}); ok {
-		t.Fatal("staged events must not reach the monitor")
-	}
 }
 
 func waitCond(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
@@ -421,44 +419,160 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool, msg string)
 	t.Fatalf("timeout: %s", msg)
 }
 
-// TestWatcherResyncOnDrops pins the recovery contract for best-effort
-// event delivery: when the subscription reports dropped notifications, the
-// watcher reconciles from chain state and lands on the active version it
-// never saw an event for.
-func TestWatcherResyncOnDrops(t *testing.T) {
-	f := newFleet(t, 2)
-	ctx := papCtx(t)
-	if _, err := f.admin.UpdatePolicy(ctx, xacml.StandardPolicy("v1"), UpdateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.admin.UpdatePolicy(ctx, xacml.RestrictedPolicy("v2"), UpdateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	f.waitAll(t, "v2")
-
-	// A watcher that missed every event (never started, so no
-	// subscription): observing a drop must trigger the chain-state resync.
-	pdp := xacml.NewCachedPDP(nil, 64)
-	w, err := NewWatcher(WatcherConfig{Node: f.nodes[1], PDP: pdp})
+// TestWatcherFollowsReorgThatDropsActivation: v1 activates at block 1 and
+// v2 at block 2, then a longer branch of empty blocks from block 1 becomes
+// best. No event says that v2 is no longer active; the watcher reads the
+// state of the new head and goes back to v1, so the PDP decides under the
+// version the chain holds.
+func TestWatcherFollowsReorgThatDropsActivation(t *testing.T) {
+	papID := crypto.NewIdentityFromSeed("pap", crypto.DeriveKey("pap-reorg", "id"))
+	registry := contract.NewRegistry()
+	registry.MustRegister(&core.PolicyContract{PAP: papID.Name()})
+	net := netsim.New(netsim.Config{Seed: 9})
+	defer net.Close()
+	node, err := blockchain.NewNode(blockchain.NodeConfig{
+		Name: "member", Network: net,
+		Chain: blockchain.Config{Difficulty: 6, Identities: []crypto.PublicIdentity{papID.Public()}, Registry: registry},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Stats().Version; got != "" {
-		t.Fatalf("fresh watcher already at %q", got)
+	defer node.Stop()
+	node.Start()
+	pdp := xacml.NewPDP(nil)
+	w, err := NewWatcher(WatcherConfig{Node: node, PDP: pdp})
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.observeDrops(3)
-	if got := w.Stats().Version; got != "v2" {
-		t.Fatalf("after drop-triggered resync at %q, want v2", got)
+	w.Start()
+	defer w.Stop()
+
+	c := node.Chain()
+	update := func(ps *xacml.PolicySet) blockchain.Transaction {
+		blob := ps.Encode()
+		pu := core.PolicyUpdate{Version: ps.Version, Policy: blob, Digest: crypto.Sum(blob)}
+		tx, err := blockchain.NewTransaction(papID, c.Height(), contract.Call{
+			Contract: core.PolicyContractName, Method: core.MethodPolicyUpdate, Args: pu.Encode(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
 	}
-	st := w.Stats()
-	if st.Resyncs != 1 || st.EventsDropped != 3 {
-		t.Fatalf("resyncs=%d dropped=%d, want 1/3", st.Resyncs, st.EventsDropped)
+	ctx := papCtx(t)
+	b1 := mineOn(t, c, c.Genesis(), update(xacml.StandardPolicy("v1")))
+	if err := w.WaitForVersion(ctx, "v1"); err != nil {
+		t.Fatal(err)
 	}
-	// A second observation with no new drops must not resync again.
-	w.observeDrops(3)
-	if st := w.Stats(); st.Resyncs != 1 {
-		t.Fatalf("resyncs=%d after no-op observation", st.Resyncs)
+	mineOn(t, c, b1.Hash(), update(xacml.RestrictedPolicy("v2")))
+	if err := w.WaitForVersion(ctx, "v2"); err != nil {
+		t.Fatal(err)
 	}
+
+	fork := mineOn(t, c, b1.Hash())
+	mineOn(t, c, fork.Hash())
+	var active string
+	c.ReadState(core.PolicyContractName, func(st contract.StateDB) { active, _, _ = core.ReadActivePolicy(st) })
+	if active != "v1" {
+		t.Fatalf("chain active %q after the reorg, want v1", active)
+	}
+	short, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := w.WaitForVersion(short, active); err != nil {
+		t.Fatalf("watcher on %q, chain active %q: %v", w.Stats().Version, active, err)
+	}
+	res, err := pdp.Evaluate(doctorRead("after-reorg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PolicyVersion != active || res.Decision != xacml.Permit {
+		t.Fatalf("PDP decides %v under %q, chain active %q", res.Decision, res.PolicyVersion, active)
+	}
+	if st := w.Stats(); st.Version != active || st.Height != 1 || st.Activations != 3 {
+		t.Fatalf("stats after the reorg = %+v, want v1 at height 1 after 3 activations", st)
+	}
+}
+
+// A watcher that lags reads only the head: two activations land while its
+// listener blocks, and when it looks again it loads and reports the head's
+// version, once, and never the one in between.
+func TestWatcherLagLoadsOnlyHeadVersion(t *testing.T) {
+	f := newFleet(t, 1)
+	ctx := papCtx(t)
+	pdp := xacml.NewPDP(nil)
+	events := &eventLog{}
+	inListener, release := make(chan struct{}), make(chan struct{})
+	w, err := NewWatcher(WatcherConfig{Node: f.nodes[0], PDP: pdp, OnEvent: func(ev Event) {
+		events.add(ev)
+		if ev.Kind == EventActivated && ev.Version == "v1" {
+			close(inListener)
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	defer w.Stop()
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // before Stop, which waits for the listener to return
+	if _, err := f.admin.UpdatePolicy(ctx, xacml.StandardPolicy("v1"), UpdateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-inListener
+	if _, err := f.admin.UpdatePolicy(ctx, xacml.RestrictedPolicy("v2"), UpdateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.admin.UpdatePolicy(ctx, xacml.StandardPolicy("v3"), UpdateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	letGo()
+	if err := w.WaitForVersion(ctx, "v3"); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range events.byKind(EventActivated) {
+		got = append(got, ev.Version)
+	}
+	if !slices.Equal(got, []string{"v1", "v3"}) {
+		t.Fatalf("activations reported %v, want [v1 v3]", got)
+	}
+	if st := w.Stats(); st.Version != "v3" || st.Activations != 2 {
+		t.Fatalf("stats = %+v, want v3 after 2 activations", st)
+	}
+	if res, err := pdp.Evaluate(doctorRead("lagged")); err != nil || res.PolicyVersion != "v3" {
+		t.Fatalf("PDP on %q (%v), want v3", res.PolicyVersion, err)
+	}
+}
+
+// mineOn mines txs into a child of parent, timestamped 100 ms per height
+// after genesis, and adds it to c.
+func mineOn(t *testing.T, c *blockchain.Chain, parent crypto.Digest, txs ...blockchain.Transaction) *blockchain.Block {
+	t.Helper()
+	pb, ok := c.BlockByHash(parent)
+	if !ok {
+		t.Fatalf("no parent block %s", parent.Short())
+	}
+	genesis, _ := c.BlockByHeight(0)
+	height := pb.Header.Height + 1
+	b := &blockchain.Block{
+		Header: blockchain.BlockHeader{
+			Height:       height,
+			PrevHash:     parent,
+			MerkleRoot:   blockchain.ComputeMerkleRoot(txs),
+			TimeUnixNano: genesis.Header.TimeUnixNano + int64(height)*int64(100*time.Millisecond),
+			Difficulty:   c.Config().Difficulty,
+			Miner:        "test",
+		},
+		Txs: txs,
+	}
+	if !blockchain.Mine(context.Background(), b, 0) {
+		t.Fatal("mining failed")
+	}
+	if err := c.AddBlock(b); err != nil {
+		t.Fatalf("block %d: %v", height, err)
+	}
+	return b
 }
 
 // TestWatcherRecoversAfterNodeRestart is the pap half of the crash/restart
@@ -495,7 +609,7 @@ func TestWatcherRecoversAfterNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	member.Start()
-	memberPDP := xacml.NewCachedPDP(nil, 64)
+	memberPDP := xacml.NewPDP(nil)
 	w, err := NewWatcher(WatcherConfig{Node: member, PDP: memberPDP})
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +655,7 @@ func TestWatcherRecoversAfterNodeRestart(t *testing.T) {
 	if restarted.Chain().Height() <= crashHeight {
 		t.Fatalf("no catch-up past crash height %d", crashHeight)
 	}
-	restartedPDP := xacml.NewCachedPDP(nil, 64)
+	restartedPDP := xacml.NewPDP(nil)
 	w2, err := NewWatcher(WatcherConfig{Node: restarted, PDP: restartedPDP})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"drams/internal/blockchain"
 	"drams/internal/contract"
@@ -20,16 +19,13 @@ type EventKind string
 
 // Watcher event kinds.
 const (
-	// EventStaged: a version was announced, verified against its anchored
-	// digest and parsed; it is ready for the height-gated flip.
-	EventStaged EventKind = "staged"
-	// EventActivated: the chain reached the activation height and the
-	// local PDP was hot-reloaded (on PDP-less members: the flip was
-	// acknowledged).
+	// EventActivated: the member's chain replica holds a new active
+	// version and the local PDP was hot-reloaded (on PDP-less members: the
+	// flip was acknowledged).
 	EventActivated EventKind = "activated"
-	// EventRejected: a version failed local verification (digest mismatch
-	// against the anchored root, unparseable bytes) or an on-chain
-	// conflict was flagged; nothing was activated.
+	// EventRejected: the active version failed local verification (digest
+	// mismatch against the anchored root, unparseable bytes) or an
+	// on-chain conflict was flagged; nothing was activated.
 	EventRejected EventKind = "rejected"
 )
 
@@ -38,7 +34,8 @@ type Event struct {
 	Kind    EventKind
 	Version string
 	Digest  crypto.Digest
-	// Height is the chain height of the underlying on-chain event.
+	// Height is the chain height the version was activated at (for a
+	// conflict: the height of the block that flagged it).
 	Height uint64
 	// Err explains a rejection.
 	Err string
@@ -52,15 +49,9 @@ type WatcherStats struct {
 	Version string
 	// Height is the chain height of the last activation.
 	Height uint64
-	// Staged / Activations / Rejections count watcher transitions.
-	Staged      int64
+	// Activations / Rejections count watcher transitions.
 	Activations int64
 	Rejections  int64
-	// EventsDropped is how many chain-event notifications this watcher's
-	// subscription missed to a full buffer; Resyncs counts the chain-state
-	// reconciliations triggered to recover from them.
-	EventsDropped int64
-	Resyncs       int64
 }
 
 // WatcherConfig configures a Watcher.
@@ -68,7 +59,7 @@ type WatcherConfig struct {
 	// Node is the member's chain node (required).
 	Node *blockchain.Node
 	// PDP, when the member hosts one, is hot-reloaded at every activation
-	// (atomic swap + decision-cache purge).
+	// (an atomic swap of the loaded policy set).
 	PDP *xacml.PDP
 	// OnEvent, when set, receives every watcher notification (monitor
 	// wiring, daemon logging). Called on the watcher goroutine — keep it
@@ -76,50 +67,46 @@ type WatcherConfig struct {
 	OnEvent func(Event)
 }
 
-// Watcher tails a member's chain events and applies the policy lifecycle
-// locally: stage on announcement, verify digests, atomically flip the PDP
-// at the activation height, and surface every transition. On-chain state is
-// the ground truth — Sync recovers from missed events (restart, slow
-// subscriber), and activations are deduplicated so at-least-once event
-// delivery (reorgs) cannot double-fire.
+// Watcher makes a member follow the active policy its own chain replica
+// holds. On every head change of the node's chain it reads the active
+// version; when that differs from what the last read found (activated or
+// rejected), it loads the version through core.LoadPolicyVersion, which
+// re-verifies the stored bytes against the anchored digest, hot-reloads
+// the PDP and surfaces the transition. State is the only input, so a
+// restart, a slow watcher and a reorg are one case: a reorg that moves the
+// active version back is applied like any flip. A watcher that lags several
+// flips loads and reports only the version the head holds when it reads,
+// once; the versions in between are never applied locally. Only
+// PolicyConflict, which leaves no trace in state, comes from the node's
+// event stream.
 type Watcher struct {
 	cfg WatcherConfig
 
-	mu        sync.Mutex
-	staged    map[string]*stagedPolicy // version → verified parsed set, until activated
-	current   string                   // last version applied locally
-	curHeight uint64
-	// shown is what Stats and WaitForVersion report: current, once
-	// the listeners of that flip have run (see activate).
+	// seen is the active version the last head read found, activated or
+	// rejected (Start, then the watcher goroutine only).
+	seen activeVersion
+
+	mu sync.Mutex
+	// shown is what Stats and WaitForVersion report: the last activation,
+	// once the listeners of that flip have run (see sync).
 	shown       string
 	shownHeight uint64
-	applied     map[appliedKey]bool // dedupe at-least-once activations (bounded)
-	appliedQ    []appliedKey        // insertion order, for pruning
-	waiters     map[uint64]chan struct{}
-	nextWaiter  uint64
+	// flipped is closed and replaced each time shown changes.
+	flipped chan struct{}
 
-	stagedCnt   metrics.Counter
 	activations metrics.Counter
 	rejections  metrics.Counter
-	resyncs     metrics.Counter
-	dropped     metrics.Counter
 
-	seenDrops int64 // last subscription drop count acted upon (watcher goroutine only)
-
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	cancelSub func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
-type stagedPolicy struct {
-	set    *xacml.PolicySet
-	digest crypto.Digest
-}
-
-type appliedKey struct {
+// activeVersion names the active policy by version and anchored digest: a
+// fork may anchor the same version label with other bytes.
+type activeVersion struct {
 	version string
-	height  uint64
+	digest  crypto.Digest
 }
 
 // NewWatcher builds a watcher (not yet started).
@@ -129,77 +116,47 @@ func NewWatcher(cfg WatcherConfig) (*Watcher, error) {
 	}
 	return &Watcher{
 		cfg:     cfg,
-		staged:  make(map[string]*stagedPolicy),
-		applied: make(map[appliedKey]bool),
-		waiters: make(map[uint64]chan struct{}),
+		flipped: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}, nil
 }
 
-// appliedBound caps the at-least-once dedup set; only recent activations
-// can be re-delivered (reorg window), so a small bound suffices.
-const appliedBound = 64
-
-// dropCheckInterval paces the fallback drop scan: drops are normally
-// noticed on the next delivered event, but if the chain goes quiet right
-// after an overflow the periodic check still recovers the watcher.
-const dropCheckInterval = time.Second
-
-// Start subscribes to chain events and replays the current on-chain policy
-// state (Sync), so a member that boots — or restarts from its data dir —
-// after activations converges immediately. Event delivery is best effort;
-// whenever the subscription reports dropped notifications the watcher
-// reconciles from chain state instead of trusting the gap.
+// Start applies the chain's active policy, so a member that boots — or
+// restarts from its data dir — after activations converges before Start
+// returns, then follows the head. Head notifications coalesce but are
+// never lost, so the watcher needs no recovery path.
 func (w *Watcher) Start() {
+	heads, cancelHeads := w.cfg.Node.Chain().SubscribeHead()
 	sub := w.cfg.Node.Subscribe(0)
-	w.cancelSub = sub.Cancel
-	w.Sync()
+	w.sync()
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		tick := time.NewTicker(dropCheckInterval)
-		defer tick.Stop()
+		defer cancelHeads()
+		defer sub.Cancel()
 		for {
 			select {
 			case <-w.stop:
 				return
-			case <-tick.C:
-				w.observeDrops(sub.Dropped())
+			case <-heads:
+				w.sync()
 			case note, ok := <-sub.C:
 				if !ok {
 					return
 				}
 				for _, e := range note.Events {
-					if e.Contract == core.PolicyContractName {
-						w.handleEvent(e.Type, e.Payload, note.Height)
+					if e.Contract == core.PolicyContractName && e.Type == core.EventPolicyConflict {
+						w.conflict(e.Payload, note.Height)
 					}
 				}
-				w.observeDrops(sub.Dropped())
 			}
 		}
 	}()
 }
 
-// observeDrops reconciles with chain state when the event subscription
-// reports notifications lost to a full buffer: any advance of the drop
-// counter means an activation may have been missed, so the watcher resyncs
-// (cheap when nothing changed — Sync dedupes against applied flips).
-func (w *Watcher) observeDrops(dropped int64) {
-	if dropped == w.seenDrops {
-		return
-	}
-	w.dropped.Add(dropped - w.seenDrops)
-	w.seenDrops = dropped
-	w.resyncs.Inc()
-	w.Sync()
-}
-
 // Stop halts the watcher.
 func (w *Watcher) Stop() {
 	w.stopOnce.Do(func() { close(w.stop) })
-	if w.cancelSub != nil {
-		w.cancelSub()
-	}
 	w.wg.Wait()
 }
 
@@ -209,13 +166,10 @@ func (w *Watcher) Stats() WatcherStats {
 	version, height := w.shown, w.shownHeight
 	w.mu.Unlock()
 	return WatcherStats{
-		Version:       version,
-		Height:        height,
-		Staged:        w.stagedCnt.Value(),
-		Activations:   w.activations.Value(),
-		Rejections:    w.rejections.Value(),
-		EventsDropped: w.dropped.Value(),
-		Resyncs:       w.resyncs.Value(),
+		Version:     version,
+		Height:      height,
+		Activations: w.activations.Value(),
+		Rejections:  w.rejections.Value(),
 	}
 }
 
@@ -224,193 +178,83 @@ func (w *Watcher) Stats() WatcherStats {
 func (w *Watcher) WaitForVersion(ctx context.Context, version string) error {
 	for {
 		w.mu.Lock()
-		if w.shown == version {
-			w.mu.Unlock()
+		shown, flipped := w.shown, w.flipped
+		w.mu.Unlock()
+		if shown == version {
 			return nil
 		}
-		armed := make(chan struct{})
-		id := w.nextWaiter
-		w.nextWaiter++
-		w.waiters[id] = armed
-		w.mu.Unlock()
-		release := func() {
-			w.mu.Lock()
-			delete(w.waiters, id)
-			w.mu.Unlock()
-		}
 		select {
-		case <-armed:
+		case <-flipped:
 		case <-w.stop:
-			release()
 			return fmt.Errorf("pap: wait for policy %q: watcher stopped", version)
 		case <-ctx.Done():
-			release()
 			return fmt.Errorf("pap: wait for policy %q: %w", version, ctx.Err())
 		}
 	}
 }
 
-// Sync reconciles with on-chain state: it applies the chain's active
-// version if this member has not done so yet. Start calls it once; it is
-// safe to call again at any time (e.g. after a partition heals).
-func (w *Watcher) Sync() {
+// sync reads the replica's active version and applies it if it is not the
+// one the last read found. When nothing changed that is two state reads.
+func (w *Watcher) sync() {
 	var (
-		version string
-		digest  crypto.Digest
-		ok      bool
+		active  activeVersion
+		changed bool
+		ps      *xacml.PolicySet
 		height  uint64
+		err     error
 	)
 	w.cfg.Node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-		version, digest, ok = core.ReadActivePolicy(st)
-		if !ok {
+		var ok bool
+		active.version, active.digest, ok = core.ReadActivePolicy(st)
+		if changed = ok && active != w.seen; !changed {
 			return
 		}
-		// The true activation height comes from the on-chain history (its
-		// last entry is the active version), so a buffered activation
-		// event for the same flip dedupes against this Sync.
+		ps, _, err = core.LoadPolicyVersion(st, active.version)
+		// The history's last entry is the active version's activation.
 		if hist := core.ReadPolicyHistory(st); len(hist) > 0 {
 			height = hist[len(hist)-1].Height
 		}
 	})
-	if !ok {
+	if !changed {
 		return
 	}
-	w.activate(version, digest, height)
-}
-
-func (w *Watcher) handleEvent(eventType string, payload []byte, height uint64) {
-	switch eventType {
-	case core.EventPolicyStaged:
-		var act core.PolicyActivation
-		if err := json.Unmarshal(payload, &act); err != nil {
-			return
-		}
-		// act.Height is the scheduled activation height (the payload is a
-		// PolicyActivation), not the announcement block's height.
-		w.stage(act.Version, act.Digest, act.Height)
-	case core.EventPolicyActivated:
-		var act core.PolicyActivation
-		if err := json.Unmarshal(payload, &act); err != nil {
-			return
-		}
-		w.activate(act.Version, act.Digest, act.Height)
-	case core.EventPolicyConflict:
-		var body struct {
-			Version string `json:"version"`
-			By      string `json:"by"`
-		}
-		if err := json.Unmarshal(payload, &body); err != nil {
-			return
-		}
-		w.reject(Event{
-			Kind: EventRejected, Version: body.Version, Height: height,
-			Err: fmt.Sprintf("conflicting digest for anchored version (by %s)", body.By),
-		})
-	}
-}
-
-// fetch loads a version from chain state through core.LoadPolicyVersion.
-func (w *Watcher) fetch(version string) (*stagedPolicy, error) {
-	var (
-		sp  stagedPolicy
-		err error
-	)
-	w.cfg.Node.Chain().ReadState(core.PolicyContractName, func(st contract.StateDB) {
-		sp.set, sp.digest, err = core.LoadPolicyVersion(st, version)
-	})
+	w.seen = active
 	if err != nil {
-		return nil, err
-	}
-	return &sp, nil
-}
-
-// stage pre-verifies and parses an announced version so the activation
-// flip later is a pure pointer swap.
-func (w *Watcher) stage(version string, digest crypto.Digest, height uint64) {
-	sp, err := w.fetch(version)
-	if err != nil {
-		w.reject(Event{Kind: EventRejected, Version: version, Digest: digest, Height: height, Err: err.Error()})
+		w.reject(Event{Kind: EventRejected, Version: active.version, Digest: active.digest, Height: height, Err: err.Error()})
 		return
 	}
-	w.mu.Lock()
-	_, known := w.staged[version]
-	w.staged[version] = sp
-	w.mu.Unlock()
-	if !known {
-		w.stagedCnt.Inc()
-		w.notify(Event{Kind: EventStaged, Version: version, Digest: sp.digest, Height: height})
-	}
-}
-
-// activate flips this member to version: the staged parsed set (fetched
-// from chain state when staging was missed) is atomically loaded into the
-// PDP. The whole flip runs in one critical section, so a Sync racing the
-// event goroutine applies each flip exactly once, at-least-once
-// event deliveries dedupe, and a stale buffered activation (lower height
-// than what this member already applied, e.g. after Sync caught up past
-// it) can never downgrade the PDP.
-func (w *Watcher) activate(version string, digest crypto.Digest, height uint64) {
-	key := appliedKey{version, height}
-	w.mu.Lock()
-	if w.applied[key] || height < w.curHeight ||
-		(w.current == version && w.curHeight >= height) {
-		w.mu.Unlock()
-		return
-	}
-	sp := w.staged[version]
-	if sp == nil {
-		var err error
-		sp, err = w.fetch(version)
-		if err != nil {
-			w.mu.Unlock()
-			w.reject(Event{Kind: EventRejected, Version: version, Digest: digest, Height: height, Err: err.Error()})
-			return
-		}
-	}
-	if !digest.IsZero() && sp.digest != digest {
-		w.mu.Unlock()
-		w.reject(Event{
-			Kind: EventRejected, Version: version, Digest: digest, Height: height,
-			Err: fmt.Sprintf("staged digest %s != activation digest %s", sp.digest.Short(), digest.Short()),
-		})
-		return
-	}
-
 	if w.cfg.PDP != nil {
-		w.cfg.PDP.Load(sp.set)
+		w.cfg.PDP.Load(ps)
 	}
-
-	w.current = version
-	w.curHeight = height
-	// The parsed set served its purpose (a rollback re-fetches from chain
-	// state), and the dedup set is bounded to the reorg-redelivery window.
-	delete(w.staged, version)
-	w.applied[key] = true
-	w.appliedQ = append(w.appliedQ, key)
-	for len(w.appliedQ) > appliedBound {
-		delete(w.applied, w.appliedQ[0])
-		w.appliedQ = w.appliedQ[1:]
-	}
-	w.mu.Unlock()
 
 	// Listeners first — the monitor's policy event and the deployment's
 	// OnPolicyEvent hook run in OnEvent — and only then is the flip reported
-	// by Version, Stats and WaitForVersion: whoever acts on the report (Open
+	// by Stats and WaitForVersion: whoever acts on the report (Open
 	// returning, a test that polls and then sends a request) finds the
 	// activation already in the member's event stream.
 	w.activations.Inc()
-	w.notify(Event{Kind: EventActivated, Version: version, Digest: sp.digest, Height: height})
+	w.notify(Event{Kind: EventActivated, Version: active.version, Digest: active.digest, Height: height})
 
 	w.mu.Lock()
-	if height >= w.shownHeight { // a later flip may have got here first
-		w.shown, w.shownHeight = version, height
-	}
-	waiters := w.waiters
-	w.waiters = make(map[uint64]chan struct{})
+	w.shown, w.shownHeight = active.version, height
+	close(w.flipped)
+	w.flipped = make(chan struct{})
 	w.mu.Unlock()
-	for _, ch := range waiters {
-		close(ch)
+}
+
+// conflict surfaces an on-chain PolicyConflict as a rejection.
+func (w *Watcher) conflict(payload []byte, height uint64) {
+	var body struct {
+		Version string `json:"version"`
+		By      string `json:"by"`
 	}
+	if err := json.Unmarshal(payload, &body); err != nil {
+		return
+	}
+	w.reject(Event{
+		Kind: EventRejected, Version: body.Version, Height: height,
+		Err: fmt.Sprintf("conflicting digest for anchored version (by %s)", body.By),
+	})
 }
 
 func (w *Watcher) reject(ev Event) {
@@ -426,7 +270,7 @@ func (w *Watcher) notify(ev Event) {
 
 // MonitorEvent converts a watcher notification into the synthetic monitor
 // alert the operators' Alerts subscriptions see (core.AlertPolicyActivated
-// / core.AlertPolicyRejected; staged transitions produce no alert).
+// / core.AlertPolicyRejected).
 func MonitorEvent(ev Event) (core.Alert, bool) {
 	ref := fmt.Sprintf("%s@%d", ev.Version, ev.Height)
 	switch ev.Kind {

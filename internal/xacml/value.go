@@ -215,7 +215,7 @@ func (v Value) Key() string {
 }
 
 // appendKey appends the Key encoding to dst. This is the hot path of
-// request canonicalization (probe digests, the PDP decision-cache key), so
+// request canonicalization (probe digests, the analyser's domain keys), so
 // it avoids fmt; the output stays byte-identical to the historic
 // fmt-based encoding.
 func (v Value) appendKey(dst []byte) []byte {

@@ -252,11 +252,8 @@ func watcherCollector(w *pap.Watcher) obs.Collector {
 	return func() []metrics.Sample {
 		s := w.Stats()
 		return []metrics.Sample{
-			obs.C("drams_watcher_staged_total", "Policy versions staged for activation.", s.Staged),
 			obs.C("drams_watcher_activations_total", "Policy versions activated locally.", s.Activations),
 			obs.C("drams_watcher_rejections_total", "Policy versions rejected locally.", s.Rejections),
-			obs.C("drams_watcher_events_dropped_total", "Chain-event notifications the watcher missed.", s.EventsDropped),
-			obs.C("drams_watcher_resyncs_total", "Chain-state reconciliations after missed events.", s.Resyncs),
 			obs.G("drams_watcher_height", "Chain height of the last local policy activation.", int64(s.Height)),
 		}
 	}
