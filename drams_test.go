@@ -3,6 +3,7 @@ package drams_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -420,5 +421,62 @@ func TestManyConcurrentRequestsAllMatch(t *testing.T) {
 	}
 	if st.AlertsSeen != 0 {
 		t.Fatalf("clean load raised %d alerts: %v", st.AlertsSeen, dep.Monitor.Alerts())
+	}
+}
+
+// A closed-loop burst on a three-cloud fleet: every member's analyser,
+// monitor and policy watcher follow their node's head, and none of them
+// falls so far behind that a block is skipped.
+func TestClosedLoopBurstFollowersMissNothing(t *testing.T) {
+	dep := testDeployment(t, drams.WithTopology(federation.SimpleTopology("burst", 3)), drams.WithTimeoutBlocks(80))
+	const perWorker = 16
+	tenants := []string{"tenant-1", "tenant-2", "tenant-3"}
+	var (
+		mu  sync.Mutex
+		ids []string
+	)
+	ctx := ctx20(t)
+	errCh := make(chan error, 2*len(tenants))
+	for _, tenant := range tenants {
+		client := tenantClient(t, dep, tenant)
+		for range 2 {
+			go func() {
+				for range perWorker {
+					req := doctorRequest(dep)
+					if _, err := client.Decide(ctx, req); err != nil {
+						errCh <- err
+						return
+					}
+					mu.Lock()
+					ids = append(ids, req.ID)
+					mu.Unlock()
+				}
+				errCh <- nil
+			}()
+		}
+	}
+	for range cap(errCh) {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, id := range ids {
+		if err := dep.WaitForMatched(waitCtx, id); err != nil {
+			t.Fatalf("request %s: %v", id, err)
+		}
+	}
+	if st := dep.Monitor.Stats(); st.Matched != int64(len(ids)) || st.AlertsSeen != 0 {
+		t.Fatalf("%d of %d exchanges matched, %d alerts: %v", st.Matched, len(ids), st.AlertsSeen, dep.Monitor.Alerts())
+	}
+	for _, cloud := range []string{"cloud-1", "cloud-2", "cloud-3"} {
+		node, err := dep.Node(cloud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := node.Stats().EventsDropped; n != 0 {
+			t.Fatalf("%s: a follower skipped %d blocks", cloud, n)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // Scenario is one executable attack from the threat model.
 type Scenario struct {
-	// ID is the attack identifier (A1…A8) of docs/ARCHITECTURE.md §9,
+	// ID is the attack identifier (A1…A8, A5b) of docs/ARCHITECTURE.md §9,
 	// *Detection mapping*.
 	ID string
 	// Name is a short label.

@@ -48,10 +48,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// EventSink receives contract events once their block joins the best chain.
-// Events are delivered at-least-once: a reorganisation can re-deliver.
-type EventSink func(height uint64, events []contract.Event)
-
 // Chain is one node's view of the blockchain. It is safe for concurrent use.
 type Chain struct {
 	cfg      Config
@@ -67,11 +63,10 @@ type Chain struct {
 	head      crypto.Digest
 	bestChain []crypto.Digest // index = height
 	state     *contract.State
-	receipts  map[crypto.Digest]Receipt // of the best chain's top E+1 blocks
-	emitted   map[crypto.Digest]bool
-	abandoned []Transaction // of blocks reorganised away, until TakeAbandoned
+	receipts  map[crypto.Digest]Receipt          // of the best chain's top E+1 blocks
+	events    map[crypto.Digest][]contract.Event // of the same blocks, those that have any
+	abandoned []Transaction                      // of blocks reorganised away, until TakeAbandoned
 
-	sink     EventSink
 	headSubs map[int]chan struct{}
 	subSeq   int
 
@@ -92,7 +87,7 @@ func NewChain(cfg Config) *Chain {
 		blockIDs: make(map[crypto.Digest][]crypto.Digest),
 		state:    contract.NewState(),
 		receipts: make(map[crypto.Digest]Receipt),
-		emitted:  make(map[crypto.Digest]bool),
+		events:   make(map[crypto.Digest][]contract.Event),
 		headSubs: make(map[int]chan struct{}),
 	}
 	c.verifier = NewTxVerifier(c.ids, VerifierConfig{})
@@ -107,7 +102,6 @@ func NewChain(cfg Config) *Chain {
 	c.genesis = gh
 	c.head = gh
 	c.bestChain = []crypto.Digest{gh}
-	c.emitted[gh] = true
 	return c
 }
 
@@ -118,13 +112,6 @@ func (c *Chain) Verifier() *TxVerifier { return c.verifier }
 
 // Config returns the consensus parameters.
 func (c *Chain) Config() Config { return c.cfg }
-
-// SetEventSink installs the at-least-once event delivery callback.
-func (c *Chain) SetEventSink(sink EventSink) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = sink
-}
 
 // Genesis returns the genesis block hash.
 //
@@ -222,6 +209,55 @@ func (c *Chain) SubscribeHead() (<-chan struct{}, func()) {
 	}
 }
 
+// Cursor names the last best-chain block a follower has read. The zero
+// Cursor stands before the first block.
+type Cursor struct {
+	Height uint64
+	Hash   crypto.Digest
+}
+
+// Cursor returns the head's cursor: a follower that starts there reads the
+// blocks that join the best chain afterwards.
+func (c *Chain) Cursor() Cursor {
+	hash, height := c.Head()
+	return Cursor{Height: height, Hash: hash}
+}
+
+// BlockEvents are the contract events of one best-chain block: its
+// transactions' in block order, then its block hooks'.
+type BlockEvents struct {
+	Height uint64
+	Hash   crypto.Digest
+	Events []contract.Event
+}
+
+// EventsAfter returns the best-chain blocks above cur, oldest first, and the
+// cursor at the head they end at. A cursor whose block has left the best
+// chain reads from the fork point, so no block of the abandoned branch is
+// returned. Events are kept for the best chain's top E+1 blocks, as
+// receipts are: the blocks below are skipped and counted in missed. The
+// events are the chain's own; the reader must not modify them.
+func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, missed uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for cur.Height >= uint64(len(c.bestChain)) || c.bestChain[cur.Height] != cur.Hash {
+		b, ok := c.blocks[cur.Hash]
+		if !ok {
+			cur = Cursor{Hash: c.genesis}
+			break
+		}
+		cur = Cursor{Height: b.Header.Height - 1, Hash: b.Header.PrevHash}
+	}
+	head := uint64(len(c.bestChain) - 1)
+	from := max(cur.Height+1, head-min(head, txLifetime))
+	missed = from - cur.Height - 1
+	for h := from; h <= head; h++ {
+		bh := c.bestChain[h]
+		blocks = append(blocks, BlockEvents{Height: h, Hash: bh, Events: c.events[bh]})
+	}
+	return blocks, Cursor{Height: head, Hash: c.head}, missed
+}
+
 // AddBlock validates and inserts a block, switching the best chain if the
 // new branch is longer. It returns ErrOrphanBlock when the parent is
 // unknown (callers should sync ancestors) and ErrKnownBlock for duplicates.
@@ -272,63 +308,43 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 
 	c.mu.Lock()
-	emits, err := c.addBlockLocked(b, hash, ids)
-	var sink EventSink
-	if err == nil {
-		sink = c.sink
-		if len(emits) > 0 {
-			c.notifyHeadLocked()
-		}
-	}
-	c.mu.Unlock()
-
-	if err != nil {
-		return err
-	}
-	if sink != nil {
-		for _, e := range emits {
-			if len(e.events) > 0 {
-				sink(e.height, e.events)
-			}
-		}
-	}
-	return nil
-}
-
-type blockEvents struct {
-	height uint64
-	events []contract.Event
+	defer c.mu.Unlock()
+	return c.addBlockLocked(b, hash, ids)
 }
 
 // addBlockLocked repeats AddBlock's chain-dependent checks authoritatively,
-// applies the replay rule against b's branch and inserts b. ids are b's
-// transaction IDs, index-aligned; AddBlock has already checked them against
-// the header's Merkle root, and neither changes, so that check is not
-// repeated here.
-func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest) ([]blockEvents, error) {
+// applies the replay rule against b's branch and inserts b, signalling the
+// head subscribers when b becomes the head. ids are b's transaction IDs,
+// index-aligned; AddBlock has already checked them against the header's
+// Merkle root, and neither changes, so that check is not repeated here.
+func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest) error {
 	if _, ok := c.blocks[hash]; ok {
-		return nil, ErrKnownBlock
+		return ErrKnownBlock
 	}
 	parent, ok := c.blocks[b.Header.PrevHash]
 	if !ok {
-		return nil, fmt.Errorf("%w: parent %s of block %s", ErrOrphanBlock, b.Header.PrevHash.Short(), hash.Short())
+		return fmt.Errorf("%w: parent %s of block %s", ErrOrphanBlock, b.Header.PrevHash.Short(), hash.Short())
 	}
 	if b.Header.Height != parent.Header.Height+1 {
-		return nil, fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
+		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
 	}
 	// Difficulty, PoW and size depend on b alone and were checked in
 	// AddBlock, as were the transaction signatures, outside the lock.
 	if err := c.checkReplayLocked(b, ids); err != nil {
-		return nil, fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
+		return fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
 	}
 
 	c.blocks[hash] = b
 	c.blockIDs[hash] = ids
 
 	if !c.betterThanHeadLocked(b, hash) {
-		return nil, nil // valid side-branch block; kept for future fork choice
+		return nil // valid side-branch block; kept for future fork choice
 	}
-	return c.reorgToLocked(hash)
+	if err := c.reorgToLocked(hash); err != nil {
+		return err
+	}
+	c.notifyHeadLocked()
+	return nil
 }
 
 // betterThanHeadLocked implements fork choice. Every block carries the one
@@ -449,46 +465,39 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 // reorgToLocked switches the best chain to newHead. Fast path: newHead
 // extends the current head, so state is updated incrementally. Slow path:
 // full deterministic replay from genesis.
-func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
+func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 	nb := c.blocks[newHead]
 	if nb.Header.PrevHash == c.head {
-		evs := c.applyBlockLocked(nb, c.blockIDs[newHead], c.state, true)
+		c.applyBlockLocked(newHead, c.state, true)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
 		if h := nb.Header.Height; h > txLifetime {
-			for _, id := range c.blockIDs[c.bestChain[h-txLifetime-1]] {
+			gone := c.bestChain[h-txLifetime-1]
+			for _, id := range c.blockIDs[gone] {
 				delete(c.receipts, id)
 			}
+			delete(c.events, gone)
 		}
 		c.syncLogLocked()
-		if c.emitted[newHead] {
-			return []blockEvents{{height: nb.Header.Height}}, nil
-		}
-		c.emitted[newHead] = true
-		return []blockEvents{{height: nb.Header.Height, events: evs}}, nil
+		return nil
 	}
 
 	oldBest := c.bestChain
 	path, err := c.pathFromGenesisLocked(newHead)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	state := contract.NewState()
 	c.receipts = make(map[crypto.Digest]Receipt)
+	c.events = make(map[crypto.Digest][]contract.Event)
 	best := make([]crypto.Digest, 0, len(path)+1)
 	best = append(best, c.genesis)
-	var emits []blockEvents
-	// Swap in the fresh state so applyBlockLocked records receipts there,
-	// for the heights within E of the new head.
+	// Swap in the fresh state so applyBlockLocked records receipts and
+	// events there, for the heights within E of the new head.
 	c.state = state
 	for _, bh := range path {
-		b := c.blocks[bh]
-		evs := c.applyBlockLocked(b, c.blockIDs[bh], state, b.Header.Height+txLifetime >= uint64(len(path)))
+		c.applyBlockLocked(bh, state, c.blocks[bh].Header.Height+txLifetime >= uint64(len(path)))
 		best = append(best, bh)
-		if !c.emitted[bh] {
-			c.emitted[bh] = true
-			emits = append(emits, blockEvents{height: b.Header.Height, events: evs})
-		}
 	}
 	for i, bh := range oldBest {
 		if i >= len(best) || best[i] != bh {
@@ -498,15 +507,17 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) ([]blockEvents, error) {
 	c.head = newHead
 	c.bestChain = best
 	c.syncLogLocked()
-	return emits, nil
+	return nil
 }
 
-// applyBlockLocked executes a block's transactions and block hooks against
-// state, recording receipts under ids (b's transaction IDs, index-aligned)
-// when keepReceipts is set. The replay rule was checked beforehand.
-// Transactions run one after another in block order; this is the only apply
-// path.
-func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.State, keepReceipts bool) []contract.Event {
+// applyBlockLocked executes the block hash names, its transactions and then
+// its block hooks, against state. When keep is set it records the receipts
+// under the block's transaction IDs and the events, the transactions' in
+// block order followed by the hooks', under hash. The replay rule was
+// checked beforehand. Transactions run one after another in block order;
+// this is the only apply path.
+func (c *Chain) applyBlockLocked(hash crypto.Digest, state *contract.State, keep bool) {
+	b, ids := c.blocks[hash], c.blockIDs[hash]
 	var events []contract.Event
 	for i := range b.Txs {
 		tx := &b.Txs[i]
@@ -521,13 +532,15 @@ func (c *Chain) applyBlockLocked(b *Block, ids []crypto.Digest, state *contract.
 		if err != nil {
 			rec.Err = err.Error()
 		}
-		if keepReceipts {
+		if keep {
 			c.receipts[ids[i]] = rec
 		}
 		events = append(events, evs...)
 	}
 	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)
-	return events
+	if keep && len(events) > 0 {
+		c.events[hash] = events
+	}
 }
 
 func (c *Chain) notifyHeadLocked() {

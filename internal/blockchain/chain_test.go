@@ -327,6 +327,11 @@ func TestReceiptWindow(t *testing.T) {
 		t.Helper()
 		c.mu.RLock()
 		kept := len(c.receipts)
+		for hash := range c.events {
+			if h := c.blocks[hash].Header.Height; h+txLifetime < uint64(len(c.bestChain)-1) || c.bestChain[h] != hash {
+				t.Errorf("%s: events kept for block %s at %d, off the best chain or below its top E+1", when, hash.Short(), h)
+			}
+		}
 		c.mu.RUnlock()
 		if kept > (txLifetime+1)*maxPerBlock {
 			t.Errorf("%s: %d receipts kept, want at most %d", when, kept, (txLifetime+1)*maxPerBlock)
@@ -607,23 +612,6 @@ func TestHeadSubscription(t *testing.T) {
 	case <-ch:
 	case <-time.After(time.Second):
 		t.Fatal("no head notification")
-	}
-}
-
-func TestEventSinkDelivery(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	c := NewChain(testChainConfig(t, alice))
-	var sunk []contract.Event
-	c.SetEventSink(func(height uint64, events []contract.Event) {
-		sunk = append(sunk, events...)
-	})
-	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	b := mineChild(t, c, c.Genesis(), tx)
-	if err := c.AddBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if len(sunk) != 1 || sunk[0].Type != "Put" {
-		t.Fatalf("sunk = %+v", sunk)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"drams/internal/clock"
-	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/metrics"
 	"drams/internal/transport"
@@ -70,20 +69,13 @@ type NodeConfig struct {
 	SyncBatch int
 }
 
-// EventNotification delivers the events of one applied block to a
-// subscriber.
-type EventNotification struct {
-	Height uint64
-	Events []contract.Event
-}
-
 // NodeStats are observability counters for experiments.
 type NodeStats struct {
 	BlocksMined     int64
 	BlocksAccepted  int64
 	BlocksRejected  int64
 	TxsSubmitted    int64
-	EventsDropped   int64
+	EventsDropped   int64 // best-chain blocks Follow skipped, more than E+1 behind the head
 	MiningCancelled int64
 	OrphansResolved int64
 	// ImportDropped counts gossiped block frames refused because the import
@@ -143,10 +135,6 @@ type Node struct {
 	// and SyncFrom never fetch the same gap twice.
 	imports chan inboundBlock
 	pulling chan struct{}
-
-	subMu  sync.Mutex
-	subs   map[int]chan EventNotification
-	subSeq int
 
 	// bestSeen is the highest chain height this node has heard claimed by
 	// the network — peer head responses and gossiped block headers — used
@@ -249,8 +237,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	var replay logReplay
 	if cfg.BlockLog != "" {
 		// Replay the logged best chain through full validation before any
-		// network traffic; the event sink is not installed yet, so replay
-		// emits nothing (subscribers reconcile via their own Sync).
+		// network traffic. Followers take their cursor after NewNode, so
+		// the replayed blocks are history to them.
 		var err error
 		if replay, err = openBlockLog(chain, cfg.BlockLog); err != nil {
 			return nil, fmt.Errorf("blockchain: node %q: %w", cfg.Name, err)
@@ -274,12 +262,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		newTx:   make(chan struct{}, 1),
 		imports: make(chan inboundBlock, importQueue),
 		pulling: make(chan struct{}, 1),
-		subs:    make(map[int]chan EventNotification),
 	}
 	n.seenTx = newSeenCache(seenCacheSize, n.clk)
 	n.reloaded.Add(int64(replay.loaded))
 	n.reloadDrop.Add(int64(replay.dropped))
-	n.chain.SetEventSink(n.fanout)
 	// Gossip handlers are active from construction, so the import loop must
 	// be too (Stop terminates it).
 	n.wg.Add(1)
@@ -382,17 +368,11 @@ func (n *Node) rebroadcastLoop() {
 	}
 }
 
-// Stop halts mining, closes subscriber channels and closes the block log.
+// Stop halts mining, ends every Follow and closes the block log.
 func (n *Node) Stop() {
 	n.cancel()
 	n.wg.Wait()
 	n.chain.closeLog()
-	n.subMu.Lock()
-	for id, ch := range n.subs {
-		close(ch)
-		delete(n.subs, id)
-	}
-	n.subMu.Unlock()
 }
 
 // SubmitTx validates a transaction, adds it to the mempool and gossips it.
@@ -451,58 +431,31 @@ func (n *Node) WaitForReceipt(ctx context.Context, txID crypto.Digest, confirmat
 	}
 }
 
-// EventSubscription is a handle on one event stream. Delivery is best
-// effort: when the subscriber's buffer is full the notification is dropped
-// (never blocking consensus) and counted in NodeStats.EventsDropped. A
-// consumer that needs completeness reads chain state instead, on the head
-// changes Chain.SubscribeHead signals (pap.Watcher does).
-type EventSubscription struct {
-	// C delivers per-block contract events. Closed on Cancel or node Stop.
-	C <-chan EventNotification
-
-	cancel func()
-}
-
-// Cancel unsubscribes and closes C. Safe to call more than once.
-func (s *EventSubscription) Cancel() { s.cancel() }
-
-// Subscribe registers a per-block contract event stream (buffer <= 0 means
-// the 4096 default). Delivery is best effort — see EventSubscription.
-func (n *Node) Subscribe(buffer int) *EventSubscription {
-	if buffer <= 0 {
-		buffer = 4096
-	}
-	ch := make(chan EventNotification, buffer)
-	n.subMu.Lock()
-	n.subSeq++
-	id := n.subSeq
-	n.subs[id] = ch
-	n.subMu.Unlock()
-	var once sync.Once
-	return &EventSubscription{
-		C: ch,
-		cancel: func() {
-			once.Do(func() {
-				n.subMu.Lock()
-				if _, ok := n.subs[id]; ok {
-					delete(n.subs, id)
-					close(ch)
-				}
-				n.subMu.Unlock()
-			})
-		},
-	}
-}
-
-func (n *Node) fanout(height uint64, events []contract.Event) {
-	n.subMu.Lock()
-	defer n.subMu.Unlock()
-	for _, ch := range n.subs {
+// Follow calls fn with the events of the best-chain blocks above from
+// (Chain.EventsAfter), then again each time the head moves, until stop
+// closes or the node stops. fn runs on the calling goroutine, outside any
+// chain lock, and only when the head has moved since its last call. A block
+// is delivered again only if it rejoins the best chain above the follower's
+// cursor, so delivery is at least once; the blocks a follower more than
+// E+1 blocks behind skips are counted in NodeStats.EventsDropped. Take from
+// with Chain.Cursor before reading whatever the follower starts from, so
+// that nothing added in between is missed.
+func (n *Node) Follow(stop <-chan struct{}, from Cursor, fn func([]BlockEvents)) {
+	heads, cancel := n.chain.SubscribeHead()
+	defer cancel()
+	for cur := from; ; {
+		blocks, next, missed := n.chain.EventsAfter(cur)
+		n.evDropped.Add(int64(missed))
+		if next != cur {
+			fn(blocks)
+			cur = next
+		}
 		select {
-		case ch <- EventNotification{Height: height, Events: events}:
-		default:
-			// Subscriber too slow: drop rather than block consensus.
-			n.evDropped.Inc()
+		case <-stop:
+			return
+		case <-n.stop:
+			return
+		case <-heads:
 		}
 	}
 }

@@ -236,32 +236,6 @@ func TestTxExpiresBehindPartition(t *testing.T) {
 	}
 }
 
-func TestEventSubscription(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	nodes, _ := testCluster(t, 1, alice)
-	n := nodes[0]
-	sub := n.Subscribe(64)
-	defer sub.Cancel()
-
-	tx, _ := NewTransaction(alice, 1, putCall("k", "v"))
-	if err := n.SubmitTx(tx); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case note := <-sub.C:
-			for _, e := range note.Events {
-				if e.Type == "Put" && e.Contract == "kv" {
-					return // success
-				}
-			}
-		case <-deadline:
-			t.Fatal("Put event never delivered")
-		}
-	}
-}
-
 func TestEmptyBlocksAdvanceChain(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	net := netsim.New(netsim.Config{Seed: 3})

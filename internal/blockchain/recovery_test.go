@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"drams/internal/contract"
 	"drams/internal/netsim"
 	"drams/internal/transport"
 )
@@ -65,39 +64,6 @@ func TestMineLoopHeadMovedMidSnapshot(t *testing.T) {
 	if st := node.Stats(); st.MiningCancelled != 0 || st.BlocksRejected != 0 || st.BlocksMined == 0 {
 		t.Fatalf("mined %d, cancelled %d, rejected %d: the miner built on a stale pool",
 			st.BlocksMined, st.MiningCancelled, st.BlocksRejected)
-	}
-}
-
-// TestSubscriptionDropCounters pins the Subscribe contract: delivery is
-// best effort, a full subscriber's drops are counted in the node aggregate,
-// and a subscriber with room still gets every notification.
-func TestSubscriptionDropCounters(t *testing.T) {
-	alice := testIdentity(t, "alice", 1)
-	net := netsim.New(netsim.Config{Seed: 3})
-	defer net.Close()
-	node, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Stop()
-
-	slow := node.Subscribe(1)
-	defer slow.Cancel()
-	fast := node.Subscribe(8)
-	defer fast.Cancel()
-	for i := 0; i < 4; i++ {
-		node.fanout(uint64(i+1), []contract.Event{{Contract: "kv", Type: "put"}})
-	}
-	if got := len(slow.C); got != 1 {
-		t.Fatalf("slow subscriber holds %d notifications, want 1", got)
-	}
-	for want := uint64(1); want <= 4; want++ {
-		if note := <-fast.C; note.Height != want {
-			t.Fatalf("fast subscriber got height %d, want %d", note.Height, want)
-		}
-	}
-	if st := node.Stats(); st.EventsDropped != 3 {
-		t.Fatalf("aggregate EventsDropped = %d, want 3", st.EventsDropped)
 	}
 }
 

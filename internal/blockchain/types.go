@@ -13,9 +13,10 @@
 //     over any transport.Transport backend (netsim in-process, TCP across),
 //     orphan resolution, longest-chain fork choice with deterministic state
 //     replay on reorganisation;
-//   - contract execution at block application, with events published to
-//     off-chain subscribers (the Logging Interfaces) once a block joins the
-//     best chain.
+//   - contract execution at block application. The chain keeps each
+//     best-chain block's events beside its receipts, and off-chain readers
+//     (the analyser, the monitor, the policy watcher) follow the head and
+//     read them from there (Node.Follow).
 package blockchain
 
 import (

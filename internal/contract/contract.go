@@ -7,9 +7,9 @@
 // execute only inside block application, must be deterministic (no wall
 // clock, no randomness, no I/O — all inputs come from the transaction and the
 // block context), and communicate with the off-chain world exclusively
-// through emitted Events, which the blockchain node publishes to subscribers
-// (the Logging Interfaces) once the containing block is part of the best
-// chain.
+// through emitted Events, which the blockchain keeps with the containing
+// block while it is near the head of the best chain; off-chain readers
+// follow the head and read them from there.
 package contract
 
 import (
@@ -97,7 +97,8 @@ func (c crossView) ReadKeys(contractName, prefix string) iter.Seq[string] {
 	return c.st.View(contractName).Keys(prefix)
 }
 
-// Event is an on-chain occurrence published to off-chain subscribers.
+// Event is an on-chain occurrence that off-chain readers take from the
+// best chain's blocks.
 type Event struct {
 	Contract string          `json:"contract"`
 	Type     string          `json:"type"`
@@ -125,9 +126,9 @@ type StateDB interface {
 type Contract interface {
 	// Name is the address under which calls are routed.
 	Name() string
-	// Execute applies one call. Returned events are published when the
-	// containing block joins the best chain. An error aborts only this
-	// transaction (its state writes are discarded), not the block.
+	// Execute applies one call. Returned events reach off-chain readers
+	// when the containing block joins the best chain. An error aborts only
+	// this transaction (its state writes are discarded), not the block.
 	Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error)
 }
 

@@ -49,10 +49,9 @@ type Analyser struct {
 	mismatches metrics.Counter
 	failures   metrics.Counter
 
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	cancelSub func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 type analysedPolicy struct {
@@ -152,37 +151,28 @@ func (an *Analyser) policyFor(rec LogRecord) (*analysedPolicy, error) {
 // SetTracer attaches (or clears, with nil) the end-to-end span recorder.
 func (an *Analyser) SetTracer(t *trace.Tracer) { an.tracer.Store(t) }
 
-// Start begins consuming pdp.response logs and publishing verdicts.
+// Start begins judging the pdp.response records of the blocks that join its
+// node's best chain from now on, and publishing verdicts.
 func (an *Analyser) Start() {
-	sub := an.node.Subscribe(0)
-	an.cancelSub = sub.Cancel
+	from := an.node.Chain().Cursor()
 	an.wg.Add(1)
 	go func() {
 		defer an.wg.Done()
-		for {
-			select {
-			case <-an.stop:
-				return
-			case note, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				for _, e := range note.Events {
+		an.node.Follow(an.stop, from, func(blocks []blockchain.BlockEvents) {
+			for _, b := range blocks {
+				for _, e := range b.Events {
 					if e.Contract == ContractName && e.Type == EventLogStored {
 						an.handleLog(e.Payload)
 					}
 				}
 			}
-		}
+		})
 	}()
 }
 
 // Stop halts the analyser.
 func (an *Analyser) Stop() {
 	an.stopOnce.Do(func() { close(an.stop) })
-	if an.cancelSub != nil {
-		an.cancelSub()
-	}
 	an.wg.Wait()
 }
 

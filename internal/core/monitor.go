@@ -127,10 +127,9 @@ type Monitor struct {
 	policyRejs metrics.Counter
 	latency    *metrics.Histogram
 
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	cancelSub func()
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 // NewMonitor builds a monitor attached to a node.
@@ -172,35 +171,26 @@ func traceEventRecord(payload []byte) (traceID, reqID string) {
 	return traceID, reqID
 }
 
-// Start begins consuming events.
+// Start begins consuming the events of the blocks that join its node's best
+// chain from now on.
 func (m *Monitor) Start() {
-	sub := m.node.Subscribe(0)
-	m.cancelSub = sub.Cancel
+	from := m.node.Chain().Cursor()
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case note, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				for _, e := range note.Events {
-					m.handleEvent(e.Contract, e.Type, e.Payload, note.Height)
+		m.node.Follow(m.stop, from, func(blocks []blockchain.BlockEvents) {
+			for _, b := range blocks {
+				for _, e := range b.Events {
+					m.handleEvent(e.Contract, e.Type, e.Payload, b.Height)
 				}
 			}
-		}
+		})
 	}()
 }
 
 // Stop halts the monitor and closes every subscription channel.
 func (m *Monitor) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
-	if m.cancelSub != nil {
-		m.cancelSub()
-	}
 	// Mark stopped before waiting: registration and wg.Add share the
 	// mutex, so any Subscribe either completed its Add before this point
 	// or will observe stopped and register nothing.
@@ -286,7 +276,7 @@ func (m *Monitor) Subscribe(ctx context.Context, f AlertFilter) (<-chan Alert, f
 }
 
 // PublishPolicyEvent feeds a policy rollout observation (the PAP watcher's
-// staged→activated/rejected outcomes) into the monitor's stream. The events
+// activated and rejected outcomes) into the monitor's stream. The events
 // are synthetic: delivered only to subscriptions listing their type,
 // retained for Replay, and counted separately from security alerts.
 func (m *Monitor) PublishPolicyEvent(a Alert) {

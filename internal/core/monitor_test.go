@@ -371,37 +371,35 @@ func TestAnalyserVerdictAcrossReorg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := node.Subscribe(0)
-	defer sub.Cancel()
 	c := node.Chain()
+	cur := c.Cursor()
 
-	// drain reads what the blocks added so far delivered: it counts matches
-	// and collects alerts, and returns the LogStored payloads.
+	// drain reads the blocks added since its last read, as a follower
+	// does: it counts matches and collects alerts, and returns the
+	// LogStored payloads.
 	matched := 0
 	var alerts []Alert
 	drain := func() [][]byte {
 		var stored [][]byte
-		for {
-			select {
-			case note := <-sub.C:
-				for _, e := range note.Events {
-					switch e.Type {
-					case EventLogStored:
-						stored = append(stored, e.Payload)
-					case EventMatched:
-						matched++
-					case EventAlert:
-						a, err := DecodeAlert(e.Payload)
-						if err != nil {
-							t.Fatal(err)
-						}
-						alerts = append(alerts, a)
+		blocks, next, _ := c.EventsAfter(cur)
+		cur = next
+		for _, b := range blocks {
+			for _, e := range b.Events {
+				switch e.Type {
+				case EventLogStored:
+					stored = append(stored, e.Payload)
+				case EventMatched:
+					matched++
+				case EventAlert:
+					a, err := DecodeAlert(e.Payload)
+					if err != nil {
+						t.Fatal(err)
 					}
+					alerts = append(alerts, a)
 				}
-			default:
-				return stored
 			}
 		}
+		return stored
 	}
 	tx := func(id *crypto.Identity, contractName, method string, args []byte) blockchain.Transaction {
 		tx, err := blockchain.NewTransaction(id, c.Height(), contract.Call{Contract: contractName, Method: method, Args: args})

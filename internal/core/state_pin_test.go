@@ -54,6 +54,7 @@ const pinnedVerdictStream = "8d3ddbc2250df6ed8f472db4b3bf48f0fb4a3e9b34e6168b8e6
 type scriptChain struct {
 	t      *testing.T
 	chain  *blockchain.Chain
+	read   blockchain.Cursor // the last block observe read
 	ids    map[string]*crypto.Identity
 	calls  []scriptCall    // queued for the next block
 	perm   *idgen.Rand     // when set, shuffles each block's transactions
@@ -85,26 +86,30 @@ func newScriptChain(t *testing.T) *scriptChain {
 		Identities: pubs,
 		Registry:   reg,
 	})
-	s.chain.SetEventSink(s.observe)
 	return s
 }
 
-// observe appends the block's alerts and matches to the verdict stream.
-func (s *scriptChain) observe(_ uint64, events []contract.Event) {
-	for _, ev := range events {
-		switch ev.Type {
-		case EventAlert:
-			a, err := DecodeAlert(ev.Payload)
-			if err != nil {
-				s.t.Errorf("alert payload: %v", err)
+// observe appends the alerts and matches of the blocks added since its last
+// read to the verdict stream.
+func (s *scriptChain) observe() {
+	blocks, next, _ := s.chain.EventsAfter(s.read)
+	s.read = next
+	for _, b := range blocks {
+		for _, ev := range b.Events {
+			switch ev.Type {
+			case EventAlert:
+				a, err := DecodeAlert(ev.Payload)
+				if err != nil {
+					s.t.Errorf("alert payload: %v", err)
+				}
+				fmt.Fprintf(&s.stream, "alert %s %s %d\n", a.Type, a.ReqID, a.Height)
+			case EventMatched:
+				reqID, height, err := decodeMatched(ev.Payload)
+				if err != nil {
+					s.t.Errorf("matched payload: %v", err)
+				}
+				fmt.Fprintf(&s.stream, "matched %s %d\n", reqID, height)
 			}
-			fmt.Fprintf(&s.stream, "alert %s %s %d\n", a.Type, a.ReqID, a.Height)
-		case EventMatched:
-			reqID, height, err := decodeMatched(ev.Payload)
-			if err != nil {
-				s.t.Errorf("matched payload: %v", err)
-			}
-			fmt.Fprintf(&s.stream, "matched %s %d\n", reqID, height)
 		}
 	}
 }
@@ -141,6 +146,7 @@ func (s *scriptChain) seal() {
 		txs = append(txs, tx)
 	}
 	addBlock(s.t, s.chain, head, txs...)
+	s.observe()
 }
 
 // addBlock mines txs into a child of parent, timestamped 100 ms per height

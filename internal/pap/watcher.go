@@ -76,9 +76,8 @@ type WatcherConfig struct {
 // restart, a slow watcher and a reorg are one case: a reorg that moves the
 // active version back is applied like any flip. A watcher that lags several
 // flips loads and reports only the version the head holds when it reads,
-// once; the versions in between are never applied locally. Only
-// PolicyConflict, which leaves no trace in state, comes from the node's
-// event stream.
+// once; the versions in between are never applied locally. PolicyConflict,
+// which leaves no trace in state, is read from the same blocks' events.
 type Watcher struct {
 	cfg WatcherConfig
 
@@ -123,34 +122,27 @@ func NewWatcher(cfg WatcherConfig) (*Watcher, error) {
 
 // Start applies the chain's active policy, so a member that boots — or
 // restarts from its data dir — after activations converges before Start
-// returns, then follows the head. Head notifications coalesce but are
-// never lost, so the watcher needs no recovery path.
+// returns, then follows the head (blockchain.Node.Follow): for every head
+// move it surfaces the PolicyConflict events of the new blocks and re-reads
+// the active version. The cursor is taken before the first read, and every
+// head move after it is seen, so the watcher needs no recovery path.
 func (w *Watcher) Start() {
-	heads, cancelHeads := w.cfg.Node.Chain().SubscribeHead()
-	sub := w.cfg.Node.Subscribe(0)
+	node := w.cfg.Node
+	from := node.Chain().Cursor()
 	w.sync()
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		defer cancelHeads()
-		defer sub.Cancel()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-heads:
-				w.sync()
-			case note, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				for _, e := range note.Events {
+		node.Follow(w.stop, from, func(blocks []blockchain.BlockEvents) {
+			for _, b := range blocks {
+				for _, e := range b.Events {
 					if e.Contract == core.PolicyContractName && e.Type == core.EventPolicyConflict {
-						w.conflict(e.Payload, note.Height)
+						w.conflict(e.Payload, b.Height)
 					}
 				}
 			}
-		}
+			w.sync()
+		})
 	}()
 }
 

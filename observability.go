@@ -155,7 +155,7 @@ func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 			obs.C("drams_node_blocks_accepted_total"+l, "Blocks accepted onto the best chain.", s.BlocksAccepted),
 			obs.C("drams_node_blocks_rejected_total"+l, "Blocks rejected during validation.", s.BlocksRejected),
 			obs.C("drams_node_txs_submitted_total"+l, "Transactions admitted to the mempool.", s.TxsSubmitted),
-			obs.C("drams_node_events_dropped_total"+l, "Event notifications dropped at full subscriber buffers.", s.EventsDropped),
+			obs.C("drams_node_events_dropped_total"+l, "Best-chain blocks a follower skipped because it fell more than E+1 blocks behind.", s.EventsDropped),
 			obs.C("drams_node_mining_cancelled_total"+l, "Mining rounds abandoned because the head moved.", s.MiningCancelled),
 			obs.C("drams_node_orphans_resolved_total"+l, "Orphan blocks resolved by ancestor fetch.", s.OrphansResolved),
 			obs.C("drams_node_import_dropped_total"+l, "Gossiped block frames dropped by the import queue.", s.ImportDropped),
