@@ -35,12 +35,14 @@ type NetFault struct {
 	// (netsim semantics: unlisted addresses form group 0; cross-group
 	// traffic is dropped silently).
 	Partition [][]string
-	// Heal clears every partition and link fault.
+	// Heal clears every partition (link faults stay until reset by one
+	// with zero Loss and ExtraLatency).
 	Heal bool
-	// LinkA/LinkB select a directed link for a drop/latency fault.
+	// LinkA/LinkB select the link, both directions, for a loss/latency
+	// fault.
 	LinkA, LinkB string
-	// DropRate / ExtraLatency configure the link fault.
-	DropRate     float64
+	// Loss / ExtraLatency configure the link fault.
+	Loss         float64
 	ExtraLatency time.Duration
 }
 
@@ -69,7 +71,7 @@ func ApplyNetFaults(net *netsim.Network, faults []NetFault, stop <-chan struct{}
 		case f.Partition != nil:
 			net.Partition(f.Partition...)
 		case f.LinkA != "" && f.LinkB != "":
-			net.SetLinkFault(f.LinkA, f.LinkB, f.DropRate, f.ExtraLatency)
+			net.SetLinkFault(f.LinkA, f.LinkB, f.Loss, f.ExtraLatency)
 		}
 	}
 }

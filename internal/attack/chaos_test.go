@@ -70,12 +70,12 @@ func TestChaosCampaignDetectionMatrix(t *testing.T) {
 }
 
 // TestDetectionLatencyBounds bounds how many blocks each catalogue scenario
-// may take from injection to alert on a synchronous (deterministic-delivery)
-// network: tamper-class attacks are caught as soon as the records anchor;
+// may take from injection to alert on a zero-latency, seed-pinned network:
+// tamper-class attacks are caught as soon as the records anchor;
 // suppression-class attacks additionally wait out the Δ-block M3 window.
 func TestDetectionLatencyBounds(t *testing.T) {
 	const timeoutBlocks = 10
-	net := netsim.New(netsim.Config{Synchronous: true, Seed: 21})
+	net := netsim.New(netsim.Config{Seed: 21})
 	defer net.Close()
 	dep, err := drams.Open(detectPolicy(),
 		drams.WithDifficulty(6),

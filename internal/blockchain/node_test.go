@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -370,7 +369,7 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 	// Gossip goes only to the static Peers list — never sprayed at
 	// unrelated endpoints (PEPs, PDP, logger faces) sharing the transport.
 	alice := testIdentity(t, "alice", 1)
-	net := netsim.New(netsim.Config{Synchronous: true, Seed: 9})
+	net := netsim.New(netsim.Config{Seed: 9})
 	defer net.Close()
 
 	var stray atomic.Int64
@@ -379,11 +378,9 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.OnDefault(func(msg netsim.Message) {
-			if strings.HasPrefix(msg.Kind, "bc.") {
-				stray.Add(1)
-			}
-		})
+		for _, kind := range []string{kindTx, kindBlock} {
+			ep.OnMessage(kind, func(string, []byte) { stray.Add(1) })
+		}
 	}
 
 	// The nodes are not started: handlers run from construction, and no
@@ -413,6 +410,9 @@ func TestGossipScopedToChainPeers(t *testing.T) {
 		return nodes[1].Mempool().Has(tx.ID()) && nodes[2].Mempool().Has(tx.ID())
 	}, "tx reaches every chain peer")
 
+	// Close waits for every frame in flight, re-gossip included, so the
+	// counts below are final.
+	net.Close()
 	if got := stray.Load(); got != 0 {
 		t.Fatalf("non-node endpoints received %d chain gossip frames", got)
 	}

@@ -261,7 +261,7 @@ func TestAddBlockRejectsStructurallyInvalidBeforeVerifying(t *testing.T) {
 // block containing it is validated.
 func TestBlockValidationUsesAdmissionCache(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
-	net := netsim.New(netsim.Config{Seed: 11, Synchronous: true})
+	net := netsim.New(netsim.Config{Seed: 11})
 	defer net.Close()
 	n, err := NewNode(NodeConfig{Name: "n", Chain: testChainConfig(t, alice), Network: net})
 	if err != nil {

@@ -9,17 +9,16 @@ import (
 
 // LockHeld enforces the PR 9 snapshot-then-serve contract: no sync lock is
 // held across an operation whose latency the holder does not control — a
-// transport Call/Send/Broadcast, a channel send, or a Write to an
-// interface writer (the stalled-/metrics-scraper class: one wedged TCP
-// client must never wedge a component mutex). The check is syntactic and
+// transport Call/Send, a channel send, or a Write to an interface writer
+// (the stalled-/metrics-scraper class: one wedged TCP client must never
+// wedge a component mutex). The check is syntactic and
 // block-scoped: between x.Lock()/x.RLock() and the matching unlock in the
 // same statement list (a deferred unlock holds to function exit), those
 // operations are flagged. Function literals are scanned as independent
 // functions since they run on their own schedule.
 type LockHeld struct {
-	// TransportPkg is the module-relative package whose Call/Send/Broadcast
-	// methods (and implementors of its Endpoint interface) block on the
-	// network.
+	// TransportPkg is the module-relative package whose Call/Send methods
+	// (and implementors of its Endpoint interface) block on the network.
 	TransportPkg string
 }
 
@@ -29,10 +28,10 @@ func NewLockHeld() *LockHeld { return &LockHeld{TransportPkg: "internal/transpor
 func (a *LockHeld) Name() string { return "lockheld" }
 
 func (a *LockHeld) Doc() string {
-	return "no lock held across a transport Call/Send/Broadcast, channel send, or interface Write (PR 9)"
+	return "no lock held across a transport Call/Send, channel send, or interface Write (PR 9)"
 }
 
-var transportBlockingMethods = map[string]bool{"Call": true, "Send": true, "Broadcast": true}
+var transportBlockingMethods = map[string]bool{"Call": true, "Send": true}
 
 func (a *LockHeld) Run(p *Pass) {
 	var endpoint *types.Interface

@@ -8,11 +8,8 @@ import (
 )
 
 // TestTransportConformance runs the shared transport conformance suite
-// against the simulator (async delivery, no injected faults): netsim and
-// the TCP backend must be interchangeable behind transport.Transport.
-// (Synchronous mode is exempt: inline delivery runs call handlers on the
-// caller's goroutine, so a blocking handler cannot be cancelled mid-call —
-// that mode is a determinism tool for unit tests, not a wire contract.)
+// against the simulator (no injected faults): netsim and the TCP backend
+// must be interchangeable behind transport.Transport.
 func TestTransportConformance(t *testing.T) {
 	transporttest.Run(t, func(t *testing.T, n int) []transport.Transport {
 		net := New(Config{Seed: 7})

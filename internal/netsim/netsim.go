@@ -1,44 +1,41 @@
 // Package netsim simulates the federation network connecting tenants, clouds
-// and monitoring components. All DRAMS traffic — PEP→PDP access requests,
-// agent→LI log submissions, LI→blockchain transactions and block gossip —
-// flows through a Network, which can inject latency, jitter, message loss,
-// link faults, crashes and partitions. This is the substitution for a real
-// multi-datacenter deployment: goroutine-per-node on one box with explicit,
-// controllable asynchrony (docs/ARCHITECTURE.md §6).
+// and monitoring components. What crosses it is what crosses a real
+// federation's network — PEP→PDP access calls, and chain-node transaction
+// and block gossip and range sync — and a Network can delay it (latency,
+// jitter), lose it (SetLinkFault) and cut it off (Partition). This is the
+// substitution for a real multi-datacenter deployment: goroutine-per-node on
+// one box with explicit, controllable asynchrony (docs/ARCHITECTURE.md §6).
 //
 // Network is the in-process implementation of transport.Transport; the
-// fault-injection surface (Partition, Heal, SetLinkFault, Synchronous mode)
-// stays netsim-specific, behind the shared interface. The multi-process
+// fault-injection surface (Partition, Heal, SetLinkFault) stays
+// netsim-specific, behind the shared interface. The multi-process
 // counterpart is transport/tcp.
 //
-// Two delivery modes are supported:
-//
-//   - Asynchronous (default): every directed link (sender, receiver) is an
-//     ordered queue, like one TCP connection. A frame is due its sampled
-//     latency after it was sent and is delivered at the later of that and
-//     the previous frame's delivery: jitter delays, it never reorders.
-//     One-way messages and call replies are handed to the receiving endpoint
-//     one at a time in send order; call requests leave the queue in send
-//     order and their handlers run concurrently, never waiting for each
-//     other or for the queue, because call handlers may call back over the
-//     link they arrived on. Different links deliver concurrently. Drainers
-//     and handlers run on pooled workers (transport.Workers): a delivery
-//     starts no goroutine while one is parked, and reuses its grown stack.
-//   - Synchronous: messages are delivered inline on the sender's goroutine
-//     with zero latency, giving deterministic unit tests.
+// Every directed link (sender, receiver) is an ordered queue, like one TCP
+// connection. A frame is due its sampled latency after it was sent and is
+// delivered at the later of that and the previous frame's delivery: jitter
+// delays, it never reorders. One-way messages and call replies are handed
+// to the receiving endpoint one at a time in send order; call requests
+// leave the queue in send order and their handlers run concurrently, never
+// waiting for each other or for the queue, because call handlers may call
+// back over the link they arrived on. Different links deliver concurrently.
+// Drainers and handlers run on pooled workers (transport.Workers): a
+// delivery starts no goroutine while one is parked, and reuses its grown
+// stack. Close waits for every frame in flight, so what a test checks after
+// it has either arrived or been lost.
 //
 // # Reproducibility contract
 //
-// All randomness a Network consumes — latency and jitter sampling, drop
-// decisions, link-fault dice — is drawn from a single PRNG seeded by
-// Config.Seed. Two networks built with the same Config therefore make the
-// same per-message decisions when offered the same message sequence. Tests
-// that inject faults or adversarial behaviour (internal/attack, the chaos
-// campaign, partition drills) MUST pin an explicit Seed so that failures
-// replay: goroutine scheduling still varies between runs, but the network
-// itself never adds unseeded nondeterminism, and delivery order on a link
-// is send order, not scheduler order. Seed 0 is a valid pin (it is a fixed
-// default stream, not a time-derived one).
+// All randomness a Network consumes — latency and jitter sampling and
+// link-fault loss — is drawn from a single PRNG seeded by Config.Seed. Two
+// networks built with the same Config therefore make the same per-message
+// decisions when offered the same message sequence. Tests that inject
+// faults or adversarial behaviour (internal/attack, the chaos campaign,
+// partition drills) MUST pin an explicit Seed so that failures replay:
+// goroutine scheduling still varies between runs, but the network itself
+// never adds unseeded nondeterminism, and delivery order on a link is send
+// order, not scheduler order. Seed 0 is a valid pin (it is a fixed default
+// stream, not a time-derived one).
 package netsim
 
 import (
@@ -62,21 +59,19 @@ var (
 	ErrAddressInUse = transport.ErrAddressInUse
 	// ErrNoHandler is returned when the peer has no handler for a call kind.
 	ErrNoHandler = transport.ErrNoHandler
-	// ErrCrashed is returned when the destination endpoint is crashed.
-	ErrCrashed = transport.ErrCrashed
 	// ErrNetworkClosed is returned after Network.Close.
 	ErrNetworkClosed = transport.ErrClosed
 )
 
-// Message is the unit of delivery.
-type Message = transport.Message
-
-// envelope is a Message plus the private wire fields of the simulator's
-// request/response machinery. One is allocated per frame at send and never
-// written again, so the delivery path hands the pointer on rather than
-// copying the envelope into every frame below the handler.
+// envelope is one frame: a message plus the private wire fields of the
+// simulator's request/response machinery. One is allocated per frame at
+// send and never written again, so the delivery path hands the pointer on
+// rather than copying the envelope into every frame below the handler.
 type envelope struct {
-	Message
+	From    string
+	To      string
+	Kind    string
+	Payload []byte
 	corrID  uint64
 	isReply bool
 	callErr string
@@ -94,16 +89,12 @@ type Config struct {
 	BaseLatency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter).
 	Jitter time.Duration
-	// DropRate is the probability in [0,1] that any one-way delivery is lost.
-	DropRate float64
-	// Seed makes latency and drop sampling reproducible (see the package
+	// Seed makes latency and loss sampling reproducible (see the package
 	// doc's reproducibility contract). Fault-injection and attack tests
 	// must set it explicitly.
 	Seed uint64
 	// Clock is the time source; defaults to the system clock.
 	Clock clock.Clock
-	// Synchronous delivers messages inline with zero latency.
-	Synchronous bool
 }
 
 // Stats aggregates network-level counters.
@@ -272,7 +263,7 @@ func (n *Network) route(src, dst string) (latency time.Duration, drop bool, err 
 	}
 	_, ok := n.state.endpoints[dst]
 	gs, gd := n.state.groups[src], n.state.groups[dst]
-	fault, hasFault := n.state.links[linkKey(src, dst)]
+	fault := n.state.links[linkKey(src, dst)]
 	n.state.Unlock()
 
 	if !ok {
@@ -282,16 +273,10 @@ func (n *Network) route(src, dst string) (latency time.Duration, drop bool, err 
 		// Partitioned: behaves as silent loss, like a real partition.
 		return 0, true, nil
 	}
-	dropRate := n.cfg.DropRate
-	extra := time.Duration(0)
-	if hasFault {
-		dropRate = 1 - (1-dropRate)*(1-fault.dropRate)
-		extra = fault.extraLatency
-	}
-	if dropRate > 0 && n.rng.Float64() < dropRate {
+	if fault.dropRate > 0 && n.rng.Float64() < fault.dropRate {
 		return 0, true, nil
 	}
-	latency = n.cfg.BaseLatency + extra
+	latency = n.cfg.BaseLatency + fault.extraLatency
 	if n.cfg.Jitter > 0 {
 		latency += time.Duration(n.rng.Uint64() % uint64(n.cfg.Jitter))
 	}
@@ -306,10 +291,6 @@ func (n *Network) deliver(msg *envelope) *link {
 	ep, ok := n.state.endpoints[msg.To]
 	n.state.Unlock()
 	if !ok {
-		n.dropped.Inc()
-		return nil
-	}
-	if ep.isCrashed() {
 		n.dropped.Inc()
 		return nil
 	}
@@ -436,10 +417,6 @@ func (e *Endpoint) enqueue(msg *envelope) (*link, error) {
 		n.dropped.Inc()
 		return nil, nil
 	}
-	if n.cfg.Synchronous {
-		n.deliver(msg)
-		return nil, nil
-	}
 	if latency > 0 {
 		msg.due = n.clk.Now().Add(latency)
 	}
@@ -452,16 +429,14 @@ func (e *Endpoint) enqueue(msg *envelope) (*link, error) {
 
 // Endpoint is one addressable participant. It implements transport.Endpoint.
 type Endpoint struct {
-	net     *Network
-	addr    string
-	crashed atomic.Bool
+	net  *Network
+	addr string
 
-	mu       sync.RWMutex
-	msgH     map[string]func(from string, payload []byte)
-	callH    map[string]func(from string, payload []byte) ([]byte, error)
-	defaultH func(msg Message)
-	pending  map[uint64]chan *envelope
-	out      map[string]*link // outbound links by destination address
+	mu      sync.RWMutex
+	msgH    map[string]func(from string, payload []byte)
+	callH   map[string]func(from string, payload []byte) ([]byte, error)
+	pending map[uint64]chan *envelope
+	out     map[string]*link // outbound links by destination address
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -482,22 +457,6 @@ func (e *Endpoint) OnCall(kind string, fn func(from string, payload []byte) ([]b
 	defer e.mu.Unlock()
 	e.callH[kind] = fn
 }
-
-// OnDefault registers a catch-all handler invoked for one-way messages with
-// no kind-specific handler.
-func (e *Endpoint) OnDefault(fn func(msg Message)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.defaultH = fn
-}
-
-// Crash makes the endpoint drop all traffic until Restart.
-func (e *Endpoint) Crash() { e.crashed.Store(true) }
-
-// Restart brings a crashed endpoint back.
-func (e *Endpoint) Restart() { e.crashed.Store(false) }
-
-func (e *Endpoint) isCrashed() bool { return e.crashed.Load() }
 
 // linkTo returns e's outbound link to the given address, creating it on
 // first use.
@@ -520,35 +479,11 @@ func (e *Endpoint) linkTo(to string) *link {
 
 // Send transmits a one-way message. Loss is silent by design.
 func (e *Endpoint) Send(to, kind string, payload []byte) error {
-	if e.isCrashed() {
-		return ErrCrashed
-	}
-	return e.send(&envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}})
-}
-
-// Broadcast sends the message to every registered address except the sender
-// and any listed exclusions.
-func (e *Endpoint) Broadcast(kind string, payload []byte, except ...string) {
-	skip := make(map[string]bool, len(except)+1)
-	skip[e.addr] = true
-	for _, a := range except {
-		skip[a] = true
-	}
-	for _, a := range e.net.Addresses() {
-		if skip[a] {
-			continue
-		}
-		// Best effort: unregistered races and closed network are non-fatal
-		// for gossip.
-		_ = e.Send(a, kind, payload)
-	}
+	return e.send(&envelope{From: e.addr, To: to, Kind: kind, Payload: payload})
 }
 
 // Call sends a request and waits for the reply or ctx cancellation.
 func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
-	if e.isCrashed() {
-		return nil, ErrCrashed
-	}
 	corr := e.net.corr.Add(1)
 	ch := make(chan *envelope, 1)
 	e.mu.Lock()
@@ -560,7 +495,7 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 		e.mu.Unlock()
 	}()
 
-	msg := &envelope{Message: Message{From: e.addr, To: to, Kind: kind, Payload: payload}, corrID: corr}
+	msg := &envelope{From: e.addr, To: to, Kind: kind, Payload: payload, corrID: corr}
 	if err := e.send(msg); err != nil {
 		return nil, err
 	}
@@ -579,7 +514,7 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 
 // dispatch hands msg to this endpoint: on the link's drainer for one-way
 // messages and replies, for a call request on a worker that no other frame
-// waits for, on the sender's goroutine in Synchronous mode.
+// waits for.
 //
 // A call request's reply is the last thing its worker sends, so when the
 // reply finds its link idle dispatch returns that link and the worker
@@ -602,10 +537,7 @@ func (e *Endpoint) dispatch(msg *envelope) *link {
 		e.mu.RLock()
 		fn, ok := e.callH[msg.Kind]
 		e.mu.RUnlock()
-		reply := &envelope{
-			Message: Message{From: e.addr, To: msg.From, Kind: msg.Kind},
-			corrID:  msg.corrID, isReply: true,
-		}
+		reply := &envelope{From: e.addr, To: msg.From, Kind: msg.Kind, corrID: msg.corrID, isReply: true}
 		if !ok {
 			reply.callErr = ErrNoHandler.Error()
 		} else {
@@ -624,14 +556,9 @@ func (e *Endpoint) dispatch(msg *envelope) *link {
 	}
 	e.mu.RLock()
 	fn, ok := e.msgH[msg.Kind]
-	def := e.defaultH
 	e.mu.RUnlock()
 	if ok {
 		fn(msg.From, msg.Payload)
-		return nil
-	}
-	if def != nil {
-		def(msg.Message)
 	}
 	return nil
 }

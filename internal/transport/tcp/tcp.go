@@ -14,9 +14,8 @@
 // Delivery semantics match netsim (pinned by the transporttest conformance
 // suite): one-way loss is silent, one-way messages that cross a socket are
 // handled in send order, Call correlates request/response and honours ctx
-// cancellation mid-flight, crashed endpoints drop traffic both ways, and
-// remote handler errors keep their ErrNoHandler/ErrDropped sentinel identity
-// across the wire.
+// cancellation mid-flight, and remote handler errors keep their
+// ErrNoHandler/ErrDropped sentinel identity across the wire.
 package tcp
 
 import (
@@ -515,7 +514,7 @@ func (t *Transport) localEndpoint(addr string) *endpoint {
 // delivery within this process).
 func (t *Transport) dispatch(f frame, viaNode string) {
 	ep := t.localEndpoint(f.to)
-	if ep == nil || ep.isCrashed() {
+	if ep == nil {
 		t.dropped.Inc()
 		return
 	}
@@ -544,16 +543,11 @@ func (t *Transport) goDispatch(f frame, viaNode string) {
 }
 
 // deliverReply completes a pending local Call with an arriving reply.
-// Replies to crashed callers are dropped, as on netsim.
 func (t *Transport) deliverReply(reply frame) {
 	t.pendMu.Lock()
 	ch, ok := t.pending[reply.corr]
 	t.pendMu.Unlock()
 	if !ok {
-		return
-	}
-	if ep := t.localEndpoint(reply.to); ep != nil && ep.isCrashed() {
-		t.dropped.Inc()
 		return
 	}
 	select {
@@ -611,14 +605,12 @@ func (t *Transport) send(f frame) error {
 
 // endpoint is one local addressable participant.
 type endpoint struct {
-	t       *Transport
-	addr    string
-	crashed atomic.Bool
+	t    *Transport
+	addr string
 
-	mu       sync.RWMutex
-	msgH     map[string]func(from string, payload []byte)
-	callH    map[string]func(from string, payload []byte) ([]byte, error)
-	defaultH func(msg transport.Message)
+	mu    sync.RWMutex
+	msgH  map[string]func(from string, payload []byte)
+	callH map[string]func(from string, payload []byte) ([]byte, error)
 }
 
 var _ transport.Endpoint = (*endpoint)(nil)
@@ -640,49 +632,13 @@ func (e *endpoint) OnCall(kind string, fn func(from string, payload []byte) ([]b
 	e.callH[kind] = fn
 }
 
-// OnDefault registers a catch-all handler for unmatched one-way messages.
-func (e *endpoint) OnDefault(fn func(msg transport.Message)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.defaultH = fn
-}
-
-// Crash makes the endpoint drop all traffic until Restart.
-func (e *endpoint) Crash() { e.crashed.Store(true) }
-
-// Restart brings a crashed endpoint back.
-func (e *endpoint) Restart() { e.crashed.Store(false) }
-
-func (e *endpoint) isCrashed() bool { return e.crashed.Load() }
-
 // Send transmits a one-way message. Loss is silent by design.
 func (e *endpoint) Send(to, kind string, payload []byte) error {
-	if e.isCrashed() {
-		return transport.ErrCrashed
-	}
 	return e.t.send(frame{typ: fMsg, from: e.addr, to: to, kind: kind, payload: payload})
-}
-
-// Broadcast sends to every known address except the sender and exclusions.
-func (e *endpoint) Broadcast(kind string, payload []byte, except ...string) {
-	skip := make(map[string]bool, len(except)+1)
-	skip[e.addr] = true
-	for _, a := range except {
-		skip[a] = true
-	}
-	for _, a := range e.t.Addresses() {
-		if skip[a] {
-			continue
-		}
-		_ = e.Send(a, kind, payload)
-	}
 }
 
 // Call sends a request and waits for the reply or ctx cancellation.
 func (e *endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
-	if e.isCrashed() {
-		return nil, transport.ErrCrashed
-	}
 	corr := e.t.corr.Add(1)
 	ch := make(chan frame, 1)
 	e.t.pendMu.Lock()
@@ -713,19 +669,14 @@ func (e *endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 // Payload returns the reply payload (helper so Call reads naturally).
 func (f frame) Payload() []byte { return f.payload }
 
-// dispatchMsg runs the kind handler (or the catch-all) for a one-way
-// message.
+// dispatchMsg runs the kind handler for a one-way message; a kind with no
+// handler is discarded.
 func (e *endpoint) dispatchMsg(f frame) {
 	e.mu.RLock()
 	fn, ok := e.msgH[f.kind]
-	def := e.defaultH
 	e.mu.RUnlock()
 	if ok {
 		fn(f.from, f.payload)
-		return
-	}
-	if def != nil {
-		def(transport.Message{From: f.from, To: f.to, Kind: f.kind, Payload: f.payload})
 	}
 }
 

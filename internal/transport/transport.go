@@ -1,8 +1,10 @@
-// Package transport defines the wire abstraction connecting every DRAMS
-// component — blockchain gossip, PEP→PDP access calls, agent→LI log
-// submissions and alert pushes. The rest of the system talks only to the
-// Transport and Endpoint interfaces; concrete backends decide what "the
-// network" actually is:
+// Package transport defines the wire abstraction connecting the DRAMS
+// components that sit in different places: PEP→PDP access calls
+// (ac.eval, ac.evalBatch) and chain-node gossip and sync (bc.tx, bc.block,
+// bc.getrange, bc.head). Everything else — agent→LI log submissions, alerts
+// to subscribers — stays in the process that produces it. The rest of the
+// system talks only to the Transport and Endpoint interfaces; concrete
+// backends decide what "the network" actually is:
 //
 //   - netsim.Network: the in-process simulator with controllable latency,
 //     jitter, loss, partitions and link faults (single-process federations,
@@ -36,19 +38,9 @@ var (
 	ErrDropped = errors.New("transport: message dropped")
 	// ErrNoHandler is returned when the peer has no handler for a call kind.
 	ErrNoHandler = errors.New("transport: no handler for message kind")
-	// ErrCrashed is returned when the local endpoint is crashed.
-	ErrCrashed = errors.New("transport: endpoint crashed")
 	// ErrClosed is returned after Transport.Close.
 	ErrClosed = errors.New("transport: closed")
 )
-
-// Message is the unit of delivery handed to catch-all handlers.
-type Message struct {
-	From    string
-	To      string
-	Kind    string
-	Payload []byte
-}
 
 // Stats aggregates transport-level traffic counters. For multi-process
 // backends the counters are per-process: Sent counts local egress,
@@ -72,9 +64,9 @@ type Stats struct {
 // sent: a link delays and loses frames, it does not reorder them. Messages
 // from different senders, and call handlers, run concurrently. Because the
 // next frame of a link waits for the handler of the one before it, an
-// OnMessage or OnDefault handler must not wait on a Call over the link its
-// message arrived on (the reply would queue behind the handler itself);
-// hand such work to another goroutine. An OnCall handler may: call handlers
+// OnMessage handler must not wait on a Call over the link its message
+// arrived on (the reply would queue behind the handler itself); hand such
+// work to another goroutine. An OnCall handler may: call handlers
 // run concurrently and never wait for each other, for the link, or for a
 // free worker (a backend runs them on pooled goroutines, Workers, and starts
 // a new one whenever none is parked).
@@ -82,12 +74,9 @@ type Endpoint interface {
 	// Addr returns the endpoint's logical address.
 	Addr() string
 	// Send transmits a one-way message. Loss is silent by design: an error
-	// is returned only for local conditions (crashed endpoint, unknown
-	// destination, closed transport), never for in-flight loss.
+	// is returned only for local conditions (unknown destination, closed
+	// transport), never for in-flight loss.
 	Send(to, kind string, payload []byte) error
-	// Broadcast sends the message to every known address except the sender
-	// and any listed exclusions. Best effort.
-	Broadcast(kind string, payload []byte, except ...string)
 	// Call sends a request and waits for the reply, ctx cancellation or
 	// transport failure. Remote handler errors come back as errors; the
 	// ErrNoHandler and ErrDropped sentinels survive the wire (errors.Is).
@@ -99,14 +88,6 @@ type Endpoint interface {
 	// called, so what the handler decodes may alias it (the PDP decodes its
 	// requests in place).
 	OnCall(kind string, fn func(from string, payload []byte) ([]byte, error))
-	// OnDefault registers a catch-all handler invoked for one-way messages
-	// with no kind-specific handler.
-	OnDefault(fn func(msg Message))
-	// Crash makes the endpoint drop all traffic (in and out) until Restart,
-	// simulating a crashed component without tearing down its registration.
-	Crash()
-	// Restart brings a crashed endpoint back.
-	Restart()
 }
 
 // Transport connects endpoints. A single process may host many logical
