@@ -101,14 +101,10 @@ func (f *Future) Wait(ctx context.Context) (Enforcement, error) {
 	}
 }
 
-// prepare mints a correlation ID if the request has none and registers the
-// submission with the monitor for detection-latency measurement.
+// prepare mints a correlation ID if the request has none.
 func (d *Deployment) prepare(req *xacml.Request) {
 	if req.ID == "" {
 		req.ID = d.NewRequestID()
-	}
-	if d.Monitor != nil {
-		d.Monitor.TrackSubmission(req.ID)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/metrics"
-	"drams/internal/netsim"
 	"drams/internal/transport"
 	"drams/internal/xacml"
 )
@@ -25,56 +24,6 @@ const (
 	ClassOrdering     = "ordering"
 	ClassSuppression  = "suppression"
 )
-
-// NetFault is one scheduled network event of a campaign: a point on the
-// chaos timeline, relative to each trial's injection instant.
-type NetFault struct {
-	// At is the offset from the injection at which the fault applies.
-	At time.Duration
-	// Partition, when non-nil, splits the simulator into the given groups
-	// (netsim semantics: unlisted addresses form group 0; cross-group
-	// traffic is dropped silently).
-	Partition [][]string
-	// Heal clears every partition (link faults stay until reset by one
-	// with zero Loss and ExtraLatency).
-	Heal bool
-	// LinkA/LinkB select the link, both directions, for a loss/latency
-	// fault.
-	LinkA, LinkB string
-	// Loss / ExtraLatency configure the link fault.
-	Loss         float64
-	ExtraLatency time.Duration
-}
-
-// ApplyNetFaults replays a fault schedule against net, blocking until the
-// last fault fired or stop closes. Faults must be ordered by At. Run it on
-// its own goroutine to overlap with an attack in flight.
-func ApplyNetFaults(net *netsim.Network, faults []NetFault, stop <-chan struct{}) {
-	start := time.Now()
-	for _, f := range faults {
-		wait := f.At - time.Since(start)
-		if wait > 0 {
-			select {
-			case <-stop:
-				return
-			case <-time.After(wait):
-			}
-		}
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		switch {
-		case f.Heal:
-			net.Heal()
-		case f.Partition != nil:
-			net.Partition(f.Partition...)
-		case f.LinkA != "" && f.LinkB != "":
-			net.SetLinkFault(f.LinkA, f.LinkB, f.Loss, f.ExtraLatency)
-		}
-	}
-}
 
 // ChaosInjection describes one injected attack instance: what to watch for
 // detection and how to undo the attack.
@@ -339,9 +288,6 @@ type Campaign struct {
 	Difficulty         uint8
 	TimeoutBlocks      uint64
 	EmptyBlockInterval time.Duration
-	// NetFaults is an optional chaos schedule replayed relative to every
-	// trial's injection (partitions, heals, link faults).
-	NetFaults []NetFault
 	// DetectTimeout bounds each trial's wait for an alert (default 45s).
 	DetectTimeout time.Duration
 }
@@ -448,11 +394,6 @@ func (c Campaign) runScenario(sc ChaosScenario) (ClassResult, error) {
 		for _, id := range inj.ReqIDs {
 			injected[id] = true
 		}
-		var stopFaults chan struct{}
-		if len(c.NetFaults) > 0 && dep.Net != nil {
-			stopFaults = make(chan struct{})
-			go ApplyNetFaults(dep.Net, c.NetFaults, stopFaults)
-		}
 		if a, ok := waitAnyAlert(ctx, dep, inj.VictimReqID, sc.Expected); ok {
 			res.Detected++
 			wall.Observe(float64(time.Since(inj.At)) / float64(time.Millisecond))
@@ -461,10 +402,6 @@ func (c Campaign) runScenario(sc ChaosScenario) (ClassResult, error) {
 			} else {
 				blocks.Observe(0)
 			}
-		}
-		if stopFaults != nil {
-			close(stopFaults)
-			dep.Net.Heal()
 		}
 		if inj.Cleanup != nil {
 			inj.Cleanup()

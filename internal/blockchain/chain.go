@@ -163,7 +163,7 @@ func (c *Chain) TakeAbandoned() []Transaction {
 
 // Receipt returns the execution receipt of a best-chain transaction along
 // with its confirmation count (1 = in the head block). Receipts answer for
-// the top E+1 blocks of the best chain, E being txLifetime: a transaction
+// the top E+1 blocks of the best chain, E being TxLifetime: a transaction
 // mined lower returns ErrTxNotFound, as one never mined does.
 func (c *Chain) Receipt(txID crypto.Digest) (Receipt, uint64, error) {
 	c.mu.RLock()
@@ -249,7 +249,7 @@ func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, miss
 		cur = Cursor{Height: b.Header.Height - 1, Hash: b.Header.PrevHash}
 	}
 	head := uint64(len(c.bestChain) - 1)
-	from := max(cur.Height+1, head-min(head, txLifetime))
+	from := max(cur.Height+1, head-min(head, TxLifetime))
 	missed = from - cur.Height - 1
 	for h := from; h <= head; h++ {
 		bh := c.bestChain[h]
@@ -358,15 +358,15 @@ func (c *Chain) betterThanHeadLocked(b *Block, hash crypto.Digest) bool {
 	return bytes.Compare(hash[:], c.head[:]) < 0
 }
 
-// txLifetime is E: a block at height h carries only transactions with
+// TxLifetime is E: a block at height h carries only transactions with
 // h <= ExpiresAt <= h+E, and a Sender stamps ExpiresAt = its head + E. An
 // honest transaction delayed longer is lost and counted as
 // NodeStats.TxExpired; docs/ARCHITECTURE.md measures the delays E outlasts.
-const txLifetime = 1024
+const TxLifetime = 1024
 
 // validAt reports whether a block at height may carry tx.
 func validAt(tx *Transaction, height uint64) bool {
-	return height <= tx.ExpiresAt && tx.ExpiresAt <= height+txLifetime
+	return height <= tx.ExpiresAt && tx.ExpiresAt <= height+TxLifetime
 }
 
 // checkReplayLocked applies the replay rule to b, whose transaction IDs are
@@ -420,7 +420,7 @@ func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest) []bool {
 	}
 	b := c.blocks[tip]
 	child := b.Header.Height + 1
-	lowest := child - min(child, txLifetime)
+	lowest := child - min(child, TxLifetime)
 	for ; ; b = c.blocks[tip] {
 		if h := b.Header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
 			break
@@ -437,7 +437,7 @@ func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest) []bool {
 		out[i] = out[i] || ok && r.Height <= join
 	}
 	head := uint64(len(c.bestChain) - 1)
-	for h := lowest; h < head-min(head, txLifetime) && h <= join; h++ {
+	for h := lowest; h < head-min(head, TxLifetime) && h <= join; h++ {
 		mark(c.bestChain[h]) // below the receipts
 	}
 	return out
@@ -471,8 +471,8 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 		c.applyBlockLocked(newHead, c.state, true)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
-		if h := nb.Header.Height; h > txLifetime {
-			gone := c.bestChain[h-txLifetime-1]
+		if h := nb.Header.Height; h > TxLifetime {
+			gone := c.bestChain[h-TxLifetime-1]
 			for _, id := range c.blockIDs[gone] {
 				delete(c.receipts, id)
 			}
@@ -496,7 +496,7 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 	// events there, for the heights within E of the new head.
 	c.state = state
 	for _, bh := range path {
-		c.applyBlockLocked(bh, state, c.blocks[bh].Header.Height+txLifetime >= uint64(len(path)))
+		c.applyBlockLocked(bh, state, c.blocks[bh].Header.Height+TxLifetime >= uint64(len(path)))
 		best = append(best, bh)
 	}
 	for i, bh := range oldBest {

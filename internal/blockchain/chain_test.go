@@ -188,7 +188,7 @@ func TestAddBlockRejectsForgedKey(t *testing.T) {
 	mallory := testIdentity(t, "mallory", 66)
 	c := NewChain(testChainConfig(t, alice))
 	// Mallory signs with her own key but claims to be alice.
-	tx := Transaction{From: "mallory", ExpiresAt: txLifetime, Call: putCall("k", "v")}
+	tx := Transaction{From: "mallory", ExpiresAt: TxLifetime, Call: putCall("k", "v")}
 	if err := tx.Sign(mallory); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestReplayAndExpiryEnforced(t *testing.T) {
 	c := NewChain(testChainConfig(t, alice))
 	for name, tx := range map[string]Transaction{
 		"expired":       signedTx(t, alice, 0, putCall("a", "0")),
-		"not yet valid": signedTx(t, alice, 1+txLifetime+1, putCall("a", "0")),
+		"not yet valid": signedTx(t, alice, 1+TxLifetime+1, putCall("a", "0")),
 	} {
 		if err := c.AddBlock(mineChild(t, c, c.Genesis(), tx)); !errors.Is(err, ErrTxExpired) {
 			t.Fatalf("%s tx at height 1: %v", name, err)
@@ -286,11 +286,11 @@ func TestReorgBranchRefusesReplayBelowReceiptWindow(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	c := NewChain(testChainConfig(t, alice))
 	const g = 1
-	tx := signedTx(t, alice, g+txLifetime, putCall("t", "once"))
+	tx := signedTx(t, alice, g+TxLifetime, putCall("t", "once"))
 	if err := c.AddBlock(mineChild(t, c, c.Genesis(), tx)); err != nil {
 		t.Fatal(err)
 	}
-	extend(t, c, txLifetime+1, nil)
+	extend(t, c, TxLifetime+1, nil)
 	if _, _, err := c.Receipt(tx.ID()); !errors.Is(err, ErrTxNotFound) {
 		t.Fatalf("receipt of a tx mined at %d with the head at %d: %v", g, c.Height(), err)
 	}
@@ -312,7 +312,7 @@ func TestReceiptWindow(t *testing.T) {
 	c := NewChain(testChainConfig(t, alice))
 	// The block at height h carries h%3 transactions.
 	byHeight := map[uint64][]Transaction{}
-	extend(t, c, 3*txLifetime, func(h uint64) []Transaction {
+	extend(t, c, 3*TxLifetime, func(h uint64) []Transaction {
 		for j := range h % 3 {
 			tx, err := NewTransaction(alice, h-1, putCall(fmt.Sprintf("k%d-%d", h, j), "v"))
 			if err != nil {
@@ -328,13 +328,13 @@ func TestReceiptWindow(t *testing.T) {
 		c.mu.RLock()
 		kept := len(c.receipts)
 		for hash := range c.events {
-			if h := c.blocks[hash].Header.Height; h+txLifetime < uint64(len(c.bestChain)-1) || c.bestChain[h] != hash {
+			if h := c.blocks[hash].Header.Height; h+TxLifetime < uint64(len(c.bestChain)-1) || c.bestChain[h] != hash {
 				t.Errorf("%s: events kept for block %s at %d, off the best chain or below its top E+1", when, hash.Short(), h)
 			}
 		}
 		c.mu.RUnlock()
-		if kept > (txLifetime+1)*maxPerBlock {
-			t.Errorf("%s: %d receipts kept, want at most %d", when, kept, (txLifetime+1)*maxPerBlock)
+		if kept > (TxLifetime+1)*maxPerBlock {
+			t.Errorf("%s: %d receipts kept, want at most %d", when, kept, (TxLifetime+1)*maxPerBlock)
 		}
 		head := c.Height()
 		for h, txs := range byHeight {
@@ -344,7 +344,7 @@ func TestReceiptWindow(t *testing.T) {
 			for _, tx := range txs {
 				rec, conf, err := c.Receipt(tx.ID())
 				switch {
-				case h+txLifetime < head:
+				case h+TxLifetime < head:
 					if !errors.Is(err, ErrTxNotFound) {
 						t.Fatalf("%s: receipt at %d, head %d: %v", when, h, head, err)
 					}

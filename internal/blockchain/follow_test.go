@@ -206,7 +206,7 @@ func TestFollowCountsBlocksBelowTheEventWindow(t *testing.T) {
 	from := c.Cursor()
 	const behind = 5
 	head := c.Genesis()
-	for range txLifetime + 1 + behind {
+	for range TxLifetime + 1 + behind {
 		head = addChild(t, c, nil, head)
 	}
 	var read []BlockEvents
@@ -215,8 +215,8 @@ func TestFollowCountsBlocksBelowTheEventWindow(t *testing.T) {
 		read = blocks
 		close(stop)
 	})
-	if len(read) != txLifetime+1 || read[0].Height != behind+1 || read[len(read)-1].Hash != head {
-		t.Fatalf("read %d blocks; want the %d from height %d to the head", len(read), txLifetime+1, behind+1)
+	if len(read) != TxLifetime+1 || read[0].Height != behind+1 || read[len(read)-1].Hash != head {
+		t.Fatalf("read %d blocks; want the %d from height %d to the head", len(read), TxLifetime+1, behind+1)
 	}
 	for _, b := range read {
 		if want := wantEvents(t, c, b.Hash); !reflect.DeepEqual(b.Events, want) {

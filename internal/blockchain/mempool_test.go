@@ -91,7 +91,7 @@ func TestMempoolCollectSkipsCarriedAndInvalid(t *testing.T) {
 	}
 	p := NewMempool(0)
 	expired := signedTx(t, alice, 1, putCall("old", "v"))
-	early := signedTx(t, alice, 2+txLifetime+1, putCall("early", "v"))
+	early := signedTx(t, alice, 2+TxLifetime+1, putCall("early", "v"))
 	for _, tx := range []Transaction{mined, pending, expired, early} {
 		if err := p.Add(tx); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestMempoolPruneConfirmed(t *testing.T) {
 	c := NewChain(testChainConfig(t, alice, bob))
 	a1, a2, b1 := poolTx(t, alice, 1), poolTx(t, alice, 2), poolTx(t, bob, 1)
 	expired := signedTx(t, alice, 2, putCall("old", "v"))
-	early := signedTx(t, bob, 2+txLifetime+1, putCall("early", "v"))
+	early := signedTx(t, bob, 2+TxLifetime+1, putCall("early", "v"))
 	p := NewMempool(0)
 	for _, tx := range []Transaction{a1, a2, b1, expired, early} {
 		_ = p.Add(tx)

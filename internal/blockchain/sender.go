@@ -10,7 +10,7 @@ import (
 
 // Sender signs and submits transactions for one component identity. Every
 // DRAMS component that writes to the chain (LIs, the Analyser, the PAP)
-// owns one. Each transaction expires txLifetime blocks above the node's head
+// owns one. Each transaction expires TxLifetime blocks above the node's head
 // at signing and carries a fresh salt, so concurrent Sends, a restarted
 // member and an identity shared by several processes never collide, and a
 // lost transaction holds up no later one.

@@ -48,7 +48,7 @@ var (
 )
 
 // Transaction is a signed contract call. A block at height h may carry it
-// iff h <= ExpiresAt <= h+txLifetime and no earlier block of the branch
+// iff h <= ExpiresAt <= h+TxLifetime and no earlier block of the branch
 // carries its ID (see Chain.AddBlock). Salt is random, so the same call
 // signed twice is two transactions.
 type Transaction struct {
@@ -112,9 +112,9 @@ func (tx *Transaction) Sign(id *crypto.Identity) error {
 }
 
 // NewTransaction builds and signs a transaction for a chain whose head is at
-// height head: it expires txLifetime blocks later and carries a fresh salt.
+// height head: it expires TxLifetime blocks later and carries a fresh salt.
 func NewTransaction(id *crypto.Identity, head uint64, call contract.Call) (Transaction, error) {
-	tx := Transaction{From: id.Name(), ExpiresAt: head + txLifetime, Call: call}
+	tx := Transaction{From: id.Name(), ExpiresAt: head + TxLifetime, Call: call}
 	if _, err := crand.Read(tx.Salt[:]); err != nil {
 		return Transaction{}, fmt.Errorf("blockchain: salt: %w", err)
 	}

@@ -225,17 +225,28 @@ func cutLogStored(payload []byte, withProof bool) (LogStored, error) {
 	return ls, rd.End()
 }
 
-// logStoredHeader reads the kind, request ID and trace ID of the record a
-// LogStored payload carries, and nothing else: no proof, no digests, no
-// sealed payload. The strings alias payload.
-func logStoredHeader(payload []byte) (kind LogKind, reqID, traceID string, err error) {
+// logStoredHeader reads the kind, request ID, trace ID and timestamp of the
+// record a LogStored payload carries, and nothing else: it skips the proof,
+// the digests and the sealed payload. The strings alias payload.
+func logStoredHeader(payload []byte) (LogRecord, error) {
 	ls, err := cutLogStored(payload, false)
 	if err != nil {
-		return "", "", "", err
+		return LogRecord{}, err
 	}
 	rd := wire.NewReader(ls.Raw)
-	kind, reqID, traceID = readRecordHeader(&rd)
-	return kind, reqID, traceID, rd.Err()
+	var lr LogRecord
+	lr.Kind, lr.ReqID, lr.TraceID = readRecordHeader(&rd)
+	rd.Str() // tenant
+	rd.Str() // origin
+	rd.Str() // agent
+	digests := 1
+	if lr.Kind == KindPDPResponse || lr.Kind == KindPEPResponse {
+		digests = 4
+	}
+	rd.Bytes(digests * crypto.DigestSize)
+	rd.Str() // policy version
+	lr.TimestampUnixNano = int64(rd.U64())
+	return lr, rd.Err()
 }
 
 // VerifyInclusion checks the record's membership under Root: the carried

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"drams/internal/blockchain"
 	"drams/internal/clock"
 )
 
@@ -270,34 +271,74 @@ func TestSubscribeStorm(t *testing.T) {
 	}
 }
 
-func TestTrackedMapBounded(t *testing.T) {
+func pumpRecord(m *Monitor, reqID string, at time.Time, height uint64) {
+	rec := LogRecord{Kind: KindPEPRequest, ReqID: reqID, TimestampUnixNano: at.UnixNano()}
+	m.handleEvent(ContractName, EventLogStored, LogStored{Record: rec}.Encode(), height)
+}
+
+// TestOpenExchangesEnd: an exchange is open from its first anchored record
+// to its match or first alert, and is timed from its earliest record.
+func TestOpenExchangesEnd(t *testing.T) {
 	m := dispatcherMonitor()
 	defer m.Stop()
-
-	// Stragglers (no outcome ever) cannot grow tracking without bound.
-	for i := 0; i < 3*maxTracked; i++ {
-		m.TrackSubmission(fmt.Sprintf("straggler-%d", i))
+	tracked := func(want int) {
+		t.Helper()
+		if got := m.Stats().Tracked; got != want {
+			t.Fatalf("tracked = %d, want %d", got, want)
+		}
 	}
-	if got := m.Stats().Tracked; got > maxTracked {
-		t.Fatalf("tracked = %d, want <= %d", got, maxTracked)
+	t0 := time.Now().Add(-time.Second)
+
+	// A later record of the same exchange opens nothing new; an alert ends
+	// it, timed from the earlier record.
+	pumpRecord(m, "will-alert", t0, 3)
+	pumpRecord(m, "will-alert", t0.Add(time.Minute), 4)
+	tracked(1)
+	pumpAlert(m, Alert{Type: AlertEquivocation, ReqID: "will-alert", Height: 4})
+	tracked(0)
+	if l := m.Stats().DetectionLatencyMs; l.Count != 1 || l.Min < 1000 {
+		t.Fatalf("latency = %+v, want one sample of at least 1 s", l)
 	}
 
-	// A matched outcome clears its entry immediately.
-	m.TrackSubmission("will-match")
-	before := m.Stats().Tracked
+	// A record that lands after its request's alert opens nothing.
+	pumpRecord(m, "will-alert", t0, 5)
+	tracked(0)
+
+	// A match ends its exchange, and a re-delivered block of its records
+	// does not open it again.
+	pumpRecord(m, "will-match", t0, 6)
+	tracked(1)
 	pumpMatched(m, "will-match", 7)
-	if got := m.Stats().Tracked; got != before-1 {
-		t.Fatalf("tracked = %d after match, want %d", got, before-1)
-	}
+	tracked(0)
+	pumpRecord(m, "will-match", t0, 6)
+	tracked(0)
 
-	// An alert outcome measures latency, then clears its entry.
-	m.TrackSubmission("will-alert")
-	before = m.Stats().Tracked
-	pumpAlert(m, Alert{Type: AlertEquivocation, ReqID: "will-alert", Height: 8})
-	if got := m.Stats().Tracked; got != before-1 {
-		t.Fatalf("tracked = %d after alert, want %d", got, before-1)
+	// A record stamped ahead of the monitor's clock counts as 0.
+	pumpRecord(m, "ahead", time.Now().Add(time.Hour), 8)
+	pumpAlert(m, Alert{Type: AlertEquivocation, ReqID: "ahead", Height: 8})
+	if l := m.Stats().DetectionLatencyMs; l.Count != 2 || l.Min != 0 {
+		t.Fatalf("latency = %+v, want a second sample of 0", l)
 	}
-	if got := m.Stats().DetectionLatencyMs.Count; got != 1 {
-		t.Fatalf("latency count = %d", got)
+}
+
+// TestAbandonedExchangeExpires: an exchange whose records never reach an
+// outcome, as when they sat only in an abandoned block, is dropped once it
+// is E+1 blocks old.
+func TestAbandonedExchangeExpires(t *testing.T) {
+	m := dispatcherMonitor()
+	defer m.Stop()
+	pumpRecord(m, "abandoned", time.Now(), 10)
+	pumpRecord(m, "younger", time.Now(), 11)
+	m.expireOpen(10 + blockchain.TxLifetime)
+	if got := m.Stats().Tracked; got != 2 {
+		t.Fatalf("tracked = %d at age E, want 2", got)
+	}
+	m.expireOpen(10 + blockchain.TxLifetime + 1)
+	if got := m.Stats().Tracked; got != 1 {
+		t.Fatalf("tracked = %d at age E+1, want 1", got)
+	}
+	m.expireOpen(11 + blockchain.TxLifetime + 1)
+	if got := m.Stats().Tracked; got != 0 {
+		t.Fatalf("tracked = %d, want 0", got)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,12 +15,6 @@ import (
 	"drams/internal/trace"
 )
 
-// maxTracked caps the submission-tracking map: entries are removed as soon
-// as their request matches or alerts, and stragglers (requests that never
-// produce an on-chain outcome) are evicted oldest-first beyond this bound so
-// sustained traffic cannot grow the monitor without limit.
-const maxTracked = 4096
-
 // defaultSubscriberBuffer is the channel capacity of a subscription when
 // AlertFilter.Buffer is left zero.
 const defaultSubscriberBuffer = 64
@@ -30,10 +25,14 @@ type MonitorStats struct {
 	AlertsSeen   int64
 	Matched      int64
 	AlertsByType map[AlertType]int64
-	// DetectionLatencyMs summarises wall-clock time from TrackSubmission
-	// to the corresponding alert arriving off-chain.
+	// DetectionLatencyMs summarises the time from an exchange's earliest
+	// anchored record, by the timestamp its agent wrote into it, to the
+	// exchange's first alert arriving off-chain. It trusts the agents'
+	// clocks: on a multi-host fleet it includes their skew against the
+	// monitor's, and a difference below zero counts as 0.
 	DetectionLatencyMs metrics.Summary
-	// Tracked is the number of in-flight submission-latency entries.
+	// Tracked is the number of open exchanges: an anchored record seen, no
+	// match or alert yet.
 	Tracked int
 	// Subscribers is the number of live alert subscriptions.
 	Subscribers int
@@ -96,11 +95,19 @@ type subscriber struct {
 	dropped int64         // guarded by Monitor.mu
 }
 
+// openExchange is an exchange the monitor has seen anchored records of and
+// no outcome yet.
+type openExchange struct {
+	first  time.Time // the earliest timestamp among its records
+	height uint64    // the height its first record was seen at
+}
+
 // Monitor is the off-chain DRAMS observer: it consumes contract events from
 // a blockchain node, aggregates security alerts, fans them out to
 // subscribers, exposes wait primitives for tests/experiments, and measures
-// detection latency. The on-chain state remains the ground truth; the
-// monitor is a (restartable) view.
+// detection latency from what the anchored records carry, so it times
+// exchanges driven from any member. The on-chain state remains the ground
+// truth; the monitor is a (restartable) view.
 type Monitor struct {
 	node *blockchain.Node
 	clk  clock.Clock
@@ -108,12 +115,11 @@ type Monitor struct {
 	mu        sync.Mutex
 	stopped   bool // set by Stop; new subscriptions are refused after
 	alerts    []Alert
-	alertKeys map[string]bool // dedupe re-delivered events
+	alerted   map[string][]AlertType // reqID → types seen; dedupes re-delivered events
 	byType    map[AlertType]int64
 	matched   map[string]uint64 // reqID → height
 	policyLog []Alert           // policy rollout events, for Replay
-	tracked   map[string]time.Time
-	trackedQ  []string // insertion order, for straggler eviction
+	open      map[string]openExchange
 	subs      map[uint64]*subscriber
 	nextSub   uint64
 
@@ -138,38 +144,24 @@ func NewMonitor(node *blockchain.Node, clk clock.Clock) *Monitor {
 		clk = clock.System{}
 	}
 	return &Monitor{
-		node:      node,
-		clk:       clk,
-		alertKeys: make(map[string]bool),
-		byType:    make(map[AlertType]int64),
-		matched:   make(map[string]uint64),
-		tracked:   make(map[string]time.Time),
-		subs:      make(map[uint64]*subscriber),
-		latency:   metrics.NewHistogram(),
-		stop:      make(chan struct{}),
+		node:    node,
+		clk:     clk,
+		alerted: make(map[string][]AlertType),
+		byType:  make(map[AlertType]int64),
+		matched: make(map[string]uint64),
+		open:    make(map[string]openExchange),
+		subs:    make(map[uint64]*subscriber),
+		latency: metrics.NewHistogram(),
+		stop:    make(chan struct{}),
 	}
 }
 
 // SetTracer attaches (or clears, with nil) the end-to-end span recorder:
-// anchored logs, matches and alerts then produce chain.anchor,
-// monitor.match and monitor.alert spans keyed by the record's trace ID
-// (which defaults to the request ID, so Deployment.Trace(reqID) finds
-// them).
+// anchored records, matches and alerts then produce chain.anchor,
+// monitor.match and monitor.alert spans. A chain.anchor span is keyed by
+// the record's trace ID (which defaults to the request ID, so
+// Deployment.Trace(reqID) finds it), the other two by the request ID.
 func (m *Monitor) SetTracer(t *trace.Tracer) { m.tracer.Store(t) }
-
-// traceEventRecord recovers enough of a LogStored payload to attribute a
-// trace span: the trace ID (request ID when the record predates tracing)
-// and the request ID.
-func traceEventRecord(payload []byte) (traceID, reqID string) {
-	_, reqID, traceID, err := logStoredHeader(payload)
-	if err != nil || reqID == "" {
-		return "", ""
-	}
-	if traceID == "" {
-		traceID = reqID
-	}
-	return traceID, reqID
-}
 
 // Start begins consuming the events of the blocks that join its node's best
 // chain from now on.
@@ -183,6 +175,7 @@ func (m *Monitor) Start() {
 				for _, e := range b.Events {
 					m.handleEvent(e.Contract, e.Type, e.Payload, b.Height)
 				}
+				m.expireOpen(b.Height)
 			}
 		})
 	}()
@@ -348,41 +341,25 @@ func (m *Monitor) publishLocked(a Alert) {
 	}
 }
 
-// TrackSubmission records the wall-clock submission time of a request's
-// first log so detection latency can be measured end-to-end. The entry is
-// removed when the request matches or alerts; stragglers are evicted
-// oldest-first beyond maxTracked.
-func (m *Monitor) TrackSubmission(reqID string) {
+// expireOpen drops the open exchanges first seen more than E blocks below
+// height. The contract ends every exchange it opens with Matched or an alert
+// by its M3 deadline; what outlives that is a request whose records sat only
+// in an abandoned block and expired before they landed again, and after E+1
+// blocks no follower is delivered that block again.
+func (m *Monitor) expireOpen(height uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.tracked[reqID]; ok {
-		return
-	}
-	m.tracked[reqID] = m.clk.Now()
-	m.trackedQ = append(m.trackedQ, reqID)
-	if len(m.trackedQ) > 2*maxTracked {
-		// Most queue entries settle (match/alert) long before eviction;
-		// compact the settled ones out so the queue is bounded too.
-		live := m.trackedQ[:0]
-		for _, id := range m.trackedQ {
-			if _, ok := m.tracked[id]; ok {
-				live = append(live, id)
-			}
+	for reqID, o := range m.open {
+		if o.height+blockchain.TxLifetime < height {
+			delete(m.open, reqID)
 		}
-		m.trackedQ = live
-	}
-	for len(m.tracked) > maxTracked && len(m.trackedQ) > 0 {
-		old := m.trackedQ[0]
-		m.trackedQ = m.trackedQ[1:]
-		delete(m.tracked, old)
 	}
 }
 
-// untrackLocked removes a settled request from the latency tracker. The
-// eviction queue is left to age out naturally (deleting from the map is
-// what bounds memory; the queue only holds strings already submitted).
-func (m *Monitor) untrackLocked(reqID string) {
-	delete(m.tracked, reqID)
+// sinceRecord is the time from a record's timestamp to now, 0 when the
+// agent's clock reads ahead of the monitor's.
+func (m *Monitor) sinceRecord(at time.Time) time.Duration {
+	return max(m.clk.Since(at), 0)
 }
 
 func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, height uint64) {
@@ -392,18 +369,31 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 	switch eventType {
 	case EventLogStored:
 		m.logsSeen.Inc()
-		if tr := m.tracer.Load(); tr != nil {
-			if traceID, reqID := traceEventRecord(payload); traceID != "" {
-				m.mu.Lock()
-				t0, ok := m.tracked[reqID]
-				m.mu.Unlock()
-				if ok {
-					// Submission-to-block-inclusion: how long the record
-					// waited to be anchored by the chain.
-					tr.Span(traceID, trace.StageChainAnchor, t0, m.clk.Since(t0))
-				}
-			}
+		rec, err := logStoredHeader(payload)
+		if err != nil || rec.ReqID == "" {
+			return
 		}
+		at := time.Unix(0, rec.TimestampUnixNano)
+		traceID := rec.TraceID
+		if traceID == "" {
+			traceID = rec.ReqID
+		}
+		// Observation to anchoring: how long the record took to reach a
+		// block the monitor follows.
+		m.tracer.Load().Span(traceID, trace.StageChainAnchor, at, m.sinceRecord(at))
+		m.mu.Lock()
+		_, matched := m.matched[rec.ReqID]
+		_, alerted := m.alerted[rec.ReqID]
+		if o, ok := m.open[rec.ReqID]; ok {
+			if at.Before(o.first) {
+				o.first = at
+				m.open[rec.ReqID] = o
+			}
+		} else if !matched && !alerted {
+			// The map keeps the ID: its own bytes, not the event's.
+			m.open[strings.Clone(rec.ReqID)] = openExchange{first: at, height: height}
+		}
+		m.mu.Unlock()
 	case EventMatched:
 		reqID, _, err := decodeMatched(payload)
 		if err != nil {
@@ -420,34 +410,35 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 		// event's.
 		reqID = strings.Clone(reqID)
 		m.matched[reqID] = height
-		t0, hadT0 := m.tracked[reqID]
-		m.untrackLocked(reqID)
+		o, wasOpen := m.open[reqID]
+		delete(m.open, reqID)
 		m.matchedCnt.Inc() // before subscribers hear of it: Stats never lags a WaitForMatched
 		m.publishLocked(Alert{Type: AlertMatched, ReqID: reqID, Height: height})
 		m.mu.Unlock()
-		if hadT0 {
-			m.tracer.Load().Span(reqID, trace.StageMonitorMatch, t0, m.clk.Since(t0))
+		if wasOpen {
+			m.tracer.Load().Span(reqID, trace.StageMonitorMatch, o.first, m.sinceRecord(o.first))
 		}
 	case EventAlert:
 		a, err := DecodeAlert(payload)
 		if err != nil {
 			return
 		}
-		key := a.ReqID + "|" + string(a.Type)
 		m.mu.Lock()
-		if m.alertKeys[key] {
+		if slices.Contains(m.alerted[a.ReqID], a.Type) {
 			m.mu.Unlock()
 			return
 		}
-		m.alertKeys[key] = true
+		m.alerted[a.ReqID] = append(m.alerted[a.ReqID], a.Type)
 		m.alerts = append(m.alerts, a)
 		m.byType[a.Type]++
-		if t0, ok := m.tracked[a.ReqID]; ok {
-			m.latency.ObserveDuration(m.clk.Since(t0))
-			m.untrackLocked(a.ReqID)
-			// Detection latency doubles as the monitor.alert span: first
-			// probe submission to the alert surfacing off-chain.
-			m.tracer.Load().Span(a.ReqID, trace.StageMonitorAlert, t0, m.clk.Since(t0))
+		if o, ok := m.open[a.ReqID]; ok {
+			delete(m.open, a.ReqID)
+			// Detection latency doubles as the monitor.alert span: the
+			// exchange's earliest record to its first alert surfacing
+			// off-chain.
+			d := m.sinceRecord(o.first)
+			m.latency.ObserveDuration(d)
+			m.tracer.Load().Span(a.ReqID, trace.StageMonitorAlert, o.first, d)
 		}
 		m.publishLocked(a)
 		m.mu.Unlock()
@@ -535,7 +526,7 @@ func (m *Monitor) Stats() MonitorStats {
 	for k, v := range m.byType {
 		byType[k] = v
 	}
-	tracked := len(m.tracked)
+	tracked := len(m.open)
 	subscribers := len(m.subs)
 	m.mu.Unlock()
 	return MonitorStats{

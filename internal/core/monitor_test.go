@@ -121,7 +121,7 @@ func sealedExchange(t *testing.T, key crypto.Key, reqID string, role string, dec
 		return b
 	}
 	dt := DecisionTag(key, reqID, decision)
-	return []LogRecord{
+	recs := []LogRecord{
 		{Kind: KindPEPRequest, ReqID: reqID, Tenant: "t1", Agent: "a1",
 			ReqDigest: req.Digest(), Payload: seal(EncryptedContext{Request: req})},
 		{Kind: KindPDPRequest, ReqID: reqID, Tenant: "infra", Agent: "a2",
@@ -134,6 +134,12 @@ func sealedExchange(t *testing.T, key crypto.Key, reqID string, role string, dec
 			ReqDigest: req.Digest(), RespDigest: res.Digest(), DecisionTag: dt, EnforcedTag: dt,
 			Payload: seal(EncryptedContext{Request: req, Result: &res, Enforced: decision})},
 	}
+	// Agents stamp their observation time; the monitor times the exchange
+	// from it.
+	for i := range recs {
+		recs[i].TimestampUnixNano = time.Now().UnixNano()
+	}
+	return recs
 }
 
 func monitorPolicy() *xacml.PolicySet {
@@ -154,7 +160,6 @@ func TestMonitorSeesMatchedExchange(t *testing.T) {
 	polDig := monitorPolicy().Digest()
 	env.anchorPolicy(t, monitorPolicy())
 
-	mon.TrackSubmission("m-1")
 	for _, rec := range sealedExchange(t, env.key, "m-1", "doctor", xacml.Permit, polDig) {
 		env.submit(t, env.li, MethodLogBatch, logArgs(rec))
 	}
@@ -167,7 +172,7 @@ func TestMonitorSeesMatchedExchange(t *testing.T) {
 		t.Fatal("Matched() lost the request")
 	}
 	st := mon.Stats()
-	if st.LogsSeen < 4 || st.Matched != 1 || st.AlertsSeen != 0 {
+	if st.LogsSeen < 4 || st.Matched != 1 || st.AlertsSeen != 0 || st.Tracked != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// WaitForMatched returns immediately for an already-matched request.
@@ -190,7 +195,6 @@ func TestMonitorAlertFlow(t *testing.T) {
 	polDig := monitorPolicy().Digest()
 	env.anchorPolicy(t, monitorPolicy())
 
-	mon.TrackSubmission("bad-1")
 	recs := sealedExchange(t, env.key, "bad-1", "doctor", xacml.Permit, polDig)
 	// Tamper the pdp.request digest → M1.
 	recs[1].ReqDigest = crypto.Sum([]byte("evil"))
@@ -221,9 +225,10 @@ func TestMonitorAlertFlow(t *testing.T) {
 	if got := mon.Alerts(); len(got) != 1 {
 		t.Fatalf("Alerts = %v", got)
 	}
-	// Detection latency was measured for the tracked request.
-	if mon.Stats().DetectionLatencyMs.Count != 1 {
-		t.Fatalf("latency count = %d", mon.Stats().DetectionLatencyMs.Count)
+	// Detection latency was measured from the exchange's anchored records,
+	// and the exchange is no longer open.
+	if st := mon.Stats(); st.DetectionLatencyMs.Count != 1 || st.DetectionLatencyMs.Max > 20_000 || st.Tracked != 0 {
+		t.Fatalf("latency = %+v, tracked = %d", st.DetectionLatencyMs, st.Tracked)
 	}
 	// WaitForAlert on an already-seen alert returns immediately.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)

@@ -111,8 +111,9 @@ type LogRecord struct {
 	// have evaluated (M6); pdp.response records only.
 	PolicyVersion string
 	PolicyDigest  crypto.Digest
-	// TimestampUnixNano is the agent-local observation time (diagnostic
-	// only; consensus ordering comes from block heights).
+	// TimestampUnixNano is the agent-local observation time. Consensus
+	// never reads it (ordering comes from block heights); the monitor times
+	// exchanges from it, trusting the agents' clocks.
 	TimestampUnixNano int64
 	// Payload is the encrypted full context (request and, for response
 	// records, the result).
@@ -135,7 +136,7 @@ type LogRecord struct {
 //	pep.response               reqDigest | respDigest | decisionTag | enforcedTag
 //
 // Kind, reqID and traceID lead, where a consumer reads them without decoding
-// the rest (logStoredHeader). The decoder is canonical (internal/wire) and
+// the rest; logStoredHeader also skips to the timestamp. The decoder is canonical (internal/wire) and
 // refuses an unknown kind, so equal bytes are exactly equal records and the
 // contract hashes the bytes it was given.
 

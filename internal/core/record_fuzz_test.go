@@ -106,10 +106,11 @@ func FuzzDecodeLogStored(f *testing.F) {
 		if got := ls.Encode(); !bytes.Equal(got, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, data)
 		}
-		kind, reqID, traceID, err := logStoredHeader(data)
-		if err != nil || kind != ls.Record.Kind || reqID != ls.Record.ReqID || traceID != ls.Record.TraceID {
-			t.Fatalf("header read %s/%q/%q (%v), record is %s/%q/%q", kind, reqID, traceID, err,
-				ls.Record.Kind, ls.Record.ReqID, ls.Record.TraceID)
+		h, err := logStoredHeader(data)
+		r := ls.Record
+		if err != nil || h.Kind != r.Kind || h.ReqID != r.ReqID || h.TraceID != r.TraceID || h.TimestampUnixNano != r.TimestampUnixNano {
+			t.Fatalf("header read %s/%q/%q/%d (%v), record is %s/%q/%q/%d", h.Kind, h.ReqID, h.TraceID, h.TimestampUnixNano, err,
+				r.Kind, r.ReqID, r.TraceID, r.TimestampUnixNano)
 		}
 	})
 }

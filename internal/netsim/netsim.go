@@ -219,6 +219,8 @@ func (n *Network) Heal() {
 
 // SetLinkFault configures per-link loss and extra latency for traffic in
 // either direction between a and b.
+//
+//lint:ignore deadcode fault-injection surface Deployment.Net hands out (with Partition and Heal); netsim's loss tests drive it
 func (n *Network) SetLinkFault(a, b string, dropRate float64, extraLatency time.Duration) {
 	n.state.Lock()
 	defer n.state.Unlock()

@@ -27,10 +27,10 @@ const (
 	StagePEPDecide      = "pep.decide"      // PEP-observed round trip to the PDP
 	StagePDPEval        = "pdp.eval"        // PDP-side policy evaluation
 	StageLIFlushWait    = "li.flush_wait"   // probe record queued at the LI → batch tx submitted
-	StageChainAnchor    = "chain.anchor"    // request tracked → its log record anchored in a block
+	StageChainAnchor    = "chain.anchor"    // a record's own timestamp → the monitor sees it anchored in a block
 	StageAnalyserVerify = "analyser.verify" // analyser re-derivation of one log record
-	StageMonitorMatch   = "monitor.match"   // request tracked → M-check match observed off-chain
-	StageMonitorAlert   = "monitor.alert"   // request tracked → alert observed off-chain
+	StageMonitorMatch   = "monitor.match"   // the exchange's earliest record timestamp → match observed off-chain
+	StageMonitorAlert   = "monitor.alert"   // the exchange's earliest record timestamp → first alert observed off-chain
 )
 
 // canonicalStages are the stages New resolves up front; a trace of the

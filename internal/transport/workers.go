@@ -5,14 +5,6 @@ import (
 	"sync"
 )
 
-// maxIdle bounds the workers a Workers keeps parked; any beyond it exit
-// when their work is done. No more than GOMAXPROCS workers run at once, so
-// a burst wider than that waits for a processor, not for a goroutine start.
-// Twice that leaves room for the handlers that block (on a nested call, a
-// lock, a link's latency) without keeping a stack for every frame of a
-// burst.
-var maxIdle = 2 * runtime.GOMAXPROCS(0)
-
 // Workers runs a backend's delivery work — a link's drainer, a call
 // handler — on goroutines that outlive it. Work goes to a parked worker
 // when one is idle and to a new goroutine otherwise, so Go never waits for
@@ -23,11 +15,19 @@ var maxIdle = 2 * runtime.GOMAXPROCS(0)
 //
 // The zero value is ready to use.
 type Workers struct {
-	mu     sync.Mutex
-	idle   []chan func() // parked workers, the most recently parked last
-	live   int           // workers that have not exited, parked or running
-	closed bool
-	exited chan struct{} // made by Close while workers live, closed by the last
+	mu sync.Mutex
+	// maxIdle bounds the workers kept parked; any beyond it exit when their
+	// work is done. No more than GOMAXPROCS workers run at once, so a burst
+	// wider than that waits for a processor, not for a goroutine start.
+	// Twice that leaves room for the handlers that block (on a nested call,
+	// a lock, a link's latency) without keeping a stack for every frame of
+	// a burst. It is read from GOMAXPROCS at the first Go, not at package
+	// init, so it follows a process that sets GOMAXPROCS after starting.
+	maxIdle int
+	idle    []chan func() // parked workers, the most recently parked last
+	live    int           // workers that have not exited, parked or running
+	closed  bool
+	exited  chan struct{} // made by Close while workers live, closed by the last
 }
 
 // Go runs fn on a parked worker, or on a new goroutine when none is idle,
@@ -35,6 +35,9 @@ type Workers struct {
 // goroutine that exits once fn returns.
 func (w *Workers) Go(fn func()) (started bool) {
 	w.mu.Lock()
+	if w.maxIdle == 0 {
+		w.maxIdle = 2 * runtime.GOMAXPROCS(0)
+	}
 	if k := len(w.idle) - 1; k >= 0 {
 		wake := w.idle[k]
 		w.idle[k] = nil
@@ -61,7 +64,7 @@ func (w *Workers) run(fn func()) {
 // park offers the worker for more work and waits for it; nil means exit.
 func (w *Workers) park(wake chan func()) func() {
 	w.mu.Lock()
-	if w.closed || len(w.idle) >= maxIdle {
+	if w.closed || len(w.idle) >= w.maxIdle {
 		w.exit()
 		w.mu.Unlock()
 		return nil

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,6 +47,7 @@ func TestWorkersReuseAParkedWorker(t *testing.T) {
 // bound stay parked, and Close ends them and waits for work still running.
 func TestWorkersParkAtMostTheIdleBoundAndCloseWaits(t *testing.T) {
 	var w Workers
+	maxIdle := 2 * runtime.GOMAXPROCS(0)
 	burst := 3*maxIdle + 1
 	var running atomic.Int64
 	all := make(chan struct{})

@@ -9,9 +9,11 @@ import (
 
 	"drams"
 	"drams/internal/blockchain"
+	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/netsim"
+	"drams/internal/trace"
 	"drams/internal/transport"
 	"drams/internal/transport/tcp"
 	"drams/internal/xacml"
@@ -392,4 +394,50 @@ func TestMemberSlicesExposeOpenSeries(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("Open exposed no drams_* series")
 	}
+}
+
+// TestMemberSliceMonitorTimesEdgeExchanges: the infrastructure slice's
+// monitor times the exchanges an edge slice drives from the records'
+// own timestamps, though no client in its process submitted them: an
+// alert lands in the detection-latency histogram, a match leaves a
+// monitor.match span, and neither leaves an exchange open.
+func TestMemberSliceMonitorTimesEdgeExchanges(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 42})
+	t.Cleanup(func() { net.Close() })
+	fleet := make(map[string]*drams.Deployment)
+	for _, cloud := range sliceClouds {
+		fleet[cloud] = openSlice(t, cloud, net)
+	}
+	infra, edge := fleet["cloud-1"], fleet["cloud-2"]
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	honest, _ := decideThrough(t, ctx, edge, "tenant-2")
+	if err := infra.WaitForMatched(ctx, honest); err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.TamperPEP("tenant-2", &drams.Tamper{
+		Enforce: func(xacml.Decision) xacml.Decision { return xacml.Deny },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tampered, _ := decideThrough(t, ctx, edge, "tenant-2")
+	if _, err := infra.WaitForAlert(ctx, tampered, core.AlertEnforcementMismatch); err != nil {
+		t.Fatal(err)
+	}
+
+	st := infra.Monitor.Stats()
+	if st.DetectionLatencyMs.Count < 1 {
+		t.Fatalf("detection latency has %d samples, want the tampered exchange's", st.DetectionLatencyMs.Count)
+	}
+	if st.Tracked != 0 {
+		t.Fatalf("%d exchanges still open after both settled", st.Tracked)
+	}
+	spans := infra.Trace(honest)
+	for _, s := range spans {
+		if s.Stage == trace.StageMonitorMatch {
+			return
+		}
+	}
+	t.Fatalf("infrastructure trace of %s holds no %s span: %v", honest, trace.StageMonitorMatch, spans)
 }

@@ -20,7 +20,9 @@
 #      fetched), activate v2 at the same height as the rest of the fleet,
 #      and serve Deny-under-v2 decisions.
 #   3. Operations surface: every daemon serves /metrics and /healthz on
-#      its -metrics-addr; readiness gates the restarted tenant-2 (503
+#      its -metrics-addr; the infrastructure monitor times the edges'
+#      exchanges (its monitor.match stage histogram counts matches, though
+#      no client runs in its process); readiness gates the restarted tenant-2 (503
 #      while it catches up, 200 once synced); the durable member's
 #      drams_node_blocks_persisted_total keeps advancing; and the
 #      restarted tenant-2 runs a mute-logs drill so the infrastructure
@@ -140,6 +142,19 @@ done
 alerts_before=$(metric "$M1" 'drams_monitor_alerts_total{type="message-suppressed"}')
 [ -n "$alerts_before" ] || fail "infra metrics missing drams_monitor_alerts_total series"
 echo "ops surface up on $M1 $M2 $M3 (message-suppressed alerts so far: $alerts_before)"
+
+# The infrastructure member hosts no client, yet its monitor times the
+# exchanges the edges drive, from the records' own timestamps: a match
+# lands in its monitor.match stage histogram.
+matches=""
+while [ "$(date +%s)" -lt "$deadline" ]; do
+    matches=$(metric "$M1" 'drams_trace_stage_ms_count{stage="monitor.match"}')
+    [ -n "$matches" ] && [ "$matches" -gt 0 ] && break
+    sleep 1
+done
+[ -n "$matches" ] && [ "$matches" -gt 0 ] ||
+    fail "infra drams_trace_stage_ms_count{stage=\"monitor.match\"} is '${matches:-absent}', want > 0"
+echo "infra monitor timed $matches matched exchanges"
 
 # Crash tenant-2 before the rollout: it must learn v2 from its restart.
 kill "$PID_T2" 2>/dev/null
