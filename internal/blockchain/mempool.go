@@ -19,10 +19,12 @@ type Mempool struct {
 	maxSize int
 }
 
-// pooled is a pending transaction and its arrival number.
+// pooled is a pending transaction and its arrival number. A held one is
+// not collected into blocks until released (see Node.admit).
 type pooled struct {
-	tx  Transaction
-	seq uint64
+	tx   Transaction
+	seq  uint64
+	held bool
 }
 
 // NewMempool returns a mempool bounded to maxSize transactions (10 000 when
@@ -37,7 +39,12 @@ func NewMempool(maxSize int) *Mempool {
 // Add inserts a transaction. A duplicate ID returns ErrKnownTx; a full pool
 // returns an error.
 func (m *Mempool) Add(tx Transaction) error {
-	id := tx.ID()
+	return m.add(tx, tx.ID(), false)
+}
+
+// add is Add for a transaction whose ID the caller derived. A held
+// transaction is pending but not collected until release.
+func (m *Mempool) add(tx Transaction, id crypto.Digest, held bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.txs[id]; ok {
@@ -47,8 +54,18 @@ func (m *Mempool) Add(tx Transaction) error {
 		return fmt.Errorf("blockchain: mempool full (%d)", m.maxSize)
 	}
 	m.arrived++
-	m.txs[id] = pooled{tx: tx, seq: m.arrived}
+	m.txs[id] = pooled{tx: tx, seq: m.arrived, held: held}
 	return nil
+}
+
+// release lets Collect take a held transaction.
+func (m *Mempool) release(id crypto.Digest) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.txs[id]; ok {
+		p.held = false
+		m.txs[id] = p
+	}
 }
 
 // Has reports whether the transaction ID is pending.
@@ -88,8 +105,8 @@ func (m *Mempool) sortedLocked() ([]Transaction, []crypto.Digest) {
 }
 
 // Collect returns up to max pending transactions that a child of parent on
-// c may carry: unexpired, already valid and not yet on parent's branch,
-// grouped by sender in arrival order. They stay pooled until Prune.
+// c may carry: released, unexpired, already valid and not yet on parent's
+// branch, grouped by sender in arrival order. They stay pooled until Prune.
 func (m *Mempool) Collect(max int, c *Chain, parent crypto.Digest) []Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -97,20 +114,27 @@ func (m *Mempool) Collect(max int, c *Chain, parent crypto.Digest) []Transaction
 	onBranch, height := c.carried(parent, ids)
 	var out []Transaction
 	for i := range txs {
-		if !onBranch[i] && validAt(&txs[i], height+1) && len(out) < max {
+		if !onBranch[i] && !m.txs[ids[i]].held && validAt(&txs[i], height+1) && len(out) < max {
 			out = append(out, txs[i])
 		}
 	}
 	return out
 }
 
-// All returns up to max pending transactions in Collect's order; used for
-// periodic rebroadcast after partitions.
+// All returns up to max released pending transactions in Collect's order;
+// used for periodic rebroadcast after partitions. A held one is being
+// relayed by its admission.
 func (m *Mempool) All(max int) []Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	txs, _ := m.sortedLocked()
-	return txs[:min(max, len(txs))]
+	txs, ids := m.sortedLocked()
+	out := txs[:0]
+	for i := range txs {
+		if !m.txs[ids[i]].held && len(out) < max {
+			out = append(out, txs[i])
+		}
+	}
+	return out
 }
 
 // Prune drops every pending transaction c's best chain carries and evicts

@@ -184,3 +184,25 @@ func TestMempoolFull(t *testing.T) {
 		t.Fatal("overfull pool accepted tx")
 	}
 }
+
+// A held transaction is pending (Has, Len, a duplicate is refused) but not
+// collected into a block until it is released.
+func TestMempoolHeldNotCollectedUntilReleased(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	c := NewChain(testChainConfig(t, alice))
+	p := NewMempool(0)
+	tx := poolTx(t, alice, 1)
+	if err := p.add(tx, tx.ID(), true); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Has(tx.ID()) || p.Len() != 1 || !errors.Is(p.Add(tx), ErrKnownTx) {
+		t.Fatal("a held transaction is not pending")
+	}
+	if got := p.Collect(10, c, c.Genesis()); len(got) != 0 {
+		t.Fatalf("collected %d held transactions", len(got))
+	}
+	p.release(tx.ID())
+	if got := p.Collect(10, c, c.Genesis()); len(got) != 1 {
+		t.Fatalf("collected %d transactions after release, want 1", len(got))
+	}
+}

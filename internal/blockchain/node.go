@@ -375,36 +375,55 @@ func (n *Node) Stop() {
 	n.chain.closeLog()
 }
 
-// SubmitTx validates a transaction, adds it to the mempool and gossips it.
-// This is the in-process client entry point used by the Logging Interfaces.
+// SubmitTx verifies a transaction built outside this node's Senders (a test
+// rig, the attack harness's forgeries), adds it to the mempool and gossips it.
 func (n *Node) SubmitTx(tx Transaction) error {
+	return n.submit(tx, tx.ID(), false)
+}
+
+// submit admits a local client's transaction, whose ID the caller derived,
+// and counts it. A Sender's own transaction (own) is vouched for on the
+// registry check alone (TxVerifier.vouch); any other is verified.
+func (n *Node) submit(tx Transaction, id crypto.Digest, own bool) error {
 	select {
 	case <-n.stop:
 		return ErrStopped
 	default:
 	}
-	if err := n.admit(tx, EncodeTx(tx), ""); err != nil {
+	var err error
+	if own {
+		err = n.chain.Verifier().vouch(&tx, id)
+	} else {
+		err = n.chain.Verifier().verify(&tx, id)
+	}
+	if err != nil {
+		return err
+	}
+	if err := n.admit(tx, id, EncodeTx(tx), ""); err != nil {
 		return err
 	}
 	n.submitted.Inc()
 	return nil
 }
 
-// admit is the one way a transaction enters the node, from a local client
-// or from gossip: verify its signature, pool it, wake the miner and relay
-// raw, its wire form, to every chain peer but from.
-func (n *Node) admit(tx Transaction, raw []byte, from string) error {
-	if err := n.chain.Verifier().VerifyTx(&tx); err != nil {
+// admit is the one way a checked transaction, whose ID is id, enters the
+// node, from a local client or from gossip: pool it, relay raw, its wire
+// form, to every chain peer but from, and only then let the miner collect
+// it and wake the miner. Its callers check the signature first (submit,
+// handleTxGossip). Links deliver in send order, so a block this node mines
+// never reaches a peer ahead of a transaction it carries: the peer verifies
+// the transaction at admission and the block's check of it is a memo hit,
+// never a second verification racing the first.
+func (n *Node) admit(tx Transaction, id crypto.Digest, raw []byte, from string) error {
+	if err := n.pool.add(tx, id, true); err != nil {
 		return err
 	}
-	if err := n.pool.Add(tx); err != nil {
-		return err
-	}
+	n.gossip(kindTx, raw, from)
+	n.pool.release(id)
 	select {
 	case n.newTx <- struct{}{}:
 	default:
 	}
-	n.gossip(kindTx, raw, from)
 	return nil
 }
 
@@ -491,10 +510,14 @@ func (n *Node) handleTxGossip(from string, payload []byte) {
 	}
 	n.seenTx.add(key)
 	tx, err := DecodeTx(payload)
-	if err != nil || n.pool.Has(tx.ID()) {
+	if err != nil {
 		return
 	}
-	_ = n.admit(tx, payload, from)
+	id := tx.ID()
+	if n.pool.Has(id) || n.chain.Verifier().verify(&tx, id) != nil {
+		return
+	}
+	_ = n.admit(tx, id, payload, from)
 }
 
 // handleBlockGossip queues a gossiped block frame for importLoop. It runs on

@@ -184,7 +184,11 @@ func (c *Cipher) Decrypt(ciphertext, additional []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// Identity is an ed25519 signing identity for a DRAMS component.
+// Identity is an ed25519 signing identity for a DRAMS component. Both
+// constructors derive the public key from the private one, and the fields
+// are unexported, so every signature an Identity makes verifies under its
+// Public() key. A chain member relies on this to admit its own Sender's
+// transactions without verifying them (blockchain.TxVerifier.vouch).
 type Identity struct {
 	name string
 	priv ed25519.PrivateKey

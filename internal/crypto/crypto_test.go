@@ -254,23 +254,29 @@ func TestDeriveKeyDeterministicAndContextual(t *testing.T) {
 	}
 }
 
+// Each constructor yields an Identity whose signatures verify under its
+// Public() key, and only over the signed message.
 func TestIdentitySignVerify(t *testing.T) {
-	id, err := NewIdentity("pep-1")
+	fresh, err := NewIdentity("pep-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := []byte("log entry payload")
-	sig := id.Sign(msg)
-	pub := id.Public()
-	if !pub.Verify(msg, sig) {
-		t.Fatal("valid signature rejected")
-	}
-	if pub.Verify([]byte("other"), sig) {
-		t.Fatal("signature verified for wrong message")
-	}
-	sig[0] ^= 1
-	if pub.Verify(msg, sig) {
-		t.Fatal("mutated signature accepted")
+	var seed [32]byte
+	seed[0] = 7
+	for _, id := range []*Identity{fresh, NewIdentityFromSeed("pep-2", seed)} {
+		msg := []byte("log entry payload")
+		sig := id.Sign(msg)
+		pub := id.Public()
+		if !pub.Verify(msg, sig) {
+			t.Fatalf("%s: valid signature rejected", id.Name())
+		}
+		if pub.Verify([]byte("other"), sig) {
+			t.Fatalf("%s: signature verified for wrong message", id.Name())
+		}
+		sig[0] ^= 1
+		if pub.Verify(msg, sig) {
+			t.Fatalf("%s: mutated signature accepted", id.Name())
+		}
 	}
 }
 

@@ -166,10 +166,10 @@ func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 			obs.C("drams_node_sync_calls_total"+l, "Catch-up protocol transport calls (bc.head and bc.getrange).", s.SyncCalls),
 			obs.C("drams_node_sync_blocks_total"+l, "Blocks obtained through catch-up sync.", s.SyncBlocks),
 			obs.C("drams_node_tx_expired_total"+l, "Pending transactions evicted because the chain passed their expiry height.", s.TxExpired),
-			obs.C("drams_node_verifier_verified_total"+l, "Signature verifications performed.", s.Verifier.Verified),
+			obs.C("drams_node_verifier_verified_total"+l, "Signature verifications performed; a member's own transactions are not verified.", s.Verifier.Verified),
 			obs.C("drams_node_verifier_cache_hits_total"+l, "Verifications skipped via the verified-tx cache.", s.Verifier.CacheHits),
 			obs.C("drams_node_verifier_cache_misses_total"+l, "Verified-tx cache lookups that fell through.", s.Verifier.CacheMisses),
-			obs.C("drams_node_verifier_batches_total"+l, "Batch verification calls.", s.Verifier.Batches),
+			obs.C("drams_node_verifier_batches_total"+l, "Batch verification calls and block validations.", s.Verifier.Batches),
 			obs.C("drams_node_verifier_failures_total"+l, "Transactions that failed signature verification.", s.Verifier.Failures),
 			obs.G("drams_node_mempool_len"+l, "Pending transactions in the mempool.", int64(s.MempoolLen)),
 			obs.G("drams_node_seen_cache_len"+l, "Entries in the gossip duplicate-suppression cache.", int64(s.SeenCacheLen)),
