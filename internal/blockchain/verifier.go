@@ -2,6 +2,7 @@ package blockchain
 
 import (
 	"fmt"
+	"sync"
 
 	"drams/internal/crypto"
 	"drams/internal/metrics"
@@ -23,7 +24,8 @@ type VerifierStats struct {
 	// member did not sign.
 	Verified int64
 	// CacheHits counts verifications skipped because the transaction was
-	// already verified.
+	// already verified, or was being verified by another caller whose
+	// check passed.
 	CacheHits int64
 	// CacheMisses counts memo lookups that fell through to verification.
 	CacheMisses int64
@@ -41,10 +43,19 @@ type VerifierStats struct {
 // when its block arrives, and a member's own transactions, vouched for at
 // submission, are not verified at all. The membership is fixed at genesis,
 // so a remembered verification stays valid; failures are never remembered.
-// Safe for concurrent use.
+// A transaction that reaches a member on two links at once (from the member
+// that admitted it and through another's relay, or in a block while the
+// gossiped copy is checked) is verified once: the second caller waits for
+// the first one's result. Safe for concurrent use.
 type TxVerifier struct {
 	ids  *IdentityRegistry
 	memo *seenCache // IDs of verified transactions, rotated by count
+
+	// inflight holds the transactions being verified, by ID.
+	inflight struct {
+		sync.Mutex
+		m map[crypto.Digest]*verifying
+	}
 
 	verified metrics.Counter
 	hits     metrics.Counter
@@ -53,9 +64,18 @@ type TxVerifier struct {
 	failures metrics.Counter
 }
 
+// verifying is one verification in progress: err is its outcome, set
+// before done is closed.
+type verifying struct {
+	done chan struct{}
+	err  error
+}
+
 // NewTxVerifier builds a verifier over the registry.
 func NewTxVerifier(ids *IdentityRegistry, _ VerifierConfig) *TxVerifier {
-	return &TxVerifier{ids: ids, memo: newSeenCache(verifyMemoSize, nil)}
+	v := &TxVerifier{ids: ids, memo: newSeenCache(verifyMemoSize, nil)}
+	v.inflight.m = make(map[crypto.Digest]*verifying)
+	return v
 }
 
 // Stats snapshots the verifier counters.
@@ -76,12 +96,33 @@ func (v *TxVerifier) VerifyTx(tx *Transaction) error {
 
 // verify checks tx, whose ID the caller derived. The ID covers payload,
 // public key and signature, so a memo hit proves this exact signed
-// transaction was already verified.
+// transaction was already verified, and a caller that finds the ID being
+// verified takes that verification's outcome as its own.
 func (v *TxVerifier) verify(tx *Transaction, id crypto.Digest) error {
 	if v.memo.has(id) {
 		v.hits.Inc()
 		return nil
 	}
+	v.inflight.Lock()
+	if p, ok := v.inflight.m[id]; ok {
+		v.inflight.Unlock()
+		<-p.done
+		if p.err == nil {
+			v.hits.Inc()
+		}
+		return p.err
+	}
+	// The verifier that just finished remembered the ID before it left the
+	// in-flight set.
+	if v.memo.has(id) {
+		v.inflight.Unlock()
+		v.hits.Inc()
+		return nil
+	}
+	p := &verifying{done: make(chan struct{})}
+	v.inflight.m[id] = p
+	v.inflight.Unlock()
+
 	v.misses.Inc()
 	reg, err := v.ids.signer(tx)
 	if err == nil {
@@ -90,10 +131,15 @@ func (v *TxVerifier) verify(tx *Transaction, id crypto.Digest) error {
 	}
 	if err != nil {
 		v.failures.Inc()
-		return err
+	} else {
+		v.memo.add(id)
 	}
-	v.memo.add(id)
-	return nil
+	p.err = err
+	v.inflight.Lock()
+	delete(v.inflight.m, id)
+	v.inflight.Unlock()
+	close(p.done)
+	return err
 }
 
 // vouch remembers tx, whose ID the caller derived, as verified on the

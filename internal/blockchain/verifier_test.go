@@ -204,6 +204,56 @@ func TestVerifierConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestVerifierChecksConcurrentCopiesOnce: copies of one transaction that
+// reach the verifier at the same moment (two links, or a block while the
+// gossiped copy is checked) cost one ed25519 verification: the callers that
+// find it in flight wait for its outcome. Each round releases the callers
+// together on a transaction the verifier has not seen. A forged one fails
+// for every caller, whether it waited or checked: a failure is not
+// remembered, so a caller that comes after the check ended checks again.
+func TestVerifierChecksConcurrentCopiesOnce(t *testing.T) {
+	alice := testIdentity(t, "alice", 1)
+	v := NewTxVerifier(NewIdentityRegistry(alice.Public()), VerifierConfig{})
+	const callers, rounds = 16, 40
+	txs := testTxs(t, alice, rounds)
+	txs[rounds-1].Signature[0] ^= 0xFF
+	for round, tx := range txs {
+		before := v.Stats()
+		start := make(chan struct{})
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = v.VerifyTx(&tx)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		forged := round == rounds-1
+		for i, err := range errs {
+			if forged != (err != nil) || (forged && !errors.Is(err, ErrBadSignature)) {
+				t.Fatalf("round %d, caller %d: err = %v (forged %v)", round, i, err, forged)
+			}
+		}
+		st := v.Stats()
+		if forged {
+			continue
+		}
+		if got := st.Verified - before.Verified; got != 1 {
+			t.Fatalf("round %d: %d callers made %d ed25519 verifications, want 1", round, callers, got)
+		}
+		if got := st.CacheMisses - before.CacheMisses; got != 1 {
+			t.Fatalf("round %d: %d memo misses fell through to verification, want 1", round, got)
+		}
+		if got := st.CacheHits - before.CacheHits; got != callers-1 {
+			t.Fatalf("round %d: %d hits, want %d", round, got, callers-1)
+		}
+	}
+}
+
 // TestChainRejectsBadSignatureInBlock checks the batch path still rejects a
 // block carrying one transaction whose signature was corrupted after
 // signing (the A8 forgery case), end to end through AddBlock.

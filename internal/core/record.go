@@ -295,7 +295,7 @@ func DecodeVerdict(data []byte) (Verdict, error) {
 //
 // where flag bit 0 marks a request and bit 1 a result. The seal holds every
 // request DecodeRequest accepts; what a request may carry at all is
-// Request.EncodeChecked's rule, which the PEP applies before any probe sees
+// Request.AppendChecked's rule, which the PEP applies before any probe sees
 // it.
 type EncryptedContext struct {
 	Request  *xacml.Request

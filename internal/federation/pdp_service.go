@@ -28,9 +28,9 @@ type PDPProbe interface {
 	// PDP's side of the exchange. The service calls that hook exactly once,
 	// on the goroutine serving the request: with the decision it is about
 	// to send, or with ok=false when it sends none (no evaluator,
-	// evaluation error). req comes from the service's pool and its strings
-	// alias the call's payload: it is valid until the hook returns; clone
-	// what you keep.
+	// evaluation error). req comes from the service's pool and its strings,
+	// ID and TraceID included, alias the call's payload: it is valid until
+	// the hook returns; clone what you keep.
 	PDPRequestReceived(req *xacml.Request, origin string) (done func(res xacml.Result, ok bool))
 }
 
@@ -108,10 +108,11 @@ var reqPool = sync.Pool{New: func() any { return new(xacml.Request) }}
 // The request is decoded into a pooled one whose strings alias payload, and
 // goes back to the pool once the reply is encoded and the probe's hook has
 // run. Nothing that sees it keeps it: the probe seals what it logs before
-// its hook returns (PDPProbe), an evaluator keeps nothing (xacml.Evaluator),
-// the tracer keeps only a hash of the TraceID, and no transport mutates a
-// handler's payload (transport.Endpoint.OnCall).
-func (s *PDPService) evaluateOne(origin string, payload []byte) ([]byte, error) {
+// its hook returns and clones the IDs it records (PDPProbe), an evaluator
+// keeps nothing (xacml.Evaluator), the tracer keeps only a hash of the
+// TraceID, and the payload is valid until the handler returns (transport
+// package doc). The reply is appended to out.
+func (s *PDPService) evaluateOne(origin string, payload, out []byte) ([]byte, error) {
 	req := reqPool.Get().(*xacml.Request)
 	defer reqPool.Put(req)
 	if err := xacml.DecodeRequestInto(req, payload); err != nil {
@@ -138,11 +139,15 @@ func (s *PDPService) evaluateOne(origin string, payload []byte) ([]byte, error) 
 	s.evaluations.Inc()
 	done(res, true)
 	s.tracer.Load().Span(req.TraceID, trace.StagePDPEval, start, time.Since(start))
-	return res.Encode(), nil
+	return res.AppendEncoded(out), nil
 }
 
+// handleEvaluate answers an ac.eval with a reply in a buffer of replyBufs,
+// which a PEP in this process hands back once it has enforced the reply.
+// When the list is empty, as it stays for a PDP whose PEPs are in other
+// processes, the reply gets a buffer of its exact size.
 func (s *PDPService) handleEvaluate(from string, payload []byte) ([]byte, error) {
-	return s.evaluateOne(originTenant(from), payload)
+	return s.evaluateOne(originTenant(from), payload, replyBufs.get(0))
 }
 
 func (s *PDPService) handleEvaluateBatch(from string, payload []byte) ([]byte, error) {
@@ -154,7 +159,7 @@ func (s *PDPService) handleEvaluateBatch(from string, payload []byte) ([]byte, e
 	origin := originTenant(from)
 	results, errs := make([][]byte, len(items)), make([]error, len(items))
 	for i, raw := range items {
-		results[i], errs[i] = s.evaluateOne(origin, raw)
+		results[i], errs[i] = s.evaluateOne(origin, raw, nil)
 	}
 	return xacml.EncodeBatchReply(results, errs), nil
 }

@@ -22,8 +22,9 @@ func acplaneGen() *xacml.Generator {
 }
 
 // An ac.eval allocates little beyond the reply it sends: the request is
-// decoded into a pooled one and the policy walk allocates nothing, which
-// leaves the ID's bytes and the reply.
+// decoded into a pooled one, its IDs included, and the policy walk
+// allocates nothing, which leaves the reply's buffer. Here no PEP hands
+// reply buffers back, so each call makes one, sized to fit.
 func TestEvalAllocBudget(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 4})
 	t.Cleanup(func() { net.Close() })

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,9 @@ type PEPProbe interface {
 	// as it arrived and the effect enforced, or with ok=false on every path
 	// that ends without a response (suppression, call error or timeout, an
 	// undecodable or failed reply). What the probe keeps between the two
-	// calls therefore lives no longer than the exchange.
+	// calls therefore lives no longer than the exchange. The response's
+	// strings alias the reply's bytes, which the PEP reuses once the hook
+	// returns: the probe clones what it keeps of them.
 	PEPRequestSent(req *xacml.Request) (done func(res xacml.Result, enforced xacml.Decision, ok bool))
 }
 
@@ -40,6 +43,7 @@ type Tamper struct {
 	Request func(req *xacml.Request) *xacml.Request
 	// Response rewrites the PDP result before the PEP-side probe observes
 	// arrival — i.e. on the wire between PDP egress and PEP ingress (A2).
+	// The result's strings alias the reply's bytes, as the probe's do.
 	Response func(res xacml.Result) xacml.Result
 	// Enforce overrides the effect the PEP actually enforces (A3).
 	Enforce func(received xacml.Decision) xacml.Decision
@@ -75,18 +79,77 @@ func (e Enforcement) Permitted() bool { return e.Decision == xacml.Permit }
 
 // PEPService is the tenant-edge Policy Enforcement Point.
 type PEPService struct {
-	tenant  string
-	ep      transport.Endpoint
-	timeout time.Duration
+	tenant string
+	ep     transport.Endpoint
 
 	probe  atomic.Pointer[probeBoxPEP]
 	tamper atomic.Pointer[Tamper]
 	tracer atomic.Pointer[trace.Tracer]
 
+	// version is the PolicyVersion the last reply named, so that replies
+	// under an unchanged policy share one string.
+	version atomic.Pointer[string]
+
 	requests metrics.Counter
 	permits  metrics.Counter
 	denies   metrics.Counter
 	failures metrics.Counter
+}
+
+// bufList is a free list of wire buffers. A buffer comes back once its call
+// has its reply, when neither the transport nor the PDP reads it any more
+// (transport package doc); after a call that ended without its reply the
+// frame may still be queued or handled, so its buffers are left to the
+// collector. A channel rather than a sync.Pool, because it holds a slice
+// without boxing it. Its places hold a buffer for more calls in flight than
+// a process runs at once, and pin at most their number × wireBufMax.
+type bufList chan []byte
+
+var (
+	// requestBufs holds the buffers PEPs encode their requests into.
+	requestBufs = make(bufList, 256)
+	// replyBufs holds the buffers the PDP encoded replies into, handed back
+	// by a PEP in its process. A PDP whose PEPs are in other processes
+	// finds it empty and sizes each reply to fit, as Result.Encode does.
+	replyBufs = make(bufList, 256)
+)
+
+const (
+	// requestBufSize is a new request buffer's capacity: acplane's
+	// requests encode to 150–220 bytes.
+	requestBufSize = 512
+	// wireBufMax is the largest buffer kept; a larger one is left to the
+	// collector rather than pinned.
+	wireBufMax = 4 << 10
+)
+
+// get returns an empty buffer from l, or a new one of capacity fresh when l
+// is empty.
+func (l bufList) get(fresh int) []byte {
+	select {
+	case b := <-l:
+		return b
+	default:
+		return make([]byte, 0, fresh)
+	}
+}
+
+// put hands b back to l; nothing may read or write it after. A buffer
+// larger than wireBufMax is dropped rather than pinned.
+func (l bufList) put(b []byte) {
+	if cap(b) == 0 || cap(b) > wireBufMax {
+		return
+	}
+	select {
+	case l <- b[:0]:
+	default:
+	}
+}
+
+// sameArray reports whether a and b are windows of one array (a handler
+// that echoes its payload replies with the caller's own bytes).
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // traceIDs mints fallback trace identifiers for requests that arrive at a
@@ -120,7 +183,10 @@ func NewPEPService(net transport.Transport, tenant string, timeout time.Duration
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	return &PEPService{tenant: tenant, ep: ep, timeout: timeout}, nil
+	// The transport bounds the PEP's calls on the endpoint's one timer: a
+	// decision makes no context.WithTimeout, so it arms no timer.
+	ep.SetCallTimeout(timeout)
+	return &PEPService{tenant: tenant, ep: ep}, nil
 }
 
 // SetProbe attaches the DRAMS agent hook.
@@ -161,14 +227,15 @@ func (s *PEPService) Stats() PEPStats {
 	}
 }
 
-// admit counts a request, stamps its trace ID and encodes it for the wire,
-// refusing in the same pass one carrying a value outside what a request may
-// carry (xacml.ErrUnsupportedValue). A refused request never reaches the
-// probe or the PDP: nothing is decided, so nothing goes unmonitored.
-func (s *PEPService) admit(req *xacml.Request) ([]byte, error) {
+// admit counts a request, stamps its trace ID and appends its wire encoding
+// to buf, refusing in the same pass one carrying a value outside what a
+// request may carry (xacml.ErrUnsupportedValue). A refused request never
+// reaches the probe or the PDP: nothing is decided, so nothing goes
+// unmonitored.
+func (s *PEPService) admit(req *xacml.Request, buf []byte) ([]byte, error) {
 	s.requests.Inc()
 	ensureTraceID(req)
-	payload, err := req.EncodeChecked()
+	payload, err := req.AppendChecked(buf)
 	if err != nil {
 		s.failures.Inc()
 		return nil, fmt.Errorf("federation: PEP %s: %w", s.tenant, err)
@@ -178,10 +245,16 @@ func (s *PEPService) admit(req *xacml.Request) ([]byte, error) {
 
 // Decide runs the full PEP flow for an application request: probe, forward
 // to the PDP, receive, probe, enforce. It returns what was enforced.
+//
+// The request is encoded into a buffer of requestBufs, and the reply
+// decoded in place; both buffers go back to their free lists once the reply
+// is enforced. With monitoring off a decision allocates nothing.
 func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcement, error) {
 	start := time.Now()
-	payload, err := s.admit(req)
+	buf := requestBufs.get(requestBufSize)
+	encoded, err := s.admit(req, buf)
 	if err != nil {
+		requestBufs.put(buf)
 		return Enforcement{Decision: xacml.IndeterminateDP}, err
 	}
 	tam := s.tamper.Load()
@@ -195,8 +268,10 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 	}
 
 	// In-transit tampering / suppression happens after the probe.
+	payload := encoded
 	if tam != nil {
 		if tam.DropRequest {
+			requestBufs.put(encoded)
 			return fail(ErrRequestDropped)
 		}
 		if tam.Request != nil {
@@ -204,42 +279,90 @@ func (s *PEPService) Decide(ctx context.Context, req *xacml.Request) (Enforcemen
 		}
 	}
 
-	callCtx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
-	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluate, payload)
+	raw, err := s.ep.Call(ctx, PDPAddr, kindEvaluate, payload)
 	if err != nil {
+		// The frame may still be queued or its handler running: the
+		// buffers stay theirs.
 		return fail(fmt.Errorf("federation: PEP %s → PDP: %w", s.tenant, err))
 	}
-	res, err := xacml.DecodeResult(raw)
+	var res xacml.Result
+	err = xacml.DecodeResultInto(&res, raw)
+	// Response-side suppression happens before the probe sees the arrival
+	// (the probe observes the tenant edge).
+	if err == nil && tam != nil && tam.DropResponse {
+		err = ErrRequestDropped
+	}
+	var enf Enforcement
+	if err == nil {
+		// What the application gets keeps nothing of the reply's bytes: the
+		// policy version is the string the last reply named when it did not
+		// change, and obligations are copied.
+		enf = s.enforce(req, res, tam, done, start)
+		enf.Obligations = cloneObligations(enf.Obligations)
+		enf.PolicyVersion = s.policyVersion(enf.PolicyVersion)
+	}
+	// The reply is here: the PDP is done with the request's bytes, and
+	// nothing read from the reply's is kept. A tampered request's own
+	// encoding is left to the collector.
+	requestBufs.put(encoded)
+	if !sameArray(raw, encoded) {
+		replyBufs.put(raw)
+	}
 	if err != nil {
 		return fail(err)
 	}
+	return enf, nil
+}
 
-	// Response-side tampering/suppression happens before the probe sees
-	// the arrival (the probe observes the tenant edge).
-	if tam != nil {
-		if tam.DropResponse {
-			return fail(ErrRequestDropped)
-		}
-		if tam.Response != nil {
-			res = tam.Response(res)
-		}
+// enforce ends an exchange whose response arrived: response-side
+// tampering, the probe's arrival hook, the span and the counters. It
+// returns what was enforced, with res's obligations and policy version.
+func (s *PEPService) enforce(req *xacml.Request, res xacml.Result, tam *Tamper,
+	done func(xacml.Result, xacml.Decision, bool), start time.Time) Enforcement {
+	if tam != nil && tam.Response != nil {
+		res = tam.Response(res)
 	}
-
 	enforced := res.Decision
 	if tam != nil && tam.Enforce != nil {
 		enforced = tam.Enforce(res.Decision)
 	}
-
 	done(res, enforced, true)
 	s.tracer.Load().Span(req.TraceID, trace.StagePEPDecide, start, time.Since(start))
-
 	if enforced == xacml.Permit {
 		s.permits.Inc()
 	} else {
 		s.denies.Inc()
 	}
-	return Enforcement{Decision: enforced, Obligations: res.Obligations, PolicyVersion: res.PolicyVersion}, nil
+	return Enforcement{Decision: enforced, Obligations: res.Obligations, PolicyVersion: res.PolicyVersion}
+}
+
+// policyVersion returns v as a string of its own: the one the last reply
+// named when v is the same.
+func (s *PEPService) policyVersion(v string) string {
+	if last := s.version.Load(); last != nil && *last == v {
+		return *last
+	}
+	owned := strings.Clone(v)
+	s.version.Store(&owned)
+	return owned
+}
+
+// cloneObligations deep-copies obligations decoded in place.
+func cloneObligations(obs []xacml.Obligation) []xacml.Obligation {
+	if len(obs) == 0 {
+		return nil
+	}
+	out := make([]xacml.Obligation, len(obs))
+	for i, o := range obs {
+		out[i] = xacml.Obligation{ID: strings.Clone(o.ID), FulfillOn: o.FulfillOn}
+		if o.Params != nil {
+			out[i].Params = make(map[string]string, len(o.Params))
+			for k, v := range o.Params {
+				out[i].Params[strings.Clone(k)] = strings.Clone(v)
+			}
+		}
+	}
+	return out
 }
 
 // DecideBatch runs the full PEP flow for a pipeline of application
@@ -280,7 +403,8 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 
 	wire := make([][]byte, 0, len(reqs))
 	for i, req := range reqs {
-		payload, err := s.admit(req)
+		// Sized as Request.Encode sizes a request: one allocation each.
+		payload, err := s.admit(req, make([]byte, 0, 256))
 		if err != nil {
 			errs[i] = err
 			continue
@@ -306,9 +430,7 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 		wire = tam.Batch(wire)
 	}
 
-	callCtx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
-	raw, err := s.ep.Call(callCtx, PDPAddr, kindEvaluateBatch, xacml.EncodeBatch(wire))
+	raw, err := s.ep.Call(ctx, PDPAddr, kindEvaluateBatch, xacml.EncodeBatch(wire))
 	if err != nil {
 		return failAll(fmt.Errorf("federation: PEP %s → PDP batch: %w", s.tenant, err))
 	}
@@ -325,33 +447,20 @@ func (s *PEPService) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]
 	}
 
 	for k, i := range sent {
-		req := reqs[i]
 		if itemErrs[k] != nil {
 			failOne(i, itemErrs[k])
 			continue
 		}
+		// Each result gets its own copy of its item, so an Enforcement the
+		// caller keeps does not hold the whole batch reply.
 		res, err := xacml.DecodeResult(results[k])
 		if err != nil {
 			failOne(i, err)
 			continue
 		}
-		if tam != nil && tam.Response != nil {
-			res = tam.Response(res)
-		}
-		enforced := res.Decision
-		if tam != nil && tam.Enforce != nil {
-			enforced = tam.Enforce(res.Decision)
-		}
-		done[i](res, enforced, true)
 		// Each item shares the batch's single round-trip, so every trace
 		// in the pipeline records the same PEP-observed span duration.
-		s.tracer.Load().Span(req.TraceID, trace.StagePEPDecide, start, time.Since(start))
-		if enforced == xacml.Permit {
-			s.permits.Inc()
-		} else {
-			s.denies.Inc()
-		}
-		out[i] = Enforcement{Decision: enforced, Obligations: res.Obligations, PolicyVersion: res.PolicyVersion}
+		out[i] = s.enforce(reqs[i], res, tam, done[i], start)
 	}
 	return out, errors.Join(errs...)
 }

@@ -1,6 +1,7 @@
 package logger
 
 import (
+	"strings"
 	"sync"
 
 	"drams/internal/clock"
@@ -84,9 +85,11 @@ func (a *Agent) Stats() AgentStats {
 // returns — until the side completes, and the two go to the LI as one queue
 // entry: one anchoring transaction per side.
 type side struct {
-	a         *Agent
-	req       *xacml.Request
-	reqDigest crypto.Digest
+	a   *Agent
+	req *xacml.Request
+	// id and traceID are the request's IDs as the records keep them.
+	id, traceID string
+	reqDigest   crypto.Digest
 	// origin is the tenant whose PEP sent the request.
 	origin string
 	recs   [2]core.LogRecord
@@ -94,9 +97,17 @@ type side struct {
 }
 
 // open starts a side with the request-side observation of kind, for a
-// request origin's PEP sent.
-func (a *Agent) open(kind core.LogKind, req *xacml.Request, origin string) *side {
-	s := &side{a: a, req: req, reqDigest: req.Digest(), origin: origin}
+// request origin's PEP sent. With ownIDs the records get copies of the
+// request's IDs, which alias a buffer the caller reuses.
+func (a *Agent) open(kind core.LogKind, req *xacml.Request, origin string, ownIDs bool) *side {
+	s := &side{a: a, req: req, id: req.ID, traceID: req.TraceID, reqDigest: req.Digest(), origin: origin}
+	if ownIDs {
+		s.id = strings.Clone(req.ID)
+		s.traceID = s.id
+		if req.TraceID != req.ID {
+			s.traceID = strings.Clone(req.TraceID)
+		}
+	}
 	s.observe(core.LogRecord{Kind: kind}, core.EncryptedContext{Request: req})
 	return s
 }
@@ -114,8 +125,8 @@ func (s *side) observe(rec core.LogRecord, ec core.EncryptedContext) {
 		a.errors.Inc()
 		return
 	}
-	rec.ReqID = s.req.ID
-	rec.TraceID = s.req.TraceID
+	rec.ReqID = s.id
+	rec.TraceID = s.traceID
 	rec.ReqDigest = s.reqDigest
 	rec.Payload = payload
 	rec.Agent = a.name
@@ -144,7 +155,7 @@ func (s *side) close() {
 // as it arrived at the PEP and the effect the PEP actually enforced, or
 // ok=false when the exchange failed before one was observed.
 func (a *Agent) PEPRequestSent(req *xacml.Request) func(res xacml.Result, enforced xacml.Decision, ok bool) {
-	return a.open(core.KindPEPRequest, req, a.tenant).pepResponseReceived
+	return a.open(core.KindPEPRequest, req, a.tenant, false).pepResponseReceived
 }
 
 func (s *side) pepResponseReceived(res xacml.Result, enforced xacml.Decision, ok bool) {
@@ -163,9 +174,10 @@ func (s *side) pepResponseReceived(res xacml.Result, enforced xacml.Decision, ok
 // tenant origin, and returns the hook that ends the PDP's side of the
 // exchange: the decision the PDP sent, or ok=false when it sent none. The
 // sealed context of the response includes the request so the Analyser can
-// re-derive the expected decision.
+// re-derive the expected decision. req is the PDP's pooled request, whose
+// IDs alias the call's payload, so the records keep copies of them.
 func (a *Agent) PDPRequestReceived(req *xacml.Request, origin string) func(res xacml.Result, ok bool) {
-	return a.open(core.KindPDPRequest, req, origin).pdpResponseSent
+	return a.open(core.KindPDPRequest, req, origin, true).pdpResponseSent
 }
 
 func (s *side) pdpResponseSent(res xacml.Result, ok bool) {

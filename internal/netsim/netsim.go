@@ -40,6 +40,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -64,9 +65,12 @@ var (
 )
 
 // envelope is one frame: a message plus the private wire fields of the
-// simulator's request/response machinery. One is allocated per frame at
-// send and never written again, so the delivery path hands the pointer on
-// rather than copying the envelope into every frame below the handler.
+// simulator's request/response machinery. The delivery path hands the
+// pointer on rather than copying the envelope into every frame below the
+// handler. A one-way message's envelope is allocated at send and never
+// written again; a call's request and reply envelopes live in its reply
+// slot and are rewritten only by a later call on that slot, which the slot
+// allows once the reply has arrived (transport.Calls).
 type envelope struct {
 	From    string
 	To      string
@@ -78,6 +82,17 @@ type envelope struct {
 	// due is when the frame may be delivered. Zero means no latency: it is
 	// delivered as soon as its link reaches it, without a timer.
 	due time.Time
+	// A call request carries the envelope its reply is written to, and
+	// deliver, which delivers the request on a worker of its own; both are
+	// its slot's.
+	reply   *envelope
+	deliver func()
+}
+
+// callFrames is what a netsim call keeps in its reply slot: its request and
+// reply envelopes, with the request's deliver bound once.
+type callFrames struct {
+	req, rep envelope
 }
 
 // isRequest reports whether the envelope is the request half of a Call.
@@ -106,7 +121,6 @@ type Network struct {
 	cfg     Config
 	clk     clock.Clock
 	rng     *idgen.Rand
-	corr    atomic.Uint64
 	workers transport.Workers
 	started atomic.Int64  // goroutines workers.Go started
 	closing chan struct{} // closed by Close before it waits for the workers
@@ -167,12 +181,11 @@ func (n *Network) Register(addr string) (transport.Endpoint, error) {
 		return nil, fmt.Errorf("netsim: register %q: %w", addr, ErrAddressInUse)
 	}
 	ep := &Endpoint{
-		net:     n,
-		addr:    addr,
-		msgH:    make(map[string]func(from string, payload []byte)),
-		callH:   make(map[string]func(from string, payload []byte) ([]byte, error)),
-		pending: make(map[uint64]chan *envelope),
-		out:     make(map[string]*link),
+		net:   n,
+		addr:  addr,
+		msgH:  make(map[string]func(from string, payload []byte)),
+		callH: make(map[string]func(from string, payload []byte) ([]byte, error)),
+		out:   make(map[string]*link),
 	}
 	n.state.endpoints[addr] = ep
 	return ep, nil
@@ -241,6 +254,9 @@ func (n *Network) Close() error {
 	if !n.state.closed {
 		n.state.closed = true
 		close(n.closing)
+	}
+	for _, ep := range n.state.endpoints {
+		ep.calls.Stop()
 	}
 	n.state.Unlock()
 	n.pace.close()
@@ -385,7 +401,7 @@ func (n *Network) drain(l *link) {
 			l = n.deliver(msg)
 			continue
 		}
-		n.spawn(func() { n.deliverCall(msg) })
+		n.spawn(msg.deliver)
 	}
 }
 
@@ -434,11 +450,13 @@ type Endpoint struct {
 	net  *Network
 	addr string
 
-	mu      sync.RWMutex
-	msgH    map[string]func(from string, payload []byte)
-	callH   map[string]func(from string, payload []byte) ([]byte, error)
-	pending map[uint64]chan *envelope
-	out     map[string]*link // outbound links by destination address
+	mu    sync.RWMutex
+	msgH  map[string]func(from string, payload []byte)
+	callH map[string]func(from string, payload []byte) ([]byte, error)
+	out   map[string]*link // outbound links by destination address
+
+	calls   transport.Calls[callFrames]
+	timeout atomic.Int64 // SetCallTimeout's bound, in nanoseconds
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -484,34 +502,33 @@ func (e *Endpoint) Send(to, kind string, payload []byte) error {
 	return e.send(&envelope{From: e.addr, To: to, Kind: kind, Payload: payload})
 }
 
-// Call sends a request and waits for the reply or ctx cancellation.
-func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
-	corr := e.net.corr.Add(1)
-	ch := make(chan *envelope, 1)
-	e.mu.Lock()
-	e.pending[corr] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, corr)
-		e.mu.Unlock()
-	}()
+// SetCallTimeout bounds every later Call from e (transport.Endpoint).
+func (e *Endpoint) SetCallTimeout(d time.Duration) { e.timeout.Store(int64(d)) }
 
-	msg := &envelope{From: e.addr, To: to, Kind: kind, Payload: payload, corrID: corr}
-	if err := e.send(msg); err != nil {
+// Call sends a request and waits for the reply, its deadline or ctx
+// cancellation. The request and reply envelopes are its reply slot's.
+func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
+	s := e.calls.Open(time.Duration(e.timeout.Load()))
+	f := &s.Frames
+	deliver := f.req.deliver
+	if deliver == nil {
+		deliver = func() { e.net.deliverCall(&f.req) }
+	}
+	f.req = envelope{From: e.addr, To: to, Kind: kind, Payload: payload, corrID: s.Corr(), reply: &f.rep, deliver: deliver}
+	if err := e.send(&f.req); err != nil {
+		e.calls.Abandon(s)
 		return nil, err
 	}
-	select {
-	case reply := <-ch:
-		if reply.callErr != "" {
-			return nil, transport.RemoteError(reply.callErr)
-		}
-		return reply.Payload, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("netsim: call %s/%s: %w", to, kind, ctx.Err())
-	case <-e.net.closing:
+	reply, remote, err := e.calls.Wait(ctx, s, e.net.closing)
+	switch {
+	case errors.Is(err, transport.ErrClosed):
 		return nil, ErrNetworkClosed
+	case err != nil:
+		return nil, fmt.Errorf("netsim: call %s/%s: %w", to, kind, err)
+	case remote != "":
+		return nil, transport.RemoteError(remote)
 	}
+	return reply, nil
 }
 
 // dispatch hands msg to this endpoint: on the link's drainer for one-way
@@ -523,15 +540,7 @@ func (e *Endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([
 // drains it itself rather than hand it to another.
 func (e *Endpoint) dispatch(msg *envelope) *link {
 	if msg.isReply {
-		e.mu.RLock()
-		ch, ok := e.pending[msg.corrID]
-		e.mu.RUnlock()
-		if ok {
-			select {
-			case ch <- msg:
-			default:
-			}
-		}
+		e.calls.Deliver(msg.corrID, msg.Payload, msg.callErr)
 		return nil
 	}
 	if msg.corrID != 0 {
@@ -539,7 +548,8 @@ func (e *Endpoint) dispatch(msg *envelope) *link {
 		e.mu.RLock()
 		fn, ok := e.callH[msg.Kind]
 		e.mu.RUnlock()
-		reply := &envelope{From: e.addr, To: msg.From, Kind: msg.Kind, corrID: msg.corrID, isReply: true}
+		reply := msg.reply
+		*reply = envelope{From: e.addr, To: msg.From, Kind: msg.Kind, corrID: msg.corrID, isReply: true}
 		if !ok {
 			reply.callErr = ErrNoHandler.Error()
 		} else {

@@ -14,8 +14,8 @@ const (
 	fCall    byte = 2 // request expecting a reply
 	fReply   byte = 3 // reply to a call (Err set on handler failure)
 	fHello   byte = 4 // handshake: From = node id, Payload = JSON hello body
-	fAddrAdd byte = 5 // a logical address appeared on the sending node (Kind = addr)
-	fAddrDel byte = 6 // a logical address left the sending node (Kind = addr)
+	fAddrAdd byte = 5 // a logical address appeared on the sending node (Kind = addr, Corr = its change's number)
+	fAddrDel byte = 6 // a logical address left the sending node (Kind = addr, Corr = its change's number)
 )
 
 // maxFrame bounds a single frame (header + body) to keep a misbehaving peer

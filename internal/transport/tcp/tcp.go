@@ -13,15 +13,17 @@
 //
 // Delivery semantics match netsim (pinned by the transporttest conformance
 // suite): one-way loss is silent, one-way messages that cross a socket are
-// handled in send order, Call correlates request/response and honours ctx
-// cancellation mid-flight, and remote handler errors keep their
-// ErrNoHandler/ErrDropped sentinel identity across the wire.
+// handled in send order, Call correlates request/response (transport.Calls)
+// and honours its endpoint's deadline and ctx cancellation mid-flight, and
+// remote handler errors keep their ErrNoHandler/ErrDropped sentinel identity
+// across the wire.
 package tcp
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -65,6 +67,8 @@ type helloBody struct {
 	Node string `json:"node"`
 	// Addrs are the logical endpoint addresses registered on the sender.
 	Addrs []string `json:"addrs"`
+	// Gen is the sender's Transport.gen when Addrs was read.
+	Gen uint64 `json:"gen"`
 }
 
 // Transport is one process's TCP transport. It implements
@@ -74,19 +78,28 @@ type Transport struct {
 	advertise string
 
 	mu     sync.Mutex
-	local  map[string]*endpoint  // logical addr -> endpoint
-	remote map[string]string     // logical addr -> hosting node (advertise addr)
+	local  map[string]*endpoint // logical addr -> endpoint
+	remote map[string]string    // logical addr -> hosting node (advertise addr)
+	// gen numbers the changes of local: Register and Unregister advance it,
+	// an address announcement carries the number of its change (in the
+	// frame's corr) and a hello the number its address list was read at.
+	// It starts at New's wall-clock time in nanoseconds, so a restarted
+	// process numbers above its earlier run.
+	gen uint64
+	// seen is, per node, the number of the newest routing update applied
+	// from it. The hello that answers an accepted connection is written
+	// outside the peer's queue, on another connection than the
+	// announcements, and may arrive after announcements of later changes:
+	// an update not newer than seen is stale and is dropped.
+	seen   map[string]uint64
 	peers  map[string]*peer      // node advertise addr -> connection manager
 	conns  map[net.Conn]struct{} // every live conn, so Close can unblock readers
 	closed bool
 
-	pendMu  sync.Mutex
-	pending map[uint64]chan frame
-	corr    atomic.Uint64
-
 	stop    chan struct{}
 	wg      sync.WaitGroup    // every goroutine and in-flight dispatch
 	workers transport.Workers // run inbound calls and loopback frames
+	tasks   sync.Pool         // *task: a frame on its way to a worker
 
 	sent       metrics.Counter
 	delivered  metrics.Counter
@@ -123,10 +136,16 @@ func New(cfg Config) (*Transport, error) {
 		advertise: adv,
 		local:     make(map[string]*endpoint),
 		remote:    make(map[string]string),
+		gen:       uint64(time.Now().UnixNano()),
+		seen:      make(map[string]uint64),
 		peers:     make(map[string]*peer),
 		conns:     make(map[net.Conn]struct{}),
-		pending:   make(map[uint64]chan frame),
 		stop:      make(chan struct{}),
+	}
+	t.tasks.New = func() any {
+		tk := &task{}
+		tk.run = func() { t.runTask(tk) }
+		return tk
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -175,10 +194,12 @@ func (t *Transport) Register(addr string) (transport.Endpoint, error) {
 		callH: make(map[string]func(from string, payload []byte) ([]byte, error)),
 	}
 	t.local[addr] = ep
+	t.gen++
+	gen := t.gen
 	peers := t.peerList()
 	t.mu.Unlock()
 	for _, p := range peers {
-		p.enqueueCtl(frame{typ: fAddrAdd, from: t.advertise, kind: addr})
+		p.enqueueCtl(frame{typ: fAddrAdd, corr: gen, from: t.advertise, kind: addr})
 	}
 	return ep, nil
 }
@@ -188,13 +209,15 @@ func (t *Transport) Unregister(addr string) {
 	t.mu.Lock()
 	_, ok := t.local[addr]
 	delete(t.local, addr)
+	t.gen++
+	gen := t.gen
 	peers := t.peerList()
 	t.mu.Unlock()
 	if !ok {
 		return
 	}
 	for _, p := range peers {
-		p.enqueueCtl(frame{typ: fAddrDel, from: t.advertise, kind: addr})
+		p.enqueueCtl(frame{typ: fAddrDel, corr: gen, from: t.advertise, kind: addr})
 	}
 }
 
@@ -227,6 +250,9 @@ func (t *Transport) Close() error {
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
+	}
+	for _, ep := range t.local {
+		ep.calls.Stop()
 	}
 	t.mu.Unlock()
 	close(t.stop)
@@ -307,48 +333,60 @@ func (t *Transport) helloFrame() frame {
 	for a := range t.local {
 		addrs = append(addrs, a)
 	}
+	gen := t.gen
 	t.mu.Unlock()
-	body, _ := json.Marshal(helloBody{Node: t.advertise, Addrs: addrs})
+	body, _ := json.Marshal(helloBody{Node: t.advertise, Addrs: addrs, Gen: gen})
 	return frame{typ: fHello, from: t.advertise, payload: body}
-}
-
-// learnAddrs records which node hosts the given logical addresses.
-func (t *Transport) learnAddrs(node string, addrs []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, a := range addrs {
-		if _, local := t.local[a]; local {
-			continue // never shadow a local endpoint
-		}
-		t.remote[a] = node
-	}
 }
 
 // syncAddrs makes a full hello authoritative for its sender: addresses the
 // node no longer lists are forgotten, so a resync hello repairs both lost
-// addr-add and lost addr-del announcements.
-func (t *Transport) syncAddrs(node string, addrs []string) {
+// addr-add and lost addr-del announcements. A hello read before a change
+// whose announcement was already applied is dropped.
+func (t *Transport) syncAddrs(node string, gen uint64, addrs []string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if gen < t.seen[node] {
+		return
+	}
+	t.seen[node] = gen
 	listed := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
 		listed[a] = true
 	}
-	t.mu.Lock()
 	for a, n := range t.remote {
 		if n == node && !listed[a] {
 			delete(t.remote, a)
 		}
 	}
-	t.mu.Unlock()
-	t.learnAddrs(node, addrs)
+	for _, a := range addrs {
+		t.learnLocked(node, a)
+	}
 }
 
-// forgetAddr drops a remote address if it is still attributed to node.
-func (t *Transport) forgetAddr(node, addr string) {
+// announced applies an address announcement of node: addr appeared on it
+// (add) or left it, in its change numbered gen. An announcement a newer
+// hello already covers is dropped.
+func (t *Transport) announced(node string, gen uint64, addr string, add bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.remote[addr] == node {
+	if gen <= t.seen[node] {
+		return
+	}
+	t.seen[node] = gen
+	if add {
+		t.learnLocked(node, addr)
+	} else if t.remote[addr] == node {
 		delete(t.remote, addr)
 	}
+}
+
+// learnLocked records that node hosts addr; the caller holds t.mu.
+func (t *Transport) learnLocked(node, addr string) {
+	if _, local := t.local[addr]; local {
+		return // never shadow a local endpoint
+	}
+	t.remote[addr] = node
 }
 
 // acceptLoop serves inbound connections.
@@ -401,7 +439,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	t.syncAddrs(hb.Node, hb.Addrs)
+	t.syncAddrs(hb.Node, hb.Gen, hb.Addrs)
 	// Answer with our own hello directly on this conn — the peer's writer
 	// does not own it yet, so this write cannot interleave.
 	hf := t.helloFrame()
@@ -472,12 +510,12 @@ func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 		case fHello:
 			var hb helloBody
 			if json.Unmarshal(f.payload, &hb) == nil && hb.Node != "" {
-				t.syncAddrs(hb.Node, hb.Addrs)
+				t.syncAddrs(hb.Node, hb.Gen, hb.Addrs)
 			}
 		case fAddrAdd:
-			t.learnAddrs(f.from, []string{f.kind})
+			t.announced(f.from, f.corr, f.kind, true)
 		case fAddrDel:
-			t.forgetAddr(f.from, f.kind)
+			t.announced(f.from, f.corr, f.kind, false)
 		case fMsg:
 			select {
 			case msgs <- f:
@@ -534,25 +572,34 @@ func (t *Transport) dispatch(f frame, viaNode string) {
 	}
 }
 
+// task is a frame on its way to a worker, with the worker's function bound
+// once, so handing a frame to a worker allocates nothing.
+type task struct {
+	f   frame
+	via string
+	run func()
+}
+
 // goDispatch dispatches f on a worker. The caller has counted it in t.wg.
 func (t *Transport) goDispatch(f frame, viaNode string) {
-	t.workers.Go(func() {
-		defer t.wg.Done()
-		t.dispatch(f, viaNode)
-	})
+	tk := t.tasks.Get().(*task)
+	tk.f, tk.via = f, viaNode
+	t.workers.Go(tk.run)
+}
+
+// runTask dispatches tk's frame, handing tk back to the pool first.
+func (t *Transport) runTask(tk *task) {
+	defer t.wg.Done()
+	f, via := tk.f, tk.via
+	tk.f, tk.via = frame{}, ""
+	t.tasks.Put(tk)
+	t.dispatch(f, via)
 }
 
 // deliverReply completes a pending local Call with an arriving reply.
 func (t *Transport) deliverReply(reply frame) {
-	t.pendMu.Lock()
-	ch, ok := t.pending[reply.corr]
-	t.pendMu.Unlock()
-	if !ok {
-		return
-	}
-	select {
-	case ch <- reply:
-	default:
+	if ep := t.localEndpoint(reply.to); ep != nil {
+		ep.calls.Deliver(reply.corr, reply.payload, reply.errStr)
 	}
 }
 
@@ -611,6 +658,9 @@ type endpoint struct {
 	mu    sync.RWMutex
 	msgH  map[string]func(from string, payload []byte)
 	callH map[string]func(from string, payload []byte) ([]byte, error)
+
+	calls   transport.Calls[struct{}]
+	timeout atomic.Int64 // SetCallTimeout's bound, in nanoseconds
 }
 
 var _ transport.Endpoint = (*endpoint)(nil)
@@ -637,37 +687,29 @@ func (e *endpoint) Send(to, kind string, payload []byte) error {
 	return e.t.send(frame{typ: fMsg, from: e.addr, to: to, kind: kind, payload: payload})
 }
 
-// Call sends a request and waits for the reply or ctx cancellation.
-func (e *endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
-	corr := e.t.corr.Add(1)
-	ch := make(chan frame, 1)
-	e.t.pendMu.Lock()
-	e.t.pending[corr] = ch
-	e.t.pendMu.Unlock()
-	defer func() {
-		e.t.pendMu.Lock()
-		delete(e.t.pending, corr)
-		e.t.pendMu.Unlock()
-	}()
+// SetCallTimeout bounds every later Call from e (transport.Endpoint).
+func (e *endpoint) SetCallTimeout(d time.Duration) { e.timeout.Store(int64(d)) }
 
-	if err := e.t.send(frame{typ: fCall, corr: corr, from: e.addr, to: to, kind: kind, payload: payload}); err != nil {
+// Call sends a request and waits for the reply, its deadline or ctx
+// cancellation. The reply arrives at this endpoint (the reply frame's to),
+// whose table finds the call by its correlation ID.
+func (e *endpoint) Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error) {
+	s := e.calls.Open(time.Duration(e.timeout.Load()))
+	if err := e.t.send(frame{typ: fCall, corr: s.Corr(), from: e.addr, to: to, kind: kind, payload: payload}); err != nil {
+		e.calls.Abandon(s)
 		return nil, err
 	}
-	select {
-	case reply := <-ch:
-		if reply.errStr != "" {
-			return nil, transport.RemoteError(reply.errStr)
-		}
-		return reply.Payload(), nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("tcp: call %s/%s: %w", to, kind, ctx.Err())
-	case <-e.t.stop:
-		return nil, transport.ErrClosed
+	reply, remote, err := e.calls.Wait(ctx, s, e.t.stop)
+	switch {
+	case errors.Is(err, transport.ErrClosed):
+		return nil, err
+	case err != nil:
+		return nil, fmt.Errorf("tcp: call %s/%s: %w", to, kind, err)
+	case remote != "":
+		return nil, transport.RemoteError(remote)
 	}
+	return reply, nil
 }
-
-// Payload returns the reply payload (helper so Call reads naturally).
-func (f frame) Payload() []byte { return f.payload }
 
 // dispatchMsg runs the kind handler for a one-way message; a kind with no
 // handler is discarded.

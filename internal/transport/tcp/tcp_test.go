@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +44,45 @@ func TestFrameRejectsOversize(t *testing.T) {
 	lenBuf[0] = 0xff
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(lenBuf[:]))); err == nil {
 		t.Fatal("oversize frame length accepted")
+	}
+}
+
+// The hello that answers an accepted connection travels on another
+// connection than the sender's address announcements, so it can arrive
+// after an announcement of a later change. Updates are numbered by the
+// sender's change: a hello read before a change already applied neither
+// forgets nor revives an address, and an announcement a newer hello covers
+// is dropped.
+func TestStaleRoutingUpdatesDropped(t *testing.T) {
+	tr, err := New(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	const node = "127.0.0.1:1"
+	known := func(addr string) bool { return slices.Contains(tr.Addresses(), addr) }
+
+	tr.syncAddrs(node, 10, []string{"a", "x"})
+	tr.announced(node, 11, "b", true)
+	tr.announced(node, 12, "x", false)
+	tr.syncAddrs(node, 10, []string{"a", "x"}) // read before b appeared and x left
+	if !known("b") || known("x") {
+		t.Fatalf("a stale hello rewound the table: %v", tr.Addresses())
+	}
+	tr.announced(node, 12, "x", true) // a number already applied
+	if known("x") {
+		t.Fatalf("an announcement under an applied number was applied: %v", tr.Addresses())
+	}
+
+	tr.syncAddrs(node, 20, []string{"c"})
+	tr.announced(node, 15, "c", false) // older than the hello that lists c
+	tr.announced(node, 16, "d", true)
+	if !known("c") || known("d") || known("a") || known("b") {
+		t.Fatalf("after a hello at 20 listing c: %v", tr.Addresses())
+	}
+	tr.syncAddrs(node, 21, nil) // a newer hello is authoritative
+	if known("c") {
+		t.Fatalf("a newer hello did not forget c: %v", tr.Addresses())
 	}
 }
 

@@ -17,11 +17,38 @@
 // "pep@tenant-1", "pdp@infrastructure"), and a backend maps names to
 // whatever locators it uses underneath. Both backends must satisfy the
 // semantics pinned down by the transporttest conformance suite.
+//
+// # Payload lifetime
+//
+// Backends hand payloads on without copying them where they can (netsim and
+// tcp's loopback give a handler the caller's own bytes), so who may read
+// and write a payload's bytes, and until when, is part of the contract:
+//
+//   - Call's request payload is read by the backend, and by the peer's
+//     handler when the peer is in this process, until Call returns with the
+//     reply. The caller keeps the bytes unchanged until then. A Call that
+//     ends without its reply (deadline, ctx, send error, Close) may leave
+//     its frame queued or its handler running, so the caller never reuses
+//     that payload.
+//   - A call handler's payload (OnCall) is valid until the handler
+//     returns. What the handler keeps, or decodes in place and keeps, it
+//     clones; the PDP decodes each request in place and keeps nothing.
+//   - The reply a call handler returns passes to the backend: the handler
+//     neither reads nor writes it after returning. It may be the handler's
+//     payload itself (an echo), which the backend reads before it lets go of
+//     the payload.
+//   - The reply Call returns is the caller's: no backend reads or reuses it
+//     after Call returns, so the caller may keep it or use it as a buffer of
+//     its own. It may share the request payload's bytes (an echo).
+//   - A one-way message's payload is the receiver's: the sender does not
+//     reuse what it passed to Send, and the OnMessage handler may keep what
+//     it is handed (a chain node pools the transactions it admits).
 package transport
 
 import (
 	"context"
 	"errors"
+	"time"
 )
 
 // Sentinel errors shared by all transport backends so callers can use
@@ -77,16 +104,24 @@ type Endpoint interface {
 	// is returned only for local conditions (unknown destination, closed
 	// transport), never for in-flight loss.
 	Send(to, kind string, payload []byte) error
-	// Call sends a request and waits for the reply, ctx cancellation or
-	// transport failure. Remote handler errors come back as errors; the
-	// ErrNoHandler and ErrDropped sentinels survive the wire (errors.Is).
+	// Call sends a request and waits for the reply, the call's deadline
+	// (SetCallTimeout), ctx cancellation or transport failure. Remote
+	// handler errors come back as errors; the ErrNoHandler and ErrDropped
+	// sentinels survive the wire (errors.Is). The package doc says how long
+	// payload and the reply are read and whose they are.
 	Call(ctx context.Context, to, kind string, payload []byte) ([]byte, error)
+	// SetCallTimeout bounds every later Call from this endpoint: one that
+	// has neither its reply nor the end of its ctx within d of being sent
+	// fails with an error wrapping context.DeadlineExceeded. The backend
+	// checks the deadlines on one timer per endpoint (Calls), so a call
+	// arms no timer. Zero, the default, leaves calls bounded by ctx alone.
+	SetCallTimeout(d time.Duration)
 	// OnMessage registers a handler for one-way messages of the given kind.
 	OnMessage(kind string, fn func(from string, payload []byte))
-	// OnCall registers a request handler for the given kind. The handler
-	// owns payload: no backend mutates or reuses it once the handler is
-	// called, so what the handler decodes may alias it (the PDP decodes its
-	// requests in place).
+	// OnCall registers a request handler for the given kind. payload is
+	// valid until the handler returns (package doc), so what the handler
+	// decodes may alias it while it runs: the PDP decodes its requests in
+	// place.
 	OnCall(kind string, fn func(from string, payload []byte) ([]byte, error))
 }
 

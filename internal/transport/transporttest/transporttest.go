@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("CallRoundTrip", func(t *testing.T) { testCallRoundTrip(t, factory) })
 	t.Run("CallErrors", func(t *testing.T) { testCallErrors(t, factory) })
 	t.Run("CallCtxCancelMidCall", func(t *testing.T) { testCallCtxCancel(t, factory) })
+	t.Run("CallLateReplyDropped", func(t *testing.T) { testCallLateReplyDropped(t, factory) })
 	t.Run("RegisterSemantics", func(t *testing.T) { testRegisterSemantics(t, factory) })
 	t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, factory) })
 	t.Run("OrderedDelivery", func(t *testing.T) { testOrderedDelivery(t, factory) })
@@ -191,6 +193,66 @@ func testCallCtxCancel(t *testing.T, factory Factory) {
 	}
 	close(release) // the late reply must not break anything
 	time.Sleep(10 * time.Millisecond)
+}
+
+// testCallLateReplyDropped: a call that reached its deadline
+// (SetCallTimeout) gives its reply slot back, and the reply that comes
+// after it is dropped: the next call on the endpoint, which may reuse the
+// slot, gets its own reply, never the stale one, even when the stale reply
+// lands while that call waits.
+func testCallLateReplyDropped(t *testing.T, factory Factory) {
+	ts := factory(t, 2)
+	a := register(t, ts, 0, "a")
+	b := register(t, ts, 1%len(ts), "b")
+	for round := range 3 {
+		stale, fresh := make(chan struct{}), make(chan struct{})
+		closeStale, closeFresh := sync.OnceFunc(func() { close(stale) }), sync.OnceFunc(func() { close(fresh) })
+		t.Cleanup(closeStale) // a failed round must not leave a handler blocked
+		t.Cleanup(closeFresh)
+		b.OnCall("stale", func(string, []byte) ([]byte, error) {
+			<-stale
+			return []byte("stale"), nil
+		})
+		b.OnCall("fresh", func(_ string, payload []byte) ([]byte, error) {
+			<-fresh
+			return append([]byte("fresh-"), payload...), nil
+		})
+		a.SetCallTimeout(30 * time.Millisecond)
+		start := time.Now()
+		_, err := a.Call(context.Background(), "b", "stale", nil)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: call past its deadline = %v, want context.DeadlineExceeded", round, err)
+		}
+		if took := time.Since(start); took < 30*time.Millisecond || took > 5*time.Second {
+			t.Fatalf("round %d: the deadline ended the call after %v", round, took)
+		}
+		a.SetCallTimeout(0)
+		want := fmt.Sprintf("fresh-%d", round)
+		done := make(chan []byte, 1)
+		go func() {
+			out, err := a.Call(context.Background(), "b", "fresh", []byte(strconv.Itoa(round)))
+			if err != nil {
+				t.Errorf("round %d: fresh call: %v", round, err)
+			}
+			done <- out
+		}()
+		closeStale() // the stale reply travels while the fresh call waits
+		time.Sleep(30 * time.Millisecond)
+		select {
+		case out := <-done:
+			t.Fatalf("round %d: the fresh call returned %q before its handler answered", round, out)
+		default:
+		}
+		closeFresh()
+		select {
+		case out := <-done:
+			if string(out) != want {
+				t.Fatalf("round %d: fresh call = %q, want %q", round, out, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: fresh call never returned", round)
+		}
+	}
 }
 
 func testRegisterSemantics(t *testing.T, factory Factory) {

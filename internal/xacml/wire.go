@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"drams/internal/crypto"
 	"drams/internal/wire"
@@ -40,11 +40,12 @@ import (
 // input, so every value costs at least two bytes. Every count is checked
 // against the bytes left before anything is allocated, a map is pre-sized
 // for at most maxSizeHint entries, a varint must be minimal, and trailing
-// bytes are an error. A request's ID and TraceID always get their own
-// bytes. Its other strings share one copy of the input when DecodeRequest
-// decodes it, so that request may be kept; DecodeRequestInto's alias the
-// input, so its request is valid only as long as the caller's buffer and
-// the call that decoded it. A result's strings share one copy of the input.
+// bytes are an error. A request's strings share one copy of the input when
+// DecodeRequest decodes it, so that request may be kept; DecodeRequestInto's
+// alias the input, its ID and TraceID included, so its request is valid
+// only as long as the caller's buffer and the call that decoded it. A
+// result's strings share one copy of the input when DecodeResult decodes
+// it, and alias the input when DecodeResultInto does.
 
 // wireVersion tags the binary format; bump on an incompatible layout change.
 const wireVersion byte = 0x01
@@ -54,23 +55,23 @@ const wireVersion byte = 0x01
 const maxSizeHint = 8
 
 // Encode serialises the request in the binary wire format. It writes every
-// value, even one EncodeChecked refuses.
+// value, even one AppendChecked refuses.
 func (r *Request) Encode() []byte {
-	buf, _ := r.encode(false)
+	buf, _ := r.appendTo(make([]byte, 0, 256), false)
 	return buf
 }
 
-// EncodeChecked serialises the request as Encode does, refusing in the same
-// pass a value outside what a request may carry (ErrUnsupportedValue),
-// named by category and attribute. The PEP sends only what it accepts and
-// DecodeRequest refuses the same values on the wire, so the PEP, the wire,
-// the sealed probe context and the analyser agree on one set of values, and
-// every exchange that is decided is one the monitor can record.
-func (r *Request) EncodeChecked() ([]byte, error) { return r.encode(true) }
+// AppendChecked appends the request's wire encoding to buf, as Encode
+// writes it, refusing in the same pass a value outside what a request may
+// carry (ErrUnsupportedValue), named by category and attribute. The PEP
+// sends only what it accepts and DecodeRequest refuses the same values on
+// the wire, so the PEP, the wire, the sealed probe context and the analyser
+// agree on one set of values, and every exchange that is decided is one the
+// monitor can record. The PEP appends into a pooled buffer.
+func (r *Request) AppendChecked(buf []byte) ([]byte, error) { return r.appendTo(buf, true) }
 
-// encode is Encode, and with check EncodeChecked.
-func (r *Request) encode(check bool) ([]byte, error) {
-	buf := make([]byte, 0, 256)
+// appendTo is Encode onto buf, and with check AppendChecked.
+func (r *Request) appendTo(buf []byte, check bool) ([]byte, error) {
 	buf = append(buf, wireVersion)
 	buf = wire.AppendStr(buf, r.ID)
 	buf = wire.AppendStr(buf, r.TraceID)
@@ -133,9 +134,9 @@ func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader
 	if err != nil {
 		return fmt.Errorf("xacml: decode request: %w", err)
 	}
-	// The IDs outlive the request (probe records keep them), so they get
-	// their own bytes rather than pinning the whole input.
-	req.ID, req.TraceID = strings.Clone(rd.Str()), strings.Clone(rd.Str())
+	// With DecodeRequestInto the IDs alias the input too: what keeps them
+	// past the call (the PDP-side probe's records) clones them.
+	req.ID, req.TraceID = rd.Str(), rd.Str()
 	for _, m := range req.spare {
 		clear(m)
 	}
@@ -196,8 +197,13 @@ func decodeRequest(req *Request, data []byte, newReader func([]byte) wire.Reader
 }
 
 // Encode serialises the result in the binary wire format.
-func (res Result) Encode() []byte {
-	buf := make([]byte, 0, 64+len(res.RequestID)+len(res.PolicyID)+len(res.PolicyVersion))
+func (res Result) Encode() []byte { return res.AppendEncoded(nil) }
+
+// AppendEncoded appends the result's wire encoding to buf, first making
+// room for a result without obligations. The PDP appends into a pooled
+// buffer.
+func (res Result) AppendEncoded(buf []byte) []byte {
+	buf = slices.Grow(buf, 64+len(res.RequestID)+len(res.PolicyID)+len(res.PolicyVersion))
 	buf = append(buf, wireVersion)
 	buf = wire.AppendStr(buf, res.RequestID)
 	buf = append(buf, byte(res.Decision), byte(res.Extended))
@@ -216,13 +222,34 @@ func (res Result) Encode() []byte {
 	return append(buf, res.PolicyDigest[:]...)
 }
 
-// DecodeResult parses a binary result.
+// DecodeResult parses a binary result into one that may be kept: its
+// strings share one copy of data.
 func DecodeResult(data []byte) (Result, error) {
-	rd, err := newWireReader(data, wire.NewCopyReader)
-	if err != nil {
-		return Result{}, fmt.Errorf("xacml: decode result: %w", err)
+	var res Result
+	if err := decodeResult(&res, data, wire.NewCopyReader); err != nil {
+		return Result{}, err
 	}
-	res := Result{RequestID: rd.Str(), Decision: Decision(rd.U8()), Extended: Decision(rd.U8())}
+	return res, nil
+}
+
+// DecodeResultInto parses a binary result into res with every string
+// aliasing data, for a caller that keeps none of them past its use of data
+// (the PEP, which reuses the reply's bytes): res is valid while data is
+// unchanged. It allocates only for obligations. It refuses exactly what
+// DecodeResult refuses; after an error res's content is unspecified.
+func DecodeResultInto(res *Result, data []byte) error {
+	*res = Result{}
+	return decodeResult(res, data, wire.NewReader)
+}
+
+// decodeResult is the result decoder behind DecodeResult and
+// DecodeResultInto; newReader decides whether decoded strings alias data.
+func decodeResult(res *Result, data []byte, newReader func([]byte) wire.Reader) error {
+	rd, err := newWireReader(data, newReader)
+	if err != nil {
+		return fmt.Errorf("xacml: decode result: %w", err)
+	}
+	res.RequestID, res.Decision, res.Extended = rd.Str(), Decision(rd.U8()), Decision(rd.U8())
 	// An obligation costs at least three bytes (empty ID, effect, zero
 	// count), a parameter two.
 	if n := rd.Count(3); n > 0 {
@@ -247,9 +274,9 @@ func DecodeResult(data []byte) (Result, error) {
 	res.PolicyVersion = rd.Str()
 	copy(res.PolicyDigest[:], rd.Bytes(crypto.DigestSize))
 	if err := rd.End(); err != nil {
-		return Result{}, fmt.Errorf("xacml: decode result: %w", err)
+		return fmt.Errorf("xacml: decode result: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // The ac.evalBatch envelope carries N encoded requests in one call, and the
@@ -261,7 +288,8 @@ func DecodeResult(data []byte) (Result, error) {
 //
 // A failure is per item, so one bad request cannot poison the rest of the
 // batch. Decoded items alias the body; DecodeRequest and DecodeResult copy
-// what they keep, and a request DecodeRequestInto decodes aliases it.
+// what they keep, and what DecodeRequestInto and DecodeResultInto decode
+// aliases it.
 const (
 	itemOK     byte = 0
 	itemFailed byte = 1
@@ -343,7 +371,7 @@ func appendValue(buf []byte, v Value) []byte {
 		buf = append(buf, b)
 	case TypeTime:
 		// A time MarshalBinary cannot write goes out empty, which every
-		// decoder refuses; EncodeChecked keeps the PEP from sending one.
+		// decoder refuses; AppendChecked keeps the PEP from sending one.
 		var tm [32]byte
 		b, err := v.Tm.AppendBinary(tm[:0])
 		if err != nil {

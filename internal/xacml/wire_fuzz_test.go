@@ -55,7 +55,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if got, want := req.CanonicalBytes(), referenceCanonicalBytes(req); !bytes.Equal(got, want) {
 			t.Fatalf("CanonicalBytes\n got %q\nwant %q", got, want)
 		}
-		enc, err := req.EncodeChecked()
+		enc, err := req.AppendChecked(nil)
 		if err != nil {
 			t.Fatalf("decoded a request the probe cannot seal: %v", err)
 		}
@@ -79,10 +79,19 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)
+		// The in-place decoder refuses exactly what the copying one does,
+		// and reads the same result, into one that held another.
+		into := wireResults()["obligations with params"]
+		if intoErr := DecodeResultInto(&into, data); (intoErr == nil) != (err == nil) {
+			t.Fatalf("DecodeResult err = %v, DecodeResultInto err = %v", err, intoErr)
+		}
 		if err != nil {
 			return
 		}
-		back, err := DecodeResult(res.Encode())
+		if !reflect.DeepEqual(into, res) {
+			t.Fatalf("DecodeResultInto read %+v, DecodeResult %+v", into, res)
+		}
+		back, err := DecodeResult(res.AppendEncoded([]byte("prefix"))[len("prefix"):])
 		if err != nil {
 			t.Fatalf("re-decode of accepted result failed: %v", err)
 		}
