@@ -346,10 +346,11 @@ func BenchmarkMineDifficulty12(b *testing.B) {
 }
 
 func BenchmarkDecisionTag(b *testing.B) {
-	key := crypto.DeriveKey("bench", "K")
+	key := crypto.NewMACKey(crypto.DeriveKey("bench", "K"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.DecisionTag(key, "req-1", xacml.Permit)
+		_ = core.DecisionTag(&key, "req-1", xacml.Permit)
 	}
 }
 

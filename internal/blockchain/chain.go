@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drams/internal/clock"
@@ -69,6 +70,9 @@ type Chain struct {
 
 	headSubs map[int]chan struct{}
 	subSeq   int
+	// headGen counts head changes, so a miner learns that its parent is no
+	// longer the head with one atomic load (see Node.mineLoop).
+	headGen atomic.Uint64
 
 	log         *blockLog // nil: the chain lives in memory only
 	persisted   metrics.Counter
@@ -251,6 +255,9 @@ func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, miss
 	head := uint64(len(c.bestChain) - 1)
 	from := max(cur.Height+1, head-min(head, TxLifetime))
 	missed = from - cur.Height - 1
+	if from <= head {
+		blocks = make([]BlockEvents, 0, head-from+1)
+	}
 	for h := from; h <= head; h++ {
 		bh := c.bestChain[h]
 		blocks = append(blocks, BlockEvents{Height: h, Hash: bh, Events: c.events[bh]})
@@ -262,8 +269,14 @@ func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, miss
 // new branch is longer. It returns ErrOrphanBlock when the parent is
 // unknown (callers should sync ancestors) and ErrKnownBlock for duplicates.
 func (c *Chain) AddBlock(b *Block) error {
-	hash := b.Hash()
+	return c.addBlock(b, b.Hash())
+}
 
+// addBlock is AddBlock for a block whose header hash the caller computed:
+// the import path hashed the header to drop a known block before decoding
+// its body, and the miner holds the hash it found. The header is hashed
+// once per import; the proof of work is read off that hash.
+func (c *Chain) addBlock(b *Block, hash crypto.Digest) error {
 	// Cheap structural gates run before any signature work, so a gossip
 	// flood of duplicate, orphan or forged blocks cannot buy expensive
 	// ed25519 batches for the price of a message. addBlockLocked repeats
@@ -284,7 +297,7 @@ func (c *Chain) AddBlock(b *Block) error {
 	if b.Header.Difficulty != c.cfg.Difficulty {
 		return fmt.Errorf("%w: have %d, want %d at height %d", ErrBadDifficulty, b.Header.Difficulty, c.cfg.Difficulty, b.Header.Height)
 	}
-	if !b.Header.MeetsDifficulty() {
+	if !meets(hash, b.Header.Difficulty) {
 		return fmt.Errorf("%w: block %s at difficulty %d", ErrBadPoW, hash.Short(), b.Header.Difficulty)
 	}
 	if len(b.Txs) > maxTxPerBlock {
@@ -383,7 +396,7 @@ func (c *Chain) checkReplayLocked(b *Block, ids []crypto.Digest) error {
 		}
 		seen[ids[i]] = true
 	}
-	for i, onBranch := range c.carriedLocked(b.Header.PrevHash, ids) {
+	for i, onBranch := range c.carriedLocked(b.Header.PrevHash, ids, nil) {
 		if onBranch {
 			return fmt.Errorf("%w: tx %s already on the branch", ErrKnownTx, ids[i].Short())
 		}
@@ -391,12 +404,13 @@ func (c *Chain) checkReplayLocked(b *Block, ids []crypto.Digest) error {
 	return nil
 }
 
-// carried reports, index-aligned with ids, which transactions the branch
-// ending at tip carries, and tip's height.
-func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest) ([]bool, uint64) {
+// carried reports in out, index-aligned with ids, which transactions the
+// branch ending at tip carries, and returns out and tip's height. out is
+// the caller's storage, reused when its capacity suffices.
+func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest, out []bool) ([]bool, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.carriedLocked(tip, ids), c.blocks[tip].Header.Height
+	return c.carriedLocked(tip, ids, out), c.blocks[tip].Header.Height
 }
 
 // carriedLocked is carried for transactions valid in a child of tip. A
@@ -405,13 +419,16 @@ func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest) ([]bool, uint64)
 // the best chain. On the best chain the receipts index answers for its top
 // E+1 blocks, and the kept IDs of the best-chain blocks below them, down to
 // c-E, for the rest.
-func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest) []bool {
-	out := make([]bool, len(ids))
-	index := make(map[crypto.Digest]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-	}
+func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest, out []bool) []bool {
+	out = append(out[:0], make([]bool, len(ids))...)
+	var index map[crypto.Digest]int // ids' positions, made by the first block walked
 	mark := func(block crypto.Digest) {
+		if index == nil {
+			index = make(map[crypto.Digest]int, len(ids))
+			for i, id := range ids {
+				index[id] = i
+			}
+		}
 		for _, id := range c.blockIDs[block] {
 			if i, ok := index[id]; ok {
 				out[i] = true
@@ -518,7 +535,12 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 // this is the only apply path.
 func (c *Chain) applyBlockLocked(hash crypto.Digest, state *contract.State, keep bool) {
 	b, ids := c.blocks[hash], c.blockIDs[hash]
-	var events []contract.Event
+	// The block's events are its transactions' and then its hooks', kept in
+	// one slice of exactly their number: each transaction's are counted
+	// here, and its receipt keeps them.
+	var txEvents [8][]contract.Event
+	perTx := txEvents[:0]
+	total := 0
 	for i := range b.Txs {
 		tx := &b.Txs[i]
 		ctx := contract.CallCtx{
@@ -528,22 +550,29 @@ func (c *Chain) applyBlockLocked(hash crypto.Digest, state *contract.State, keep
 			Caller:    tx.From,
 		}
 		evs, err := c.engine.Execute(ctx, state, tx.Call)
-		rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil, Events: evs}
-		if err != nil {
-			rec.Err = err.Error()
-		}
 		if keep {
+			rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil, Events: evs}
+			if err != nil {
+				rec.Err = err.Error()
+			}
 			c.receipts[ids[i]] = rec
 		}
+		perTx = append(perTx, evs)
+		total += len(evs)
+	}
+	hooks := c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)
+	if !keep || total+len(hooks) == 0 {
+		return
+	}
+	events := make([]contract.Event, 0, total+len(hooks))
+	for _, evs := range perTx {
 		events = append(events, evs...)
 	}
-	events = append(events, c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)...)
-	if keep && len(events) > 0 {
-		c.events[hash] = events
-	}
+	c.events[hash] = append(events, hooks...)
 }
 
 func (c *Chain) notifyHeadLocked() {
+	c.headGen.Add(1)
 	for _, ch := range c.headSubs {
 		select {
 		case ch <- struct{}{}:

@@ -141,7 +141,7 @@ func TestAddBlockRejectsBadPoW(t *testing.T) {
 	c := NewChain(testChainConfig(t))
 	b := mineChild(t, c, c.Genesis())
 	// Find a nonce that does NOT meet difficulty.
-	for b.Header.MeetsDifficulty() {
+	for meets(b.Hash(), b.Header.Difficulty) {
 		b.Header.Nonce++
 	}
 	if err := c.AddBlock(b); !errors.Is(err, ErrBadPoW) {
@@ -295,7 +295,7 @@ func TestReorgBranchRefusesReplayBelowReceiptWindow(t *testing.T) {
 		t.Fatalf("receipt of a tx mined at %d with the head at %d: %v", g, c.Height(), err)
 	}
 	parent, _ := c.BlockByHeight(tx.ExpiresAt - 1)
-	if onBranch, _ := c.carried(parent.Hash(), []crypto.Digest{tx.ID()}); !onBranch[0] {
+	if onBranch, _ := c.carried(parent.Hash(), []crypto.Digest{tx.ID()}, nil); !onBranch[0] {
 		t.Error("carried: the best chain below the receipt window does not carry T")
 	}
 	side := mineChild(t, c, parent.Hash(), tx)
@@ -695,7 +695,7 @@ func TestAnyHeaderMutationRejected(t *testing.T) {
 			if cp.Hash() == b.Hash() {
 				t.Fatalf("mutation %d produced identical block", i)
 			}
-			if !cp.Header.MeetsDifficulty() {
+			if !meets(cp.Hash(), cp.Header.Difficulty) {
 				t.Fatalf("mutation %d accepted without valid PoW", i)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"unsafe"
 
 	"drams/internal/crypto"
@@ -55,6 +54,18 @@ import (
 // bc.getrange response is many, so a pull must not ask for more blocks than
 // it will keep (see pullBranch) — one kept block of an over-sized response
 // holds every other block's bytes live with it.
+//
+// A follower relays a gossiped block in the frame it received: the buffer
+// its retained block aliases is the payload of its frames to its peers, so
+// those bytes are shared and nobody writes them. Only a block with no frame
+// of its own is encoded: one this node mined, and one pulled in a range
+// response, whose buffer holds other blocks a peer must not be handed
+// (Node.afterAccept). The import reads and hashes a frame's header before
+// its body (readBlockHeader, readTxs): each block reaches a follower once
+// from its producer and again through every other follower's relay, and
+// the copy of a block the chain already holds is dropped there, undecoded
+// (Node.importFrame). A pending transaction keeps the frame it was admitted
+// with, and the rebroadcast sends that (Mempool.Frames).
 
 // codecVersion tags the binary format; bump on an incompatible change of
 // layout or of transaction identity.
@@ -65,10 +76,6 @@ const codecVersion byte = 0x04
 const maxWireTxs = 1 << 20
 
 var errTruncated = errors.New("blockchain: truncated encoding")
-
-// encodePool recycles scratch buffers for encode paths whose result is
-// consumed immediately (header hashing).
-var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // minTxBody is the encoded size of a transaction body whose strings and
 // blobs are all empty: six length prefixes, the salt and the expiry height.
@@ -286,60 +293,73 @@ func decodeTxBinary(data []byte) (Transaction, error) {
 	return tx, nil
 }
 
-func decodeBlockBinary(data []byte) (*Block, error) {
-	r := txReader{buf: data, off: 1}
-	var b Block
-	var err error
-	fail := func(err error) (*Block, error) {
-		return nil, fmt.Errorf("blockchain: decode block: %w", err)
+// readBlockHeader reads the header of a block encoding and leaves the
+// reader at the transaction count, so a caller can hash the header and drop
+// a block it already holds before decoding the body (readTxs).
+func readBlockHeader(data []byte) (h BlockHeader, r txReader, err error) {
+	if len(data) == 0 {
+		return h, r, errors.New("blockchain: decode block: empty input")
 	}
-	if b.Header.Height, err = r.u64(); err != nil {
+	if data[0] != codecVersion {
+		return h, r, fmt.Errorf("blockchain: decode block: unknown format byte 0x%02x", data[0])
+	}
+	r = txReader{buf: data, off: 1}
+	fail := func(err error) (BlockHeader, txReader, error) {
+		return BlockHeader{}, r, fmt.Errorf("blockchain: decode block: %w", err)
+	}
+	if h.Height, err = r.u64(); err != nil {
 		return fail(err)
 	}
-	if b.Header.PrevHash, err = r.digest(); err != nil {
+	if h.PrevHash, err = r.digest(); err != nil {
 		return fail(err)
 	}
-	if b.Header.MerkleRoot, err = r.digest(); err != nil {
+	if h.MerkleRoot, err = r.digest(); err != nil {
 		return fail(err)
 	}
 	t, err := r.u64()
 	if err != nil {
 		return fail(err)
 	}
-	b.Header.TimeUnixNano = int64(t)
+	h.TimeUnixNano = int64(t)
 	if r.off >= len(data) {
 		return fail(errTruncated)
 	}
-	b.Header.Difficulty = data[r.off]
+	h.Difficulty = data[r.off]
 	r.off++
-	if b.Header.Nonce, err = r.u64(); err != nil {
+	if h.Nonce, err = r.u64(); err != nil {
 		return fail(err)
 	}
-	if b.Header.Miner, err = r.str(); err != nil {
+	if h.Miner, err = r.str(); err != nil {
 		return fail(err)
 	}
+	return h, r, nil
+}
+
+// readTxs reads the rest of a block encoding after readBlockHeader: the
+// transaction count and bodies, into b.Txs, and nothing after them.
+func (r *txReader) readTxs(b *Block) error {
 	count, err := r.u32()
 	if err != nil {
-		return fail(err)
+		return fmt.Errorf("blockchain: decode block: %w", err)
 	}
 	if count > maxWireTxs {
-		return fail(fmt.Errorf("declared tx count %d exceeds limit", count))
+		return fmt.Errorf("blockchain: decode block: declared tx count %d exceeds limit", count)
 	}
 	// Reject counts the remaining bytes cannot possibly hold before
 	// allocating.
-	if int(count) > (len(data)-r.off)/minTxBody {
-		return fail(fmt.Errorf("declared tx count %d exceeds remaining data", count))
+	if int(count) > (len(r.buf)-r.off)/minTxBody {
+		return fmt.Errorf("blockchain: decode block: declared tx count %d exceeds remaining data", count)
 	}
 	if count > 0 {
 		b.Txs = make([]Transaction, count)
 		for i := range b.Txs {
 			if err := r.readTxBody(&b.Txs[i]); err != nil {
-				return fail(err)
+				return fmt.Errorf("blockchain: decode block: %w", err)
 			}
 		}
 	}
-	if r.off != len(data) {
-		return fail(fmt.Errorf("%d trailing bytes", len(data)-r.off))
+	if r.off != len(r.buf) {
+		return fmt.Errorf("blockchain: decode block: %d trailing bytes", len(r.buf)-r.off)
 	}
-	return &b, nil
+	return nil
 }

@@ -1,8 +1,10 @@
 package blockchain
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"drams/internal/crypto"
@@ -17,12 +19,21 @@ type Mempool struct {
 	txs     map[crypto.Digest]pooled
 	arrived uint64
 	maxSize int
+	// ids and marks are scratch of sortedLocked, Collect and Prune, reused
+	// under mu: the pending IDs, and which of them the chain carries or a
+	// block may take.
+	ids   []crypto.Digest
+	marks []bool
 }
 
-// pooled is a pending transaction and its arrival number. A held one is
-// not collected into blocks until released (see Node.admit).
+// pooled is a pending transaction, its wire encoding and its arrival
+// number. raw is the frame the transaction was admitted from (or, for one
+// returned by a reorganisation, its encoding), which the rebroadcast sends
+// again as it is. A held one is not collected into blocks until released
+// (see Node.admit).
 type pooled struct {
 	tx   Transaction
+	raw  []byte
 	seq  uint64
 	held bool
 }
@@ -39,12 +50,13 @@ func NewMempool(maxSize int) *Mempool {
 // Add inserts a transaction. A duplicate ID returns ErrKnownTx; a full pool
 // returns an error.
 func (m *Mempool) Add(tx Transaction) error {
-	return m.add(tx, tx.ID(), false)
+	return m.add(tx, tx.ID(), EncodeTx(tx), false)
 }
 
-// add is Add for a transaction whose ID the caller derived. A held
-// transaction is pending but not collected until release.
-func (m *Mempool) add(tx Transaction, id crypto.Digest, held bool) error {
+// add is Add for a transaction whose ID the caller derived and whose wire
+// encoding raw it holds. A held transaction is pending but not collected
+// until release.
+func (m *Mempool) add(tx Transaction, id crypto.Digest, raw []byte, held bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.txs[id]; ok {
@@ -54,7 +66,7 @@ func (m *Mempool) add(tx Transaction, id crypto.Digest, held bool) error {
 		return fmt.Errorf("blockchain: mempool full (%d)", m.maxSize)
 	}
 	m.arrived++
-	m.txs[id] = pooled{tx: tx, seq: m.arrived, held: held}
+	m.txs[id] = pooled{tx: tx, raw: raw, seq: m.arrived, held: held}
 	return nil
 }
 
@@ -83,25 +95,24 @@ func (m *Mempool) Len() int {
 	return len(m.txs)
 }
 
-// sortedLocked returns the pending transactions and their IDs grouped by
-// sender, each sender's in arrival order.
-func (m *Mempool) sortedLocked() ([]Transaction, []crypto.Digest) {
-	ids := make([]crypto.Digest, 0, len(m.txs))
+// pendingLocked returns the pending IDs in m.ids, in map order.
+func (m *Mempool) pendingLocked() []crypto.Digest {
+	m.ids = m.ids[:0]
 	for id := range m.txs {
-		ids = append(ids, id)
+		m.ids = append(m.ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := m.txs[ids[i]], m.txs[ids[j]]
-		if a.tx.From != b.tx.From {
-			return a.tx.From < b.tx.From
-		}
-		return a.seq < b.seq
+	return m.ids
+}
+
+// sortedLocked returns the pending IDs grouped by sender, each sender's in
+// arrival order, in m.ids.
+func (m *Mempool) sortedLocked() []crypto.Digest {
+	ids := m.pendingLocked()
+	slices.SortFunc(ids, func(a, b crypto.Digest) int {
+		pa, pb := m.txs[a], m.txs[b]
+		return cmp.Or(strings.Compare(pa.tx.From, pb.tx.From), cmp.Compare(pa.seq, pb.seq))
 	})
-	txs := make([]Transaction, len(ids))
-	for i, id := range ids {
-		txs[i] = m.txs[id].tx
-	}
-	return txs, ids
+	return ids
 }
 
 // Collect returns up to max pending transactions that a child of parent on
@@ -110,28 +121,39 @@ func (m *Mempool) sortedLocked() ([]Transaction, []crypto.Digest) {
 func (m *Mempool) Collect(max int, c *Chain, parent crypto.Digest) []Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	txs, ids := m.sortedLocked()
-	onBranch, height := c.carried(parent, ids)
-	var out []Transaction
-	for i := range txs {
-		if !onBranch[i] && !m.txs[ids[i]].held && validAt(&txs[i], height+1) && len(out) < max {
-			out = append(out, txs[i])
+	ids := m.sortedLocked()
+	take, height := c.carried(parent, ids, m.marks)
+	m.marks = take
+	n := 0
+	for i, id := range ids {
+		p := m.txs[id]
+		take[i] = !take[i] && !p.held && validAt(&p.tx, height+1) && n < max
+		if take[i] {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Transaction, 0, n)
+	for i, id := range ids {
+		if take[i] {
+			out = append(out, m.txs[id].tx)
 		}
 	}
 	return out
 }
 
-// All returns up to max released pending transactions in Collect's order;
-// used for periodic rebroadcast after partitions. A held one is being
-// relayed by its admission.
-func (m *Mempool) All(max int) []Transaction {
+// Frames returns the wire encodings of up to max released pending
+// transactions in Collect's order, for the periodic rebroadcast after
+// partitions. A held one is being relayed by its admission.
+func (m *Mempool) Frames(max int) [][]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	txs, ids := m.sortedLocked()
-	out := txs[:0]
-	for i := range txs {
-		if !m.txs[ids[i]].held && len(out) < max {
-			out = append(out, txs[i])
+	var out [][]byte
+	for _, id := range m.sortedLocked() {
+		if p := m.txs[id]; !p.held && len(out) < max {
+			out = append(out, p.raw)
 		}
 	}
 	return out
@@ -143,12 +165,13 @@ func (m *Mempool) All(max int) []Transaction {
 func (m *Mempool) Prune(c *Chain) (expired int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]crypto.Digest, 0, len(m.txs))
-	for id := range m.txs {
-		ids = append(ids, id)
+	if len(m.txs) == 0 {
+		return 0
 	}
+	ids := m.pendingLocked()
 	tip, _ := c.Head()
-	onChain, head := c.carried(tip, ids)
+	onChain, head := c.carried(tip, ids, m.marks)
+	m.marks = onChain
 	for i, id := range ids {
 		switch {
 		case onChain[i]:

@@ -157,7 +157,9 @@ func TestMempoolPruneConfirmed(t *testing.T) {
 	}
 }
 
-func TestMempoolAllOrderedAndBounded(t *testing.T) {
+// The rebroadcast's frames come in Collect's order, bounded, and are the
+// bytes each transaction was admitted with: none is encoded again.
+func TestMempoolFramesOrderedAndBounded(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	bob := testIdentity(t, "bob", 2)
 	p := NewMempool(0)
@@ -165,14 +167,32 @@ func TestMempoolAllOrderedAndBounded(t *testing.T) {
 	for _, tx := range arrivals {
 		_ = p.Add(tx)
 	}
-	got := keys(p.All(10))
-	want := keys([]Transaction{arrivals[1], arrivals[0], arrivals[2]})
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("order = %v, want %v", got, want)
+	var got []Transaction
+	for _, raw := range p.Frames(10) {
+		tx, err := DecodeTx(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tx)
 	}
-	if got := p.All(2); len(got) != 2 {
+	want := keys([]Transaction{arrivals[1], arrivals[0], arrivals[2]})
+	if fmt.Sprint(keys(got)) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", keys(got), want)
+	}
+	if got := p.Frames(2); len(got) != 2 {
 		t.Fatalf("bounded = %d", len(got))
 	}
+	frame := EncodeTx(poolTx(t, alice, 9))
+	tx, _ := DecodeTx(frame)
+	if err := p.add(tx, tx.ID(), frame, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range p.Frames(10) {
+		if &raw[0] == &frame[0] {
+			return
+		}
+	}
+	t.Fatal("the admitted frame is not among the rebroadcast's frames")
 }
 
 func TestMempoolFull(t *testing.T) {
@@ -192,7 +212,7 @@ func TestMempoolHeldNotCollectedUntilReleased(t *testing.T) {
 	c := NewChain(testChainConfig(t, alice))
 	p := NewMempool(0)
 	tx := poolTx(t, alice, 1)
-	if err := p.add(tx, tx.ID(), true); err != nil {
+	if err := p.add(tx, tx.ID(), EncodeTx(tx), true); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Has(tx.ID()) || p.Len() != 1 || !errors.Is(p.Add(tx), ErrKnownTx) {

@@ -362,8 +362,8 @@ func (n *Node) rebroadcastLoop() {
 			return
 		case <-n.clk.After(rebroadcastInterval):
 		}
-		for _, tx := range n.pool.All(256) {
-			n.gossip(kindTx, EncodeTx(tx), "")
+		for _, raw := range n.pool.Frames(256) {
+			n.gossip(kindTx, raw, "")
 		}
 	}
 }
@@ -407,15 +407,15 @@ func (n *Node) submit(tx Transaction, id crypto.Digest, own bool) error {
 }
 
 // admit is the one way a checked transaction, whose ID is id, enters the
-// node, from a local client or from gossip: pool it, relay raw, its wire
-// form, to every chain peer but from, and only then let the miner collect
-// it and wake the miner. Its callers check the signature first (submit,
+// node, from a local client or from gossip: pool it with raw, its wire
+// form, relay raw to every chain peer but from, and only then let the miner
+// collect it and wake the miner. Its callers check the signature first (submit,
 // handleTxGossip). Links deliver in send order, so a block this node mines
 // never reaches a peer ahead of a transaction it carries: the peer verifies
 // the transaction at admission and the block's check of it is a memo hit,
 // never a second verification racing the first.
 func (n *Node) admit(tx Transaction, id crypto.Digest, raw []byte, from string) error {
-	if err := n.pool.add(tx, id, true); err != nil {
+	if err := n.pool.add(tx, id, raw, true); err != nil {
 		return err
 	}
 	n.gossip(kindTx, raw, from)
@@ -532,7 +532,7 @@ func (n *Node) handleBlockGossip(from string, payload []byte) {
 	}
 }
 
-// importLoop decodes and imports gossiped blocks one at a time, in arrival
+// importLoop imports gossiped block frames one at a time, in arrival
 // order. Being the only gossip importer is what keeps a block from racing
 // its parent's AddBlock, and what parks the blocks gossiped during a gap
 // pull until their ancestors are in.
@@ -543,23 +543,42 @@ func (n *Node) importLoop() {
 		case <-n.stop:
 			return
 		case in := <-n.imports:
-			b, err := DecodeBlock(in.payload)
-			if err != nil {
-				continue
-			}
-			n.importBlock(b, in.from)
+			n.importFrame(in)
 		}
 	}
 }
 
-// importBlock adds a block, pulling missing ancestors from `from` when
-// needed, and re-gossips what was inserted.
-func (n *Node) importBlock(b *Block, from string) {
+// importFrame imports one gossiped block frame. The header is read and
+// hashed first: each block reaches a follower once from its producer and
+// once more through every other follower's relay, and a block the chain
+// already holds is dropped there, its height noted, before its body is
+// decoded. A frame too short for a header is refused.
+func (n *Node) importFrame(in inboundBlock) {
+	h, r, err := readBlockHeader(in.payload)
+	if err != nil {
+		return
+	}
+	hash := h.Hash()
+	if _, known := n.chain.BlockByHash(hash); known {
+		n.noteSeenHeight(h.Height)
+		return
+	}
+	b := &Block{Header: h}
+	if err := r.readTxs(b); err != nil {
+		return
+	}
+	n.importBlock(b, hash, in.payload, in.from)
+}
+
+// importBlock adds b, whose header hash is hash, pulling missing ancestors
+// from `from` when needed, and relays what was inserted. frame is the
+// encoding b arrived in, relayed as it is; nil has b encoded for the relay.
+func (n *Node) importBlock(b *Block, hash crypto.Digest, frame []byte, from string) {
 	n.noteSeenHeight(b.Header.Height)
-	err := n.chain.AddBlock(b)
+	err := n.chain.addBlock(b, hash)
 	switch {
 	case err == nil:
-		n.afterAccept(from, b)
+		n.afterAccept(from, frame, b)
 	case errors.Is(err, ErrKnownBlock):
 		// Flood already saw it; stop.
 	case errors.Is(err, ErrOrphanBlock) && from != "":
@@ -572,8 +591,11 @@ func (n *Node) importBlock(b *Block, from string) {
 // afterAccept counts the blocks AddBlock just inserted (oldest first), returns
 // to the pool what a reorganisation took off the best chain, prunes what is
 // confirmed or expired, and relays the blocks to every chain peer but their
-// sender.
-func (n *Node) afterAccept(from string, blocks ...*Block) {
+// sender. frame, when not nil, is the encoding the one block arrived in: a
+// decoded block aliases it already, so the relay sends it as it is, and
+// only a block that came with no frame of its own (mined here, or pulled
+// in a range response, whose buffer a peer must not be handed) is encoded.
+func (n *Node) afterAccept(from string, frame []byte, blocks ...*Block) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -583,7 +605,11 @@ func (n *Node) afterAccept(from string, blocks ...*Block) {
 	}
 	n.txExpired.Add(int64(n.pool.Prune(n.chain)))
 	for _, b := range blocks {
-		n.gossip(kindBlock, b.Encode(), from)
+		enc := frame
+		if enc == nil {
+			enc = b.Encode()
+		}
+		n.gossip(kindBlock, enc, from)
 	}
 }
 
@@ -630,7 +656,9 @@ func (n *Node) mineLoop() {
 
 		// Collect filters against the parent's own branch, so a block
 		// imported meanwhile can only make this candidate a valid sibling,
-		// and the head signal cancels its attempt.
+		// and the head generation, read before the head, cancels its
+		// attempt.
+		gen := n.chain.headGen.Load()
 		parentHash, parentHeight := n.chain.Head()
 		txs := n.pool.Collect(maxTxPerBlock, n.chain, parentHash)
 		if box := n.collectFilter.Load(); box != nil {
@@ -677,31 +705,27 @@ func (n *Node) mineLoop() {
 			Txs: txs,
 		}
 
-		attemptCtx, cancelAttempt := context.WithCancel(context.Background())
-		watcherDone := make(chan struct{})
-		go func() {
+		// The attempt ends when the head moves: an import or a reorg made
+		// this candidate's parent stale, and mining on would only make a
+		// sibling that loses.
+		hash, mined := mine(&b.Header, minerSeed(n.cfg.Name, b.Header.Height), func() bool {
 			select {
 			case <-n.stop:
-				cancelAttempt()
-			case <-headCh:
-				cancelAttempt()
-			case <-watcherDone:
+				return true
+			default:
+				return n.chain.headGen.Load() != gen
 			}
-		}()
-		mined := Mine(attemptCtx, b, minerSeed(n.cfg.Name, b.Header.Height))
-		close(watcherDone)
-		cancelAttempt()
-
+		})
 		if !mined {
 			n.cancelled.Inc()
 			continue
 		}
-		if err := n.chain.AddBlock(b); err != nil {
+		if err := n.chain.addBlock(b, hash); err != nil {
 			// Lost a race with a concurrent import; retry from fresh head.
 			n.cancelled.Inc()
 			continue
 		}
 		n.mined.Inc()
-		n.afterAccept("", b)
+		n.afterAccept("", nil, b)
 	}
 }

@@ -237,7 +237,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 	// A block that arrived by another route meanwhile is known: it was
 	// counted and relayed where it was inserted.
 	inserted := make([]*Block, 0, len(pending))
-	defer func() { n.afterAccept(peer, inserted...) }()
+	defer func() { n.afterAccept(peer, nil, inserted...) }()
 	for i := len(pending) - 1; i >= 0; i-- {
 		switch err := n.chain.AddBlock(pending[i]); {
 		case err == nil:

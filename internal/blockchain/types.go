@@ -182,30 +182,36 @@ type BlockHeader struct {
 // Time returns the header timestamp as a time.Time.
 func (h *BlockHeader) Time() time.Time { return time.Unix(0, h.TimeUnixNano) }
 
-// Hash computes the header digest using a fixed-width binary encoding. The
-// scratch buffer is pooled: mining recomputes this hash per nonce attempt,
-// so a fresh allocation each call would dominate the mining profile.
+// Hash computes the header digest using a fixed-width binary encoding,
+// built on the stack.
 func (h *BlockHeader) Hash() crypto.Digest {
-	bp := encodePool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	var buf [headerHashInline]byte
+	return crypto.Sum(h.appendHashInput(buf[:0]))
+}
+
+// headerHashInline holds the hash input of a header whose miner name is up
+// to 64 bytes; a longer name moves it to the heap.
+const headerHashInline = headerNonceAt + 8 + 64
+
+// headerNonceAt is the offset of the nonce in a header's hash input, after
+// the height, the two digests, the time and the difficulty.
+const headerNonceAt = 8 + 2*crypto.DigestSize + 8 + 1
+
+// appendHashInput appends the bytes Hash digests: height, previous hash,
+// Merkle root, time, difficulty, nonce and miner name.
+func (h *BlockHeader) appendHashInput(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, h.Height)
 	buf = append(buf, h.PrevHash[:]...)
 	buf = append(buf, h.MerkleRoot[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.TimeUnixNano))
 	buf = append(buf, h.Difficulty)
 	buf = binary.BigEndian.AppendUint64(buf, h.Nonce)
-	buf = append(buf, h.Miner...)
-	d := crypto.Sum(buf)
-	*bp = buf
-	encodePool.Put(bp)
-	return d
+	return append(buf, h.Miner...)
 }
 
-// MeetsDifficulty reports whether the header hash has at least Difficulty
-// leading zero bits.
-func (h *BlockHeader) MeetsDifficulty() bool {
-	hash := h.Hash()
-	return hash.LeadingZeroBits() >= int(h.Difficulty)
+// meets reports whether hash has at least difficulty leading zero bits.
+func meets(hash crypto.Digest, difficulty uint8) bool {
+	return hash.LeadingZeroBits() >= int(difficulty)
 }
 
 // Block is a header plus its transactions.
@@ -236,13 +242,15 @@ func (b *Block) Encode() []byte {
 // DecodeBlock parses a gossiped or persisted block. The leading format tag
 // must be one this build knows (see codec.go).
 func DecodeBlock(data []byte) (*Block, error) {
-	if len(data) == 0 {
-		return nil, errors.New("blockchain: decode block: empty input")
+	h, r, err := readBlockHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	if data[0] != codecVersion {
-		return nil, fmt.Errorf("blockchain: decode block: unknown format byte 0x%02x", data[0])
+	b := &Block{Header: h}
+	if err := r.readTxs(b); err != nil {
+		return nil, err
 	}
-	return decodeBlockBinary(data)
+	return b, nil
 }
 
 // EncodeTx serialises a transaction in the binary wire format for gossip.

@@ -65,9 +65,9 @@ type TxVerifier struct {
 }
 
 // verifying is one verification in progress: err is its outcome, set
-// before done is closed.
+// before done is released.
 type verifying struct {
-	done chan struct{}
+	done sync.WaitGroup
 	err  error
 }
 
@@ -106,7 +106,7 @@ func (v *TxVerifier) verify(tx *Transaction, id crypto.Digest) error {
 	v.inflight.Lock()
 	if p, ok := v.inflight.m[id]; ok {
 		v.inflight.Unlock()
-		<-p.done
+		p.done.Wait()
 		if p.err == nil {
 			v.hits.Inc()
 		}
@@ -119,7 +119,8 @@ func (v *TxVerifier) verify(tx *Transaction, id crypto.Digest) error {
 		v.hits.Inc()
 		return nil
 	}
-	p := &verifying{done: make(chan struct{})}
+	p := &verifying{}
+	p.done.Add(1)
 	v.inflight.m[id] = p
 	v.inflight.Unlock()
 
@@ -138,7 +139,7 @@ func (v *TxVerifier) verify(tx *Transaction, id crypto.Digest) error {
 	v.inflight.Lock()
 	delete(v.inflight.m, id)
 	v.inflight.Unlock()
-	close(p.done)
+	p.done.Done()
 	return err
 }
 

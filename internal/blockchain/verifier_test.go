@@ -290,7 +290,7 @@ func TestAddBlockRejectsStructurallyInvalidBeforeVerifying(t *testing.T) {
 		},
 		Txs: txs,
 	}
-	for unmined.Header.MeetsDifficulty() { // one header in 16 meets it by chance
+	for meets(unmined.Hash(), unmined.Header.Difficulty) { // one header in 16 meets it by chance
 		unmined.Header.Nonce++
 	}
 	if err := c.AddBlock(unmined); !errors.Is(err, ErrBadPoW) {

@@ -208,6 +208,7 @@ type State struct {
 	ordered []*space // by name+"/", the byte order of the full keys
 	journal []undo   // the open transaction's writes, oldest first
 	inTx    bool
+	scratch []byte // see Scratch
 }
 
 // space is one contract's part of a State.
@@ -290,6 +291,41 @@ func (sp *space) Delete(key string) {
 // Keys implements StateDB.
 func (sp *space) Keys(prefix string) iter.Seq[string] {
 	return func(yield func(string) bool) { sp.index.root.walkPrefix(prefix, yield) }
+}
+
+// Scratch returns an empty buffer of capacity at least n for a contract to
+// build a value in before Set, which stores a copy. The buffer belongs to
+// st's State, which applies one call at a time, and the next Scratch call on
+// that State hands it out again, so a contract keeps nothing built in it
+// past its Set. A StateDB that is not a space of a State gets a fresh buffer.
+func Scratch(st StateDB, n int) []byte {
+	sp, ok := st.(*space)
+	if !ok {
+		return make([]byte, 0, n)
+	}
+	if cap(sp.st.scratch) < n {
+		sp.st.scratch = make([]byte, 0, max(n, 2*cap(sp.st.scratch)))
+	}
+	return sp.st.scratch[:0]
+}
+
+// FirstKey returns the first key of st with the given prefix in byte order,
+// the one ranging over st.Keys(prefix) yields first. On a space of a State
+// it reads the key index directly, with no iterator to allocate: the block
+// hooks ask it on every block.
+func FirstKey(st StateDB, prefix string) (string, bool) {
+	if sp, ok := st.(*space); ok {
+		return sp.index.root.firstWithPrefix(prefix)
+	}
+	return firstKeyOf(st, prefix)
+}
+
+// firstKeyOf is FirstKey through Keys, for any StateDB.
+func firstKeyOf(st StateDB, prefix string) (string, bool) {
+	for key := range st.Keys(prefix) {
+		return key, true
+	}
+	return "", false
 }
 
 // emptySpace is the view of a contract that has stored nothing.

@@ -88,6 +88,24 @@ func mergeKeyNodes(a, b *keyNode) *keyNode {
 	}
 }
 
+// firstWithPrefix returns the smallest key in the subtree that starts with
+// prefix: the smallest key not below prefix, if it has the prefix. It costs
+// O(log n) and allocates nothing.
+func (n *keyNode) firstWithPrefix(prefix string) (string, bool) {
+	var first *keyNode
+	for n != nil {
+		if n.key < prefix {
+			n = n.right
+		} else {
+			first, n = n, n.left
+		}
+	}
+	if first == nil || !strings.HasPrefix(first.key, prefix) {
+		return "", false
+	}
+	return first.key, true
+}
+
 // walkPrefix yields, in byte order, every key that starts with prefix, and
 // returns false as soon as yield does. A subtree is entered only if it can
 // hold such a key: a node that sorts before prefix rules out its left side,

@@ -37,11 +37,13 @@ type Analyser struct {
 	node   *blockchain.Node
 	sender *blockchain.Sender
 	cipher *crypto.Cipher
-	key    crypto.Key
+	mac    crypto.MACKey
 
 	// compiled holds recently used policies by digest (at most
-	// compiledBound). Only the analyser goroutine touches it.
+	// compiledBound). Only the analyser goroutine touches it, and its
+	// contexts' scratch.
 	compiled map[crypto.Digest]*analysedPolicy
+	opened   contextScratch
 
 	tracer atomic.Pointer[trace.Tracer]
 
@@ -83,7 +85,7 @@ func NewAnalyser(name string, node *blockchain.Node, identity *crypto.Identity, 
 		node:     node,
 		sender:   blockchain.NewSender(node, identity),
 		cipher:   cipher,
-		key:      key,
+		mac:      crypto.NewMACKey(key),
 		compiled: make(map[crypto.Digest]*analysedPolicy),
 		stop:     make(chan struct{}),
 	}, nil
@@ -219,7 +221,7 @@ func (an *Analyser) handleLog(payload []byte) {
 		an.failures.Inc()
 		return
 	}
-	ec, err := OpenContext(an.cipher, rec.ReqID, rec.Payload)
+	ec, err := openContext(an.cipher, rec.ReqID, rec.Payload, &an.opened)
 	if err != nil || ec.Request == nil {
 		// Cannot decrypt (wrong key / tampered payload) or missing
 		// context: a verdict cannot be produced; the RequireVerdict
@@ -233,7 +235,7 @@ func (an *Analyser) handleLog(payload []byte) {
 	}
 	v := Verdict{
 		ReqID:        rec.ReqID,
-		ExpectedTag:  DecisionTag(an.key, rec.ReqID, expected),
+		ExpectedTag:  DecisionTag(&an.mac, rec.ReqID, expected),
 		PolicyDigest: ap.digest,
 		Analyser:     an.name,
 	}

@@ -93,29 +93,47 @@ func (lb LogBatch) Encode() []byte {
 // DecodeLogBatch parses a batch, decoding each record once. The records and
 // the leaves the contract hashes alias data.
 func DecodeLogBatch(data []byte) (LogBatch, error) {
-	rd := wire.NewReader(data)
-	var lb LogBatch
-	copy(lb.Root[:], rd.Bytes(crypto.DigestSize))
-	n := rd.Count(1 + minRecordLen)
-	if rd.Err() == nil && (n == 0 || n > MaxLogBatch) {
-		rd.Fail(fmt.Errorf("batch of %d records, want 1 to %d", n, MaxLogBatch))
-	}
-	if rd.Err() == nil {
-		lb.Records, lb.leaves = make([]LogRecord, n), make([][]byte, n)
+	br := readBatch(data)
+	lb := LogBatch{Root: br.root}
+	if br.rd.Err() == nil {
+		lb.Records, lb.leaves = make([]LogRecord, br.n), make([][]byte, br.n)
 	}
 	for i := range lb.leaves {
-		lb.leaves[i] = rd.Blob()
+		lb.leaves[i] = br.rd.Blob()
 		rec, err := DecodeLogRecord(lb.leaves[i])
 		if err != nil {
-			rd.Fail(fmt.Errorf("record %d: %w", i, err))
+			br.rd.Fail(fmt.Errorf("record %d: %w", i, err))
 			break
 		}
 		lb.Records[i] = rec
 	}
-	if err := rd.End(); err != nil {
+	if err := br.rd.End(); err != nil {
 		return LogBatch{}, fmt.Errorf("core: decode log batch: %w", err)
 	}
 	return lb, nil
+}
+
+// batchReader walks a batch's encoding: its root and record count, then the
+// records' blobs, one per rd.Blob, aliasing the input. A copy of the reader
+// reads the blobs again from where it was made, so the contract walks a
+// batch twice without keeping its leaves.
+type batchReader struct {
+	rd   wire.Reader
+	root crypto.Digest
+	n    int
+}
+
+// readBatch reads a batch's root and record count; an error sticks in rd
+// and leaves no records to read.
+func readBatch(data []byte) batchReader {
+	br := batchReader{rd: wire.NewReader(data)}
+	copy(br.root[:], br.rd.Bytes(crypto.DigestSize))
+	br.n = br.rd.Count(1 + minRecordLen)
+	if br.rd.Err() == nil && (br.n == 0 || br.n > MaxLogBatch) {
+		br.rd.Fail(fmt.Errorf("batch of %d records, want 1 to %d", br.n, MaxLogBatch))
+		br.n = 0
+	}
+	return br
 }
 
 // LogStored is a decoded LogStored event payload: the record the contract

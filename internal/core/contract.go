@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"drams/internal/contract"
 	"drams/internal/crypto"
@@ -77,12 +78,20 @@ func recKey(reqID string, kind LogKind) string { return "rec/" + reqID + "/" + s
 func verdictKey(reqID string) string           { return "verdict/" + reqID }
 func doneKey(reqID string) string              { return "done/" + reqID }
 func alertedKey(reqID string, t AlertType) string {
-	return fmt.Sprintf("alerted/%s/%s", reqID, t)
+	return "alerted/" + reqID + "/" + string(t)
 }
 func deadlineKey(due uint64, reqID string) string {
-	return fmt.Sprintf("deadline/%016x/%s", due, reqID)
+	var hex [16]byte // zero-padded, so byte order is due order
+	for i := range hex {
+		hex[len(hex)-1-i] = "0123456789abcdef"[due>>(4*i)&0xf]
+	}
+	return "deadline/" + string(hex[:]) + "/" + reqID
 }
 func deadlineSetKey(reqID string) string { return "deadline-set/" + reqID }
+
+// one is the value of the marker rows (done/ while open, deadline/,
+// deadline-set/, alerted/); Set stores a copy.
+var one = []byte("1")
 
 // StoredRecord is what the contract keeps of an anchored record under
 // rec/<reqID>/<kind>: the fields the checks read, and the SHA-256 of the
@@ -124,21 +133,27 @@ func (sr *StoredRecord) digests() [6]*crypto.Digest {
 	return [...]*crypto.Digest{&sr.Hash, &sr.ReqDigest, &sr.RespDigest, &sr.DecisionTag, &sr.EnforcedTag, &sr.PolicyDigest}
 }
 
-func encodeRecordRow(sr StoredRecord) []byte {
-	row := make([]byte, 0, recordRowFixed+len(sr.Tenant)+len(sr.Origin)+len(sr.PolicyVersion))
+// appendRecordRow appends the row of sr to buf.
+func appendRecordRow(buf []byte, sr *StoredRecord) []byte {
 	for _, d := range sr.digests() {
-		row = append(row, d[:]...)
+		buf = append(buf, d[:]...)
 	}
 	for _, s := range [...]string{sr.Tenant, sr.Origin, sr.PolicyVersion} {
-		row = binary.BigEndian.AppendUint32(row, uint32(len(s)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
 	}
-	row = append(row, sr.Tenant...)
-	row = append(row, sr.Origin...)
-	return append(row, sr.PolicyVersion...)
+	buf = append(buf, sr.Tenant...)
+	buf = append(buf, sr.Origin...)
+	return append(buf, sr.PolicyVersion...)
 }
 
-// decodeRecordRow is the inverse of encodeRecordRow; ok=false for anything
-// that is not exactly one row.
+// recordRowLen is the size of sr's row.
+func recordRowLen(sr *StoredRecord) int {
+	return recordRowFixed + len(sr.Tenant) + len(sr.Origin) + len(sr.PolicyVersion)
+}
+
+// decodeRecordRow is the inverse of appendRecordRow; ok=false for anything
+// that is not exactly one row. The strings alias row: a stored row is never
+// written in place (see contract.State).
 func decodeRecordRow(row []byte) (sr StoredRecord, ok bool) {
 	if len(row) < recordRowFixed {
 		return StoredRecord{}, false
@@ -153,10 +168,18 @@ func decodeRecordRow(row []byte) (sr StoredRecord, ok bool) {
 		copy(d[:], row[i*crypto.DigestSize:])
 	}
 	strs := row[recordRowFixed:]
-	sr.Tenant = string(strs[:tenantLen])
-	sr.Origin = string(strs[tenantLen : tenantLen+originLen])
-	sr.PolicyVersion = string(strs[tenantLen+originLen:])
+	sr.Tenant = aliasString(strs[:tenantLen])
+	sr.Origin = aliasString(strs[tenantLen : tenantLen+originLen])
+	sr.PolicyVersion = aliasString(strs[tenantLen+originLen:])
 	return sr, true
+}
+
+// aliasString views b as a string without copying; b must never change.
+func aliasString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // storedVerdict is the verdict/<reqID> row: what M5 reads, behind the hash
@@ -165,11 +188,11 @@ type storedVerdict struct {
 	Hash, ExpectedTag, PolicyDigest crypto.Digest
 }
 
-func encodeVerdictRow(sv storedVerdict) []byte {
-	row := make([]byte, 0, verdictRowLen)
-	row = append(row, sv.Hash[:]...)
-	row = append(row, sv.ExpectedTag[:]...)
-	return append(row, sv.PolicyDigest[:]...)
+// appendVerdictRow appends the row of sv to buf.
+func appendVerdictRow(buf []byte, sv *storedVerdict) []byte {
+	buf = append(buf, sv.Hash[:]...)
+	buf = append(buf, sv.ExpectedTag[:]...)
+	return append(buf, sv.PolicyDigest[:]...)
 }
 
 func decodeVerdictRow(row []byte) (sv storedVerdict, ok bool) {
@@ -185,7 +208,7 @@ func decodeVerdictRow(row []byte) (sv storedVerdict, ok bool) {
 // A matched exchange folds once its M3 deadline has passed (OnBlock): its
 // done/<reqID> row, "1" while it is open, becomes the tombstone
 //
-//	4 × 32B record hash, in LogKinds order | 32B verdict hash
+//	4 × 32B record hash, in pipeline order | 32B verdict hash
 //
 // and its rec/, verdict/ and deadline-set/ rows are deleted. The hashes are
 // all a late transaction is compared against: an identical record is a
@@ -241,95 +264,103 @@ func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, c
 }
 
 // storeRecord applies one validated record: duplicate and equivocation
-// handling, storage, M3 deadline arming and the LogStored event. enc is the
-// record's encoding as the transaction carried it; eventPayload is what the
-// event carries. stored=false means the record was an idempotent duplicate
-// or an equivocation attempt (the original is kept) and no checks should
-// run.
-func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc, eventPayload []byte) (events []contract.Event, stored bool) {
+// handling, storage, M3 deadline arming and the LogStored event, appended to
+// events. enc is the record's encoding as the transaction carried it;
+// eventPayload is what the event carries. stored=false means the record was
+// an idempotent duplicate or an equivocation attempt (the original is kept)
+// and no checks should run.
+func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc, eventPayload []byte, events []contract.Event) (_ []contract.Event, stored bool) {
 	key := recKey(rec.ReqID, rec.Kind)
 	hash := crypto.Sum(enc)
-	again := func(prev crypto.Digest) ([]contract.Event, bool) {
+	again := func(prev crypto.Digest) []contract.Event {
 		if prev == hash {
-			return nil, false // idempotent duplicate (client retry)
+			return events // idempotent duplicate (client retry)
 		}
 		// Conflicting second record for the same interception point.
 		return lm.alert(st, Alert{
 			Type: AlertEquivocation, ReqID: rec.ReqID, Tenant: rec.Tenant, Height: ctx.Height,
 			Detail: fmt.Sprintf("conflicting %s records from %s", rec.Kind, ctx.Caller),
-		}), false // keep the original record
+		}, events) // keep the original record
 	}
 	if existing, ok := st.Get(key); ok {
 		prev, _ := decodeRecordRow(existing) // a malformed row's zero hash conflicts
-		return again(prev.Hash)
+		return again(prev.Hash), false
 	}
 	// No deadline armed: the request's first record, or one of a folded
 	// exchange, which its tombstone answers for.
-	_, armed := st.Get(deadlineSetKey(rec.ReqID))
+	armKey := deadlineSetKey(rec.ReqID)
+	_, armed := st.Get(armKey)
 	if !armed {
 		if tomb, folded := loadTombstone(st, rec.ReqID); folded {
-			return again(tomb.records[rec.Kind.code()-1])
+			return again(tomb.records[rec.Kind.code()-1]), false
 		}
 	}
-	st.Set(key, encodeRecordRow(StoredRecord{
+	sr := StoredRecord{
 		Hash: hash, ReqDigest: rec.ReqDigest, RespDigest: rec.RespDigest, DecisionTag: rec.DecisionTag,
 		EnforcedTag: rec.EnforcedTag, PolicyDigest: rec.PolicyDigest,
 		Tenant: rec.Tenant, Origin: rec.Origin, PolicyVersion: rec.PolicyVersion,
-	}))
+	}
+	st.Set(key, appendRecordRow(contract.Scratch(st, recordRowLen(&sr)), &sr))
 	events = append(events, contract.Event{Type: EventLogStored, Payload: eventPayload})
 
 	// Arm the M3 deadline on the first record of the request.
 	if !armed {
-		st.Set(deadlineSetKey(rec.ReqID), []byte("1"))
-		st.Set(deadlineKey(ctx.Height+lm.cfg.TimeoutBlocks, rec.ReqID), []byte("1"))
+		st.Set(armKey, one)
+		st.Set(deadlineKey(ctx.Height+lm.cfg.TimeoutBlocks, rec.ReqID), one)
 	}
 	return events, true
 }
 
-// execBatch applies one Merkle-anchored window of records. Each record is
-// decoded once, and the root is recomputed over the record bytes as they lie
-// in the args — a batch whose root does not bind exactly its records is
+// execBatch applies one Merkle-anchored window of records. The root is
+// recomputed over the record bytes as they lie in the args before any record
+// is decoded — a batch whose root does not bind exactly its records is
 // rejected, so anchoring is as tamper-evident as individual submissions
 // while costing one signature verification and one transaction per window.
-// Each stored record's LogStored event carries a membership proof for
-// off-chain verification; the matching checks run once per distinct request
-// the batch advanced (they are functions of stored state, so one pass after
-// all of a request's records landed is equivalent to a pass after each).
+// Then each record is decoded once, into one value on the stack, and
+// stored; its LogStored event carries a membership proof for off-chain
+// verification. A batch of up to 16 records builds its tree and proofs on
+// the stack. The matching checks run once per distinct request the batch
+// advanced (they are functions of stored state, so one pass after all of a
+// request's records landed is equivalent to a pass after each).
 func (lm *LogMatchContract) execBatch(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
-	lb, err := DecodeLogBatch(args)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
+	br := readBatch(args)
+	var small [merkle.SmallNodes]crypto.Digest
+	nodes := merkle.Storage(&small, br.n)
+	leaves := br // br reads the records again below
+	for range br.n {
+		nodes = append(nodes, merkle.LeafHash(leaves.rd.Blob()))
 	}
-	for i := range lb.Records {
-		if err := lb.Records[i].Validate(); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", contract.ErrBadArgs, i, err)
-		}
+	if err := leaves.rd.End(); err != nil {
+		return nil, fmt.Errorf("%w: core: decode log batch: %v", contract.ErrBadArgs, err)
 	}
-	tree, err := merkle.Build(lb.leaves)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
-	}
-	if tree.Root() != lb.Root {
+	tree := merkle.From(nodes)
+	if tree.Root() != br.root {
 		return nil, fmt.Errorf("%w: claimed batch root %s does not match records (computed %s)",
-			contract.ErrBadArgs, lb.Root.Short(), tree.Root().Short())
+			contract.ErrBadArgs, br.root.Short(), tree.Root().Short())
 	}
 
-	var events []contract.Event
-	var order []string // the requests advanced, in batch order; a window holds a few
-	for i := range lb.Records {
-		rec := &lb.Records[i]
-		proof, perr := tree.Prove(i)
-		if perr != nil {
-			return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, perr)
+	events := make([]contract.Event, 0, br.n+1)
+	var orderBuf [4]string
+	order := orderBuf[:0] // the requests advanced, in batch order; a window holds a few
+	var steps [4]merkle.ProofStep
+	for i := 0; i < br.n; i++ {
+		leaf := br.rd.Blob()
+		rec, err := DecodeLogRecord(leaf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: core: decode log batch: record %d: %v", contract.ErrBadArgs, i, err)
 		}
-		evs, stored := lm.storeRecord(ctx, st, rec, lb.leaves[i], storedPayload(lb.Root, i, proof, lb.leaves[i]))
-		events = append(events, evs...)
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", contract.ErrBadArgs, i, err)
+		}
+		proof := merkle.Proof{LeafIndex: i, Steps: tree.AppendProof(steps[:0], i)}
+		var stored bool
+		events, stored = lm.storeRecord(ctx, st, &rec, leaf, storedPayload(br.root, i, proof, leaf), events)
 		if stored && !slices.Contains(order, rec.ReqID) {
 			order = append(order, rec.ReqID)
 		}
 	}
 	for _, reqID := range order {
-		events = append(events, lm.runChecks(ctx, st, reqID, ctx.Height)...)
+		events = lm.runChecks(ctx, st, reqID, ctx.Height, events)
 	}
 	return events, nil
 }
@@ -346,7 +377,8 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 		return nil, fmt.Errorf("%w: incomplete verdict", contract.ErrBadArgs)
 	}
 	hash := crypto.Sum(args)
-	existing, have := st.Get(verdictKey(v.ReqID))
+	key := verdictKey(v.ReqID)
+	existing, have := st.Get(key)
 	prev, _ := decodeVerdictRow(existing) // a malformed row's zero hash conflicts
 	// No verdict row: the request's first verdict, or one of a folded
 	// exchange, which its tombstone answers for.
@@ -360,17 +392,18 @@ func (lm *LogMatchContract) execVerdict(ctx contract.CallCtx, st contract.StateD
 		return lm.alert(st, Alert{
 			Type: AlertEquivocation, ReqID: v.ReqID, Height: ctx.Height,
 			Detail: "conflicting analyser verdicts",
-		}), nil
+		}, nil), nil
 	}
+	events := make([]contract.Event, 1, 2)
+	events[0] = contract.Event{Type: EventVerdict, Payload: args}
 	if folded {
 		// Every check of a folded exchange has run; its verdict is re-emitted
 		// and nothing re-runs.
-		return []contract.Event{{Type: EventVerdict, Payload: args}}, nil
+		return events, nil
 	}
-	st.Set(verdictKey(v.ReqID), encodeVerdictRow(storedVerdict{Hash: hash, ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}))
-	events := []contract.Event{{Type: EventVerdict, Payload: args}}
-	events = append(events, lm.runChecks(ctx, st, v.ReqID, ctx.Height)...)
-	return events, nil
+	sv := storedVerdict{Hash: hash, ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}
+	st.Set(key, appendVerdictRow(contract.Scratch(st, verdictRowLen), &sv))
+	return lm.runChecks(ctx, st, v.ReqID, ctx.Height, events), nil
 }
 
 // checkM6Policy computes the M6 verdict for one pdp.response record,
@@ -385,7 +418,7 @@ func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, pdpResp StoredRe
 			Detail: fmt.Sprintf(format, args...),
 		}, true
 	}
-	pst := crossState{cross: ctx.Cross, name: PolicyContractName}
+	var pst contract.StateDB = crossState{cross: ctx.Cross, name: PolicyContractName} // boxed once
 	activeVer, _, haveActive := ReadActivePolicy(pst)
 	anchored, haveAnchor := ReadPolicyDigest(pst, version)
 	switch {
@@ -407,14 +440,15 @@ func (lm *LogMatchContract) checkM6Policy(ctx contract.CallCtx, pdpResp StoredRe
 	return Alert{}, false
 }
 
-// alert records and emits an alert once per (request, type).
-func (lm *LogMatchContract) alert(st contract.StateDB, a Alert) []contract.Event {
+// alert records an alert once per (request, type) and appends its event to
+// events.
+func (lm *LogMatchContract) alert(st contract.StateDB, a Alert, events []contract.Event) []contract.Event {
 	k := alertedKey(a.ReqID, a.Type)
 	if _, ok := st.Get(k); ok {
-		return nil
+		return events
 	}
-	st.Set(k, []byte("1"))
-	return []contract.Event{{Type: EventAlert, Payload: a.Encode()}}
+	st.Set(k, one)
+	return append(events, contract.Event{Type: EventAlert, Payload: a.Encode()})
 }
 
 // loadRecord fetches the stored row of a record.
@@ -428,10 +462,8 @@ func loadRecord(st contract.StateDB, reqID string, kind LogKind) (StoredRecord, 
 
 // runChecks executes M1, M2, M4, M5, M6 for a request with the currently
 // available records, and emits Matched when the exchange is complete and
-// clean.
-func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB, reqID string, height uint64) []contract.Event {
-	var events []contract.Event
-
+// clean. The events are appended to events.
+func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB, reqID string, height uint64, events []contract.Event) []contract.Event {
 	pepReq, havePepReq := loadRecord(st, reqID, KindPEPRequest)
 	pdpReq, havePdpReq := loadRecord(st, reqID, KindPDPRequest)
 	pdpResp, havePdpResp := loadRecord(st, reqID, KindPDPResponse)
@@ -439,32 +471,32 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 
 	// M1: request integrity in transit.
 	if havePepReq && havePdpReq && pepReq.ReqDigest != pdpReq.ReqDigest {
-		events = append(events, lm.alert(st, Alert{
+		events = lm.alert(st, Alert{
 			Type: AlertRequestTampered, ReqID: reqID, Tenant: pepReq.Tenant, Height: height,
 			Detail: fmt.Sprintf("request digest at PEP egress %s != at PDP ingress %s",
 				pepReq.ReqDigest.Short(), pdpReq.ReqDigest.Short()),
-		})...)
+		}, events)
 	}
 
 	// M2: response integrity in transit (content and decision).
 	if havePdpResp && havePepResp {
 		if pdpResp.RespDigest != pepResp.RespDigest || pdpResp.DecisionTag != pepResp.DecisionTag {
-			events = append(events, lm.alert(st, Alert{
+			events = lm.alert(st, Alert{
 				Type: AlertResponseTampered, ReqID: reqID, Tenant: pepResp.Tenant, Height: height,
 				Detail: fmt.Sprintf("response at PDP egress %s/%s != at PEP ingress %s/%s",
 					pdpResp.RespDigest.Short(), pdpResp.DecisionTag.Short(),
 					pepResp.RespDigest.Short(), pepResp.DecisionTag.Short()),
-			})...)
+			}, events)
 		}
 	}
 
 	// M4: enforcement correctness (what the PEP did vs. what it received).
 	if havePepResp && pepResp.EnforcedTag != pepResp.DecisionTag {
-		events = append(events, lm.alert(st, Alert{
+		events = lm.alert(st, Alert{
 			Type: AlertEnforcementMismatch, ReqID: reqID, Tenant: pepResp.Tenant, Height: height,
 			Detail: fmt.Sprintf("PEP enforced %s but received decision %s",
 				pepResp.EnforcedTag.Short(), pepResp.DecisionTag.Short()),
-		})...)
+		}, events)
 	}
 
 	// M5: decision correctness against the analyser's expectation.
@@ -474,18 +506,18 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 		verdict, haveVerdict = decodeVerdictRow(row)
 	}
 	if haveVerdict && havePdpResp && verdict.ExpectedTag != pdpResp.DecisionTag {
-		events = append(events, lm.alert(st, Alert{
+		events = lm.alert(st, Alert{
 			Type: AlertDecisionIncorrect, ReqID: reqID, Tenant: pdpResp.Tenant, Height: height,
 			Detail: fmt.Sprintf("PDP decision tag %s differs from expected %s (policy %s)",
 				pdpResp.DecisionTag.Short(), verdict.ExpectedTag.Short(), verdict.PolicyDigest.Short()),
-		})...)
+		}, events)
 	}
 
 	// M6: policy integrity — the PDP must have evaluated the anchored
 	// digest of the active version.
 	if havePdpResp {
 		if a, ok := lm.checkM6Policy(ctx, pdpResp, reqID, height); ok {
-			events = append(events, lm.alert(st, a)...)
+			events = lm.alert(st, a, events)
 		}
 	}
 
@@ -494,8 +526,9 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 	complete := havePepReq && havePdpReq && havePdpResp && havePepResp &&
 		(haveVerdict || !lm.cfg.RequireVerdict)
 	if complete {
-		if _, done := st.Get(doneKey(reqID)); !done && !anyKey(st, "alerted/"+reqID+"/") {
-			st.Set(doneKey(reqID), []byte("1"))
+		key := doneKey(reqID)
+		if _, done := st.Get(key); !done && !anyKey(st, "alerted/"+reqID+"/") {
+			st.Set(key, one)
 			events = append(events, contract.Event{Type: EventMatched, Payload: encodeMatched(reqID, height)})
 		}
 	}
@@ -509,10 +542,12 @@ func (lm *LogMatchContract) runChecks(ctx contract.CallCtx, st contract.StateDB,
 // when its deadline passes is folded into its tombstone instead.
 func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
-	for _, key := range dueKeys(st, "deadline/", height) {
-		st.Delete(key)
-		_, reqID, ok := parseQueueKey(key, "deadline/")
+	for {
+		reqID, valid, ok := popDue(st, "deadline/", height)
 		if !ok {
+			break
+		}
+		if !valid {
 			continue
 		}
 
@@ -522,7 +557,7 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 		}
 		var missing []string
 		tenant := ""
-		for _, kind := range LogKinds() {
+		for _, kind := range kindOfCode[1:] {
 			rec, ok := loadRecord(st, reqID, kind)
 			if !ok {
 				missing = append(missing, string(kind))
@@ -531,37 +566,41 @@ func (lm *LogMatchContract) OnBlock(height uint64, blockTime time.Time, st contr
 			}
 		}
 		if len(missing) > 0 {
-			events = append(events, lm.alert(st, Alert{
+			events = lm.alert(st, Alert{
 				Type: AlertMessageSuppressed, ReqID: reqID, Tenant: tenant, Height: height,
 				Detail: fmt.Sprintf("missing after %d blocks: %s", lm.cfg.TimeoutBlocks, strings.Join(missing, ", ")),
-			})...)
+			}, events)
 			continue
 		}
 		if lm.cfg.RequireVerdict {
 			if _, ok := st.Get(verdictKey(reqID)); !ok {
-				events = append(events, lm.alert(st, Alert{
+				events = lm.alert(st, Alert{
 					Type: AlertVerdictMissing, ReqID: reqID, Tenant: tenant, Height: height,
 					Detail: fmt.Sprintf("no analyser verdict after %d blocks", lm.cfg.TimeoutBlocks),
-				})...)
+				}, events)
 			}
 		}
 	}
 	return events
 }
 
-// dueKeys lists, in order, the keys of a queue of "<prefix><due>/<id>" rows
-// that are due at height or malformed, and stops at the first one that is
-// not yet due: due is zero-padded hex, so byte order is due order. A block
-// reads O(log n + due) keys however long the queue is.
-func dueKeys(st contract.StateDB, prefix string, height uint64) []string {
-	var due []string
-	for key := range st.Keys(prefix) {
-		if at, _, ok := parseQueueKey(key, prefix); ok && at > height {
-			break
-		}
-		due = append(due, key)
+// popDue deletes the first key of a queue of "<prefix><due>/<id>" rows if it
+// is due at height or malformed, and returns its id (valid=false for a
+// malformed key); ok=false when the queue is empty or its first key is not
+// yet due. due is zero-padded hex, so byte order is due order: a block pops
+// what is due and reads one key more, however long the queue is, and
+// allocates nothing for the queue.
+func popDue(st contract.StateDB, prefix string, height uint64) (id string, valid, ok bool) {
+	key, ok := contract.FirstKey(st, prefix)
+	if !ok {
+		return "", false, false
 	}
-	return due
+	due, id, valid := parseQueueKey(key, prefix)
+	if valid && due > height {
+		return "", false, false
+	}
+	st.Delete(key)
+	return id, valid, true
 }
 
 // parseQueueKey splits a queue key into its due height and id; ok=false for
@@ -581,10 +620,8 @@ func parseQueueKey(key, prefix string) (due uint64, id string, ok bool) {
 
 // anyKey reports whether st holds a key with the given prefix.
 func anyKey(st contract.StateDB, prefix string) bool {
-	for range st.Keys(prefix) {
-		return true
-	}
-	return false
+	_, ok := contract.FirstKey(st, prefix)
+	return ok
 }
 
 // fold replaces a matched exchange's rows with its tombstone (see
@@ -593,21 +630,24 @@ func anyKey(st contract.StateDB, prefix string) bool {
 // alerted, or matched without a verdict, keeps its rows: they are its
 // evidence, and the missing verdict may yet arrive.
 func fold(st contract.StateDB, reqID string) {
-	vrow, ok := st.Get(verdictKey(reqID))
+	vkey := verdictKey(reqID)
+	vrow, ok := st.Get(vkey)
 	if !ok || anyKey(st, "alerted/"+reqID+"/") {
 		return
 	}
-	tomb := make([]byte, 0, tombstoneLen)
-	for _, kind := range LogKinds() {
-		row, _ := st.Get(recKey(reqID, kind)) // done implies all four
+	var keys [4]string
+	tomb := contract.Scratch(st, tombstoneLen)
+	for i, kind := range kindOfCode[1:] {
+		keys[i] = recKey(reqID, kind)
+		row, _ := st.Get(keys[i]) // done implies all four
 		tomb = append(tomb, row[:crypto.DigestSize]...)
 	}
 	tomb = append(tomb, vrow[:crypto.DigestSize]...)
 	st.Set(doneKey(reqID), tomb)
-	for _, kind := range LogKinds() {
-		st.Delete(recKey(reqID, kind))
+	for _, key := range keys {
+		st.Delete(key)
 	}
-	st.Delete(verdictKey(reqID))
+	st.Delete(vkey)
 	st.Delete(deadlineSetKey(reqID))
 }
 

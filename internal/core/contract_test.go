@@ -15,7 +15,10 @@ import (
 	"drams/internal/xacml"
 )
 
-var testKey = crypto.DeriveKey("test", "li-key")
+var (
+	testKey = crypto.DeriveKey("test", "li-key")
+	testMAC = crypto.NewMACKey(testKey)
+)
 
 // matchEnv drives the log-match contract directly through the engine, next
 // to the policy contract its M6 check reads.
@@ -106,17 +109,17 @@ func (x exchange) pdpRequest() LogRecord {
 func (x exchange) pdpResponse() LogRecord {
 	return LogRecord{Kind: KindPDPResponse, ReqID: x.reqID, Tenant: "infra", Origin: "t1", Agent: "agent-infra",
 		ReqDigest: x.reqDig, RespDigest: x.respDig,
-		DecisionTag:   DecisionTag(testKey, x.reqID, x.decision),
+		DecisionTag:   DecisionTag(&testMAC, x.reqID, x.decision),
 		PolicyVersion: x.polVer, PolicyDigest: x.polDig}
 }
 func (x exchange) pepResponse(enforced xacml.Decision) LogRecord {
 	return LogRecord{Kind: KindPEPResponse, ReqID: x.reqID, Tenant: "t1", Origin: "t1", Agent: "agent-t1",
 		ReqDigest: x.reqDig, RespDigest: x.respDig,
-		DecisionTag: DecisionTag(testKey, x.reqID, x.decision),
-		EnforcedTag: DecisionTag(testKey, x.reqID, enforced)}
+		DecisionTag: DecisionTag(&testMAC, x.reqID, x.decision),
+		EnforcedTag: DecisionTag(&testMAC, x.reqID, enforced)}
 }
 func (x exchange) verdict(expected xacml.Decision) Verdict {
-	return Verdict{ReqID: x.reqID, ExpectedTag: DecisionTag(testKey, x.reqID, expected),
+	return Verdict{ReqID: x.reqID, ExpectedTag: DecisionTag(&testMAC, x.reqID, expected),
 		PolicyDigest: x.polDig, Analyser: "analyser"}
 }
 
@@ -204,7 +207,7 @@ func TestM2ResponseTampered(t *testing.T) {
 			rec.RespDigest = crypto.Sum([]byte("evil"))
 		case "decision":
 			// PEP received a flipped decision (and enforced it).
-			rec.DecisionTag = DecisionTag(testKey, x.reqID, xacml.Deny)
+			rec.DecisionTag = DecisionTag(&testMAC, x.reqID, xacml.Deny)
 			rec.EnforcedTag = rec.DecisionTag
 		}
 		evs := env.mustCall("li-t1", MethodLogBatch, logArgs(rec))
@@ -509,22 +512,22 @@ func TestRecordValidation(t *testing.T) {
 
 func TestDecisionTagProperties(t *testing.T) {
 	// Equal decision+request → equal tags; anything else differs.
-	a := DecisionTag(testKey, "r1", xacml.Permit)
-	if a != DecisionTag(testKey, "r1", xacml.Permit) {
+	a := DecisionTag(&testMAC, "r1", xacml.Permit)
+	if a != DecisionTag(&testMAC, "r1", xacml.Permit) {
 		t.Fatal("tag not deterministic")
 	}
-	if a == DecisionTag(testKey, "r1", xacml.Deny) {
+	if a == DecisionTag(&testMAC, "r1", xacml.Deny) {
 		t.Fatal("different decisions share a tag")
 	}
-	if a == DecisionTag(testKey, "r2", xacml.Permit) {
+	if a == DecisionTag(&testMAC, "r2", xacml.Permit) {
 		t.Fatal("different requests share a tag (replay risk)")
 	}
-	other := crypto.DeriveKey("other", "key")
-	if a == DecisionTag(other, "r1", xacml.Permit) {
+	other := crypto.NewMACKey(crypto.DeriveKey("other", "key"))
+	if a == DecisionTag(&other, "r1", xacml.Permit) {
 		t.Fatal("different keys share a tag")
 	}
 	// Extended indeterminates collapse: tag is over the simple lattice.
-	if DecisionTag(testKey, "r1", xacml.IndeterminateD) != DecisionTag(testKey, "r1", xacml.IndeterminateDP) {
+	if DecisionTag(&testMAC, "r1", xacml.IndeterminateD) != DecisionTag(&testMAC, "r1", xacml.IndeterminateDP) {
 		t.Fatal("indeterminate flavours should share a tag")
 	}
 }
@@ -656,7 +659,7 @@ func TestJSONArgsRefused(t *testing.T) {
 	}{
 		{"li-t1", MethodLogBatch, mustJSON(t, map[string]any{"root": x.reqDig.String(), "records": []any{rec}})},
 		{"analyser", MethodVerdict, mustJSON(t, map[string]any{"reqId": x.reqID,
-			"expectedTag":  DecisionTag(testKey, x.reqID, x.decision).String(),
+			"expectedTag":  DecisionTag(&testMAC, x.reqID, x.decision).String(),
 			"policyDigest": x.polDig.String(), "analyser": "analyser"})},
 	}
 	before := env.st.Digest()
@@ -765,7 +768,10 @@ func TestStateRowCodec(t *testing.T) {
 			Tenant: full.Tenant, Origin: full.Origin, PolicyVersion: full.PolicyVersion},
 		{Hash: crypto.Sum([]byte("bare")), ReqDigest: x.reqDig}, // request record without a tenant
 	} {
-		row := encodeRecordRow(sr)
+		row := appendRecordRow(nil, &sr)
+		if len(row) != recordRowLen(&sr) {
+			t.Fatalf("record row of %d bytes, recordRowLen %d", len(row), recordRowLen(&sr))
+		}
 		got, ok := decodeRecordRow(row)
 		if !ok || got != sr {
 			t.Fatalf("record row round trip: ok=%v got %+v, want %+v", ok, got, sr)
@@ -780,7 +786,7 @@ func TestStateRowCodec(t *testing.T) {
 		}
 	}
 	// Length fields that promise more than any slice could hold.
-	huge := encodeRecordRow(StoredRecord{})
+	huge := appendRecordRow(nil, &StoredRecord{})
 	for i := recordRowFixed - 12; i < recordRowFixed; i++ {
 		huge[i] = 0xff
 	}
@@ -790,7 +796,7 @@ func TestStateRowCodec(t *testing.T) {
 
 	v := x.verdict(x.decision)
 	sv := storedVerdict{Hash: crypto.Sum(v.Encode()), ExpectedTag: v.ExpectedTag, PolicyDigest: v.PolicyDigest}
-	row := encodeVerdictRow(sv)
+	row := appendVerdictRow(nil, &sv)
 	if got, ok := decodeVerdictRow(row); !ok || got != sv {
 		t.Fatalf("verdict row round trip: ok=%v got %+v, want %+v", ok, got, sv)
 	}

@@ -120,7 +120,8 @@ func sealedExchange(t *testing.T, key crypto.Key, reqID string, role string, dec
 		}
 		return b
 	}
-	dt := DecisionTag(key, reqID, decision)
+	mk := crypto.NewMACKey(key)
+	dt := DecisionTag(&mk, reqID, decision)
 	recs := []LogRecord{
 		{Kind: KindPEPRequest, ReqID: reqID, Tenant: "t1", Agent: "a1",
 			ReqDigest: req.Digest(), Payload: seal(EncryptedContext{Request: req})},

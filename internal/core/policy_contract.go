@@ -240,10 +240,12 @@ func (pc *PolicyContract) schedule(ctx contract.CallCtx, st contract.StateDB, ve
 // appending to the on-chain activation history.
 func (pc *PolicyContract) OnBlock(height uint64, blockTime time.Time, st contract.StateDB) []contract.Event {
 	var events []contract.Event
-	for _, key := range dueKeys(st, "sched/", height) {
-		st.Delete(key)
-		_, version, ok := parseQueueKey(key, "sched/")
+	for {
+		version, valid, ok := popDue(st, "sched/", height)
 		if !ok {
+			break
+		}
+		if !valid {
 			continue
 		}
 

@@ -344,7 +344,7 @@ func TestM6ConsultsPolicyContract(t *testing.T) {
 		rec := LogRecord{
 			Kind: KindPDPResponse, ReqID: reqID, Tenant: "tenant-1", Agent: "agent",
 			ReqDigest: crypto.Sum([]byte(reqID)), RespDigest: crypto.Sum([]byte(reqID + "resp")),
-			DecisionTag:   DecisionTag(testKey, reqID, xacml.Permit),
+			DecisionTag:   DecisionTag(&testMAC, reqID, xacml.Permit),
 			PolicyVersion: version, PolicyDigest: digest,
 		}
 		args := logArgs(rec)

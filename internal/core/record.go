@@ -25,6 +25,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"drams/internal/crypto"
 	"drams/internal/wire"
@@ -50,12 +51,8 @@ const (
 	KindPEPResponse LogKind = "pep.response"
 )
 
-// LogKinds lists the four probe kinds in pipeline order.
-func LogKinds() []LogKind {
-	return []LogKind{KindPEPRequest, KindPDPRequest, KindPDPResponse, KindPEPResponse}
-}
-
-// kindOfCode maps a record's leading byte to its kind: 1–4 in pipeline order.
+// kindOfCode maps a record's leading byte to its kind: 1–4 in pipeline
+// order, so kindOfCode[1:] lists the four probe kinds in that order.
 var kindOfCode = [...]LogKind{1: KindPEPRequest, 2: KindPDPRequest, 3: KindPDPResponse, 4: KindPEPResponse}
 
 // code is the kind's leading byte in a record encoding, or 0, which no
@@ -72,11 +69,18 @@ func (k LogKind) code() byte {
 // response reports whether records of kind k carry the response digests.
 func (k LogKind) response() bool { return k == KindPDPResponse || k == KindPEPResponse }
 
-// DecisionTag is a keyed commitment to a decision: HMAC_K(reqID || decision).
-// Tags for the same request are equal iff the decisions are equal, and
-// reveal nothing without K.
-func DecisionTag(key crypto.Key, reqID string, d xacml.Decision) crypto.Digest {
-	return crypto.HMAC(key, []byte(fmt.Sprintf("decision|%s|%d", reqID, d.Simple())))
+// DecisionTag is a keyed commitment to a decision:
+// HMAC_K("decision|" || reqID || "|" || decimal code of the decision's simple
+// form). Tags for the same request are equal iff the decisions are equal,
+// and reveal nothing without K. The message is built on the stack and key is
+// prepared once by its holder, so a tag allocates nothing.
+func DecisionTag(key *crypto.MACKey, reqID string, d xacml.Decision) crypto.Digest {
+	var buf [96]byte
+	msg := append(buf[:0], "decision|"...)
+	msg = append(msg, reqID...)
+	msg = append(msg, '|')
+	msg = strconv.AppendUint(msg, uint64(d.Simple()), 10)
+	return key.Sum(msg)
 }
 
 // LogRecord is one monitoring observation. The fields used by on-chain
@@ -337,12 +341,36 @@ func (ec EncryptedContext) Seal(cipher *crypto.Cipher, reqID string) ([]byte, er
 
 // OpenContext decrypts a sealed context.
 func OpenContext(cipher *crypto.Cipher, reqID string, payload []byte) (EncryptedContext, error) {
-	plain, err := cipher.Decrypt(payload, []byte(reqID))
+	return openContext(cipher, reqID, payload, nil)
+}
+
+// contextScratch is what openContext decodes into for a caller that keeps
+// nothing of a context past its next open (the analyser, one goroutine): the
+// plaintext buffer, the request (xacml.DecodeRequestInto) and the result
+// (xacml.DecodeResultInto), reused from open to open.
+type contextScratch struct {
+	plain []byte
+	req   xacml.Request
+	res   xacml.Result
+}
+
+// openContext is OpenContext, into scratch when it is not nil: then the
+// context's request, result and note alias scratch and are valid until the
+// next open into it.
+func openContext(cipher *crypto.Cipher, reqID string, payload []byte, scratch *contextScratch) (EncryptedContext, error) {
+	var dst []byte
+	if scratch != nil {
+		dst = scratch.plain[:0]
+	}
+	plain, err := cipher.DecryptTo(dst, payload, []byte(reqID))
 	if err != nil {
 		return EncryptedContext{}, fmt.Errorf("core: open context: %w", err)
 	}
+	if scratch != nil {
+		scratch.plain = plain
+	}
 	var ec EncryptedContext
-	rd := wire.NewReader(plain) // plain is this call's own buffer
+	rd := wire.NewReader(plain) // plain is this call's own buffer, or scratch's
 	flags := rd.U8()
 	if flags&^(sealedRequest|sealedResult) != 0 {
 		rd.Fail(fmt.Errorf("flags 0x%02x", flags))
@@ -358,12 +386,23 @@ func OpenContext(cipher *crypto.Cipher, reqID string, payload []byte) (Encrypted
 	ec.Note = rd.Str()
 	err = rd.End()
 	if err == nil && flags&sealedRequest != 0 {
-		ec.Request, err = xacml.DecodeRequest(req)
+		if scratch == nil {
+			ec.Request, err = xacml.DecodeRequest(req)
+		} else if err = xacml.DecodeRequestInto(&scratch.req, req); err == nil {
+			ec.Request = &scratch.req
+		}
 	}
 	if err == nil && flags&sealedResult != 0 {
-		var r xacml.Result
-		if r, err = xacml.DecodeResult(res); err == nil {
-			ec.Result = &r
+		var r *xacml.Result
+		if scratch != nil {
+			r = &scratch.res
+			err = xacml.DecodeResultInto(r, res)
+		} else {
+			r = new(xacml.Result)
+			*r, err = xacml.DecodeResult(res)
+		}
+		if err == nil {
+			ec.Result = r
 		}
 	}
 	if err != nil {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"drams/internal/contract"
+	"drams/internal/merkle"
 )
 
 // The record decoders read bytes any allowlisted member chose (transaction
@@ -56,12 +59,29 @@ func FuzzDecodeLogBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lb.Encode())
+	f.Add(append(lb.Encode(), 0)) // a trailing byte after a batch whose root holds
 	f.Add(jsonSeed(map[string]any{"root": lb.Root.String(), "records": []any{jsonRecord()}}))
 	f.Add(LogBatch{}.Encode())
+	// The contract walks a batch its own way: the root over the blobs first,
+	// then one record at a time. It refuses what the decoder refuses, and
+	// applies what decodes with a matching root and valid records.
+	env := newMatchEnv(f, defaultCfg())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lb, err := DecodeLogBatch(data)
+		_, execErr := env.engine.Execute(contract.CallCtx{Height: env.height, Caller: "li-t1"}, env.st,
+			contract.Call{Contract: ContractName, Method: MethodLogBatch, Args: data})
 		if err != nil {
+			if execErr == nil {
+				t.Fatalf("the contract applied a batch the decoder refuses (%v)", err)
+			}
 			return
+		}
+		valid := merkle.RootOf(lb.leaves) == lb.Root
+		for i := range lb.Records {
+			valid = valid && lb.Records[i].Validate() == nil
+		}
+		if valid != (execErr == nil) {
+			t.Fatalf("batch with root and records valid=%v, contract error %v", valid, execErr)
 		}
 		if got := lb.Encode(); !bytes.Equal(got, data) {
 			t.Fatalf("accepted batch re-encodes differently:\n got %x\nwant %x", got, data)

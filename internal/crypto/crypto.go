@@ -38,7 +38,8 @@ type Digest [DigestSize]byte
 func Sum(data []byte) Digest { return sha256.Sum256(data) }
 
 // SumAll computes the digest of the concatenation of the given chunks, each
-// prefixed by its length so the encoding is injective.
+// prefixed by its length so the encoding is injective. The chunks are hashed
+// where they lie; the hash state and the output stay on the stack.
 func SumAll(chunks ...[]byte) Digest {
 	h := sha256.New()
 	var lenBuf [8]byte
@@ -48,7 +49,7 @@ func SumAll(chunks ...[]byte) Digest {
 		h.Write(c)
 	}
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 
@@ -172,12 +173,19 @@ func (c *Cipher) Encrypt(plaintext, additional []byte) ([]byte, error) {
 // Decrypt opens a ciphertext produced by Encrypt. It returns ErrDecrypt if
 // authentication fails.
 func (c *Cipher) Decrypt(ciphertext, additional []byte) ([]byte, error) {
+	return c.DecryptTo(nil, ciphertext, additional)
+}
+
+// DecryptTo is Decrypt appending the plaintext to dst, whose spare capacity
+// it uses, so a caller that opens one payload at a time reuses one buffer.
+// dst must not overlap ciphertext.
+func (c *Cipher) DecryptTo(dst, ciphertext, additional []byte) ([]byte, error) {
 	ns := c.aead.NonceSize()
 	if len(ciphertext) < ns {
 		return nil, fmt.Errorf("crypto: ciphertext too short (%d bytes): %w", len(ciphertext), ErrDecrypt)
 	}
 	nonce, sealed := ciphertext[:ns], ciphertext[ns:]
-	pt, err := c.aead.Open(nil, nonce, sealed, additional)
+	pt, err := c.aead.Open(dst, nonce, sealed, additional)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -240,13 +248,46 @@ func (p PublicIdentity) Verify(msg, sig []byte) bool {
 	return ed25519.Verify(p.Key, msg, sig)
 }
 
-// HMAC computes HMAC-SHA256 of msg under key.
-func HMAC(key Key, msg []byte) Digest {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(msg)
-	var d Digest
-	copy(d[:], mac.Sum(nil))
-	return d
+// MACKey is a key prepared once for HMAC-SHA256 (RFC 2104): the key, padded
+// to the SHA-256 block, XORed with the inner and with the outer pad. Sum
+// copies the pads into a buffer of its own, so one MACKey serves concurrent
+// callers, and a message of up to macInline bytes is MACed on the stack
+// without allocating.
+type MACKey struct {
+	ipad, opad [sha256.BlockSize]byte
+}
+
+// macInline is the longest message Sum hashes in a stack buffer.
+const macInline = 192
+
+// NewMACKey prepares key for HMAC-SHA256.
+func NewMACKey(key Key) MACKey {
+	var mk MACKey
+	for i := range mk.ipad {
+		mk.ipad[i], mk.opad[i] = 0x36, 0x5c
+	}
+	for i, b := range key {
+		mk.ipad[i] ^= b
+		mk.opad[i] ^= b
+	}
+	return mk
+}
+
+// Sum computes HMAC-SHA256 of msg: SHA-256(opad || SHA-256(ipad || msg)).
+func (mk *MACKey) Sum(msg []byte) Digest {
+	var inner Digest
+	if len(msg) <= macInline {
+		var buf [sha256.BlockSize + macInline]byte
+		copy(buf[:], mk.ipad[:])
+		n := copy(buf[sha256.BlockSize:], msg)
+		inner = sha256.Sum256(buf[:sha256.BlockSize+n])
+	} else {
+		inner = sha256.Sum256(append(append(make([]byte, 0, sha256.BlockSize+len(msg)), mk.ipad[:]...), msg...))
+	}
+	var outer [sha256.BlockSize + DigestSize]byte
+	copy(outer[:], mk.opad[:])
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
 }
 
 // ConstantTimeEqual compares two byte slices in constant time.

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -307,15 +309,15 @@ func TestPublicIdentityFingerprint(t *testing.T) {
 }
 
 func TestHMAC(t *testing.T) {
-	k := DeriveKey("k", "hmac")
-	a := HMAC(k, []byte("msg"))
-	if a != HMAC(k, []byte("msg")) {
+	k, k2 := NewMACKey(DeriveKey("k", "hmac")), NewMACKey(DeriveKey("k2", "hmac"))
+	a := k.Sum([]byte("msg"))
+	if a != k.Sum([]byte("msg")) {
 		t.Fatal("HMAC not deterministic")
 	}
-	if a == HMAC(k, []byte("msg2")) {
+	if a == k.Sum([]byte("msg2")) {
 		t.Fatal("HMAC collision on different messages")
 	}
-	if a == HMAC(DeriveKey("k2", "hmac"), []byte("msg")) {
+	if a == k2.Sum([]byte("msg")) {
 		t.Fatal("HMAC collision on different keys")
 	}
 }
@@ -326,5 +328,31 @@ func TestConstantTimeEqual(t *testing.T) {
 	}
 	if ConstantTimeEqual([]byte("ab"), []byte("ac")) {
 		t.Fatal("unequal slices equal")
+	}
+}
+
+// TestMACKeyMatchesStdlib: the prepared key gives crypto/hmac's MAC for
+// messages on both sides of the inline bound, and neither a short message's
+// MAC nor a framed hash allocates.
+func TestMACKeyMatchesStdlib(t *testing.T) {
+	k := DeriveKey("k", "hmac")
+	mk := NewMACKey(k)
+	for _, n := range []int{0, 1, 55, 64, macInline, macInline + 1, 1000} {
+		msg := bytes.Repeat([]byte{byte(n)}, n)
+		ref := hmac.New(sha256.New, k[:])
+		ref.Write(msg)
+		if got := mk.Sum(msg); !bytes.Equal(got[:], ref.Sum(nil)) {
+			t.Errorf("%d-byte message: MAC differs from crypto/hmac", n)
+		}
+	}
+	msg := []byte("decision|req-1|2")
+	chunk := bytes.Repeat([]byte("a"), 1500)
+	for name, f := range map[string]func(){
+		"MACKey.Sum": func() { _ = mk.Sum(msg) },
+		"SumAll":     func() { _ = SumAll(msg, chunk) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f per call, want 0", name, n)
+		}
 	}
 }

@@ -79,9 +79,19 @@ func (t Table) CSV() string {
 }
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond)) }
-func msF(v float64) string      { return fmt.Sprintf("%.2f", v) }
-func count(n int64) string      { return fmt.Sprintf("%d", n) }
-func pct(num, den int) string   { return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(max(1, den))) }
+
+// msF formats milliseconds with two decimals, and with four below
+// 0.01 ms, so a latency of a few microseconds (an unmonitored decide) does
+// not read 0.
+func msF(v float64) string {
+	if v < 0.01 {
+		return fmt.Sprintf("%.4f", v)
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+func count(n int64) string    { return fmt.Sprintf("%d", n) }
+func pct(num, den int) string { return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(max(1, den))) }
 func rate(n int, d time.Duration) string {
 	if d <= 0 {
 		return "inf"

@@ -90,6 +90,7 @@ type LI struct {
 	cfg    LIConfig
 	sender txSender
 	cipher *crypto.Cipher
+	mac    crypto.MACKey // K, prepared once for the decision tags
 	clk    clock.Clock
 
 	queue chan queued
@@ -146,6 +147,7 @@ func NewLI(cfg LIConfig) (*LI, error) {
 		cfg:        cfg,
 		sender:     blockchain.NewSender(cfg.Node, cfg.Identity),
 		cipher:     cipher,
+		mac:        crypto.NewMACKey(cfg.Key),
 		clk:        cfg.Clock,
 		queue:      make(chan queued, cfg.QueueSize),
 		flushDepth: metrics.NewHistogram(),
@@ -205,7 +207,7 @@ func (li *LI) FlushDepth() metrics.HistExport { return li.flushDepth.Export() }
 // DecisionTag computes the keyed decision commitment on behalf of agents
 // (the LI exposes the symmetric-key functions, paper §II).
 func (li *LI) DecisionTag(reqID string, d xacml.Decision) crypto.Digest {
-	return core.DecisionTag(li.cfg.Key, reqID, d)
+	return core.DecisionTag(&li.mac, reqID, d)
 }
 
 // Seal encrypts an exchange context for on-chain storage.

@@ -225,7 +225,8 @@ func TestLISealOpenAndTag(t *testing.T) {
 	if ec.Request.Digest() != req.Digest() {
 		t.Fatal("seal/open mismatch")
 	}
-	if env.li.DecisionTag("r1", xacml.Permit) != core.DecisionTag(testKey, "r1", xacml.Permit) {
+	mk := crypto.NewMACKey(testKey)
+	if env.li.DecisionTag("r1", xacml.Permit) != core.DecisionTag(&mk, "r1", xacml.Permit) {
 		t.Fatal("LI tag differs from core tag")
 	}
 	if env.li.Name() != "li@t1" {
@@ -249,7 +250,7 @@ func TestAgentObservationsReachChain(t *testing.T) {
 	pdpDone(res, true)
 	pepDone(res, xacml.Permit, true)
 
-	for _, kind := range core.LogKinds() {
+	for _, kind := range []core.LogKind{core.KindPEPRequest, core.KindPDPRequest, core.KindPDPResponse, core.KindPEPResponse} {
 		rec := waitForRecord(t, env.node, "ag-1", kind)
 		if rec.ReqDigest != req.Digest() {
 			t.Fatalf("%s: wrong request digest", kind)

@@ -54,10 +54,44 @@ func NodeHash(left, right crypto.Digest) crypto.Digest {
 
 // Tree is an immutable Merkle tree built over a sequence of leaves. An odd
 // node at any level is promoted (not duplicated), which avoids the Bitcoin
-// CVE-2012-2459 duplicate-leaf ambiguity.
+// CVE-2012-2459 duplicate-leaf ambiguity. Its levels lie in one slice, the
+// leaf hashes first and the root last, so a tree is one allocation, and none
+// for a caller that builds it with From over storage of its own.
 type Tree struct {
-	levels [][]crypto.Digest // levels[0] = leaf hashes, last level = [root]
-	n      int
+	nodes []crypto.Digest // every level, bottom up: n leaf hashes, ..., the root
+	n     int
+}
+
+// SmallNodes is the node count of a tree over 16 leaves, the most that a
+// caller's array of SmallNodes digests holds: a tree over up to 16 leaves
+// built in one (see From) allocates nothing.
+const SmallNodes = 31
+
+// nodeCount is the number of nodes of a tree over n leaves: the capacity
+// From needs to build it without growing its storage.
+func nodeCount(n int) int {
+	c := n
+	for ; n > 1; c += n {
+		n = (n + 1) / 2
+	}
+	return c
+}
+
+// From builds the tree whose leaf hashes are nodes, appending the levels
+// above them to nodes' storage: in storage from Storage it allocates
+// nothing, and the tree aliases that storage. nodes must not be empty.
+func From(nodes []crypto.Digest) Tree {
+	n := len(nodes)
+	for start, width := 0, n; width > 1; start, width = start+width, (width+1)/2 {
+		for i := start; i < start+width; i += 2 {
+			if i+1 < start+width {
+				nodes = append(nodes, NodeHash(nodes[i], nodes[i+1]))
+			} else {
+				nodes = append(nodes, nodes[i]) // odd node: promoted unchanged
+			}
+		}
+	}
+	return Tree{nodes: nodes, n: n}
 }
 
 // Build constructs a tree over the given leaf payloads.
@@ -65,48 +99,16 @@ func Build(leaves [][]byte) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, ErrEmptyTree
 	}
-	level := make([]crypto.Digest, len(leaves))
+	nodes := make([]crypto.Digest, len(leaves), nodeCount(len(leaves)))
 	for i, l := range leaves {
-		level[i] = LeafHash(l)
+		nodes[i] = LeafHash(l)
 	}
-	return buildFromLeafHashes(level), nil
-}
-
-// BuildFromHashes constructs a tree whose leaves are pre-hashed digests
-// (useful when leaf payloads are large and already fingerprinted).
-func BuildFromHashes(leafHashes []crypto.Digest) (*Tree, error) {
-	if len(leafHashes) == 0 {
-		return nil, ErrEmptyTree
-	}
-	level := make([]crypto.Digest, len(leafHashes))
-	copy(level, leafHashes)
-	return buildFromLeafHashes(level), nil
-}
-
-func buildFromLeafHashes(level []crypto.Digest) *Tree {
-	t := &Tree{n: len(level)}
-	t.levels = append(t.levels, level)
-	for len(level) > 1 {
-		next := make([]crypto.Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, NodeHash(level[i], level[i+1]))
-			} else {
-				// Odd node: promote unchanged.
-				next = append(next, level[i])
-			}
-		}
-		t.levels = append(t.levels, next)
-		level = next
-	}
-	return t
+	t := From(nodes)
+	return &t, nil
 }
 
 // Root returns the tree's root digest.
-func (t *Tree) Root() crypto.Digest {
-	top := t.levels[len(t.levels)-1]
-	return top[0]
-}
+func (t *Tree) Root() crypto.Digest { return t.nodes[len(t.nodes)-1] }
 
 // Len returns the number of leaves.
 func (t *Tree) Len() int { return t.n }
@@ -128,18 +130,21 @@ func (t *Tree) Prove(index int) (Proof, error) {
 	if index < 0 || index >= t.n {
 		return Proof{}, fmt.Errorf("merkle: prove index %d of %d leaves: %w", index, t.n, ErrIndexRange)
 	}
-	p := Proof{LeafIndex: index}
-	idx := index
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		level := t.levels[lvl]
-		sib := idx ^ 1
-		if sib < len(level) {
-			p.Steps = append(p.Steps, ProofStep{Sibling: level[sib], Left: sib < idx})
+	return Proof{LeafIndex: index, Steps: t.AppendProof(nil, index)}, nil
+}
+
+// AppendProof appends the steps of the membership proof of the leaf at
+// index, which must be in range, to steps. A tree over 16 leaves has at most
+// four steps.
+func (t *Tree) AppendProof(steps []ProofStep, index int) []ProofStep {
+	for start, width, idx := 0, t.n, index; width > 1; start, width, idx = start+width, (width+1)/2, idx/2 {
+		// A sibling past the level's end means the node was promoted; no
+		// step is recorded.
+		if sib := idx ^ 1; sib < width {
+			steps = append(steps, ProofStep{Sibling: t.nodes[start+sib], Left: sib < idx})
 		}
-		// If sib >= len(level) the node was promoted; no step is recorded.
-		idx /= 2
 	}
-	return p, nil
+	return steps
 }
 
 // Verify checks that leaf payload data is included under root via proof.
@@ -162,26 +167,37 @@ func VerifyHash(root crypto.Digest, leafHash crypto.Digest, proof Proof) bool {
 
 // RootOf is a convenience that computes the Merkle root of the payloads
 // without retaining the tree. It returns the zero digest for no leaves,
-// providing a stable sentinel for "empty set" (e.g. an empty block).
+// providing a stable sentinel for "empty set" (e.g. an empty block). Up to
+// 16 leaves it allocates nothing.
 func RootOf(leaves [][]byte) crypto.Digest {
 	if len(leaves) == 0 {
 		return crypto.Digest{}
 	}
-	t, err := Build(leaves)
-	if err != nil {
-		return crypto.Digest{}
+	var small [SmallNodes]crypto.Digest
+	nodes := Storage(&small, len(leaves))
+	for _, l := range leaves {
+		nodes = append(nodes, LeafHash(l))
 	}
+	t := From(nodes)
 	return t.Root()
 }
 
-// RootOfHashes computes the root over pre-hashed leaves, zero digest if none.
+// RootOfHashes computes the root over pre-hashed leaves, zero digest if
+// none. Up to 16 leaves it allocates nothing.
 func RootOfHashes(hashes []crypto.Digest) crypto.Digest {
 	if len(hashes) == 0 {
 		return crypto.Digest{}
 	}
-	t, err := BuildFromHashes(hashes)
-	if err != nil {
-		return crypto.Digest{}
-	}
+	var small [SmallNodes]crypto.Digest
+	t := From(append(Storage(&small, len(hashes)), hashes...))
 	return t.Root()
+}
+
+// Storage returns empty storage for a tree over n leaves: small's when it
+// fits (n <= 16), else one allocation of the exact size.
+func Storage(small *[SmallNodes]crypto.Digest, n int) []crypto.Digest {
+	if c := nodeCount(n); c > SmallNodes {
+		return make([]crypto.Digest, 0, c)
+	}
+	return small[:0]
 }

@@ -3,6 +3,7 @@ package merkle
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ func TestBuildEmptyFails(t *testing.T) {
 	if _, err := Build(nil); !errors.Is(err, ErrEmptyTree) {
 		t.Fatalf("got %v", err)
 	}
-	if _, err := BuildFromHashes(nil); !errors.Is(err, ErrEmptyTree) {
+	if _, err := Build([][]byte{}); !errors.Is(err, ErrEmptyTree) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -156,20 +157,92 @@ func TestOddPromotionNoDuplicateAmbiguity(t *testing.T) {
 	}
 }
 
-func TestBuildFromHashesMatchesBuild(t *testing.T) {
+func TestFromHashesMatchesBuild(t *testing.T) {
 	ls := leaves(7)
 	hashes := make([]crypto.Digest, len(ls))
 	for i, l := range ls {
 		hashes[i] = LeafHash(l)
 	}
 	a, _ := Build(ls)
-	b, _ := BuildFromHashes(hashes)
-	if a.Root() != b.Root() {
-		t.Fatal("Build and BuildFromHashes disagree")
+	b := From(append([]crypto.Digest(nil), hashes...))
+	if a.Root() != b.Root() || RootOfHashes(hashes) != a.Root() {
+		t.Fatal("Build, From and RootOfHashes disagree")
 	}
 	p, _ := b.Prove(2)
 	if !VerifyHash(b.Root(), hashes[2], p) {
 		t.Fatal("VerifyHash failed")
+	}
+}
+
+// levelTree is the tree this package built before its levels shared one
+// slice: one slice per level, an odd node promoted. Roots and proofs of the
+// flat layout must be its, leaf count by leaf count.
+func levelTree(hashes []crypto.Digest) (root crypto.Digest, proofs [][]ProofStep) {
+	levels := [][]crypto.Digest{hashes}
+	for level := hashes; len(level) > 1; {
+		var next []crypto.Digest
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, NodeHash(level[i], level[i+1]))
+			} else {
+				next = append(next, level[i])
+			}
+		}
+		levels = append(levels, next)
+		level = next
+	}
+	for idx := range hashes {
+		var steps []ProofStep
+		for lvl, i := 0, idx; lvl < len(levels)-1; lvl, i = lvl+1, i/2 {
+			if sib := i ^ 1; sib < len(levels[lvl]) {
+				steps = append(steps, ProofStep{Sibling: levels[lvl][sib], Left: sib < i})
+			}
+		}
+		proofs = append(proofs, steps)
+	}
+	return levels[len(levels)-1][0], proofs
+}
+
+// TestFlatLevelsMatchPerLevelTree: for every leaf count up to 40, the flat
+// tree's root and proofs are the per-level tree's, its node count is
+// nodeCount, and up to 16 leaves a tree in caller storage, its root, its
+// proofs and RootOf allocate nothing.
+func TestFlatLevelsMatchPerLevelTree(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		ls := leaves(n)
+		hashes := make([]crypto.Digest, n)
+		for i, l := range ls {
+			hashes[i] = LeafHash(l)
+		}
+		root, proofs := levelTree(hashes)
+		tree, _ := Build(ls)
+		if tree.Root() != root || RootOf(ls) != root || RootOfHashes(hashes) != root {
+			t.Fatalf("%d leaves: roots differ from the per-level tree", n)
+		}
+		if len(tree.nodes) != nodeCount(n) || (n <= 16) != (nodeCount(n) <= SmallNodes) {
+			t.Fatalf("%d leaves: %d nodes, nodeCount %d", n, len(tree.nodes), nodeCount(n))
+		}
+		for i := range ls {
+			p, err := tree.Prove(i)
+			if err != nil || !reflect.DeepEqual(p.Steps, proofs[i]) {
+				t.Fatalf("%d leaves, leaf %d: proof differs from the per-level tree's", n, i)
+			}
+		}
+		if n > 16 {
+			continue
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			var small [SmallNodes]crypto.Digest
+			var steps [4]ProofStep
+			tr := From(append(small[:0], hashes...))
+			if tr.Root() != root || len(tr.AppendProof(steps[:0], n-1)) != len(proofs[n-1]) {
+				t.Fatal("tree in caller storage differs")
+			}
+			RootOf(ls)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d leaves: %v allocations", n, allocs)
+		}
 	}
 }
 
