@@ -1,6 +1,6 @@
 // bench_test.go regenerates the experiment tables README "Tests and
-// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E7)
-// plus micro-benchmarks of the building blocks. Run:
+// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E3
+// and E5–E7) plus micro-benchmarks of the building blocks. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -87,17 +87,6 @@ func BenchmarkE3PoWTuning(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(metric(tab, "14", "mean_block_ms"), "d14-block-ms")
-	}
-}
-
-func BenchmarkE4HybridTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE4(experiment.E4Params{Writes: 64, BatchSizes: []int{16}, ValueSize: 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "hybrid-16", "p50_ms"), "hybrid-write-p50-ms")
-		b.ReportMetric(metric(tab, "pure-chain", "p50_ms"), "chain-write-p50-ms")
 	}
 }
 
@@ -277,37 +266,24 @@ func BenchmarkRequestDigest(b *testing.B) {
 	}
 }
 
-func BenchmarkMerkleBuild1024(b *testing.B) {
-	leaves := make([][]byte, 1024)
-	for i := range leaves {
-		leaves[i] = []byte(fmt.Sprintf("leaf-%d", i))
+// BenchmarkMerkleLogBatch16 builds a 16-leaf tree in caller storage and
+// proves and verifies every leaf, the shape core's logbatch runs for a full
+// flush window.
+func BenchmarkMerkleLogBatch16(b *testing.B) {
+	var hashes [16]crypto.Digest
+	for i := range hashes {
+		hashes[i] = merkle.LeafHash([]byte(fmt.Sprintf("record-%d", i)))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := merkle.Build(leaves); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMerkleProveVerify1024(b *testing.B) {
-	leaves := make([][]byte, 1024)
-	for i := range leaves {
-		leaves[i] = []byte(fmt.Sprintf("leaf-%d", i))
-	}
-	tree, err := merkle.Build(leaves)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i % 1024
-		proof, err := tree.Prove(idx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !merkle.Verify(tree.Root(), leaves[idx], proof) {
-			b.Fatal("verify failed")
+	var steps [4]merkle.ProofStep
+	b.ReportAllocs()
+	for b.Loop() {
+		var small [merkle.SmallNodes]crypto.Digest
+		tree := merkle.From(append(merkle.Storage(&small, len(hashes)), hashes[:]...))
+		for i, h := range hashes {
+			proof := merkle.Proof{LeafIndex: i, Steps: tree.AppendProof(steps[:0], i)}
+			if !merkle.VerifyHash(tree.Root(), h, proof) {
+				b.Fatal("verify failed")
+			}
 		}
 	}
 }

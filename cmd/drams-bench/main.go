@@ -1,7 +1,7 @@
-// drams-bench regenerates the full experiment suite: the E1–E7 reproductions
-// of the paper's evaluation, the AB1–AB2 ablations, and the V6 and V7 tables
-// (fast resync, adversarial detection); README "Tests and benchmarks" and
-// ARCHITECTURE §3 list them. Speed comparisons between code paths live in
+// drams-bench regenerates the full experiment suite: the E1–E3 and E5–E7
+// reproductions of the paper's evaluation, the AB1–AB2 ablations, and the
+// V6 and V7 tables (fast resync, adversarial detection); README "Tests and
+// benchmarks" and ARCHITECTURE §3 list them. Speed comparisons between code paths live in
 // benchmark/, not here. It prints each result table (text or CSV).
 //
 // Usage:
@@ -63,7 +63,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E7, AB1..AB2, V6, V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E3, E5..E7, AB1..AB2, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -164,13 +164,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.E3Params{Difficulties: []uint8{4, 8, 12}, Blocks: 3}
 			}
 			return experiment.RunE3(p)
-		}},
-		{"E4", func() (experiment.Table, error) {
-			p := experiment.DefaultE4Params()
-			if quick {
-				p = experiment.E4Params{Writes: 48, BatchSizes: []int{16}, ValueSize: 128}
-			}
-			return experiment.RunE4(p)
 		}},
 		{"E5", func() (experiment.Table, error) {
 			p := experiment.DefaultE5Params()

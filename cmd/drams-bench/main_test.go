@@ -13,7 +13,7 @@ func ids(rs []runner) string {
 	return strings.Join(out, ",")
 }
 
-const catalogueIDs = "E1,E2,E3,E4,E5,E6,E7,AB1,AB2,V6,V7"
+const catalogueIDs = "E1,E2,E3,E5,E6,E7,AB1,AB2,V6,V7"
 
 func TestSelectRunners(t *testing.T) {
 	all, err := selectRunners(catalogue(true), "all")
@@ -24,13 +24,16 @@ func TestSelectRunners(t *testing.T) {
 	if err != nil || ids(got) != "E2,V6,V7" {
 		t.Fatalf("selection = %s (%v), want E2,V6,V7 in catalogue order", ids(got), err)
 	}
-	// V3 was a table once; a stale or mistyped id must not select a subset.
-	got, err = selectRunners(catalogue(true), "V6,V3")
-	if err == nil || got != nil {
-		t.Fatalf("unknown id selected %s, err %v", ids(got), err)
-	}
-	if !strings.Contains(err.Error(), `"V3"`) || !strings.Contains(err.Error(), catalogueIDs) {
-		t.Fatalf("error %q does not name the unknown id and the known ones", err)
+	// V3 and E4 were tables once; a stale or mistyped id must not select a
+	// subset.
+	for _, stale := range []string{"V3", "E4"} {
+		got, err = selectRunners(catalogue(true), "V6,"+stale)
+		if err == nil || got != nil {
+			t.Fatalf("unknown id %s selected %s, err %v", stale, ids(got), err)
+		}
+		if !strings.Contains(err.Error(), `"`+stale+`"`) || !strings.Contains(err.Error(), catalogueIDs) {
+			t.Fatalf("error %q does not name the unknown id %s and the known ones", err, stale)
+		}
 	}
 }
 

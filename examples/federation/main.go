@@ -9,8 +9,8 @@
 //
 //   - traffic from three hospitals' tenants, all matched on-chain;
 //
-//   - a policy update, its on-chain anchoring, and the analyser's formal
-//     change-impact report (which requests changed decision and how).
+//   - a policy update, its on-chain anchoring, and a nurse ward's batch
+//     decided under the new version.
 //
 //     go run ./examples/federation
 package main
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"drams"
-	"drams/internal/analysis"
 	"drams/internal/federation"
 	"drams/internal/xacml"
 )
@@ -156,8 +155,7 @@ func run() error {
 	}
 	fmt.Println("  every exchange matched on-chain; zero alerts")
 
-	// Policy update: v2 lets nurses read patient records. Before rolling it
-	// out, run the analyser's change-impact analysis (ref [8]).
+	// Policy update: v2 lets nurses read patient records.
 	v2 := healthPolicy("v2")
 	nurseRule := &xacml.Rule{
 		ID: "nurse-records", Effect: xacml.EffectPermit,
@@ -169,24 +167,6 @@ func run() error {
 	}
 	pol := v2.Items[0].Policy
 	pol.Rules = append([]*xacml.Rule{nurseRule}, pol.Rules...)
-
-	fmt.Println("\nformal policy analysis before rollout (ref [8] machinery):")
-	comp := analysis.CheckCompleteness(analysis.Compile(v2), analysis.ExtractDomain(v2), analysis.DefaultEnumParams())
-	fmt.Printf("  completeness: every abstract request decided Permit/Deny? %v (checked %d)\n",
-		comp.Complete, comp.Checked)
-	red := analysis.CheckRedundancy(v2, analysis.DefaultEnumParams())
-	fmt.Printf("  redundant rules: %v\n", red.RedundantRules)
-
-	fmt.Println("\nchange-impact analysis v1 → v2 (nurses gain read access):")
-	report := analysis.ChangeImpact(healthPolicy("v1"), v2, analysis.DefaultEnumParams())
-	fmt.Printf("  abstract requests checked: %d, decisions changed: %d\n", report.Checked, report.Differences)
-	for i, w := range report.Witnesses {
-		if i == 3 {
-			fmt.Printf("  ... and %d more\n", report.Differences-3)
-			break
-		}
-		fmt.Printf("  witness: %s\n", w)
-	}
 
 	if err := dep.PublishPolicy(v2); err != nil {
 		return err

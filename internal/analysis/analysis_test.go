@@ -165,111 +165,6 @@ func TestDomainSamplingBounded(t *testing.T) {
 	}
 }
 
-func TestCompletenessIncompletePolicy(t *testing.T) {
-	// Only doctors are mentioned: everyone else is NotApplicable under
-	// first-applicable without a default rule.
-	pol := &xacml.Policy{ID: "p", Version: "1", Alg: xacml.FirstApplicable,
-		Rules: []*xacml.Rule{{
-			ID: "permit-doctors", Effect: xacml.EffectPermit,
-			Target: xacml.TargetMatching(xacml.CatSubject, "role", xacml.String("doctor")),
-		}}}
-	ps := &xacml.PolicySet{ID: "s", Version: "1", Alg: xacml.FirstApplicable,
-		Items: []xacml.PolicyItem{{Policy: pol}}}
-	rep := CheckCompleteness(Compile(ps), ExtractDomain(ps), DefaultEnumParams())
-	if rep.Complete {
-		t.Fatal("incomplete policy reported complete")
-	}
-	if rep.NotApplicable == 0 || len(rep.NAWitnesses) == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-}
-
-func TestCompletenessCompletePolicy(t *testing.T) {
-	rep := CheckCompleteness(Compile(docPolicy()), ExtractDomain(docPolicy()), DefaultEnumParams())
-	if !rep.Complete {
-		t.Fatalf("deny-unless-permit policy must be complete: %+v NA witnesses %v", rep, rep.NAWitnesses)
-	}
-}
-
-func TestChangeImpactDetectsWidening(t *testing.T) {
-	before := docPolicy()
-	after := docPolicy()
-	after.Version = "v2"
-	// v2 additionally permits nurses.
-	nurseRule := &xacml.Rule{
-		ID:     "permit-nurses",
-		Effect: xacml.EffectPermit,
-		Target: xacml.TargetMatching(xacml.CatSubject, "role", xacml.String("nurse")),
-	}
-	pol := after.Items[0].Policy
-	pol.Rules = append([]*xacml.Rule{nurseRule}, pol.Rules...)
-	rep := ChangeImpact(before, after, DefaultEnumParams())
-	if rep.Equivalent || rep.Differences == 0 {
-		t.Fatalf("widening not detected: %+v", rep)
-	}
-	// Every witness must involve a nurse request flipping Deny → Permit.
-	for _, w := range rep.Witnesses {
-		if w.Before != xacml.Deny || w.After != xacml.Permit {
-			t.Fatalf("unexpected witness: %s", w)
-		}
-		if !w.Request.Get(xacml.CatSubject, "role").Contains(xacml.String("nurse")) {
-			t.Fatalf("witness without nurse role: %s", w)
-		}
-	}
-}
-
-func TestChangeImpactEquivalentPolicies(t *testing.T) {
-	before := docPolicy()
-	after := docPolicy()
-	after.Version = "v2" // version differs, semantics identical
-	rep := ChangeImpact(before, after, DefaultEnumParams())
-	if !rep.Equivalent || rep.Differences != 0 {
-		t.Fatalf("equivalent versions reported different: %+v", rep.Witnesses)
-	}
-}
-
-func TestChangeImpactReorderUnderDenyOverrides(t *testing.T) {
-	// Reordering rules under deny-overrides is semantics-preserving.
-	gen := xacml.NewGenerator(31, xacml.GenParams{Rules: 5, Policies: 1, Attrs: 2, ValuesPerAttr: 3, MaxCondDepth: 2})
-	before := gen.PolicySet("root", "v1")
-	before.Alg = xacml.DenyOverrides
-	for _, item := range before.Items {
-		item.Policy.Alg = xacml.DenyOverrides
-	}
-	after := before.Clone()
-	after.Version = "v2"
-	rules := after.Items[0].Policy.Rules
-	for i, j := 0, len(rules)-1; i < j; i, j = i+1, j-1 {
-		rules[i], rules[j] = rules[j], rules[i]
-	}
-	rep := ChangeImpact(before, after, DefaultEnumParams())
-	if !rep.Equivalent {
-		t.Fatalf("deny-overrides reorder changed semantics: %v", rep.Witnesses)
-	}
-}
-
-func TestCheckRedundancy(t *testing.T) {
-	// Rule "dup" duplicates "permit-doctors" and is redundant; the default
-	// deny is not.
-	dup := &xacml.Rule{ID: "dup", Effect: xacml.EffectPermit,
-		Target: xacml.TargetMatching(xacml.CatSubject, "role", xacml.String("doctor"))}
-	ps := docPolicy()
-	pol := ps.Items[0].Policy
-	pol.Alg = xacml.DenyOverrides // order-insensitive so dup is fully shadowed
-	pol.Rules = append(pol.Rules, dup)
-	rep := CheckRedundancy(ps, DefaultEnumParams())
-	found := map[string]bool{}
-	for _, id := range rep.RedundantRules {
-		found[id] = true
-	}
-	if !found["dup"] {
-		t.Fatalf("dup not reported redundant: %+v", rep)
-	}
-	if found["deny-rest"] {
-		t.Fatal("deny-rest wrongly reported redundant")
-	}
-}
-
 func TestCompiledHandlesNestedSetsAndOnlyOne(t *testing.T) {
 	docP := &xacml.Policy{ID: "docs", Version: "1", Alg: xacml.FirstApplicable,
 		Target: xacml.TargetMatching(xacml.CatSubject, "role", xacml.String("doctor")),

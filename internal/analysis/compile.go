@@ -6,14 +6,10 @@
 //
 // The analyser compiles a policy set into a normalised logical form —
 // per-rule applicability predicates over attribute atoms, combined by an
-// independent implementation of the XACML combining algorithms — and offers:
-//
-//   - ExpectedDecision: re-derivation of the decision for a request, used by
-//     the monitor's M5 check to detect compromised PDPs;
-//   - finite-domain abstraction of the policy's attribute space, supporting
-//     exhaustive property analysis: completeness, reachability/redundancy of
-//     rules, and change-impact between policy versions (witness requests
-//     whose decisions differ).
+// independent implementation of the XACML combining algorithms — and offers
+// ExpectedDecision: re-derivation of the decision for a request, used by the
+// monitor's M5 check to detect compromised PDPs. That per-request check is
+// all §II asks of the analyser.
 //
 // The compiled form deliberately re-implements target matching (as
 // three-valued predicate evaluation) and the combining algorithms, so the

@@ -21,7 +21,8 @@ type attrDomain struct {
 // thresholds, presence) is crossed by at least one domain element, so
 // exhaustive evaluation over the domain exercises every reachable branch of
 // the compiled form — the standard constant-analysis construction used by
-// XACML verification tools (ref [8]).
+// XACML verification tools (ref [8]). TestDifferentialOverAbstractDomain
+// draws its boundary-value requests from it.
 type Domain struct {
 	attrs []attrDomain
 }
@@ -176,8 +177,6 @@ type EnumParams struct {
 }
 
 // DefaultEnumParams enumerate up to 20 000 abstract requests.
-//
-//lint:ignore deadcode examples/federation runs it: the analyser's policy checks over the logical representation (paper §II)
 func DefaultEnumParams() EnumParams { return EnumParams{MaxRequests: 20000, Seed: 1} }
 
 // Requests materialises the abstract request set.

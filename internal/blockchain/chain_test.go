@@ -24,13 +24,12 @@ func testIdentity(t testing.TB, name string, seedByte byte) *crypto.Identity {
 	return crypto.NewIdentityFromSeed(name, seed)
 }
 
-// testChainConfig builds a low-difficulty config with kv+anchor contracts
-// and the given allowed identities.
+// testChainConfig builds a low-difficulty config with the kv contract and
+// the given allowed identities.
 func testChainConfig(t testing.TB, ids ...*crypto.Identity) Config {
 	t.Helper()
 	reg := contract.NewRegistry()
 	reg.MustRegister(&contract.KVContract{ContractName: "kv"})
-	reg.MustRegister(&contract.AnchorContract{ContractName: "anchor"})
 	pubs := make([]crypto.PublicIdentity, len(ids))
 	for i, id := range ids {
 		pubs[i] = id.Public()

@@ -18,7 +18,6 @@ func TestReplicaDeterminism(t *testing.T) {
 	build := func() (*Engine, *State) {
 		r := NewRegistry()
 		r.MustRegister(&KVContract{ContractName: "kv"})
-		r.MustRegister(&AnchorContract{ContractName: "anchor"})
 		return NewEngine(r), NewState()
 	}
 	e1, s1 := build()
@@ -43,13 +42,9 @@ func TestReplicaDeterminism(t *testing.T) {
 			}
 			call = Call{Contract: "kv", Method: method, Args: args}
 		} else {
-			args, _ := json.Marshal(AnchorArgs{
-				Stream: fmt.Sprintf("s%d", rng.Intn(3)),
-				Seq:    uint64(rng.Intn(20)),
-				Root:   crypto.Sum(rng.Bytes(4)),
-				Count:  rng.Intn(100),
-			})
-			call = Call{Contract: "anchor", Method: "anchor", Args: args}
+			// Malformed args: the call fails and rolls back on both replicas.
+			malformed := []string{`{"key":`, `{"key":""}`, `[]`}
+			call = Call{Contract: "kv", Method: "put", Args: json.RawMessage(malformed[rng.Intn(len(malformed))])}
 		}
 		calls = append(calls, struct {
 			ctx  CallCtx
@@ -65,11 +60,13 @@ func TestReplicaDeterminism(t *testing.T) {
 		})
 	}
 
+	var failed int
 	digest := func(e *Engine, s *State) (crypto.Digest, string) {
 		var eventLog string
 		for _, c := range calls {
 			events, err := e.Execute(c.ctx, s, c.call)
 			if err != nil {
+				failed++
 				eventLog += "ERR:" + c.call.Method + ";"
 				continue
 			}
@@ -87,5 +84,8 @@ func TestReplicaDeterminism(t *testing.T) {
 	}
 	if log1 != log2 {
 		t.Fatal("replicas diverged in events")
+	}
+	if failed == 0 || failed == 2*len(calls) {
+		t.Fatalf("%d of %d calls failed: the sequence must mix applied and rolled-back calls", failed/2, len(calls))
 	}
 }

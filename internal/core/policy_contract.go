@@ -28,7 +28,7 @@ const (
 	// version is now the federation's active policy.
 	EventPolicyActivated = "PolicyActivated"
 	// EventPolicyConflict: a re-submission of an existing version carried a
-	// different digest — visible equivocation, AnchorConflict-style.
+	// different digest — visible equivocation.
 	EventPolicyConflict = "PolicyConflict"
 )
 

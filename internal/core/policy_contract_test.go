@@ -179,8 +179,8 @@ func TestPolicyContractConflictingDigestRejected(t *testing.T) {
 	before := e.st.Digest()
 
 	// Same version, different content (still self-consistent digest): the
-	// original anchor stays, and the attempt is flagged on-chain with an
-	// AnchorConflict-style event.
+	// original anchor stays, and the attempt is flagged on-chain with a
+	// PolicyConflict event.
 	other := xacml.RestrictedPolicy("v1").Encode()
 	conflict := PolicyUpdate{Version: "v1", Policy: other, Digest: crypto.Sum(other), ActivateHeight: 1}
 	evs, err := e.call("pap", MethodPolicyUpdate, conflict.Encode())

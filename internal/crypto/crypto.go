@@ -9,9 +9,10 @@
 //   - Identity / PublicIdentity: ed25519 signing identities for components
 //     (agents, LIs, analyser, PAP). Every blockchain transaction is signed so
 //     that log forgery by outsiders is rejected (attack A8).
-//   - SoftTPM (tpm.go): a simulated Trusted Platform Module providing the
-//     §III "System Integrity" mitigation — measured boot, key sealing and
-//     attestation quotes.
+//
+// The §III "System Integrity" mitigation (measured boot, sealing K in a
+// TPM) is a deployment measure and is not simulated here: K is a shared
+// secret every member derives from the federation's seed.
 package crypto
 
 import (
@@ -114,17 +115,6 @@ const KeySize = 32
 
 // Key is a symmetric encryption key (the shared LI key K from the paper).
 type Key [KeySize]byte
-
-// NewKey generates a fresh random key.
-//
-//lint:ignore deadcode examples/trustedplatform seals a fresh K in the TPM: the System Integrity mitigation of paper §III
-func NewKey() (Key, error) {
-	var k Key
-	if _, err := io.ReadFull(rand.Reader, k[:]); err != nil {
-		return k, fmt.Errorf("crypto: generate key: %w", err)
-	}
-	return k, nil
-}
 
 // DeriveKey deterministically derives a key from a passphrase and context
 // label using HMAC-SHA256 (sufficient for simulation; not a password KDF).

@@ -146,11 +146,7 @@ func TestLeadingZeroBits(t *testing.T) {
 }
 
 func TestCipherRoundTrip(t *testing.T) {
-	key, err := NewKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCipher(key)
+	c, err := NewCipher(DeriveKey("round-trip", "ctx"))
 	if err != nil {
 		t.Fatal(err)
 	}

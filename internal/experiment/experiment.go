@@ -1,7 +1,7 @@
-// Package experiment implements the E1–E7 experiment drivers — the
-// reproduction of every figure/table obligation derived from the paper
-// (Figure 1, the §I threat model, and the §III Log Size / System Integrity
-// discussions) — plus the AB1–AB2 ablations and the V6 and V7 tables. Each
+// Package experiment implements the E1–E3 and E5–E7 experiment drivers —
+// the reproduction of the figure/table obligations derived from the paper
+// (Figure 1, the §I threat model, and the §III Log Size latency
+// discussion) — plus the AB1–AB2 ablations and the V6 and V7 tables. Each
 // driver returns a Table that cmd/drams-bench prints and bench_test.go
 // reports; README "Tests and benchmarks" and ARCHITECTURE §3 list them.
 package experiment

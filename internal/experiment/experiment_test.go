@@ -92,45 +92,6 @@ func TestRunE3ShapeMonotone(t *testing.T) {
 	}
 }
 
-func TestRunE4Smoke(t *testing.T) {
-	tab, err := RunE4(E4Params{Writes: 24, BatchSizes: []int{8}, ValueSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string][]string{}
-	for _, row := range tab.Rows {
-		rows[row[0]] = row
-	}
-	if len(rows) != 3 { // pure-db, hybrid-8, pure-chain
-		t.Fatalf("modes = %v", rows)
-	}
-	if cell(t, tab, 0, "tamper_detected") != "no" {
-		t.Fatal("pure-db should not detect tampering")
-	}
-	for i, row := range tab.Rows {
-		if strings.HasPrefix(row[0], "hybrid") || row[0] == "pure-chain" {
-			if cell(t, tab, i, "tamper_detected") != "yes" {
-				t.Fatalf("%s did not detect tampering", row[0])
-			}
-		}
-	}
-	// Shape: pure-db p50 <= hybrid p50 <= pure-chain p50.
-	var dbP50, hybP50, chainP50 float64
-	for i, row := range tab.Rows {
-		switch {
-		case row[0] == "pure-db":
-			dbP50 = cellFloat(t, tab, i, "p50_ms")
-		case strings.HasPrefix(row[0], "hybrid"):
-			hybP50 = cellFloat(t, tab, i, "p50_ms")
-		case row[0] == "pure-chain":
-			chainP50 = cellFloat(t, tab, i, "p50_ms")
-		}
-	}
-	if !(dbP50 <= hybP50*10 && hybP50 < chainP50) {
-		t.Fatalf("latency ordering violated: db=%v hybrid=%v chain=%v", dbP50, hybP50, chainP50)
-	}
-}
-
 func TestRunE5Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E5 full matrix in -short mode")

@@ -11,22 +11,20 @@ import (
 	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
-	"drams/internal/hybrid"
 	"drams/internal/idgen"
 	"drams/internal/metrics"
 	"drams/internal/netsim"
 	"drams/internal/xacml"
 )
 
-// singleNode spins up one mining chain node with the DRAMS contracts and an
-// allowlisted writer identity.
+// singleNode spins up one mining chain node with the log-match contract and
+// an allowlisted writer identity.
 func singleNode(difficulty uint8, emptyInterval time.Duration) (*blockchain.Node, *crypto.Identity, func(), error) {
 	var seed [32]byte
 	seed[0] = 0x33
 	id := crypto.NewIdentityFromSeed("bench-writer", seed)
 	reg := contract.NewRegistry()
 	reg.MustRegister(core.NewLogMatchContract(core.MatchConfig{TimeoutBlocks: 1 << 20}))
-	reg.MustRegister(&contract.AnchorContract{ContractName: "anchor"})
 	net := netsim.New(netsim.Config{Seed: 5})
 	node, err := blockchain.NewNode(blockchain.NodeConfig{
 		Name: "bench-node",
@@ -183,125 +181,6 @@ func RunE3(p E3Params) (Table, error) {
 	return t, nil
 }
 
-// E4Params parameterise the hybrid-store comparison.
-type E4Params struct {
-	Writes     int
-	BatchSizes []int
-	ValueSize  int
-}
-
-// DefaultE4Params writes 250 entries of 256 bytes; 250 is deliberately not
-// a multiple of the batch sizes so the unprotected tail window is visible.
-func DefaultE4Params() E4Params {
-	return E4Params{Writes: 250, BatchSizes: []int{16, 64, 256}, ValueSize: 256}
-}
-
-// RunE4 compares pure-database, hybrid (several anchoring batch sizes) and
-// pure-chain storage: write latency versus tamper detectability — the
-// trade-off the paper's §III attributes to the hybrid design of ref [9].
-func RunE4(p E4Params) (Table, error) {
-	t := Table{
-		ID:     "E4",
-		Title:  "hybrid DB+blockchain trade-off: write latency vs. integrity",
-		Header: []string{"mode", "writes", "p50_ms", "p99_ms", "throughput_w_s", "tamper_detected", "unprotected_at_tamper"},
-		Notes: []string{
-			"pure-db: plain in-memory database, no anchoring — tampering is silent",
-			"hybrid-B: Merkle root of every B writes anchored on-chain; audit detects tampering",
-			"pure-chain: every write individually anchored and confirmed before returning",
-			"unprotected_at_tamper: entries whose anchor is not yet on-chain when the attacker",
-			"strikes — the §III window: they stay auditable only while the store process survives",
-		},
-	}
-	rng := idgen.NewRand(99)
-	value := func(i int) []byte { return rng.Bytes(p.ValueSize) }
-
-	// Pure DB.
-	{
-		db := make(map[string][]byte)
-		h := metrics.NewHistogram()
-		start := time.Now()
-		for i := 0; i < p.Writes; i++ {
-			w := time.Now()
-			db[fmt.Sprintf("key-%d", i)] = value(i)
-			h.ObserveDuration(time.Since(w))
-		}
-		elapsed := time.Since(start)
-		db["key-0"] = []byte("evil") // the attacker's rewrite: nothing records it
-		s := h.Snapshot()
-		t.Rows = append(t.Rows, []string{"pure-db", fmt.Sprintf("%d", p.Writes),
-			msF(s.P50), msF(s.P99), rate(p.Writes, elapsed), "no", fmt.Sprintf("%d", p.Writes)})
-	}
-
-	runHybrid := func(label string, batch int, confirm uint64) error {
-		node, id, cleanup, err := singleNode(8, 0)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		hs, err := hybrid.Open(hybrid.Config{
-			Stream:            "e4",
-			BatchSize:         batch,
-			Sender:            blockchain.NewSender(node, id),
-			Node:              node,
-			WaitConfirmations: confirm,
-		})
-		if err != nil {
-			return err
-		}
-		h := metrics.NewHistogram()
-		start := time.Now()
-		ctx := context.Background()
-		for i := 0; i < p.Writes; i++ {
-			w := time.Now()
-			if err := hs.Put(ctx, fmt.Sprintf("key-%d", i), value(i)); err != nil {
-				return err
-			}
-			h.ObserveDuration(time.Since(w))
-		}
-		elapsed := time.Since(start)
-		// The attacker strikes now: entries of the current (unanchored)
-		// batch are still in the unprotected window — tampering the first
-		// entry of batch 1 is detectable only if batch 1 was anchored.
-		pendingAtTamper := hs.Stats().PendingEntries
-		hs.TamperLogEntry(1, 0, []byte("evil"))
-		// Normal operation continues: the tail batch is flushed, and the
-		// audit waits until all submitted anchors are on-chain.
-		waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-		defer cancel()
-		_ = hs.Flush(waitCtx)
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			var anchored int
-			node.Chain().ReadState("anchor", func(st contract.StateDB) {
-				anchored = len(contract.ListAnchors(st, "e4"))
-			})
-			if int64(anchored) >= hs.Stats().AnchorsSubmitted {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		rep := hs.Audit()
-		detected := "no"
-		if !rep.Clean() {
-			detected = "yes"
-		}
-		s := h.Snapshot()
-		t.Rows = append(t.Rows, []string{label, fmt.Sprintf("%d", p.Writes),
-			msF(s.P50), msF(s.P99), rate(p.Writes, elapsed), detected, fmt.Sprintf("%d", pendingAtTamper)})
-		return nil
-	}
-
-	for _, b := range p.BatchSizes {
-		if err := runHybrid(fmt.Sprintf("hybrid-%d", b), b, 0); err != nil {
-			return t, fmt.Errorf("E4 hybrid-%d: %w", b, err)
-		}
-	}
-	if err := runHybrid("pure-chain", 1, 1); err != nil {
-		return t, fmt.Errorf("E4 pure-chain: %w", err)
-	}
-	return t, nil
-}
-
 // E7Params parameterise the analyser sweep.
 type E7Params struct {
 	RuleCounts []int
@@ -313,17 +192,16 @@ func DefaultE7Params() E7Params {
 	return E7Params{RuleCounts: []int{10, 50, 100, 500, 1000}, Requests: 300}
 }
 
-// RunE7 measures the analyser: compile time, expected-decision derivation
-// time (the per-request cost of check M5), PDP evaluation for comparison,
-// and a change-impact analysis — the ref [8] machinery DRAMS builds on.
+// RunE7 measures the analyser: compile time and expected-decision
+// derivation time (the per-request cost of check M5), with PDP evaluation
+// for comparison.
 func RunE7(p E7Params) (Table, error) {
 	t := Table{
 		ID:     "E7",
 		Title:  "analyser cost vs. policy size",
-		Header: []string{"rules", "compile_ms", "expected_us_per_req", "pdp_us_per_req", "change_impact_ms", "impact_requests"},
+		Header: []string{"rules", "compile_ms", "expected_us_per_req", "pdp_us_per_req"},
 		Notes: []string{
 			"expected_us_per_req: analyser re-derivation (M5); pdp_us_per_req: the PDP's own evaluation",
-			"change_impact: v1 vs v1+one widened rule over the abstract domain (≤2000 requests)",
 		},
 	}
 	for _, n := range p.RuleCounts {
@@ -355,20 +233,9 @@ func RunE7(p E7Params) (Table, error) {
 		}
 		pdpUs := float64(time.Since(pStart).Microseconds()) / float64(len(reqs))
 
-		v2 := ps.Clone()
-		v2.Version = "v2"
-		v2.Items[0].Policy.Rules = append([]*xacml.Rule{{
-			ID: "widen", Effect: xacml.EffectPermit,
-			Target: xacml.TargetMatching(xacml.CatSubject, "attr0", xacml.String("v0")),
-		}}, v2.Items[0].Policy.Rules...)
-		iStart := time.Now()
-		rep := analysis.ChangeImpact(ps, v2, analysis.EnumParams{MaxRequests: 2000, Seed: 3})
-		impactMs := time.Since(iStart)
-
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n), ms(compileMs),
 			fmt.Sprintf("%.1f", expectedUs), fmt.Sprintf("%.1f", pdpUs),
-			ms(impactMs), fmt.Sprintf("%d", rep.Checked),
 		})
 	}
 	return t, nil

@@ -16,6 +16,9 @@ import (
 // The roots are main and init of every package main under Roots, every
 // init and blank `var _ = …` of a checked package, and the root package's
 // exported API (functions, types, vars, consts and exported methods). A
+// blank interface assertion, `var _ I = (*T)(nil)` or `var _ I = T{}`, is
+// a compile-time check, not a root: it keeps T live only if something else
+// does. A blank var that calls a function, `var _ = registered()`, is. A
 // declaration is live when a live one references it. A method is live when
 // it is referenced, or when its receiver type is live and its name is a
 // method of some interface type in the loaded program, the imported
@@ -120,6 +123,9 @@ func (a *DeadCode) Run(p *Pass) {
 			var recv *types.TypeName
 			if fn != nil {
 				recv = receiverType(fn)
+			}
+			if name == "_" && isAssertion(d.node, d.info) {
+				continue
 			}
 			if name == "_" || fn != nil && recv == nil && (name == "init" || isMain && name == "main") {
 				roots = append(roots, d)
@@ -238,6 +244,25 @@ func topLevelDecls(bp *builtPkg) []*dcDecl {
 		}
 	}
 	return out
+}
+
+// isAssertion reports whether a blank var is an interface assertion: it
+// declares an interface type, and its values convert or build a value but
+// call no function.
+func isAssertion(node ast.Node, info *types.Info) bool {
+	spec, ok := node.(*ast.ValueSpec)
+	if !ok || spec.Type == nil || !types.IsInterface(info.TypeOf(spec.Type)) {
+		return false
+	}
+	calls := false
+	for _, v := range spec.Values {
+		ast.Inspect(v, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			calls = calls || ok && !info.Types[call.Fun].IsType()
+			return !calls
+		})
+	}
+	return !calls
 }
 
 // addIfaceNames records the method names of t when it is an interface.

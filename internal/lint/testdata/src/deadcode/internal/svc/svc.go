@@ -33,8 +33,9 @@ func (l *Live) Size() int { return len(l.name) }
 // calls.
 func (l *Live) Unused() {} // want "method Live.Unused is unreachable"
 
-// Sizer names Size.
-type Sizer interface{ Size() int }
+// Sizer names Size. Only assertions name Sizer, so it is dead itself; a
+// method name of any interface in the program still keeps Live.Size live.
+type Sizer interface{ Size() int } // want "type Sizer is unreachable"
 
 // Shape is what main calls Area through.
 type Shape interface{ Area() float64 }
@@ -51,13 +52,30 @@ type ghost struct{} // want "type ghost is unreachable"
 
 func (ghost) String() string { return "ghost" } // want "method ghost.String is unreachable"
 
-// Meter is live only through the blank assertion below.
-type Meter struct{}
+// Meter is named only by the blank assertion below, a compile-time check
+// that keeps nothing live.
+type Meter struct{} // want "type Meter is unreachable"
 
-// Size is live: Meter is live and Sizer names Size.
-func (*Meter) Size() int { return 0 }
+// Size is dead with Meter although Sizer names it.
+func (*Meter) Size() int { return 0 } // want "method Meter.Size is unreachable"
 
 var _ Sizer = (*Meter)(nil)
+
+// Gauge is named only by a composite-literal assertion.
+type Gauge struct{} // want "type Gauge is unreachable"
+
+func (Gauge) Size() int { return 0 } // want "method Gauge.Size is unreachable"
+
+var _ Sizer = Gauge{}
+
+// Probe is live: its typed blank var calls newProbe, so it is a root.
+type Probe struct{}
+
+func (*Probe) Size() int { return 0 }
+
+var _ interface{ Size() int } = newProbe()
+
+func newProbe() *Probe { return &Probe{} }
 
 var _ = registered()
 

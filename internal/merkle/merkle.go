@@ -1,10 +1,10 @@
 // Package merkle implements binary Merkle hash trees with membership proofs.
 //
 // DRAMS uses Merkle trees in two places: (1) each blockchain block commits to
-// its transaction set through a Merkle root, and (2) the hybrid
-// database+blockchain store (paper §III, reference [9]) anchors batches of
-// database writes on-chain as a single root, with per-entry membership proofs
-// verified at audit time.
+// its transaction set through a Merkle root, and (2) each logbatch
+// transaction commits to its records through a root, and the LogStored event
+// of each record carries its membership proof, so a party that reads the
+// block log alone can check that a record was anchored.
 //
 // Leaves are domain-separated from interior nodes (0x00 / 0x01 prefixes) so
 // that a proof for an interior node can never masquerade as a leaf —
@@ -13,18 +13,8 @@ package merkle
 
 import (
 	"crypto/sha256"
-	"errors"
-	"fmt"
 
 	"drams/internal/crypto"
-)
-
-var (
-	// ErrEmptyTree is returned when building a tree over zero leaves.
-	ErrEmptyTree = errors.New("merkle: cannot build tree with no leaves")
-	// ErrIndexRange is returned when a proof is requested for an index
-	// outside the tree.
-	ErrIndexRange = errors.New("merkle: leaf index out of range")
 )
 
 const (
@@ -94,19 +84,6 @@ func From(nodes []crypto.Digest) Tree {
 	return Tree{nodes: nodes, n: n}
 }
 
-// Build constructs a tree over the given leaf payloads.
-func Build(leaves [][]byte) (*Tree, error) {
-	if len(leaves) == 0 {
-		return nil, ErrEmptyTree
-	}
-	nodes := make([]crypto.Digest, len(leaves), nodeCount(len(leaves)))
-	for i, l := range leaves {
-		nodes[i] = LeafHash(l)
-	}
-	t := From(nodes)
-	return &t, nil
-}
-
 // Root returns the tree's root digest.
 func (t *Tree) Root() crypto.Digest { return t.nodes[len(t.nodes)-1] }
 
@@ -123,14 +100,6 @@ type ProofStep struct {
 type Proof struct {
 	LeafIndex int         `json:"leafIndex"`
 	Steps     []ProofStep `json:"steps"`
-}
-
-// Prove returns the membership proof for the leaf at index.
-func (t *Tree) Prove(index int) (Proof, error) {
-	if index < 0 || index >= t.n {
-		return Proof{}, fmt.Errorf("merkle: prove index %d of %d leaves: %w", index, t.n, ErrIndexRange)
-	}
-	return Proof{LeafIndex: index, Steps: t.AppendProof(nil, index)}, nil
 }
 
 // AppendProof appends the steps of the membership proof of the leaf at

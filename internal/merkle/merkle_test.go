@@ -1,7 +1,6 @@
 package merkle
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -18,27 +17,29 @@ func leaves(n int) [][]byte {
 	return out
 }
 
-func TestBuildEmptyFails(t *testing.T) {
-	if _, err := Build(nil); !errors.Is(err, ErrEmptyTree) {
-		t.Fatalf("got %v", err)
+// build builds the tree over non-empty payloads as core's logbatch does:
+// leaf hashes in Storage, then From.
+func build(payloads [][]byte) *Tree {
+	var small [SmallNodes]crypto.Digest
+	nodes := Storage(&small, len(payloads))
+	for _, p := range payloads {
+		nodes = append(nodes, LeafHash(p))
 	}
-	if _, err := Build([][]byte{}); !errors.Is(err, ErrEmptyTree) {
-		t.Fatalf("got %v", err)
-	}
+	t := From(nodes)
+	return &t
+}
+
+// prove is the membership proof of the leaf at index.
+func prove(t *Tree, index int) Proof {
+	return Proof{LeafIndex: index, Steps: t.AppendProof(nil, index)}
 }
 
 func TestSingleLeaf(t *testing.T) {
-	tr, err := Build(leaves(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := build(leaves(1))
 	if tr.Root() != LeafHash([]byte("leaf-0")) {
 		t.Fatal("single-leaf root should be the leaf hash")
 	}
-	p, err := tr.Prove(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(tr, 0)
 	if len(p.Steps) != 0 {
 		t.Fatalf("single leaf proof has %d steps", len(p.Steps))
 	}
@@ -50,19 +51,12 @@ func TestSingleLeaf(t *testing.T) {
 func TestProofsVerifyAllSizes(t *testing.T) {
 	for n := 1; n <= 33; n++ {
 		ls := leaves(n)
-		tr, err := Build(ls)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := build(ls)
 		if tr.Len() != n {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			p, err := tr.Prove(i)
-			if err != nil {
-				t.Fatalf("n=%d Prove(%d): %v", n, i, err)
-			}
-			if !Verify(tr.Root(), ls[i], p) {
+			if p := prove(tr, i); !Verify(tr.Root(), ls[i], p) || !VerifyHash(tr.Root(), LeafHash(ls[i]), p) {
 				t.Fatalf("n=%d leaf %d proof failed", n, i)
 			}
 		}
@@ -71,8 +65,8 @@ func TestProofsVerifyAllSizes(t *testing.T) {
 
 func TestProofRejectsWrongLeaf(t *testing.T) {
 	ls := leaves(10)
-	tr, _ := Build(ls)
-	p, _ := tr.Prove(3)
+	tr := build(ls)
+	p := prove(tr, 3)
 	if Verify(tr.Root(), []byte("not-the-leaf"), p) {
 		t.Fatal("proof verified for wrong payload")
 	}
@@ -83,33 +77,21 @@ func TestProofRejectsWrongLeaf(t *testing.T) {
 
 func TestProofRejectsWrongRoot(t *testing.T) {
 	ls := leaves(8)
-	tr, _ := Build(ls)
-	p, _ := tr.Prove(0)
-	other, _ := Build(leaves(9))
+	tr := build(ls)
+	p := prove(tr, 0)
+	other := build(leaves(9))
 	if Verify(other.Root(), ls[0], p) {
 		t.Fatal("proof verified under wrong root")
 	}
 }
 
-func TestProofIndexRange(t *testing.T) {
-	tr, _ := Build(leaves(4))
-	if _, err := tr.Prove(-1); !errors.Is(err, ErrIndexRange) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := tr.Prove(4); !errors.Is(err, ErrIndexRange) {
-		t.Fatalf("got %v", err)
-	}
-}
-
 func TestRootChangesWithAnyLeafChange(t *testing.T) {
 	base := leaves(16)
-	tr, _ := Build(base)
-	root := tr.Root()
+	root := build(base).Root()
 	for i := range base {
 		mutated := leaves(16)
 		mutated[i] = append(mutated[i], 'X')
-		tr2, _ := Build(mutated)
-		if tr2.Root() == root {
+		if build(mutated).Root() == root {
 			t.Fatalf("mutating leaf %d did not change root", i)
 		}
 	}
@@ -148,11 +130,9 @@ func TestHashesArePrefixedSHA256WithoutAllocating(t *testing.T) {
 func TestOddPromotionNoDuplicateAmbiguity(t *testing.T) {
 	// With duplicate-last-leaf trees, [a,b,c] and [a,b,c,c] share a root;
 	// promotion must distinguish them.
-	t3, _ := Build(leaves(3))
 	ls4 := leaves(3)
 	ls4 = append(ls4, ls4[2])
-	t4, _ := Build(ls4)
-	if t3.Root() == t4.Root() {
+	if build(leaves(3)).Root() == build(ls4).Root() {
 		t.Fatal("odd-promotion tree has duplicate-leaf ambiguity")
 	}
 }
@@ -163,13 +143,12 @@ func TestFromHashesMatchesBuild(t *testing.T) {
 	for i, l := range ls {
 		hashes[i] = LeafHash(l)
 	}
-	a, _ := Build(ls)
+	a := build(ls)
 	b := From(append([]crypto.Digest(nil), hashes...))
 	if a.Root() != b.Root() || RootOfHashes(hashes) != a.Root() {
-		t.Fatal("Build, From and RootOfHashes disagree")
+		t.Fatal("build, From and RootOfHashes disagree")
 	}
-	p, _ := b.Prove(2)
-	if !VerifyHash(b.Root(), hashes[2], p) {
+	if !VerifyHash(b.Root(), hashes[2], prove(&b, 2)) {
 		t.Fatal("VerifyHash failed")
 	}
 }
@@ -215,7 +194,7 @@ func TestFlatLevelsMatchPerLevelTree(t *testing.T) {
 			hashes[i] = LeafHash(l)
 		}
 		root, proofs := levelTree(hashes)
-		tree, _ := Build(ls)
+		tree := build(ls)
 		if tree.Root() != root || RootOf(ls) != root || RootOfHashes(hashes) != root {
 			t.Fatalf("%d leaves: roots differ from the per-level tree", n)
 		}
@@ -223,8 +202,7 @@ func TestFlatLevelsMatchPerLevelTree(t *testing.T) {
 			t.Fatalf("%d leaves: %d nodes, nodeCount %d", n, len(tree.nodes), nodeCount(n))
 		}
 		for i := range ls {
-			p, err := tree.Prove(i)
-			if err != nil || !reflect.DeepEqual(p.Steps, proofs[i]) {
+			if p := prove(tree, i); !reflect.DeepEqual(p.Steps, proofs[i]) {
 				t.Fatalf("%d leaves, leaf %d: proof differs from the per-level tree's", n, i)
 			}
 		}
@@ -254,8 +232,7 @@ func TestRootOfConveniences(t *testing.T) {
 		t.Fatal("RootOfHashes(nil) should be zero digest")
 	}
 	ls := leaves(5)
-	tr, _ := Build(ls)
-	if RootOf(ls) != tr.Root() {
+	if RootOf(ls) != build(ls).Root() {
 		t.Fatal("RootOf mismatch")
 	}
 }
@@ -271,15 +248,9 @@ func TestProofsPropertyBased(t *testing.T) {
 		if len(payloads) > 64 {
 			payloads = payloads[:64]
 		}
-		tr, err := Build(payloads)
-		if err != nil {
-			return false
-		}
+		tr := build(payloads)
 		idx := int(flip) % len(payloads)
-		p, err := tr.Prove(idx)
-		if err != nil {
-			return false
-		}
+		p := prove(tr, idx)
 		if !Verify(tr.Root(), payloads[idx], p) {
 			return false
 		}
@@ -294,9 +265,9 @@ func TestProofsPropertyBased(t *testing.T) {
 // Property: proofs are non-transferable across indices unless payloads equal.
 func TestProofNonTransferable(t *testing.T) {
 	ls := leaves(32)
-	tr, _ := Build(ls)
+	tr := build(ls)
 	for i := 0; i < 32; i++ {
-		p, _ := tr.Prove(i)
+		p := prove(tr, i)
 		for j := 0; j < 32; j++ {
 			if i == j {
 				continue

@@ -145,6 +145,8 @@ func (t Target) String() string {
 
 // TargetMatching builds a target matching a single equality test; a common
 // construction convenience.
+//
+//lint:ignore deadcode examples/quickstart writes its policy with it, and the xacml, analysis, core and federation packages' tests build targets with it
 func TargetMatching(cat Category, id AttributeID, v Value) Target {
 	return Target{AnyOf: []AnyOf{{AllOf: []AllOf{{Matches: []Match{{
 		Op: CmpEq, Attr: Designator{Cat: cat, ID: id}, Lit: v,

@@ -111,6 +111,8 @@ func String(s string) Value { return Value{T: TypeString, S: s} }
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
 // Float builds a float value.
+//
+//lint:ignore deadcode Value constructor beside String and Int: the xacml, analysis, core and federation packages' tests build float attributes with it
 func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
 
 // Bool builds a boolean value.
