@@ -182,22 +182,23 @@ func countRecords(tail []byte) int {
 	return n
 }
 
-// replayBlock decodes a logged block and adds it to c. The log holds one
-// chain in height order, so a block that does not extend the head is
-// refused even if it would be a valid side branch.
+// replayBlock decodes a logged block and adds it to c, which keeps the
+// record's payload as the block's frame. The log holds one chain in height
+// order, so a block that does not extend the head is refused even if it
+// would be a valid side branch.
 func (c *Chain) replayBlock(payload []byte) (crypto.Digest, error) {
 	b, err := DecodeBlock(payload)
 	if err != nil {
 		return crypto.Digest{}, err
 	}
+	hash := b.Hash()
 	if head, _ := c.Head(); b.Header.PrevHash != head {
-		return crypto.Digest{}, fmt.Errorf("block %s does not extend the logged chain", b.Hash().Short())
+		return crypto.Digest{}, fmt.Errorf("block %s does not extend the logged chain", hash.Short())
 	}
-	if err := c.AddBlock(b); err != nil {
+	if err := c.addBlock(b, hash, payload); err != nil {
 		return crypto.Digest{}, err
 	}
-	head, _ := c.Head()
-	return head, nil
+	return hash, nil
 }
 
 // syncLogLocked brings the block log up to the best chain: it cuts the log
@@ -221,7 +222,7 @@ func (c *Chain) syncLogLocked() {
 		return
 	}
 	for _, hash := range c.bestChain[keep+1:] {
-		if err := l.append(hash, c.blocks[hash].Encode()); err != nil {
+		if err := l.append(hash, c.blocks[hash].frame); err != nil {
 			c.persistErrs.Inc()
 			return
 		}

@@ -3,6 +3,7 @@ package blockchain
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,8 +59,7 @@ type Chain struct {
 	clk      clock.Clock
 
 	mu        sync.RWMutex
-	blocks    map[crypto.Digest]*Block
-	blockIDs  map[crypto.Digest][]crypto.Digest // each block's tx IDs, index-aligned
+	blocks    map[crypto.Digest]*storedBlock
 	genesis   crypto.Digest
 	head      crypto.Digest
 	bestChain []crypto.Digest // index = height
@@ -87,8 +87,7 @@ func NewChain(cfg Config) *Chain {
 		engine:   contract.NewEngine(cfg.Registry),
 		ids:      NewIdentityRegistry(cfg.Identities...),
 		clk:      cfg.Clock,
-		blocks:   make(map[crypto.Digest]*Block),
-		blockIDs: make(map[crypto.Digest][]crypto.Digest),
+		blocks:   make(map[crypto.Digest]*storedBlock),
 		state:    contract.NewState(),
 		receipts: make(map[crypto.Digest]Receipt),
 		events:   make(map[crypto.Digest][]contract.Event),
@@ -102,11 +101,43 @@ func NewChain(cfg Config) *Chain {
 		Miner:        "genesis",
 	}}
 	gh := gen.Hash()
-	c.blocks[gh] = gen
+	c.blocks[gh] = &storedBlock{header: gen.Header, frame: gen.Encode()}
 	c.genesis = gh
 	c.head = gh
 	c.bestChain = []crypto.Digest{gh}
 	return c
+}
+
+// storedBlock is what a chain keeps of a block: its header, its
+// transactions' IDs (index-aligned) and its encoding. The decoded
+// transactions are not kept: they served validation and the apply, and a
+// rare reader decodes the frame again (block). The frame is the one the
+// block arrived in, a gossip payload, a slice of a range response or of the
+// block log read at start, and is shared read-only with whoever else holds
+// it (codec.go). A stored block never changes, so a reader may keep the
+// pointer past the chain lock.
+type storedBlock struct {
+	header BlockHeader
+	ids    []crypto.Digest
+	frame  []byte
+}
+
+// block decodes the stored frame. The decoded byte fields alias the frame,
+// so the caller must not modify them.
+func (s *storedBlock) block() *Block {
+	b, err := DecodeBlock(s.frame)
+	if err != nil {
+		panic(fmt.Sprintf("blockchain: stored block %d does not decode: %v", s.header.Height, err))
+	}
+	return b
+}
+
+// stored returns what the chain keeps of the block hash names.
+func (c *Chain) stored(hash crypto.Digest) (*storedBlock, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	s, ok := c.blocks[hash]
+	return s, ok
 }
 
 // Verifier exposes the transaction signature verifier. The node shares it
@@ -128,7 +159,7 @@ func (c *Chain) Genesis() crypto.Digest {
 func (c *Chain) Head() (crypto.Digest, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.head, c.blocks[c.head].Header.Height
+	return c.head, c.blocks[c.head].header.Height
 }
 
 // Height returns the best-chain height.
@@ -137,22 +168,43 @@ func (c *Chain) Height() uint64 {
 	return h
 }
 
-// BlockByHash returns a block by hash.
+// BlockByHash returns a block by hash, decoded from its stored frame on
+// every call. Its byte fields alias the chain's frame: the caller must not
+// modify them.
 func (c *Chain) BlockByHash(h crypto.Digest) (*Block, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	b, ok := c.blocks[h]
-	return b, ok
-}
-
-// BlockByHeight returns the best-chain block at the given height.
-func (c *Chain) BlockByHeight(height uint64) (*Block, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if height >= uint64(len(c.bestChain)) {
+	s, ok := c.stored(h)
+	if !ok {
 		return nil, false
 	}
-	return c.blocks[c.bestChain[height]], true
+	return s.block(), true
+}
+
+// BlockByHeight returns the best-chain block at the given height, decoded
+// as BlockByHash decodes it.
+func (c *Chain) BlockByHeight(height uint64) (*Block, bool) {
+	c.mu.RLock()
+	if height >= uint64(len(c.bestChain)) {
+		c.mu.RUnlock()
+		return nil, false
+	}
+	s := c.blocks[c.bestChain[height]]
+	c.mu.RUnlock()
+	return s.block(), true
+}
+
+// StoredBytes returns the bytes of the block encodings the chain keeps,
+// genesis and side branches included: with no decoded copy kept, this is
+// what history costs the chain beyond its headers and transaction IDs.
+//
+//lint:ignore deadcode test accessor: the blockchain and root packages' tests pin what a member retains per block
+func (c *Chain) StoredBytes() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := 0
+	for _, s := range c.blocks {
+		n += len(s.frame)
+	}
+	return n
 }
 
 // TakeAbandoned returns, once, the transactions of the blocks that
@@ -176,7 +228,7 @@ func (c *Chain) Receipt(txID crypto.Digest) (Receipt, uint64, error) {
 	if !ok {
 		return Receipt{}, 0, fmt.Errorf("blockchain: receipt %s: %w", txID.Short(), ErrTxNotFound)
 	}
-	headHeight := c.blocks[c.head].Header.Height
+	headHeight := c.blocks[c.head].header.Height
 	return r, headHeight - r.Height + 1, nil
 }
 
@@ -245,12 +297,12 @@ func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, miss
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for cur.Height >= uint64(len(c.bestChain)) || c.bestChain[cur.Height] != cur.Hash {
-		b, ok := c.blocks[cur.Hash]
+		s, ok := c.blocks[cur.Hash]
 		if !ok {
 			cur = Cursor{Hash: c.genesis}
 			break
 		}
-		cur = Cursor{Height: b.Header.Height - 1, Hash: b.Header.PrevHash}
+		cur = Cursor{Height: s.header.Height - 1, Hash: s.header.PrevHash}
 	}
 	head := uint64(len(c.bestChain) - 1)
 	from := max(cur.Height+1, head-min(head, TxLifetime))
@@ -268,15 +320,19 @@ func (c *Chain) EventsAfter(cur Cursor) (blocks []BlockEvents, next Cursor, miss
 // AddBlock validates and inserts a block, switching the best chain if the
 // new branch is longer. It returns ErrOrphanBlock when the parent is
 // unknown (callers should sync ancestors) and ErrKnownBlock for duplicates.
+// The block is encoded for the chain to keep once it passed validation:
+// AddBlock is for callers that hold no frame of it (tests, experiments).
 func (c *Chain) AddBlock(b *Block) error {
-	return c.addBlock(b, b.Hash())
+	return c.addBlock(b, b.Hash(), nil)
 }
 
-// addBlock is AddBlock for a block whose header hash the caller computed:
-// the import path hashed the header to drop a known block before decoding
-// its body, and the miner holds the hash it found. The header is hashed
-// once per import; the proof of work is read off that hash.
-func (c *Chain) addBlock(b *Block, hash crypto.Digest) error {
+// addBlock is AddBlock for a block whose header hash the caller computed
+// and whose encoding frame it holds, which the chain keeps as it is: the
+// import path hashed the header to drop a known block before decoding its
+// body, and the miner holds the hash it found and the encoding it relays.
+// A nil frame has b encoded after validation. The header is hashed once
+// per import; the proof of work is read off that hash.
+func (c *Chain) addBlock(b *Block, hash crypto.Digest, frame []byte) error {
 	// Cheap structural gates run before any signature work, so a gossip
 	// flood of duplicate, orphan or forged blocks cannot buy expensive
 	// ed25519 batches for the price of a message. addBlockLocked repeats
@@ -291,8 +347,8 @@ func (c *Chain) addBlock(b *Block, hash crypto.Digest) error {
 	if !haveParent {
 		return fmt.Errorf("%w: parent %s of block %s", ErrOrphanBlock, b.Header.PrevHash.Short(), hash.Short())
 	}
-	if b.Header.Height != parent.Header.Height+1 {
-		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
+	if b.Header.Height != parent.header.Height+1 {
+		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.header.Height)
 	}
 	if b.Header.Difficulty != c.cfg.Difficulty {
 		return fmt.Errorf("%w: have %d, want %d at height %d", ErrBadDifficulty, b.Header.Difficulty, c.cfg.Difficulty, b.Header.Height)
@@ -319,18 +375,25 @@ func (c *Chain) addBlock(b *Block, hash crypto.Digest) error {
 	if err := c.verifier.verifyAll(b.Txs, ids); err != nil {
 		return fmt.Errorf("blockchain: block %s %w", hash.Short(), err)
 	}
+	if frame == nil {
+		var err error
+		if frame, err = AppendBlock(make([]byte, 0, blockEncodedLen(b)), b); err != nil {
+			return fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
+		}
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.addBlockLocked(b, hash, ids)
+	return c.addBlockLocked(b, &storedBlock{header: b.Header, ids: ids, frame: frame}, hash)
 }
 
 // addBlockLocked repeats AddBlock's chain-dependent checks authoritatively,
-// applies the replay rule against b's branch and inserts b, signalling the
-// head subscribers when b becomes the head. ids are b's transaction IDs,
-// index-aligned; AddBlock has already checked them against the header's
-// Merkle root, and neither changes, so that check is not repeated here.
-func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest) error {
+// applies the replay rule against b's branch and stores s, what the chain
+// keeps of b, signalling the head subscribers when b becomes the head.
+// s.ids are b's transaction IDs, which AddBlock has already checked against
+// the header's Merkle root; neither changes, so that check is not repeated
+// here.
+func (c *Chain) addBlockLocked(b *Block, s *storedBlock, hash crypto.Digest) error {
 	if _, ok := c.blocks[hash]; ok {
 		return ErrKnownBlock
 	}
@@ -338,22 +401,21 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest
 	if !ok {
 		return fmt.Errorf("%w: parent %s of block %s", ErrOrphanBlock, b.Header.PrevHash.Short(), hash.Short())
 	}
-	if b.Header.Height != parent.Header.Height+1 {
-		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
+	if b.Header.Height != parent.header.Height+1 {
+		return fmt.Errorf("%w: height %d after parent %d", ErrBadHeight, b.Header.Height, parent.header.Height)
 	}
 	// Difficulty, PoW and size depend on b alone and were checked in
 	// AddBlock, as were the transaction signatures, outside the lock.
-	if err := c.checkReplayLocked(b, ids); err != nil {
+	if err := c.checkReplayLocked(b, s.ids); err != nil {
 		return fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
 	}
 
-	c.blocks[hash] = b
-	c.blockIDs[hash] = ids
+	c.blocks[hash] = s
 
 	if !c.betterThanHeadLocked(b, hash) {
 		return nil // valid side-branch block; kept for future fork choice
 	}
-	if err := c.reorgToLocked(hash); err != nil {
+	if err := c.reorgToLocked(hash, b); err != nil {
 		return err
 	}
 	c.notifyHeadLocked()
@@ -365,7 +427,7 @@ func (c *Chain) addBlockLocked(b *Block, hash crypto.Digest, ids []crypto.Digest
 // greater height wins, and ties break toward the lexicographically smaller
 // hash for determinism.
 func (c *Chain) betterThanHeadLocked(b *Block, hash crypto.Digest) bool {
-	if h, head := b.Header.Height, c.blocks[c.head].Header.Height; h != head {
+	if h, head := b.Header.Height, c.blocks[c.head].header.Height; h != head {
 		return h > head
 	}
 	return bytes.Compare(hash[:], c.head[:]) < 0
@@ -410,7 +472,7 @@ func (c *Chain) checkReplayLocked(b *Block, ids []crypto.Digest) error {
 func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest, out []bool) ([]bool, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.carriedLocked(tip, ids, out), c.blocks[tip].Header.Height
+	return c.carriedLocked(tip, ids, out), c.blocks[tip].header.Height
 }
 
 // carriedLocked is carried for transactions valid in a child of tip. A
@@ -420,7 +482,8 @@ func (c *Chain) carried(tip crypto.Digest, ids []crypto.Digest, out []bool) ([]b
 // E+1 blocks, and the kept IDs of the best-chain blocks below them, down to
 // c-E, for the rest.
 func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest, out []bool) []bool {
-	out = append(out[:0], make([]bool, len(ids))...)
+	out = slices.Grow(out[:0], len(ids))[:len(ids)]
+	clear(out)
 	var index map[crypto.Digest]int // ids' positions, made by the first block walked
 	mark := func(block crypto.Digest) {
 		if index == nil {
@@ -429,26 +492,26 @@ func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest, out []bool
 				index[id] = i
 			}
 		}
-		for _, id := range c.blockIDs[block] {
+		for _, id := range c.blocks[block].ids {
 			if i, ok := index[id]; ok {
 				out[i] = true
 			}
 		}
 	}
 	b := c.blocks[tip]
-	child := b.Header.Height + 1
+	child := b.header.Height + 1
 	lowest := child - min(child, TxLifetime)
 	for ; ; b = c.blocks[tip] {
-		if h := b.Header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
+		if h := b.header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
 			break
 		}
-		if b.Header.Height < lowest {
+		if b.header.Height < lowest {
 			return out
 		}
 		mark(tip)
-		tip = b.Header.PrevHash
+		tip = b.header.PrevHash
 	}
-	join := b.Header.Height
+	join := b.header.Height
 	for i, id := range ids {
 		r, ok := c.receipts[id]
 		out[i] = out[i] || ok && r.Height <= join
@@ -466,12 +529,12 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 	var rev []crypto.Digest
 	cur := tip
 	for cur != c.genesis {
-		b, ok := c.blocks[cur]
+		s, ok := c.blocks[cur]
 		if !ok {
 			return nil, fmt.Errorf("%w: broken branch at %s", ErrOrphanBlock, cur.Short())
 		}
 		rev = append(rev, cur)
-		cur = b.Header.PrevHash
+		cur = s.header.PrevHash
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -479,18 +542,19 @@ func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error
 	return rev, nil
 }
 
-// reorgToLocked switches the best chain to newHead. Fast path: newHead
-// extends the current head, so state is updated incrementally. Slow path:
-// full deterministic replay from genesis.
-func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
-	nb := c.blocks[newHead]
+// reorgToLocked switches the best chain to newHead, whose block nb the
+// caller holds decoded. Fast path: newHead extends the current head, so
+// state is updated incrementally from nb. Slow path: full deterministic
+// replay from genesis, which decodes every other block of the new best
+// chain, and the abandoned ones, from their frames.
+func (c *Chain) reorgToLocked(newHead crypto.Digest, nb *Block) error {
 	if nb.Header.PrevHash == c.head {
-		c.applyBlockLocked(newHead, c.state, true)
+		c.applyBlockLocked(newHead, nb, c.state, true)
 		c.head = newHead
 		c.bestChain = append(c.bestChain, newHead)
 		if h := nb.Header.Height; h > TxLifetime {
 			gone := c.bestChain[h-TxLifetime-1]
-			for _, id := range c.blockIDs[gone] {
+			for _, id := range c.blocks[gone].ids {
 				delete(c.receipts, id)
 			}
 			delete(c.events, gone)
@@ -513,12 +577,16 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 	// events there, for the heights within E of the new head.
 	c.state = state
 	for _, bh := range path {
-		c.applyBlockLocked(bh, state, c.blocks[bh].Header.Height+TxLifetime >= uint64(len(path)))
+		b := nb
+		if bh != newHead {
+			b = c.blocks[bh].block()
+		}
+		c.applyBlockLocked(bh, b, state, b.Header.Height+TxLifetime >= uint64(len(path)))
 		best = append(best, bh)
 	}
 	for i, bh := range oldBest {
 		if i >= len(best) || best[i] != bh {
-			c.abandoned = append(c.abandoned, c.blocks[bh].Txs...)
+			c.abandoned = append(c.abandoned, c.blocks[bh].block().Txs...)
 		}
 	}
 	c.head = newHead
@@ -527,14 +595,14 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest) error {
 	return nil
 }
 
-// applyBlockLocked executes the block hash names, its transactions and then
+// applyBlockLocked executes b, stored under hash, its transactions and then
 // its block hooks, against state. When keep is set it records the receipts
 // under the block's transaction IDs and the events, the transactions' in
 // block order followed by the hooks', under hash. The replay rule was
 // checked beforehand. Transactions run one after another in block order;
 // this is the only apply path.
-func (c *Chain) applyBlockLocked(hash crypto.Digest, state *contract.State, keep bool) {
-	b, ids := c.blocks[hash], c.blockIDs[hash]
+func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block, state *contract.State, keep bool) {
+	ids := c.blocks[hash].ids
 	// The block's events are its transactions' and then its hooks', kept in
 	// one slice of exactly their number: each transaction's are counted
 	// here, and its receipt keeps them.

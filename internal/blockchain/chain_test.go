@@ -70,6 +70,12 @@ func mineChild(t testing.TB, c *Chain, parent crypto.Digest, txs ...Transaction)
 	return b
 }
 
+// framed pairs b with its hash and a fresh encoding, as a gossiped frame
+// arrives.
+func framed(b *Block) framedBlock {
+	return framedBlock{b, b.Hash(), b.Encode()}
+}
+
 func TestGenesis(t *testing.T) {
 	c := NewChain(testChainConfig(t))
 	hash, height := c.Head()
@@ -327,7 +333,7 @@ func TestReceiptWindow(t *testing.T) {
 		c.mu.RLock()
 		kept := len(c.receipts)
 		for hash := range c.events {
-			if h := c.blocks[hash].Header.Height; h+TxLifetime < uint64(len(c.bestChain)-1) || c.bestChain[h] != hash {
+			if h := c.blocks[hash].header.Height; h+TxLifetime < uint64(len(c.bestChain)-1) || c.bestChain[h] != hash {
 				t.Errorf("%s: events kept for block %s at %d, off the best chain or below its top E+1", when, hash.Short(), h)
 			}
 		}

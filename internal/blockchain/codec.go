@@ -49,23 +49,29 @@ import (
 // transport and persistence layers hand each decode a freshly read buffer
 // that is never reused, and decoded values are treated as immutable
 // everywhere downstream. Callers that mutate the input after decoding must
-// copy first. The aliasing also means a retained block pins its WHOLE input
-// buffer, not just its own bytes: a gossip frame is one block, but a
-// bc.getrange response is many, so a pull must not ask for more blocks than
-// it will keep (see pullBranch) — one kept block of an over-sized response
-// holds every other block's bytes live with it.
+// copy first.
 //
-// A follower relays a gossiped block in the frame it received: the buffer
-// its retained block aliases is the payload of its frames to its peers, so
-// those bytes are shared and nobody writes them. Only a block with no frame
-// of its own is encoded: one this node mined, and one pulled in a range
-// response, whose buffer holds other blocks a peer must not be handed
-// (Node.afterAccept). The import reads and hashes a frame's header before
-// its body (readBlockHeader, readTxs): each block reaches a follower once
-// from its producer and again through every other follower's relay, and
-// the copy of a block the chain already holds is dropped there, undecoded
-// (Node.importFrame). A pending transaction keeps the frame it was admitted
-// with, and the rebroadcast sends that (Mempool.Frames).
+// A stored block pins its frame by design: the chain keeps each block as
+// its header, its transaction IDs and the encoding it arrived in, and no
+// decoded copy (Chain's storedBlock); a reader that needs the transactions
+// decodes the frame again. A frame that is a slice of a larger buffer pins
+// the WHOLE buffer, not just its own bytes: a gossip frame is one block,
+// but a bc.getrange response is many, so a pull must not ask for more
+// blocks than it will keep (see pullBranch), and a node replayed from its
+// block log keeps the file as it read it.
+//
+// Frames are shared read-only. A follower relays a gossiped block in the
+// frame it received and a pulled block in its slice of the range response,
+// so on an in-process transport the producer, its followers and their
+// peers' frames all hold the same bytes, and nobody writes them. The miner
+// encodes its block once, before the chain stores it, and relays that
+// encoding (Node.afterAccept); only Chain.AddBlock, for a caller with no
+// frame, encodes what it stores. The import reads and hashes a frame's
+// header before its body (readBlockHeader, readTxs): each block reaches a
+// follower once from its producer and again through every other follower's
+// relay, and the copy of a block the chain already holds is dropped there,
+// undecoded (Node.importFrame). A pending transaction keeps the frame it
+// was admitted with, and the rebroadcast sends that (Mempool.Frames).
 
 // codecVersion tags the binary format; bump on an incompatible change of
 // layout or of transaction identity.

@@ -44,7 +44,7 @@ func TestBackToBackBlocksImportWithoutPulls(t *testing.T) {
 		if err := producer.chain.AddBlock(b); err != nil {
 			t.Fatal(err)
 		}
-		producer.afterAccept("", nil, b) // what mineLoop does with a mined block
+		producer.afterAccept("", b.Encode()) // what mineLoop does with a mined block
 		parent = b.Hash()
 	}
 	for _, f := range followers {
@@ -71,7 +71,7 @@ func TestSkippedBlockCostsOnePullAndIsCountedOnce(t *testing.T) {
 	r := newPullRig(t, alice, NodeConfig{})
 	main := r.extend(t, r.src.chain.Genesis(), 12, alice)
 	for _, b := range main[:8] {
-		r.joiner.importBlock(b, b.Hash(), nil, "peer")
+		r.joiner.importBlock(framed(b), "peer")
 	}
 	release := r.holdPulls()
 	r.joiner.handleBlockGossip("peer", main[9].Encode()) // height 10 at a node on height 8
@@ -80,8 +80,8 @@ func TestSkippedBlockCostsOnePullAndIsCountedOnce(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the skipped block was never pulled")
 	}
-	r.joiner.importBlock(main[8], main[8].Hash(), nil, "other-route")
-	r.joiner.importBlock(main[9], main[9].Hash(), nil, "other-route")
+	r.joiner.importBlock(framed(main[8]), "other-route")
+	r.joiner.importBlock(framed(main[9]), "other-route")
 	release()
 	for _, b := range main[10:] {
 		r.joiner.handleBlockGossip("peer", b.Encode())
@@ -109,7 +109,7 @@ func TestImportQueueOverflowIsCountedAndRecovered(t *testing.T) {
 	r := newPullRig(t, alice, NodeConfig{})
 	main := r.extend(t, r.src.chain.Genesis(), 10+importQueue+overflow+1, nil)
 	for _, b := range main[:8] {
-		r.joiner.importBlock(b, b.Hash(), nil, "peer")
+		r.joiner.importBlock(framed(b), "peer")
 	}
 	release := r.holdPulls()
 	r.joiner.handleBlockGossip("peer", main[9].Encode())
@@ -151,7 +151,7 @@ func TestRejoinGapIsPulledOnce(t *testing.T) {
 	r := newPullRig(t, alice, NodeConfig{}) // default SyncBatch 128
 	main := r.extend(t, r.src.chain.Genesis(), 8+gap, nil)
 	for _, b := range main[:8] {
-		r.joiner.importBlock(b, b.Hash(), nil, "peer")
+		r.joiner.importBlock(framed(b), "peer")
 	}
 	synced := make(chan error, 1)
 	go func() { synced <- r.joiner.SyncFrom("peer") }()

@@ -16,7 +16,7 @@ import (
 // The pool's lock is taken before the chain's, never after.
 type Mempool struct {
 	mu      sync.Mutex
-	txs     map[crypto.Digest]pooled
+	txs     map[crypto.Digest]*pooled
 	arrived uint64
 	maxSize int
 	// ids and marks are scratch of sortedLocked, Collect and Prune, reused
@@ -24,7 +24,15 @@ type Mempool struct {
 	// block may take.
 	ids   []crypto.Digest
 	marks []bool
+	// free holds up to maxFree entries Prune dropped, for add to reuse. An
+	// entry is 176 bytes, over the 128 a map stores inline, so the map
+	// holds pointers and add takes one from here instead of allocating.
+	free []*pooled
 }
+
+// maxFree bounds the dropped entries a pool keeps for reuse, about what
+// one block's worth of pending transactions needs.
+const maxFree = 256
 
 // pooled is a pending transaction, its wire encoding and its arrival
 // number. raw is the frame the transaction was admitted from (or, for one
@@ -44,7 +52,7 @@ func NewMempool(maxSize int) *Mempool {
 	if maxSize <= 0 {
 		maxSize = 10000
 	}
-	return &Mempool{txs: make(map[crypto.Digest]pooled), maxSize: maxSize}
+	return &Mempool{txs: make(map[crypto.Digest]*pooled), maxSize: maxSize}
 }
 
 // Add inserts a transaction. A duplicate ID returns ErrKnownTx; a full pool
@@ -66,8 +74,25 @@ func (m *Mempool) add(tx Transaction, id crypto.Digest, raw []byte, held bool) e
 		return fmt.Errorf("blockchain: mempool full (%d)", m.maxSize)
 	}
 	m.arrived++
-	m.txs[id] = pooled{tx: tx, raw: raw, seq: m.arrived, held: held}
+	var p *pooled
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = new(pooled)
+	}
+	*p = pooled{tx: tx, raw: raw, seq: m.arrived, held: held}
+	m.txs[id] = p
 	return nil
+}
+
+// dropLocked removes the entry of id and keeps it for reuse, cleared so
+// that it pins none of the transaction's bytes.
+func (m *Mempool) dropLocked(id crypto.Digest, p *pooled) {
+	delete(m.txs, id)
+	if len(m.free) < maxFree {
+		*p = pooled{}
+		m.free = append(m.free, p)
+	}
 }
 
 // release lets Collect take a held transaction.
@@ -76,7 +101,6 @@ func (m *Mempool) release(id crypto.Digest) {
 	defer m.mu.Unlock()
 	if p, ok := m.txs[id]; ok {
 		p.held = false
-		m.txs[id] = p
 	}
 }
 
@@ -173,11 +197,11 @@ func (m *Mempool) Prune(c *Chain) (expired int) {
 	onChain, head := c.carried(tip, ids, m.marks)
 	m.marks = onChain
 	for i, id := range ids {
-		switch {
+		switch p := m.txs[id]; {
 		case onChain[i]:
-			delete(m.txs, id)
-		case m.txs[id].tx.ExpiresAt <= head:
-			delete(m.txs, id)
+			m.dropLocked(id, p)
+		case p.tx.ExpiresAt <= head:
+			m.dropLocked(id, p)
 			expired++
 		}
 	}

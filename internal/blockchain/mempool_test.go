@@ -226,3 +226,49 @@ func TestMempoolHeldNotCollectedUntilReleased(t *testing.T) {
 		t.Fatalf("collected %d transactions after release, want 1", len(got))
 	}
 }
+
+// TestMempoolAddAllocBudget pins what pooling a transaction allocates in a
+// pool that has held as many before: nothing. The pool keeps entries by
+// pointer and reuses the ones Prune dropped; a 176-byte entry stored in the
+// map by value, over the 128 bytes a map slot holds inline, cost one
+// allocation per add. The pool holds 20 pending transactions, as a busy
+// producer's does, while each run adds one that Prune then evicts.
+func TestMempoolAddAllocBudget(t *testing.T) {
+	const live, runs = 20, 200
+	c := NewChain(testChainConfig(t))
+	p := NewMempool(0)
+	tx := func(i int, expires uint64) (Transaction, crypto.Digest, []byte) {
+		tx := Transaction{From: "alice", ExpiresAt: expires, Call: putCall(fmt.Sprintf("k%d", i), "v")}
+		tx.Salt[0], tx.Salt[1] = byte(i), byte(i>>8)
+		return tx, tx.ID(), EncodeTx(tx)
+	}
+	for i := 0; i < live; i++ {
+		tx, id, raw := tx(i, TxLifetime)
+		if err := p.add(tx, id, raw, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each churned transaction expires at the head's height, genesis, so
+	// Prune evicts it.
+	txs, ids, raws := make([]Transaction, runs+1), make([]crypto.Digest, runs+1), make([][]byte, runs+1)
+	for i := range txs {
+		txs[i], ids[i], raws[i] = tx(live+i, 0)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() { // AllocsPerRun warms up with one extra call
+		if err := p.add(txs[next], ids[next], raws[next], false); err != nil {
+			t.Fatal(err)
+		}
+		if expired := p.Prune(c); expired != 1 {
+			t.Fatalf("Prune evicted %d, want the one expired", expired)
+		}
+		next++
+	})
+	t.Logf("%.2f allocs per add and prune", allocs)
+	if p.Len() != live {
+		t.Fatalf("%d pending after the churn, want %d", p.Len(), live)
+	}
+	if allocs > 0 {
+		t.Errorf("adding a transaction to a warm pool allocates %.2f, want 0", allocs)
+	}
+}

@@ -559,7 +559,7 @@ func (n *Node) importFrame(in inboundBlock) {
 		return
 	}
 	hash := h.Hash()
-	if _, known := n.chain.BlockByHash(hash); known {
+	if _, known := n.chain.stored(hash); known {
 		n.noteSeenHeight(h.Height)
 		return
 	}
@@ -567,22 +567,29 @@ func (n *Node) importFrame(in inboundBlock) {
 	if err := r.readTxs(b); err != nil {
 		return
 	}
-	n.importBlock(b, hash, in.payload, in.from)
+	n.importBlock(framedBlock{b, hash, in.payload}, in.from)
 }
 
-// importBlock adds b, whose header hash is hash, pulling missing ancestors
-// from `from` when needed, and relays what was inserted. frame is the
-// encoding b arrived in, relayed as it is; nil has b encoded for the relay.
-func (n *Node) importBlock(b *Block, hash crypto.Digest, frame []byte, from string) {
-	n.noteSeenHeight(b.Header.Height)
-	err := n.chain.addBlock(b, hash)
+// framedBlock is a decoded block with its header hash and frame, the
+// encoding it arrived in, which the chain keeps and the relay sends.
+type framedBlock struct {
+	*Block
+	hash  crypto.Digest
+	frame []byte
+}
+
+// importBlock adds fb, pulling missing ancestors from `from` when needed,
+// and relays what was inserted.
+func (n *Node) importBlock(fb framedBlock, from string) {
+	n.noteSeenHeight(fb.Header.Height)
+	err := n.chain.addBlock(fb.Block, fb.hash, fb.frame)
 	switch {
 	case err == nil:
-		n.afterAccept(from, frame, b)
+		n.afterAccept(from, fb.frame)
 	case errors.Is(err, ErrKnownBlock):
 		// Flood already saw it; stop.
 	case errors.Is(err, ErrOrphanBlock) && from != "":
-		n.resolveOrphans(b, from)
+		n.resolveOrphans(fb, from)
 	default:
 		n.rejected.Inc()
 	}
@@ -591,25 +598,19 @@ func (n *Node) importBlock(b *Block, hash crypto.Digest, frame []byte, from stri
 // afterAccept counts the blocks AddBlock just inserted (oldest first), returns
 // to the pool what a reorganisation took off the best chain, prunes what is
 // confirmed or expired, and relays the blocks to every chain peer but their
-// sender. frame, when not nil, is the encoding the one block arrived in: a
-// decoded block aliases it already, so the relay sends it as it is, and
-// only a block that came with no frame of its own (mined here, or pulled
-// in a range response, whose buffer a peer must not be handed) is encoded.
-func (n *Node) afterAccept(from string, frame []byte, blocks ...*Block) {
-	if len(blocks) == 0 {
+// sender. frames are the inserted blocks' encodings, the ones the chain
+// keeps, relayed as they are: nothing is encoded here.
+func (n *Node) afterAccept(from string, frames ...[]byte) {
+	if len(frames) == 0 {
 		return
 	}
-	n.accepted.Add(int64(len(blocks)))
+	n.accepted.Add(int64(len(frames)))
 	for _, tx := range n.chain.TakeAbandoned() {
 		_ = n.pool.Add(tx)
 	}
 	n.txExpired.Add(int64(n.pool.Prune(n.chain)))
-	for _, b := range blocks {
-		enc := frame
-		if enc == nil {
-			enc = b.Encode()
-		}
-		n.gossip(kindBlock, enc, from)
+	for _, frame := range frames {
+		n.gossip(kindBlock, frame, from)
 	}
 }
 
@@ -629,11 +630,11 @@ func (n *Node) handleHead(from string, payload []byte) ([]byte, error) {
 // reports a large age, which correctly kick-starts empty-block production.
 func (n *Node) headAge() time.Duration {
 	hash, _ := n.chain.Head()
-	b, ok := n.chain.BlockByHash(hash)
+	s, ok := n.chain.stored(hash)
 	if !ok {
 		return 0
 	}
-	return n.clk.Now().Sub(b.Header.Time())
+	return n.clk.Now().Sub(s.header.Time())
 }
 
 // mineLoop is the node's proof-of-work production loop.
@@ -720,12 +721,15 @@ func (n *Node) mineLoop() {
 			n.cancelled.Inc()
 			continue
 		}
-		if err := n.chain.addBlock(b, hash); err != nil {
+		// The one encoding of the block is the frame the chain keeps and
+		// the relay sends.
+		frame := b.Encode()
+		if err := n.chain.addBlock(b, hash, frame); err != nil {
 			// Lost a race with a concurrent import; retry from fresh head.
 			n.cancelled.Inc()
 			continue
 		}
 		n.mined.Inc()
-		n.afterAccept("", nil, b)
+		n.afterAccept("", frame)
 	}
 }

@@ -448,14 +448,14 @@ func TestReorgReadmitsAbandonedTransactions(t *testing.T) {
 	}
 	c := n.Chain()
 	b0 := mineChild(t, c, c.Genesis(), lost, both)
-	n.importBlock(b0, b0.Hash(), nil, "")
+	n.importBlock(framed(b0), "")
 	if _, h := c.Head(); h != 1 || n.Mempool().Len() != 0 {
 		t.Fatalf("after the first block: height %d, %d pending; want 1, 0", h, n.Mempool().Len())
 	}
 	b1 := mineChild(t, c, c.Genesis(), both)
-	n.importBlock(b1, b1.Hash(), nil, "")
+	n.importBlock(framed(b1), "")
 	b2 := mineChild(t, c, b1.Hash())
-	n.importBlock(b2, b2.Hash(), nil, "")
+	n.importBlock(framed(b2), "")
 	if _, h := c.Head(); h != 2 {
 		t.Fatalf("height %d after the longer branch, want 2", h)
 	}

@@ -157,7 +157,7 @@ func TestOrphanPullFetchesOnlyTheGap(t *testing.T) {
 	}
 	before := r.joiner.Stats()
 
-	r.joiner.importBlock(main[9], main[9].Hash(), nil, "peer") // height 10 at a node on height 8
+	r.joiner.importBlock(framed(main[9]), "peer") // height 10 at a node on height 8
 
 	if h := r.joiner.chain.Height(); h != 10 {
 		t.Fatalf("joiner height %d after resolving the orphan, want 10", h)
@@ -196,7 +196,7 @@ func TestOrphanPullDoublesIntoADeepFork(t *testing.T) {
 
 	// Fork tip at height 9, node at height 8: the cursor (height 8) is level
 	// with the local head, so the first window is the minimum.
-	r.joiner.importBlock(fork[8], fork[8].Hash(), nil, "peer")
+	r.joiner.importBlock(framed(fork[8]), "peer")
 
 	if head, h := r.joiner.chain.Head(); h != 9 || head != fork[8].Hash() {
 		t.Fatalf("joiner head %s at %d, want the fork tip at 9", head.Short(), h)
@@ -218,7 +218,7 @@ func TestOrphanPullDoublesIntoADeepFork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shallow.joiner.importBlock(sFork[8], sFork[8].Hash(), nil, "peer")
+	shallow.joiner.importBlock(framed(sFork[8]), "peer")
 	if head, _ := shallow.joiner.chain.Head(); head != sMain[7].Hash() {
 		t.Fatal("a branch deeper than SyncDepth was imported")
 	}
@@ -252,7 +252,7 @@ func TestPullRejectsOversizedAndOffBranchRanges(t *testing.T) {
 				}
 			}
 			r.forged = tc.respond(main)
-			err := r.joiner.pullBranch("peer", main[8].Hash(), 9, []*Block{main[9]})
+			err := r.joiner.pullBranch("peer", main[8].Hash(), 9, []framedBlock{framed(main[9])})
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("pull error %v, want one containing %q", err, tc.wantErr)
 			}

@@ -30,8 +30,8 @@ func relayRig(t *testing.T) (*Node, *Block, []byte) {
 }
 
 // TestGossipRelaysReceivedFrame: a follower relays a gossiped block in the
-// frame it received, the slice its retained block aliases, to every chain
-// peer but the sender, and encodes nothing.
+// frame it received, the frame its chain keeps, to every chain peer but the
+// sender, and encodes nothing.
 func TestGossipRelaysReceivedFrame(t *testing.T) {
 	n, b, frame := relayRig(t)
 	relayed := make(chan []byte, 4)

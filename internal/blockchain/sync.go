@@ -115,23 +115,22 @@ func (n *Node) handleGetRange(from string, payload []byte) ([]byte, error) {
 	cursor := req.Cursor
 	total := 0
 	for len(resp.Blocks) < count {
-		b, ok := n.chain.BlockByHash(cursor)
+		s, ok := n.chain.stored(cursor)
 		if !ok {
 			if len(resp.Blocks) == 0 {
 				return nil, fmt.Errorf("blockchain: getrange %s: not found", cursor.Short())
 			}
 			break
 		}
-		if b.Header.Height == 0 {
+		if s.header.Height == 0 {
 			break
 		}
-		enc := b.Encode()
-		if len(resp.Blocks) > 0 && total+len(enc) > maxRangeBytes {
+		if len(resp.Blocks) > 0 && total+len(s.frame) > maxRangeBytes {
 			break
 		}
-		resp.Blocks = append(resp.Blocks, enc)
-		total += len(enc)
-		cursor = b.Header.PrevHash
+		resp.Blocks = append(resp.Blocks, s.frame)
+		total += len(s.frame)
+		cursor = s.header.PrevHash
 	}
 	return encodeRangeResp(&resp), nil
 }
@@ -147,9 +146,9 @@ func (n *Node) syncCall(peer, kind string, payload []byte) ([]byte, error) {
 // fetchAncestors returns up to count blocks descending from cursor
 // (inclusive), verifying hash linkage so a lying peer cannot inject blocks
 // outside the requested branch. A response longer than asked is refused
-// before any block is decoded: decoded blocks alias the response buffer, so
-// whatever is kept of a response pins all of it.
-func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]*Block, error) {
+// before any block is decoded: each block's frame is its slice of the
+// response, so whatever the chain keeps of a response pins all of it.
+func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]framedBlock, error) {
 	payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: count})
 	if err != nil {
 		return nil, err
@@ -165,18 +164,18 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]*
 	if len(resp.Blocks) > count {
 		return nil, fmt.Errorf("blockchain: range from %q: %d blocks, asked for %d", peer, len(resp.Blocks), count)
 	}
-	blocks := make([]*Block, 0, len(resp.Blocks))
+	blocks := make([]framedBlock, 0, len(resp.Blocks))
 	want := cursor
 	for _, enc := range resp.Blocks {
 		b, err := DecodeBlock(enc)
 		if err != nil {
 			return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
 		}
-		if b.Hash() != want {
+		if hash := b.Hash(); hash != want {
 			return nil, fmt.Errorf("blockchain: range from %q: block %s off-branch (want %s)",
-				peer, b.Hash().Short(), want.Short())
+				peer, hash.Short(), want.Short())
 		}
-		blocks = append(blocks, b)
+		blocks = append(blocks, framedBlock{b, want, enc})
 		want = b.Header.PrevHash
 	}
 	n.syncBlocks.Add(int64(len(blocks)))
@@ -199,7 +198,7 @@ func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]*
 // One pull runs per node at a time. A caller that waited finds, as anybody
 // does, what the pull before it left behind: the loop's first statement
 // asks whether the cursor is attached by now.
-func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64, pending []*Block) error {
+func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64, pending []framedBlock) error {
 	select {
 	case n.pulling <- struct{}{}:
 		defer func() { <-n.pulling }()
@@ -211,7 +210,7 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 		window = int(min(cursorHeight-local, uint64(n.cfg.SyncBatch)))
 	}
 	for {
-		if _, ok := n.chain.BlockByHash(cursor); ok {
+		if _, ok := n.chain.stored(cursor); ok {
 			break // attached
 		}
 		if len(pending) >= n.cfg.SyncDepth {
@@ -224,10 +223,10 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 		if len(fetched) == 0 {
 			return fmt.Errorf("blockchain: branch from %q does not attach (empty range at %s)", peer, cursor.Short())
 		}
-		for _, b := range fetched {
-			pending = append(pending, b)
-			cursor = b.Header.PrevHash
-			if _, ok := n.chain.BlockByHash(cursor); ok {
+		for _, fb := range fetched {
+			pending = append(pending, fb)
+			cursor = fb.Header.PrevHash
+			if _, ok := n.chain.stored(cursor); ok {
 				break
 			}
 		}
@@ -235,25 +234,28 @@ func (n *Node) pullBranch(peer string, cursor crypto.Digest, cursorHeight uint64
 	}
 	// Apply oldest-first; each block passes the normal AddBlock validation.
 	// A block that arrived by another route meanwhile is known: it was
-	// counted and relayed where it was inserted.
-	inserted := make([]*Block, 0, len(pending))
-	defer func() { n.afterAccept(peer, nil, inserted...) }()
+	// counted and relayed where it was inserted. An inserted block is
+	// relayed in the frame the chain keeps, its slice of the range
+	// response.
+	inserted := make([][]byte, 0, len(pending))
+	defer func() { n.afterAccept(peer, inserted...) }()
 	for i := len(pending) - 1; i >= 0; i-- {
-		switch err := n.chain.AddBlock(pending[i]); {
+		fb := pending[i]
+		switch err := n.chain.addBlock(fb.Block, fb.hash, fb.frame); {
 		case err == nil:
-			inserted = append(inserted, pending[i])
+			inserted = append(inserted, fb.frame)
 		case !errors.Is(err, ErrKnownBlock):
 			n.rejected.Inc()
-			return fmt.Errorf("blockchain: apply synced block %s: %w", pending[i].Hash().Short(), err)
+			return fmt.Errorf("blockchain: apply synced block %s: %w", fb.hash.Short(), err)
 		}
 	}
 	return nil
 }
 
-// resolveOrphans pulls the missing ancestors of orphan b from the peer that
-// gossiped it and applies the branch, b last.
-func (n *Node) resolveOrphans(b *Block, peer string) {
-	if err := n.pullBranch(peer, b.Header.PrevHash, b.Header.Height-1, []*Block{b}); err == nil {
+// resolveOrphans pulls the missing ancestors of orphan fb from the peer
+// that gossiped it and applies the branch, fb last.
+func (n *Node) resolveOrphans(fb framedBlock, peer string) {
+	if err := n.pullBranch(peer, fb.Header.PrevHash, fb.Header.Height-1, []framedBlock{fb}); err == nil {
 		n.orphans.Inc()
 	}
 }
@@ -290,13 +292,13 @@ func (n *Node) SyncFrom(peer string) error {
 		if err != nil {
 			return fmt.Errorf("blockchain: sync from %q: %w", peer, err)
 		}
-		if _, ok := n.chain.BlockByHash(hi.Hash); ok {
+		if _, ok := n.chain.stored(hi.Hash); ok {
 			return nil // already have their head
 		}
 		if err := n.pullBranch(peer, hi.Hash, hi.Height, nil); err != nil {
 			lastErr = err
 		}
-		if _, ok := n.chain.BlockByHash(hi.Hash); ok {
+		if _, ok := n.chain.stored(hi.Hash); ok {
 			return nil // converged on the head we were told about
 		}
 		// The head the peer reported is gone (reorged away) or the pull

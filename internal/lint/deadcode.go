@@ -9,9 +9,9 @@ import (
 	"sort"
 )
 
-// DeadCode reports the non-test declarations no binary reaches (ROADMAP
-// 14). Deletions used to be found by reading; this finds the next ones and
-// keeps them from growing back.
+// DeadCode reports the non-test declarations no binary reaches. Deletions
+// used to be found by reading; this finds the next ones and keeps them from
+// growing back.
 //
 // The roots are main and init of every package main under Roots, every
 // init and blank `var _ = …` of a checked package, and the root package's
@@ -46,7 +46,7 @@ func NewDeadCode() *DeadCode {
 func (a *DeadCode) Name() string { return "deadcode" }
 
 func (a *DeadCode) Doc() string {
-	return "every non-test declaration is reachable from a binary's main or init or the root package's API (ROADMAP 14)"
+	return "every non-test declaration is reachable from a binary's main or init or the root package's API"
 }
 
 // ModuleWide marks deadcode as one pass over the whole module.
