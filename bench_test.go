@@ -1,18 +1,16 @@
-// bench_test.go regenerates the experiment tables README "Tests and
-// benchmarks" and ARCHITECTURE §3 list (one Benchmark per experiment E1–E3
-// and E5–E7) plus micro-benchmarks of the building blocks. Run:
+// bench_test.go holds micro-benchmarks of the building blocks (policy
+// evaluation, signature verification, the analyser, digests, Merkle batches,
+// sealing, mining) and of one decision through a standard deployment. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench=. -benchmem
 //
-// The E-benches execute a full experiment driver per iteration with reduced
-// default parameters and publish the headline numbers via b.ReportMetric;
-// cmd/drams-bench runs the full-size sweeps and prints the complete tables.
+// The experiment tables README "Tests and benchmarks" and ARCHITECTURE §3
+// list run in cmd/drams-bench; the end-to-end workloads run in benchmark/.
 package drams_test
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"testing"
 	"time"
 
@@ -27,119 +25,6 @@ import (
 	"drams/internal/merkle"
 	"drams/internal/xacml"
 )
-
-// metric extracts a numeric cell from an experiment table by row label
-// prefix and column name; returns -1 when absent.
-func metric(tab experiment.Table, rowPrefix, col string) float64 {
-	ci := -1
-	for i, h := range tab.Header {
-		if h == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return -1
-	}
-	for _, row := range tab.Rows {
-		if len(row) > ci && len(row[0]) >= len(rowPrefix) && row[0][:len(rowPrefix)] == rowPrefix {
-			v, err := strconv.ParseFloat(row[ci], 64)
-			if err != nil {
-				return -1
-			}
-			return v
-		}
-	}
-	return -1
-}
-
-func BenchmarkE1EndToEnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE1(experiment.E1Params{Requests: 12, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range tab.Rows {
-			if row[0] == "match (on-chain) p50 (ms)" {
-				if v, err := strconv.ParseFloat(row[1], 64); err == nil {
-					b.ReportMetric(v, "match-p50-ms")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkE2LogSizeLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE2(experiment.E2Params{
-			Sizes: []int{64, 16384}, Difficulties: []uint8{8}, Samples: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "8", "p50_ms"), "small-log-p50-ms")
-	}
-}
-
-func BenchmarkE3PoWTuning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE3(experiment.E3Params{Difficulties: []uint8{8, 14}, Blocks: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "14", "mean_block_ms"), "d14-block-ms")
-	}
-}
-
-func BenchmarkE5DetectionMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE5(experiment.E5Params{Trials: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "A3", "mean_latency_ms"), "a3-detect-ms")
-	}
-}
-
-func BenchmarkE6MonitorOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE6(experiment.E6Params{Requests: 24, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "off", "p50_ms"), "off-p50-ms")
-		b.ReportMetric(metric(tab, "async", "p50_ms"), "async-p50-ms")
-	}
-}
-
-func BenchmarkE7Analyser(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunE7(experiment.E7Params{RuleCounts: []int{10, 100}, Requests: 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "100", "expected_us_per_req"), "100rules-us-per-req")
-	}
-}
-
-func BenchmarkAB1TimeoutWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiment.RunAB1(experiment.AB1Params{TimeoutBlocks: []uint64{10}, Trials: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(metric(tab, "10", "detect_mean_ms"), "d10-detect-ms")
-	}
-}
-
-func BenchmarkAB2AnalyserAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunAB2(experiment.AB2Params{Trials: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- micro-benchmarks of the building blocks ---
 
 func benchPolicyAndRequests(n int) (*xacml.PolicySet, []*xacml.Request) {
 	gen := xacml.NewGenerator(uint64(n), xacml.GenParams{
@@ -340,7 +225,7 @@ func BenchmarkRewriteProbability(b *testing.B) {
 // PDP → enforcement, all four logs mined, analyser verdict mined, Matched
 // event observed.
 func BenchmarkMonitoredRequest(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, false, 0)
+	dep, err := experiment.NewStandardDeployment(false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -366,7 +251,7 @@ func BenchmarkMonitoredRequest(b *testing.B) {
 
 // BenchmarkUnmonitoredRequest is the E6 baseline counterpart.
 func BenchmarkUnmonitoredRequest(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, true, 0)
+	dep, err := experiment.NewStandardDeployment(true, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,7 +275,7 @@ var benchSink drams.Enforcement
 // logging attached (the per-request overhead DRAMS adds in its default
 // configuration).
 func BenchmarkPEPDecideAsyncProbes(b *testing.B) {
-	dep, err := experiment.NewStandardDeployment(2, false, 1<<20)
+	dep, err := experiment.NewStandardDeployment(false, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}

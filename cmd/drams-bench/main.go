@@ -1,12 +1,16 @@
-// drams-bench regenerates the full experiment suite: the E1–E3 and E5–E7
-// reproductions of the paper's evaluation, the AB1–AB2 ablations, and the
-// V6 and V7 tables (fast resync, adversarial detection); README "Tests and
-// benchmarks" and ARCHITECTURE §3 list them. Speed comparisons between code paths live in
+// drams-bench regenerates the experiment tables. Each reproduces a claim
+// that no tier-1 test measures: E2 and E3 the §III Log Size latency against
+// record size and PoW difficulty, E5 the §I threat catalogue with wall-time
+// detection latency over several trials, E6 the monitoring overhead on the
+// access-control path, E7 the analyser's cost against policy size, V6 the
+// cold-rejoin time at range-sync window 1 and batched, and V7 the
+// adversarial detection campaign. README "Tests and benchmarks" and
+// ARCHITECTURE §3 list them. Speed comparisons between code paths live in
 // benchmark/, not here. It prints each result table (text or CSV).
 //
 // Usage:
 //
-//	drams-bench [-run E1,E2,...,AB1,...,V6,V7] [-quick] [-csv] [-json [-out DIR]]
+//	drams-bench [-run E2,E3,E5,E6,E7,V6,V7] [-quick] [-csv] [-json [-out DIR]]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -63,7 +67,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E1..E3, E5..E7, AB1..AB2, V6, V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E2, E3, E5, E6, E7, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -144,13 +148,6 @@ func run(args []string) int {
 // quick selects the reduced parameters.
 func catalogue(quick bool) []runner {
 	return []runner{
-		{"E1", func() (experiment.Table, error) {
-			p := experiment.DefaultE1Params()
-			if quick {
-				p = experiment.E1Params{Requests: 8, Workers: 2}
-			}
-			return experiment.RunE1(p)
-		}},
 		{"E2", func() (experiment.Table, error) {
 			p := experiment.DefaultE2Params()
 			if quick {
@@ -185,20 +182,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.E7Params{RuleCounts: []int{10, 100}, Requests: 100}
 			}
 			return experiment.RunE7(p)
-		}},
-		{"AB1", func() (experiment.Table, error) {
-			p := experiment.DefaultAB1Params()
-			if quick {
-				p = experiment.AB1Params{TimeoutBlocks: []uint64{5, 20}, Trials: 1}
-			}
-			return experiment.RunAB1(p)
-		}},
-		{"AB2", func() (experiment.Table, error) {
-			p := experiment.DefaultAB2Params()
-			if quick {
-				p = experiment.AB2Params{Trials: 1}
-			}
-			return experiment.RunAB2(p)
 		}},
 		{"V6", func() (experiment.Table, error) {
 			p := experiment.DefaultV6Params()

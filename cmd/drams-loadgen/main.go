@@ -65,7 +65,6 @@ func run(args []string) int {
 		metricsPeers  = fs.String("metrics-peers", "", "tcp: comma-separated daemon -metrics-addr endpoints to scrape into the report")
 		federationArg = fs.String("federation", "", "tcp: comma-separated edge tenant names")
 		timeoutBlocks = fs.Uint64("timeout-blocks", 64, "tcp: M3 timeout window in blocks")
-		requireVer    = fs.Bool("require-verdict", true, "tcp: chain rule requiring M2 before M3 expiry")
 		dialTimeout   = fs.Duration("dial-timeout", 15*time.Second, "tcp: wait for the remote PDP to become routable")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -127,14 +126,13 @@ func run(args []string) int {
 			return 1
 		}
 		tgt, err = loadgen.NewTCPTarget(loadgen.TCPConfig{
-			Peers:          splitList(*peers),
-			Edges:          splitList(*federationArg),
-			Seed:           scn.Seed,
-			Difficulty:     uint8(*difficulty),
-			TimeoutBlocks:  *timeoutBlocks,
-			RequireVerdict: *requireVer,
-			DialTimeout:    *dialTimeout,
-			MetricsAddrs:   splitList(*metricsPeers),
+			Peers:         splitList(*peers),
+			Edges:         splitList(*federationArg),
+			Seed:          scn.Seed,
+			Difficulty:    uint8(*difficulty),
+			TimeoutBlocks: *timeoutBlocks,
+			DialTimeout:   *dialTimeout,
+			MetricsAddrs:  splitList(*metricsPeers),
 		})
 	default:
 		fmt.Fprintf(os.Stderr, "drams-loadgen: unknown target %q (want netsim or tcp)\n", *target)

@@ -66,7 +66,6 @@ func run() error {
 	byzantineAfter := flag.Duration("byzantine-after", 0, "delay before the -byzantine behaviour engages")
 	emptyBlock := flag.Duration("empty-block", 50*time.Millisecond, "empty-block cadence")
 	timeoutBlocks := flag.Uint64("timeout-blocks", 64, "log-match M3 window in blocks (consensus-critical; must match across processes)")
-	requireVerdict := flag.Bool("require-verdict", true, "demand an analyser verdict per exchange (consensus-critical; must match across processes)")
 	runFor := flag.Duration("run-for", 0, "exit cleanly after this duration (0 = until signalled)")
 	dataDir := flag.String("data-dir", "", "directory for the chain's block log; a restarted process re-validates and resumes its persisted chain instead of starting from genesis")
 	policyFile := flag.String("policy-file", "", "policy-set JSON to publish on-chain as a PAP update (any member may push)")
@@ -98,7 +97,6 @@ func run() error {
 		byzantineAfter: *byzantineAfter,
 		emptyBlock:     *emptyBlock,
 		timeoutBlocks:  *timeoutBlocks,
-		requireVerdict: *requireVerdict,
 		runFor:         *runFor,
 		dataDir:        *dataDir,
 		policyFile:     *policyFile,
@@ -172,8 +170,7 @@ type daemonConfig struct {
 
 	// Consensus-critical knobs shared by every process (see
 	// drams.ChainParams).
-	timeoutBlocks  uint64
-	requireVerdict bool
+	timeoutBlocks uint64
 
 	// metricsAddr, when set, serves the operations surface — /metrics
 	// (Prometheus text exposition), /healthz, /readyz and /debug/pprof/ —
@@ -270,9 +267,6 @@ func runDaemon(cfg daemonConfig) error {
 		drams.WithTimeoutBlocks(cfg.timeoutBlocks),
 		drams.WithEmptyBlockInterval(cfg.emptyBlock),
 		drams.WithDataDir(cfg.dataDir), // "" keeps the chain in memory
-	}
-	if !cfg.requireVerdict {
-		opts = append(opts, drams.WithoutVerdicts())
 	}
 	if cfg.mine {
 		opts = append(opts, drams.WithMineAll())

@@ -132,7 +132,7 @@ func TestFleetRegistryHoldsNoGeneralContracts(t *testing.T) {
 	li := drams.NewChainMaterial(42, tenants, drams.ChainParams{}).LIIdentities["tenant-1"]
 	node := dep.InfraNode()
 	sender := blockchain.NewSender(node, li)
-	put, _ := json.Marshal(contract.KVArgs{Key: "planted", Value: []byte("evil")})
+	put := json.RawMessage(`{"key":"planted","value":"ZXZpbA=="}`)
 	anchor := json.RawMessage(`{"stream":"planted","seq":1,"count":1}`)
 	for _, call := range []contract.Call{
 		{Contract: "kv", Method: "put", Args: put},
@@ -148,7 +148,7 @@ func TestFleetRegistryHoldsNoGeneralContracts(t *testing.T) {
 		}
 	}
 	node.Chain().ReadState("kv", func(st contract.StateDB) {
-		if _, ok := contract.ReadKV(st, "planted"); ok {
+		if _, ok := st.Get("data/planted"); ok {
 			t.Error("an LI wrote a kv/ row into the federation's state")
 		}
 	})

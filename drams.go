@@ -32,8 +32,8 @@
 //
 // Open and OpenMember are the only constructors; everything beyond the
 // policy is an option: WithTopology, WithSeed, WithDifficulty,
-// WithTimeoutBlocks, WithEmptyBlockInterval, WithMonitoring, WithoutVerdicts,
-// WithNetwork, WithTransport, WithDataDir and WithMineAll.
+// WithTimeoutBlocks, WithEmptyBlockInterval, WithMonitoring, WithNetwork,
+// WithTransport, WithDataDir and WithMineAll.
 // WaitForAlert and WaitForMatched are the one-shot form of the Alerts
 // stream.
 package drams
@@ -97,9 +97,6 @@ type config struct {
 	difficulty uint8
 	// timeoutBlocks is the log-match M3 window Δ (default 5 blocks).
 	timeoutBlocks uint64
-	// disableVerdicts drops the analyser verdict the contract otherwise
-	// demands per request.
-	disableVerdicts bool
 	// emptyBlockInterval keeps blocks flowing when idle (default 25ms).
 	emptyBlockInterval time.Duration
 	// monitorOff disables probes, analyser and monitor entirely — the
@@ -258,7 +255,7 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	material := NewChainMaterial(cfg.seed, tenantNames, ChainParams{
 		Difficulty:     cfg.difficulty,
 		TimeoutBlocks:  cfg.timeoutBlocks,
-		RequireVerdict: !cfg.disableVerdicts && !cfg.monitorOff,
+		RequireVerdict: !cfg.monitorOff,
 	})
 	d.papID = material.PAPID
 

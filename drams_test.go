@@ -383,6 +383,10 @@ func TestMineAllConvergesWithCompetingMiners(t *testing.T) {
 	}
 }
 
+// TestManyConcurrentRequestsAllMatch is Figure 1 under mixed load: doctor
+// reads (Permit) and intern reads (Deny) alternate across both edge
+// tenants, concurrently; each is enforced as the policy decides, and every
+// exchange matches on-chain with no alert.
 func TestManyConcurrentRequestsAllMatch(t *testing.T) {
 	// The stress load tests pipeline completeness, not detection latency:
 	// give the verdict/M3 window enough slack to absorb the ~10× slowdown
@@ -391,21 +395,38 @@ func TestManyConcurrentRequestsAllMatch(t *testing.T) {
 	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
 	const n = 20
 	reqs := make([]*xacml.Request, n)
-	errCh := make(chan error, n)
+	want := make([]xacml.Decision, n)
 	for i := 0; i < n; i++ {
-		reqs[i] = doctorRequest(dep)
+		if (i/2)%2 == 0 {
+			reqs[i], want[i] = doctorRequest(dep), xacml.Permit
+		} else {
+			reqs[i] = dep.NewRequest().
+				Add(xacml.CatSubject, "role", xacml.String("intern")).
+				Add(xacml.CatAction, "op", xacml.String("read"))
+			want[i] = xacml.Deny
+		}
 	}
+	type result struct {
+		i   int
+		enf drams.Enforcement
+		err error
+	}
+	resCh := make(chan result, n)
 	clients := []*drams.Client{tenantClient(t, dep, "tenant-1"), tenantClient(t, dep, "tenant-2")}
 	decideCtx := ctx20(t)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			_, err := clients[i%2].Decide(decideCtx, reqs[i])
-			errCh <- err
+			enf, err := clients[i%2].Decide(decideCtx, reqs[i])
+			resCh <- result{i, enf, err}
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
+	for range n {
+		r := <-resCh
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.enf.Decision != want[r.i] {
+			t.Fatalf("request %d: enforced %s, want %s", r.i, r.enf.Decision, want[r.i])
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -11,8 +11,6 @@ import (
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/federation"
-	"drams/internal/netsim"
-	"drams/internal/xacml"
 )
 
 // TestChaosCatalogueShape pins the chaos fleet: one scenario per attack
@@ -66,67 +64,6 @@ func TestChaosCampaignDetectionMatrix(t *testing.T) {
 	}
 	if len(rep.Results) == 0 {
 		t.Fatal("campaign ran no scenario")
-	}
-}
-
-// TestDetectionLatencyBounds bounds how many blocks each catalogue scenario
-// may take from injection to alert on a zero-latency, seed-pinned network:
-// tamper-class attacks are caught as soon as the records anchor;
-// suppression-class attacks additionally wait out the Δ-block M3 window.
-func TestDetectionLatencyBounds(t *testing.T) {
-	const timeoutBlocks = 10
-	net := netsim.New(netsim.Config{Seed: 21})
-	defer net.Close()
-	dep, err := drams.Open(detectPolicy(),
-		drams.WithDifficulty(6),
-		drams.WithTimeoutBlocks(timeoutBlocks),
-		drams.WithEmptyBlockInterval(15*time.Millisecond),
-		drams.WithSeed(21),
-		drams.WithTransport(net),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	client, err := dep.Client("tenant-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, sc := range Catalogue(escalateToDoctor) {
-		sc := sc
-		t.Run(sc.ID+"_"+sc.Name, func(t *testing.T) {
-			cleanup, err := sc.Install(dep, "tenant-1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cleanup()
-
-			// Suppression-class scenarios are only detectable once the
-			// M3 deadline lapses; everything else anchors and alerts
-			// within a handful of blocks.
-			bound := uint64(16)
-			for _, want := range sc.Expected {
-				if want == core.AlertMessageSuppressed || want == core.AlertVerdictMissing {
-					bound = timeoutBlocks + 16
-				}
-			}
-
-			_, injectHeight := dep.InfraNode().Chain().Head()
-			req := dep.NewRequest().Add(xacml.CatSubject, "role", xacml.String("intern"))
-			_, _ = client.Decide(context.Background(), req) // drop-class attacks fail the call by design
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			alert, ok := waitAnyAlert(ctx, dep, req.ID, sc.Expected)
-			if !ok {
-				t.Fatalf("%s: no alert within deadline; saw %v", sc.ID, dep.Monitor.AlertsFor(req.ID))
-			}
-			if alert.Height > injectHeight+bound {
-				t.Fatalf("%s: detection took %d blocks (inject height %d, alert height %d), bound %d",
-					sc.ID, alert.Height-injectHeight, injectHeight, alert.Height, bound)
-			}
-		})
 	}
 }
 

@@ -24,12 +24,45 @@ func testIdentity(t testing.TB, name string, seedByte byte) *crypto.Identity {
 	return crypto.NewIdentityFromSeed(name, seed)
 }
 
+// kvContract is the chain tests' toy contract: "put" writes a JSON
+// {key, value} under data/<key>, and the first caller to write a key owns
+// it, so a later writer's transaction fails.
+type kvContract struct{}
+
+type kvArgs struct {
+	Key   string `json:"key"`
+	Value []byte `json:"value,omitempty"`
+}
+
+func (kvContract) Name() string { return "kv" }
+
+func (kvContract) Execute(ctx contract.CallCtx, st contract.StateDB, call contract.Call) ([]contract.Event, error) {
+	var args kvArgs
+	if err := json.Unmarshal(call.Args, &args); err != nil {
+		return nil, fmt.Errorf("%w: %v", contract.ErrBadArgs, err)
+	}
+	if call.Method != "put" {
+		return nil, fmt.Errorf("%w: %q", contract.ErrUnknownMethod, call.Method)
+	}
+	if owner, ok := st.Get("owner/" + args.Key); ok && string(owner) != ctx.Caller {
+		return nil, fmt.Errorf("kv: key %q owned by %q, caller is %q", args.Key, owner, ctx.Caller)
+	}
+	st.Set("owner/"+args.Key, []byte(ctx.Caller))
+	st.Set("data/"+args.Key, args.Value)
+	return []contract.Event{{Type: "Put", Payload: []byte(args.Key)}}, nil
+}
+
+// readKV reads a value kvContract wrote.
+func readKV(st contract.StateDB, key string) ([]byte, bool) {
+	return st.Get("data/" + key)
+}
+
 // testChainConfig builds a low-difficulty config with the kv contract and
 // the given allowed identities.
 func testChainConfig(t testing.TB, ids ...*crypto.Identity) Config {
 	t.Helper()
 	reg := contract.NewRegistry()
-	reg.MustRegister(&contract.KVContract{ContractName: "kv"})
+	reg.MustRegister(kvContract{})
 	pubs := make([]crypto.PublicIdentity, len(ids))
 	for i, id := range ids {
 		pubs[i] = id.Public()
@@ -42,7 +75,7 @@ func testChainConfig(t testing.TB, ids ...*crypto.Identity) Config {
 }
 
 func putCall(key, value string) contract.Call {
-	args, _ := json.Marshal(contract.KVArgs{Key: key, Value: []byte(value)})
+	args, _ := json.Marshal(kvArgs{Key: key, Value: []byte(value)})
 	return contract.Call{Contract: "kv", Method: "put", Args: args}
 }
 
@@ -109,7 +142,7 @@ func TestAddBlockExtendsHead(t *testing.T) {
 	// State applied.
 	var got []byte
 	c.ReadState("kv", func(st contract.StateDB) {
-		got, _ = contract.ReadKV(st, "k")
+		got, _ = readKV(st, "k")
 	})
 	if string(got) != "v" {
 		t.Fatalf("state = %q", got)
@@ -405,7 +438,7 @@ func TestFailedTxIncludedWithoutStateChange(t *testing.T) {
 		t.Fatalf("receipt = %+v", rec)
 	}
 	var got []byte
-	c.ReadState("kv", func(st contract.StateDB) { got, _ = contract.ReadKV(st, "k") })
+	c.ReadState("kv", func(st contract.StateDB) { got, _ = readKV(st, "k") })
 	if string(got) != "alice's" {
 		t.Fatalf("state = %q", got)
 	}
@@ -463,7 +496,7 @@ func TestNonJSONArgsEndAsFailedReceipt(t *testing.T) {
 	})
 }
 
-// Several senders write the same KVContract key in one block: transactions
+// Several senders write the same kvContract key in one block: transactions
 // apply in block order, so the first writer owns the key and every later
 // writer fails with the ownership error.
 func TestContestedKeyInOneBlockFirstWriterOwns(t *testing.T) {
@@ -493,7 +526,7 @@ func TestContestedKeyInOneBlockFirstWriterOwns(t *testing.T) {
 		}
 	}
 	var got []byte
-	c.ReadState("kv", func(st contract.StateDB) { got, _ = contract.ReadKV(st, "contested") })
+	c.ReadState("kv", func(st contract.StateDB) { got, _ = readKV(st, "contested") })
 	if string(got) != "mine-sender-0" {
 		t.Fatalf("state = %q, want the first writer's value", got)
 	}
@@ -542,8 +575,8 @@ func TestForkChoiceLongestChain(t *testing.T) {
 	// State must reflect branch B only.
 	var branch, extra []byte
 	c.ReadState("kv", func(st contract.StateDB) {
-		branch, _ = contract.ReadKV(st, "branch")
-		extra, _ = contract.ReadKV(st, "extra")
+		branch, _ = readKV(st, "branch")
+		extra, _ = readKV(st, "extra")
 	})
 	if string(branch) != "B" || string(extra) != "x" {
 		t.Fatalf("post-reorg state branch=%q extra=%q", branch, extra)

@@ -137,7 +137,7 @@ func TestGossipReachesNonMiningNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	observer.Chain().ReadState("kv", func(st contract.StateDB) { got, _ = contract.ReadKV(st, "k") })
+	observer.Chain().ReadState("kv", func(st contract.StateDB) { got, _ = readKV(st, "k") })
 	if string(got) != "v" {
 		t.Fatalf("observer state = %q", got)
 	}
@@ -187,8 +187,8 @@ func TestPartitionHealReconvergence(t *testing.T) {
 		}
 		var a, b []byte
 		n0.Chain().ReadState("kv", func(st contract.StateDB) {
-			a, _ = contract.ReadKV(st, "a")
-			b, _ = contract.ReadKV(st, "b")
+			a, _ = readKV(st, "a")
+			b, _ = readKV(st, "b")
 		})
 		return string(a) == "1" && string(b) == "1"
 	}, "partition heal convergence with both txs applied")

@@ -393,7 +393,7 @@ func TestEngineOnBlockHooks(t *testing.T) {
 		return []Event{{Type: "Tick"}}
 	}}
 	r.MustRegister(hook)
-	r.MustRegister(&KVContract{ContractName: "kv"}) // no hook: must be skipped
+	r.MustRegister(&scriptContract{name: "kv", fn: func(StateDB) error { return nil }}) // no hook: must be skipped
 	e := NewEngine(r)
 	st := NewState()
 	events := e.OnBlock(5, time.Unix(0, 0), st)

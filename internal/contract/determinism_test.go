@@ -10,6 +10,42 @@ import (
 	"drams/internal/idgen"
 )
 
+// kvContract is a key-value store for the determinism test: "put" and
+// "del" take JSON {key, value}, and the first caller to write a key owns it,
+// so calls fail as well as apply.
+type kvContract struct{}
+
+type kvArgs struct {
+	Key   string `json:"key"`
+	Value []byte `json:"value,omitempty"`
+}
+
+func (kvContract) Name() string { return "kv" }
+
+func (kvContract) Execute(ctx CallCtx, st StateDB, call Call) ([]Event, error) {
+	var args kvArgs
+	if err := json.Unmarshal(call.Args, &args); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+	}
+	if args.Key == "" {
+		return nil, fmt.Errorf("%w: empty key", ErrBadArgs)
+	}
+	if owner, ok := st.Get("owner/" + args.Key); ok && string(owner) != ctx.Caller {
+		return nil, fmt.Errorf("kv: key %q owned by %q", args.Key, owner)
+	}
+	switch call.Method {
+	case "put":
+		st.Set("owner/"+args.Key, []byte(ctx.Caller))
+		st.Set("data/"+args.Key, args.Value)
+	case "del":
+		st.Delete("owner/" + args.Key)
+		st.Delete("data/" + args.Key)
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, call.Method)
+	}
+	return []Event{{Type: call.Method, Payload: []byte(args.Key + " by " + ctx.Caller)}}, nil
+}
+
 // TestReplicaDeterminism is the replication safety property of the whole
 // on-chain layer: two engines fed the same call sequence (as every
 // federation node is, via the blockchain) end in byte-identical state and
@@ -17,7 +53,7 @@ import (
 func TestReplicaDeterminism(t *testing.T) {
 	build := func() (*Engine, *State) {
 		r := NewRegistry()
-		r.MustRegister(&KVContract{ContractName: "kv"})
+		r.MustRegister(kvContract{})
 		return NewEngine(r), NewState()
 	}
 	e1, s1 := build()
@@ -32,7 +68,7 @@ func TestReplicaDeterminism(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		var call Call
 		if rng.Intn(2) == 0 {
-			args, _ := json.Marshal(KVArgs{
+			args, _ := json.Marshal(kvArgs{
 				Key:   fmt.Sprintf("k%d", rng.Intn(40)),
 				Value: rng.Bytes(8),
 			})

@@ -224,26 +224,39 @@ func TestM2ResponseTampered(t *testing.T) {
 	}
 }
 
+// TestM3Timeout pins the M3 deadline: with only the pep.request of an
+// exchange anchored at height h, message-suppressed fires in the OnBlock of
+// height h + Δ and in no block before it, at two window sizes.
 func TestM3Timeout(t *testing.T) {
-	env := newMatchEnv(t, defaultCfg())
-	x := cleanExchange("req-m3")
-	env.anchorPolicy(x.polVer)
-	env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
-	// Nothing else arrives. Advance past the deadline.
-	var alerts []Alert
-	for i := 0; i < 6; i++ {
-		alerts = append(alerts, alertsOf(env.onBlock())...)
-	}
-	if len(alerts) != 1 || alerts[0].Type != AlertMessageSuppressed {
-		t.Fatalf("alerts = %v", alerts)
-	}
-	for _, missing := range []string{string(KindPDPRequest), string(KindPDPResponse), string(KindPEPResponse)} {
-		if !strings.Contains(alerts[0].Detail, missing) {
-			t.Fatalf("detail %q missing %q", alerts[0].Detail, missing)
+	for _, delta := range []uint64{3, 10} {
+		cfg := defaultCfg()
+		cfg.TimeoutBlocks = delta
+		env := newMatchEnv(t, cfg)
+		x := cleanExchange(fmt.Sprintf("req-m3-%d", delta))
+		env.anchorPolicy(x.polVer)
+		h := env.height
+		env.mustCall("li-t1", MethodLogBatch, logArgs(x.pepRequest()))
+		// Nothing else arrives. Close blocks h .. h+Δ+2.
+		var alerts []Alert
+		for env.height <= h+delta+2 {
+			height := env.height
+			got := alertsOf(env.onBlock())
+			if len(got) > 0 && height != h+delta {
+				t.Fatalf("Δ=%d: alert %v in the block of height %d, want h+Δ = %d", delta, got, height, h+delta)
+			}
+			alerts = append(alerts, got...)
 		}
-	}
-	if strings.Contains(alerts[0].Detail, string(KindPEPRequest)) {
-		t.Fatalf("detail %q lists the present record", alerts[0].Detail)
+		if len(alerts) != 1 || alerts[0].Type != AlertMessageSuppressed {
+			t.Fatalf("Δ=%d: alerts = %v", delta, alerts)
+		}
+		for _, missing := range []string{string(KindPDPRequest), string(KindPDPResponse), string(KindPEPResponse)} {
+			if !strings.Contains(alerts[0].Detail, missing) {
+				t.Fatalf("detail %q missing %q", alerts[0].Detail, missing)
+			}
+		}
+		if strings.Contains(alerts[0].Detail, string(KindPEPRequest)) {
+			t.Fatalf("detail %q lists the present record", alerts[0].Detail)
+		}
 	}
 }
 
@@ -364,18 +377,34 @@ func TestVerdictMissingTimeout(t *testing.T) {
 	}
 }
 
+// TestVerdictOptional runs two exchanges with no verdict required: a clean
+// one, and one shaped like attack A4, whose four records agree with each
+// other on a decision the anchored policy does not give. Both match with no
+// alert: M1–M4 compare the records with each other and cannot see a
+// consistent wrong decision. TestM5DecisionIncorrect is the other half of
+// the claim: with the analyser's verdict, M5 sees a decision the anchored
+// policy does not give.
 func TestVerdictOptional(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.RequireVerdict = false
 	env := newMatchEnv(t, cfg)
-	x := cleanExchange("req-opt")
-	env.anchorPolicy(x.polVer)
-	var all []contract.Event
-	for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
-		all = append(all, env.mustCall("li", MethodLogBatch, logArgs(rec))...)
-	}
-	if !hasEvent(all, EventMatched) {
-		t.Fatal("exchange without verdict should match when verdicts optional")
+	clean := cleanExchange("req-opt")
+	env.anchorPolicy(clean.polVer)
+	// The compromised PDP denies what the anchored policy permits, and
+	// every probe records that Deny.
+	wrong := cleanExchange("req-a4")
+	wrong.decision = xacml.Deny
+	for _, x := range []exchange{clean, wrong} {
+		var all []contract.Event
+		for _, rec := range []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)} {
+			all = append(all, env.mustCall("li", MethodLogBatch, logArgs(rec))...)
+		}
+		if !hasEvent(all, EventMatched) {
+			t.Fatalf("%s: exchange without verdict should match when verdicts optional", x.reqID)
+		}
+		if alerts := alertsOf(all); len(alerts) != 0 {
+			t.Fatalf("%s: alerts = %v", x.reqID, alerts)
+		}
 	}
 	for i := 0; i < 6; i++ {
 		if alerts := alertsOf(env.onBlock()); len(alerts) != 0 {

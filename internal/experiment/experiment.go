@@ -1,9 +1,10 @@
-// Package experiment implements the E1–E3 and E5–E7 experiment drivers —
-// the reproduction of the figure/table obligations derived from the paper
-// (Figure 1, the §I threat model, and the §III Log Size latency
-// discussion) — plus the AB1–AB2 ablations and the V6 and V7 tables. Each
-// driver returns a Table that cmd/drams-bench prints and bench_test.go
-// reports; README "Tests and benchmarks" and ARCHITECTURE §3 list them.
+// Package experiment implements the drivers of the tables cmd/drams-bench
+// prints: E2 and E3 (the §III Log Size latency discussion: storage latency
+// against record size and PoW difficulty), E5 (the §I threat catalogue with
+// wall-time latency and multi-trial rates), E6 and E7 (the cost of
+// monitoring and of the analyser), and V6 and V7 (fast resync, adversarial
+// detection). A claim a tier-1 test already checks lives in that test, not
+// here; README "Tests and benchmarks" and ARCHITECTURE §3 list both.
 package experiment
 
 import (
@@ -99,13 +100,6 @@ func rate(n int, d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(n)/d.Seconds())
 }
 
-// StandardPolicy is the benchmark access-control policy: role-gated reads
-// and writes over records with a default deny (canonical copy in
-// xacml.StandardPolicy, shared with the drams-node daemon).
-func StandardPolicy(version string) *xacml.PolicySet {
-	return xacml.StandardPolicy(version)
-}
-
 // StandardRequest builds the i-th benchmark request (cycling through
 // permit/deny outcomes).
 func StandardRequest(dep *drams.Deployment, i int) *xacml.Request {
@@ -117,31 +111,15 @@ func StandardRequest(dep *drams.Deployment, i int) *xacml.Request {
 		Add(xacml.CatResource, "type", xacml.String("record"))
 }
 
-// edgeClients returns one Client per edge tenant, in EdgeTenants order.
-func edgeClients(dep *drams.Deployment) ([]*drams.Client, error) {
-	tenants := dep.Topology().EdgeTenants()
-	clients := make([]*drams.Client, len(tenants))
-	for i, ten := range tenants {
-		c, err := dep.Client(ten.Name)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = c
-	}
-	return clients, nil
-}
-
 // NewStandardDeployment builds the deployment shape shared by the system
-// experiments: one edge tenant per cloud plus the infrastructure tenant.
-func NewStandardDeployment(clouds int, monitorOff bool, timeoutBlocks uint64) (*drams.Deployment, error) {
+// experiments: two clouds, one edge tenant each, plus the infrastructure
+// tenant.
+func NewStandardDeployment(monitorOff bool, timeoutBlocks uint64) (*drams.Deployment, error) {
 	if timeoutBlocks == 0 {
 		timeoutBlocks = 30
 	}
-	if clouds < 1 {
-		clouds = 2
-	}
-	return drams.Open(StandardPolicy("v1"),
-		drams.WithTopology(federation.SimpleTopology("bench", clouds)),
+	return drams.Open(xacml.StandardPolicy("v1"),
+		drams.WithTopology(federation.SimpleTopology("bench", 2)),
 		drams.WithDifficulty(8),
 		drams.WithTimeoutBlocks(timeoutBlocks),
 		drams.WithEmptyBlockInterval(15*time.Millisecond),

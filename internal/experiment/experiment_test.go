@@ -9,7 +9,7 @@ import (
 )
 
 // Small-parameter smoke runs: every driver must complete and its table
-// shape must be sane. The real sweeps run in bench_test.go / drams-bench.
+// shape must be sane. The real sweeps run in drams-bench.
 
 func cell(t *testing.T, tab Table, row int, col string) string {
 	t.Helper()
@@ -43,23 +43,6 @@ func TestTableRenderAndCSV(t *testing.T) {
 	csv := tab.CSV()
 	if !strings.HasPrefix(csv, "a,bb\n1,2\n") {
 		t.Errorf("csv = %q", csv)
-	}
-}
-
-func TestRunE1Smoke(t *testing.T) {
-	tab, err := RunE1(E1Params{Requests: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMetric := map[string]string{}
-	for _, row := range tab.Rows {
-		byMetric[row[0]] = row[1]
-	}
-	if byMetric["alerts (expect 0)"] != "0" {
-		t.Fatalf("alerts = %s", byMetric["alerts (expect 0)"])
-	}
-	if byMetric["matched exchanges"] == "0" {
-		t.Fatal("nothing matched")
 	}
 }
 
@@ -151,42 +134,8 @@ func TestRunE7ShapeGrowsWithRules(t *testing.T) {
 	}
 }
 
-func TestRunAB1Smoke(t *testing.T) {
-	tab, err := RunAB1(AB1Params{TimeoutBlocks: []uint64{5, 20}, Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Detection latency in blocks must track the window size.
-	small := cellFloat(t, tab, 0, "detect_mean_blocks")
-	big := cellFloat(t, tab, 1, "detect_mean_blocks")
-	if big <= small {
-		t.Fatalf("Δ ablation shape violated: %v vs %v blocks", small, big)
-	}
-}
-
-func TestRunAB2AnalyserMatters(t *testing.T) {
-	tab, err := RunAB2(AB2Params{Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	full, ablated := tab.Rows[0], tab.Rows[1]
-	if full[2] != "1/1" {
-		t.Fatalf("full config missed A4: %v", full)
-	}
-	if ablated[2] != "0/1" {
-		t.Fatalf("ablated config should miss A4: %v", ablated)
-	}
-	// A3 is caught by log matching alone in both configurations.
-	if full[1] != "1/1" || ablated[1] != "1/1" {
-		t.Fatalf("A3 rows: full=%v ablated=%v", full, ablated)
-	}
-}
-
 func TestStandardDeploymentModes(t *testing.T) {
-	dep, err := NewStandardDeployment(2, false, 0)
+	dep, err := NewStandardDeployment(false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,25 +17,44 @@ import (
 	"drams/internal/xacml"
 )
 
+// logMatchConfig is the chain configuration of E2's and V6's chains: the
+// log-match contract, with a window Δ no run reaches, and writer as the one
+// allowlisted identity.
+func logMatchConfig(difficulty uint8, writer *crypto.Identity) blockchain.Config {
+	reg := contract.NewRegistry()
+	reg.MustRegister(core.NewLogMatchContract(core.MatchConfig{TimeoutBlocks: 1 << 20}))
+	return blockchain.Config{
+		Difficulty: difficulty,
+		Identities: []crypto.PublicIdentity{writer.Public()},
+		Registry:   reg,
+	}
+}
+
+// logCall is the one-record logbatch E2 stores and each block of V6's
+// source chain carries: a pep.request record for reqID with payload.
+func logCall(reqID string, payload []byte) (contract.Call, error) {
+	return core.LogCall(core.LogRecord{
+		Kind:      core.KindPEPRequest,
+		ReqID:     reqID,
+		Tenant:    "bench",
+		Agent:     "bench-agent",
+		ReqDigest: crypto.Sum([]byte(reqID)),
+		Payload:   payload,
+	})
+}
+
 // singleNode spins up one mining chain node with the log-match contract and
 // an allowlisted writer identity.
-func singleNode(difficulty uint8, emptyInterval time.Duration) (*blockchain.Node, *crypto.Identity, func(), error) {
+func singleNode(difficulty uint8) (*blockchain.Node, *crypto.Identity, func(), error) {
 	var seed [32]byte
 	seed[0] = 0x33
 	id := crypto.NewIdentityFromSeed("bench-writer", seed)
-	reg := contract.NewRegistry()
-	reg.MustRegister(core.NewLogMatchContract(core.MatchConfig{TimeoutBlocks: 1 << 20}))
 	net := netsim.New(netsim.Config{Seed: 5})
 	node, err := blockchain.NewNode(blockchain.NodeConfig{
-		Name: "bench-node",
-		Chain: blockchain.Config{
-			Difficulty: difficulty,
-			Identities: []crypto.PublicIdentity{id.Public()},
-			Registry:   reg,
-		},
-		Network:            net,
-		Mine:               true,
-		EmptyBlockInterval: emptyInterval,
+		Name:    "bench-node",
+		Chain:   logMatchConfig(difficulty, id),
+		Network: net,
+		Mine:    true,
 	})
 	if err != nil {
 		net.Close()
@@ -81,7 +100,7 @@ func RunE2(p E2Params) (Table, error) {
 	}
 	rng := idgen.NewRand(77)
 	for _, diff := range p.Difficulties {
-		node, id, cleanup, err := singleNode(diff, 0)
+		node, id, cleanup, err := singleNode(diff)
 		if err != nil {
 			return t, err
 		}
@@ -89,15 +108,7 @@ func RunE2(p E2Params) (Table, error) {
 		for _, size := range p.Sizes {
 			h := metrics.NewHistogram()
 			for s := 0; s < p.Samples; s++ {
-				rec := core.LogRecord{
-					Kind:      core.KindPEPRequest,
-					ReqID:     fmt.Sprintf("e2-%d-%d-%d", diff, size, s),
-					Tenant:    "bench",
-					Agent:     "bench-agent",
-					ReqDigest: crypto.Sum([]byte{byte(s)}),
-					Payload:   rng.Bytes(size),
-				}
-				call, err := core.LogCall(rec)
+				call, err := logCall(fmt.Sprintf("e2-%d-%d-%d", diff, size, s), rng.Bytes(size))
 				if err != nil {
 					cleanup()
 					return t, fmt.Errorf("E2 d=%d size=%d: %w", diff, size, err)

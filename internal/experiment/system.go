@@ -11,104 +11,6 @@ import (
 	"drams/internal/xacml"
 )
 
-// E1Params parameterise the end-to-end run.
-type E1Params struct {
-	Requests int
-	Workers  int
-}
-
-// DefaultE1Params runs 48 requests with 4 workers.
-func DefaultE1Params() E1Params { return E1Params{Requests: 48, Workers: 4} }
-
-// RunE1 exercises the full Figure-1 deployment: mixed permit/deny traffic
-// across both edge tenants, every exchange matched on-chain, zero alerts.
-func RunE1(p E1Params) (Table, error) {
-	t := Table{
-		ID:     "E1",
-		Title:  "Figure 1 end-to-end: monitored access control on a 2-cloud federation",
-		Header: []string{"metric", "value"},
-	}
-	dep, err := NewStandardDeployment(2, false, 0)
-	if err != nil {
-		return t, err
-	}
-	defer dep.Close()
-
-	clients, err := edgeClients(dep)
-	if err != nil {
-		return t, err
-	}
-	enforceLat := metrics.NewHistogram()
-	matchLat := metrics.NewHistogram()
-	var permits, denies int64
-	var mu sync.Mutex
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, p.Workers)
-	errCh := make(chan error, p.Requests)
-	for i := 0; i < p.Requests; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			req := StandardRequest(dep, i)
-			client := clients[i%len(clients)]
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			t0 := time.Now()
-			enf, err := client.Decide(ctx, req)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			enforceLat.ObserveDuration(time.Since(t0))
-			if err := dep.WaitForMatched(ctx, req.ID); err != nil {
-				errCh <- err
-				return
-			}
-			matchLat.ObserveDuration(time.Since(t0))
-			mu.Lock()
-			if enf.Permitted() {
-				permits++
-			} else {
-				denies++
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return t, err
-	}
-	elapsed := time.Since(start)
-
-	el := enforceLat.Snapshot()
-	ml := matchLat.Snapshot()
-	node := dep.InfraNode()
-	mst := dep.Monitor.Stats()
-	t.Rows = [][]string{
-		{"requests", fmt.Sprintf("%d", p.Requests)},
-		{"permits", count(permits)},
-		{"denies", count(denies)},
-		{"enforcement p50 (ms)", msF(el.P50)},
-		{"enforcement p99 (ms)", msF(el.P99)},
-		{"match (on-chain) p50 (ms)", msF(ml.P50)},
-		{"match (on-chain) p99 (ms)", msF(ml.P99)},
-		{"monitored throughput (req/s)", rate(p.Requests, elapsed)},
-		{"chain height", fmt.Sprintf("%d", node.Chain().Height())},
-		{"log records seen", count(mst.LogsSeen)},
-		{"matched exchanges", count(mst.Matched)},
-		{"alerts (expect 0)", count(mst.AlertsSeen)},
-	}
-	if mst.AlertsSeen != 0 {
-		t.Notes = append(t.Notes, "WARNING: clean traffic raised alerts")
-	}
-	return t, nil
-}
-
 // E5Params parameterise the detection matrix.
 type E5Params struct {
 	Trials int
@@ -129,7 +31,7 @@ func RunE5(p E5Params) (Table, error) {
 			"control row: clean traffic must raise no alert (false-positive check)",
 		},
 	}
-	dep, err := NewStandardDeployment(2, false, 20)
+	dep, err := NewStandardDeployment(false, 20)
 	if err != nil {
 		return t, err
 	}
@@ -247,7 +149,7 @@ func RunE6(p E6Params) (Table, error) {
 		{"async", false},
 	}
 	for _, m := range modes {
-		dep, err := NewStandardDeployment(2, m.off, 1<<20)
+		dep, err := NewStandardDeployment(m.off, 1<<20)
 		if err != nil {
 			return t, err
 		}

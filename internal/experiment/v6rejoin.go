@@ -2,12 +2,10 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"drams/internal/blockchain"
-	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/netsim"
 )
@@ -35,19 +33,20 @@ func DefaultV6Params() V6Params {
 	}
 }
 
-// v6Chain fabricates a chain of the given length: one signed kv tx per
-// block, mined at the configured difficulty and validated by AddBlock —
-// the same bytes a live federation would have produced.
+// v6Chain fabricates a chain of the given length: one signed one-record
+// logbatch per block, which the log-match contract executes, mined at the
+// configured difficulty and validated by AddBlock — the shape of a fleet's
+// blocks.
 func v6Chain(cfg blockchain.Config, id *crypto.Identity, length int) (*blockchain.Chain, error) {
 	c := blockchain.NewChain(cfg)
 	parent, parentHeight := c.Head()
 	genesis, _ := c.BlockByHash(parent)
 	for i := 1; i <= length; i++ {
-		args, err := json.Marshal(contract.KVArgs{Key: fmt.Sprintf("k%d", i), Value: []byte("v")})
+		call, err := logCall(fmt.Sprintf("v6-%d", i), nil)
 		if err != nil {
 			return nil, err
 		}
-		tx, err := blockchain.NewTransaction(id, parentHeight, contract.Call{Contract: "kv", Method: "put", Args: args})
+		tx, err := blockchain.NewTransaction(id, parentHeight, call)
 		if err != nil {
 			return nil, err
 		}
@@ -78,13 +77,7 @@ func v6Chain(cfg blockchain.Config, id *crypto.Identity, length int) (*blockchai
 // plus the transport Calls it spent, at the given bc.getrange window.
 func v6Rejoin(p V6Params, length, window int) (elapsed time.Duration, calls, blocks int64, err error) {
 	writer := crypto.NewIdentityFromSeed("writer", crypto.SumAll([]byte("v6-writer")))
-	reg := contract.NewRegistry()
-	reg.MustRegister(&contract.KVContract{ContractName: "kv"})
-	cfg := blockchain.Config{
-		Difficulty: 4,
-		Identities: []crypto.PublicIdentity{writer.Public()},
-		Registry:   reg,
-	}
+	cfg := logMatchConfig(4, writer)
 
 	net := netsim.New(netsim.Config{BaseLatency: p.NetLatency, Seed: 66})
 	defer net.Close()
@@ -149,6 +142,7 @@ func RunV6(p V6Params) (Table, error) {
 		Header: []string{"chain_len", "mode", "sync_ms", "calls", "blocks", "blocks_per_s"},
 		Notes: []string{
 			fmt.Sprintf("simulated link latency %v each way; batched mode fetches %d blocks per bc.getrange call", p.NetLatency, p.SyncBatch),
+			"each block carries one signed one-record logbatch that the joiner's log-match contract executes",
 			"every fetched block passes full validation (signatures via the TxVerifier pipeline, PoW, difficulty, the expiry and replay rule)",
 			"window 1 is the baseline: one bc.getrange round-trip per block, calls = blocks + 1 (the head probe)",
 		},

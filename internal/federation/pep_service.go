@@ -75,6 +75,8 @@ type Enforcement struct {
 // Permitted reports whether access is granted (XACML: only an explicit
 // Permit grants; everything else is treated as not granted by a
 // deny-biased PEP).
+//
+//lint:ignore deadcode the root package exports it through the alias drams.Enforcement, which the analyzer does not follow
 func (e Enforcement) Permitted() bool { return e.Decision == xacml.Permit }
 
 // PEPService is the tenant-edge Policy Enforcement Point.

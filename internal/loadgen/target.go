@@ -289,11 +289,10 @@ type TCPConfig struct {
 	// Seed must match the daemons' -seed (identities and the chain
 	// allowlist derive from it).
 	Seed uint64
-	// Difficulty/TimeoutBlocks/RequireVerdict are the consensus-critical
-	// knobs and must match the daemons'.
-	Difficulty     uint8
-	TimeoutBlocks  uint64
-	RequireVerdict bool
+	// Difficulty/TimeoutBlocks are the consensus-critical knobs and must
+	// match the daemons'.
+	Difficulty    uint8
+	TimeoutBlocks uint64
 	// ListenAddr is this process's bind address (default 127.0.0.1:0).
 	ListenAddr string
 	// DialTimeout bounds the wait for the remote PDP to become routable
@@ -341,7 +340,7 @@ func NewTCPTarget(cfg TCPConfig) (*TCPTarget, error) {
 	material := drams.NewChainMaterial(cfg.Seed, tenants, drams.ChainParams{
 		Difficulty:     cfg.Difficulty,
 		TimeoutBlocks:  cfg.TimeoutBlocks,
-		RequireVerdict: cfg.RequireVerdict,
+		RequireVerdict: true,
 	})
 	var nodePeers []string
 	for _, ten := range tenants {

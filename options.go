@@ -71,12 +71,6 @@ func WithMonitoring(enabled bool) Option {
 	return func(c *config) { c.monitorOff = !enabled }
 }
 
-// WithoutVerdicts drops the analyser-verdict requirement from the log-match
-// contract.
-func WithoutVerdicts() Option {
-	return func(c *config) { c.disableVerdicts = true }
-}
-
 // WithNetwork shapes the simulated federation network.
 func WithNetwork(latency, jitter time.Duration) Option {
 	return func(c *config) {

@@ -91,7 +91,6 @@ var publicSurface = []string{
 	"WithTimeoutBlocks",
 	"WithTopology",
 	"WithTransport",
-	"WithoutVerdicts",
 }
 
 // TestPublicSurface pins the exported names of the package's non-test files:
