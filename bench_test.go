@@ -271,10 +271,10 @@ func BenchmarkUnmonitoredRequest(b *testing.B) {
 
 var benchSink drams.Enforcement
 
-// BenchmarkPEPDecideAsyncProbes isolates the PEP hot path with async
+// BenchmarkPEPDecideWithAsyncProbes isolates the PEP hot path with async
 // logging attached (the per-request overhead DRAMS adds in its default
 // configuration).
-func BenchmarkPEPDecideAsyncProbes(b *testing.B) {
+func BenchmarkPEPDecideWithAsyncProbes(b *testing.B) {
 	dep, err := experiment.NewStandardDeployment(false, 1<<20)
 	if err != nil {
 		b.Fatal(err)

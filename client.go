@@ -61,46 +61,6 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []*xacml.Request) ([]Enfo
 	return c.pep.DecideBatch(ctx, reqs)
 }
 
-// DecideAsync starts Decide in the background and returns a Future. The
-// request's correlation ID is minted synchronously, so callers can
-// subscribe to its alerts before the decision lands.
-func (c *Client) DecideAsync(ctx context.Context, req *xacml.Request) *Future {
-	c.dep.prepare(req)
-	f := &Future{reqID: req.ID, done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.enf, f.err = c.pep.Decide(ctx, req)
-	}()
-	return f
-}
-
-// Future is the pending outcome of a DecideAsync call.
-type Future struct {
-	reqID string
-	done  chan struct{}
-	enf   Enforcement // written once before done is closed
-	err   error
-}
-
-// RequestID returns the correlation ID of the in-flight request, usable to
-// subscribe for its alerts or wait for its on-chain match.
-func (f *Future) RequestID() string { return f.reqID }
-
-// Done is closed when the outcome is available.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Wait blocks for the outcome or the context, whichever first. Wait may be
-// called any number of times, from any goroutine.
-func (f *Future) Wait(ctx context.Context) (Enforcement, error) {
-	select {
-	case <-f.done:
-		return f.enf, f.err
-	case <-ctx.Done():
-		return Enforcement{Decision: xacml.IndeterminateDP},
-			fmt.Errorf("drams: async decide %s: %w", f.reqID, ctx.Err())
-	}
-}
-
 // prepare mints a correlation ID if the request has none.
 func (d *Deployment) prepare(req *xacml.Request) {
 	if req.ID == "" {

@@ -190,38 +190,6 @@ func TestDecideBatchUnderTamperAlertsPerRequest(t *testing.T) {
 	}
 }
 
-func TestDecideAsyncFuture(t *testing.T) {
-	dep := testDeployment(t, drams.WithTimeoutBlocks(80))
-	client, err := dep.Client("tenant-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	futures := make([]*drams.Future, n)
-	for i := range futures {
-		futures[i] = client.DecideAsync(ctx20(t), doctorRequest(dep))
-		if futures[i].RequestID() == "" {
-			t.Fatal("future has no request ID")
-		}
-	}
-	for i, f := range futures {
-		enf, err := f.Wait(ctx20(t))
-		if err != nil {
-			t.Fatalf("future %d: %v", i, err)
-		}
-		if !enf.Permitted() {
-			t.Fatalf("future %d: %s", i, enf.Decision)
-		}
-		// Wait is repeatable.
-		if _, err := f.Wait(ctx20(t)); err != nil {
-			t.Fatal(err)
-		}
-		if err := dep.WaitForMatched(ctx20(t), f.RequestID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestAlertsStreamDeliversTenantAlerts(t *testing.T) {
 	dep := testDeployment(t)
 	client, err := dep.Client("tenant-1")

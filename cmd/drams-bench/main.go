@@ -1,16 +1,15 @@
 // drams-bench regenerates the experiment tables. Each reproduces a claim
 // that no tier-1 test measures: E2 and E3 the §III Log Size latency against
-// record size and PoW difficulty, E5 the §I threat catalogue with wall-time
-// detection latency over several trials, E6 the monitoring overhead on the
+// record size and PoW difficulty, E6 the monitoring overhead on the
 // access-control path, E7 the analyser's cost against policy size, V6 the
-// cold-rejoin time at range-sync window 1 and batched, and V7 the
-// adversarial detection campaign. README "Tests and benchmarks" and
+// cold-rejoin time at range-sync window 1 and batched, and V7 the threat
+// catalogue's detection rates and latencies over several trials. README "Tests and benchmarks" and
 // ARCHITECTURE §3 list them. Speed comparisons between code paths live in
 // benchmark/, not here. It prints each result table (text or CSV).
 //
 // Usage:
 //
-//	drams-bench [-run E2,E3,E5,E6,E7,V6,V7] [-quick] [-csv] [-json [-out DIR]]
+//	drams-bench [-run E2,E3,E6,E7,V6,V7] [-quick] [-csv] [-json [-out DIR]]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -67,7 +66,7 @@ func selectRunners(runners []runner, runList string) ([]runner, error) {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("drams-bench", flag.ExitOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (E2, E3, E5, E6, E7, V6, V7) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (E2, E3, E6, E7, V6, V7) or 'all'")
 	quick := fs.Bool("quick", false, "reduced parameters (fast smoke run)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "also write one BENCH_<id>.json per experiment (drams-bench/1 schema)")
@@ -161,13 +160,6 @@ func catalogue(quick bool) []runner {
 				p = experiment.E3Params{Difficulties: []uint8{4, 8, 12}, Blocks: 3}
 			}
 			return experiment.RunE3(p)
-		}},
-		{"E5", func() (experiment.Table, error) {
-			p := experiment.DefaultE5Params()
-			if quick {
-				p = experiment.E5Params{Trials: 1}
-			}
-			return experiment.RunE5(p)
 		}},
 		{"E6", func() (experiment.Table, error) {
 			p := experiment.DefaultE6Params()

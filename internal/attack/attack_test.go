@@ -1,227 +1,131 @@
 package attack
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
-	"time"
 
-	"drams"
 	"drams/internal/core"
 	"drams/internal/idgen"
-	"drams/internal/xacml"
 )
-
-func detectPolicy() *xacml.PolicySet {
-	doctorRead := &xacml.Rule{
-		ID:     "doctor-read",
-		Effect: xacml.EffectPermit,
-		Target: xacml.Target{AnyOf: []xacml.AnyOf{{AllOf: []xacml.AllOf{{Matches: []xacml.Match{
-			{Op: xacml.CmpEq, Attr: xacml.Designator{Cat: xacml.CatSubject, ID: "role"}, Lit: xacml.String("doctor")},
-		}}}}}},
-	}
-	deny := &xacml.Rule{ID: "default-deny", Effect: xacml.EffectDeny}
-	return &xacml.PolicySet{ID: "root", Version: "v1", Alg: xacml.DenyUnlessPermit,
-		Items: []xacml.PolicyItem{{Policy: &xacml.Policy{ID: "p", Version: "1",
-			Alg: xacml.FirstApplicable, Rules: []*xacml.Rule{doctorRead, deny}}}}}
-}
-
-func escalateToDoctor(req *xacml.Request) *xacml.Request {
-	out := xacml.NewRequest(req.ID)
-	out.Add(xacml.CatSubject, "role", xacml.String("doctor"))
-	return out
-}
 
 // Detection-depth ceilings of TestDetectionLatencyBounds, in blocks from
 // the head at injection to the block whose OnBlock raised the alert. A
 // tamper-class alert fires when the exchange's records anchor; an M3 alert
 // fires in the block of height h + Δ, h the first record's height, which is
-// at least one above the injection head. Measured on this fleet over 40
-// runs plus 10 under -race (2 cores): A1–A3 1–4, A4 3–6 (it waits for the
-// analyser's verdict), A5 1–2, A5b 2–4, A6/A7 Δ + 1 in all 50.
+// at least one above the injection head. Measured on the campaign fleet
+// (Δ = 8) over 40 runs plus 10 under -race (2 cores): A1–A3 1–3, A4 2–4 (it
+// waits for the analyser's verdict, and has taken 6), A5 1–2,
+// A5b 2–3, equivocation 1–2, ordering 1–3, and Δ + 1 for A6, A7,
+// censorship and suppression in all 50, withholding in 49 (Δ + 2 once).
 const (
-	catalogueTimeoutBlocks = 10
-	tamperDepthCeiling     = 8
-	suppressDepthCeiling   = catalogueTimeoutBlocks + 2
+	tamperDepthCeiling   = 8
+	suppressDepthCeiling = TimeoutBlocks + 2
 )
 
-// catalogueRow is what one §I scenario did on the catalogue fleet.
-type catalogueRow struct {
-	sc           Scenario
-	installErr   error
-	enf          drams.Enforcement
-	decideErr    error
-	injectHeight uint64
-	alert        core.Alert
-	detected     bool
-	saw          []core.Alert
-}
-
-// catalogueRun is one pass of the §I threat catalogue over one fleet
-// (Δ = 10, seed 21): A1–A7 in turn, then A8's outsider forgery, then a
-// clean control request.
-type catalogueRun struct {
-	rows    []catalogueRow
-	forgery ForgeLogResult
-
-	controlEnf      drams.Enforcement
-	controlErr      error
-	controlMatchErr error
-	controlAlerts   []core.Alert
-}
-
-func runCatalogue() (*catalogueRun, error) {
-	dep, err := drams.Open(detectPolicy(),
-		drams.WithDifficulty(6),
-		drams.WithTimeoutBlocks(catalogueTimeoutBlocks),
-		drams.WithEmptyBlockInterval(15*time.Millisecond),
-		drams.WithSeed(21),
-	)
-	if err != nil {
-		return nil, err
-	}
-	defer dep.Close()
-	client, err := dep.Client("tenant-1")
-	if err != nil {
-		return nil, err
-	}
-
-	run := &catalogueRun{}
-	for _, sc := range Catalogue(escalateToDoctor) {
-		run.rows = append(run.rows, runScenario(dep, client, sc))
-	}
-	run.forgery = AttemptLogForgery(dep.InfraNode(), "forged-req-1")
-
-	req := dep.NewRequest().Add(xacml.CatSubject, "role", xacml.String("doctor"))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	run.controlEnf, run.controlErr = client.Decide(ctx, req)
-	if run.controlErr == nil {
-		run.controlMatchErr = dep.WaitForMatched(ctx, req.ID)
-	}
-	run.controlAlerts = dep.Monitor.AlertsFor(req.ID)
-	return run, nil
-}
-
-func runScenario(dep *drams.Deployment, client *drams.Client, sc Scenario) catalogueRow {
-	row := catalogueRow{sc: sc}
-	cleanup, err := sc.Install(dep, "tenant-1")
-	if err != nil {
-		row.installErr = err
-		return row
-	}
-	defer cleanup()
-
-	_, row.injectHeight = dep.InfraNode().Chain().Head()
-	req := dep.NewRequest().Add(xacml.CatSubject, "role", xacml.String("intern"))
-	row.enf, row.decideErr = client.Decide(context.Background(), req) // drop-class attacks fail the call by design
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	row.alert, row.detected = waitAnyAlert(ctx, dep, req.ID, sc.Expected)
-	row.saw = dep.Monitor.AlertsFor(req.ID)
-	return row
-}
-
-// sharedCatalogue hands one catalogue run to the two tests that read it:
-// TestCatalogueDetectionMatrix asserts what each attack did and that it was
-// detected, TestDetectionLatencyBounds how many blocks detection took. A
-// test that has already read the stored run gets a fresh one, so -count=N
-// opens N fleets whichever of the two tests it selects.
+// sharedCatalogue hands one campaign run over the whole catalogue to the
+// tests that read it: TestCatalogueDetectionMatrix asserts what each
+// attack did and that it was detected, TestChaosCampaignDetectionMatrix
+// that every member-level class is in the run and detected, and
+// TestDetectionLatencyBounds how many blocks detection took. A test that
+// has already read the stored run gets a fresh one, so -count=N runs N
+// campaigns whichever of the tests it selects.
 var sharedCatalogue struct {
 	mu   sync.Mutex
-	run  *catalogueRun
+	rep  *CampaignReport
 	read map[string]bool
 }
 
-func catalogueResults(t *testing.T) *catalogueRun {
+func catalogueResults(t *testing.T) *CampaignReport {
 	t.Helper()
 	s := &sharedCatalogue
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.run == nil || s.read[t.Name()] {
-		run, err := runCatalogue()
+	if s.rep == nil || s.read[t.Name()] {
+		rep, err := Campaign{Scenarios: Catalogue(), Trials: 1, Seed: 7}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.run, s.read = run, map[string]bool{}
+		s.rep, s.read = rep, map[string]bool{}
 	}
 	s.read[t.Name()] = true
-	return s.run
+	return s.rep
 }
 
-// TestCatalogueDetectionMatrix is the §I threat catalogue, the tier-1 form
-// of experiment E5. Each attack row asserts that the attack reached its
-// goal and that one of its expected alerts fired; the A8 row asserts that
-// an outsider's forged record is refused at the chain boundary, and the
+// TestCatalogueDetectionMatrix is the threat catalogue on the campaign
+// fleet, the tier-1 form of experiment V7. Each attack row asserts that
+// the attack reached its goal, that one of its expected alerts fired and
+// that its fleet raised no other alert; the A8 row asserts that an
+// outsider's forged record is refused at the chain boundary, and the
 // control row that a clean request matches with no alert. go test -v
 // prints the matrix.
 func TestCatalogueDetectionMatrix(t *testing.T) {
-	run := catalogueResults(t)
-	for _, row := range run.rows {
-		sc := row.sc
-		t.Run(sc.ID+"_"+sc.Name, func(t *testing.T) {
-			if row.installErr != nil {
-				t.Fatal(row.installErr)
+	rep := catalogueResults(t)
+	if len(rep.Results) != len(Catalogue()) {
+		t.Fatalf("campaign ran %d scenarios, want the whole catalogue", len(rep.Results))
+	}
+	for _, r := range rep.Results {
+		t.Run(r.ID+"_"+r.Name, func(t *testing.T) {
+			if r.Err != "" {
+				t.Fatal(r.Err)
 			}
-			if sc.WantPermit && (row.decideErr != nil || !row.enf.Permitted()) {
-				t.Fatalf("%s: attack did not reach its goal (decision %s, err %v)", sc.ID, row.enf.Decision, row.decideErr)
+			if r.WantPermit && r.Granted != r.Trials {
+				t.Fatalf("%s: attack did not reach its goal: granted %d/%d", r.ID, r.Granted, r.Trials)
 			}
-			if !row.detected {
-				t.Fatalf("%s: none of the expected alerts %v fired; saw %v", sc.ID, sc.Expected, row.saw)
+			if r.Detected != r.Trials {
+				t.Fatalf("%s: none of the expected alerts %v fired in %d/%d trials; saw %v",
+					r.ID, r.Expected, r.Trials-r.Detected, r.Trials, r.Alerts)
 			}
-			t.Logf("%-4s %-38s %s", sc.ID, sc.Name, row.alert.Type)
+			if r.FalsePositives != 0 {
+				t.Fatalf("%s: %d false positives among %v", r.ID, r.FalsePositives, r.Alerts)
+			}
+			t.Logf("%-12s %-48s %v", r.ID, r.Name, r.Expected)
 		})
 	}
 
 	t.Run("A8_log_forgery", func(t *testing.T) {
-		t.Logf("%-4s %-38s rejected %v", "A8", "log forgery (outsider)", run.forgery.Rejected)
-		if !run.forgery.Rejected {
-			t.Fatalf("forged log accepted: %v", run.forgery.Err)
+		t.Logf("%-12s %-48s rejected %v", "A8", "log forgery (outsider)", rep.Forgery.Rejected)
+		if !rep.Forgery.Rejected {
+			t.Fatalf("forged log accepted: %v", rep.Forgery.Err)
 		}
 	})
 
 	t.Run("control", func(t *testing.T) {
-		if run.controlErr != nil || !run.controlEnf.Permitted() {
-			t.Fatalf("clean request: %v %v", run.controlEnf, run.controlErr)
+		c := rep.Control
+		if c.Err != nil || !c.Enforced.Permitted() {
+			t.Fatalf("clean request: %v %v", c.Enforced, c.Err)
 		}
-		if run.controlMatchErr != nil {
-			t.Fatalf("clean request never matched: %v", run.controlMatchErr)
-		}
-		t.Logf("%-4s %-38s matched, %d alerts", "-", "control (no attack)", len(run.controlAlerts))
-		if len(run.controlAlerts) != 0 {
-			t.Fatalf("clean request raised %v", run.controlAlerts)
+		t.Logf("%-12s %-48s matched, %d alerts", "-", "control (no attack)", len(c.Alerts))
+		if len(c.Alerts) != 0 {
+			t.Fatalf("clean request raised %v", c.Alerts)
 		}
 	})
 }
 
 // TestDetectionLatencyBounds bounds how many blocks each catalogue scenario
-// took from injection to alert on the catalogue fleet: tamper-class attacks
+// took from injection to alert on the campaign fleet: tamper-class attacks
 // are caught as soon as the records anchor; suppression-class attacks
 // additionally wait out the Δ-block M3 window.
 func TestDetectionLatencyBounds(t *testing.T) {
-	run := catalogueResults(t)
-	for _, row := range run.rows {
-		sc := row.sc
-		t.Run(sc.ID+"_"+sc.Name, func(t *testing.T) {
-			if row.installErr != nil {
-				t.Fatal(row.installErr)
+	rep := catalogueResults(t)
+	for _, r := range rep.Results {
+		t.Run(r.ID+"_"+r.Name, func(t *testing.T) {
+			if r.Err != "" {
+				t.Fatal(r.Err)
 			}
-			if !row.detected {
-				t.Fatalf("%s: no alert within deadline; saw %v", sc.ID, row.saw)
+			if r.Detected != r.Trials {
+				t.Fatalf("%s: no alert within deadline in %d/%d trials; saw %v", r.ID, r.Trials-r.Detected, r.Trials, r.Alerts)
 			}
-			ceiling := uint64(tamperDepthCeiling)
-			for _, want := range sc.Expected {
+			ceiling := float64(tamperDepthCeiling)
+			for _, want := range r.Expected {
 				if want == core.AlertMessageSuppressed || want == core.AlertVerdictMissing {
 					ceiling = suppressDepthCeiling
 				}
 			}
-			depth := row.alert.Height - row.injectHeight
-			t.Logf("%-4s %-38s %-24s depth %2d (ceiling %d)", sc.ID, sc.Name, row.alert.Type, depth, ceiling)
+			depth := r.Blocks.Max
+			t.Logf("%-12s %-48s depth %2.0f (ceiling %.0f)", r.ID, r.Name, depth, ceiling)
 			if depth > ceiling {
-				t.Fatalf("%s: detection took %d blocks (inject height %d, alert height %d), ceiling %d",
-					sc.ID, depth, row.injectHeight, row.alert.Height, ceiling)
+				t.Fatalf("%s: detection took %.0f blocks, ceiling %.0f", r.ID, depth, ceiling)
 			}
 		})
 	}
@@ -323,26 +227,17 @@ func TestSimulationMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestCatalogueShape pins the catalogue: IDs are unique and every field a
+// campaign reads is filled.
 func TestCatalogueShape(t *testing.T) {
-	cat := Catalogue(escalateToDoctor)
-	if len(cat) != 8 {
-		t.Fatalf("catalogue size = %d, want 8", len(cat))
-	}
 	seen := map[string]bool{}
-	for _, sc := range cat {
-		if sc.ID == "" || sc.Name == "" || sc.Description == "" || len(sc.Expected) == 0 {
+	for _, sc := range Catalogue() {
+		if sc.ID == "" || sc.Name == "" || sc.Description == "" || len(sc.Expected) == 0 || sc.Run == nil {
 			t.Errorf("scenario %q incomplete", sc.ID)
 		}
 		if seen[sc.ID] {
 			t.Errorf("duplicate scenario id %q", sc.ID)
 		}
 		seen[sc.ID] = true
-	}
-	// A1 without an escalation function must fail to install.
-	noEsc := Catalogue(nil)
-	dep := (*drams.Deployment)(nil)
-	_ = dep
-	if _, err := noEsc[0].Install(nil, "x"); err == nil {
-		t.Error("A1 without escalation should error")
 	}
 }

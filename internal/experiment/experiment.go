@@ -1,9 +1,8 @@
 // Package experiment implements the drivers of the tables cmd/drams-bench
 // prints: E2 and E3 (the §III Log Size latency discussion: storage latency
-// against record size and PoW difficulty), E5 (the §I threat catalogue with
-// wall-time latency and multi-trial rates), E6 and E7 (the cost of
-// monitoring and of the analyser), and V6 and V7 (fast resync, adversarial
-// detection). A claim a tier-1 test already checks lives in that test, not
+// against record size and PoW difficulty), E6 and E7 (the cost of
+// monitoring and of the analyser), V6 (fast resync) and V7 (the threat
+// catalogue's detection rates and latencies over several trials). A claim a tier-1 test already checks lives in that test, not
 // here; README "Tests and benchmarks" and ARCHITECTURE §3 list both.
 package experiment
 

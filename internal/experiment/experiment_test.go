@@ -75,28 +75,6 @@ func TestRunE3ShapeMonotone(t *testing.T) {
 	}
 }
 
-func TestRunE5Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E5 full matrix in -short mode")
-	}
-	tab, err := RunE5(E5Params{Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range tab.Rows {
-		name := row[0]
-		if name == "control (no attack)" {
-			if !strings.HasPrefix(row[3], "0 ") {
-				t.Fatalf("control row: %v", row)
-			}
-			continue
-		}
-		if got := cell(t, tab, i, "rate"); !strings.HasPrefix(got, "100") && got != "yes" {
-			t.Fatalf("%s detection rate = %s", name, got)
-		}
-	}
-}
-
 func TestRunE6Smoke(t *testing.T) {
 	tab, err := RunE6(E6Params{Requests: 8, Workers: 2})
 	if err != nil {

@@ -6,119 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"drams/internal/attack"
 	"drams/internal/metrics"
-	"drams/internal/xacml"
 )
-
-// E5Params parameterise the detection matrix.
-type E5Params struct {
-	Trials int
-}
-
-// DefaultE5Params runs 3 trials per attack.
-func DefaultE5Params() E5Params { return E5Params{Trials: 3} }
-
-// RunE5 executes the full threat catalogue and reports detection rate and
-// latency per attack — the quantitative form of the paper's §I claims.
-func RunE5(p E5Params) (Table, error) {
-	t := Table{
-		ID:     "E5",
-		Title:  "attack detection matrix (threat model of paper §I)",
-		Header: []string{"attack", "alert", "trials", "detected", "rate", "mean_latency_ms", "mean_latency_blocks"},
-		Notes: []string{
-			"latency: wall time / blocks from the malicious request to the alert landing on-chain",
-			"control row: clean traffic must raise no alert (false-positive check)",
-		},
-	}
-	dep, err := NewStandardDeployment(false, 20)
-	if err != nil {
-		return t, err
-	}
-	defer dep.Close()
-	client, err := dep.Client("tenant-1")
-	if err != nil {
-		return t, err
-	}
-
-	escalate := func(req *xacml.Request) *xacml.Request {
-		out := xacml.NewRequest(req.ID)
-		out.Add(xacml.CatSubject, "role", xacml.String("doctor"))
-		out.Add(xacml.CatAction, "op", xacml.String("read"))
-		return out
-	}
-
-	for _, sc := range attack.Catalogue(escalate) {
-		detected := 0
-		latency := metrics.NewHistogram()
-		blockLat := metrics.NewHistogram()
-		for trial := 0; trial < p.Trials; trial++ {
-			cleanup, err := sc.Install(dep, "tenant-1")
-			if err != nil {
-				return t, fmt.Errorf("E5 %s: %w", sc.ID, err)
-			}
-			req := dep.NewRequest().
-				Add(xacml.CatSubject, "role", xacml.String("intern")).
-				Add(xacml.CatAction, "op", xacml.String("read"))
-			_, startHeight := dep.InfraNode().Chain().Head()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			t0 := time.Now()
-			_, _ = client.Decide(ctx, req) // suppression scenarios error by design
-
-			hit := false
-			for _, want := range sc.Expected {
-				if alert, err := dep.WaitForAlert(ctx, req.ID, want); err == nil {
-					hit = true
-					latency.ObserveDuration(time.Since(t0))
-					blockLat.Observe(float64(alert.Height - startHeight))
-					break
-				}
-			}
-			cancel()
-			cleanup()
-			if hit {
-				detected++
-			}
-		}
-		alertNames := ""
-		for i, a := range sc.Expected {
-			if i > 0 {
-				alertNames += "|"
-			}
-			alertNames += string(a)
-		}
-		t.Rows = append(t.Rows, []string{
-			sc.ID + " " + sc.Name, alertNames, fmt.Sprintf("%d", p.Trials),
-			fmt.Sprintf("%d", detected), pct(detected, p.Trials),
-			msF(latency.Snapshot().Mean), fmt.Sprintf("%.1f", blockLat.Snapshot().Mean),
-		})
-	}
-
-	// A8: outsider log forgery is rejected at the chain boundary.
-	forge := attack.AttemptLogForgery(dep.InfraNode(), "e5-forged")
-	forged := "no"
-	if forge.Rejected {
-		forged = "yes"
-	}
-	t.Rows = append(t.Rows, []string{"A8 log forgery (outsider)", "tx rejected", "1", "1", forged, "-", "-"})
-
-	// Control: clean request, expect Matched and zero alerts.
-	req := dep.NewRequest().
-		Add(xacml.CatSubject, "role", xacml.String("doctor")).
-		Add(xacml.CatAction, "op", xacml.String("read"))
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if _, err := client.Decide(ctx, req); err != nil {
-		return t, err
-	}
-	if err := dep.WaitForMatched(ctx, req.ID); err != nil {
-		return t, fmt.Errorf("E5 control: %w", err)
-	}
-	falsePos := len(dep.Monitor.AlertsFor(req.ID))
-	t.Rows = append(t.Rows, []string{"control (no attack)", "none expected", "1",
-		fmt.Sprintf("%d false alerts", falsePos), "-", "-", "-"})
-	return t, nil
-}
 
 // E6Params parameterise the overhead comparison.
 type E6Params struct {

@@ -31,7 +31,6 @@ var publicSurface = []string{
 	"ChainParams",
 	"Client",
 	"Client.Decide",
-	"Client.DecideAsync",
 	"Client.DecideBatch",
 	"Client.NewRequest",
 	"Client.Tenant",
@@ -67,10 +66,6 @@ var publicSurface = []string{
 	"Deployment.WaitForMatched",
 	"Enforcement",
 	"ErrMonitoringDisabled",
-	"Future",
-	"Future.Done",
-	"Future.RequestID",
-	"Future.Wait",
 	"NewChainMaterial",
 	"Open",
 	"OpenMember",
