@@ -22,7 +22,6 @@ import (
 	"drams/internal/core"
 	"drams/internal/crypto"
 	"drams/internal/experiment"
-	"drams/internal/merkle"
 	"drams/internal/xacml"
 )
 
@@ -148,28 +147,6 @@ func BenchmarkRequestDigest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = req.Digest()
-	}
-}
-
-// BenchmarkMerkleLogBatch16 builds a 16-leaf tree in caller storage and
-// proves and verifies every leaf, the shape core's logbatch runs for a full
-// flush window.
-func BenchmarkMerkleLogBatch16(b *testing.B) {
-	var hashes [16]crypto.Digest
-	for i := range hashes {
-		hashes[i] = merkle.LeafHash([]byte(fmt.Sprintf("record-%d", i)))
-	}
-	var steps [4]merkle.ProofStep
-	b.ReportAllocs()
-	for b.Loop() {
-		var small [merkle.SmallNodes]crypto.Digest
-		tree := merkle.From(append(merkle.Storage(&small, len(hashes)), hashes[:]...))
-		for i, h := range hashes {
-			proof := merkle.Proof{LeafIndex: i, Steps: tree.AppendProof(steps[:0], i)}
-			if !merkle.VerifyHash(tree.Root(), h, proof) {
-				b.Fatal("verify failed")
-			}
-		}
 	}
 }
 

@@ -220,7 +220,7 @@ func TestPartitionHealSoak(t *testing.T) {
 	dep.Net.Partition([]string{"node@cloud-3", "pep@tenant-3"})
 
 	req := ChaosRequest(dep)
-	reqCtx, reqCancel := context.WithTimeout(ctx, 3*time.Second)
+	reqCtx, reqCancel := context.WithTimeout(ctx, 300*time.Millisecond)
 	if _, err := victim.Decide(reqCtx, req); err == nil {
 		reqCancel()
 		t.Fatal("partitioned PEP unexpectedly reached the PDP")

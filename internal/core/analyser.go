@@ -13,7 +13,6 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/metrics"
 	"drams/internal/trace"
-	"drams/internal/wire"
 	"drams/internal/xacml"
 )
 
@@ -187,24 +186,14 @@ func (an *Analyser) Stats() AnalyserStats {
 	}
 }
 
-// extractRecord recovers the pdp.response record carried by a LogStored
-// event payload; the other three kinds are not the analyser's to check and
-// are passed over once the record's header is read (ok=false). A batched
-// record's proof is skipped unread: the events come from this node's own
-// best chain, whose contract recomputed the batch root and built the proof
-// in the apply that emitted them, so checking the proof here would compare
-// the node with itself. The proof stays in the event for readers outside the
-// node.
+// extractRecord decodes the pdp.response record a LogStored event carries;
+// the other three kinds are not the analyser's to check and are passed over
+// on their leading byte (ok=false).
 func (an *Analyser) extractRecord(payload []byte) (LogRecord, bool) {
-	ls, err := cutLogStored(payload, false)
-	if err != nil {
+	if len(payload) == 0 || payload[0] != KindPDPResponse.code() {
 		return LogRecord{}, false
 	}
-	rd := wire.NewReader(ls.Raw)
-	if kind, _, _ := readRecordHeader(&rd); rd.Err() != nil || kind != KindPDPResponse {
-		return LogRecord{}, false
-	}
-	rec, err := DecodeLogRecord(ls.Raw)
+	rec, err := DecodeLogRecord(payload)
 	return rec, err == nil
 }
 

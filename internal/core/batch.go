@@ -135,142 +135,3 @@ func readBatch(data []byte) batchReader {
 	}
 	return br
 }
-
-// LogStored is a decoded LogStored event payload: the record the contract
-// stored and the membership proof tying it to the root in the logbatch
-// transaction that anchored it. The proof is for a reader outside the node,
-// who holds the block and checks it with VerifyInclusion; the node's own
-// readers skip it, since their node's contract built it.
-//
-// The payload is a version byte (0x02) and then
-//
-//	32B root | uvarint index | proof | blob record
-//	proof:     uvarint n | n × (u8 left | 32B sibling)
-//
-// with the record exactly the bytes the transaction carried.
-type LogStored struct {
-	Record LogRecord
-	// Raw is the record's encoding as the payload carries it: the Merkle
-	// leaf, hashed as it lies.
-	Raw   []byte
-	Root  crypto.Digest
-	Index int
-	Proof merkle.Proof
-}
-
-// storedVersion leads every LogStored payload. It is 0x02, the tag the
-// batched form had when a bare form (0x01) existed beside it.
-const storedVersion byte = 0x02
-
-// storedPayload is the LogStored payload of the index-th record of a batch.
-func storedPayload(root crypto.Digest, index int, proof merkle.Proof, rec []byte) []byte {
-	buf := make([]byte, 0, 1+crypto.DigestSize+2*binary.MaxVarintLen16+
-		len(proof.Steps)*(1+crypto.DigestSize)+wire.StrLen(len(rec)))
-	buf = append(buf, storedVersion)
-	buf = append(buf, root[:]...)
-	buf = binary.AppendUvarint(buf, uint64(index))
-	buf = binary.AppendUvarint(buf, uint64(len(proof.Steps)))
-	for _, s := range proof.Steps {
-		left := byte(0)
-		if s.Left {
-			left = 1
-		}
-		buf = append(buf, left)
-		buf = append(buf, s.Sibling[:]...)
-	}
-	return wire.AppendBlob(buf, rec)
-}
-
-// Encode serialises the payload, carrying Raw (or, when Raw is nil, the
-// record's encoding).
-//
-//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
-func (ls LogStored) Encode() []byte {
-	raw := ls.Raw
-	if raw == nil {
-		raw = ls.Record.Encode()
-	}
-	return storedPayload(ls.Root, ls.Index, ls.Proof, raw)
-}
-
-// DecodeLogStored parses a LogStored payload. The record's strings and
-// payload, and Raw, alias it.
-//
-//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
-func DecodeLogStored(payload []byte) (LogStored, error) {
-	ls, err := cutLogStored(payload, true)
-	if err == nil {
-		ls.Record, err = DecodeLogRecord(ls.Raw)
-	}
-	if err != nil {
-		return LogStored{}, fmt.Errorf("core: decode LogStored payload: %w", err)
-	}
-	return ls, nil
-}
-
-// cutLogStored reads a payload's envelope and leaves the record undecoded in
-// Raw. Without withProof the proof is skipped unread.
-func cutLogStored(payload []byte, withProof bool) (LogStored, error) {
-	var ls LogStored
-	rd := wire.NewReader(payload)
-	if v := rd.U8(); v != storedVersion {
-		rd.Fail(fmt.Errorf("unknown payload version 0x%02x", v))
-	}
-	copy(ls.Root[:], rd.Bytes(crypto.DigestSize))
-	if i := rd.Uvarint(); i < MaxLogBatch {
-		ls.Index = int(i)
-	} else {
-		rd.Fail(fmt.Errorf("leaf index %d beyond any batch", i))
-	}
-	ls.Proof.LeafIndex = ls.Index
-	n := rd.Count(1 + crypto.DigestSize)
-	if !withProof {
-		rd.Bytes(n * (1 + crypto.DigestSize))
-	} else if n > 0 {
-		ls.Proof.Steps = make([]merkle.ProofStep, n)
-		for i := range ls.Proof.Steps {
-			switch left := rd.U8(); left {
-			case 0:
-			case 1:
-				ls.Proof.Steps[i].Left = true
-			default:
-				rd.Fail(fmt.Errorf("proof step %d: side byte 0x%02x", i, left))
-			}
-			copy(ls.Proof.Steps[i].Sibling[:], rd.Bytes(crypto.DigestSize))
-		}
-	}
-	ls.Raw = rd.Blob()
-	return ls, rd.End()
-}
-
-// logStoredHeader reads the kind, request ID, trace ID and timestamp of the
-// record a LogStored payload carries, and nothing else: it skips the proof,
-// the digests and the sealed payload. The strings alias payload.
-func logStoredHeader(payload []byte) (LogRecord, error) {
-	ls, err := cutLogStored(payload, false)
-	if err != nil {
-		return LogRecord{}, err
-	}
-	rd := wire.NewReader(ls.Raw)
-	var lr LogRecord
-	lr.Kind, lr.ReqID, lr.TraceID = readRecordHeader(&rd)
-	rd.Str() // tenant
-	rd.Str() // origin
-	rd.Str() // agent
-	digests := 1
-	if lr.Kind == KindPDPResponse || lr.Kind == KindPEPResponse {
-		digests = 4
-	}
-	rd.Bytes(digests * crypto.DigestSize)
-	rd.Str() // policy version
-	lr.TimestampUnixNano = int64(rd.U64())
-	return lr, rd.Err()
-}
-
-// VerifyInclusion checks the record's membership under Root: the carried
-// record bytes, hashed as they lie, against the proof.
-//
-//lint:ignore deadcode ROADMAP 15's outsider reader checks an alert from the block log alone with it; core's tests pin it
-func (ls LogStored) VerifyInclusion() bool {
-	return merkle.Verify(ls.Root, ls.Raw, ls.Proof)
-}

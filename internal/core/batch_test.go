@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -30,37 +31,36 @@ func logArgs(recs ...LogRecord) []byte {
 }
 
 // A whole exchange anchored in one batch transaction must store every
-// record, emit proof-bearing events, keep no row for the root, and complete
-// the exchange exactly like four individual transactions.
+// record, emit one event per record whose payload is the record's bytes
+// inside the call's args, keep no row for the root, and complete the
+// exchange exactly like four individual transactions.
 func TestLogBatchCompletesExchange(t *testing.T) {
 	env := newMatchEnv(t, defaultCfg())
 	x := cleanExchange("req-b1")
 	env.anchorPolicy(x.polVer)
 
-	lb := mustBatch(t, x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision))
-	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
+	recs := []LogRecord{x.pepRequest(), x.pdpRequest(), x.pdpResponse(), x.pepResponse(x.decision)}
+	args := mustBatch(t, recs...).Encode()
+	evs := env.mustCall("li-t1", MethodLogBatch, args)
 
 	stored := 0
 	for _, e := range evs {
 		if e.Type != EventLogStored {
 			continue
 		}
+		if stored == len(recs) || !bytes.Equal(e.Payload, recs[stored].Encode()) {
+			t.Fatalf("event %d: payload is not the record the batch carried", stored)
+		}
+		// The payload is the args' own bytes, not a copy of them.
+		if !within(e.Payload, args) {
+			t.Fatalf("event %d: payload lies outside the call's args", stored)
+		}
 		stored++
-		ls, err := DecodeLogStored(e.Payload)
-		if err != nil {
-			t.Fatalf("batched event payload: %v", err)
-		}
-		if ls.Root != lb.Root {
-			t.Fatal("event carries a foreign root")
-		}
-		if !ls.VerifyInclusion() {
-			t.Fatalf("record %d: inclusion proof does not verify", ls.Index)
-		}
 	}
-	if stored != 4 {
-		t.Fatalf("stored %d records, want 4", stored)
+	if stored != len(recs) {
+		t.Fatalf("stored %d records, want %d", stored, len(recs))
 	}
-	// The root lives in the events only: the contract keeps no row for it.
+	// The root lives in the args only: the contract keeps no row for it.
 	if keys := slices.Collect(contract.Namespace(env.st, ContractName).Keys("batch/")); len(keys) != 0 {
 		t.Fatalf("logbatch left batch rows: %v", keys)
 	}
@@ -72,6 +72,16 @@ func TestLogBatchCompletesExchange(t *testing.T) {
 	if !hasEvent(evs, EventMatched) {
 		t.Fatal("batched exchange never matched")
 	}
+}
+
+// within reports whether sub is a slice of whole's own bytes.
+func within(sub, whole []byte) bool {
+	for i := range whole {
+		if &whole[i] == &sub[0] {
+			return i+len(sub) <= len(whole)
+		}
+	}
+	return false
 }
 
 // A batch whose claimed root does not bind its records is invalid.
@@ -162,48 +172,5 @@ func TestLogBatchMultiRequest(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("M4 mismatch inside a batch went undetected")
-	}
-}
-
-// Tampering with any part of a batched-record envelope breaks the proof.
-func TestBatchedRecordTamperFailsVerification(t *testing.T) {
-	x := cleanExchange("req-b6")
-	lb := mustBatch(t, x.pepRequest(), x.pdpRequest(), x.pdpResponse())
-	env := newMatchEnv(t, defaultCfg())
-	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
-
-	var ls LogStored
-	ok := false
-	for _, e := range evs {
-		if e.Type == EventLogStored {
-			if v, err := DecodeLogStored(e.Payload); err == nil {
-				ls, ok = v, true
-				break
-			}
-		}
-	}
-	if !ok {
-		t.Fatal("no LogStored event")
-	}
-	if !ls.VerifyInclusion() {
-		t.Fatal("genuine proof rejected")
-	}
-	// Inclusion is over the carried bytes: one flipped bit of the record
-	// breaks it.
-	forged := ls
-	forged.Raw = append([]byte(nil), ls.Raw...)
-	forged.Raw[len(forged.Raw)-1] ^= 1
-	if forged.VerifyInclusion() {
-		t.Fatal("forged record passed inclusion verification")
-	}
-	wrongRoot := ls
-	wrongRoot.Root = crypto.Sum([]byte("elsewhere"))
-	if wrongRoot.VerifyInclusion() {
-		t.Fatal("proof verified against a foreign root")
-	}
-	// The tag says which form a payload has: a record without one is not a
-	// LogStored payload.
-	if _, err := DecodeLogStored(x.pepRequest().Encode()); err == nil {
-		t.Fatal("untagged record decoded as a LogStored payload")
 	}
 }

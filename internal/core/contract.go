@@ -265,11 +265,11 @@ func (lm *LogMatchContract) Execute(ctx contract.CallCtx, st contract.StateDB, c
 
 // storeRecord applies one validated record: duplicate and equivocation
 // handling, storage, M3 deadline arming and the LogStored event, appended to
-// events. enc is the record's encoding as the transaction carried it;
-// eventPayload is what the event carries. stored=false means the record was
-// an idempotent duplicate or an equivocation attempt (the original is kept)
-// and no checks should run.
-func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc, eventPayload []byte, events []contract.Event) (_ []contract.Event, stored bool) {
+// events. enc is the record's encoding as the transaction carried it, and
+// the event's payload. stored=false means the record was an idempotent
+// duplicate or an equivocation attempt (the original is kept) and no checks
+// should run.
+func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateDB, rec *LogRecord, enc []byte, events []contract.Event) (_ []contract.Event, stored bool) {
 	key := recKey(rec.ReqID, rec.Kind)
 	hash := crypto.Sum(enc)
 	again := func(prev crypto.Digest) []contract.Event {
@@ -301,7 +301,7 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 		Tenant: rec.Tenant, Origin: rec.Origin, PolicyVersion: rec.PolicyVersion,
 	}
 	st.Set(key, appendRecordRow(contract.Scratch(st, recordRowLen(&sr)), &sr))
-	events = append(events, contract.Event{Type: EventLogStored, Payload: eventPayload})
+	events = append(events, contract.Event{Type: EventLogStored, Payload: enc})
 
 	// Arm the M3 deadline on the first record of the request.
 	if !armed {
@@ -317,11 +317,11 @@ func (lm *LogMatchContract) storeRecord(ctx contract.CallCtx, st contract.StateD
 // rejected, so anchoring is as tamper-evident as individual submissions
 // while costing one signature verification and one transaction per window.
 // Then each record is decoded once, into one value on the stack, and
-// stored; its LogStored event carries a membership proof for off-chain
-// verification. A batch of up to 16 records builds its tree and proofs on
-// the stack. The matching checks run once per distinct request the batch
-// advanced (they are functions of stored state, so one pass after all of a
-// request's records landed is equivalent to a pass after each).
+// stored; its LogStored event's payload is the record's bytes as they lie in
+// the args, so the event copies nothing. A batch of up to 16 records builds
+// its tree on the stack. The matching checks run once per distinct request
+// the batch advanced (they are functions of stored state, so one pass after
+// all of a request's records landed is equivalent to a pass after each).
 func (lm *LogMatchContract) execBatch(ctx contract.CallCtx, st contract.StateDB, args []byte) ([]contract.Event, error) {
 	br := readBatch(args)
 	var small [merkle.SmallNodes]crypto.Digest
@@ -342,7 +342,6 @@ func (lm *LogMatchContract) execBatch(ctx contract.CallCtx, st contract.StateDB,
 	events := make([]contract.Event, 0, br.n+1)
 	var orderBuf [4]string
 	order := orderBuf[:0] // the requests advanced, in batch order; a window holds a few
-	var steps [4]merkle.ProofStep
 	for i := 0; i < br.n; i++ {
 		leaf := br.rd.Blob()
 		rec, err := DecodeLogRecord(leaf)
@@ -352,9 +351,8 @@ func (lm *LogMatchContract) execBatch(ctx contract.CallCtx, st contract.StateDB,
 		if err := rec.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", contract.ErrBadArgs, i, err)
 		}
-		proof := merkle.Proof{LeafIndex: i, Steps: tree.AppendProof(steps[:0], i)}
 		var stored bool
-		events, stored = lm.storeRecord(ctx, st, &rec, leaf, storedPayload(br.root, i, proof, leaf), events)
+		events, stored = lm.storeRecord(ctx, st, &rec, leaf, events)
 		if stored && !slices.Contains(order, rec.ReqID) {
 			order = append(order, rec.ReqID)
 		}

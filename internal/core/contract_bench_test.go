@@ -104,14 +104,16 @@ func BenchmarkLogMatchExchangeBatched(b *testing.B) { benchmarkExchange(b, excha
 // lists. With one space per contract, reads that return the stored slice and
 // a write journal in place of the overlay it cost 130 and 136; since a
 // record travels alone only as a batch of one, record by record cost 158:
-// each record also paid for its tree, its proof and the batch decode. It now
-// costs 77 and 65 (8.1 KB as two batches and a verdict, 12.3 KB before):
-// each record is decoded into one value on the stack after the root check,
-// trees and proofs of up to 16 leaves live on the stack, rows are encoded in
-// the State's scratch, the events are presized, a row's strings alias it,
-// and a key is built once per call. About 40 of the 65 are what state and
-// the chain keep: rows and their keys, index nodes, the LogStored payloads
-// and the events. The budgets are those counts plus room for the race
+// each record also paid for its tree, its proof and the batch decode. With
+// the record decoded into one value on the stack after the root check, trees
+// and proofs of up to 16 leaves on the stack, rows encoded in the State's
+// scratch, presized events, a row's strings aliasing it and a key built once
+// per call it cost 77 and 65 (8.1 KB as two batches and a verdict, 12.3 KB
+// before). It now costs 73 and 61 (4.5 KB): a LogStored event's payload is
+// the record's bytes in the args, where it was a new envelope holding a copy
+// of the record and its membership proof. About 36 of the 61 are what state
+// and the chain keep: rows and their keys, index nodes and the events. The
+// budgets are those counts plus room for the race
 // detector and for toolchain drift: a JSON decode of the args, a re-encode
 // for the leaf or the row hash, a batch decoded into a slice, or a return of
 // the overlay's copies exceeds them.
@@ -122,8 +124,8 @@ func TestLogMatchExchangeAllocBudget(t *testing.T) {
 		run    func(exchangeCalls, *matchEnv) bool
 		budget float64
 	}{
-		{"log", exchangeCalls.run, 84},
-		{"logbatch", exchangeCalls.runBatched, 72},
+		{"log", exchangeCalls.run, 80},
+		{"logbatch", exchangeCalls.runBatched, 68},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			env := newMatchEnv(t, defaultCfg())

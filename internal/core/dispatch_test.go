@@ -273,7 +273,7 @@ func TestSubscribeStorm(t *testing.T) {
 
 func pumpRecord(m *Monitor, reqID string, at time.Time, height uint64) {
 	rec := LogRecord{Kind: KindPEPRequest, ReqID: reqID, TimestampUnixNano: at.UnixNano()}
-	m.handleEvent(ContractName, EventLogStored, LogStored{Record: rec}.Encode(), height)
+	m.handleEvent(ContractName, EventLogStored, rec.Encode(), height)
 }
 
 // TestOpenExchangesEnd: an exchange is open from its first anchored record

@@ -369,7 +369,7 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 	switch eventType {
 	case EventLogStored:
 		m.logsSeen.Inc()
-		rec, err := logStoredHeader(payload)
+		rec, err := recordHeader(payload)
 		if err != nil || rec.ReqID == "" {
 			return
 		}

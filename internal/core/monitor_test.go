@@ -337,8 +337,7 @@ func TestAnalyserWrongKeyCannotVerdict(t *testing.T) {
 }
 
 // The analyser judges pdp.response records only: the other kinds are passed
-// over without a failure counted, and a batched pdp.response is returned
-// with its proof unread.
+// over without a failure counted.
 func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 	env := newNodeEnv(t, MatchConfig{TimeoutBlocks: 100})
 	an, err := NewAnalyser("analyser", env.node, env.analyser, env.key)
@@ -346,13 +345,8 @@ func TestAnalyserVerifiesOnlyPDPResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := sealedExchange(t, env.key, "kind-1", "doctor", xacml.Permit, crypto.Digest{})
-	lb, err := NewLogBatch(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range recs {
-		ls := LogStored{Record: rec, Root: lb.Root, Index: i}
-		got, ok := an.extractRecord(ls.Encode())
+	for _, rec := range recs {
+		got, ok := an.extractRecord(rec.Encode())
 		if want := rec.Kind == KindPDPResponse; ok != want {
 			t.Fatalf("%s: extracted = %v, want %v", rec.Kind, ok, want)
 		}

@@ -124,10 +124,10 @@ type LogRecord struct {
 	Payload []byte
 }
 
-// Record encoding, the one form a record has on the chain: the args of a log
-// call, a blob of a logbatch, the Merkle leaf, the input of the row hash and
-// the record a LogStored event carries (str = uvarint length + bytes, blob
-// likewise, i64 = 8 bytes big-endian):
+// Record encoding, the one form a record has on the chain: a blob of a
+// logbatch, the Merkle leaf, the input of the row hash and the payload of its
+// LogStored event (str = uvarint length + bytes, blob likewise, i64 = 8 bytes
+// big-endian):
 //
 //	u8 kind | str reqID | str traceID | str tenant | str origin | str agent |
 //	digests | str policyVersion | i64 ts | blob payload
@@ -140,9 +140,9 @@ type LogRecord struct {
 //	pep.response               reqDigest | respDigest | decisionTag | enforcedTag
 //
 // Kind, reqID and traceID lead, where a consumer reads them without decoding
-// the rest; logStoredHeader also skips to the timestamp. The decoder is canonical (internal/wire) and
-// refuses an unknown kind, so equal bytes are exactly equal records and the
-// contract hashes the bytes it was given.
+// the rest; recordHeader also skips to the timestamp. The decoder is
+// canonical (internal/wire) and refuses an unknown kind, so equal bytes are
+// exactly equal records and the contract hashes the bytes it was given.
 
 // minRecordLen is the size of the smallest record: a request kind with every
 // string and the payload empty.
@@ -222,6 +222,26 @@ func readRecordHeader(rd *wire.Reader) (kind LogKind, reqID, traceID string) {
 		rd.Fail(fmt.Errorf("unknown record kind %d", c))
 	}
 	return kind, rd.Str(), rd.Str()
+}
+
+// recordHeader reads the kind, request ID, trace ID and timestamp of a
+// record, and nothing else: it skips the digests and the sealed payload. The
+// strings alias data.
+func recordHeader(data []byte) (LogRecord, error) {
+	rd := wire.NewReader(data)
+	var lr LogRecord
+	lr.Kind, lr.ReqID, lr.TraceID = readRecordHeader(&rd)
+	rd.Str() // tenant
+	rd.Str() // origin
+	rd.Str() // agent
+	digests := 1
+	if lr.Kind.response() {
+		digests = 4
+	}
+	rd.Bytes(digests * crypto.DigestSize)
+	rd.Str() // policy version
+	lr.TimestampUnixNano = int64(rd.U64())
+	return lr, rd.Err()
 }
 
 func readDigest(rd *wire.Reader) (d crypto.Digest) {

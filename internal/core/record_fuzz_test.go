@@ -50,6 +50,13 @@ func FuzzDecodeLogRecord(f *testing.F) {
 		if got := rec.Encode(); !bytes.Equal(got, data) {
 			t.Fatalf("accepted record re-encodes differently:\n got %x\nwant %x", got, data)
 		}
+		// The monitor reads a LogStored payload, the record, by its header
+		// alone; it must agree with the full decode.
+		h, err := recordHeader(data)
+		if err != nil || h.Kind != rec.Kind || h.ReqID != rec.ReqID || h.TraceID != rec.TraceID || h.TimestampUnixNano != rec.TimestampUnixNano {
+			t.Fatalf("header read %s/%q/%q/%d (%v), record is %s/%q/%q/%d", h.Kind, h.ReqID, h.TraceID, h.TimestampUnixNano, err,
+				rec.Kind, rec.ReqID, rec.TraceID, rec.TimestampUnixNano)
+		}
 	})
 }
 
@@ -90,47 +97,6 @@ func FuzzDecodeLogBatch(f *testing.F) {
 			if !bytes.Equal(lb.Records[i].Encode(), lb.leaves[i]) {
 				t.Fatalf("record %d re-encodes differently from its leaf", i)
 			}
-		}
-	})
-}
-
-func FuzzDecodeLogStored(f *testing.F) {
-	recs := fuzzRecords()
-	lb, err := NewLogBatch(recs[:3])
-	if err != nil {
-		f.Fatal(err)
-	}
-	env := newMatchEnv(f, defaultCfg())
-	evs := env.mustCall("li-t1", MethodLogBatch, lb.Encode())
-	evs = append(evs, env.mustCall("li-t1", MethodLogBatch, logArgs(recs[3]))...)
-	for _, e := range evs {
-		if e.Type == EventLogStored {
-			f.Add([]byte(e.Payload))
-		}
-	}
-	f.Add(jsonSeed(map[string]any{"record": jsonRecord(), "root": lb.Root.String(), "index": 0,
-		"proof": map[string]any{"leafIndex": 0, "steps": []any{}}}))
-	f.Add([]byte{storedVersion})
-	// The bare form a log call once left, tag 0x01 and the record, carries
-	// no root and no leaf index: it is refused.
-	bare := append([]byte{0x01}, recs[3].Encode()...)
-	if _, err := DecodeLogStored(bare); err == nil {
-		f.Fatal("a bare payload decoded")
-	}
-	f.Add(bare)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ls, err := DecodeLogStored(data)
-		if err != nil {
-			return
-		}
-		if got := ls.Encode(); !bytes.Equal(got, data) {
-			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, data)
-		}
-		h, err := logStoredHeader(data)
-		r := ls.Record
-		if err != nil || h.Kind != r.Kind || h.ReqID != r.ReqID || h.TraceID != r.TraceID || h.TimestampUnixNano != r.TimestampUnixNano {
-			t.Fatalf("header read %s/%q/%q/%d (%v), record is %s/%q/%q/%d", h.Kind, h.ReqID, h.TraceID, h.TimestampUnixNano, err,
-				r.Kind, r.ReqID, r.TraceID, r.TimestampUnixNano)
 		}
 	})
 }

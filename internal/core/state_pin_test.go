@@ -37,7 +37,7 @@ import (
 //     verdict hash) in place of their rec/, verdict/ and deadline-set/ rows
 //     (before: 1a4d93ab…8d66f1);
 //   - when batch/ rows were no longer written: a logbatch keeps its root in
-//     the LogStored events only, so the batch/<root> row each scripted
+//     its transaction's args only, so the batch/<root> row each scripted
 //     logbatch left is gone (before: dc504c46…727fa6).
 const pinnedScriptDigest = "dea98b970393d0b544a6c73fa98eaf275ae9873fbe7616e006d4c499ccbad616"
 

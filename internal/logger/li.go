@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"drams/internal/blockchain"
-	"drams/internal/clock"
 	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
@@ -43,7 +42,7 @@ const SubmitAsync SubmitMode = 1
 // transaction (far below core.MaxLogBatch; an entry is never split, so a
 // window holds at most one record more). A window of N observations then
 // costs one signed transaction instead of N; the contract re-derives the
-// root and per-record events carry membership proofs, so anchoring stays as
+// root over the records and refuses a mismatch, so anchoring stays as
 // binding as individual submissions.
 const flushWindow = 16
 
@@ -66,8 +65,6 @@ type LIConfig struct {
 	Mode SubmitMode
 	// QueueSize bounds the async queue (default 1024).
 	QueueSize int
-	// Clock is the time source.
-	Clock clock.Clock
 }
 
 // LIStats snapshot. Submitted, Failed and Dropped count records (a batch of
@@ -91,7 +88,6 @@ type LI struct {
 	sender txSender
 	cipher *crypto.Cipher
 	mac    crypto.MACKey // K, prepared once for the decision tags
-	clk    clock.Clock
 
 	queue chan queued
 
@@ -136,9 +132,6 @@ func NewLI(cfg LIConfig) (*LI, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System{}
-	}
 	cipher, err := crypto.NewCipher(cfg.Key)
 	if err != nil {
 		return nil, fmt.Errorf("logger: LI cipher: %w", err)
@@ -148,7 +141,6 @@ func NewLI(cfg LIConfig) (*LI, error) {
 		sender:     blockchain.NewSender(cfg.Node, cfg.Identity),
 		cipher:     cipher,
 		mac:        crypto.NewMACKey(cfg.Key),
-		clk:        cfg.Clock,
 		queue:      make(chan queued, cfg.QueueSize),
 		flushDepth: metrics.NewHistogram(),
 		stop:       make(chan struct{}),
@@ -231,7 +223,7 @@ func (li *LI) enqueue(recs []core.LogRecord) error {
 	default:
 	}
 	select {
-	case li.queue <- queued{recs: recs, enq: li.clk.Now()}:
+	case li.queue <- queued{recs: recs, enq: time.Now()}:
 	default:
 		li.dropped.Add(int64(len(recs)))
 		return ErrQueueFull
@@ -291,7 +283,7 @@ func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
 	}
 	// One retry covers a transient mempool or network hiccup.
 	if _, err := li.sender.Send(call); err != nil {
-		li.clk.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 		if _, err := li.sender.Send(call); err != nil {
 			li.failed.Add(n)
 			return
@@ -301,7 +293,7 @@ func (li *LI) anchor(recs []core.LogRecord, enqs []time.Time) {
 	li.batches.Inc()
 	li.flushDepth.Observe(float64(n))
 	if tr := li.tracer.Load(); tr != nil {
-		now := li.clk.Now()
+		now := time.Now()
 		for i, rec := range recs {
 			tr.Span(rec.TraceID, trace.StageLIFlushWait, enqs[i], now.Sub(enqs[i]))
 		}

@@ -1,14 +1,13 @@
-// Package merkle implements binary Merkle hash trees with membership proofs.
+// Package merkle implements binary Merkle hash trees.
 //
 // DRAMS uses Merkle trees in two places: (1) each blockchain block commits to
 // its transaction set through a Merkle root, and (2) each logbatch
-// transaction commits to its records through a root, and the LogStored event
-// of each record carries its membership proof, so a party that reads the
-// block log alone can check that a record was anchored.
+// transaction commits to its records through a root, which every replica's
+// contract recomputes over the records the transaction carries.
 //
 // Leaves are domain-separated from interior nodes (0x00 / 0x01 prefixes) so
-// that a proof for an interior node can never masquerade as a leaf —
-// preventing the classic second-preimage attack on naive Merkle trees.
+// that an interior node can never masquerade as a leaf — preventing the
+// classic second-preimage attack on naive Merkle trees.
 package merkle
 
 import (
@@ -48,8 +47,7 @@ func NodeHash(left, right crypto.Digest) crypto.Digest {
 // leaf hashes first and the root last, so a tree is one allocation, and none
 // for a caller that builds it with From over storage of its own.
 type Tree struct {
-	nodes []crypto.Digest // every level, bottom up: n leaf hashes, ..., the root
-	n     int
+	nodes []crypto.Digest // every level, bottom up: the leaf hashes, ..., the root
 }
 
 // SmallNodes is the node count of a tree over 16 leaves, the most that a
@@ -71,8 +69,7 @@ func nodeCount(n int) int {
 // above them to nodes' storage: in storage from Storage it allocates
 // nothing, and the tree aliases that storage. nodes must not be empty.
 func From(nodes []crypto.Digest) Tree {
-	n := len(nodes)
-	for start, width := 0, n; width > 1; start, width = start+width, (width+1)/2 {
+	for start, width := 0, len(nodes); width > 1; start, width = start+width, (width+1)/2 {
 		for i := start; i < start+width; i += 2 {
 			if i+1 < start+width {
 				nodes = append(nodes, NodeHash(nodes[i], nodes[i+1]))
@@ -81,58 +78,11 @@ func From(nodes []crypto.Digest) Tree {
 			}
 		}
 	}
-	return Tree{nodes: nodes, n: n}
+	return Tree{nodes: nodes}
 }
 
 // Root returns the tree's root digest.
 func (t *Tree) Root() crypto.Digest { return t.nodes[len(t.nodes)-1] }
-
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return t.n }
-
-// ProofStep is one sibling digest on the path from a leaf to the root.
-type ProofStep struct {
-	Sibling crypto.Digest `json:"sibling"`
-	Left    bool          `json:"left"` // true if the sibling is the left child
-}
-
-// Proof is a membership proof for one leaf.
-type Proof struct {
-	LeafIndex int         `json:"leafIndex"`
-	Steps     []ProofStep `json:"steps"`
-}
-
-// AppendProof appends the steps of the membership proof of the leaf at
-// index, which must be in range, to steps. A tree over 16 leaves has at most
-// four steps.
-func (t *Tree) AppendProof(steps []ProofStep, index int) []ProofStep {
-	for start, width, idx := 0, t.n, index; width > 1; start, width, idx = start+width, (width+1)/2, idx/2 {
-		// A sibling past the level's end means the node was promoted; no
-		// step is recorded.
-		if sib := idx ^ 1; sib < width {
-			steps = append(steps, ProofStep{Sibling: t.nodes[start+sib], Left: sib < idx})
-		}
-	}
-	return steps
-}
-
-// Verify checks that leaf payload data is included under root via proof.
-func Verify(root crypto.Digest, data []byte, proof Proof) bool {
-	return VerifyHash(root, LeafHash(data), proof)
-}
-
-// VerifyHash checks inclusion of a pre-hashed leaf digest under root.
-func VerifyHash(root crypto.Digest, leafHash crypto.Digest, proof Proof) bool {
-	cur := leafHash
-	for _, s := range proof.Steps {
-		if s.Left {
-			cur = NodeHash(s.Sibling, cur)
-		} else {
-			cur = NodeHash(cur, s.Sibling)
-		}
-	}
-	return cur == root
-}
 
 // RootOf is a convenience that computes the Merkle root of the payloads
 // without retaining the tree. It returns the zero digest for no leaves,
