@@ -10,17 +10,6 @@ import (
 	"drams/internal/xacml"
 )
 
-// Policy rollout stream events, deliverable through Alerts subscriptions
-// that list them explicitly (they are synthetic, like AlertMatched).
-const (
-	// AlertPolicyActivated is emitted when this deployment hot-reloads to
-	// a newly activated on-chain policy version.
-	AlertPolicyActivated = core.AlertPolicyActivated
-	// AlertPolicyRejected is emitted when a policy update could not be
-	// applied (digest mismatch, unparseable bytes, on-chain conflict).
-	AlertPolicyRejected = core.AlertPolicyRejected
-)
-
 // UpdateOptions shape a policy update or rollback (see pap.UpdateOptions).
 type UpdateOptions = pap.UpdateOptions
 

@@ -318,8 +318,11 @@ func runDaemon(cfg daemonConfig) error {
 		}
 	}
 	// Print every security alert from one subscription: Replay brings those
-	// the monitor recorded while the member was opening, and the stream is
-	// drained before the daemon exits. The buffer holds a restart's replay.
+	// in the monitor's window, which holds what it saw while the member was
+	// opening, and the stream is drained before the daemon exits. The
+	// buffer holds that replay. A restarted member's monitor follows from
+	// the restored head: alerts from before the restart stay in the chain's
+	// alerted/ rows and are not printed again.
 	if alerts, stopAlerts, err := dep.Alerts(context.Background(), drams.AlertFilter{Replay: true, Buffer: 1024}); err == nil {
 		printed := make(chan struct{})
 		go func() {

@@ -373,15 +373,18 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 
 	// The PAP watcher applies the chain-replicated policy lifecycle
 	// locally: it follows the active version its node's replica holds,
-	// flips the PDP when that changes, and feeds rollout events into the
-	// monitor stream.
+	// flips the PDP when that changes, and runs the OnPolicyEvent handler.
 	// The analyser needs none of this: it reads the policy it checks from
 	// its own node's replica. A slice without the infrastructure tenant has
 	// no PDP and only acknowledges the flips.
 	d.watcher, err = pap.NewWatcher(pap.WatcherConfig{
-		Node:    d.home,
-		PDP:     d.PDP,
-		OnEvent: d.onPolicyEvent,
+		Node: d.home,
+		PDP:  d.PDP,
+		OnEvent: func(ev pap.Event) {
+			if fn := d.policyHook.Load(); fn != nil {
+				(*fn)(ev)
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -409,19 +412,6 @@ func activePolicyVersion(node *blockchain.Node) string {
 		active, _, _ = core.ReadActivePolicy(st)
 	})
 	return active
-}
-
-// onPolicyEvent runs on the watcher goroutine for every policy lifecycle
-// transition of this deployment.
-func (d *Deployment) onPolicyEvent(ev pap.Event) {
-	if d.Monitor != nil {
-		if alert, ok := pap.MonitorEvent(ev); ok {
-			d.Monitor.PublishPolicyEvent(alert)
-		}
-	}
-	if fn := d.policyHook.Load(); fn != nil {
-		(*fn)(ev)
-	}
 }
 
 // OnPolicyEvent registers fn, replacing any earlier handler, to run on the

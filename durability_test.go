@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"drams"
+	"drams/internal/core"
 	"drams/internal/xacml"
 )
 
@@ -13,8 +14,9 @@ import (
 // lifecycle: a deployment opened with a DataDir, closed, and reopened with
 // the same directory must resume its persisted chains (not a fresh
 // genesis), keep the policy version that was active at shutdown — even
-// though Open is handed the original v1 policy — and serve decisions under
-// it immediately.
+// though Open is handed the original v1 policy — serve decisions under it
+// immediately, and answer for the outcomes of the exchanges settled before
+// the restart.
 func TestDeploymentRestartFromDataDir(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *drams.Deployment {
@@ -39,7 +41,38 @@ func TestDeploymentRestartFromDataDir(t *testing.T) {
 		dep.Close()
 		t.Fatal(err)
 	}
-	if _, err := client.Decide(ctx, doctorRequest(dep)); err != nil {
+	okReq := doctorRequest(dep)
+	if _, err := client.Decide(ctx, okReq); err != nil {
+		dep.Close()
+		t.Fatal(err)
+	}
+	if err := dep.WaitForMatched(ctx, okReq.ID); err != nil {
+		dep.Close()
+		t.Fatal(err)
+	}
+	// One tampered exchange settles to its alert: the PEP enforces the
+	// opposite of the decision it received.
+	if err := dep.TamperPEP("tenant-1", &drams.Tamper{
+		Enforce: func(d xacml.Decision) xacml.Decision {
+			if d == xacml.Permit {
+				return xacml.Deny
+			}
+			return xacml.Permit
+		},
+	}); err != nil {
+		dep.Close()
+		t.Fatal(err)
+	}
+	badReq := doctorRequest(dep)
+	if _, err := client.Decide(ctx, badReq); err != nil {
+		dep.Close()
+		t.Fatal(err)
+	}
+	if _, err := dep.WaitForAlert(ctx, badReq.ID, core.AlertEnforcementMismatch); err != nil {
+		dep.Close()
+		t.Fatal(err)
+	}
+	if err := dep.TamperPEP("tenant-1", nil); err != nil {
 		dep.Close()
 		t.Fatal(err)
 	}
@@ -71,6 +104,29 @@ func TestDeploymentRestartFromDataDir(t *testing.T) {
 	if st := restarted.PolicyStats(); st.Version != "v2" {
 		t.Fatalf("restarted deployment active policy %q, want v2", st.Version)
 	}
+	// The reopened monitor follows from the restored head, so both outcomes
+	// from before the restart come from the log-match contract's rows.
+	// Checked before the next Decide: the reopened deployment's seeded
+	// request-ID stream starts over and re-mints okReq's ID.
+	short, cancelShort := context.WithTimeout(ctx, 2*time.Second)
+	defer cancelShort()
+	if err := restarted.WaitForMatched(short, okReq.ID); err != nil {
+		t.Fatalf("settled exchange after the restart: %v", err)
+	}
+	if a, err := restarted.WaitForAlert(short, badReq.ID, core.AlertEnforcementMismatch); err != nil || a.ReqID != badReq.ID {
+		t.Fatalf("alerted exchange after the restart: %+v, %v", a, err)
+	}
+	mon := restarted.Monitor
+	if !mon.Matched(okReq.ID) || mon.Matched(badReq.ID) {
+		t.Fatalf("Matched: settled %v, alerted %v; want true, false", mon.Matched(okReq.ID), mon.Matched(badReq.ID))
+	}
+	if got := mon.AlertsFor(okReq.ID); len(got) != 0 {
+		t.Fatalf("AlertsFor(settled) = %v", got)
+	}
+	if got := mon.AlertsFor(badReq.ID); len(got) != 1 || got[0].Type != core.AlertEnforcementMismatch {
+		t.Fatalf("AlertsFor(alerted) = %v", got)
+	}
+
 	client2, err := restarted.Client("tenant-1")
 	if err != nil {
 		t.Fatal(err)

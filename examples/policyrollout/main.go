@@ -4,7 +4,8 @@
 // (full serialized set + digest + activation height); every federation
 // member's watcher verifies it against the anchored root and hot-reloads
 // its PDP at the activation height — no restarts, and the rollout
-// observable as PolicyActivated events on an Alerts subscription. The example then rolls the fleet back to v1.
+// observable through Deployment.OnPolicyEvent. The example then rolls the
+// fleet back to v1.
 //
 //	go run ./examples/policyrollout
 package main
@@ -37,15 +38,16 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	// Operators watch rollouts as stream events (synthetic, opt-in by
-	// type — like AlertMatched).
-	rollouts, stopRollouts, err := dep.Alerts(ctx, drams.AlertFilter{
-		Types: []drams.AlertType{drams.AlertPolicyActivated, drams.AlertPolicyRejected},
+	// Operators watch rollouts through the deployment's policy hook. It runs
+	// on the watcher goroutine, so it only hands each event over, into a
+	// buffer sized to the two rollouts below.
+	rollouts := make(chan drams.PolicyEvent, 2)
+	dep.OnPolicyEvent(func(ev drams.PolicyEvent) {
+		select {
+		case rollouts <- ev:
+		default:
+		}
 	})
-	if err != nil {
-		return err
-	}
-	defer stopRollouts()
 
 	client, err := dep.Client("tenant-1")
 	if err != nil {
@@ -76,7 +78,7 @@ func run() error {
 		return err
 	}
 	ev := <-rollouts
-	fmt.Printf("rollout event: %s %s\n", ev.Type, ev.Detail)
+	fmt.Printf("rollout event: %s %s at height %d (digest %s)\n", ev.Kind, ev.Version, ev.Height, ev.Digest.Short())
 
 	enf, err = client.Decide(ctx, doctorRead())
 	if err != nil {
@@ -94,7 +96,7 @@ func run() error {
 		return err
 	}
 	ev = <-rollouts
-	fmt.Printf("rollout event: %s %s\n", ev.Type, ev.Detail)
+	fmt.Printf("rollout event: %s %s at height %d (digest %s)\n", ev.Kind, ev.Version, ev.Height, ev.Digest.Short())
 
 	enf, err = client.Decide(ctx, doctorRead())
 	if err != nil {

@@ -40,31 +40,10 @@ const (
 
 // AlertMatched is a synthetic stream event type: it never appears on-chain
 // and is emitted only on Monitor subscription channels when an exchange
-// completes cleanly (the Matched contract event). It carries ReqID and
-// Height but no Tenant. It is deliberately excluded from AllAlertTypes.
+// completes cleanly (the Matched contract event), to subscriptions that
+// list it in AlertFilter.Types. It carries ReqID and Height but no Tenant.
+// It is deliberately excluded from AllAlertTypes.
 const AlertMatched AlertType = "matched"
-
-// Policy rollout stream events. Like AlertMatched they are synthetic
-// (opt-in by listing the type in AlertFilter.Types, excluded from
-// AllAlertTypes): they describe this member's observation of the
-// chain-replicated policy lifecycle, not an on-chain integrity violation.
-// Their ReqID carries "version@height" so re-activations stay distinct.
-const (
-	// AlertPolicyActivated: the local watcher flipped the PDP (or, on
-	// PDP-less members, acknowledged the fleet-wide flip) to the version
-	// activated on-chain at Height.
-	AlertPolicyActivated AlertType = "policy-activated"
-	// AlertPolicyRejected: a policy update could not be applied locally
-	// (digest mismatch against the anchored root, unparseable bytes) or
-	// was rejected on-chain (conflicting digest for an existing version).
-	AlertPolicyRejected AlertType = "policy-rejected"
-)
-
-// IsSynthetic reports whether t is a monitor-local stream event rather than
-// an on-chain security alert.
-func (t AlertType) IsSynthetic() bool {
-	return t == AlertMatched || t == AlertPolicyActivated || t == AlertPolicyRejected
-}
 
 // AllAlertTypes enumerates every alert the contract can raise.
 func AllAlertTypes() []AlertType {

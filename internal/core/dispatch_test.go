@@ -329,16 +329,110 @@ func TestAbandonedExchangeExpires(t *testing.T) {
 	defer m.Stop()
 	pumpRecord(m, "abandoned", time.Now(), 10)
 	pumpRecord(m, "younger", time.Now(), 11)
-	m.expireOpen(10 + blockchain.TxLifetime)
+	m.endBlock(10 + blockchain.TxLifetime)
 	if got := m.Stats().Tracked; got != 2 {
 		t.Fatalf("tracked = %d at age E, want 2", got)
 	}
-	m.expireOpen(10 + blockchain.TxLifetime + 1)
+	m.endBlock(10 + blockchain.TxLifetime + 1)
 	if got := m.Stats().Tracked; got != 1 {
 		t.Fatalf("tracked = %d at age E+1, want 1", got)
 	}
-	m.expireOpen(11 + blockchain.TxLifetime + 1)
+	m.endBlock(11 + blockchain.TxLifetime + 1)
 	if got := m.Stats().Tracked; got != 0 {
 		t.Fatalf("tracked = %d, want 0", got)
 	}
+}
+
+// TestMonitorWindow: the monitor keeps what it saw of the last E+1 blocks
+// it followed, not of every exchange.
+func TestMonitorWindow(t *testing.T) {
+	const window = blockchain.TxLifetime + 1
+	t.Run("bounded", func(t *testing.T) {
+		m := dispatcherMonitor()
+		defer m.Stop()
+		// One exchange per height, as a follower delivers them: most match,
+		// every 7th is alerted, every 11th is abandoned after one record.
+		height := uint64(0)
+		drive := func(n int) {
+			for range n {
+				height++
+				reqID := fmt.Sprintf("r%d", height)
+				pumpRecord(m, reqID, time.Now(), height)
+				switch {
+				case height%11 == 0:
+				case height%7 == 0:
+					pumpAlert(m, Alert{Type: AlertEnforcementMismatch, ReqID: reqID, Height: height})
+				default:
+					pumpMatched(m, reqID, height)
+				}
+				m.endBlock(height)
+			}
+		}
+		retained := func() (entries, queued, tracked int) {
+			tracked = m.Stats().Tracked
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return len(m.window), len(m.queue), tracked
+		}
+		// More than 2(E+1) heights, and a multiple of 77, so the windows
+		// after N and 2N hold the same mix.
+		const n = 77 * (2*window/77 + 1)
+		drive(n)
+		e1, q1, o1 := retained()
+		drive(n)
+		e2, q2, o2 := retained()
+		if e1 != e2 || q1 != q2 || o1 != o2 {
+			t.Fatalf("retained after N: %d entries, %d queued, %d open; after 2N: %d, %d, %d",
+				e1, q1, o1, e2, q2, o2)
+		}
+		if e2 > window || q2 > window {
+			t.Fatalf("%d entries, %d queued; a window holds %d heights", e2, q2, window)
+		}
+		if got := len(m.Alerts()); got == 0 || got > window/7+1 {
+			t.Fatalf("Alerts() = %d alerts, want the window's", got)
+		}
+		if st := m.Stats(); st.Matched != int64(2*n-2*n/7-2*n/11+2*n/77) || st.Tracked != o2 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
+	t.Run("redelivery inside the window published once", func(t *testing.T) {
+		m := dispatcherMonitor()
+		defer m.Stop()
+		ch, cancel := m.Subscribe(context.Background(), AlertFilter{Types: []AlertType{AlertMatched}})
+		defer cancel()
+		pumpMatched(m, "r1", 3)
+		m.endBlock(3 + blockchain.TxLifetime)
+		pumpMatched(m, "r1", 3) // a reorg delivers the block again
+		if got := <-ch; got.ReqID != "r1" || got.Height != 3 {
+			t.Fatalf("completion = %v", got)
+		}
+		select {
+		case got := <-ch:
+			t.Fatalf("duplicate completion delivered: %v", got)
+		default:
+		}
+		if !m.Matched("r1") || m.Stats().Matched != 1 {
+			t.Fatalf("Matched = %v, count %d", m.Matched("r1"), m.Stats().Matched)
+		}
+	})
+	t.Run("entry past E gone", func(t *testing.T) {
+		m := dispatcherMonitor()
+		defer m.Stop()
+		pumpRecord(m, "r1", time.Now(), 10)
+		pumpAlert(m, Alert{Type: AlertEquivocation, ReqID: "r1", Height: 12})
+		m.endBlock(12 + blockchain.TxLifetime) // E past the latest event, not past the first
+		if got := m.AlertsFor("r1"); len(got) != 1 {
+			t.Fatalf("AlertsFor at age E = %v", got)
+		}
+		m.endBlock(12 + blockchain.TxLifetime + 1)
+		if got := m.AlertsFor("r1"); len(got) != 0 {
+			t.Fatalf("AlertsFor at age E+1 = %v", got)
+		}
+		if got := m.Alerts(); len(got) != 0 {
+			t.Fatalf("Alerts() = %v", got)
+		}
+		if len(m.window) != 0 || len(m.queue) != 0 {
+			t.Fatalf("%d entries, %d queued after the window passed", len(m.window), len(m.queue))
+		}
+	})
 }

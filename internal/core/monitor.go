@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"drams/internal/blockchain"
 	"drams/internal/clock"
+	"drams/internal/contract"
 	"drams/internal/metrics"
 	"drams/internal/trace"
 )
@@ -39,10 +41,6 @@ type MonitorStats struct {
 	// StreamDropped counts events discarded because a subscriber's buffer
 	// was full (slow consumer). The on-chain record is unaffected.
 	StreamDropped int64
-	// PolicyActivations / PolicyRejections count the policy rollout events
-	// published through this monitor (PAP watcher wiring).
-	PolicyActivations int64
-	PolicyRejections  int64
 }
 
 // AlertFilter selects which monitor events a subscription receives. The
@@ -58,9 +56,9 @@ type AlertFilter struct {
 	// AlertMatched events carry no tenant and are filtered out by a
 	// non-empty Tenant.
 	Tenant string
-	// Replay delivers already-recorded matching events (alerts seen so
-	// far, and AlertMatched for already-completed requests) into the
-	// channel at subscribe time, before any live events.
+	// Replay delivers the matching events of the monitor's window (see
+	// Monitor) into the channel at subscribe time, in chain order and
+	// before any live event.
 	Replay bool
 	// Buffer sets the channel capacity (default 64). When the buffer is
 	// full, further events for this subscriber are dropped and counted in
@@ -77,29 +75,33 @@ func (f AlertFilter) matches(a Alert) bool {
 		return false
 	}
 	if len(f.Types) == 0 {
-		return !a.Type.IsSynthetic()
+		return a.Type != AlertMatched
 	}
-	for _, t := range f.Types {
-		if t == a.Type {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(f.Types, a.Type)
 }
 
 // subscriber is one live subscription.
 type subscriber struct {
-	filter  AlertFilter
-	ch      chan Alert
-	done    chan struct{} // closed on cancel; releases the ctx watcher
-	dropped int64         // guarded by Monitor.mu
+	filter AlertFilter
+	ch     chan Alert
+	done   chan struct{} // closed on cancel; releases the ctx watcher
 }
 
-// openExchange is an exchange the monitor has seen anchored records of and
-// no outcome yet.
-type openExchange struct {
-	first  time.Time // the earliest timestamp among its records
-	height uint64    // the height its first record was seen at
+// entry is what the monitor has seen of one request inside its window.
+// It is open from its first anchored record to its match or first alert.
+type entry struct {
+	id      string    // the request ID: the window's key
+	first   time.Time // the earliest timestamp among its records, while open
+	open    bool
+	matched uint64  // the height of its Matched event; 0 while unmatched
+	alerts  []Alert // one per type, in delivery order
+	last    uint64  // the height of its latest event
+}
+
+// due is a window entry's event height, queued in delivery order.
+type due struct {
+	e      *entry
+	height uint64
 }
 
 // Monitor is the off-chain DRAMS observer: it consumes contract events from
@@ -108,20 +110,27 @@ type openExchange struct {
 // detection latency from what the anchored records carry, so it times
 // exchanges driven from any member. The on-chain state remains the ground
 // truth; the monitor is a (restartable) view.
+//
+// The monitor keeps a window, not a history: an exchange's entry leaves it
+// once the monitor has followed the chain more than E = blockchain.TxLifetime
+// blocks past the entry's latest event. The chain delivers no follower a
+// block deeper than E+1 again (a deeper reorg is counted in
+// NodeStats.EventsDropped), so a re-delivered event finds its entry and is
+// published once. What left the window, the log-match contract's done/ and
+// alerted/ rows answer for.
 type Monitor struct {
 	node *blockchain.Node
 	clk  clock.Clock
 
-	mu        sync.Mutex
-	stopped   bool // set by Stop; new subscriptions are refused after
-	alerts    []Alert
-	alerted   map[string][]AlertType // reqID → types seen; dedupes re-delivered events
-	byType    map[AlertType]int64
-	matched   map[string]uint64 // reqID → height
-	policyLog []Alert           // policy rollout events, for Replay
-	open      map[string]openExchange
-	subs      map[uint64]*subscriber
-	nextSub   uint64
+	mu       sync.Mutex
+	stopped  bool // set by Stop; new subscriptions are refused after
+	window   map[string]*entry
+	queue    []due         // the window's event heights in delivery order
+	followed uint64        // the height of the last block followed
+	moved    chan struct{} // closed when the next block is followed; nil until a waiter asks
+	byType   map[AlertType]int64
+	subs     map[uint64]*subscriber
+	nextSub  uint64
 
 	tracer atomic.Pointer[trace.Tracer]
 
@@ -129,8 +138,6 @@ type Monitor struct {
 	alertsSeen metrics.Counter
 	matchedCnt metrics.Counter
 	dropCnt    metrics.Counter
-	policyActs metrics.Counter
-	policyRejs metrics.Counter
 	latency    *metrics.Histogram
 
 	stopOnce sync.Once
@@ -146,10 +153,8 @@ func NewMonitor(node *blockchain.Node, clk clock.Clock) *Monitor {
 	return &Monitor{
 		node:    node,
 		clk:     clk,
-		alerted: make(map[string][]AlertType),
+		window:  make(map[string]*entry),
 		byType:  make(map[AlertType]int64),
-		matched: make(map[string]uint64),
-		open:    make(map[string]openExchange),
 		subs:    make(map[uint64]*subscriber),
 		latency: metrics.NewHistogram(),
 		stop:    make(chan struct{}),
@@ -167,6 +172,9 @@ func (m *Monitor) SetTracer(t *trace.Tracer) { m.tracer.Store(t) }
 // chain from now on.
 func (m *Monitor) Start() {
 	from := m.node.Chain().Cursor()
+	m.mu.Lock()
+	m.followed = from.Height
+	m.mu.Unlock()
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -175,7 +183,7 @@ func (m *Monitor) Start() {
 				for _, e := range b.Events {
 					m.handleEvent(e.Contract, e.Type, e.Payload, b.Height)
 				}
-				m.expireOpen(b.Height)
+				m.endBlock(b.Height)
 			}
 		})
 	}()
@@ -231,7 +239,9 @@ func (m *Monitor) Subscribe(ctx context.Context, f AlertFilter) (<-chan Alert, f
 	m.nextSub++
 	m.subs[id] = sub
 	if f.Replay {
-		m.replayLocked(sub)
+		for _, a := range m.windowLocked(f) {
+			m.sendLocked(sub, a)
+		}
 	}
 	watch := ctx != nil && ctx.Done() != nil
 	if watch {
@@ -268,57 +278,34 @@ func (m *Monitor) Subscribe(ctx context.Context, f AlertFilter) (<-chan Alert, f
 	return sub.ch, cancel
 }
 
-// PublishPolicyEvent feeds a policy rollout observation (the PAP watcher's
-// activated and rejected outcomes) into the monitor's stream. The events
-// are synthetic: delivered only to subscriptions listing their type,
-// retained for Replay, and counted separately from security alerts.
-func (m *Monitor) PublishPolicyEvent(a Alert) {
-	switch a.Type {
-	case AlertPolicyActivated:
-		m.policyActs.Inc()
-	case AlertPolicyRejected:
-		m.policyRejs.Inc()
-	default:
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return
-	}
-	m.policyLog = append(m.policyLog, a)
-	m.publishLocked(a)
-}
-
-// replayLocked pushes already-recorded events matching the subscription
-// into its channel: recorded alerts first, then policy rollout events, then
-// synthetic AlertMatched events for completed requests.
-func (m *Monitor) replayLocked(sub *subscriber) {
-	for _, a := range m.alerts {
-		if sub.filter.matches(a) {
-			m.sendLocked(sub, a)
-		}
-	}
-	for _, a := range m.policyLog {
-		if sub.filter.matches(a) {
-			m.sendLocked(sub, a)
-		}
-	}
-	if sub.filter.ReqID != "" {
-		if h, ok := m.matched[sub.filter.ReqID]; ok {
-			a := Alert{Type: AlertMatched, ReqID: sub.filter.ReqID, Height: h}
-			if sub.filter.matches(a) {
-				m.sendLocked(sub, a)
+// windowLocked returns the window's events that f selects, alerts and
+// AlertMatched events, in chain order.
+func (m *Monitor) windowLocked(f AlertFilter) []Alert {
+	var out []Alert
+	add := func(e *entry) {
+		for _, a := range e.alerts {
+			if f.matches(a) {
+				out = append(out, a)
 			}
 		}
-		return
-	}
-	for reqID, h := range m.matched {
-		a := Alert{Type: AlertMatched, ReqID: reqID, Height: h}
-		if sub.filter.matches(a) {
-			m.sendLocked(sub, a)
+		if a := (Alert{Type: AlertMatched, ReqID: e.id, Height: e.matched}); e.matched != 0 && f.matches(a) {
+			out = append(out, a)
 		}
 	}
+	if f.ReqID != "" {
+		if e, ok := m.window[f.ReqID]; ok {
+			add(e)
+		}
+		return out
+	}
+	for _, e := range m.window {
+		add(e)
+	}
+	// Stable, so one request's alerts keep their delivery order.
+	slices.SortStableFunc(out, func(a, b Alert) int {
+		return cmp.Or(cmp.Compare(a.Height, b.Height), strings.Compare(a.ReqID, b.ReqID))
+	})
+	return out
 }
 
 // sendLocked delivers one event to one subscriber without blocking,
@@ -327,7 +314,6 @@ func (m *Monitor) sendLocked(sub *subscriber, a Alert) {
 	select {
 	case sub.ch <- a:
 	default:
-		sub.dropped++
 		m.dropCnt.Inc()
 	}
 }
@@ -341,19 +327,48 @@ func (m *Monitor) publishLocked(a Alert) {
 	}
 }
 
-// expireOpen drops the open exchanges first seen more than E blocks below
-// height. The contract ends every exchange it opens with Matched or an alert
-// by its M3 deadline; what outlives that is a request whose records sat only
-// in an abandoned block and expired before they landed again, and after E+1
-// blocks no follower is delivered that block again.
-func (m *Monitor) expireOpen(height uint64) {
+// endBlock runs after the events of a followed block: it records the
+// height followed, wakes the waiters that read chain state, and drops the
+// window's entries whose latest event is more than E blocks below height.
+// It reads the queue only up to the first item not due; an entry whose
+// latest event came later has a later item, and one a reorg delivered again
+// at a lower height waits behind it, at most the reorg's depth. An open
+// entry that outlives E blocks is a request whose records sat only in an
+// abandoned block and expired before they landed again: the contract ends
+// every exchange it opens by its M3 deadline.
+func (m *Monitor) endBlock(height uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for reqID, o := range m.open {
-		if o.height+blockchain.TxLifetime < height {
-			delete(m.open, reqID)
+	m.followed = height
+	if m.moved != nil {
+		close(m.moved)
+		m.moved = nil
+	}
+	for len(m.queue) > 0 && m.queue[0].height+blockchain.TxLifetime < height {
+		e := m.queue[0].e
+		m.queue[0] = due{}
+		m.queue = m.queue[1:]
+		if m.window[e.id] == e && e.last+blockchain.TxLifetime < height {
+			delete(m.window, e.id)
 		}
 	}
+}
+
+// entryLocked returns reqID's window entry, adding one, with its event at
+// height. The window keeps the ID: its own bytes, not the event's.
+func (m *Monitor) entryLocked(reqID string, height uint64) *entry {
+	e, ok := m.window[reqID]
+	switch {
+	case !ok:
+		e = &entry{id: strings.Clone(reqID), last: height}
+		m.window[e.id] = e
+	case height > e.last:
+		e.last = height
+	default:
+		return e
+	}
+	m.queue = append(m.queue, due{e, height})
+	return e
 }
 
 // sinceRecord is the time from a record's timestamp to now, 0 when the
@@ -382,16 +397,13 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 		// block the monitor follows.
 		m.tracer.Load().Span(traceID, trace.StageChainAnchor, at, m.sinceRecord(at))
 		m.mu.Lock()
-		_, matched := m.matched[rec.ReqID]
-		_, alerted := m.alerted[rec.ReqID]
-		if o, ok := m.open[rec.ReqID]; ok {
-			if at.Before(o.first) {
-				o.first = at
-				m.open[rec.ReqID] = o
+		switch e := m.entryLocked(rec.ReqID, height); {
+		case e.open:
+			if at.Before(e.first) {
+				e.first = at
 			}
-		} else if !matched && !alerted {
-			// The map keeps the ID: its own bytes, not the event's.
-			m.open[strings.Clone(rec.ReqID)] = openExchange{first: at, height: height}
+		case e.matched == 0 && len(e.alerts) == 0:
+			e.first, e.open = at, true
 		}
 		m.mu.Unlock()
 	case EventMatched:
@@ -400,23 +412,21 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 			return
 		}
 		m.mu.Lock()
-		if _, seen := m.matched[reqID]; seen {
+		e := m.entryLocked(reqID, height)
+		if e.matched != 0 {
 			// Chain events are delivered at-least-once (reorgs re-deliver);
 			// completions are published to subscribers exactly once.
 			m.mu.Unlock()
 			return
 		}
-		// The map and the subscribers keep the ID: its own bytes, not the
-		// event's.
-		reqID = strings.Clone(reqID)
-		m.matched[reqID] = height
-		o, wasOpen := m.open[reqID]
-		delete(m.open, reqID)
+		e.matched = height
+		first, wasOpen := e.first, e.open
+		e.open = false
 		m.matchedCnt.Inc() // before subscribers hear of it: Stats never lags a WaitForMatched
-		m.publishLocked(Alert{Type: AlertMatched, ReqID: reqID, Height: height})
+		m.publishLocked(Alert{Type: AlertMatched, ReqID: e.id, Height: height})
 		m.mu.Unlock()
 		if wasOpen {
-			m.tracer.Load().Span(reqID, trace.StageMonitorMatch, o.first, m.sinceRecord(o.first))
+			m.tracer.Load().Span(e.id, trace.StageMonitorMatch, first, m.sinceRecord(first))
 		}
 	case EventAlert:
 		a, err := DecodeAlert(payload)
@@ -424,21 +434,21 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 			return
 		}
 		m.mu.Lock()
-		if slices.Contains(m.alerted[a.ReqID], a.Type) {
+		e := m.entryLocked(a.ReqID, height)
+		if slices.ContainsFunc(e.alerts, func(b Alert) bool { return b.Type == a.Type }) {
 			m.mu.Unlock()
 			return
 		}
-		m.alerted[a.ReqID] = append(m.alerted[a.ReqID], a.Type)
-		m.alerts = append(m.alerts, a)
+		e.alerts = append(e.alerts, a)
 		m.byType[a.Type]++
-		if o, ok := m.open[a.ReqID]; ok {
-			delete(m.open, a.ReqID)
+		if e.open {
+			e.open = false
 			// Detection latency doubles as the monitor.alert span: the
 			// exchange's earliest record to its first alert surfacing
 			// off-chain.
-			d := m.sinceRecord(o.first)
+			d := m.sinceRecord(e.first)
 			m.latency.ObserveDuration(d)
-			m.tracer.Load().Span(a.ReqID, trace.StageMonitorAlert, o.first, d)
+			m.tracer.Load().Span(a.ReqID, trace.StageMonitorAlert, e.first, d)
 		}
 		m.publishLocked(a)
 		m.mu.Unlock()
@@ -447,72 +457,114 @@ func (m *Monitor) handleEvent(contractName, eventType string, payload []byte, he
 }
 
 // WaitForAlert blocks until an alert of the given type is seen for reqID.
+// An alert the monitor followed before it started, or below its window, is
+// read from the contract's alerted/ row, as Alert{Type, ReqID}.
 func (m *Monitor) WaitForAlert(ctx context.Context, reqID string, t AlertType) (Alert, error) {
+	return m.await(ctx, reqID, t, alertedKey(reqID, t))
+}
+
+// WaitForMatched blocks until reqID completes cleanly, as the follower or,
+// for an exchange it delivers no more, the contract's done/ row says.
+func (m *Monitor) WaitForMatched(ctx context.Context, reqID string) error {
+	_, err := m.await(ctx, reqID, AlertMatched, doneKey(reqID))
+	return err
+}
+
+// await returns the first event of type t for reqID: from the window, from
+// the follower, or from the contract row key once the follower has passed
+// the chain's height without delivering it (its block came before the
+// monitor started, or below the window). Waiting for the follower lets a
+// caller who then reads Stats, Alerts or a trace find the event there.
+func (m *Monitor) await(ctx context.Context, reqID string, t AlertType, key string) (Alert, error) {
 	ch, cancel := m.Subscribe(ctx, AlertFilter{
 		ReqID: reqID, Types: []AlertType{t}, Replay: true, Buffer: 1,
 	})
 	defer cancel()
-	select {
-	case a, ok := <-ch:
-		if !ok {
-			break
+	// Registered before the read: what the follower delivers after it
+	// reaches ch, and what it delivered before is in the replay.
+	onChain := len(ch) == 0 && m.onChain(key)
+	var height uint64
+	if onChain {
+		height = m.node.Chain().Height() // at or above the state just read
+	}
+	for {
+		var moved <-chan struct{}
+		if onChain {
+			m.mu.Lock()
+			passed := m.followed >= height
+			if !passed && m.moved == nil {
+				m.moved = make(chan struct{})
+			}
+			moved = m.moved
+			m.mu.Unlock()
+			if passed && len(ch) == 0 { // an event of the blocks followed is in ch by now
+				return Alert{Type: t, ReqID: reqID}, nil
+			}
 		}
-		return a, nil
-	case <-m.stop:
+		select {
+		case a, ok := <-ch:
+			if ok {
+				return a, nil
+			}
+		case <-moved:
+			continue
+		case <-m.stop:
+		}
+		if err := ctx.Err(); err != nil {
+			return Alert{}, fmt.Errorf("core: wait for %s on %s: %w", t, reqID, err)
+		}
+		return Alert{}, fmt.Errorf("core: wait for %s on %s: monitor stopped", t, reqID)
 	}
-	if err := ctx.Err(); err != nil {
-		return Alert{}, fmt.Errorf("core: wait for %s on %s: %w", t, reqID, err)
-	}
-	return Alert{}, fmt.Errorf("core: wait for %s on %s: monitor stopped", t, reqID)
 }
 
-// WaitForMatched blocks until reqID completes cleanly.
-func (m *Monitor) WaitForMatched(ctx context.Context, reqID string) error {
-	ch, cancel := m.Subscribe(ctx, AlertFilter{
-		ReqID: reqID, Types: []AlertType{AlertMatched}, Replay: true, Buffer: 1,
-	})
-	defer cancel()
-	select {
-	case _, ok := <-ch:
-		if ok {
-			return nil
-		}
-	case <-m.stop:
+// onChain reports whether the log-match contract's state at the node's head
+// holds key. A monitor without a node holds no chain.
+func (m *Monitor) onChain(key string) (ok bool) {
+	if m.node != nil {
+		m.node.Chain().ReadState(ContractName, func(st contract.StateDB) {
+			_, ok = st.Get(key)
+		})
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: wait for matched %s: %w", reqID, err)
-	}
-	return fmt.Errorf("core: wait for matched %s: monitor stopped", reqID)
+	return ok
 }
 
-// Alerts returns a copy of all alerts seen so far.
+// Alerts returns the alerts in the window, in chain order.
 func (m *Monitor) Alerts() []Alert {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Alert, len(m.alerts))
-	copy(out, m.alerts)
-	return out
+	return m.windowLocked(AlertFilter{})
 }
 
-// AlertsFor returns the alerts recorded for one request.
+// AlertsFor returns the alerts raised for one request: those in the window
+// with their detail, then, as Alert{Type, ReqID}, the contract's alerted/
+// rows of the other types.
 func (m *Monitor) AlertsFor(reqID string) []Alert {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Alert
-	for _, a := range m.alerts {
-		if a.ReqID == reqID {
-			out = append(out, a)
-		}
+	out := m.windowLocked(AlertFilter{ReqID: reqID})
+	m.mu.Unlock()
+	if m.node == nil {
+		return out
 	}
+	prefix := "alerted/" + reqID + "/"
+	m.node.Chain().ReadState(ContractName, func(st contract.StateDB) {
+		for key := range st.Keys(prefix) {
+			t := AlertType(key[len(prefix):])
+			if !slices.ContainsFunc(out, func(a Alert) bool { return a.Type == t }) {
+				out = append(out, Alert{Type: t, ReqID: reqID})
+			}
+		}
+	})
 	return out
 }
 
-// Matched reports whether a request completed cleanly, and at what height.
-func (m *Monitor) Matched(reqID string) (uint64, bool) {
+// Matched reports whether a request completed cleanly, in the window or in
+// the contract's done/ row.
+func (m *Monitor) Matched(reqID string) bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.matched[reqID]
-	return h, ok
+	e, ok := m.window[reqID]
+	matched := ok && e.matched != 0
+	m.mu.Unlock()
+	return matched || m.onChain(doneKey(reqID))
 }
 
 // DetectionLatency exports the detection-latency distribution in a form a
@@ -526,7 +578,12 @@ func (m *Monitor) Stats() MonitorStats {
 	for k, v := range m.byType {
 		byType[k] = v
 	}
-	tracked := len(m.open)
+	tracked := 0
+	for _, e := range m.window {
+		if e.open {
+			tracked++
+		}
+	}
 	subscribers := len(m.subs)
 	m.mu.Unlock()
 	return MonitorStats{
@@ -538,7 +595,5 @@ func (m *Monitor) Stats() MonitorStats {
 		Tracked:            tracked,
 		Subscribers:        subscribers,
 		StreamDropped:      m.dropCnt.Value(),
-		PolicyActivations:  m.policyActs.Value(),
-		PolicyRejections:   m.policyRejs.Value(),
 	}
 }

@@ -169,7 +169,7 @@ func TestMonitorSeesMatchedExchange(t *testing.T) {
 	if err := mon.WaitForMatched(ctx, "m-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mon.Matched("m-1"); !ok {
+	if !mon.Matched("m-1") {
 		t.Fatal("Matched() lost the request")
 	}
 	st := mon.Stats()

@@ -129,7 +129,7 @@ func TestStandardDeploymentModes(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := dep.Monitor.Matched(req.ID); ok {
+		if dep.Monitor.Matched(req.ID) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

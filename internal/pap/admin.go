@@ -19,7 +19,7 @@
 //
 // Failure modes are first-class: a version whose bytes do not verify
 // against the anchored digest, or do not parse, is never activated locally
-// and surfaces as a PolicyRejected event; a conflicting re-anchor of an
+// and surfaces as an EventRejected notification; a conflicting re-anchor of an
 // existing version is flagged on-chain (PolicyConflict) and reported by the
 // Admin as an error.
 package pap

@@ -394,19 +394,6 @@ func TestReplayReproducesPolicyState(t *testing.T) {
 	}
 }
 
-// TestMonitorEventConversion checks the watcher→monitor adapter.
-func TestMonitorEventConversion(t *testing.T) {
-	d := crypto.Sum([]byte("x"))
-	a, ok := MonitorEvent(Event{Kind: EventActivated, Version: "v3", Digest: d, Height: 9})
-	if !ok || a.Type != core.AlertPolicyActivated || a.ReqID != "v3@9" || a.Height != 9 {
-		t.Fatalf("activated alert = %+v (%v)", a, ok)
-	}
-	a, ok = MonitorEvent(Event{Kind: EventRejected, Version: "v3", Height: 4, Err: "boom"})
-	if !ok || a.Type != core.AlertPolicyRejected {
-		t.Fatalf("rejected alert = %+v (%v)", a, ok)
-	}
-}
-
 func waitCond(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

@@ -259,23 +259,3 @@ func (w *Watcher) notify(ev Event) {
 		w.cfg.OnEvent(ev)
 	}
 }
-
-// MonitorEvent converts a watcher notification into the synthetic monitor
-// alert the operators' Alerts subscriptions see (core.AlertPolicyActivated
-// / core.AlertPolicyRejected).
-func MonitorEvent(ev Event) (core.Alert, bool) {
-	ref := fmt.Sprintf("%s@%d", ev.Version, ev.Height)
-	switch ev.Kind {
-	case EventActivated:
-		return core.Alert{
-			Type: core.AlertPolicyActivated, ReqID: ref, Height: ev.Height,
-			Detail: fmt.Sprintf("policy %s activated (digest %s)", ev.Version, ev.Digest.Short()),
-		}, true
-	case EventRejected:
-		return core.Alert{
-			Type: core.AlertPolicyRejected, ReqID: ref, Height: ev.Height,
-			Detail: fmt.Sprintf("policy %s rejected: %s", ev.Version, ev.Err),
-		}, true
-	}
-	return core.Alert{}, false
-}

@@ -268,8 +268,6 @@ func monitorCollector(m *core.Monitor) obs.Collector {
 			obs.C("drams_monitor_logs_seen_total", "On-chain log-stored events consumed.", s.LogsSeen),
 			obs.C("drams_monitor_matched_total", "Requests whose logs matched cleanly on-chain.", s.Matched),
 			obs.C("drams_monitor_stream_dropped_total", "Subscriber events dropped at full buffers.", s.StreamDropped),
-			obs.C("drams_monitor_policy_activations_total", "Policy rollout activations observed.", s.PolicyActivations),
-			obs.C("drams_monitor_policy_rejections_total", "Policy rollout rejections observed.", s.PolicyRejections),
 			obs.G("drams_monitor_tracked", "Open exchanges: a probe record anchored, no match or alert yet.", int64(s.Tracked)),
 			obs.G("drams_monitor_subscribers", "Live alert subscriptions.", int64(s.Subscribers)),
 			obs.H("drams_monitor_detection_latency_ms", "Ms from an exchange's earliest anchored record timestamp to its first off-chain alert.", m.DetectionLatency()),

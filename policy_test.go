@@ -2,7 +2,6 @@ package drams_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"drams"
@@ -23,34 +22,46 @@ func restrictedTestPolicy(version string) *xacml.PolicySet {
 }
 
 // TestAdminUpdatePolicyHotReload drives the full runtime administration
-// flow through the public API: subscribe to rollout events, publish a
-// restricting v2 through Deployment.Admin, watch the PolicyActivated alert
-// arrive, and check the same request flips Permit → Deny with the decision
-// cache invalidated — then roll back to v1 and watch it flip again.
+// flow through the public API: hook the rollout events, publish a
+// restricting v2 through Deployment.Admin, watch its activation arrive, and
+// check the same request flips Permit → Deny with the decision cache
+// invalidated — then roll back to v1 and watch it flip again.
 func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	dep := testDeployment(t)
 	ctx := ctx20(t)
 
-	alerts, stop, err := dep.Alerts(ctx, drams.AlertFilter{
-		Types: []drams.AlertType{drams.AlertPolicyActivated}, Replay: true, Buffer: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	// The boot-time v1 activation is replayed.
-	select {
-	case a := <-alerts:
-		if a.Type != drams.AlertPolicyActivated || !strings.HasPrefix(a.ReqID, "v1@") {
-			t.Fatalf("replayed rollout event = %+v", a)
+	// The hook runs on the watcher goroutine: it must not block, and the
+	// buffer holds the two flips below.
+	rollouts := make(chan drams.PolicyEvent, 2)
+	dep.OnPolicyEvent(func(ev drams.PolicyEvent) {
+		select {
+		case rollouts <- ev:
+		default:
 		}
-	case <-ctx.Done():
-		t.Fatal("no replayed activation event")
+	})
+	nextActivation := func(version string) {
+		t.Helper()
+		select {
+		case ev := <-rollouts:
+			if ev.Kind != pap.EventActivated || ev.Version != version {
+				t.Fatalf("rollout event = %+v, want %s activated", ev, version)
+			}
+		case <-ctx.Done():
+			t.Fatalf("no %s activation event", version)
+		}
 	}
 
+	// The boot-time v1 activation fired before the hook existed: the
+	// watcher's stats and the on-chain history carry it.
+	if st := dep.PolicyStats(); st.Version != "v1" || st.Activations != 1 {
+		t.Fatalf("boot policy stats = %+v", st)
+	}
 	admin, err := dep.Admin("tenant-1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hist := admin.History(); len(hist) != 1 || hist[0].Version != "v1" {
+		t.Fatalf("boot history = %+v", hist)
 	}
 	if got := admin.PolicyVersion(); got != "v1" {
 		t.Fatalf("active version = %q", got)
@@ -71,14 +82,7 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	if err := admin.UpdatePolicy(ctx, restrictedTestPolicy("v2"), drams.UpdateOptions{ActivateDelta: 2}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case a := <-alerts:
-		if !strings.HasPrefix(a.ReqID, "v2@") {
-			t.Fatalf("rollout event = %+v", a)
-		}
-	case <-ctx.Done():
-		t.Fatal("no v2 activation event")
-	}
+	nextActivation("v2")
 
 	// The first batch decided after the flip sees the swapped PDP on every item.
 	batch := []*xacml.Request{doctorRequest(dep), doctorRequest(dep), doctorRequest(dep)}
@@ -103,15 +107,13 @@ func TestAdminUpdatePolicyHotReload(t *testing.T) {
 	if st.Version != "v2" || st.Activations != 2 {
 		t.Fatalf("policy stats = %+v", st)
 	}
-	if ms := dep.Monitor.Stats(); ms.PolicyActivations != 2 {
-		t.Fatalf("monitor policy activations = %d", ms.PolicyActivations)
-	}
 
 	// Roll back to v1: decisions flip again, history shows all three
 	// activations on-chain.
 	if err := admin.Rollback(ctx, "v1", drams.UpdateOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	nextActivation("v1")
 	enf, err = client.Decide(ctx, doctorRequest(dep))
 	if err != nil {
 		t.Fatal(err)

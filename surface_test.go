@@ -24,8 +24,6 @@ var publicSurface = []string{
 	"Alert",
 	"AlertFilter",
 	"AlertMatched",
-	"AlertPolicyActivated",
-	"AlertPolicyRejected",
 	"AlertType",
 	"ChainMaterial",
 	"ChainParams",
