@@ -39,16 +39,20 @@ import (
 //     allocated only what the chain keeps. A ceiling, with room for the
 //     empty blocks and rebroadcasts a slower host interleaves;
 //   - bytes on chain, the paper's §III Log Size cost measured on the fleet
-//     itself, genesis policy publish included: 131 975 transaction bytes
-//     (blockchain.EncodeTx; 2 199.6 per exchange), 90 600 record bytes
-//     (each logbatch record's encoding; 1 510 per exchange, four records)
-//     and 43 200 bytes of encrypted payload inside them (720 per exchange).
-//     Equalities: each was the same in every run, with and without the
-//     race detector. Block bytes (Block.Encode) vary with the block count:
-//     2 454–2 521 per exchange over 2.40–3.00 blocks per exchange, the
-//     blocks adding 106.7–107.0 bytes each to the transactions they carry.
-//     Ceilings: 2 700 per exchange, room for ~100 empty blocks a slower
-//     host's timer mines, and 108 bytes of block framing per block;
+//     itself, genesis policy publish included: 129 924 transaction bytes
+//     (blockchain.EncodeTx; 2 165.4 per exchange; 131 975 while the codec
+//     framed lengths in fixed width, 11.3 bytes more per transaction),
+//     90 600 record bytes (each logbatch record's encoding; 1 510 per
+//     exchange, four records) and 43 200 bytes of encrypted payload inside
+//     them (720 per exchange). Equalities: each was the same in every run,
+//     with and without the race detector. Block bytes (Block.Encode) vary
+//     with the block count: 2 459–2 470 per exchange over 3.0 blocks per
+//     exchange (2 508–2 517 with fixed-width framing), the blocks adding
+//     102.9–103.0 bytes each to the transactions they carry (107.0). A
+//     block's header is 104 bytes, less a byte per transaction: a block
+//     does not repeat the format tag each EncodeTx carries. Ceilings: 2 650
+//     per exchange, room for ~100 empty blocks a slower host's timer mines,
+//     and 104 bytes of block framing per block, the header's size;
 //   - what a member retains of those blocks (ROADMAP item 26's retention
 //     row): each block's frame, the encoding it arrived in, and no decoded
 //     copy, so the frame bytes a member's chain keeps
@@ -66,8 +70,8 @@ func TestCostPerExchange(t *testing.T) {
 		maxKiBPerExchange = 42
 		// The bytes on chain for n exchanges, and the ceilings on block
 		// bytes per exchange and on block framing per block.
-		txBytesWant, recordBytesWant, payloadBytesWant = 131975, 90600, 43200
-		maxBlockBytesPerExchange, maxFramingPerBlock   = 2700, 108
+		txBytesWant, recordBytesWant, payloadBytesWant = 129924, 90600, 43200
+		maxBlockBytesPerExchange, maxFramingPerBlock   = 2650, 104
 	)
 	dep := testDeployment(t)
 	client := tenantClient(t, dep, "tenant-1")

@@ -207,17 +207,8 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 	for _, c := range cfg.topology.Clouds {
 		nodeNames = append(nodeNames, "node@"+c.Name)
 	}
-	ids := idgen.NewSeeded(cfg.seed + 1)
-	if cfg.local != "" {
-		if !slices.Contains(nodeNames, "node@"+cfg.local) {
-			return nil, fmt.Errorf("drams: cloud %q is not in the topology", cfg.local)
-		}
-		// Members share the seed, and a member reopened from its data dir
-		// is a new process with the same one: a seeded request-ID stream
-		// would mint IDs another slice — or this one before its restart —
-		// already put on chain, and the contract reads a second record under
-		// a used ID as equivocation. A member's stream is random instead.
-		ids = idgen.New()
+	if cfg.local != "" && !slices.Contains(nodeNames, "node@"+cfg.local) {
+		return nil, fmt.Errorf("drams: cloud %q is not in the topology", cfg.local)
 	}
 
 	d := &Deployment{
@@ -226,7 +217,12 @@ func open(policy *xacml.PolicySet, local string, opts []Option) (_ *Deployment, 
 		peps:     make(map[string]*federation.PEPService),
 		LIs:      make(map[string]*logger.LI),
 		Agents:   make(map[string]*logger.Agent),
-		ids:      ids,
+		// The request-ID stream is random, never seeded: members share the
+		// seed, and a deployment reopened from its data dir is a new process
+		// with the same one, so a seeded stream would mint IDs another slice,
+		// or this one before its restart, already put on chain, and the
+		// contract reads a second record under a used ID as equivocation.
+		ids: idgen.New(),
 	}
 	d.initObservability()
 	if cfg.transport != nil {

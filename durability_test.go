@@ -104,10 +104,37 @@ func TestDeploymentRestartFromDataDir(t *testing.T) {
 	if st := restarted.PolicyStats(); st.Version != "v2" {
 		t.Fatalf("restarted deployment active policy %q, want v2", st.Version)
 	}
+	// A decision after the reopen mints a fresh ID and settles on its own.
+	client2, err := restarted.Client("tenant-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := doctorRequest(restarted)
+	enf, err := client2.Decide(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enf.Decision != xacml.Deny || enf.PolicyVersion != "v2" {
+		t.Fatalf("decision %v under %s, want Deny under v2", enf.Decision, enf.PolicyVersion)
+	}
+	if next.ID == okReq.ID || next.ID == badReq.ID {
+		t.Fatalf("the reopened deployment re-minted request ID %s", next.ID)
+	}
+	if err := restarted.WaitForMatched(ctx, next.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Ten more blocks: time for any record anchored under an old ID to
+	// reach the contract, which would raise equivocation on it.
+	for until := node.Chain().Height() + 10; node.Chain().Height() < until; {
+		select {
+		case <-ctx.Done():
+			t.Fatal(ctx.Err())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+
 	// The reopened monitor follows from the restored head, so both outcomes
 	// from before the restart come from the log-match contract's rows.
-	// Checked before the next Decide: the reopened deployment's seeded
-	// request-ID stream starts over and re-mints okReq's ID.
 	short, cancelShort := context.WithTimeout(ctx, 2*time.Second)
 	defer cancelShort()
 	if err := restarted.WaitForMatched(short, okReq.ID); err != nil {
@@ -125,17 +152,5 @@ func TestDeploymentRestartFromDataDir(t *testing.T) {
 	}
 	if got := mon.AlertsFor(badReq.ID); len(got) != 1 || got[0].Type != core.AlertEnforcementMismatch {
 		t.Fatalf("AlertsFor(alerted) = %v", got)
-	}
-
-	client2, err := restarted.Client("tenant-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	enf, err := client2.Decide(ctx, doctorRequest(restarted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enf.Decision != xacml.Deny || enf.PolicyVersion != "v2" {
-		t.Fatalf("decision %v under %s, want Deny under v2", enf.Decision, enf.PolicyVersion)
 	}
 }

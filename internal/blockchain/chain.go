@@ -376,10 +376,7 @@ func (c *Chain) addBlock(b *Block, hash crypto.Digest, frame []byte) error {
 		return fmt.Errorf("blockchain: block %s %w", hash.Short(), err)
 	}
 	if frame == nil {
-		var err error
-		if frame, err = AppendBlock(make([]byte, 0, blockEncodedLen(b)), b); err != nil {
-			return fmt.Errorf("blockchain: block %s: %w", hash.Short(), err)
-		}
+		frame = b.Encode()
 	}
 
 	c.mu.Lock()
@@ -604,8 +601,8 @@ func (c *Chain) reorgToLocked(newHead crypto.Digest, nb *Block) error {
 func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block, state *contract.State, keep bool) {
 	ids := c.blocks[hash].ids
 	// The block's events are its transactions' and then its hooks', kept in
-	// one slice of exactly their number: each transaction's are counted
-	// here, and its receipt keeps them.
+	// one slice of exactly their number, each transaction's counted here;
+	// a receipt keeps none.
 	var txEvents [8][]contract.Event
 	perTx := txEvents[:0]
 	total := 0
@@ -619,7 +616,7 @@ func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block, state *contract.S
 		}
 		evs, err := c.engine.Execute(ctx, state, tx.Call)
 		if keep {
-			rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil, Events: evs}
+			rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil}
 			if err != nil {
 				rec.Err = err.Error()
 			}

@@ -2,54 +2,58 @@ package blockchain
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
-	"unsafe"
 
 	"drams/internal/crypto"
+	"drams/internal/wire"
 )
 
-// Wire codec for blocks and transactions.
+// Wire codec for blocks, transactions and the catch-up messages.
 //
-// The hot path (gossip, bc.getrange sync, the block log) uses a
-// length-prefixed binary encoding in the style of the TCP frame codec:
-// append-to-caller-buffer writers, exact-size pre-computation (one
-// allocation per encode) and zero-copy []byte reads on decode. The first
-// byte of every encoding is a format tag:
+// The hot path (gossip, bc.getrange sync, the block log) uses the binary
+// framing of internal/wire: append-to-caller-buffer writers, exact-size
+// pre-computation (one allocation per encode) and zero-copy reads on
+// decode. The first byte of every encoding is a format tag:
 //
-//	0x04        binary codec v4 (this file)
+//	0x05        this file's layout: uvarint lengths and counts
 //
 // and decoders reject every other tag, so a layout change bumps the tag and
 // builds on either side refuse the other's bytes instead of misreading them.
 // Older tags are refused here, by name: 0x01 (a per-sender u64 nonce where
-// the salt and expiry now sit, and an ID over a JSON encoding of the call)
-// and 0x02 (the same nonce under today's identity). Their blocks would
-// decode into the wrong fields and fail their Merkle and signature checks.
-// 0x03 blocks have today's layout but carry JSON probe records in their
-// args, which this build's log-match contract refuses: a member replaying
-// them would fail transactions a 0x03 member applied, and its state would
-// diverge without a word. The tag refuses them first.
+// the salt and expiry now sit, and an ID over a JSON encoding of the call),
+// 0x02 (the same nonce under today's identity), 0x03 (today's fields with
+// JSON probe records in the args, which this build's log-match contract
+// refuses) and 0x04 (today's fields and identity in a fixed-width framing:
+// u16 string and u32 blob lengths, a u32 transaction count). A member that
+// opens a block log of an older build drops its blocks and refills them
+// from its peers.
 //
-// Binary transaction body (big-endian; str = u16 len + bytes,
-// blob = u32 len + bytes):
+// Layouts, big-endian, built from wire's str (uvarint length + bytes), blob
+// (the same, for bytes) and uvarint counts; every other field has a fixed
+// width:
 //
-//	str from | 8B salt | u64 expiresAt | str contract | str method |
-//	blob args | blob pubKey | blob signature
+//	tx body     str from | 8B salt | u64 expiresAt | str contract |
+//	            str method | blob args | blob pubKey | blob signature
+//	tx          0x05 | tx body
+//	block       0x05 | u64 height | 32B prevHash | 32B merkleRoot |
+//	            u64 time | u8 difficulty | u64 nonce | str miner |
+//	            uvarint txCount | tx bodies...
+//	range req   0x05 | 32B cursor | uvarint count
+//	range resp  0x05 | uvarint count | blob block...
+//	head reply  0x05 | 32B hash | u64 height
 //
-// Binary block:
+// The block header's nonce is the proof-of-work nonce. The reader is
+// canonical (minimal varints, counts the bytes left can hold, no trailing
+// bytes), so an accepted encoding re-encodes to the same bytes. Identities
+// do not depend on the framing: a transaction's ID and signature cover its
+// fields (signingBytes) and a block's hash its header fields
+// (appendHashInput).
 //
-//	0x04 | u64 height | 32B prevHash | 32B merkleRoot | u64 time |
-//	u8 difficulty | u64 nonce | str miner | u32 txCount | tx bodies...
-//
-// The block header's nonce is the proof-of-work nonce. A standalone
-// transaction encoding is 0x04 followed by one tx body.
-//
-// Decoded []byte fields (Args, PubKey, Signature) alias the input buffer:
-// transport and persistence layers hand each decode a freshly read buffer
-// that is never reused, and decoded values are treated as immutable
-// everywhere downstream. Callers that mutate the input after decoding must
-// copy first.
+// Decoded strings and []byte fields (Args, PubKey, Signature) alias the
+// input buffer: transport and persistence layers hand each decode a freshly
+// read buffer that is never reused, and decoded values are treated as
+// immutable everywhere downstream. Callers that mutate the input after
+// decoding must copy first.
 //
 // A stored block pins its frame by design: the chain keeps each block as
 // its header, its transaction IDs and the encoding it arrived in, and no
@@ -75,297 +79,120 @@ import (
 
 // codecVersion tags the binary format; bump on an incompatible change of
 // layout or of transaction identity.
-const codecVersion byte = 0x04
-
-// maxWireTxs bounds the declared tx count of a decoded block before any
-// allocation, so a hostile length field cannot balloon memory.
-const maxWireTxs = 1 << 20
-
-var errTruncated = errors.New("blockchain: truncated encoding")
+const codecVersion byte = 0x05
 
 // minTxBody is the encoded size of a transaction body whose strings and
-// blobs are all empty: six length prefixes, the salt and the expiry height.
-const minTxBody = 2 + 8 + 8 + 2 + 2 + 4 + 4 + 4
+// blobs are all empty: six one-byte length prefixes, the salt and the
+// expiry height.
+const minTxBody = 6 + 8 + 8
 
 func txEncodedLen(tx *Transaction) int {
-	return minTxBody + len(tx.From) +
-		len(tx.Call.Contract) + len(tx.Call.Method) + len(tx.Call.Args) +
-		len(tx.PubKey) + len(tx.Signature)
+	return 8 + 8 + wire.StrLen(len(tx.From)) +
+		wire.StrLen(len(tx.Call.Contract)) + wire.StrLen(len(tx.Call.Method)) + wire.StrLen(len(tx.Call.Args)) +
+		wire.StrLen(len(tx.PubKey)) + wire.StrLen(len(tx.Signature))
 }
 
 func blockEncodedLen(b *Block) int {
-	n := 1 + 8 + crypto.DigestSize + crypto.DigestSize + 8 + 1 + 8 + 2 + len(b.Header.Miner) + 4
+	n := 1 + headerNonceAt + 8 + wire.StrLen(len(b.Header.Miner)) + wire.UvarintLen(uint64(len(b.Txs)))
 	for i := range b.Txs {
 		n += txEncodedLen(&b.Txs[i])
 	}
 	return n
 }
 
-func appendStr16(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func appendBlob32(buf []byte, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func checkTxFields(tx *Transaction) error {
-	for _, s := range []string{tx.From, tx.Call.Contract, tx.Call.Method} {
-		if len(s) > math.MaxUint16 {
-			return fmt.Errorf("blockchain: encode: string field too long (%d bytes)", len(s))
-		}
-	}
-	return nil
-}
-
 // appendTxBody serializes one transaction body (no version byte) onto buf.
 func appendTxBody(buf []byte, tx *Transaction) []byte {
-	buf = appendStr16(buf, tx.From)
+	buf = wire.AppendStr(buf, tx.From)
 	buf = append(buf, tx.Salt[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, tx.ExpiresAt)
-	buf = appendStr16(buf, tx.Call.Contract)
-	buf = appendStr16(buf, tx.Call.Method)
-	buf = appendBlob32(buf, tx.Call.Args)
-	buf = appendBlob32(buf, tx.PubKey)
-	return appendBlob32(buf, tx.Signature)
+	buf = wire.AppendStr(buf, tx.Call.Contract)
+	buf = wire.AppendStr(buf, tx.Call.Method)
+	buf = wire.AppendBlob(buf, tx.Call.Args)
+	buf = wire.AppendBlob(buf, tx.PubKey)
+	return wire.AppendBlob(buf, tx.Signature)
 }
 
 // AppendTx serializes tx in the binary wire format onto buf and returns the
 // extended slice. Callers that encode in a loop should reuse buf.
-func AppendTx(buf []byte, tx *Transaction) ([]byte, error) {
-	if err := checkTxFields(tx); err != nil {
-		return buf, err
-	}
-	buf = append(buf, codecVersion)
-	return appendTxBody(buf, tx), nil
+func AppendTx(buf []byte, tx *Transaction) []byte {
+	return appendTxBody(append(buf, codecVersion), tx)
 }
 
 // AppendBlock serializes b in the binary wire format onto buf and returns
-// the extended slice.
+// the extended slice. The error is always nil: every length and count is a
+// uvarint, so no field outgrows its prefix. It stays in the signature for
+// the callers that check it.
 func AppendBlock(buf []byte, b *Block) ([]byte, error) {
-	if len(b.Txs) > maxWireTxs {
-		return buf, fmt.Errorf("blockchain: encode block: %d txs exceeds limit", len(b.Txs))
-	}
-	if len(b.Header.Miner) > math.MaxUint16 {
-		return buf, fmt.Errorf("blockchain: encode block: miner name too long")
-	}
-	for i := range b.Txs {
-		if err := checkTxFields(&b.Txs[i]); err != nil {
-			return buf, err
-		}
-	}
-	h := &b.Header
-	buf = append(buf, codecVersion)
-	buf = binary.BigEndian.AppendUint64(buf, h.Height)
-	buf = append(buf, h.PrevHash[:]...)
-	buf = append(buf, h.MerkleRoot[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(h.TimeUnixNano))
-	buf = append(buf, h.Difficulty)
-	buf = binary.BigEndian.AppendUint64(buf, h.Nonce)
-	buf = appendStr16(buf, h.Miner)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Txs)))
+	buf = b.Header.appendFixed(append(buf, codecVersion))
+	buf = wire.AppendStr(buf, b.Header.Miner)
+	buf = binary.AppendUvarint(buf, uint64(len(b.Txs)))
 	for i := range b.Txs {
 		buf = appendTxBody(buf, &b.Txs[i])
 	}
 	return buf, nil
 }
 
-// txReader walks a binary tx body with bounds checks.
-type txReader struct {
-	buf []byte
-	off int
+// readTag reads the format tag that opens an encoding of what, and refuses
+// a tag this build does not read, naming it.
+func readTag(r *wire.Reader, what string) error {
+	switch tag := r.U8(); {
+	case r.Err() != nil:
+		return fmt.Errorf("blockchain: decode %s: empty input", what)
+	case tag == codecVersion:
+		return nil
+	case tag != 0 && tag < codecVersion:
+		return fmt.Errorf("blockchain: decode %s: unknown format byte 0x%02x, an older build's (this build reads 0x%02x)", what, tag, codecVersion)
+	default:
+		return fmt.Errorf("blockchain: decode %s: unknown format byte 0x%02x", what, tag)
+	}
 }
 
-func (r *txReader) u16() (uint16, error) {
-	if r.off+2 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, nil
+// readTxBody reads one transaction body into tx; r's error says whether it
+// was whole. Args are opaque to the chain: hashed into the ID, handed to
+// the contract, which answers anything it cannot parse with ErrBadArgs.
+func readTxBody(r *wire.Reader, tx *Transaction) {
+	tx.From = r.Str()
+	copy(tx.Salt[:], r.Bytes(len(tx.Salt)))
+	tx.ExpiresAt = r.U64()
+	tx.Call.Contract = r.Str()
+	tx.Call.Method = r.Str()
+	tx.Call.Args = r.Blob()
+	tx.PubKey = r.Blob()
+	tx.Signature = r.Blob()
 }
 
-func (r *txReader) u32() (uint32, error) {
-	if r.off+4 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *txReader) u64() (uint64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// str returns a zero-copy string aliasing the input buffer, under the same
-// immutability contract as blob: decoded values alias data, which callers
-// hand over and never mutate. This keeps binary decode at zero allocations
-// per transaction.
-func (r *txReader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if r.off+int(n) > len(r.buf) {
-		return "", errTruncated
-	}
-	if n == 0 {
-		return "", nil
-	}
-	s := unsafe.String(&r.buf[r.off], int(n))
-	r.off += int(n)
-	return s, nil
-}
-
-// blob returns a zero-copy view into the input buffer (nil for length 0, so
-// round-trips preserve nil-ness of optional fields).
-func (r *txReader) blob() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > len(r.buf)-r.off {
-		return nil, errTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *txReader) digest() (crypto.Digest, error) {
-	var d crypto.Digest
-	if r.off+crypto.DigestSize > len(r.buf) {
-		return d, errTruncated
-	}
-	copy(d[:], r.buf[r.off:])
-	r.off += crypto.DigestSize
-	return d, nil
-}
-
-func (r *txReader) readTxBody(tx *Transaction) error {
-	var err error
-	if tx.From, err = r.str(); err != nil {
+// readBlockHeader reads the header of a block encoding from a fresh reader
+// into h and leaves the reader at the transaction count, so a caller can
+// hash the header and drop a block it already holds before decoding the
+// body (readTxs).
+func readBlockHeader(r *wire.Reader, h *BlockHeader) error {
+	if err := readTag(r, "block"); err != nil {
 		return err
 	}
-	if r.off+len(tx.Salt) > len(r.buf) {
-		return errTruncated
-	}
-	r.off += copy(tx.Salt[:], r.buf[r.off:])
-	if tx.ExpiresAt, err = r.u64(); err != nil {
-		return err
-	}
-	if tx.Call.Contract, err = r.str(); err != nil {
-		return err
-	}
-	if tx.Call.Method, err = r.str(); err != nil {
-		return err
-	}
-	// Args are opaque to the chain: hashed into the ID, handed to the
-	// contract, which answers anything it cannot parse with ErrBadArgs.
-	var args []byte
-	if args, err = r.blob(); err != nil {
-		return err
-	}
-	tx.Call.Args = args
-	if tx.PubKey, err = r.blob(); err != nil {
-		return err
-	}
-	if tx.Signature, err = r.blob(); err != nil {
-		return err
+	h.Height = r.U64()
+	copy(h.PrevHash[:], r.Bytes(crypto.DigestSize))
+	copy(h.MerkleRoot[:], r.Bytes(crypto.DigestSize))
+	h.TimeUnixNano = int64(r.U64())
+	h.Difficulty = r.U8()
+	h.Nonce = r.U64()
+	h.Miner = r.Str()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("blockchain: decode block: %w", err)
 	}
 	return nil
 }
 
-func decodeTxBinary(data []byte) (Transaction, error) {
-	r := txReader{buf: data, off: 1}
-	var tx Transaction
-	if err := r.readTxBody(&tx); err != nil {
-		return Transaction{}, fmt.Errorf("blockchain: decode tx: %w", err)
-	}
-	if r.off != len(data) {
-		return Transaction{}, fmt.Errorf("blockchain: decode tx: %d trailing bytes", len(data)-r.off)
-	}
-	return tx, nil
-}
-
-// readBlockHeader reads the header of a block encoding and leaves the
-// reader at the transaction count, so a caller can hash the header and drop
-// a block it already holds before decoding the body (readTxs).
-func readBlockHeader(data []byte) (h BlockHeader, r txReader, err error) {
-	if len(data) == 0 {
-		return h, r, errors.New("blockchain: decode block: empty input")
-	}
-	if data[0] != codecVersion {
-		return h, r, fmt.Errorf("blockchain: decode block: unknown format byte 0x%02x", data[0])
-	}
-	r = txReader{buf: data, off: 1}
-	fail := func(err error) (BlockHeader, txReader, error) {
-		return BlockHeader{}, r, fmt.Errorf("blockchain: decode block: %w", err)
-	}
-	if h.Height, err = r.u64(); err != nil {
-		return fail(err)
-	}
-	if h.PrevHash, err = r.digest(); err != nil {
-		return fail(err)
-	}
-	if h.MerkleRoot, err = r.digest(); err != nil {
-		return fail(err)
-	}
-	t, err := r.u64()
-	if err != nil {
-		return fail(err)
-	}
-	h.TimeUnixNano = int64(t)
-	if r.off >= len(data) {
-		return fail(errTruncated)
-	}
-	h.Difficulty = data[r.off]
-	r.off++
-	if h.Nonce, err = r.u64(); err != nil {
-		return fail(err)
-	}
-	if h.Miner, err = r.str(); err != nil {
-		return fail(err)
-	}
-	return h, r, nil
-}
-
 // readTxs reads the rest of a block encoding after readBlockHeader: the
 // transaction count and bodies, into b.Txs, and nothing after them.
-func (r *txReader) readTxs(b *Block) error {
-	count, err := r.u32()
-	if err != nil {
-		return fmt.Errorf("blockchain: decode block: %w", err)
-	}
-	if count > maxWireTxs {
-		return fmt.Errorf("blockchain: decode block: declared tx count %d exceeds limit", count)
-	}
-	// Reject counts the remaining bytes cannot possibly hold before
-	// allocating.
-	if int(count) > (len(r.buf)-r.off)/minTxBody {
-		return fmt.Errorf("blockchain: decode block: declared tx count %d exceeds remaining data", count)
-	}
-	if count > 0 {
-		b.Txs = make([]Transaction, count)
+func readTxs(r *wire.Reader, b *Block) error {
+	if n := r.Count(minTxBody); n > 0 {
+		b.Txs = make([]Transaction, n)
 		for i := range b.Txs {
-			if err := r.readTxBody(&b.Txs[i]); err != nil {
-				return fmt.Errorf("blockchain: decode block: %w", err)
-			}
+			readTxBody(r, &b.Txs[i])
 		}
 	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("blockchain: decode block: %d trailing bytes", len(r.buf)-r.off)
+	if err := r.End(); err != nil {
+		return fmt.Errorf("blockchain: decode block: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package blockchain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -42,6 +43,29 @@ func testBlockForCodec(t testing.TB, txCount int) *Block {
 		},
 		Txs: txs,
 	}
+}
+
+// appendBlockV4 encodes b in the fixed-width framing of codec version 0x04
+// (u16 string and u32 blob lengths, a u32 transaction count), the blocks a
+// block log of an older build holds.
+func appendBlockV4(b *Block) []byte {
+	str16 := func(buf []byte, s string) []byte {
+		return append(binary.BigEndian.AppendUint16(buf, uint16(len(s))), s...)
+	}
+	blob32 := func(buf, p []byte) []byte { return append(binary.BigEndian.AppendUint32(buf, uint32(len(p))), p...) }
+	buf := str16(b.Header.appendFixed([]byte{0x04}), b.Header.Miner)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Txs)))
+	for _, tx := range b.Txs {
+		buf = str16(buf, tx.From)
+		buf = append(buf, tx.Salt[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, tx.ExpiresAt)
+		buf = str16(buf, tx.Call.Contract)
+		buf = str16(buf, tx.Call.Method)
+		buf = blob32(buf, tx.Call.Args)
+		buf = blob32(buf, tx.PubKey)
+		buf = blob32(buf, tx.Signature)
+	}
+	return buf
 }
 
 // mustJSON is the encoding/json form of a wire struct: the alloc-ratio
@@ -113,18 +137,29 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"truncated txs":    valid[:len(valid)-5],
 		"trailing bytes":   append(append([]byte(nil), valid...), 0),
 	}
-	// A lying tx count: the count field sits right after the miner string.
+	// The miner's one-byte length sits after the fixed-width header fields,
+	// the transaction count right after the miner string.
 	b := testBlockForCodec(t, 2)
-	countOff := 1 + 8 + crypto.DigestSize + crypto.DigestSize + 8 + 1 + 8 + 2 + len(b.Header.Miner)
-	lying := append([]byte(nil), valid...)
-	lying[countOff] = 0xff
-	lying[countOff+1] = 0xff
-	cases["lying tx count"] = lying
+	minerOff := 1 + headerNonceAt + 8
+	countOff := minerOff + 1 + len(b.Header.Miner)
+	splice := func(off, n int, with ...byte) []byte {
+		return append(append(append([]byte(nil), valid[:off]...), with...), valid[off+n:]...)
+	}
+	cases["lying tx count"] = splice(countOff, 2, 0xff, 0xff)
+	// A count the bytes left cannot hold, minimally encoded.
+	cases["lying uvarint count"] = splice(countOff, 1, binary.AppendUvarint(nil, 1<<20)...)
+	// The miner's length as two bytes where one holds it.
+	cases["non-minimal uvarint length"] = splice(minerOff, 1, byte(len(b.Header.Miner))|0x80, 0x00)
 
 	for name, data := range cases {
 		if _, err := DecodeBlock(data); err == nil {
 			t.Errorf("%s: block decode accepted hostile input", name)
 		}
+	}
+	// A block of the fixed-width framing (tag 0x04) is refused by name.
+	const older = "unknown format byte 0x04, an older build's"
+	if _, err := DecodeBlock(appendBlockV4(b)); err == nil || !strings.Contains(err.Error(), older) {
+		t.Errorf("0x04 block: err = %v, want %q", err, older)
 	}
 	// '{' is no format tag: well-formed JSON of the wire structs is refused
 	// on the tag byte like any other unknown format, by every decoder.
@@ -154,17 +189,11 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 func TestAppendTxReusesBuffer(t *testing.T) {
 	tx := testTx(t, "alice", 1)
 	buf := make([]byte, 0, 4096)
-	one, err := AppendTx(buf, &tx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := AppendTx(buf, &tx)
 	if &one[0] != &buf[:1][0] {
 		t.Fatal("AppendTx reallocated despite sufficient capacity")
 	}
-	two, err := AppendTx(one, &tx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	two := AppendTx(one, &tx)
 	if !bytes.Equal(two[:len(one)], two[len(one):]) {
 		t.Fatal("consecutive appends differ")
 	}
@@ -181,15 +210,40 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 }
 
 func TestRangeRespRoundTrip(t *testing.T) {
-	resp := rangeResp{Blocks: [][]byte{
+	resp := [][]byte{
 		testBlockForCodec(t, 2).Encode(),
 		testBlockForCodec(t, 0).Encode(),
-	}}
-	got, err := decodeRangeResp(encodeRangeResp(&resp))
+	}
+	got, err := decodeRangeResp(encodeRangeResp(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, resp) {
 		t.Fatal("range response round trip mismatch")
+	}
+}
+
+// A transaction's ID and a block's hash derive from their fields, not from
+// their frames: both values were the same under the fixed-width framing of
+// 0x04, whose encodings of the two were 464 and 571 bytes.
+func TestIdentityDoesNotDependOnFraming(t *testing.T) {
+	tx := Transaction{From: "li@tenant-1", Salt: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}, ExpiresAt: 1030,
+		Call:   contract.Call{Contract: "drams.logmatch", Method: "logbatch", Args: bytes.Repeat([]byte{0xa5}, 300)},
+		PubKey: bytes.Repeat([]byte{0x11}, 32), Signature: bytes.Repeat([]byte{0x22}, 64)}
+	b := &Block{Header: BlockHeader{Height: 7, PrevHash: crypto.Sum([]byte("parent")), TimeUnixNano: 1712345678901234567,
+		Difficulty: 9, Nonce: 0xdeadbeefcafe, Miner: "node@cloud-1"}, Txs: []Transaction{tx}}
+	b.Header.MerkleRoot = ComputeMerkleRoot(b.Txs)
+	const (
+		wantID   = "96571d0106501b25946c1413f1566958a5785a1208ea9b2c6b7a20375c5ff155"
+		wantHash = "45e5e04b7017ec470241feba8434e9c613338f71aea7da3204c01136ca678b82"
+	)
+	if id := tx.ID().String(); id != wantID {
+		t.Errorf("tx ID %s, want %s", id, wantID)
+	}
+	if hash := b.Hash().String(); hash != wantHash {
+		t.Errorf("block hash %s, want %s", hash, wantHash)
+	}
+	if tn, bn := len(EncodeTx(tx)), len(b.Encode()); tn != 453 || bn != 556 {
+		t.Errorf("encodings of %d and %d bytes, want 453 and 556", tn, bn)
 	}
 }

@@ -1,6 +1,7 @@
 package blockchain
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -66,20 +67,29 @@ func addChild(t *testing.T, c *Chain, alice *crypto.Identity, parent crypto.Dige
 	return b.Hash()
 }
 
-// wantEvents is what a follower must read for a best-chain block: its
-// receipts' events in transaction order, then the tick hook's.
+// wantEvents is what a follower must read for a best-chain block: the Put
+// event of each transaction that succeeded, in transaction order, then the
+// tick hook's.
 func wantEvents(t *testing.T, c *Chain, hash crypto.Digest) []contract.Event {
 	t.Helper()
 	b, _ := c.BlockByHash(hash)
 	var evs []contract.Event
 	for _, tx := range b.Txs {
-		rec, _, err := c.Receipt(tx.ID())
+		id := tx.ID()
+		rec, _, err := c.Receipt(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs = append(evs, rec.Events...)
+		if !rec.OK {
+			continue
+		}
+		var args kvArgs
+		if err := json.Unmarshal(tx.Call.Args, &args); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, contract.Event{Contract: "kv", Type: "Put", Payload: []byte(args.Key), Height: b.Header.Height, TxID: id})
 	}
-	return append(evs, tickContract{}.OnBlock(b.Header.Height, time.Time{}, nil)...)
+	return append(evs, contract.Event{Contract: "tick", Type: "Tick", Payload: []byte(fmt.Sprint(b.Header.Height)), Height: b.Header.Height})
 }
 
 // Blocks added one at a time, many while the follower is still busy with

@@ -2,7 +2,7 @@ package blockchain
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,6 +13,7 @@ import (
 	"drams/internal/crypto"
 	"drams/internal/metrics"
 	"drams/internal/transport"
+	"drams/internal/wire"
 )
 
 // Message kinds used on the wire.
@@ -554,8 +555,9 @@ func (n *Node) importLoop() {
 // already holds is dropped there, its height noted, before its body is
 // decoded. A frame too short for a header is refused.
 func (n *Node) importFrame(in inboundBlock) {
-	h, r, err := readBlockHeader(in.payload)
-	if err != nil {
+	var h BlockHeader
+	r := wire.NewReader(in.payload)
+	if readBlockHeader(&r, &h) != nil {
 		return
 	}
 	hash := h.Hash()
@@ -564,7 +566,7 @@ func (n *Node) importFrame(in inboundBlock) {
 		return
 	}
 	b := &Block{Header: h}
-	if err := r.readTxs(b); err != nil {
+	if err := readTxs(&r, b); err != nil {
 		return
 	}
 	n.importBlock(framedBlock{b, hash, in.payload}, in.from)
@@ -614,15 +616,38 @@ func (n *Node) afterAccept(from string, frames ...[]byte) {
 	}
 }
 
+// headInfo is a bc.head reply: the serving node's best-chain tip.
 type headInfo struct {
-	Hash   crypto.Digest `json:"hash"`
-	Height uint64        `json:"height"`
+	Hash   crypto.Digest
+	Height uint64
+}
+
+// encode serialises the reply (codec.go's head reply layout).
+func (hi headInfo) encode() []byte {
+	buf := make([]byte, 0, 1+crypto.DigestSize+8)
+	buf = append(append(buf, codecVersion), hi.Hash[:]...)
+	return binary.BigEndian.AppendUint64(buf, hi.Height)
+}
+
+// decodeHeadInfo parses a bc.head reply.
+func decodeHeadInfo(data []byte) (headInfo, error) {
+	r := wire.NewReader(data)
+	if err := readTag(&r, "head reply"); err != nil {
+		return headInfo{}, err
+	}
+	var hi headInfo
+	copy(hi.Hash[:], r.Bytes(crypto.DigestSize))
+	hi.Height = r.U64()
+	if err := r.End(); err != nil {
+		return headInfo{}, fmt.Errorf("blockchain: decode head reply: %w", err)
+	}
+	return hi, nil
 }
 
 // handleHead serves the node's best-chain tip.
 func (n *Node) handleHead(from string, payload []byte) ([]byte, error) {
 	hash, height := n.chain.Head()
-	return json.Marshal(headInfo{Hash: hash, Height: height})
+	return headInfo{Hash: hash, Height: height}.encode(), nil
 }
 
 // headAge reports how long ago the current head block was produced. A

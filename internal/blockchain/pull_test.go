@@ -1,7 +1,6 @@
 package blockchain
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -52,8 +51,8 @@ func newPullRig(t *testing.T, alice *crypto.Identity, joinerCfg NodeConfig) *pul
 	r.peer = ep
 	ep.OnCall(kindHead, r.src.handleHead)
 	ep.OnCall(kindGetRange, func(from string, payload []byte) ([]byte, error) {
-		var req rangeReq
-		if err := json.Unmarshal(payload, &req); err != nil {
+		req, err := decodeRangeReq(payload)
+		if err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
@@ -74,14 +73,14 @@ func newPullRig(t *testing.T, alice *crypto.Identity, joinerCfg NodeConfig) *pul
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if r.forged != nil {
-			resp = rangeResp{}
+			resp = nil
 			for _, b := range r.forged {
-				resp.Blocks = append(resp.Blocks, b.Encode())
+				resp = append(resp, b.Encode())
 			}
 		}
-		r.asked = append(r.asked, req.Count)
-		r.served = append(r.served, len(resp.Blocks))
-		return encodeRangeResp(&resp), nil
+		r.asked = append(r.asked, int(req.Count))
+		r.served = append(r.served, len(resp))
+		return encodeRangeResp(resp), nil
 	})
 	joinerCfg.Name = "joiner"
 	joinerCfg.Chain = testChainConfig(t, alice)

@@ -2,7 +2,6 @@ package blockchain
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -70,11 +69,7 @@ func TestMineLoopHeadMovedMidSnapshot(t *testing.T) {
 // rangeOf is a test helper calling the bc.getrange handler directly.
 func rangeOf(t *testing.T, n *Node, req rangeReq) []*Block {
 	t.Helper()
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := n.handleGetRange("tester", payload)
+	raw, err := n.handleGetRange("tester", req.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +77,8 @@ func rangeOf(t *testing.T, n *Node, req rangeReq) []*Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]*Block, len(resp.Blocks))
-	for i, enc := range resp.Blocks {
+	out := make([]*Block, len(resp))
+	for i, enc := range resp {
 		b, err := DecodeBlock(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -131,8 +126,7 @@ func TestGetRangeServesDescendingWindow(t *testing.T) {
 		t.Fatalf("bounded window returned %d blocks", got)
 	}
 	// Unknown cursor errors.
-	payload, _ := json.Marshal(rangeReq{Cursor: crypto32(0xee), Count: 4})
-	if _, err := node.handleGetRange("tester", payload); err == nil {
+	if _, err := node.handleGetRange("tester", rangeReq{Cursor: crypto32(0xee), Count: 4}.encode()); err == nil {
 		t.Fatal("unknown cursor served")
 	}
 }
@@ -323,8 +317,9 @@ func TestJSONPersistedChainReopens(t *testing.T) {
 // expiry height) would misread the transaction bodies under today's layout
 // and fail on a Merkle root or a signature a few checks in; blocks of the
 // 0x03 format (JSON probe records in the args) would decode and then fail
-// their records in the contract. Their format byte refuses them all first,
-// at height 1, and the error names the byte. A
+// their records in the contract; blocks of the 0x04 format (today's fields
+// in a fixed-width framing) would misread their lengths. Their format byte
+// refuses them all first, at height 1, and the error names the byte. A
 // JSON-lines WAL, the file format before the block log, is refused by its
 // first byte before any record is read.
 func TestOldFormatWALRefusedByName(t *testing.T) {
@@ -346,6 +341,18 @@ func TestOldFormatWALRefusedByName(t *testing.T) {
 		{"0x01", oldFormat(0x01), "height 1: blockchain: decode block: unknown format byte 0x01", 4},
 		{"0x02", oldFormat(0x02), "height 1: blockchain: decode block: unknown format byte 0x02", 4},
 		{"0x03", oldFormat(0x03), "height 1: blockchain: decode block: unknown format byte 0x03", 4},
+		// Today's blocks in the fixed-width framing of 0x04.
+		{"0x04", func(t *testing.T, path string) {
+			logged := readLog(t, path)
+			for i, raw := range logged {
+				b, err := DecodeBlock(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logged[i] = appendBlockV4(b)
+			}
+			writeLog(t, path, logged)
+		}, "height 1: blockchain: decode block: unknown format byte 0x04, an older build's", 4},
 		{"json-wal", func(t *testing.T, path string) {
 			wal := `{"op":"put","key":"block/0000000000000001","value":"AwAA"}` + "\n" +
 				`{"op":"put","key":"head","value":"AAAAAAAAAAE="}` + "\n"
@@ -480,29 +487,29 @@ func TestSyncFromToleratesHeadChurn(t *testing.T) {
 		if headCalls == 1 {
 			// First answer: the fork block, which "reorgs away" before the
 			// joiner can pull its ancestry.
-			return json.Marshal(headInfo{Hash: fork.Hash(), Height: 5})
+			return headInfo{Hash: fork.Hash(), Height: 5}.encode(), nil
 		}
-		return json.Marshal(headInfo{Hash: hashes[8], Height: 8})
+		return headInfo{Hash: hashes[8], Height: 8}.encode(), nil
 	})
 	ep.OnCall(kindGetRange, func(from string, payload []byte) ([]byte, error) {
-		var req rangeReq
-		if err := json.Unmarshal(payload, &req); err != nil {
+		req, err := decodeRangeReq(payload)
+		if err != nil {
 			return nil, err
 		}
-		var resp rangeResp
+		var resp [][]byte
 		cursor := req.Cursor
-		for len(resp.Blocks) < req.Count {
+		for uint64(len(resp)) < req.Count {
 			b, ok := byHash[string(cursor[:])]
 			if !ok {
-				if len(resp.Blocks) == 0 {
+				if len(resp) == 0 {
 					return nil, errors.New("not found (reorged away)")
 				}
 				break
 			}
-			resp.Blocks = append(resp.Blocks, b.Encode())
+			resp = append(resp, b.Encode())
 			cursor = b.Header.PrevHash
 		}
-		return encodeRangeResp(&resp), nil
+		return encodeRangeResp(resp), nil
 	})
 
 	joiner, err := NewNode(NodeConfig{Name: "joiner", Chain: testChainConfig(t, alice), Network: net,
@@ -624,7 +631,7 @@ func TestStopAbortsInFlightSyncCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep.OnCall(kindHead, func(string, []byte) ([]byte, error) {
-		return json.Marshal(headInfo{Hash: crypto32(0xee), Height: 9})
+		return headInfo{Hash: crypto32(0xee), Height: 9}.encode(), nil
 	})
 	inFlight := make(chan struct{})
 	var once sync.Once

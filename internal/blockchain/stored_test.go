@@ -2,7 +2,6 @@ package blockchain
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"path/filepath"
@@ -203,15 +202,11 @@ func TestStoredFrameServedByGetRange(t *testing.T) {
 	if h, _ := n.chain.Head(); h != parent {
 		t.Fatal("the six blocks are not the best chain")
 	}
-	payload, err := json.Marshal(rangeReq{Cursor: parent, Count: 10})
+	raw, err := n.handleGetRange("tester", rangeReq{Cursor: parent, Count: 10}.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := n.handleGetRange("tester", payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := encodeRangeResp(&rangeResp{Blocks: encodings}); !bytes.Equal(raw, want) {
+	if want := encodeRangeResp(encodings); !bytes.Equal(raw, want) {
 		t.Fatalf("bc.getrange served %d bytes that are not the blocks' encodings (%d bytes)", len(raw), len(want))
 	}
 }

@@ -3,12 +3,12 @@ package blockchain
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
 	"drams/internal/crypto"
+	"drams/internal/wire"
 )
 
 // Catch-up protocol. A node that (re)joins — fresh, after a restart from
@@ -41,83 +41,90 @@ const maxRangeBytes = 4 << 20
 const syncCallTimeout = 10 * time.Second
 
 // rangeReq asks for up to Count blocks starting at Cursor (inclusive) and
-// walking PrevHash links backwards. The request is JSON — it is one tiny
-// frame per sync window, not hot.
+// walking PrevHash links backwards; a Count of 0 or above maxRangeServe
+// asks for maxRangeServe.
 type rangeReq struct {
-	Cursor crypto.Digest `json:"cursor"`
-	Count  int           `json:"count"`
+	Cursor crypto.Digest
+	Count  uint64
 }
 
-// rangeResp carries the encoded blocks, descending from the cursor. Fewer
-// than Count blocks come back when the walk reaches genesis (which is never
-// shipped — every member derives it from Config) or the serving cap.
-type rangeResp struct {
-	Blocks [][]byte
+// encode serialises the request (codec.go's range req layout).
+func (q rangeReq) encode() []byte {
+	buf := make([]byte, 0, 1+crypto.DigestSize+wire.UvarintLen(q.Count))
+	buf = append(append(buf, codecVersion), q.Cursor[:]...)
+	return binary.AppendUvarint(buf, q.Count)
 }
 
-// encodeRangeResp serialises resp: the codec version byte, then u32 count,
-// then u32-length-prefixed block encodings.
-func encodeRangeResp(resp *rangeResp) []byte {
-	n := 1 + 4
-	for _, enc := range resp.Blocks {
-		n += 4 + len(enc)
+// decodeRangeReq parses a bc.getrange request.
+func decodeRangeReq(data []byte) (rangeReq, error) {
+	r := wire.NewReader(data)
+	if err := readTag(&r, "range request"); err != nil {
+		return rangeReq{}, err
 	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, codecVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(resp.Blocks)))
-	for _, enc := range resp.Blocks {
-		buf = appendBlob32(buf, enc)
+	var q rangeReq
+	copy(q.Cursor[:], r.Bytes(crypto.DigestSize))
+	q.Count = r.Uvarint()
+	if err := r.End(); err != nil {
+		return rangeReq{}, fmt.Errorf("blockchain: decode range request: %w", err)
+	}
+	return q, nil
+}
+
+// encodeRangeResp serialises a bc.getrange response: the encoded blocks,
+// descending from the cursor. Fewer than asked come back when the walk
+// reaches genesis (which is never shipped — every member derives it from
+// Config) or the serving cap.
+func encodeRangeResp(blocks [][]byte) []byte {
+	n := 1 + wire.UvarintLen(uint64(len(blocks)))
+	for _, enc := range blocks {
+		n += wire.StrLen(len(enc))
+	}
+	buf := binary.AppendUvarint(append(make([]byte, 0, n), codecVersion), uint64(len(blocks)))
+	for _, enc := range blocks {
+		buf = wire.AppendBlob(buf, enc)
 	}
 	return buf
 }
 
-// decodeRangeResp parses a bc.getrange response.
-func decodeRangeResp(data []byte) (rangeResp, error) {
-	if len(data) == 0 {
-		return rangeResp{}, errors.New("blockchain: empty range response")
+// decodeRangeResp parses a bc.getrange response. Each block is its slice of
+// data. A response of more blocks than a server sends is refused before
+// anything is allocated for them.
+func decodeRangeResp(data []byte) ([][]byte, error) {
+	r := wire.NewReader(data)
+	if err := readTag(&r, "range response"); err != nil {
+		return nil, err
 	}
-	if data[0] != codecVersion {
-		return rangeResp{}, fmt.Errorf("blockchain: range response: unknown format byte 0x%02x", data[0])
+	n := r.Count(1)
+	if n > maxRangeServe {
+		return nil, fmt.Errorf("blockchain: decode range response: %d blocks, a server sends at most %d", n, maxRangeServe)
 	}
-	r := txReader{buf: data, off: 1}
-	count, err := r.u32()
-	if err != nil {
-		return rangeResp{}, err
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = r.Blob()
 	}
-	if count > maxRangeServe {
-		return rangeResp{}, fmt.Errorf("blockchain: range response declares %d blocks", count)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("blockchain: decode range response: %w", err)
 	}
-	resp := rangeResp{Blocks: make([][]byte, 0, count)}
-	for i := uint32(0); i < count; i++ {
-		enc, err := r.blob()
-		if err != nil {
-			return rangeResp{}, err
-		}
-		resp.Blocks = append(resp.Blocks, enc)
-	}
-	if r.off != len(data) {
-		return rangeResp{}, fmt.Errorf("blockchain: range response has %d trailing bytes", len(data)-r.off)
-	}
-	return resp, nil
+	return blocks, nil
 }
 
 // handleGetRange serves a descending window of blocks for batched catch-up.
 func (n *Node) handleGetRange(from string, payload []byte) ([]byte, error) {
-	var req rangeReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("blockchain: getrange: %w", err)
+	req, err := decodeRangeReq(payload)
+	if err != nil {
+		return nil, err
 	}
 	count := req.Count
-	if count <= 0 || count > maxRangeServe {
+	if count == 0 || count > maxRangeServe {
 		count = maxRangeServe
 	}
-	var resp rangeResp
+	var blocks [][]byte
 	cursor := req.Cursor
 	total := 0
-	for len(resp.Blocks) < count {
+	for uint64(len(blocks)) < count {
 		s, ok := n.chain.stored(cursor)
 		if !ok {
-			if len(resp.Blocks) == 0 {
+			if len(blocks) == 0 {
 				return nil, fmt.Errorf("blockchain: getrange %s: not found", cursor.Short())
 			}
 			break
@@ -125,14 +132,14 @@ func (n *Node) handleGetRange(from string, payload []byte) ([]byte, error) {
 		if s.header.Height == 0 {
 			break
 		}
-		if len(resp.Blocks) > 0 && total+len(s.frame) > maxRangeBytes {
+		if len(blocks) > 0 && total+len(s.frame) > maxRangeBytes {
 			break
 		}
-		resp.Blocks = append(resp.Blocks, s.frame)
+		blocks = append(blocks, s.frame)
 		total += len(s.frame)
 		cursor = s.header.PrevHash
 	}
-	return encodeRangeResp(&resp), nil
+	return encodeRangeResp(blocks), nil
 }
 
 // syncCall issues one catch-up Call with the protocol timeout, counting it.
@@ -149,24 +156,20 @@ func (n *Node) syncCall(peer, kind string, payload []byte) ([]byte, error) {
 // before any block is decoded: each block's frame is its slice of the
 // response, so whatever the chain keeps of a response pins all of it.
 func (n *Node) fetchAncestors(peer string, cursor crypto.Digest, count int) ([]framedBlock, error) {
-	payload, err := json.Marshal(rangeReq{Cursor: cursor, Count: count})
+	raw, err := n.syncCall(peer, kindGetRange, rangeReq{Cursor: cursor, Count: uint64(count)}.encode())
 	if err != nil {
 		return nil, err
 	}
-	raw, err := n.syncCall(peer, kindGetRange, payload)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := decodeRangeResp(raw)
+	encs, err := decodeRangeResp(raw)
 	if err != nil {
 		return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
 	}
-	if len(resp.Blocks) > count {
-		return nil, fmt.Errorf("blockchain: range from %q: %d blocks, asked for %d", peer, len(resp.Blocks), count)
+	if len(encs) > count {
+		return nil, fmt.Errorf("blockchain: range from %q: %d blocks, asked for %d", peer, len(encs), count)
 	}
-	blocks := make([]framedBlock, 0, len(resp.Blocks))
+	blocks := make([]framedBlock, 0, len(encs))
 	want := cursor
-	for _, enc := range resp.Blocks {
+	for _, enc := range encs {
 		b, err := DecodeBlock(enc)
 		if err != nil {
 			return nil, fmt.Errorf("blockchain: range from %q: %w", peer, err)
@@ -266,8 +269,8 @@ func (n *Node) fetchHead(peer string) (headInfo, error) {
 	if err != nil {
 		return headInfo{}, err
 	}
-	var hi headInfo
-	if err := json.Unmarshal(raw, &hi); err != nil {
+	hi, err := decodeHeadInfo(raw)
+	if err != nil {
 		return headInfo{}, err
 	}
 	n.noteSeenHeight(hi.Height)

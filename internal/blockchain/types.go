@@ -30,6 +30,7 @@ import (
 	"drams/internal/contract"
 	"drams/internal/crypto"
 	"drams/internal/merkle"
+	"drams/internal/wire"
 )
 
 // Validation errors.
@@ -197,16 +198,22 @@ const headerHashInline = headerNonceAt + 8 + 64
 // the height, the two digests, the time and the difficulty.
 const headerNonceAt = 8 + 2*crypto.DigestSize + 8 + 1
 
-// appendHashInput appends the bytes Hash digests: height, previous hash,
-// Merkle root, time, difficulty, nonce and miner name.
+// appendHashInput appends the bytes Hash digests: the fixed-width fields,
+// then the miner name.
 func (h *BlockHeader) appendHashInput(buf []byte) []byte {
+	return append(h.appendFixed(buf), h.Miner...)
+}
+
+// appendFixed appends the header's fixed-width fields, in the order the hash
+// input and the block encoding both hold them: height, previous hash, Merkle
+// root, time, difficulty and nonce.
+func (h *BlockHeader) appendFixed(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, h.Height)
 	buf = append(buf, h.PrevHash[:]...)
 	buf = append(buf, h.MerkleRoot[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.TimeUnixNano))
 	buf = append(buf, h.Difficulty)
-	buf = binary.BigEndian.AppendUint64(buf, h.Nonce)
-	return append(buf, h.Miner...)
+	return binary.BigEndian.AppendUint64(buf, h.Nonce)
 }
 
 // meets reports whether hash has at least difficulty leading zero bits.
@@ -232,22 +239,19 @@ func ComputeMerkleRoot(txs []Transaction) crypto.Digest {
 // Encode serialises the block in the binary wire format (see codec.go) for
 // gossip and persistence. The output is exactly sized: one allocation.
 func (b *Block) Encode() []byte {
-	out, err := AppendBlock(make([]byte, 0, blockEncodedLen(b)), b)
-	if err != nil {
-		panic(fmt.Sprintf("blockchain: encode block: %v", err))
-	}
+	out, _ := AppendBlock(make([]byte, 0, blockEncodedLen(b)), b)
 	return out
 }
 
 // DecodeBlock parses a gossiped or persisted block. The leading format tag
 // must be one this build knows (see codec.go).
 func DecodeBlock(data []byte) (*Block, error) {
-	h, r, err := readBlockHeader(data)
-	if err != nil {
+	b := new(Block)
+	r := wire.NewReader(data)
+	if err := readBlockHeader(&r, &b.Header); err != nil {
 		return nil, err
 	}
-	b := &Block{Header: h}
-	if err := r.readTxs(b); err != nil {
+	if err := readTxs(&r, b); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -255,29 +259,28 @@ func DecodeBlock(data []byte) (*Block, error) {
 
 // EncodeTx serialises a transaction in the binary wire format for gossip.
 func EncodeTx(tx Transaction) []byte {
-	out, err := AppendTx(make([]byte, 0, 1+txEncodedLen(&tx)), &tx)
-	if err != nil {
-		panic(fmt.Sprintf("blockchain: encode tx: %v", err))
-	}
-	return out
+	return AppendTx(make([]byte, 0, 1+txEncodedLen(&tx)), &tx)
 }
 
 // DecodeTx parses a gossiped transaction.
 func DecodeTx(data []byte) (Transaction, error) {
-	if len(data) == 0 {
-		return Transaction{}, errors.New("blockchain: decode tx: empty input")
+	r := wire.NewReader(data)
+	if err := readTag(&r, "tx"); err != nil {
+		return Transaction{}, err
 	}
-	if data[0] != codecVersion {
-		return Transaction{}, fmt.Errorf("blockchain: decode tx: unknown format byte 0x%02x", data[0])
+	var tx Transaction
+	readTxBody(&r, &tx)
+	if err := r.End(); err != nil {
+		return Transaction{}, fmt.Errorf("blockchain: decode tx: %w", err)
 	}
-	return decodeTxBinary(data)
+	return tx, nil
 }
 
 // Receipt records the outcome of executing a transaction on the best chain.
+// Its events are the block's (Chain.EventsAfter), kept once there.
 type Receipt struct {
-	TxID   crypto.Digest    `json:"txId"`
-	Height uint64           `json:"height"`
-	OK     bool             `json:"ok"`
-	Err    string           `json:"err,omitempty"`
-	Events []contract.Event `json:"events,omitempty"`
+	TxID   crypto.Digest `json:"txId"`
+	Height uint64        `json:"height"`
+	OK     bool          `json:"ok"`
+	Err    string        `json:"err,omitempty"`
 }

@@ -34,7 +34,6 @@ import (
 	"drams/internal/contract"
 	"drams/internal/core"
 	"drams/internal/crypto"
-	"drams/internal/metrics"
 	"drams/internal/xacml"
 )
 
@@ -62,13 +61,6 @@ type Proposal struct {
 	ActivateHeight uint64
 }
 
-// AdminStats snapshot.
-type AdminStats struct {
-	UpdatesSubmitted   int64
-	RollbacksSubmitted int64
-	Conflicts          int64
-}
-
 // Admin publishes policy updates on behalf of the federation's PAP
 // identity. Safe for concurrent use, and from several members at once:
 // updates are independent transactions, ordered by the blocks that carry
@@ -76,10 +68,6 @@ type AdminStats struct {
 type Admin struct {
 	node   *blockchain.Node
 	sender *blockchain.Sender
-
-	updates   metrics.Counter
-	rollbacks metrics.Counter
-	conflicts metrics.Counter
 }
 
 // NewAdmin binds the PAP identity to a chain node. Any member's node works:
@@ -114,13 +102,10 @@ func (a *Admin) UpdatePolicy(ctx context.Context, ps *xacml.PolicySet, opts Upda
 	if err != nil {
 		return Proposal{}, err
 	}
-	for _, ev := range rec.Events {
-		if ev.Type == core.EventPolicyConflict {
-			a.conflicts.Inc()
-			return Proposal{}, fmt.Errorf("%w: version %q", ErrPolicyConflict, ps.Version)
-		}
+	// A conflicting re-anchor leaves the version's first digest in state.
+	if digest, ok := a.PolicyDigest(ps.Version); ok && digest != pu.Digest {
+		return Proposal{}, fmt.Errorf("%w: version %q", ErrPolicyConflict, ps.Version)
 	}
-	a.updates.Inc()
 	return Proposal{Version: ps.Version, Digest: pu.Digest, TxID: rec.TxID, ActivateHeight: pu.ActivateHeight}, nil
 }
 
@@ -140,7 +125,6 @@ func (a *Admin) Rollback(ctx context.Context, version string, opts UpdateOptions
 		return Proposal{}, err
 	}
 	digest, _ := a.PolicyDigest(version)
-	a.rollbacks.Inc()
 	return Proposal{Version: version, Digest: digest, TxID: rec.TxID, ActivateHeight: args.ActivateHeight}, nil
 }
 
@@ -196,13 +180,4 @@ func (a *Admin) History() []core.PolicyActivation {
 		out = core.ReadPolicyHistory(st)
 	})
 	return out
-}
-
-// Stats snapshots the admin counters.
-func (a *Admin) Stats() AdminStats {
-	return AdminStats{
-		UpdatesSubmitted:   a.updates.Value(),
-		RollbacksSubmitted: a.rollbacks.Value(),
-		Conflicts:          a.conflicts.Value(),
-	}
 }

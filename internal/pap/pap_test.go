@@ -255,9 +255,6 @@ func TestConflictSurfacesAsError(t *testing.T) {
 	if d, _ := f.admin.PolicyDigest("v1"); d != xacml.StandardPolicy("v1").Digest() {
 		t.Fatal("conflict replaced the anchored digest")
 	}
-	if st := f.admin.Stats(); st.Conflicts != 1 || st.UpdatesSubmitted != 1 {
-		t.Fatalf("admin stats = %+v", st)
-	}
 	waitCond(t, 10*time.Second, func() bool {
 		return len(f.events.byKind(EventRejected)) >= 1
 	}, "watchers never surfaced the conflict")

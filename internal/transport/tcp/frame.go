@@ -5,17 +5,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"drams/internal/wire"
 )
 
 // Frame types on the wire.
 const (
-	fMsg     byte = 1 // one-way message
-	fCall    byte = 2 // request expecting a reply
-	fReply   byte = 3 // reply to a call (Err set on handler failure)
-	fHello   byte = 4 // handshake: From = node id, Payload = JSON hello body
-	fAddrAdd byte = 5 // a logical address appeared on the sending node (Kind = addr, Corr = its change's number)
-	fAddrDel byte = 6 // a logical address left the sending node (Kind = addr, Corr = its change's number)
+	fMsg   byte = 1 // one-way message
+	fCall  byte = 2 // request expecting a reply
+	fReply byte = 3 // reply to a call (errStr set on handler failure)
+	fHello byte = 4 // the sender's routing table: from = its node id, payload = hello body
 )
 
 // maxFrame bounds a single frame (header + body) to keep a misbehaving peer
@@ -24,10 +23,12 @@ const maxFrame = 32 << 20
 
 // frame is the unit of the length-prefixed wire protocol:
 //
-//	u32 big-endian frame length (excluding itself), then
+//	u32 big-endian body length (excluding itself), then the body:
 //	u8 type | u64 corr | str from | str to | str kind | str err | blob payload
 //
-// where str is u16 length + bytes and blob is u32 length + bytes.
+// where str and blob are internal/wire's: a uvarint length, then the bytes.
+// The body is read whole, and a read frame's strings and payload alias it:
+// reading a frame allocates its body and nothing else.
 type frame struct {
 	typ     byte
 	corr    uint64
@@ -38,8 +39,12 @@ type frame struct {
 	payload []byte
 }
 
+// minFrameBody is the size of a body whose strings and payload are empty.
+const minFrameBody = 1 + 8 + 5
+
 func (f *frame) encodedLen() int {
-	return 1 + 8 + 2 + len(f.from) + 2 + len(f.to) + 2 + len(f.kind) + 2 + len(f.errStr) + 4 + len(f.payload)
+	return 1 + 8 + wire.StrLen(len(f.from)) + wire.StrLen(len(f.to)) + wire.StrLen(len(f.kind)) +
+		wire.StrLen(len(f.errStr)) + wire.StrLen(len(f.payload))
 }
 
 // appendFrame serializes f (with its length prefix) onto buf.
@@ -48,81 +53,78 @@ func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	if n > maxFrame {
 		return buf, fmt.Errorf("tcp: frame too large (%d bytes)", n)
 	}
-	for _, s := range []string{f.from, f.to, f.kind, f.errStr} {
-		if len(s) > math.MaxUint16 {
-			return buf, fmt.Errorf("tcp: frame string field too long (%d bytes)", len(s))
-		}
-	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	buf = append(buf, f.typ)
 	buf = binary.BigEndian.AppendUint64(buf, f.corr)
-	appendStr := func(s string) {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-		buf = append(buf, s...)
-	}
-	appendStr(f.from)
-	appendStr(f.to)
-	appendStr(f.kind)
-	appendStr(f.errStr)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.payload)))
-	buf = append(buf, f.payload...)
-	return buf, nil
+	buf = wire.AppendStr(buf, f.from)
+	buf = wire.AppendStr(buf, f.to)
+	buf = wire.AppendStr(buf, f.kind)
+	buf = wire.AppendStr(buf, f.errStr)
+	return wire.AppendBlob(buf, f.payload), nil
 }
 
 // readFrame reads one length-prefixed frame.
 func readFrame(r *bufio.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	prefix, err := r.Peek(4)
+	if err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < 1+8+2+2+2+2+4 || n > maxFrame {
+	n := binary.BigEndian.Uint32(prefix)
+	if n < minFrameBody || n > maxFrame {
 		return frame{}, fmt.Errorf("tcp: bad frame length %d", n)
 	}
+	r.Discard(4) // cannot fail: Peek holds the 4 bytes
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
+	rd := wire.NewReader(body)
 	var f frame
-	f.typ = body[0]
-	f.corr = binary.BigEndian.Uint64(body[1:9])
-	off := 9
-	readStr := func() (string, error) {
-		if off+2 > len(body) {
-			return "", fmt.Errorf("tcp: truncated frame")
-		}
-		l := int(binary.BigEndian.Uint16(body[off : off+2]))
-		off += 2
-		if off+l > len(body) {
-			return "", fmt.Errorf("tcp: truncated frame")
-		}
-		s := string(body[off : off+l])
-		off += l
-		return s, nil
-	}
-	var err error
-	if f.from, err = readStr(); err != nil {
-		return frame{}, err
-	}
-	if f.to, err = readStr(); err != nil {
-		return frame{}, err
-	}
-	if f.kind, err = readStr(); err != nil {
-		return frame{}, err
-	}
-	if f.errStr, err = readStr(); err != nil {
-		return frame{}, err
-	}
-	if off+4 > len(body) {
-		return frame{}, fmt.Errorf("tcp: truncated frame")
-	}
-	pl := int(binary.BigEndian.Uint32(body[off : off+4]))
-	off += 4
-	if off+pl != len(body) {
-		return frame{}, fmt.Errorf("tcp: frame payload length mismatch")
-	}
-	if pl > 0 {
-		f.payload = body[off : off+pl]
+	f.typ = rd.U8()
+	f.corr = rd.U64()
+	f.from = rd.Str()
+	f.to = rd.Str()
+	f.kind = rd.Str()
+	f.errStr = rd.Str()
+	f.payload = rd.Blob()
+	if err := rd.End(); err != nil {
+		return frame{}, fmt.Errorf("tcp: bad frame: %w", err)
 	}
 	return f, nil
+}
+
+// maxHelloAddrs bounds the addresses a hello may list, far above what one
+// process hosts, so that a hostile count cannot make the decoder allocate
+// many times the frame it read.
+const maxHelloAddrs = 1 << 16
+
+// appendHello serializes a hello body: the sender's routing table, read at
+// its change numbered gen.
+//
+//	u64 gen | uvarint count | str addr...
+func appendHello(buf []byte, gen uint64, addrs []string) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, gen)
+	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
+	for _, a := range addrs {
+		buf = wire.AppendStr(buf, a)
+	}
+	return buf
+}
+
+// decodeHello parses a hello body. The addresses alias body.
+func decodeHello(body []byte) (gen uint64, addrs []string, err error) {
+	r := wire.NewReader(body)
+	gen = r.U64()
+	n := r.Count(1)
+	if n > maxHelloAddrs {
+		return 0, nil, fmt.Errorf("tcp: hello lists %d addresses, at most %d", n, maxHelloAddrs)
+	}
+	addrs = make([]string, n)
+	for i := range addrs {
+		addrs[i] = r.Str()
+	}
+	if err := r.End(); err != nil {
+		return 0, nil, fmt.Errorf("tcp: bad hello: %w", err)
+	}
+	return gen, addrs, nil
 }

@@ -5,11 +5,11 @@
 // One Transport per process. It listens on Config.ListenAddr, dials the
 // static seed peers from Config.Peers, and keeps one persistent connection
 // per peer with a dedicated write queue and reconnect-with-backoff. A
-// handshake ("hello") exchanges each node's logical endpoint addresses, and
-// later Register/Unregister calls are announced incrementally, so logical
-// addresses ("node@cloud-1", "pdp@infrastructure") route to whichever
-// process hosts them. Sends to addresses hosted locally are delivered
-// in-process without touching a socket.
+// "hello" carries a node's whole table of logical endpoint addresses: each
+// side sends one when a connection opens, and after every Register and
+// Unregister, so logical addresses ("node@cloud-1", "pdp@infrastructure")
+// route to whichever process hosts them. Sends to addresses hosted locally
+// are delivered in-process without touching a socket.
 //
 // Delivery semantics match netsim (pinned by the transporttest conformance
 // suite): one-way loss is silent, one-way messages that cross a socket are
@@ -22,11 +22,11 @@ package tcp
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,16 +61,6 @@ const (
 	writeQueue = 4096
 )
 
-// helloBody is the JSON payload of a handshake frame.
-type helloBody struct {
-	// Node is the sender's advertise address.
-	Node string `json:"node"`
-	// Addrs are the logical endpoint addresses registered on the sender.
-	Addrs []string `json:"addrs"`
-	// Gen is the sender's Transport.gen when Addrs was read.
-	Gen uint64 `json:"gen"`
-}
-
 // Transport is one process's TCP transport. It implements
 // transport.Transport.
 type Transport struct {
@@ -81,16 +71,15 @@ type Transport struct {
 	local  map[string]*endpoint // logical addr -> endpoint
 	remote map[string]string    // logical addr -> hosting node (advertise addr)
 	// gen numbers the changes of local: Register and Unregister advance it,
-	// an address announcement carries the number of its change (in the
-	// frame's corr) and a hello the number its address list was read at.
-	// It starts at New's wall-clock time in nanoseconds, so a restarted
-	// process numbers above its earlier run.
+	// and a hello carries the number its address list was read at. It
+	// starts at New's wall-clock time in nanoseconds, so a restarted process
+	// numbers above its earlier run.
 	gen uint64
-	// seen is, per node, the number of the newest routing update applied
-	// from it. The hello that answers an accepted connection is written
-	// outside the peer's queue, on another connection than the
-	// announcements, and may arrive after announcements of later changes:
-	// an update not newer than seen is stale and is dropped.
+	// seen is, per node, the number of the newest hello applied from it.
+	// The hello that answers an accepted connection is written outside the
+	// peer's queue, on another connection than the writer's hellos, and may
+	// arrive after a hello read at a later change: one older than seen is
+	// stale and is dropped.
 	seen   map[string]uint64
 	peers  map[string]*peer      // node advertise addr -> connection manager
 	conns  map[net.Conn]struct{} // every live conn, so Close can unblock readers
@@ -175,8 +164,8 @@ func (t *Transport) Stats() transport.Stats {
 	}
 }
 
-// Register creates a local endpoint bound to the logical address and
-// announces it to every connected peer.
+// Register creates a local endpoint bound to the logical address and sends
+// every peer a fresh hello.
 func (t *Transport) Register(addr string) (transport.Endpoint, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -194,30 +183,27 @@ func (t *Transport) Register(addr string) (transport.Endpoint, error) {
 		callH: make(map[string]func(from string, payload []byte) ([]byte, error)),
 	}
 	t.local[addr] = ep
-	t.gen++
-	gen := t.gen
-	peers := t.peerList()
+	t.changedLocked()
 	t.mu.Unlock()
-	for _, p := range peers {
-		p.enqueueCtl(frame{typ: fAddrAdd, corr: gen, from: t.advertise, kind: addr})
-	}
 	return ep, nil
 }
 
-// Unregister removes a local address and announces the removal.
+// Unregister removes a local address and sends every peer a fresh hello.
 func (t *Transport) Unregister(addr string) {
 	t.mu.Lock()
-	_, ok := t.local[addr]
-	delete(t.local, addr)
-	t.gen++
-	gen := t.gen
-	peers := t.peerList()
-	t.mu.Unlock()
-	if !ok {
-		return
+	defer t.mu.Unlock()
+	if _, ok := t.local[addr]; ok {
+		delete(t.local, addr)
+		t.changedLocked()
 	}
-	for _, p := range peers {
-		p.enqueueCtl(frame{typ: fAddrDel, corr: gen, from: t.advertise, kind: addr})
+}
+
+// changedLocked numbers a change of local and asks every peer's writer for
+// a hello read after it; the caller holds t.mu.
+func (t *Transport) changedLocked() {
+	t.gen++
+	for _, p := range t.peers {
+		p.resync()
 	}
 }
 
@@ -311,14 +297,14 @@ func (t *Transport) peerFor(node string) *peer {
 		t:      t,
 		node:   node,
 		out:    make(chan frame, writeQueue),
-		ctl:    make(chan frame, 64),
+		wake:   make(chan struct{}, 1),
 		attach: make(chan net.Conn, 1),
 		dead:   make(chan net.Conn, 8),
 		stop:   make(chan struct{}),
 	}
 	// Endpoints registered between the connection's handshake snapshot and
-	// this peer entry's creation would otherwise never be announced: have
-	// the writer send a full hello once it owns a connection.
+	// this peer entry's creation would otherwise never reach the peer: have
+	// the writer send a hello once it owns a connection.
 	p.needsResync.Store(true)
 	t.peers[node] = p
 	t.wg.Add(1)
@@ -335,20 +321,19 @@ func (t *Transport) helloFrame() frame {
 	}
 	gen := t.gen
 	t.mu.Unlock()
-	body, _ := json.Marshal(helloBody{Node: t.advertise, Addrs: addrs, Gen: gen})
-	return frame{typ: fHello, from: t.advertise, payload: body}
+	return frame{typ: fHello, from: t.advertise, payload: appendHello(nil, gen, addrs)}
 }
 
-// syncAddrs makes a full hello authoritative for its sender: addresses the
-// node no longer lists are forgotten, so a resync hello repairs both lost
-// addr-add and lost addr-del announcements. A hello read before a change
-// whose announcement was already applied is dropped.
+// syncAddrs makes a hello authoritative for its sender: addresses the node
+// no longer lists are forgotten. A hello read before a change whose hello
+// was already applied is dropped.
 func (t *Transport) syncAddrs(node string, gen uint64, addrs []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if gen < t.seen[node] {
 		return
 	}
+	node = strings.Clone(node) // node and addrs alias the frame they came in
 	t.seen[node] = gen
 	listed := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
@@ -364,27 +349,14 @@ func (t *Transport) syncAddrs(node string, gen uint64, addrs []string) {
 	}
 }
 
-// announced applies an address announcement of node: addr appeared on it
-// (add) or left it, in its change numbered gen. An announcement a newer
-// hello already covers is dropped.
-func (t *Transport) announced(node string, gen uint64, addr string, add bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gen <= t.seen[node] {
-		return
-	}
-	t.seen[node] = gen
-	if add {
-		t.learnLocked(node, addr)
-	} else if t.remote[addr] == node {
-		delete(t.remote, addr)
-	}
-}
-
-// learnLocked records that node hosts addr; the caller holds t.mu.
+// learnLocked records that node hosts addr, keeping a copy of an address
+// it did not know; the caller holds t.mu.
 func (t *Transport) learnLocked(node, addr string) {
 	if _, local := t.local[addr]; local {
 		return // never shadow a local endpoint
+	}
+	if _, known := t.remote[addr]; !known {
+		addr = strings.Clone(addr)
 	}
 	t.remote[addr] = node
 }
@@ -430,16 +402,17 @@ func (t *Transport) serveConn(conn net.Conn) {
 	defer t.untrackConn(conn)
 	r := bufio.NewReaderSize(conn, 64<<10)
 	f, err := readFrame(r)
-	if err != nil || f.typ != fHello {
+	if err != nil || f.typ != fHello || f.from == "" {
 		conn.Close()
 		return
 	}
-	var hb helloBody
-	if err := json.Unmarshal(f.payload, &hb); err != nil || hb.Node == "" {
+	gen, addrs, err := decodeHello(f.payload)
+	if err != nil {
 		conn.Close()
 		return
 	}
-	t.syncAddrs(hb.Node, hb.Gen, hb.Addrs)
+	node := strings.Clone(f.from)
+	t.syncAddrs(node, gen, addrs)
 	// Answer with our own hello directly on this conn — the peer's writer
 	// does not own it yet, so this write cannot interleave.
 	hf := t.helloFrame()
@@ -455,13 +428,13 @@ func (t *Transport) serveConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	p := t.peerFor(hb.Node)
+	p := t.peerFor(node)
 	if p == nil {
 		conn.Close()
 		return
 	}
 	p.offer(conn)
-	t.readLoop(r, conn, hb.Node)
+	t.readLoop(r, conn, node)
 }
 
 // connDead tells the peer's writer its connection died, so it stops
@@ -508,14 +481,9 @@ func (t *Transport) readLoop(r *bufio.Reader, conn net.Conn, node string) {
 		}
 		switch f.typ {
 		case fHello:
-			var hb helloBody
-			if json.Unmarshal(f.payload, &hb) == nil && hb.Node != "" {
-				t.syncAddrs(hb.Node, hb.Gen, hb.Addrs)
+			if gen, addrs, err := decodeHello(f.payload); err == nil && f.from != "" {
+				t.syncAddrs(f.from, gen, addrs)
 			}
-		case fAddrAdd:
-			t.announced(f.from, f.corr, f.kind, true)
-		case fAddrDel:
-			t.announced(f.from, f.corr, f.kind, false)
 		case fMsg:
 			select {
 			case msgs <- f:
@@ -742,15 +710,15 @@ type peer struct {
 	t      *Transport
 	node   string
 	out    chan frame
-	ctl    chan frame // routing control frames (addr announcements)
+	wake   chan struct{} // one slot: needsResync was set
 	attach chan net.Conn
 	dead   chan net.Conn // readers report connections that failed
 	stop   chan struct{}
 	once   sync.Once
 
-	// needsResync asks the writer to send a fresh full hello: set when a
-	// control frame could not be queued (or at peer creation), so address
-	// knowledge always heals even after control-plane loss.
+	// needsResync asks the writer to send a fresh hello ahead of its next
+	// frame: set at peer creation and at every change of the local
+	// addresses. Requests made before the writer gets to it are one hello.
 	needsResync atomic.Bool
 }
 
@@ -764,15 +732,12 @@ func (p *peer) enqueue(f frame) {
 	}
 }
 
-// enqueueCtl queues a routing control frame. Control-plane loss would be
-// unrecoverable on a healthy connection (a missed addr-add leaves the
-// address unroutable forever), so a full queue degrades to requesting a
-// complete hello resync instead of dropping the information.
-func (p *peer) enqueueCtl(f frame) {
+// resync asks the writer for a fresh hello and wakes it if it waits.
+func (p *peer) resync() {
+	p.needsResync.Store(true)
 	select {
-	case p.ctl <- f:
+	case p.wake <- struct{}{}:
 	default:
-		p.needsResync.Store(true)
 	}
 }
 
@@ -898,20 +863,14 @@ func (p *peer) run() {
 				continue
 			}
 		}
+		// A hello goes first: address knowledge must not queue behind bulk
+		// data.
 		if p.needsResync.Swap(false) {
 			hf := p.t.helloFrame()
 			if !writeFrame(&hf) {
 				p.needsResync.Store(true)
 				continue
 			}
-		}
-		// Control frames go first: address knowledge must not queue behind
-		// bulk data.
-		select {
-		case f := <-p.ctl:
-			writeFrame(&f)
-			continue
-		default:
 		}
 		select {
 		case <-p.stop:
@@ -926,8 +885,7 @@ func (p *peer) run() {
 			// Writer already has a conn; keep it — stale ones are reaped
 			// via p.dead.
 			_ = c
-		case f := <-p.ctl:
-			writeFrame(&f)
+		case <-p.wake:
 		case f := <-p.out:
 			writeFrame(&f)
 		}

@@ -1,8 +1,10 @@
-// Package wire holds the pieces every varint-framed binary layout in the
-// repository is built from: append helpers for length-prefixed strings and
-// blobs, and a strict reader. The PEP↔PDP codec (xacml/wire.go) and the
-// probe record codec (core/record.go) use it; the block codec keeps its own
-// fixed-width framing.
+// Package wire holds the pieces every binary layout members exchange or
+// keep on chain is built from: append helpers for length-prefixed strings
+// and blobs, and a strict reader. The PEP↔PDP codec (xacml/wire.go), the
+// probe record codec (core/record.go), the transaction, block and catch-up
+// codec (blockchain/codec.go) and the TCP frame and hello
+// (transport/tcp/frame.go) all use it; fixed-width fields (heights, times,
+// digests, the TCP frame's u32 length) are written beside them as they are.
 //
 // str and blob are a uvarint length followed by the bytes; counts are
 // uvarints. The reader is canonical: a varint must be minimal, a declared
@@ -146,6 +148,11 @@ func (r *Reader) varint(n int) bool {
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		// One byte, the common case of a length or a count: minimal.
+		r.off++
+		return uint64(r.buf[r.off-1])
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if !r.varint(n) {

@@ -44,8 +44,8 @@ func WithTopology(t *federation.Topology) Option {
 	return func(c *config) { c.topology = t }
 }
 
-// WithSeed makes network behaviour, identities and request IDs
-// reproducible.
+// WithSeed makes network behaviour and identities reproducible. Request IDs
+// are random whatever the seed.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
