@@ -3,12 +3,15 @@ package drams_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"drams"
+	"drams/internal/blockchain"
 	"drams/internal/core"
+	"drams/internal/crypto"
 	"drams/internal/federation"
 	"drams/internal/xacml"
 )
@@ -346,40 +349,94 @@ func TestPolicyUpdateFlow(t *testing.T) {
 	}
 }
 
+// TestMineAllConvergesWithCompetingMiners: every cloud mines, the paper's
+// PoW federation, so forks are routine. Clean concurrent traffic driven
+// until the chain passes minHeight must all match with no alert, the
+// replicas must agree on the state at a common head, and reorgs happen but
+// each costs its depth: a reorg applies at most the blocks it undid plus
+// one, never the chain from genesis.
 func TestMineAllConvergesWithCompetingMiners(t *testing.T) {
-	// Every cloud mines (more realistic, fork-prone): clean traffic must
-	// still match and all nodes must share one state.
+	const workers, minHeight = 4, 300
 	dep := testDeployment(t, drams.WithMineAll(), drams.WithTimeoutBlocks(40))
-	clients := []*drams.Client{tenantClient(t, dep, "tenant-1"), tenantClient(t, dep, "tenant-2")}
-	for i := 0; i < 4; i++ {
-		req := doctorRequest(dep)
-		if _, err := clients[i%2].Decide(ctx20(t), req); err != nil {
+	var nodes []*blockchain.Node
+	for _, c := range dep.Topology().Clouds {
+		n, err := dep.Node(c.Name)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dep.WaitForMatched(ctx20(t), req.ID); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
+		nodes = append(nodes, n)
 	}
-	// Replicas converge (allow gossip to settle).
-	n1, err1 := dep.Node("cloud-1")
-	n2, err2 := dep.Node("cloud-2")
-	if err := errors.Join(err1, err2); err != nil {
-		t.Fatal(err)
+	clients := []*drams.Client{tenantClient(t, dep, "tenant-1"), tenantClient(t, dep, "tenant-2")}
+	ctx := ctx20(t)
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		exchanges int
+		failures  []error
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for nodes[0].Chain().Height() < minHeight && ctx.Err() == nil {
+				req := doctorRequest(dep)
+				_, err := clients[w%2].Decide(ctx, req)
+				if err == nil {
+					err = dep.WaitForMatched(ctx, req.ID)
+				}
+				mu.Lock()
+				exchanges++
+				if err != nil {
+					failures = append(failures, fmt.Errorf("request %s: %w", req.ID, err))
+				}
+				mu.Unlock()
+			}
+		}()
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		d1 := n1.Chain().StateDigest()
-		d2 := n2.Chain().StateDigest()
-		if d1 == d2 {
+	wg.Wait()
+	if err := errors.Join(failures...); err != nil {
+		t.Fatalf("%d of %d exchanges did not match: %v", len(failures), exchanges, err)
+	}
+	if h := nodes[0].Chain().Height(); h < minHeight {
+		t.Fatalf("height %d after %d exchanges, want %d", h, exchanges, minHeight)
+	}
+
+	// Replicas agree on the state at a common head (allow gossip to settle).
+	// Each member's head and digest are read twice around the digest, so a
+	// pair is only compared when neither head moved in between.
+	read := func(n *blockchain.Node) (crypto.Digest, crypto.Digest, bool) {
+		head, _ := n.Chain().Head()
+		digest := n.Chain().StateDigest()
+		again, _ := n.Chain().Head()
+		return head, digest, head == again
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h1, d1, ok1 := read(nodes[0])
+		h2, d2, ok2 := read(nodes[1])
+		if ok1 && ok2 && h1 == h2 {
+			if d1 != d2 {
+				t.Fatalf("replicas at head %s disagree on the state", h1.Short())
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("multi-miner replicas did not converge")
+			t.Fatal("multi-miner replicas did not reach a common head")
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	if n := dep.Monitor.Stats().AlertsSeen; n != 0 {
 		t.Fatalf("clean multi-miner traffic raised %d alerts", n)
+	}
+	var reorgs, undone, applied int64
+	for _, n := range nodes {
+		st := n.Stats()
+		reorgs, undone, applied = reorgs+st.Reorgs, undone+st.ReorgBlocksUndone, applied+st.ReorgBlocksApplied
+	}
+	t.Logf("%d exchanges to height %d: %d reorgs undid %d blocks and applied %d", exchanges, nodes[0].Chain().Height(), reorgs, undone, applied)
+	if reorgs == 0 {
+		t.Fatal("no reorg with every member mining: the row does not exercise one")
+	}
+	if applied > undone+reorgs {
+		t.Fatalf("%d reorgs applied %d blocks, more than the %d they undid plus one each", reorgs, applied, undone)
 	}
 }
 

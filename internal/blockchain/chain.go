@@ -67,6 +67,11 @@ type Chain struct {
 	receipts  map[crypto.Digest]Receipt          // of the best chain's top E+1 blocks
 	events    map[crypto.Digest][]contract.Event // of the same blocks, those that have any
 	abandoned []Transaction                      // of blocks reorganised away, until TakeAbandoned
+	// marks are the state journal's marks after the best chain's top E+2
+	// blocks, the head's last: a block's undo list is the journal between
+	// its parent's mark and its own, kept for the same top E+1 blocks as
+	// the receipts.
+	marks []uint64
 
 	headSubs map[int]chan struct{}
 	subSeq   int
@@ -77,6 +82,13 @@ type Chain struct {
 	log         *blockLog // nil: the chain lives in memory only
 	persisted   metrics.Counter
 	persistErrs metrics.Counter
+	// Head changes that undid blocks, the blocks they undid and applied,
+	// and branches refused because they fork more than E+1 blocks below
+	// the head.
+	reorgs       metrics.Counter
+	reorgUndone  metrics.Counter
+	reorgApplied metrics.Counter
+	reorgRefused metrics.Counter
 }
 
 // NewChain constructs a chain containing only the genesis block.
@@ -105,6 +117,7 @@ func NewChain(cfg Config) *Chain {
 	c.genesis = gh
 	c.head = gh
 	c.bestChain = []crypto.Digest{gh}
+	c.marks = []uint64{c.state.Mark()}
 	return c
 }
 
@@ -408,14 +421,9 @@ func (c *Chain) addBlockLocked(b *Block, s *storedBlock, hash crypto.Digest) err
 	}
 
 	c.blocks[hash] = s
-
-	if !c.betterThanHeadLocked(b, hash) {
-		return nil // valid side-branch block; kept for future fork choice
+	if c.betterThanHeadLocked(b, hash) && c.reorgToLocked(hash, b) {
+		c.notifyHeadLocked()
 	}
-	if err := c.reorgToLocked(hash, b); err != nil {
-		return err
-	}
-	c.notifyHeadLocked()
 	return nil
 }
 
@@ -520,85 +528,82 @@ func (c *Chain) carriedLocked(tip crypto.Digest, ids []crypto.Digest, out []bool
 	return out
 }
 
-// pathFromGenesisLocked returns block hashes from the first post-genesis
-// block to tip, inclusive.
-func (c *Chain) pathFromGenesisLocked(tip crypto.Digest) ([]crypto.Digest, error) {
-	var rev []crypto.Digest
-	cur := tip
-	for cur != c.genesis {
-		s, ok := c.blocks[cur]
-		if !ok {
-			return nil, fmt.Errorf("%w: broken branch at %s", ErrOrphanBlock, cur.Short())
+// reorgToLocked makes newHead, whose block nb the caller holds decoded,
+// the head, and reports whether it did; it is the one way the head
+// changes. It walks newHead's branch back to its fork point with the best
+// chain, undoes the best chain's blocks above the fork point newest first,
+// then applies the branch's blocks oldest first, decoding all but nb from
+// their frames. A block that extends the head has nothing to undo. A fork
+// point more than E+1 blocks below the head lies below the undo lists,
+// receipts and events the chain keeps, so that branch is refused and
+// counted, and stays a side branch; the walk stops after E+2 steps.
+func (c *Chain) reorgToLocked(newHead crypto.Digest, nb *Block) bool {
+	var buf [2]crypto.Digest
+	branch := buf[:0] // newest first
+	tip := newHead
+	for {
+		s := c.blocks[tip]
+		if h := s.header.Height; h < uint64(len(c.bestChain)) && c.bestChain[h] == tip {
+			break
 		}
-		rev = append(rev, cur)
-		cur = s.header.PrevHash
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
-}
-
-// reorgToLocked switches the best chain to newHead, whose block nb the
-// caller holds decoded. Fast path: newHead extends the current head, so
-// state is updated incrementally from nb. Slow path: full deterministic
-// replay from genesis, which decodes every other block of the new best
-// chain, and the abandoned ones, from their frames.
-func (c *Chain) reorgToLocked(newHead crypto.Digest, nb *Block) error {
-	if nb.Header.PrevHash == c.head {
-		c.applyBlockLocked(newHead, nb, c.state, true)
-		c.head = newHead
-		c.bestChain = append(c.bestChain, newHead)
-		if h := nb.Header.Height; h > TxLifetime {
-			gone := c.bestChain[h-TxLifetime-1]
-			for _, id := range c.blocks[gone].ids {
-				delete(c.receipts, id)
-			}
-			delete(c.events, gone)
+		if len(branch) == TxLifetime+2 {
+			c.reorgRefused.Inc()
+			return false
 		}
-		c.syncLogLocked()
-		return nil
+		branch = append(branch, tip)
+		tip = s.header.PrevHash
 	}
-
-	oldBest := c.bestChain
-	path, err := c.pathFromGenesisLocked(newHead)
-	if err != nil {
-		return err
+	fork, head := c.blocks[tip].header.Height, uint64(len(c.bestChain)-1)
+	if head-fork > TxLifetime+1 {
+		c.reorgRefused.Inc()
+		return false
 	}
-	state := contract.NewState()
-	c.receipts = make(map[crypto.Digest]Receipt)
-	c.events = make(map[crypto.Digest][]contract.Event)
-	best := make([]crypto.Digest, 0, len(path)+1)
-	best = append(best, c.genesis)
-	// Swap in the fresh state so applyBlockLocked records receipts and
-	// events there, for the heights within E of the new head.
-	c.state = state
-	for _, bh := range path {
+	at := len(c.abandoned)
+	for range head - fork {
+		c.undoHeadLocked(at)
+	}
+	for i := len(branch) - 1; i >= 0; i-- {
 		b := nb
-		if bh != newHead {
-			b = c.blocks[bh].block()
+		if i > 0 {
+			b = c.blocks[branch[i]].block()
 		}
-		c.applyBlockLocked(bh, b, state, b.Header.Height+TxLifetime >= uint64(len(path)))
-		best = append(best, bh)
+		c.applyBlockLocked(branch[i], b)
 	}
-	for i, bh := range oldBest {
-		if i >= len(best) || best[i] != bh {
-			c.abandoned = append(c.abandoned, c.blocks[bh].block().Txs...)
-		}
+	if head > fork {
+		c.reorgs.Inc()
+		c.reorgUndone.Add(int64(head - fork))
+		c.reorgApplied.Add(int64(len(branch)))
 	}
-	c.head = newHead
-	c.bestChain = best
 	c.syncLogLocked()
-	return nil
+	return true
 }
 
-// applyBlockLocked executes b, stored under hash, its transactions and then
-// its block hooks, against state. When keep is set it records the receipts
-// under the block's transaction IDs and the events, the transactions' in
-// block order followed by the hooks', under hash. The replay rule was
-// checked beforehand. Transactions run one after another in block order;
-// this is the only apply path.
-func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block, state *contract.State, keep bool) {
+// undoHeadLocked takes the head block off the best chain: it reverts the
+// block's state writes, drops its receipts and events, and puts its
+// transactions on abandoned at index at, so that a reorganisation leaves
+// the abandoned blocks' transactions oldest block first.
+func (c *Chain) undoHeadLocked(at int) {
+	s := c.blocks[c.head]
+	c.marks = c.marks[:len(c.marks)-1]
+	c.state.Revert(c.marks[len(c.marks)-1])
+	for _, id := range s.ids {
+		delete(c.receipts, id)
+	}
+	delete(c.events, c.head)
+	c.abandoned = slices.Insert(c.abandoned, at, s.block().Txs...)
+	c.bestChain = c.bestChain[:len(c.bestChain)-1]
+	c.head = c.bestChain[len(c.bestChain)-1]
+}
+
+// applyBlockLocked executes b, stored under hash, a child of the head, and
+// makes it the head: its transactions and then its block hooks run against
+// the state, the receipts are recorded under the block's transaction IDs,
+// and the events, the transactions' in block order followed by the hooks',
+// under hash. The block E+1 below it leaves the window: its receipts, its
+// events and its undo list go. The replay rule was checked beforehand.
+// Transactions run one after another in block order; this is the only
+// apply path.
+func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block) {
 	ids := c.blocks[hash].ids
 	// The block's events are its transactions' and then its hooks', kept in
 	// one slice of exactly their number, each transaction's counted here;
@@ -614,26 +619,38 @@ func (c *Chain) applyBlockLocked(hash crypto.Digest, b *Block, state *contract.S
 			TxID:      ids[i],
 			Caller:    tx.From,
 		}
-		evs, err := c.engine.Execute(ctx, state, tx.Call)
-		if keep {
-			rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil}
-			if err != nil {
-				rec.Err = err.Error()
-			}
-			c.receipts[ids[i]] = rec
+		evs, err := c.engine.Execute(ctx, c.state, tx.Call)
+		rec := Receipt{TxID: ids[i], Height: b.Header.Height, OK: err == nil}
+		if err != nil {
+			rec.Err = err.Error()
 		}
+		c.receipts[ids[i]] = rec
 		perTx = append(perTx, evs)
 		total += len(evs)
 	}
-	hooks := c.engine.OnBlock(b.Header.Height, b.Header.Time(), state)
-	if !keep || total+len(hooks) == 0 {
-		return
+	hooks := c.engine.OnBlock(b.Header.Height, b.Header.Time(), c.state)
+	if total+len(hooks) > 0 {
+		events := make([]contract.Event, 0, total+len(hooks))
+		for _, evs := range perTx {
+			events = append(events, evs...)
+		}
+		c.events[hash] = append(events, hooks...)
 	}
-	events := make([]contract.Event, 0, total+len(hooks))
-	for _, evs := range perTx {
-		events = append(events, evs...)
+
+	c.head = hash
+	c.bestChain = append(c.bestChain, hash)
+	c.marks = append(c.marks, c.state.Mark())
+	if len(c.marks) > TxLifetime+2 {
+		// The block E+1 below b leaves the window: the oldest mark goes,
+		// and the journal up to the mark after that block with it.
+		c.marks = c.marks[1:]
+		gone := c.bestChain[b.Header.Height-TxLifetime-1]
+		for _, id := range c.blocks[gone].ids {
+			delete(c.receipts, id)
+		}
+		delete(c.events, gone)
+		c.state.Forget(c.marks[0])
 	}
-	c.events[hash] = append(events, hooks...)
 }
 
 func (c *Chain) notifyHeadLocked() {

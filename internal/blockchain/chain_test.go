@@ -343,8 +343,8 @@ func TestReorgBranchRefusesReplayBelowReceiptWindow(t *testing.T) {
 }
 
 // TestReceiptWindow: receipts answer for the best chain's top E+1 blocks
-// and no lower, on the fast path and after a slow-path reorg replays the
-// chain from genesis.
+// and no lower, as blocks extend the head and after a reorg undoes the head
+// block to its fork point and applies the branch's two blocks.
 func TestReceiptWindow(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
 	c := NewChain(testChainConfig(t, alice))
@@ -395,7 +395,7 @@ func TestReceiptWindow(t *testing.T) {
 	check("after 3E blocks")
 
 	// Fork below the head and overtake it: the second side block's parent is
-	// not the head, so the chain replays from genesis.
+	// not the head, so the chain undoes the head block and applies the branch.
 	oldHead, height := c.Head()
 	fork, _ := c.BlockByHeight(height - 1)
 	tip := fork.Hash()
@@ -412,7 +412,10 @@ func TestReceiptWindow(t *testing.T) {
 	if head, _ := c.Head(); head != tip || head == oldHead {
 		t.Fatal("the side branch did not take the head")
 	}
-	check("after a slow-path reorg")
+	if undone, applied := c.reorgUndone.Value(), c.reorgApplied.Value(); undone != 1 || applied < 1 || applied > 2 {
+		t.Fatalf("the reorg undid %d blocks and applied %d; want 1, and 1 or 2", undone, applied)
+	}
+	check("after a reorg to the fork point")
 }
 
 func TestFailedTxIncludedWithoutStateChange(t *testing.T) {

@@ -105,6 +105,15 @@ type NodeStats struct {
 	// grew past their expiry height before any block carried them: honest
 	// loss, whose records M3 reports like any other missing ones.
 	TxExpired int64
+	// Reorgs counts head changes that undid best-chain blocks, and
+	// ReorgBlocksUndone / ReorgBlocksApplied the blocks they undid and
+	// applied: a reorg applies at most its depth + 1. ReorgsRefused counts
+	// better branches left as side branches because they fork more than
+	// E+1 blocks below the head.
+	Reorgs             int64
+	ReorgBlocksUndone  int64
+	ReorgBlocksApplied int64
+	ReorgsRefused      int64
 	// MempoolLen / SeenCacheLen are point-in-time occupancy gauges of the
 	// pending-transaction pool and the gossip-duplicate suppression cache.
 	MempoolLen   int
@@ -316,24 +325,28 @@ func (n *Node) CaughtUp(lag uint64) bool {
 // Stats snapshots the node counters.
 func (n *Node) Stats() NodeStats {
 	return NodeStats{
-		BlocksMined:     n.mined.Value(),
-		BlocksAccepted:  n.accepted.Value(),
-		BlocksRejected:  n.rejected.Value(),
-		TxsSubmitted:    n.submitted.Value(),
-		EventsDropped:   n.evDropped.Value(),
-		MiningCancelled: n.cancelled.Value(),
-		OrphansResolved: n.orphans.Value(),
-		ImportDropped:   n.imDropped.Value(),
-		BlocksPersisted: n.chain.persisted.Value(),
-		PersistErrors:   n.chain.persistErrs.Value(),
-		BlocksReloaded:  n.reloaded.Value(),
-		ReloadDropped:   n.reloadDrop.Value(),
-		SyncCalls:       n.syncCalls.Value(),
-		SyncBlocks:      n.syncBlocks.Value(),
-		TxExpired:       n.txExpired.Value(),
-		MempoolLen:      n.pool.Len(),
-		SeenCacheLen:    n.seenTx.len(),
-		Verifier:        n.chain.Verifier().Stats(),
+		BlocksMined:        n.mined.Value(),
+		BlocksAccepted:     n.accepted.Value(),
+		BlocksRejected:     n.rejected.Value(),
+		TxsSubmitted:       n.submitted.Value(),
+		EventsDropped:      n.evDropped.Value(),
+		MiningCancelled:    n.cancelled.Value(),
+		OrphansResolved:    n.orphans.Value(),
+		ImportDropped:      n.imDropped.Value(),
+		BlocksPersisted:    n.chain.persisted.Value(),
+		PersistErrors:      n.chain.persistErrs.Value(),
+		BlocksReloaded:     n.reloaded.Value(),
+		ReloadDropped:      n.reloadDrop.Value(),
+		SyncCalls:          n.syncCalls.Value(),
+		SyncBlocks:         n.syncBlocks.Value(),
+		TxExpired:          n.txExpired.Value(),
+		Reorgs:             n.chain.reorgs.Value(),
+		ReorgBlocksUndone:  n.chain.reorgUndone.Value(),
+		ReorgBlocksApplied: n.chain.reorgApplied.Value(),
+		ReorgsRefused:      n.chain.reorgRefused.Value(),
+		MempoolLen:         n.pool.Len(),
+		SeenCacheLen:       n.seenTx.len(),
+		Verifier:           n.chain.Verifier().Stats(),
 	}
 }
 
@@ -747,8 +760,14 @@ func (n *Node) mineLoop() {
 			continue
 		}
 		// The one encoding of the block is the frame the chain keeps and
-		// the relay sends.
+		// the relay sends. The chain applies the block decoded from it, as
+		// a follower does, so the receipts and events it keeps alias that
+		// frame and not the frames the transactions were admitted in.
 		frame := b.Encode()
+		b, err := DecodeBlock(frame)
+		if err != nil {
+			panic(fmt.Sprintf("blockchain: mined block %d does not decode: %v", parentHeight+1, err))
+		}
 		if err := n.chain.addBlock(b, hash, frame); err != nil {
 			// Lost a race with a concurrent import; retry from fresh head.
 			n.cancelled.Inc()

@@ -213,10 +213,11 @@ func TestStoredFrameServedByGetRange(t *testing.T) {
 
 // TestReorgOntoFramesOnlySideBranch: a side branch is stored as frames
 // only, never applied. When a block makes it the longest, the reorganisation
-// takes the slow path: it decodes the branch from its frames and applies it
-// from genesis (receipts appear for transactions no block before the switch
-// applied, and the state is a fresh chain's on that branch), and the
-// transactions of the abandoned blocks that the branch does not carry go
+// undoes the best chain's blocks to the fork point, here genesis, and
+// applies the branch, decoding its blocks from their frames (receipts appear
+// for transactions no block before the switch applied, and the state is a
+// fresh chain's on that branch), and the transactions of the abandoned
+// blocks, decoded from their frames too, that the branch does not carry go
 // back to the pool.
 func TestReorgOntoFramesOnlySideBranch(t *testing.T) {
 	alice := testIdentity(t, "alice", 1)
@@ -282,6 +283,9 @@ func TestReorgOntoFramesOnlySideBranch(t *testing.T) {
 	n.importBlock(s3, "")
 	if h, height := c.Head(); h != s3.hash || height != 3 {
 		t.Fatalf("head at %d after the longer side branch, want s3 at 3", height)
+	}
+	if st := n.Stats(); st.Reorgs != 1 || st.ReorgBlocksUndone != 2 || st.ReorgBlocksApplied != 3 {
+		t.Fatalf("%d reorgs undid %d blocks and applied %d; want 1, 2 and 3", st.Reorgs, st.ReorgBlocksUndone, st.ReorgBlocksApplied)
 	}
 	for _, want := range []struct {
 		tx     Transaction

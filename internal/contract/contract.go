@@ -198,16 +198,19 @@ func (r *Registry) Names() []string {
 // many unrelated keys the contract holds. A State has no lock: the chain
 // applies blocks under its write lock and reads under its read lock.
 //
-// While the engine runs a transaction, every write is journalled with the
-// value it replaced, and a call that fails is rolled back in place. Stored
-// slices are never written in place (Set stores a copy; rollback puts the
-// prior slice back), so Get returns the stored slice, whose bytes must not
-// be modified.
+// Every write is journalled with the value it replaced. A position in the
+// journal is a mark (Mark): a call that fails is reverted in place to the
+// mark taken when it started (Engine.Execute), and the chain keeps the
+// writes between a block's first and last mark as the block's undo list,
+// reverting to the block's first mark to take it off the best chain. Forget
+// tells the journal how far back no revert reaches any more. Stored slices
+// are never written in place (Set stores a copy; a revert puts the prior
+// slice back), so Get returns the stored slice, whose bytes must not be
+// modified.
 type State struct {
 	spaces  map[string]*space
 	ordered []*space // by name+"/", the byte order of the full keys
-	journal []undo   // the open transaction's writes, oldest first
-	inTx    bool
+	journal journal
 	scratch []byte // see Scratch
 }
 
@@ -225,6 +228,57 @@ type undo struct {
 	key     string
 	prior   []byte
 	existed bool
+}
+
+// revert puts back what u's key held before its write.
+func (u *undo) revert() {
+	_, present := u.sp.data[u.key]
+	switch {
+	case u.existed:
+		if !present {
+			u.sp.index.insert(u.key)
+		}
+		u.sp.data[u.key] = u.prior
+	case present:
+		u.sp.index.remove(u.key)
+		delete(u.sp.data, u.key)
+	}
+}
+
+// journalChunk is how many writes one chunk of the journal holds.
+const journalChunk = 512
+
+// journal is the log of a State's writes, oldest first, in fixed-size
+// chunks: the log grows a chunk at a time, and a chunk is reused once every
+// entry in it is reverted or forgotten, so a journal that keeps a bounded
+// window of writes allocates nothing once it has grown to that window.
+type journal struct {
+	chunks []*[journalChunk]undo // chunks[0][0] is at position base
+	base   uint64
+	end    uint64                // the position of the next write
+	free   []*[journalChunk]undo // cleared chunks, for reuse
+}
+
+// push appends u at position end.
+func (j *journal) push(u undo) {
+	i := j.end - j.base
+	if i == uint64(len(j.chunks))*journalChunk {
+		var c *[journalChunk]undo
+		if n := len(j.free); n > 0 {
+			c, j.free = j.free[n-1], j.free[:n-1]
+		} else {
+			c = new([journalChunk]undo)
+		}
+		j.chunks = append(j.chunks, c)
+	}
+	j.chunks[i/journalChunk][i%journalChunk] = u
+	j.end++
+}
+
+// at returns the entry at position p.
+func (j *journal) at(p uint64) *undo {
+	i := p - j.base
+	return &j.chunks[i/journalChunk][i%journalChunk]
 }
 
 // NewState returns an empty state.
@@ -268,7 +322,7 @@ func (sp *space) Get(key string) ([]byte, bool) {
 // Set implements StateDB.
 func (sp *space) Set(key string, value []byte) {
 	prior, existed := sp.data[key]
-	sp.st.record(sp, key, prior, existed)
+	sp.st.journal.push(undo{sp: sp, key: key, prior: prior, existed: existed})
 	if !existed {
 		sp.index.insert(key)
 	}
@@ -283,7 +337,7 @@ func (sp *space) Delete(key string) {
 	if !ok {
 		return
 	}
-	sp.st.record(sp, key, prior, true)
+	sp.st.journal.push(undo{sp: sp, key: key, prior: prior, existed: true})
 	sp.index.remove(key)
 	delete(sp.data, key)
 }
@@ -336,29 +390,43 @@ func (emptySpace) Set(string, []byte)           { panic("contract: write through
 func (emptySpace) Delete(string)                { panic("contract: write through a read-only view") }
 func (emptySpace) Keys(string) iter.Seq[string] { return func(func(string) bool) {} }
 
-// record journals a write of the open transaction.
-func (s *State) record(sp *space, key string, prior []byte, existed bool) {
-	if s.inTx {
-		s.journal = append(s.journal, undo{sp: sp, key: key, prior: prior, existed: existed})
+// Mark returns the journal's position after the last write: reverting to
+// it undoes every write made since.
+func (s *State) Mark() uint64 { return s.journal.end }
+
+// Revert undoes the writes made since mark, newest first, and takes them
+// off the journal. mark must not lie below one passed to Forget.
+func (s *State) Revert(mark uint64) {
+	j := &s.journal
+	if mark < j.base || mark > j.end {
+		panic(fmt.Sprintf("contract: revert to %d, journal holds %d to %d", mark, j.base, j.end))
 	}
+	for p := j.end; p > mark; p-- {
+		u := j.at(p - 1)
+		u.revert()
+		*u = undo{}
+	}
+	j.end = mark
+	keep := (mark - j.base + journalChunk - 1) / journalChunk
+	j.free = append(j.free, j.chunks[keep:]...)
+	clear(j.chunks[keep:])
+	j.chunks = j.chunks[:keep]
 }
 
-// rollback undoes the open transaction's writes, newest first.
-func (s *State) rollback() {
-	for i := len(s.journal) - 1; i >= 0; i-- {
-		u := &s.journal[i]
-		_, present := u.sp.data[u.key]
-		switch {
-		case u.existed:
-			if !present {
-				u.sp.index.insert(u.key)
-			}
-			u.sp.data[u.key] = u.prior
-		case present:
-			u.sp.index.remove(u.key)
-			delete(u.sp.data, u.key)
-		}
+// Forget tells the journal that no revert goes below mark, so the chunks
+// whose every entry lies below it are cleared and reused.
+func (s *State) Forget(mark uint64) {
+	j := &s.journal
+	k := 0
+	for k < len(j.chunks) && j.base+journalChunk <= mark {
+		clear(j.chunks[k][:])
+		j.free = append(j.free, j.chunks[k])
+		j.base += journalChunk
+		k++
 	}
+	n := copy(j.chunks, j.chunks[k:])
+	clear(j.chunks[n:])
+	j.chunks = j.chunks[:n]
 }
 
 // Len returns the number of stored keys.
@@ -404,7 +472,8 @@ func NewEngine(r *Registry) *Engine {
 
 // Execute runs one call against state. On contract error, no state change is
 // applied and the error is returned (the blockchain records the tx as failed
-// but still includes it): the call's journalled writes are rolled back.
+// but still includes it): the call's writes are reverted to the mark taken
+// when it started, and the writes before it stay.
 func (e *Engine) Execute(ctx CallCtx, st *State, call Call) ([]Event, error) {
 	c, ok := e.registry.Get(call.Contract)
 	if !ok {
@@ -413,14 +482,10 @@ func (e *Engine) Execute(ctx CallCtx, st *State, call Call) ([]Event, error) {
 	if ctx.Cross == nil {
 		ctx.Cross = crossView{st: st}
 	}
-	st.inTx = true
+	mark := st.Mark()
 	events, err := c.Execute(ctx, Namespace(st, call.Contract), call)
 	if err != nil {
-		st.rollback()
-	}
-	clear(st.journal)
-	st.journal, st.inTx = st.journal[:0], false
-	if err != nil {
+		st.Revert(mark)
 		return nil, err
 	}
 	// Stamp event provenance.

@@ -234,10 +234,12 @@ func TestNamespaceIsolation(t *testing.T) {
 }
 
 // TestJournalCallSeesOwnWrites: inside a call, reads see the call's own
-// writes and deletes; a committed call keeps them.
+// writes and deletes; a committed call keeps them, and its writes stay in
+// the journal, past the mark taken before it, for its block to revert.
 func TestJournalCallSeesOwnWrites(t *testing.T) {
 	st := NewState()
 	Namespace(st, "c").Set("base", []byte("b"))
+	mark := st.Mark()
 	err := inTx(st, func(s StateDB) error {
 		s.Set("new", []byte("n"))
 		s.Delete("base")
@@ -262,8 +264,8 @@ func TestJournalCallSeesOwnWrites(t *testing.T) {
 	if _, ok := s.Get("base"); ok {
 		t.Fatal("commit lost delete")
 	}
-	if len(st.journal) != 0 || st.inTx {
-		t.Fatalf("journal left open: %d entries", len(st.journal))
+	if n := st.Mark() - mark; n != 2 {
+		t.Fatalf("the journal holds %d writes of the call, want its 2", n)
 	}
 }
 
@@ -326,6 +328,123 @@ func TestJournalFailedCallLeavesNoKey(t *testing.T) {
 	}
 	if st.Digest() != before || st.Len() != 2 {
 		t.Fatal("failed call changed the state")
+	}
+}
+
+// stateImage is what a State holds, read two ways: every space's values,
+// and its keys as the key index yields them.
+type stateImage struct {
+	digest crypto.Digest
+	values map[string]string   // full key → value
+	index  map[string][]string // space → keys from the index, in order
+}
+
+func imageOf(st *State) stateImage {
+	img := stateImage{digest: st.Digest(), values: map[string]string{}, index: map[string][]string{}}
+	for _, sp := range st.ordered {
+		for k, v := range sp.data {
+			img.values[sp.name+"/"+k] = string(v)
+		}
+		img.index[sp.name] = slices.Collect(sp.Keys(""))
+	}
+	return img
+}
+
+// checkImage fails unless st holds want, and its key index is exactly its
+// map's keys.
+func checkImage(t *testing.T, when string, st *State, want stateImage) {
+	t.Helper()
+	got := imageOf(st)
+	if got.digest != want.digest || !maps.Equal(got.values, want.values) {
+		t.Fatalf("%s: state differs (%d keys, want %d)", when, len(got.values), len(want.values))
+	}
+	for _, sp := range st.ordered {
+		if keys := slices.Sorted(maps.Keys(sp.data)); !slices.Equal(got.index[sp.name], keys) || !slices.Equal(keys, want.index[sp.name]) {
+			t.Fatalf("%s: space %q: index %v, map %v, want %v", when, sp.name, got.index[sp.name], keys, want.index[sp.name])
+		}
+	}
+}
+
+// TestRevertBlockRestoresState: a block's journal, its transactions' writes
+// and its hook's, is its undo list. Reverting blocks newest first to each
+// one's first mark gives back the state, digest and key index, the block
+// held before, across chunk boundaries and past a Forget of older blocks;
+// after each revert the journal ends at the block's first mark. A call that
+// fails in the middle of a block rolled back only its own writes.
+func TestRevertBlockRestoresState(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var call func(StateDB) error
+	r := NewRegistry()
+	r.MustRegister(&scriptContract{name: "c", fn: func(st StateDB) error { return call(st) }})
+	r.MustRegister(&echoContract{name: "h", onBlock: func(height uint64, st StateDB) []Event {
+		// The hook drains one queued key a block and writes its own row.
+		if k, ok := FirstKey(st, "q/"); ok {
+			st.Delete(k)
+		}
+		st.Set("tick", []byte{byte(height)})
+		return nil
+	}})
+	e := NewEngine(r)
+	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(150)) }
+	ops := func(st StateDB, n int) {
+		for range n {
+			switch k := key(); rng.Intn(4) {
+			case 0:
+				st.Delete(k)
+			case 1:
+				st.Set("q/"+k, nil)
+			default:
+				st.Set(k, []byte(fmt.Sprint(rng.Int())))
+			}
+		}
+	}
+
+	const blocks = 40
+	st := NewState()
+	marks := []uint64{st.Mark()}
+	images := []stateImage{imageOf(st)}
+	failed := 0
+	for h := uint64(1); h <= blocks; h++ {
+		for range 1 + rng.Intn(30) {
+			fail := rng.Intn(4) == 0
+			var before stateImage
+			if fail {
+				before = imageOf(st)
+			}
+			call = func(st StateDB) error {
+				ops(st, 1+rng.Intn(20))
+				if fail {
+					return errForced
+				}
+				return nil
+			}
+			if _, err := e.Execute(CallCtx{Height: h}, st, Call{Contract: "c"}); (err != nil) != fail {
+				t.Fatalf("block %d: call err %v, fail %v", h, err, fail)
+			}
+			if fail {
+				failed++
+				checkImage(t, fmt.Sprintf("block %d, after a failed call", h), st, before)
+			}
+		}
+		e.OnBlock(h, time.Time{}, st)
+		marks = append(marks, st.Mark())
+		images = append(images, imageOf(st))
+	}
+	if failed == 0 || marks[blocks] < 4*journalChunk {
+		t.Fatalf("%d failed calls and %d journalled writes: the script is too small", failed, marks[blocks])
+	}
+
+	const kept = 30 // blocks whose undo lists the caller keeps
+	st.Forget(marks[blocks-kept])
+	if len(st.journal.chunks) > int(marks[blocks]-marks[blocks-kept])/journalChunk+2 {
+		t.Fatalf("%d chunks kept for %d writes", len(st.journal.chunks), marks[blocks]-marks[blocks-kept])
+	}
+	for h := blocks; h > blocks-kept; h-- {
+		st.Revert(marks[h-1])
+		if st.Mark() != marks[h-1] {
+			t.Fatalf("after reverting block %d the journal ends at %d, want its first mark %d", h, st.Mark(), marks[h-1])
+		}
+		checkImage(t, fmt.Sprintf("block %d reverted", h), st, images[h-1])
 	}
 }
 

@@ -166,6 +166,10 @@ func nodeCollector(member string, node *blockchain.Node) obs.Collector {
 			obs.C("drams_node_sync_calls_total"+l, "Catch-up protocol transport calls (bc.head and bc.getrange).", s.SyncCalls),
 			obs.C("drams_node_sync_blocks_total"+l, "Blocks obtained through catch-up sync.", s.SyncBlocks),
 			obs.C("drams_node_tx_expired_total"+l, "Pending transactions evicted because the chain passed their expiry height.", s.TxExpired),
+			obs.C("drams_node_reorgs_total"+l, "Head changes that undid best-chain blocks to a fork point.", s.Reorgs),
+			obs.C("drams_node_reorg_blocks_undone_total"+l, "Best-chain blocks undone by reorgs.", s.ReorgBlocksUndone),
+			obs.C("drams_node_reorg_blocks_applied_total"+l, "Blocks applied by reorgs, at most each reorg's depth plus one.", s.ReorgBlocksApplied),
+			obs.C("drams_node_reorgs_refused_total"+l, "Longer branches refused because their fork point is deeper than E+1 blocks below the head.", s.ReorgsRefused),
 			obs.C("drams_node_verifier_verified_total"+l, "Signature verifications performed; a member's own transactions are not verified.", s.Verifier.Verified),
 			obs.C("drams_node_verifier_cache_hits_total"+l, "Verifications skipped via the verified-tx cache.", s.Verifier.CacheHits),
 			obs.C("drams_node_verifier_cache_misses_total"+l, "Verified-tx cache lookups that fell through.", s.Verifier.CacheMisses),

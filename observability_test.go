@@ -106,6 +106,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"drams_node_blocks_accepted_total",
 		"drams_node_mempool_len",
 		"drams_node_tx_expired_total",
+		"drams_node_reorgs_total",
+		"drams_node_reorgs_refused_total",
 		"drams_transport_sent_total",
 		"drams_pdp_evaluations_total",
 		"drams_pep_requests_total",
